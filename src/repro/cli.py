@@ -1424,6 +1424,7 @@ def main(argv: list[str] | None = None) -> int:
         generator = MonitorTraceGenerator(config, seed=seed)
         codec = None if args.codec == "none" else args.codec
         written = 0
+        generate_seconds = 0.0
         t0 = perf_counter()
         with TraceStoreWriter(
             args.path,
@@ -1433,16 +1434,22 @@ def main(argv: list[str] | None = None) -> int:
         ) as writer:
             while written < total:
                 n = min(max(args.chunk_size, 1), total - written)
+                g0 = perf_counter()
                 arrays = generator.generate_pair_arrays(n)
+                generate_seconds += perf_counter() - g0
                 writer.append(arrays.source, arrays.replier)
                 written += n
             n_blocks = writer.n_blocks + (1 if writer.pending_pairs else 0)
-        seconds = perf_counter() - t0
-        rate = written / seconds if seconds else float("inf")
+        # everything that is not the generator is the writer: open, appends, close
+        write_seconds = perf_counter() - t0 - generate_seconds
+        generate_rate = written / generate_seconds if generate_seconds else float("inf")
+        write_rate = written / write_seconds if write_seconds else float("inf")
         note = f", codec {codec}" if codec else ""
         print(
-            f"wrote {written:,} pairs / {n_blocks} block(s) to {args.path} "
-            f"in {seconds:.2f}s ({rate:,.0f} pairs/sec, seed {seed}{note})"
+            f"wrote {written:,} pairs / {n_blocks} block(s) to {args.path}: "
+            f"generate {generate_seconds:.2f}s ({generate_rate:,.0f} pairs/sec), "
+            f"write {write_seconds:.2f}s ({write_rate:,.0f} pairs/sec), "
+            f"seed {seed}{note}"
         )
         return 0
 

@@ -44,11 +44,15 @@ class UniformBuffer:
     numpy's per-call scalar ``Generator.random()`` costs ~0.5 µs of
     dispatch overhead; event-driven simulators that draw several uniforms
     per event pay it millions of times.  This helper draws uniforms in
-    large vectorized chunks and hands them out one at a time — profiling
-    the trace generator showed this removes ~40% of its runtime.
+    large vectorized chunks and hands them out either one at a time
+    (:meth:`next`, :meth:`next_index` — what per-event loops call) or in
+    bulk (:meth:`peek` the next ``k`` as an array, then :meth:`advance`
+    by however many were actually used — what array code calls when the
+    number it consumes depends on the values themselves).
 
     Determinism: the sequence is a pure function of the generator's seed
-    and the number of draws consumed, exactly like direct scalar calls.
+    and the number of draws consumed, exactly like direct scalar calls —
+    whatever the ``chunk`` and however scalar and bulk calls interleave.
     """
 
     def __init__(self, rng: np.random.Generator, *, chunk: int = 65536) -> None:
@@ -58,12 +62,15 @@ class UniformBuffer:
         self._chunk = int(chunk)
         self._buffer = self._rng.random(self._chunk)
         self._pos = 0
+        # buffer index up to which peek() has shown draws to the caller
+        self._peeked = 0
 
     def next(self) -> float:
         """One uniform draw in [0, 1)."""
-        if self._pos == self._chunk:
+        if self._pos == len(self._buffer):
             self._buffer = self._rng.random(self._chunk)
             self._pos = 0
+            self._peeked = 0
         value = self._buffer[self._pos]
         self._pos += 1
         return value
@@ -73,6 +80,28 @@ class UniformBuffer:
         if n < 1:
             raise ValueError("n must be >= 1")
         return int(self.next() * n)
+
+    def peek(self, k: int) -> np.ndarray:
+        """The next ``k`` draws as a read-only array, without consuming them."""
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        end = self._pos + k
+        if end > len(self._buffer):
+            fresh = self._rng.random(max(end - len(self._buffer), self._chunk))
+            self._buffer = np.concatenate((self._buffer[self._pos :], fresh))
+            self._pos = 0
+            self._peeked = 0
+            end = k
+        self._peeked = max(self._peeked, end)
+        view = self._buffer[self._pos : end]
+        view.flags.writeable = False
+        return view
+
+    def advance(self, k: int) -> None:
+        """Consume ``k`` draws that an earlier :meth:`peek` has shown."""
+        if not 0 <= k <= max(self._peeked - self._pos, 0):
+            raise ValueError("advance() needs 0 <= k <= draws peeked and not yet consumed")
+        self._pos += k
 
 
 def spawn_child(rng: np.random.Generator, *, key: int = 0) -> np.random.Generator:

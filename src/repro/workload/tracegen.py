@@ -39,13 +39,25 @@ reads directly against the figures):
   roughly linearly over 10 blocks (Lazy ≈ 0.59) and collapses to ≈ 0 by
   lag ~16 (Static).
 
-Two output paths are provided, per the HPC guides' advice to keep the hot
-loop lean:
+Two output paths are provided.  Both consume the same two random streams
+in the same order — ``self._rng`` for rare events (churn, drift, path
+assignment), a :class:`~repro.utils.rng.UniformBuffer` for the per-pair
+draws — and both apply every state-changing event through the same scalar
+helpers:
 
 * :meth:`MonitorTraceGenerator.generate_pair_arrays` — the fast path:
   columnar numpy arrays of (time, source, replier, category, host), no
   strings or GUIDs, streamed straight into :class:`repro.trace.PairBlock`
-  partitioning.  This is what the experiments use.
+  partitioning.  This is what the experiments use.  It has no per-pair
+  Python loop: between two state-changing events — a neighbor departure,
+  a lazy reply-path reassignment, an interest drift — the neighbor set,
+  the cumulative activity weights, the profiles and the category ->
+  anchor table are constants, so a whole segment of pairs is a dozen
+  array operations, and only the events themselves (a few dozen per
+  10,000 pairs) run the scalar helpers.  The per-pair loop it replaced
+  lives on in ``tests/workload/reference_tracegen.py`` as the oracle the
+  array code must match bit for bit (docs/performance.md, "Trace
+  generation").
 * :meth:`MonitorTraceGenerator.iter_events` — the full-fidelity path:
   :class:`~repro.trace.records.QueryRecord` / ``ReplyRecord`` streams with
   query strings, GUIDs (including buggy duplicates) and unreplied queries,
@@ -214,6 +226,15 @@ class PairArrays:
         return len(self.time)
 
 
+#: pairs whose uniforms, stream offsets and masks ``generate_pair_arrays``
+#: holds at once: every transient is O(_SUB_CHUNK), never O(n_pairs).
+_SUB_CHUNK = 8192
+
+#: remote server ids live in [_HOST_SPACE, 2 * _HOST_SPACE), above any
+#: neighbor id.
+_HOST_SPACE = 1 << 20
+
+
 class _Neighbor:
     __slots__ = ("node_id", "joined_at", "leaves_at", "weight", "profile", "drift_at")
 
@@ -261,14 +282,19 @@ class MonitorTraceGenerator:
         )
         self._now = 0.0
         self._next_node_id = 0
-        self._next_host_id = 1 << 20  # remote server ids, disjoint from neighbors
+        self._next_host_id = _HOST_SPACE  # remote server ids, disjoint from neighbors
         self._neighbors: list[_Neighbor] = []
         self._departures: list[tuple[float, int]] = []  # (leaves_at, node_id) heap
         self._by_id: dict[int, _Neighbor] = {}
         self._paths: dict[int, _Path] = {}
+        # Per-neighbor tables in ``_neighbors`` order, rebuilt lazily after
+        # the population changes: cumulative activity weights (source
+        # selection), node ids and join times (anchor selection).
         self._cum_weights: list[float] = []
-        self._weights_dirty = True
-        # Hot-loop uniforms come from a buffered child stream (profiling
+        self._ids = np.empty(0, dtype=np.int64)
+        self._joined_at = np.empty(0)
+        self._tables_dirty = True
+        # Per-pair uniforms come from a buffered child stream (profiling
         # showed scalar Generator.random() dominating generation time);
         # rare events (churn, path assignment) keep using self._rng.
         self._uniforms = UniformBuffer(spawn_child(self._rng))
@@ -326,7 +352,7 @@ class MonitorTraceGenerator:
         self._neighbors.append(neighbor)
         self._by_id[node_id] = neighbor
         heapq.heappush(self._departures, (leaves_at, node_id))
-        self._weights_dirty = True
+        self._tables_dirty = True
         return neighbor
 
     def _process_departures(self) -> None:
@@ -336,7 +362,7 @@ class MonitorTraceGenerator:
             if gone is None:
                 continue
             self._neighbors.remove(gone)
-            self._weights_dirty = True
+            self._tables_dirty = True
             # Constant-degree policy: the monitor immediately replaces a
             # departed connection with a fresh neighbor.
             duration = self._sessions.sample(self._rng)
@@ -357,22 +383,24 @@ class MonitorTraceGenerator:
             )
             neighbor.drift_at = self._next_drift_time()
 
-    def _rebuild_weights(self) -> None:
+    def _rebuild_tables(self) -> None:
         acc = 0.0
         cum = []
         for nb in self._neighbors:
             acc += nb.weight
             cum.append(acc)
         self._cum_weights = cum
-        self._weights_dirty = False
+        self._ids = np.array([nb.node_id for nb in self._neighbors], dtype=np.int64)
+        self._joined_at = np.array([nb.joined_at for nb in self._neighbors])
+        self._tables_dirty = False
 
     def _pick_source(self) -> _Neighbor:
         if self.config.ephemeral_rate > 0.0 and (
             self._uniforms.next() < self.config.ephemeral_rate
         ):
             return self._make_ephemeral_source()
-        if self._weights_dirty:
-            self._rebuild_weights()
+        if self._tables_dirty:
+            self._rebuild_tables()
         total = self._cum_weights[-1]
         u = self._uniforms.next() * total
         idx = bisect_right(self._cum_weights, u)
@@ -405,21 +433,17 @@ class MonitorTraceGenerator:
     def _assign_path(self, category: int) -> _Path:
         cfg = self.config
         previous = self._paths.get(category)
-        previous_id = previous.anchor.node_id if previous is not None else None
         # Anchor selection ∝ min(session age, cap)^gamma: paths go through
         # stable, long-lived neighbors, but no single immortal neighbor
         # monopolizes every category.  The previous anchor is excluded so a
         # path-lifetime expiry genuinely moves the path (content migrates /
         # a better route appears), which is what ages rule consequents.
+        if self._tables_dirty:
+            self._rebuild_tables()
         age_cap = cfg.anchor_age_cap_blocks * cfg.seconds_per_block
-        ages = np.array(
-            [
-                min(max(self._now - nb.joined_at, 1.0), age_cap)
-                if nb.node_id != previous_id
-                else 0.0
-                for nb in self._neighbors
-            ]
-        )
+        ages = np.minimum(np.maximum(self._now - self._joined_at, 1.0), age_cap)
+        if previous is not None:
+            ages[self._ids == previous.anchor.node_id] = 0.0
         total = ages.sum()
         if total <= 0.0:  # only the previous anchor is available
             idx = int(self._rng.integers(0, len(self._neighbors)))
@@ -443,31 +467,33 @@ class MonitorTraceGenerator:
         """Generate ``n_pairs`` query–reply pairs as columnar arrays.
 
         Continues from the generator's current simulated time, so repeated
-        calls produce one seamless trace.
+        calls produce one seamless trace.  The inter-pair gaps of a whole
+        call are drawn first, so a trace generated in several calls differs
+        from one generated in a single call (callers that cache traces key
+        on the call sizes).
         """
         if n_pairs < 0:
             raise ValueError("n_pairs must be non-negative")
-        cfg = self.config
-        mean_gap = 1.0 / cfg.pair_rate
-        times = np.empty(n_pairs)
+        # The gaps become the timestamps in place: add.accumulate is the
+        # sequential now += gap of a per-pair loop, rounding for rounding.
+        times = self._rng.exponential(1.0 / self.config.pair_rate, size=n_pairs)
         sources = np.empty(n_pairs, dtype=np.int64)
         repliers = np.empty(n_pairs, dtype=np.int64)
         categories = np.empty(n_pairs, dtype=np.int64)
         hosts = np.empty(n_pairs, dtype=np.int64)
-        gaps = self._rng.exponential(mean_gap, size=n_pairs)
-        rng_random = self._rng.random  # local alias for the hot loop
-        for i in range(n_pairs):
-            self._now += gaps[i]
-            self._process_departures()
-            source = self._pick_source()
-            self._maybe_drift(source)
-            category = source.profile.category_for_uniform(self._uniforms.next())
-            replier = self._reply_neighbor(category)
-            times[i] = self._now
-            sources[i] = source.node_id
-            repliers[i] = replier.node_id
-            categories[i] = category
-            hosts[i] = self._host_behind(replier, category)
+        for lo in range(0, n_pairs, _SUB_CHUNK):
+            hi = lo + _SUB_CHUNK
+            t = times[lo:hi]
+            t[0] += self._now
+            np.cumsum(t, out=t)
+            self._fill_pairs(t, sources[lo:hi], repliers[lo:hi], categories[lo:hi])
+            self._now = t[-1]
+            # _host_behind, column-wise and without temporaries
+            host = hosts[lo:hi]
+            np.multiply(repliers[lo:hi], 1009, out=host)
+            host += categories[lo:hi]
+            host %= _HOST_SPACE
+            host += self._next_host_id
         return PairArrays(
             time=times,
             source=sources,
@@ -475,6 +501,164 @@ class MonitorTraceGenerator:
             category=categories,
             host=hosts,
         )
+
+    def _fill_pairs(self, t, source, replier, category) -> None:
+        """Sources, repliers and categories of the pairs timestamped ``t``.
+
+        Between two departures the neighbor set is constant, so a whole
+        segment's sources are one ``searchsorted`` over the cumulative
+        activity weights (``bisect_right``, vectorised) and its ephemeral
+        ids one ``arange``.
+        """
+        m = len(t)
+        is_eph, u_source, u_category, anchored, u_alternate = self._pair_draws(m)
+        a = 0
+        while a < m:
+            self._now = t[a]
+            self._process_departures()
+            b = a + int(np.searchsorted(t[a:], self._departures[0][0], side="left"))
+            seg = slice(a, b)
+            if self._tables_dirty:
+                self._rebuild_tables()
+            ids = self._ids
+            cum = np.array(self._cum_weights)
+            rows = np.searchsorted(cum, u_source[seg] * cum[-1], side="right")
+            np.minimum(rows, len(ids) - 1, out=rows)  # floating-point edge
+            np.take(ids, rows, out=source[seg])
+            if is_eph is not None:
+                # One-shot sources: fresh ids in pair order, and a row of
+                # the profile tables past the neighbors' rows.
+                eph = np.flatnonzero(is_eph[seg])
+                first = self._next_node_id
+                self._next_node_id += len(eph)
+                source[seg][eph] = np.arange(first, self._next_node_id)
+                picks = u_source[seg][eph] * len(self._ephemeral_profiles)
+                rows[eph] = len(ids) + picks.astype(np.intp)
+            self._settle_segment(
+                t[seg],
+                rows,
+                u_category[seg],
+                None if anchored is None else anchored[seg],
+                category[seg],
+                replier[seg],
+            )
+            if anchored is not None:
+                # Transient alternate routes: a uniformly random neighbor.
+                noisy = np.flatnonzero(~anchored[seg])
+                picks = u_alternate[seg][noisy] * len(ids)
+                replier[seg][noisy] = ids[picks.astype(np.intp)]
+            a = b
+
+    def _pair_draws(self, m: int):
+        """The uniform draws of the next ``m`` pairs, one array per role.
+
+        Every pair takes its draws in the order the scalar helpers take
+        them — [ephemeral test,] source, category [, noise test] — plus
+        one more when the noise test hits, so where a pair's draws sit in
+        the stream depends on the hits before it.  One sequential pass
+        over the hit flags finds every offset; the rest is gathers.
+        """
+        cfg = self.config
+        has_eph = cfg.ephemeral_rate > 0.0
+        has_noise = cfg.path_noise > 0.0
+        stride = has_eph + 2 + has_noise
+        u = self._uniforms.peek(m * (stride + has_noise))
+        if has_noise:
+            hit = (u < cfg.path_noise).tolist()
+            offsets = [0] * m
+            consumed = 0
+            test = stride - 1
+            for i in range(m):
+                offsets[i] = consumed
+                consumed += stride + hit[consumed + test]
+            off = np.array(offsets, dtype=np.intp)
+            anchored = u[off + test] >= cfg.path_noise
+            u_alternate = u[off + stride]  # drawn only where not anchored
+        else:
+            off = np.arange(0, m * stride, stride, dtype=np.intp)
+            consumed = m * stride
+            anchored = u_alternate = None
+        is_eph = u[off] < cfg.ephemeral_rate if has_eph else None
+        u_source = u[off + has_eph]
+        u_category = u[off + has_eph + 1]
+        self._uniforms.advance(consumed)
+        return is_eph, u_source, u_category, anchored, u_alternate
+
+    def _settle_segment(self, t, rows, u_category, anchored, category, replier) -> None:
+        """Categories and anchored repliers of one departure-free segment.
+
+        Profiles and the category -> anchor table only change at an
+        interest drift or a lazy reply-path reassignment.  Find the
+        earliest pair at which one is due, settle the pairs before it,
+        apply that one event through the scalar helpers (so ``self._rng``
+        is drawn from exactly as a per-pair loop would), and go on from
+        the same pair.
+        """
+        cfg = self.config
+        profiles = [nb.profile for nb in self._neighbors] + self._ephemeral_profiles
+        prof_cats = np.array([p.categories for p in profiles])
+        prof_cum = np.array([p.weights for p in profiles]).cumsum(axis=1)
+        last_slot = prof_cats.shape[1] - 1
+
+        def categories_of(rows, u):
+            # InterestProfile.category_for_uniform, row-wise
+            slot = (u[:, None] >= prof_cum[rows]).sum(axis=1)
+            np.minimum(slot, last_slot, out=slot)
+            return prof_cats[rows, slot]
+
+        category[:] = categories_of(rows, u_category)
+        # A category without a live path is due from the start.
+        expires = np.full(cfg.n_categories, -np.inf)
+        anchor_of = np.full(cfg.n_categories, -1, dtype=np.int64)
+        for cat, path in self._paths.items():
+            if path.anchor.node_id in self._by_id:
+                expires[cat] = path.expires_at
+                anchor_of[cat] = path.anchor.node_id
+        drifting = cfg.interest_drift_blocks > 0.0
+        if drifting:
+            drift_at = np.full(len(profiles), np.inf)
+            drift_at[: len(self._neighbors)] = [nb.drift_at for nb in self._neighbors]
+        n = len(t)
+        settled = drift_from = path_from = 0
+        while True:
+            # Within one pair a drift comes before the path lookup, so a
+            # path is due first only strictly before the next drift.
+            event = n
+            is_drift = False
+            if drifting:
+                due = np.flatnonzero(t[drift_from:] >= drift_at[rows[drift_from:]])
+                if len(due):
+                    event = drift_from + int(due[0])
+                    is_drift = True
+            due = t[path_from:event] >= expires[category[path_from:event]]
+            if anchored is not None:
+                due &= anchored[path_from:event]
+            due = np.flatnonzero(due)
+            if len(due):
+                event = path_from + int(due[0])
+                is_drift = False
+            np.take(anchor_of, category[settled:event], out=replier[settled:event])
+            if event == n:
+                return
+            self._now = t[event]
+            if is_drift:
+                row = rows[event]
+                neighbor = self._neighbors[row]
+                self._maybe_drift(neighbor)
+                prof_cats[row] = neighbor.profile.categories
+                prof_cum[row] = np.cumsum(neighbor.profile.weights)
+                drift_at[row] = neighbor.drift_at
+                same = event + np.flatnonzero(rows[event:] == row)
+                category[same] = categories_of(rows[same], u_category[same])
+                drift_from = event + 1
+                path_from = event  # this pair's path lookup is still to come
+            else:
+                cat = int(category[event])
+                path = self._assign_path(cat)
+                expires[cat] = path.expires_at
+                anchor_of[cat] = path.anchor.node_id
+                path_from = drift_from = event + 1
+            settled = event
 
     def _reply_neighbor(self, category: int) -> _Neighbor:
         """The neighbor a reply for ``category`` arrives through.
@@ -494,7 +678,7 @@ class MonitorTraceGenerator:
         interest resolve to the same remote host, as interest-based
         locality predicts.
         """
-        return self._next_host_id + (replier.node_id * 1009 + category) % (1 << 20)
+        return self._next_host_id + (replier.node_id * 1009 + category) % _HOST_SPACE
 
     def iter_events(
         self, n_pairs: int
