@@ -5,12 +5,22 @@ for trace-driven work, wrong for the paper's future-work idea of
 *re-arranging the overlay* using mined rules.  :class:`DynamicTopology`
 exposes the same read interface plus edge addition/removal with a
 per-node degree cap (real peers have connection budgets).
+
+Every mutation bumps :attr:`DynamicTopology.version`; the two derived
+views — the sorted neighbour tuple per node and the CSR arrays the
+propagation kernel gathers from — are rebuilt from the adjacency sets when
+they are older than that, so a rewire between two queries (or from inside
+a reply hook) is what the next query floods over.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Iterable
+
+import numpy as np
+
+from repro.network.topology import csr_arrays
 
 __all__ = ["DynamicTopology"]
 
@@ -32,6 +42,12 @@ class DynamicTopology:
         self.max_degree = max_degree
         self._adj: list[set[int]] = [set() for _ in range(n_nodes)]
         self.n_edges = 0
+        #: bumped by every edge addition or removal.
+        self.version = 0
+        # sorted(self._adj[u]) per node, None once an edge at u changed
+        self._sorted: list[tuple[int, ...] | None] = [None] * n_nodes
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        self._csr_version = -1
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -46,7 +62,17 @@ class DynamicTopology:
         return len(self._adj)
 
     def neighbors(self, node: int) -> tuple[int, ...]:
-        return tuple(sorted(self._adj[node]))
+        cached = self._sorted[node]
+        if cached is None:
+            cached = self._sorted[node] = tuple(sorted(self._adj[node]))
+        return cached
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The current adjacency as :func:`csr_arrays`, neighbours ascending."""
+        if self._csr_version != self.version:
+            self._csr = csr_arrays([self.neighbors(u) for u in range(self.n_nodes)])
+            self._csr_version = self.version
+        return self._csr
 
     def degree(self, node: int) -> int:
         return len(self._adj[node])
@@ -95,6 +121,10 @@ class DynamicTopology:
         return None
 
     # -- mutation ----------------------------------------------------------
+    def _edge_changed(self, u: int, v: int) -> None:
+        self.version += 1
+        self._sorted[u] = self._sorted[v] = None
+
     def can_add_edge(self, u: int, v: int) -> bool:
         """Whether (u, v) can be added under the degree cap."""
         if u == v or self.has_edge(u, v):
@@ -120,6 +150,7 @@ class DynamicTopology:
         self._adj[u].add(v)
         self._adj[v].add(u)
         self.n_edges += 1
+        self._edge_changed(u, v)
 
     def remove_edge(self, u: int, v: int) -> None:
         if not self.has_edge(u, v):
@@ -127,6 +158,7 @@ class DynamicTopology:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
         self.n_edges -= 1
+        self._edge_changed(u, v)
 
     def detach_node(self, node: int) -> list[tuple[int, int]]:
         """Remove every edge incident to ``node``; returns them (u < v).

@@ -11,11 +11,31 @@ exactly the (antecedent, consequent) events the paper mines.
 Traffic accounting counts **query transmissions** (one per edge
 traversal); reply messages are proportional to hits in every scheme and
 are therefore not part of the comparison, as in the paper.
+
+:meth:`QueryEngine.broadcast` is array code, one step per hop rather than
+per message.  The topology is read as CSR vectors (``topology.csr()``);
+"reached in this query" is a length-``n`` vector stamped with the query's
+epoch, so nothing is reset between queries; ``parent`` is a second such
+vector; the frontier is an array in discovery order.  One hop gathers the
+frontier's out-edges, counts those that do not point back at the sender's
+own upstream as messages, and keeps the first edge — in (frontier
+position, neighbour position) order — into each node not yet reached.
+That is the order in which a message-by-message loop would have reached
+them, so every node gets the parent it would have got there, and the
+reply pass hands every policy the same events in the same order.  The
+per-message loop itself lives in ``tests/network/reference_engine.py`` as
+the oracle the kernel is tested against.
+
+The routing policy is the only pluggable part.  Nodes known to forward to
+every neighbour are fanned out by the CSR gather; every other node is
+asked through ``select`` and its edges are merged back in frontier order.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.metrics.traffic import QueryOutcome
 from repro.network.messages import Query
@@ -23,6 +43,9 @@ from repro.utils.rng import as_generator
 
 __all__ = ["QueryEngine"]
 
+#: ``select(node, upstream, query)`` -> the nodes ``node`` forwards to.  A
+#: callback may carry a ``flooders`` attribute, a boolean vector over the
+#: nodes: those marked are not asked, they forward to every neighbour.
 SelectFn = Callable[[int, int | None, Query], Sequence[int]]
 
 
@@ -31,12 +54,26 @@ class QueryEngine:
 
     def __init__(self, overlay) -> None:
         self.overlay = overlay
+        n = overlay.n_nodes
+        self._epoch = 0
+        # node u was reached by / holds the file of the query whose epoch
+        # the vector carries at u; a new query is a new epoch, not a reset
+        self._reached = np.zeros(n, dtype=np.int64)
+        self._holds = np.zeros(n, dtype=np.int64)
+        # slot n stands for "no upstream" and is its own parent
+        self._parent = np.full(n + 1, n, dtype=np.intp)
+        self._slot = np.empty(n, dtype=np.intp)
+        # One int object per node id (None in slot n).  Ids handed to
+        # policies are these, not fresh ints from ``tolist()``: rule
+        # tables keep what they are given for a whole window.
+        self._ids = np.empty(n + 1, dtype=object)
+        self._ids[:n] = range(n)
 
     # ------------------------------------------------------------------
     def broadcast(
         self,
         query: Query,
-        select: SelectFn,
+        select: SelectFn | None = None,
         *,
         feedback: bool = True,
     ) -> QueryOutcome:
@@ -45,18 +82,16 @@ class QueryEngine:
         ``select(node, upstream, query)`` returns the neighbors to forward
         to (the engine removes the upstream and already-counted duplicate
         deliveries are suppressed per standard Gnutella behaviour).  For
-        the origin, ``upstream`` is ``None``.
+        the origin, ``upstream`` is ``None``.  Without a ``select`` every
+        node forwards to all its neighbours — a flood.
         """
-        overlay = self.overlay
         origin = query.origin
-        parent: dict[int, int | None] = {origin: None}
-        hops: dict[int, int] = {origin: 0}
-        messages = 0
-        duplicates = 0
-        providers: list[int] = []
-        first_hit_hops: int | None = None
-
-        if overlay.node(origin).shares(query.file_id):
+        self._epoch += 1
+        epoch = self._epoch
+        holders = self._holders(query.file_id)
+        holds = self._holds
+        holds[holders] = epoch
+        if holds[origin] == epoch:
             # Local library satisfies the query with zero traffic.
             return QueryOutcome(
                 query_id=query.guid,
@@ -66,71 +101,152 @@ class QueryEngine:
                 duplicates=0,
             )
 
-        frontier: list[int] = [origin]
-        while frontier:
-            next_frontier: list[int] = []
-            for node in frontier:
-                depth = hops[node]
-                if depth >= query.ttl:
-                    continue
-                upstream = parent[node]
-                targets = select(node, upstream, query)
-                for target in targets:
-                    if target == upstream:
-                        continue
-                    messages += 1
-                    if target in parent:
-                        duplicates += 1
-                        continue
-                    parent[target] = node
-                    hops[target] = depth + 1
-                    if overlay.node(target).shares(query.file_id):
-                        providers.append(target)
-                        if first_hit_hops is None:
-                            first_hit_hops = depth + 1
-                    next_frontier.append(target)
-            frontier = next_frontier
+        indptr, indices = self.overlay.topology.csr()
+        flooders = None if select is None else getattr(select, "flooders", None)
+        if flooders is not None and not flooders.any():
+            # nobody to fan out: skip the per-hop split of the frontier
+            flooders = None
+        reached, parent, slot = self._reached, self._parent, self._slot
+        reached[origin] = epoch
+        parent[origin] = len(reached)
+        frontier = np.array([origin], dtype=np.intp)
+        messages = 0
+        duplicates = 0
+        found: list[np.ndarray] = []
+        first_hit_hops: int | None = None
+        depth = 0
+        while frontier.size and depth < query.ttl:
+            depth += 1
+            if select is None:
+                sources, targets = self._fan_out(frontier, indptr, indices)
+            else:
+                sources, targets = self._ask(
+                    frontier, select, flooders, query, indptr, indices
+                )
+            sent = targets.size - int(np.count_nonzero(targets == parent[sources]))
+            # edges into nodes not reached before this hop ...
+            new = np.flatnonzero(reached[targets] != epoch)
+            heads = targets[new]
+            # ... and of those the first into each node: written back to
+            # front, the last write to a slot is the smallest position.
+            position = np.arange(new.size)
+            slot[heads[::-1]] = position[::-1]
+            new = new[slot[heads] == position]
+            frontier = targets[new]
+            parent[frontier] = sources[new]
+            reached[frontier] = epoch
+            messages += sent
+            duplicates += sent - frontier.size
+            if holders.size:
+                hits = frontier[holds[frontier] == epoch]
+                if hits.size:
+                    found.append(hits)
+                    if first_hit_hops is None:
+                        first_hit_hops = depth
 
-        if feedback and providers:
-            self._deliver_replies(query, providers, parent)
+        n_hits = sum(hits.size for hits in found)
+        if feedback and n_hits:
+            self._deliver_replies(query, np.concatenate(found), depth)
         return QueryOutcome(
             query_id=query.guid,
             messages=messages,
-            hits=len(providers),
+            hits=n_hits,
             first_hit_hops=first_hit_hops,
             duplicates=duplicates,
         )
 
-    def _deliver_replies(
-        self, query: Query, providers: list[int], parent: dict[int, int | None]
-    ) -> None:
+    @staticmethod
+    def _fan_out(
+        frontier: np.ndarray, indptr: np.ndarray, indices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every out-edge of ``frontier`` as ``(sources, targets)``."""
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        ends = counts.cumsum()
+        # edge e of node p is indices[starts[p] + e - (edges before p)]
+        at = (starts - ends + counts).repeat(counts)
+        at += np.arange(at.size)
+        return frontier.repeat(counts), indices[at]
+
+    def _ask(
+        self, frontier, select, flooders, query, indptr, indices
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Out-edges of a frontier whose nodes (but for ``flooders``) are
+        asked one by one, in (frontier position, choice position) order."""
+        if flooders is None:
+            asked = frontier
+        else:
+            floods = flooders[frontier]
+            asked = frontier[~floods]
+            if not asked.size:
+                return self._fan_out(frontier, indptr, indices)
+        chosen: list[int] = []
+        counts: list[int] = []
+        nodes = self._ids[asked].tolist()
+        upstreams = self._ids[self._parent[asked]].tolist()
+        for node, upstream in zip(nodes, upstreams):
+            before = len(chosen)
+            chosen.extend(select(node, upstream, query))
+            counts.append(len(chosen) - before)
+        sources = asked.repeat(counts)
+        targets = np.array(chosen, dtype=np.intp)
+        if asked.size == frontier.size:
+            return sources, targets
+        flood_sources, flood_targets = self._fan_out(frontier[floods], indptr, indices)
+        sources = np.concatenate((flood_sources, sources))
+        targets = np.concatenate((flood_targets, targets))
+        slot = self._slot
+        slot[frontier] = np.arange(frontier.size)
+        order = np.argsort(slot[sources], kind="stable")
+        return sources[order], targets[order]
+
+    def _deliver_replies(self, query: Query, providers: np.ndarray, depth: int) -> None:
         """Walk each hit's reverse path, notifying learning policies.
 
         At node ``w`` on the path, the reply arrived through ``downstream``
         (the next hop toward the provider) in response to a query received
         from ``upstream`` (or from the local user at the origin, modelled
         as the node's own id — the antecedent for locally issued queries).
+        ``depth`` is how far the query got.  The walk is skipped when the
+        overlay says no installed policy overrides the no-op ``on_reply``.
         """
         overlay = self.overlay
-        for provider in providers:
-            node = provider
-            while True:
-                up = parent[node]
-                if up is None:
+        if not getattr(overlay, "learns_from_replies", True):
+            return
+        # back[j] = the node j steps up from each provider; past the
+        # origin that is slot n, which _ids turns into None.
+        back = np.empty((depth + 2, providers.size), dtype=np.intp)
+        back[0] = providers
+        for j in range(depth + 1):
+            back[j + 1] = self._parent[back[j]]
+        for path in self._ids[back.T].tolist():
+            provider = downstream = path[0]
+            for j in range(1, depth + 1):
+                w = path[j]
+                if w is None:
                     break
-                downstream = node
-                w = up
-                upstream_of_w = parent[w] if parent[w] is not None else w
+                upstream = path[j + 1]
                 policy = overlay.node(w).policy
                 if policy is not None and hasattr(policy, "on_reply"):
                     policy.on_reply(
                         node_id=w,
-                        upstream=upstream_of_w,
+                        upstream=w if upstream is None else upstream,
                         downstream=downstream,
                         query=query,
                         provider=provider,
                     )
-                node = w
+                downstream = w
+
+    def _holders(self, file_id: int) -> np.ndarray:
+        """Ids of the nodes sharing ``file_id``: the overlay's holder
+        index, or a scan of the libraries of an overlay that keeps none."""
+        overlay = self.overlay
+        if hasattr(overlay, "holders"):
+            return overlay.holders(file_id)
+        return np.array(
+            [u for u in range(overlay.n_nodes) if overlay.node(u).shares(file_id)],
+            dtype=np.intp,
+        )
 
     # ------------------------------------------------------------------
     def walk(
@@ -155,7 +271,8 @@ class QueryEngine:
         overlay = self.overlay
         origin = query.origin
 
-        if overlay.node(origin).shares(query.file_id):
+        holders = set(self._holders(query.file_id).tolist())
+        if origin in holders:
             return QueryOutcome(query.guid, 0, 1, 0, 0)
 
         messages = 0
@@ -179,7 +296,7 @@ class QueryEngine:
                 else:
                     visited.add(target)
                 prev, node = node, target
-                if overlay.node(node).shares(query.file_id):
+                if node in holders:
                     providers.add(node)
                     if first_hit_hops is None:
                         first_hit_hops = step + 1
@@ -199,10 +316,5 @@ class QueryEngine:
 
         Each probe costs one message; returns (hit nodes, messages).
         """
-        hits = []
-        messages = 0
-        for target in targets:
-            messages += 1
-            if self.overlay.node(target).shares(query.file_id):
-                hits.append(target)
-        return hits, messages
+        holders = set(self._holders(query.file_id).tolist())
+        return [target for target in targets if target in holders], len(targets)

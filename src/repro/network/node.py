@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.workload.interests import InterestProfile
 
@@ -24,6 +25,17 @@ class PeerNode:
     library: frozenset[int] = frozenset()
     policy: object | None = None
     generation: int = 0  # bumped when churn replaces this peer's identity
+    policy_changed: Callable[[], None] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name == "policy":
+            # absent while __init__ is still filling the fields in
+            hook = self.__dict__.get("policy_changed")
+            if hook is not None:
+                hook()
 
     def shares(self, file_id: int) -> bool:
         return file_id in self.library

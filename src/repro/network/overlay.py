@@ -6,11 +6,19 @@ enabled between queries: a departed peer keeps its graph position (the
 monitor-node view of Gnutella, where a connection slot refills) but gets
 a fresh identity — new library, new interests, and a reset policy table
 slot for its neighbors to re-learn.
+
+The overlay also keeps what the propagation kernel
+(:mod:`repro.network.engine`) would otherwise ask node by node: a holder
+index (which nodes share a file, patched when a peer churns) and, derived
+from the installed policies, which nodes forward to every neighbour and
+whether any node learns from replies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.metrics.traffic import TrafficStats
 from repro.network.engine import QueryEngine
@@ -87,12 +95,31 @@ class Overlay:
                 self.topology, max_degree=cfg.max_degree
             )
 
+        # (flooders, any learner) of the installed policies; None = rederive.
+        self._policy_view: tuple[np.ndarray, bool] | None = None
+        # one bound method for every peer, not one object each
+        self._on_policy_change = self._policies_changed
         self.catalog = ContentCatalog(cfg.n_categories, cfg.files_per_category)
         self._interests = InterestModel(cfg.n_categories)
         self._file_rank = ZipfSampler(cfg.files_per_category, 1.0)
         self._nodes: list[PeerNode] = [
             self._fresh_peer(node_id) for node_id in range(cfg.n_nodes)
         ]
+        # Holder index: every (file, holder) pair as file_id * n_nodes +
+        # node_id, ascending, so a file's holders are a slice.  One buffer
+        # with room for full libraries, in the narrowest integer type that
+        # holds n_files * n_nodes, patched in place when a peer churns:
+        # megabyte-sized temporaries are what moves peak RSS.
+        self._holder_keys = np.empty(
+            cfg.n_nodes * cfg.library_size,
+            dtype=np.min_scalar_type(-self.catalog.n_files * cfg.n_nodes - 1),
+        )
+        self._n_held = 0
+        for peer in self._nodes:
+            keys = self._library_keys(peer)
+            self._holder_keys[self._n_held : self._n_held + keys.size] = keys
+            self._n_held += keys.size
+        self._holder_keys[: self._n_held].sort()
         self.engine = QueryEngine(self)
         self._next_guid = 0
         # Churn decisions draw from their own stream so workloads stay
@@ -100,7 +127,9 @@ class Overlay:
         self._churn_rng = spawn_child(self._rng)
 
     # ------------------------------------------------------------------
-    def _fresh_peer(self, node_id: int, generation: int = 0) -> PeerNode:
+    def _fresh_peer(
+        self, node_id: int, generation: int = 0, policy: object | None = None
+    ) -> PeerNode:
         profile = self._interests.sample_profile(
             self._rng, width=self.config.interests_per_peer
         )
@@ -111,8 +140,50 @@ class Overlay:
             node_id=node_id,
             profile=profile,
             library=library,
+            policy=policy,
             generation=generation,
+            policy_changed=self._on_policy_change,
         )
+
+    def _library_keys(self, peer: PeerNode) -> np.ndarray:
+        """``peer``'s library as holder-index keys, ascending."""
+        keys = np.fromiter(
+            peer.library, dtype=self._holder_keys.dtype, count=len(peer.library)
+        )
+        keys *= self.n_nodes
+        keys += peer.node_id
+        keys.sort()
+        return keys
+
+    def holders(self, file_id: int) -> np.ndarray:
+        """Ids of the nodes whose library holds ``file_id``, ascending."""
+        held = self._holder_keys[: self._n_held]
+        if not 0 <= file_id < self.catalog.n_files:
+            return held[:0]
+        # bounds in the keys' own type: anything wider makes searchsorted
+        # convert the whole vector first
+        base = held.dtype.type(file_id * self.n_nodes)
+        lo, hi = held.searchsorted(np.array((base, base + self.n_nodes)))
+        return held[lo:hi] - base
+
+    def _reindex(self, gone: np.ndarray, arrived: np.ndarray) -> None:
+        """Take the keys ``gone`` out of the holder index and put
+        ``arrived`` in (both ascending), shifting the stretches between
+        them inside the buffer."""
+        keys, held = self._holder_keys, self._n_held
+        edges = [*keys[:held].searchsorted(gone).tolist(), held]
+        for i in range(gone.size):
+            # the stretch after the i-th removed key moves i + 1 down
+            lo, hi = edges[i] + 1, edges[i + 1]
+            keys[lo - i - 1 : hi - i - 1] = keys[lo:hi]
+        held -= gone.size
+        edges = [*keys[:held].searchsorted(arrived).tolist(), held]
+        for i in reversed(range(arrived.size)):
+            # the stretch after the i-th new key moves i + 1 up
+            lo, hi = edges[i], edges[i + 1]
+            keys[lo + i + 1 : hi + i + 1] = keys[lo:hi]
+            keys[lo + i] = arrived[i]
+        self._n_held = held + arrived.size
 
     def node(self, node_id: int) -> PeerNode:
         return self._nodes[node_id]
@@ -126,6 +197,32 @@ class Overlay:
         for peer in self._nodes:
             peer.policy = policy_factory(peer.node_id, self)
 
+    def _policies_changed(self) -> None:
+        self._policy_view = None
+
+    def _derived_from_policies(self) -> tuple[np.ndarray, bool]:
+        if self._policy_view is None:
+            # repro.routing imports this package
+            from repro.routing.base import forwards_to_all, observes_replies
+
+            policies = [peer.policy for peer in self._nodes]
+            self._policy_view = (
+                np.fromiter(map(forwards_to_all, policies), bool, len(policies)),
+                any(map(observes_replies, policies)),
+            )
+        return self._policy_view
+
+    @property
+    def flooders(self) -> np.ndarray:
+        """Boolean vector: nodes that forward a query to every neighbour
+        (no policy, or one whose ``select`` is the flooding decision)."""
+        return self._derived_from_policies()[0]
+
+    @property
+    def learns_from_replies(self) -> bool:
+        """Whether any installed policy overrides the no-op ``on_reply``."""
+        return self._derived_from_policies()[1]
+
     # ------------------------------------------------------------------
     def churn_one(self) -> int:
         """Replace one uniformly random peer with a fresh identity.
@@ -136,11 +233,14 @@ class Overlay:
         """
         node_id = int(self._churn_rng.integers(0, self.n_nodes))
         old = self._nodes[node_id]
-        fresh = self._fresh_peer(node_id, generation=old.generation + 1)
+        # The policy object stays, so what is derived from it does too.
+        fresh = self._fresh_peer(
+            node_id, generation=old.generation + 1, policy=old.policy
+        )
         if old.policy is not None and hasattr(old.policy, "reset"):
             old.policy.reset()
-        fresh.policy = old.policy
         self._nodes[node_id] = fresh
+        self._reindex(self._library_keys(old), self._library_keys(fresh))
         return node_id
 
     # ------------------------------------------------------------------

@@ -16,13 +16,28 @@ graph with simple (no self-loop, no multi-edge) undirected edges.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.utils.rng import as_generator
 
 __all__ = ["Topology", "random_regular", "erdos_renyi", "barabasi_albert"]
+
+
+def csr_arrays(adjacency: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of an adjacency list, neighbours in list order.
+
+    Node ``u``'s neighbours are ``indices[indptr[u]:indptr[u + 1]]``; both
+    vectors are ``intp`` so they index other arrays without a cast.
+    """
+    indptr = np.zeros(len(adjacency) + 1, dtype=np.intp)
+    np.cumsum([len(neighbors) for neighbors in adjacency], out=indptr[1:])
+    indices = np.fromiter(
+        chain.from_iterable(adjacency), dtype=np.intp, count=int(indptr[-1])
+    )
+    return indptr, indices
 
 
 class Topology:
@@ -46,6 +61,7 @@ class Topology:
             tuple(sorted(neighbors)) for neighbors in adj
         )
         self.n_edges = n_edges
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -53,6 +69,16 @@ class Topology:
 
     def neighbors(self, node: int) -> tuple[int, ...]:
         return self._adj[node]
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The adjacency as :func:`csr_arrays`, neighbours ascending.
+
+        Built on first use: the tiered simulators build topologies they
+        never propagate over with the array kernel.
+        """
+        if self._csr is None:
+            self._csr = csr_arrays(self._adj)
+        return self._csr
 
     def degree(self, node: int) -> int:
         return len(self._adj[node])

@@ -27,6 +27,19 @@ from repro.routing.base import RoutingPolicy, dispatch_select
 __all__ = ["NeighborRuleTable", "AssociationRoutingPolicy"]
 
 
+class _DownstreamCounts(Counter):
+    """One antecedent's windowed downstream counts, plus ``ranked``: its
+    qualified consequents, highest support first, or ``None`` once a count
+    changed (a slot: an instance ``__dict__`` per counter costs more than
+    the ranking it would hold)."""
+
+    __slots__ = ("ranked",)
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.ranked: tuple[int, ...] | None = None
+
+
 class NeighborRuleTable:
     """Sliding-window (upstream -> downstream) rule counts for one node.
 
@@ -44,16 +57,21 @@ class NeighborRuleTable:
         self.window = window
         self.min_support_count = min_support_count
         self._events: deque[tuple[int, int]] = deque()
-        self._counts: dict[int, Counter] = {}
+        self._counts: dict[int, _DownstreamCounts] = {}
 
     def observe(self, upstream: int, downstream: int) -> None:
         """Record one (query came from, reply came through) event."""
         self._events.append((upstream, downstream))
-        self._counts.setdefault(upstream, Counter())[downstream] += 1
+        counter = self._counts.get(upstream)
+        if counter is None:
+            counter = self._counts[upstream] = _DownstreamCounts()
+        counter[downstream] += 1
+        counter.ranked = None
         if len(self._events) > self.window:
             old_up, old_down = self._events.popleft()
             counter = self._counts[old_up]
             counter[old_down] -= 1
+            counter.ranked = None
             if counter[old_down] <= 0:
                 del counter[old_down]
                 if not counter:
@@ -64,14 +82,16 @@ class NeighborRuleTable:
         counter = self._counts.get(upstream)
         if not counter:
             return []
-        qualified = [
-            (count, down)
-            for down, count in counter.items()
-            if count >= self.min_support_count
-        ]
-        qualified.sort(key=lambda cd: (-cd[0], cd[1]))
-        out = [down for _count, down in qualified]
-        return out[:k] if k is not None else out
+        ranked = counter.ranked
+        if ranked is None:
+            qualified = [
+                (count, down)
+                for down, count in counter.items()
+                if count >= self.min_support_count
+            ]
+            qualified.sort(key=lambda cd: (-cd[0], cd[1]))
+            ranked = counter.ranked = tuple(down for _count, down in qualified)
+        return list(ranked[:k])
 
     def n_rules(self) -> int:
         return sum(
@@ -150,7 +170,7 @@ class AssociationRoutingPolicy(RoutingPolicy):
             return attempt
         # §III-B: revert to flooding when rule routing finds nothing.
         self.fallback_count += 1
-        flood = engine.broadcast(query, lambda node, up, q: self.overlay.topology.neighbors(node))
+        flood = engine.broadcast(query)
         return QueryOutcome(
             query_id=query.guid,
             messages=attempt.messages + flood.messages,

@@ -15,6 +15,12 @@ tables on it).  Two hooks matter:
 ``dispatch_select`` builds the engine callback that routes each per-node
 decision to *that node's own* policy — which is how a mixed deployment
 (only some nodes running association routing, as the paper allows) works.
+It also tells the engine which nodes it need not ask: a node with no
+policy, or with one whose ``select`` *is* :meth:`RoutingPolicy.forward_to_all`
+(:func:`forwards_to_all`), forwards to every neighbour, and the engine fans
+those out from its CSR arrays.  A policy that floods therefore binds
+``select = RoutingPolicy.forward_to_all`` rather than writing the same body
+again — overriding ``select`` in a subclass takes the node off that list.
 """
 
 from __future__ import annotations
@@ -26,20 +32,34 @@ from repro.metrics.traffic import QueryOutcome
 from repro.network.engine import QueryEngine
 from repro.network.messages import Query
 
-__all__ = ["RoutingPolicy", "dispatch_select"]
+__all__ = ["RoutingPolicy", "dispatch_select", "forwards_to_all", "observes_replies"]
 
 
-def dispatch_select(overlay):
-    """Engine callback delegating to each transit node's own policy."""
+class _PolicyDispatch:
+    """What :func:`dispatch_select` returns (one module-level class: a
+    class or closure made per query is garbage the collector must trace)."""
 
-    def _select(node: int, upstream: int | None, query: Query) -> Sequence[int]:
-        policy = overlay.node(node).policy
+    __slots__ = ("overlay",)
+
+    def __init__(self, overlay) -> None:
+        self.overlay = overlay
+
+    def __call__(self, node: int, upstream: int | None, query: Query) -> Sequence[int]:
+        policy = self.overlay.node(node).policy
         if policy is None:
             # Nodes without a policy behave like vanilla Gnutella.
-            return overlay.topology.neighbors(node)
+            return self.overlay.topology.neighbors(node)
         return policy.select(node, upstream, query)
 
-    return _select
+    @property
+    def flooders(self):
+        """Nodes the engine need not ask (``None``: the overlay keeps no such list)."""
+        return getattr(self.overlay, "flooders", None)
+
+
+def dispatch_select(overlay) -> _PolicyDispatch:
+    """Engine callback delegating to each transit node's own policy."""
+    return _PolicyDispatch(overlay)
 
 
 class RoutingPolicy(abc.ABC):
@@ -56,6 +76,10 @@ class RoutingPolicy(abc.ABC):
     def select(self, node: int, upstream: int | None, query: Query) -> Sequence[int]:
         """Neighbors of ``node`` to forward ``query`` to."""
 
+    def forward_to_all(self, node: int, upstream: int | None, query: Query) -> Sequence[int]:
+        """The flooding decision: every neighbour (the engine drops the upstream)."""
+        return self.overlay.topology.neighbors(node)
+
     # -- per-query driver (origin only) ----------------------------------
     def route_query(self, engine: QueryEngine, query: Query) -> QueryOutcome:
         """Default driver: one broadcast with per-node dispatch."""
@@ -67,3 +91,23 @@ class RoutingPolicy(abc.ABC):
 
     def reset(self) -> None:
         """Forget learned state (called when the peer churns)."""
+
+
+def _implementation(policy, method: str):
+    """The plain function behind ``policy.<method>``, or ``None``."""
+    return getattr(getattr(policy, method, None), "__func__", None)
+
+
+def forwards_to_all(policy) -> bool:
+    """Whether a node running ``policy`` forwards every query to every neighbour."""
+    return (
+        policy is None
+        or _implementation(policy, "select") is RoutingPolicy.forward_to_all
+    )
+
+
+def observes_replies(policy) -> bool:
+    """Whether ``policy`` does anything with a reply passing back through it."""
+    return hasattr(policy, "on_reply") and (
+        _implementation(policy, "on_reply") is not RoutingPolicy.on_reply
+    )

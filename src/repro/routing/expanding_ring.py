@@ -9,7 +9,6 @@ out, which these simulations reproduce.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence
 
 from repro.metrics.traffic import QueryOutcome
 from repro.network.engine import QueryEngine
@@ -27,8 +26,7 @@ class ExpandingRingPolicy(RoutingPolicy):
     #: successive TTLs tried until a hit (capped at the query's own TTL).
     schedule: tuple[int, ...] = (1, 2, 4, 7)
 
-    def select(self, node: int, upstream: int | None, query: Query) -> Sequence[int]:
-        return self.overlay.topology.neighbors(node)
+    select = RoutingPolicy.forward_to_all
 
     def route_query(self, engine: QueryEngine, query: Query) -> QueryOutcome:
         total_messages = 0

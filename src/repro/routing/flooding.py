@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.network.messages import Query
 from repro.routing.base import RoutingPolicy
 
 __all__ = ["FloodingPolicy"]
@@ -20,5 +17,4 @@ class FloodingPolicy(RoutingPolicy):
 
     name = "flooding"
 
-    def select(self, node: int, upstream: int | None, query: Query) -> Sequence[int]:
-        return self.overlay.topology.neighbors(node)
+    select = RoutingPolicy.forward_to_all

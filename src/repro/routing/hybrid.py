@@ -77,9 +77,7 @@ class HybridShortcutAssociationPolicy(AssociationRoutingPolicy):
                 duplicates=attempt.duplicates,
             )
         # Stage 3: last-resort flood.
-        flood = engine.broadcast(
-            query, lambda node, up, q: self.overlay.topology.neighbors(node)
-        )
+        flood = engine.broadcast(query)
         return QueryOutcome(
             query_id=query.guid,
             messages=probe_messages + attempt.messages + flood.messages,

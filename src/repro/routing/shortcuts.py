@@ -12,7 +12,6 @@ others.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Sequence
 
 from repro.metrics.traffic import QueryOutcome
 from repro.network.engine import QueryEngine
@@ -36,8 +35,7 @@ class InterestShortcutsPolicy(RoutingPolicy):
         self._shortcuts: OrderedDict[int, None] = OrderedDict()
 
     # -- transit behaviour: plain flooding ------------------------------
-    def select(self, node: int, upstream: int | None, query: Query) -> Sequence[int]:
-        return self.overlay.topology.neighbors(node)
+    select = RoutingPolicy.forward_to_all
 
     # -- origin driver ----------------------------------------------------
     def route_query(self, engine: QueryEngine, query: Query) -> QueryOutcome:

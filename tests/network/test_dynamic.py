@@ -3,7 +3,10 @@
 import pytest
 
 from repro.network.dynamic import DynamicTopology
+from repro.network.engine import QueryEngine
+from repro.network.messages import Query
 from repro.network.topology import Topology
+from tests.network.test_engine import RecordingPolicy, StubOverlay
 
 
 def make_line(n=4, max_degree=None):
@@ -77,3 +80,73 @@ class TestMutation:
             DynamicTopology(0, [])
         with pytest.raises(ValueError):
             DynamicTopology(3, [], max_degree=0)
+
+
+class TestDerivedViews:
+    """The sorted neighbour tuples and the CSR arrays follow every mutation."""
+
+    @staticmethod
+    def csr_neighbors(dyn, node):
+        indptr, indices = dyn.csr()
+        return tuple(indices[indptr[node] : indptr[node + 1]].tolist())
+
+    def test_neighbors_tuple_is_kept_until_an_edge_changes(self):
+        dyn = make_line(5)
+        first = dyn.neighbors(1)
+        assert dyn.neighbors(1) is first
+        dyn.add_edge(3, 4)  # existing edge: nothing changed
+        dyn.remove_edge(3, 4)
+        assert dyn.neighbors(1) is first  # not at node 1
+        dyn.add_edge(1, 4)
+        assert dyn.neighbors(1) == (0, 2, 4)
+        assert dyn.neighbors(4) == (1,)
+
+    def test_csr_follows_mutation(self):
+        dyn = make_line(5)
+        version = dyn.version
+        assert self.csr_neighbors(dyn, 2) == (1, 3)
+        assert dyn.csr() is dyn.csr()
+        dyn.add_edge(0, 2)
+        assert dyn.version > version
+        assert self.csr_neighbors(dyn, 2) == (0, 1, 3)
+        dyn.remove_edge(2, 3)
+        assert self.csr_neighbors(dyn, 2) == (0, 1)
+        dyn.detach_node(2)
+        assert self.csr_neighbors(dyn, 2) == ()
+        for node in range(5):
+            assert self.csr_neighbors(dyn, node) == dyn.neighbors(node)
+
+    @pytest.mark.parametrize(
+        "mutate, reached",
+        [
+            (lambda dyn: dyn.add_edge(0, 4), 2),  # 0 - 4 directly
+            (lambda dyn: dyn.remove_edge(0, 1), 0),  # origin cut off
+            (lambda dyn: dyn.detach_node(1), 0),
+        ],
+    )
+    def test_second_broadcast_sees_the_rewire(self, mutate, reached):
+        dyn = make_line(5)
+        overlay = StubOverlay(dyn, {4: {5}})
+        engine = QueryEngine(overlay)
+        query = Query(guid=1, origin=0, file_id=5, category=0, ttl=1)
+        assert engine.broadcast(query).messages == 1  # 0 -> 1 only
+        mutate(dyn)
+        out = engine.broadcast(query)
+        assert out.messages == reached
+        assert out.hits == (1 if reached == 2 else 0)
+
+    def test_rewire_from_a_reply_hook_is_seen_by_the_next_query(self):
+        dyn = make_line(5)
+        overlay = StubOverlay(dyn, {2: {5}})
+
+        class Rewirer(RecordingPolicy):
+            def on_reply(self, **event):
+                super().on_reply(**event)
+                if not dyn.has_edge(0, 2):
+                    dyn.add_edge(0, 2)
+
+        overlay.node(0).policy = Rewirer()
+        engine = QueryEngine(overlay)
+        query = Query(guid=1, origin=0, file_id=5, category=0, ttl=3)
+        assert engine.broadcast(query).first_hit_hops == 2
+        assert engine.broadcast(query).first_hit_hops == 1

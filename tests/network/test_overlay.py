@@ -1,6 +1,7 @@
 """Tests for repro.network.overlay."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.network.overlay import Overlay, OverlayConfig
 from repro.routing.flooding import FloodingPolicy
@@ -126,3 +127,41 @@ class TestChurn:
             overlay.churn_one()
         generations = [overlay.node(i).generation for i in range(60)]
         assert max(generations) >= 2
+
+
+def scanned_holders(overlay, file_id):
+    return [u for u in range(overlay.n_nodes) if overlay.node(u).shares(file_id)]
+
+
+class TestHolderIndex:
+    TINY = OverlayConfig(
+        n_nodes=30, degree=4, n_categories=4, files_per_category=12, library_size=10
+    )
+
+    def test_matches_libraries_at_build(self):
+        overlay = Overlay(SMALL, seed=5)
+        for file_id in range(overlay.catalog.n_files):
+            assert overlay.holders(file_id).tolist() == scanned_holders(overlay, file_id)
+
+    def test_unknown_file_has_no_holders(self):
+        overlay = Overlay(SMALL, seed=5)
+        assert overlay.holders(overlay.catalog.n_files).size == 0
+        assert overlay.holders(10**12).size == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**16), st.lists(st.integers(1, 6), max_size=8))
+    def test_matches_libraries_after_any_churn(self, seed, bursts):
+        overlay = Overlay(self.TINY, seed=seed)
+        for burst in bursts:
+            for _ in range(burst):
+                overlay.churn_one()
+            for file_id in range(overlay.catalog.n_files):
+                assert overlay.holders(file_id).tolist() == scanned_holders(
+                    overlay, file_id
+                )
+
+    def test_empty_libraries(self):
+        config = OverlayConfig(n_nodes=10, degree=4, library_size=0)
+        overlay = Overlay(config, seed=1)
+        overlay.churn_one()
+        assert overlay.holders(0).size == 0

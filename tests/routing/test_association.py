@@ -1,6 +1,7 @@
 """Tests for repro.routing.association (the paper's policy, online)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.network.overlay import Overlay, OverlayConfig
 from repro.routing.association import AssociationRoutingPolicy, NeighborRuleTable
@@ -75,6 +76,48 @@ class TestNeighborRuleTable:
             NeighborRuleTable(window=0)
         with pytest.raises(ValueError):
             NeighborRuleTable(min_support_count=0)
+
+
+def unmemoised_consequents(table, upstream, k=None):
+    """``NeighborRuleTable.consequents`` as it was before it kept a ranking."""
+    counter = table._counts.get(upstream)
+    if not counter:
+        return []
+    qualified = [
+        (count, down)
+        for down, count in counter.items()
+        if count >= table.min_support_count
+    ]
+    qualified.sort(key=lambda cd: (-cd[0], cd[1]))
+    out = [down for _count, down in qualified]
+    return out[:k] if k is not None else out
+
+
+table_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), st.integers(0, 3), st.integers(0, 4)),
+        st.tuples(st.just("consequents"), st.integers(0, 3), st.sampled_from([None, 1, 2, 5])),
+        st.tuples(st.just("clear"), st.just(0), st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 3), table_ops)
+def test_kept_ranking_never_goes_stale(window, min_support_count, ops):
+    table = NeighborRuleTable(window=window, min_support_count=min_support_count)
+    for op, a, b in ops:
+        if op == "observe":
+            table.observe(a, b)
+        elif op == "clear":
+            table.clear()
+        else:
+            got = table.consequents(a, b)
+            assert got == unmemoised_consequents(table, a, b)
+            got.append(-1)  # the caller's list, not the table's
+    for upstream in range(4):
+        assert table.consequents(upstream) == unmemoised_consequents(table, upstream)
 
 
 def build(seed=1, **policy_kwargs):
