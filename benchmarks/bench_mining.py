@@ -20,13 +20,17 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from repro.core.evaluation import ruleset_test, ruleset_test_reference
+from repro.core.evaluation import ruleset_test
 from repro.core.generation import generate_ruleset
 from repro.mining.apriori import apriori
 from repro.mining.fpgrowth import fpgrowth
 from repro.mining.transactions import TransactionDataset
 from repro.trace.blocks import PairBlock
 from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator
+from tests.core.reference_rules import (
+    reference_generate_ruleset,
+    reference_ruleset_test,
+)
 
 
 @pytest.fixture(scope="module")
@@ -59,13 +63,13 @@ def test_fpgrowth_throughput(benchmark, basket_dataset):
 
 def test_generate_ruleset_numpy(benchmark, trace_block):
     benchmark.extra_info["pairs"] = len(trace_block)
-    rs = benchmark(generate_ruleset, trace_block, implementation="numpy")
+    rs = benchmark(generate_ruleset, trace_block)
     assert len(rs) > 0
 
 
 def test_generate_ruleset_python_reference(benchmark, trace_block):
     benchmark.extra_info["pairs"] = len(trace_block)
-    rs = benchmark(generate_ruleset, trace_block, implementation="python")
+    rs = benchmark(reference_generate_ruleset, trace_block)
     assert len(rs) > 0
 
 
@@ -79,7 +83,7 @@ def test_ruleset_test_numpy(benchmark, trace_block):
 def test_ruleset_test_python_reference(benchmark, trace_block):
     rs = generate_ruleset(trace_block)
     benchmark.extra_info["pairs"] = len(trace_block)
-    result = benchmark(ruleset_test_reference, rs, trace_block)
+    result = benchmark(reference_ruleset_test, rs, trace_block)
     assert result.n_total == len(trace_block)
 
 

@@ -33,7 +33,7 @@ def populated_state(root: str, pairs, *, fsync: str = "never"):
     state = PersistentState(os.path.join(root, "node"), fsync=fsync)
     counts, _ = state.recover(StreamingRules(min_support_count=2, window_pairs=4096))
     for source, replier in pairs:
-        counts.push(source, replier)
+        counts.observe(source, replier)
         state.record_pair(source, replier)
     return state, counts
 
@@ -103,7 +103,7 @@ def _time_scale(n_pairs: int, fsync: str) -> dict:
         # leave a WAL tail so recovery exercises both paths
         tail = make_pairs(n_pairs // 10)
         for source, replier in tail:
-            counts.push(source, replier)
+            counts.observe(source, replier)
             state.record_pair(source, replier)
         state.close()
 

@@ -5,10 +5,11 @@ The package implements the paper's association-rule query routing for
 unstructured P2P networks plus every substrate its evaluation depends on:
 
 * :mod:`repro.core` — rule sets, GENERATE-RULESET / RULESET-TEST, the
-  four maintenance strategies (Static, Sliding, Lazy, Adaptive) and the
-  streaming extension;
+  four maintenance strategies (Static, Sliding, Lazy, Adaptive), the
+  streaming extension, and the online pair counts (exact window or
+  lossy sketch) under every live rule table;
 * :mod:`repro.mining` — general association analysis (Apriori,
-  FP-Growth, rule measures, lossy counting);
+  FP-Growth, rule measures);
 * :mod:`repro.workload` — the calibrated synthetic monitor-node trace
   standing in for the paper's proprietary 7-day Gnutella capture;
 * :mod:`repro.trace` / :mod:`repro.store` — the paper's import pipeline

@@ -8,15 +8,16 @@ items, which makes generation (pair counting + support pruning) and testing
 cheap enough to run per block.
 
 * :mod:`~repro.core.rules` — :class:`Rule` and :class:`RuleSet`;
-* :mod:`~repro.core.generation` — GENERATE-RULESET (numpy fast path and a
-  pure-Python reference, tested equal), with optional top-k truncation and
-  confidence pruning (the §VI extension);
+* :mod:`~repro.core.generation` — GENERATE-RULESET, with optional top-k
+  truncation and confidence pruning (the §VI extension);
 * :mod:`~repro.core.evaluation` — RULESET-TEST computing the paper's
   coverage (alpha) and success (rho) measures;
 * :mod:`~repro.core.thresholds` — rolling-mean thresholds for the adaptive
   strategy;
 * :mod:`~repro.core.strategies` — STATIC-RULESET, SLIDING-WINDOW,
   LAZY-SLIDING-WINDOW, ADAPTIVE-SLIDING-WINDOW drivers;
+* :mod:`~repro.core.counts` — the online pair-count table (exact window
+  or lossy sketch) under every rule set that learns event by event;
 * :mod:`~repro.core.streaming` — the future-work strategy that updates
   rules immediately as pairs arrive;
 * :mod:`~repro.core.runner` — trace -> strategy -> :class:`StrategyRun`.
@@ -28,6 +29,7 @@ from repro.core.category_rules import (
     category_ruleset_test,
     generate_category_ruleset,
 )
+from repro.core.counts import SketchCounts, WindowCounts
 from repro.core.evaluation import (
     RulesetTestResult,
     ruleset_test,
@@ -57,11 +59,13 @@ __all__ = [
     "RuleSet",
     "RulesetStrategy",
     "RulesetTestResult",
+    "SketchCounts",
     "SlidingWindow",
     "StaticRuleset",
     "StrategyRun",
     "StreamingRules",
     "TrialResult",
+    "WindowCounts",
     "category_ruleset_test",
     "generate_category_ruleset",
     "generate_ruleset",

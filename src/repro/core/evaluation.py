@@ -8,9 +8,9 @@ the paper):
 * ``s`` — those whose (source, replier) matches a rule exactly;
 * coverage ``alpha = n / N``; success ``rho = s / n``.
 
-The vectorized path packs pairs into int64 keys and uses sorted-array
-membership tests; a pure-Python reference implementation is kept for
-property testing.
+Pairs are packed into int64 keys and tested by sorted-array membership;
+the pair-by-pair loops these are property-tested against are
+``tests/core/reference_rules.py``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ __all__ = [
     "RulesetTestResult",
     "ruleset_test",
     "ruleset_test_random_subset",
-    "ruleset_test_random_subset_reference",
-    "ruleset_test_reference",
 ]
 
 
@@ -101,10 +99,9 @@ def ruleset_test_random_subset(
     ``m`` consequents, the replier lands in a uniform ``k``-subset with
     probability ``k/m``, independently per query — so one Bernoulli draw
     per matched query replaces the per-query ``rng.choice`` of the
-    reference loop (:func:`ruleset_test_random_subset_reference`).  The
-    two implementations are distributionally identical (exactly equal
-    whenever ``k`` covers every antecedent's consequent list) but consume
-    the RNG stream differently.
+    reference loop (``tests/core/reference_rules.py``).  The two are
+    distributionally identical (exactly equal whenever ``k`` covers every
+    antecedent's consequent list) but consume the RNG stream differently.
     """
     from repro.utils.rng import as_generator
 
@@ -139,54 +136,6 @@ def ruleset_test_random_subset(
     if n_stochastic:
         draws = rng.random(n_stochastic)
         n_successful += int((draws * m[stochastic] < k).sum())
-    return RulesetTestResult(
-        n_total=n_total, n_covered=n_covered, n_successful=n_successful
-    )
-
-
-def ruleset_test_random_subset_reference(
-    ruleset: RuleSet, block: PairBlock, *, k: int, rng=None
-) -> RulesetTestResult:
-    """Pure-Python random-subset RULESET-TEST (reference implementation).
-
-    Draws an explicit uniform ``k``-subset per covered query; the property
-    tests check :func:`ruleset_test_random_subset` against it.
-    """
-    from repro.utils.rng import as_generator
-
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    rng = as_generator(rng)
-    n_total = len(block)
-    n_covered = 0
-    n_successful = 0
-    for source, replier in zip(block.sources.tolist(), block.repliers.tolist()):
-        consequents = ruleset.consequents_for(source)
-        if not consequents:
-            continue
-        n_covered += 1
-        if len(consequents) <= k:
-            chosen = consequents
-        else:
-            idx = rng.choice(len(consequents), size=k, replace=False)
-            chosen = [consequents[i] for i in idx]
-        if replier in chosen:
-            n_successful += 1
-    return RulesetTestResult(
-        n_total=n_total, n_covered=n_covered, n_successful=n_successful
-    )
-
-
-def ruleset_test_reference(ruleset: RuleSet, block: PairBlock) -> RulesetTestResult:
-    """Pure-Python RULESET-TEST (ground truth for property tests)."""
-    n_total = len(block)
-    n_covered = 0
-    n_successful = 0
-    for source, replier in zip(block.sources.tolist(), block.repliers.tolist()):
-        if ruleset.covers(source):
-            n_covered += 1
-            if ruleset.matches(source, replier):
-                n_successful += 1
     return RulesetTestResult(
         n_total=n_total, n_covered=n_covered, n_successful=n_successful
     )

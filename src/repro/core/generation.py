@@ -8,19 +8,12 @@ keeping only the top-k consequents per antecedent, and confidence-based
 pruning (confidence of ``{u} -> {v}`` = pair count / number of replied
 queries from ``u`` in the block).
 
-Two implementations are provided per the HPC guides (vectorize the hot
-loop; keep a simple reference to validate against):
-
-* ``implementation="numpy"`` (default) packs each pair into one int64 key
-  and counts with a single ``np.unique`` pass;
-* ``implementation="python"`` is a dict-based reference.
-
-The test suite asserts they produce identical rule sets.
+Each pair is packed into one int64 key and the block is counted with a
+single ``np.unique`` pass; the dict-based loop this is tested against is
+``tests/core/reference_rules.py``.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import numpy as np
 
@@ -62,7 +55,6 @@ def generate_ruleset(
     min_support_count: int = 10,
     top_k: int | None = None,
     min_confidence: float = 0.0,
-    implementation: str = "numpy",
 ) -> RuleSet:
     """Build a rule set from ``block``.
 
@@ -78,8 +70,6 @@ def generate_ruleset(
         antecedent ("sent to the k neighbors with the highest support").
     min_confidence:
         Confidence-pruning threshold in [0, 1] (§VI extension); 0 disables.
-    implementation:
-        ``"numpy"`` (vectorized) or ``"python"`` (reference).
     """
     if min_support_count < 1:
         raise ValueError("min_support_count must be >= 1")
@@ -88,40 +78,25 @@ def generate_ruleset(
     if not 0.0 <= min_confidence <= 1.0:
         raise ValueError("min_confidence must be in [0, 1]")
 
-    if implementation == "numpy":
-        keys, counts = _counts_numpy(block)
-        keep = counts >= min_support_count
-        keys, counts = keys[keep], counts[keep]
-        if min_confidence > 0.0 and keys.size:
-            totals = _source_totals_numpy(block)
-            antecedents = (keys >> 32).tolist()
-            conf_keep = np.fromiter(
-                (
-                    c / totals[a] >= min_confidence
-                    for a, c in zip(antecedents, counts.tolist())
-                ),
-                dtype=bool,
-                count=len(antecedents),
-            )
-            keys, counts = keys[conf_keep], counts[conf_keep]
-        rules = [
-            Rule(int(key >> 32), int(key & 0xFFFFFFFF), int(count))
-            for key, count in zip(keys.tolist(), counts.tolist())
-        ]
-    elif implementation == "python":
-        pair_counts: Counter[tuple[int, int]] = Counter(
-            zip(block.sources.tolist(), block.repliers.tolist())
+    keys, counts = _counts_numpy(block)
+    keep = counts >= min_support_count
+    keys, counts = keys[keep], counts[keep]
+    if min_confidence > 0.0 and keys.size:
+        totals = _source_totals_numpy(block)
+        antecedents = (keys >> 32).tolist()
+        conf_keep = np.fromiter(
+            (
+                c / totals[a] >= min_confidence
+                for a, c in zip(antecedents, counts.tolist())
+            ),
+            dtype=bool,
+            count=len(antecedents),
         )
-        source_totals: Counter[int] = Counter(block.sources.tolist())
-        rules = []
-        for (source, replier), count in pair_counts.items():
-            if count < min_support_count:
-                continue
-            if min_confidence > 0.0 and count / source_totals[source] < min_confidence:
-                continue
-            rules.append(Rule(source, replier, count))
-    else:
-        raise ValueError(f"unknown implementation {implementation!r}")
+        keys, counts = keys[conf_keep], counts[conf_keep]
+    rules = [
+        Rule(int(key >> 32), int(key & 0xFFFFFFFF), int(count))
+        for key, count in zip(keys.tolist(), counts.tolist())
+    ]
 
     if top_k is not None:
         by_ante: dict[int, list[Rule]] = {}

@@ -8,12 +8,11 @@ consistently show coverage and success values above 90%."
 :class:`StreamingRules` implements that algorithm with two interchangeable
 counting backends:
 
-* ``backend="exact"`` — an exact sliding window over the most recent
-  ``window_pairs`` query–reply pairs (a deque plus O(1) incremental
-  counts);
-* ``backend="lossy"`` — bounded-memory approximate counts via
-  :class:`repro.mining.streaming.StreamingPairCounter` (Manku–Motwani),
-  tying the implementation to the data-stream literature the paper cites.
+* ``backend="exact"`` — :class:`~repro.core.counts.WindowCounts`, exact
+  counts over the most recent ``window_pairs`` query–reply pairs;
+* ``backend="lossy"`` — :class:`~repro.core.counts.SketchCounts`,
+  bounded-memory Manku–Motwani counts over the whole stream, tying the
+  implementation to the data-stream literature the paper cites.
 
 Evaluation is *prequential* (test-then-train): each arriving pair is first
 scored against the current rules — would this query's source have been
@@ -25,268 +24,16 @@ success are the prequential tallies, so the strategy plugs into the same
 
 from __future__ import annotations
 
-from collections import deque
 from time import perf_counter
 from typing import Iterable, Sequence
 
+from repro.core.counts import SketchCounts, WindowCounts
 from repro.core.evaluation import RulesetTestResult
 from repro.core.runner import StrategyRun, TrialResult
-from repro.mining.streaming import StreamingPairCounter
 from repro.obs.registry import get_global_registry
 from repro.trace.blocks import PairBlock
 
 __all__ = ["StreamingRules"]
-
-
-class _ExactWindowCounts:
-    """Exact pair counts over a sliding window of the last W pairs.
-
-    Every read and update is O(1) (amortized): counts are kept per
-    source (``_by_source``), antecedent totals and the live rule count
-    are maintained incrementally on push/evict, so neither per-block
-    evaluation (``n_rules``) nor per-query explainability
-    (``rule_stats``) ever re-scans historical counts.
-    """
-
-    def __init__(self, window_pairs: int, min_support_count: int) -> None:
-        self.window = deque()  # of (source, replier)
-        self.window_pairs = window_pairs
-        self.threshold = min_support_count
-        # source -> {replier -> windowed count}
-        self._by_source: dict[int, dict[int, int]] = {}
-        # source -> windowed pairs from that source (confidence denominator)
-        self._source_totals: dict[int, int] = {}
-        # source -> number of consequents currently at/above threshold;
-        # maintained incrementally so coverage checks are O(1).
-        self._qualified: dict[int, int] = {}
-        self._n_rules = 0
-
-    def covers(self, source: int) -> bool:
-        return self._qualified.get(source, 0) > 0
-
-    def matches(self, source: int, replier: int) -> bool:
-        counts = self._by_source.get(source)
-        return counts is not None and counts.get(replier, 0) >= self.threshold
-
-    def consequents(self, source: int, k: int | None = None) -> list[int]:
-        """Qualified repliers for ``source``, highest windowed count first."""
-        counts = self._by_source.get(source)
-        if not counts:
-            return []
-        qualified = [
-            (count, replier)
-            for replier, count in counts.items()
-            if count >= self.threshold
-        ]
-        qualified.sort(key=lambda cr: (-cr[0], cr[1]))
-        out = [replier for _count, replier in qualified]
-        return out[:k] if k is not None else out
-
-    def push(self, source: int, replier: int) -> bool:
-        """Fold in one pair; True if it just crossed the rule threshold."""
-        counts = self._by_source.setdefault(source, {})
-        new = counts.get(replier, 0) + 1
-        counts[replier] = new
-        self._source_totals[source] = self._source_totals.get(source, 0) + 1
-        newly_qualified = new == self.threshold
-        if newly_qualified:
-            self._qualified[source] = self._qualified.get(source, 0) + 1
-            self._n_rules += 1
-        self.window.append((source, replier))
-        if len(self.window) > self.window_pairs:
-            old_src, old_rep = self.window.popleft()
-            old_counts = self._by_source[old_src]
-            old = old_counts[old_rep] - 1
-            if old == 0:
-                del old_counts[old_rep]
-                if not old_counts:
-                    del self._by_source[old_src]
-            else:
-                old_counts[old_rep] = old
-            total = self._source_totals[old_src] - 1
-            if total == 0:
-                del self._source_totals[old_src]
-            else:
-                self._source_totals[old_src] = total
-            if old == self.threshold - 1:
-                self._n_rules -= 1
-                remaining = self._qualified[old_src] - 1
-                if remaining == 0:
-                    del self._qualified[old_src]
-                else:
-                    self._qualified[old_src] = remaining
-        return newly_qualified
-
-    def n_rules(self) -> int:
-        return self._n_rules
-
-    def rule_stats(self, source: int, replier: int) -> tuple[int, float]:
-        """Windowed ``(support, confidence)`` for one rule.
-
-        Support is the pair's count inside the sliding window; confidence
-        is that count over every windowed pair with the same antecedent —
-        the association-rule measures the paper mines per block, read
-        live (both O(1) lookups).  ``(0, 0.0)`` when the pair left the
-        window.
-        """
-        counts = self._by_source.get(source)
-        support = counts.get(replier, 0) if counts else 0
-        if support == 0:
-            return 0, 0.0
-        return support, support / self._source_totals[source]
-
-    # -- durable state (consumed by repro.persist) ------------------------
-    def state(self) -> dict:
-        """The complete live state as plain data.
-
-        The window *is* the state: ``_pair_counts`` and ``_qualified``
-        are exact functions of its contents, so :meth:`from_state`
-        rebuilds them by replaying the window through :meth:`push`.
-        """
-        return {
-            "backend": "exact",
-            "window_pairs": self.window_pairs,
-            "threshold": self.threshold,
-            "window": [(int(s), int(r)) for s, r in self.window],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "_ExactWindowCounts":
-        counts = cls(state["window_pairs"], state["threshold"])
-        for source, replier in state["window"]:
-            counts.push(source, replier)
-        return counts
-
-
-class _LossyCounts:
-    """Approximate counts via lossy counting (no explicit eviction window).
-
-    The sketch can silently evict entries during compression, so the
-    per-source "qualified consequents" cache used for O(1) coverage checks
-    is rebuilt periodically (every ``refresh_every`` pushes) rather than
-    maintained exactly.
-    """
-
-    def __init__(self, epsilon: float, min_support_count: int) -> None:
-        self._counter = StreamingPairCounter(epsilon)
-        self.threshold = min_support_count
-        self._qualified: dict[int, int] = {}
-        # source -> estimated windowless pair volume (confidence
-        # denominator); incremented per push, trued up on rebuild.
-        self._source_totals: dict[int, int] = {}
-        self._n_rules = 0
-        self._since_refresh = 0
-        self.refresh_every = max(1000, int(1.0 / epsilon))
-
-    def covers(self, source: int) -> bool:
-        return bool(self._qualified.get(source, 0))
-
-    def matches(self, source: int, replier: int) -> bool:
-        return self._counter.estimate(source, replier) >= self.threshold
-
-    def consequents(self, source: int, k: int | None = None) -> list[int]:
-        """Qualified repliers for ``source``, highest estimated count first."""
-        qualified = [
-            (count, replier)
-            for (src, replier), count in self._counter.pairs_over_count(
-                self.threshold
-            ).items()
-            if src == source
-        ]
-        qualified.sort(key=lambda cr: (-cr[0], cr[1]))
-        out = [replier for _count, replier in qualified]
-        return out[:k] if k is not None else out
-
-    def push(self, source: int, replier: int) -> bool:
-        """Fold in one pair; True if it just crossed the rule threshold."""
-        before = self._counter.estimate(source, replier)
-        self._counter.push(source, replier)
-        after = self._counter.estimate(source, replier)
-        newly_qualified = before < self.threshold <= after
-        if newly_qualified:
-            self._qualified[source] = self._qualified.get(source, 0) + 1
-            self._n_rules += 1
-        self._source_totals[source] = self._source_totals.get(source, 0) + 1
-        self._since_refresh += 1
-        if self._since_refresh >= self.refresh_every:
-            self._rebuild_qualified()
-            self._since_refresh = 0
-        return newly_qualified
-
-    def _rebuild_qualified(self) -> None:
-        """True the incremental caches up against the sketch.
-
-        Sketch compression can silently evict entries (including
-        qualified ones), which the O(1) push path cannot observe; this
-        periodic pass — amortized over ``refresh_every`` pushes, so
-        still O(1)/pair — reconciles the qualified map, the live rule
-        count and the per-source totals with what the sketch retains.
-        """
-        qualified: dict[int, int] = {}
-        totals: dict[int, int] = {}
-        n_rules = 0
-        for (source, _replier), count in self._counter.pairs_over_count(1).items():
-            totals[source] = totals.get(source, 0) + count
-            if count >= self.threshold:
-                qualified[source] = qualified.get(source, 0) + 1
-                n_rules += 1
-        self._qualified = qualified
-        self._source_totals = totals
-        self._n_rules = n_rules
-
-    def n_rules(self) -> int:
-        return self._n_rules
-
-    def rule_stats(self, source: int, replier: int) -> tuple[int, float]:
-        """Estimated ``(support, confidence)`` for one rule.
-
-        Support is the sketch's lower-bound estimate; confidence divides
-        by the incrementally maintained per-source volume (trued up
-        against the retained sketch entries on every periodic rebuild),
-        so the read is O(1) instead of a sketch scan.
-        """
-        support = self._counter.estimate(source, replier)
-        if support == 0:
-            return 0, 0.0
-        antecedent_total = self._source_totals.get(source, 0)
-        return support, support / antecedent_total if antecedent_total else 0.0
-
-    # -- durable state (consumed by repro.persist) ------------------------
-    def state(self) -> dict:
-        """The complete live state as plain data.
-
-        The sketch entries are dumped sorted so two equal-state objects
-        serialize identically; the ``_qualified`` cache is *not* part of
-        the state — :meth:`from_state` rebuilds it from the entries, the
-        same way the periodic refresh does.
-        """
-        counter = self._counter._counter
-        return {
-            "backend": "lossy",
-            "epsilon": counter.epsilon,
-            "threshold": self.threshold,
-            "n_seen": counter.n_seen,
-            "current_bucket": counter._current_bucket,
-            "since_refresh": self._since_refresh,
-            "entries": sorted(
-                (int(s), int(r), int(count), int(delta))
-                for (s, r), (count, delta) in counter._entries.items()
-            ),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "_LossyCounts":
-        counts = cls(state["epsilon"], state["threshold"])
-        counter = counts._counter._counter
-        counter.n_seen = state["n_seen"]
-        counter._current_bucket = state["current_bucket"]
-        counter._entries = {
-            (source, replier): (count, delta)
-            for source, replier, count, delta in state["entries"]
-        }
-        counts._since_refresh = state["since_refresh"]
-        counts._rebuild_qualified()
-        return counts
 
 
 class StreamingRules:
@@ -327,20 +74,16 @@ class StreamingRules:
         self.backend = backend
         self.epsilon = float(epsilon)
 
-    def make_counts(self):
-        """A fresh live counts object for this configuration.
+    def make_counts(self) -> WindowCounts | SketchCounts:
+        """A fresh :mod:`repro.core.counts` table for this configuration.
 
-        The returned object is the strategy's online core without the
-        block-driven evaluation loop: ``push(source, replier)`` folds in
-        one observed pair (returning True when it crosses the rule
-        threshold), ``covers(source)`` / ``matches(source, replier)`` /
-        ``consequents(source, k)`` query the current rules, and
-        ``n_rules()`` sizes the rule set.  :mod:`repro.live` drives one
-        of these per servent to adapt routing as live traffic arrives.
+        It is the strategy's online core without the block-driven
+        evaluation loop; :mod:`repro.live` drives one per servent to
+        adapt routing as live traffic arrives.
         """
         if self.backend == "exact":
-            return _ExactWindowCounts(self.window_pairs, self.min_support_count)
-        return _LossyCounts(self.epsilon, self.min_support_count)
+            return WindowCounts(self.window_pairs, self.min_support_count)
+        return SketchCounts(self.epsilon, self.min_support_count)
 
     def partition_warmup(
         self, scored_start: int, block_pairs: Sequence[int] | None = None
@@ -370,7 +113,7 @@ class StreamingRules:
         """Run over warm-up + scored blocks, keeping only scored trials.
 
         Warm-up blocks past the first are scored and discarded (scoring
-        never mutates the counts, so the final state matches push-only
+        never mutates the counts, so the final state matches observe-only
         warm-up).  ``n_generations`` stays 0 — streaming maintenance has
         no batch generations to attribute, in partials or merged runs.
         """
@@ -398,7 +141,7 @@ class StreamingRules:
         for source, replier in zip(
             warmup.sources.tolist(), warmup.repliers.tolist()
         ):
-            counts.push(source, replier)
+            counts.observe(source, replier)
         del warmup
         trials = []
         timings = get_global_registry().histogram(
@@ -418,7 +161,7 @@ class StreamingRules:
                     n_covered += 1
                     if counts.matches(source, replier):
                         n_successful += 1
-                counts.push(source, replier)
+                counts.observe(source, replier)
             timings.observe(perf_counter() - t0)
             trials.append(
                 TrialResult(

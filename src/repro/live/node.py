@@ -9,8 +9,9 @@ GUID reply routing, duplicate suppression, TTL aging, shared-file hit
 matching.
 
 Rule-routed nodes (``rule_routed=True``) run the paper's association
-routing *online*: a :class:`StreamingRuleServent` maintains its rules
-through :meth:`repro.core.streaming.StreamingRules.make_counts` — the
+routing *online*: a :class:`StreamingRuleServent` keeps its rules in the
+:mod:`repro.core.counts` table that
+:meth:`repro.core.streaming.StreamingRules.make_counts` hands out — the
 §VI immediate-update algorithm — observing one ``(query upstream, reply
 downstream)`` pair per QueryHit it routes backwards, and forwarding a
 covered query only to the top-k rule consequents.  Uncovered sources
@@ -20,7 +21,7 @@ same overlay.
 
 With a ``state_dir`` the learned counts become durable state
 (:mod:`repro.persist`): every observed pair is journaled to a WAL as
-it is pushed, a background task checkpoints the counts every
+it is counted, a background task checkpoints the counts every
 ``checkpoint_interval`` seconds, and a restarted daemon warm-recovers
 — snapshot plus WAL-tail replay — instead of re-flooding while its
 window refills.
@@ -68,9 +69,10 @@ class StreamingRuleServent(Servent):
     """A servent whose forwarding follows live streaming-rule counts.
 
     The in-process :class:`~repro.network.servent.RuleRoutedServent`
-    carries its own ad-hoc pair counter; this variant plugs into the
-    evaluated §VI streaming strategy instead, so the daemon's routing
-    quality is the quantity the reproduction already measures offline.
+    owns a fixed exact window; this variant takes its table from the
+    evaluated §VI streaming strategy (either backend, recoverable from
+    disk), so the daemon's routing quality is the quantity the
+    reproduction already measures offline.
     """
 
     def __init__(
@@ -202,17 +204,17 @@ class StreamingRuleServent(Servent):
                 # was satisfied through `conn_id`.
                 if self._time_regen:
                     t0 = perf_counter()
-                    promoted = self.counts.push(upstream, conn_id)
+                    promoted = self.counts.observe(upstream, conn_id)
                     if promoted:
-                        # the push that crossed the threshold *is* the
+                        # the event that crossed the threshold *is* the
                         # live equivalent of a batch regeneration
                         self._instr.observe_rule_regeneration(
                             perf_counter() - t0
                         )
                 else:
-                    promoted = self.counts.push(upstream, conn_id)
+                    promoted = self.counts.observe(upstream, conn_id)
                 if self.persist is not None:
-                    # journal *after* the in-memory push: a WAL record
+                    # journal *after* the in-memory update: a WAL record
                     # always describes a pair the counts have seen, so
                     # replay can never double-apply or skip one.
                     self.persist.record_pair(upstream, conn_id)

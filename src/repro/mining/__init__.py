@@ -2,9 +2,9 @@
 
 The paper applies *association analysis* — mining rules ``{A} -> {B}`` with
 support/confidence measures, introduced by Agrawal et al. [15][16] — to P2P
-query routing.  This subpackage implements the technique in its general form
-so the routing application in :mod:`repro.core` sits on a real mining
-substrate rather than an ad-hoc counter:
+query routing.  This subpackage implements the technique in its general
+form — multi-item transactions and itemsets — next to the single-antecedent
+pair rules the routing application mines in :mod:`repro.core`:
 
 * :class:`~repro.mining.transactions.TransactionDataset` — a collection of
   transactions (sets of items) with an item-id encoding;
@@ -15,24 +15,21 @@ substrate rather than an ad-hoc counter:
 * :mod:`~repro.mining.measures` — support, confidence, lift, leverage and
   conviction interestingness measures;
 * :func:`~repro.mining.rules.generate_rules` — association-rule extraction
-  from frequent itemsets with support/confidence pruning;
-* :mod:`~repro.mining.streaming` — Manku–Motwani lossy counting over
-  streams, the substrate for the paper's future-work streaming rule engine
-  (their reference [18] motivates mining from streams).
+  from frequent itemsets with support/confidence pruning.
+
+Counting pairs from a stream (their reference [18]) is
+:class:`repro.core.counts.SketchCounts`.
 """
 
 from repro.mining.apriori import apriori
 from repro.mining.fpgrowth import fpgrowth
 from repro.mining.measures import RuleMeasures, compute_measures
 from repro.mining.rules import AssociationRule, generate_rules
-from repro.mining.streaming import LossyCounter, StreamingPairCounter
 from repro.mining.transactions import TransactionDataset
 
 __all__ = [
     "AssociationRule",
-    "LossyCounter",
     "RuleMeasures",
-    "StreamingPairCounter",
     "TransactionDataset",
     "apriori",
     "compute_measures",

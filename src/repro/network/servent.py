@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.counts import WindowCounts
 from repro.network.protocol import (
     DescriptorHeader,
     PAYLOAD_PING,
@@ -313,11 +314,7 @@ class RuleRoutedServent(Servent):
         **kwargs,
     ) -> None:
         super().__init__(servent_guid, **kwargs)
-        from repro.routing.association import NeighborRuleTable
-
-        self.rules = NeighborRuleTable(
-            window=rule_window, min_support_count=min_support_count
-        )
+        self.rules = WindowCounts(rule_window, min_support_count)
         self.top_k = top_k
 
     def _forward(

@@ -1,9 +1,10 @@
 """Versioned, fingerprinted snapshots of streaming-rule count state.
 
-A snapshot freezes one :meth:`StreamingRules.make_counts` object — the
-exact sliding window (:class:`_ExactWindowCounts`) or the lossy sketch
-(:class:`_LossyCounts`) — so a restarted servent resumes from learned
-state instead of re-flooding while the window refills.
+A snapshot freezes one :mod:`repro.core.counts` table — the exact
+sliding window (:class:`~repro.core.counts.WindowCounts`) or the lossy
+sketch (:class:`~repro.core.counts.SketchCounts`) — so a restarted
+servent resumes from learned state instead of re-flooding while the
+window refills.
 
 Layout::
 
@@ -35,7 +36,7 @@ import os
 import struct
 import zlib
 
-from repro.core.streaming import _ExactWindowCounts, _LossyCounts
+from repro.core.counts import SketchCounts, WindowCounts
 
 __all__ = [
     "SNAPSHOT_MAGIC",
@@ -49,8 +50,11 @@ __all__ = [
 SNAPSHOT_VERSION = 1
 SNAPSHOT_MAGIC = b"RPSN" + struct.pack("<HH", SNAPSHOT_VERSION, 0)
 
-_PAIR = struct.Struct("<qq")
-_ENTRY = struct.Struct("<qqqq")
+#: backend name -> (counts class, state key of the payload, record layout)
+_BACKENDS = {
+    "exact": (WindowCounts, "window", struct.Struct("<qq")),
+    "lossy": (SketchCounts, "entries", struct.Struct("<qqqq")),
+}
 
 
 class SnapshotError(Exception):
@@ -59,41 +63,17 @@ class SnapshotError(Exception):
 
 def _encode_state(state: dict) -> tuple[dict, bytes]:
     """Split a counts ``state()`` dict into (scalar params, packed payload)."""
-    if state["backend"] == "exact":
-        params = {
-            "backend": "exact",
-            "window_pairs": state["window_pairs"],
-            "threshold": state["threshold"],
-        }
-        payload = b"".join(_PAIR.pack(s, r) for s, r in state["window"])
-    elif state["backend"] == "lossy":
-        params = {
-            "backend": "lossy",
-            "epsilon": state["epsilon"],
-            "threshold": state["threshold"],
-            "n_seen": state["n_seen"],
-            "current_bucket": state["current_bucket"],
-            "since_refresh": state["since_refresh"],
-        }
-        payload = b"".join(_ENTRY.pack(*entry) for entry in state["entries"])
-    else:  # pragma: no cover - state() only emits the two backends
-        raise SnapshotError(f"unknown backend {state['backend']!r}")
+    _cls, payload_key, record = _BACKENDS[state["backend"]]
+    params = {key: value for key, value in state.items() if key != payload_key}
+    if state["backend"] == "lossy":
+        # A version-1 header field — the first writer's cache-refresh
+        # clock, a function of n_seen.  Nothing reads it; it stays so
+        # snapshot bytes and fingerprints are what they always were.
+        params["since_refresh"] = state["n_seen"] % max(
+            1000, int(1.0 / state["epsilon"])
+        )
+    payload = b"".join(record.pack(*entry) for entry in state[payload_key])
     return params, payload
-
-
-def _decode_state(params: dict, payload: bytes) -> dict:
-    state = dict(params)
-    if params["backend"] == "exact":
-        state["window"] = [
-            _PAIR.unpack_from(payload, off)
-            for off in range(0, len(payload), _PAIR.size)
-        ]
-    else:
-        state["entries"] = [
-            _ENTRY.unpack_from(payload, off)
-            for off in range(0, len(payload), _ENTRY.size)
-        ]
-    return state
 
 
 def fingerprint_counts(counts) -> str:
@@ -183,9 +163,13 @@ def load_snapshot(path: str):
     holding several generations retries the next-older file.
     """
     header, payload = _read(path)
-    state = _decode_state(header, payload)
-    if header["backend"] == "exact":
-        counts = _ExactWindowCounts.from_state(state)
-    else:
-        counts = _LossyCounts.from_state(state)
-    return counts, header
+    if header["backend"] not in _BACKENDS:
+        raise SnapshotError(f"{path}: unknown backend {header['backend']!r}")
+    cls, payload_key, record = _BACKENDS[header["backend"]]
+    if len(payload) % record.size:
+        raise SnapshotError(
+            f"{path}: payload of {len(payload)} bytes is not whole "
+            f"{record.size}-byte records"
+        )
+    state = {**header, payload_key: list(record.iter_unpack(payload))}
+    return cls.from_state(state), header

@@ -4,7 +4,7 @@
 checkpoint/journal protocol over it:
 
 * every observed (query-source, reply-source) pair is appended to the
-  current WAL segment *as it is pushed* into the live counts;
+  current WAL segment *as it is folded* into the live counts;
 * :meth:`checkpoint` freezes the counts into a fingerprinted snapshot,
   rotates to a fresh WAL segment, and deletes the segments the
   snapshot just made redundant (compaction) — steady-state disk usage
@@ -227,7 +227,7 @@ class PersistentState:
                 continue
             result = read_wal(path)
             for source, replier in result.pairs:
-                counts.push(source, replier)
+                counts.observe(source, replier)
             segments_replayed += 1
             records_replayed += len(result.pairs)
             if not result.clean:

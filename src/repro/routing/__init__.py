@@ -23,7 +23,7 @@ policies:
   §VI rule-driven overlay rewiring (needs a dynamic topology).
 """
 
-from repro.routing.association import AssociationRoutingPolicy, NeighborRuleTable
+from repro.routing.association import AssociationRoutingPolicy
 from repro.routing.base import RoutingPolicy, dispatch_select
 from repro.routing.expanding_ring import ExpandingRingPolicy
 from repro.routing.flooding import FloodingPolicy
@@ -41,7 +41,6 @@ __all__ = [
     "HybridShortcutAssociationPolicy",
     "InterestShortcutsPolicy",
     "KRandomWalkPolicy",
-    "NeighborRuleTable",
     "RoutingIndicesPolicy",
     "RoutingPolicy",
     "SuperPeerRules",

@@ -1,8 +1,9 @@
 """Association-rule routing — the paper's contribution, deployed online.
 
 Each node mines rules ``{upstream neighbor} -> {downstream neighbor}``
-from the replies that flow back through it (:class:`NeighborRuleTable`,
-an exact sliding-window pair counter with support pruning).  When a query
+from the replies that flow back through it
+(:class:`~repro.core.counts.WindowCounts`, exact sliding-window pair
+counts with support pruning).  When a query
 arrives from a neighbor covered by the rules, it is forwarded only to the
 top-k consequent neighbors; otherwise the node floods — the per-node
 fallback that lets this method deploy incrementally ("all nodes in the
@@ -16,109 +17,15 @@ messages are charged to the query).
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from typing import Sequence
 
+from repro.core.counts import WindowCounts
 from repro.metrics.traffic import QueryOutcome
 from repro.network.engine import QueryEngine
 from repro.network.messages import Query
 from repro.routing.base import RoutingPolicy, dispatch_select
 
-__all__ = ["NeighborRuleTable", "AssociationRoutingPolicy"]
-
-
-class _DownstreamCounts(Counter):
-    """One antecedent's windowed downstream counts, plus ``ranked``: its
-    qualified consequents, highest support first, or ``None`` once a count
-    changed (a slot: an instance ``__dict__`` per counter costs more than
-    the ranking it would hold)."""
-
-    __slots__ = ("ranked",)
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.ranked: tuple[int, ...] | None = None
-
-
-class NeighborRuleTable:
-    """Sliding-window (upstream -> downstream) rule counts for one node.
-
-    Pairs older than ``window`` observations age out; a pair is a *rule*
-    while its windowed count reaches ``min_support_count`` (the same
-    support-pruning semantics as the offline GENERATE-RULESET, scaled to
-    per-node online traffic volumes).
-    """
-
-    def __init__(self, *, window: int = 512, min_support_count: int = 2) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        if min_support_count < 1:
-            raise ValueError("min_support_count must be >= 1")
-        self.window = window
-        self.min_support_count = min_support_count
-        self._events: deque[tuple[int, int]] = deque()
-        self._counts: dict[int, _DownstreamCounts] = {}
-
-    def observe(self, upstream: int, downstream: int) -> None:
-        """Record one (query came from, reply came through) event."""
-        self._events.append((upstream, downstream))
-        counter = self._counts.get(upstream)
-        if counter is None:
-            counter = self._counts[upstream] = _DownstreamCounts()
-        counter[downstream] += 1
-        counter.ranked = None
-        if len(self._events) > self.window:
-            old_up, old_down = self._events.popleft()
-            counter = self._counts[old_up]
-            counter[old_down] -= 1
-            counter.ranked = None
-            if counter[old_down] <= 0:
-                del counter[old_down]
-                if not counter:
-                    del self._counts[old_up]
-
-    def consequents(self, upstream: int, k: int | None = None) -> list[int]:
-        """Rule consequents for ``upstream``, highest support first."""
-        counter = self._counts.get(upstream)
-        if not counter:
-            return []
-        ranked = counter.ranked
-        if ranked is None:
-            qualified = [
-                (count, down)
-                for down, count in counter.items()
-                if count >= self.min_support_count
-            ]
-            qualified.sort(key=lambda cd: (-cd[0], cd[1]))
-            ranked = counter.ranked = tuple(down for _count, down in qualified)
-        return list(ranked[:k])
-
-    def n_rules(self) -> int:
-        return sum(
-            1
-            for counter in self._counts.values()
-            for count in counter.values()
-            if count >= self.min_support_count
-        )
-
-    def rule_stats(self, upstream: int, downstream: int) -> tuple[int, float]:
-        """Windowed ``(support, confidence)`` for one rule.
-
-        Confidence divides the pair's count by every windowed observation
-        with the same antecedent — the per-rule measures trace events
-        carry for routing explainability.
-        """
-        counter = self._counts.get(upstream)
-        if not counter:
-            return 0, 0.0
-        support = counter.get(downstream, 0)
-        if support == 0:
-            return 0, 0.0
-        return support, support / sum(counter.values())
-
-    def clear(self) -> None:
-        self._events.clear()
-        self._counts.clear()
+__all__ = ["AssociationRoutingPolicy"]
 
 
 class AssociationRoutingPolicy(RoutingPolicy):
@@ -141,9 +48,7 @@ class AssociationRoutingPolicy(RoutingPolicy):
             raise ValueError("top_k must be >= 1")
         self.top_k = top_k
         self.flood_fallback = flood_fallback
-        self.rules = NeighborRuleTable(
-            window=window, min_support_count=min_support_count
-        )
+        self.rules = WindowCounts(window, min_support_count)
         #: queries this origin resolved on the first (rule-routed) attempt.
         self.rule_resolved_count = 0
         #: queries that needed the per-query flooding fallback.

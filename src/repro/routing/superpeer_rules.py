@@ -1,19 +1,17 @@
 """Super-peer community rule tables — tier-2 association routing.
 
 The paper's flat design mines ``{upstream} -> {downstream}`` rules from
-one node's reply history (:class:`~repro.routing.association.NeighborRuleTable`).
-At the super-peer tier the same machinery sees far more evidence: a
-super-peer observes every query its community issues and every reply
-that comes back, so it mines ``{query category} -> {replying
-super-peer}`` rules over 20–50 leaves' worth of traffic instead of
-one node's.
+one node's reply history.  At the super-peer tier the same table sees
+far more evidence: a super-peer observes every query its community
+issues and every reply that comes back, so it mines ``{query category}
+-> {replying super-peer}`` rules over 20–50 leaves' worth of traffic
+instead of one node's.
 
-:class:`SuperPeerRules` is that table.  It counts (category,
-replier-super-peer) pairs with the lossy-counting sketch
-(:class:`~repro.mining.streaming.StreamingPairCounter`, the paper's
-future-work streaming miner), answers routing lookups with the top-k
-consequent super-peers per category, and periodically *publishes* a
-compact, epoch-versioned digest of its strongest rules for neighbor
+:class:`SuperPeerRules` is that table: a
+:class:`~repro.core.counts.SketchCounts` (the lossy-counting backend of
+the one pair-count module) keyed by category, plus what only a
+super-peer has — an owner id, an epoch, and :meth:`publish`, which cuts
+a compact, epoch-versioned digest of the strongest rules for neighbor
 super-peers to merge (:mod:`repro.network.hier.digest`).
 """
 
@@ -21,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.mining.streaming import StreamingPairCounter
+from repro.core.counts import SketchCounts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.network.hier.digest import RuleDigest
@@ -44,48 +42,34 @@ class SuperPeerRules:
     ) -> None:
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if min_support_count < 1:
-            raise ValueError("min_support_count must be >= 1")
         self.superpeer_id = int(superpeer_id)
         self.top_k = top_k
-        self.min_support_count = min_support_count
-        self.epsilon = epsilon
-        self._counter = StreamingPairCounter(epsilon)
+        #: the pair counts; ``rule_stats`` and the rest are read off it.
+        self.counts = SketchCounts(epsilon, min_support_count)
         #: bumped on every publish; receivers keep the highest per origin.
         self.epoch = 0
 
     @property
     def n_observations(self) -> int:
-        return self._counter.n_seen
+        return self.counts.n_seen
 
-    # -- learning -------------------------------------------------------------
     def observe(self, category: int, replier_superpeer: int) -> None:
         """Record one resolved query: its category and who answered."""
-        self._counter.push(int(category), int(replier_superpeer))
+        self.counts.observe(int(category), int(replier_superpeer))
 
-    # -- routing lookup ---------------------------------------------------------
     def consequents(self, category: int, k: int | None = None) -> list[int]:
-        """Super-peers the rules point at for ``category``, best first.
+        """Super-peers the rules point at for ``category``, best first
+        (``top_k`` of them unless ``k`` says otherwise)."""
+        # Parent behaviour, kept for this one commit: equal supports are
+        # ordered by str(id).  The next commit reads the numeric order
+        # off ``self.counts.consequents``.
+        counts = self.counts
+        ranked = sorted(
+            counts.consequents(category),
+            key=lambda sp: (-counts.rule_stats(category, sp)[0], str(sp)),
+        )
+        return ranked[: self.top_k if k is None else k]
 
-        Only pairs at or above the support floor qualify as rules —
-        the same pruning semantics as the offline GENERATE-RULESET and
-        the per-node online table.
-        """
-        limit = self.top_k if k is None else k
-        return [
-            int(replier)
-            for replier, count in self._counter.top_repliers(int(category), limit)
-            if count >= self.min_support_count
-        ]
-
-    def rule_stats(self, category: int, consequent: int) -> tuple[int, float]:
-        """``(support, confidence)`` of one rule from the sketch."""
-        support = self._counter.estimate(int(category), int(consequent))
-        if not support:
-            return 0, 0.0
-        return support, support / self._counter.n_seen
-
-    # -- digest exchange -----------------------------------------------------
     def publish(self, top_k: int | None = None) -> "RuleDigest":
         """Snapshot the strongest rules as a new-epoch digest.
 
@@ -99,22 +83,14 @@ class SuperPeerRules:
         from repro.network.hier.digest import DigestEntry, RuleDigest
 
         limit = self.top_k if top_k is None else top_k
-        per_category: dict[int, list[tuple[int, int]]] = {}
-        for (category, replier), count in self._counter.pairs_over_count(
-            self.min_support_count
-        ).items():
-            per_category.setdefault(category, []).append((int(replier), count))
-        entries = []
-        for category, repliers in per_category.items():
-            repliers.sort(key=lambda rc: (-rc[1], rc[0]))
-            entries.extend(
-                DigestEntry(int(category), replier, count)
-                for replier, count in repliers[:limit]
-            )
+        counts = self.counts
+        entries = [
+            DigestEntry(category, replier, counts.rule_stats(category, replier)[0])
+            for category in counts.antecedents()
+            for replier in counts.consequents(category, limit)
+        ]
         self.epoch += 1
-        return RuleDigest(
-            self.superpeer_id, self.epoch, self._counter.n_seen, entries
-        )
+        return RuleDigest(self.superpeer_id, self.epoch, counts.n_seen, entries)
 
     def reset(self) -> None:
-        self._counter = StreamingPairCounter(self.epsilon)
+        self.counts.clear()

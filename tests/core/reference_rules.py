@@ -1,0 +1,92 @@
+"""The per-pair Python loops GENERATE-RULESET and RULESET-TEST are defined
+by, kept as oracles.
+
+``repro.core.generation.generate_ruleset`` counts a block with one
+``np.unique`` pass and ``repro.core.evaluation.ruleset_test`` /
+``ruleset_test_random_subset`` test it with sorted-array membership;
+these are the dict-and-loop forms of the paper's pseudo-code that used to
+live next to them under ``src/`` (``implementation="python"``,
+``ruleset_test_reference``, ``ruleset_test_random_subset_reference``).
+The loop bodies are unchanged; the property tests run both and compare.
+"""
+
+from collections import Counter
+
+from repro.core.evaluation import RulesetTestResult
+from repro.core.rules import Rule, RuleSet
+from repro.trace.blocks import PairBlock
+from repro.utils.rng import as_generator
+
+
+def reference_generate_ruleset(
+    block: PairBlock,
+    *,
+    min_support_count: int = 10,
+    top_k: int | None = None,
+    min_confidence: float = 0.0,
+) -> RuleSet:
+    """Dict-based GENERATE-RULESET."""
+    pair_counts: Counter[tuple[int, int]] = Counter(
+        zip(block.sources.tolist(), block.repliers.tolist())
+    )
+    source_totals: Counter[int] = Counter(block.sources.tolist())
+    rules = []
+    for (source, replier), count in pair_counts.items():
+        if count < min_support_count:
+            continue
+        if min_confidence > 0.0 and count / source_totals[source] < min_confidence:
+            continue
+        rules.append(Rule(source, replier, count))
+    if top_k is not None:
+        by_ante: dict[int, list[Rule]] = {}
+        for rule in rules:
+            by_ante.setdefault(rule.antecedent, []).append(rule)
+        rules = []
+        for lst in by_ante.values():
+            lst.sort(key=lambda r: (-r.count, r.consequent))
+            rules.extend(lst[:top_k])
+    return RuleSet(rules)
+
+
+def reference_ruleset_test(ruleset: RuleSet, block: PairBlock) -> RulesetTestResult:
+    """Pair-by-pair RULESET-TEST."""
+    n_total = len(block)
+    n_covered = 0
+    n_successful = 0
+    for source, replier in zip(block.sources.tolist(), block.repliers.tolist()):
+        if ruleset.covers(source):
+            n_covered += 1
+            if ruleset.matches(source, replier):
+                n_successful += 1
+    return RulesetTestResult(
+        n_total=n_total, n_covered=n_covered, n_successful=n_successful
+    )
+
+
+def reference_ruleset_test_random_subset(
+    ruleset: RuleSet, block: PairBlock, *, k: int, rng=None
+) -> RulesetTestResult:
+    """Random-subset RULESET-TEST drawing an explicit uniform ``k``-subset
+    per covered query (one ``rng.choice`` each, where the array code draws
+    one Bernoulli per matched query)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    rng = as_generator(rng)
+    n_total = len(block)
+    n_covered = 0
+    n_successful = 0
+    for source, replier in zip(block.sources.tolist(), block.repliers.tolist()):
+        consequents = ruleset.consequents_for(source)
+        if not consequents:
+            continue
+        n_covered += 1
+        if len(consequents) <= k:
+            chosen = consequents
+        else:
+            idx = rng.choice(len(consequents), size=k, replace=False)
+            chosen = [consequents[i] for i in idx]
+        if replier in chosen:
+            n_successful += 1
+    return RulesetTestResult(
+        n_total=n_total, n_covered=n_covered, n_successful=n_successful
+    )

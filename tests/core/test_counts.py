@@ -1,0 +1,235 @@
+"""Conformance suite for repro.core.counts: both backends, one method set.
+
+Every read of :class:`WindowCounts` and :class:`SketchCounts` is kept
+current inside ``observe`` (totals, qualified counts, ``n_rules``) or
+memoised per antecedent (``consequents``).  The oracle here keeps nothing:
+it holds the event history and recounts it from scratch for every
+question — the last ``window`` events for the window, a flat-dict
+Manku–Motwani replay for the sketch — so any figure that drifts from the
+events it summarises shows up as a mismatch.
+"""
+
+import hashlib
+import json
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.counts import SketchCounts, WindowCounts
+from repro.core.streaming import StreamingRules
+from repro.trace.blocks import blocks_from_arrays
+from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator
+
+ANTECEDENTS = range(3)
+CONSEQUENTS = range(3)
+
+
+class WindowOracle:
+    """Pair counts of the last ``window`` events, recounted on demand."""
+
+    def __init__(self, window, floor):
+        self.window, self.floor = window, floor
+        self.history = []
+
+    def make(self):
+        return WindowCounts(self.window, self.floor)
+
+    def table(self, history=None):
+        history = self.history if history is None else history
+        counts = {}
+        for pair in history[-self.window :]:
+            counts[pair] = counts.get(pair, 0) + 1
+        return counts
+
+
+class SketchOracle:
+    """Lossy counting over one flat ``pair -> (count, delta)`` dict,
+    replayed from the first event on demand."""
+
+    def __init__(self, epsilon, floor):
+        self.epsilon, self.floor = epsilon, floor
+        self.width = math.ceil(1.0 / epsilon)
+        self.history = []
+
+    def make(self):
+        return SketchCounts(self.epsilon, self.floor)
+
+    def table(self, history=None):
+        history = self.history if history is None else history
+        entries = {}
+        bucket = 1
+        for n_seen, pair in enumerate(history, start=1):
+            count, delta = entries.get(pair, (0, bucket - 1))
+            entries[pair] = (count + 1, delta)
+            if n_seen % self.width == 0:
+                entries = {
+                    p: (n, d) for p, (n, d) in entries.items() if n + d > bucket
+                }
+                bucket += 1
+        return {pair: count for pair, (count, _delta) in entries.items()}
+
+
+def expected_observe(oracle, pair):
+    """True when the event lifts the pair's count onto the floor.  For the
+    window that is judged before the oldest event slides out; for the
+    sketch after the compression the event may have triggered."""
+    before = oracle.table().get(pair, 0)
+    if isinstance(oracle, WindowOracle):
+        return before + 1 == oracle.floor
+    after = oracle.table(oracle.history + [pair]).get(pair, 0)
+    return before < oracle.floor <= after
+
+
+def check_every_read(counts, oracle):
+    table = oracle.table()
+    floor = oracle.floor
+    rules = {pair: n for pair, n in table.items() if n >= floor}
+    assert counts.n_rules() == len(rules)
+    assert sorted(counts.antecedents()) == sorted({a for a, _c in rules})
+    for a in ANTECEDENTS:
+        ranked = [
+            c for _n, c in sorted((-n, c) for (x, c), n in rules.items() if x == a)
+        ]
+        assert counts.covers(a) == bool(ranked)
+        assert counts.consequents(a) == ranked
+        for k in (1, 2, 5):
+            assert counts.consequents(a, k) == ranked[:k]
+        counts.consequents(a).append(-1)  # the caller's list, not the table's
+        total = sum(n for (x, _c), n in table.items() if x == a)
+        for c in CONSEQUENTS:
+            support = table.get((a, c), 0)
+            assert counts.matches(a, c) == (support >= floor)
+            confidence = support / total if support else 0.0
+            assert counts.rule_stats(a, c) == (support, confidence)
+
+
+oracles = st.one_of(
+    st.builds(WindowOracle, st.integers(1, 8), st.integers(1, 3)),
+    # bucket widths 2-10: a 100-event stream compresses 10-50 times
+    st.builds(SketchOracle, st.sampled_from([0.5, 0.34, 0.2, 0.1]), st.integers(1, 3)),
+)
+observes = st.tuples(
+    st.just("observe"),
+    st.sampled_from(ANTECEDENTS),
+    st.sampled_from(CONSEQUENTS),
+    st.booleans(),  # read everything back afterwards (which fills the memos)?
+)
+# eight observes to one op that forgets something: the history has to grow
+# long enough to slide, compress and leave a memo stale
+others = st.sampled_from(["roundtrip", "roundtrip", "clear"]).map(lambda op: (op,))
+ops = st.lists(st.one_of(*[observes] * 8, others), max_size=100)
+
+
+@settings(max_examples=500, deadline=None)
+@given(oracles, ops)
+def test_every_read_equals_a_recount_of_the_history(oracle, ops):
+    counts = oracle.make()
+    for op, *args in ops:
+        if op == "observe":
+            *pair, look = args
+            pair = tuple(pair)
+            assert counts.observe(*pair) is expected_observe(oracle, pair)
+            oracle.history.append(pair)
+            if look:
+                check_every_read(counts, oracle)
+        elif op == "clear":
+            counts.clear()
+            oracle.history.clear()
+        else:
+            state = counts.state()
+            # plain data: it survives JSON, and the copy carries on alone
+            counts = type(counts).from_state(json.loads(json.dumps(state)))
+            assert counts.state() == state
+    check_every_read(counts, oracle)
+
+
+@pytest.mark.parametrize("make", [WindowCounts, SketchCounts])
+class TestContract:
+    def test_k_below_one_raises(self, make):
+        counts = make(min_support_count=1)
+        counts.observe(1, 10)
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                counts.consequents(1, k)
+            with pytest.raises(ValueError):
+                counts.consequents(99, k)  # even where there is nothing to cut
+
+    def test_support_floor_is_validated(self, make):
+        with pytest.raises(ValueError):
+            make(min_support_count=0)
+
+    def test_unknown_antecedent_is_empty_not_an_error(self, make):
+        counts = make()
+        assert counts.consequents(99) == []
+        assert not counts.covers(99)
+        assert not counts.matches(99, 1)
+        assert counts.rule_stats(99, 1) == (0, 0.0)
+
+
+def test_window_and_epsilon_are_validated():
+    with pytest.raises(ValueError):
+        WindowCounts(0)
+    for epsilon in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            SketchCounts(epsilon)
+
+
+def test_a_rule_dropped_by_its_own_compression_is_not_announced():
+    """Bucket width 2: the second event compresses.  (1, 10) reaches the
+    floor of 1 on that event but count + delta = 1 <= bucket 1 drops it."""
+    counts = SketchCounts(0.5, min_support_count=1)
+    assert counts.observe(0, 0) is True
+    assert counts.observe(1, 10) is False
+    assert counts.n_rules() == 0 and len(counts) == 0
+
+
+def test_compression_refreshes_the_ranking_of_a_row_it_only_thins():
+    """Bucket width 5: the fifth event (on another antecedent) drops
+    (0, 1) but keeps (0, 0), whose row had its ranking memoised."""
+    counts = SketchCounts(0.2, min_support_count=1)
+    for c in (0, 0, 0, 1):
+        counts.observe(0, c)
+    assert counts.consequents(0) == [0, 1]
+    counts.observe(1, 1)
+    assert counts.consequents(0) == [0]
+    assert counts.rule_stats(0, 0) == (3, 1.0)
+
+
+class TestStreamingGolden:
+    """``StreamingRules.run`` on a default-config 300k-pair trace, digested
+    at the commit before ``repro.core.counts`` replaced the two count
+    classes it used to own: every ``TrialResult`` is that commit's."""
+
+    DIGESTS = {
+        "exact": "9a954d7d26cd3740fea6175629d11596",
+        "lossy": "28975c374dec211905d459af47bfbd09",
+    }
+
+    @pytest.fixture(scope="class")
+    def blocks(self):
+        arrays = MonitorTraceGenerator(
+            MonitorTraceConfig(), seed=11
+        ).generate_pair_arrays(300_000)
+        return blocks_from_arrays(arrays.source, arrays.replier, block_size=10_000)
+
+    @pytest.mark.parametrize("backend", ["exact", "lossy"])
+    def test_trial_results_are_the_parents(self, blocks, backend):
+        run = StreamingRules(backend=backend).run(blocks)
+        digest = hashlib.blake2b(digest_size=16)
+        for trial in run.trials:
+            result = trial.result
+            digest.update(
+                repr(
+                    (
+                        trial.block_index,
+                        result.n_total,
+                        result.n_covered,
+                        result.n_successful,
+                        trial.fresh_ruleset,
+                        trial.ruleset_size,
+                    )
+                ).encode()
+            )
+        assert len(run.trials) == 29
+        assert digest.hexdigest() == self.DIGESTS[backend]

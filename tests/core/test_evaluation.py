@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.evaluation import (
     RulesetTestResult,
     ruleset_test,
-    ruleset_test_reference,
 )
 from repro.core.generation import generate_ruleset
 from repro.core.rules import Rule, RuleSet
 from tests.conftest import make_block
+from tests.core.reference_rules import reference_ruleset_test
 
 
 class TestRulesetTestResult:
@@ -97,7 +97,7 @@ def test_vectorized_equals_reference(train_pairs, test_pairs, min_support):
     rs = generate_ruleset(make_block(train_pairs), min_support_count=min_support)
     block = make_block(test_pairs)
     fast = ruleset_test(rs, block)
-    slow = ruleset_test_reference(rs, block)
+    slow = reference_ruleset_test(rs, block)
     assert (fast.n_total, fast.n_covered, fast.n_successful) == (
         slow.n_total,
         slow.n_covered,

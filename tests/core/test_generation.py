@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.generation import generate_ruleset, pack_pair_keys
 from tests.conftest import make_block
+from tests.core.reference_rules import reference_generate_ruleset
 
 
 class TestPackPairKeys:
@@ -93,12 +94,14 @@ class TestGenerateRuleset:
 
     @pytest.mark.parametrize("impl", ["numpy", "python"])
     def test_both_implementations_work(self, small_block, impl):
-        rs = generate_ruleset(small_block, min_support_count=2, implementation=impl)
+        generate = generate_ruleset if impl == "numpy" else reference_generate_ruleset
+        rs = generate(small_block, min_support_count=2)
         assert rs.matches(1, 10)
 
     def test_unknown_implementation(self, small_block):
-        with pytest.raises(ValueError):
-            generate_ruleset(small_block, implementation="cython")
+        """There is one implementation; naming any is a ``TypeError``."""
+        with pytest.raises(TypeError):
+            generate_ruleset(small_block, implementation="python")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -126,21 +129,19 @@ pairs_strategy = st.lists(
     st.sampled_from([0.0, 0.3, 0.6]),
 )
 def test_numpy_equals_python_reference(pairs, min_support, top_k, min_conf):
-    """Property: the vectorized and reference implementations agree."""
+    """Property: the vectorized code and the reference loop agree."""
     block = make_block(pairs)
     a = generate_ruleset(
         block,
         min_support_count=min_support,
         top_k=top_k,
         min_confidence=min_conf,
-        implementation="numpy",
     )
-    b = generate_ruleset(
+    b = reference_generate_ruleset(
         block,
         min_support_count=min_support,
         top_k=top_k,
         min_confidence=min_conf,
-        implementation="python",
     )
     assert sorted((r.antecedent, r.consequent, r.count) for r in a) == sorted(
         (r.antecedent, r.consequent, r.count) for r in b

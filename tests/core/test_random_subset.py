@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.evaluation import (
     ruleset_test,
     ruleset_test_random_subset,
-    ruleset_test_random_subset_reference,
 )
 from repro.core.rules import Rule, RuleSet
 from tests.conftest import make_block
+from tests.core.reference_rules import reference_ruleset_test_random_subset
 
 
 def multi_consequent_ruleset():
@@ -64,7 +64,7 @@ class TestRandomSubset:
         rs = multi_consequent_ruleset()
         block = make_block([(1, 10), (1, 11), (1, 12), (1, 99), (7, 1)] * 8)
         fast = ruleset_test_random_subset(rs, block, k=3, rng=0)
-        slow = ruleset_test_random_subset_reference(rs, block, k=3, rng=0)
+        slow = reference_ruleset_test_random_subset(rs, block, k=3, rng=0)
         assert fast == slow
 
     def test_random_below_topk_on_skewed_traffic(self):
@@ -108,7 +108,7 @@ class TestVectorizedVsReference:
     def test_coverage_identical(self, rules, pairs, k):
         block = make_block(pairs)
         fast = ruleset_test_random_subset(rules, block, k=k, rng=0)
-        slow = ruleset_test_random_subset_reference(rules, block, k=k, rng=0)
+        slow = reference_ruleset_test_random_subset(rules, block, k=k, rng=0)
         assert fast.n_total == slow.n_total
         assert fast.n_covered == slow.n_covered
 
@@ -122,7 +122,7 @@ class TestVectorizedVsReference:
         )
         block = make_block(pairs)
         fast = ruleset_test_random_subset(rules, block, k=k, rng=0)
-        slow = ruleset_test_random_subset_reference(rules, block, k=k, rng=0)
+        slow = reference_ruleset_test_random_subset(rules, block, k=k, rng=0)
         assert fast == slow
         # ... and both then agree with unrestricted RULESET-TEST.
         full = ruleset_test(rules, block)
@@ -147,7 +147,7 @@ class TestVectorizedVsReference:
         )
         slow_mean = np.mean(
             [
-                ruleset_test_random_subset_reference(
+                reference_ruleset_test_random_subset(
                     rs, block, k=2, rng=rng_slow
                 ).n_successful
                 for _ in range(40)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.streaming import StreamingRules, _ExactWindowCounts, _LossyCounts
+from repro.core.counts import SketchCounts, WindowCounts
+from repro.core.streaming import StreamingRules
 from tests.conftest import make_block
 
 
@@ -20,31 +21,31 @@ def drifting_blocks(n_blocks, pairs_per_block=40):
 
 class TestExactWindowCounts:
     def test_threshold_crossing(self):
-        counts = _ExactWindowCounts(window_pairs=100, min_support_count=3)
+        counts = WindowCounts(window=100, min_support_count=3)
         for _ in range(2):
-            counts.push(1, 10)
+            counts.observe(1, 10)
         assert not counts.covers(1)
-        counts.push(1, 10)
+        counts.observe(1, 10)
         assert counts.covers(1)
         assert counts.matches(1, 10)
         assert not counts.matches(1, 11)
 
     def test_window_eviction_uncovers(self):
-        counts = _ExactWindowCounts(window_pairs=4, min_support_count=3)
+        counts = WindowCounts(window=4, min_support_count=3)
         for _ in range(3):
-            counts.push(1, 10)
+            counts.observe(1, 10)
         assert counts.covers(1)
         # Push unrelated pairs to evict the old ones.
         for _ in range(4):
-            counts.push(2, 20)
+            counts.observe(2, 20)
         assert not counts.covers(1)
         assert counts.covers(2)
 
     def test_n_rules(self):
-        counts = _ExactWindowCounts(window_pairs=100, min_support_count=2)
-        counts.push(1, 10)
-        counts.push(1, 10)
-        counts.push(1, 11)
+        counts = WindowCounts(window=100, min_support_count=2)
+        counts.observe(1, 10)
+        counts.observe(1, 10)
+        counts.observe(1, 11)
         assert counts.n_rules() == 1
 
 
@@ -53,17 +54,17 @@ class TestConsequentsOrdering:
     counts break ties by ascending replier id on both backends."""
 
     def _exact(self):
-        counts = _ExactWindowCounts(window_pairs=100, min_support_count=2)
+        counts = WindowCounts(window=100, min_support_count=2)
         for replier, copies in [(30, 2), (10, 3), (20, 2), (40, 1)]:
             for _ in range(copies):
-                counts.push(1, replier)
+                counts.observe(1, replier)
         return counts
 
     def _lossy(self):
-        counts = _LossyCounts(epsilon=0.001, min_support_count=2)
+        counts = SketchCounts(epsilon=0.001, min_support_count=2)
         for replier, copies in [(30, 2), (10, 3), (20, 2), (40, 1)]:
             for _ in range(copies):
-                counts.push(1, replier)
+                counts.observe(1, replier)
         return counts
 
     @pytest.mark.parametrize("make", ["_exact", "_lossy"])
@@ -88,55 +89,46 @@ class TestConsequentsOrdering:
         assert counts.consequents(99, k=3) == []
 
     def test_all_equal_counts_sort_purely_by_replier(self):
-        counts = _ExactWindowCounts(window_pairs=100, min_support_count=2)
+        counts = WindowCounts(window=100, min_support_count=2)
         for replier in (7, 3, 11, 5):
-            counts.push(1, replier)
-            counts.push(1, replier)
+            counts.observe(1, replier)
+            counts.observe(1, replier)
         assert counts.consequents(1, k=None) == [3, 5, 7, 11]
 
 
 class TestLossyRebuildQualified:
+    """``from_state`` is the one place the sketch's qualified figures are
+    rebuilt from its entries (``observe`` keeps them current otherwise)."""
+
+    @staticmethod
+    def _rebuilt(counts):
+        return SketchCounts.from_state(counts.state())
+
     def test_rebuild_reconstructs_coverage_from_sketch(self):
-        counts = _LossyCounts(epsilon=0.001, min_support_count=2)
+        counts = SketchCounts(epsilon=0.001, min_support_count=2)
         for _ in range(2):
-            counts.push(1, 10)
-            counts.push(2, 20)
-        assert counts.covers(1) and counts.covers(2)
-        # Wreck the incremental cache, then rebuild from the sketch.
-        counts._qualified = {}
-        assert not counts.covers(1)
-        counts._rebuild_qualified()
-        assert counts.covers(1) and counts.covers(2)
-        assert counts._qualified == {1: 1, 2: 1}
+            counts.observe(1, 10)
+            counts.observe(2, 20)
+        twin = self._rebuilt(counts)
+        assert twin.covers(1) and twin.covers(2)
+        assert twin.antecedents() == [1, 2]
+        assert twin.n_rules() == 2
 
     def test_rebuild_counts_qualified_consequents_per_source(self):
-        counts = _LossyCounts(epsilon=0.001, min_support_count=2)
+        counts = SketchCounts(epsilon=0.001, min_support_count=2)
         for replier in (10, 11, 12):
-            counts.push(1, replier)
-            counts.push(1, replier)
-        counts.push(2, 20)  # below threshold
-        counts._rebuild_qualified()
-        assert counts._qualified == {1: 3}
-        assert not counts.covers(2)
-
-    def test_periodic_refresh_triggers_rebuild(self):
-        counts = _LossyCounts(epsilon=0.001, min_support_count=2)
-        counts.refresh_every = 5  # force a refresh within a few pushes
-        counts.push(1, 10)
-        counts.push(1, 10)
-        counts._qualified = {}  # stale: pretend eviction lost the entry
-        for i in range(5):
-            counts.push(50 + i, 99)  # unrelated singletons tick the clock
-        # the scheduled rebuild restored source 1's coverage, and the
-        # refresh clock wrapped (7 pushes total, rebuild at the 5th).
-        assert counts.covers(1)
-        assert counts._since_refresh == 2
+            counts.observe(1, replier)
+            counts.observe(1, replier)
+        counts.observe(2, 20)  # below threshold
+        twin = self._rebuilt(counts)
+        assert twin.n_rules() == 3
+        assert twin.consequents(1) == [10, 11, 12]
+        assert not twin.covers(2)
 
     def test_rebuild_on_empty_sketch(self):
-        counts = _LossyCounts(epsilon=0.001, min_support_count=2)
-        counts._rebuild_qualified()
-        assert counts._qualified == {}
-        assert not counts.covers(1)
+        twin = self._rebuilt(SketchCounts(epsilon=0.001, min_support_count=2))
+        assert twin.n_rules() == 0
+        assert not twin.covers(1)
 
 
 class TestStreamingRules:
@@ -189,10 +181,10 @@ class TestStreamingRules:
 
 class TestRuleStats:
     def test_exact_support_and_confidence_from_window(self):
-        counts = _ExactWindowCounts(window_pairs=100, min_support_count=2)
+        counts = WindowCounts(window=100, min_support_count=2)
         for _ in range(3):
-            counts.push(1, 2)
-        counts.push(1, 3)
+            counts.observe(1, 2)
+        counts.observe(1, 3)
         support, confidence = counts.rule_stats(1, 2)
         assert support == 3
         assert confidence == pytest.approx(3 / 4)
@@ -200,21 +192,21 @@ class TestRuleStats:
         assert counts.rule_stats(7, 2) == (0, 0.0)
 
     def test_exact_stats_age_out_with_the_window(self):
-        counts = _ExactWindowCounts(window_pairs=2, min_support_count=1)
-        counts.push(1, 2)
-        counts.push(3, 4)
-        counts.push(3, 5)  # (1, 2) slides out
+        counts = WindowCounts(window=2, min_support_count=1)
+        counts.observe(1, 2)
+        counts.observe(3, 4)
+        counts.observe(3, 5)  # (1, 2) slides out
         assert counts.rule_stats(1, 2) == (0, 0.0)
         support, confidence = counts.rule_stats(3, 4)
         assert support == 1
         assert confidence == pytest.approx(0.5)
 
     def test_lossy_stats_match_exact_on_small_streams(self):
-        counts = _LossyCounts(epsilon=0.001, min_support_count=2)
+        counts = SketchCounts(epsilon=0.001, min_support_count=2)
         for _ in range(6):
-            counts.push(1, 2)
+            counts.observe(1, 2)
         for _ in range(2):
-            counts.push(1, 3)
+            counts.observe(1, 3)
         support, confidence = counts.rule_stats(1, 2)
         assert support == 6
         assert confidence == pytest.approx(6 / 8)

@@ -203,9 +203,8 @@ def learned_state(overlay):
     state = []
     for u in range(overlay.n_nodes):
         rules = getattr(overlay.node(u).policy, "rules", None)
-        state.append(
-            None if rules is None else (list(rules._events), dict(rules._counts))
-        )
+        # the window of events is the table's whole state
+        state.append(None if rules is None else rules.state())
     return state
 
 

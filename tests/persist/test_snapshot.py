@@ -1,7 +1,11 @@
 """Tests for repro.persist.snapshot — round trips, integrity, fingerprints."""
 
+import hashlib
+import json
 import os
 import struct
+import zlib
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +25,7 @@ PAIRS = [(s % 4, r % 3) for s, r in zip(range(40), range(1, 81, 2))]
 def exact_counts():
     counts = StreamingRules(min_support_count=2, window_pairs=64).make_counts()
     for source, replier in PAIRS:
-        counts.push(source, replier)
+        counts.observe(source, replier)
     return counts
 
 
@@ -30,7 +34,7 @@ def lossy_counts():
         min_support_count=2, backend="lossy", epsilon=0.01
     ).make_counts()
     for source, replier in PAIRS:
-        counts.push(source, replier)
+        counts.observe(source, replier)
     return counts
 
 
@@ -57,7 +61,7 @@ class TestRoundTrip:
             assert twin.consequents(source) == counts.consequents(source)
         # the twin keeps learning exactly in step
         for source, replier in [(0, 1), (0, 1), (3, 2)]:
-            assert twin.push(source, replier) == counts.push(source, replier)
+            assert twin.observe(source, replier) == counts.observe(source, replier)
         assert fingerprint_counts(twin) == fingerprint_counts(counts)
 
     def test_header_fields_and_meta(self, tmp_path):
@@ -78,7 +82,7 @@ class TestRoundTrip:
         counts = exact_counts()
         path = str(tmp_path / "s.snap")
         write_snapshot(path, counts)
-        counts.push(0, 1)
+        counts.observe(0, 1)
         write_snapshot(path, counts)
         twin, _ = load_snapshot(path)
         assert fingerprint_counts(twin) == fingerprint_counts(counts)
@@ -92,7 +96,7 @@ class TestFingerprint:
 
     def test_fingerprint_tracks_state_changes(self):
         a, b = exact_counts(), exact_counts()
-        b.push(0, 1)
+        b.observe(0, 1)
         assert fingerprint_counts(a) != fingerprint_counts(b)
 
     def test_backends_never_collide(self):
@@ -101,10 +105,11 @@ class TestFingerprint:
         )
 
     def test_lossy_qualified_cache_excluded(self):
-        """A stale vs rebuilt ``_qualified`` cache must not split digests."""
+        """What a read memoises (the ranked consequents) is not state."""
         counts = lossy_counts()
         before = fingerprint_counts(counts)
-        counts._rebuild_qualified()
+        for source in range(4):
+            counts.consequents(source)
         assert fingerprint_counts(counts) == before
 
 
@@ -159,3 +164,80 @@ class TestIntegrity:
 
     def test_magic_is_eight_bytes(self):
         assert len(SNAPSHOT_MAGIC) == 8
+
+    def _rewrite(self, path, *, header_edit=None, payload_edit=None):
+        """Re-frame the snapshot with a valid CRC and payload digest."""
+        data = open(path, "rb").read()
+        (header_len,) = struct.unpack("<I", data[8:12])
+        header = json.loads(data[16 : 16 + header_len])
+        payload = data[16 + header_len :]
+        if payload_edit is not None:
+            payload = payload_edit(payload)
+            header["payload_len"] = len(payload)
+            header["payload_blake2b"] = hashlib.blake2b(
+                payload, digest_size=16
+            ).hexdigest()
+        if header_edit is not None:
+            header_edit(header)
+        header_bytes = json.dumps(header, sort_keys=True).encode()
+        with open(path, "wb") as fh:
+            fh.write(SNAPSHOT_MAGIC)
+            fh.write(struct.pack("<II", len(header_bytes), zlib.crc32(header_bytes)))
+            fh.write(header_bytes)
+            fh.write(payload)
+
+    def test_unknown_backend_is_a_snapshot_error(self, tmp_path):
+        path = self._snapshot(tmp_path)
+        self._rewrite(path, header_edit=lambda h: h.update(backend="bloom"))
+        read_snapshot_header(path)  # checksums hold: the frame is intact
+        with pytest.raises(SnapshotError, match="unknown backend 'bloom'"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("make", [exact_counts, lossy_counts])
+    def test_ragged_payload_is_a_snapshot_error(self, tmp_path, make):
+        path = str(tmp_path / "s.snap")
+        write_snapshot(path, make())
+        self._rewrite(path, payload_edit=lambda payload: payload[:-3])
+        with pytest.raises(SnapshotError, match="not whole"):
+            load_snapshot(path)
+
+    def test_recover_falls_back_past_an_unknown_backend(self, tmp_path):
+        """The typed error is what lets recovery try the older generation."""
+        from repro.persist.state import PersistentState
+
+        counts = exact_counts()
+        write_snapshot(str(tmp_path / "snap-00000001.snap"), counts)
+        newest = str(tmp_path / "snap-00000002.snap")
+        write_snapshot(newest, counts)
+        self._rewrite(newest, header_edit=lambda h: h.update(backend="bloom"))
+        state = PersistentState(str(tmp_path))
+        recovered, info = state.recover(StreamingRules(min_support_count=2))
+        state.close()
+        assert info.restored and info.snapshot_seq == 1
+        assert fingerprint_counts(recovered) == fingerprint_counts(counts)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestParentGoldens:
+    """Snapshots written by the commit before ``repro.core.counts`` existed
+    (``_ExactWindowCounts`` / ``_LossyCounts``): the format did not move."""
+
+    @pytest.mark.parametrize(
+        "name, fingerprint, n_rules",
+        [
+            ("parent_exact.snap", "af054ccc0f8880781a23e1e347a4d027", 19),
+            ("parent_lossy.snap", "450904e1b8e9db5af3212b76b5a6d333", 20),
+        ],
+    )
+    def test_loads_and_reencodes_to_the_same_bytes(
+        self, tmp_path, name, fingerprint, n_rules
+    ):
+        counts, header = load_snapshot(str(DATA / name))
+        assert header["fingerprint"] == fingerprint
+        assert fingerprint_counts(counts) == fingerprint
+        assert counts.n_rules() == header["n_rules"] == n_rules
+        again = str(tmp_path / name)
+        write_snapshot(again, counts)
+        assert Path(again).read_bytes() == (DATA / name).read_bytes()

@@ -44,7 +44,7 @@ class TestLifecycle:
         state = fresh_state(tmp_path)
         counts, _ = state.recover(rules())
         for source, replier in PAIRS:
-            counts.push(source, replier)
+            counts.observe(source, replier)
             state.record_pair(source, replier)
         live = fingerprint_counts(counts)
         state.close()
@@ -61,11 +61,11 @@ class TestLifecycle:
         state = fresh_state(tmp_path)
         counts, _ = state.recover(rules())
         for source, replier in PAIRS[:40]:
-            counts.push(source, replier)
+            counts.observe(source, replier)
             state.record_pair(source, replier)
         state.checkpoint(counts)
         for source, replier in PAIRS[40:]:
-            counts.push(source, replier)
+            counts.observe(source, replier)
             state.record_pair(source, replier)
         live = fingerprint_counts(counts)
         state.close()
@@ -81,7 +81,7 @@ class TestLifecycle:
         state = fresh_state(tmp_path)
         counts, _ = state.recover(rules())
         for source, replier in PAIRS:
-            counts.push(source, replier)
+            counts.observe(source, replier)
             state.record_pair(source, replier)
         state.checkpoint(counts)
         state.checkpoint(counts)
@@ -97,7 +97,7 @@ class TestDamageTolerance:
         state = fresh_state(tmp_path)
         counts, _ = state.recover(rules())
         for source, replier in PAIRS:
-            counts.push(source, replier)
+            counts.observe(source, replier)
             state.record_pair(source, replier)
         state.close()
         return fingerprint_counts(counts), state.wal_segments()
@@ -127,14 +127,14 @@ class TestDamageTolerance:
         state = fresh_state(tmp_path)
         counts, _ = state.recover(rules())
         for source, replier in PAIRS[:30]:
-            counts.push(source, replier)
+            counts.observe(source, replier)
             state.record_pair(source, replier)
         old_fingerprint = fingerprint_counts(counts)
         state.checkpoint(counts)
         old_snap = state.snapshots()[0][1]
         keep = open(old_snap, "rb").read()
         for source, replier in PAIRS[30:]:
-            counts.push(source, replier)
+            counts.observe(source, replier)
             state.record_pair(source, replier)
         state.checkpoint(counts)
         state.close()
@@ -176,7 +176,7 @@ class TestMetricsAndInspect:
         state = fresh_state(tmp_path, label="n0", registry=registry)
         counts, _ = state.recover(rules())
         for source, replier in PAIRS:
-            counts.push(source, replier)
+            counts.observe(source, replier)
             state.record_pair(source, replier)
         state.checkpoint(counts)
         state.close()
@@ -190,7 +190,7 @@ class TestMetricsAndInspect:
         state = fresh_state(tmp_path)
         counts, _ = state.recover(rules())
         for source, replier in PAIRS:
-            counts.push(source, replier)
+            counts.observe(source, replier)
             state.record_pair(source, replier)
         state.checkpoint(counts)
         state.record_pair(9, 9)

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.counts import WindowCounts
 from repro.network.overlay import Overlay, OverlayConfig
-from repro.routing.association import AssociationRoutingPolicy, NeighborRuleTable
+from repro.routing.association import AssociationRoutingPolicy
 
 SMALL = OverlayConfig(
     n_nodes=80, degree=4, n_categories=6, files_per_category=40, library_size=25
@@ -12,8 +13,10 @@ SMALL = OverlayConfig(
 
 
 class TestNeighborRuleTable:
+    """The per-node table is a :class:`WindowCounts` keyed by neighbor."""
+
     def test_threshold_gates_rules(self):
-        table = NeighborRuleTable(window=100, min_support_count=3)
+        table = WindowCounts(window=100, min_support_count=3)
         for _ in range(2):
             table.observe(1, 10)
         assert table.consequents(1) == []
@@ -21,7 +24,7 @@ class TestNeighborRuleTable:
         assert table.consequents(1) == [10]
 
     def test_ordering_by_support(self):
-        table = NeighborRuleTable(window=100, min_support_count=1)
+        table = WindowCounts(window=100, min_support_count=1)
         for _ in range(5):
             table.observe(1, 10)
         for _ in range(3):
@@ -30,7 +33,7 @@ class TestNeighborRuleTable:
         assert table.consequents(1, k=1) == [10]
 
     def test_window_eviction(self):
-        table = NeighborRuleTable(window=4, min_support_count=2)
+        table = WindowCounts(window=4, min_support_count=2)
         table.observe(1, 10)
         table.observe(1, 10)
         assert table.consequents(1) == [10]
@@ -40,7 +43,7 @@ class TestNeighborRuleTable:
         assert table.consequents(2) == [20]
 
     def test_rule_stats_support_and_confidence(self):
-        table = NeighborRuleTable(window=100, min_support_count=1)
+        table = WindowCounts(window=100, min_support_count=1)
         for _ in range(3):
             table.observe(1, 10)
         table.observe(1, 11)
@@ -51,7 +54,7 @@ class TestNeighborRuleTable:
         assert table.rule_stats(99, 10) == (0, 0.0)
 
     def test_rule_stats_follow_window_eviction(self):
-        table = NeighborRuleTable(window=2, min_support_count=1)
+        table = WindowCounts(window=2, min_support_count=1)
         table.observe(1, 10)
         table.observe(2, 20)
         table.observe(2, 21)  # (1, 10) ages out
@@ -59,28 +62,28 @@ class TestNeighborRuleTable:
         assert table.rule_stats(2, 20) == (1, pytest.approx(0.5))
 
     def test_n_rules(self):
-        table = NeighborRuleTable(window=100, min_support_count=2)
+        table = WindowCounts(window=100, min_support_count=2)
         table.observe(1, 10)
         table.observe(1, 10)
         table.observe(2, 20)
         assert table.n_rules() == 1
 
     def test_clear(self):
-        table = NeighborRuleTable(window=10, min_support_count=1)
+        table = WindowCounts(window=10, min_support_count=1)
         table.observe(1, 10)
         table.clear()
         assert table.consequents(1) == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            NeighborRuleTable(window=0)
+            WindowCounts(window=0)
         with pytest.raises(ValueError):
-            NeighborRuleTable(min_support_count=0)
+            WindowCounts(min_support_count=0)
 
 
 def unmemoised_consequents(table, upstream, k=None):
-    """``NeighborRuleTable.consequents`` as it was before it kept a ranking."""
-    counter = table._counts.get(upstream)
+    """``consequents`` as it was before the table kept a ranking."""
+    counter = table._rows.get(upstream)
     if not counter:
         return []
     qualified = [
@@ -106,7 +109,7 @@ table_ops = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 3), table_ops)
 def test_kept_ranking_never_goes_stale(window, min_support_count, ops):
-    table = NeighborRuleTable(window=window, min_support_count=min_support_count)
+    table = WindowCounts(window=window, min_support_count=min_support_count)
     for op, a, b in ops:
         if op == "observe":
             table.observe(a, b)

@@ -37,10 +37,12 @@ class TestLearning:
         table = _table()
         for _ in range(4):
             table.observe(1, 5)
-        support, confidence = table.rule_stats(1, 5)
+        table.observe(1, 6)
+        table.observe(2, 5)  # another category: not in category 1's total
+        support, confidence = table.counts.rule_stats(1, 5)
         assert support == 4
-        assert confidence == pytest.approx(1.0)
-        assert table.rule_stats(1, 6) == (0, 0.0)
+        assert confidence == pytest.approx(4 / 5)
+        assert table.counts.rule_stats(1, 7) == (0, 0.0)
 
     def test_reset(self):
         table = _table()

@@ -95,7 +95,7 @@ class TestPersistInspect:
         state = PersistentState(str(tmp_path / "node"), fsync="never")
         counts, _ = state.recover(StreamingRules(min_support_count=2))
         for source, replier in [(1, 2)] * 3 + [(3, 4)] * 2:
-            counts.push(source, replier)
+            counts.observe(source, replier)
             state.record_pair(source, replier)
         state.checkpoint(counts)
         state.record_pair(5, 6)
