@@ -125,7 +125,7 @@ class WindowCounts(_PairCounts):
     GENERATE-RULESET, applied to a window that slides one event at a time.
     """
 
-    def __init__(self, window: int = 512, min_support_count: int = 2) -> None:
+    def __init__(self, window: int, min_support_count: int) -> None:
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = int(window)
@@ -155,15 +155,15 @@ class WindowCounts(_PairCounts):
             left = row[c] - 1
             row.total -= 1
             row.ranked = None
+            if left == floor - 1:
+                row.qualified -= 1
+                self._n_rules -= 1
             if left:
                 row[c] = left
             else:
                 del row[c]
                 if not row:
                     del rows[a]
-            if left == floor - 1:
-                row.qualified -= 1
-                self._n_rules -= 1
         return reached
 
     def clear(self) -> None:
@@ -198,7 +198,7 @@ class SketchCounts(_PairCounts):
     its qualified count and ``n_rules`` in the same step.
     """
 
-    def __init__(self, epsilon: float = 1e-4, min_support_count: int = 2) -> None:
+    def __init__(self, epsilon: float, min_support_count: int) -> None:
         self.epsilon = check_fraction("epsilon", epsilon)
         self.min_support_count = _check_floor(min_support_count)
         self.bucket_width = math.ceil(1.0 / self.epsilon)

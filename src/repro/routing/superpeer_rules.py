@@ -60,15 +60,7 @@ class SuperPeerRules:
     def consequents(self, category: int, k: int | None = None) -> list[int]:
         """Super-peers the rules point at for ``category``, best first
         (``top_k`` of them unless ``k`` says otherwise)."""
-        # Parent behaviour, kept for this one commit: equal supports are
-        # ordered by str(id).  The next commit reads the numeric order
-        # off ``self.counts.consequents``.
-        counts = self.counts
-        ranked = sorted(
-            counts.consequents(category),
-            key=lambda sp: (-counts.rule_stats(category, sp)[0], str(sp)),
-        )
-        return ranked[: self.top_k if k is None else k]
+        return self.counts.consequents(category, self.top_k if k is None else k)
 
     def publish(self, top_k: int | None = None) -> "RuleDigest":
         """Snapshot the strongest rules as a new-epoch digest.

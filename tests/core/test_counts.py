@@ -144,10 +144,18 @@ def test_every_read_equals_a_recount_of_the_history(oracle, ops):
     check_every_read(counts, oracle)
 
 
-@pytest.mark.parametrize("make", [WindowCounts, SketchCounts])
+def window_table(min_support_count):
+    return WindowCounts(8, min_support_count)
+
+
+def sketch_table(min_support_count):
+    return SketchCounts(0.1, min_support_count)
+
+
+@pytest.mark.parametrize("make", [window_table, sketch_table])
 class TestContract:
     def test_k_below_one_raises(self, make):
-        counts = make(min_support_count=1)
+        counts = make(1)
         counts.observe(1, 10)
         for k in (0, -1):
             with pytest.raises(ValueError):
@@ -157,10 +165,10 @@ class TestContract:
 
     def test_support_floor_is_validated(self, make):
         with pytest.raises(ValueError):
-            make(min_support_count=0)
+            make(0)
 
     def test_unknown_antecedent_is_empty_not_an_error(self, make):
-        counts = make()
+        counts = make(2)
         assert counts.consequents(99) == []
         assert not counts.covers(99)
         assert not counts.matches(99, 1)
@@ -169,10 +177,10 @@ class TestContract:
 
 def test_window_and_epsilon_are_validated():
     with pytest.raises(ValueError):
-        WindowCounts(0)
+        WindowCounts(0, 2)
     for epsilon in (0.0, 1.0):
         with pytest.raises(ValueError):
-            SketchCounts(epsilon)
+            SketchCounts(epsilon, 2)
 
 
 def test_a_rule_dropped_by_its_own_compression_is_not_announced():

@@ -40,9 +40,9 @@ class TestLossyCounter:
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
-            SketchCounts(epsilon=0.0)
+            SketchCounts(0.0, 1)
         with pytest.raises(ValueError):
-            SketchCounts(epsilon=1.0)
+            SketchCounts(1.0, 1)
 
     def test_memory_stays_bounded_on_uniform_stream(self):
         rng = np.random.default_rng(0)
@@ -103,7 +103,7 @@ class TestStreamingPairCounter:
 
     def test_top_repliers_respects_k_validation(self):
         with pytest.raises(ValueError):
-            SketchCounts().consequents("u", k=0)
+            SketchCounts(0.001, 1).consequents("u", k=0)
 
     def test_pairs_over_count(self):
         counts = sketch(0.001, [(1, 2)] * 4 + [(1, 3)], min_support_count=2)

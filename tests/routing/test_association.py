@@ -76,9 +76,9 @@ class TestNeighborRuleTable:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WindowCounts(window=0)
+            WindowCounts(window=0, min_support_count=2)
         with pytest.raises(ValueError):
-            WindowCounts(min_support_count=0)
+            WindowCounts(window=512, min_support_count=0)
 
 
 def unmemoised_consequents(table, upstream, k=None):

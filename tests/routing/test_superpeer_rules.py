@@ -33,6 +33,17 @@ class TestLearning:
         assert table.consequents(99) == []
         assert table.n_observations == 9
 
+    def test_equal_support_ties_go_to_the_smaller_id(self):
+        """Numerically, as ``publish`` and ``MergedRuleTable`` order them —
+        not by ``str(id)``, which puts 10 and 100 ahead of 9."""
+        table = _table(min_support_count=2, top_k=3)
+        for replier in (100, 9, 10):
+            table.observe(3, replier)
+            table.observe(3, replier)
+        assert table.consequents(3) == [9, 10, 100]
+        assert table.consequents(3, k=1) == [9]
+        assert [e.consequent for e in table.publish(top_k=1).entries] == [9]
+
     def test_rule_stats(self):
         table = _table()
         for _ in range(4):
