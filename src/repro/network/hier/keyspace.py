@@ -28,6 +28,7 @@ caller.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 __all__ = ["KEY_BITS", "KBucketTable", "category_key", "node_key", "xor_distance"]
 
@@ -37,6 +38,9 @@ __all__ = ["KEY_BITS", "KBucketTable", "category_key", "node_key", "xor_distance
 KEY_BITS = 64
 
 
+# Pure in (kind, value), and 500 tables over 500 ids ask for each node
+# key 500 times; bounded, so a long-lived process cannot grow it.
+@lru_cache(maxsize=1 << 16)
 def _key(kind: bytes, value: int) -> int:
     digest = hashlib.blake2b(
         kind + int(value).to_bytes(8, "little"), digest_size=KEY_BITS // 8

@@ -33,10 +33,25 @@ pair — the property the comparison experiment leans on:
   leaves' evidence) plus merged neighbor digests;
 * ``hybrid`` — ``superpeer-rules`` plus step 3.
 
+Route plans: what steps 3 and 4 cost is a function of where they start
+and of which super-peers are live, not of the file.  Every super-peer
+forwards a flood to all its neighbours, so the flood from one home
+reaches the same nodes in the same order for the same messages and
+duplicates whatever is asked; a greedy walk's next hop depends on the
+node's own table and the key alone.  Both are computed on first use and
+kept — a reach plan per home, ``(steward, hops)`` per (super-peer,
+category) — and a flood's per-query part is the file's holder
+communities (:meth:`CommunityIndex.holders`) that have a position in
+the plan, taken in discovery order: the order a per-message flood meets
+them, hence the same ``observe`` sequence and the same learned rules.
+The per-message loops are ``tests/network/reference_hier.py``, the
+oracle of the differential tests.
+
 Failure handling: :meth:`kill_superpeer` drops the dead node from the
 overlay, every k-bucket table, and every merged digest table (digest
 invalidation), then deterministically re-attaches its leaves
-(:class:`~repro.network.hier.community.CommunityIndex`) and republishes
+(:class:`~repro.network.hier.community.CommunityIndex`), forgets every
+route plan (the reach and the walks moved with liveness) and republishes
 the category directory.  Digest and directory traffic is tracked in
 :attr:`HierNetwork.control_messages` so benchmarks can amortize it
 into an honest messages-per-query figure.
@@ -44,8 +59,11 @@ into an honest messages-per-query figure.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.metrics.traffic import QueryOutcome, TrafficStats
 from repro.network.hier.community import CommunityIndex
@@ -107,6 +125,27 @@ class HierConfig(SuperPeerConfig):
             raise ValueError("lookup_contacts must be >= 1")
 
 
+@dataclass(frozen=True, slots=True)
+class _FloodPlan:
+    """What a tier-2 flood from one home reaches, while liveness holds.
+
+    Every super-peer forwards to all its neighbours, so the reach, the
+    discovery order, the depths and the message and duplicate counts are
+    the same for every file; only which reached communities hold the
+    file differs.
+    """
+
+    #: super-peer id -> position in discovery order, -1 = not reached
+    #: (the home itself included: it is where the flood starts).
+    position: np.ndarray
+    #: position -> super-peer id.
+    order: list[int]
+    #: position -> overlay hops from the home.
+    depth: np.ndarray
+    messages: int
+    duplicates: int
+
+
 class HierNetwork:
     """Two-tier overlay with mined-rule and keyspace routing tiers."""
 
@@ -142,6 +181,7 @@ class HierNetwork:
         self.control_messages = 0
         self._next_guid = 0
         self._sp_query_count = [0] * cfg.n_superpeers
+        self._forget_routes()
 
         self.sp_rules: list[SuperPeerRules] = []
         self.leaf_rules: list[SuperPeerRules] = []
@@ -178,18 +218,53 @@ class HierNetwork:
         )
 
     # -- keyspace tier ------------------------------------------------------
-    def _kademlia_walk(self, start: int, key: int) -> tuple[int, int]:
-        """Greedy XOR walk from ``start`` toward ``key``: (steward, hops)."""
-        current = start
-        hops = 0
-        distance = xor_distance(self._node_key[current], key)
-        while True:
-            nxt = self.kbuckets[current].closer_than(key, distance)
-            if nxt is None:
-                return current, hops
-            current = nxt
-            distance = xor_distance(self._node_key[current], key)
-            hops += 1
+    def _forget_routes(self) -> None:
+        """Start the route plans empty: they are functions of (start,
+        liveness), filled on first use, and a kill moves liveness."""
+        cfg = self.config
+        # home -> reach of the tier-2 flood from it.
+        self._flood_plans: list[_FloodPlan | None] = [None] * cfg.n_superpeers
+        # steward / hops of the keyspace walk from a super-peer toward a
+        # category, at super-peer * n_categories + category; steward -1 =
+        # not walked yet.
+        self._walk_steward = array("i", [-1]) * (cfg.n_superpeers * cfg.n_categories)
+        self._walk_hops = self._walk_steward[:]
+
+    def _kademlia_walk(self, start: int, category: int) -> tuple[int, int]:
+        """Greedy XOR walk from ``start`` toward ``category``'s key:
+        (steward, hops).
+
+        A node's next hop toward a key depends on nothing but its own
+        table, so every walk that passes through a node shares the rest
+        of its route: the walk stops at the first node whose answer is
+        known and fills in the nodes behind it, and each (node, category)
+        consults its k-buckets at most once between two kills.
+        """
+        n_categories = self.config.n_categories
+        stewards, hops = self._walk_steward, self._walk_hops
+        slot = start * n_categories + category
+        if stewards[slot] < 0:
+            key = self._cat_key[category]
+            path = []
+            current = start
+            at = slot
+            while stewards[at] < 0:
+                nxt = self.kbuckets[current].closer_than(
+                    key, xor_distance(self._node_key[current], key)
+                )
+                if nxt is None:
+                    stewards[at] = current
+                    hops[at] = 0
+                    break
+                path.append(at)
+                current = nxt
+                at = current * n_categories + category
+            steward, n_hops = stewards[at], hops[at]
+            for at in reversed(path):
+                n_hops += 1
+                stewards[at] = steward
+                hops[at] = n_hops
+        return stewards[slot], hops[slot]
 
     def _build_directory(self) -> None:
         """(Re)publish every live community's categories to their stewards."""
@@ -204,7 +279,7 @@ class HierNetwork:
                 }
             )
             for category in categories:
-                steward, hops = self._kademlia_walk(sp, self._cat_key[category])
+                steward, hops = self._kademlia_walk(sp, category)
                 messages += hops
                 self.directory.setdefault(steward, {}).setdefault(
                     category, []
@@ -242,11 +317,12 @@ class HierNetwork:
         exchange path exercises exactly what a deployment would ship.
         """
         wire = self.sp_rules[home].publish(self.config.digest_top_k).encode()
+        digest = decode_digest(wire)  # frozen: one copy serves every receiver
         for neighbor in self.topology.neighbors(home):
             if not self.community.is_live(neighbor):
                 continue
             self.control_messages += 1
-            self.merged[neighbor].merge(decode_digest(wire))
+            self.merged[neighbor].merge(digest)
 
     # -- query path ---------------------------------------------------------
     def query(self, leaf: int, file_id: int) -> QueryOutcome:
@@ -285,24 +361,24 @@ class HierNetwork:
                     )
 
         if cfg.mode == "hybrid":
-            steward, hops = self._kademlia_walk(home, self._cat_key[category])
+            steward, hops = self._kademlia_walk(home, category)
             messages += hops
-            owners = [
-                sp
-                for sp in self.directory.get(steward, {}).get(category, [])
-                if sp != home and sp not in contacted
-            ]
             hits = 0
             first_hit_hops = None
-            for owner in owners[: cfg.lookup_contacts]:
+            to_contact = cfg.lookup_contacts
+            for owner in self.directory.get(steward, {}).get(category, ()):
+                if owner == home or owner in contacted:
+                    continue
                 messages += 1
-                contacted.add(owner)
                 matches = self.community.lookup(owner, file_id)
                 if matches:
                     hits += len(matches)
                     if first_hit_hops is None:
                         first_hit_hops = hops + 2  # leaf->home, walk, contact
                     self._learn(leaf, home, category, owner)
+                to_contact -= 1
+                if not to_contact:
+                    break
             if hits:
                 self._after_query(home)
                 return QueryOutcome(
@@ -326,15 +402,38 @@ class HierNetwork:
     def _flood(
         self, leaf: int, home: int, file_id: int, category: int
     ) -> tuple[int, int, int | None, int]:
-        """Tier-2 BFS among live super-peers (the baseline's fallback)."""
+        """Tier-2 flood among live super-peers (the baseline's fallback).
+
+        The reach comes from ``home``'s plan; the per-query part is the
+        file's holder communities that have a position in it, visited in
+        discovery order — the order the per-message flood met them, so
+        every rule table sees the same event sequence.
+        """
+        plan = self._flood_plans[home] or self._plan_flood(home)
+        found = plan.position[self.community.holders(file_id)]
+        found = found[found >= 0]
+        if not found.size:
+            return plan.messages, 0, None, plan.duplicates
+        found.sort()
+        hits = 0
+        learn = self.config.mode != "flood"
+        order = plan.order
+        for at in found.tolist():
+            superpeer = order[at]
+            hits += len(self.community.lookup(superpeer, file_id))
+            if learn:
+                self._learn(leaf, home, category, superpeer)
+        # +1 for the original leaf -> super-peer hop.
+        return plan.messages, hits, int(plan.depth[found[0]]) + 1, plan.duplicates
+
+    def _plan_flood(self, home: int) -> _FloodPlan:
+        """TTL-limited BFS from ``home`` over the live overlay, run once:
+        who is reached, in which order, how deep, for how many messages."""
         cfg = self.config
         parent: dict[int, int | None] = {home: None}
         depth = {home: 0}
         messages = 0
-        hits = 0
-        first_hit_hops = None
         duplicates = 0
-        learn = cfg.mode != "flood"
         frontier = deque([home])
         while frontier:
             sp = frontier.popleft()
@@ -349,16 +448,22 @@ class HierNetwork:
                     continue
                 parent[neighbor] = sp
                 depth[neighbor] = depth[sp] + 1
-                matches = self.community.lookup(neighbor, file_id)
-                if matches:
-                    hits += len(matches)
-                    if first_hit_hops is None:
-                        # +1 for the original leaf -> super-peer hop.
-                        first_hit_hops = depth[neighbor] + 1
-                    if learn:
-                        self._learn(leaf, home, category, neighbor)
                 frontier.append(neighbor)
-        return messages, hits, first_hit_hops, duplicates
+        del depth[home]  # what is left is in discovery order
+        order = list(depth)
+        position = np.full(
+            cfg.n_superpeers, -1, dtype=np.min_scalar_type(-cfg.n_superpeers)
+        )
+        position[order] = np.arange(len(order))
+        plan = _FloodPlan(
+            position,
+            order,
+            np.fromiter(depth.values(), dtype=position.dtype, count=len(order)),
+            messages,
+            duplicates,
+        )
+        self._flood_plans[home] = plan
+        return plan
 
     def _after_query(self, home: int) -> None:
         if not self.sp_rules:
@@ -411,6 +516,7 @@ class HierNetwork:
                 self.kbuckets[other].remove(superpeer)
         placement = self.community.reattach(orphans)
         self.control_messages += len(orphans)  # re-attachment handshakes
+        self._forget_routes()
         if self.config.mode == "hybrid":
             self._build_directory()
         return placement
