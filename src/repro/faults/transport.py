@@ -1,38 +1,40 @@
-"""Fault-injecting wrappers over asyncio stream pairs.
+"""A fault-injecting shim between a socket and the protocol on it.
 
 The live stack's protocol code never learns about faults: a
 :class:`FaultController` hands each node a *transport opener* (the
 ``open_transport`` hook on :func:`repro.live.connection.dial_peer` /
 :class:`~repro.live.node.LiveServent`) that opens the real TCP
-connection and returns a :class:`FaultyReader` / :class:`FaultyWriter`
-pair sharing one :class:`FaultyLink`.  Faults therefore act exactly at
-the socket boundary:
+connection with a :class:`FaultyLink` in the middle — the protocol the
+real transport talks to, and the transport the link's own protocol
+talks to.  Faults therefore act exactly at the socket boundary:
 
-* **latency** sleeps before reads and drains (both directions of a link
-  are wrapped on the dialer's side, so one wrapper delays the link);
-* **stall** is a one-shot slow-reader pause — the remote peer keeps
-  writing into a reader that has stopped, which is how real
-  backpressure (``drain_stalls``, send-queue drops) arises;
+* **latency** delivers every chunk, in either direction, that much
+  later and in order (both directions of a link cross the dialer's
+  shim, so one shim delays the link);
+* **stall** is a one-shot slow-reader pause (``pause_reading``) — the
+  remote peer keeps writing into a reader that has stopped, which is
+  how real backpressure (``drain_stalls``, send-queue drops) arises;
 * **corrupt** injects garbage bytes mid-stream, so the remote
   :class:`~repro.live.framing.StreamDecoder` raises ``ProtocolError``
   and the peer is dropped;
-* **truncate** halves the next written frame and then aborts the link —
-  a peer dying mid-write;
-* **reset** aborts the underlying transport (RST-style) and poisons the
-  wrappers with ``ConnectionResetError``;
+* **truncate** halves the next write and then aborts the link — a peer
+  dying mid-write;
+* **reset** aborts the underlying transport (RST-style): what was
+  delayed is lost and the protocol above sees the connection lost;
 * **partition** makes the controller's openers refuse cross-group dials
   (``ConnectionRefusedError``) and resets existing cross links.
 
-Only the *dialing* side of each link is wrapped: reads delayed there
-slow the acceptor→dialer direction, writes corrupted there break the
-dialer→acceptor direction, and aborts kill both.  That keeps the hook
-surface to one injection point per link while still reaching every
-fault the taxonomy names.
+Only the *dialing* side of each link is shimmed: chunks delayed there
+slow both directions, writes corrupted there break the dialer→acceptor
+direction, and aborts kill both.  That keeps the hook surface to one
+injection point per link while still reaching every fault the taxonomy
+names.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 
 from repro.faults.plan import (
     CORRUPT,
@@ -44,14 +46,9 @@ from repro.faults.plan import (
     TRUNCATE,
     FaultEvent,
 )
+from repro.live.connection import open_tcp
 
-__all__ = [
-    "FaultController",
-    "FaultyLink",
-    "FaultyReader",
-    "FaultyWriter",
-    "LinkFaults",
-]
+__all__ = ["FaultController", "FaultyLink", "LinkFaults"]
 
 #: a junk descriptor header: 16 bytes of fake GUID + invalid type +
 #: absurd length — guaranteed to trip the remote decoder's payload
@@ -62,15 +59,13 @@ _GARBAGE = b"\xff" * 23
 class LinkFaults:
     """Mutable fault state for one overlay link (u, v).
 
-    The controller mutates it; every active :class:`FaultyLink` wrapper
-    on the link consults it per I/O operation.  One-shot faults (stall,
-    corrupt, truncate) are consumed by the first operation that applies
-    them.
+    The controller mutates it; every active :class:`FaultyLink` on the
+    link consults the latency per chunk, and the one-shot faults (stall,
+    corrupt, truncate) land on the shims attached when they are applied.
     """
 
     def __init__(self) -> None:
         self.latency = 0.0
-        self._stall = 0.0
         self._wrappers: set["FaultyLink"] = set()
 
     # -- wrapper registry --------------------------------------------------
@@ -80,20 +75,13 @@ class LinkFaults:
     def detach(self, wrapper: "FaultyLink") -> None:
         self._wrappers.discard(wrapper)
 
-    @property
-    def active(self) -> bool:
-        return bool(self._wrappers)
-
     # -- fault setters (controller side) -----------------------------------
     def set_latency(self, seconds: float) -> None:
         self.latency = max(0.0, seconds)
 
     def stall(self, seconds: float) -> None:
-        self._stall = max(self._stall, seconds)
-
-    def take_stall(self) -> float:
-        seconds, self._stall = self._stall, 0.0
-        return seconds
+        for wrapper in list(self._wrappers):
+            wrapper.stall(seconds)
 
     def corrupt(self) -> bool:
         """Inject garbage on an active wrapper; False if the link is down."""
@@ -103,148 +91,136 @@ class LinkFaults:
         return False
 
     def truncate(self) -> bool:
-        for wrapper in list(self._wrappers):
-            if not wrapper.aborted:
-                wrapper.truncate_next = True
-                return True
-        return False
+        wrapper = next(iter(self._wrappers), None)
+        if wrapper is None:
+            return False
+        wrapper.truncate_next = True
+        return True
 
     def reset(self) -> bool:
         """Abort every live connection on this link; False if none."""
-        hit = False
+        hit = bool(self._wrappers)
         for wrapper in list(self._wrappers):
-            if not wrapper.aborted:
-                wrapper.abort()
-                hit = True
+            wrapper.abort()
         return hit
 
 
-class FaultyLink:
-    """One wrapped connection: shared state for its reader/writer pair."""
+class FaultyLink(asyncio.Protocol):
+    """One shimmed connection: protocol below, transport facade above.
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        faults: LinkFaults,
-    ) -> None:
-        self._inner_reader = reader
-        self._inner_writer = writer
+    Towards the real transport it is the protocol; towards ``inner`` (the
+    link's own protocol) it is the transport — ``write`` / ``close`` /
+    ``abort`` are all a protocol in this repo calls.  It is attached to
+    its :class:`LinkFaults` from ``connection_made`` until the connection
+    is lost or aborted.
+    """
+
+    def __init__(self, inner: asyncio.Protocol, faults: LinkFaults) -> None:
+        self.inner = inner
         self.faults = faults
-        self.aborted = False
         self.truncate_next = False
-        self.reader = FaultyReader(reader, self)
-        self.writer = FaultyWriter(writer, self)
-        faults.attach(self)
+        self._transport: asyncio.Transport | None = None
+        self._loop = asyncio.get_running_loop()
+        #: delayed calls, due times non-decreasing: (due, callback, args).
+        self._delayed: deque = deque()
+        self._timer: asyncio.TimerHandle | None = None
+        self._stall_timer: asyncio.TimerHandle | None = None
 
-    async def before_io(self) -> None:
-        """Latency / stall / reset gate shared by reads and drains."""
-        if self.aborted:
-            raise ConnectionResetError("fault injection: link reset")
-        stall = self.faults.take_stall()
-        if stall > 0:
-            await asyncio.sleep(stall)
-        if self.faults.latency > 0:
-            await asyncio.sleep(self.faults.latency)
-        if self.aborted:
-            raise ConnectionResetError("fault injection: link reset")
+    # -- ordered, delayed delivery -------------------------------------------
+    def _deliver(self, callback, *args) -> None:
+        """Run ``callback(*args)`` after the link's latency, never ahead
+        of a chunk that was delayed before it."""
+        latency = self.faults.latency
+        if latency <= 0 and not self._delayed:
+            callback(*args)
+            return
+        due = self._loop.time() + latency
+        if self._delayed:
+            due = max(due, self._delayed[-1][0])
+        self._delayed.append((due, callback, args))
+        if self._timer is None:
+            self._timer = self._loop.call_at(due, self._run_delayed)
+
+    def _run_delayed(self) -> None:
+        self._timer = None
+        now = self._loop.time()
+        while self._delayed and self._delayed[0][0] <= now:
+            _due, callback, args = self._delayed.popleft()
+            callback(*args)
+        if self._delayed:
+            self._timer = self._loop.call_at(self._delayed[0][0], self._run_delayed)
+
+    def _detach(self) -> None:
+        """Off the fault registry; whatever was still delayed is lost."""
+        self.faults.detach(self)
+        self._delayed.clear()
+        for timer in (self._timer, self._stall_timer):
+            if timer is not None:
+                timer.cancel()
+        self._timer = self._stall_timer = None
+
+    # -- the protocol the real transport sees --------------------------------
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+        self.faults.attach(self)
+        self.inner.connection_made(self)
+
+    def data_received(self, data: bytes) -> None:
+        self._deliver(self.inner.data_received, data)
+
+    def eof_received(self) -> bool:
+        self.close()
+        return True  # the close follows the chunks delayed ahead of it
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._detach()
+        self.inner.connection_lost(exc)
+
+    def pause_writing(self) -> None:
+        self.inner.pause_writing()
+
+    def resume_writing(self) -> None:
+        self.inner.resume_writing()
+
+    # -- the transport the inner protocol sees -------------------------------
+    def write(self, data: bytes) -> None:
+        if self.truncate_next:
+            self.truncate_next = False
+            self._transport.write(data[: max(1, len(data) // 2)])
+            self.abort()  # died mid-write: remote sees a partial frame
+            return
+        self._deliver(self._transport.write, data)
+
+    def close(self) -> None:
+        self._deliver(self._transport.close)  # after the writes delayed ahead of it
 
     def abort(self) -> None:
-        """RST-style kill: both directions die, buffered bytes are lost."""
-        self.aborted = True
-        try:
-            self._inner_writer.transport.abort()
-        except Exception:
-            pass
-        self.faults.detach(self)
+        """RST-style kill: both directions die, delayed bytes are lost."""
+        self._detach()
+        self._transport.abort()
+
+    # -- one-shot faults -----------------------------------------------------
+    def stall(self, seconds: float) -> None:
+        """Stop reading for ``seconds`` (the longest stall asked for wins)."""
+        until = self._loop.time() + seconds
+        if self._stall_timer is not None:
+            if self._stall_timer.when() >= until:
+                return
+            self._stall_timer.cancel()
+        self._transport.pause_reading()
+        self._stall_timer = self._loop.call_at(until, self._end_stall)
+
+    def _end_stall(self) -> None:
+        self._stall_timer = None
+        self._transport.resume_reading()
 
     def inject_garbage(self) -> bool:
         """Write a malformed descriptor into the stream (mid-frame byte
         corruption as the remote decoder experiences it)."""
-        if self.aborted or self._inner_writer.is_closing():
+        if self._transport.is_closing():
             return False
-        try:
-            self._inner_writer.write(_GARBAGE)
-        except Exception:
-            return False
+        self._transport.write(_GARBAGE)
         return True
-
-    def closed(self) -> None:
-        self.faults.detach(self)
-
-
-class FaultyReader:
-    """StreamReader facade applying link faults before each read."""
-
-    def __init__(self, inner: asyncio.StreamReader, link: FaultyLink) -> None:
-        self._inner = inner
-        self._link = link
-
-    async def read(self, n: int = -1) -> bytes:
-        await self._link.before_io()
-        return await self._inner.read(n)
-
-    async def readexactly(self, n: int) -> bytes:
-        await self._link.before_io()
-        return await self._inner.readexactly(n)
-
-    async def readuntil(self, separator: bytes = b"\n") -> bytes:
-        await self._link.before_io()
-        return await self._inner.readuntil(separator)
-
-    async def readline(self) -> bytes:
-        await self._link.before_io()
-        return await self._inner.readline()
-
-    def at_eof(self) -> bool:
-        return self._inner.at_eof()
-
-    def exception(self):
-        return self._inner.exception()
-
-
-class FaultyWriter:
-    """StreamWriter facade applying link faults to writes and drains."""
-
-    def __init__(self, inner: asyncio.StreamWriter, link: FaultyLink) -> None:
-        self._inner = inner
-        self._link = link
-
-    @property
-    def transport(self):
-        return self._inner.transport
-
-    def write(self, data: bytes) -> None:
-        link = self._link
-        if link.aborted:
-            raise ConnectionResetError("fault injection: link reset")
-        if link.truncate_next:
-            link.truncate_next = False
-            self._inner.write(data[: max(1, len(data) // 2)])
-            link.abort()  # died mid-write: remote sees a partial frame
-            return
-        self._inner.write(data)
-
-    def writelines(self, data) -> None:
-        for chunk in data:
-            self.write(chunk)
-
-    async def drain(self) -> None:
-        await self._link.before_io()
-        await self._inner.drain()
-
-    def close(self) -> None:
-        self._link.closed()
-        self._inner.close()
-
-    def is_closing(self) -> bool:
-        return self._inner.is_closing()
-
-    async def wait_closed(self) -> None:
-        await self._inner.wait_closed()
-
-    def get_extra_info(self, name, default=None):
-        return self._inner.get_extra_info(name, default)
 
 
 class FaultController:
@@ -253,9 +229,9 @@ class FaultController:
     The cluster binds its node→port map after listeners start
     (:meth:`bind_ports`); each node dials through the opener from
     :meth:`opener`, which looks the target port up, enforces the active
-    partition, and wraps the streams with the link's
+    partition, and shims the connection with the link's
     :class:`LinkFaults`.  Ports the controller does not know (external
-    peers) pass through unwrapped.
+    peers) pass through unshimmed.
     """
 
     def __init__(self) -> None:
@@ -284,17 +260,19 @@ class FaultController:
     def opener(self, node_id: int):
         """A ``dial_peer``-compatible transport opener for one node."""
 
-        async def open_transport(host: str, port: int):
+        async def open_transport(protocol_factory, host: str, port: int):
             remote = self.node_at(port)
-            if remote is not None and self.partitioned(node_id, remote):
+            if remote is None:
+                return await open_tcp(protocol_factory, host, port)
+            if self.partitioned(node_id, remote):
                 raise ConnectionRefusedError(
                     f"fault injection: {node_id} -/- {remote} (partition)"
                 )
-            reader, writer = await asyncio.open_connection(host, port)
-            if remote is None:
-                return reader, writer
-            link = FaultyLink(reader, writer, self.link(node_id, remote))
-            return link.reader, link.writer
+            faults = self.link(node_id, remote)
+            _transport, shim = await open_tcp(
+                lambda: FaultyLink(protocol_factory(), faults), host, port
+            )
+            return shim, shim.inner
 
         return open_transport
 

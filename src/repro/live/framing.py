@@ -19,7 +19,8 @@ from __future__ import annotations
 from repro.network.protocol import (
     DescriptorHeader,
     ProtocolError,
-    decode_message,
+    decode_frame,
+    read_header,
 )
 
 __all__ = ["DEFAULT_MAX_PAYLOAD", "StreamDecoder"]
@@ -38,8 +39,11 @@ class StreamDecoder:
         if max_payload_length < 0:
             raise ValueError("max_payload_length must be >= 0")
         self.max_payload_length = max_payload_length
+        #: the tail of the last chunk: less than one descriptor, and never
+        #: more than a header plus ``max_payload_length`` bytes.
         self._buffer = bytearray()
-        self._header: DescriptorHeader | None = None
+        #: bytes the buffered partial descriptor needs before it is whole.
+        self._need = _HEADER_SIZE
         self.frames_decoded = 0
         self.bytes_consumed = 0
 
@@ -51,29 +55,39 @@ class StreamDecoder:
     def feed(self, data: bytes) -> list[tuple[DescriptorHeader, object]]:
         """Consume one chunk; return every descriptor it completed.
 
+        One pass over the chunk: each header is unpacked once, its type
+        and payload bound are checked before anything is buffered, and a
+        chunk that starts on a descriptor boundary is decoded in place.
         Raises :class:`ProtocolError` on malformed input, after which the
         decoder must be discarded (the stream position is ambiguous).
         """
-        self._buffer.extend(data)
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            if len(buffer) < self._need:
+                return []
+            data = bytes(buffer)
+            buffer.clear()
         out: list[tuple[DescriptorHeader, object]] = []
-        while True:
-            if self._header is None:
-                if len(self._buffer) < _HEADER_SIZE:
-                    break
-                header = DescriptorHeader.decode(bytes(self._buffer[:_HEADER_SIZE]))
-                if header.payload_length > self.max_payload_length:
-                    raise ProtocolError(
-                        f"payload length {header.payload_length} exceeds "
-                        f"limit {self.max_payload_length}"
-                    )
-                self._header = header
-            frame_size = _HEADER_SIZE + self._header.payload_length
-            if len(self._buffer) < frame_size:
+        pos, size = 0, len(data)
+        need = _HEADER_SIZE
+        while size - pos >= _HEADER_SIZE:
+            fields = read_header(data, pos)
+            length = fields[4]
+            if length > self.max_payload_length:
+                raise ProtocolError(
+                    f"payload length {length} exceeds "
+                    f"limit {self.max_payload_length}"
+                )
+            end = pos + _HEADER_SIZE + length
+            if end > size:
+                need = end - pos
                 break
-            frame = bytes(self._buffer[:frame_size])
-            del self._buffer[:frame_size]
-            self._header = None
-            out.append(decode_message(frame))
-            self.frames_decoded += 1
-            self.bytes_consumed += frame_size
+            out.append(decode_frame(data[pos:end], *fields))
+            pos = end
+        if pos < size:
+            buffer += data[pos:]
+        self._need = need
+        self.frames_decoded += len(out)
+        self.bytes_consumed += pos
         return out

@@ -38,8 +38,6 @@ from repro.live.connection import (
     ConnectionConfig,
     PeerConnection,
     TransportOpener,
-    accept_handshake,
-    aclose_writer,
     backoff_delays,
     dial_peer,
 )
@@ -55,7 +53,6 @@ from repro.network.protocol import (
     DescriptorHeader,
     ProtocolError,
     ReplyRoutingTable,
-    encode_message,
 )
 from repro.network.servent import LOCAL, Servent, SharedFile
 
@@ -176,23 +173,22 @@ class StreamingRuleServent(Servent):
         return guid, frames
 
     def _forward(
-        self, from_conn: int, header, payload, *, flood_reason: str = ""
+        self, from_conn: int, header, *, flood_reason: str = ""
     ) -> list[tuple[int, bytes]]:
         if header.payload_type != PAYLOAD_QUERY or header.ttl <= 1:
-            return super()._forward(from_conn, header, payload)
+            return super()._forward(from_conn, header)
         targets = self._targets(from_conn, exclude=from_conn)
         if not targets:
             self.stats.queries_flooded += 1
             return super()._forward(
-                from_conn, header, payload, flood_reason="no_covering_rule"
+                from_conn, header, flood_reason="no_covering_rule"
             )
         self.stats.queries_rule_routed += 1
         if self.tracer is not None and self.tracer.wants(header.guid):
             self._trace_rule_routed(
                 header.guid, from_conn, targets, header.ttl - 1
             )
-        aged = header.aged()
-        frame = encode_message(aged.guid, aged.ttl, aged.hops, payload)
+        frame = header.aged_frame()
         return [(conn, frame) for conn in targets]
 
     def _route_back(self, routes: ReplyRoutingTable, conn_id: int, header, payload):
@@ -307,17 +303,19 @@ class LiveServent:
                 port=obs_port,
             )
         self._open_transport = open_transport
+        #: handshaken links by peer id — the servent's connection table.
         self._conns: dict[int, PeerConnection] = {}
+        #: every link whose transport may still be open (inbound from
+        #: accept, outbound from handshake) — :meth:`close` sees them gone.
+        self._links: set[PeerConnection] = set()
         self._supervisors: dict[tuple[str, int], asyncio.Task] = {}
-        #: finalizer tasks reaping superseded connections; gathered on close.
-        self._reapers: set[asyncio.Task] = set()
         self._closed = False
 
     # -- lifecycle --------------------------------------------------------
     async def start(self) -> None:
         """Bind and listen; ``port=0`` resolves to the ephemeral port."""
         with bind_node(self.node_id):
-            self._server = await asyncio.start_server(
+            self._server = await asyncio.get_running_loop().create_server(
                 self._accept, self.host, self.port
             )
             self.port = self._server.sockets[0].getsockname()[1]
@@ -376,10 +374,10 @@ class LiveServent:
     async def close(self, *, checkpoint: bool = True) -> None:
         """Stop supervising, stop listening, drop every peer.
 
-        Connections get the graceful teardown (flush queued frames, then
-        await their tasks and transports — see
-        :meth:`PeerConnection.aclose`), so a closed node leaves no
-        pending tasks or unclosed transports behind.
+        Connections get the graceful teardown (flush accepted frames,
+        then await their transports — see :meth:`PeerConnection.aclose`),
+        so a closed node leaves no pending tasks, timers or unclosed
+        transports behind.
 
         A node with a state directory takes a final checkpoint once the
         last connection is down (so the snapshot captures every pair
@@ -404,14 +402,10 @@ class LiveServent:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        conns = list(self._conns.values())
-        if conns:
-            await asyncio.gather(
-                *(conn.aclose(flush=True) for conn in conns),
-                return_exceptions=True,
-            )
-        if self._reapers:
-            await asyncio.gather(*list(self._reapers), return_exceptions=True)
+        await asyncio.gather(
+            *(link.aclose(flush=True) for link in list(self._links)),
+            return_exceptions=True,
+        )
         if self.persist is not None and not self.persist.closed:
             if checkpoint:
                 try:
@@ -460,19 +454,15 @@ class LiveServent:
         try:
             while not self._closed:
                 try:
-                    reader, writer, peer_id = await dial_peer(
+                    conn = await dial_peer(
                         host,
                         port,
                         self.node_id,
                         self.config,
                         open_transport=self._open_transport,
+                        expect_peer=expected_id,
+                        **self._link_kwargs(),
                     )
-                    if expected_id is not None and peer_id != expected_id:
-                        await aclose_writer(writer)
-                        raise ProtocolError(
-                            f"expected node {expected_id} at {host}:{port}, "
-                            f"found {peer_id}"
-                        )
                 except (OSError, ProtocolError, asyncio.TimeoutError) as exc:
                     self.stats.dial_failures += 1
                     failures += 1
@@ -510,19 +500,16 @@ class LiveServent:
                 delays = backoff_delays(self.config, salt=salt)  # reset
                 if instr is not None:
                     instr.set_backoff(peer_label, 0.0)
-                conn = self._register(peer_id, reader, writer)
                 if ever_connected:
                     self.stats.reconnects += 1
                     _log.info(
                         "reconnected",
-                        extra={"peer": peer_id, "target": f"{host}:{port}"},
+                        extra={"peer": conn.peer_id, "target": f"{host}:{port}"},
                     )
                 ever_connected = True
+                # the dead link's transport is gone *before* re-dialing: a
+                # tight reconnect loop must not accumulate open transports.
                 await conn.wait_closed()
-                # Reap the dead connection's tasks and transport *before*
-                # re-dialing: a tight reconnect loop must not accumulate
-                # cancelled-but-unawaited tasks or unclosed transports.
-                await conn.aclose()
                 if self._closed:
                     return
                 delay = next(delays)
@@ -532,65 +519,39 @@ class LiveServent:
         except asyncio.CancelledError:
             pass
 
-    async def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            peer_id = await asyncio.wait_for(
-                accept_handshake(reader, writer, self.node_id),
-                self.config.handshake_timeout,
-            )
-        except (ProtocolError, asyncio.TimeoutError, OSError) as exc:
-            self.stats.protocol_errors += 1
-            suppressed = _log_limiter.allow(("handshake", self.node_id))
-            if suppressed is not None:
-                with bind_node(self.node_id):
-                    _log.warning(
-                        "inbound handshake failed",
-                        extra={
-                            "error": str(exc) or type(exc).__name__,
-                            "suppressed": suppressed,
-                        },
-                    )
-            await aclose_writer(writer)
-            return
-        with bind_node(self.node_id):
-            self._register(peer_id, reader, writer)
-
-    def _register(
-        self,
-        peer_id: int,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> PeerConnection:
-        stale = self._conns.pop(peer_id, None)
-        if stale is not None:
-            # Reconnect superseding a half-dead link: hard-close now, and
-            # reap its tasks/transport in the background (tracked so
-            # node.close() can await any reaper still in flight).
-            stale.close()
-            reaper = asyncio.create_task(stale.aclose())
-            self._reapers.add(reaper)
-            reaper.add_done_callback(self._reapers.discard)
-        conn = PeerConnection(
-            peer_id,
-            reader,
-            writer,
-            config=self.config,
+    def _link_kwargs(self) -> dict:
+        """What every link of this node is built with, dialed or accepted."""
+        return dict(
             stats=self.stats,
             on_message=self._handle,
+            on_ready=self._register,
             on_close=self._conn_closed,
             make_keepalive=self.servent.make_ping,
             instruments=self.instruments,
         )
-        self._conns[peer_id] = conn
-        self.servent.connect(peer_id)
+
+    def _accept(self) -> PeerConnection:
+        link = PeerConnection(
+            self.node_id, dialer=False, config=self.config, **self._link_kwargs()
+        )
+        self._links.add(link)
+        return link
+
+    def _register(self, conn: PeerConnection) -> None:
+        """A link finished its handshake: it is this peer's connection."""
+        stale = self._conns.get(conn.peer_id)
+        if stale is not None:
+            # Reconnect superseding a half-dead link: hard-close it now;
+            # it stays in ``_links`` until its transport is gone.
+            stale.close()
+        self._links.add(conn)
+        self._conns[conn.peer_id] = conn
+        self.servent.connect(conn.peer_id)
         self.stats.connects += 1
-        _log.debug("peer connected", extra={"peer": peer_id})
-        conn.start()
-        return conn
+        _log.debug("peer connected", extra={"peer": conn.peer_id})
 
     def _conn_closed(self, conn: PeerConnection) -> None:
+        self._links.discard(conn)
         if self._conns.get(conn.peer_id) is conn:
             del self._conns[conn.peer_id]
             self.servent.disconnect(conn.peer_id)
@@ -601,7 +562,8 @@ class LiveServent:
 
     @property
     def pending_frames(self) -> int:
-        """Frames sitting in send queues (the backpressure backlog)."""
+        """Frames accepted by links but not yet handed to their transports
+        (the backpressure backlog)."""
         return sum(conn.pending_frames for conn in self._conns.values())
 
     # -- traffic ----------------------------------------------------------

@@ -12,6 +12,9 @@ module implements that substrate faithfully enough to round-trip:
   :class:`QueryMessage` / :class:`QueryHitMessage` — payload encodings
   (simplified QueryHit result set: one result per message);
 * :func:`encode_message` / :func:`decode_message` — bytes round-trip;
+  a decoded header keeps the frame it came from, so a relay forwards by
+  patching the TTL and hops bytes (:meth:`DescriptorHeader.aged_frame`)
+  instead of re-encoding;
 * :class:`ReplyRoutingTable` — the per-node GUID -> upstream-neighbor
   map real servents use to route Pongs/QueryHits backwards, with the
   bounded capacity real implementations used (old entries evicted FIFO).
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "PAYLOAD_PING",
@@ -41,8 +44,10 @@ __all__ = [
     "QueryMessage",
     "QueryHitMessage",
     "ReplyRoutingTable",
+    "decode_frame",
     "decode_message",
     "encode_message",
+    "read_header",
 ]
 
 
@@ -72,6 +77,8 @@ class DescriptorHeader:
     ttl: int
     hops: int
     payload_length: int
+    #: the whole descriptor as received (None on a header built locally).
+    frame: bytes | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.guid < (1 << 128):
@@ -99,23 +106,21 @@ class DescriptorHeader:
 
     @classmethod
     def decode(cls, data: bytes) -> "DescriptorHeader":
-        if len(data) < _HEADER.size:
-            raise ProtocolError("truncated descriptor header")
-        guid_bytes, ptype, ttl, hops, length = _HEADER.unpack_from(data)
-        try:
-            return cls(
-                guid=int.from_bytes(guid_bytes, "little"),
-                payload_type=ptype,
-                ttl=ttl,
-                hops=hops,
-                payload_length=length,
-            )
-        except ProtocolError:
-            raise
-        except ValueError as exc:
-            # Field validation failing on wire input (e.g. an unknown
-            # payload type byte) is the peer's fault, not ours.
-            raise ProtocolError(str(exc)) from exc
+        return cls.from_wire(*read_header(data))
+
+    @classmethod
+    def from_wire(
+        cls, guid_bytes, payload_cls, ttl, hops, length, frame=None
+    ) -> "DescriptorHeader":
+        """The header for fields :func:`read_header` unpacked."""
+        return cls(
+            guid=int.from_bytes(guid_bytes, "little"),
+            payload_type=payload_cls.payload_type,
+            ttl=ttl,
+            hops=hops,
+            payload_length=length,
+            frame=frame,
+        )
 
     def aged(self) -> "DescriptorHeader":
         """The header after one forwarding hop (TTL-1, hops+1)."""
@@ -128,6 +133,24 @@ class DescriptorHeader:
             hops=self.hops + 1,
             payload_length=self.payload_length,
         )
+
+    def aged_frame(self) -> bytes:
+        """The received frame after one forwarding hop: the bytes as
+        they arrived with TTL-1 and hops+1 patched in — what
+        ``encode_message(guid, ttl - 1, hops + 1, payload)`` would
+        rebuild, without decoding-then-encoding the payload.
+
+        A peer that sends hops=255 on a descriptor still to be relayed
+        has overflowed the wire field: that is its protocol error.
+        """
+        if self.frame is None:
+            raise ValueError("header was not decoded from wire bytes")
+        if self.ttl < 1:
+            raise ValueError("cannot forward a descriptor with TTL 0")
+        if self.hops >= 255:
+            raise ProtocolError("hop count overflows its byte")
+        frame = self.frame
+        return frame[:17] + bytes((self.ttl - 1, self.hops + 1)) + frame[19:]
 
 
 @dataclass(frozen=True)
@@ -249,6 +272,8 @@ class QueryHitMessage:
             name = data[offset:end].decode("utf-8")
         except (ValueError, UnicodeDecodeError) as exc:
             raise ProtocolError("malformed query-hit result record") from exc
+        if "\x00" in name:
+            raise ProtocolError("NUL inside file name")
         if end + 2 + 16 != len(data):
             raise ProtocolError("trailing bytes after query-hit result record")
         guid = int.from_bytes(data[-16:], "little")
@@ -284,22 +309,47 @@ def encode_message(guid: int, ttl: int, hops: int, payload) -> bytes:
     return header.encode() + body
 
 
-def decode_message(data: bytes) -> tuple[DescriptorHeader, object]:
-    """Parse header + payload; raises :class:`ProtocolError` on malformed input."""
-    header = DescriptorHeader.decode(data)
-    body = data[_HEADER.size :]
-    if len(body) != header.payload_length:
-        raise ProtocolError(
-            f"payload length mismatch: header says {header.payload_length}, "
-            f"got {len(body)}"
-        )
-    cls = _PAYLOAD_CLASSES[header.payload_type]
+def read_header(data: bytes, offset: int = 0) -> tuple[bytes, type, int, int, int]:
+    """Unpack the descriptor header at ``offset``.
+
+    Returns ``(guid bytes, payload class, ttl, hops, payload length)``;
+    raises :class:`ProtocolError` on a truncated header or an unknown
+    payload type.  TTL and hops are bytes and the length is unsigned by
+    construction, so the type byte is the only field wire input can get
+    wrong.
+    """
+    if len(data) - offset < _HEADER.size:
+        raise ProtocolError("truncated descriptor header")
+    guid_bytes, ptype, ttl, hops, length = _HEADER.unpack_from(data, offset)
+    payload_cls = _PAYLOAD_CLASSES.get(ptype)
+    if payload_cls is None:
+        raise ProtocolError(f"unknown payload type {ptype:#x}")
+    return guid_bytes, payload_cls, ttl, hops, length
+
+
+def decode_frame(
+    frame: bytes, guid_bytes: bytes, payload_cls: type, ttl: int, hops: int, length: int
+) -> tuple[DescriptorHeader, object]:
+    """Decode one whole frame whose header :func:`read_header` unpacked."""
+    header = DescriptorHeader.from_wire(guid_bytes, payload_cls, ttl, hops, length, frame)
     try:
-        return header, cls.decode_payload(body)
+        return header, payload_cls.decode_payload(frame[_HEADER.size :])
     except ProtocolError:
         raise
     except (ValueError, struct.error) as exc:
         raise ProtocolError(str(exc)) from exc
+
+
+def decode_message(data: bytes) -> tuple[DescriptorHeader, object]:
+    """Parse header + payload; raises :class:`ProtocolError` on malformed input."""
+    fields = read_header(data)
+    length = fields[4]
+    if len(data) - _HEADER.size != length:
+        raise ProtocolError(
+            f"payload length mismatch: header says {length}, "
+            f"got {len(data) - _HEADER.size}"
+        )
+    return decode_frame(data, *fields)
 
 
 def _pack_ip(ip: str) -> bytes:

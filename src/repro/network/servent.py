@@ -24,6 +24,7 @@ into the dedup/join/rules pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.counts import WindowCounts
 from repro.network.protocol import (
@@ -57,10 +58,19 @@ class SharedFile:
     name: str
     size: int
 
+    @cached_property
+    def _folded_name(self) -> str:
+        return self.name.lower()
+
     def matches(self, search: str) -> bool:
         """Conjunctive keyword match against the file name (Gnutella style)."""
-        name = self.name.lower()
-        return all(term in name for term in search.lower().split())
+        return self.has_terms(search.lower().split())
+
+    def has_terms(self, terms: list[str]) -> bool:
+        """:meth:`matches` for a search already case-folded and split —
+        a servent folds each query once, not once per shared file."""
+        name = self._folded_name
+        return all(term in name for term in terms)
 
 
 class Servent:
@@ -171,7 +181,9 @@ class Servent:
         self, conn_id: int, header: DescriptorHeader, payload
     ) -> list[tuple[int, bytes]]:
         """Process an already-decoded descriptor (the live daemon's entry
-        point — its stream decoder has parsed the frame once already)."""
+        point — its stream decoder has parsed the frame once already).
+        ``header`` must come from a decoder: relaying patches the frame
+        it carries."""
         if conn_id not in self.connections:
             raise ValueError(f"no such connection {conn_id}")
         if header.payload_type == PAYLOAD_PING:
@@ -195,7 +207,7 @@ class Servent:
         out.append(
             (conn_id, encode_message(header.guid, self.max_ttl, 0, pong))
         )
-        out.extend(self._forward(conn_id, header, PingMessage()))
+        out.extend(self._forward(conn_id, header))
         return out
 
     def _on_query(self, conn_id: int, header, query: QueryMessage) -> list[tuple[int, bytes]]:
@@ -216,8 +228,9 @@ class Servent:
                 ttl=header.ttl,
             )
         n_matched = 0
+        terms = query.search.lower().split()
         for shared in self.library:
-            if shared.matches(query.search):
+            if shared.has_terms(terms):
                 n_matched += 1
                 hit = QueryHitMessage(
                     port=self.port,
@@ -238,11 +251,11 @@ class Servent:
                 "hit",
                 info=f"{n_matched} file(s)",
             )
-        out.extend(self._forward(conn_id, header, query))
+        out.extend(self._forward(conn_id, header))
         return out
 
     def _forward(
-        self, from_conn: int, header, payload, *, flood_reason: str = ""
+        self, from_conn: int, header, *, flood_reason: str = ""
     ) -> list[tuple[int, bytes]]:
         is_query = header.payload_type == PAYLOAD_QUERY
         if header.ttl <= 1:
@@ -251,8 +264,7 @@ class Servent:
                     header.guid, self._trace_id, "ttl_expired", ttl=header.ttl
                 )
             return []
-        aged = header.aged()
-        frame = encode_message(aged.guid, aged.ttl, aged.hops, payload)
+        frame = header.aged_frame()
         targets = [conn for conn in sorted(self.connections) if conn != from_conn]
         if is_query and self.tracer is not None:
             for conn in targets:
@@ -261,7 +273,7 @@ class Servent:
                     self._trace_id,
                     "flooded",
                     peer=conn,
-                    ttl=aged.ttl,
+                    ttl=header.ttl - 1,
                     reason=flood_reason,
                 )
         return [(conn, frame) for conn in targets]
@@ -284,12 +296,7 @@ class Servent:
             self.tracer.record(
                 header.guid, self._trace_id, "hit_routed", peer=upstream
             )
-        return [
-            (
-                upstream,
-                encode_message(header.guid, max(header.ttl - 1, 0), header.hops + 1, payload),
-            )
-        ]
+        return [(upstream, header.aged_frame())]
 
 
 class RuleRoutedServent(Servent):
@@ -318,10 +325,10 @@ class RuleRoutedServent(Servent):
         self.top_k = top_k
 
     def _forward(
-        self, from_conn: int, header, payload, *, flood_reason: str = ""
+        self, from_conn: int, header, *, flood_reason: str = ""
     ) -> list[tuple[int, bytes]]:
         if header.payload_type != PAYLOAD_QUERY or header.ttl <= 1:
-            return super()._forward(from_conn, header, payload)
+            return super()._forward(from_conn, header)
         consequents = [
             c
             for c in self.rules.consequents(from_conn, self.top_k)
@@ -329,7 +336,7 @@ class RuleRoutedServent(Servent):
         ]
         if not consequents:
             return super()._forward(
-                from_conn, header, payload, flood_reason="no_covering_rule"
+                from_conn, header, flood_reason="no_covering_rule"
             )
         if self.tracer is not None and self.tracer.wants(header.guid):
             aged_ttl = header.ttl - 1
@@ -346,8 +353,7 @@ class RuleRoutedServent(Servent):
                     confidence=confidence,
                     support=support,
                 )
-        aged = header.aged()
-        frame = encode_message(aged.guid, aged.ttl, aged.hops, payload)
+        frame = header.aged_frame()
         return [(conn, frame) for conn in consequents]
 
     def _route_back(self, routes: ReplyRoutingTable, conn_id: int, header, payload):

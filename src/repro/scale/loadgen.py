@@ -35,13 +35,11 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from repro.live.connection import ConnectionConfig, aclose_writer, dial_peer
-from repro.live.framing import StreamDecoder
+from repro.live.connection import ConnectionConfig, PeerConnection, dial_peer
 from repro.network.protocol import (
     PAYLOAD_PONG,
     PAYLOAD_QUERY_HIT,
     PingMessage,
-    ProtocolError,
     QueryMessage,
     encode_message,
 )
@@ -198,10 +196,10 @@ class LoadClient:
     TTL-1 Pings answered by Pongs.  Frames forwarded our way by the
     servent's flooding (we are a connection like any other) are ignored.
 
-    ``issue_*`` writes to the transport without awaiting ``drain()`` —
-    open-loop issuing must never block on the target; if the servent
-    stalls, bytes queue in the kernel/transport buffer and the requests
-    age into timeouts, which is precisely the signal being measured.
+    It rides the servents' own :class:`PeerConnection`, and ``issue``
+    never waits on the target (open-loop issuing must not block): if the
+    servent stalls, bytes queue in the kernel and the link's bounded
+    outbox and the requests age into timeouts — the signal being measured.
     """
 
     def __init__(
@@ -222,29 +220,29 @@ class LoadClient:
         self._config = config or ConnectionConfig(
             keepalive_interval=0.0, idle_timeout=0.0
         )
-        self._decoder = StreamDecoder(
-            max_payload_length=self._config.max_payload_length
-        )
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._read_task: asyncio.Task | None = None
+        self._link: PeerConnection | None = None
         self.peer_id: int | None = None
         #: frames the servent pushed at us that answered nothing we
         #: asked (its floods and keepalives) — dead-ended here.
         self.frames_ignored = 0
 
     async def connect(self) -> None:
-        self._reader, self._writer, self.peer_id = await dial_peer(
-            self.host, self.port, self.client_id, self._config
+        self._link = await dial_peer(
+            self.host,
+            self.port,
+            self.client_id,
+            self._config,
+            on_message=self._on_frame,
         )
-        self._read_task = asyncio.create_task(self._read_loop())
+        self.peer_id = self._link.peer_id
 
     @property
     def connected(self) -> bool:
-        return self._writer is not None and not self._writer.is_closing()
+        return self._link is not None and not self._link.closed
 
     def issue(self, kind: str, term: str, guid: int) -> None:
-        """Write one request frame; raises ``OSError`` if the link died."""
+        """Send one request frame; raises ``OSError`` if the link died
+        or its outbox is full."""
         if not self.connected:
             raise OSError("connection to target is down")
         if kind == TASK_QUERY:
@@ -253,30 +251,19 @@ class LoadClient:
             )
         else:
             frame = encode_message(guid, 1, 0, PingMessage())
-        self._writer.write(frame)
+        if not self._link.send(frame):
+            raise OSError("send queue to target is full")
 
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                chunk = await self._reader.read(65536)
-                if not chunk:
-                    return  # EOF: servent went away
-                for header, _payload in self._decoder.feed(chunk):
-                    if header.payload_type in (PAYLOAD_QUERY_HIT, PAYLOAD_PONG):
-                        self._on_reply(header.guid)
-                    else:
-                        self.frames_ignored += 1
-        except (OSError, ProtocolError, asyncio.CancelledError):
-            pass
+    def _on_frame(self, _peer_id: int, header, _payload) -> None:
+        if header.payload_type in (PAYLOAD_QUERY_HIT, PAYLOAD_PONG):
+            self._on_reply(header.guid)
+        else:
+            self.frames_ignored += 1
 
     async def aclose(self) -> None:
-        if self._read_task is not None:
-            self._read_task.cancel()
-            await asyncio.gather(self._read_task, return_exceptions=True)
-            self._read_task = None
-        if self._writer is not None:
-            await aclose_writer(self._writer)
-            self._writer = None
+        if self._link is not None:
+            await self._link.aclose()
+            self._link = None
 
 
 @dataclass

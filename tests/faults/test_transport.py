@@ -1,4 +1,4 @@
-"""FaultyReader/FaultyWriter/FaultController behaviour over real sockets."""
+"""FaultyLink/FaultController behaviour over real sockets."""
 
 import asyncio
 import time
@@ -15,10 +15,38 @@ def run(coro, timeout=20.0):
     return asyncio.run(asyncio.wait_for(coro, timeout))
 
 
-async def wrapped_pair(faults: LinkFaults):
-    """One loopback connection with the client side fault-wrapped.
+class Recorder(asyncio.Protocol):
+    """The protocol above the shim: records what reaches it, and when."""
 
-    Returns (server, link, server_streams) — callers close all three.
+    def __init__(self):
+        self.transport = None
+        self.chunks: list[tuple[float, bytes]] = []
+        self.arrived = asyncio.Event()
+        self.lost: asyncio.Future = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport):
+        self.transport = transport
+
+    def data_received(self, data):
+        self.chunks.append((time.perf_counter(), data))
+        self.arrived.set()
+
+    def connection_lost(self, exc):
+        self.lost.set_result(exc)
+
+    async def next_chunk(self) -> tuple[float, bytes]:
+        while not self.chunks:
+            self.arrived.clear()
+            await self.arrived.wait()
+        return self.chunks.pop(0)
+
+
+async def wrapped_pair(faults: LinkFaults):
+    """One loopback connection with the client side fault-shimmed.
+
+    Returns (server, link, accepted) — ``link.inner`` is the
+    :class:`Recorder` above the shim, ``accepted`` the server's raw
+    stream pair; callers hand all three to :func:`teardown`.
     """
     accepted = {}
     ready = asyncio.Event()
@@ -29,25 +57,23 @@ async def wrapped_pair(faults: LinkFaults):
 
     server = await asyncio.start_server(on_accept, "127.0.0.1", 0)
     port = server.sockets[0].getsockname()[1]
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    link = FaultyLink(reader, writer, faults)
+    _transport, link = await asyncio.get_running_loop().create_connection(
+        lambda: FaultyLink(Recorder(), faults), "127.0.0.1", port
+    )
     await ready.wait()
     return server, link, accepted
 
 
 async def teardown(server, link, accepted):
-    for writer in (accepted.get("writer"),):
-        if writer is not None:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
-    try:
-        link.writer.close()
-        await link._inner_writer.wait_closed()
-    except Exception:
-        pass
+    writer = accepted.get("writer")
+    if writer is not None:
+        try:
+            writer.close()
+            await writer.wait_closed()
+        except Exception:
+            pass
+    link.abort()
+    await link.inner.lost
     server.close()
     await server.wait_closed()
 
@@ -58,10 +84,25 @@ class TestLinkFaults:
             faults = LinkFaults()
             server, link, accepted = await wrapped_pair(faults)
             faults.set_latency(0.15)
-            accepted["writer"].write(b"hi")
-            await accepted["writer"].drain()
             t0 = time.perf_counter()
-            assert await link.reader.readexactly(2) == b"hi"
+            accepted["writer"].write(b"hi")
+            at, data = await link.inner.next_chunk()
+            assert data == b"hi"
+            assert at - t0 >= 0.14
+            await teardown(server, link, accepted)
+
+        run(body())
+
+    def test_latency_delays_writes_and_keeps_order(self):
+        async def body():
+            faults = LinkFaults()
+            server, link, accepted = await wrapped_pair(faults)
+            faults.set_latency(0.15)
+            t0 = time.perf_counter()
+            link.write(b"first,")
+            faults.set_latency(0.0)  # must still queue behind "first,"
+            link.write(b"second")
+            assert await accepted["reader"].readexactly(12) == b"first,second"
             assert time.perf_counter() - t0 >= 0.14
             await teardown(server, link, accepted)
 
@@ -71,15 +112,16 @@ class TestLinkFaults:
         async def body():
             faults = LinkFaults()
             server, link, accepted = await wrapped_pair(faults)
+            assert faults._wrappers == {link}
             faults.stall(0.2)
-            accepted["writer"].write(b"ab")
-            await accepted["writer"].drain()
             t0 = time.perf_counter()
-            await link.reader.readexactly(1)
-            assert time.perf_counter() - t0 >= 0.19
+            accepted["writer"].write(b"a")
+            at, _data = await link.inner.next_chunk()
+            assert at - t0 >= 0.19
             t0 = time.perf_counter()
-            await link.reader.readexactly(1)
-            assert time.perf_counter() - t0 < 0.1
+            accepted["writer"].write(b"b")
+            at, _data = await link.inner.next_chunk()
+            assert at - t0 < 0.1
             await teardown(server, link, accepted)
 
         run(body())
@@ -88,13 +130,18 @@ class TestLinkFaults:
         async def body():
             faults = LinkFaults()
             server, link, accepted = await wrapped_pair(faults)
+            faults.set_latency(0.05)
+            accepted["writer"].write(b"in flight")
+            await asyncio.sleep(0.01)
             assert faults.reset() is True
-            with pytest.raises(ConnectionResetError):
-                await link.reader.read(10)
-            with pytest.raises(ConnectionResetError):
-                link.writer.write(b"x")
-            # the wrapper detached itself: nothing left to reset
+            # the protocol above learns of the loss; delayed bytes are gone
+            await asyncio.wait_for(link.inner.lost, 5.0)
+            assert link.inner.chunks == []
+            # the remote end sees the connection die
+            assert await accepted["reader"].read(-1) == b""
+            # the shim detached itself: nothing left to reset
             assert faults.reset() is False
+            assert not faults._wrappers
             await teardown(server, link, accepted)
 
         run(body())
@@ -118,9 +165,14 @@ class TestLinkFaults:
             server, link, accepted = await wrapped_pair(faults)
             assert faults.truncate() is True
             frame = bytes(range(256)) * 2  # any 512-byte "frame" will do
-            link.writer.write(frame)
-            received = await accepted["reader"].read(-1)  # until EOF/abort
+            link.write(frame)
+            try:
+                received = await accepted["reader"].read(-1)  # until EOF/abort
+            except ConnectionResetError:
+                received = b"?"  # RST beat the read: cut short either way
             assert 0 < len(received) < len(frame)
+            await asyncio.wait_for(link.inner.lost, 5.0)
+            assert faults.truncate() is False  # the link went with it
             await teardown(server, link, accepted)
 
         run(body())
@@ -138,14 +190,19 @@ class TestFaultController:
             controller.bind_ports({0: port, 1: 60001})
             controller.set_partition([0], [1])
             with pytest.raises(ConnectionRefusedError):
-                await controller.opener(1)("127.0.0.1", port)
-            # same-group dials still connect, wrapped
-            reader, writer = await controller.opener(0)("127.0.0.1", port)
-            assert hasattr(writer, "_link")
-            writer.close()
+                await controller.opener(1)(Recorder, "127.0.0.1", port)
+            # same-group dials still connect, shimmed
+            transport, protocol = await controller.opener(0)(
+                Recorder, "127.0.0.1", port
+            )
+            assert isinstance(transport, FaultyLink)
+            assert protocol is transport.inner and protocol.transport is transport
+            transport.abort()
             controller.heal_partition()
-            reader, writer = await controller.opener(1)("127.0.0.1", port)
-            writer.close()
+            transport, _protocol = await controller.opener(1)(
+                Recorder, "127.0.0.1", port
+            )
+            transport.abort()
             await asyncio.sleep(0.01)
             server.close()
             await server.wait_closed()
@@ -160,11 +217,13 @@ class TestFaultController:
             server = await asyncio.start_server(on_accept, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             controller = FaultController()  # knows no ports at all
-            reader, writer = await controller.opener(0)("127.0.0.1", port)
-            assert isinstance(reader, asyncio.StreamReader)
-            assert not hasattr(writer, "_link")
-            writer.close()
-            await writer.wait_closed()
+            transport, protocol = await controller.opener(0)(
+                Recorder, "127.0.0.1", port
+            )
+            assert not isinstance(transport, FaultyLink)
+            assert protocol.transport is transport
+            transport.abort()
+            await protocol.lost
             server.close()
             await server.wait_closed()
 

@@ -8,9 +8,11 @@ import pytest
 from repro.live.connection import (
     ConnectionConfig,
     HandshakeError,
-    accept_handshake,
+    PeerConnection,
     dial_peer,
 )
+from repro.live.stats import NodeStats
+from tests.live.streampeer import captured_warnings
 
 
 def run(coro, timeout=20.0):
@@ -18,44 +20,48 @@ def run(coro, timeout=20.0):
 
 
 async def offer_raw(chunks, *, pause=0.0):
-    """Feed raw bytes to an accepting servent; returns the outcome dict
-    with either ``peer`` (the learned node id) or ``error``."""
+    """Feed raw bytes to an accepting link; returns the outcome dict with
+    either ``peer`` (the learned node id) or ``error`` (what the acceptor
+    logged when it counted the failed handshake)."""
     outcome = {}
-    done = asyncio.Event()
+    stats = NodeStats()
+    links = []
 
-    async def on_accept(reader, writer):
-        try:
-            outcome["peer"] = await asyncio.wait_for(
-                accept_handshake(reader, writer, 5), 5.0
+    def accept():
+        links.append(
+            PeerConnection(
+                5,
+                dialer=False,
+                config=ConnectionConfig(handshake_timeout=5.0),
+                stats=stats,
+                on_message=lambda *a: None,
+                on_ready=lambda link: outcome.update(peer=link.peer_id),
             )
-            outcome["reply"] = True
-        except Exception as exc:
-            outcome["error"] = exc
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
-            done.set()
+        )
+        return links[-1]
 
-    server = await asyncio.start_server(on_accept, "127.0.0.1", 0)
+    server = await asyncio.get_running_loop().create_server(accept, "127.0.0.1", 0)
     port = server.sockets[0].getsockname()[1]
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    for chunk in chunks:
-        writer.write(chunk)
-        await writer.drain()
-        if pause:
-            await asyncio.sleep(pause)
-    writer.write_eof()
-    await asyncio.wait_for(done.wait(), 5.0)
-    writer.close()
-    try:
-        await writer.wait_closed()
-    except Exception:
-        pass
-    server.close()
-    await server.wait_closed()
+    with captured_warnings() as records:
+        try:
+            for chunk in chunks:
+                writer.write(chunk)
+                await writer.drain()
+                if pause:
+                    await asyncio.sleep(pause)
+            writer.write_eof()
+            outcome["reply"] = await asyncio.wait_for(reader.read(-1), 5.0)
+        finally:
+            writer.close()
+            await asyncio.gather(*(link.aclose() for link in links))
+            server.close()
+            await server.wait_closed()
+    if stats.protocol_errors:
+        assert stats.protocol_errors == 1 and "peer" not in outcome
+        (record,) = records
+        assert record.getMessage() == "inbound handshake failed"
+        outcome["error"] = record.error
     return outcome
 
 
@@ -63,34 +69,55 @@ class TestAcceptHandshakeEdges:
     def test_oversized_handshake_rejected(self):
         blob = b"GNUTELLA CONNECT/0.4\nX-Pad: " + b"x" * 600 + b"\n\n"
         outcome = run(offer_raw([blob]))
-        assert isinstance(outcome["error"], HandshakeError)
-        assert "oversized" in str(outcome["error"])
+        assert "oversized" in outcome["error"]
+        assert outcome["reply"] == b""
 
     def test_missing_node_header_rejected(self):
         outcome = run(offer_raw([b"GNUTELLA CONNECT/0.4\n\n"]))
-        assert isinstance(outcome["error"], HandshakeError)
+        assert "Node header" in outcome["error"]
 
     def test_negative_node_id_rejected(self):
         outcome = run(offer_raw([b"GNUTELLA CONNECT/0.4\nNode: -3\n\n"]))
-        assert isinstance(outcome["error"], HandshakeError)
+        assert "Node header" in outcome["error"]
 
     def test_non_integer_node_id_rejected(self):
         outcome = run(offer_raw([b"GNUTELLA CONNECT/0.4\nNode: seven\n\n"]))
-        assert isinstance(outcome["error"], HandshakeError)
+        assert "bad Node header" in outcome["error"]
 
     def test_garbage_first_line_rejected(self):
         outcome = run(offer_raw([b"HELLO WORLD\nNode: 3\n\n"]))
-        assert isinstance(outcome["error"], HandshakeError)
-        assert "CONNECT" in str(outcome["error"])
+        assert "CONNECT" in outcome["error"]
 
     def test_closed_mid_handshake_rejected(self):
         outcome = run(offer_raw([b"GNUTELLA CONNECT/0.4\nNode"]))
-        assert isinstance(outcome["error"], HandshakeError)
+        assert "closed during handshake" in outcome["error"]
 
     def test_handshake_split_across_segments_accepted(self):
         chunks = [b"GNUTELLA CON", b"NECT/0.4\nNo", b"de: 12\n", b"\n"]
         outcome = run(offer_raw(chunks, pause=0.02))
         assert outcome.get("peer") == 12
+        assert outcome["reply"] == b"GNUTELLA OK\nNode: 5\n\n"
+
+    def test_frames_in_the_greeting_read_are_not_lost(self):
+        """Descriptor bytes that arrive in the same read as the end of
+        the greeting reach the owner registered in ``on_ready``."""
+        from repro.live.node import LiveServent
+        from repro.network.protocol import PingMessage, encode_message
+
+        async def body():
+            node = LiveServent(5, config=ConnectionConfig(keepalive_interval=0.0))
+            await node.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", node.port)
+            ping = encode_message(77, 1, 0, PingMessage())
+            writer.write(b"GNUTELLA CONNECT/0.4\nNode: 12\n\n" + ping)
+            await reader.readuntil(b"\n\n")
+            pong = await asyncio.wait_for(reader.readexactly(23 + 14), 5.0)
+            assert pong[16] == 0x01  # the Ping was handled, not dropped
+            assert node.stats.frames_in == 1
+            writer.close()
+            await node.close()
+
+        run(body())
 
 
 class TestDialerCleanup:
@@ -110,7 +137,9 @@ class TestDialerCleanup:
             )
             for _ in range(5):
                 with pytest.raises(HandshakeError):
-                    await dial_peer("127.0.0.1", port, 0, config)
+                    await dial_peer(
+                        "127.0.0.1", port, 0, config, on_message=lambda *a: None
+                    )
             server.close()
             await server.wait_closed()
 

@@ -1,22 +1,17 @@
 """Teardown and backoff regressions: aclose reaping, flush-then-close,
-seeded retry jitter.  The leak tests run with ResourceWarning promoted
-to an error, so an abandoned transport or task fails loudly."""
+the idle watchdog, seeded retry jitter.  The leak tests run with
+ResourceWarning promoted to an error, so an abandoned transport or task
+fails loudly."""
 
 import asyncio
 import gc
 
 import pytest
 
-from repro.live.connection import (
-    ConnectionConfig,
-    PeerConnection,
-    accept_handshake,
-    aclose_writer,
-    backoff_delays,
-    dial_peer,
-)
+from repro.live.connection import ConnectionConfig, backoff_delays, dial_peer
 from repro.live.node import LiveServent
-from repro.live.stats import NodeStats
+from repro.network.protocol import PingMessage, encode_message
+from tests.live.streampeer import aclose_writer, dial_raw, sink_server
 
 
 def run(coro, timeout=30.0):
@@ -31,22 +26,8 @@ FAST = ConnectionConfig(
 )
 
 
-async def sink_server(node_id=9):
-    """A handshaking server that accumulates every byte it is sent."""
-    sink = {"data": b"", "eof": asyncio.Event()}
-
-    async def on_accept(reader, writer):
-        await accept_handshake(reader, writer, node_id)
-        while True:
-            chunk = await reader.read(65536)
-            if not chunk:
-                break
-            sink["data"] += chunk
-        sink["eof"].set()
-        await aclose_writer(writer)
-
-    server = await asyncio.start_server(on_accept, "127.0.0.1", 0)
-    return server, server.sockets[0].getsockname()[1], sink
+def ignore(*_args):
+    """An ``on_message`` for links whose traffic the test does not read."""
 
 
 def task_baseline():
@@ -84,24 +65,25 @@ class TestAclose:
     def test_aclose_reaps_tasks_and_transport(self):
         async def body():
             baseline = task_baseline()
-            server, port, _sink = await sink_server()
-            reader, writer, peer_id = await dial_peer(
-                "127.0.0.1", port, 0, FAST
-            )
-            conn = PeerConnection(
-                peer_id,
-                reader,
-                writer,
-                config=FAST,
-                stats=NodeStats(),
-                on_message=lambda *a: None,
-            )
-            conn.start()
-            await conn.aclose()
-            assert conn.closed
-            assert all(t.done() for t in conn._tasks)
-            server.close()
-            await server.wait_closed()
+            timers = len(asyncio.get_running_loop()._scheduled)
+            async with sink_server() as (port, _sink):
+                conn = await dial_peer(
+                    "127.0.0.1",
+                    port,
+                    0,
+                    ConnectionConfig(keepalive_interval=5.0, idle_timeout=5.0),
+                    on_message=ignore,
+                    make_keepalive=lambda: None,
+                )
+                await conn.aclose()
+                assert conn.closed
+                assert conn._transport.is_closing()
+                live = [
+                    t
+                    for t in asyncio.get_running_loop()._scheduled
+                    if not t.cancelled()
+                ]
+                assert len(live) <= timers  # watchdog and keepalive cancelled
             await assert_no_strays(baseline)
 
         run(body())
@@ -110,23 +92,15 @@ class TestAclose:
     def test_tight_reconnect_loop_leaks_nothing(self):
         async def body():
             baseline = task_baseline()
-            server, port, _sink = await sink_server()
-            for _ in range(15):
-                reader, writer, peer_id = await dial_peer(
-                    "127.0.0.1", port, 0, FAST
-                )
-                conn = PeerConnection(
-                    peer_id,
-                    reader,
-                    writer,
-                    config=FAST,
-                    stats=NodeStats(),
-                    on_message=lambda *a: None,
-                )
-                conn.start()
-                await conn.aclose()
-            server.close()
-            await server.wait_closed()
+            async with sink_server() as (port, _sink):
+                links = []
+                for _ in range(200):
+                    conn = await dial_peer(
+                        "127.0.0.1", port, 0, FAST, on_message=ignore
+                    )
+                    await conn.aclose()
+                    links.append(conn)
+                assert all(link._transport.is_closing() for link in links)
             await assert_no_strays(baseline)
 
         run(body())
@@ -135,7 +109,7 @@ class TestAclose:
     @pytest.mark.filterwarnings("error::ResourceWarning")
     def test_supervised_reconnect_cycles_leak_nothing(self):
         """Kill and re-listen under one supervisor: the re-dial path must
-        reap each dead connection before dialing the next."""
+        see each dead connection gone before dialing the next."""
 
         async def body():
             baseline = task_baseline()
@@ -156,6 +130,7 @@ class TestAclose:
             assert node.stats.reconnects >= 3
             await node.close()
             await peer.close()
+            assert not node._links and not peer._links
             await assert_no_strays(baseline)
 
         run(body())
@@ -163,54 +138,106 @@ class TestAclose:
 
     def test_flush_delivers_queued_frames(self):
         async def body():
-            server, port, sink = await sink_server()
-            reader, writer, peer_id = await dial_peer(
-                "127.0.0.1", port, 0, FAST
+            async with sink_server() as (port, sink):
+                conn = await dial_peer(
+                    "127.0.0.1", port, 0, FAST, on_message=ignore
+                )
+                payload = b"x" * 100
+                for _ in range(50):
+                    assert conn.send(payload)
+                await conn.aclose(flush=True)
+                await asyncio.wait_for(sink["eof"].wait(), 5.0)
+                assert len(sink["data"]) == 50 * len(payload)
+
+        run(body())
+
+    def test_flush_gives_up_on_a_stalled_peer(self):
+        """``aclose(flush=True)`` towards a peer that stopped reading
+        falls back to the hard close after ``close_flush_timeout``."""
+
+        async def body():
+            config = ConnectionConfig(
+                keepalive_interval=0.0, idle_timeout=0.0, close_flush_timeout=0.2
             )
-            conn = PeerConnection(
-                peer_id,
-                reader,
-                writer,
-                config=FAST,
-                stats=NodeStats(),
-                on_message=lambda *a: None,
-            )
-            conn.start()
-            payload = b"x" * 100
-            for _ in range(50):
-                assert conn.send(payload)
-            await conn.aclose(flush=True)
-            await asyncio.wait_for(sink["eof"].wait(), 5.0)
-            assert len(sink["data"]) == 50 * len(payload)
-            server.close()
-            await server.wait_closed()
+            async with sink_server(deaf=True) as (port, _sink):
+                conn = await dial_peer(
+                    "127.0.0.1", port, 0, config, on_message=ignore
+                )
+                payload = b"x" * 65_536
+                while conn._transport.get_write_buffer_size() == 0:
+                    assert conn.send(payload)  # until the kernel stops taking it
+                    await asyncio.sleep(0)
+                loop = asyncio.get_running_loop()
+                t0 = loop.time()
+                await conn.aclose(flush=True)
+                assert 0.15 <= loop.time() - t0 < 1.0
+                assert conn._transport.is_closing()
 
         run(body())
 
     def test_draining_connection_refuses_new_frames(self):
         async def body():
-            server, port, sink = await sink_server()
-            reader, writer, peer_id = await dial_peer(
-                "127.0.0.1", port, 0, FAST
-            )
-            conn = PeerConnection(
-                peer_id,
-                reader,
-                writer,
-                config=FAST,
-                stats=NodeStats(),
-                on_message=lambda *a: None,
-            )
-            conn.start()
-            assert conn.send(b"before")
-            closer = asyncio.ensure_future(conn.aclose(flush=True))
-            await asyncio.sleep(0)  # _draining is set synchronously
-            assert not conn.send(b"after")
-            await closer
-            await asyncio.wait_for(sink["eof"].wait(), 5.0)
-            assert sink["data"] == b"before"
-            server.close()
-            await server.wait_closed()
+            async with sink_server() as (port, sink):
+                conn = await dial_peer(
+                    "127.0.0.1", port, 0, FAST, on_message=ignore
+                )
+                assert conn.send(b"before")
+                closer = asyncio.ensure_future(conn.aclose(flush=True))
+                await asyncio.sleep(0)  # _draining is set synchronously
+                assert not conn.send(b"after")
+                await closer
+                await asyncio.wait_for(sink["eof"].wait(), 5.0)
+                assert sink["data"] == b"before"
+
+        run(body())
+
+
+class TestIdleWatchdog:
+    CONFIG = ConnectionConfig(keepalive_interval=0.0, idle_timeout=0.3)
+
+    def test_silent_peer_dropped_chatty_peer_kept(self):
+        async def body():
+            node = LiveServent(0, config=self.CONFIG)
+            await node.start()
+            _r1, silent, _ = await dial_raw(node.port, 1)
+            _r2, chatty, _ = await dial_raw(node.port, 2)
+            while node.connected_peers != {1, 2}:
+                await asyncio.sleep(0.005)
+            for guid in range(1, 8):  # 0.7 s of traffic, a frame per 0.1 s
+                chatty.write(encode_message(guid, 1, 0, PingMessage()))
+                await asyncio.sleep(0.1)
+            assert node.connected_peers == {2}
+            assert node.stats.protocol_errors == 0
+            await aclose_writer(silent)
+            await aclose_writer(chatty)
+            await node.close()
+
+        run(body())
+
+    def test_reads_schedule_no_timers(self):
+        """The idle check is one re-arming timer per link, not one per
+        read: ``loop._scheduled`` stays O(links) under traffic."""
+
+        async def body():
+            loop = asyncio.get_running_loop()
+            node = LiveServent(0, config=ConnectionConfig(idle_timeout=30.0))
+            await node.start()
+            writers = []
+            for peer in (1, 2, 3):
+                _reader, writer, _ = await dial_raw(node.port, peer)
+                writers.append(writer)
+            while len(node.connected_peers) < 3:
+                await asyncio.sleep(0.005)
+            idle = len(loop._scheduled)
+            for guid in range(1, 301):
+                writers[guid % 3].write(encode_message(guid, 1, 0, PingMessage()))
+                await asyncio.sleep(0)
+            while node.stats.frames_in < 300:
+                await asyncio.sleep(0.005)
+            assert len(loop._scheduled) <= idle + 1  # +1: this sleep
+            for writer in writers:
+                await aclose_writer(writer)
+            await node.close()
 
         run(body())
 

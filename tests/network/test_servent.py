@@ -42,6 +42,22 @@ class TestSharedFile:
         assert f.matches("CLASSIC")
         assert not f.matches("rock")
 
+    def test_case_folding_is_done_once_and_still_matches(self):
+        f = SharedFile(1, "STRASSE Ünïcode Mix.MP3", 10)
+        assert f.matches("strasse  ünïcode")  # mixed case, repeated blanks
+        assert f.matches("mp3 MIX")
+        assert f.matches("")  # no terms: vacuously true, as before
+        assert not f.matches("straße")  # lower(), not casefold(): unchanged
+        assert f.has_terms(["mix", "strasse"])
+        assert f == SharedFile(1, "STRASSE Ünïcode Mix.MP3", 10)  # cache not compared
+
+    def test_mixed_case_query_hits_over_the_wire(self):
+        libraries = {1: [SharedFile(3, "Rare TUNDRA Recording.ogg", 1 << 20)]}
+        servents = wire_line(2, libraries)
+        _guid, frames = servents[0].issue_query("tundra RARE")
+        pump(servents, frames, 0)
+        assert [hit.file_index for hit in servents[0].results] == [3]
+
 
 class TestServentQueries:
     def test_query_finds_remote_file_and_routes_hit_back(self):

@@ -5,7 +5,7 @@ import statistics
 
 import pytest
 
-from repro.live.connection import accept_handshake
+from tests.live.streampeer import accept_handshake
 from repro.scale.loadgen import (
     TASK_BROWSE,
     TASK_IDLE,
