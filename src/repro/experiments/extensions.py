@@ -142,23 +142,19 @@ def run_topology_adaptation(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
     n_queries = scale.overlay_queries
     warmup = scale.overlay_warmup
 
-    def run(policy_factory, dynamic):
-        overlay = Overlay(
-            OverlayConfig(dynamic_topology=dynamic, max_degree=7, **common),
-            seed=seed,
-        )
+    def run(policy_factory):
+        overlay = Overlay(OverlayConfig(max_degree=7, **common), seed=seed)
         overlay.install_policies(policy_factory)
         stats = overlay.run_workload(n_queries, warmup=warmup)
         return overlay, stats
 
     _, plain = run(
-        lambda nid, ov: AssociationRoutingPolicy(nid, ov, window=2048), dynamic=False
+        lambda nid, ov: AssociationRoutingPolicy(nid, ov, window=2048)
     )
     adapted_overlay, adapted = run(
         lambda nid, ov: TopologyAdaptingPolicy(
             nid, ov, window=2048, adapt_every=40, max_new_links=2
-        ),
-        dynamic=True,
+        )
     )
     links_added = sum(
         adapted_overlay.node(n).policy.links_added

@@ -1,4 +1,4 @@
-"""Drive :class:`~repro.network.dynamic.DynamicTopology` from a fault plan.
+"""Drive a :class:`~repro.network.topology.Topology` from a fault plan.
 
 The same :class:`~repro.faults.plan.FaultPlan` that batters a live
 cluster can batter an *offline* strategy run: crash/restart become node
@@ -19,7 +19,6 @@ seeded churn.
 from __future__ import annotations
 
 from repro.faults.plan import CRASH, HEAL, PARTITION, RESTART, FaultPlan
-from repro.network.dynamic import DynamicTopology
 
 __all__ = ["TopologyChurn"]
 
@@ -28,13 +27,10 @@ _OFFLINE_KINDS = (CRASH, RESTART, PARTITION, HEAL)
 
 
 class TopologyChurn:
-    """Apply a plan's node/partition events to a mutable topology."""
+    """Apply a plan's node/partition events to ``topology``, in place."""
 
     def __init__(self, topology, plan: FaultPlan) -> None:
-        if isinstance(topology, DynamicTopology):
-            self.topology = topology
-        else:
-            self.topology = DynamicTopology.from_topology(topology)
+        self.topology = topology
         self.plan = plan
         self._events = [e for e in plan.events if e.kind in _OFFLINE_KINDS]
         self._cursor = 0

@@ -44,6 +44,21 @@ class QueryOutcome:
     def succeeded(self) -> bool:
         return self.hits > 0
 
+    def on_top_of(self, messages: int, duplicates: int = 0) -> "QueryOutcome":
+        """This attempt charged on top of the earlier, failed attempts of
+        the same query: their ``messages`` and ``duplicates`` are added,
+        the hits, the hop count and the rule flags stay this attempt's
+        (§III-B's honest fallback accounting)."""
+        return QueryOutcome(
+            self.query_id,
+            self.messages + messages,
+            self.hits,
+            self.first_hit_hops,
+            self.duplicates + duplicates,
+            self.rule_covered,
+            self.rule_succeeded,
+        )
+
 
 @dataclass
 class TrafficStats:

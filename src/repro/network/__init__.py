@@ -8,7 +8,8 @@ This subpackage provides the overlay substrate to test that end-to-end:
 * :mod:`~repro.network.topology` — from-scratch topology generators
   (random regular, Erdős–Rényi with connectivity repair,
   Barabási–Albert power-law) over a compact adjacency-list
-  :class:`~repro.network.topology.Topology`;
+  :class:`~repro.network.topology.Topology`, editable in place for
+  rewiring, churn replay and super-peer kills;
 * :mod:`~repro.network.node` — per-peer state: shared library, interest
   profile, and the node's routing policy instance;
 * :mod:`~repro.network.messages` — Gnutella-style ``Query`` descriptors;
@@ -16,8 +17,12 @@ This subpackage provides the overlay substrate to test that end-to-end:
   per-node GUID duplicate suppression, TTL handling, hit detection and
   reverse-path reply feedback (the signal association routing learns
   from);
+* :mod:`~repro.network.holders` — the sorted (item, owner) buffer both
+  simulators ask "who shares this file" of;
 * :mod:`~repro.network.overlay` — assembles topology + content + policies
-  into a runnable network, with optional churn between queries.
+  into a runnable network, with optional churn between queries;
+* :mod:`~repro.network.superpeer` and :mod:`~repro.network.hier` — the
+  two-tier substrate and, on top of it, the rule and keyspace tiers.
 """
 
 from repro.network.discrete_event import (
@@ -25,8 +30,10 @@ from repro.network.discrete_event import (
     DiscreteEventNetwork,
     LatencyReport,
 )
-from repro.network.dynamic import DynamicTopology
 from repro.network.engine import QueryEngine
+
+# before superpeer: its CommunityIndex lives in the hier package, whose
+# network module imports superpeer back
 from repro.network.hier import HIER_MODES, HierConfig, HierNetwork
 from repro.network.messages import Query
 from repro.network.node import PeerNode
@@ -49,7 +56,6 @@ from repro.network.topology import (
 __all__ = [
     "DiscreteEventConfig",
     "DiscreteEventNetwork",
-    "DynamicTopology",
     "HIER_MODES",
     "HierConfig",
     "HierNetwork",

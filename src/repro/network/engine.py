@@ -12,14 +12,16 @@ Traffic accounting counts **query transmissions** (one per edge
 traversal); reply messages are proportional to hits in every scheme and
 are therefore not part of the comparison, as in the paper.
 
-:meth:`QueryEngine.broadcast` is array code, one step per hop rather than
-per message.  The topology is read as CSR vectors (``topology.csr()``);
-"reached in this query" is a length-``n`` vector stamped with the query's
-epoch, so nothing is reset between queries; ``parent`` is a second such
-vector; the frontier is an array in discovery order.  One hop gathers the
-frontier's out-edges, counts those that do not point back at the sender's
-own upstream as messages, and keeps the first edge — in (frontier
-position, neighbour position) order — into each node not yet reached.
+:meth:`QueryEngine.reach` is array code, one step per hop rather than
+per message, and :meth:`QueryEngine.broadcast` is that reach, the file's
+holders inside it and the reply pass.  The topology is read as CSR
+vectors (``topology.csr()``); "reached in this query" is a length-``n``
+vector stamped with the query's epoch, so nothing is reset between
+queries; ``parent`` is a second such vector; the frontier is an array in
+discovery order.  One hop gathers the frontier's out-edges, counts those
+that do not point back at the sender's own upstream as messages, and
+keeps the first edge — in (frontier position, neighbour position) order —
+into each node not yet reached.
 That is the order in which a message-by-message loop would have reached
 them, so every node gets the parent it would have got there, and the
 reply pass hands every policy the same events in the same order.  The
@@ -33,7 +35,7 @@ asked through ``select`` and its edges are merged back in frontier order.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from repro.metrics.traffic import QueryOutcome
 from repro.network.messages import Query
 from repro.utils.rng import as_generator
 
-__all__ = ["QueryEngine"]
+__all__ = ["QueryEngine", "Reach"]
 
 #: ``select(node, upstream, query)`` -> the nodes ``node`` forwards to.  A
 #: callback may carry a ``flooders`` attribute, a boolean vector over the
@@ -49,12 +51,24 @@ __all__ = ["QueryEngine"]
 SelectFn = Callable[[int, int | None, Query], Sequence[int]]
 
 
+class Reach(NamedTuple):
+    """What one propagation reached (:meth:`QueryEngine.reach`)."""
+
+    #: the nodes reached, in discovery order (the origin is not among them).
+    order: np.ndarray
+    #: position in ``order`` -> hops from the origin, ascending.
+    depth: np.ndarray
+    #: query transmissions, duplicate deliveries included.
+    messages: int
+    duplicates: int
+
+
 class QueryEngine:
     """Propagation primitives over one overlay."""
 
     def __init__(self, overlay) -> None:
         self.overlay = overlay
-        n = overlay.n_nodes
+        n = overlay.topology.n_nodes
         self._epoch = 0
         # node u was reached by / holds the file of the query whose epoch
         # the vector carries at u; a new query is a new epoch, not a reset
@@ -70,37 +84,30 @@ class QueryEngine:
         self._ids[:n] = range(n)
 
     # ------------------------------------------------------------------
-    def broadcast(
+    def reach(
         self,
-        query: Query,
+        origin: int,
+        ttl: int,
         select: SelectFn | None = None,
-        *,
-        feedback: bool = True,
-    ) -> QueryOutcome:
-        """Propagate ``query`` breadth-first using ``select`` at each node.
+        query: Query | None = None,
+    ) -> Reach:
+        """Propagate from ``origin`` for ``ttl`` hops, whatever is asked for.
 
         ``select(node, upstream, query)`` returns the neighbors to forward
         to (the engine removes the upstream and already-counted duplicate
-        deliveries are suppressed per standard Gnutella behaviour).  For
-        the origin, ``upstream`` is ``None``.  Without a ``select`` every
-        node forwards to all its neighbours — a flood.
+        deliveries are suppressed per standard Gnutella behaviour); it is
+        handed ``query`` untouched.  For the origin, ``upstream`` is
+        ``None``.  Without a ``select`` every node forwards to all its
+        neighbours — a flood, whose reach depends on nothing but the
+        origin, the TTL and the topology, so a caller may keep it.
+
+        The parents stay in the engine's epoch-stamped vectors until the
+        next call, for the reply walk.
         """
-        origin = query.origin
+        if ttl < 1:
+            raise ValueError("ttl must be >= 1")
         self._epoch += 1
         epoch = self._epoch
-        holders = self._holders(query.file_id)
-        holds = self._holds
-        holds[holders] = epoch
-        if holds[origin] == epoch:
-            # Local library satisfies the query with zero traffic.
-            return QueryOutcome(
-                query_id=query.guid,
-                messages=0,
-                hits=1,
-                first_hit_hops=0,
-                duplicates=0,
-            )
-
         indptr, indices = self.overlay.topology.csr()
         flooders = None if select is None else getattr(select, "flooders", None)
         if flooders is not None and not flooders.any():
@@ -112,11 +119,8 @@ class QueryEngine:
         frontier = np.array([origin], dtype=np.intp)
         messages = 0
         duplicates = 0
-        found: list[np.ndarray] = []
-        first_hit_hops: int | None = None
-        depth = 0
-        while frontier.size and depth < query.ttl:
-            depth += 1
+        rings: list[np.ndarray] = []
+        while frontier.size and len(rings) < ttl:
             if select is None:
                 sources, targets = self._fan_out(frontier, indptr, indices)
             else:
@@ -137,23 +141,57 @@ class QueryEngine:
             reached[frontier] = epoch
             messages += sent
             duplicates += sent - frontier.size
-            if holders.size:
-                hits = frontier[holds[frontier] == epoch]
-                if hits.size:
-                    found.append(hits)
-                    if first_hit_hops is None:
-                        first_hit_hops = depth
+            rings.append(frontier)
+        return Reach(
+            np.concatenate(rings),
+            np.repeat(np.arange(1, len(rings) + 1), [ring.size for ring in rings]),
+            messages,
+            duplicates,
+        )
 
-        n_hits = sum(hits.size for hits in found)
-        if feedback and n_hits:
-            self._deliver_replies(query, np.concatenate(found), depth)
+    def broadcast(
+        self,
+        query: Query,
+        select: SelectFn | None = None,
+        *,
+        feedback: bool = True,
+    ) -> QueryOutcome:
+        """Propagate ``query`` breadth-first using ``select`` at each node
+        (see :meth:`reach`): the reach, the file's holders inside it, and
+        the reply walk back from each of them."""
+        holders = self._holders(query.file_id)
+        if (holders == query.origin).any():
+            # Local library satisfies the query with zero traffic.
+            return QueryOutcome(
+                query_id=query.guid,
+                messages=0,
+                hits=1,
+                first_hit_hops=0,
+                duplicates=0,
+            )
+        order, depth, messages, duplicates = self.reach(
+            query.origin, query.ttl, select, query
+        )
+        holds = self._holds
+        holds[holders] = self._epoch
+        found = np.flatnonzero(holds[order] == self._epoch)
+        first_hit_hops = None
+        if found.size:
+            first_hit_hops = int(depth[found[0]])
+            if feedback:
+                self._deliver_replies(query, order[found], int(depth[-1]))
         return QueryOutcome(
             query_id=query.guid,
             messages=messages,
-            hits=n_hits,
+            hits=found.size,
             first_hit_hops=first_hit_hops,
             duplicates=duplicates,
         )
+
+    def ids(self, nodes: np.ndarray) -> list[int]:
+        """``nodes`` as the engine's own int objects (see ``_ids``): what
+        to hand a rule table instead of ``nodes.tolist()``."""
+        return self._ids[nodes].tolist()
 
     @staticmethod
     def _fan_out(
@@ -182,8 +220,8 @@ class QueryEngine:
                 return self._fan_out(frontier, indptr, indices)
         chosen: list[int] = []
         counts: list[int] = []
-        nodes = self._ids[asked].tolist()
-        upstreams = self._ids[self._parent[asked]].tolist()
+        nodes = self.ids(asked)
+        upstreams = self.ids(self._parent[asked])
         for node, upstream in zip(nodes, upstreams):
             before = len(chosen)
             chosen.extend(select(node, upstream, query))
@@ -219,7 +257,7 @@ class QueryEngine:
         back[0] = providers
         for j in range(depth + 1):
             back[j + 1] = self._parent[back[j]]
-        for path in self._ids[back.T].tolist():
+        for path in self.ids(back.T):
             provider = downstream = path[0]
             for j in range(1, depth + 1):
                 w = path[j]

@@ -18,10 +18,12 @@ as the traffic volume of the community behind it.
 Two readings of the same content: :meth:`CommunityIndex.lookup` asks one
 community which leaves share a file (what a contacted super-peer
 answers), :meth:`CommunityIndex.holders` asks which communities share it
-at all — the **holder index** the tier-2 flood reads so its per-query
-work follows the answer, not the reach.  The holder index is derived
-state: :meth:`attach` and :meth:`kill` drop it and the next
-:meth:`holders` call rebuilds it from the per-community indices.
+at all — the :class:`~repro.network.holders.HolderIndex` the tier-2 flood
+reads so its per-query work follows the answer, not the reach.  That
+index is derived state: :meth:`attach` and :meth:`kill` drop it and the
+next :meth:`holders` call rebuilds it from the per-community indices (a
+network attaches ten thousand leaves before its first query; patching
+the buffer once per leaf would cost more than sorting it once).
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 import numpy as np
+
+from repro.network.holders import HolderIndex
 
 __all__ = ["CommunityIndex"]
 
@@ -48,10 +52,8 @@ class CommunityIndex:
             {} for _ in range(n_superpeers)
         ]
         self._live = [True] * n_superpeers
-        # Holder index: every (file, holding community) pair as
-        # file_id * n_superpeers + superpeer, ascending, so a file's
-        # communities are a slice.  None = rebuild on next use.
-        self._holder_keys: np.ndarray | None = None
+        # which communities share a file; None = rebuild on next use
+        self._holder_index: HolderIndex | None = None
 
     # -- membership -------------------------------------------------------
     def attach(self, leaf: int, superpeer: int, library: frozenset[int]) -> None:
@@ -65,7 +67,7 @@ class CommunityIndex:
         index = self._index[superpeer]
         for file_id in library:
             index.setdefault(file_id, []).append(leaf)
-        self._holder_keys = None
+        self._holder_index = None
 
     def superpeer_of(self, leaf: int) -> int:
         return self._home[leaf]
@@ -92,39 +94,14 @@ class CommunityIndex:
 
     def holders(self, file_id: int) -> np.ndarray:
         """Super-peers whose community shares ``file_id``, ascending."""
-        keys = self._holder_keys
-        if keys is None:
-            keys = self._build_holder_keys()
-        n = self.n_superpeers
-        if file_id < 0 or not keys.size or file_id * n > keys[-1]:
-            return keys[:0]  # also: past what the keys' type can hold
-        # bounds in the keys' own type: anything wider makes searchsorted
-        # convert the whole vector first
-        base = keys.dtype.type(file_id * n)
-        lo, hi = keys.searchsorted(np.array((base, base + n)))
-        return keys[lo:hi] - base
-
-    def _build_holder_keys(self) -> np.ndarray:
-        """One buffer in the narrowest integer type that holds every key,
-        filled community by community and sorted in place (a dict per
-        file costs over ten times the memory; megabyte temporaries stay
-        in the high-water mark)."""
-        n = self.n_superpeers
-        n_files = 1 + max((max(index) for index in self._index if index), default=-1)
-        keys = np.empty(
-            sum(len(index) for index in self._index),
-            dtype=np.min_scalar_type(-n_files * n - 1),
-        )
-        filled = 0
-        for superpeer, index in enumerate(self._index):
-            chunk = keys[filled : filled + len(index)]
-            chunk[:] = np.fromiter(index, dtype=keys.dtype, count=len(index))
-            chunk *= n
-            chunk += superpeer
-            filled += len(index)
-        keys.sort()
-        self._holder_keys = keys
-        return keys
+        if self._holder_index is None:
+            self._holder_index = HolderIndex(
+                self.n_superpeers,
+                1 + max((max(index) for index in self._index if index), default=-1),
+                enumerate(self._index),
+                capacity=sum(len(index) for index in self._index),
+            )
+        return self._holder_index.holders(file_id)
 
     # -- failure handling ---------------------------------------------------
     def kill(self, superpeer: int) -> list[int]:
@@ -140,7 +117,7 @@ class CommunityIndex:
         orphans = sorted(self._members[superpeer])
         self._members[superpeer] = []
         self._index[superpeer] = {}
-        self._holder_keys = None
+        self._holder_index = None
         for leaf in orphans:
             del self._home[leaf]
         return orphans

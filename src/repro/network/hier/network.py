@@ -20,10 +20,11 @@ miss" with a ladder of cheaper attempts:
    of* the failed attempts (the paper's honest per-query fallback
    accounting), so success never drops below the flooding baseline.
 
-Four modes share one workload generator and identical rng consumption
-with :class:`~repro.network.superpeer.SuperPeerNetwork`, so at equal
-seeds every arm sees the same (leaf, file) query sequence pair for
-pair — the property the comparison experiment leans on:
+:class:`HierNetwork` *is a* :class:`~repro.network.superpeer.SuperPeerNetwork`:
+construction of the substrate and the workload generator are inherited,
+so at equal seeds every arm — the baseline included — sees the same world
+and the same (leaf, file) query sequence pair for pair, the property the
+comparison experiment leans on.  Four modes:
 
 * ``flood`` — the ladder stops at step 1 (bit-identical to the seed
   baseline while no super-peer has been killed);
@@ -39,20 +40,26 @@ forwards a flood to all its neighbours, so the flood from one home
 reaches the same nodes in the same order for the same messages and
 duplicates whatever is asked; a greedy walk's next hop depends on the
 node's own table and the key alone.  Both are computed on first use and
-kept — a reach plan per home, ``(steward, hops)`` per (super-peer,
-category) — and a flood's per-query part is the file's holder
-communities (:meth:`CommunityIndex.holders`) that have a position in
-the plan, taken in discovery order: the order a per-message flood meets
-them, hence the same ``observe`` sequence and the same learned rules.
-The per-message loops are ``tests/network/reference_hier.py``, the
-oracle of the differential tests.
+kept — per home the :meth:`QueryEngine.reach
+<repro.network.engine.QueryEngine.reach>` of a flood over the super-peer
+graph, ``(steward, hops)`` per (super-peer, category) — and a flood's
+per-query part is the file's holder communities
+(:meth:`CommunityIndex.holders`) that have a position in the reach,
+taken in discovery order: the order a per-message flood meets them,
+hence the same ``observe`` sequence and the same learned rules.  The
+per-message loops are ``tests/network/reference_hier.py``, the oracle of
+the differential tests.
 
-Failure handling: :meth:`kill_superpeer` drops the dead node from the
-overlay, every k-bucket table, and every merged digest table (digest
+Failure handling: a kill is a topology mutation.
+:meth:`kill_superpeer` detaches the dead node from the overlay graph
+(:meth:`Topology.detach_node <repro.network.topology.Topology.detach_node>`,
+so no flood and no digest push has an edge to reach it by), drops it
+from every k-bucket table and every merged digest table (digest
 invalidation), then deterministically re-attaches its leaves
 (:class:`~repro.network.hier.community.CommunityIndex`), forgets every
 route plan (the reach and the walks moved with liveness) and republishes
-the category directory.  Digest and directory traffic is tracked in
+the category directory.  The last live super-peer cannot be killed: its
+leaves would have nowhere to go.  Digest and directory traffic is tracked in
 :attr:`HierNetwork.control_messages` so benchmarks can amortize it
 into an honest messages-per-query figure.
 """
@@ -60,13 +67,12 @@ into an honest messages-per-query figure.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.metrics.traffic import QueryOutcome, TrafficStats
-from repro.network.hier.community import CommunityIndex
+from repro.metrics.traffic import QueryOutcome
+from repro.network.engine import QueryEngine, Reach
 from repro.network.hier.digest import MergedRuleTable, decode_digest
 from repro.network.hier.keyspace import (
     KBucketTable,
@@ -74,13 +80,8 @@ from repro.network.hier.keyspace import (
     node_key,
     xor_distance,
 )
-from repro.network.superpeer import SuperPeerConfig
-from repro.network.topology import random_regular
+from repro.network.superpeer import SuperPeerConfig, SuperPeerNetwork
 from repro.routing.superpeer_rules import SuperPeerRules
-from repro.utils.rng import as_generator, spawn_child
-from repro.workload.content import ContentCatalog
-from repro.workload.interests import InterestModel
-from repro.workload.zipf import ZipfSampler
 
 __all__ = ["HIER_MODES", "HierConfig", "HierNetwork"]
 
@@ -125,61 +126,17 @@ class HierConfig(SuperPeerConfig):
             raise ValueError("lookup_contacts must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
-class _FloodPlan:
-    """What a tier-2 flood from one home reaches, while liveness holds.
-
-    Every super-peer forwards to all its neighbours, so the reach, the
-    discovery order, the depths and the message and duplicate counts are
-    the same for every file; only which reached communities hold the
-    file differs.
-    """
-
-    #: super-peer id -> position in discovery order, -1 = not reached
-    #: (the home itself included: it is where the flood starts).
-    position: np.ndarray
-    #: position -> super-peer id.
-    order: list[int]
-    #: position -> overlay hops from the home.
-    depth: np.ndarray
-    messages: int
-    duplicates: int
-
-
-class HierNetwork:
+class HierNetwork(SuperPeerNetwork):
     """Two-tier overlay with mined-rule and keyspace routing tiers."""
 
     def __init__(self, config: HierConfig | None = None, *, seed=None) -> None:
-        self.config = cfg = config or HierConfig()
-        # Substrate construction consumes the rng in exactly the order
-        # SuperPeerNetwork does (topology child, then per-leaf profile +
-        # library draws), so equal seeds give every mode — and the seed
-        # baseline itself — the same world.
-        self._rng = as_generator(seed)
-        self.topology = random_regular(
-            cfg.n_superpeers, cfg.superpeer_degree, rng=spawn_child(self._rng)
-        )
-        self.catalog = ContentCatalog(cfg.n_categories, cfg.files_per_category)
-        interests = InterestModel(cfg.n_categories)
-        self.community = CommunityIndex(cfg.n_superpeers)
-        self._leaf_profile = []
-        self._leaf_library: list[frozenset[int]] = []
-        for leaf in range(cfg.n_leaves):
-            superpeer = leaf // cfg.leaves_per_superpeer
-            profile = interests.sample_profile(
-                self._rng, width=cfg.interests_per_peer
-            )
-            library = self.catalog.sample_library(
-                self._rng, profile, size=cfg.library_size
-            )
-            self._leaf_profile.append(profile)
-            self._leaf_library.append(library)
-            self.community.attach(leaf, superpeer, library)
-
+        super().__init__(config or HierConfig(), seed=seed)
+        cfg = self.config
+        # the tier-2 flood's kernel, over the super-peer graph
+        self.engine = QueryEngine(self)
         #: digest/directory/re-attachment messages, tracked separately so
         #: benchmarks can amortize them into messages-per-query honestly.
         self.control_messages = 0
-        self._next_guid = 0
         self._sp_query_count = [0] * cfg.n_superpeers
         self._forget_routes()
 
@@ -222,8 +179,10 @@ class HierNetwork:
         """Start the route plans empty: they are functions of (start,
         liveness), filled on first use, and a kill moves liveness."""
         cfg = self.config
-        # home -> reach of the tier-2 flood from it.
-        self._flood_plans: list[_FloodPlan | None] = [None] * cfg.n_superpeers
+        # home -> (reach of the tier-2 flood from it, super-peer ->
+        # position in reach.order or -1).  Every super-peer forwards to
+        # all its neighbours, so the reach is the same for every file.
+        self._reaches: dict[int, tuple[Reach, np.ndarray]] = {}
         # steward / hops of the keyspace walk from a super-peer toward a
         # category, at super-peer * n_categories + category; steward -1 =
         # not walked yet.
@@ -311,7 +270,8 @@ class HierNetwork:
             self.sp_rules[home].observe(category, replier)
 
     def _publish_digest(self, home: int) -> None:
-        """Push ``home``'s fresh digest to its live overlay neighbors.
+        """Push ``home``'s fresh digest to its overlay neighbors (a dead
+        super-peer has none and is nobody's).
 
         Goes over the wire codec (encode/decode round-trip) so the
         exchange path exercises exactly what a deployment would ship.
@@ -319,8 +279,6 @@ class HierNetwork:
         wire = self.sp_rules[home].publish(self.config.digest_top_k).encode()
         digest = decode_digest(wire)  # frozen: one copy serves every receiver
         for neighbor in self.topology.neighbors(home):
-            if not self.community.is_live(neighbor):
-                continue
             self.control_messages += 1
             self.merged[neighbor].merge(digest)
 
@@ -333,7 +291,7 @@ class HierNetwork:
         if file_id in self._leaf_library[leaf]:
             return QueryOutcome(guid, 0, 1, 0, 0)
         home = self.community.superpeer_of(leaf)
-        messages = 1  # leaf -> home super-peer
+        messages = 1  # leaf -> home super-peer, then every failed attempt
         local = self.community.lookup(home, file_id)
         if local:
             return QueryOutcome(guid, messages, len(local), 1, 0)
@@ -347,7 +305,6 @@ class HierNetwork:
                 rule_covered = True
                 hits = 0
                 for target in targets:
-                    messages += 1
                     contacted.add(target)
                     matches = self.community.lookup(target, file_id)
                     if matches:
@@ -356,20 +313,21 @@ class HierNetwork:
                 if hits:
                     self._after_query(home)
                     return QueryOutcome(
-                        guid, messages, hits, 2, 0,
+                        guid, len(targets), hits, 2, 0,
                         rule_covered=True, rule_succeeded=True,
-                    )
+                    ).on_top_of(messages)
+                messages += len(targets)
 
         if cfg.mode == "hybrid":
             steward, hops = self._kademlia_walk(home, category)
-            messages += hops
+            sent = hops
             hits = 0
             first_hit_hops = None
             to_contact = cfg.lookup_contacts
             for owner in self.directory.get(steward, {}).get(category, ()):
                 if owner == home or owner in contacted:
                     continue
-                messages += 1
+                sent += 1
                 matches = self.community.lookup(owner, file_id)
                 if matches:
                     hits += len(matches)
@@ -382,88 +340,52 @@ class HierNetwork:
             if hits:
                 self._after_query(home)
                 return QueryOutcome(
-                    guid, messages, hits, first_hit_hops, 0,
-                    rule_covered=rule_covered,
-                )
+                    guid, sent, hits, first_hit_hops, 0, rule_covered=rule_covered
+                ).on_top_of(messages)
+            messages += sent
 
-        flood_messages, hits, first_hit_hops, duplicates = self._flood(
-            leaf, home, file_id, category
-        )
-        self._after_query(home)
-        return QueryOutcome(
+        flood = QueryOutcome(
             guid,
-            messages + flood_messages,
-            hits,
-            first_hit_hops,
-            duplicates,
+            *self._flood(leaf, home, file_id, category),
             rule_covered=rule_covered,
         )
+        self._after_query(home)
+        return flood.on_top_of(messages)
 
     def _flood(
         self, leaf: int, home: int, file_id: int, category: int
     ) -> tuple[int, int, int | None, int]:
-        """Tier-2 flood among live super-peers (the baseline's fallback).
+        """Tier-2 flood among live super-peers (the baseline's fallback):
+        ``(messages, hits, first_hit_hops, duplicates)``.
 
-        The reach comes from ``home``'s plan; the per-query part is the
-        file's holder communities that have a position in it, visited in
-        discovery order — the order the per-message flood met them, so
-        every rule table sees the same event sequence.
+        The reach is ``home``'s, run by the kernel once per kill; the
+        per-query part is the file's holder communities that have a
+        position in it, visited in discovery order — the order the
+        per-message flood met them, so every rule table sees the same
+        event sequence.
         """
-        plan = self._flood_plans[home] or self._plan_flood(home)
-        found = plan.position[self.community.holders(file_id)]
+        reach, position = self._reaches.get(home) or self._reach_from(home)
+        found = position[self.community.holders(file_id)]
         found = found[found >= 0]
         if not found.size:
-            return plan.messages, 0, None, plan.duplicates
+            return reach.messages, 0, None, reach.duplicates
         found.sort()
         hits = 0
         learn = self.config.mode != "flood"
-        order = plan.order
-        for at in found.tolist():
-            superpeer = order[at]
+        for superpeer in self.engine.ids(reach.order[found]):
             hits += len(self.community.lookup(superpeer, file_id))
             if learn:
                 self._learn(leaf, home, category, superpeer)
         # +1 for the original leaf -> super-peer hop.
-        return plan.messages, hits, int(plan.depth[found[0]]) + 1, plan.duplicates
+        return reach.messages, hits, int(reach.depth[found[0]]) + 1, reach.duplicates
 
-    def _plan_flood(self, home: int) -> _FloodPlan:
-        """TTL-limited BFS from ``home`` over the live overlay, run once:
-        who is reached, in which order, how deep, for how many messages."""
-        cfg = self.config
-        parent: dict[int, int | None] = {home: None}
-        depth = {home: 0}
-        messages = 0
-        duplicates = 0
-        frontier = deque([home])
-        while frontier:
-            sp = frontier.popleft()
-            if depth[sp] >= cfg.superpeer_ttl:
-                continue
-            for neighbor in self.topology.neighbors(sp):
-                if neighbor == parent[sp] or not self.community.is_live(neighbor):
-                    continue
-                messages += 1
-                if neighbor in parent:
-                    duplicates += 1
-                    continue
-                parent[neighbor] = sp
-                depth[neighbor] = depth[sp] + 1
-                frontier.append(neighbor)
-        del depth[home]  # what is left is in discovery order
-        order = list(depth)
-        position = np.full(
-            cfg.n_superpeers, -1, dtype=np.min_scalar_type(-cfg.n_superpeers)
-        )
-        position[order] = np.arange(len(order))
-        plan = _FloodPlan(
-            position,
-            order,
-            np.fromiter(depth.values(), dtype=position.dtype, count=len(order)),
-            messages,
-            duplicates,
-        )
-        self._flood_plans[home] = plan
-        return plan
+    def _reach_from(self, home: int) -> tuple[Reach, np.ndarray]:
+        n = self.config.n_superpeers
+        reach = self.engine.reach(home, self.config.superpeer_ttl)
+        position = np.full(n, -1, dtype=np.min_scalar_type(-n))
+        position[reach.order] = np.arange(reach.order.size)
+        self._reaches[home] = reach, position
+        return reach, position
 
     def _after_query(self, home: int) -> None:
         if not self.sp_rules:
@@ -472,42 +394,24 @@ class HierNetwork:
         if self._sp_query_count[home] % self.config.digest_every == 0:
             self._publish_digest(home)
 
-    # -- workload -------------------------------------------------------------
-    def run_workload(self, n_queries: int, *, warmup: int = 0) -> TrafficStats:
-        """Issue interest-driven queries; the first ``warmup`` are unrecorded.
-
-        Draw-for-draw identical to ``SuperPeerNetwork.run_workload`` at
-        equal seeds (leaf uniform, category from the leaf's profile,
-        Zipf file rank), so arms differ only in routing.
-        """
-        if n_queries < 0:
-            raise ValueError("n_queries must be non-negative")
-        if warmup < 0:
-            raise ValueError("warmup must be non-negative")
-        cfg = self.config
-        stats = TrafficStats()
-        rank_sampler = ZipfSampler(cfg.files_per_category, 1.0)
-        for i in range(warmup + n_queries):
-            leaf = int(self._rng.integers(0, cfg.n_leaves))
-            category = self._leaf_profile[leaf].sample_category(self._rng)
-            rank = rank_sampler.sample(self._rng)
-            file_id = category * cfg.files_per_category + rank
-            outcome = self.query(leaf, file_id)
-            if i >= warmup:
-                stats.record(outcome)
-        return stats
-
     # -- churn ---------------------------------------------------------------
     def kill_superpeer(self, superpeer: int) -> dict[int, int]:
         """Fail one super-peer; returns the orphan re-attachment map.
 
-        The dead node leaves the overlay, every k-bucket table, and —
-        digest invalidation — every merged rule table; its leaves
+        The dead node leaves the overlay graph, every k-bucket table, and
+        — digest invalidation — every merged rule table; its leaves
         re-home deterministically and their libraries are re-indexed,
-        then the category directory is republished.
+        then the category directory is republished.  Killing the only
+        live super-peer is refused before anything changes.
         """
         if not self.community.is_live(superpeer):
             return {}
+        if len(self.community.live_superpeers()) == 1:
+            raise ValueError(
+                f"super-peer {superpeer} is the last one live: "
+                "its leaves would have no home"
+            )
+        self.topology.detach_node(superpeer)
         orphans = self.community.kill(superpeer)
         for other in self.community.live_superpeers():
             if self.merged:
@@ -520,10 +424,3 @@ class HierNetwork:
         if self.config.mode == "hybrid":
             self._build_directory()
         return placement
-
-    # -- introspection (tests) -------------------------------------------
-    def superpeer_of(self, leaf: int) -> int:
-        return self.community.superpeer_of(leaf)
-
-    def index_size(self, superpeer: int) -> int:
-        return self.community.index_size(superpeer)

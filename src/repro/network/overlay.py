@@ -8,10 +8,11 @@ a fresh identity — new library, new interests, and a reset policy table
 slot for its neighbors to re-learn.
 
 The overlay also keeps what the propagation kernel
-(:mod:`repro.network.engine`) would otherwise ask node by node: a holder
-index (which nodes share a file, patched when a peer churns) and, derived
-from the installed policies, which nodes forward to every neighbour and
-whether any node learns from replies.
+(:mod:`repro.network.engine`) would otherwise ask node by node: a
+:class:`~repro.network.holders.HolderIndex` (which nodes share a file,
+patched when a peer churns) and, derived from the installed policies,
+which nodes forward to every neighbour and whether any node learns from
+replies.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from repro.metrics.traffic import TrafficStats
 from repro.network.engine import QueryEngine
+from repro.network.holders import HolderIndex
 from repro.network.messages import Query
 from repro.network.node import PeerNode
 from repro.network.topology import (
@@ -53,9 +55,7 @@ class OverlayConfig:
     ttl: int = 7
     #: probability (per issued query) that one random peer churns.
     churn_rate: float = 0.0
-    #: build a mutable topology (required by rule-driven rewiring, §VI).
-    dynamic_topology: bool = False
-    #: degree cap enforced on rewiring (dynamic topology only).
+    #: degree cap enforced on rule-driven rewiring (§VI).
     max_degree: int | None = None
 
     def __post_init__(self) -> None:
@@ -88,12 +88,7 @@ class Overlay:
             self.topology = erdos_renyi(cfg.n_nodes, cfg.degree, rng=topo_rng)
         else:
             self.topology = barabasi_albert(cfg.n_nodes, max(1, cfg.degree // 2), rng=topo_rng)
-        if cfg.dynamic_topology:
-            from repro.network.dynamic import DynamicTopology
-
-            self.topology = DynamicTopology.from_topology(
-                self.topology, max_degree=cfg.max_degree
-            )
+        self.topology.max_degree = cfg.max_degree
 
         # (flooders, any learner) of the installed policies; None = rederive.
         self._policy_view: tuple[np.ndarray, bool] | None = None
@@ -105,21 +100,14 @@ class Overlay:
         self._nodes: list[PeerNode] = [
             self._fresh_peer(node_id) for node_id in range(cfg.n_nodes)
         ]
-        # Holder index: every (file, holder) pair as file_id * n_nodes +
-        # node_id, ascending, so a file's holders are a slice.  One buffer
-        # with room for full libraries, in the narrowest integer type that
-        # holds n_files * n_nodes, patched in place when a peer churns:
-        # megabyte-sized temporaries are what moves peak RSS.
-        self._holder_keys = np.empty(
-            cfg.n_nodes * cfg.library_size,
-            dtype=np.min_scalar_type(-self.catalog.n_files * cfg.n_nodes - 1),
+        # which nodes share a file; room for full libraries, since a
+        # churned-in peer may share more than the one it replaces
+        self._holder_index = HolderIndex(
+            cfg.n_nodes,
+            self.catalog.n_files,
+            ((peer.node_id, peer.library) for peer in self._nodes),
+            capacity=cfg.n_nodes * cfg.library_size,
         )
-        self._n_held = 0
-        for peer in self._nodes:
-            keys = self._library_keys(peer)
-            self._holder_keys[self._n_held : self._n_held + keys.size] = keys
-            self._n_held += keys.size
-        self._holder_keys[: self._n_held].sort()
         self.engine = QueryEngine(self)
         self._next_guid = 0
         # Churn decisions draw from their own stream so workloads stay
@@ -145,45 +133,9 @@ class Overlay:
             policy_changed=self._on_policy_change,
         )
 
-    def _library_keys(self, peer: PeerNode) -> np.ndarray:
-        """``peer``'s library as holder-index keys, ascending."""
-        keys = np.fromiter(
-            peer.library, dtype=self._holder_keys.dtype, count=len(peer.library)
-        )
-        keys *= self.n_nodes
-        keys += peer.node_id
-        keys.sort()
-        return keys
-
     def holders(self, file_id: int) -> np.ndarray:
         """Ids of the nodes whose library holds ``file_id``, ascending."""
-        held = self._holder_keys[: self._n_held]
-        if not 0 <= file_id < self.catalog.n_files:
-            return held[:0]
-        # bounds in the keys' own type: anything wider makes searchsorted
-        # convert the whole vector first
-        base = held.dtype.type(file_id * self.n_nodes)
-        lo, hi = held.searchsorted(np.array((base, base + self.n_nodes)))
-        return held[lo:hi] - base
-
-    def _reindex(self, gone: np.ndarray, arrived: np.ndarray) -> None:
-        """Take the keys ``gone`` out of the holder index and put
-        ``arrived`` in (both ascending), shifting the stretches between
-        them inside the buffer."""
-        keys, held = self._holder_keys, self._n_held
-        edges = [*keys[:held].searchsorted(gone).tolist(), held]
-        for i in range(gone.size):
-            # the stretch after the i-th removed key moves i + 1 down
-            lo, hi = edges[i] + 1, edges[i + 1]
-            keys[lo - i - 1 : hi - i - 1] = keys[lo:hi]
-        held -= gone.size
-        edges = [*keys[:held].searchsorted(arrived).tolist(), held]
-        for i in reversed(range(arrived.size)):
-            # the stretch after the i-th new key moves i + 1 up
-            lo, hi = edges[i], edges[i + 1]
-            keys[lo + i + 1 : hi + i + 1] = keys[lo:hi]
-            keys[lo + i] = arrived[i]
-        self._n_held = held + arrived.size
+        return self._holder_index.holders(file_id)
 
     def node(self, node_id: int) -> PeerNode:
         return self._nodes[node_id]
@@ -240,7 +192,10 @@ class Overlay:
         if old.policy is not None and hasattr(old.policy, "reset"):
             old.policy.reset()
         self._nodes[node_id] = fresh
-        self._reindex(self._library_keys(old), self._library_keys(fresh))
+        index = self._holder_index
+        index.replace(
+            index.pack(node_id, old.library), index.pack(node_id, fresh.library)
+        )
         return node_id
 
     # ------------------------------------------------------------------

@@ -6,9 +6,14 @@ index if possible, and is otherwise flooded among the super-peers — which
 "can still suffer from the effects of flooding on larger systems", the
 effect this baseline exists to show.
 
-This is a self-contained two-tier simulator (the flat overlay machinery
-does not fit a tiered design): super-peers form their own random-regular
-overlay; each leaf binds to one super-peer; indices are exact.
+Super-peers form their own random-regular overlay; each leaf binds to
+one super-peer; indices are exact (a
+:class:`~repro.network.hier.community.CommunityIndex`).  This substrate
+and the workload generator are what
+:class:`~repro.network.hier.HierNetwork` inherits.  The tier-2 flood here
+stays a per-message loop: ``HierNetwork`` floods through a memoised
+:meth:`QueryEngine.reach`, and the benchmark's self-check holds the two
+propagation paths to each other.
 """
 
 from __future__ import annotations
@@ -17,10 +22,12 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.metrics.traffic import QueryOutcome, TrafficStats
+from repro.network.hier.community import CommunityIndex
 from repro.network.topology import random_regular
 from repro.utils.rng import as_generator, spawn_child
 from repro.workload.content import ContentCatalog
 from repro.workload.interests import InterestModel
+from repro.workload.zipf import ZipfSampler
 
 __all__ = ["SuperPeerConfig", "SuperPeerNetwork"]
 
@@ -66,14 +73,10 @@ class SuperPeerNetwork:
         )
         self.catalog = ContentCatalog(cfg.n_categories, cfg.files_per_category)
         interests = InterestModel(cfg.n_categories)
-        # leaf id -> (superpeer, profile, library)
-        self._leaf_superpeer: list[int] = []
+        #: leaf -> home super-peer, and each super-peer's exact index.
+        self.community = CommunityIndex(cfg.n_superpeers)
         self._leaf_profile = []
         self._leaf_library: list[frozenset[int]] = []
-        # superpeer id -> file id -> list of leaf ids (the index).
-        self._index: list[dict[int, list[int]]] = [
-            {} for _ in range(cfg.n_superpeers)
-        ]
         for leaf in range(cfg.n_leaves):
             superpeer = leaf // cfg.leaves_per_superpeer
             profile = interests.sample_profile(
@@ -82,12 +85,9 @@ class SuperPeerNetwork:
             library = self.catalog.sample_library(
                 self._rng, profile, size=cfg.library_size
             )
-            self._leaf_superpeer.append(superpeer)
             self._leaf_profile.append(profile)
             self._leaf_library.append(library)
-            index = self._index[superpeer]
-            for file_id in library:
-                index.setdefault(file_id, []).append(leaf)
+            self.community.attach(leaf, superpeer, library)
         self._next_guid = 0
 
     # ------------------------------------------------------------------
@@ -97,9 +97,9 @@ class SuperPeerNetwork:
         self._next_guid += 1
         if file_id in self._leaf_library[leaf]:
             return QueryOutcome(self._next_guid, 0, 1, 0, 0)
-        home = self._leaf_superpeer[leaf]
+        home = self.community.superpeer_of(leaf)
         messages = 1  # leaf -> home super-peer
-        local = self._index[home].get(file_id, ())
+        local = self.community.lookup(home, file_id)
         if local:
             return QueryOutcome(self._next_guid, messages, len(local), 1, 0)
         # Tier-2 flood among super-peers.
@@ -122,7 +122,7 @@ class SuperPeerNetwork:
                     continue
                 parent[neighbor] = sp
                 depth[neighbor] = depth[sp] + 1
-                matches = self._index[neighbor].get(file_id, ())
+                matches = self.community.lookup(neighbor, file_id)
                 if matches:
                     hits += len(matches)
                     if first_hit_hops is None:
@@ -134,15 +134,13 @@ class SuperPeerNetwork:
         )
 
     def run_workload(self, n_queries: int, *, warmup: int = 0) -> TrafficStats:
-        """Issue interest-driven queries from random leaves.
+        """Issue interest-driven queries from random leaves (leaf uniform,
+        category from the leaf's profile, Zipf file rank).
 
         The first ``warmup`` queries run but are not recorded.  Flooding
-        has nothing to warm up, but learning tiers do — accepting the
-        parameter here keeps the rng draw sequence identical across
-        arms, so this baseline's TrafficStats are directly comparable
-        to :class:`~repro.network.hier.HierNetwork` at equal seeds
-        (same α/ρ accounting: nothing is rule-covered, so α is 0 by
-        construction).
+        has nothing to warm up, but the learning tiers that inherit this
+        generator do, and at equal seeds every arm draws the same
+        sequence (here nothing is rule-covered, so α is 0).
         """
         if n_queries < 0:
             raise ValueError("n_queries must be non-negative")
@@ -150,8 +148,6 @@ class SuperPeerNetwork:
             raise ValueError("warmup must be non-negative")
         cfg = self.config
         stats = TrafficStats()
-        from repro.workload.zipf import ZipfSampler
-
         rank_sampler = ZipfSampler(cfg.files_per_category, 1.0)
         for i in range(warmup + n_queries):
             leaf = int(self._rng.integers(0, cfg.n_leaves))
@@ -165,7 +161,7 @@ class SuperPeerNetwork:
 
     # -- introspection (tests) -------------------------------------------
     def superpeer_of(self, leaf: int) -> int:
-        return self._leaf_superpeer[leaf]
+        return self.community.superpeer_of(leaf)
 
     def index_size(self, superpeer: int) -> int:
-        return sum(len(v) for v in self._index[superpeer].values())
+        return self.community.index_size(superpeer)

@@ -1,4 +1,4 @@
-"""Overlay topology generation (from scratch).
+"""Overlay topology: one graph class and its generators (from scratch).
 
 Unstructured P2P measurement studies variously report near-random and
 power-law-ish overlays; we provide three generators so experiments can
@@ -9,8 +9,17 @@ check robustness to the topology class:
 * :func:`erdos_renyi` — G(n, p) with a connectivity repair pass;
 * :func:`barabasi_albert` — preferential attachment (power-law degrees).
 
-All generators return a :class:`Topology`: an immutable adjacency-list
-graph with simple (no self-loop, no multi-edge) undirected edges.
+All generators return a :class:`Topology`: an adjacency-list graph with
+simple (no self-loop, no multi-edge) undirected edges.  Most runs only
+read it; §VI's rule-driven rewiring, offline churn replay
+(:class:`repro.faults.churn.TopologyChurn`) and a super-peer kill edit it
+in place — ``add_edge`` / ``remove_edge`` / ``detach_node`` under an
+optional per-node degree budget (real peers have connection budgets).
+Every edit bumps :attr:`Topology.version`; the sorted neighbour tuples of
+the two endpoints are replaced on the spot and the CSR arrays the
+propagation kernel gathers from are rebuilt when older than the version,
+so a rewire between two queries (or from inside a reply hook) is what the
+next query floods over.
 """
 
 from __future__ import annotations
@@ -41,27 +50,39 @@ def csr_arrays(adjacency: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarr
 
 
 class Topology:
-    """Immutable undirected graph over nodes ``0..n-1``."""
+    """Undirected graph over nodes ``0..n-1``, editable edge by edge."""
 
-    def __init__(self, n_nodes: int, edges: Iterable[tuple[int, int]]) -> None:
+    def __init__(
+        self,
+        n_nodes: int,
+        edges: Iterable[tuple[int, int]],
+        *,
+        max_degree: int | None = None,
+    ) -> None:
         if n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
-        adj: list[set[int]] = [set() for _ in range(n_nodes)]
-        n_edges = 0
-        for u, v in edges:
-            if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if v not in adj[u]:
-                adj[u].add(v)
-                adj[v].add(u)
-                n_edges += 1
-        self._adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(neighbors)) for neighbors in adj
-        )
-        self.n_edges = n_edges
+        # node -> its neighbours, ascending; an edit replaces two tuples
+        self._adj: list[tuple[int, ...]] = [()] * n_nodes
+        self.n_edges = 0
+        #: bumped by every edge addition or removal.
+        self.version = 0
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        self._csr_version = -1
+        self.max_degree = max_degree
+        for u, v in edges:
+            self.add_edge(u, v)
+
+    @property
+    def max_degree(self) -> int | None:
+        """The rewiring budget: no edge is added at a node that already
+        has this many (``None``: no budget)."""
+        return self._max_degree
+
+    @max_degree.setter
+    def max_degree(self, cap: int | None) -> None:
+        if cap is not None and (cap < 1 or cap < max(self.degrees())):
+            raise ValueError(f"max_degree {cap} is below 1 or a node's degree")
+        self._max_degree = cap
 
     @property
     def n_nodes(self) -> int:
@@ -71,13 +92,15 @@ class Topology:
         return self._adj[node]
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The adjacency as :func:`csr_arrays`, neighbours ascending.
+        """The current adjacency as :func:`csr_arrays`, neighbours ascending.
 
-        Built on first use: the tiered simulators build topologies they
-        never propagate over with the array kernel.
+        Built on first use and again after an edit: the tiered simulators
+        build topologies whose baseline never propagates with the array
+        kernel.
         """
-        if self._csr is None:
+        if self._csr_version != self.version:
             self._csr = csr_arrays(self._adj)
+            self._csr_version = self.version
         return self._csr
 
     def degree(self, node: int) -> int:
@@ -96,6 +119,51 @@ class Topology:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
+
+    # -- mutation -----------------------------------------------------------
+    def can_add_edge(self, u: int, v: int) -> bool:
+        """Whether (u, v) is a new edge both endpoints have budget for."""
+        if u == v or self.has_edge(u, v):
+            return False
+        cap = self._max_degree
+        return cap is None or (len(self._adj[u]) < cap and len(self._adj[v]) < cap)
+
+    def add_edge(self, u: int, v: int) -> None:
+        if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
+            raise ValueError(f"edge ({u}, {v}) out of range")
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        if self.has_edge(u, v):
+            return
+        if not self.can_add_edge(u, v):
+            raise ValueError(f"degree cap {self._max_degree} forbids edge ({u}, {v})")
+        self._adj[u] = tuple(sorted((*self._adj[u], v)))
+        self._adj[v] = tuple(sorted((*self._adj[v], u)))
+        self.n_edges += 1
+        self.version += 1
+
+    def remove_edge(self, u: int, v: int) -> None:
+        if not self.has_edge(u, v):
+            raise ValueError(f"no edge ({u}, {v})")
+        self._adj[u] = tuple(w for w in self._adj[u] if w != v)
+        self._adj[v] = tuple(w for w in self._adj[v] if w != u)
+        self.n_edges -= 1
+        self.version += 1
+
+    def detach_node(self, node: int) -> list[tuple[int, int]]:
+        """Remove every edge incident to ``node``; returns them (u < v).
+
+        Peer departure: the churn driver
+        (:class:`repro.faults.churn.TopologyChurn`) restores the returned
+        edges on a rejoin, and a killed super-peer
+        (:meth:`repro.network.hier.HierNetwork.kill_superpeer`) stays
+        detached, so no flood or digest push reaches it.
+        """
+        removed = []
+        for neighbor in self._adj[node]:
+            self.remove_edge(node, neighbor)
+            removed.append((min(node, neighbor), max(node, neighbor)))
+        return removed
 
     # -- connectivity -------------------------------------------------------
     def component_of(self, start: int) -> set[int]:

@@ -75,14 +75,7 @@ class AssociationRoutingPolicy(RoutingPolicy):
             return attempt
         # §III-B: revert to flooding when rule routing finds nothing.
         self.fallback_count += 1
-        flood = engine.broadcast(query)
-        return QueryOutcome(
-            query_id=query.guid,
-            messages=attempt.messages + flood.messages,
-            hits=flood.hits,
-            first_hit_hops=flood.first_hit_hops,
-            duplicates=attempt.duplicates + flood.duplicates,
-        )
+        return engine.broadcast(query).on_top_of(attempt.messages, attempt.duplicates)
 
     # -- learning -----------------------------------------------------------
     def on_reply(self, *, node_id, upstream, downstream, query, provider) -> None:

@@ -29,28 +29,14 @@ class ExpandingRingPolicy(RoutingPolicy):
     select = RoutingPolicy.forward_to_all
 
     def route_query(self, engine: QueryEngine, query: Query) -> QueryOutcome:
-        total_messages = 0
-        total_duplicates = 0
         select = dispatch_select(self.overlay)
+        # no ring sent yet: nothing found, nothing charged
+        attempt = QueryOutcome(query.guid, 0, 0, None, 0)
         for ttl in self.schedule:
             ttl = min(ttl, query.ttl)
-            attempt = engine.broadcast(replace(query, ttl=ttl), select)
-            total_messages += attempt.messages
-            total_duplicates += attempt.duplicates
-            if attempt.hits:
-                return QueryOutcome(
-                    query_id=query.guid,
-                    messages=total_messages,
-                    hits=attempt.hits,
-                    first_hit_hops=attempt.first_hit_hops,
-                    duplicates=total_duplicates,
-                )
-            if ttl >= query.ttl:
+            attempt = engine.broadcast(replace(query, ttl=ttl), select).on_top_of(
+                attempt.messages, attempt.duplicates
+            )
+            if attempt.hits or ttl >= query.ttl:
                 break
-        return QueryOutcome(
-            query_id=query.guid,
-            messages=total_messages,
-            hits=0,
-            first_hit_hops=None,
-            duplicates=total_duplicates,
-        )
+        return attempt

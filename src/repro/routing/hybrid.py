@@ -53,38 +53,17 @@ class HybridShortcutAssociationPolicy(AssociationRoutingPolicy):
 
     def route_query(self, engine: QueryEngine, query: Query) -> QueryOutcome:
         # Stage 1: shortcut probes.
-        shortcuts = list(reversed(self._shortcuts._shortcuts))
-        probe_messages = 0
-        if shortcuts:
-            hits, probe_messages = engine.probe(query, shortcuts)
-            if hits:
-                self._shortcuts._touch(hits[0])
-                return QueryOutcome(
-                    query_id=query.guid,
-                    messages=probe_messages,
-                    hits=len(hits),
-                    first_hit_hops=1,
-                    duplicates=0,
-                )
+        probe = self._shortcuts.probe_shortcuts(engine, query)
+        if probe.hits:
+            return probe
         # Stage 2: rule-based attempt (per-node rules, per-node fallback).
-        attempt = engine.broadcast(query, dispatch_select(self.overlay))
-        if attempt.hits:
-            return QueryOutcome(
-                query_id=query.guid,
-                messages=attempt.messages + probe_messages,
-                hits=attempt.hits,
-                first_hit_hops=attempt.first_hit_hops,
-                duplicates=attempt.duplicates,
-            )
-        # Stage 3: last-resort flood.
-        flood = engine.broadcast(query)
-        return QueryOutcome(
-            query_id=query.guid,
-            messages=probe_messages + attempt.messages + flood.messages,
-            hits=flood.hits,
-            first_hit_hops=flood.first_hit_hops,
-            duplicates=attempt.duplicates + flood.duplicates,
+        attempt = engine.broadcast(query, dispatch_select(self.overlay)).on_top_of(
+            probe.messages
         )
+        if attempt.hits:
+            return attempt
+        # Stage 3: last-resort flood.
+        return engine.broadcast(query).on_top_of(attempt.messages, attempt.duplicates)
 
     # -- learning: feed both structures -----------------------------------
     def on_reply(self, *, node_id, upstream, downstream, query, provider) -> None:

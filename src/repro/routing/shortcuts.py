@@ -38,30 +38,23 @@ class InterestShortcutsPolicy(RoutingPolicy):
     select = RoutingPolicy.forward_to_all
 
     # -- origin driver ----------------------------------------------------
-    def route_query(self, engine: QueryEngine, query: Query) -> QueryOutcome:
+    def probe_shortcuts(self, engine: QueryEngine, query: Query) -> QueryOutcome:
+        """Ask every shortcut directly, one message each: the first rung
+        of this policy's ladder and of the hybrid's."""
         # Most-recently-successful shortcuts are probed first; shortcuts
         # pointing at churned peers are still probed and simply miss.
         shortcuts = list(reversed(self._shortcuts))
-        probe_messages = 0
-        if shortcuts:
-            hits, probe_messages = engine.probe(query, shortcuts)
-            if hits:
-                self._touch(hits[0])
-                return QueryOutcome(
-                    query_id=query.guid,
-                    messages=probe_messages,
-                    hits=len(hits),
-                    first_hit_hops=1,
-                    duplicates=0,
-                )
+        hits, messages = engine.probe(query, shortcuts) if shortcuts else ([], 0)
+        if hits:
+            self._touch(hits[0])
+        return QueryOutcome(query.guid, messages, len(hits), 1 if hits else None, 0)
+
+    def route_query(self, engine: QueryEngine, query: Query) -> QueryOutcome:
+        probe = self.probe_shortcuts(engine, query)
+        if probe.hits:
+            return probe
         flood = engine.broadcast(query, dispatch_select(self.overlay))
-        return QueryOutcome(
-            query_id=query.guid,
-            messages=flood.messages + probe_messages,
-            hits=flood.hits,
-            first_hit_hops=flood.first_hit_hops,
-            duplicates=flood.duplicates,
-        )
+        return flood.on_top_of(probe.messages)
 
     # -- learning ---------------------------------------------------------
     def on_reply(self, *, node_id, upstream, downstream, query, provider) -> None:

@@ -12,8 +12,8 @@ that handshake: periodically, the node looks at its own strongest rule
 consequent ``v``, asks ``v``'s policy where *it* would forward queries
 arriving from this node (``v``'s rule consequent ``w`` for antecedent =
 this node), and — if the degree budget allows — connects directly to
-``w``.  Requires the overlay to use a
-:class:`~repro.network.dynamic.DynamicTopology`.
+``w`` (``OverlayConfig.max_degree``, enforced by
+:meth:`Topology.can_add_edge <repro.network.topology.Topology.can_add_edge>`).
 """
 
 from __future__ import annotations
@@ -75,8 +75,6 @@ class TopologyAdaptingPolicy(AssociationRoutingPolicy):
         becomes a new direct link.
         """
         topology = self.overlay.topology
-        if not hasattr(topology, "can_add_edge"):
-            return  # immutable overlay: adaptation is a no-op
         candidates: list[int] = []
         for v in topology.neighbors(self.node_id):
             v_policy = self.overlay.node(v).policy
@@ -87,8 +85,7 @@ class TopologyAdaptingPolicy(AssociationRoutingPolicy):
             if onward:
                 candidates.append(onward[0])
         for w in candidates:
-            if w == self.node_id or topology.has_edge(self.node_id, w):
-                continue
+            # a third party, not yet a neighbour, with budget on both sides
             if topology.can_add_edge(self.node_id, w):
                 topology.add_edge(self.node_id, w)
                 self.links_added += 1

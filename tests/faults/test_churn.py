@@ -2,7 +2,6 @@
 
 from repro.faults.churn import TopologyChurn
 from repro.faults.plan import CRASH, HEAL, PARTITION, RESTART, FaultEvent, FaultPlan
-from repro.network.dynamic import DynamicTopology
 from repro.network.topology import Topology
 
 
@@ -83,7 +82,8 @@ class TestTopologyChurn:
         assert "final-restart" in kinds and "final-heal" in kinds
 
     def test_degree_cap_can_refuse_a_rejoin(self):
-        topology = DynamicTopology.from_topology(ring4(), max_degree=2)
+        topology = ring4()
+        topology.max_degree = 2
         plan = FaultPlan(
             events=(
                 FaultEvent(time=1.0, kind=CRASH, node=1),

@@ -18,6 +18,15 @@ class TestQueryOutcome:
         assert outcome(hits=1).succeeded
         assert not outcome(hits=0).succeeded
 
+    def test_on_top_of_adds_cost_and_keeps_the_result(self):
+        flood = QueryOutcome(7, 40, 3, 2, 9, rule_covered=True)
+        charged = flood.on_top_of(5, 2)
+        assert charged == QueryOutcome(7, 45, 3, 2, 11, rule_covered=True)
+        assert flood.on_top_of(5) == QueryOutcome(7, 45, 3, 2, 9, rule_covered=True)
+        miss = QueryOutcome(7, 4, 0, None, 1).on_top_of(6, 1)
+        assert (miss.messages, miss.duplicates, miss.first_hit_hops) == (10, 2, None)
+        assert flood.messages == 40  # frozen: a new outcome each time
+
 
 class TestTrafficStats:
     def test_empty(self):

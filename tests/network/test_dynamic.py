@@ -1,8 +1,7 @@
-"""Tests for repro.network.dynamic."""
+"""Tests for the edit half of repro.network.topology.Topology."""
 
 import pytest
 
-from repro.network.dynamic import DynamicTopology
 from repro.network.engine import QueryEngine
 from repro.network.messages import Query
 from repro.network.topology import Topology
@@ -10,7 +9,7 @@ from tests.network.test_engine import RecordingPolicy, StubOverlay
 
 
 def make_line(n=4, max_degree=None):
-    return DynamicTopology(n, [(i, i + 1) for i in range(n - 1)], max_degree=max_degree)
+    return Topology(n, [(i, i + 1) for i in range(n - 1)], max_degree=max_degree)
 
 
 class TestReadInterface:
@@ -24,11 +23,11 @@ class TestReadInterface:
 
     def test_from_topology(self):
         topo = Topology(4, [(0, 1), (1, 2), (2, 3)])
-        dyn = DynamicTopology.from_topology(topo, max_degree=5)
+        dyn = Topology(topo.n_nodes, topo.edges(), max_degree=5)
         assert dyn.edges() == topo.edges()
 
     def test_component_of(self):
-        dyn = DynamicTopology(4, [(0, 1), (2, 3)])
+        dyn = Topology(4, [(0, 1), (2, 3)])
         assert dyn.component_of(0) == {0, 1}
 
 
@@ -77,9 +76,19 @@ class TestMutation:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DynamicTopology(0, [])
+            Topology(0, [])
         with pytest.raises(ValueError):
-            DynamicTopology(3, [], max_degree=0)
+            Topology(3, [], max_degree=0)
+
+    def test_budget_below_a_nodes_degree_is_rejected(self):
+        with pytest.raises(ValueError):
+            make_line(max_degree=1)  # the inner nodes need two
+        line = make_line()
+        with pytest.raises(ValueError):
+            line.max_degree = 1
+        assert line.max_degree is None
+        line.max_degree = 2
+        assert not line.can_add_edge(1, 3) and line.can_add_edge(0, 3)
 
 
 class TestDerivedViews:

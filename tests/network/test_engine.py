@@ -47,6 +47,20 @@ def line_overlay(n, holder):
     return StubOverlay(topo, {holder: {5}})
 
 
+class TestReach:
+    def test_line_reach_in_discovery_order(self):
+        engine = QueryEngine(line_overlay(5, holder=3))
+        reach = engine.reach(1, 2)
+        assert reach.order.tolist() == [0, 2, 3]
+        assert reach.depth.tolist() == [1, 1, 2]
+        assert (reach.messages, reach.duplicates) == (3, 0)
+        assert engine.ids(reach.order) == [0, 2, 3]
+
+    def test_ttl_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            QueryEngine(line_overlay(3, holder=0)).reach(0, 0)
+
+
 class TestBroadcast:
     def test_local_hit_costs_nothing(self):
         overlay = line_overlay(3, holder=0)

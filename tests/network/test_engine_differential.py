@@ -133,6 +133,49 @@ def test_kernel_matches_dict_loop(setup, ttl, kind, salt, data):
     assert len(providers_in_order(log)) == (out.hits if out.messages else 0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    random_overlays(),
+    st.integers(1, 6),
+    st.sampled_from(["no callback", "subset", "mix"]),
+    st.integers(0, 2**16),
+    st.data(),
+)
+def test_reach_and_holders_are_the_dict_loops_broadcast(setup, ttl, kind, salt, data):
+    """``reach`` knows no file: what it returns, cut down to the holders,
+    is everything the dict loop finds out message by message."""
+    overlay, origin, _ttl, holders = setup
+    holders = holders - {origin}  # the oracle stops at a local hit
+    overlay.node(origin).library = frozenset()
+    query = Query(guid=3, origin=origin, file_id=5, category=0, ttl=ttl)
+    flooders = None
+    if kind == "mix":
+        flooders = np.array(
+            data.draw(st.lists(st.booleans(), min_size=overlay.n_nodes, max_size=overlay.n_nodes))
+        )
+
+    def make_select():
+        return None if kind == "no callback" else SubsetSelect(overlay, salt, flooders)
+
+    oracle = ReferenceEngine(overlay)
+    expected = oracle.broadcast(query, make_select(), feedback=False)
+    engine = QueryEngine(overlay)
+    reach = engine.reach(origin, ttl, make_select(), query)
+
+    assert [origin, *reach.order.tolist()] == list(oracle.last_parent)
+    assert (reach.messages, reach.duplicates) == (expected.messages, expected.duplicates)
+    hops = {origin: 0}
+    for node, upstream in oracle.last_parent.items():
+        if upstream is not None:
+            hops[node] = hops[upstream] + 1
+            assert engine._parent[node] == upstream
+    assert reach.depth.tolist() == [hops[node] for node in reach.order.tolist()]
+    found = [at for at, node in enumerate(reach.order.tolist()) if node in holders]
+    assert [int(reach.order[at]) for at in found] == oracle.last_providers
+    assert len(found) == expected.hits
+    assert (int(reach.depth[found[0]]) if found else None) == expected.first_hit_hops
+
+
 @settings(max_examples=40, deadline=None)
 @given(random_overlays(), st.integers(0, 2**16), st.data())
 def test_marked_flooders_are_not_asked(setup, salt, data):
@@ -222,7 +265,6 @@ def test_workloads_match_on_twin_overlays(topology, churn_rate, policy):
         library_size=12,
         ttl=5,
         churn_rate=churn_rate,
-        dynamic_topology=dynamic,
         max_degree=40 if dynamic else None,
     )
     twins = [Overlay(config, seed=21), Overlay(config, seed=21)]

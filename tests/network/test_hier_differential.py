@@ -2,20 +2,25 @@
 
 ``reference_hier.ReferenceHierNetwork`` floods message by message and
 walks the keyspace hop by hop, reading liveness on every call.
-``HierNetwork`` reads a reach plan per home, a walk memo per (super-peer,
-category) and the community holder index, all of which a kill must
-invalidate.  Both must agree on everything an experiment can observe:
+``HierNetwork`` reads a memoised kernel reach per home, a walk memo per
+(super-peer, category) and the community holder index, all of which a kill
+— a ``topology.detach_node`` — must invalidate.  Both must agree on everything an experiment can observe:
 every :class:`QueryOutcome` field, the control traffic, the re-attachment
 map of every kill, the directory, and — since the learned state is a
 function of the order of the ``observe`` calls — every rule table's
 ``state()`` and every merged digest table's fingerprint.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.network.engine import QueryEngine
 from repro.network.hier import HIER_MODES, CommunityIndex, HierConfig, HierNetwork
+from repro.network.superpeer import SuperPeerConfig, SuperPeerNetwork
 from repro.workload.zipf import ZipfSampler
 from tests.network.reference_hier import ReferenceHierNetwork
 
@@ -90,6 +95,22 @@ def learned_state(net: HierNetwork) -> dict:
     }
 
 
+def assert_kept_reaches_are_fresh(net: HierNetwork, dead: list[int]) -> None:
+    """Every dead super-peer is edgeless, and every reach the network
+    kept is what a new engine computes on the graph as it is now."""
+    for superpeer in dead:
+        assert net.topology.neighbors(superpeer) == ()
+    fresh = QueryEngine(net)
+    for home, (reach, position) in net._reaches.items():
+        again = fresh.reach(home, net.config.superpeer_ttl)
+        assert reach.order.tolist() == again.order.tolist()
+        assert reach.depth.tolist() == again.depth.tolist()
+        assert (reach.messages, reach.duplicates) == (again.messages, again.duplicates)
+        assert not set(reach.order.tolist()) & set(dead)
+        assert np.flatnonzero(position >= 0).tolist() == sorted(reach.order.tolist())
+        assert position[reach.order].tolist() == list(range(reach.order.size))
+
+
 @settings(max_examples=60, deadline=None)
 @given(config=hier_configs(), seed=st.integers(0, 2**16), data=st.data())
 def test_plans_agree_with_the_per_message_loops(config, seed, data):
@@ -108,6 +129,7 @@ def test_plans_agree_with_the_per_message_loops(config, seed, data):
             file_id = category * config.files_per_category + ranks.sample(rng)
             last_home = fast.superpeer_of(leaf)
             assert fast.query(leaf, file_id) == slow.query(leaf, file_id)
+        assert_kept_reaches_are_fresh(fast, dead)
         if len(fast.community.live_superpeers()) <= 4:
             continue
         kind = data.draw(st.sampled_from(KILL_KINDS), label="kill")
@@ -116,6 +138,7 @@ def test_plans_agree_with_the_per_message_loops(config, seed, data):
         assert placement == slow.kill_superpeer(target)
         assert bool(placement) == (target not in dead)
         dead.append(target)
+        assert_kept_reaches_are_fresh(fast, dead)
     assert learned_state(fast) == learned_state(slow)
 
 
@@ -140,7 +163,9 @@ def test_whole_workloads_agree_under_kills(mode):
         target = kill_target(fast, kind, fast.superpeer_of(3), dead, rng)
         assert fast.kill_superpeer(target) == slow.kill_superpeer(target)
         dead.append(target)
+        assert_kept_reaches_are_fresh(fast, dead)
     assert stats_counts(fast.run_workload(300)) == stats_counts(slow.run_workload(300))
+    assert_kept_reaches_are_fresh(fast, dead)
     assert learned_state(fast) == learned_state(slow)
 
 
@@ -163,6 +188,8 @@ def test_a_kill_inside_a_plan_changes_the_next_flood():
 
     victim = fast.topology.neighbors(home)[0]
     assert fast.kill_superpeer(victim) == slow.kill_superpeer(victim)
+    assert fast.topology.neighbors(victim) == ()
+    assert victim not in fast.topology.neighbors(home)
     after = fast.query(leaf, nobody_has)
     assert after == slow.query(leaf, nobody_has)
     assert after.messages < before.messages
@@ -271,3 +298,26 @@ def test_golden_hybrid_counts_with_two_kills():
         ([1000, 974, 13104, 1937, 1235, 209, 111], 5554),
         ([1000, 971, 13215, 1795, 1201, 253, 115], 8120),
     ]
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_two_tier.json").read_text())
+
+
+def test_golden_baseline_counts():
+    """``SuperPeerNetwork`` as recorded at the parent commit (a1d2e2e),
+    before it shared a graph class and an index with anything."""
+    net = SuperPeerNetwork(SuperPeerConfig(**GOLDEN["substrate"]), seed=GOLDEN["seed"])
+    assert stats_counts(net.run_workload(4000, warmup=1000)) == GOLDEN["superpeer"]
+
+
+@pytest.mark.parametrize("mode", HIER_MODES)
+def test_golden_counts_around_two_kills(mode):
+    """``HierNetwork`` on the same substrate, recorded at the parent
+    commit from its own BFS plans: 2,000 queries after 1,000 of warm-up,
+    super-peers 7 and 31 killed, 2,000 more."""
+    net = HierNetwork(HierConfig(mode=mode, **GOLDEN["substrate"]), seed=GOLDEN["seed"])
+    seen = [stats_counts(net.run_workload(2000, warmup=1000)), net.control_messages]
+    net.kill_superpeer(7)
+    net.kill_superpeer(31)
+    seen += [stats_counts(net.run_workload(2000)), net.control_messages]
+    assert seen == GOLDEN[mode]

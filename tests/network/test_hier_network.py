@@ -165,3 +165,38 @@ class TestChurn:
         net = HierNetwork(HierConfig(mode="superpeer-rules", **SMALL), seed=2)
         assert net.kill_superpeer(3)
         assert net.kill_superpeer(3) == {}
+
+    def test_killing_the_last_live_superpeer_is_refused_whole(self):
+        """Six super-peers, five killed: the sixth has nowhere to send
+        its leaves, so the kill must fail before anything changes."""
+        cfg = HierConfig(
+            mode="hybrid", digest_every=2, **{**SMALL, "n_superpeers": 6}
+        )
+        net = HierNetwork(cfg, seed=3)
+        net.run_workload(150, warmup=150)
+        for victim in range(5):
+            assert net.kill_superpeer(victim)
+        net.run_workload(50)  # refills the route memo the refusal must keep
+
+        def state():
+            return (
+                net.topology.version,
+                net.topology.edges(),
+                net.community.live_superpeers(),
+                [net.superpeer_of(leaf) for leaf in range(cfg.n_leaves)],
+                net.index_size(5),
+                [sorted(table._known) for table in net.kbuckets],
+                [table.fingerprint() for table in net.merged],
+                sorted(net._reaches),
+                net._walk_steward.tolist(),
+                net.directory,
+                net.control_messages,
+            )
+
+        before = state()
+        with pytest.raises(ValueError, match="last"):
+            net.kill_superpeer(5)
+        assert state() == before
+        assert before[2] == [5] and before[7] == [5]
+        stats = net.run_workload(100)
+        assert stats.success_rate > 0.5

@@ -1,5 +1,7 @@
 """Tests for the §VI extension policies (hybrid, topology adaptation)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.network.overlay import Overlay, OverlayConfig
@@ -15,7 +17,6 @@ SMALL_DYNAMIC = OverlayConfig(
     n_categories=6,
     files_per_category=40,
     library_size=25,
-    dynamic_topology=True,
     max_degree=7,
 )
 
@@ -61,7 +62,9 @@ class TestHybridPolicy:
 
 class TestTopologyAdaptingPolicy:
     def test_noop_on_immutable_topology(self):
-        overlay = Overlay(SMALL, seed=4)
+        # every node of the 4-regular graph has spent its budget
+        overlay = Overlay(replace(SMALL, max_degree=SMALL.degree), seed=4)
+        edges = overlay.topology.edges()
         overlay.install_policies(
             lambda nid, ov: TopologyAdaptingPolicy(nid, ov, adapt_every=1)
         )
@@ -69,7 +72,8 @@ class TestTopologyAdaptingPolicy:
         total_links = sum(
             overlay.node(n).policy.links_added for n in range(overlay.n_nodes)
         )
-        assert total_links == 0  # immutable topology: adaptation no-ops
+        assert total_links == 0
+        assert overlay.topology.edges() == edges
 
     def test_adds_links_on_dynamic_topology(self):
         overlay = Overlay(SMALL_DYNAMIC, seed=5)
