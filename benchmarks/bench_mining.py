@@ -114,8 +114,8 @@ def test_ruleset_cache_hit_throughput(benchmark, trace_block):
 # Serial-vs-parallel replay gate (``python -m benchmarks.bench_mining``)
 # --------------------------------------------------------------------------
 
-# Every registered experiment that consumes the generated monitor trace —
-# the suite the engine's shared trace store and ruleset cache accelerate.
+# Every registered experiment that replays the cached monitor trace —
+# the suite the engine's pool and ruleset cache accelerate.
 _GATE_IDS = (
     "static",
     "fig1",
@@ -132,7 +132,7 @@ _QUICK_IDS = ("fig1", "fig3", "topk-ablation")
 
 
 def _serial_baseline(ids, seed):
-    """Plain run_experiment loop: no provider, no ruleset cache."""
+    """Plain run_experiment loop: no pool, no ruleset cache."""
     from repro.experiments import run_experiment
 
     results = {}
@@ -181,8 +181,7 @@ def main(argv=None) -> int:
     parallel_seconds = perf_counter() - t0
     print(
         f"  {parallel_seconds:.2f}s "
-        f"({run.shared_traces} shared trace(s), "
-        f"cache hit rate {run.cache.get('hit_rate', 0.0):.1%})"
+        f"(cache hit rate {run.cache.get('hit_rate', 0.0):.1%})"
     )
 
     mismatches = [
@@ -211,7 +210,6 @@ def main(argv=None) -> int:
             "min_speedup": args.min_speedup,
             "payloads_identical": not mismatches,
             "mismatched_experiments": mismatches,
-            "shared_traces": run.shared_traces,
             "ruleset_cache": run.cache,
             "topk_ablation_cache": ablation_cache,
         },

@@ -14,7 +14,8 @@ Commands
     write a machine-readable ``BENCH_bench_all.json`` (see
     ``docs/performance.md``).
 ``trace``
-    Print the descriptive profile of a freshly generated trace prefix.
+    Print the descriptive profile of a generated trace (from the trace
+    cache) or of an on-disk trace store.
 ``hier``
     Compare the two-tier routing arms (flood vs per-node rules vs
     super-peer rules vs hybrid) on one seeded workload and print
@@ -97,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     workers_help = (
         "run through the parallel experiment engine: N>1 fans out over a "
-        "process pool with shared-memory trace blocks, N=1 runs in-process "
-        "with the trace memo and ruleset cache (default: plain serial)"
+        "process pool, N=1 runs in-process; both with the ruleset cache "
+        "(default: plain serial)"
     )
     sub.add_parser("list", help="list registered experiments")
     run = sub.add_parser("run", help="run one or more experiments")
@@ -158,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         metavar="PATH",
         default=None,
-        help="profile blocks streamed from an on-disk trace store instead "
-        "of generating a fresh trace",
+        help="profile blocks streamed from this on-disk trace store instead "
+        "of the generated trace's cache file",
     )
 
     tracegen = sub.add_parser(
@@ -1168,7 +1169,6 @@ def main(argv: list[str] | None = None) -> int:
                 extra={
                     "workers": engine_run.workers,
                     "seconds": round(engine_run.seconds, 2),
-                    "shared_traces": engine_run.shared_traces,
                     "cache_hit_rate": round(
                         engine_run.cache.get("hit_rate", 0.0), 3
                     ),
@@ -1260,18 +1260,14 @@ def main(argv: list[str] | None = None) -> int:
             )
         cache = dict(engine_run.cache)
         print(
-            f"total: {engine_run.seconds:.2f}s wall "
-            f"({engine_run.prewarm_seconds:.2f}s trace prewarm), "
+            f"total: {engine_run.seconds:.2f}s wall, "
             f"{engine_run.workers} worker(s), "
-            f"{engine_run.shared_traces} shared trace(s), "
             f"ruleset cache hit rate {cache.get('hit_rate', 0.0):.1%}"
         )
         payload = {
             "name": "bench_all",
             "workers": engine_run.workers,
             "wall_seconds": engine_run.seconds,
-            "prewarm_seconds": engine_run.prewarm_seconds,
-            "shared_traces": engine_run.shared_traces,
             "ruleset_cache": cache,
             "experiments": rows,
         }
@@ -1363,7 +1359,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "trace":
         from repro.trace.analysis import coverage_ceiling, profile_block, source_turnover
-        from repro.trace.blocks import blocks_from_arrays
 
         def _turnover_report(blocks) -> None:
             for lag in range(1, min(len(blocks), 4)):
@@ -1395,15 +1390,11 @@ def main(argv: list[str] | None = None) -> int:
                         break
                 _turnover_report(blocks)
         else:
-            from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator
+            from repro.experiments.figures import BLOCK_SIZE
+            from repro.trace.cache import trace_blocks
 
-            config = MonitorTraceConfig()
             seed = args.seed if args.seed is not None else 20060814
-            generator = MonitorTraceGenerator(config, seed=seed)
-            arrays = generator.generate_pair_arrays(args.blocks * config.block_size)
-            blocks = blocks_from_arrays(
-                arrays.source, arrays.replier, block_size=config.block_size
-            )
+            blocks = trace_blocks(args.blocks * BLOCK_SIZE, seed=seed)
             for block in blocks:
                 print(f"block {block.index}: {profile_block(block)}")
             _turnover_report(blocks)

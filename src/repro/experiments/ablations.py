@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from repro.core.strategies import SlidingWindow
 from repro.experiments.config import DEFAULT_SEED, current_scale
-from repro.experiments.figures import generate_trace_blocks
+from repro.experiments.figures import BLOCK_SIZE
 from repro.experiments.results import ExperimentResult
 from repro.metrics.report import ComparisonRow
 from repro.network.overlay import Overlay, OverlayConfig
 from repro.routing.association import AssociationRoutingPolicy
+from repro.trace.cache import trace_blocks
 
 __all__ = ["run_topk_ablation", "run_churn_sensitivity"]
 
@@ -38,7 +39,7 @@ def run_topk_ablation(
     from repro.utils.rng import as_generator
 
     scale = current_scale()
-    blocks = generate_trace_blocks(scale.n_blocks, seed=seed)
+    blocks = trace_blocks(scale.n_blocks * BLOCK_SIZE, seed=seed)
     successes = {}
     coverages = {}
     rows = []

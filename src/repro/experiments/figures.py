@@ -9,9 +9,6 @@ bit-exact numbers — our substrate is a synthetic trace).
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
 from repro.core.strategies import (
@@ -25,11 +22,10 @@ from repro.experiments.config import DEFAULT_SEED, current_scale
 from repro.experiments.results import ExperimentResult
 from repro.metrics.report import ComparisonRow
 from repro.metrics.series import sawtooth_depth
-from repro.trace.blocks import blocks_from_arrays
+from repro.trace.cache import trace_blocks
 from repro.workload.tracegen import MonitorTraceConfig
 
 __all__ = [
-    "generate_trace_blocks",
     "run_static",
     "run_fig1_sliding",
     "run_fig2_block_sizes",
@@ -42,54 +38,8 @@ __all__ = [
 ]
 
 
-def generate_trace_blocks(
-    n_blocks: int,
-    *,
-    seed: int = DEFAULT_SEED,
-    config: MonitorTraceConfig | None = None,
-):
-    """``n_blocks`` blocks of the calibrated synthetic trace.
-
-    Resolution order, every tier bit-identical to the next:
-
-    1. an installed trace provider (in-process memo or shared-memory
-       view — see :mod:`repro.parallel.provider`), when the experiment
-       engine has set one up;
-    2. the on-disk trace-store cache
-       (:func:`repro.trace.cache.store_backed_blocks`): the first run
-       writes the trace as a columnar store, every later run — across
-       processes — streams zero-copy memmap blocks back instead of
-       regenerating.  ``REPRO_TRACE_CACHE_DIR`` moves the cache;
-       ``REPRO_TRACE_STORE_CACHE=0`` disables this tier;
-    3. direct generation (also the fallback if the cache directory is
-       unusable).
-    """
-    from repro.parallel.provider import current_trace_provider, provide_pair_columns
-
-    cfg = config or MonitorTraceConfig()
-    n_pairs = n_blocks * cfg.block_size
-    if current_trace_provider() is None and _store_cache_enabled():
-        from repro.trace.cache import store_backed_blocks
-        from repro.trace.store import TraceStoreError
-
-        try:
-            return store_backed_blocks(n_pairs, config=cfg, seed=seed)
-        except (OSError, TraceStoreError) as exc:
-            warnings.warn(
-                f"trace-store cache unusable ({exc}); generating in memory",
-                stacklevel=2,
-            )
-    sources, repliers = provide_pair_columns(cfg, seed, n_pairs)
-    return blocks_from_arrays(sources, repliers, block_size=cfg.block_size)
-
-
-def _store_cache_enabled() -> bool:
-    return os.environ.get("REPRO_TRACE_STORE_CACHE", "1").strip().lower() not in (
-        "0",
-        "off",
-        "no",
-        "false",
-    )
+#: pairs per block of the calibrated trace every runner replays.
+BLOCK_SIZE = MonitorTraceConfig().block_size
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +48,7 @@ def _store_cache_enabled() -> bool:
 def run_static(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
     """§V-A: Static Ruleset degrades and never recovers."""
     scale = current_scale()
-    blocks = generate_trace_blocks(scale.n_blocks_static, seed=seed)
+    blocks = trace_blocks(scale.n_blocks_static * BLOCK_SIZE, seed=seed)
     run = StaticRuleset().run(blocks)
     succ = run.success_series
     cov = run.coverage_series
@@ -145,7 +95,7 @@ def run_static(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
 def run_fig1_sliding(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
     """Fig. 1: coverage and success of Sliding Window over time."""
     scale = current_scale()
-    blocks = generate_trace_blocks(scale.n_blocks, seed=seed)
+    blocks = trace_blocks(scale.n_blocks * BLOCK_SIZE, seed=seed)
     run = SlidingWindow().run(blocks)
     rows = [
         ComparisonRow(
@@ -176,16 +126,14 @@ def run_fig2_block_sizes(
     *, seed: int = DEFAULT_SEED, block_sizes: tuple[int, ...] = (5_000, 10_000, 20_000, 50_000)
 ) -> ExperimentResult:
     """Fig. 2: Sliding Window coverage is similar across block sizes."""
-    from repro.parallel.provider import provide_pair_columns
-
     scale = current_scale()
-    cfg = MonitorTraceConfig()
-    sources, repliers = provide_pair_columns(cfg, seed, scale.n_pairs_blocksweep)
     rows = []
     series: dict[str, list[float]] = {}
     coverages = {}
     for block_size in block_sizes:
-        blocks = blocks_from_arrays(sources, repliers, block_size=block_size)
+        blocks = trace_blocks(
+            scale.n_pairs_blocksweep, seed=seed, block_size=block_size
+        )
         if len(blocks) < 2:
             continue
         run = SlidingWindow().run(blocks)
@@ -223,7 +171,7 @@ def run_fig2_block_sizes(
 def run_fig3_lazy(*, seed: int = DEFAULT_SEED, laziness: int = 10) -> ExperimentResult:
     """Fig. 3: Lazy Sliding Window sawtooth; averages ≈ 0.59."""
     scale = current_scale()
-    blocks = generate_trace_blocks(scale.n_blocks, seed=seed)
+    blocks = trace_blocks(scale.n_blocks * BLOCK_SIZE, seed=seed)
     run = LazySlidingWindow(laziness=laziness).run(blocks)
     depth = sawtooth_depth(run.success_series, laziness)
     rows = [
@@ -263,7 +211,7 @@ def run_fig4_adaptive(
 ) -> ExperimentResult:
     """Fig. 4: Adaptive Sliding Window with rolling thresholds, N=10."""
     scale = current_scale()
-    blocks = generate_trace_blocks(scale.n_blocks, seed=seed)
+    blocks = trace_blocks(scale.n_blocks * BLOCK_SIZE, seed=seed)
     run = AdaptiveSlidingWindow(history=history, initial_threshold=0.7).run(blocks)
     rows = [
         ComparisonRow(
@@ -300,7 +248,7 @@ def run_fig4_adaptive(
 def run_adaptive_history(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
     """§V-D: larger threshold history regenerates less often, same quality."""
     scale = current_scale()
-    blocks = generate_trace_blocks(scale.n_blocks, seed=seed)
+    blocks = trace_blocks(scale.n_blocks * BLOCK_SIZE, seed=seed)
     run10 = AdaptiveSlidingWindow(history=10, initial_threshold=0.7).run(blocks)
     run50 = AdaptiveSlidingWindow(history=50, initial_threshold=0.7).run(blocks)
     rows = [
@@ -366,7 +314,7 @@ def run_streaming(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
     Window, which beats everything else — is asserted exactly.
     """
     scale = current_scale()
-    blocks = generate_trace_blocks(scale.n_blocks, seed=seed)
+    blocks = trace_blocks(scale.n_blocks * BLOCK_SIZE, seed=seed)
     streaming = StreamingRules(min_support_count=5).run(blocks)
     sliding = SlidingWindow().run(blocks)
     rows = [
@@ -420,7 +368,7 @@ def run_prune_ablation(
     needed" — i.e. coverage degrades gracefully as the threshold rises.
     """
     scale = current_scale()
-    blocks = generate_trace_blocks(scale.n_blocks, seed=seed)
+    blocks = trace_blocks(scale.n_blocks * BLOCK_SIZE, seed=seed)
     rows = []
     series = {}
     coverages = {}
@@ -482,7 +430,7 @@ def run_confidence_ablation(
 ) -> ExperimentResult:
     """§VI: confidence pruning shrinks rule sets while retaining quality."""
     scale = current_scale()
-    blocks = generate_trace_blocks(scale.n_blocks, seed=seed)
+    blocks = trace_blocks(scale.n_blocks * BLOCK_SIZE, seed=seed)
     rows = []
     sizes = {}
     successes = {}

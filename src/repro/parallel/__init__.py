@@ -1,5 +1,5 @@
-"""repro.parallel — parallel experiment engine, shared-memory trace
-transport, and the content-addressed ruleset cache.
+"""repro.parallel — parallel experiment engine, partitioned store
+evaluation, and the content-addressed ruleset cache.
 
 Layering note: :mod:`repro.core.strategies` consults
 :mod:`repro.parallel.cache` on its mining path, while
@@ -12,17 +12,12 @@ layer) into the import graph.
 from __future__ import annotations
 
 __all__ = [
-    "AttachedTraceStore",
     "BlockShard",
-    "CachingTraceProvider",
     "EngineRun",
     "ExperimentTask",
     "ParallelExperimentEngine",
     "RulesetCache",
-    "SharedMemoryTraceProvider",
-    "SharedTraceStore",
     "TaskOutcome",
-    "TraceHandle",
     "cached_generate_ruleset",
     "configure_ruleset_cache",
     "disable_ruleset_cache",
@@ -30,11 +25,9 @@ __all__ = [
     "evaluate_store_partitioned",
     "get_ruleset_cache",
     "plan_shards",
-    "provide_pair_columns",
     "ruleset_cache",
     "run_experiments",
     "run_shard",
-    "trace_key",
 ]
 
 _CACHE_NAMES = {
@@ -44,13 +37,6 @@ _CACHE_NAMES = {
     "disable_ruleset_cache",
     "get_ruleset_cache",
     "ruleset_cache",
-}
-_SHM_NAMES = {"AttachedTraceStore", "SharedTraceStore", "TraceHandle"}
-_PROVIDER_NAMES = {
-    "CachingTraceProvider",
-    "SharedMemoryTraceProvider",
-    "provide_pair_columns",
-    "trace_key",
 }
 _ENGINE_NAMES = {
     "EngineRun",
@@ -71,10 +57,6 @@ _PARTITION_NAMES = {
 def __getattr__(name: str):
     if name in _CACHE_NAMES:
         from repro.parallel import cache as module
-    elif name in _SHM_NAMES:
-        from repro.parallel import shm as module
-    elif name in _PROVIDER_NAMES:
-        from repro.parallel import provider as module
     elif name in _ENGINE_NAMES:
         from repro.parallel import engine as module
     elif name in _PARTITION_NAMES:

@@ -1,26 +1,23 @@
 """Process-pool experiment engine.
 
 Fans figure runners, ablation sweep points and multi-seed trials out
-across ``ProcessPoolExecutor`` workers.  Two redundancies dominate a
-serial sweep, and the engine removes both:
+across ``ProcessPoolExecutor`` workers, and removes the re-mining a
+sweep repeats: strategies and sweep points re-run GENERATE-RULESET on
+blocks already mined with identical parameters, so each worker carries
+a process-wide content-addressed
+:class:`~repro.parallel.cache.RulesetCache` and ships its hit/miss
+counters back with every task result.
 
-* **Trace regeneration** — every trace-driven runner regenerates the
-  same synthetic trace (same config/seed/length).  The parent generates
-  each needed spec once, publishes it through
-  :class:`~repro.parallel.shm.SharedTraceStore`, and workers consume
-  zero-copy :class:`~repro.trace.blocks.PairBlock` views instead of
-  re-generating (or having arrays pickled into every task).
-* **Re-mining** — strategies and sweep points re-run GENERATE-RULESET on
-  blocks already mined with identical parameters; each worker carries a
-  process-wide content-addressed
-  :class:`~repro.parallel.cache.RulesetCache` and ships its hit/miss
-  counters back with every task result.
+Traces need no engine support: every runner takes its blocks from
+:func:`repro.trace.cache.trace_blocks`, so workers open the same
+on-disk store the serial path uses and the OS page cache shares it
+between them — nothing is generated ahead of the tasks and nothing is
+shipped to them.
 
 Mining, testing and trace generation are all deterministic, so engine
 runs produce bit-identical :class:`~repro.experiments.results.ExperimentResult`
 payloads to the serial path — ``workers <= 1`` runs in-process (no pool)
-with the same provider + cache installed, which is also the fastest mode
-on a single-core host.
+with the same cache installed.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Sequence
 
-from repro.experiments.config import DEFAULT_SEED, current_scale
+from repro.experiments.config import DEFAULT_SEED
 from repro.experiments.results import ExperimentResult
 from repro.parallel.cache import (
     DEFAULT_CACHE_SIZE,
@@ -39,21 +36,6 @@ from repro.parallel.cache import (
     get_ruleset_cache,
     ruleset_cache,
 )
-from repro.parallel.provider import (
-    CachingTraceProvider,
-    SharedMemoryTraceProvider,
-    _generate_columns,
-    clear_trace_provider,
-    current_trace_provider,
-    install_trace_provider,
-    trace_key,
-)
-from repro.parallel.shm import (
-    DEFAULT_SPILL_THRESHOLD,
-    AttachedTraceStore,
-    SharedTraceStore,
-)
-from repro.workload.tracegen import MonitorTraceConfig
 
 __all__ = [
     "ExperimentTask",
@@ -63,20 +45,10 @@ __all__ = [
     "run_experiments",
 ]
 
-#: trace-driven experiment ids that consume ``scale.n_blocks`` blocks of
-#: the default config/seed trace (the common spec most sweeps share).
-_N_BLOCKS_IDS = frozenset(
-    {
-        "fig1",
-        "fig3",
-        "fig4",
-        "adaptive-history",
-        "streaming",
-        "prune-ablation",
-        "confidence-ablation",
-        "topk-ablation",
-    }
-)
+#: settings a worker must see as the parent does *now*: a pool started
+#: by a fork server inherits the environment of whenever that server
+#: was launched, not the parent's current one.
+_WORKER_ENV = ("REPRO_FULL_SCALE", "REPRO_TRACE_CACHE_DIR")
 
 
 @dataclass(frozen=True)
@@ -109,27 +81,11 @@ class EngineRun:
     outcomes: list[TaskOutcome]
     workers: int
     seconds: float
-    prewarm_seconds: float
-    shared_traces: int
     cache: dict[str, float]
 
     @property
     def results(self) -> list[ExperimentResult]:
         return [o.result for o in self.outcomes]
-
-
-def _trace_specs(task: ExperimentTask) -> list[tuple]:
-    """(config, seed, n_pairs) specs a task will request, for prewarming."""
-    scale = current_scale()
-    cfg = MonitorTraceConfig()
-    seed = task.seed
-    if task.experiment_id in _N_BLOCKS_IDS:
-        return [(cfg, seed, scale.n_blocks * cfg.block_size)]
-    if task.experiment_id == "static":
-        return [(cfg, seed, scale.n_blocks_static * cfg.block_size)]
-    if task.experiment_id == "fig2":
-        return [(cfg, seed, scale.n_pairs_blocksweep)]
-    return []  # overlay-driven experiments generate no monitor trace
 
 
 def _run_one(task: ExperimentTask) -> TaskOutcome:
@@ -147,13 +103,13 @@ def _run_one(task: ExperimentTask) -> TaskOutcome:
     )
 
 
-def _worker_init(handles, cache_size: int, full_scale_env: str | None) -> None:
-    """Pool initializer: scale env, shared traces, per-process cache."""
-    if full_scale_env is None:
-        os.environ.pop("REPRO_FULL_SCALE", None)
-    else:
-        os.environ["REPRO_FULL_SCALE"] = full_scale_env
-    install_trace_provider(SharedMemoryTraceProvider(AttachedTraceStore(handles)))
+def _worker_init(cache_size: int, env: dict[str, str | None]) -> None:
+    """Pool initializer: the parent's settings, a per-process cache."""
+    for name, value in env.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
     configure_ruleset_cache(cache_size)
 
 
@@ -178,31 +134,18 @@ def _aggregate_cache(outcomes: Sequence[TaskOutcome]) -> dict[str, float]:
 
 
 class ParallelExperimentEngine:
-    """Runs experiment tasks with shared traces and cached mining.
+    """Runs experiment tasks with cached mining.
 
-    ``workers <= 1`` keeps everything in-process (provider + cache, no
-    pool); ``workers > 1`` prewarms shared-memory traces and fans tasks
-    out over a ``ProcessPoolExecutor``.
+    ``workers <= 1`` keeps everything in-process (cache, no pool);
+    ``workers > 1`` fans tasks out over a ``ProcessPoolExecutor``.
     """
 
-    def __init__(
-        self,
-        workers: int = 0,
-        *,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        prewarm: bool = True,
-        spill_dir: str | os.PathLike | None = None,
-        spill_threshold_bytes: int = DEFAULT_SPILL_THRESHOLD,
-    ) -> None:
+    def __init__(self, workers: int = 0, *, cache_size: int = DEFAULT_CACHE_SIZE) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self.workers = int(workers)
         self.cache_size = int(cache_size)
-        self.prewarm = bool(prewarm)
-        self.spill_dir = spill_dir
-        self.spill_threshold_bytes = int(spill_threshold_bytes)
 
-    # -- public API ---------------------------------------------------------
     def run_ids(
         self, experiment_ids: Sequence[str], *, seed: int | None = None, **kwargs: Any
     ) -> EngineRun:
@@ -217,72 +160,21 @@ class ParallelExperimentEngine:
         tasks = list(tasks)
         t0 = perf_counter()
         if self.workers <= 1:
-            run = self._run_in_process(tasks)
-        else:
-            run = self._run_pooled(tasks)
-        run.seconds = perf_counter() - t0
-        return run
-
-    # -- serial (in-process) mode -------------------------------------------
-    def _run_in_process(self, tasks: list[ExperimentTask]) -> EngineRun:
-        previous_provider = current_trace_provider()
-        provider = CachingTraceProvider()
-        install_trace_provider(provider)
-        try:
             with ruleset_cache(self.cache_size):
                 outcomes = [_run_one(task) for task in tasks]
-        finally:
-            if previous_provider is None:
-                clear_trace_provider()
-            else:
-                install_trace_provider(previous_provider)
-        return EngineRun(
-            outcomes=outcomes,
-            workers=max(self.workers, 1),
-            seconds=0.0,
-            prewarm_seconds=0.0,
-            shared_traces=provider.misses,
-            cache=_aggregate_cache(outcomes),
-        )
-
-    # -- pooled mode ---------------------------------------------------------
-    def _prewarm_store(
-        self, tasks: list[ExperimentTask], store: SharedTraceStore
-    ) -> None:
-        for task in tasks:
-            for config, seed, n_pairs in _trace_specs(task):
-                key = trace_key(config, seed, n_pairs)
-                if key not in store.handles():
-                    sources, repliers = _generate_columns(config, seed, n_pairs)
-                    store.put(key, sources, repliers)
-
-    def _run_pooled(self, tasks: list[ExperimentTask]) -> EngineRun:
-        with SharedTraceStore(
-            spill_dir=self.spill_dir,
-            spill_threshold_bytes=self.spill_threshold_bytes,
-        ) as store:
-            t0 = perf_counter()
-            if self.prewarm:
-                self._prewarm_store(tasks, store)
-            prewarm_seconds = perf_counter() - t0
-            n_traces = len(store)
+        else:
+            env = {name: os.environ.get(name) for name in _WORKER_ENV}
             with ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_worker_init,
-                initargs=(
-                    store.handles(),
-                    self.cache_size,
-                    os.environ.get("REPRO_FULL_SCALE"),
-                ),
+                initargs=(self.cache_size, env),
             ) as pool:
                 futures = [pool.submit(_run_one, task) for task in tasks]
                 outcomes = [future.result() for future in futures]
         return EngineRun(
             outcomes=outcomes,
-            workers=self.workers,
-            seconds=0.0,
-            prewarm_seconds=prewarm_seconds,
-            shared_traces=n_traces,
+            workers=max(self.workers, 1),
+            seconds=perf_counter() - t0,
             cache=_aggregate_cache(outcomes),
         )
 

@@ -1,254 +1,72 @@
-"""Binary caching of generated pair arrays and trace stores.
+"""The one route from the trace generator to a trace-driven experiment.
 
-Full-scale runs use 3.65M-pair traces; regenerating one for every
-experiment wastes minutes.  :func:`save_pairs` / :func:`load_pairs`
-persist :class:`~repro.workload.tracegen.PairArrays` as compressed
-``.npz`` (the paper kept its 2.6 GB trace in a database for the same
-reason), and :func:`cached_pairs` is the memoizing wrapper the full-scale
-harness can use.  :func:`cached_trace_store` is the out-of-core twin:
-it memoizes a generated trace as an on-disk ``.rptrace`` columnar store
-(:mod:`repro.trace.store`) so experiment configs can point straight at a
-store file and stream it with O(block) memory.
+The paper imported its seven-day trace into a database once and ran
+every strategy against that one copy.  Here the copy is an on-disk
+columnar store (:mod:`repro.trace.store`), one file per generated trace,
+and :func:`trace_blocks` is the only way an experiment gets its blocks:
+serial runs, the in-process engine and pool workers all call it, so the
+first caller on a machine pays for generation and everyone after —
+other experiments, other processes, later runs — maps the same file.
+The OS page cache is the cross-process share; nothing is shipped to
+workers.
 
-Both caches are keyed by *provenance*, not just length: the generating
-``(config, seed)`` pair is hashed (:func:`trace_fingerprint`) and
-stamped into the cache file — an ``npz`` side array, the store header's
-metadata word.  A cache hit requires the stamp to match, so a file left
-behind by an experiment with different knobs is regenerated instead of
-silently reused.  Files written before stamping existed carry no
-fingerprint and are treated as misses with a warning.
+A cache file is named and stamped by *provenance*: the generating
+``(config, seed, n_pairs)`` is hashed (:func:`trace_fingerprint`) into
+the file name ``trace-<fingerprint>.rptrace`` and the store header's
+metadata word.  The length is part of the stamp because
+:meth:`~repro.workload.tracegen.MonitorTraceGenerator.generate_pair_arrays`
+pre-draws its inter-arrival gaps per call: a longer trace is not a
+superset of a shorter one, so a prefix of one file can never stand in
+for another.  What the stamp does not cover is the generator's *code* —
+point ``REPRO_TRACE_CACHE_DIR`` somewhere fresh when comparing
+checkouts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
+import uuid
 import warnings
 
 import numpy as np
 
+from repro.trace.blocks import PairBlock, blocks_from_arrays
+from repro.trace.store import TraceStoreError, TraceStoreReader, TraceStoreWriter
 from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator, PairArrays
 
-__all__ = [
-    "trace_fingerprint",
-    "save_pairs",
-    "load_pairs",
-    "cached_pairs",
-    "cached_trace_store",
-    "default_trace_cache_dir",
-    "store_backed_blocks",
-]
-
-_FIELDS = ("time", "source", "replier", "category", "host")
-
-#: npz side-array holding the 64-bit provenance fingerprint.
-_FINGERPRINT_KEY = "__trace_fingerprint__"
+__all__ = ["trace_fingerprint", "default_trace_cache_dir", "trace_blocks"]
 
 
 def trace_fingerprint(
-    config: MonitorTraceConfig | None,
-    seed: int,
-    *,
-    exact_n_pairs: int | None = None,
+    config: MonitorTraceConfig | None, seed: int, n_pairs: int
 ) -> int:
     """64-bit provenance hash of a trace's generating parameters.
 
     Defined over the config's field values (via a canonical JSON
-    encoding) plus the seed, so two configs that compare equal always
-    fingerprint equal, and any knob or seed change produces a different
-    stamp.  ``config=None`` hashes the defaults it stands for.
-
-    ``exact_n_pairs`` mixes the trace length into the stamp.  Chunked
-    and single-shot generation of the same ``(config, seed)`` differ
-    bit-wise (:meth:`MonitorTraceGenerator.generate_pair_arrays`
-    pre-draws its inter-arrival gaps per call), so caches of
-    exact single-shot traces must never hit on a chunk-written file of
-    the same provenance — the length-mixed stamp keeps the two cache
-    populations disjoint.
+    encoding), the seed and the length, so two specs that compare equal
+    always fingerprint equal, and any knob, seed or length change
+    produces a different stamp.  ``config=None`` hashes the defaults it
+    stands for.
     """
-    config = config or MonitorTraceConfig()
-    payload_fields = {"config": dataclasses.asdict(config), "seed": int(seed)}
-    if exact_n_pairs is not None:
-        payload_fields["exact_n_pairs"] = int(exact_n_pairs)
-    payload = json.dumps(payload_fields, sort_keys=True, default=repr)
+    payload = json.dumps(
+        {
+            "config": dataclasses.asdict(config or MonitorTraceConfig()),
+            "seed": int(seed),
+            "n_pairs": int(n_pairs),
+        },
+        sort_keys=True,
+        default=repr,
+    )
     digest = hashlib.blake2b(payload.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 
-def save_pairs(
-    path: str | os.PathLike, arrays: PairArrays, *, fingerprint: int | None = None
-) -> None:
-    """Write pair arrays as compressed npz, optionally provenance-stamped."""
-    columns = {name: getattr(arrays, name) for name in _FIELDS}
-    if fingerprint is not None:
-        columns[_FINGERPRINT_KEY] = np.array([fingerprint], dtype=np.uint64)
-    np.savez_compressed(path, **columns)
-
-
-def load_pairs(path: str | os.PathLike) -> PairArrays:
-    """Read pair arrays written by :func:`save_pairs`."""
-    arrays, _fingerprint = _load_pairs_stamped(path)
-    return arrays
-
-
-def _load_pairs_stamped(path: str | os.PathLike) -> tuple[PairArrays, int | None]:
-    with np.load(path) as data:
-        missing = [name for name in _FIELDS if name not in data]
-        if missing:
-            raise ValueError(f"not a pair-array file: missing {missing}")
-        fingerprint = None
-        if _FINGERPRINT_KEY in data:
-            fingerprint = int(data[_FINGERPRINT_KEY][0])
-        return PairArrays(**{name: data[name] for name in _FIELDS}), fingerprint
-
-
-def cached_pairs(
-    path: str | os.PathLike,
-    n_pairs: int,
-    *,
-    config: MonitorTraceConfig | None = None,
-    seed: int = 0,
-) -> PairArrays:
-    """Load ``path`` if it matches, else generate, stamp, and save.
-
-    A hit requires the cached file's provenance fingerprint to equal
-    ``trace_fingerprint(config, seed)`` *and* the cached trace to be at
-    least ``n_pairs`` long; a longer trace is sliced to ``n_pairs`` (the
-    prefix of a trace is a valid shorter trace).  A length or
-    fingerprint mismatch regenerates from scratch — the cache never
-    silently hands one experiment another experiment's trace.  Files
-    predating fingerprint stamping are regenerated too (miss with a
-    warning), which upgrades them in place.
-    """
-    if n_pairs < 0:
-        raise ValueError("n_pairs must be non-negative")
-    path = os.fspath(path)
-    expected = trace_fingerprint(config, seed)
-    if os.path.exists(path):
-        arrays, stamped = _load_pairs_stamped(path)
-        if stamped is None:
-            warnings.warn(
-                f"{path}: cached trace has no provenance fingerprint "
-                "(written by an older release); regenerating",
-                stacklevel=2,
-            )
-        elif stamped == expected and len(arrays) >= n_pairs:
-            return PairArrays(
-                **{name: getattr(arrays, name)[:n_pairs] for name in _FIELDS}
-            )
-    generator = MonitorTraceGenerator(config or MonitorTraceConfig(), seed=seed)
-    arrays = generator.generate_pair_arrays(n_pairs)
-    save_pairs(path, arrays, fingerprint=expected)
-    return arrays
-
-
-def cached_trace_store(
-    path: str | os.PathLike,
-    n_pairs: int,
-    *,
-    config: MonitorTraceConfig | None = None,
-    seed: int = 0,
-    block_size: int | None = None,
-    codec: str | None = None,
-    compress_level: int = 6,
-    exact: bool = False,
-):
-    """Open ``path`` as a trace store if it matches, else generate one.
-
-    The out-of-core counterpart of :func:`cached_pairs`: the cache file
-    is a ``.rptrace`` columnar store whose header metadata word carries
-    the provenance fingerprint.  Returns an open
-    :class:`~repro.trace.store.TraceStoreReader` (the caller owns its
-    lifetime — use ``with``); evaluation streams it block by block
-    rather than materializing arrays.
-
-    A hit requires a matching fingerprint, a cleanly-footered store (a
-    torn file is rebuilt), at least ``n_pairs`` stored pairs, and the
-    requested ``block_size`` (stores cannot be cheaply re-blocked).  On
-    a miss the trace is regenerated chunk-by-chunk into a fresh store
-    written with ``codec`` (e.g. ``"zlib"`` for compressed cold
-    segments).
-
-    ``exact=True`` caches the *single-shot* trace instead: generation
-    happens in one ``generate_pair_arrays(n_pairs)`` call (bit-identical
-    to the serial in-memory path used by the figure runners, at the cost
-    of materializing the arrays once at write time), a hit requires the
-    store to hold *exactly* ``n_pairs`` pairs, and the provenance stamp
-    mixes the length in (see :func:`trace_fingerprint`) so chunk-written
-    caches of the same ``(config, seed)`` never hit.
-    """
-    from repro.trace.store import (
-        TraceStoreError,
-        TraceStoreReader,
-        TraceStoreWriter,
-    )
-
-    if n_pairs < 0:
-        raise ValueError("n_pairs must be non-negative")
-    path = os.fspath(path)
-    effective_config = config or MonitorTraceConfig()
-    if block_size is None:
-        block_size = effective_config.block_size
-    expected = trace_fingerprint(
-        config, seed, exact_n_pairs=n_pairs if exact else None
-    )
-    if os.path.exists(path):
-        reader = None
-        try:
-            reader = TraceStoreReader(path)
-            if reader.meta_fingerprint == 0:
-                warnings.warn(
-                    f"{path}: cached store has no provenance fingerprint "
-                    "(written by an older release); regenerating",
-                    stacklevel=2,
-                )
-            elif (
-                reader.meta_fingerprint == expected
-                and not reader.recovered
-                and reader.block_size == block_size
-                and (
-                    reader.n_pairs == n_pairs
-                    if exact
-                    else reader.n_pairs >= n_pairs
-                )
-            ):
-                return reader
-        except TraceStoreError:
-            pass  # not a store / torn beyond use: rebuild below
-        if reader is not None:
-            reader.close()
-    generator = MonitorTraceGenerator(effective_config, seed=seed)
-    writer = TraceStoreWriter(
-        path,
-        block_size=block_size,
-        codec=codec,
-        compress_level=compress_level,
-        meta_fingerprint=expected,
-    )
-    try:
-        if exact:
-            arrays = generator.generate_pair_arrays(n_pairs)
-            writer.append(arrays.source, arrays.replier)
-        else:
-            remaining = n_pairs
-            while remaining > 0:
-                chunk = min(remaining, max(block_size, 1) * 8)
-                arrays = generator.generate_pair_arrays(chunk)
-                writer.append(arrays.source, arrays.replier)
-                remaining -= chunk
-    except BaseException:
-        writer.abandon()
-        raise
-    # Keep the partial tail block: the cache must hold every requested
-    # pair, not just whole blocks.
-    writer.close(drop_partial=False)
-    return TraceStoreReader(path)
-
-
 def default_trace_cache_dir() -> str:
-    """Directory holding process-shared trace-store caches.
+    """Directory holding the process-shared trace cache.
 
     ``$REPRO_TRACE_CACHE_DIR`` when set, else ``~/.cache/repro/traces``.
     """
@@ -258,54 +76,123 @@ def default_trace_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro", "traces")
 
 
-#: open readers backing blocks handed out by :func:`store_backed_blocks`,
-#: keyed by store path.  Readers stay open for the process lifetime so
-#: the zero-copy memmap views inside returned blocks remain valid, and a
-#: store opened once is never re-opened (or torn down under a live view)
-#: by a later call.
-_OPEN_READERS: dict = {}
+#: the one open reader per cache file in this process, keyed by path.
+#: Readers stay open for the process lifetime so the views inside blocks
+#: already handed out stay valid whatever later calls do.
+_READERS: dict[str, TraceStoreReader] = {}
 
 
-def store_backed_blocks(
+def _generate(config: MonitorTraceConfig, seed: int, n_pairs: int) -> PairArrays:
+    return MonitorTraceGenerator(config, seed=seed).generate_pair_arrays(n_pairs)
+
+
+def _open_complete(path: str, stamp: int, n_pairs: int, block_size: int):
+    """A reader on ``path`` if it is this spec's complete store, else None.
+
+    No file, bytes that are not a store, a footer-less (torn) store and
+    another spec's stamp are all misses to be rebuilt; an error opening
+    the file (permissions, descriptors) is the caller's to handle.
+    """
+    try:
+        reader = TraceStoreReader(path)
+    except (FileNotFoundError, TraceStoreError):
+        return None
+    if (
+        reader.meta_fingerprint == stamp
+        and not reader.recovered
+        and reader.n_pairs == n_pairs
+        and reader.block_size == block_size
+    ):
+        return reader
+    reader.close()
+    return None
+
+
+def _publish(path: str, arrays: PairArrays, block_size: int, stamp: int) -> None:
+    """Write ``arrays`` as a stamped store that appears at ``path`` whole.
+
+    The store is written under a sibling temp name and renamed into
+    place, so another process sees no file or a complete one, and a
+    file somebody has mapped is replaced, never truncated.  Concurrent
+    writers of one spec write identical bytes; the last rename wins.
+    """
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    writer = TraceStoreWriter(tmp, block_size=block_size, meta_fingerprint=stamp)
+    try:
+        writer.append(arrays.source, arrays.replier)
+        # Keep the partial tail block: the file holds every requested
+        # pair, so any block size can be cut from it.
+        writer.close(drop_partial=False)
+        os.replace(tmp, path)
+    except BaseException:
+        writer.abandon()
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _reader(
+    n_pairs: int, config: MonitorTraceConfig, seed: int, cache_dir
+) -> TraceStoreReader:
+    directory = (
+        os.fspath(cache_dir) if cache_dir is not None else default_trace_cache_dir()
+    )
+    stamp = trace_fingerprint(config, seed, n_pairs)
+    path = os.path.join(directory, f"trace-{stamp:016x}.rptrace")
+    reader = _READERS.get(path)
+    if reader is None:
+        os.makedirs(directory, exist_ok=True)
+        reader = _open_complete(path, stamp, n_pairs, config.block_size)
+        if reader is None:
+            _publish(path, _generate(config, seed, n_pairs), config.block_size, stamp)
+            reader = TraceStoreReader(path)
+        # First registered wins: dropping a reader closes it, which
+        # would unmap views it has already handed out.
+        reader = _READERS.setdefault(path, reader)
+    return reader
+
+
+def trace_blocks(
     n_pairs: int,
     *,
     config: MonitorTraceConfig | None = None,
     seed: int = 0,
+    block_size: int | None = None,
     cache_dir: str | os.PathLike | None = None,
-) -> list:
-    """Full blocks of the exact ``(config, seed, n_pairs)`` trace, served
-    from an on-disk store cache.
+) -> list[PairBlock]:
+    """Whole blocks of the single-shot ``(config, seed, n_pairs)`` trace.
 
-    The first call for a spec generates the trace single-shot (so the
-    blocks are bit-identical to the in-memory
-    :func:`~repro.trace.blocks.blocks_from_arrays` path) and writes it
-    as a raw v1 store under ``cache_dir`` (default:
-    :func:`default_trace_cache_dir`); every later call — including in
-    other processes — streams it back as zero-copy memmap views.  Only
-    whole blocks are returned, matching ``blocks_from_arrays``'s
-    ``drop_partial`` default.  The backing reader is kept open in a
-    module registry so returned views stay valid for the process
-    lifetime.
+    Bit-identical to ``blocks_from_arrays`` over one
+    ``generate_pair_arrays(n_pairs)`` call (a trailing partial block is
+    dropped), but generated at most once per machine: the first call
+    for a spec writes it as a raw store under ``cache_dir`` (default:
+    :func:`default_trace_cache_dir`), every later call in any process
+    opens that file.  Blocks of the config's own size are zero-copy
+    views of one mapping with packed keys and fingerprints pre-seeded
+    from the file; another ``block_size`` re-cuts the same cached
+    columns.  When the cache directory cannot be used the trace is
+    generated in memory, with a warning.
     """
     if n_pairs < 0:
         raise ValueError("n_pairs must be non-negative")
-    effective_config = config or MonitorTraceConfig()
-    directory = (
-        os.fspath(cache_dir) if cache_dir is not None else default_trace_cache_dir()
-    )
-    stamp = trace_fingerprint(config, seed, exact_n_pairs=n_pairs)
-    path = os.path.join(directory, f"trace-{stamp:016x}.rptrace")
-    reader = _OPEN_READERS.get(path)
-    if reader is None:
-        os.makedirs(directory, exist_ok=True)
-        reader = cached_trace_store(
-            path,
-            n_pairs,
-            config=config,
-            seed=seed,
-            block_size=effective_config.block_size,
-            exact=True,
+    if n_pairs == 0:
+        return []  # nothing to cache
+    config = config or MonitorTraceConfig()
+    if block_size is None:
+        block_size = config.block_size
+    try:
+        blocks = _reader(n_pairs, config, seed, cache_dir).blocks()
+    except (OSError, TraceStoreError) as exc:
+        warnings.warn(
+            f"trace-store cache unusable ({exc}); generating in memory",
+            stacklevel=2,
         )
-        _OPEN_READERS[path] = reader
-    n_full = n_pairs // effective_config.block_size
-    return [reader.block(i) for i in range(n_full)]
+        arrays = _generate(config, seed, n_pairs)
+        return blocks_from_arrays(arrays.source, arrays.replier, block_size=block_size)
+    if block_size == config.block_size:
+        return blocks[: n_pairs // config.block_size]
+    return blocks_from_arrays(
+        np.concatenate([block.sources for block in blocks]),
+        np.concatenate([block.repliers for block in blocks]),
+        block_size=block_size,
+    )

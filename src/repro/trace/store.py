@@ -58,7 +58,9 @@ Readers own OS resources (a header file handle plus per-block mmaps) and
 support ``close()`` / ``with``: closing releases every still-live block
 mapping, which unblocks file deletion on platforms that lock mapped
 files and keeps fd usage flat over long partitioned runs.  Block views
-handed out before ``close()`` must not be used afterwards.
+handed out before ``close()`` must not be used afterwards.  A caller
+that keeps every block takes them from :meth:`TraceStoreReader.blocks`,
+which serves the whole file from one mapping.
 """
 
 from __future__ import annotations
@@ -183,8 +185,8 @@ class TraceStoreWriter:
     compression for archival traces); fingerprints stay over the
     uncompressed bytes, and each segment records its own codec byte so
     readers never guess.  ``meta_fingerprint`` stamps a caller-chosen
-    64-bit provenance tag (e.g. a config+seed hash — see
-    :func:`repro.trace.cache.cached_trace_store`) into the file header.
+    64-bit provenance tag (e.g. a config+seed+length hash — see
+    :func:`repro.trace.cache.trace_fingerprint`) into the file header.
 
     The footer index lands only in :meth:`close`; a crash (or an
     exception inside the ``with`` block) leaves an append-only prefix
@@ -432,6 +434,7 @@ class TraceStoreReader:
         self._closed = False
         self._fh = None
         self._live_maps: "weakref.WeakSet" = weakref.WeakSet()
+        self._whole: np.ndarray | None = None  # blocks()' one mapping
         self._layouts: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
         self.path = os.fspath(path)
         self._size = os.path.getsize(self.path)
@@ -481,6 +484,7 @@ class TraceStoreReader:
             except (BufferError, ValueError):  # still exported elsewhere
                 pass
         self._live_maps = weakref.WeakSet()
+        self._whole = None
         if self._fh is not None:
             try:
                 self._fh.close()
@@ -631,6 +635,18 @@ class TraceStoreReader:
         self._live_maps.add(mapped._mmap)
         return mapped
 
+    def _shared_view(self, offset: int, n_items: int) -> np.ndarray:
+        """``n_items`` int64s at ``offset`` as a slice of one mapping of
+        the whole file — every version-1 segment starts on an 8-byte
+        boundary; a version-2 raw segment behind a compressed one may
+        not, and is mapped on its own."""
+        if offset % _ITEMSIZE:
+            return self._memmap(offset, n_items)
+        if self._whole is None:
+            self._whole = self._memmap(0, self._size // _ITEMSIZE)
+        start = offset // _ITEMSIZE
+        return self._whole[start : start + n_items]
+
     def _layout(
         self, entry: _BlockEntry
     ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -660,12 +676,20 @@ class TraceStoreReader:
         self._layouts[entry.offset] = layout
         return layout
 
-    def _read_segment(self, entry: _BlockEntry, segment: int) -> np.ndarray:
-        """One column segment of a block, decompressing when needed."""
+    def _read_segment(
+        self, entry: _BlockEntry, segment: int, mapped=None
+    ) -> np.ndarray:
+        """One column segment of a block, decompressing when needed.
+
+        ``mapped(offset, n_items)`` serves raw segments: a mapping of
+        the segment alone (:meth:`_memmap`, the default) or
+        :meth:`_shared_view` for :meth:`blocks`.
+        """
+        mapped = mapped or self._memmap
         nbytes = entry.n_pairs * _ITEMSIZE
         if self.version == _VERSION_RAW:
             data = entry.offset + _BLOCK_HEADER.size
-            return self._memmap(data + segment * nbytes, entry.n_pairs)
+            return mapped(data + segment * nbytes, entry.n_pairs)
         codecs, lengths, payload = self._layout(entry)
         offset = payload + sum(lengths[:segment])
         codec = codecs[segment]
@@ -674,7 +698,7 @@ class TraceStoreReader:
                 raise TraceStoreCorruption(
                     f"{self.path}: raw segment length {lengths[segment]} != {nbytes}"
                 )
-            return self._memmap(offset, entry.n_pairs)
+            return mapped(offset, entry.n_pairs)
         if codec not in (_CODEC_ZLIB, _CODEC_ZSTD):
             raise TraceStoreCorruption(
                 f"{self.path}: unknown segment codec {codec}"
@@ -706,6 +730,22 @@ class TraceStoreReader:
     def _read_columns(self, entry: _BlockEntry) -> tuple[np.ndarray, np.ndarray]:
         return self._read_segment(entry, 0), self._read_segment(entry, 1)
 
+    def _block(self, i: int, mapped=None) -> PairBlock:
+        self._check_open()
+        entry = self._entries[i]
+        block = PairBlock(
+            sources=self._read_segment(entry, 0, mapped),
+            repliers=self._read_segment(entry, 1, mapped),
+            index=i,
+        )
+        object.__setattr__(block, "_fingerprint", entry.fingerprint.hex())
+        object.__setattr__(block, "_ids_validated", True)
+        if self.has_packed:
+            object.__setattr__(
+                block, "_packed_keys", self._read_segment(entry, 2, mapped)
+            )
+        return block
+
     def block(self, i: int) -> PairBlock:
         """Zero-copy :class:`PairBlock` view of block ``i``.
 
@@ -714,15 +754,20 @@ class TraceStoreReader:
         testing it never re-packs or re-hashes — the write-side work is
         reused verbatim.
         """
+        return self._block(i)
+
+    def blocks(self) -> list[PairBlock]:
+        """Every block at once, as views of one mapping of the file.
+
+        For a caller that keeps the whole trace.  :meth:`block` maps
+        each segment on its own so a streamed pass gives pages back as
+        it drops blocks, but a mapping holds a descriptor: the paper's
+        365 blocks kept that way are 1,100 of them, past the usual
+        limit of 1,024.  Here raw segments are slices of one int64
+        mapping; compressed ones decompress as in :meth:`block`.
+        """
         self._check_open()
-        entry = self._entries[i]
-        sources, repliers = self._read_columns(entry)
-        block = PairBlock(sources=sources, repliers=repliers, index=i)
-        object.__setattr__(block, "_fingerprint", entry.fingerprint.hex())
-        object.__setattr__(block, "_ids_validated", True)
-        if self.has_packed:
-            object.__setattr__(block, "_packed_keys", self._read_segment(entry, 2))
-        return block
+        return [self._block(i, self._shared_view) for i in range(len(self._entries))]
 
     def columns(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Raw (sources, repliers) views of block ``i``."""

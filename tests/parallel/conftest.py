@@ -1,8 +1,7 @@
 """Fixtures for the parallel-engine tests.
 
-The cache and trace provider are process-wide singletons; every test
-here must leave them as it found them (off), or later tests would see
-stale rulesets/traces.
+The ruleset cache is a process-wide singleton; every test here must
+leave it as it found it (off), or later tests would see stale rulesets.
 """
 
 from __future__ import annotations
@@ -10,11 +9,9 @@ from __future__ import annotations
 import pytest
 
 from repro.parallel.cache import disable_ruleset_cache
-from repro.parallel.provider import clear_trace_provider
 
 
 @pytest.fixture(autouse=True)
 def _clean_process_state():
     yield
     disable_ruleset_cache()
-    clear_trace_provider()

@@ -52,6 +52,34 @@ class TestCommands:
         assert "block 0:" in out
         assert "coverage ceiling" in out
 
+    def test_trace_profile_reads_the_trace_cache(
+        self, tmp_path, monkeypatch, capsys, generate_calls
+    ):
+        """``trace`` without ``--store`` profiles the same cached blocks
+        the experiments replay, and a second run does not regenerate."""
+        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path))
+        assert main(["--seed", "5", "trace", "--blocks", "2"]) == 0
+        first = capsys.readouterr().out
+        (store,) = tmp_path.iterdir()
+        assert store.suffix == ".rptrace"
+        assert main(["trace", "--store", str(store)]) == 0
+        assert capsys.readouterr().out == first
+        assert main(["--seed", "5", "trace", "--blocks", "2"]) == 0
+        assert capsys.readouterr().out == first
+        assert generate_calls == [20_000]
+
+    def test_bench_all_reports_no_trace_transport(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "bench.json"
+        assert main(["bench-all", "--only", "fig1", "--json", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "prewarm" not in out and "shared trace" not in out
+        payload = json.loads(path.read_text())
+        assert set(payload) == {
+            "name", "workers", "wall_seconds", "ruleset_cache", "experiments"
+        }
+
     def test_full_flag_sets_env(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_FULL_SCALE", raising=False)
         assert main(["--full", "list"]) == 0

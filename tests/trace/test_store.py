@@ -404,3 +404,94 @@ class TestReaderLifetime:
         ).close()
         with TraceStoreReader(path) as reader:
             assert reader.meta_fingerprint == 0xDEADBEEF
+
+
+class TestAllBlocksOneMapping:
+    """``blocks()``: what ``block(i)`` returns, off one mapping."""
+
+    @staticmethod
+    def assert_same(reader):
+        held = reader.blocks()
+        assert len(held) == reader.n_blocks
+        for i, got in enumerate(held):
+            want = reader.block(i)
+            assert got.index == want.index == i
+            np.testing.assert_array_equal(got.sources, want.sources)
+            np.testing.assert_array_equal(got.repliers, want.repliers)
+            assert got.__dict__["_fingerprint"] == want.fingerprint()
+            assert got.__dict__["_ids_validated"]
+            if reader.has_packed:
+                np.testing.assert_array_equal(
+                    got.__dict__["_packed_keys"], want.packed_keys()
+                )
+            else:
+                assert "_packed_keys" not in got.__dict__
+        return held
+
+    @pytest.mark.parametrize("include_packed", [True, False])
+    def test_raw_store_is_served_from_a_single_mapping(self, tmp_path, include_packed):
+        reader, _, _ = make_store(
+            tmp_path / "t.rptrace",
+            n=1_050,
+            block_size=100,
+            drop_partial=False,
+            include_packed=include_packed,
+        )
+        held = self.assert_same(reader)
+        assert len(held) == 11 and len(held[-1]) == 50
+        columns_held = [b.sources for b in held] + [b.repliers for b in held]
+        assert len({id(c._mmap) for c in columns_held}) == 1
+        assert reader.blocks()[3].sources._mmap is held[0].sources._mmap
+        del columns_held
+        reader.close()
+
+    def test_descriptors_do_not_grow_with_the_block_count(self, tmp_path):
+        import os
+
+        reader, _, _ = make_store(tmp_path / "t.rptrace", n=40_000, block_size=100)
+        before = len(os.listdir("/proc/self/fd"))
+        held = reader.blocks()
+        assert len(held) == 400
+        assert len(os.listdir("/proc/self/fd")) - before <= 1
+        del held
+        reader.close()
+
+    def test_compressed_store(self, tmp_path):
+        reader, _, _ = make_store(
+            tmp_path / "z.rptrace", n=1_000, block_size=100, codec="zlib"
+        )
+        assert reader.version == 2
+        self.assert_same(reader)
+        reader.close()
+
+    def test_raw_segments_behind_compressed_ones(self, tmp_path):
+        """A version-2 raw segment can start off an 8-byte boundary."""
+        rng = np.random.default_rng(5)
+        sources = np.repeat(np.int64(7), 300)  # deflates
+        repliers = rng.integers(0, 2**31 - 1, size=300).astype(np.int64)  # does not
+        reader = write_trace_store(
+            tmp_path / "z.rptrace", sources, repliers, block_size=100, codec="zlib"
+        )
+        held = self.assert_same(reader)
+        np.testing.assert_array_equal(
+            np.concatenate([b.repliers for b in held]), repliers
+        )
+        del held
+        reader.close()
+
+    def test_empty_and_closed(self, tmp_path):
+        empty = np.array([], dtype=np.int64)
+        reader = write_trace_store(tmp_path / "e.rptrace", empty, empty)
+        assert reader.blocks() == []
+        assert not list(reader._live_maps)  # nothing to map
+        reader.close()
+        with pytest.raises(TraceStoreError, match="closed"):
+            reader.blocks()
+
+    def test_close_releases_the_mapping(self, tmp_path):
+        reader, _, _ = make_store(tmp_path / "t.rptrace")
+        held = reader.blocks()
+        (mapping,) = list(reader._live_maps)
+        del held
+        reader.close()
+        assert mapping.closed
