@@ -21,7 +21,10 @@ The gate *asserts*, not eyeballs:
 Results land in ``BENCH_hier.json`` and a human-readable
 ``hier_report.txt`` (both in ``$BENCH_OUTPUT_DIR`` or the cwd); a
 failed gate exits non-zero.  ``--quick`` (CI smoke) keeps the node
-count but trims the workload.
+count but trims the workload.  ``build_seconds`` beside
+``elapsed_seconds`` is the part of the run spent constructing the five
+networks (one population, drawn five times), as the constructors report
+it in ``repro_sim_build_seconds``.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         args.warmup = min(args.warmup, 12_000)
 
     from repro.experiments.hier import amortized_messages_per_query, hier_arm_stats
+    from repro.obs.registry import get_global_registry
 
     n_nodes = args.superpeers * (args.leaves_per + 1)
     print(
@@ -104,6 +108,8 @@ def main(argv: list[str] | None = None) -> int:
         hier_kwargs=_TIER,
     )
     elapsed = perf_counter() - t0
+    builds = get_global_registry().family("repro_sim_build_seconds")
+    build_seconds = sum(child.sum for child in builds.children().values())
 
     baseline, _ = arms["baseline"]
     flood, _ = arms["flood"]
@@ -151,6 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         "quick": args.quick,
         "tier_tuning": _TIER,
         "elapsed_seconds": elapsed,
+        "build_seconds": build_seconds,
         "peak_rss_bytes": peak_rss(),
         "arms": {arm: _stats_payload(*arms[arm]) for arm in _ARMS},
         "baseline_messages_per_query": baseline.messages_per_query,

@@ -28,7 +28,7 @@ the buffer once per leaf would cost more than sorting it once).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, KeysView
 
 import numpy as np
 
@@ -91,6 +91,10 @@ class CommunityIndex:
 
     def index_size(self, superpeer: int) -> int:
         return sum(len(leaves) for leaves in self._index[superpeer].values())
+
+    def files(self, superpeer: int) -> KeysView[int]:
+        """The distinct files one community shares (its index keys)."""
+        return self._index[superpeer].keys()
 
     def holders(self, file_id: int) -> np.ndarray:
         """Super-peers whose community shares ``file_id``, ascending."""

@@ -28,13 +28,17 @@ caller.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from functools import lru_cache
+
+import numpy as np
 
 __all__ = ["KEY_BITS", "KBucketTable", "category_key", "node_key", "xor_distance"]
 
 #: width of the keyspace; 64 bits is plenty for simulated populations
-#: (collision probability over 10^4 nodes is ~1e-12) and keeps keys as
-#: cheap Python ints.
+#: (collision probability over 10^4 nodes is ~1e-12), keeps keys as
+#: cheap Python ints and lets a table hold its keys as one ``uint64``
+#: vector.
 KEY_BITS = 64
 
 
@@ -88,35 +92,46 @@ class KBucketTable:
         # bucket index -> list of (peer_id, peer_key), insertion order.
         self._buckets: dict[int, list[tuple[int, int]]] = {}
         self._known: dict[int, int] = {}  # peer_id -> key
+        # _known as (peer ids, uint64 keys), what closer_than scans;
+        # None = rebuild on next use (insert and remove drop it)
+        self._scan: tuple[list[int], np.ndarray] | None = None
 
     # -- maintenance --------------------------------------------------------
-    def _bucket_index(self, key: int) -> int:
-        distance = xor_distance(self.owner_key, key)
-        if distance == 0:
-            raise ValueError("cannot bucket the owner's own key")
-        return distance.bit_length() - 1
-
     def insert(self, peer_id: int) -> bool:
         """Learn one peer; returns False when its bucket is full."""
         peer_id = int(peer_id)
-        if peer_id == self.owner_id or peer_id in self._known:
-            return peer_id in self._known
-        key = node_key(peer_id)
-        bucket = self._buckets.setdefault(self._bucket_index(key), [])
-        if len(bucket) >= self.k:
-            return False
-        bucket.append((peer_id, key))
-        self._known[peer_id] = key
-        return True
+        self.insert_all((peer_id,))
+        return peer_id in self._known
+
+    def insert_all(self, peer_ids: Iterable[int]) -> None:
+        """Learn the peers whose buckets have room, in the order given
+        (one call, not one per peer: a network of n super-peers fills n
+        tables from n ids)."""
+        owner_id, owner_key, k = self.owner_id, self.owner_key, self.k
+        buckets, known = self._buckets, self._known
+        self._scan = None
+        for peer_id in map(int, peer_ids):
+            if peer_id == owner_id or peer_id in known:
+                continue
+            key = node_key(peer_id)
+            distance = owner_key ^ key
+            if distance == 0:
+                raise ValueError("cannot bucket the owner's own key")
+            bucket = buckets.setdefault(distance.bit_length() - 1, [])
+            if len(bucket) < k:
+                bucket.append((peer_id, key))
+                known[peer_id] = key
 
     def remove(self, peer_id: int) -> None:
         """Evict a peer (it crashed or was partitioned away)."""
         key = self._known.pop(peer_id, None)
         if key is None:
             return
-        index = self._bucket_index(key)
-        bucket = self._buckets.get(index, [])
-        self._buckets[index] = [entry for entry in bucket if entry[0] != peer_id]
+        self._scan = None
+        index = xor_distance(self.owner_key, key).bit_length() - 1
+        self._buckets[index] = [
+            entry for entry in self._buckets[index] if entry[0] != peer_id
+        ]
 
     def __contains__(self, peer_id: int) -> bool:
         return peer_id in self._known
@@ -146,11 +161,15 @@ class KBucketTable:
         strictly-closer peer exists — the terminal node is the key's
         steward.
         """
-        best_id = None
-        best_distance = distance
-        for peer_id, key in self._known.items():
-            d = xor_distance(key, target_key)
-            if d < best_distance:
-                best_distance = d
-                best_id = peer_id
-        return best_id
+        if self._scan is None:
+            self._scan = (
+                list(self._known),
+                np.fromiter(self._known.values(), np.uint64, len(self._known)),
+            )
+        peer_ids, keys = self._scan
+        if not peer_ids:
+            return None
+        distances = keys ^ np.uint64(target_key)
+        # the first minimum, as a scan in insertion order keeps it
+        nearest = int(distances.argmin())
+        return peer_ids[nearest] if int(distances[nearest]) < distance else None

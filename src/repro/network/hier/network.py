@@ -68,6 +68,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -81,6 +82,7 @@ from repro.network.hier.keyspace import (
     xor_distance,
 )
 from repro.network.superpeer import SuperPeerConfig, SuperPeerNetwork
+from repro.obs.instruments import observe_sim_build
 from repro.routing.superpeer_rules import SuperPeerRules
 
 __all__ = ["HIER_MODES", "HierConfig", "HierNetwork"]
@@ -131,6 +133,7 @@ class HierNetwork(SuperPeerNetwork):
 
     def __init__(self, config: HierConfig | None = None, *, seed=None) -> None:
         super().__init__(config or HierConfig(), seed=seed)
+        started = perf_counter()
         cfg = self.config
         # the tier-2 flood's kernel, over the super-peer graph
         self.engine = QueryEngine(self)
@@ -161,9 +164,10 @@ class HierNetwork(SuperPeerNetwork):
                 KBucketTable(sp, k=cfg.kbucket_k) for sp in range(cfg.n_superpeers)
             ]
             for table in self.kbuckets:
-                for peer in range(cfg.n_superpeers):
-                    table.insert(peer)
+                table.insert_all(range(cfg.n_superpeers))
             self._build_directory()
+        # the tiers; the substrate reported itself as "superpeer"
+        observe_sim_build("hier", started)
 
     def _make_rules(self, owner: int) -> SuperPeerRules:
         cfg = self.config
@@ -229,13 +233,11 @@ class HierNetwork(SuperPeerNetwork):
         """(Re)publish every live community's categories to their stewards."""
         self.directory = {}
         messages = 0
+        files_per_category = self.config.files_per_category
         for sp in self.community.live_superpeers():
+            # one index key per distinct file, however many leaves share it
             categories = sorted(
-                {
-                    file_id // self.config.files_per_category
-                    for leaf in self.community.members(sp)
-                    for file_id in self._leaf_library[leaf]
-                }
+                {file_id // files_per_category for file_id in self.community.files(sp)}
             )
             for category in categories:
                 steward, hops = self._kademlia_walk(sp, category)

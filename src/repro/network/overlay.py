@@ -18,6 +18,7 @@ replies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -32,11 +33,11 @@ from repro.network.topology import (
     erdos_renyi,
     random_regular,
 )
+from repro.obs.instruments import observe_sim_build
 from repro.utils.rng import as_generator, spawn_child
 from repro.utils.validation import check_probability
 from repro.workload.content import ContentCatalog
 from repro.workload.interests import InterestModel
-from repro.workload.zipf import ZipfSampler
 
 __all__ = ["OverlayConfig", "Overlay"]
 
@@ -76,6 +77,7 @@ class Overlay:
     """A populated unstructured overlay network."""
 
     def __init__(self, config: OverlayConfig | None = None, *, seed=None) -> None:
+        started = perf_counter()
         self.config = config or OverlayConfig()
         self._rng = as_generator(seed)
         cfg = self.config
@@ -96,7 +98,6 @@ class Overlay:
         self._on_policy_change = self._policies_changed
         self.catalog = ContentCatalog(cfg.n_categories, cfg.files_per_category)
         self._interests = InterestModel(cfg.n_categories)
-        self._file_rank = ZipfSampler(cfg.files_per_category, 1.0)
         self._nodes: list[PeerNode] = [
             self._fresh_peer(node_id) for node_id in range(cfg.n_nodes)
         ]
@@ -113,6 +114,7 @@ class Overlay:
         # Churn decisions draw from their own stream so workloads stay
         # paired across churn-rate sweeps (same queries, different churn).
         self._churn_rng = spawn_child(self._rng)
+        observe_sim_build("overlay", started)
 
     # ------------------------------------------------------------------
     def _fresh_peer(
@@ -206,8 +208,7 @@ class Overlay:
             origin = int(self._rng.integers(0, self.n_nodes))
         profile = self._nodes[origin].profile
         category = profile.sample_category(self._rng)
-        rank = self._file_rank.sample(self._rng)
-        file_id = category * cfg.files_per_category + rank
+        file_id = self.catalog.sample_file(self._rng, category)
         self._next_guid += 1
         return Query(
             guid=self._next_guid,

@@ -8,9 +8,14 @@ effect this baseline exists to show.
 
 Super-peers form their own random-regular overlay; each leaf binds to
 one super-peer; indices are exact (a
-:class:`~repro.network.hier.community.CommunityIndex`).  This substrate
-and the workload generator are what
-:class:`~repro.network.hier.HierNetwork` inherits.  The tier-2 flood here
+:class:`~repro.network.hier.community.CommunityIndex`).  Leaves are drawn
+one at a time, profile then library, from the one stream the queries
+later come from (:class:`~repro.workload.content.ContentCatalog` draws a
+library as one array and a query's file as one scalar, from the same
+rank sampler).  This substrate and the workload generator are what
+:class:`~repro.network.hier.HierNetwork` inherits; construction time is
+reported to ``repro_sim_build_seconds`` in the global
+:mod:`repro.obs` registry.  The tier-2 flood here
 stays a per-message loop: ``HierNetwork`` floods through a memoised
 :meth:`QueryEngine.reach`, and the benchmark's self-check holds the two
 propagation paths to each other.
@@ -20,14 +25,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from time import perf_counter
 
 from repro.metrics.traffic import QueryOutcome, TrafficStats
 from repro.network.hier.community import CommunityIndex
 from repro.network.topology import random_regular
+from repro.obs.instruments import observe_sim_build
 from repro.utils.rng import as_generator, spawn_child
 from repro.workload.content import ContentCatalog
 from repro.workload.interests import InterestModel
-from repro.workload.zipf import ZipfSampler
 
 __all__ = ["SuperPeerConfig", "SuperPeerNetwork"]
 
@@ -65,6 +71,7 @@ class SuperPeerNetwork:
     """Two-tier overlay: exact leaf indices at super-peers, tier-2 flooding."""
 
     def __init__(self, config: SuperPeerConfig | None = None, *, seed=None) -> None:
+        started = perf_counter()
         self.config = config or SuperPeerConfig()
         cfg = self.config
         self._rng = as_generator(seed)
@@ -89,6 +96,8 @@ class SuperPeerNetwork:
             self._leaf_library.append(library)
             self.community.attach(leaf, superpeer, library)
         self._next_guid = 0
+        # the substrate; a subclass reports what it adds under its own label
+        observe_sim_build("superpeer", started)
 
     # ------------------------------------------------------------------
     def query(self, leaf: int, file_id: int) -> QueryOutcome:
@@ -135,7 +144,8 @@ class SuperPeerNetwork:
 
     def run_workload(self, n_queries: int, *, warmup: int = 0) -> TrafficStats:
         """Issue interest-driven queries from random leaves (leaf uniform,
-        category from the leaf's profile, Zipf file rank).
+        category from the leaf's profile, file from the catalog: three
+        draws a query, in that order).
 
         The first ``warmup`` queries run but are not recorded.  Flooding
         has nothing to warm up, but the learning tiers that inherit this
@@ -148,13 +158,10 @@ class SuperPeerNetwork:
             raise ValueError("warmup must be non-negative")
         cfg = self.config
         stats = TrafficStats()
-        rank_sampler = ZipfSampler(cfg.files_per_category, 1.0)
         for i in range(warmup + n_queries):
             leaf = int(self._rng.integers(0, cfg.n_leaves))
             category = self._leaf_profile[leaf].sample_category(self._rng)
-            rank = rank_sampler.sample(self._rng)
-            file_id = category * cfg.files_per_category + rank
-            outcome = self.query(leaf, file_id)
+            outcome = self.query(leaf, self.catalog.sample_file(self._rng, category))
             if i >= warmup:
                 stats.record(outcome)
         return stats

@@ -1,4 +1,5 @@
-"""Pre-resolved metric handles for one live node.
+"""Pre-resolved metric handles for one live node, and the simulators'
+one ambient instrument (:func:`observe_sim_build`).
 
 :class:`NodeInstruments` binds every metric the live stack emits to one
 ``node`` label value at construction time, so hot paths (frame decode,
@@ -23,9 +24,28 @@ Metric names follow Prometheus conventions: ``repro_`` prefix,
 
 from __future__ import annotations
 
-from repro.obs.registry import MetricsRegistry
+from time import perf_counter
 
-__all__ = ["NodeInstruments"]
+from repro.obs.registry import MetricsRegistry, get_global_registry
+
+__all__ = ["NodeInstruments", "observe_sim_build"]
+
+
+def observe_sim_build(network: str, started: float) -> None:
+    """Report the ``perf_counter`` seconds since ``started`` as one
+    construction of a simulated ``network``, to the process-wide registry.
+
+    Ambient, like the offline simulator's per-block timings: the
+    simulators take no registry.  Each constructor reports its own part
+    under its own label (``overlay``; ``superpeer``, the two-tier
+    substrate; ``hier``, the tiers ``HierNetwork`` adds on top of it), so
+    the labels of one build add up to its duration.
+    """
+    get_global_registry().histogram(
+        "repro_sim_build_seconds",
+        "Construction time of a simulated network.",
+        ("network",),
+    ).labels(network).observe(perf_counter() - started)
 
 
 class NodeInstruments:

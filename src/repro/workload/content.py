@@ -1,12 +1,22 @@
 """Content catalog: files, categories, popularity and replication.
 
-The online overlay simulator needs actual shared content — files grouped
-into interest categories, with Zipf popularity inside each category — so
-that queries can hit or miss.  The monitor-node trace generator only needs
-file *names* for reply records; it reuses :meth:`ContentCatalog.file_name`.
+Both overlay simulators (:class:`~repro.network.overlay.Overlay`, the
+two-tier :class:`~repro.network.superpeer.SuperPeerNetwork` and what
+inherits it) need actual shared content — files grouped into interest
+categories, with Zipf popularity inside each category — so that queries
+can hit or miss.  One catalog serves both of a simulator's needs from
+one rank sampler: a peer's library (:meth:`ContentCatalog.sample_library`,
+every draw of a peer in one array) and a query's file
+(:meth:`ContentCatalog.sample_file`, one draw).  The monitor-node trace
+generator names reply files in :meth:`ContentCatalog.file_name`'s format
+and needs nothing else from here.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+
+import numpy as np
 
 from repro.utils.rng import as_generator
 from repro.workload.interests import InterestProfile
@@ -20,7 +30,7 @@ class ContentCatalog:
 
     File ids are integers in ``[0, n_categories * files_per_category)``;
     file ``f`` belongs to category ``f // files_per_category``.  Within a
-    category, query and replication popularity follow a bounded Zipf law.
+    category, query and replication popularity follow one bounded Zipf law.
     """
 
     def __init__(
@@ -61,15 +71,36 @@ class ContentCatalog:
         peer's interest categories, so peers with overlapping interests end
         up sharing overlapping content — the premise behind both
         interest-based shortcuts and association-rule routing.
+
+        One ``rng.random(2 * size)`` holds every draw in the order a
+        draw-by-draw loop would make them: slot ``2i`` picks file ``i``'s
+        category (:meth:`InterestProfile.category_for_uniform`), slot
+        ``2i + 1`` its rank (:meth:`sample_file`).  The profile's
+        categories are checked before anything is drawn, so a profile
+        this catalog cannot serve raises ``IndexError`` with the
+        generator untouched.
         """
         if size < 0:
             raise ValueError("size must be non-negative")
-        rng = as_generator(rng)
-        library: set[int] = set()
-        for _ in range(size):
-            category = profile.sample_category(rng)
-            library.add(self.sample_file(rng, category))
-        return frozenset(library)
+        categories = profile.categories
+        if not (0 <= min(categories) and max(categories) < self.n_categories):
+            raise IndexError(
+                f"profile categories {categories} out of range "
+                f"[0, {self.n_categories})"
+            )
+        u = as_generator(rng).random(2 * size)
+        # category_for_uniform's running sums (the same adds in the same
+        # order): first edge above u, the last category when none is
+        edges = np.array(list(accumulate(profile.weights)))
+        slot = edges.searchsorted(u[0::2], side="right")
+        np.minimum(slot, len(categories) - 1, out=slot)
+        files = (
+            np.array(categories)[slot] * self.files_per_category
+            + self._rank_sampler.ranks_for_uniforms(u[1::2])
+        )
+        # copied from a set filled in draw order: the table, hence the
+        # iteration order, an add-per-draw loop leaves
+        return frozenset(set(files.tolist()))
 
     def file_name(self, file_id: int) -> str:
         """Stable human-readable name, used in reply records."""

@@ -34,8 +34,12 @@ class InterestProfile:
             raise ValueError("categories and weights must have equal length")
         if not self.categories:
             raise ValueError("a profile needs at least one category")
+        if min(self.weights) < 0.0:
+            # the running sums are searched as sorted edges
+            raise ValueError("weights must be non-negative")
         total = float(sum(self.weights))
-        if not np.isclose(total, 1.0):
+        # np.isclose(total, 1.0) at its default tolerances, NaN included
+        if not abs(total - 1.0) <= 1e-8 + 1e-5:
             raise ValueError(f"weights must sum to 1, got {total}")
 
     def sample_category(self, rng) -> int:
@@ -79,6 +83,9 @@ class InterestModel:
         self.n_categories = int(n_categories)
         self._popularity = ZipfSampler(self.n_categories, popularity_exponent)
         self.within_profile_exponent = float(within_profile_exponent)
+        # width -> in-profile weights: one tuple serves every profile of
+        # a width (at most n_categories of them)
+        self._weights: dict[int, tuple[float, ...]] = {}
 
     def sample_profile(self, rng, *, width: int = 3) -> InterestProfile:
         """Create a profile over ``width`` distinct categories.
@@ -109,10 +116,12 @@ class InterestModel:
                         chosen.append(cat)
                         if len(chosen) == width:
                             break
-        raw = 1.0 / np.power(
-            np.arange(1, width + 1, dtype=float), self.within_profile_exponent
-        )
-        weights = tuple((raw / raw.sum()).tolist())
+        weights = self._weights.get(width)
+        if weights is None:
+            raw = 1.0 / np.power(
+                np.arange(1, width + 1, dtype=float), self.within_profile_exponent
+            )
+            weights = self._weights[width] = tuple((raw / raw.sum()).tolist())
         return InterestProfile(categories=tuple(chosen), weights=weights)
 
     def category_popularity(self, category: int) -> float:

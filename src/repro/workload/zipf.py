@@ -3,11 +3,15 @@
 P2P query popularity is famously Zipf-like; both the interest model and the
 content catalog draw ranks from a bounded Zipf distribution.  numpy's
 ``Generator.zipf`` is unbounded, so we precompute the normalized CDF over a
-finite rank range and sample by inverse transform — vectorized, per the
-HPC guides' "vectorize the hot loop" idiom.
+finite rank range and sample by inverse transform: an array of uniforms
+goes through one ``searchsorted``, a single uniform through a ``bisect``
+on a list copy of the same CDF (a scalar ``searchsorted`` is almost all
+numpy call overhead).  The two give the same rank for the same uniform.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -30,6 +34,8 @@ class ZipfSampler:
         self._cdf = np.cumsum(self._pmf)
         # Guard against floating-point drift at the top end.
         self._cdf[-1] = 1.0
+        # the same edges as Python floats, for the scalar draw
+        self._cdf_list = self._cdf.tolist()
 
     @property
     def pmf(self) -> np.ndarray:
@@ -41,11 +47,14 @@ class ZipfSampler:
     def sample(self, rng, size: int | None = None):
         """Draw one rank (``size=None``) or an array of ranks."""
         rng = as_generator(rng)
-        u = rng.random(size)
-        idx = np.searchsorted(self._cdf, u, side="right")
         if size is None:
-            return int(idx)
-        return idx.astype(np.int64)
+            return bisect_right(self._cdf_list, rng.random())
+        return self.ranks_for_uniforms(rng.random(size))
+
+    def ranks_for_uniforms(self, u: np.ndarray) -> np.ndarray:
+        """Map uniform(0, 1) draws to ranks (inverse transform), for
+        callers that draw their own uniforms."""
+        return np.searchsorted(self._cdf, u, side="right").astype(np.int64, copy=False)
 
     def probability(self, rank: int) -> float:
         if not 0 <= rank < self.n:

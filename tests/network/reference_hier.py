@@ -14,12 +14,30 @@ tests run both and compare.
 
 The loop bodies are the parent commit's, verbatim; the walk takes the
 category where it used to take the category's key.
+
+:func:`reference_closer_than` is the scan ``KBucketTable.closer_than``
+used to be — every known peer's key XORed and compared as Python ints —
+before the table kept its keys as one ``uint64`` vector.
 """
 
 from collections import deque
 
 from repro.network.hier import HierNetwork
-from repro.network.hier.keyspace import xor_distance
+from repro.network.hier.keyspace import KBucketTable, xor_distance
+
+
+def reference_closer_than(
+    table: KBucketTable, target_key: int, distance: int
+) -> int | None:
+    """Best known peer strictly closer to ``target_key``, or None."""
+    best_id = None
+    best_distance = distance
+    for peer_id, key in table._known.items():
+        d = xor_distance(key, target_key)
+        if d < best_distance:
+            best_distance = d
+            best_id = peer_id
+    return best_id
 
 
 class ReferenceHierNetwork(HierNetwork):

@@ -11,7 +11,10 @@ from repro.network.hier.keyspace import (
     xor_distance,
 )
 
+from .reference_hier import reference_closer_than
+
 key_ints = st.integers(0, (1 << KEY_BITS) - 1)
+HALF = 1 << (KEY_BITS - 1)
 
 
 class TestKeys:
@@ -128,3 +131,114 @@ class TestKBucketTable:
             range(n_peers), key=lambda sp: xor_distance(node_key(sp), target)
         )
         assert all(walk(start) == expected for start in range(n_peers))
+
+
+class TestCloserThanAgainstTheDictScan:
+    """``closer_than`` reads a ``uint64`` key vector the table keeps
+    between edits; the scan over ``_known`` it replaced is the oracle."""
+
+    @staticmethod
+    def probes(table, targets):
+        """Both answers for each target, at every kind of distance bound."""
+        for target in targets:
+            own = xor_distance(table.owner_key, target)
+            for bound in (own, 0, 1, HALF, HALF + 1, (1 << KEY_BITS) - 1, 1 << KEY_BITS):
+                yield (
+                    table.closer_than(target, bound),
+                    reference_closer_than(table, target, bound),
+                )
+
+    def test_empty_table(self):
+        table = KBucketTable(0)
+        for got, expected in self.probes(table, [0, category_key(1), (1 << KEY_BITS) - 1]):
+            assert got is expected is None
+        table.insert(0)  # the owner: still empty
+        assert table.closer_than(category_key(1), 1 << KEY_BITS) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 50),
+        st.integers(1, 4),
+        st.lists(
+            st.tuples(st.sampled_from(["insert", "remove"]), st.integers(0, 50)),
+            max_size=80,
+        ),
+        st.lists(key_ints, min_size=1, max_size=4),
+    )
+    def test_random_insert_remove_interleavings(self, owner, k, edits, targets):
+        """Asked after every edit, so a vector that outlived one is caught."""
+        table = KBucketTable(owner, k=k)
+        for op, peer in edits:
+            getattr(table, op)(peer)
+            for got, expected in self.probes(table, targets):
+                assert got == expected
+        assert all(len(bucket) <= k for bucket in table._buckets.values())
+
+    def test_removed_peer_is_not_answered_again(self):
+        table = KBucketTable(0)
+        table.insert_all(range(1, 40))
+        target = category_key(3)
+        bound = 1 << KEY_BITS
+        first = table.closer_than(target, bound)
+        table.remove(first)
+        second = table.closer_than(target, bound)
+        assert second != first
+        assert second == reference_closer_than(table, target, bound)
+        table.insert(first)
+        assert table.closer_than(target, bound) == first
+
+    def test_equal_keys_answer_the_first_inserted(self, monkeypatch):
+        """64-bit keys do not collide in practice; if two did, the scan
+        kept the one it met first."""
+        import repro.network.hier.keyspace as keyspace
+
+        shared = node_key(2)
+        monkeypatch.setattr(
+            keyspace, "node_key", lambda peer: shared if peer in (2, 9) else node_key(peer)
+        )
+        for order in ((2, 9), (9, 2)):
+            table = KBucketTable(0)
+            table.insert_all((5, *order, 7))
+            assert table.closer_than(shared, 1) == order[0]
+            assert reference_closer_than(table, shared, 1) == order[0]
+
+    def test_full_bucket(self):
+        """Bucket 63 (half the keyspace) overflows at once with k=2; what
+        was refused is not in the vector either."""
+        table = KBucketTable(0, k=2)
+        refused = [peer for peer in range(1, 120) if not table.insert(peer)]
+        assert refused
+        assert max(len(bucket) for bucket in table._buckets.values()) == 2
+        for peer in refused:
+            # the refused peer's own key: it would win if it were known
+            target = node_key(peer)
+            got = table.closer_than(target, 1 << KEY_BITS)
+            assert got == reference_closer_than(table, target, 1 << KEY_BITS)
+            assert got != peer
+
+    def test_distances_in_the_upper_half_compare_unsigned(self):
+        """Distances of 2**63 and more: read as ``int64`` they would be
+        negative and win every ``argmin``."""
+        table = KBucketTable(0, k=64)
+        table.insert_all(range(1, 64))
+        keys = list(table._known.values())
+        assert any(key >= HALF for key in keys) and any(key < HALF for key in keys)
+        for target in (0, HALF - 1, HALF, (1 << KEY_BITS) - 1, *keys[:8]):
+            distances = [xor_distance(key, target) for key in keys]
+            assert max(distances) >= HALF  # the case is exercised
+            best = table.closer_than(target, 1 << KEY_BITS)
+            assert xor_distance(node_key(best), target) == min(distances)
+            assert best == reference_closer_than(table, target, 1 << KEY_BITS)
+            # a bound in the upper half is a bound, not a negative number
+            assert table.closer_than(target, min(distances)) is None
+            assert table.closer_than(target, min(distances) + 1) == best
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 30), st.integers(1, 6), st.lists(st.integers(0, 60), max_size=90))
+    def test_insert_all_is_insert_in_order(self, owner, k, peers):
+        one_call, one_each = KBucketTable(owner, k=k), KBucketTable(owner, k=k)
+        one_call.insert_all(peers)
+        for peer in peers:
+            one_each.insert(peer)
+        assert list(one_call._known.items()) == list(one_each._known.items())
+        assert one_call._buckets == one_each._buckets

@@ -4,7 +4,9 @@ import pytest
 
 from repro.faults.plan import CRASH, FaultEvent, FaultPlan
 from repro.network.hier import HIER_MODES, HierConfig, HierNetwork
+from repro.network.overlay import Overlay, OverlayConfig
 from repro.network.superpeer import SuperPeerConfig, SuperPeerNetwork
+from repro.obs.registry import MetricsRegistry
 from repro.utils.rng import as_generator
 
 SMALL = dict(
@@ -200,3 +202,22 @@ class TestChurn:
         assert before[2] == [5] and before[7] == [5]
         stats = net.run_workload(100)
         assert stats.success_rate > 0.5
+
+
+def test_build_seconds_reach_the_global_registry(monkeypatch):
+    """Each constructor reports its own part of a build under its own
+    label: a ``HierNetwork`` is its substrate plus its tiers."""
+    registry = MetricsRegistry()
+    monkeypatch.setattr("repro.obs.registry.GLOBAL_REGISTRY", registry)
+    Overlay(OverlayConfig(n_nodes=20), seed=1)
+    SuperPeerNetwork(SuperPeerConfig(**SMALL), seed=1)
+    HierNetwork(HierConfig(mode="hybrid", **SMALL), seed=1)
+    family = registry.family("repro_sim_build_seconds")
+    assert family.kind == "histogram" and family.labelnames == ("network",)
+    built = family.children()
+    assert {labels: child.count for labels, child in built.items()} == {
+        ("overlay",): 1,
+        ("superpeer",): 2,
+        ("hier",): 1,
+    }
+    assert all(child.sum > 0.0 for child in built.values())

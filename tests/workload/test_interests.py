@@ -11,6 +11,11 @@ class TestInterestProfile:
         with pytest.raises(ValueError):
             InterestProfile(categories=(1, 2), weights=(0.5, 0.2))
 
+    def test_weights_must_be_non_negative(self):
+        # sums to 1, but its running sums are not sorted edges
+        with pytest.raises(ValueError, match="non-negative"):
+            InterestProfile(categories=(1, 2, 3), weights=(0.9, -0.2, 0.3))
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             InterestProfile(categories=(1,), weights=(0.5, 0.5))
