@@ -1,6 +1,6 @@
 """Benchmark-harness plumbing.
 
-Every bench regenerates one paper artifact through
+``bench_experiments.py`` regenerates every paper artifact through
 :mod:`repro.experiments` inside a pytest-benchmark measurement, asserts
 its acceptance bands, and registers its paper-vs-measured table here; the
 tables are printed in the terminal summary (so they land in
@@ -16,20 +16,6 @@ _REPORTS: list[str] = []
 
 def register_report(text: str) -> None:
     _REPORTS.append(text)
-
-
-def run_and_report(benchmark, experiment_id: str, **kwargs):
-    """Run a registered experiment once under the benchmark timer."""
-    from repro.experiments import run_experiment
-
-    result = benchmark.pedantic(
-        lambda: run_experiment(experiment_id, **kwargs), rounds=1, iterations=1
-    )
-    register_report(result.report())
-    for key, value in result.extras.items():
-        benchmark.extra_info[key] = str(value)
-    assert result.all_within_band, f"out-of-band rows:\n{result.report()}"
-    return result
 
 
 def _bench_record(bench) -> dict:

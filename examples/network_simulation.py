@@ -10,22 +10,19 @@ routing — on identical overlays and prints the message/quality trade-off.
 Run:  python examples/network_simulation.py [n_nodes]
 """
 
+import dataclasses
 import sys
 import time
 
-from repro.experiments.traffic import run_strategy_traffic
+from repro.experiments import RunContext
+from repro.experiments.config import DEFAULT_SCALE
+from repro.experiments.traffic import STRATEGIES
 
 
 def main() -> None:
     n_nodes = int(sys.argv[1]) if len(sys.argv) > 1 else 600
-    strategies = [
-        "flooding",
-        "expanding-ring",
-        "k-random-walk",
-        "shortcuts",
-        "routing-indices",
-        "association",
-    ]
+    scale = dataclasses.replace(DEFAULT_SCALE, overlay_nodes=n_nodes)
+    ctx = RunContext("example", "traffic by strategy", scale, seed=11)
 
     print(f"overlay: {n_nodes} peers, random-regular degree 6, TTL 7, light churn\n")
     print(
@@ -34,9 +31,9 @@ def main() -> None:
     )
     print("-" * 68)
     flooding_messages = None
-    for name in strategies:
+    for name, learns in STRATEGIES.items():
         t0 = time.time()
-        stats = run_strategy_traffic(name, seed=11, n_nodes=n_nodes)
+        _, stats = ctx.overlay(name, churn_rate=0.002, warmup=None if learns else 0)
         if name == "flooding":
             flooding_messages = stats.messages_per_query
         ratio = (

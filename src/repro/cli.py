@@ -8,11 +8,10 @@ Commands
     Regenerate one or more paper artifacts and print their
     paper-vs-measured tables (plus ASCII charts for figure experiments).
 ``all``
-    Run the complete registry in order.
-``bench-all``
-    Time every registered experiment through the parallel engine and
-    write a machine-readable ``BENCH_bench_all.json`` (see
-    ``docs/performance.md``).
+    The same over the complete registry, in order.  Both take
+    ``--workers`` / ``--seeds`` / ``--csv`` / ``--markdown`` /
+    ``--json`` / ``--no-chart`` (see ``docs/performance.md``, "Running
+    experiments").
 ``trace``
     Print the descriptive profile of a generated trace (from the trace
     cache) or of an on-disk trace store.
@@ -46,7 +45,7 @@ Commands
     rates, and the saturation summary.
 
 Use ``--seed`` to vary the seed and ``--full`` for the paper's full
-365-block horizon (equivalent to ``REPRO_FULL_SCALE=1``).
+365-block horizon (what ``REPRO_FULL_SCALE=1`` selects by default).
 
 Reports and tables go to stdout; diagnostics go through the structured
 logger (stderr) — tune with ``--log-level`` and ``--log-json`` (see
@@ -96,63 +95,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    workers_help = (
-        "run through the parallel experiment engine: N>1 fans out over a "
-        "process pool, N=1 runs in-process; both with the ruleset cache "
-        "(default: plain serial)"
-    )
     sub.add_parser("list", help="list registered experiments")
     run = sub.add_parser("run", help="run one or more experiments")
     run.add_argument("experiment_ids", nargs="+", metavar="EXPERIMENT")
-    run.add_argument(
-        "--no-chart", action="store_true", help="suppress ASCII series charts"
-    )
-    run.add_argument(
-        "--seeds",
-        type=int,
-        default=0,
-        metavar="N",
-        help="aggregate over N seeds instead of one run (mean ± std per row)",
-    )
-    run.add_argument(
-        "--csv",
-        metavar="DIR",
-        default=None,
-        help="also export each experiment's series as DIR/<id>.csv",
-    )
-    run.add_argument("--workers", type=int, default=0, metavar="N", help=workers_help)
     all_cmd = sub.add_parser("all", help="run every registered experiment")
-    all_cmd.add_argument(
-        "--markdown",
-        metavar="PATH",
-        default=None,
-        help="also write a markdown reproduction report to PATH",
-    )
-    all_cmd.add_argument(
-        "--workers", type=int, default=0, metavar="N", help=workers_help
-    )
-
-    bench_all = sub.add_parser(
-        "bench-all",
-        help="time every registered experiment through the engine and "
-        "write a machine-readable BENCH_*.json",
-    )
-    bench_all.add_argument(
-        "--workers", type=int, default=0, metavar="N", help=workers_help
-    )
-    bench_all.add_argument(
-        "--json",
-        metavar="PATH",
-        default="BENCH_bench_all.json",
-        help="where to write the timing/cache JSON (default: %(default)s)",
-    )
-    bench_all.add_argument(
-        "--only",
-        action="append",
-        default=[],
-        metavar="EXPERIMENT",
-        help="restrict to these experiment ids (repeatable; default: all)",
-    )
+    for command in (run, all_cmd):
+        command.add_argument(
+            "--workers",
+            type=int,
+            default=0,
+            metavar="N",
+            help="fan the runs out over N worker processes (default: run "
+            "them one after another in this process)",
+        )
+        command.add_argument(
+            "--seeds",
+            type=int,
+            default=1,
+            metavar="N",
+            help="aggregate over N consecutive seeds instead of one run "
+            "(mean ± std per row)",
+        )
+        command.add_argument(
+            "--no-chart", action="store_true", help="suppress ASCII series charts"
+        )
+        command.add_argument(
+            "--csv",
+            metavar="DIR",
+            default=None,
+            help="also export each experiment's series as DIR/<id>.csv",
+        )
+        command.add_argument(
+            "--markdown",
+            metavar="PATH",
+            default=None,
+            help="also write a markdown reproduction report to PATH",
+        )
+        command.add_argument(
+            "--json",
+            metavar="PATH",
+            default=None,
+            help="also write per-run timings (seconds, pid, in-band) to PATH",
+        )
     trace = sub.add_parser("trace", help="profile a generated trace prefix")
     trace.add_argument("--blocks", type=int, default=5, help="blocks to profile")
     trace.add_argument(
@@ -983,7 +967,7 @@ def _print_sample_trace(cluster, label: str, *, stream=None) -> None:
     print(cluster.format_trace(guid), file=stream)
 
 
-def _run_live_cluster(args) -> int:
+def _run_live_cluster(args, seed: int) -> int:
     import asyncio
 
     import numpy as np
@@ -992,7 +976,6 @@ def _run_live_cluster(args) -> int:
     from repro.metrics.savings import estimate_flood_reduction
     from repro.network.topology import Topology, random_regular
 
-    seed = args.seed if args.seed is not None else 20060814
     rng = np.random.default_rng(seed)
     if args.nodes < 2:
         _log.error("need at least 2 nodes", extra={"nodes": args.nodes})
@@ -1097,13 +1080,12 @@ def _run_live_cluster(args) -> int:
     return 0
 
 
-def _run_chaos_soak(args) -> int:
+def _run_chaos_soak(args, seed: int) -> int:
     from repro.faults import chaos_soak
 
     if args.nodes < 2:
         _log.error("need at least 2 nodes", extra={"nodes": args.nodes})
         return 2
-    seed = args.seed if args.seed is not None else 20060814
     if args.state_dir and args.flood:
         _log.error("--state-dir persists rule state; drop --flood to use it")
         return 2
@@ -1126,13 +1108,96 @@ def _run_chaos_soak(args) -> int:
     return 0 if report.ok else 1
 
 
+def _run_experiments(args, ids: list[str], seed: int) -> int:
+    """``run`` / ``all``: one executor call, then reports in id order."""
+    import json
+    from itertools import islice
+
+    from repro.experiments import run_experiments
+    from repro.experiments.config import FULL_SCALE
+
+    n_seeds = max(args.seeds, 1)
+    if n_seeds > 1 and (args.csv or args.markdown):
+        _log.error(
+            "--csv and --markdown write one run's series; a seed sweep has "
+            "none: drop them or --seeds",
+            extra={"seeds": n_seeds},
+        )
+        return 2
+    t0 = time.perf_counter()
+    try:
+        runs = run_experiments(
+            ids,
+            seeds=range(seed, seed + n_seeds),
+            workers=args.workers,
+            scale=FULL_SCALE if args.full else None,
+        )
+    except KeyError as exc:  # the executor refuses unknown ids before running
+        _log.error("unknown experiment", extra={"reason": exc.args[0]})
+        return 2
+    failures = 0
+    results = []
+    timings = []
+    for experiment_id in ids:
+        group = list(islice(runs, n_seeds))
+        elapsed = sum(run.seconds for run in group)
+        if n_seeds > 1:
+            from repro.experiments.multi import aggregate_sweep
+
+            sweep = aggregate_sweep(group)
+            print(sweep.report())
+            in_band = sweep.all_in_band
+        else:
+            result = group[0].result
+            results.append(result)
+            if args.csv and result.series:
+                os.makedirs(args.csv, exist_ok=True)
+                csv_path = os.path.join(args.csv, f"{experiment_id}.csv")
+                result.save_series(csv_path)
+                _log.info("series written", extra={"path": csv_path})
+            _print_result(result, chart=not args.no_chart)
+            in_band = result.all_within_band
+        status = "OK" if in_band else "OUT OF BAND"
+        print(f"[{experiment_id}] {status} in {elapsed:.1f}s\n")
+        failures += not in_band
+        timings.extend(
+            {
+                "experiment_id": experiment_id,
+                "seed": run.seed,
+                "seconds": run.seconds,
+                "pid": run.pid,
+                "within_band": run.result.all_within_band,
+            }
+            for run in group
+        )
+    if args.markdown:
+        from repro.experiments.report import build_markdown_report
+
+        with open(args.markdown, "w", encoding="utf-8") as fh:
+            fh.write(build_markdown_report(results))
+        _log.info("markdown report written", extra={"path": args.markdown})
+    if args.json:
+        payload = {
+            "name": "bench_all",
+            "workers": max(args.workers, 1),
+            "wall_seconds": time.perf_counter() - t0,
+            "experiments": timings,
+        }
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        _log.info("bench json written", extra={"path": args.json})
+    return 1 if failures else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     configure_logging(level=args.log_level, json_lines=args.log_json)
-    if args.full:
-        os.environ["REPRO_FULL_SCALE"] = "1"
 
-    from repro.experiments import EXPERIMENTS, run_experiment
+    from repro.experiments import EXPERIMENTS
+    from repro.experiments.config import DEFAULT_SEED
+
+    seed = args.seed if args.seed is not None else DEFAULT_SEED
 
     if args.command == "list":
         width = max(len(k) for k in EXPERIMENTS)
@@ -1140,151 +1205,20 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{experiment_id.ljust(width)}  {title}")
         return 0
 
-    if args.command in ("run", "all"):
-        ids = list(EXPERIMENTS) if args.command == "all" else args.experiment_ids
-        unknown = [i for i in ids if i not in EXPERIMENTS]
-        if unknown:
-            _log.error(
-                "unknown experiment",
-                extra={
-                    "experiment": ", ".join(unknown),
-                    "known": ", ".join(EXPERIMENTS),
-                },
-            )
-            return 2
-        chart = not getattr(args, "no_chart", False)
-        workers = getattr(args, "workers", 0)
-        n_seeds = getattr(args, "seeds", 0)
-        failures = 0
-        results = []
-        engine_outcomes = {}
-        if workers > 0 and not (n_seeds and n_seeds > 1):
-            from repro.parallel.engine import run_experiments
+    if args.command == "run":
+        return _run_experiments(args, args.experiment_ids, seed)
 
-            kwargs = {} if args.seed is None else {"seed": args.seed}
-            engine_run = run_experiments(ids, workers=workers, **kwargs)
-            engine_outcomes = {o.experiment_id: o for o in engine_run.outcomes}
-            _log.info(
-                "engine run complete",
-                extra={
-                    "workers": engine_run.workers,
-                    "seconds": round(engine_run.seconds, 2),
-                    "cache_hit_rate": round(
-                        engine_run.cache.get("hit_rate", 0.0), 3
-                    ),
-                },
-            )
-        for experiment_id in ids:
-            t0 = time.time()
-            if n_seeds and n_seeds > 1:
-                from repro.experiments.multi import run_seed_sweep
-
-                base = args.seed if args.seed is not None else 20060814
-                sweep = run_seed_sweep(
-                    experiment_id,
-                    seeds=range(base, base + n_seeds),
-                    workers=workers,
-                )
-                print(sweep.report())
-                status = "OK" if sweep.all_in_band else "OUT OF BAND"
-                print(f"[{experiment_id}] {status} in {time.time() - t0:.1f}s\n")
-                if not sweep.all_in_band:
-                    failures += 1
-                continue
-            if experiment_id in engine_outcomes:
-                outcome = engine_outcomes[experiment_id]
-                result = outcome.result
-                elapsed = outcome.seconds
-            else:
-                kwargs = {} if args.seed is None else {"seed": args.seed}
-                result = run_experiment(experiment_id, **kwargs)
-                elapsed = time.time() - t0
-            results.append(result)
-            csv_dir = getattr(args, "csv", None)
-            if csv_dir and result.series:
-                os.makedirs(csv_dir, exist_ok=True)
-                csv_path = os.path.join(csv_dir, f"{experiment_id}.csv")
-                result.save_series(csv_path)
-                _log.info("series written", extra={"path": csv_path})
-            _print_result(result, chart=chart)
-            status = "OK" if result.all_within_band else "OUT OF BAND"
-            print(f"[{experiment_id}] {status} in {elapsed:.1f}s\n")
-            if not result.all_within_band:
-                failures += 1
-        markdown_path = getattr(args, "markdown", None)
-        if markdown_path:
-            from repro.experiments.report import build_markdown_report
-
-            with open(markdown_path, "w", encoding="utf-8") as fh:
-                fh.write(build_markdown_report(results))
-            _log.info("markdown report written", extra={"path": markdown_path})
-        return 1 if failures else 0
-
-    if args.command == "bench-all":
-        import json
-
-        from repro.parallel.engine import run_experiments
-
-        ids = args.only or list(EXPERIMENTS)
-        unknown = [i for i in ids if i not in EXPERIMENTS]
-        if unknown:
-            _log.error(
-                "unknown experiment",
-                extra={
-                    "experiment": ", ".join(unknown),
-                    "known": ", ".join(EXPERIMENTS),
-                },
-            )
-            return 2
-        kwargs = {} if args.seed is None else {"seed": args.seed}
-        engine_run = run_experiments(ids, workers=args.workers, **kwargs)
-        width = max(len(o.experiment_id) for o in engine_run.outcomes)
-        failures = 0
-        rows = []
-        for outcome in engine_run.outcomes:
-            ok = outcome.result.all_within_band
-            if not ok:
-                failures += 1
-            print(
-                f"{outcome.experiment_id.ljust(width)}  "
-                f"{outcome.seconds:7.2f}s  pid={outcome.pid}  "
-                f"{'OK' if ok else 'OUT OF BAND'}"
-            )
-            rows.append(
-                {
-                    "experiment_id": outcome.experiment_id,
-                    "seconds": outcome.seconds,
-                    "pid": outcome.pid,
-                    "within_band": ok,
-                }
-            )
-        cache = dict(engine_run.cache)
-        print(
-            f"total: {engine_run.seconds:.2f}s wall, "
-            f"{engine_run.workers} worker(s), "
-            f"ruleset cache hit rate {cache.get('hit_rate', 0.0):.1%}"
-        )
-        payload = {
-            "name": "bench_all",
-            "workers": engine_run.workers,
-            "wall_seconds": engine_run.seconds,
-            "ruleset_cache": cache,
-            "experiments": rows,
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        _log.info("bench json written", extra={"path": args.json})
-        return 1 if failures else 0
+    if args.command == "all":
+        return _run_experiments(args, list(EXPERIMENTS), seed)
 
     if args.command == "live-node":
         return _run_live_node(args)
 
     if args.command == "live-cluster":
-        return _run_live_cluster(args)
+        return _run_live_cluster(args, seed)
 
     if args.command == "chaos-soak":
-        return _run_chaos_soak(args)
+        return _run_chaos_soak(args, seed)
 
     if args.command == "cluster":
         return _run_cluster(args)
@@ -1313,7 +1247,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         from repro.network.hier import HierConfig, HierNetwork
 
-        seed = args.seed if args.seed is not None else 20060814
         substrate = dict(
             n_superpeers=args.superpeers,
             leaves_per_superpeer=args.leaves_per,
@@ -1393,7 +1326,6 @@ def main(argv: list[str] | None = None) -> int:
             from repro.experiments.figures import BLOCK_SIZE
             from repro.trace.cache import trace_blocks
 
-            seed = args.seed if args.seed is not None else 20060814
             blocks = trace_blocks(args.blocks * BLOCK_SIZE, seed=seed)
             for block in blocks:
                 print(f"block {block.index}: {profile_block(block)}")
@@ -1407,7 +1339,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator
 
         config = MonitorTraceConfig()
-        seed = args.seed if args.seed is not None else 20060814
         total = args.pairs if args.pairs is not None else args.blocks * config.block_size
         if total < 1:
             print("nothing to generate (need at least 1 pair)", file=sys.stderr)

@@ -6,7 +6,7 @@ aggregate statistics.  The aggregates mirror how the paper reports results
 ("the average coverage was 0.80", "new rule sets were generated every 1.7
 blocks").
 
-Partitioned evaluation (:mod:`repro.parallel.partition`) splits one trace
+Partitioned evaluation (``evaluate_store_partitioned``) splits one trace
 across workers by block range; each worker produces a partial
 :class:`StrategyRun` over its scored range, and :func:`merge_runs`
 reassembles the partials into the run the serial loop would have produced.

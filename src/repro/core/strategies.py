@@ -26,6 +26,7 @@ from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.evaluation import RulesetTestResult, ruleset_test
+from repro.core.generation import generate_ruleset
 from repro.core.rules import RuleSet
 from repro.core.runner import StrategyRun, TrialResult
 from repro.core.thresholds import RollingThreshold
@@ -75,14 +76,8 @@ class RulesetStrategy(abc.ABC):
             raise ValueError("min_support_count must be >= 1")
 
     def _generate(self, block: PairBlock) -> RuleSet:
-        # Route through the content-addressed ruleset cache when one is
-        # installed (repro.parallel.cache); with no cache this is plain
-        # GENERATE-RULESET, and because mining is deterministic the cached
-        # and uncached paths return identical rule sets.
-        from repro.parallel.cache import cached_generate_ruleset
-
         t0 = perf_counter()
-        ruleset = cached_generate_ruleset(
+        ruleset = generate_ruleset(
             block,
             min_support_count=self.min_support_count,
             top_k=self.top_k,
@@ -109,7 +104,7 @@ class RulesetStrategy(abc.ABC):
 
     # -- partitioned evaluation ---------------------------------------------
     # A trace can be split across workers by contiguous block range
-    # (repro.parallel.partition).  Each strategy declares which blocks
+    # (``evaluate_store_partitioned``).  Each strategy declares which blocks
     # must *precede* a shard's scored range to reproduce the serial
     # rule-set state at the shard boundary, and run_partition() replays
     # warm-up + scored blocks, keeping only the scored trials.

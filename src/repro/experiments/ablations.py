@@ -11,20 +11,21 @@
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.core.evaluation import ruleset_test_random_subset
+from repro.core.generation import generate_ruleset
 from repro.core.strategies import SlidingWindow
-from repro.experiments.config import DEFAULT_SEED, current_scale
-from repro.experiments.figures import BLOCK_SIZE
+from repro.experiments.context import RunContext
 from repro.experiments.results import ExperimentResult
 from repro.metrics.report import ComparisonRow
-from repro.network.overlay import Overlay, OverlayConfig
-from repro.routing.association import AssociationRoutingPolicy
-from repro.trace.cache import trace_blocks
+from repro.utils.rng import as_generator
 
 __all__ = ["run_topk_ablation", "run_churn_sensitivity"]
 
 
 def run_topk_ablation(
-    *, seed: int = DEFAULT_SEED, ks: tuple = (1, 2, 3, None)
+    ctx: RunContext, *, ks: tuple = (1, 2, 3, None)
 ) -> ExperimentResult:
     """Success/coverage of Sliding Window as top-k consequents vary.
 
@@ -32,19 +33,11 @@ def run_topk_ablation(
     uniformly random subset of the matching rules' consequents — which
     must underperform support-ordered top-k at the same k.
     """
-    import numpy as np
-
-    from repro.core.evaluation import ruleset_test_random_subset
-    from repro.parallel.cache import cached_generate_ruleset
-    from repro.utils.rng import as_generator
-
-    scale = current_scale()
-    blocks = trace_blocks(scale.n_blocks * BLOCK_SIZE, seed=seed)
     successes = {}
     coverages = {}
     rows = []
     for k in ks:
-        run = SlidingWindow(top_k=k).run(blocks)
+        run = ctx.trace(SlidingWindow(top_k=k))
         label = "all" if k is None else str(k)
         successes[label] = run.average_success
         coverages[label] = run.average_coverage
@@ -56,13 +49,11 @@ def run_topk_ablation(
             )
         )
     # Random-subset variant at k=2 (sliding schedule, stochastic choice).
-    rng = as_generator(seed + 1)
+    rng = as_generator(ctx.seed + 1)
+    blocks = ctx.blocks()
     random_successes = []
     for b in range(1, len(blocks)):
-        # Cached: the top_k=None sweep above already mined these blocks
-        # with identical parameters, so with the engine's ruleset cache
-        # active this replay is hit-only.
-        ruleset = cached_generate_ruleset(blocks[b - 1])
+        ruleset = generate_ruleset(blocks[b - 1])
         result = ruleset_test_random_subset(ruleset, blocks[b], k=2, rng=rng)
         random_successes.append(result.success)
     successes["random-2"] = float(np.mean(random_successes))
@@ -110,16 +101,11 @@ def run_topk_ablation(
             band=(0.0, 0.01),
         )
     )
-    return ExperimentResult(
-        experiment_id="topk-ablation",
-        title="Top-k consequent forwarding ablation (paper §III-B.1)",
-        rows=rows,
-        extras={"successes": successes, "coverages": coverages},
-    )
+    return ctx.result(rows, extras={"successes": successes, "coverages": coverages})
 
 
 def run_churn_sensitivity(
-    *, seed: int = DEFAULT_SEED, churn_rates: tuple = (0.0, 0.01, 0.05, 0.15)
+    ctx: RunContext, *, churn_rates: tuple = (0.0, 0.01, 0.05, 0.15)
 ) -> ExperimentResult:
     """Online association routing under accelerating peer turnover.
 
@@ -132,23 +118,11 @@ def run_churn_sensitivity(
     even trims the double-pay pathology (stale covered-but-wrong rules
     cost a futile narrow attempt *plus* the fallback flood).
     """
-    from repro.routing.flooding import FloodingPolicy
-
-    scale = current_scale()
     stats = {}
     fallback_share = {}
     rows = []
     for rate in churn_rates:
-        overlay = Overlay(
-            OverlayConfig(n_nodes=scale.overlay_nodes, churn_rate=rate), seed=seed
-        )
-        overlay.install_policies(
-            lambda nid, ov: AssociationRoutingPolicy(nid, ov, window=2048)
-        )
-        s = overlay.run_workload(
-            scale.overlay_queries, warmup=scale.overlay_warmup
-        )
-        stats[rate] = s
+        overlay, stats[rate] = ctx.overlay("association", churn_rate=rate)
         resolved = sum(
             overlay.node(n).policy.rule_resolved_count
             for n in range(overlay.n_nodes)
@@ -167,11 +141,7 @@ def run_churn_sensitivity(
         )
     lo, hi = churn_rates[0], churn_rates[-1]
     # Flooding baseline under the same heavy churn, for the savings ratio.
-    flood_overlay = Overlay(
-        OverlayConfig(n_nodes=scale.overlay_nodes, churn_rate=hi), seed=seed
-    )
-    flood_overlay.install_policies(lambda nid, ov: FloodingPolicy(nid, ov))
-    flood = flood_overlay.run_workload(scale.overlay_queries)
+    _, flood = ctx.overlay("flooding", churn_rate=hi, warmup=0)
     rows.append(
         ComparisonRow(
             "fallback-share drift across churn rates (churn-robust learning)",
@@ -196,10 +166,8 @@ def run_churn_sensitivity(
             band=(1.3, 1000.0),
         )
     )
-    return ExperimentResult(
-        experiment_id="churn-sensitivity",
-        title="Association routing under churn (robustness ablation)",
-        rows=rows,
+    return ctx.result(
+        rows,
         extras={
             **{str(rate): str(s) for rate, s in stats.items()},
             "flooding@heavy-churn": str(flood),

@@ -7,52 +7,29 @@ technique increases."
 
 The sweep deploys association routing on a growing fraction of peers
 (the rest run vanilla flooding — `dispatch_select` already routes each
-per-node decision to that node's own policy) and measures network-wide
+per-node decision to that node's own policy; ``RunContext.adoption``
+draws the adopter set) and measures network-wide
 traffic.  The claim to verify: messages per query fall monotonically with
 adoption, and partial adoption already helps.
 """
 
 from __future__ import annotations
 
-from repro.experiments.config import DEFAULT_SEED, current_scale
+from repro.experiments.context import RunContext
 from repro.experiments.results import ExperimentResult
 from repro.metrics.report import ComparisonRow
-from repro.network.overlay import Overlay, OverlayConfig
-from repro.routing.association import AssociationRoutingPolicy
-from repro.routing.flooding import FloodingPolicy
-from repro.utils.rng import as_generator
 
 __all__ = ["run_adoption_sweep"]
 
 
 def run_adoption_sweep(
-    *, seed: int = DEFAULT_SEED, fractions: tuple = (0.0, 0.25, 0.5, 1.0)
+    ctx: RunContext, *, fractions: tuple = (0.0, 0.25, 0.5, 1.0)
 ) -> ExperimentResult:
     """Traffic vs fraction of peers running association routing."""
-    scale = current_scale()
     stats = {}
     rows = []
     for fraction in fractions:
-        overlay = Overlay(OverlayConfig(n_nodes=scale.overlay_nodes), seed=seed)
-        # Deterministic adopter set, independent of the workload stream.
-        picker = as_generator(seed + 17)
-        adopters = set(
-            picker.choice(
-                overlay.n_nodes,
-                size=int(round(fraction * overlay.n_nodes)),
-                replace=False,
-            ).tolist()
-        )
-
-        def factory(node_id, ov, _adopters=adopters):
-            if node_id in _adopters:
-                return AssociationRoutingPolicy(node_id, ov, window=2048)
-            return FloodingPolicy(node_id, ov)
-
-        overlay.install_policies(factory)
-        stats[fraction] = overlay.run_workload(
-            scale.overlay_queries, warmup=scale.overlay_warmup
-        )
+        _, stats[fraction] = ctx.overlay(ctx.adoption(fraction))
         rows.append(
             ComparisonRow(
                 f"msgs/query @ {int(fraction * 100)}% adoption",
@@ -95,9 +72,7 @@ def run_adoption_sweep(
             band=(-0.08, 1.0),
         )
     )
-    return ExperimentResult(
-        experiment_id="adoption",
-        title="Incremental deployment sweep (paper §III-B)",
-        rows=rows,
+    return ctx.result(
+        rows,
         extras={f"{int(f*100)}%": str(s) for f, s in stats.items()},
     )

@@ -22,14 +22,11 @@ from repro.core.category_rules import (
     generate_category_ruleset,
 )
 from repro.core.strategies import SlidingWindow
-from repro.experiments.config import DEFAULT_SEED, current_scale
+from repro.experiments.context import RunContext, association
 from repro.experiments.results import ExperimentResult
 from repro.metrics.report import ComparisonRow
-from repro.network.overlay import Overlay, OverlayConfig
 from repro.network.superpeer import SuperPeerConfig, SuperPeerNetwork
-from repro.routing.association import AssociationRoutingPolicy
 from repro.routing.hybrid import HybridShortcutAssociationPolicy
-from repro.routing.shortcuts import InterestShortcutsPolicy
 from repro.routing.topology_adaptation import TopologyAdaptingPolicy
 from repro.trace.blocks import blocks_from_arrays
 from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator
@@ -45,7 +42,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # §VI  query-string dimension
 # ---------------------------------------------------------------------------
-def run_category_rules(*, seed: int = DEFAULT_SEED, top_k: int = 1) -> ExperimentResult:
+def run_category_rules(ctx: RunContext, *, top_k: int = 1) -> ExperimentResult:
     """(source, category) antecedents vs host-only antecedents.
 
     The comparison runs at ``top_k=1`` — forwarding to the single
@@ -56,10 +53,9 @@ def run_category_rules(*, seed: int = DEFAULT_SEED, top_k: int = 1) -> Experimen
     path, which is precisely the gain §VI predicts from "adding
     dimensions such as the query strings".
     """
-    scale = current_scale()
     cfg = MonitorTraceConfig()
-    gen = MonitorTraceGenerator(cfg, seed=seed)
-    arrays = gen.generate_pair_arrays(scale.n_blocks * cfg.block_size)
+    gen = MonitorTraceGenerator(cfg, seed=ctx.seed)
+    arrays = gen.generate_pair_arrays(ctx.scale.n_blocks * cfg.block_size)
     blocks = blocks_from_arrays(arrays.source, arrays.replier, block_size=cfg.block_size)
     cblocks = [
         CategorizedBlock(
@@ -106,10 +102,8 @@ def run_category_rules(*, seed: int = DEFAULT_SEED, top_k: int = 1) -> Experimen
             band=(-0.03, 1.0),
         ),
     ]
-    return ExperimentResult(
-        experiment_id="category-rules",
-        title="Query-string (category) dimension in rule antecedents (paper §VI)",
-        rows=rows,
+    return ctx.result(
+        rows,
         series={"coverage": cat_coverage, "success": cat_success},
         extras={
             "baseline_coverage": baseline.average_coverage,
@@ -121,7 +115,7 @@ def run_category_rules(*, seed: int = DEFAULT_SEED, top_k: int = 1) -> Experimen
 # ---------------------------------------------------------------------------
 # §VI  topology adaptation
 # ---------------------------------------------------------------------------
-def run_topology_adaptation(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run_topology_adaptation(ctx: RunContext) -> ExperimentResult:
     """Rule-driven rewiring vs plain association routing.
 
     The overlay is configured content-sparse (low replication, low degree)
@@ -130,31 +124,19 @@ def run_topology_adaptation(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
     makes the *flooding fallback* costlier; that trade-off is reported as
     an unbanded finding.
     """
-    scale = current_scale()
-    common = dict(
-        n_nodes=min(scale.overlay_nodes, 500),
+    sparse = dict(
+        n_nodes=min(ctx.scale.overlay_nodes, 500),
         degree=4,
+        max_degree=7,
         n_categories=80,
         files_per_category=300,
         library_size=25,
         interests_per_peer=3,
     )
-    n_queries = scale.overlay_queries
-    warmup = scale.overlay_warmup
-
-    def run(policy_factory):
-        overlay = Overlay(OverlayConfig(max_degree=7, **common), seed=seed)
-        overlay.install_policies(policy_factory)
-        stats = overlay.run_workload(n_queries, warmup=warmup)
-        return overlay, stats
-
-    _, plain = run(
-        lambda nid, ov: AssociationRoutingPolicy(nid, ov, window=2048)
-    )
-    adapted_overlay, adapted = run(
-        lambda nid, ov: TopologyAdaptingPolicy(
-            nid, ov, window=2048, adapt_every=40, max_new_links=2
-        )
+    _, plain = ctx.overlay("association", **sparse)
+    adapted_overlay, adapted = ctx.overlay(
+        association(TopologyAdaptingPolicy, adapt_every=40, max_new_links=2),
+        **sparse,
     )
     links_added = sum(
         adapted_overlay.node(n).policy.links_added
@@ -187,10 +169,8 @@ def run_topology_adaptation(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
             adapted.messages_per_query / plain.messages_per_query,
         ),
     ]
-    return ExperimentResult(
-        experiment_id="topology-adaptation",
-        title="Rule-driven overlay rewiring (paper §VI)",
-        rows=rows,
+    return ctx.result(
+        rows,
         extras={
             "plain": str(plain),
             "adapted": str(adapted),
@@ -202,25 +182,14 @@ def run_topology_adaptation(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # §VI  shortcuts + rules hybrid
 # ---------------------------------------------------------------------------
-def run_hybrid(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run_hybrid(ctx: RunContext) -> ExperimentResult:
     """Shortcuts with association rules as the pre-flood last chance."""
-    scale = current_scale()
-
-    def run(policy_factory):
-        overlay = Overlay(OverlayConfig(n_nodes=scale.overlay_nodes), seed=seed)
-        overlay.install_policies(policy_factory)
-        return overlay.run_workload(
-            scale.overlay_queries, warmup=scale.overlay_warmup
-        )
-
-    shortcuts = run(lambda nid, ov: InterestShortcutsPolicy(nid, ov))
-    association = run(lambda nid, ov: AssociationRoutingPolicy(nid, ov, window=2048))
-    hybrid = run(
-        lambda nid, ov: HybridShortcutAssociationPolicy(nid, ov, window=2048)
-    )
+    _, shortcuts = ctx.overlay("shortcuts")
+    _, rules = ctx.overlay("association")
+    _, hybrid = ctx.overlay(association(HybridShortcutAssociationPolicy))
     rows = [
         ComparisonRow("shortcuts msgs/query", "-", shortcuts.messages_per_query),
-        ComparisonRow("association msgs/query", "-", association.messages_per_query),
+        ComparisonRow("association msgs/query", "-", rules.messages_per_query),
         ComparisonRow("hybrid msgs/query", "-", hybrid.messages_per_query),
         ComparisonRow(
             "hybrid vs shortcuts traffic (paper: avoid more floods)",
@@ -235,13 +204,11 @@ def run_hybrid(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
             band=(-0.08, 1.0),
         ),
     ]
-    return ExperimentResult(
-        experiment_id="hybrid",
-        title="Interest shortcuts + association rules hybrid (paper §VI)",
-        rows=rows,
+    return ctx.result(
+        rows,
         extras={
             "shortcuts": str(shortcuts),
-            "association": str(association),
+            "association": str(rules),
             "hybrid": str(hybrid),
         },
     )
@@ -250,10 +217,10 @@ def run_hybrid(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # §II  super-peer baseline
 # ---------------------------------------------------------------------------
-def run_superpeer(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run_superpeer(ctx: RunContext) -> ExperimentResult:
     """Two-tier indexing: cheap hops, but tier-2 flooding still grows."""
-    small = SuperPeerNetwork(SuperPeerConfig(n_superpeers=20), seed=seed)
-    large = SuperPeerNetwork(SuperPeerConfig(n_superpeers=60), seed=seed)
+    small = SuperPeerNetwork(SuperPeerConfig(n_superpeers=20), seed=ctx.seed)
+    large = SuperPeerNetwork(SuperPeerConfig(n_superpeers=60), seed=ctx.seed)
     stats_small = small.run_workload(800)
     stats_large = large.run_workload(800)
     rows = [
@@ -282,9 +249,7 @@ def run_superpeer(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
             band=(0.7, 1.0),
         ),
     ]
-    return ExperimentResult(
-        experiment_id="superpeer",
-        title="Super-peer two-tier baseline (paper §II, ref [14])",
-        rows=rows,
+    return ctx.result(
+        rows,
         extras={"small": str(stats_small), "large": str(stats_large)},
     )

@@ -1,9 +1,10 @@
 """Runners for every figure and in-text result of the paper's evaluation.
 
-Each ``run_*`` function regenerates one artifact (see DESIGN.md §5) and
-returns an :class:`~repro.experiments.results.ExperimentResult` whose rows
-compare measured values against the paper's reported ones, with acceptance
-bands encoding the reproduction contract (shape and rough magnitude, not
+Each ``run_*`` function regenerates one artifact (see DESIGN.md §5) from
+a :class:`~repro.experiments.context.RunContext` and returns an
+:class:`~repro.experiments.results.ExperimentResult` whose rows compare
+measured values against the paper's reported ones, with acceptance bands
+encoding the reproduction contract (shape and rough magnitude, not
 bit-exact numbers — our substrate is a synthetic trace).
 """
 
@@ -18,14 +19,13 @@ from repro.core.strategies import (
     StaticRuleset,
 )
 from repro.core.streaming import StreamingRules
-from repro.experiments.config import DEFAULT_SEED, current_scale
+from repro.experiments.context import BLOCK_SIZE, RunContext
 from repro.experiments.results import ExperimentResult
 from repro.metrics.report import ComparisonRow
 from repro.metrics.series import sawtooth_depth
-from repro.trace.cache import trace_blocks
-from repro.workload.tracegen import MonitorTraceConfig
 
 __all__ = [
+    "BLOCK_SIZE",
     "run_static",
     "run_fig1_sliding",
     "run_fig2_block_sizes",
@@ -38,18 +38,12 @@ __all__ = [
 ]
 
 
-#: pairs per block of the calibrated trace every runner replays.
-BLOCK_SIZE = MonitorTraceConfig().block_size
-
-
 # ---------------------------------------------------------------------------
 # §V-A  Static Ruleset
 # ---------------------------------------------------------------------------
-def run_static(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run_static(ctx: RunContext) -> ExperimentResult:
     """§V-A: Static Ruleset degrades and never recovers."""
-    scale = current_scale()
-    blocks = trace_blocks(scale.n_blocks_static * BLOCK_SIZE, seed=seed)
-    run = StaticRuleset().run(blocks)
+    run = ctx.trace(StaticRuleset(), ctx.scale.n_blocks_static * BLOCK_SIZE)
     succ = run.success_series
     cov = run.coverage_series
     tail_success = float(np.mean(succ[16:])) if len(succ) > 16 else float("nan")
@@ -80,10 +74,8 @@ def run_static(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
             band=(0.0, 0.08),
         ),
     ]
-    return ExperimentResult(
-        experiment_id="static",
-        title="Static Ruleset over time (paper §V-A)",
-        rows=rows,
+    return ctx.result(
+        rows,
         series={"coverage": cov, "success": succ},
         extras={"n_trials": run.n_trials},
     )
@@ -92,11 +84,9 @@ def run_static(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # Fig. 1  Sliding Window
 # ---------------------------------------------------------------------------
-def run_fig1_sliding(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run_fig1_sliding(ctx: RunContext) -> ExperimentResult:
     """Fig. 1: coverage and success of Sliding Window over time."""
-    scale = current_scale()
-    blocks = trace_blocks(scale.n_blocks * BLOCK_SIZE, seed=seed)
-    run = SlidingWindow().run(blocks)
+    run = ctx.trace(SlidingWindow())
     rows = [
         ComparisonRow(
             "average coverage (paper: > 0.80)",
@@ -111,10 +101,8 @@ def run_fig1_sliding(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
             band=(0.70, 0.88),
         ),
     ]
-    return ExperimentResult(
-        experiment_id="fig1",
-        title="Sliding Window coverage & success over time (paper Fig. 1)",
-        rows=rows,
+    return ctx.result(
+        rows,
         series={"coverage": run.coverage_series, "success": run.success_series},
     )
 
@@ -123,20 +111,17 @@ def run_fig1_sliding(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
 # Fig. 2  Sliding Window, block-size sweep
 # ---------------------------------------------------------------------------
 def run_fig2_block_sizes(
-    *, seed: int = DEFAULT_SEED, block_sizes: tuple[int, ...] = (5_000, 10_000, 20_000, 50_000)
+    ctx: RunContext, *, block_sizes: tuple[int, ...] = (5_000, 10_000, 20_000, 50_000)
 ) -> ExperimentResult:
     """Fig. 2: Sliding Window coverage is similar across block sizes."""
-    scale = current_scale()
+    n_pairs = ctx.scale.n_pairs_blocksweep
     rows = []
     series: dict[str, list[float]] = {}
     coverages = {}
     for block_size in block_sizes:
-        blocks = trace_blocks(
-            scale.n_pairs_blocksweep, seed=seed, block_size=block_size
-        )
-        if len(blocks) < 2:
+        if n_pairs // block_size < 2:
             continue
-        run = SlidingWindow().run(blocks)
+        run = ctx.trace(SlidingWindow(), n_pairs, block_size=block_size)
         coverages[block_size] = run.average_coverage
         series[f"coverage_{block_size}"] = run.coverage_series
         rows.append(
@@ -156,23 +141,15 @@ def run_fig2_block_sizes(
             band=(0.0, 0.15),
         )
     )
-    return ExperimentResult(
-        experiment_id="fig2",
-        title="Sliding Window coverage vs block size (paper Fig. 2)",
-        rows=rows,
-        series=series,
-        extras={"coverages": coverages},
-    )
+    return ctx.result(rows, series=series, extras={"coverages": coverages})
 
 
 # ---------------------------------------------------------------------------
 # Fig. 3  Lazy Sliding Window
 # ---------------------------------------------------------------------------
-def run_fig3_lazy(*, seed: int = DEFAULT_SEED, laziness: int = 10) -> ExperimentResult:
+def run_fig3_lazy(ctx: RunContext, *, laziness: int = 10) -> ExperimentResult:
     """Fig. 3: Lazy Sliding Window sawtooth; averages ≈ 0.59."""
-    scale = current_scale()
-    blocks = trace_blocks(scale.n_blocks * BLOCK_SIZE, seed=seed)
-    run = LazySlidingWindow(laziness=laziness).run(blocks)
+    run = ctx.trace(LazySlidingWindow(laziness=laziness))
     depth = sawtooth_depth(run.success_series, laziness)
     rows = [
         ComparisonRow(
@@ -194,10 +171,8 @@ def run_fig3_lazy(*, seed: int = DEFAULT_SEED, laziness: int = 10) -> Experiment
             band=(0.05, 1.0),
         ),
     ]
-    return ExperimentResult(
-        experiment_id="fig3",
-        title="Lazy Sliding Window over time, regen every 10 blocks (paper Fig. 3)",
-        rows=rows,
+    return ctx.result(
+        rows,
         series={"coverage": run.coverage_series, "success": run.success_series},
         extras={"n_generations": run.n_generations},
     )
@@ -206,13 +181,9 @@ def run_fig3_lazy(*, seed: int = DEFAULT_SEED, laziness: int = 10) -> Experiment
 # ---------------------------------------------------------------------------
 # Fig. 4  Adaptive Sliding Window
 # ---------------------------------------------------------------------------
-def run_fig4_adaptive(
-    *, seed: int = DEFAULT_SEED, history: int = 10
-) -> ExperimentResult:
+def run_fig4_adaptive(ctx: RunContext, *, history: int = 10) -> ExperimentResult:
     """Fig. 4: Adaptive Sliding Window with rolling thresholds, N=10."""
-    scale = current_scale()
-    blocks = trace_blocks(scale.n_blocks * BLOCK_SIZE, seed=seed)
-    run = AdaptiveSlidingWindow(history=history, initial_threshold=0.7).run(blocks)
+    run = ctx.trace(AdaptiveSlidingWindow(history=history, initial_threshold=0.7))
     rows = [
         ComparisonRow(
             "average coverage (paper: 0.78)",
@@ -233,10 +204,8 @@ def run_fig4_adaptive(
             band=(1.2, 2.6),
         ),
     ]
-    return ExperimentResult(
-        experiment_id="fig4",
-        title="Adaptive Sliding Window over time, history N=10 (paper Fig. 4)",
-        rows=rows,
+    return ctx.result(
+        rows,
         series={"coverage": run.coverage_series, "success": run.success_series},
         extras={"n_generations": run.n_generations},
     )
@@ -245,12 +214,10 @@ def run_fig4_adaptive(
 # ---------------------------------------------------------------------------
 # §V-D  Adaptive threshold-history comparison (N=10 vs N=50)
 # ---------------------------------------------------------------------------
-def run_adaptive_history(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run_adaptive_history(ctx: RunContext) -> ExperimentResult:
     """§V-D: larger threshold history regenerates less often, same quality."""
-    scale = current_scale()
-    blocks = trace_blocks(scale.n_blocks * BLOCK_SIZE, seed=seed)
-    run10 = AdaptiveSlidingWindow(history=10, initial_threshold=0.7).run(blocks)
-    run50 = AdaptiveSlidingWindow(history=50, initial_threshold=0.7).run(blocks)
+    run10 = ctx.trace(AdaptiveSlidingWindow(history=10, initial_threshold=0.7))
+    run50 = ctx.trace(AdaptiveSlidingWindow(history=50, initial_threshold=0.7))
     rows = [
         ComparisonRow(
             "blocks/generation, N=10 (paper: 1.7)",
@@ -283,10 +250,8 @@ def run_adaptive_history(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
             band=(-0.4, 10.0),
         ),
     ]
-    return ExperimentResult(
-        experiment_id="adaptive-history",
-        title="Adaptive thresholds: history N=10 vs N=50 (paper §V-D)",
-        rows=rows,
+    return ctx.result(
+        rows,
         series={
             "coverage_n10": run10.coverage_series,
             "coverage_n50": run50.coverage_series,
@@ -303,7 +268,7 @@ def run_adaptive_history(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # §VI  Streaming rule maintenance (future work; "above 90%")
 # ---------------------------------------------------------------------------
-def run_streaming(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run_streaming(ctx: RunContext) -> ExperimentResult:
     """§VI: immediate rule updates beat every batch strategy.
 
     The paper reports coverage/success "consistently above 90%" on its
@@ -313,10 +278,8 @@ def run_streaming(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
     cap-adjusted one; the qualitative claim — streaming beats Sliding
     Window, which beats everything else — is asserted exactly.
     """
-    scale = current_scale()
-    blocks = trace_blocks(scale.n_blocks * BLOCK_SIZE, seed=seed)
-    streaming = StreamingRules(min_support_count=5).run(blocks)
-    sliding = SlidingWindow().run(blocks)
+    streaming = ctx.trace(StreamingRules(min_support_count=5))
+    sliding = ctx.trace(SlidingWindow())
     rows = [
         ComparisonRow(
             "streaming average coverage (paper: > 0.90; ceiling here ~0.87)",
@@ -343,10 +306,8 @@ def run_streaming(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
             band=(0.0, 1.0),
         ),
     ]
-    return ExperimentResult(
-        experiment_id="streaming",
-        title="Streaming rule maintenance (paper §VI future work)",
-        rows=rows,
+    return ctx.result(
+        rows,
         series={
             "coverage": streaming.coverage_series,
             "success": streaming.success_series,
@@ -358,7 +319,7 @@ def run_streaming(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
 # §III-B.1  Support-prune threshold ablation
 # ---------------------------------------------------------------------------
 def run_prune_ablation(
-    *, seed: int = DEFAULT_SEED, thresholds: tuple[int, ...] = (1, 5, 10, 25, 50)
+    ctx: RunContext, *, thresholds: tuple[int, ...] = (1, 5, 10, 25, 50)
 ) -> ExperimentResult:
     """§III-B.1/§V-B: rule quality across support-prune thresholds.
 
@@ -367,13 +328,11 @@ def run_prune_ablation(
     is altered" and that "only a small number of query-reply pairs are
     needed" — i.e. coverage degrades gracefully as the threshold rises.
     """
-    scale = current_scale()
-    blocks = trace_blocks(scale.n_blocks * BLOCK_SIZE, seed=seed)
     rows = []
     series = {}
     coverages = {}
     for threshold in thresholds:
-        run = SlidingWindow(min_support_count=threshold).run(blocks)
+        run = ctx.trace(SlidingWindow(min_support_count=threshold))
         coverages[threshold] = run.average_coverage
         series[f"coverage_t{threshold}"] = run.coverage_series
         rows.append(
@@ -413,30 +372,22 @@ def run_prune_ablation(
                 abs(coverages[5] - coverages[25]),
             )
         )
-    return ExperimentResult(
-        experiment_id="prune-ablation",
-        title="Support-prune threshold ablation (paper §III-B.1, §V-B)",
-        rows=rows,
-        series=series,
-        extras={"coverages": coverages},
-    )
+    return ctx.result(rows, series=series, extras={"coverages": coverages})
 
 
 # ---------------------------------------------------------------------------
 # §VI  Confidence-based pruning extension
 # ---------------------------------------------------------------------------
 def run_confidence_ablation(
-    *, seed: int = DEFAULT_SEED, confidences: tuple[float, ...] = (0.0, 0.1, 0.25, 0.5)
+    ctx: RunContext, *, confidences: tuple[float, ...] = (0.0, 0.1, 0.25, 0.5)
 ) -> ExperimentResult:
     """§VI: confidence pruning shrinks rule sets while retaining quality."""
-    scale = current_scale()
-    blocks = trace_blocks(scale.n_blocks * BLOCK_SIZE, seed=seed)
     rows = []
     sizes = {}
     successes = {}
     coverages = {}
     for conf in confidences:
-        run = SlidingWindow(min_confidence=conf).run(blocks)
+        run = ctx.trace(SlidingWindow(min_confidence=conf))
         mean_size = float(np.mean([t.ruleset_size for t in run.trials]))
         sizes[conf] = mean_size
         successes[conf] = run.average_success
@@ -466,9 +417,7 @@ def run_confidence_ablation(
             band=(1.0, 1.0),
         )
     )
-    return ExperimentResult(
-        experiment_id="confidence-ablation",
-        title="Confidence-based pruning extension (paper §VI)",
-        rows=rows,
+    return ctx.result(
+        rows,
         extras={"sizes": sizes, "successes": successes, "coverages": coverages},
     )

@@ -24,7 +24,8 @@ widens coverage α over per-node evidence.
 
 from __future__ import annotations
 
-from repro.experiments.config import DEFAULT_SEED, current_scale
+from repro.experiments.config import DEFAULT_SEED
+from repro.experiments.context import RunContext
 from repro.experiments.results import ExperimentResult
 from repro.metrics.report import ComparisonRow
 from repro.metrics.traffic import TrafficStats
@@ -84,14 +85,14 @@ def amortized_messages_per_query(
     return (stats.total_messages + control_messages) / stats.n_queries
 
 
-def run_hier(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run_hier(ctx: RunContext) -> ExperimentResult:
     """Flood vs per-node rules vs super-peer rules vs hybrid."""
-    scale = current_scale()
+    scale = ctx.scale
     n_superpeers = max(12, scale.overlay_nodes // 20)
     n_queries = max(scale.overlay_queries, 10 * n_superpeers)
     warmup = scale.overlay_warmup
     arms = hier_arm_stats(
-        n_superpeers=n_superpeers, n_queries=n_queries, warmup=warmup, seed=seed
+        n_superpeers=n_superpeers, n_queries=n_queries, warmup=warmup, seed=ctx.seed
     )
     baseline, _ = arms["baseline"]
     flood, _ = arms["flood"]
@@ -173,10 +174,8 @@ def run_hier(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
             a: arms[a][0].messages_per_query for a in arm_order
         },
     }
-    return ExperimentResult(
-        experiment_id="hier",
-        title="Two-tier super-peer rule routing vs flooding (ISSUE 10)",
-        rows=rows,
+    return ctx.result(
+        rows,
         series=series,
         extras=extras,
     )

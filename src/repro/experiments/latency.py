@@ -15,49 +15,40 @@ and a heavy offered load and asserts the crossover.
 
 from __future__ import annotations
 
-from repro.experiments.config import DEFAULT_SEED, current_scale
+from repro.experiments.context import RunContext
 from repro.experiments.results import ExperimentResult
 from repro.metrics.report import ComparisonRow
 from repro.network.discrete_event import DiscreteEventConfig, DiscreteEventNetwork
-from repro.network.overlay import Overlay, OverlayConfig
-from repro.routing.association import AssociationRoutingPolicy
-from repro.routing.flooding import FloodingPolicy
 
 __all__ = ["run_latency_under_load"]
 
 
-def _run_one(policy: str, interarrival: float, *, seed: int, n_nodes: int, n_queries: int):
-    overlay = Overlay(OverlayConfig(n_nodes=n_nodes), seed=seed)
-    if policy == "flooding":
-        overlay.install_policies(lambda nid, ov: FloodingPolicy(nid, ov))
-    else:
-        overlay.install_policies(
-            lambda nid, ov: AssociationRoutingPolicy(nid, ov, window=2048)
-        )
-        # Let the learning policy build its tables before timing anything.
-        overlay.run_workload(0, warmup=800)
+def _run_one(ctx: RunContext, policy: str, interarrival: float):
+    # The learning policy builds its tables before anything is timed.
+    overlay, _ = ctx.overlay(
+        policy,
+        n_nodes=min(ctx.scale.overlay_nodes, 300),
+        n_queries=0,
+        warmup=800 if policy == "association" else 0,
+    )
     net = DiscreteEventNetwork(
         overlay,
         DiscreteEventConfig(query_interarrival=interarrival, fallback_timeout=1.5),
     )
-    return net.run(n_queries, seed=seed + 1)
+    return net.run(max(200, ctx.scale.overlay_queries // 2), seed=ctx.seed + 1)
 
 
 def run_latency_under_load(
+    ctx: RunContext,
     *,
-    seed: int = DEFAULT_SEED,
     light_interarrival: float = 0.2,
     heavy_interarrival: float = 0.01,
 ) -> ExperimentResult:
     """Flooding vs association routing at light and saturating load."""
-    scale = current_scale()
-    n_nodes = min(scale.overlay_nodes, 300)
-    n_queries = max(200, scale.overlay_queries // 2)
-
-    flood_light = _run_one("flooding", light_interarrival, seed=seed, n_nodes=n_nodes, n_queries=n_queries)
-    assoc_light = _run_one("association", light_interarrival, seed=seed, n_nodes=n_nodes, n_queries=n_queries)
-    flood_heavy = _run_one("flooding", heavy_interarrival, seed=seed, n_nodes=n_nodes, n_queries=n_queries)
-    assoc_heavy = _run_one("association", heavy_interarrival, seed=seed, n_nodes=n_nodes, n_queries=n_queries)
+    flood_light = _run_one(ctx, "flooding", light_interarrival)
+    assoc_light = _run_one(ctx, "association", light_interarrival)
+    flood_heavy = _run_one(ctx, "flooding", heavy_interarrival)
+    assoc_heavy = _run_one(ctx, "association", heavy_interarrival)
 
     rows = [
         ComparisonRow(
@@ -107,10 +98,8 @@ def run_latency_under_load(
             band=(-0.08, 1.0),
         ),
     ]
-    return ExperimentResult(
-        experiment_id="latency",
-        title="Latency under load: flooding vs association routing (paper §VI)",
-        rows=rows,
+    return ctx.result(
+        rows,
         extras={
             "flooding_light": str(flood_light),
             "association_light": str(assoc_light),

@@ -1,21 +1,22 @@
 """Multi-seed experiment sweeps.
 
 A single seeded run shows the paper's shapes; a seed sweep shows they are
-not a lucky draw.  :func:`run_seed_sweep` repeats any registered
-experiment across seeds and aggregates each banded row: mean, standard
-deviation, and how many seeds landed in band.
+not a lucky draw.  :func:`aggregate_sweep` takes one experiment's runs
+across seeds (``run_experiments([id], seeds=...)``) and aggregates each
+row: mean, standard deviation, and how many seeds landed in band.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from repro.experiments.results import ExperimentResult
+from repro.experiments.registry import ExperimentRun
 from repro.metrics.report import ComparisonRow
 
-__all__ = ["RowSweep", "SweepResult", "run_seed_sweep"]
+__all__ = ["RowSweep", "SweepResult", "aggregate_sweep"]
 
 
 @dataclass(frozen=True)
@@ -65,40 +66,18 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def run_seed_sweep(
-    experiment_id: str, *, seeds, workers: int = 0, **kwargs
-) -> SweepResult:
-    """Run ``experiment_id`` for each seed and aggregate its rows.
+def aggregate_sweep(runs: Iterable[ExperimentRun]) -> SweepResult:
+    """Aggregate one experiment's runs across seeds, row by row.
 
     Rows are matched by label across runs; experiments whose row sets vary
-    by seed (none do today) would raise a ValueError.
-
-    ``workers`` fans the per-seed trials out through the parallel
-    experiment engine (``repro.parallel``): >1 uses a process pool with
-    shared-memory trace blocks, 1 runs in-process with the trace memo and
-    ruleset cache, 0 (default) is the plain serial path.  All modes
-    produce identical trials (same seeds, deterministic replay).
+    by seed (none do today) raise a ValueError.
     """
-    seeds = tuple(int(s) for s in seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if workers > 0:
-        from repro.parallel.engine import ExperimentTask, ParallelExperimentEngine
-
-        engine = ParallelExperimentEngine(workers)
-        run = engine.run(
-            [
-                ExperimentTask(experiment_id, {"seed": seed, **kwargs})
-                for seed in seeds
-            ]
-        )
-        results: list[ExperimentResult] = run.results
-    else:
-        from repro.experiments.registry import run_experiment
-
-        results = [
-            run_experiment(experiment_id, seed=seed, **kwargs) for seed in seeds
-        ]
+    runs = list(runs)
+    if not runs:
+        raise ValueError("need at least one run")
+    seeds = tuple(run.seed for run in runs)
+    results = [run.result for run in runs]
+    experiment_id = results[0].experiment_id
     labels = [row.label for row in results[0].rows]
     for result in results[1:]:
         if [row.label for row in result.rows] != labels:

@@ -29,7 +29,7 @@ class ExperimentResult:
     def payload(self) -> dict:
         """Fully comparable snapshot of everything this result carries.
 
-        Used to assert that serial and parallel (engine) runs of the same
+        Used to assert that looped and pooled runs of the same
         experiment are bit-identical: rows, series values, and extras
         (repr'd, since extras may hold arbitrary objects) all participate.
         """

@@ -10,91 +10,32 @@ same overlay, comparing messages per query and hit rate.
 
 from __future__ import annotations
 
-from repro.experiments.config import DEFAULT_SEED, current_scale
+from repro.experiments.context import RunContext
 from repro.experiments.results import ExperimentResult
 from repro.metrics.report import ComparisonRow
 from repro.metrics.traffic import TrafficStats
-from repro.network.overlay import Overlay, OverlayConfig
-from repro.routing import (
-    AssociationRoutingPolicy,
-    ExpandingRingPolicy,
-    FloodingPolicy,
-    InterestShortcutsPolicy,
-    KRandomWalkPolicy,
-    RoutingIndicesPolicy,
-    build_routing_indices,
-)
-from repro.utils.rng import as_generator
 
-__all__ = ["run_traffic_comparison", "STRATEGY_FACTORIES"]
+__all__ = ["STRATEGIES", "run_traffic_comparison"]
 
-
-def _assoc_factory(nid, overlay):
-    return AssociationRoutingPolicy(nid, overlay, top_k=2, window=2048)
-
-
-def _kwalk_factory_builder(seed):
-    rng = as_generator(seed)
-
-    def factory(nid, overlay):
-        return KRandomWalkPolicy(nid, overlay, seed=int(rng.integers(1 << 30)))
-
-    return factory
-
-
-STRATEGY_FACTORIES = {
-    "flooding": lambda nid, ov: FloodingPolicy(nid, ov),
-    "expanding-ring": lambda nid, ov: ExpandingRingPolicy(nid, ov),
-    "shortcuts": lambda nid, ov: InterestShortcutsPolicy(nid, ov),
-    "routing-indices": lambda nid, ov: RoutingIndicesPolicy(nid, ov),
-    "association": _assoc_factory,
+#: every compared strategy -> whether it learns, i.e. gets the warm-up
+#: workload (memoryless ones skip it; keeps total runtime proportionate).
+STRATEGIES = {
+    "flooding": False,
+    "expanding-ring": False,
+    "k-random-walk": False,
+    "shortcuts": True,
+    "routing-indices": False,
+    "association": True,
 }
 
 
-def run_strategy_traffic(
-    name: str,
-    *,
-    seed: int = DEFAULT_SEED,
-    n_nodes: int | None = None,
-    n_queries: int | None = None,
-    warmup: int | None = None,
-    churn_rate: float = 0.002,
-) -> TrafficStats:
-    """Run one strategy's workload on a freshly built identical overlay."""
-    scale = current_scale()
-    n_nodes = n_nodes or scale.overlay_nodes
-    n_queries = n_queries or scale.overlay_queries
-    overlay = Overlay(OverlayConfig(n_nodes=n_nodes, churn_rate=churn_rate), seed=seed)
-    if name == "k-random-walk":
-        factory = _kwalk_factory_builder(seed + 1)
-    else:
-        factory = STRATEGY_FACTORIES[name]
-    overlay.install_policies(factory)
-    if name == "routing-indices":
-        index = build_routing_indices(overlay, horizon=3)
-        for node_id in range(overlay.n_nodes):
-            overlay.node(node_id).policy.install_index(index[node_id])
-    if warmup is None:
-        # Learning strategies get a warmup workload; memoryless ones don't
-        # need one (keeps total runtime proportionate).
-        learning = name in ("association", "shortcuts")
-        warmup = scale.overlay_warmup if learning else 0
-    return overlay.run_workload(n_queries, warmup=warmup)
-
-
-def run_traffic_comparison(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run_traffic_comparison(ctx: RunContext) -> ExperimentResult:
     """Compare all strategies on identical overlays and workloads."""
-    names = [
-        "flooding",
-        "expanding-ring",
-        "k-random-walk",
-        "shortcuts",
-        "routing-indices",
-        "association",
-    ]
     stats: dict[str, TrafficStats] = {}
-    for name in names:
-        stats[name] = run_strategy_traffic(name, seed=seed)
+    for name, learns in STRATEGIES.items():
+        _, stats[name] = ctx.overlay(
+            name, churn_rate=0.002, warmup=None if learns else 0
+        )
     flood = stats["flooding"]
     assoc = stats["association"]
     rows = [
@@ -126,9 +67,7 @@ def run_traffic_comparison(*, seed: int = DEFAULT_SEED) -> ExperimentResult:
             band=(-0.10, 1.0),
         )
     )
-    return ExperimentResult(
-        experiment_id="traffic",
-        title="Online traffic reduction across routing strategies (paper §I/§VI claim)",
-        rows=rows,
+    return ctx.result(
+        rows,
         extras={name: str(s) for name, s in stats.items()},
     )

@@ -119,8 +119,8 @@ class PairBlock:
         """Content address of this block (hash of both id columns).
 
         Two blocks with identical (source, replier) columns share a
-        fingerprint regardless of their ``index``, which is what makes
-        the ruleset cache content-addressed rather than positional.
+        fingerprint regardless of their ``index``: it addresses the
+        content, not the position.
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is None:

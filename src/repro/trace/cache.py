@@ -4,7 +4,7 @@ The paper imported its seven-day trace into a database once and ran
 every strategy against that one copy.  Here the copy is an on-disk
 columnar store (:mod:`repro.trace.store`), one file per generated trace,
 and :func:`trace_blocks` is the only way an experiment gets its blocks:
-serial runs, the in-process engine and pool workers all call it, so the
+the executor's loop and its pool workers both call it, so the
 first caller on a machine pays for generation and everyone after —
 other experiments, other processes, later runs — maps the same file.
 The OS page cache is the cross-process share; nothing is shipped to

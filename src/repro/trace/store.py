@@ -36,15 +36,14 @@ carries its own codec byte (packed into the block header's ``codecs``
 u32; 0 = raw, 1 = zlib), and a segment is stored compressed only when
 that actually shrinks it.  Compression is transparent on read, and block
 fingerprints are always computed over the *uncompressed* column bytes,
-so bit-identity checks, the content-addressed ruleset cache, and
-torn-tail recovery are unchanged.  Raw segments are served as zero-copy
+so bit-identity checks and torn-tail recovery are unchanged.  Raw segments are served as zero-copy
 memmaps in both versions; compressed segments decompress into ordinary
 arrays (the space/zero-copy trade-off is per segment).
 
 The per-block fingerprint is byte-identical to
 :meth:`PairBlock.fingerprint` (blake2b-128 over the source column bytes
-then the replier column bytes), so store-resident blocks plug straight
-into the content-addressed ruleset cache without re-hashing.
+then the replier column bytes), so store-resident blocks come back
+with their fingerprint already known.
 
 Durability mirrors the WAL torn-tail semantics of ``repro.persist``: the
 footer is written only on a clean :meth:`TraceStoreWriter.close`, and a

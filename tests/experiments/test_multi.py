@@ -2,20 +2,20 @@
 
 import pytest
 
+from repro.experiments import run_experiments
 from repro.experiments.config import ExperimentScale
-from repro.experiments.multi import run_seed_sweep
+from repro.experiments.multi import aggregate_sweep
+
+TINY = ExperimentScale("t", 8, 10, 30_000, 80, 30, 60)
 
 
-@pytest.fixture(autouse=True)
-def tiny_scale(monkeypatch):
-    tiny = ExperimentScale("t", 8, 10, 30_000, 80, 30, 60)
-    monkeypatch.setattr("repro.experiments.config.DEFAULT_SCALE", tiny)
-    monkeypatch.delenv("REPRO_FULL_SCALE", raising=False)
+def sweep_of(experiment_id, seeds):
+    return aggregate_sweep(run_experiments([experiment_id], seeds=seeds, scale=TINY))
 
 
 class TestRunSeedSweep:
     def test_aggregates_rows(self):
-        sweep = run_seed_sweep("fig1", seeds=[1, 2, 3])
+        sweep = sweep_of("fig1", [1, 2, 3])
         assert sweep.experiment_id == "fig1"
         assert sweep.seeds == (1, 2, 3)
         coverage = sweep.rows[0]
@@ -24,19 +24,21 @@ class TestRunSeedSweep:
         assert coverage.std >= 0.0
 
     def test_report_printable(self):
-        sweep = run_seed_sweep("fig1", seeds=[1, 2])
+        sweep = sweep_of("fig1", [1, 2])
         text = sweep.report()
         assert "fig1" in text
         assert "±" in text
 
     def test_single_seed_zero_std(self):
-        sweep = run_seed_sweep("fig1", seeds=[5])
+        sweep = sweep_of("fig1", [5])
         assert all(row.std == 0.0 for row in sweep.rows)
 
     def test_requires_seeds(self):
         with pytest.raises(ValueError):
-            run_seed_sweep("fig1", seeds=[])
+            run_experiments(["fig1"], seeds=[])
+        with pytest.raises(ValueError):
+            aggregate_sweep([])
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
-            run_seed_sweep("not-an-experiment", seeds=[1])
+            run_experiments(["not-an-experiment"], seeds=[1])

@@ -25,12 +25,6 @@ TINY = ExperimentScale(
 )
 
 
-@pytest.fixture(autouse=True)
-def tiny_scale(monkeypatch):
-    monkeypatch.setattr("repro.experiments.config.DEFAULT_SCALE", TINY)
-    monkeypatch.delenv("REPRO_FULL_SCALE", raising=False)
-
-
 # fig2 sweeps block sizes up to 50k and needs more pairs than TINY offers;
 # its full run is covered by the benchmarks.
 FAST_IDS = sorted(set(EXPERIMENTS) - {"fig2"})
@@ -38,7 +32,7 @@ FAST_IDS = sorted(set(EXPERIMENTS) - {"fig2"})
 
 @pytest.mark.parametrize("experiment_id", FAST_IDS)
 def test_runner_produces_wellformed_result(experiment_id):
-    result = run_experiment(experiment_id)
+    result = run_experiment(experiment_id, scale=TINY)
     assert result.experiment_id == experiment_id
     assert result.rows
     for row in result.rows:
@@ -51,5 +45,5 @@ def test_runner_produces_wellformed_result(experiment_id):
 
 
 def test_fig2_runs_with_reduced_sizes():
-    result = run_experiment("fig2", block_sizes=(5_000, 10_000))
+    result = run_experiment("fig2", scale=TINY, block_sizes=(5_000, 10_000))
     assert result.rows

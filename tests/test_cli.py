@@ -69,50 +69,106 @@ class TestCommands:
         assert generate_calls == [20_000]
 
     def test_bench_all_reports_no_trace_transport(self, tmp_path, capsys):
+        """What ``bench-all`` wrote is ``run``'s ``--json``: timings per
+        run, no trace-transport and no ruleset-cache block."""
         import json
 
         path = tmp_path / "bench.json"
-        assert main(["bench-all", "--only", "fig1", "--json", str(path)]) == 0
+        assert main(["run", "fig1", "--no-chart", "--json", str(path)]) == 0
         out = capsys.readouterr().out
         assert "prewarm" not in out and "shared trace" not in out
         payload = json.loads(path.read_text())
-        assert set(payload) == {
-            "name", "workers", "wall_seconds", "ruleset_cache", "experiments"
-        }
+        assert set(payload) == {"name", "workers", "wall_seconds", "experiments"}
+        (row,) = payload["experiments"]
+        assert set(row) == {"experiment_id", "seed", "seconds", "pid", "within_band"}
+        assert row["experiment_id"] == "fig1" and row["within_band"] is True
 
-    def test_full_flag_sets_env(self, monkeypatch, capsys):
-        monkeypatch.delenv("REPRO_FULL_SCALE", raising=False)
-        assert main(["--full", "list"]) == 0
+    def test_bench_all_command_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench-all"])
+
+    def test_full_flag_carries_the_scale_not_the_environment(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        """``--full`` reaches the experiment as its context's scale, in
+        this process and in pool workers, and ``os.environ`` is left
+        alone."""
         import os
 
-        assert os.environ.get("REPRO_FULL_SCALE") == "1"
+        import repro.experiments.registry as registry
+        from repro.experiments.config import DEFAULT_SCALE, FULL_SCALE
+
+        def probe(ctx):
+            (tmp_path / f"{ctx.scale.name}-{os.getpid()}").touch()
+            return ctx.result([])
+
         monkeypatch.delenv("REPRO_FULL_SCALE", raising=False)
+        monkeypatch.setattr(registry, "EXPERIMENTS", {"probe": ("t", probe)})
+        monkeypatch.setattr("repro.experiments.EXPERIMENTS", registry.EXPERIMENTS)
+        assert main(["--full", "run", "probe", "probe"]) == 0
+        assert main(["--full", "run", "probe", "probe", "--workers", "2"]) == 0
+        assert main(["run", "probe"]) == 0
+        assert "REPRO_FULL_SCALE" not in os.environ
+        seen = sorted(p.name.rsplit("-", 1)[0] for p in tmp_path.iterdir())
+        assert seen.count(DEFAULT_SCALE.name) == 1
+        assert seen.count(FULL_SCALE.name) == len(seen) - 1 >= 2
+
+
+@pytest.fixture
+def tiny_default_scale(monkeypatch):
+    from repro.experiments.config import ExperimentScale
+
+    tiny = ExperimentScale("t", 8, 10, 30_000, 80, 30, 60)
+    monkeypatch.setattr("repro.experiments.config.DEFAULT_SCALE", tiny)
 
 
 class TestSeedSweepCli:
-    def test_run_with_seeds(self, capsys, monkeypatch):
-        from repro.experiments.config import ExperimentScale
-
-        tiny = ExperimentScale("t", 8, 10, 30_000, 80, 30, 60)
-        monkeypatch.setattr("repro.experiments.config.DEFAULT_SCALE", tiny)
+    def test_run_with_seeds(self, capsys, tiny_default_scale):
         assert main(["run", "fig1", "--seeds", "2"]) in (0, 1)
         out = capsys.readouterr().out
         assert "seed sweep over" in out
         assert "±" in out
 
+    @pytest.mark.parametrize("flag", ["--csv", "--markdown"])
+    def test_sweep_with_a_single_run_output_is_rejected(
+        self, flag, tmp_path, capsys, tiny_default_scale
+    ):
+        """A sweep has no single series to write: exit 2 and say so,
+        instead of exiting 0 with nothing written."""
+        target = tmp_path / "out"
+        assert main(["run", "fig1", "--seeds", "2", flag, str(target)]) == 2
+        captured = capsys.readouterr()
+        assert "seed sweep" in captured.err and flag in captured.err
+        assert captured.out == ""
+        assert not target.exists()
+
 
 class TestCsvExport:
-    def test_run_with_csv(self, tmp_path, capsys, monkeypatch):
-        from repro.experiments.config import ExperimentScale
-
-        tiny = ExperimentScale("t", 8, 10, 30_000, 80, 30, 60)
-        monkeypatch.setattr("repro.experiments.config.DEFAULT_SCALE", tiny)
+    def test_run_with_csv(self, tmp_path, capsys, tiny_default_scale):
         out_dir = tmp_path / "csv"
         assert main(["run", "fig1", "--no-chart", "--csv", str(out_dir)]) in (0, 1)
         csv_path = out_dir / "fig1.csv"
         assert csv_path.exists()
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("trial,")
+
+    def test_all_takes_the_same_options(
+        self, tmp_path, capsys, monkeypatch, tiny_default_scale
+    ):
+        """``all`` is ``run`` over the whole table: ``--csv``,
+        ``--no-chart`` and ``--workers`` included."""
+        import repro.experiments.registry as registry
+
+        two = {k: registry.EXPERIMENTS[k] for k in ("fig1", "fig3")}
+        monkeypatch.setattr(registry, "EXPERIMENTS", two)
+        monkeypatch.setattr("repro.experiments.EXPERIMENTS", two)
+        out_dir = tmp_path / "csv"
+        code = main(["all", "--no-chart", "--workers", "2", "--csv", str(out_dir)])
+        assert code in (0, 1)
+        assert sorted(p.name for p in out_dir.iterdir()) == ["fig1.csv", "fig3.csv"]
+        out = capsys.readouterr().out
+        assert "*=coverage" not in out
+        assert out.index("[fig1]") < out.index("[fig3]")
 
 
 class TestPersistInspect:

@@ -315,15 +315,18 @@ class TestReblocking:
     def test_fig2_runner_generates_its_trace_once(
         self, tmp_path, monkeypatch, generate_calls, cold_trace_cache
     ):
-        from repro.experiments.figures import run_fig2_block_sizes
+        from repro.experiments import run_experiment
         from tests.experiments.test_runners import TINY
 
-        monkeypatch.setattr("repro.experiments.config.DEFAULT_SCALE", TINY)
-        monkeypatch.delenv("REPRO_FULL_SCALE", raising=False)
+        def run_fig2():
+            return run_experiment(
+                "fig2", seed=9, scale=TINY, block_sizes=(5_000, 10_000, 20_000)
+            )
+
         monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path))
-        first = run_fig2_block_sizes(seed=9, block_sizes=(5_000, 10_000, 20_000))
+        first = run_fig2()
         cold_trace_cache()
-        second = run_fig2_block_sizes(seed=9, block_sizes=(5_000, 10_000, 20_000))
+        second = run_fig2()
         assert generate_calls == [60_000]
         assert first.payload() == second.payload()
         arrays = generate(60_000, seed=9, config=MonitorTraceConfig())

@@ -139,17 +139,16 @@ class TestFigureWiring:
         self, tmp_path, monkeypatch, generate_calls, cold_trace_cache
     ):
         """A figure runner's trace comes from the cache directory."""
-        from repro.experiments.figures import BLOCK_SIZE, run_fig1_sliding
+        from repro.experiments import run_experiment
+        from repro.experiments.figures import BLOCK_SIZE
         from tests.experiments.test_runners import TINY
 
-        monkeypatch.setattr("repro.experiments.config.DEFAULT_SCALE", TINY)
-        monkeypatch.delenv("REPRO_FULL_SCALE", raising=False)
         monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path))
-        cold = run_fig1_sliding(seed=33)
+        cold = run_experiment("fig1", seed=33, scale=TINY)
         path = cache_path(tmp_path, TINY.n_blocks * BLOCK_SIZE, 33, MonitorTraceConfig())
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
         cold_trace_cache()
-        warm = run_fig1_sliding(seed=33)
+        warm = run_experiment("fig1", seed=33, scale=TINY)
         assert generate_calls == [TINY.n_blocks * BLOCK_SIZE]
         assert warm.payload() == cold.payload()
 
