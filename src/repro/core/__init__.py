@@ -7,7 +7,7 @@ that previously produced hits for host1's queries.  Both sides are single
 items, which makes generation (pair counting + support pruning) and testing
 cheap enough to run per block.
 
-* :mod:`~repro.core.rules` — :class:`Rule` and :class:`RuleSet`;
+* :mod:`~repro.core.rules` — :class:`Rule` and :class:`RuleSet`, the batch table;
 * :mod:`~repro.core.generation` — GENERATE-RULESET, with optional top-k
   truncation and confidence pruning (the §VI extension);
 * :mod:`~repro.core.evaluation` — RULESET-TEST computing the paper's
@@ -23,22 +23,18 @@ cheap enough to run per block.
 * :mod:`~repro.core.runner` — trace -> strategy -> :class:`StrategyRun`.
 """
 
-from repro.core.category_rules import (
-    CategorizedBlock,
-    CategoryRuleSet,
-    category_ruleset_test,
-    generate_category_ruleset,
-)
+from repro.core.category_rules import CategorizedBlock
 from repro.core.counts import SketchCounts, WindowCounts
 from repro.core.evaluation import (
     RulesetTestResult,
     ruleset_test,
+    ruleset_test_fallback,
     ruleset_test_random_subset,
 )
 from repro.core.generation import generate_ruleset
 from repro.core.io import read_ruleset, write_ruleset
 from repro.core.rules import Rule, RuleSet
-from repro.core.runner import StrategyRun, TrialResult, run_strategy
+from repro.core.runner import StrategyRun, TrialResult
 from repro.core.strategies import (
     AdaptiveSlidingWindow,
     LazySlidingWindow,
@@ -52,7 +48,6 @@ from repro.core.thresholds import RollingThreshold
 __all__ = [
     "AdaptiveSlidingWindow",
     "CategorizedBlock",
-    "CategoryRuleSet",
     "LazySlidingWindow",
     "RollingThreshold",
     "Rule",
@@ -66,12 +61,10 @@ __all__ = [
     "StreamingRules",
     "TrialResult",
     "WindowCounts",
-    "category_ruleset_test",
-    "generate_category_ruleset",
     "generate_ruleset",
     "read_ruleset",
     "ruleset_test",
+    "ruleset_test_fallback",
     "ruleset_test_random_subset",
-    "run_strategy",
     "write_ruleset",
 ]

@@ -7,7 +7,10 @@ engine: antecedents become **(source neighbor, interest category)** pairs
 instead of bare neighbors, where the category is recovered from the query
 string (our generated query strings encode it; real deployments would
 cluster query terms — we ship a keyword clusterer in
-:func:`categorize_queries` for free-form strings).
+:func:`categorize_queries` for free-form strings).  The pair is one packed
+antecedent (:meth:`CategorizedBlock.keyed`) over the same
+:class:`~repro.core.rules.RuleSet`, mined by the same
+:func:`~repro.core.generation.generate_ruleset`; there is no second table.
 
 The win: a neighbor whose queries span several interests is served by a
 *different* reply path per interest; host-only rules merge those paths
@@ -17,7 +20,8 @@ experiment quantifies the success gain over host-only rules.
 
 Coverage semantics are hierarchical, mirroring how a deployment would
 behave: a query is covered if its (source, category) antecedent has
-rules, *falling back* to the source's host-only rules otherwise — the
+rules, *falling back* to the source's host-only rules otherwise
+(:func:`~repro.core.evaluation.ruleset_test_fallback`) — the
 extension strictly refines the baseline rather than fragmenting it.
 """
 
@@ -29,18 +33,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.evaluation import RulesetTestResult
-from repro.core.generation import generate_ruleset
-from repro.core.rules import RuleSet
 from repro.trace.blocks import PairBlock
 
-__all__ = [
-    "CategorizedBlock",
-    "CategoryRuleSet",
-    "generate_category_ruleset",
-    "category_ruleset_test",
-    "categorize_queries",
-]
+__all__ = ["CategorizedBlock", "categorize_queries"]
 
 
 @dataclass(frozen=True)
@@ -66,107 +61,22 @@ class CategorizedBlock:
         )
         return cls(block=block, categories=np.asarray(categories, dtype=np.int64))
 
-
-class CategoryRuleSet:
-    """Rules keyed by (source, category), with a host-only fallback tier."""
-
-    def __init__(self, fine: RuleSet, fallback: RuleSet, n_categories: int) -> None:
-        self.fine = fine
-        self.fallback = fallback
-        self.n_categories = n_categories
-
-    def __len__(self) -> int:
-        return len(self.fine) + len(self.fallback)
-
-    def covers(self, source: int, category: int) -> bool:
-        return self.fine.covers(self._key(source, category)) or self.fallback.covers(
-            source
+    def keyed(self, n_categories: int) -> PairBlock:
+        """The same pairs with ``source * n_categories + category`` as the
+        antecedent: the one place a (source, category) key is packed.  A
+        category outside ``[0, n_categories)`` would alias another source's
+        key, so it raises; the packed id's own range is checked when the
+        block's keys are, like any other antecedent's."""
+        categories = self.categories
+        if len(categories) and not (
+            0 <= categories.min() and categories.max() < n_categories
+        ):
+            raise ValueError(f"categories must be in [0, {n_categories})")
+        return PairBlock(
+            sources=self.block.sources * np.int64(n_categories) + categories,
+            repliers=self.block.repliers,
+            index=self.block.index,
         )
-
-    def matches(self, source: int, category: int, replier: int) -> bool:
-        key = self._key(source, category)
-        if self.fine.covers(key):
-            return self.fine.matches(key, replier)
-        return self.fallback.matches(source, replier)
-
-    def consequents_for(
-        self, source: int, category: int, k: int | None = None
-    ) -> list[int]:
-        key = self._key(source, category)
-        fine = self.fine.consequents_for(key, k)
-        if fine:
-            return fine
-        return self.fallback.consequents_for(source, k)
-
-    def _key(self, source: int, category: int) -> int:
-        if not 0 <= category < self.n_categories:
-            raise ValueError(f"category {category} out of range")
-        return source * self.n_categories + category
-
-
-def generate_category_ruleset(
-    cblock: CategorizedBlock,
-    *,
-    n_categories: int,
-    min_support_count: int = 10,
-    top_k: int | None = None,
-) -> CategoryRuleSet:
-    """GENERATE-RULESET over (source, category) antecedents + fallback tier.
-
-    The fine tier uses the same support threshold as the paper's baseline;
-    the fallback (host-only) tier is generated from the same block so
-    queries whose (source, category) never reached the threshold still get
-    the baseline behaviour.
-    """
-    sources = cblock.block.sources
-    keys = sources * np.int64(n_categories) + cblock.categories
-    fine_block = PairBlock(
-        sources=keys, repliers=cblock.block.repliers, index=cblock.block.index
-    )
-    fine = generate_ruleset(
-        fine_block, min_support_count=min_support_count, top_k=top_k
-    )
-    fallback = generate_ruleset(
-        cblock.block, min_support_count=min_support_count, top_k=top_k
-    )
-    return CategoryRuleSet(fine=fine, fallback=fallback, n_categories=n_categories)
-
-
-def category_ruleset_test(
-    ruleset: CategoryRuleSet, cblock: CategorizedBlock
-) -> RulesetTestResult:
-    """RULESET-TEST with hierarchical (fine -> fallback) matching."""
-    n_total = len(cblock)
-    if n_total == 0:
-        return RulesetTestResult(n_total=0, n_covered=0, n_successful=0)
-    sources = cblock.block.sources
-    repliers = cblock.block.repliers
-    keys = sources * np.int64(ruleset.n_categories) + cblock.categories
-
-    fine_covered = np.isin(keys, ruleset.fine.antecedent_array)
-    fallback_covered = np.isin(sources, ruleset.fallback.antecedent_array)
-    covered = fine_covered | fallback_covered
-    n_covered = int(covered.sum())
-    if n_covered == 0:
-        return RulesetTestResult(n_total=n_total, n_covered=0, n_successful=0)
-
-    fine_keys = (keys.astype(np.int64) << 32) | repliers
-    fine_hit = _sorted_isin(fine_keys, ruleset.fine.pair_key_array)
-    fb_keys = (sources.astype(np.int64) << 32) | repliers
-    fb_hit = _sorted_isin(fb_keys, ruleset.fallback.pair_key_array)
-    successful = np.where(fine_covered, fine_hit, fb_hit)
-    n_successful = int((successful & covered).sum())
-    return RulesetTestResult(
-        n_total=n_total, n_covered=n_covered, n_successful=n_successful
-    )
-
-
-def _sorted_isin(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-    if sorted_keys.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    pos = np.searchsorted(sorted_keys, values)
-    pos[pos == len(sorted_keys)] = len(sorted_keys) - 1
-    return sorted_keys[pos] == values
 
 
 def categorize_queries(

@@ -8,23 +8,28 @@ the paper):
 * ``s`` — those whose (source, replier) matches a rule exactly;
 * coverage ``alpha = n / N``; success ``rho = s / n``.
 
-Pairs are packed into int64 keys and tested by sorted-array membership;
-the pair-by-pair loops these are property-tested against are
+Pairs are packed into int64 keys and tested by sorted-array membership,
+stated once in :func:`match_block`; every test here is a sum over its
+masks.  The pair-by-pair loops these are property-tested against are
 ``tests/core/reference_rules.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.rules import RuleSet
 from repro.trace.blocks import PairBlock
+from repro.utils.rng import as_generator
 
 __all__ = [
     "RulesetTestResult",
+    "match_block",
     "ruleset_test",
+    "ruleset_test_fallback",
     "ruleset_test_random_subset",
 ]
 
@@ -61,24 +66,53 @@ class RulesetTestResult:
         )
 
 
+def match_block(
+    ruleset: RuleSet, block: PairBlock
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """RULESET-TEST's membership question, asked once for the whole block.
+
+    Returns ``(covered, hit, rule)`` with one entry per pair: whether the
+    pair's source is a rule antecedent, whether the pair is a rule, and —
+    where it is — that rule's index into ``ruleset.keys``.
+    """
+    if len(ruleset) == 0:
+        nothing = np.zeros(len(block), dtype=bool)
+        return nothing, nothing, np.zeros(len(block), dtype=np.intp)
+    covered = np.isin(block.sources, ruleset.antes)
+    keys = block.packed_keys()
+    # ruleset.keys is sorted; searchsorted membership is O(n log r).
+    rule = np.searchsorted(ruleset.keys, keys)
+    rule[rule == len(ruleset)] = 0
+    return covered, ruleset.keys[rule] == keys, rule
+
+
 def ruleset_test(ruleset: RuleSet, block: PairBlock) -> RulesetTestResult:
     """Vectorized RULESET-TEST."""
-    n_total = len(block)
-    if n_total == 0 or len(ruleset) == 0:
-        return RulesetTestResult(n_total=n_total, n_covered=0, n_successful=0)
-    covered = np.isin(block.sources, ruleset.antecedent_array)
-    n_covered = int(covered.sum())
-    if n_covered == 0:
-        return RulesetTestResult(n_total=n_total, n_covered=0, n_successful=0)
-    keys = block.packed_keys()
-    # pair_key_array is sorted; searchsorted membership is O(n log r).
-    rule_keys = ruleset.pair_key_array
-    pos = np.searchsorted(rule_keys, keys)
-    pos[pos == len(rule_keys)] = len(rule_keys) - 1
-    hit = rule_keys[pos] == keys
-    n_successful = int(hit.sum())
+    return ruleset_test_fallback([(ruleset, block)])
+
+
+def ruleset_test_fallback(
+    tiers: Sequence[tuple[RuleSet, PairBlock]]
+) -> RulesetTestResult:
+    """RULESET-TEST over rule sets keyed finest first.
+
+    Every ``(ruleset, block)`` tier holds the same query–reply pairs under
+    its own antecedent key (say ``(source, category)``, then ``source``).
+    Each pair is scored by the first tier whose rule set covers its
+    antecedent, so a finer key refines the coarser rules where it has
+    support and falls back to them where it has none; with one tier this
+    is the paper's RULESET-TEST.
+    """
+    (ruleset, block), *coarser = tiers
+    covered, hit, _ = match_block(ruleset, block)
+    for ruleset, block in coarser:
+        also_covered, also_hit, _ = match_block(ruleset, block)
+        if len(also_hit) != len(hit):
+            raise ValueError("every tier must hold the same pairs")
+        hit = hit | (also_hit & ~covered)
+        covered = covered | also_covered
     return RulesetTestResult(
-        n_total=n_total, n_covered=n_covered, n_successful=n_successful
+        n_total=len(block), n_covered=int(covered.sum()), n_successful=int(hit.sum())
     )
 
 
@@ -103,39 +137,19 @@ def ruleset_test_random_subset(
     distributionally identical (exactly equal whenever ``k`` covers every
     antecedent's consequent list) but consume the RNG stream differently.
     """
-    from repro.utils.rng import as_generator
-
     if k < 1:
         raise ValueError("k must be >= 1")
     rng = as_generator(rng)
-    n_total = len(block)
-    if n_total == 0 or len(ruleset) == 0:
-        return RulesetTestResult(n_total=n_total, n_covered=0, n_successful=0)
-    antes = ruleset.sorted_antecedent_array
-    pos = np.searchsorted(antes, block.sources)
-    pos[pos == len(antes)] = len(antes) - 1
-    covered = antes[pos] == block.sources
-    n_covered = int(covered.sum())
-    if n_covered == 0:
-        return RulesetTestResult(n_total=n_total, n_covered=0, n_successful=0)
-    # Consequent-list length m for each covered query's source.
-    m = ruleset.consequent_count_array[pos[covered]]
-    # Exact-rule matches among covered queries (same membership test as
-    # ruleset_test).
-    keys = block.packed_keys()[covered]
-    rule_keys = ruleset.pair_key_array
-    kpos = np.searchsorted(rule_keys, keys)
-    kpos[kpos == len(rule_keys)] = len(rule_keys) - 1
-    matched = rule_keys[kpos] == keys
+    covered, hit, rule = match_block(ruleset, block)
+    # Consequent-list length m of each matched query's source.
+    sizes = np.diff(ruleset.starts)
+    m = np.repeat(sizes, sizes)[rule[hit]]
     # Matched & m <= k: always chosen.  Matched & m > k: in the subset
     # with probability k/m.  Unmatched: never.
-    certain = matched & (m <= k)
-    stochastic = matched & (m > k)
-    n_successful = int(certain.sum())
-    n_stochastic = int(stochastic.sum())
-    if n_stochastic:
-        draws = rng.random(n_stochastic)
-        n_successful += int((draws * m[stochastic] < k).sum())
+    stochastic = m[m > k]
+    n_successful = len(m) - len(stochastic)
+    if len(stochastic):
+        n_successful += int((rng.random(len(stochastic)) * stochastic < k).sum())
     return RulesetTestResult(
-        n_total=n_total, n_covered=n_covered, n_successful=n_successful
+        n_total=len(block), n_covered=int(covered.sum()), n_successful=n_successful
     )

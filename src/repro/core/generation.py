@@ -8,19 +8,20 @@ keeping only the top-k consequents per antecedent, and confidence-based
 pruning (confidence of ``{u} -> {v}`` = pair count / number of replied
 queries from ``u`` in the block).
 
-Each pair is packed into one int64 key and the block is counted with a
-single ``np.unique`` pass; the dict-based loop this is tested against is
-``tests/core/reference_rules.py``.
+Each pair is packed into one int64 key, the block is counted with a single
+``np.unique`` pass and the three prunings are masks over its output, which
+the :class:`~repro.core.rules.RuleSet` then holds as they are; the
+dict-based loop this is tested against is ``tests/core/reference_rules.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.rules import Rule, RuleSet
+from repro.core.rules import RuleSet
 from repro.trace.blocks import PairBlock, scan_id_range
 
-__all__ = ["generate_ruleset", "pack_pair_keys"]
+__all__ = ["check_generation_params", "generate_ruleset", "pack_pair_keys"]
 
 
 def pack_pair_keys(
@@ -40,13 +41,16 @@ def pack_pair_keys(
     return (sources << 32) | repliers
 
 
-def _counts_numpy(block: PairBlock) -> tuple[np.ndarray, np.ndarray]:
-    return np.unique(block.packed_keys(), return_counts=True)
-
-
-def _source_totals_numpy(block: PairBlock) -> dict[int, int]:
-    uniq, counts = np.unique(block.sources, return_counts=True)
-    return dict(zip(uniq.tolist(), counts.tolist()))
+def check_generation_params(
+    min_support_count: int, top_k: int | None, min_confidence: float
+) -> None:
+    """Reject pruning parameters GENERATE-RULESET cannot run with."""
+    if min_support_count < 1:
+        raise ValueError("min_support_count must be >= 1")
+    if top_k is not None and top_k < 1:
+        raise ValueError("top_k must be >= 1 or None")
+    if not 0.0 <= min_confidence <= 1.0:
+        raise ValueError("min_confidence must be in [0, 1]")
 
 
 def generate_ruleset(
@@ -71,39 +75,22 @@ def generate_ruleset(
     min_confidence:
         Confidence-pruning threshold in [0, 1] (§VI extension); 0 disables.
     """
-    if min_support_count < 1:
-        raise ValueError("min_support_count must be >= 1")
-    if top_k is not None and top_k < 1:
-        raise ValueError("top_k must be >= 1 or None")
-    if not 0.0 <= min_confidence <= 1.0:
-        raise ValueError("min_confidence must be in [0, 1]")
-
-    keys, counts = _counts_numpy(block)
+    check_generation_params(min_support_count, top_k, min_confidence)
+    keys, counts = np.unique(block.packed_keys(), return_counts=True)
     keep = counts >= min_support_count
-    keys, counts = keys[keep], counts[keep]
-    if min_confidence > 0.0 and keys.size:
-        totals = _source_totals_numpy(block)
-        antecedents = (keys >> 32).tolist()
-        conf_keep = np.fromiter(
-            (
-                c / totals[a] >= min_confidence
-                for a, c in zip(antecedents, counts.tolist())
-            ),
-            dtype=bool,
-            count=len(antecedents),
+    if min_confidence > 0.0:
+        # The denominator is every replied query from the antecedent in the
+        # block, support-pruned pairs included.
+        _, starts, sizes = np.unique(
+            keys >> 32, return_index=True, return_counts=True
         )
-        keys, counts = keys[conf_keep], counts[conf_keep]
-    rules = [
-        Rule(int(key >> 32), int(key & 0xFFFFFFFF), int(count))
-        for key, count in zip(keys.tolist(), counts.tolist())
-    ]
-
+        totals = np.repeat(np.add.reduceat(counts, starts), sizes)
+        keep &= counts / totals >= min_confidence
+    ruleset = RuleSet.from_arrays(keys[keep], counts[keep])
     if top_k is not None:
-        by_ante: dict[int, list[Rule]] = {}
-        for rule in rules:
-            by_ante.setdefault(rule.antecedent, []).append(rule)
-        rules = []
-        for lst in by_ante.values():
-            lst.sort(key=lambda r: (-r.count, r.consequent))
-            rules.extend(lst[:top_k])
-    return RuleSet(rules)
+        order = ruleset.ranked()
+        sizes = np.diff(ruleset.starts)
+        rank = np.arange(len(order)) - np.repeat(ruleset.starts[:-1], sizes)
+        keep = np.sort(order[rank < top_k])
+        ruleset = RuleSet.from_arrays(ruleset.keys[keep], ruleset.counts[keep])
+    return ruleset

@@ -1,10 +1,13 @@
 """Routing rules and rule sets.
 
-A :class:`RuleSet` maps each antecedent (query-source neighbor) to its
-consequents (reply-source neighbors) ordered by descending support count —
-the table the paper's simulator kept with "the host from which one or more
-queries were received, a node that returned a reply message ... and the
-number of times that that node sent reply messages".
+A :class:`RuleSet` is the table the paper's simulator kept — "the host from
+which one or more queries were received, a node that returned a reply
+message ... and the number of times that that node sent reply messages" —
+held as the arrays GENERATE-RULESET mines it as: sorted packed
+``(antecedent << 32) | consequent`` keys and their support counts.  It
+answers the read half of the :mod:`repro.core.counts` method set under
+the same names, order and errors, so what the antecedent *is* (a neighbor,
+or a packed (neighbor, category) key) is the caller's business.
 """
 
 from __future__ import annotations
@@ -14,7 +17,11 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from repro.trace.blocks import PairBlock
+
 __all__ = ["Rule", "RuleSet"]
+
+_CONSEQUENT = 0xFFFFFFFF
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,109 +41,91 @@ class Rule:
 
 
 class RuleSet:
-    """An immutable set of routing rules indexed by antecedent."""
+    """An immutable set of routing rules, held sorted by packed key
+    (``RuleSet()`` is the empty one)."""
 
-    def __init__(self, rules: Iterable[Rule]) -> None:
-        by_ante: dict[int, list[Rule]] = {}
-        for rule in rules:
-            by_ante.setdefault(rule.antecedent, []).append(rule)
-        for ante, lst in by_ante.items():
-            lst.sort(key=lambda r: (-r.count, r.consequent))
-            seen = {r.consequent for r in lst}
-            if len(seen) != len(lst):
-                raise ValueError(
-                    f"duplicate consequent for antecedent {ante} in rule set"
-                )
-        self._by_ante = by_ante
-        self._n_rules = sum(len(lst) for lst in by_ante.values())
-        # Flat arrays for the vectorized RULESET-TEST fast path.
-        self._ante_array = np.fromiter(by_ante.keys(), dtype=np.int64, count=len(by_ante))
-        keys = [
-            (r.antecedent << 32) | r.consequent
-            for lst in by_ante.values()
-            for r in lst
-        ]
-        self._pair_keys = np.asarray(sorted(keys), dtype=np.int64)
-        order = np.argsort(self._ante_array, kind="stable")
-        self._ante_sorted = self._ante_array[order]
-        counts = np.fromiter(
-            (len(lst) for lst in by_ante.values()),
-            dtype=np.int64,
-            count=len(by_ante),
-        )
-        self._ante_counts_sorted = counts[order]
+    def __init__(self, rules: Iterable[Rule] = ()) -> None:
+        table = np.array(
+            [(r.antecedent, r.consequent, r.count) for r in rules], dtype=np.int64
+        ).reshape(-1, 3)
+        # Packed the way a block's pairs are, which range-checks both ids.
+        keys = PairBlock(sources=table[:, 0], repliers=table[:, 1]).packed_keys()
+        order = np.argsort(keys)
+        keys = keys[order]
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("duplicate {antecedent} -> {consequent} in rule set")
+        self._set(keys, table[order, 2])
+
+    def _set(self, keys: np.ndarray, counts: np.ndarray) -> None:
+        #: strictly increasing packed keys and, aligned, their support counts.
+        self.keys, self.counts = keys, counts
+        #: the distinct antecedents, sorted; antecedent ``i``'s rules are
+        #: ``keys[starts[i]:starts[i + 1]]``.
+        self.antes, starts = np.unique(keys >> 32, return_index=True)
+        self.starts = np.append(starts, len(keys))
 
     # -- construction -------------------------------------------------------
+    @classmethod
+    def from_arrays(cls, keys: np.ndarray, counts: np.ndarray) -> "RuleSet":
+        """Wrap strictly increasing packed ``keys`` of range-checked ids and
+        their ``counts`` — what ``np.unique`` returns for a block's keys."""
+        ruleset = cls.__new__(cls)
+        ruleset._set(keys, counts)
+        return ruleset
+
     @classmethod
     def from_counts(cls, counts: Mapping[tuple[int, int], int]) -> "RuleSet":
         """Build from a {(antecedent, consequent): count} mapping."""
         return cls(Rule(a, c, n) for (a, c), n in counts.items())
 
-    @classmethod
-    def empty(cls) -> "RuleSet":
-        return cls(())
-
-    # -- queries --------------------------------------------------------------
+    # -- queries (the read half of the repro.core.counts method set) --------
     def __len__(self) -> int:
         """Number of rules (antecedent–consequent pairs)."""
-        return self._n_rules
+        return len(self.keys)
+
+    n_rules = __len__
+
+    def ranked(self) -> np.ndarray:
+        """Indices into :attr:`keys`, antecedent by antecedent, each one's
+        rules highest support first and ties to the smaller consequent."""
+        return np.lexsort((self.keys, -self.counts, self.keys >> 32))
 
     def __iter__(self) -> Iterator[Rule]:
-        for lst in self._by_ante.values():
-            yield from lst
+        order = self.ranked()
+        for key, count in zip(self.keys[order].tolist(), self.counts[order].tolist()):
+            yield Rule(key >> 32, key & _CONSEQUENT, count)
 
-    @property
-    def n_antecedents(self) -> int:
-        return len(self._by_ante)
+    def antecedents(self) -> list[int]:
+        """Antecedents that have at least one rule."""
+        return self.antes.tolist()
 
-    def antecedents(self) -> frozenset[int]:
-        return frozenset(self._by_ante)
+    def _span(self, a: int) -> tuple[int, int]:
+        """Bounds of ``a``'s rules in :attr:`keys` (empty when it has none)."""
+        i = int(np.searchsorted(self.antes, a))
+        if i == len(self.antes) or self.antes[i] != a:
+            return 0, 0
+        return self.starts[i], self.starts[i + 1]
 
-    def covers(self, source: int) -> bool:
-        """Whether any rule's antecedent matches ``source``."""
-        return source in self._by_ante
+    def covers(self, a: int) -> bool:
+        """Whether any rule's antecedent is ``a``."""
+        lo, hi = self._span(a)
+        return bool(lo < hi)
 
-    def consequents_for(self, source: int, k: int | None = None) -> list[int]:
-        """The consequents for ``source``, highest support first.
+    def matches(self, a: int, c: int) -> bool:
+        """Whether {a} -> {c} is a rule in this set."""
+        lo, hi = self._span(a)
+        return bool((self.keys[lo:hi] & _CONSEQUENT == c).any())
 
-        ``k`` limits to the top-k neighbors (the paper's "sent to the k
-        neighbors with the highest support"); ``None`` returns all.
-        """
-        rules = self._by_ante.get(source, ())
-        if k is not None:
-            if k < 1:
-                raise ValueError("k must be >= 1")
-            rules = rules[:k]
-        return [r.consequent for r in rules]
-
-    def rules_for(self, source: int) -> list[Rule]:
-        return list(self._by_ante.get(source, ()))
-
-    def matches(self, source: int, replier: int) -> bool:
-        """Whether {source} -> {replier} is a rule in this set."""
-        return any(r.consequent == replier for r in self._by_ante.get(source, ()))
-
-    # -- vectorized views (consumed by repro.core.evaluation) ---------------
-    @property
-    def antecedent_array(self) -> np.ndarray:
-        """Sorted is not guaranteed; int64 array of antecedents."""
-        return self._ante_array
-
-    @property
-    def pair_key_array(self) -> np.ndarray:
-        """Sorted int64 array of (antecedent << 32) | consequent keys."""
-        return self._pair_keys
-
-    @property
-    def sorted_antecedent_array(self) -> np.ndarray:
-        """Sorted int64 array of antecedents (for searchsorted lookups)."""
-        return self._ante_sorted
-
-    @property
-    def consequent_count_array(self) -> np.ndarray:
-        """Consequents per antecedent, aligned with
-        :attr:`sorted_antecedent_array`."""
-        return self._ante_counts_sorted
+    def consequents(self, a: int, k: int | None = None) -> list[int]:
+        """Rule consequents of ``a``, highest support first, ties to the
+        smaller id; all of them, or the best ``k`` (the paper's "sent to
+        the k neighbors with the highest support")."""
+        if k is not None and k < 1:
+            raise ValueError("k must be >= 1")
+        lo, hi = self._span(a)
+        consequents = self.keys[lo:hi] & _CONSEQUENT
+        best_first = np.lexsort((consequents, -self.counts[lo:hi]))
+        return consequents[best_first[:k]].tolist()
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"RuleSet(rules={len(self)}, antecedents={self.n_antecedents})"
+        return f"RuleSet(rules={len(self)}, antecedents={len(self.antes)})"

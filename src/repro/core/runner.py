@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.evaluation import RulesetTestResult
-from repro.trace.blocks import PairBlock
+from repro.obs.registry import get_global_registry
 from repro.utils.stats import SeriesSummary, summarize_series
 
-__all__ = ["TrialResult", "StrategyRun", "run_strategy", "merge_runs"]
+__all__ = ["TrialResult", "StrategyRun", "merge_runs", "observe_block_timing"]
 
 
 @dataclass(frozen=True)
@@ -100,13 +100,6 @@ class StrategyRun:
     def success_summary(self) -> SeriesSummary:
         return summarize_series(self.success_series)
 
-    def merge(self, *others: "StrategyRun") -> "StrategyRun":
-        """Merge this run with partial runs over other block ranges.
-
-        Convenience instance form of :func:`merge_runs`.
-        """
-        return merge_runs([self, *others])
-
     def __str__(self) -> str:  # pragma: no cover - display convenience
         return (
             f"{self.strategy_name}: trials={self.n_trials} "
@@ -114,6 +107,21 @@ class StrategyRun:
             f"avg_success={self.average_success:.3f} "
             f"generations={self.n_generations}"
         )
+
+
+def observe_block_timing(phase: str, strategy: str, seconds: float) -> None:
+    """Record one per-block mining/test duration in the global registry.
+
+    Block granularity (10k pairs per observation at paper scale) keeps
+    the instrumentation cost invisible next to the work it measures;
+    :func:`repro.experiments.report.offline_timings_section` surfaces
+    the distributions in the markdown report.
+    """
+    get_global_registry().histogram(
+        f"repro_offline_{phase}_seconds",
+        f"Per-block {phase} duration in the offline simulator.",
+        ("strategy",),
+    ).labels(strategy).observe(seconds)
 
 
 def merge_runs(runs: Iterable[StrategyRun]) -> StrategyRun:
@@ -160,12 +168,3 @@ def merge_runs(runs: Iterable[StrategyRun]) -> StrategyRun:
         tuple(trials),
         n_generations=sum(partial.n_generations for partial in partials),
     )
-
-
-def run_strategy(strategy, blocks: Iterable[PairBlock]) -> StrategyRun:
-    """Execute ``strategy`` over ``blocks`` (thin convenience wrapper).
-
-    ``blocks`` may be any iterable — a list or a one-shot generator such
-    as a trace-store block stream; strategies retain O(1) blocks.
-    """
-    return strategy.run(blocks)

@@ -1,11 +1,13 @@
 """The paper's four rule-set maintenance strategies.
 
-Each class mirrors the pseudocode of §III-B (STATIC-RULESET,
-SLIDING-WINDOW, LAZY-SLIDING-WINDOW, ADAPTIVE-SLIDING-WINDOW): a rule set
-is generated from one block and tested against subsequent blocks; the
-strategies differ only in *when* they regenerate.  All of them share the
-generation parameters (support-prune threshold, optional top-k /
-confidence pruning) through the common base class.
+The pseudocode of §III-B (STATIC-RULESET, SLIDING-WINDOW,
+LAZY-SLIDING-WINDOW, ADAPTIVE-SLIDING-WINDOW) is one loop: a rule set is
+generated from one block and tested against subsequent blocks; the
+strategies differ only in *when* they regenerate.  The loop is
+:meth:`RulesetStrategy.run`, and each class says only when regeneration is
+due: never, always, every ``laziness`` trials, or when a rolling threshold
+is breached.  All of them share the generation parameters (support-prune
+threshold, optional top-k / confidence pruning) through the base class.
 
 ``run`` accepts any *iterable* of blocks — a list, or a one-shot
 generator such as :meth:`repro.trace.store.TraceStoreReader.iter_blocks`.
@@ -21,16 +23,16 @@ exists).
 from __future__ import annotations
 
 import abc
+import itertools
 from dataclasses import replace
 from time import perf_counter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core.evaluation import RulesetTestResult, ruleset_test
-from repro.core.generation import generate_ruleset
+from repro.core.generation import check_generation_params, generate_ruleset
 from repro.core.rules import RuleSet
-from repro.core.runner import StrategyRun, TrialResult
+from repro.core.runner import StrategyRun, TrialResult, observe_block_timing
 from repro.core.thresholds import RollingThreshold
-from repro.obs.registry import get_global_registry
 from repro.trace.blocks import PairBlock
 
 __all__ = [
@@ -40,21 +42,6 @@ __all__ = [
     "LazySlidingWindow",
     "AdaptiveSlidingWindow",
 ]
-
-
-def _observe_block_timing(phase: str, strategy: str, seconds: float) -> None:
-    """Record one per-block mining/test duration in the global registry.
-
-    Block granularity (10k pairs per observation at paper scale) keeps
-    the instrumentation cost invisible next to the work it measures;
-    :func:`repro.experiments.report.offline_timings_section` surfaces
-    the distributions in the markdown report.
-    """
-    get_global_registry().histogram(
-        f"repro_offline_{phase}_seconds",
-        f"Per-block {phase} duration in the offline simulator.",
-        ("strategy",),
-    ).labels(strategy).observe(seconds)
 
 
 class RulesetStrategy(abc.ABC):
@@ -72,8 +59,9 @@ class RulesetStrategy(abc.ABC):
         self.min_support_count = int(min_support_count)
         self.top_k = top_k
         self.min_confidence = float(min_confidence)
-        if self.min_support_count < 1:
-            raise ValueError("min_support_count must be >= 1")
+        check_generation_params(
+            self.min_support_count, self.top_k, self.min_confidence
+        )
 
     def _generate(self, block: PairBlock) -> RuleSet:
         t0 = perf_counter()
@@ -83,16 +71,21 @@ class RulesetStrategy(abc.ABC):
             top_k=self.top_k,
             min_confidence=self.min_confidence,
         )
-        _observe_block_timing("mine", self.name, perf_counter() - t0)
+        observe_block_timing("mine", self.name, perf_counter() - t0)
         return ruleset
 
     def _test(self, ruleset: RuleSet, block: PairBlock) -> RulesetTestResult:
         t0 = perf_counter()
         result = ruleset_test(ruleset, block)
-        _observe_block_timing("test", self.name, perf_counter() - t0)
+        observe_block_timing("test", self.name, perf_counter() - t0)
         return result
 
     @abc.abstractmethod
+    def _schedule(self) -> Callable[[RulesetTestResult], bool]:
+        """One run's regeneration rule: called with each trial's result, in
+        order, it says whether a new rule set is due before the next trial.
+        Whatever it remembers between trials belongs to that one run."""
+
     def run(self, blocks: Iterable[PairBlock]) -> StrategyRun:
         """Process the block stream and return the per-trial results.
 
@@ -101,6 +94,35 @@ class RulesetStrategy(abc.ABC):
         ``blocks`` may be a one-shot generator; strategies hold at most
         the previous block.
         """
+        it = iter(blocks)
+        previous = next(it, None)
+        regeneration_due = self._schedule()
+        n_generations = 0
+        due = True  # block 0 only trains: the first rule set comes from it
+        trials = []
+        for block in it:
+            fresh = due
+            if due:
+                # Deferred from the previous trial (see the module docstring).
+                ruleset = self._generate(previous)
+                n_generations += 1
+            result = self._test(ruleset, block)
+            trials.append(
+                TrialResult(
+                    block_index=block.index,
+                    result=result,
+                    fresh_ruleset=fresh,
+                    ruleset_size=len(ruleset),
+                )
+            )
+            due = regeneration_due(result)
+            previous = block
+        if not trials:
+            raise ValueError(
+                f"{self.name} needs at least 2 blocks (1 train + 1 test), "
+                f"got {0 if previous is None else 1}"
+            )
+        return StrategyRun(self.name, tuple(trials), n_generations=n_generations)
 
     # -- partitioned evaluation ---------------------------------------------
     # A trace can be split across workers by contiguous block range
@@ -155,28 +177,6 @@ class RulesetStrategy(abc.ABC):
             n_generations=sum(1 for t in kept if t.fresh_ruleset),
         )
 
-    def _stream(self, blocks: Iterable[PairBlock]) -> tuple[PairBlock, Iterator[PairBlock]]:
-        """Split a block stream into (training block, test-block iterator).
-
-        Raises up front when the stream holds fewer than two blocks, so
-        list and generator inputs fail identically.
-        """
-        it = iter(blocks)
-        first = next(it, None)
-        second = next(it, None)
-        if first is None or second is None:
-            n = 0 if first is None else 1
-            raise ValueError(
-                f"{self.name} needs at least 2 blocks (1 train + 1 test), "
-                f"got {n}"
-            )
-
-        def rest() -> Iterator[PairBlock]:
-            yield second
-            yield from it
-
-        return first, rest()
-
 
 class StaticRuleset(RulesetStrategy):
     """STATIC-RULESET: one rule set from the first block, used forever."""
@@ -207,20 +207,8 @@ class StaticRuleset(RulesetStrategy):
             )
         return run
 
-    def run(self, blocks: Iterable[PairBlock]) -> StrategyRun:
-        train, rest = self._stream(blocks)
-        ruleset = self._generate(train)
-        trials = []
-        for i, block in enumerate(rest, start=1):
-            trials.append(
-                TrialResult(
-                    block_index=block.index,
-                    result=self._test(ruleset, block),
-                    fresh_ruleset=(i == 1),
-                    ruleset_size=len(ruleset),
-                )
-            )
-        return StrategyRun(self.name, tuple(trials), n_generations=1)
+    def _schedule(self) -> Callable[[RulesetTestResult], bool]:
+        return lambda result: False
 
 
 class SlidingWindow(RulesetStrategy):
@@ -236,23 +224,8 @@ class SlidingWindow(RulesetStrategy):
         super().partition_warmup(scored_start, block_pairs)
         return (scored_start - 1,)
 
-    def run(self, blocks: Iterable[PairBlock]) -> StrategyRun:
-        previous, rest = self._stream(blocks)
-        trials = []
-        n_generations = 0
-        for block in rest:
-            ruleset = self._generate(previous)
-            n_generations += 1
-            trials.append(
-                TrialResult(
-                    block_index=block.index,
-                    result=self._test(ruleset, block),
-                    fresh_ruleset=True,
-                    ruleset_size=len(ruleset),
-                )
-            )
-            previous = block
-        return StrategyRun(self.name, tuple(trials), n_generations=n_generations)
+    def _schedule(self) -> Callable[[RulesetTestResult], bool]:
+        return lambda result: True
 
 
 class LazySlidingWindow(RulesetStrategy):
@@ -283,33 +256,9 @@ class LazySlidingWindow(RulesetStrategy):
         g = ((scored_start - 1) // self.laziness) * self.laziness
         return range(g, scored_start)
 
-    def run(self, blocks: Iterable[PairBlock]) -> StrategyRun:
-        previous, rest = self._stream(blocks)
-        ruleset = self._generate(previous)
-        n_generations = 1
-        trials = []
-        trials_since_generation = 0
-        for block in rest:
-            # Deferred regeneration: the eager loop regenerated from the
-            # just-tested block only when another block followed; firing
-            # at the top of the next iteration (from the retained
-            # previous block) is the streaming-safe equivalent.
-            if trials_since_generation >= self.laziness:
-                ruleset = self._generate(previous)
-                n_generations += 1
-                trials_since_generation = 0
-            fresh = trials_since_generation == 0
-            trials.append(
-                TrialResult(
-                    block_index=block.index,
-                    result=self._test(ruleset, block),
-                    fresh_ruleset=fresh,
-                    ruleset_size=len(ruleset),
-                )
-            )
-            trials_since_generation += 1
-            previous = block
-        return StrategyRun(self.name, tuple(trials), n_generations=n_generations)
+    def _schedule(self) -> Callable[[RulesetTestResult], bool]:
+        trials = itertools.count(1)
+        return lambda result: next(trials) % self.laziness == 0
 
 
 class AdaptiveSlidingWindow(RulesetStrategy):
@@ -349,43 +298,23 @@ class AdaptiveSlidingWindow(RulesetStrategy):
     # correctness/uniform plumbing, not wall-clock (documented in
     # docs/performance.md).
 
-    def run(self, blocks: Iterable[PairBlock]) -> StrategyRun:
-        previous, rest = self._stream(blocks)
+    def _schedule(self) -> Callable[[RulesetTestResult], bool]:
         coverage_threshold = RollingThreshold(
             self.history, initial=self.initial_threshold, slack=self.slack
         )
         success_threshold = RollingThreshold(
             self.history, initial=self.initial_threshold, slack=self.slack
         )
-        ruleset = self._generate(previous)
-        n_generations = 1
-        fresh = True
-        regenerate = False
-        trials = []
-        for block in rest:
-            if regenerate:
-                # Deferred from the previous trial's threshold breach —
-                # fires only when another block arrived, matching the
-                # eager loop's "regenerate unless this was the last
-                # block" guard.
-                ruleset = self._generate(previous)
-                n_generations += 1
-                fresh = True
-                regenerate = False
-            ct = coverage_threshold.current()
-            st = success_threshold.current()
-            result = self._test(ruleset, block)
-            trials.append(
-                TrialResult(
-                    block_index=block.index,
-                    result=result,
-                    fresh_ruleset=fresh,
-                    ruleset_size=len(ruleset),
-                )
+
+        def breached(result: RulesetTestResult) -> bool:
+            # Each value is compared with the threshold in force before it
+            # joins the history.
+            due = (
+                result.coverage < coverage_threshold.current()
+                or result.success < success_threshold.current()
             )
             coverage_threshold.observe(result.coverage)
             success_threshold.observe(result.success)
-            fresh = False
-            regenerate = result.coverage < ct or result.success < st
-            previous = block
-        return StrategyRun(self.name, tuple(trials), n_generations=n_generations)
+            return due
+
+        return breached

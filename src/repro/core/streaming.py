@@ -29,8 +29,7 @@ from typing import Iterable, Sequence
 
 from repro.core.counts import SketchCounts, WindowCounts
 from repro.core.evaluation import RulesetTestResult
-from repro.core.runner import StrategyRun, TrialResult
-from repro.obs.registry import get_global_registry
+from repro.core.runner import StrategyRun, TrialResult, observe_block_timing
 from repro.trace.blocks import PairBlock
 
 __all__ = ["StreamingRules"]
@@ -144,11 +143,6 @@ class StreamingRules:
             counts.observe(source, replier)
         del warmup
         trials = []
-        timings = get_global_registry().histogram(
-            "repro_offline_test_seconds",
-            "Per-block test duration in the offline simulator.",
-            ("strategy",),
-        ).labels(self.name)
         for block in it:
             t0 = perf_counter()
             n_total = len(block)
@@ -162,7 +156,7 @@ class StreamingRules:
                     if counts.matches(source, replier):
                         n_successful += 1
                 counts.observe(source, replier)
-            timings.observe(perf_counter() - t0)
+            observe_block_timing("test", self.name, perf_counter() - t0)
             trials.append(
                 TrialResult(
                     block_index=block.index,

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.category_rules import (
-    CategorizedBlock,
-    category_ruleset_test,
-    generate_category_ruleset,
-)
+from repro.core.category_rules import CategorizedBlock
+from repro.core.evaluation import ruleset_test_fallback
+from repro.core.generation import generate_ruleset
 from repro.core.strategies import SlidingWindow
 from repro.experiments.context import RunContext, association
 from repro.experiments.results import ExperimentResult
@@ -57,22 +55,27 @@ def run_category_rules(ctx: RunContext, *, top_k: int = 1) -> ExperimentResult:
     gen = MonitorTraceGenerator(cfg, seed=ctx.seed)
     arrays = gen.generate_pair_arrays(ctx.scale.n_blocks * cfg.block_size)
     blocks = blocks_from_arrays(arrays.source, arrays.replier, block_size=cfg.block_size)
-    cblocks = [
+    # The same pairs under the finer (source, category) antecedent key.
+    fine_blocks = [
         CategorizedBlock(
             block=b,
             categories=arrays.category[i * cfg.block_size : (i + 1) * cfg.block_size],
-        )
+        ).keyed(cfg.n_categories)
         for i, b in enumerate(blocks)
     ]
 
     baseline = SlidingWindow(top_k=top_k).run(blocks)
 
     cat_coverage, cat_success = [], []
-    for b in range(1, len(cblocks)):
-        ruleset = generate_category_ruleset(
-            cblocks[b - 1], n_categories=cfg.n_categories, top_k=top_k
+    for b in range(1, len(blocks)):
+        # Both tiers are mined from the same block with the paper's support
+        # threshold, so a query whose (source, category) never reached it
+        # still gets the host-only behaviour.
+        fine = generate_ruleset(fine_blocks[b - 1], top_k=top_k)
+        host = generate_ruleset(blocks[b - 1], top_k=top_k)
+        result = ruleset_test_fallback(
+            [(fine, fine_blocks[b]), (host, blocks[b])]
         )
-        result = category_ruleset_test(ruleset, cblocks[b])
         cat_coverage.append(result.coverage)
         cat_success.append(result.success)
     avg_cov = float(np.mean(cat_coverage))

@@ -49,12 +49,10 @@ from repro.obs.registry import MetricsRegistry
 from repro.persist.state import PersistentState
 from repro.network.protocol import (
     PAYLOAD_QUERY,
-    PAYLOAD_QUERY_HIT,
     DescriptorHeader,
     ProtocolError,
-    ReplyRoutingTable,
 )
-from repro.network.servent import LOCAL, Servent, SharedFile
+from repro.network.servent import LOCAL, RuleRoutedServent, Servent, SharedFile
 
 __all__ = ["LiveServent", "StreamingRuleServent"]
 
@@ -62,14 +60,17 @@ _log = get_logger("live.node")
 _log_limiter = RateLimiter(5.0)
 
 
-class StreamingRuleServent(Servent):
+class StreamingRuleServent(RuleRoutedServent):
     """A servent whose forwarding follows live streaming-rule counts.
 
     The in-process :class:`~repro.network.servent.RuleRoutedServent`
     owns a fixed exact window; this variant takes its table from the
     evaluated §VI streaming strategy (either backend, recoverable from
     disk), so the daemon's routing quality is the quantity the
-    reproduction already measures offline.
+    reproduction already measures offline.  Which connections a rule
+    sends a query to, and the ``rule_routed`` trace events, are the
+    parent's; narrowing the node's own queries, learning from them,
+    the stats and the WAL journal are added here.
     """
 
     def __init__(
@@ -83,9 +84,7 @@ class StreamingRuleServent(Servent):
         persist: PersistentState | None = None,
         **kwargs,
     ) -> None:
-        super().__init__(servent_guid, **kwargs)
-        if top_k < 1:
-            raise ValueError("top_k must be >= 1")
+        super().__init__(servent_guid, top_k=top_k, **kwargs)
         #: durable-state manager (or None for a memory-only servent).
         #: Recovery happens here, at construction: the servent never
         #: routes a single query on cold counts when warm ones exist.
@@ -95,7 +94,6 @@ class StreamingRuleServent(Servent):
         else:
             self.counts = rules.make_counts()
             self.recovery = None
-        self.top_k = top_k
         #: Routing decisions are tallied *here*, as they happen, into the
         #: owning node's :class:`NodeStats` (or a private one when run
         #: standalone) — a mid-run scrape must see current counters, not
@@ -117,106 +115,54 @@ class StreamingRuleServent(Servent):
     def n_rule_regenerations(self) -> int:
         return self.stats.rule_regenerations
 
-    def _targets(self, antecedent: int, exclude: int | None) -> list[int]:
-        """Live rule consequents for ``antecedent``, best first, capped
-        at top-k *after* dropping departed connections — a dead peer must
-        not eat a forwarding slot."""
-        return [
-            c
-            for c in self.counts.consequents(antecedent)
-            if c in self.connections and c != exclude
-        ][: self.top_k]
-
-    def _trace_rule_routed(
-        self, guid: int, antecedent: int, targets: list[int], ttl: int
-    ) -> None:
-        """Record one ``rule_routed`` event per target, with the matched
-        rule's live support/confidence attached — the explainability
-        payload the cluster-wide collector surfaces per hop."""
-        for conn in targets:
-            support, confidence = self.counts.rule_stats(antecedent, conn)
-            self.tracer.record(
-                guid,
-                self._trace_id,
-                "rule_routed",
-                peer=conn,
-                ttl=ttl,
-                antecedent=antecedent,
-                consequent=conn,
-                confidence=confidence,
-                support=support,
-            )
+    def _count_decision(self, rule_routed: bool) -> None:
+        if rule_routed:
+            self.stats.queries_rule_routed += 1
+        else:
+            self.stats.queries_flooded += 1
 
     def issue_query(self, search: str) -> tuple[int, list[tuple[int, bytes]]]:
         guid, frames = super().issue_query(search)
         targets = self._targets(LOCAL, None)
+        self._count_decision(bool(targets))
         if targets:
             keep = set(targets)
             frames = [(conn, frame) for conn, frame in frames if conn in keep]
-            self.stats.queries_rule_routed += 1
-            if self.tracer is not None and self.tracer.wants(guid):
-                self._trace_rule_routed(
-                    guid, LOCAL, [conn for conn, _frame in frames], self.max_ttl
+            self._trace_rule_routed(
+                guid, LOCAL, [conn for conn, _frame in frames], self.max_ttl
+            )
+        elif self.tracer is not None and self.tracer.wants(guid):
+            for conn, _frame in frames:
+                self.tracer.record(
+                    guid,
+                    self._trace_id,
+                    "flooded",
+                    peer=conn,
+                    ttl=self.max_ttl,
+                    reason="no_covering_rule",
                 )
-        else:
-            self.stats.queries_flooded += 1
-            if self.tracer is not None and self.tracer.wants(guid):
-                for conn, _frame in frames:
-                    self.tracer.record(
-                        guid,
-                        self._trace_id,
-                        "flooded",
-                        peer=conn,
-                        ttl=self.max_ttl,
-                        reason="no_covering_rule",
-                    )
         return guid, frames
 
-    def _forward(
-        self, from_conn: int, header, *, flood_reason: str = ""
-    ) -> list[tuple[int, bytes]]:
-        if header.payload_type != PAYLOAD_QUERY or header.ttl <= 1:
-            return super()._forward(from_conn, header)
-        targets = self._targets(from_conn, exclude=from_conn)
-        if not targets:
-            self.stats.queries_flooded += 1
-            return super()._forward(
-                from_conn, header, flood_reason="no_covering_rule"
-            )
-        self.stats.queries_rule_routed += 1
-        if self.tracer is not None and self.tracer.wants(header.guid):
-            self._trace_rule_routed(
-                header.guid, from_conn, targets, header.ttl - 1
-            )
-        frame = header.aged_frame()
-        return [(conn, frame) for conn in targets]
-
-    def _route_back(self, routes: ReplyRoutingTable, conn_id: int, header, payload):
-        if routes is self.query_routes and header.payload_type == PAYLOAD_QUERY_HIT:
-            upstream = routes.route_for(header.guid)
-            if upstream is not None:
-                # §III-B's learning event, fed straight into the §VI
-                # streaming counts: a query from `upstream` (or LOCAL)
-                # was satisfied through `conn_id`.
-                if self._time_regen:
-                    t0 = perf_counter()
-                    promoted = self.counts.observe(upstream, conn_id)
-                    if promoted:
-                        # the event that crossed the threshold *is* the
-                        # live equivalent of a batch regeneration
-                        self._instr.observe_rule_regeneration(
-                            perf_counter() - t0
-                        )
-                else:
-                    promoted = self.counts.observe(upstream, conn_id)
-                if self.persist is not None:
-                    # journal *after* the in-memory update: a WAL record
-                    # always describes a pair the counts have seen, so
-                    # replay can never double-apply or skip one.
-                    self.persist.record_pair(upstream, conn_id)
-                if promoted:
-                    self.stats.rule_regenerations += 1
-        return super()._route_back(routes, conn_id, header, payload)
+    def _learn(self, upstream: int, conn_id: int) -> None:
+        # §III-B's learning event, fed straight into the §VI streaming
+        # counts: a query from `upstream` (or LOCAL — this servent narrows
+        # its own queries too) was satisfied through `conn_id`.
+        if self._time_regen:
+            t0 = perf_counter()
+            promoted = self.counts.observe(upstream, conn_id)
+            if promoted:
+                # the event that crossed the threshold *is* the
+                # live equivalent of a batch regeneration
+                self._instr.observe_rule_regeneration(perf_counter() - t0)
+        else:
+            promoted = self.counts.observe(upstream, conn_id)
+        if self.persist is not None:
+            # journal *after* the in-memory update: a WAL record
+            # always describes a pair the counts have seen, so
+            # replay can never double-apply or skip one.
+            self.persist.record_pair(upstream, conn_id)
+        if promoted:
+            self.stats.rule_regenerations += 1
 
 
 class LiveServent:

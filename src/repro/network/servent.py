@@ -321,40 +321,62 @@ class RuleRoutedServent(Servent):
         **kwargs,
     ) -> None:
         super().__init__(servent_guid, **kwargs)
-        self.rules = WindowCounts(rule_window, min_support_count)
+        if top_k < 1:
+            raise ValueError("top_k must be >= 1")
+        #: the :mod:`repro.core.counts` table the rules are read from.
+        self.counts = WindowCounts(rule_window, min_support_count)
         self.top_k = top_k
+
+    def _targets(self, antecedent: int, exclude: int | None) -> list[int]:
+        """Which connections a rule sends ``antecedent``'s query to: its
+        consequents, best first, capped at top-k *after* dropping departed
+        connections — a dead peer must not eat a forwarding slot."""
+        return [
+            c
+            for c in self.counts.consequents(antecedent)
+            if c in self.connections and c != exclude
+        ][: self.top_k]
+
+    def _count_decision(self, rule_routed: bool) -> None:
+        """One query was narrowed by a rule, or flooded for want of one;
+        the live subclass keeps the tally."""
+
+    def _trace_rule_routed(
+        self, guid: int, antecedent: int, targets: list[int], ttl: int
+    ) -> None:
+        """Record one ``rule_routed`` event per target, with the matched
+        rule's live support/confidence attached — the explainability
+        payload the cluster-wide collector surfaces per hop."""
+        if self.tracer is None or not self.tracer.wants(guid):
+            return
+        for conn in targets:
+            support, confidence = self.counts.rule_stats(antecedent, conn)
+            self.tracer.record(
+                guid,
+                self._trace_id,
+                "rule_routed",
+                peer=conn,
+                ttl=ttl,
+                antecedent=antecedent,
+                consequent=conn,
+                confidence=confidence,
+                support=support,
+            )
 
     def _forward(
         self, from_conn: int, header, *, flood_reason: str = ""
     ) -> list[tuple[int, bytes]]:
         if header.payload_type != PAYLOAD_QUERY or header.ttl <= 1:
             return super()._forward(from_conn, header)
-        consequents = [
-            c
-            for c in self.rules.consequents(from_conn, self.top_k)
-            if c in self.connections and c != from_conn
-        ]
-        if not consequents:
+        targets = self._targets(from_conn, exclude=from_conn)
+        self._count_decision(bool(targets))
+        if not targets:
             return super()._forward(
                 from_conn, header, flood_reason="no_covering_rule"
             )
-        if self.tracer is not None and self.tracer.wants(header.guid):
-            aged_ttl = header.ttl - 1
-            for conn in consequents:
-                support, confidence = self.rules.rule_stats(from_conn, conn)
-                self.tracer.record(
-                    header.guid,
-                    self._trace_id,
-                    "rule_routed",
-                    peer=conn,
-                    ttl=aged_ttl,
-                    antecedent=from_conn,
-                    consequent=conn,
-                    confidence=confidence,
-                    support=support,
-                )
+        self._trace_rule_routed(header.guid, from_conn, targets, header.ttl - 1)
         frame = header.aged_frame()
-        return [(conn, frame) for conn in consequents]
+        return [(conn, frame) for conn in targets]
 
     def _route_back(self, routes: ReplyRoutingTable, conn_id: int, header, payload):
         if (
@@ -362,11 +384,16 @@ class RuleRoutedServent(Servent):
             and header.payload_type == PAYLOAD_QUERY_HIT
         ):
             upstream = routes.route_for(header.guid)
-            if upstream is not None and upstream != LOCAL:
-                # The learning event of §III-B: a query from `upstream`
-                # was satisfied through `conn_id`.
-                self.rules.observe(upstream, conn_id)
+            if upstream is not None:
+                self._learn(upstream, conn_id)
         return super()._route_back(routes, conn_id, header, payload)
+
+    def _learn(self, upstream: int, conn_id: int) -> None:
+        """The learning event of §III-B: a query from ``upstream`` was
+        satisfied through ``conn_id``.  This servent floods its own
+        queries, so a hit for one teaches it nothing it would use."""
+        if upstream != LOCAL:
+            self.counts.observe(upstream, conn_id)
 
 
 class MonitorServent(Servent):

@@ -76,7 +76,7 @@ def reference_ruleset_test_random_subset(
     n_covered = 0
     n_successful = 0
     for source, replier in zip(block.sources.tolist(), block.repliers.tolist()):
-        consequents = ruleset.consequents_for(source)
+        consequents = ruleset.consequents(source)
         if not consequents:
             continue
         n_covered += 1

@@ -1,15 +1,27 @@
-"""Property tests: category_ruleset_test vs a brute-force reference."""
+"""Property tests: ruleset_test_fallback over (source, category)-keyed and
+host-only rule sets vs a pair-by-pair fine-then-host brute force."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.category_rules import (
-    CategorizedBlock,
-    category_ruleset_test,
-    generate_category_ruleset,
-)
+from repro.core.category_rules import CategorizedBlock
+from repro.core.evaluation import ruleset_test_fallback
+from repro.core.generation import generate_ruleset
 
 N_CATS = 4
+
+
+def mine(cblock, **kwargs):
+    """(fine, host): what ``category-rules`` mines from one block."""
+    return (
+        generate_ruleset(cblock.keyed(N_CATS), **kwargs),
+        generate_ruleset(cblock.block, **kwargs),
+    )
+
+
+def fast(tiers, cblock):
+    fine, host = tiers
+    return ruleset_test_fallback([(fine, cblock.keyed(N_CATS)), (host, cblock.block)])
 
 
 @st.composite
@@ -23,8 +35,11 @@ def categorized_blocks(draw):
     return CategorizedBlock.from_arrays(sources, repliers, categories)
 
 
-def brute_force(ruleset, cblock):
-    """Reference: per-pair hierarchical covers/matches calls."""
+def brute_force(tiers, cblock):
+    """Reference: per-pair hierarchical covers/matches calls — the fine
+    tier answers for a (source, category) it covers, the host-only tier
+    for the rest."""
+    fine, host = tiers
     n_covered = 0
     n_successful = 0
     for s, c, r in zip(
@@ -32,22 +47,23 @@ def brute_force(ruleset, cblock):
         cblock.categories.tolist(),
         cblock.block.repliers.tolist(),
     ):
-        if ruleset.covers(s, c):
+        key = s * N_CATS + c
+        if fine.covers(key):
             n_covered += 1
-            if ruleset.matches(s, c, r):
-                n_successful += 1
+            n_successful += fine.matches(key, r)
+        elif host.covers(s):
+            n_covered += 1
+            n_successful += host.matches(s, r)
     return len(cblock), n_covered, n_successful
 
 
 @settings(max_examples=60, deadline=None)
 @given(categorized_blocks(), categorized_blocks(), st.integers(1, 4), st.sampled_from([None, 1, 2]))
 def test_vectorized_equals_brute_force(train, test, min_support, top_k):
-    ruleset = generate_category_ruleset(
-        train, n_categories=N_CATS, min_support_count=min_support, top_k=top_k
-    )
-    fast = category_ruleset_test(ruleset, test)
-    n_total, n_covered, n_successful = brute_force(ruleset, test)
-    assert (fast.n_total, fast.n_covered, fast.n_successful) == (
+    tiers = mine(train, min_support_count=min_support, top_k=top_k)
+    result = fast(tiers, test)
+    n_total, n_covered, n_successful = brute_force(tiers, test)
+    assert (result.n_total, result.n_covered, result.n_successful) == (
         n_total,
         n_covered,
         n_successful,
@@ -59,12 +75,8 @@ def test_vectorized_equals_brute_force(train, test, min_support, top_k):
 def test_category_coverage_at_least_host_only(train, min_support):
     """The fallback tier guarantees coverage >= host-only coverage."""
     from repro.core.evaluation import ruleset_test
-    from repro.core.generation import generate_ruleset
 
-    cat_rs = generate_category_ruleset(
-        train, n_categories=N_CATS, min_support_count=min_support
-    )
-    host_rs = generate_ruleset(train.block, min_support_count=min_support)
-    cat_result = category_ruleset_test(cat_rs, train)
-    host_result = ruleset_test(host_rs, train.block)
+    tiers = mine(train, min_support_count=min_support)
+    cat_result = fast(tiers, train)
+    host_result = ruleset_test(tiers[1], train.block)
     assert cat_result.n_covered >= host_result.n_covered

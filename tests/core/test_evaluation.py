@@ -70,7 +70,7 @@ class TestRulesetTest:
 
     def test_empty_ruleset(self):
         block = make_block([(1, 10)])
-        r = ruleset_test(RuleSet.empty(), block)
+        r = ruleset_test(RuleSet(), block)
         assert r.coverage == 0.0
 
     def test_empty_block(self):

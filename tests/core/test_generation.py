@@ -60,8 +60,8 @@ class TestGenerateRuleset:
     def test_counts_from_small_block(self, small_block):
         rs = generate_ruleset(small_block, min_support_count=1)
         # (1,10) x4, (1,11) x2, (2,12) x3, (2,10) x1
-        assert rs.rules_for(1)[0].consequent == 10
-        assert rs.rules_for(1)[0].count == 4
+        best = next(iter(rs))  # antecedent 1's highest-support rule
+        assert (best.antecedent, best.consequent, best.count) == (1, 10, 4)
         assert rs.matches(2, 12)
         assert rs.matches(2, 10)
         assert len(rs) == 4
@@ -75,8 +75,8 @@ class TestGenerateRuleset:
 
     def test_top_k(self, small_block):
         rs = generate_ruleset(small_block, min_support_count=1, top_k=1)
-        assert rs.consequents_for(1) == [10]
-        assert rs.consequents_for(2) == [12]
+        assert rs.consequents(1) == [10]
+        assert rs.consequents(2) == [12]
 
     def test_confidence_pruning(self, small_block):
         # Source 1 has 6 pairs: (1,10) conf 4/6, (1,11) conf 2/6.

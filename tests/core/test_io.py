@@ -28,7 +28,7 @@ class TestFileRoundtrip:
 
     def test_empty_ruleset(self, tmp_path):
         path = tmp_path / "empty.tsv"
-        write_ruleset(path, RuleSet.empty())
+        write_ruleset(path, RuleSet())
         assert len(read_ruleset(path)) == 0
 
     def test_bad_header_detected(self, tmp_path):
@@ -58,5 +58,5 @@ class TestTableRoundtrip:
     def test_roundtrip(self):
         rs = make_ruleset()
         back = table_to_ruleset(ruleset_to_table(rs))
-        assert back.consequents_for(1) == rs.consequents_for(1)
+        assert back.consequents(1) == rs.consequents(1)
         assert len(back) == len(rs)

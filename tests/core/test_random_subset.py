@@ -117,7 +117,7 @@ class TestVectorizedVsReference:
     def test_exact_equality_when_no_draw_needed(self, rules, pairs):
         """k larger than any consequent list: both paths deterministic."""
         k = max(
-            (len(rules.consequents_for(a)) for a in rules.antecedents()),
+            (len(rules.consequents(a)) for a in rules.antecedents()),
             default=1,
         )
         block = make_block(pairs)

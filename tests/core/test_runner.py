@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.core.evaluation import RulesetTestResult
-from repro.core.runner import StrategyRun, TrialResult, run_strategy
+from repro.core.runner import StrategyRun, TrialResult
 from repro.core.strategies import SlidingWindow
 from tests.conftest import make_block
 
@@ -58,6 +58,7 @@ class TestStrategyRun:
 class TestRunStrategy:
     def test_delegates_to_strategy(self):
         blocks = [make_block([(1, 10)] * 20, index=i) for i in range(3)]
-        run = run_strategy(SlidingWindow(min_support_count=2), blocks)
+        run = SlidingWindow(min_support_count=2).run(blocks)
+        assert isinstance(run, StrategyRun)
         assert run.strategy_name == "sliding"
         assert run.n_trials == 2

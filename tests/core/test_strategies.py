@@ -147,6 +147,13 @@ class TestStrategyValidation:
         with pytest.raises(ValueError):
             SlidingWindow(min_support_count=0)
 
+    @pytest.mark.parametrize("kwargs", [{"top_k": 0}, {"min_confidence": 7.0}])
+    def test_pruning_parameters_checked_at_construction(self, kwargs):
+        """Was accepted, and failed at the first generation — after the
+        trace had been generated or mapped."""
+        with pytest.raises(ValueError):
+            LazySlidingWindow(**kwargs)
+
 
 class TestGeneratorInput:
     """Strategies must accept one-shot block iterators (store streaming)."""

@@ -235,7 +235,7 @@ class TestRuleRoutedServent:
             _guid, frames = servents[0].issue_query("jazz")
             self._pump(servents, frames, 0)
         router = servents[1]
-        assert router.rules.consequents(0) == [2]
+        assert router.counts.consequents(0) == [2]
 
     def test_rule_narrows_forwarding(self):
         servents = self._star_with_rule_router()
@@ -269,4 +269,33 @@ class TestRuleRoutedServent:
         # from 0 are now misdirected to 3 first, but k=1 with no further
         # hops means a miss — the trade-off §III-B's per-query fallback
         # exists to cover (not modelled at the wire level here).
-        assert servents[1].rules.consequents(0, 1) == [3]
+        assert servents[1].counts.consequents(0, 1) == [3]
+
+    def test_disconnected_consequent_does_not_eat_a_forwarding_slot(self):
+        """The top-k cut comes after departed connections are dropped: with
+        a second rule standing, losing the best consequent must not flood.
+        (The cut used to come first, so the dead peer took the slot.)"""
+        from repro.network.protocol import QueryMessage, encode_message
+        from repro.network.servent import RuleRoutedServent
+
+        router = RuleRoutedServent(5001, top_k=1, min_support_count=1)
+        for conn in range(4):
+            router.connect(conn)
+        for _ in range(3):
+            router.counts.observe(0, 2)  # best consequent of connection 0
+        router.counts.observe(0, 3)  # runner-up
+        query = QueryMessage(min_speed=0, search="jazz")
+        sent = router.handle_frame(0, encode_message(1, 7, 0, query))
+        assert [conn for conn, _frame in sent] == [2]
+        router.disconnect(2)
+        sent = router.handle_frame(0, encode_message(2, 7, 0, query))
+        assert [conn for conn, _frame in sent] == [3]  # not a flood to 1 and 3
+        router.disconnect(3)
+        sent = router.handle_frame(0, encode_message(3, 7, 0, query))
+        assert [conn for conn, _frame in sent] == [1]  # no rule left: flood
+
+    def test_top_k_checked_at_construction(self):
+        from repro.network.servent import RuleRoutedServent
+
+        with pytest.raises(ValueError):
+            RuleRoutedServent(5001, top_k=0)

@@ -198,8 +198,3 @@ class TestMergeRuns:
         merged = merge_runs([b, a])
         assert [t.block_index for t in merged.trials] == [1, 2, 3, 4]
         assert merged.n_generations == 4
-
-    def test_merge_method(self):
-        a = StrategyRun("sliding", (trial(1),), n_generations=1)
-        b = StrategyRun("sliding", (trial(2),), n_generations=1)
-        assert a.merge(b) == merge_runs([a, b])
