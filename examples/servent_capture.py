@@ -4,28 +4,26 @@
 Builds a tiny Gnutella network of byte-talking servents with one
 :class:`MonitorServent` in the middle (the paper's §IV capture node),
 drives keyword queries through it, and feeds the captured records into
-the exact §IV pipeline: store tables → GUID dedup → query/reply join →
+the exact §IV pipeline: column logs → GUID dedup → query/reply join →
 query-reply pairs → association rules.
 
-The captured tables are saved to a JSON-lines database file and loaded
+The captured records are saved as a pair of TSV trace files and read
 back before mining — the same "import the trace into a database, then run
 the simulator against it" split the paper describes.
 
 Run:  python examples/servent_capture.py
 """
 
-import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from repro.core.generation import generate_ruleset
 from repro.network.servent import MonitorServent, Servent, SharedFile
-from repro.store import Database
 from repro.trace.blocks import partition_pairs
-from repro.trace.dedup import dedup_queries, dedup_replies
-from repro.trace.pairing import build_pair_table
-from repro.trace.records import QUERY_COLUMNS, REPLY_COLUMNS
+from repro.trace.capture import dedup_queries, dedup_replies, join_pairs
+from repro.trace.io import read_queries, read_replies, write_queries, write_replies
 
 TOPICS = {
     "jazz": ["classic jazz session.mp3", "late night jazz.mp3"],
@@ -79,27 +77,16 @@ def main() -> None:
         f"{len(monitor.reply_log)} reply records\n"
     )
 
-    capture = Database("capture")
-    queries = capture.create_table("queries", QUERY_COLUMNS)
-    queries.extend(rec.as_row() for rec in monitor.query_log)
-    replies = capture.create_table("replies", REPLY_COLUMNS)
-    replies.extend(rec.as_row() for rec in monitor.reply_log)
-
     # Persist the capture and mine from the re-imported copy, like the
     # paper's trace-to-database import step.
-    fd, db_path = tempfile.mkstemp(suffix=".jsonl", prefix="capture-")
-    os.close(fd)
-    try:
-        rows = capture.save(db_path)
-        loaded = Database.load(db_path)
-        print(f"saved capture database ({rows} rows) to {db_path} and re-imported it")
-    finally:
-        os.unlink(db_path)
+    with tempfile.TemporaryDirectory(prefix="capture-") as tmp:
+        query_path, reply_path = Path(tmp) / "queries.tsv", Path(tmp) / "replies.tsv"
+        rows = write_queries(query_path, monitor.query_log)
+        rows += write_replies(reply_path, monitor.reply_log)
+        queries, replies = read_queries(query_path), read_replies(reply_path)
+        print(f"saved capture trace files ({rows} rows) to {tmp} and re-imported them")
 
-    pairs = build_pair_table(
-        dedup_queries(loaded.table("queries")),
-        dedup_replies(loaded.table("replies")),
-    )
+    pairs = join_pairs(dedup_queries(queries), dedup_replies(replies))
     print(f"pipeline: {len(pairs)} query-reply pairs after dedup + join")
 
     blocks = partition_pairs(pairs, block_size=len(pairs), drop_partial=False)

@@ -2,8 +2,8 @@
 """The paper's full data pipeline, end to end.
 
 Replays §IV of the paper at small scale: capture query/reply records at a
-monitor node (with unreplied queries and buggy duplicate GUIDs), import
-them into the relational store, deduplicate by GUID keeping the first
+monitor node (with unreplied queries and buggy duplicate GUIDs), hold
+them as column logs, deduplicate by GUID keeping the first
 record, join queries with replies into query–reply pairs, partition into
 blocks, and drive the Sliding Window simulator — printing the counts the
 paper reports at each stage (their trace: 10,514,090 queries, 3,254,274
@@ -18,12 +18,16 @@ import time
 from pathlib import Path
 
 from repro.core.strategies import SlidingWindow
-from repro.store.database import Database
 from repro.trace.blocks import partition_pairs
-from repro.trace.dedup import dedup_queries, dedup_replies
+from repro.trace.capture import (
+    QueryLog,
+    ReplyLog,
+    dedup_queries,
+    dedup_replies,
+    join_pairs,
+)
 from repro.trace.io import read_queries, write_queries
-from repro.trace.pairing import build_pair_table
-from repro.trace.records import QUERY_COLUMNS, REPLY_COLUMNS, render_ip
+from repro.trace.records import render_ip
 from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator
 
 
@@ -38,31 +42,25 @@ def main() -> None:
 
     print(f"1. capturing trace at the monitor node ({n_pairs:,} replied queries)...")
     t0 = time.time()
-    db = Database("gnutella_trace")
-    queries = db.create_table("queries", QUERY_COLUMNS)
-    replies = db.create_table("replies", REPLY_COLUMNS)
-    for query, reply in generator.iter_events(n_pairs):
-        queries.append(query.as_row())
-        if reply is not None:
-            replies.append(reply.as_row())
+    events = list(generator.iter_events(n_pairs))
+    queries = QueryLog.from_records(query for query, _ in events)
+    replies = ReplyLog.from_records(
+        reply for _, reply in events if reply is not None
+    )
     print(
         f"   captured {len(queries):,} query and {len(replies):,} reply "
         f"records in {time.time() - t0:.1f}s"
     )
-    sample = queries.row_dict(0)
+    sample = events[0][0]
     print(
-        f"   sample query: t={sample['time']:.2f}s guid={sample['guid']:x} "
-        f"from {render_ip(sample['source'])} \"{sample['query_string']}\""
+        f"   sample query: t={sample.time:.2f}s guid={sample.guid:x} "
+        f"from {render_ip(sample.source)} \"{sample.query_string}\""
     )
 
     print("\n2. persisting and re-reading the raw query trace (I/O roundtrip)...")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "queries.tsv"
-        from repro.trace.records import QueryRecord
-
-        write_queries(
-            path, (QueryRecord(*row) for row in queries.iter_rows())
-        )
+        write_queries(path, queries.records())
         reread = read_queries(path)
         assert len(reread) == len(queries)
         print(f"   {path.stat().st_size / 1e6:.1f} MB on disk, {len(reread):,} rows back")
@@ -75,7 +73,7 @@ def main() -> None:
 
     print("\n4. joining queries with replies on GUID...")
     t0 = time.time()
-    pairs = build_pair_table(clean_queries, clean_replies)
+    pairs = join_pairs(clean_queries, clean_replies)
     print(f"   {len(pairs):,} query-reply pairs in {time.time() - t0:.1f}s")
 
     print(f"\n5. partitioning into blocks of {config.block_size:,} pairs...")

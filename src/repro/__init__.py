@@ -12,8 +12,9 @@ unstructured P2P networks plus every substrate its evaluation depends on:
   FP-Growth, rule measures);
 * :mod:`repro.workload` — the calibrated synthetic monitor-node trace
   standing in for the paper's proprietary 7-day Gnutella capture;
-* :mod:`repro.trace` / :mod:`repro.store` — the paper's import pipeline
-  (GUID dedup, query–reply join, blocks) on a minimal relational store;
+* :mod:`repro.trace` — the paper's import pipeline (GUID dedup,
+  query–reply join, blocks) as array passes over column logs, and the
+  on-disk trace store;
 * :mod:`repro.network` / :mod:`repro.routing` — an online overlay
   simulator with flooding, expanding ring, k-random walks, shortcuts,
   routing indices, and association routing;

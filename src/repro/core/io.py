@@ -12,17 +12,10 @@ from __future__ import annotations
 import os
 
 from repro.core.rules import Rule, RuleSet
-from repro.store.table import Column, Table
 
-__all__ = ["write_ruleset", "read_ruleset", "ruleset_to_table", "table_to_ruleset"]
+__all__ = ["write_ruleset", "read_ruleset"]
 
 _HEADER = "antecedent\tconsequent\tcount"
-
-RULESET_COLUMNS = (
-    Column("antecedent", int),
-    Column("consequent", int),
-    Column("count", int),
-)
 
 
 def write_ruleset(path: str | os.PathLike, ruleset: RuleSet) -> int:
@@ -48,22 +41,3 @@ def read_ruleset(path: str | os.PathLike) -> RuleSet:
             rules.append(Rule(int(ante), int(cons), int(count)))
     return RuleSet(rules)
 
-
-def ruleset_to_table(ruleset: RuleSet, name: str = "ruleset") -> Table:
-    """Materialize a rule set as a store table (the paper's DB shape)."""
-    table = Table(name, RULESET_COLUMNS)
-    for rule in ruleset:
-        table.append((rule.antecedent, rule.consequent, rule.count))
-    return table
-
-
-def table_to_ruleset(table: Table) -> RuleSet:
-    """Rebuild a rule set from its table form."""
-    return RuleSet(
-        Rule(ante, cons, count)
-        for ante, cons, count in zip(
-            table.column("antecedent"),
-            table.column("consequent"),
-            table.column("count"),
-        )
-    )

@@ -4,16 +4,18 @@ The original study captured queries and replies at a modified Gnutella node
 for 7 days, imported them into a relational database, removed records with
 duplicated GUIDs (keeping the first), joined queries with replies on GUID to
 form query–reply pairs, and partitioned the pairs into blocks for the rule
-simulator.  This subpackage reproduces that pipeline on top of
-:mod:`repro.store`:
+simulator.  This subpackage reproduces that pipeline as array passes over
+column logs (the relational form is the tests' oracle,
+``tests/store/relational``):
 
 * :mod:`~repro.trace.records` — `QueryRecord` / `ReplyRecord` /
-  `QueryReplyPair` dataclasses and table schemas;
-* :mod:`~repro.trace.dedup` — duplicate-GUID removal (first record kept);
-* :mod:`~repro.trace.pairing` — the GUID equi-join producing pairs;
+  `QueryReplyPair` dataclasses;
+* :mod:`~repro.trace.capture` — `QueryLog` / `ReplyLog` / `PairLog` column
+  sets (128-bit GUIDs and hosts), duplicate-GUID removal (first record
+  kept) and the GUID equi-join producing pairs;
 * :mod:`~repro.trace.blocks` — `PairBlock` (columnar numpy view of a block
   of pairs) and block partitioning;
-* :mod:`~repro.trace.io` — CSV-ish (de)serialization for persisting traces;
+* :mod:`~repro.trace.io` — TSV (de)serialization for persisting traces;
 * :mod:`~repro.trace.store` — out-of-core mmap-backed columnar trace store
   (append-only chunked writer, zero-copy block readers, O(block) memory);
 * :mod:`~repro.trace.analysis` — descriptive trace statistics (turnover,
@@ -31,10 +33,16 @@ from repro.trace.blocks import (
     blocks_from_arrays,
     blocks_from_store,
     iter_blocks_from_arrays,
-    iter_partition_pairs,
     partition_pairs,
 )
-from repro.trace.dedup import dedup_queries, dedup_replies
+from repro.trace.capture import (
+    PairLog,
+    QueryLog,
+    ReplyLog,
+    dedup_queries,
+    dedup_replies,
+    join_pairs,
+)
 from repro.trace.store import (
     TraceStoreCorruption,
     TraceStoreError,
@@ -42,11 +50,7 @@ from repro.trace.store import (
     TraceStoreWriter,
     write_trace_store,
 )
-from repro.trace.pairing import build_pair_table, pair_records
 from repro.trace.records import (
-    PAIR_COLUMNS,
-    QUERY_COLUMNS,
-    REPLY_COLUMNS,
     QueryRecord,
     QueryReplyPair,
     ReplyRecord,
@@ -54,15 +58,15 @@ from repro.trace.records import (
 
 __all__ = [
     "BlockProfile",
-    "PAIR_COLUMNS",
     "PairBlock",
+    "PairLog",
     "coverage_ceiling",
     "profile_block",
     "source_turnover",
-    "QUERY_COLUMNS",
+    "QueryLog",
     "QueryRecord",
     "QueryReplyPair",
-    "REPLY_COLUMNS",
+    "ReplyLog",
     "ReplyRecord",
     "TraceStoreCorruption",
     "TraceStoreError",
@@ -70,12 +74,10 @@ __all__ = [
     "TraceStoreWriter",
     "blocks_from_arrays",
     "blocks_from_store",
-    "build_pair_table",
     "dedup_queries",
     "dedup_replies",
     "iter_blocks_from_arrays",
-    "iter_partition_pairs",
-    "pair_records",
+    "join_pairs",
     "partition_pairs",
     "write_trace_store",
 ]

@@ -3,9 +3,10 @@
 The paper's simulator operates on *blocks* — consecutive runs of (by
 default) 10,000 query–reply pairs: a rule set is generated from one block
 and tested against following blocks.  :class:`PairBlock` is the columnar
-(numpy) representation the rule engine consumes; partitioning helpers build
-blocks from either the fast-path :class:`~repro.workload.tracegen.PairArrays`
-or the full pipeline's pair table.
+(numpy) representation the rule engine consumes; there is one way in per
+source: parallel id arrays (the fast-path
+:class:`~repro.workload.tracegen.PairArrays`), the full pipeline's
+:class:`~repro.trace.capture.PairLog`, and an on-disk trace store.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.store.table import Table
+from repro.trace.capture import PairLog
 
 __all__ = [
     "PairBlock",
     "partition_pairs",
     "blocks_from_arrays",
     "iter_blocks_from_arrays",
-    "iter_partition_pairs",
     "blocks_from_store",
     "scan_id_range",
 ]
@@ -192,30 +192,12 @@ def blocks_from_arrays(
     )
 
 
-def _pair_table_columns(pair_table: Table) -> tuple[np.ndarray, np.ndarray]:
-    sources = np.fromiter(pair_table.column("source"), dtype=np.int64)
-    repliers = np.fromiter(pair_table.column("replier"), dtype=np.int64)
-    return sources, repliers
-
-
-def iter_partition_pairs(
-    pair_table: Table, *, block_size: int, drop_partial: bool = True
-) -> Iterator[PairBlock]:
-    """Lazily partition a pipeline pair table into :class:`PairBlock` views."""
-    sources, repliers = _pair_table_columns(pair_table)
-    return iter_blocks_from_arrays(
-        sources, repliers, block_size=block_size, drop_partial=drop_partial
-    )
-
-
 def partition_pairs(
-    pair_table: Table, *, block_size: int, drop_partial: bool = True
+    pairs: PairLog, *, block_size: int, drop_partial: bool = True
 ) -> list[PairBlock]:
-    """Partition a pipeline pair table into :class:`PairBlock` objects."""
-    return list(
-        iter_partition_pairs(
-            pair_table, block_size=block_size, drop_partial=drop_partial
-        )
+    """Partition the full pipeline's joined pairs into blocks."""
+    return blocks_from_arrays(
+        pairs.source, pairs.replier, block_size=block_size, drop_partial=drop_partial
     )
 
 

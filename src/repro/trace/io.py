@@ -1,15 +1,16 @@
 """Trace (de)serialization.
 
-Tab-separated persistence for query and reply tables, so traces can be
+Tab-separated persistence for query and reply logs, so traces can be
 generated once and replayed across experiment runs (the paper's 2.6 GB
 database served the same purpose).  The format is line-oriented and
 append-friendly; strings are the last field so they may contain spaces.
+Files are opened with ``newline="\\n"``: a line ends at ``\\n`` and nowhere
+else, so a captured string holding a carriage return (the wire codec
+allows one) comes back as the bytes it went in as.
 
-Readers decode in streaming chunks: :func:`iter_query_rows` /
-:func:`iter_reply_rows` yield decoded row tuples one at a time, and the
-table builders feed the tables via chunked ``extend`` calls so only
-``chunk_size`` decoded rows are ever held outside the table — a 7-day
-full-scale trace file loads without a second full-trace list in memory.
+:func:`iter_query_rows` / :func:`iter_reply_rows` yield decoded row tuples
+one at a time; :func:`read_queries` / :func:`read_replies` collect them
+into the column logs of :mod:`repro.trace.capture`.
 """
 
 from __future__ import annotations
@@ -17,13 +18,8 @@ from __future__ import annotations
 import os
 from typing import Iterable, Iterator
 
-from repro.store.table import Table
-from repro.trace.records import (
-    QUERY_COLUMNS,
-    REPLY_COLUMNS,
-    QueryRecord,
-    ReplyRecord,
-)
+from repro.trace.capture import QueryLog, ReplyLog
+from repro.trace.records import QueryRecord, ReplyRecord
 
 __all__ = [
     "write_queries",
@@ -37,96 +33,67 @@ __all__ = [
 _QUERY_HEADER = "time\tguid\tsource\tquery_string"
 _REPLY_HEADER = "time\tguid\treplier\thost\tfile_name"
 
-#: rows decoded per ``Table.extend`` call in the chunked readers.
-DEFAULT_CHUNK_SIZE = 8192
+
+def _iter_rows(
+    path: str | os.PathLike, header: str, kind: str, decoders: tuple
+) -> Iterator[tuple]:
+    """Yield one decoded tuple per line after the header; the last field is text."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        found = fh.readline().rstrip("\n")
+        if found != header:
+            raise ValueError(f"not a {kind} trace file: header {found!r}")
+        for lineno, line in enumerate(fh, start=2):
+            *numbers, text = line.rstrip("\n").split("\t", len(decoders))
+            try:
+                if len(numbers) != len(decoders):
+                    raise ValueError(f"{len(numbers) + 1} tab-separated fields")
+                row = (*(decode(s) for decode, s in zip(decoders, numbers)), text)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{os.fspath(path)}:{lineno}: bad {kind} trace line ({exc})"
+                ) from None
+            yield row
+
+
+def _write_rows(path: str | os.PathLike, header: str, what: str, records) -> int:
+    """Write the header and one line per record; returns the number written."""
+    n = 0
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for rec in records:
+            time, *ids, text = rec.as_row()
+            if "\t" in text or "\n" in text:
+                raise ValueError(f"{what} may not contain tabs or newlines")
+            fh.write("\t".join([repr(time), *map(str, ids), text]) + "\n")
+            n += 1
+    return n
 
 
 def write_queries(path: str | os.PathLike, records: Iterable[QueryRecord]) -> int:
     """Write query records; returns the number written."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_QUERY_HEADER + "\n")
-        for rec in records:
-            if "\t" in rec.query_string or "\n" in rec.query_string:
-                raise ValueError("query strings may not contain tabs or newlines")
-            fh.write(f"{rec.time!r}\t{rec.guid}\t{rec.source}\t{rec.query_string}\n")
-            n += 1
-    return n
+    return _write_rows(path, _QUERY_HEADER, "query strings", records)
 
 
 def iter_query_rows(path: str | os.PathLike) -> Iterator[tuple]:
     """Yield decoded ``(time, guid, source, query_string)`` rows lazily."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != _QUERY_HEADER:
-            raise ValueError(f"not a query trace file: header {header!r}")
-        for line in fh:
-            time_s, guid_s, source_s, qs = line.rstrip("\n").split("\t", 3)
-            yield (float(time_s), int(guid_s), int(source_s), qs)
+    return _iter_rows(path, _QUERY_HEADER, "query", (float, int, int))
 
 
-def _fill_table(table: Table, rows: Iterator[tuple], chunk_size: int) -> Table:
-    """Feed a row iterator into ``table`` in chunks of ``chunk_size``."""
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    chunk: list[tuple] = []
-    for row in rows:
-        chunk.append(row)
-        if len(chunk) >= chunk_size:
-            table.extend(chunk)
-            chunk.clear()
-    if chunk:
-        table.extend(chunk)
-    return table
-
-
-def read_queries(
-    path: str | os.PathLike, *, chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> Table:
-    """Read query records into a fresh ``queries`` table.
-
-    Rows stream from disk in ``chunk_size`` batches; at no point does
-    the reader hold a full-trace row list alongside the table.
-    """
-    return _fill_table(
-        Table("queries", QUERY_COLUMNS), iter_query_rows(path), chunk_size
-    )
+def read_queries(path: str | os.PathLike) -> QueryLog:
+    """Read a query trace file into a :class:`~repro.trace.capture.QueryLog`."""
+    return QueryLog.from_records(QueryRecord(*row) for row in iter_query_rows(path))
 
 
 def write_replies(path: str | os.PathLike, records: Iterable[ReplyRecord]) -> int:
     """Write reply records; returns the number written."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_REPLY_HEADER + "\n")
-        for rec in records:
-            if "\t" in rec.file_name or "\n" in rec.file_name:
-                raise ValueError("file names may not contain tabs or newlines")
-            fh.write(
-                f"{rec.time!r}\t{rec.guid}\t{rec.replier}\t{rec.host}\t{rec.file_name}\n"
-            )
-            n += 1
-    return n
+    return _write_rows(path, _REPLY_HEADER, "file names", records)
 
 
 def iter_reply_rows(path: str | os.PathLike) -> Iterator[tuple]:
     """Yield decoded ``(time, guid, replier, host, file_name)`` rows lazily."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != _REPLY_HEADER:
-            raise ValueError(f"not a reply trace file: header {header!r}")
-        for line in fh:
-            time_s, guid_s, replier_s, host_s, fname = line.rstrip("\n").split("\t", 4)
-            yield (float(time_s), int(guid_s), int(replier_s), int(host_s), fname)
+    return _iter_rows(path, _REPLY_HEADER, "reply", (float, int, int, int))
 
 
-def read_replies(
-    path: str | os.PathLike, *, chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> Table:
-    """Read reply records into a fresh ``replies`` table.
-
-    Rows stream from disk in ``chunk_size`` batches; at no point does
-    the reader hold a full-trace row list alongside the table.
-    """
-    return _fill_table(
-        Table("replies", REPLY_COLUMNS), iter_reply_rows(path), chunk_size
-    )
+def read_replies(path: str | os.PathLike) -> ReplyLog:
+    """Read a reply trace file into a :class:`~repro.trace.capture.ReplyLog`."""
+    return ReplyLog.from_records(ReplyRecord(*row) for row in iter_reply_rows(path))

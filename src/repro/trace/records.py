@@ -1,4 +1,4 @@
-"""Trace record types and their table schemas.
+"""Trace record types.
 
 Field-for-field these follow the paper's methodology section: for queries,
 "the query string, the time of the query, the IP address of the node that
@@ -13,15 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.store.table import Column
-
 __all__ = [
     "QueryRecord",
     "ReplyRecord",
     "QueryReplyPair",
-    "QUERY_COLUMNS",
-    "REPLY_COLUMNS",
-    "PAIR_COLUMNS",
     "render_ip",
 ]
 
@@ -75,32 +70,6 @@ class QueryReplyPair:
             self.replier,
             self.host,
         )
-
-
-QUERY_COLUMNS = (
-    Column("time", float),
-    Column("guid", int),
-    Column("source", int),
-    Column("query_string", str),
-)
-
-REPLY_COLUMNS = (
-    Column("time", float),
-    Column("guid", int),
-    Column("replier", int),
-    Column("host", int),
-    Column("file_name", str),
-)
-
-PAIR_COLUMNS = (
-    Column("guid", int),
-    Column("query_time", float),
-    Column("source", int),
-    Column("query_string", str),
-    Column("reply_time", float),
-    Column("replier", int),
-    Column("host", int),
-)
 
 
 def render_ip(node_id: int) -> str:

@@ -82,7 +82,6 @@ __all__ = [
     "TraceStoreWriter",
     "TraceStoreReader",
     "write_trace_store",
-    "iter_store_blocks",
 ]
 
 _HEADER = struct.Struct("<8sIIQQ")
@@ -825,15 +824,3 @@ def write_trace_store(
     writer.close(drop_partial=drop_partial)
     return TraceStoreReader(path)
 
-
-def iter_store_blocks(path: str | os.PathLike) -> Iterator[PairBlock]:
-    """Stream a store file's blocks (one-shot convenience wrapper).
-
-    The reader is closed when the generator is exhausted or closed, so
-    a completed (or abandoned) iteration leaves no mappings behind.
-    """
-    reader = TraceStoreReader(path)
-    try:
-        yield from reader.iter_blocks()
-    finally:
-        reader.close()

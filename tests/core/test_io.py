@@ -3,12 +3,7 @@
 import pytest
 
 from repro.core.generation import generate_ruleset
-from repro.core.io import (
-    read_ruleset,
-    ruleset_to_table,
-    table_to_ruleset,
-    write_ruleset,
-)
+from repro.core.io import read_ruleset, write_ruleset
 from repro.core.rules import Rule, RuleSet
 
 
@@ -48,15 +43,3 @@ class TestFileRoundtrip:
         b = ruleset_test(back, small_block)
         assert (a.n_covered, a.n_successful) == (b.n_covered, b.n_successful)
 
-
-class TestTableRoundtrip:
-    def test_table_shape(self):
-        table = ruleset_to_table(make_ruleset())
-        assert table.column_names == ("antecedent", "consequent", "count")
-        assert len(table) == 3
-
-    def test_roundtrip(self):
-        rs = make_ruleset()
-        back = table_to_ruleset(ruleset_to_table(rs))
-        assert back.consequents(1) == rs.consequents(1)
-        assert len(back) == len(rs)

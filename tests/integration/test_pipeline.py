@@ -1,22 +1,26 @@
 """End-to-end test of the paper's import pipeline.
 
-trace generator (full-fidelity events) -> store tables -> GUID dedup ->
+trace generator (full-fidelity events) -> column logs -> GUID dedup ->
 query/reply join -> block partitioning -> strategy evaluation.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.strategies import SlidingWindow
-from repro.store.database import Database
 from repro.trace.blocks import partition_pairs
-from repro.trace.dedup import dedup_queries, dedup_replies
-from repro.trace.pairing import build_pair_table
-from repro.trace.records import QUERY_COLUMNS, REPLY_COLUMNS
+from repro.trace.capture import (
+    QueryLog,
+    ReplyLog,
+    dedup_queries,
+    dedup_replies,
+    join_pairs,
+)
 from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator
 
 
 @pytest.fixture(scope="module")
-def pipeline_db():
+def pipeline_logs():
     cfg = MonitorTraceConfig(
         block_size=400,
         n_neighbors=20,
@@ -25,49 +29,39 @@ def pipeline_db():
         duplicate_guid_rate=0.01,
     )
     gen = MonitorTraceGenerator(cfg, seed=99)
-    db = Database("pipeline")
-    queries = db.create_table("queries", QUERY_COLUMNS)
-    replies = db.create_table("replies", REPLY_COLUMNS)
     n_pairs = 2400
-    for query, reply in gen.iter_events(n_pairs):
-        queries.append(query.as_row())
-        if reply is not None:
-            replies.append(reply.as_row())
-    return cfg, db, gen
+    events = list(gen.iter_events(n_pairs))
+    queries = QueryLog.from_records(query for query, _ in events)
+    replies = ReplyLog.from_records(reply for _, reply in events if reply is not None)
+    return cfg, queries, replies, gen
 
 
 class TestPipeline:
-    def test_raw_tables_populated(self, pipeline_db):
-        _cfg, db, _gen = pipeline_db
-        assert len(db.table("queries")) > len(db.table("replies"))
-        assert len(db.table("replies")) == 2400
+    def test_raw_tables_populated(self, pipeline_logs):
+        _cfg, queries, replies, _gen = pipeline_logs
+        assert len(queries) > len(replies)
+        assert len(replies) == 2400
 
-    def test_dedup_removes_buggy_guids(self, pipeline_db):
-        _cfg, db, gen = pipeline_db
-        queries = db.table("queries")
+    def test_dedup_removes_buggy_guids(self, pipeline_logs):
+        _cfg, queries, _replies, gen = pipeline_logs
         deduped = dedup_queries(queries)
         assert len(deduped) < len(queries)
-        assert len(deduped) == len(set(queries.column("guid")))
+        assert len(deduped) == len({q.guid for q in queries.records()})
         assert gen.guid_allocator.duplicate_count > 0
 
-    def test_join_produces_pairs(self, pipeline_db):
-        _cfg, db, _gen = pipeline_db
-        queries = dedup_queries(db.table("queries"))
-        replies = dedup_replies(db.table("replies"))
-        pairs = build_pair_table(queries, replies)
+    def test_join_produces_pairs(self, pipeline_logs):
+        _cfg, queries, replies, _gen = pipeline_logs
+        queries = dedup_queries(queries)
+        replies = dedup_replies(replies)
+        pairs = join_pairs(queries, replies)
         # Every reply whose (deduped) GUID has a surviving query forms a pair.
         assert 0 < len(pairs) <= len(replies)
         # Pair integrity: reply times trail query times.
-        assert all(
-            rt >= qt
-            for qt, rt in zip(pairs.column("query_time"), pairs.column("reply_time"))
-        )
+        assert np.all(pairs.reply_time >= pairs.query_time)
 
-    def test_blocks_and_strategy(self, pipeline_db):
-        cfg, db, _gen = pipeline_db
-        queries = dedup_queries(db.table("queries"))
-        replies = dedup_replies(db.table("replies"))
-        pairs = build_pair_table(queries, replies)
+    def test_blocks_and_strategy(self, pipeline_logs):
+        cfg, queries, replies, _gen = pipeline_logs
+        pairs = join_pairs(dedup_queries(queries), dedup_replies(replies))
         blocks = partition_pairs(pairs, block_size=cfg.block_size)
         assert len(blocks) >= 4
         run = SlidingWindow(min_support_count=3).run(blocks)

@@ -172,11 +172,14 @@ class TestMonitorServent:
         assert monitor.reply_log[0].host == 3002
 
     def test_capture_feeds_the_paper_pipeline(self):
-        """Wire capture -> store -> dedup -> join -> pairs (schema parity)."""
-        from repro.store.table import Table
-        from repro.trace.dedup import dedup_queries, dedup_replies
-        from repro.trace.pairing import build_pair_table
-        from repro.trace.records import QUERY_COLUMNS, REPLY_COLUMNS
+        """Wire capture -> column logs -> dedup -> join -> pairs."""
+        from repro.trace.capture import (
+            QueryLog,
+            ReplyLog,
+            dedup_queries,
+            dedup_replies,
+            join_pairs,
+        )
 
         libraries = {2: [SharedFile(5, "pipeline target.dat", 100)]}
         servents = [
@@ -191,16 +194,14 @@ class TestMonitorServent:
             _guid, frames = servents[0].issue_query("pipeline")
             pump(servents, frames, 0)
         monitor = servents[1]
-        queries = Table("queries", QUERY_COLUMNS)
-        queries.extend(rec.as_row() for rec in monitor.query_log)
-        replies = Table("replies", REPLY_COLUMNS)
-        replies.extend(rec.as_row() for rec in monitor.reply_log)
-        pairs = build_pair_table(
-            dedup_queries(queries), dedup_replies(replies)
+        pairs = join_pairs(
+            dedup_queries(QueryLog.from_records(monitor.query_log)),
+            dedup_replies(ReplyLog.from_records(monitor.reply_log)),
         )
         assert len(pairs) == 5
-        assert set(pairs.column("source")) == {0}
-        assert set(pairs.column("replier")) == {2}
+        assert set(pairs.source.tolist()) == {0}
+        assert set(pairs.replier.tolist()) == {2}
+        assert {p.host for p in pairs.records()} == {4002}
 
 
 class TestRuleRoutedServent:

@@ -56,20 +56,22 @@ class TestWireNetwork:
     def test_wire_trace_feeds_rule_pipeline(self):
         """End to end: bytes -> monitor capture -> pairs -> rule set."""
         from repro.core.generation import generate_ruleset
-        from repro.store.table import Table
         from repro.trace.blocks import partition_pairs
-        from repro.trace.dedup import dedup_queries, dedup_replies
-        from repro.trace.pairing import build_pair_table
-        from repro.trace.records import QUERY_COLUMNS, REPLY_COLUMNS
+        from repro.trace.capture import (
+            QueryLog,
+            ReplyLog,
+            dedup_queries,
+            dedup_replies,
+            join_pairs,
+        )
 
         net = build(monitor=0, seed=7)
         net.run_workload(np.random.default_rng(8), vocabulary=VOCAB, n_queries=80)
         monitor = net.monitor
-        queries = Table("queries", QUERY_COLUMNS)
-        queries.extend(r.as_row() for r in monitor.query_log)
-        replies = Table("replies", REPLY_COLUMNS)
-        replies.extend(r.as_row() for r in monitor.reply_log)
-        pairs = build_pair_table(dedup_queries(queries), dedup_replies(replies))
+        pairs = join_pairs(
+            dedup_queries(QueryLog.from_records(monitor.query_log)),
+            dedup_replies(ReplyLog.from_records(monitor.reply_log)),
+        )
         assert len(pairs) > 0
         blocks = partition_pairs(pairs, block_size=len(pairs), drop_partial=False)
         ruleset = generate_ruleset(blocks[0], min_support_count=2)

@@ -4,7 +4,7 @@ A :class:`Database` can be round-tripped through a JSON-lines file with
 :meth:`Database.save` / :meth:`Database.load`: one header line naming the
 database, then for each table a schema line followed by one line per row.
 Hash indexes are derived state and are not persisted — recreate them with
-:meth:`~repro.store.table.Table.create_index` after loading.
+:meth:`~tests.store.relational.table.Table.create_index` after loading.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import os
 from typing import Iterable, Sequence
 
-from repro.store.table import Column, Table
+from tests.store.relational.table import Column, Table
 
 __all__ = ["Database"]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-from repro.store.table import Table
+from tests.store.relational.table import Table
 
 __all__ = ["inner_join", "group_count"]
 

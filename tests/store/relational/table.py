@@ -158,7 +158,7 @@ class Table:
         Mirrors the paper's note that simulations only became practical
         "after creating indices to frequently-searched fields".
         """
-        from repro.store.index import HashIndex
+        from tests.store.relational.index import HashIndex
 
         if column_name in self._indexes:
             return self._indexes[column_name]

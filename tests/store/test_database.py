@@ -1,9 +1,9 @@
-"""Tests for repro.store.database."""
+"""Tests for tests.store.relational.database."""
 
 import pytest
 
-from repro.store.database import Database
-from repro.store.table import Column, Table
+from tests.store.relational.database import Database
+from tests.store.relational.table import Column, Table
 
 
 class TestDatabase:

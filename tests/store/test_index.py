@@ -1,7 +1,7 @@
-"""Tests for repro.store.index."""
+"""Tests for tests.store.relational.index."""
 
-from repro.store.index import HashIndex
-from repro.store.table import Table
+from tests.store.relational.index import HashIndex
+from tests.store.relational.table import Table
 
 
 def make_table():

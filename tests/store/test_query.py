@@ -1,12 +1,12 @@
-"""Tests for repro.store.query (join and aggregation)."""
+"""Tests for tests.store.relational.query (join and aggregation)."""
 
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.store.query import group_count, inner_join
-from repro.store.table import Table
+from tests.store.relational.query import group_count, inner_join
+from tests.store.relational.table import Table
 
 
 def make_sides():

@@ -1,8 +1,8 @@
-"""Tests for repro.store.table."""
+"""Tests for tests.store.relational.table."""
 
 import pytest
 
-from repro.store.table import Column, Table
+from tests.store.relational.table import Column, Table
 
 
 def make_people():

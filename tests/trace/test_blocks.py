@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.store.table import Table
 from repro.trace.blocks import PairBlock, blocks_from_arrays, partition_pairs
-from repro.trace.records import PAIR_COLUMNS
+from repro.trace.capture import PairLog
+from repro.trace.records import QueryReplyPair
 
 
 class TestPairBlock:
@@ -145,10 +145,11 @@ class TestBlocksFromArrays:
 
 class TestPartitionPairs:
     def test_from_pair_table(self):
-        table = Table("pairs", PAIR_COLUMNS)
-        for i in range(12):
-            table.append((i, float(i), i % 3, "q", float(i), 100 + i % 2, 0))
-        blocks = partition_pairs(table, block_size=5)
+        pairs = PairLog.from_records(
+            QueryReplyPair(i, float(i), i % 3, "q", float(i), 100 + i % 2, 0)
+            for i in range(12)
+        )
+        blocks = partition_pairs(pairs, block_size=5)
         assert len(blocks) == 2
         assert blocks[0].sources.tolist() == [0, 1, 2, 0, 1]
         assert blocks[0].repliers.tolist() == [100, 101, 100, 101, 100]

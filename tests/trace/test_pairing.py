@@ -1,25 +1,24 @@
-"""Tests for repro.trace.pairing."""
+"""Tests for the GUID join (repro.trace.capture.join_pairs)."""
 
-from repro.store.table import Table
-from repro.trace.pairing import build_pair_table, pair_records
-from repro.trace.records import QUERY_COLUMNS, REPLY_COLUMNS
+from dataclasses import asdict, fields
+
+from repro.trace.capture import PairLog, QueryLog, ReplyLog, join_pairs
+from repro.trace.records import QueryRecord, QueryReplyPair, ReplyRecord
 
 
-def make_tables():
-    queries = Table("queries", QUERY_COLUMNS)
-    queries.extend(
+def make_logs():
+    queries = QueryLog.from_records(
         [
-            (1.0, 100, 1, "q1"),
-            (2.0, 200, 2, "q2"),
-            (3.0, 300, 3, "q3"),  # no reply
+            QueryRecord(1.0, 100, 1, "q1"),
+            QueryRecord(2.0, 200, 2, "q2"),
+            QueryRecord(3.0, 300, 3, "q3"),  # no reply
         ]
     )
-    replies = Table("replies", REPLY_COLUMNS)
-    replies.extend(
+    replies = ReplyLog.from_records(
         [
-            (1.5, 100, 11, 1000, "f1.dat"),
-            (2.5, 200, 12, 2000, "f2.dat"),
-            (9.0, 999, 13, 3000, "orphan.dat"),  # no matching query
+            ReplyRecord(1.5, 100, 11, 1000, "f1.dat"),
+            ReplyRecord(2.5, 200, 12, 2000, "f2.dat"),
+            ReplyRecord(9.0, 999, 13, 3000, "orphan.dat"),  # no matching query
         ]
     )
     return queries, replies
@@ -27,15 +26,16 @@ def make_tables():
 
 class TestBuildPairTable:
     def test_pairs_only_for_matched_guids(self):
-        queries, replies = make_tables()
-        pairs = build_pair_table(queries, replies)
+        queries, replies = make_logs()
+        pairs = join_pairs(queries, replies)
         assert len(pairs) == 2
-        assert set(pairs.column("guid")) == {100, 200}
+        assert {p.guid for p in pairs.records()} == {100, 200}
 
     def test_pair_schema(self):
-        queries, replies = make_tables()
-        pairs = build_pair_table(queries, replies)
-        assert pairs.column_names == (
+        queries, replies = make_logs()
+        pairs = join_pairs(queries, replies)
+        assert isinstance(pairs, PairLog)
+        assert tuple(f.name for f in fields(pairs)) == (
             "guid",
             "query_time",
             "source",
@@ -44,11 +44,14 @@ class TestBuildPairTable:
             "replier",
             "host",
         )
+        assert tuple(f.name for f in fields(QueryReplyPair)) == tuple(
+            f.name for f in fields(pairs)
+        )
 
     def test_pair_values(self):
-        queries, replies = make_tables()
-        pairs = build_pair_table(queries, replies)
-        row = pairs.row_dict(0)
+        queries, replies = make_logs()
+        pairs = join_pairs(queries, replies)
+        row = asdict(pairs.records()[0])
         assert row == {
             "guid": 100,
             "query_time": 1.0,
@@ -60,15 +63,15 @@ class TestBuildPairTable:
         }
 
     def test_empty_inputs(self):
-        queries = Table("queries", QUERY_COLUMNS)
-        replies = Table("replies", REPLY_COLUMNS)
-        assert len(build_pair_table(queries, replies)) == 0
+        queries = QueryLog.from_records([])
+        replies = ReplyLog.from_records([])
+        assert len(join_pairs(queries, replies)) == 0
 
 
 class TestPairRecords:
     def test_materialization(self):
-        queries, replies = make_tables()
-        records = pair_records(build_pair_table(queries, replies))
+        queries, replies = make_logs()
+        records = join_pairs(queries, replies).records()
         assert len(records) == 2
         assert records[0].guid == 100
         assert records[0].replier == 11

@@ -11,7 +11,6 @@ from repro.trace.store import (
     TraceStoreError,
     TraceStoreReader,
     TraceStoreWriter,
-    iter_store_blocks,
     write_trace_store,
 )
 
@@ -99,7 +98,7 @@ class TestRoundTrip:
     def test_iter_store_blocks_and_blocks_from_store(self, tmp_path):
         path = tmp_path / "t.rptrace"
         make_store(path, n=200, block_size=100)
-        assert sum(len(b) for b in iter_store_blocks(path)) == 200
+        assert sum(len(b) for b in blocks_from_store(path)) == 200
         reader = TraceStoreReader(path)
         assert [b.index for b in blocks_from_store(reader)] == [0, 1]
         assert [b.index for b in blocks_from_store(path)] == [0, 1]
