@@ -24,7 +24,11 @@ failed gate exits non-zero.  ``--quick`` (CI smoke) keeps the node
 count but trims the workload.  ``build_seconds`` beside
 ``elapsed_seconds`` is the part of the run spent constructing the five
 networks (one population, drawn five times), as the constructors report
-it in ``repro_sim_build_seconds``.
+it in ``repro_sim_build_seconds``; ``population_bytes`` is what one of
+those worlds occupies — its library buffer and the two index buffers
+derived from it — as ``repro_sim_population_bytes`` reads when the run
+ends (``peak_rss_bytes`` is the whole process, five arms' high-water
+mark).
 """
 
 from __future__ import annotations
@@ -110,6 +114,8 @@ def main(argv: list[str] | None = None) -> int:
     elapsed = perf_counter() - t0
     builds = get_global_registry().family("repro_sim_build_seconds")
     build_seconds = sum(child.sum for child in builds.children().values())
+    population = get_global_registry().family("repro_sim_population_bytes")
+    population_bytes = int(population.children()[("superpeer",)].value)
 
     baseline, _ = arms["baseline"]
     flood, _ = arms["flood"]
@@ -129,6 +135,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{stats.success_rate:>8.4f} {stats.coverage_alpha:>7.3f} "
             f"{stats.success_rho:>7.3f}"
         )
+    lines.append(f"population: {population_bytes:,} bytes a world (library + indices)")
     report = "\n".join(lines)
     print(report)
 
@@ -158,6 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         "tier_tuning": _TIER,
         "elapsed_seconds": elapsed,
         "build_seconds": build_seconds,
+        "population_bytes": population_bytes,
         "peak_rss_bytes": peak_rss(),
         "arms": {arm: _stats_payload(*arms[arm]) for arm in _ARMS},
         "baseline_messages_per_query": baseline.messages_per_query,

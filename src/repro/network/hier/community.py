@@ -15,26 +15,49 @@ Load-based placement keeps communities balanced under churn, which
 matters for rule quality: a super-peer's mined table is only as good
 as the traffic volume of the community behind it.
 
-Two readings of the same content: :meth:`CommunityIndex.lookup` asks one
-community which leaves share a file (what a contacted super-peer
-answers), :meth:`CommunityIndex.holders` asks which communities share it
-at all — the :class:`~repro.network.holders.HolderIndex` the tier-2 flood
-reads so its per-query work follows the answer, not the reach.  That
-index is derived state: :meth:`attach` and :meth:`kill` drop it and the
-next :meth:`holders` call rebuilds it from the per-community indices (a
-network attaches ten thousand leaves before its first query; patching
-the buffer once per leaf would cost more than sorting it once).
+The population is arrays.  Stored: membership, and every library as a
+sorted, distinct stretch of one ``int32`` buffer (appended on attach; it
+outlives a kill, so a re-attached leaf keeps its stretch).  Derived,
+dropped by :meth:`attach` / :meth:`kill` / :meth:`reattach` and rebuilt
+whole on the next read (a network attaches ten thousand leaves before
+its first query; patching a sorted buffer once per leaf would cost more
+than sorting it once): the community index — per community one stretch
+of (file, leaf) pairs sorted by file then leaf, so :meth:`count` /
+:meth:`lookup`, what a contacted super-peer answers, are a bisect over
+that stretch — and a :class:`~repro.network.holders.HolderIndex` over
+(file, super-peer) with one key per pair, so :meth:`sharers` is a slice
+and the tier-2 flood's per-query work follows the answer, not the reach.
+
+A super-peer or leaf id outside its range is an ``IndexError`` before
+anything changes (a negative one would alias the last element).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, KeysView
+from array import array
+from bisect import bisect_left
+from collections.abc import Iterable, Sequence
+from itertools import pairwise
 
 import numpy as np
 
 from repro.network.holders import HolderIndex
+from repro.obs.instruments import set_sim_population_bytes
 
-__all__ = ["CommunityIndex"]
+__all__ = ["CommunityIndex", "count_pairs"]
+
+
+def count_pairs(
+    files: Sequence[int], bounds: Sequence[int], superpeer: int, file_id: int
+) -> int:
+    """:meth:`CommunityIndex.count` on :meth:`CommunityIndex.stretches`
+    already in hand, ids unchecked: the per-probe part of a query."""
+    end = bounds[superpeer + 1]
+    at = first = bisect_left(files, file_id, bounds[superpeer], end)
+    # a file is shared by a leaf or two: a walk beats a second bisect
+    while at < end and files[at] == file_id:
+        at += 1
+    return at - first
 
 
 class CommunityIndex:
@@ -44,33 +67,67 @@ class CommunityIndex:
         if n_superpeers < 1:
             raise ValueError("n_superpeers must be >= 1")
         self.n_superpeers = int(n_superpeers)
-        self._home: dict[int, int] = {}  # leaf -> super-peer
-        self._library: dict[int, frozenset[int]] = {}  # leaf -> file ids
         self._members: list[list[int]] = [[] for _ in range(n_superpeers)]
-        # super-peer -> file id -> leaves sharing it.
-        self._index: list[dict[int, list[int]]] = [
-            {} for _ in range(n_superpeers)
-        ]
         self._live = [True] * n_superpeers
-        # which communities share a file; None = rebuild on next use
+        # per leaf id: home super-peer (-1 = not attached) and the
+        # leaf's stretch of _files
+        self._home = array("i")
+        self._start = array("q")
+        self._stop = array("q")
+        self._files = array("i")
+        # derived; None = rebuild on next use
+        self._stretches: tuple[memoryview, memoryview, list[int]] | None = None
         self._holder_index: HolderIndex | None = None
 
+    def _check_superpeer(self, superpeer: int) -> None:
+        if not 0 <= superpeer < self.n_superpeers:
+            raise IndexError(
+                f"super-peer id {superpeer} out of range [0, {self.n_superpeers})"
+            )
+
+    def _check_leaf(self, leaf: int) -> None:
+        if not 0 <= leaf < len(self._home):
+            raise IndexError(f"leaf id {leaf} out of range [0, {len(self._home)})")
+
     # -- membership -------------------------------------------------------
-    def attach(self, leaf: int, superpeer: int, library: frozenset[int]) -> None:
+    def attach(self, leaf: int, superpeer: int, library: Iterable[int]) -> None:
+        """Home ``leaf`` at ``superpeer``, sharing ``library`` (duplicates
+        ignored).  A leaf id past those seen so far grows the per-leaf
+        arrays; an orphan attached directly gets a new stretch."""
+        self._check_superpeer(superpeer)
+        if leaf < 0:
+            raise IndexError(f"leaf id {leaf} is negative")
         if not self._live[superpeer]:
             raise ValueError(f"super-peer {superpeer} is not live")
-        if leaf in self._home:
+        if leaf < len(self._home) and self._home[leaf] >= 0:
             raise ValueError(f"leaf {leaf} is already attached")
+        try:
+            files = array("i", sorted(set(library)))
+        except OverflowError:
+            raise ValueError("a file id does not fit the index's int32") from None
+        if files and files[0] < 0:
+            raise ValueError(f"file id {files[0]} is negative")
+        unseen = leaf + 1 - len(self._home)
+        if unseen > 0:
+            self._home.extend(array("i", [-1]) * unseen)
+            self._start.extend(array("q", [0]) * unseen)
+            self._stop.extend(array("q", [0]) * unseen)
+        self._start[leaf] = len(self._files)
+        self._files.extend(files)
+        self._stop[leaf] = len(self._files)
+        self._join(leaf, superpeer)
+
+    def _join(self, leaf: int, superpeer: int) -> None:
         self._home[leaf] = superpeer
-        self._library[leaf] = library
         self._members[superpeer].append(leaf)
-        index = self._index[superpeer]
-        for file_id in library:
-            index.setdefault(file_id, []).append(leaf)
-        self._holder_index = None
+        self._stretches = self._holder_index = None
 
     def superpeer_of(self, leaf: int) -> int:
-        return self._home[leaf]
+        self._check_leaf(leaf)
+        home = self._home[leaf]
+        if home < 0:
+            raise KeyError(leaf)
+        return home
 
     def members(self, superpeer: int) -> list[int]:
         return list(self._members[superpeer])
@@ -79,33 +136,111 @@ class CommunityIndex:
         return len(self._members[superpeer])
 
     def is_live(self, superpeer: int) -> bool:
+        self._check_superpeer(superpeer)
         return self._live[superpeer]
 
     def live_superpeers(self) -> list[int]:
         return [sp for sp in range(self.n_superpeers) if self._live[sp]]
 
+    # -- libraries --------------------------------------------------------
+    def library(self, leaf: int) -> frozenset[int]:
+        """The files ``leaf`` shares (attached or orphaned), built on demand."""
+        self._check_leaf(leaf)
+        return frozenset(self._files[self._start[leaf] : self._stop[leaf]])
+
+    def shares(self, leaf: int, file_id: int) -> bool:
+        self._check_leaf(leaf)
+        stop = self._stop[leaf]
+        at = bisect_left(self._files, file_id, self._start[leaf], stop)
+        return at < stop and self._files[at] == file_id
+
     # -- content lookup -----------------------------------------------------
+    def stretches(self) -> tuple[memoryview, memoryview, list[int]]:
+        """The community index, ``(files, leaves, bounds)``: community
+        ``sp``'s (file, leaf) pairs are ``bounds[sp]:bounds[sp + 1]`` of
+        the two ``int32`` views (which index as plain ints), sorted by
+        file then leaf.  For :func:`count_pairs` and callers that inline
+        it; replaced, never patched, so good until the next attach or
+        kill."""
+        if self._stretches is None:
+            # community by community into preallocated buffers: sorting the
+            # whole population at once costs ~50 B a pair in temporaries,
+            # more than everything that is kept (see holders.py)
+            library = np.frombuffer(self._files, dtype=np.int32)
+            start, stop = self._start, self._stop
+            bounds = [0]
+            for members in self._members:
+                bounds.append(
+                    bounds[-1] + sum(stop[leaf] - start[leaf] for leaf in members)
+                )
+            files = np.empty(bounds[-1], dtype=np.int32)
+            leaves = np.empty(bounds[-1], dtype=np.int32)
+            for at, end, members in zip(bounds, bounds[1:], self._members):
+                if at == end:
+                    continue
+                members = sorted(members)
+                shared = np.concatenate(
+                    [library[start[leaf] : stop[leaf]] for leaf in members]
+                )
+                order = shared.argsort(kind="stable")  # a file's leaves ascend
+                files[at:end] = shared[order]
+                sizes = [stop[leaf] - start[leaf] for leaf in members]
+                leaves[at:end] = np.repeat(members, sizes)[order]
+            self._stretches = memoryview(files), memoryview(leaves), bounds
+            set_sim_population_bytes("superpeer", self.nbytes)
+        return self._stretches
+
+    def count(self, superpeer: int, file_id: int) -> int:
+        """How many leaves of one community share ``file_id`` (exact index)."""
+        self._check_superpeer(superpeer)
+        files, _leaves, bounds = self.stretches()
+        return count_pairs(files, bounds, superpeer, file_id)
+
     def lookup(self, superpeer: int, file_id: int) -> list[int]:
-        """Leaves in one community sharing ``file_id`` (exact index)."""
-        return self._index[superpeer].get(file_id, [])
+        """The leaves :meth:`count` counts, ascending."""
+        matches = self.count(superpeer, file_id)
+        files, leaves, bounds = self.stretches()
+        first = bisect_left(files, file_id, bounds[superpeer], bounds[superpeer + 1])
+        return leaves[first : first + matches].tolist()
 
     def index_size(self, superpeer: int) -> int:
-        return sum(len(leaves) for leaves in self._index[superpeer].values())
+        """(leaf, file) pairs one community indexes."""
+        self._check_superpeer(superpeer)
+        bounds = self.stretches()[2]
+        return bounds[superpeer + 1] - bounds[superpeer]
 
-    def files(self, superpeer: int) -> KeysView[int]:
-        """The distinct files one community shares (its index keys)."""
-        return self._index[superpeer].keys()
+    def files(self, superpeer: int) -> np.ndarray:
+        """The distinct files one community shares, ascending."""
+        self._check_superpeer(superpeer)
+        files, _leaves, bounds = self.stretches()
+        return np.unique(files[bounds[superpeer] : bounds[superpeer + 1]])
+
+    def sharers(self, file_id: int) -> np.ndarray:
+        """The community of every leaf sharing ``file_id``, ascending: a
+        community appears once for each of its leaves that has the file."""
+        if self._holder_index is None:
+            files, _leaves, bounds = self.stretches()
+            self._holder_index = HolderIndex(
+                self.n_superpeers,
+                1 + int(np.frombuffer(self._files, dtype=np.int32).max(initial=-1)),
+                ((sp, files[at:end]) for sp, (at, end) in enumerate(pairwise(bounds))),
+                capacity=bounds[-1],
+            )
+            set_sim_population_bytes("superpeer", self.nbytes)
+        return self._holder_index.holders(file_id)
 
     def holders(self, file_id: int) -> np.ndarray:
         """Super-peers whose community shares ``file_id``, ascending."""
-        if self._holder_index is None:
-            self._holder_index = HolderIndex(
-                self.n_superpeers,
-                1 + max((max(index) for index in self._index if index), default=-1),
-                enumerate(self._index),
-                capacity=sum(len(index) for index in self._index),
-            )
-        return self._holder_index.holders(file_id)
+        return np.unique(self.sharers(file_id))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the per-leaf arrays and libraries, plus whichever
+        derived buffers are built right now."""
+        held = [self._home, self._start, self._stop, self._files]
+        held += (self._stretches or ())[:2]
+        holder = self._holder_index
+        return sum(len(b) * b.itemsize for b in held) + (holder.nbytes if holder else 0)
 
     # -- failure handling ---------------------------------------------------
     def kill(self, superpeer: int) -> list[int]:
@@ -115,31 +250,34 @@ class CommunityIndex:
         what dies with it); the caller re-homes the orphans via
         :meth:`reattach`.
         """
+        self._check_superpeer(superpeer)
         if not self._live[superpeer]:
             return []
         self._live[superpeer] = False
         orphans = sorted(self._members[superpeer])
         self._members[superpeer] = []
-        self._index[superpeer] = {}
-        self._holder_index = None
+        self._stretches = self._holder_index = None
         for leaf in orphans:
-            del self._home[leaf]
+            self._home[leaf] = -1
         return orphans
 
     def reattach(self, orphans: Iterable[int]) -> dict[int, int]:
         """Deterministically re-home orphaned leaves; returns leaf -> new home.
 
         Each orphan (in leaf-id order) joins the least-loaded live
-        super-peer, ties broken by the lowest id.  Loads update as
-        orphans land, so a batch spreads instead of piling onto one
-        node.
+        super-peer, ties broken by the lowest id, and keeps its library.
+        Loads update as orphans land, so a batch spreads instead of
+        piling onto one node.
         """
         live = self.live_superpeers()
         if not live:
             raise ValueError("no live super-peers to re-attach to")
         placement: dict[int, int] = {}
         for leaf in sorted(orphans):
+            self._check_leaf(leaf)
+            if self._home[leaf] >= 0:
+                raise ValueError(f"leaf {leaf} is already attached")
             target = min(live, key=lambda sp: (self.load(sp), sp))
-            self.attach(leaf, target, self._library[leaf])
+            self._join(leaf, target)
             placement[leaf] = target
         return placement

@@ -43,10 +43,10 @@ node's own table and the key alone.  Both are computed on first use and
 kept — per home the :meth:`QueryEngine.reach
 <repro.network.engine.QueryEngine.reach>` of a flood over the super-peer
 graph, ``(steward, hops)`` per (super-peer, category) — and a flood's
-per-query part is the file's holder communities
-(:meth:`CommunityIndex.holders`) that have a position in the reach,
-taken in discovery order: the order a per-message flood meets them,
-hence the same ``observe`` sequence and the same learned rules.  The
+per-query part is the file's sharers
+(:meth:`CommunityIndex.sharers`) whose community has a position in the
+reach — counted for the hits, their communities taken in discovery
+order: the order a per-message flood meets them, hence the same ``observe`` sequence and the same learned rules.  The
 per-message loops are ``tests/network/reference_hier.py``, the oracle of
 the differential tests.
 
@@ -67,6 +67,7 @@ into an honest messages-per-query figure.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -74,6 +75,7 @@ import numpy as np
 
 from repro.metrics.traffic import QueryOutcome
 from repro.network.engine import QueryEngine, Reach
+from repro.network.hier.community import count_pairs
 from repro.network.hier.digest import MergedRuleTable, decode_digest
 from repro.network.hier.keyspace import (
     KBucketTable,
@@ -235,11 +237,10 @@ class HierNetwork(SuperPeerNetwork):
         messages = 0
         files_per_category = self.config.files_per_category
         for sp in self.community.live_superpeers():
-            # one index key per distinct file, however many leaves share it
-            categories = sorted(
-                {file_id // files_per_category for file_id in self.community.files(sp)}
-            )
-            for category in categories:
+            # one entry per distinct category, however many files or
+            # leaves stand behind it
+            categories = np.unique(self.community.files(sp) // files_per_category)
+            for category in categories.tolist():
                 steward, hops = self._kademlia_walk(sp, category)
                 messages += hops
                 self.directory.setdefault(steward, {}).setdefault(
@@ -288,15 +289,24 @@ class HierNetwork(SuperPeerNetwork):
     def query(self, leaf: int, file_id: int) -> QueryOutcome:
         """One leaf query through the attempt ladder."""
         cfg = self.config
+        home = self.community.superpeer_of(leaf)  # refuses an unknown leaf
+        files, leaves, bounds = self.community.stretches()
         self._next_guid += 1
         guid = self._next_guid
-        if file_id in self._leaf_library[leaf]:
-            return QueryOutcome(guid, 0, 1, 0, 0)
-        home = self.community.superpeer_of(leaf)
+        # count_pairs, inlined: the home index holds the asking leaf's own
+        # library too, so one probe answers both "do I have it" and "does
+        # my community"
+        end = bounds[home + 1]
+        at = bisect_left(files, file_id, bounds[home], end)
+        local = 0
+        while at < end and files[at] == file_id:
+            if leaves[at] == leaf:
+                return QueryOutcome(guid, 0, 1, 0, 0)
+            at += 1
+            local += 1
         messages = 1  # leaf -> home super-peer, then every failed attempt
-        local = self.community.lookup(home, file_id)
         if local:
-            return QueryOutcome(guid, messages, len(local), 1, 0)
+            return QueryOutcome(guid, messages, local, 1, 0)
         category = file_id // cfg.files_per_category
         rule_covered = False
         contacted: set[int] = set()
@@ -308,9 +318,9 @@ class HierNetwork(SuperPeerNetwork):
                 hits = 0
                 for target in targets:
                     contacted.add(target)
-                    matches = self.community.lookup(target, file_id)
+                    matches = count_pairs(files, bounds, target, file_id)
                     if matches:
-                        hits += len(matches)
+                        hits += matches
                         self._learn(leaf, home, category, target)
                 if hits:
                     self._after_query(home)
@@ -330,9 +340,9 @@ class HierNetwork(SuperPeerNetwork):
                 if owner == home or owner in contacted:
                     continue
                 sent += 1
-                matches = self.community.lookup(owner, file_id)
+                matches = count_pairs(files, bounds, owner, file_id)
                 if matches:
-                    hits += len(matches)
+                    hits += matches
                     if first_hit_hops is None:
                         first_hit_hops = hops + 2  # leaf->home, walk, contact
                     self._learn(leaf, home, category, owner)
@@ -361,25 +371,26 @@ class HierNetwork(SuperPeerNetwork):
         ``(messages, hits, first_hit_hops, duplicates)``.
 
         The reach is ``home``'s, run by the kernel once per kill; the
-        per-query part is the file's holder communities that have a
-        position in it, visited in discovery order — the order the
-        per-message flood met them, so every rule table sees the same
-        event sequence.
+        per-query part is the file's sharers — one entry per (leaf, file)
+        pair — whose community has a position in it: their number is the
+        hits, and their distinct communities are visited in discovery
+        order — the order the per-message flood met them, so every rule
+        table sees the same event sequence.
         """
         reach, position = self._reaches.get(home) or self._reach_from(home)
-        found = position[self.community.holders(file_id)]
+        found = position[self.community.sharers(file_id)]
         found = found[found >= 0]
         if not found.size:
             return reach.messages, 0, None, reach.duplicates
         found.sort()
-        hits = 0
-        learn = self.config.mode != "flood"
-        for superpeer in self.engine.ids(reach.order[found]):
-            hits += len(self.community.lookup(superpeer, file_id))
-            if learn:
+        if self.config.mode != "flood":
+            # dict.fromkeys: each community once, first meeting first
+            for superpeer in dict.fromkeys(self.engine.ids(reach.order[found])):
                 self._learn(leaf, home, category, superpeer)
         # +1 for the original leaf -> super-peer hop.
-        return reach.messages, hits, int(reach.depth[found[0]]) + 1, reach.duplicates
+        return (
+            reach.messages, found.size, int(reach.depth[found[0]]) + 1, reach.duplicates
+        )
 
     def _reach_from(self, home: int) -> tuple[Reach, np.ndarray]:
         n = self.config.n_superpeers

@@ -43,6 +43,10 @@ class HolderIndex:
             self._size += keys.size
         self._keys[: self._size].sort()
 
+    @property
+    def nbytes(self) -> int:
+        return self._keys.nbytes
+
     def pack(self, owner: int, items: Collection[int]) -> np.ndarray:
         """``owner``'s ``items`` as keys of this index, ascending."""
         keys = np.fromiter(items, dtype=self._keys.dtype, count=len(items))

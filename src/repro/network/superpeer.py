@@ -8,11 +8,14 @@ effect this baseline exists to show.
 
 Super-peers form their own random-regular overlay; each leaf binds to
 one super-peer; indices are exact (a
-:class:`~repro.network.hier.community.CommunityIndex`).  Leaves are drawn
-one at a time, profile then library, from the one stream the queries
-later come from (:class:`~repro.workload.content.ContentCatalog` draws a
-library as one array and a query's file as one scalar, from the same
-rank sampler).  This substrate and the workload generator are what
+:class:`~repro.network.hier.community.CommunityIndex`, which also holds
+every leaf's library — one ``int32`` buffer, read back through
+:meth:`SuperPeerNetwork.library` / :meth:`SuperPeerNetwork.shares`).
+Leaves are drawn one at a time, profile then library, from the one
+stream the queries later come from
+(:class:`~repro.workload.content.ContentCatalog` draws a library as one
+array and a query's file as one scalar, from the same rank sampler).
+This substrate and the workload generator are what
 :class:`~repro.network.hier.HierNetwork` inherits; construction time is
 reported to ``repro_sim_build_seconds`` in the global
 :mod:`repro.obs` registry.  The tier-2 flood here
@@ -23,14 +26,14 @@ propagation paths to each other.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from time import perf_counter
 
 from repro.metrics.traffic import QueryOutcome, TrafficStats
 from repro.network.hier.community import CommunityIndex
 from repro.network.topology import random_regular
-from repro.obs.instruments import observe_sim_build
+from repro.obs.instruments import observe_sim_build, set_sim_population_bytes
 from repro.utils.rng import as_generator, spawn_child
 from repro.workload.content import ContentCatalog
 from repro.workload.interests import InterestModel
@@ -80,38 +83,39 @@ class SuperPeerNetwork:
         )
         self.catalog = ContentCatalog(cfg.n_categories, cfg.files_per_category)
         interests = InterestModel(cfg.n_categories)
-        #: leaf -> home super-peer, and each super-peer's exact index.
+        #: leaf -> home super-peer and library, each super-peer's exact index.
         self.community = CommunityIndex(cfg.n_superpeers)
         self._leaf_profile = []
-        self._leaf_library: list[frozenset[int]] = []
         for leaf in range(cfg.n_leaves):
             superpeer = leaf // cfg.leaves_per_superpeer
             profile = interests.sample_profile(
                 self._rng, width=cfg.interests_per_peer
             )
-            library = self.catalog.sample_library(
+            drawn = self.catalog.draw_library(
                 self._rng, profile, size=cfg.library_size
             )
             self._leaf_profile.append(profile)
-            self._leaf_library.append(library)
-            self.community.attach(leaf, superpeer, library)
+            self.community.attach(leaf, superpeer, drawn.tolist())
         self._next_guid = 0
         # the substrate; a subclass reports what it adds under its own label
         observe_sim_build("superpeer", started)
+        set_sim_population_bytes("superpeer", self.community.nbytes)
 
     # ------------------------------------------------------------------
     def query(self, leaf: int, file_id: int) -> QueryOutcome:
         """One leaf query through the two-tier protocol."""
         cfg = self.config
+        home = self.community.superpeer_of(leaf)  # refuses an unknown leaf
         self._next_guid += 1
-        if file_id in self._leaf_library[leaf]:
+        if self.shares(leaf, file_id):
             return QueryOutcome(self._next_guid, 0, 1, 0, 0)
-        home = self.community.superpeer_of(leaf)
         messages = 1  # leaf -> home super-peer
-        local = self.community.lookup(home, file_id)
+        local = self.community.count(home, file_id)
         if local:
-            return QueryOutcome(self._next_guid, messages, len(local), 1, 0)
-        # Tier-2 flood among super-peers.
+            return QueryOutcome(self._next_guid, messages, local, 1, 0)
+        # Tier-2 flood among super-peers: which of them can answer is
+        # read once, from the file's side, not asked of each in turn.
+        sharing = Counter(self.community.sharers(file_id).tolist())
         parent: dict[int, int | None] = {home: None}
         depth = {home: 0}
         hits = 0
@@ -131,9 +135,9 @@ class SuperPeerNetwork:
                     continue
                 parent[neighbor] = sp
                 depth[neighbor] = depth[sp] + 1
-                matches = self.community.lookup(neighbor, file_id)
+                matches = sharing.get(neighbor)
                 if matches:
-                    hits += len(matches)
+                    hits += matches
                     if first_hit_hops is None:
                         # +1 for the original leaf -> super-peer hop.
                         first_hit_hops = depth[neighbor] + 1
@@ -166,7 +170,14 @@ class SuperPeerNetwork:
                 stats.record(outcome)
         return stats
 
-    # -- introspection (tests) -------------------------------------------
+    # -- introspection (tests, reports) ------------------------------------
+    def library(self, leaf: int) -> frozenset[int]:
+        """The files ``leaf`` shares, as plain ints (built on demand)."""
+        return self.community.library(leaf)
+
+    def shares(self, leaf: int, file_id: int) -> bool:
+        return self.community.shares(leaf, file_id)
+
     def superpeer_of(self, leaf: int) -> int:
         return self.community.superpeer_of(leaf)
 

@@ -1,5 +1,6 @@
 """Pre-resolved metric handles for one live node, and the simulators'
-one ambient instrument (:func:`observe_sim_build`).
+two ambient instruments (:func:`observe_sim_build`,
+:func:`set_sim_population_bytes`).
 
 :class:`NodeInstruments` binds every metric the live stack emits to one
 ``node`` label value at construction time, so hot paths (frame decode,
@@ -28,7 +29,7 @@ from time import perf_counter
 
 from repro.obs.registry import MetricsRegistry, get_global_registry
 
-__all__ = ["NodeInstruments", "observe_sim_build"]
+__all__ = ["NodeInstruments", "observe_sim_build", "set_sim_population_bytes"]
 
 
 def observe_sim_build(network: str, started: float) -> None:
@@ -46,6 +47,19 @@ def observe_sim_build(network: str, started: float) -> None:
         "Construction time of a simulated network.",
         ("network",),
     ).labels(network).observe(perf_counter() - started)
+
+
+def set_sim_population_bytes(network: str, nbytes: int) -> None:
+    """Report what a simulated ``network``'s population occupies right
+    now — its library buffer plus the index buffers derived from it — to
+    the process-wide registry.  Set when the population is built and each
+    time a derived buffer is rebuilt; several networks under one label
+    read as the last one (they are one world drawn again)."""
+    get_global_registry().gauge(
+        "repro_sim_population_bytes",
+        "Bytes of a simulated network's library and index buffers.",
+        ("network",),
+    ).labels(network).set(nbytes)
 
 
 class NodeInstruments:

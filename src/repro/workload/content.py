@@ -5,8 +5,9 @@ two-tier :class:`~repro.network.superpeer.SuperPeerNetwork` and what
 inherits it) need actual shared content — files grouped into interest
 categories, with Zipf popularity inside each category — so that queries
 can hit or miss.  One catalog serves both of a simulator's needs from
-one rank sampler: a peer's library (:meth:`ContentCatalog.sample_library`,
-every draw of a peer in one array) and a query's file
+one rank sampler: a peer's library (:meth:`ContentCatalog.draw_library`,
+every draw of a peer in one array; :meth:`ContentCatalog.sample_library`
+is its ``frozenset`` view) and a query's file
 (:meth:`ContentCatalog.sample_file`, one draw).  The monitor-node trace
 generator names reply files in :meth:`ContentCatalog.file_name`'s format
 and needs nothing else from here.
@@ -62,14 +63,12 @@ class ContentCatalog:
         rank = self._rank_sampler.sample(as_generator(rng))
         return category * self.files_per_category + rank
 
-    def sample_library(
-        self, rng, profile: InterestProfile, *, size: int
-    ) -> frozenset[int]:
-        """Files a peer with ``profile`` shares (interest-based locality).
+    def draw_library(self, rng, profile: InterestProfile, *, size: int) -> np.ndarray:
+        """``size`` files drawn for a peer with ``profile``, in draw order.
 
-        Draws ``size`` files (with replacement, then deduplicated) from the
-        peer's interest categories, so peers with overlapping interests end
-        up sharing overlapping content — the premise behind both
+        Drawn with replacement from the peer's interest categories, so
+        duplicates stay in and peers with overlapping interests end up
+        sharing overlapping content — the premise behind both
         interest-based shortcuts and association-rule routing.
 
         One ``rng.random(2 * size)`` holds every draw in the order a
@@ -94,12 +93,19 @@ class ContentCatalog:
         edges = np.array(list(accumulate(profile.weights)))
         slot = edges.searchsorted(u[0::2], side="right")
         np.minimum(slot, len(categories) - 1, out=slot)
-        files = (
+        return (
             np.array(categories)[slot] * self.files_per_category
             + self._rank_sampler.ranks_for_uniforms(u[1::2])
         )
-        # copied from a set filled in draw order: the table, hence the
-        # iteration order, an add-per-draw loop leaves
+
+    def sample_library(
+        self, rng, profile: InterestProfile, *, size: int
+    ) -> frozenset[int]:
+        """:meth:`draw_library` deduplicated into the set a flat
+        :class:`~repro.network.overlay.Overlay` peer shares — copied from
+        a set filled in draw order: the table, hence the iteration order,
+        an add-per-draw loop leaves."""
+        files = self.draw_library(rng, profile, size=size)
         return frozenset(set(files.tolist()))
 
     def file_name(self, file_id: int) -> str:

@@ -71,3 +71,66 @@ class TestFailure:
     def test_reattach_replayable(self):
         a, b = _index(), _index()
         assert a.reattach(a.kill(0)) == b.reattach(b.kill(0))
+
+
+class TestIdRanges:
+    """An id outside its range is refused by name, before anything
+    changes; a negative one used to alias the last super-peer."""
+
+    @pytest.mark.parametrize("superpeer", [-1, 4])
+    def test_attach_refuses_a_superpeer_out_of_range(self, superpeer):
+        idx = CommunityIndex(4)
+        with pytest.raises(IndexError, match=rf"{superpeer} out of range \[0, 4\)"):
+            idx.attach(0, superpeer, frozenset({1}))
+        assert [idx.members(sp) for sp in range(4)] == [[], [], [], []]
+        assert idx.holders(1).tolist() == []
+        idx.attach(0, 3, frozenset({1}))  # leaf 0 was left unattached
+        assert idx.superpeer_of(0) == 3
+
+    def test_attach_refuses_a_negative_leaf(self):
+        idx = _index()
+        with pytest.raises(IndexError, match="-1"):
+            idx.attach(-1, 0, frozenset({1}))
+        assert idx.members(0) == [0, 1]
+
+    @pytest.mark.parametrize("file_id", [-1, 2**31])
+    def test_attach_refuses_a_file_the_buffer_cannot_hold(self, file_id):
+        idx = _index()
+        with pytest.raises(ValueError, match="file id"):
+            idx.attach(7, 1, frozenset({5, file_id}))
+        assert idx.members(1) == [2] and idx.index_size(1) == 1
+        with pytest.raises(IndexError):
+            idx.superpeer_of(7)  # not even known
+        idx.attach(7, 1, frozenset({5, 2**31 - 1}))
+        assert idx.lookup(1, 2**31 - 1) == [7]
+        assert idx.holders(2**31 - 1).tolist() == [1]
+
+    @pytest.mark.parametrize("superpeer", [-1, 4])
+    @pytest.mark.parametrize("call", ["lookup", "count"])
+    def test_lookup_and_count_refuse_a_superpeer_out_of_range(self, call, superpeer):
+        idx = _index()
+        idx.attach(3, 3, frozenset({20}))
+        with pytest.raises(IndexError, match=rf"{superpeer} out of range \[0, 4\)"):
+            getattr(idx, call)(superpeer, 20)
+
+    @pytest.mark.parametrize("superpeer", [-1, 4])
+    def test_kill_refuses_a_superpeer_out_of_range(self, superpeer):
+        idx = _index()
+        with pytest.raises(IndexError, match=rf"{superpeer} out of range \[0, 4\)"):
+            idx.kill(superpeer)
+        assert idx.live_superpeers() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("superpeer", [-1, 4])
+    def test_is_live_refuses_a_superpeer_out_of_range(self, superpeer):
+        with pytest.raises(IndexError, match=rf"{superpeer} out of range \[0, 4\)"):
+            _index().is_live(superpeer)
+
+    def test_leaves_and_files_past_the_population_grow_the_buffers(self):
+        idx = _index()
+        idx.attach(40, 2, frozenset({10**6}))
+        assert idx.superpeer_of(40) == 2
+        assert idx.library(40) == frozenset({10**6})
+        assert idx.holders(10**6).tolist() == [2]
+        with pytest.raises(KeyError):
+            idx.superpeer_of(39)  # in range, never attached
+        assert idx.library(39) == frozenset()

@@ -179,7 +179,7 @@ def test_a_kill_inside_a_plan_changes_the_next_flood():
     fast = HierNetwork(config, seed=2)
     slow = ReferenceHierNetwork(config, seed=2)
     leaf, home = 0, fast.superpeer_of(0)
-    shared = set().union(*fast._leaf_library)
+    shared = set().union(*map(fast.library, range(config.n_leaves)))
     nobody_has = next(f for f in range(fast.catalog.n_files) if f not in shared)
     before = fast.query(leaf, nobody_has)
     assert before == slow.query(leaf, nobody_has)
@@ -260,7 +260,7 @@ def test_a_direct_attach_invalidates_the_holder_index():
         ),
         seed=1,
     )
-    shared = set().union(*net._leaf_library)
+    shared = set().union(*map(net.library, range(net.config.n_leaves)))
     nobody_has = next(f for f in range(net.catalog.n_files) if f not in shared)
     beyond = net.catalog.n_files + 5  # past what the built index has room for
     assert net.community.holders(nobody_has).size == 0

@@ -103,13 +103,33 @@ class TestModes:
     def test_leaf_query_own_library_is_free(self):
         net = HierNetwork(HierConfig(mode="superpeer-rules", **SMALL), seed=3)
         leaf = 0
-        file_id = next(iter(net._leaf_library[leaf]))
+        file_id = next(iter(net.library(leaf)))
         outcome = net.query(leaf, file_id)
         assert outcome.messages == 0
         assert outcome.hits == 1
 
 
 class TestChurn:
+    @pytest.mark.parametrize("superpeer", [-1, 8])
+    def test_kill_refuses_a_superpeer_out_of_range(self, superpeer):
+        """-1 used to kill the last super-peer and re-home its leaves."""
+        net = HierNetwork(HierConfig(mode="hybrid", **SMALL), seed=3)
+        homes = [net.superpeer_of(leaf) for leaf in range(net.config.n_leaves)]
+        control = net.control_messages
+        with pytest.raises(IndexError, match=rf"{superpeer} out of range \[0, 8\)"):
+            net.kill_superpeer(superpeer)
+        assert len(net.community.live_superpeers()) == 8
+        assert [net.superpeer_of(leaf) for leaf in range(net.config.n_leaves)] == homes
+        assert net.control_messages == control
+
+    @pytest.mark.parametrize("mode", ["flood", "hybrid"])
+    def test_query_refuses_a_leaf_out_of_range(self, mode):
+        net = HierNetwork(HierConfig(mode=mode, **SMALL), seed=3)
+        for leaf in (-1, net.config.n_leaves):
+            with pytest.raises(IndexError, match=rf"{leaf} out of range"):
+                net.query(leaf, 0)
+        assert net.query(0, 0).query_id == 1  # no guid was spent
+
     @pytest.mark.parametrize("mode", ["superpeer-rules", "hybrid"])
     def test_leaves_reattach_under_seeded_fault_plan(self, mode):
         cfg = HierConfig(mode=mode, digest_every=2, **SMALL)
@@ -129,7 +149,7 @@ class TestChurn:
                 assert home not in killed
             # ... with its library re-indexed at the new home.
             for leaf, home in placement.items():
-                file_id = next(iter(net._leaf_library[leaf]))
+                file_id = next(iter(net.library(leaf)))
                 assert leaf in net.community.lookup(home, file_id)
             # Digest invalidation: no live table still carries the dead
             # origin's rules.
@@ -141,7 +161,9 @@ class TestChurn:
         total_indexed = sum(
             net.index_size(sp) for sp in net.community.live_superpeers()
         )
-        assert total_indexed == sum(len(lib) for lib in net._leaf_library)
+        assert total_indexed == sum(
+            len(net.library(leaf)) for leaf in range(cfg.n_leaves)
+        )
         # The overlay still answers queries.
         stats = net.run_workload(200, warmup=0)
         assert stats.success_rate > 0.5
@@ -221,3 +243,26 @@ def test_build_seconds_reach_the_global_registry(monkeypatch):
         ("hier",): 1,
     }
     assert all(child.sum > 0.0 for child in built.values())
+
+
+def test_population_bytes_reach_the_global_registry(monkeypatch):
+    """The gauge reads the library buffer at construction and grows by
+    each derived buffer when that buffer is built or rebuilt."""
+    registry = MetricsRegistry()
+    monkeypatch.setattr("repro.obs.registry.GLOBAL_REGISTRY", registry)
+    net = HierNetwork(HierConfig(mode="flood", **SMALL), seed=1)
+    family = registry.family("repro_sim_population_bytes")
+    assert family.kind == "gauge" and family.labelnames == ("network",)
+    gauge = family.children()[("superpeer",)]
+    pairs = sum(len(net.library(leaf)) for leaf in range(net.config.n_leaves))
+    stored = gauge.value
+    assert stored == net.community.nbytes >= 4 * pairs
+    net.run_workload(200)  # index probes, then floods: both buffers exist
+    assert gauge.value == net.community.nbytes
+    # two int32 columns in the community index; at least a byte a key
+    # in the holder index, whose integer type follows the world's size
+    assert gauge.value - stored >= 9 * pairs
+    net.kill_superpeer(2)
+    assert net.community.nbytes == stored  # dropped, not yet rebuilt
+    net.run_workload(200)
+    assert gauge.value == net.community.nbytes > stored

@@ -46,13 +46,22 @@ class TestSuperPeerNetwork:
             leaves = range(
                 sp * SMALL.leaves_per_superpeer, (sp + 1) * SMALL.leaves_per_superpeer
             )
-            expected = sum(len(net._leaf_library[leaf]) for leaf in leaves)
+            expected = sum(len(net.library(leaf)) for leaf in leaves)
             assert net.index_size(sp) == expected
+
+    @pytest.mark.parametrize("leaf", [-1, SMALL.n_leaves])
+    def test_query_refuses_a_leaf_out_of_range(self, leaf):
+        """-1 used to answer as the last leaf."""
+        net = SuperPeerNetwork(SMALL, seed=3)
+        file_id = next(iter(net.library(SMALL.n_leaves - 1)))
+        with pytest.raises(IndexError, match=rf"{leaf} out of range"):
+            net.query(leaf, file_id)
+        assert net.query(0, file_id).query_id == 1  # no guid was spent
 
     def test_local_hit_zero_messages(self):
         net = SuperPeerNetwork(SMALL, seed=3)
         leaf = 0
-        file_id = next(iter(net._leaf_library[leaf]))
+        file_id = next(iter(net.library(leaf)))
         out = net.query(leaf, file_id)
         assert out.hits == 1
         assert out.messages == 0
@@ -62,7 +71,7 @@ class TestSuperPeerNetwork:
         # File held by a sibling leaf but not by leaf 0 itself.
         home = net.superpeer_of(0)
         sibling = 1
-        candidates = net._leaf_library[sibling] - net._leaf_library[0]
+        candidates = net.library(sibling) - net.library(0)
         if not candidates:
             pytest.skip("sibling libraries overlap completely")
         out = net.query(0, next(iter(candidates)))
@@ -76,7 +85,7 @@ class TestSuperPeerNetwork:
         missing = SMALL.n_categories * SMALL.files_per_category - 1
         found_missing = None
         for f in range(missing, -1, -1):
-            if all(f not in lib for lib in net._leaf_library):
+            if not any(net.shares(leaf, f) for leaf in range(SMALL.n_leaves)):
                 found_missing = f
                 break
         assert found_missing is not None

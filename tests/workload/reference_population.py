@@ -1,8 +1,8 @@
 """The per-draw loops the peer population used to be drawn by, kept as the oracle.
 
 ``ZipfSampler.sample`` (scalar), ``InterestModel.sample_profile`` and
-``ContentCatalog.sample_library`` are what both simulators build their
-world from: one rank is a ``bisect`` on a list, one library is one
+``ContentCatalog.draw_library`` (``sample_library`` is its ``frozenset``
+view) are what both simulators build their world from: one rank is a ``bisect`` on a list, one library is one
 ``rng.random(2 * size)`` mapped through two ``searchsorted`` calls.  These
 are the loops they replaced — one ``Generator.random()`` and one scalar
 ``np.searchsorted`` per draw, the weight vector recomputed per profile.
@@ -11,7 +11,9 @@ state, so the differential tests run both on twin generators (same seed)
 and compare.
 
 The loop bodies are the parent commit's (6b0560f), verbatim, but for
-reading the objects' tables from outside.
+reading the objects' tables from outside;
+:func:`reference_draw_library` is :func:`reference_sample_library`'s
+loop keeping every draw in order where that one adds them to a set.
 """
 
 import numpy as np
@@ -70,3 +72,19 @@ def reference_sample_library(
         rank = reference_zipf_sample(catalog._rank_sampler, rng)
         library.add(category * catalog.files_per_category + rank)
     return frozenset(library)
+
+
+def reference_draw_library(
+    catalog: ContentCatalog, rng, profile: InterestProfile, *, size: int
+) -> list[int]:
+    """The same ``size`` draws, in draw order, duplicates kept."""
+    if size < 0:
+        raise ValueError("size must be non-negative")
+    drawn: list[int] = []
+    for _ in range(size):
+        category = profile.category_for_uniform(float(rng.random()))
+        if not 0 <= category < catalog.n_categories:
+            raise IndexError(f"category {category} out of range")
+        rank = reference_zipf_sample(catalog._rank_sampler, rng)
+        drawn.append(category * catalog.files_per_category + rank)
+    return drawn

@@ -1,9 +1,12 @@
 """Tests for repro.workload.content."""
 
+import numpy as np
 import pytest
 
 from repro.workload.content import ContentCatalog
-from repro.workload.interests import InterestProfile
+from repro.workload.interests import InterestModel, InterestProfile
+
+from .reference_population import reference_draw_library, reference_sample_library
 
 
 class TestContentCatalog:
@@ -64,3 +67,51 @@ class TestContentCatalog:
             ContentCatalog(0, 10)
         with pytest.raises(ValueError):
             ContentCatalog(10, 0)
+
+
+class TestDrawLibrary:
+    """The one draw both simulators use, against the per-draw loop."""
+
+    def test_equals_reference_loop_draw_for_draw(self):
+        catalog = ContentCatalog(40, 250)
+        model = InterestModel(40)
+        rng, ref_rng = np.random.default_rng(2006), np.random.default_rng(2006)
+        for size in (0, 1, 60, 200):
+            for _ in range(25):
+                profile = model.sample_profile(rng, width=4)
+                assert profile == model.sample_profile(ref_rng, width=4)
+                drawn = catalog.draw_library(rng, profile, size=size)
+                assert isinstance(drawn, np.ndarray) and drawn.shape == (size,)
+                # same files, same order, duplicates included
+                assert drawn.tolist() == reference_draw_library(
+                    catalog, ref_rng, profile, size=size
+                )
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert len(set(drawn.tolist())) < drawn.size  # there were duplicates
+
+    def test_sample_library_is_the_draws_as_a_set(self):
+        catalog = ContentCatalog(12, 80)
+        profile = InterestProfile(categories=(3, 7, 1), weights=(0.5, 0.3, 0.2))
+        rngs = [np.random.default_rng(77) for _ in range(3)]
+        for _ in range(20):
+            library = catalog.sample_library(rngs[0], profile, size=60)
+            drawn = catalog.draw_library(rngs[1], profile, size=60)
+            assert library == frozenset(drawn.tolist())
+            # the table an add-per-draw loop leaves, not only its members
+            assert list(library) == list(
+                reference_sample_library(catalog, rngs[2], profile, size=60)
+            )
+            assert all(type(f) is int for f in library)
+
+    def test_unknown_category_raises_before_any_draw(self):
+        catalog = ContentCatalog(4, 5)
+        profile = InterestProfile((1, 4), (0.4, 0.6))
+        rng = np.random.default_rng(8)
+        with pytest.raises(IndexError):
+            catalog.draw_library(rng, profile, size=60)
+        assert rng.bit_generator.state == np.random.default_rng(8).bit_generator.state
+
+    def test_negative_size(self, rng):
+        profile = InterestProfile(categories=(0,), weights=(1.0,))
+        with pytest.raises(ValueError):
+            ContentCatalog(2, 10).draw_library(rng, profile, size=-1)

@@ -295,8 +295,8 @@ def test_golden_population_and_queries():
     net = Recording(SuperPeerConfig(n_superpeers=100, leaves_per_superpeer=20), seed=19)
     net.run_workload(2000)
     population = [
-        (profile.categories, profile.weights, sorted(library))
-        for profile, library in zip(net._leaf_profile, net._leaf_library)
+        (profile.categories, profile.weights, sorted(net.library(leaf)))
+        for leaf, profile in enumerate(net._leaf_profile)
     ]
     assert len(population) == 2000 and len(asked) == 2000
     digest = hashlib.blake2b(repr((population, asked)).encode(), digest_size=16)
