@@ -1,9 +1,9 @@
-"""Infrastructure micro-benchmarks: mining and rule-engine throughput.
+"""Infrastructure micro-benchmarks: rule-engine throughput.
 
 Not a paper artifact — these benches guard the performance of the hot
-paths (the guides' "no optimization without measuring"): Apriori vs
-FP-Growth on market-basket data, the vectorized vs reference
-GENERATE-RULESET, the vectorized RULESET-TEST, and raw trace generation.
+paths (the guides' "no optimization without measuring"): the vectorized
+vs reference GENERATE-RULESET, the vectorized RULESET-TEST, and raw
+trace generation.
 
 Run directly (``python -m benchmarks.bench_mining --workers 4``) this
 module is the loop-vs-pool replay gate: it runs the trace-driven
@@ -19,14 +19,10 @@ alone).  Timings land in ``BENCH_mining_gate.json``.
 import argparse
 from time import perf_counter
 
-import numpy as np
 import pytest
 
 from repro.core.evaluation import ruleset_test
 from repro.core.generation import generate_ruleset
-from repro.mining.apriori import apriori
-from repro.mining.fpgrowth import fpgrowth
-from repro.mining.transactions import TransactionDataset
 from repro.trace.blocks import PairBlock
 from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator
 from tests.core.reference_rules import (
@@ -36,31 +32,11 @@ from tests.core.reference_rules import (
 
 
 @pytest.fixture(scope="module")
-def basket_dataset():
-    rng = np.random.default_rng(0)
-    transactions = [
-        set(rng.choice(60, size=rng.integers(2, 8), replace=False).tolist())
-        for _ in range(2000)
-    ]
-    return TransactionDataset(transactions)
-
-
-@pytest.fixture(scope="module")
 def trace_block():
     cfg = MonitorTraceConfig()
     gen = MonitorTraceGenerator(cfg, seed=5)
     arrays = gen.generate_pair_arrays(10_000)
     return PairBlock(sources=arrays.source, repliers=arrays.replier)
-
-
-def test_apriori_throughput(benchmark, basket_dataset):
-    result = benchmark(apriori, basket_dataset, min_support_count=40)
-    assert result
-
-
-def test_fpgrowth_throughput(benchmark, basket_dataset):
-    result = benchmark(fpgrowth, basket_dataset, min_support_count=40)
-    assert result
 
 
 def test_generate_ruleset_numpy(benchmark, trace_block):

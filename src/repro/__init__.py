@@ -8,8 +8,6 @@ unstructured P2P networks plus every substrate its evaluation depends on:
   four maintenance strategies (Static, Sliding, Lazy, Adaptive), the
   streaming extension, and the online pair counts (exact window or
   lossy sketch) under every live rule table;
-* :mod:`repro.mining` — general association analysis (Apriori,
-  FP-Growth, rule measures);
 * :mod:`repro.workload` — the calibrated synthetic monitor-node trace
   standing in for the paper's proprietary 7-day Gnutella capture;
 * :mod:`repro.trace` — the paper's import pipeline (GUID dedup,

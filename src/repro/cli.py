@@ -172,17 +172,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tracegen.add_argument(
         "--codec",
-        choices=("none", "zlib", "zstd"),
+        choices=("none", "zlib"),
         default="none",
-        help="compress cold column segments (zlib/zstd write a v2 store; "
-        "zstd needs a zstd binding in the interpreter; "
+        help="compress cold column segments (zlib writes a v2 store; "
         "default: %(default)s)",
     )
     tracegen.add_argument(
         "--compress-level",
         type=int,
         default=6,
-        help="compression level for --codec zlib/zstd (default: %(default)s)",
+        help="compression level for --codec zlib (default: %(default)s)",
     )
 
     trace_eval = sub.add_parser(

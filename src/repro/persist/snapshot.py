@@ -56,6 +56,9 @@ _BACKENDS = {
     "lossy": (SketchCounts, "entries", struct.Struct("<qqqq")),
 }
 
+#: header fields the reader relies on, with their JSON types.
+_HEADER_FIELDS = {"payload_len": int, "payload_blake2b": str, "backend": str}
+
 
 class SnapshotError(Exception):
     """A snapshot file that cannot be trusted (torn, corrupt, unknown)."""
@@ -137,7 +140,19 @@ def _read(path: str) -> tuple[dict, bytes]:
     header_bytes = data[16:header_end]
     if zlib.crc32(header_bytes) != header_crc:
         raise SnapshotError(f"{path}: snapshot header checksum mismatch")
-    header = json.loads(header_bytes)
+    try:
+        header = json.loads(header_bytes)
+    except (ValueError, RecursionError) as exc:
+        raise SnapshotError(f"{path}: snapshot header is not JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise SnapshotError(f"{path}: snapshot header is not a JSON object")
+    for key, kind in _HEADER_FIELDS.items():
+        value = header.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise SnapshotError(
+                f"{path}: snapshot header field {key!r} is missing or not "
+                f"{kind.__name__}"
+            )
     payload = data[header_end:]
     if len(payload) != header["payload_len"]:
         raise SnapshotError(

@@ -103,36 +103,6 @@ _FLAG_PACKED = 1
 #: per-segment codec ids (one byte each inside the block header's u32).
 _CODEC_RAW = 0
 _CODEC_ZLIB = 1
-_CODEC_ZSTD = 2
-_CODEC_NAMES = {None: None, "zlib": _CODEC_ZLIB, "zstd": _CODEC_ZSTD}
-
-
-def _load_zstd():
-    """(compress(data, level), decompress(data)) via whichever zstd
-    binding exists — the stdlib module (3.14+) or the ``zstandard``
-    package — or ``None`` when the interpreter has neither.  Codec id 2
-    is defined by the format regardless; availability only gates
-    whether *this* process can write or read such segments."""
-    try:
-        from compression import zstd as _zstd_mod  # Python >= 3.14
-
-        return (
-            lambda data, level: _zstd_mod.compress(data, level),
-            _zstd_mod.decompress,
-        )
-    except ImportError:
-        pass
-    try:
-        import zstandard as _zstandard
-    except ImportError:
-        return None
-    return (
-        lambda data, level: _zstandard.ZstdCompressor(level=level).compress(data),
-        lambda data: _zstandard.ZstdDecompressor().decompress(data),
-    )
-
-
-_ZSTD = _load_zstd()
 
 _I8 = np.dtype("<i8")
 _ITEMSIZE = _I8.itemsize
@@ -177,8 +147,7 @@ class TraceStoreWriter:
     packed keys and fingerprint (each block's keys are packed exactly
     once, at write time — readers hand the stored segment back).
 
-    ``codec="zlib"`` (or ``"zstd"``, when the interpreter ships a zstd
-    binding) writes a version-2 store whose column segments are
+    ``codec="zlib"`` writes a version-2 store whose column segments are
     individually compressed when that shrinks them (cold-segment
     compression for archival traces); fingerprints stay over the
     uncompressed bytes, and each segment records its own codec byte so
@@ -204,16 +173,8 @@ class TraceStoreWriter:
     ) -> None:
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
-        if codec not in _CODEC_NAMES:
-            raise ValueError(
-                f"unknown codec {codec!r} (supported: {sorted(k for k in _CODEC_NAMES if k)})"
-            )
-        if codec == "zstd" and _ZSTD is None:
-            raise TraceStoreError(
-                "codec 'zstd' needs a zstd binding (stdlib compression.zstd "
-                "on Python 3.14+, or the zstandard package); this "
-                "interpreter has neither — use codec='zlib' instead"
-            )
+        if codec not in (None, "zlib"):
+            raise ValueError(f"unknown codec {codec!r} (supported: ['zlib'])")
         if not 0 <= int(meta_fingerprint) < 1 << 64:
             raise ValueError("meta_fingerprint must fit an unsigned 64-bit field")
         self.path = os.fspath(path)
@@ -307,17 +268,13 @@ class TraceStoreWriter:
             for segment in segments:
                 self._fh.write(segment)
         else:
-            codec_id = _CODEC_NAMES[self.codec]
             codecs = 0
             payloads = []
             for k, raw in enumerate(segments):
-                if codec_id == _CODEC_ZSTD:
-                    compressed = _ZSTD[0](raw, self.compress_level)
-                else:
-                    compressed = zlib.compress(raw, self.compress_level)
+                compressed = zlib.compress(raw, self.compress_level)
                 if len(compressed) < len(raw):
                     payloads.append(compressed)
-                    codecs |= codec_id << (8 * k)
+                    codecs |= _CODEC_ZLIB << (8 * k)
                 else:
                     payloads.append(raw)  # incompressible: keep raw + memmap
             self._fh.write(
@@ -665,12 +622,14 @@ class TraceStoreReader:
         lengths = struct.unpack_from(
             f"<{self._n_segments}Q", raw, _BLOCK_HEADER.size
         )
+        payload = entry.offset + _BLOCK_HEADER.size + 8 * self._n_segments
+        if min(lengths) < 1 or payload + sum(lengths) > self._size:
+            raise TraceStoreCorruption(
+                f"{self.path}: block at {entry.offset} stores segment "
+                f"lengths {lengths} past the end of the file"
+            )
         codecs = tuple((codecs_word >> (8 * k)) & 0xFF for k in range(self._n_segments))
-        layout = (
-            codecs,
-            lengths,
-            entry.offset + _BLOCK_HEADER.size + 8 * self._n_segments,
-        )
+        layout = (codecs, lengths, payload)
         self._layouts[entry.offset] = layout
         return layout
 
@@ -697,24 +656,15 @@ class TraceStoreReader:
                     f"{self.path}: raw segment length {lengths[segment]} != {nbytes}"
                 )
             return mapped(offset, entry.n_pairs)
-        if codec not in (_CODEC_ZLIB, _CODEC_ZSTD):
+        if codec != _CODEC_ZLIB:
             raise TraceStoreCorruption(
                 f"{self.path}: unknown segment codec {codec}"
-            )
-        if codec == _CODEC_ZSTD and _ZSTD is None:
-            raise TraceStoreError(
-                f"{self.path}: store has zstd-compressed segments but this "
-                "interpreter has no zstd binding (stdlib compression.zstd "
-                "on Python 3.14+, or the zstandard package)"
             )
         self._fh.seek(offset)
         compressed = self._fh.read(lengths[segment])
         try:
-            if codec == _CODEC_ZSTD:
-                raw = _ZSTD[1](compressed)
-            else:
-                raw = zlib.decompress(compressed)
-        except Exception as exc:
+            raw = zlib.decompress(compressed)
+        except zlib.error as exc:
             raise TraceStoreCorruption(
                 f"{self.path}: segment fails to decompress: {exc}"
             ) from exc

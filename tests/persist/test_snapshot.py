@@ -217,6 +217,77 @@ class TestIntegrity:
         assert fingerprint_counts(recovered) == fingerprint_counts(counts)
 
 
+def _frame_header(path, header_bytes):
+    """Overwrite ``path`` with ``header_bytes`` as a CRC-valid header."""
+    with open(path, "wb") as fh:
+        fh.write(SNAPSHOT_MAGIC)
+        fh.write(struct.pack("<II", len(header_bytes), zlib.crc32(header_bytes)))
+        fh.write(header_bytes)
+
+
+def _read_via_inspect(path):
+    from repro.persist.state import inspect_state_dir
+
+    (entry,) = inspect_state_dir(os.path.dirname(path))["snapshots"]
+    if "error" in entry:
+        raise SnapshotError(entry["error"])
+    return entry
+
+
+BAD_HEADERS = [
+    pytest.param(b"[]", id="array"),
+    pytest.param(b"not json", id="not-json"),
+    pytest.param(b"\xff\xfe", id="not-utf8"),
+    pytest.param(b"[" * 100_000, id="nested-too-deep"),
+    pytest.param(b'{"payload_len": 0}', id="fields-missing"),
+    pytest.param(
+        b'{"payload_len": "0", "payload_blake2b": "", "backend": "exact"}',
+        id="len-is-str",
+    ),
+    pytest.param(
+        b'{"payload_len": true, "payload_blake2b": "", "backend": "exact"}',
+        id="len-is-bool",
+    ),
+    pytest.param(
+        b'{"payload_len": 0, "payload_blake2b": 7, "backend": "exact"}',
+        id="digest-is-int",
+    ),
+    pytest.param(
+        b'{"payload_len": 0, "payload_blake2b": "", "backend": ["exact"]}',
+        id="backend-is-list",
+    ),
+]
+
+
+class TestHeaderShape:
+    """A CRC-valid header that is not the object the reader expects is a
+    :class:`SnapshotError`, never a ``TypeError`` / ``KeyError`` /
+    ``JSONDecodeError`` from inside the reader."""
+
+    @pytest.mark.parametrize("header_bytes", BAD_HEADERS)
+    @pytest.mark.parametrize(
+        "read", [load_snapshot, read_snapshot_header, _read_via_inspect]
+    )
+    def test_is_a_snapshot_error(self, tmp_path, header_bytes, read):
+        path = str(tmp_path / "snap-00000001.snap")
+        _frame_header(path, header_bytes)
+        with pytest.raises(SnapshotError):
+            read(path)
+
+    @pytest.mark.parametrize("header_bytes", BAD_HEADERS)
+    def test_recover_falls_back_to_the_older_snapshot(self, tmp_path, header_bytes):
+        from repro.persist.state import PersistentState
+
+        counts = exact_counts()
+        write_snapshot(str(tmp_path / "snap-00000001.snap"), counts)
+        _frame_header(str(tmp_path / "snap-00000002.snap"), header_bytes)
+        state = PersistentState(str(tmp_path))
+        recovered, info = state.recover(StreamingRules(min_support_count=2))
+        state.close()
+        assert info.restored and info.snapshot_seq == 1
+        assert fingerprint_counts(recovered) == fingerprint_counts(counts)
+
+
 DATA = Path(__file__).parent / "data"
 
 

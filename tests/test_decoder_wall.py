@@ -1,0 +1,226 @@
+"""Hostile bytes into the decoders behind a store of record.
+
+One seeded, structure-aware sweep per format — trace store v1 and v2,
+pair WAL, snapshot (exact and lossy) and the RDG1 rule digest.  Every
+4- and 8-byte field of the file header, the first block (or record)
+header and the trailer is overwritten with each boundary value; then a
+fixed number of seeded single-bit flips and truncations follow.  Each
+outcome must be a valid decode or that format's typed error — never a
+``MemoryError``, ``OverflowError``, ``struct.error``, ``KeyError`` or
+any other exception escaping the decoder.
+"""
+
+from __future__ import annotations
+
+import random
+import struct
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+
+from repro.core.streaming import StreamingRules
+from repro.network.hier.digest import (
+    DigestEntry,
+    DigestError,
+    RuleDigest,
+    decode_digest,
+)
+from repro.persist.snapshot import (
+    SnapshotError,
+    load_snapshot,
+    read_snapshot_header,
+    write_snapshot,
+)
+from repro.persist.wal import WalError, WalWriter, read_wal, wal_header
+from repro.trace.store import TraceStoreError, TraceStoreReader, write_trace_store
+
+#: overwrite values; a 4-byte field takes each masked to 32 bits.
+VALUES = (0, 1, 2**32 - 1, 2**63 - 1, 2**64 - 1)
+N_FLIPS = 128
+N_TRUNCATIONS = 32
+SEED = 2006
+
+
+class Format(NamedTuple):
+    build: Callable  # tmp_path -> valid file bytes
+    fields: Callable  # bytes -> [(offset, width)]
+    decode: Callable  # path -> None; reads everything the format serves
+    error: type
+
+
+# -- trace store -----------------------------------------------------------
+def _build_trace(codec):
+    def build(tmp_path):
+        rng = np.random.default_rng(1)
+        sources = rng.integers(0, 50, size=300).astype(np.int64)
+        repliers = rng.integers(100, 150, size=300).astype(np.int64)
+        path = tmp_path / "valid.rptrace"
+        write_trace_store(
+            path, sources, repliers, block_size=100, codec=codec
+        ).close()
+        return path.read_bytes()
+
+    return build
+
+
+def _trace_fields(lengths):
+    def fields(data):
+        header = [(0, 8), (8, 4), (12, 4), (16, 8), (24, 8)]
+        block = [(32, 4), (36, 4), (40, 8), (48, 8), (56, 8)]
+        block += [(64 + 8 * k, 8) for k in range(lengths)]
+        t = len(data) - 40
+        trailer = [(t, 8), (t + 8, 8), (t + 16, 8), (t + 24, 8), (t + 32, 4), (t + 36, 4)]
+        return header + block + trailer
+
+    return fields
+
+
+def _touch(block):
+    """Read every byte a block serves (a bad mapping faults here)."""
+    for column in (block.sources, block.repliers, block.packed_keys()):
+        int(column.sum())
+
+
+def _decode_trace(path):
+    with TraceStoreReader(path) as reader:
+        for i in range(reader.n_blocks):
+            _touch(reader.block(i))
+        for block in reader.blocks():
+            _touch(block)
+        reader.verify_blocks()
+    with TraceStoreReader(path, verify=True) as reader:
+        for block in reader.iter_blocks():
+            _touch(block)
+
+
+# -- write-ahead log -------------------------------------------------------
+def _build_wal(tmp_path):
+    path = str(tmp_path / "valid.wal")
+    writer = WalWriter(path, fsync="never")
+    for k in range(12):
+        writer.append(k % 4, 100 + k % 3)
+    writer.close()
+    return open(path, "rb").read()
+
+
+def _wal_fields(data):
+    s = len(data)
+    return [(0, 4), (4, 4), (0, 8), (8, 4), (12, 4), (16, 8), (24, 8)] + [
+        (s - 24, 4),
+        (s - 20, 4),
+        (s - 16, 8),
+        (s - 8, 8),
+    ]
+
+
+def _decode_wal(path):
+    read_wal(str(path))
+    wal_header(str(path))
+
+
+# -- snapshot ----------------------------------------------------------------
+def _build_snapshot(backend):
+    def build(tmp_path):
+        rules = StreamingRules(
+            min_support_count=2, window_pairs=64, backend=backend, epsilon=0.01
+        )
+        counts = rules.make_counts()
+        for k in range(60):
+            counts.observe(k % 5, 100 + k % 3)
+        path = str(tmp_path / "valid.snap")
+        write_snapshot(path, counts, meta={"node": "wall"})
+        return open(path, "rb").read()
+
+    return build
+
+
+def _snapshot_fields(data):
+    (header_len,) = struct.unpack_from("<I", data, 8)
+    s = len(data)
+    payload = 16 + header_len
+    return [(0, 4), (4, 4), (0, 8), (8, 4), (12, 4), (16, 4), (16, 8)] + [
+        (payload, 8),
+        (s - 8, 8),
+        (s - 4, 4),
+    ]
+
+
+def _decode_snapshot(path):
+    load_snapshot(str(path))
+    read_snapshot_header(str(path))
+
+
+# -- RDG1 digest -------------------------------------------------------------
+def _build_digest(_tmp_path):
+    entries = [DigestEntry(c, 10 + c % 3, 5 + c) for c in range(6)]
+    return RuleDigest(origin=3, epoch=9, total=400, entries=entries).encode()
+
+
+def _digest_fields(data):
+    return [(0, 4), (4, 4), (8, 4), (12, 8), (20, 4)] + [
+        (24, 4),
+        (28, 4),
+        (32, 8),
+        (len(data) - 4, 4),
+    ]
+
+
+def _decode_digest(path):
+    decode_digest(path.read_bytes())
+
+
+FORMATS = {
+    "trace-v1": Format(_build_trace(None), _trace_fields(0), _decode_trace, TraceStoreError),
+    "trace-v2": Format(_build_trace("zlib"), _trace_fields(3), _decode_trace, TraceStoreError),
+    "wal": Format(_build_wal, _wal_fields, _decode_wal, WalError),
+    "snapshot-exact": Format(
+        _build_snapshot("exact"), _snapshot_fields, _decode_snapshot, SnapshotError
+    ),
+    "snapshot-lossy": Format(
+        _build_snapshot("lossy"), _snapshot_fields, _decode_snapshot, SnapshotError
+    ),
+    "digest": Format(_build_digest, _digest_fields, _decode_digest, DigestError),
+}
+
+
+def mutations(data: bytes, fields):
+    """(label, mutated bytes): field overwrites, then seeded flips and cuts."""
+    for offset, width in fields:
+        fmt = "<I" if width == 4 else "<Q"
+        for value in sorted({v & ((1 << 8 * width) - 1) for v in VALUES}):
+            out = bytearray(data)
+            struct.pack_into(fmt, out, offset, value)
+            yield f"{width}-byte field at {offset} = {value}", bytes(out)
+    rng = random.Random(SEED)
+    for _ in range(N_FLIPS):
+        bit = rng.randrange(len(data) * 8)
+        out = bytearray(data)
+        out[bit // 8] ^= 1 << (bit % 8)
+        yield f"bit {bit} flipped", bytes(out)
+    for _ in range(N_TRUNCATIONS):
+        cut = rng.randrange(len(data))
+        yield f"truncated to {cut} bytes", data[:cut]
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_every_mutation_decodes_or_raises_the_typed_error(tmp_path, name):
+    fmt = FORMATS[name]
+    data = fmt.build(tmp_path)
+    fmt.decode(_write(tmp_path, data))  # the unmutated file is valid
+    escapes = []
+    for label, mutated in mutations(data, fmt.fields(data)):
+        path = _write(tmp_path, mutated)
+        try:
+            fmt.decode(path)
+        except fmt.error:
+            pass
+        except Exception as exc:  # noqa: BLE001 - the escape is the finding
+            escapes.append(f"{label}: {type(exc).__name__}: {exc}")
+    assert not escapes, "\n".join(escapes)
+
+
+def _write(tmp_path, data):
+    path = tmp_path / "mutant.bin"
+    path.write_bytes(data)
+    return path

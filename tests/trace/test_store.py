@@ -345,6 +345,40 @@ class TestCompression:
         assert reader.n_blocks == n_blocks - 1
         reader.close()
 
+    @staticmethod
+    def _patch_first_block(tmp_path, fmt, offset, value):
+        """A footered zlib store with one field of block 0 overwritten."""
+        zl, _, _ = make_store(
+            tmp_path / "z.rptrace", n=500, block_size=100, codec="zlib"
+        )
+        at = zl._entries[0].offset + offset
+        zl.close()
+        path = tmp_path / "z.rptrace"
+        data = bytearray(path.read_bytes())
+        struct.pack_into(fmt, data, at, value)
+        path.write_bytes(bytes(data))
+        return path
+
+    def test_codec_byte_2_is_an_unknown_codec(self, tmp_path):
+        path = self._patch_first_block(tmp_path, "<B", 4, 2)  # segment 0's codec
+        with TraceStoreReader(path) as reader:
+            with pytest.raises(TraceStoreCorruption, match="unknown segment codec 2"):
+                reader.block(0)
+
+    @pytest.mark.parametrize("length", [0, 2**62, 2**64 - 1])
+    def test_stored_length_past_the_file_is_corruption(self, tmp_path, length):
+        """The footer CRC does not cover block headers: a stored segment
+        length is bounded by the file before anything is read with it."""
+        path = self._patch_first_block(tmp_path, "<Q", 32, length)
+        with TraceStoreReader(path) as reader:
+            with pytest.raises(TraceStoreCorruption, match="segment lengths"):
+                reader.block(0)
+            with pytest.raises(TraceStoreCorruption, match="segment lengths"):
+                reader.blocks()
+            assert reader.verify_blocks() == 0
+        with TraceStoreReader(path, verify=True) as reader:
+            assert reader.n_blocks == 0
+
 
 class TestReaderLifetime:
     def test_close_is_idempotent(self, tmp_path):
