@@ -12,9 +12,6 @@ Commands
     ``--workers`` / ``--seeds`` / ``--csv`` / ``--markdown`` /
     ``--json`` / ``--no-chart`` (see ``docs/performance.md``, "Running
     experiments").
-``trace``
-    Print the descriptive profile of a generated trace (from the trace
-    cache) or of an on-disk trace store.
 ``hier``
     Compare the two-tier routing arms (flood vs per-node rules vs
     super-peer rules vs hybrid) on one seeded workload and print
@@ -137,16 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="also write per-run timings (seconds, pid, in-band) to PATH",
         )
-    trace = sub.add_parser("trace", help="profile a generated trace prefix")
-    trace.add_argument("--blocks", type=int, default=5, help="blocks to profile")
-    trace.add_argument(
-        "--store",
-        metavar="PATH",
-        default=None,
-        help="profile blocks streamed from this on-disk trace store instead "
-        "of the generated trace's cache file",
-    )
-
     tracegen = sub.add_parser(
         "tracegen",
         help="stream a generated trace into an on-disk columnar trace store",
@@ -453,12 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         "spans on /trace (0 = tracing off, default)",
     )
     cluster.add_argument(
-        "--flight-dir",
-        metavar="DIR",
-        default=None,
-        help="workers dump crash flight recordings under DIR",
-    )
-    cluster.add_argument(
         "--ports-file",
         metavar="PATH",
         default=None,
@@ -706,6 +687,9 @@ def _run_cluster(args) -> int:
     if args.workers < 1:
         _log.error("need at least 1 worker", extra={"workers": args.workers})
         return 2
+    if args.state_dir and args.flood:
+        _log.error("--state-dir persists rule state; drop --flood to use it")
+        return 2
     vocabulary = _split_terms(args.terms)
     if not vocabulary:
         _log.error("need a non-empty --terms vocabulary")
@@ -716,7 +700,6 @@ def _run_cluster(args) -> int:
         rule_routed=not args.flood,
         uvloop=args.uvloop,
         trace_sample=max(0, args.trace_sample),
-        flight_dir=args.flight_dir,
     )
     if args.state_dir:
         from dataclasses import replace
@@ -972,7 +955,6 @@ def _run_live_cluster(args, seed: int) -> int:
     import numpy as np
 
     from repro.live import LiveCluster, interest_plan, make_vocabulary
-    from repro.metrics.savings import estimate_flood_reduction
     from repro.network.topology import Topology, random_regular
 
     rng = np.random.default_rng(seed)
@@ -1026,7 +1008,7 @@ def _run_live_cluster(args, seed: int) -> int:
             summary, totals, per_node = await run_one(
                 label, rule_routed, len(modes)
             )
-            results[label] = (summary, totals)
+            results[label] = summary
             print(f"{label}: {topology.n_nodes} nodes, {len(plan)} queries")
             for key in (
                 "answer_rate",
@@ -1045,35 +1027,19 @@ def _run_live_cluster(args, seed: int) -> int:
                 for node_id, stats in per_node.items():
                     print(f"  node {node_id}: {stats}")
         if args.compare:
-            rule_summary, rule_totals = results["association"]
-            flood_summary, _ = results["flooding"]
+            rule_summary = results["association"]
+            flood_summary = results["flooding"]
             measured = (
                 flood_summary["frames_per_answered"]
                 / rule_summary["frames_per_answered"]
                 if rule_summary["frames_per_answered"] > 0
                 else float("inf")
             )
-            decisions = (
-                rule_totals["queries_rule_routed"]
-                + rule_totals["queries_flooded"]
-            )
-            coverage = (
-                rule_totals["queries_rule_routed"] / decisions
-                if decisions
-                else 0.0
-            )
-            estimate = estimate_flood_reduction(
-                coverage=coverage,
-                success=rule_summary["answer_rate"],
-                rule_cost=max(rule_summary["frames_per_query"], 1e-9),
-                flood_cost=max(flood_summary["frames_per_query"], 1e-9),
-            )
             print(
                 f"measured reduction: {measured:.2f}x cheaper per answered "
                 f"query ({rule_summary['frames_per_answered']:.2f} vs "
                 f"{flood_summary['frames_per_answered']:.2f} frames)"
             )
-            print(f"analytic model at measured coverage/success: {estimate}")
 
     asyncio.run(run())
     return 0
@@ -1287,48 +1253,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"{stats.success_rate:>8.3f} {stats.coverage_alpha:>7.3f} "
                 f"{stats.success_rho:>7.3f} {stats.mean_first_hit_hops:>6.2f}"
             )
-        return 0
-
-    if args.command == "trace":
-        from repro.trace.analysis import coverage_ceiling, profile_block, source_turnover
-
-        def _turnover_report(blocks) -> None:
-            for lag in range(1, min(len(blocks), 4)):
-                turnover = source_turnover(blocks[0], blocks[lag])
-                print(
-                    f"volume from sources unseen in block 0, lag {lag}: {turnover:.3f}"
-                )
-            print(
-                f"in-block coverage ceiling (threshold 10): "
-                f"{coverage_ceiling(blocks[0]):.3f}"
-            )
-
-        if args.store is not None:
-            from repro.trace.store import TraceStoreReader
-
-            # The report runs inside the with-block: closing the reader
-            # invalidates the retained block views.
-            with TraceStoreReader(args.store) as reader:
-                if reader.recovered:
-                    print(
-                        f"note: footer missing/corrupt, recovered {reader.n_blocks} block(s)"
-                    )
-                blocks = []
-                for block in reader.iter_blocks():
-                    print(f"block {block.index}: {profile_block(block)}")
-                    if len(blocks) < 4:
-                        blocks.append(block)
-                    if block.index + 1 >= args.blocks:
-                        break
-                _turnover_report(blocks)
-        else:
-            from repro.experiments.figures import BLOCK_SIZE
-            from repro.trace.cache import trace_blocks
-
-            blocks = trace_blocks(args.blocks * BLOCK_SIZE, seed=seed)
-            for block in blocks:
-                print(f"block {block.index}: {profile_block(block)}")
-            _turnover_report(blocks)
         return 0
 
     if args.command == "tracegen":

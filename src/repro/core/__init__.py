@@ -32,7 +32,6 @@ from repro.core.evaluation import (
     ruleset_test_random_subset,
 )
 from repro.core.generation import generate_ruleset
-from repro.core.io import read_ruleset, write_ruleset
 from repro.core.rules import Rule, RuleSet
 from repro.core.runner import StrategyRun, TrialResult
 from repro.core.strategies import (
@@ -62,9 +61,7 @@ __all__ = [
     "TrialResult",
     "WindowCounts",
     "generate_ruleset",
-    "read_ruleset",
     "ruleset_test",
     "ruleset_test_fallback",
     "ruleset_test_random_subset",
-    "write_ruleset",
 ]

@@ -300,10 +300,6 @@ class LiveCluster:
         return node
 
     # -- libraries --------------------------------------------------------
-    def stock_libraries(self, catalog: dict[int, list[SharedFile]]) -> None:
-        for node_id, files in catalog.items():
-            self.nodes[node_id].servent.library = list(files)
-
     def stock_partitioned_library(self, vocabulary: list[str]) -> None:
         """Deal terms round-robin: node ``i`` is the unique provider of
         ``vocabulary[i::n]`` — every query has exactly one answering node,

@@ -10,17 +10,14 @@
 
 from repro.metrics.ascii_chart import line_chart, sparkline
 from repro.metrics.report import ComparisonRow, format_table
-from repro.metrics.savings import FloodReductionEstimate, estimate_flood_reduction
 from repro.metrics.series import decay_halfway_point, moving_average, sawtooth_depth
 from repro.metrics.traffic import QueryOutcome, TrafficStats
 
 __all__ = [
     "ComparisonRow",
-    "FloodReductionEstimate",
     "QueryOutcome",
     "TrafficStats",
     "decay_halfway_point",
-    "estimate_flood_reduction",
     "format_table",
     "line_chart",
     "moving_average",

@@ -22,10 +22,7 @@ makes that watching operational for the whole stack:
   :mod:`repro.scale`);
 * :mod:`repro.obs.collect` — the cluster-wide trace collector: merge
   per-node ``/trace`` spans by GUID into query trees and fold counters
-  into rolling live α/ρ/traffic-per-query windows;
-* :mod:`repro.obs.flight` — the crash flight recorder: a bounded ring
-  of recent events dumped atomically on SIGTERM/fatal error and
-  periodically, harvested by the cluster supervisor after hard kills.
+  into rolling live α/ρ/traffic-per-query windows.
 
 See ``docs/observability.md`` for metric names, label conventions and
 the trace lifecycle.
@@ -39,7 +36,6 @@ from repro.obs.collect import (
     parse_spans,
     quality_measures,
 )
-from repro.obs.flight import FlightRecorder, harvest_flight_dir, load_flight
 from repro.obs.http import ObsHttpServer
 from repro.obs.instruments import NodeInstruments
 from repro.obs.logging import (
@@ -83,7 +79,6 @@ from repro.obs.tracing import (
 __all__ = [
     "ClusterTraceCollector",
     "DEFAULT_BUCKETS",
-    "FlightRecorder",
     "JsonFormatter",
     "MetricsRegistry",
     "NodeInstruments",
@@ -105,9 +100,7 @@ __all__ = [
     "format_trace_tree",
     "get_global_registry",
     "get_logger",
-    "harvest_flight_dir",
     "histogram_quantile",
-    "load_flight",
     "merge_histograms",
     "merge_spans",
     "node_id_var",

@@ -166,10 +166,6 @@ class PersistentState:
     def wal_segments(self) -> list[tuple[int, str]]:
         return _scan(self.state_dir, _WAL_RE)
 
-    def has_state(self) -> bool:
-        """Any durable state on disk (snapshot or journaled pairs)?"""
-        return bool(self.snapshots() or self.wal_segments())
-
     # -- recovery ---------------------------------------------------------
     def recover(self, rules) -> tuple[object, RecoveryInfo]:
         """Rebuild live counts from disk; open a fresh WAL segment.

@@ -114,12 +114,6 @@ class WalWriter:
                 self._last_sync = now
         return len(record)
 
-    def sync(self) -> None:
-        """Force everything appended so far onto stable storage."""
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._last_sync = monotonic()
-
     def close(self, *, sync: bool = True) -> None:
         if self._fh.closed:
             return

@@ -38,7 +38,7 @@ from repro.scale.loadgen import (
     ScheduledTask,
     build_schedule,
 )
-from repro.scale.loop import install_uvloop, loop_implementation
+from repro.scale.loop import install_uvloop
 from repro.scale.ramp import (
     format_saturation_markdown,
     run_ramp,
@@ -50,7 +50,7 @@ from repro.scale.supervisor import (
     WorkerHandle,
     partitioned_specs,
 )
-from repro.scale.worker import WorkerSpec, flight_path
+from repro.scale.worker import WorkerSpec
 
 __all__ = [
     "CLIENT_ID_BASE",
@@ -67,10 +67,8 @@ __all__ = [
     "WorkerHandle",
     "WorkerSpec",
     "build_schedule",
-    "flight_path",
     "format_saturation_markdown",
     "install_uvloop",
-    "loop_implementation",
     "partitioned_specs",
     "run_ramp",
     "run_ramp_async",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import asyncio
 
-__all__ = ["install_uvloop", "loop_implementation"]
+__all__ = ["install_uvloop"]
 
 
 def install_uvloop(enabled: bool) -> str:
@@ -33,12 +33,3 @@ def install_uvloop(enabled: bool) -> str:
         return "asyncio"
     asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
     return "uvloop"
-
-
-def loop_implementation() -> str:
-    """The implementation new event loops will use under the current
-    policy (``"uvloop"`` or ``"asyncio"``)."""
-    policy = asyncio.get_event_loop_policy()
-    return (
-        "uvloop" if type(policy).__module__.startswith("uvloop") else "asyncio"
-    )

@@ -43,10 +43,9 @@ from dataclasses import replace
 
 from repro.live.stats import NodeStats, combine_stats
 from repro.obs.collect import ClusterTraceCollector
-from repro.obs.flight import load_flight
 from repro.obs.logging import get_logger
 from repro.obs.scrape import scrape_totals
-from repro.scale.worker import WorkerSpec, flight_path, worker_main
+from repro.scale.worker import WorkerSpec, worker_main
 
 __all__ = ["ClusterSupervisor", "WorkerHandle", "partitioned_specs"]
 
@@ -138,9 +137,6 @@ class ClusterSupervisor:
         self._closing = False
         #: (node_id, reason) for every unexpected worker death seen.
         self.crashes: list[tuple[int, str]] = []
-        #: flight recordings harvested after hard kills and crashes,
-        #: keyed by node id (most recent harvest wins).
-        self.flight_reports: dict[int, dict] = {}
 
     # -- lifecycle --------------------------------------------------------
     def start(self) -> "ClusterSupervisor":
@@ -266,9 +262,6 @@ class ClusterSupervisor:
             node_id, ("query", term), expect=("query_issued",)
         )
 
-    def checkpoint(self, node_id: int) -> dict | None:
-        return self.command(node_id, ("checkpoint",), expect=("checkpoint",))
-
     def stats(self) -> dict[int, dict]:
         """Control-channel counter snapshots of every live worker."""
         out: dict[int, dict] = {}
@@ -331,40 +324,10 @@ class ClusterSupervisor:
             if h.alive and h.obs_port
         ]
 
-    def trace_urls(self) -> list[str]:
-        """Every live worker's span-export ``/trace`` URL."""
-        return [base + "/trace" for _node, base in self.obs_endpoints()]
-
     def collector(self, **kwargs) -> ClusterTraceCollector:
         """A cluster-wide trace collector over the workers' obs
         endpoints (see :mod:`repro.obs.collect`)."""
         return ClusterTraceCollector(self.obs_endpoints(), **kwargs)
-
-    # -- flight recordings -------------------------------------------------
-    def harvest_flight(self, node_id: int) -> dict | None:
-        """Read one worker's flight recording off disk, if it left one.
-
-        A SIGKILL'd worker runs no handlers, so what the harvest finds
-        is the recorder's last periodic flush — by design the freshest
-        evidence a hard crash can leave.  Parsed recordings are cached
-        in :attr:`flight_reports`.
-        """
-        handle = self.handles[node_id]
-        path = flight_path(handle.spec)
-        if path is None or not os.path.exists(path):
-            return None
-        try:
-            report = load_flight(path)
-        except (OSError, ValueError):
-            return None
-        self.flight_reports[node_id] = report
-        return report
-
-    def flight_recordings(self) -> dict[int, dict]:
-        """Harvest every worker's on-disk flight recording."""
-        for node_id in sorted(self.handles):
-            self.harvest_flight(node_id)
-        return dict(self.flight_reports)
 
     # -- stop / kill / restart --------------------------------------------
     def stop(
@@ -395,13 +358,13 @@ class ClusterSupervisor:
         deadline = time.monotonic() + timeout
         _kind, payload = self._recv(
             handle,
-            expect=("stopped", "stats", "checkpoint", "query_issued"),
+            expect=("stopped", "stats", "query_issued"),
             deadline=deadline,
         )
         while _kind != "stopped":
             _kind, payload = self._recv(
                 handle,
-                expect=("stopped", "stats", "checkpoint", "query_issued"),
+                expect=("stopped", "stats", "query_issued"),
                 deadline=deadline,
             )
         return payload
@@ -415,9 +378,6 @@ class ClusterSupervisor:
             if handle.process is not None:
                 handle.process.kill()
                 handle.process.join(timeout)
-            # SIGKILL ran no handlers; whatever periodic flush the
-            # worker's flight recorder last wrote is the postmortem.
-            self.harvest_flight(node_id)
 
     def restart(self, node_id: int, *, wire: bool = True) -> dict:
         """Respawn a dead worker on its pinned port; returns ready info.
@@ -480,7 +440,6 @@ class ClusterSupervisor:
                 reason = f"exit code {handle.process.exitcode}"
                 self.crashes.append((node_id, reason))
                 crashed.append(node_id)
-                self.harvest_flight(node_id)
                 _log.warning(
                     "worker crashed",
                     extra={"node": node_id, "reason": reason},
@@ -538,12 +497,6 @@ class ClusterSupervisor:
     @property
     def n_workers(self) -> int:
         return len(self.handles)
-
-    def worker_pids(self) -> dict[int, int | None]:
-        return {
-            node_id: (handle.process.pid if handle.process else None)
-            for node_id, handle in self.handles.items()
-        }
 
     def cpu_budget(self) -> int:
         """Cores the cluster can actually occupy: min(workers, cores)."""

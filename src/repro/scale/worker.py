@@ -21,7 +21,6 @@ parent → worker        worker → parent
 ``("peer", h, p, id)``  —  (dial and supervise a peer)
 ``("query", term)``     ``("query_issued", node, guid)``
 ``("stats",)``          ``("stats", node, payload)``
-``("checkpoint",)``     ``("checkpoint", node, header | None)``
 ``("stop", ckpt)``      ``("stopped", node, final counters)``
 —                       ``("ready", node, info)`` after start
 —                       ``("failed", node, traceback)`` on a fatal error
@@ -45,7 +44,7 @@ from dataclasses import dataclass, field
 
 from repro.live.connection import ConnectionConfig
 
-__all__ = ["WorkerSpec", "flight_path", "worker_main"]
+__all__ = ["WorkerSpec", "worker_main"]
 
 #: how often the worker polls the control pipe; control-plane latency
 #: only — the data plane never waits on this.
@@ -85,48 +84,15 @@ class WorkerSpec:
     trace_sample: int = 0
     #: bound on distinct GUIDs the worker's tracer retains.
     trace_max: int = 512
-    #: directory for the crash flight recorder (None = disabled); the
-    #: worker dumps ``node-NNN.flight.jsonl`` there on SIGTERM, fatal
-    #: errors, and periodically so SIGKILL postmortems have data.
-    flight_dir: str | None = None
-    flight_capacity: int = 256
-    #: ring dumps to disk every N records (what a SIGKILL postmortem
-    #: finds); tests lower it for determinism.
-    flight_flush_every: int = 64
 
 
-def flight_path(spec: WorkerSpec) -> str | None:
-    """Where this worker dumps its flight recording (None = disabled)."""
-    if spec.flight_dir is None:
-        return None
-    return os.path.join(
-        spec.flight_dir, f"node-{spec.node_id:03d}.flight.jsonl"
-    )
-
-
-def _build_tracer(spec: WorkerSpec, recorder):
-    """The worker's sampled tracer, teeing every span into the flight
-    ring so a postmortem shows the routing decisions, not just control
-    traffic."""
+def _build_tracer(spec: WorkerSpec):
+    """The worker's sampled tracer (None when sampling is off)."""
     if spec.trace_sample <= 0:
         return None
     from repro.obs.tracing import QueryTracer
 
-    on_event = None
-    if recorder is not None:
-
-        def on_event(guid, event):
-            doc = event.to_dict()
-            doc.pop("ts", None)
-            recorder.record(
-                "trace", guid=guid, event=doc.pop("kind"), **doc
-            )
-
-    return QueryTracer(
-        max_traces=spec.trace_max,
-        sample=spec.trace_sample,
-        on_event=on_event,
-    )
+    return QueryTracer(max_traces=spec.trace_max, sample=spec.trace_sample)
 
 
 def _build_node(spec: WorkerSpec, registry, tracer=None):
@@ -167,11 +133,10 @@ def _build_node(spec: WorkerSpec, registry, tracer=None):
     )
 
 
-async def _serve(spec: WorkerSpec, conn, loop_impl: str, recorder=None) -> None:
+async def _serve(spec: WorkerSpec, conn, loop_impl: str) -> None:
     from repro.obs.registry import MetricsRegistry
 
-    tracer = _build_tracer(spec, recorder)
-    node = _build_node(spec, MetricsRegistry(), tracer)
+    node = _build_node(spec, MetricsRegistry(), _build_tracer(spec))
     if spec.guid_epoch:
         node.servent.advance_guid_epoch(spec.guid_epoch)
     await node.start()
@@ -204,15 +169,9 @@ async def _serve(spec: WorkerSpec, conn, loop_impl: str, recorder=None) -> None:
             command = message[0]
             if command == "peer":
                 _, host, port, peer_id = message
-                if recorder is not None:
-                    recorder.record("control", command="peer", peer=peer_id)
                 node.add_peer(host, port, peer_id=peer_id)
             elif command == "query":
                 guid = node.issue_query(message[1])
-                if recorder is not None:
-                    recorder.record(
-                        "control", command="query", term=message[1], guid=guid
-                    )
                 conn.send(("query_issued", spec.node_id, guid))
             elif command == "stats":
                 conn.send(
@@ -227,14 +186,8 @@ async def _serve(spec: WorkerSpec, conn, loop_impl: str, recorder=None) -> None:
                         },
                     )
                 )
-            elif command == "checkpoint":
-                conn.send(("checkpoint", spec.node_id, node.checkpoint()))
             elif command == "stop":
                 checkpoint = bool(message[1])
-                if recorder is not None:
-                    recorder.record(
-                        "control", command="stop", checkpoint=checkpoint
-                    )
                 return
             else:
                 conn.send(
@@ -242,9 +195,6 @@ async def _serve(spec: WorkerSpec, conn, loop_impl: str, recorder=None) -> None:
                 )
     finally:
         await node.close(checkpoint=checkpoint)
-        if recorder is not None:
-            recorder.record("lifecycle", what="closed")
-            recorder.dump(reason="stop")
         try:
             conn.send(("stopped", spec.node_id, node.snapshot()))
         except (OSError, BrokenPipeError):
@@ -253,46 +203,14 @@ async def _serve(spec: WorkerSpec, conn, loop_impl: str, recorder=None) -> None:
 
 def worker_main(spec: WorkerSpec, conn) -> None:
     """Process entry point: run one node until stopped or killed."""
-    import signal
-
     from repro.obs.logging import configure_logging
     from repro.scale.loop import install_uvloop
 
     configure_logging(level=spec.log_level)
     loop_impl = install_uvloop(spec.uvloop)
-    recorder = None
-    if spec.flight_dir is not None:
-        from repro.obs.flight import FlightRecorder
-
-        recorder = FlightRecorder(
-            flight_path(spec),
-            capacity=spec.flight_capacity,
-            flush_every=spec.flight_flush_every,
-        )
-        recorder.record(
-            "lifecycle",
-            what="start",
-            node=spec.node_id,
-            pid=os.getpid(),
-            epoch=spec.guid_epoch,
-        )
-
-        def _on_sigterm(signum, frame):
-            # Dump the final moments, then die with the conventional
-            # 128+SIGTERM status; SystemExit unwinds asyncio.run.
-            recorder.record("lifecycle", what="sigterm")
-            recorder.dump(reason="sigterm")
-            sys.exit(143)
-
-        signal.signal(signal.SIGTERM, _on_sigterm)
     try:
-        asyncio.run(_serve(spec, conn, loop_impl, recorder))
+        asyncio.run(_serve(spec, conn, loop_impl))
     except Exception:
-        if recorder is not None:
-            recorder.record(
-                "lifecycle", what="fatal", traceback=traceback.format_exc()
-            )
-            recorder.dump(reason="fatal")
         try:
             conn.send(("failed", spec.node_id, traceback.format_exc()))
         except (OSError, BrokenPipeError):

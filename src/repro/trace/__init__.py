@@ -17,17 +17,9 @@ column logs (the relational form is the tests' oracle,
   of pairs) and block partitioning;
 * :mod:`~repro.trace.io` — TSV (de)serialization for persisting traces;
 * :mod:`~repro.trace.store` — out-of-core mmap-backed columnar trace store
-  (append-only chunked writer, zero-copy block readers, O(block) memory);
-* :mod:`~repro.trace.analysis` — descriptive trace statistics (turnover,
-  concentration, coverage ceilings).
+  (append-only chunked writer, zero-copy block readers, O(block) memory).
 """
 
-from repro.trace.analysis import (
-    BlockProfile,
-    coverage_ceiling,
-    profile_block,
-    source_turnover,
-)
 from repro.trace.blocks import (
     PairBlock,
     blocks_from_arrays,
@@ -57,12 +49,8 @@ from repro.trace.records import (
 )
 
 __all__ = [
-    "BlockProfile",
     "PairBlock",
     "PairLog",
-    "coverage_ceiling",
-    "profile_block",
-    "source_turnover",
     "QueryLog",
     "QueryRecord",
     "QueryReplyPair",

@@ -23,7 +23,6 @@ serve the online overlay simulator in :mod:`repro.network`.
 from repro.workload.churn import LogNormalSessions, ParetoSessions
 from repro.workload.content import ContentCatalog
 from repro.workload.interests import InterestModel, InterestProfile
-from repro.workload.keywords import KeywordIndex
 from repro.workload.querygen import QueryTextModel
 from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator
 from repro.workload.zipf import ZipfSampler
@@ -32,7 +31,6 @@ __all__ = [
     "ContentCatalog",
     "InterestModel",
     "InterestProfile",
-    "KeywordIndex",
     "LogNormalSessions",
     "MonitorTraceConfig",
     "MonitorTraceGenerator",

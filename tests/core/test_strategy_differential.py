@@ -22,11 +22,22 @@ Mutants of the loop, and a test here that each one fails (ids of
   ``[lazy3-drift]``;
 * a value joins the rolling history before it is compared with the
   threshold — ``[adaptive3-top1-confidence]``.
+
+``StreamingRules`` has no eager loop in the paper; its oracles are a
+brute-force recount of the last ``window_pairs`` pairs (a ``Counter`` over
+a ``deque``) for the exact backend, and Manku–Motwani's bounds over the
+true whole-stream counts for the lossy one.  Both run over the same traces
+and routes.  Its mutant: a pair folded into the counts before it is scored
+(observe-before-test) fails
+``test_streaming_list_and_generator_equal_the_oracles[drift-exact-w45]``.
 """
+
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 
+from repro.core.evaluation import RulesetTestResult
 from repro.core.runner import StrategyRun, TrialResult
 from repro.core.strategies import (
     AdaptiveSlidingWindow,
@@ -34,6 +45,7 @@ from repro.core.strategies import (
     SlidingWindow,
     StaticRuleset,
 )
+from repro.core.streaming import StreamingRules
 from repro.core.thresholds import RollingThreshold
 from repro.parallel.partition import evaluate_store, evaluate_store_partitioned
 from repro.trace.store import TraceStoreWriter
@@ -214,3 +226,153 @@ def test_store_partitioned_equals_the_eager_loops(stores, trace, workers):
             stores[trace], make(**generation), workers=workers
         )
         assert got == eager(blocks, **generation), name
+
+
+# -- StreamingRules: a recount and the lossy bounds ----------------------------
+def _pairs(block):
+    return zip(block.sources.tolist(), block.repliers.tolist())
+
+
+def _covers(rules, source):
+    return any(a == source for a, _c in rules)
+
+
+def eager_streaming_exact(blocks, *, window_pairs, min_support_count):
+    """Score each pair against the rules of the last ``window_pairs`` pairs,
+    recounted from scratch, then let it into the window."""
+    window = deque(_pairs(blocks[0]), maxlen=window_pairs)
+
+    def rules():
+        return {p for p, n in Counter(window).items() if n >= min_support_count}
+
+    trials = []
+    for block in blocks[1:]:
+        covered = successful = 0
+        for pair in _pairs(block):
+            current = rules()
+            if _covers(current, pair[0]):
+                covered += 1
+                successful += pair in current
+            window.append(pair)
+        trials.append(
+            TrialResult(
+                block_index=block.index,
+                result=RulesetTestResult(len(block), covered, successful),
+                fresh_ruleset=True,
+                ruleset_size=len(rules()),
+            )
+        )
+    return StrategyRun("streaming", tuple(trials), n_generations=0)
+
+
+def lossy_bounds(blocks, *, epsilon, min_support_count):
+    """Per trial, the (least, most) covered, successful and rule counts a
+    lossy sketch may report.  Its count of a pair undercounts the true
+    count ``f`` by at most ``epsilon * n`` after ``n`` pairs and never
+    overcounts, so a pair with ``f >= floor + epsilon * n`` must be a rule
+    and one with ``f < floor`` cannot be."""
+    seen = Counter(_pairs(blocks[0]))
+    n = len(blocks[0])
+    floor = min_support_count
+
+    def must_and_may():
+        slack = epsilon * n
+        must = {p for p, f in seen.items() if f >= floor + slack}
+        return must, {p for p, f in seen.items() if f >= floor}
+
+    bounds = []
+    for block in blocks[1:]:
+        least, most = [0, 0], [0, 0]
+        for pair in _pairs(block):
+            for tally, rules in zip((least, most), must_and_may()):
+                tally[0] += _covers(rules, pair[0])
+                tally[1] += pair in rules
+            seen[pair] += 1
+            n += 1
+        must, may = must_and_may()
+        bounds.append((least, most, (len(must), len(may))))
+    return bounds
+
+
+#: name -> StreamingRules settings beside the trace's support floor.
+STREAMING = {
+    "exact-w45": {"backend": "exact", "window_pairs": 45},
+    "exact-w7": {"backend": "exact", "window_pairs": 7},
+    "lossy": {"backend": "lossy", "epsilon": 0.02},
+}
+
+
+def _streaming(config, generation):
+    return StreamingRules(
+        min_support_count=generation["min_support_count"], **STREAMING[config]
+    )
+
+
+def assert_streaming_oracle(run, config, blocks, generation):
+    floor = generation["min_support_count"]
+    settings = STREAMING[config]
+    if settings["backend"] == "exact":
+        assert run == eager_streaming_exact(
+            blocks, window_pairs=settings["window_pairs"], min_support_count=floor
+        )
+        return
+    bounds = lossy_bounds(blocks, epsilon=settings["epsilon"], min_support_count=floor)
+    assert run.n_generations == 0
+    assert [t.block_index for t in run.trials] == [b.index for b in blocks[1:]]
+    for trial, block, (least, most, rules) in zip(run.trials, blocks[1:], bounds):
+        assert trial.result.n_total == len(block)
+        assert least[0] <= trial.result.n_covered <= most[0]
+        assert least[1] <= trial.result.n_successful <= most[1]
+        assert rules[0] <= trial.ruleset_size <= rules[1]
+
+
+@pytest.mark.parametrize("config", STREAMING)
+@pytest.mark.parametrize("trace", IN_MEMORY_TRACES)
+def test_streaming_list_and_generator_equal_the_oracles(trace, config):
+    blocks, generation = IN_MEMORY_TRACES[trace]
+    run = _streaming(config, generation).run(blocks)
+    assert _streaming(config, generation).run(b for b in blocks) == run
+    reused = _streaming(config, generation)
+    assert reused.run(blocks) == reused.run(iter(blocks)) == run
+    assert_streaming_oracle(run, config, blocks, generation)
+
+
+@pytest.mark.parametrize("trace", IN_MEMORY_TRACES)
+def test_window_counts_equal_the_recount_pair_by_pair(trace):
+    """The exact backend's table against the recount at every pair, on
+    every read the live servent makes."""
+    blocks, generation = IN_MEMORY_TRACES[trace]
+    floor = generation["min_support_count"]
+    for window_pairs in (45, 7):
+        counts = StreamingRules(
+            min_support_count=floor, window_pairs=window_pairs
+        ).make_counts()
+        window = deque(maxlen=window_pairs)
+        for block in blocks:
+            for source, replier in _pairs(block):
+                recount = Counter(window)
+                rules = {p: n for p, n in recount.items() if n >= floor}
+                assert counts.covers(source) == _covers(rules, source)
+                assert counts.matches(source, replier) == ((source, replier) in rules)
+                assert counts.consequents(source) == [
+                    c
+                    for _n, c in sorted(
+                        (-n, c) for (a, c), n in rules.items() if a == source
+                    )
+                ]
+                assert counts.n_rules() == len(rules)
+                counts.observe(source, replier)
+                window.append((source, replier))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("trace", TRACES)
+def test_streaming_store_routes_equal_the_oracles(stores, trace, workers):
+    blocks, generation = TRACES[trace]
+    for config in STREAMING:
+        serial = evaluate_store(stores[trace], _streaming(config, generation))
+        got = evaluate_store_partitioned(
+            stores[trace], _streaming(config, generation), workers=workers
+        )
+        assert got == serial == _streaming(config, generation).run(blocks), config
+        assert_streaming_oracle(got, config, blocks, generation)

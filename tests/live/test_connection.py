@@ -19,6 +19,8 @@ from repro.network.protocol import (
     QueryMessage,
     encode_message,
 )
+from repro.obs.instruments import NodeInstruments
+from repro.obs.registry import MetricsRegistry
 from tests.live.streampeer import (
     accept_handshake,
     aclose_writer,
@@ -240,6 +242,55 @@ class TestBackpressure:
                 assert conn.pending_frames == limit  # refused, not buffered
                 assert node.stats.queries_shed == 2
                 await node.close()
+
+        run(body())
+
+    def test_paused_link_drains_its_outbox_in_order_on_resume(self):
+        """Past the transport's high-water mark the link pauses and new
+        frames wait in its outbox; when the peer reads again,
+        ``resume_writing`` hands them over in the order they were sent,
+        and a pause longer than ``drain_stall_threshold`` counts one
+        drain stall."""
+
+        async def body():
+            instruments = NodeInstruments(MetricsRegistry(), 1)
+            config = ConnectionConfig(
+                drain_stall_threshold=0.2, keepalive_interval=0.0, idle_timeout=0.0
+            )
+            async with sink_server(deaf=True) as (port, sink):
+                conn = await dial_peer(
+                    "127.0.0.1",
+                    port,
+                    1,
+                    config,
+                    on_message=ignore,
+                    instruments=instruments,
+                )
+                filler = b"\0" * 65536
+                for _ in range(5_000):
+                    if conn._paused:
+                        break
+                    assert conn.send(filler)
+                    await asyncio.sleep(0)  # one tick: the outbox is flushed
+                else:
+                    pytest.fail("a peer that never reads absorbed 320 MB")
+                high_water = conn._transport.get_write_buffer_limits()[1]
+                assert conn._transport.get_write_buffer_size() > high_water
+                frames = [b"frame-%04d;" % i for i in range(50)]
+                for frame in frames:
+                    assert conn.send(frame)
+                await asyncio.sleep(0.5)  # a stall, longer than the threshold
+                assert conn.pending_frames == len(frames)
+                assert instruments.drain_stalls.value == 0  # counted on resume
+                sink["release"].set()
+                while conn.pending_frames:
+                    await asyncio.sleep(0.005)
+                assert not conn._paused
+                assert instruments.drain_stalls.value == 1
+                await conn.aclose(flush=True)
+                await asyncio.wait_for(sink["eof"].wait(), 5.0)
+            data = sink["data"]
+            assert data[data.index(b"frame-0000;") :] == b"".join(frames)
 
         run(body())
 

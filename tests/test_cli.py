@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -46,27 +48,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "*=coverage" not in out
 
-    def test_trace_profile(self, capsys):
-        assert main(["trace", "--blocks", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "block 0:" in out
-        assert "coverage ceiling" in out
-
-    def test_trace_profile_reads_the_trace_cache(
+    def test_run_reads_the_trace_cache(
         self, tmp_path, monkeypatch, capsys, generate_calls
     ):
-        """``trace`` without ``--store`` profiles the same cached blocks
-        the experiments replay, and a second run does not regenerate."""
+        """``run`` generates its trace once into the trace cache, a second
+        run replays the cached blocks to the same report without
+        regenerating, and the cached file is a trace store
+        ``trace-eval`` reads."""
+
+        def report(out):
+            return [line for line in out.splitlines() if "] OK in" not in line]
+
         monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path))
-        assert main(["--seed", "5", "trace", "--blocks", "2"]) == 0
-        first = capsys.readouterr().out
+        assert main(["--seed", "5", "run", "fig1", "--no-chart"]) == 0
+        first = report(capsys.readouterr().out)
         (store,) = tmp_path.iterdir()
         assert store.suffix == ".rptrace"
-        assert main(["trace", "--store", str(store)]) == 0
-        assert capsys.readouterr().out == first
-        assert main(["--seed", "5", "trace", "--blocks", "2"]) == 0
-        assert capsys.readouterr().out == first
-        assert generate_calls == [20_000]
+        assert main(["trace-eval", str(store)]) == 0
+        assert "trials=" in capsys.readouterr().out
+        assert main(["--seed", "5", "run", "fig1", "--no-chart"]) == 0
+        assert report(capsys.readouterr().out) == first
+        assert len(generate_calls) == 1
+        assert list(tmp_path.iterdir()) == [store]
 
     def test_bench_all_reports_no_trace_transport(self, tmp_path, capsys):
         """What ``bench-all`` wrote is ``run``'s ``--json``: timings per
@@ -217,11 +220,9 @@ class TestTraceViewCli:
 
     def test_cluster_tracing_flags(self):
         args = build_parser().parse_args(
-            ["cluster", "--trace-sample", "4", "--flight-dir", "fd",
-             "--ports-file", "ports.json"]
+            ["cluster", "--trace-sample", "4", "--ports-file", "ports.json"]
         )
         assert args.trace_sample == 4
-        assert args.flight_dir == "fd"
         assert args.ports_file == "ports.json"
 
     def test_no_endpoints_is_an_error(self):
@@ -290,3 +291,108 @@ class TestTraceViewCli:
              "--polls", "1", "--guid", "deadbeef"]
         )
         assert code == 2
+
+
+class TestClusterCli:
+    def test_flood_with_state_dir_exits_before_spawning(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A flooding node keeps no rule state: ``cluster`` refuses the
+        pair up front, with ``live-node``'s one-line message, and no
+        worker is spawned."""
+        from repro.scale.supervisor import ClusterSupervisor
+
+        spawned = []
+        monkeypatch.setattr(
+            ClusterSupervisor, "_spawn", lambda self, handle: spawned.append(handle)
+        )
+        state = tmp_path / "state"
+        code = main(
+            ["cluster", "--flood", "--state-dir", str(state), "--duration", "0.1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert spawned == []
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert "--state-dir persists rule state; drop --flood" in line
+        assert not state.exists()
+
+
+def _read_ports(path):
+    import json
+
+    try:
+        return json.loads(path.read_text())["nodes"]
+    except (OSError, ValueError, KeyError):
+        return None
+
+
+@pytest.mark.live
+class TestDaemonsLive:
+    """The long-running commands, each for a short ``--duration``."""
+
+    def test_live_node_runs_for_its_duration(self, tmp_path, capsys):
+        state = tmp_path / "state"
+        code = main(
+            ["live-node", "--port", "0", "--node-id", "3", "--share",
+             "jazz,blues", "--metrics-port", "0", "--state-dir", str(state),
+             "--duration", "0.5"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("final counters:")
+        assert "queries_issued" in out
+        assert any(name.startswith("snap-") for name in os.listdir(state))
+
+    def test_cluster_writes_ports_and_scrapes(self, tmp_path, capsys):
+        import json
+
+        ports = tmp_path / "ports.json"
+        code = main(
+            ["cluster", "--workers", "2", "--trace-sample", "2", "--ports-file",
+             str(ports), "--scrape", "--duration", "1"]
+        )
+        assert code == 0
+        nodes = _read_ports(ports)
+        assert [n["node"] for n in nodes] == [0, 1]
+        assert all(n["port"] and n["obs_port"] for n in nodes)
+        out = capsys.readouterr().out
+        scraped, totals = out.split("cluster totals:\n")
+        assert scraped.startswith("scraped totals:\n")
+        assert json.loads(scraped.split("\n", 1)[1])
+        assert "queries_issued" in totals
+
+    def test_load_test_targets_the_ports_file(self, tmp_path, capsys):
+        import json
+        import subprocess
+        import sys
+        import time
+
+        ports = tmp_path / "ports.json"
+        cluster = subprocess.Popen(
+            [sys.executable, "-m", "repro", "cluster", "--workers", "2",
+             "--ports-file", str(ports), "--duration", "8"],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 30.0
+            while (nodes := _read_ports(ports)) is None:
+                assert cluster.poll() is None, "cluster exited before its ports"
+                assert time.monotonic() < deadline, "no ports file"
+                time.sleep(0.1)
+            targets = [
+                arg
+                for n in nodes
+                for arg in ("--target", f"{n['host']}:{n['port']}")
+            ]
+            code = main(["load-test", *targets, "--rps", "10,20", "--duration", "1"])
+            assert code == 0
+            report = json.loads(capsys.readouterr().out)
+            assert [s["offered_rps"] for s in report["steps"]] == [10.0, 20.0]
+            assert all(s["completed"] > 0 for s in report["steps"])
+            assert report["summary"]["steps_total"] == 2
+        finally:
+            assert cluster.wait(timeout=60) == 0
