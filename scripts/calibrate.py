@@ -1,7 +1,8 @@
 """Grid-search the trace-generator knobs against the paper's bands.
 
 Not part of the library: a development tool used to pick the calibrated
-defaults recorded in MonitorTraceConfig (see DESIGN.md §7).
+defaults recorded in MonitorTraceConfig (see DESIGN.md §7).  Run it as
+``PYTHONPATH=src python scripts/calibrate.py``.
 """
 
 import itertools
@@ -19,6 +20,17 @@ from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator
 
 N_BLOCKS = 40
 SEED = 7
+
+#: MonitorTraceConfig fields and the values tried for each: the session
+#: knobs set the coverage decay, the path lifetime the success knee
+#: (docs/calibration.md).
+GRID = {
+    "n_neighbors": [80, 120],
+    "activity_sigma": [1.2, 1.6],
+    "median_session_blocks": [8.0, 10.0, 12.0],
+    "session_sigma": [1.2, 1.5],
+    "path_lifetime_blocks": [14.0, 17.0],
+}
 
 
 def evaluate(cfg, seed=SEED, n_blocks=N_BLOCKS):
@@ -62,16 +74,9 @@ def describe(runs):
 
 
 def main():
-    grid = {
-        "n_neighbors": [80, 120],
-        "activity_sigma": [1.2, 1.6],
-        "mean_session_blocks": [10.0, 15.0, 20.0],
-        "session_alpha": [1.3],
-        "path_lifetime_blocks": [14.0, 17.0],
-    }
-    keys = list(grid)
+    keys = list(GRID)
     best = None
-    for values in itertools.product(*(grid[k] for k in keys)):
+    for values in itertools.product(*(GRID[k] for k in keys)):
         params = dict(zip(keys, values))
         cfg = MonitorTraceConfig(**params)
         t0 = time.time()

@@ -19,7 +19,6 @@ from typing import Iterable
 
 from repro.core.evaluation import RulesetTestResult
 from repro.obs.registry import get_global_registry
-from repro.utils.stats import SeriesSummary, summarize_series
 
 __all__ = ["TrialResult", "StrategyRun", "merge_runs", "observe_block_timing"]
 
@@ -93,12 +92,6 @@ class StrategyRun:
         if self.n_generations == 0:
             return float("inf")
         return self.n_trials / self.n_generations
-
-    def coverage_summary(self) -> SeriesSummary:
-        return summarize_series(self.coverage_series)
-
-    def success_summary(self) -> SeriesSummary:
-        return summarize_series(self.success_series)
 
     def __str__(self) -> str:  # pragma: no cover - display convenience
         return (

@@ -32,7 +32,6 @@ Fault taxonomy (``FaultEvent.kind``):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from repro.utils.rng import as_generator
@@ -127,21 +126,6 @@ class FaultEvent:
             out["seconds"] = self.seconds
         return out
 
-    @classmethod
-    def from_dict(cls, record: dict) -> "FaultEvent":
-        return cls(
-            time=float(record["time"]),
-            kind=record["kind"],
-            node=record.get("node"),
-            link=tuple(record["link"]) if "link" in record else None,
-            groups=(
-                tuple(tuple(g) for g in record["groups"])
-                if "groups" in record
-                else None
-            ),
-            seconds=float(record.get("seconds", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -202,30 +186,6 @@ class FaultPlan:
         for event in self.events:
             counts[event.kind] = counts.get(event.kind, 0) + 1
         return counts
-
-    def as_dicts(self) -> list[dict]:
-        return [event.as_dict() for event in self.events]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "label": self.label,
-                "seed": self.seed,
-                "duration": self.duration,
-                "events": self.as_dicts(),
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, blob: str) -> "FaultPlan":
-        data = json.loads(blob)
-        return cls(
-            events=tuple(FaultEvent.from_dict(e) for e in data["events"]),
-            duration=float(data["duration"]),
-            label=data.get("label", "plan"),
-            seed=data.get("seed"),
-        )
 
 
 def _round(t: float) -> float:

@@ -10,17 +10,15 @@
 
 from repro.metrics.ascii_chart import line_chart, sparkline
 from repro.metrics.report import ComparisonRow, format_table
-from repro.metrics.series import decay_halfway_point, moving_average, sawtooth_depth
+from repro.metrics.series import sawtooth_depth
 from repro.metrics.traffic import QueryOutcome, TrafficStats
 
 __all__ = [
     "ComparisonRow",
     "QueryOutcome",
     "TrafficStats",
-    "decay_halfway_point",
     "format_table",
     "line_chart",
-    "moving_average",
     "sawtooth_depth",
     "sparkline",
 ]

@@ -4,42 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["moving_average", "decay_halfway_point", "sawtooth_depth"]
-
-
-def moving_average(values, window: int) -> np.ndarray:
-    """Centered-ish moving average (trailing window) of a series.
-
-    The first ``window - 1`` outputs average over the shorter available
-    prefix, so the result has the same length as the input.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return arr
-    out = np.empty_like(arr)
-    csum = np.cumsum(arr)
-    for i in range(arr.size):
-        lo = max(0, i - window + 1)
-        total = csum[i] - (csum[lo - 1] if lo > 0 else 0.0)
-        out[i] = total / (i - lo + 1)
-    return out
-
-
-def decay_halfway_point(values) -> int | None:
-    """First index where a series falls to half its initial value.
-
-    Used to characterize how quickly Static Ruleset degrades (the paper
-    describes its success reaching ~0 around the 16th trial).  Returns
-    ``None`` if the series never falls that far, or is empty/zero-led.
-    """
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0 or arr[0] <= 0.0:
-        return None
-    target = arr[0] / 2.0
-    below = np.nonzero(arr <= target)[0]
-    return int(below[0]) if below.size else None
+__all__ = ["sawtooth_depth"]
 
 
 def sawtooth_depth(values, period: int) -> float:

@@ -5,9 +5,8 @@ The paper's own evaluation is trace-driven, but its motivation — and its
 should dramatically reduce flooded messages while still locating content.
 This subpackage provides the overlay substrate to test that end-to-end:
 
-* :mod:`~repro.network.topology` — from-scratch topology generators
-  (random regular, Erdős–Rényi with connectivity repair,
-  Barabási–Albert power-law) over a compact adjacency-list
+* :mod:`~repro.network.topology` — a from-scratch random regular
+  generator over a compact adjacency-list
   :class:`~repro.network.topology.Topology`, editable in place for
   rewiring, churn replay and super-peer kills;
 * :mod:`~repro.network.node` — per-peer state: shared library, interest
@@ -46,12 +45,7 @@ from repro.network.servent import (
 )
 from repro.network.superpeer import SuperPeerConfig, SuperPeerNetwork
 from repro.network.wirenet import WireNetwork
-from repro.network.topology import (
-    Topology,
-    barabasi_albert,
-    erdos_renyi,
-    random_regular,
-)
+from repro.network.topology import Topology, random_regular
 
 __all__ = [
     "DiscreteEventConfig",
@@ -73,7 +67,5 @@ __all__ = [
     "SuperPeerNetwork",
     "Topology",
     "WireNetwork",
-    "barabasi_albert",
-    "erdos_renyi",
     "random_regular",
 ]

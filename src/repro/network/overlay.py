@@ -27,12 +27,7 @@ from repro.network.engine import QueryEngine
 from repro.network.holders import HolderIndex
 from repro.network.messages import Query
 from repro.network.node import PeerNode
-from repro.network.topology import (
-    Topology,
-    barabasi_albert,
-    erdos_renyi,
-    random_regular,
-)
+from repro.network.topology import Topology, random_regular
 from repro.obs.instruments import observe_sim_build
 from repro.utils.rng import as_generator, spawn_child
 from repro.utils.validation import check_probability
@@ -47,7 +42,6 @@ class OverlayConfig:
     """Parameters of an overlay experiment."""
 
     n_nodes: int = 800
-    topology: str = "random_regular"  # or "erdos_renyi", "barabasi_albert"
     degree: int = 6
     n_categories: int = 40
     files_per_category: int = 250
@@ -62,8 +56,6 @@ class OverlayConfig:
     def __post_init__(self) -> None:
         if self.n_nodes < 4:
             raise ValueError("n_nodes must be >= 4")
-        if self.topology not in ("random_regular", "erdos_renyi", "barabasi_albert"):
-            raise ValueError(f"unknown topology {self.topology!r}")
         if self.degree < 2:
             raise ValueError("degree must be >= 2")
         if self.ttl < 1:
@@ -81,15 +73,9 @@ class Overlay:
         self.config = config or OverlayConfig()
         self._rng = as_generator(seed)
         cfg = self.config
-        topo_rng = spawn_child(self._rng)
-        if cfg.topology == "random_regular":
-            if (cfg.n_nodes * cfg.degree) % 2:
-                raise ValueError("n_nodes * degree must be even for random_regular")
-            self.topology: Topology = random_regular(cfg.n_nodes, cfg.degree, rng=topo_rng)
-        elif cfg.topology == "erdos_renyi":
-            self.topology = erdos_renyi(cfg.n_nodes, cfg.degree, rng=topo_rng)
-        else:
-            self.topology = barabasi_albert(cfg.n_nodes, max(1, cfg.degree // 2), rng=topo_rng)
+        self.topology: Topology = random_regular(
+            cfg.n_nodes, cfg.degree, rng=spawn_child(self._rng)
+        )
         self.topology.max_degree = cfg.max_degree
 
         # (flooders, any learner) of the installed policies; None = rederive.

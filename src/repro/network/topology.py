@@ -1,17 +1,10 @@
-"""Overlay topology: one graph class and its generators (from scratch).
+"""Overlay topology: one graph class and its generator (from scratch).
 
-Unstructured P2P measurement studies variously report near-random and
-power-law-ish overlays; we provide three generators so experiments can
-check robustness to the topology class:
-
-* :func:`random_regular` — every node has the same degree (configuration
-  model with restarts);
-* :func:`erdos_renyi` — G(n, p) with a connectivity repair pass;
-* :func:`barabasi_albert` — preferential attachment (power-law degrees).
-
-All generators return a :class:`Topology`: an adjacency-list graph with
-simple (no self-loop, no multi-edge) undirected edges.  Most runs only
-read it; §VI's rule-driven rewiring, offline churn replay
+:func:`random_regular` builds the overlays the simulators run on: every
+node has the same degree (configuration model with restarts).  It returns
+a :class:`Topology`: an adjacency-list graph with simple (no self-loop,
+no multi-edge) undirected edges.  Most runs only read it; §VI's
+rule-driven rewiring, offline churn replay
 (:class:`repro.faults.churn.TopologyChurn`) and a super-peer kill edit it
 in place — ``add_edge`` / ``remove_edge`` / ``detach_node`` under an
 optional per-node degree budget (real peers have connection budgets).
@@ -32,7 +25,7 @@ import numpy as np
 
 from repro.utils.rng import as_generator
 
-__all__ = ["Topology", "random_regular", "erdos_renyi", "barabasi_albert"]
+__all__ = ["Topology", "random_regular"]
 
 
 def csr_arrays(adjacency: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -257,69 +250,3 @@ def random_regular(n_nodes: int, degree: int, *, rng=None, max_tries: int = 50) 
     raise RuntimeError(
         f"failed to build a connected {degree}-regular graph in {max_tries} tries"
     )
-
-
-def erdos_renyi(n_nodes: int, avg_degree: float, *, rng=None) -> Topology:
-    """G(n, p) with p = avg_degree / (n-1), then connectivity repair.
-
-    After sampling, nodes outside the largest component are attached to a
-    uniformly random node inside it, so the result is always connected
-    (at the cost of a slightly higher average degree).
-    """
-    rng = as_generator(rng)
-    if n_nodes < 2:
-        raise ValueError("n_nodes must be >= 2")
-    p = avg_degree / (n_nodes - 1)
-    if not 0.0 < p <= 1.0:
-        raise ValueError("avg_degree out of range")
-    # Vectorized upper-triangle sampling.
-    iu, ju = np.triu_indices(n_nodes, k=1)
-    mask = rng.random(iu.size) < p
-    edges = list(zip(iu[mask].tolist(), ju[mask].tolist()))
-    topo = Topology(n_nodes, edges)
-    # Repair: attach every non-giant node to the giant component.
-    comp = topo.component_of(0)
-    best = comp
-    seen_all = set(comp)
-    for node in range(n_nodes):
-        if node not in seen_all:
-            comp = topo.component_of(node)
-            seen_all |= comp
-            if len(comp) > len(best):
-                best = comp
-    if len(best) < n_nodes:
-        inside = sorted(best)
-        extra = []
-        for node in range(n_nodes):
-            if node not in best:
-                anchor = inside[int(rng.integers(0, len(inside)))]
-                extra.append((node, anchor))
-        topo = Topology(n_nodes, topo.edges() + extra)
-        # One repair round suffices only if each straggler attaches into
-        # `best`; since every new edge lands in `best`, it does.
-    return topo
-
-
-def barabasi_albert(n_nodes: int, m: int, *, rng=None) -> Topology:
-    """Barabási–Albert preferential attachment with ``m`` edges per node."""
-    rng = as_generator(rng)
-    if m < 1 or m >= n_nodes:
-        raise ValueError("need 1 <= m < n_nodes")
-    edges: list[tuple[int, int]] = []
-    # Seed: a star over the first m+1 nodes (connected, m edges).
-    targets = list(range(m))
-    repeated: list[int] = []  # endpoint multiset for preferential choice
-    for new in range(m, n_nodes):
-        chosen: set[int] = set()
-        while len(chosen) < m:
-            if repeated and rng.random() < 0.9:
-                cand = repeated[int(rng.integers(0, len(repeated)))]
-            else:
-                cand = int(rng.integers(0, new))
-            if cand != new:
-                chosen.add(cand)
-        for t in chosen:
-            edges.append((new, t))
-            repeated.extend((new, t))
-        targets.append(new)
-    return Topology(n_nodes, edges)

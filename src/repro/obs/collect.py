@@ -128,8 +128,9 @@ class ClusterTraceCollector:
     folds new spans into :attr:`traces`, refreshes the per-node and
     cluster counters, merges latency histograms across nodes, and —
     from the second poll on — appends one rolling window of counter
-    deltas.  A node that cannot be reached is skipped for that poll
-    (dead workers must not hang a sweep), tallied in ``errors``.
+    deltas.  A node that cannot be reached, or whose reply does not
+    parse, is skipped for that poll (dead workers must not hang a
+    sweep), tallied in ``errors``.
     """
 
     def __init__(
@@ -166,11 +167,13 @@ class ClusterTraceCollector:
                 self.errors += 1
             try:
                 metrics_text = self._fetch(base + "/metrics")
+                counters = _quality_counters(parse_samples(metrics_text))
+                node_histograms = parse_histograms(metrics_text)
             except (OSError, ValueError):
                 self.errors += 1
                 continue
-            per_node[label] = _quality_counters(parse_samples(metrics_text))
-            histograms.append(parse_histograms(metrics_text))
+            per_node[label] = counters
+            histograms.append(node_histograms)
         self.traces.update(merge_spans(spans))
         self.per_node = per_node
         self.histograms = merge_histograms(*histograms)

@@ -31,32 +31,38 @@ __all__ = [
 
 
 def parse_labels(spec: str) -> dict[str, str]:
-    """Parse the ``a="x",b="y"`` interior of a label braces block."""
+    """Parse the ``a="x",b="y"`` interior of a label braces block.
+
+    A malformed block raises ``ValueError``.
+    """
     labels: dict[str, str] = {}
     i = 0
     n = len(spec)
-    while i < n:
-        eq = spec.index("=", i)
-        name = spec[i:eq].strip().lstrip(",").strip()
-        if spec[eq + 1] != '"':
-            raise ValueError(f"unquoted label value in {spec!r}")
-        j = eq + 2
-        value: list[str] = []
-        while True:
-            ch = spec[j]
-            if ch == "\\":
-                nxt = spec[j + 1]
-                value.append(
-                    {"n": "\n", "\\": "\\", '"': '"'}.get(nxt, "\\" + nxt)
-                )
-                j += 2
-            elif ch == '"':
-                break
-            else:
-                value.append(ch)
-                j += 1
-        labels[name] = "".join(value)
-        i = j + 1
+    try:
+        while i < n:
+            eq = spec.index("=", i)
+            name = spec[i:eq].strip().lstrip(",").strip()
+            if spec[eq + 1] != '"':
+                raise ValueError(f"unquoted label value in {spec!r}")
+            j = eq + 2
+            value: list[str] = []
+            while True:
+                ch = spec[j]
+                if ch == "\\":
+                    nxt = spec[j + 1]
+                    value.append(
+                        {"n": "\n", "\\": "\\", '"': '"'}.get(nxt, "\\" + nxt)
+                    )
+                    j += 2
+                elif ch == '"':
+                    break
+                else:
+                    value.append(ch)
+                    j += 1
+            labels[name] = "".join(value)
+            i = j + 1
+    except IndexError:  # the block ends inside a name, value or escape
+        raise ValueError(f"unterminated label block {spec!r}") from None
     return labels
 
 
@@ -65,7 +71,8 @@ def parse_samples(text: str) -> list[tuple[str, dict[str, str], float]]:
 
     Comment/``# HELP``/``# TYPE`` lines and blanks are skipped;
     histogram ``_bucket``/``_sum``/``_count`` series appear under their
-    suffixed names, exactly as exposed.
+    suffixed names, exactly as exposed.  A malformed line raises
+    ``ValueError``.
     """
     samples: list[tuple[str, dict[str, str], float]] = []
     for line in text.splitlines():
@@ -82,7 +89,10 @@ def parse_samples(text: str) -> list[tuple[str, dict[str, str], float]]:
                 raise ValueError(f"malformed sample line {line!r}")
             name, value_part = parts[0], parts[1]
             labels = {}
-        value_text = value_part.split()[0]
+        fields = value_part.split()
+        if not fields:
+            raise ValueError(f"sample line without a value {line!r}")
+        value_text = fields[0]
         if value_text == "+Inf":
             value = float("inf")
         elif value_text == "-Inf":

@@ -40,7 +40,7 @@ from repro.persist.snapshot import (
     read_snapshot_header,
     write_snapshot,
 )
-from repro.persist.wal import WalWriter, read_wal, wal_header
+from repro.persist.wal import WalError, WalWriter, read_wal, wal_header
 
 __all__ = ["PersistentState", "RecoveryInfo", "inspect_state_dir"]
 
@@ -328,8 +328,8 @@ class PersistentState:
 def inspect_state_dir(state_dir: str) -> dict:
     """Snapshot and WAL headers for one state directory, as plain data.
 
-    Powers ``python -m repro persist inspect``; unreadable snapshot
-    files are reported with their error rather than aborting the dump.
+    Powers ``python -m repro persist inspect``; unreadable snapshot and
+    WAL files are reported with their error rather than aborting the dump.
     """
     snapshots = []
     for _seq, path in _scan(state_dir, _SNAP_RE):
@@ -337,7 +337,12 @@ def inspect_state_dir(state_dir: str) -> dict:
             snapshots.append({"path": path, **read_snapshot_header(path)})
         except (SnapshotError, OSError) as exc:
             snapshots.append({"path": path, "error": str(exc)})
-    segments = [wal_header(path) for _seq, path in _scan(state_dir, _WAL_RE)]
+    segments = []
+    for _seq, path in _scan(state_dir, _WAL_RE):
+        try:
+            segments.append(wal_header(path))
+        except (WalError, OSError) as exc:
+            segments.append({"path": path, "error": str(exc)})
     return {
         "state_dir": state_dir,
         "snapshots": snapshots,

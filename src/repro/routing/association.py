@@ -41,13 +41,11 @@ class AssociationRoutingPolicy(RoutingPolicy):
         top_k: int = 2,
         window: int = 512,
         min_support_count: int = 2,
-        flood_fallback: bool = True,
     ) -> None:
         super().__init__(node_id, overlay)
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
         self.top_k = top_k
-        self.flood_fallback = flood_fallback
         self.rules = WindowCounts(window, min_support_count)
         #: queries this origin resolved on the first (rule-routed) attempt.
         self.rule_resolved_count = 0
@@ -69,9 +67,8 @@ class AssociationRoutingPolicy(RoutingPolicy):
     # -- origin driver ------------------------------------------------------
     def route_query(self, engine: QueryEngine, query: Query) -> QueryOutcome:
         attempt = engine.broadcast(query, dispatch_select(self.overlay))
-        if attempt.hits or not self.flood_fallback:
-            if attempt.hits:
-                self.rule_resolved_count += 1
+        if attempt.hits:
+            self.rule_resolved_count += 1
             return attempt
         # §III-B: revert to flooding when rule routing finds nothing.
         self.fallback_count += 1

@@ -42,7 +42,6 @@ class HybridShortcutAssociationPolicy(AssociationRoutingPolicy):
         shortcut_capacity: int = 10,
         **kwargs,
     ) -> None:
-        kwargs.setdefault("flood_fallback", True)
         super().__init__(node_id, overlay, **kwargs)
         # Compose an embedded shortcuts policy for its list maintenance.
         self._shortcuts = InterestShortcutsPolicy(

@@ -12,11 +12,9 @@ node** and measures what the system can actually sustain.
   :class:`~repro.live.node.LiveServent` plus a control pipe.
 * :mod:`~repro.scale.loadgen` — seeded **open-loop** load generation
   (weighted task mix, think-time distributions, deadline scheduling that
-  never slows when the target does) with HDR-style latency histograms.
+  never slows when the target does), keeping every request's latency.
 * :mod:`~repro.scale.ramp` — step offered RPS to trace a saturation
   curve and read off the max sustainable QPS (per core).
-* :mod:`~repro.scale.histogram` — geometric-bucket latency histogram
-  with bounded relative error, mergeable across clients and processes.
 * :mod:`~repro.scale.loop` — optional uvloop installation with a silent
   stdlib fallback.
 
@@ -25,7 +23,6 @@ saturation benchmark, ``python -m repro.cli cluster`` / ``load-test``
 for interactive use.
 """
 
-from repro.scale.histogram import LatencyHistogram
 from repro.scale.loadgen import (
     CLIENT_ID_BASE,
     TASK_BROWSE,
@@ -55,7 +52,6 @@ from repro.scale.worker import WorkerSpec
 __all__ = [
     "CLIENT_ID_BASE",
     "ClusterSupervisor",
-    "LatencyHistogram",
     "LoadClient",
     "LoadConfig",
     "LoadGenerator",

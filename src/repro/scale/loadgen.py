@@ -22,8 +22,7 @@ Pieces:
   issues Query/Ping descriptors without awaiting drain (issuing must
   never block on the target) and resolves replies by GUID.
 * :class:`LoadGenerator` — runs a plan against a set of servent
-  addresses, recording per-request latency into a
-  :class:`~repro.scale.histogram.LatencyHistogram`, timeouts, errors,
+  addresses, recording every request's latency, timeouts, errors,
   and the schedule-fidelity figures (`schedule_stretch`,
   `max_lateness_seconds`) that *prove* the run stayed open-loop.
 """
@@ -45,7 +44,6 @@ from repro.network.protocol import (
 )
 from repro.obs.logging import get_logger
 from repro.obs.tracing import traced_guid
-from repro.scale.histogram import LatencyHistogram
 
 __all__ = [
     "LoadClient",
@@ -280,7 +278,8 @@ class LoadResult:
     errors: int = 0
     #: requests whose GUID fell in the traced 1-in-N subset.
     traced: int = 0
-    histogram: LatencyHistogram = field(default_factory=LatencyHistogram)
+    #: seconds from issue to first reply, one per completed request.
+    latencies: list[float] = field(default_factory=list)
     achieved_rps: float = 0.0
     schedule_stretch: float = 0.0
     max_lateness_seconds: float = 0.0
@@ -313,8 +312,32 @@ class LoadResult:
             "achieved_rps": self.achieved_rps,
             "schedule_stretch": self.schedule_stretch,
             "max_lateness_seconds": self.max_lateness_seconds,
-            "latency": self.histogram.summary(),
+            "latency": _latency_summary(self.latencies),
         }
+
+
+def _latency_summary(latencies: list[float]) -> dict[str, float]:
+    """Count, mean, extremes and p50/p95/p99 of a step's latencies.
+
+    Percentile ``p`` is the nearest-rank sample, the
+    ``ceil(count * p / 100)``-th smallest: a latency some request
+    actually saw, not an estimate.
+    """
+    count = len(latencies)
+    ordered = sorted(latencies) or [0.0]  # an empty step reads all zeros
+
+    def rank(p: float) -> float:
+        return ordered[max(1, math.ceil(count * p / 100.0)) - 1]
+
+    return {
+        "count": count,
+        "mean_seconds": sum(ordered) / max(count, 1),
+        "min_seconds": ordered[0],
+        "max_seconds": ordered[-1],
+        "p50_seconds": rank(50.0),
+        "p95_seconds": rank(95.0),
+        "p99_seconds": rank(99.0),
+    }
 
 
 class LoadGenerator:
@@ -328,7 +351,6 @@ class LoadGenerator:
         *,
         client_config: ConnectionConfig | None = None,
         client_id_base: int = CLIENT_ID_BASE,
-        histogram: LatencyHistogram | None = None,
     ) -> None:
         if not addresses:
             raise ValueError("need at least one target address")
@@ -337,7 +359,6 @@ class LoadGenerator:
         self.config = config
         self._client_config = client_config
         self._client_id_base = client_id_base
-        self.histogram = histogram or LatencyHistogram()
         self._clients: list[LoadClient] = []
         self._pending: dict[int, tuple[float, str]] = {}
         # Seed-disjoint GUID block: servents deduplicate descriptors by
@@ -365,7 +386,7 @@ class LoadGenerator:
         if entry is None:
             return  # duplicate hit for an answered/expired request
         t_issue, _kind = entry
-        self.histogram.record(self._loop.time() - t_issue)
+        self._result.latencies.append(self._loop.time() - t_issue)
         self._result.completed += 1
 
     def _sweep_pending(self, now: float) -> None:
@@ -386,7 +407,6 @@ class LoadGenerator:
             offered_rps=self.config.rps,
             duration=self.config.duration,
             scheduled=len(schedule),
-            histogram=self.histogram,
         )
         self._clients = [
             LoadClient(

@@ -15,7 +15,7 @@ budget, normalised per core for cross-machine comparison.
 Steps reuse the same cluster on purpose — rules learned at low load
 keep routing at high load, exactly as a warm production deployment
 would behave.  What must *not* leak between steps is load-generator
-state, so every step builds a new generator (fresh histogram, fresh
+state, so every step builds a new generator (fresh latencies, fresh
 schedule seeded ``seed + step``) and shed/drop counts are reported as
 *deltas* of the cluster's counters across the step window.
 """

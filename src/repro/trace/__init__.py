@@ -23,7 +23,6 @@ column logs (the relational form is the tests' oracle,
 from repro.trace.blocks import (
     PairBlock,
     blocks_from_arrays,
-    blocks_from_store,
     iter_blocks_from_arrays,
     partition_pairs,
 )
@@ -40,7 +39,6 @@ from repro.trace.store import (
     TraceStoreError,
     TraceStoreReader,
     TraceStoreWriter,
-    write_trace_store,
 )
 from repro.trace.records import (
     QueryRecord,
@@ -61,11 +59,9 @@ __all__ = [
     "TraceStoreReader",
     "TraceStoreWriter",
     "blocks_from_arrays",
-    "blocks_from_store",
     "dedup_queries",
     "dedup_replies",
     "iter_blocks_from_arrays",
     "join_pairs",
     "partition_pairs",
-    "write_trace_store",
 ]

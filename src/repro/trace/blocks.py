@@ -24,7 +24,6 @@ __all__ = [
     "partition_pairs",
     "blocks_from_arrays",
     "iter_blocks_from_arrays",
-    "blocks_from_store",
     "scan_id_range",
 ]
 
@@ -200,27 +199,3 @@ def partition_pairs(
         pairs.source, pairs.replier, block_size=block_size, drop_partial=drop_partial
     )
 
-
-def blocks_from_store(path_or_reader) -> Iterator[PairBlock]:
-    """Stream blocks from an on-disk trace store (path or open reader).
-
-    The store-backed twin of :func:`iter_blocks_from_arrays`: each block
-    is a zero-copy ``np.memmap`` view with packed keys and fingerprint
-    pre-seeded, so evaluation over a disk-resident trace keeps O(block)
-    memory.  See :mod:`repro.trace.store`.
-
-    When given a *path* this function opens its own reader and closes it
-    once the stream is exhausted (or the generator is closed); a caller
-    that passes an open reader keeps ownership of its lifetime.
-    """
-    from repro.trace.store import TraceStoreReader
-
-    reader = path_or_reader
-    if hasattr(reader, "iter_blocks"):
-        yield from reader.iter_blocks()
-        return
-    reader = TraceStoreReader(reader)
-    try:
-        yield from reader.iter_blocks()
-    finally:
-        reader.close()

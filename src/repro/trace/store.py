@@ -21,7 +21,7 @@ File layout (all integers little-endian)::
                      followed by the column segments:
                      sources  int64[n]
                      repliers int64[n]
-                     packed   int64[n]   (only when flags bit 0 is set)
+                     packed   int64[n]   (flags bit 0, always set)
     footer   index:  one 32 B entry per block
                      (block_offset u64 | n_pairs u64 | fingerprint 16 B)
              trailer (40 B): magic "RPTFOOT1" | index_offset u64
@@ -81,7 +81,6 @@ __all__ = [
     "TraceStoreCorruption",
     "TraceStoreWriter",
     "TraceStoreReader",
-    "write_trace_store",
 ]
 
 _HEADER = struct.Struct("<8sIIQQ")
@@ -99,6 +98,8 @@ _VERSIONS = (_VERSION_RAW, _VERSION_CODECS)
 
 #: flags bit 0 — packed-key segments are present after each replier segment.
 _FLAG_PACKED = 1
+#: sources, repliers and packed keys.
+_N_SEGMENTS = 3
 
 #: per-segment codec ids (one byte each inside the block header's u32).
 _CODEC_RAW = 0
@@ -166,7 +167,6 @@ class TraceStoreWriter:
         path: str | os.PathLike,
         *,
         block_size: int = 10_000,
-        include_packed: bool = True,
         codec: str | None = None,
         compress_level: int = 6,
         meta_fingerprint: int = 0,
@@ -179,7 +179,6 @@ class TraceStoreWriter:
             raise ValueError("meta_fingerprint must fit an unsigned 64-bit field")
         self.path = os.fspath(path)
         self.block_size = int(block_size)
-        self.include_packed = bool(include_packed)
         self.codec = codec
         self.compress_level = int(compress_level)
         self.meta_fingerprint = int(meta_fingerprint)
@@ -189,10 +188,13 @@ class TraceStoreWriter:
         self._pending_pairs = 0
         self._closed = False
         self._fh = open(self.path, "wb")
-        flags = _FLAG_PACKED if self.include_packed else 0
         self._fh.write(
             _HEADER.pack(
-                _MAGIC, self.version, flags, self.block_size, self.meta_fingerprint
+                _MAGIC,
+                self.version,
+                _FLAG_PACKED,
+                self.block_size,
+                self.meta_fingerprint,
             )
         )
 
@@ -258,9 +260,11 @@ class TraceStoreWriter:
         fingerprint = bytes.fromhex(block.fingerprint())
         # packed_keys() is memoized on the block: built blocks pack
         # exactly once here; buffered blocks pack on first use.
-        segments = [_column_bytes(block.sources), _column_bytes(block.repliers)]
-        if self.include_packed:
-            segments.append(_column_bytes(block.packed_keys()))
+        segments = [
+            _column_bytes(block.sources),
+            _column_bytes(block.repliers),
+            _column_bytes(block.packed_keys()),
+        ]
         if self.version == _VERSION_RAW:
             self._fh.write(
                 _BLOCK_HEADER.pack(_BLOCK_MAGIC, 0, len(block), fingerprint)
@@ -406,11 +410,12 @@ class TraceStoreReader:
         if version not in _VERSIONS:
             self.close()
             raise TraceStoreError(f"{self.path}: unsupported version {version}")
+        if not flags & _FLAG_PACKED:
+            self.close()
+            raise TraceStoreError(f"{self.path}: no packed-key segments")
         self.version = int(version)
         self.block_size = int(block_size)
-        self.has_packed = bool(flags & _FLAG_PACKED)
         self.meta_fingerprint = int(meta)
-        self._n_segments = 3 if self.has_packed else 2
         self._entries = self._load_footer()
         if self._entries is None:
             self._entries = self._scan_blocks()
@@ -500,7 +505,7 @@ class TraceStoreReader:
                 if entry.offset < previous:
                     return None
                 header_end = (
-                    entry.offset + _BLOCK_HEADER.size + 8 * self._n_segments
+                    entry.offset + _BLOCK_HEADER.size + 8 * _N_SEGMENTS
                 )
                 if header_end > index_offset:
                     return None
@@ -508,7 +513,7 @@ class TraceStoreReader:
         return entries
 
     def _block_extent(self, n_pairs: int) -> int:
-        return _BLOCK_HEADER.size + self._n_segments * n_pairs * _ITEMSIZE
+        return _BLOCK_HEADER.size + _N_SEGMENTS * n_pairs * _ITEMSIZE
 
     def _scan_blocks(self) -> list[_BlockEntry]:
         """Walk block headers from the top, keeping verified blocks.
@@ -531,13 +536,13 @@ class TraceStoreReader:
             if self.version == _VERSION_RAW:
                 extent = self._block_extent(n_pairs)
             else:
-                lengths_raw = fh.read(8 * self._n_segments)
-                if len(lengths_raw) < 8 * self._n_segments:
+                lengths_raw = fh.read(8 * _N_SEGMENTS)
+                if len(lengths_raw) < 8 * _N_SEGMENTS:
                     break  # torn tail inside the length area
-                lengths = struct.unpack(f"<{self._n_segments}Q", lengths_raw)
+                lengths = struct.unpack(f"<{_N_SEGMENTS}Q", lengths_raw)
                 if any(length < 1 or length > self._size for length in lengths):
                     break
-                extent = _BLOCK_HEADER.size + 8 * self._n_segments + sum(lengths)
+                extent = _BLOCK_HEADER.size + 8 * _N_SEGMENTS + sum(lengths)
             if offset + extent > self._size:
                 break  # torn tail: the block's columns never fully landed
             entry = _BlockEntry(offset, n_pairs, fingerprint)
@@ -611,8 +616,8 @@ class TraceStoreReader:
             return cached
         fh = self._fh
         fh.seek(entry.offset)
-        raw = fh.read(_BLOCK_HEADER.size + 8 * self._n_segments)
-        if len(raw) < _BLOCK_HEADER.size + 8 * self._n_segments:
+        raw = fh.read(_BLOCK_HEADER.size + 8 * _N_SEGMENTS)
+        if len(raw) < _BLOCK_HEADER.size + 8 * _N_SEGMENTS:
             raise TraceStoreCorruption(f"{self.path}: truncated block header")
         magic, codecs_word, n_pairs, _fingerprint = _BLOCK_HEADER.unpack_from(raw)
         if magic != _BLOCK_MAGIC or n_pairs != entry.n_pairs:
@@ -620,15 +625,15 @@ class TraceStoreReader:
                 f"{self.path}: block header at {entry.offset} disagrees with index"
             )
         lengths = struct.unpack_from(
-            f"<{self._n_segments}Q", raw, _BLOCK_HEADER.size
+            f"<{_N_SEGMENTS}Q", raw, _BLOCK_HEADER.size
         )
-        payload = entry.offset + _BLOCK_HEADER.size + 8 * self._n_segments
+        payload = entry.offset + _BLOCK_HEADER.size + 8 * _N_SEGMENTS
         if min(lengths) < 1 or payload + sum(lengths) > self._size:
             raise TraceStoreCorruption(
                 f"{self.path}: block at {entry.offset} stores segment "
                 f"lengths {lengths} past the end of the file"
             )
-        codecs = tuple((codecs_word >> (8 * k)) & 0xFF for k in range(self._n_segments))
+        codecs = tuple((codecs_word >> (8 * k)) & 0xFF for k in range(_N_SEGMENTS))
         layout = (codecs, lengths, payload)
         self._layouts[entry.offset] = layout
         return layout
@@ -688,10 +693,9 @@ class TraceStoreReader:
         )
         object.__setattr__(block, "_fingerprint", entry.fingerprint.hex())
         object.__setattr__(block, "_ids_validated", True)
-        if self.has_packed:
-            object.__setattr__(
-                block, "_packed_keys", self._read_segment(entry, 2, mapped)
-            )
+        object.__setattr__(
+            block, "_packed_keys", self._read_segment(entry, 2, mapped)
+        )
         return block
 
     def block(self, i: int) -> PairBlock:
@@ -743,34 +747,4 @@ class TraceStoreReader:
                 f"({intact}/{len(self._entries)} blocks intact)"
             )
         return intact
-
-
-def write_trace_store(
-    path: str | os.PathLike,
-    sources: np.ndarray,
-    repliers: np.ndarray,
-    *,
-    block_size: int = 10_000,
-    drop_partial: bool = True,
-    include_packed: bool = True,
-    codec: str | None = None,
-    compress_level: int = 6,
-    meta_fingerprint: int = 0,
-) -> TraceStoreReader:
-    """Write in-memory columns as a store file and reopen it for reading."""
-    writer = TraceStoreWriter(
-        path,
-        block_size=block_size,
-        include_packed=include_packed,
-        codec=codec,
-        compress_level=compress_level,
-        meta_fingerprint=meta_fingerprint,
-    )
-    try:
-        writer.append(sources, repliers)
-    except BaseException:
-        writer.abandon()
-        raise
-    writer.close(drop_partial=drop_partial)
-    return TraceStoreReader(path)
 

@@ -3,7 +3,7 @@
 This subpackage holds the plumbing used by every other part of the
 reproduction: deterministic random-number handling (:mod:`repro.utils.rng`),
 Gnutella-style globally-unique identifiers including the paper's observed
-buggy-client GUID reuse (:mod:`repro.utils.guid`), running/summary statistics
+buggy-client GUID reuse (:mod:`repro.utils.guid`), streaming statistics
 (:mod:`repro.utils.stats`), argument validation helpers
 (:mod:`repro.utils.validation`) and simulated-time helpers
 (:mod:`repro.utils.timeline`).
@@ -11,21 +11,14 @@ buggy-client GUID reuse (:mod:`repro.utils.guid`), running/summary statistics
 
 from repro.utils.guid import GuidAllocator
 from repro.utils.rng import as_generator, spawn_child
-from repro.utils.stats import (
-    RollingMean,
-    RunningStats,
-    SeriesSummary,
-    summarize_series,
-)
+from repro.utils.stats import RollingMean, RunningStats
 from repro.utils.timeline import SimClock
 
 __all__ = [
     "GuidAllocator",
     "RollingMean",
     "RunningStats",
-    "SeriesSummary",
     "SimClock",
     "as_generator",
     "spawn_child",
-    "summarize_series",
 ]

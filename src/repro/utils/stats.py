@@ -1,21 +1,16 @@
-"""Streaming and summary statistics.
+"""Streaming statistics.
 
-The strategy drivers produce long per-trial series of coverage/success
-values; these helpers compute rolling means (used by the Adaptive Sliding
-Window thresholds), Welford-style running statistics (used by traffic
-accounting in the online simulator, where materializing per-message samples
-would be wasteful) and compact series summaries for the experiment reports.
+Rolling means (used by the Adaptive Sliding Window thresholds) and
+running mean / extremes (used by traffic accounting in the online
+simulator, where materializing per-message samples would be wasteful).
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["RollingMean", "RunningStats", "SeriesSummary", "summarize_series"]
+__all__ = ["RollingMean", "RunningStats"]
 
 
 class RollingMean:
@@ -53,47 +48,28 @@ class RollingMean:
 
 
 class RunningStats:
-    """Welford online mean/variance accumulator.
+    """Online mean and extremes (Welford's incremental mean).
 
-    Numerically stable single-pass statistics; avoids keeping per-sample
-    arrays in the hot loops of the network simulator.
+    Single-pass statistics; avoids keeping per-sample arrays in the hot
+    loops of the network simulator.
     """
 
     def __init__(self) -> None:
         self.count = 0
         self._mean = 0.0
-        self._m2 = 0.0
         self._min = math.inf
         self._max = -math.inf
 
     def push(self, value: float) -> None:
         value = float(value)
         self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
+        self._mean += (value - self._mean) / self.count
         self._min = min(self._min, value)
         self._max = max(self._max, value)
-
-    def extend(self, values) -> None:
-        for v in values:
-            self.push(v)
 
     @property
     def mean(self) -> float:
         return self._mean if self.count else float("nan")
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (ddof=1); ``nan`` with fewer than two samples."""
-        if self.count < 2:
-            return float("nan")
-        return self._m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        var = self.variance
-        return math.sqrt(var) if not math.isnan(var) else float("nan")
 
     @property
     def minimum(self) -> float:
@@ -102,57 +78,3 @@ class RunningStats:
     @property
     def maximum(self) -> float:
         return self._max if self.count else float("nan")
-
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        """Combine two accumulators (Chan et al. parallel merge)."""
-        if not isinstance(other, RunningStats):
-            raise TypeError("can only merge RunningStats")
-        out = RunningStats()
-        out.count = self.count + other.count
-        if out.count == 0:
-            return out
-        delta = other._mean - self._mean
-        out._mean = self._mean + delta * other.count / out.count
-        out._m2 = (
-            self._m2
-            + other._m2
-            + delta * delta * self.count * other.count / out.count
-        )
-        out._min = min(self._min, other._min)
-        out._max = max(self._max, other._max)
-        return out
-
-
-@dataclass(frozen=True)
-class SeriesSummary:
-    """Compact description of a numeric series."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-    median: float
-
-    def __str__(self) -> str:  # pragma: no cover - formatting convenience
-        return (
-            f"n={self.count} mean={self.mean:.4f} std={self.std:.4f} "
-            f"min={self.minimum:.4f} med={self.median:.4f} max={self.maximum:.4f}"
-        )
-
-
-def summarize_series(values) -> SeriesSummary:
-    """Summarize a series of floats into a :class:`SeriesSummary`."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        nan = float("nan")
-        return SeriesSummary(0, nan, nan, nan, nan, nan)
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return SeriesSummary(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        std=std,
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
-        median=float(np.median(arr)),
-    )

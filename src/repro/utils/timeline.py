@@ -21,8 +21,8 @@ WEEK = 7.0 * DAY
 class SimClock:
     """Monotonic simulated clock.
 
-    Time may only move forward; attempting to rewind raises, which catches
-    event-ordering bugs in the discrete-event simulator early.
+    Time may only move forward; a negative step raises, which catches
+    event-ordering bugs early.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -30,14 +30,6 @@ class SimClock:
 
     @property
     def now(self) -> float:
-        return self._now
-
-    def advance_to(self, t: float) -> float:
-        """Move the clock to absolute time ``t`` (must not be in the past)."""
-        t = float(t)
-        if t < self._now:
-            raise ValueError(f"cannot rewind clock from {self._now} to {t}")
-        self._now = t
         return self._now
 
     def advance_by(self, dt: float) -> float:

@@ -20,7 +20,7 @@ statistical properties the rule-routing results depend on —
 serve the online overlay simulator in :mod:`repro.network`.
 """
 
-from repro.workload.churn import LogNormalSessions, ParetoSessions
+from repro.workload.churn import LogNormalSessions
 from repro.workload.content import ContentCatalog
 from repro.workload.interests import InterestModel, InterestProfile
 from repro.workload.querygen import QueryTextModel
@@ -34,7 +34,6 @@ __all__ = [
     "LogNormalSessions",
     "MonitorTraceConfig",
     "MonitorTraceGenerator",
-    "ParetoSessions",
     "QueryTextModel",
     "ZipfSampler",
 ]

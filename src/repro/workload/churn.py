@@ -11,32 +11,7 @@ from __future__ import annotations
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_positive
 
-__all__ = ["ParetoSessions", "LogNormalSessions"]
-
-
-class ParetoSessions:
-    """Pareto(alpha, xm) session durations with a finite-mean guarantee.
-
-    ``mean = alpha * xm / (alpha - 1)`` for alpha > 1; we parameterize by
-    (alpha, mean) because the mean is what calibration reasons about.
-    """
-
-    def __init__(self, alpha: float = 1.5, mean: float = 3600.0) -> None:
-        self.alpha = check_positive("alpha", alpha)
-        if self.alpha <= 1.0:
-            raise ValueError("alpha must exceed 1 for a finite mean")
-        self.mean = check_positive("mean", mean)
-        self.xm = self.mean * (self.alpha - 1.0) / self.alpha
-
-    def sample(self, rng) -> float:
-        """One session duration in seconds."""
-        rng = as_generator(rng)
-        # Inverse-transform: xm / U^(1/alpha).
-        u = rng.random()
-        # rng.random() is in [0, 1); guard the u == 0 corner.
-        while u == 0.0:  # pragma: no cover - probability ~2^-53
-            u = rng.random()
-        return self.xm / u ** (1.0 / self.alpha)
+__all__ = ["LogNormalSessions"]
 
 
 class LogNormalSessions:

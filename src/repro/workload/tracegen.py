@@ -6,11 +6,10 @@ same record streams the paper captured.  The model is event-driven over a
 continuous simulated timeline:
 
 * The monitor maintains a roughly constant set of ``n_neighbors``
-  connections.  Each neighbor has a heavy-tailed **session length**
-  (lognormal by default; Pareto available); when it departs, a fresh
-  neighbor takes its slot.  Neighbor ids are never reused.  A further
-  ``ephemeral_rate`` fraction of query volume comes from one-shot sources
-  that appear once and vanish.
+  connections.  Each neighbor has a heavy-tailed, lognormal **session
+  length**; when it departs, a fresh neighbor takes its slot.  Neighbor
+  ids are never reused.  A further ``ephemeral_rate`` fraction of query
+  volume comes from one-shot sources that appear once and vanish.
 * Each neighbor carries an **activity weight** (lognormal — some neighbors
   forward far more queries than others) and an **interest profile** over a
   few categories (interest-based locality: queries arriving from one
@@ -19,7 +18,7 @@ continuous simulated timeline:
   which replies for that category arrive.  Paths are anchored at
   *long-lived* neighbors (selection probability ∝ session age — realistic,
   since stable high-capacity peers serve most content, and emergent from
-  the Pareto inspection property that old sessions last longest).  A path
+  the heavy-tail inspection property that old sessions last longest).  A path
   is reassigned when its anchor departs or when its own lifetime — drawn
   from a narrow lognormal around ``path_lifetime_blocks`` — expires.
 
@@ -40,7 +39,7 @@ reads directly against the figures):
   lag ~16 (Static).
 
 Two output paths are provided.  Both consume the same two random streams
-in the same order — ``self._rng`` for rare events (churn, drift, path
+in the same order — ``self._rng`` for rare events (churn, path
 assignment), a :class:`~repro.utils.rng.UniformBuffer` for the per-pair
 draws — and both apply every state-changing event through the same scalar
 helpers:
@@ -49,10 +48,10 @@ helpers:
   columnar numpy arrays of (time, source, replier, category, host), no
   strings or GUIDs, streamed straight into :class:`repro.trace.PairBlock`
   partitioning.  This is what the experiments use.  It has no per-pair
-  Python loop: between two state-changing events — a neighbor departure,
-  a lazy reply-path reassignment, an interest drift — the neighbor set,
-  the cumulative activity weights, the profiles and the category ->
-  anchor table are constants, so a whole segment of pairs is a dozen
+  Python loop: between two state-changing events — a neighbor departure
+  or a lazy reply-path reassignment — the neighbor set, the cumulative
+  activity weights, the profiles and the category -> anchor table are
+  constants, so a whole segment of pairs is a dozen
   array operations, and only the events themselves (a few dozen per
   10,000 pairs) run the scalar helpers.  The per-pair loop it replaced
   lives on in ``tests/workload/reference_tracegen.py`` as the oracle the
@@ -82,7 +81,7 @@ from repro.utils.validation import (
     check_positive,
     check_probability,
 )
-from repro.workload.churn import LogNormalSessions, ParetoSessions
+from repro.workload.churn import LogNormalSessions
 from repro.workload.interests import InterestModel
 from repro.workload.querygen import QueryTextModel
 
@@ -103,10 +102,8 @@ class MonitorTraceConfig:
     block_size: int = 10_000
     #: target number of concurrent monitor-node neighbors.
     n_neighbors: int = 120
-    #: session-length model: "lognormal" (bulk of sessions long, heavy
-    #: upper tail — the calibrated default) or "pareto" (extreme tail).
-    session_model: str = "lognormal"
-    #: median neighbor session length in blocks (lognormal model).
+    #: median neighbor session length in blocks (lognormal sessions:
+    #: bulk of sessions long, heavy upper tail).
     median_session_blocks: float = 10.0
     #: lognormal sigma of session lengths: larger -> more very short and
     #: very long sessions.  The upper tail is what keeps Static Ruleset's
@@ -120,10 +117,6 @@ class MonitorTraceConfig:
     #: entirely within ~100 blocks.  Replacement neighbors are never
     #: permanent.
     permanent_fraction: float = 0.15
-    #: Pareto shape of neighbor session lengths (pareto model; must be > 1).
-    session_alpha: float = 1.35
-    #: mean neighbor session length in blocks (pareto model).
-    mean_session_blocks: float = 6.0
     #: median planned lifetime of a category's reply path, in blocks.
     path_lifetime_blocks: float = 13.5
     #: lognormal sigma of the path lifetime (small => knee-shaped decay).
@@ -141,12 +134,6 @@ class MonitorTraceConfig:
     path_noise: float = 0.10
     #: lognormal sigma of per-neighbor activity weights.
     activity_sigma: float = 1.1
-    #: expected interest-profile lifetime in blocks (0 disables drift).
-    #: §III-B.3 names *both* staleness sources: "If the types of content
-    #: queried for or the neighbors issuing the queries change over time"
-    #: — this knob is the first one: a persistent neighbor's subtree
-    #: occasionally shifts to new interests without reconnecting.
-    interest_drift_blocks: float = 0.0
     #: fraction of query volume arriving from *ephemeral* sources — hosts
     #: that forward one or a few queries and vanish (ubiquitous in real
     #: Gnutella traces).  Ephemeral sources never accumulate the support a
@@ -174,20 +161,14 @@ class MonitorTraceConfig:
             raise ValueError("block_size must be >= 1")
         if self.n_neighbors < 2:
             raise ValueError("n_neighbors must be >= 2")
-        if self.session_model not in ("lognormal", "pareto"):
-            raise ValueError(f"unknown session_model {self.session_model!r}")
-        if self.session_alpha <= 1.0:
-            raise ValueError("session_alpha must exceed 1")
         check_positive("median_session_blocks", self.median_session_blocks)
         check_positive("session_sigma", self.session_sigma)
         check_probability("permanent_fraction", self.permanent_fraction)
-        check_positive("mean_session_blocks", self.mean_session_blocks)
         check_positive("path_lifetime_blocks", self.path_lifetime_blocks)
         check_positive("path_lifetime_sigma", self.path_lifetime_sigma)
         check_positive("anchor_age_cap_blocks", self.anchor_age_cap_blocks)
         check_probability("path_noise", self.path_noise)
         check_positive("activity_sigma", self.activity_sigma)
-        check_non_negative("interest_drift_blocks", self.interest_drift_blocks)
         if self.n_categories < 1:
             raise ValueError("n_categories must be >= 1")
         check_non_negative(
@@ -236,15 +217,14 @@ _HOST_SPACE = 1 << 20
 
 
 class _Neighbor:
-    __slots__ = ("node_id", "joined_at", "leaves_at", "weight", "profile", "drift_at")
+    __slots__ = ("node_id", "joined_at", "leaves_at", "weight", "profile")
 
-    def __init__(self, node_id, joined_at, leaves_at, weight, profile, drift_at=float("inf")):
+    def __init__(self, node_id, joined_at, leaves_at, weight, profile):
         self.node_id = node_id
         self.joined_at = joined_at
         self.leaves_at = leaves_at
         self.weight = weight
         self.profile = profile
-        self.drift_at = drift_at
 
 
 class _Path:
@@ -262,16 +242,10 @@ class MonitorTraceGenerator:
         self.config = config or MonitorTraceConfig()
         self._rng = as_generator(seed)
         cfg = self.config
-        if cfg.session_model == "pareto":
-            self._sessions = ParetoSessions(
-                alpha=cfg.session_alpha,
-                mean=cfg.mean_session_blocks * cfg.seconds_per_block,
-            )
-        else:
-            self._sessions = LogNormalSessions(
-                median=cfg.median_session_blocks * cfg.seconds_per_block,
-                sigma=cfg.session_sigma,
-            )
+        self._sessions = LogNormalSessions(
+            median=cfg.median_session_blocks * cfg.seconds_per_block,
+            sigma=cfg.session_sigma,
+        )
         self._interests = InterestModel(
             cfg.n_categories,
             popularity_exponent=cfg.category_popularity_exponent,
@@ -346,9 +320,7 @@ class MonitorTraceGenerator:
         profile = self._interests.sample_profile(
             self._rng, width=cfg.interests_per_neighbor
         )
-        neighbor = _Neighbor(
-            node_id, joined_at, leaves_at, weight, profile, self._next_drift_time()
-        )
+        neighbor = _Neighbor(node_id, joined_at, leaves_at, weight, profile)
         self._neighbors.append(neighbor)
         self._by_id[node_id] = neighbor
         heapq.heappush(self._departures, (leaves_at, node_id))
@@ -367,21 +339,6 @@ class MonitorTraceGenerator:
             # departed connection with a fresh neighbor.
             duration = self._sessions.sample(self._rng)
             self._add_neighbor(joined_at=self._now, leaves_at=self._now + duration)
-
-    def _next_drift_time(self) -> float:
-        cfg = self.config
-        if cfg.interest_drift_blocks <= 0.0:
-            return float("inf")
-        mean = cfg.interest_drift_blocks * cfg.seconds_per_block
-        return self._now + float(self._rng.exponential(mean))
-
-    def _maybe_drift(self, neighbor: _Neighbor) -> None:
-        """Lazily resample a neighbor's interests when its drift timer fires."""
-        if self._now >= neighbor.drift_at:
-            neighbor.profile = self._interests.sample_profile(
-                self._rng, width=self.config.interests_per_neighbor
-            )
-            neighbor.drift_at = self._next_drift_time()
 
     def _rebuild_tables(self) -> None:
         acc = 0.0
@@ -587,26 +544,21 @@ class MonitorTraceGenerator:
     def _settle_segment(self, t, rows, u_category, anchored, category, replier) -> None:
         """Categories and anchored repliers of one departure-free segment.
 
-        Profiles and the category -> anchor table only change at an
-        interest drift or a lazy reply-path reassignment.  Find the
-        earliest pair at which one is due, settle the pairs before it,
-        apply that one event through the scalar helpers (so ``self._rng``
-        is drawn from exactly as a per-pair loop would), and go on from
-        the same pair.
+        Within the segment profiles are constant and the category ->
+        anchor table only changes at a lazy reply-path reassignment.  Find
+        the earliest pair at which one is due, settle the pairs before
+        it, apply that one reassignment through :meth:`_assign_path` (so
+        ``self._rng`` is drawn from exactly as a per-pair loop would), and
+        go on from the pair after it.
         """
         cfg = self.config
         profiles = [nb.profile for nb in self._neighbors] + self._ephemeral_profiles
         prof_cats = np.array([p.categories for p in profiles])
         prof_cum = np.array([p.weights for p in profiles]).cumsum(axis=1)
-        last_slot = prof_cats.shape[1] - 1
-
-        def categories_of(rows, u):
-            # InterestProfile.category_for_uniform, row-wise
-            slot = (u[:, None] >= prof_cum[rows]).sum(axis=1)
-            np.minimum(slot, last_slot, out=slot)
-            return prof_cats[rows, slot]
-
-        category[:] = categories_of(rows, u_category)
+        # InterestProfile.category_for_uniform, row-wise
+        slot = (u_category[:, None] >= prof_cum[rows]).sum(axis=1)
+        np.minimum(slot, prof_cats.shape[1] - 1, out=slot)
+        category[:] = prof_cats[rows, slot]
         # A category without a live path is due from the start.
         expires = np.full(cfg.n_categories, -np.inf)
         anchor_of = np.full(cfg.n_categories, -1, dtype=np.int64)
@@ -614,51 +566,24 @@ class MonitorTraceGenerator:
             if path.anchor.node_id in self._by_id:
                 expires[cat] = path.expires_at
                 anchor_of[cat] = path.anchor.node_id
-        drifting = cfg.interest_drift_blocks > 0.0
-        if drifting:
-            drift_at = np.full(len(profiles), np.inf)
-            drift_at[: len(self._neighbors)] = [nb.drift_at for nb in self._neighbors]
         n = len(t)
-        settled = drift_from = path_from = 0
+        settled = 0
         while True:
-            # Within one pair a drift comes before the path lookup, so a
-            # path is due first only strictly before the next drift.
-            event = n
-            is_drift = False
-            if drifting:
-                due = np.flatnonzero(t[drift_from:] >= drift_at[rows[drift_from:]])
-                if len(due):
-                    event = drift_from + int(due[0])
-                    is_drift = True
-            due = t[path_from:event] >= expires[category[path_from:event]]
+            due = t[settled:] >= expires[category[settled:]]
             if anchored is not None:
-                due &= anchored[path_from:event]
+                due &= anchored[settled:]
             due = np.flatnonzero(due)
-            if len(due):
-                event = path_from + int(due[0])
-                is_drift = False
+            event = settled + int(due[0]) if len(due) else n
             np.take(anchor_of, category[settled:event], out=replier[settled:event])
             if event == n:
                 return
             self._now = t[event]
-            if is_drift:
-                row = rows[event]
-                neighbor = self._neighbors[row]
-                self._maybe_drift(neighbor)
-                prof_cats[row] = neighbor.profile.categories
-                prof_cum[row] = np.cumsum(neighbor.profile.weights)
-                drift_at[row] = neighbor.drift_at
-                same = event + np.flatnonzero(rows[event:] == row)
-                category[same] = categories_of(rows[same], u_category[same])
-                drift_from = event + 1
-                path_from = event  # this pair's path lookup is still to come
-            else:
-                cat = int(category[event])
-                path = self._assign_path(cat)
-                expires[cat] = path.expires_at
-                anchor_of[cat] = path.anchor.node_id
-                path_from = drift_from = event + 1
-            settled = event
+            cat = int(category[event])
+            path = self._assign_path(cat)
+            expires[cat] = path.expires_at
+            anchor_of[cat] = path.anchor.node_id
+            replier[event] = anchor_of[cat]
+            settled = event + 1
 
     def _reply_neighbor(self, category: int) -> _Neighbor:
         """The neighbor a reply for ``category`` arrives through.
@@ -699,7 +624,6 @@ class MonitorTraceGenerator:
             self._now += float(self._rng.exponential(mean_gap))
             self._process_departures()
             source = self._pick_source()
-            self._maybe_drift(source)
             category = source.profile.category_for_uniform(self._uniforms.next())
             file_rank = self._uniforms.next_index(100_000)
             query = QueryRecord(

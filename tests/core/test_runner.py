@@ -46,8 +46,8 @@ class TestStrategyRun:
 
     def test_summaries(self):
         run = StrategyRun("t", (make_trial(1), make_trial(2)), 1)
-        assert run.coverage_summary().count == 2
-        assert run.success_summary().count == 2
+        assert len(run.coverage_series) == len(run.success_series) == 2
+        assert run.average_coverage == pytest.approx(0.8)
 
     def test_trial_properties(self):
         trial = make_trial(3)

@@ -202,14 +202,14 @@ class TestGeneratorInput:
     def test_run_off_trace_store_matches_in_memory(self, tmp_path):
         import numpy as np
 
-        from repro.trace.store import write_trace_store
+        from repro.trace.store import TraceStoreReader, TraceStoreWriter
 
         blocks = self.realistic_blocks()
         sources = np.concatenate([b.sources for b in blocks])
         repliers = np.concatenate([b.repliers for b in blocks])
-        reader = write_trace_store(
-            tmp_path / "t.rptrace", sources, repliers, block_size=60
-        )
+        with TraceStoreWriter(tmp_path / "t.rptrace", block_size=60) as writer:
+            writer.append(sources, repliers)
+        reader = TraceStoreReader(tmp_path / "t.rptrace")
         in_memory = SlidingWindow(min_support_count=2).run(blocks)
         from_store = SlidingWindow(min_support_count=2).run(reader.iter_blocks())
         assert from_store == in_memory

@@ -1,4 +1,4 @@
-"""FaultPlan semantics: validation, ordering, determinism, round-trips."""
+"""FaultPlan semantics: validation, ordering, determinism."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.faults.plan import (
     LATENCY,
     PARTITION,
     RESTART,
-    STALL,
     FaultEvent,
     FaultPlan,
     chaos_plan,
@@ -36,10 +35,6 @@ class TestFaultEvent:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             FaultEvent(time=0.0, kind="meteor", node=1)
-
-    def test_dict_roundtrip(self):
-        event = FaultEvent(time=1.5, kind=STALL, link=(0, 2), seconds=0.25)
-        assert FaultEvent.from_dict(event.as_dict()) == event
 
 
 class TestFaultPlan:
@@ -87,22 +82,16 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan(events=(FaultEvent(time=0.1, kind=HEAL),), duration=1.0)
 
-    def test_json_roundtrip(self):
-        plan = chaos_plan(6, [(0, 1), (1, 2), (2, 3), (4, 5)], seed=3)
-        assert FaultPlan.from_json(plan.to_json()) == plan
-
 
 class TestGenerators:
     def test_same_seed_is_bit_identical(self):
         a = chaos_plan(8, [(0, 1), (2, 3), (4, 5)], seed=11)
         b = chaos_plan(8, [(0, 1), (2, 3), (4, 5)], seed=11)
-        assert a.to_json() == b.to_json()
+        assert a == b
 
     def test_different_seeds_differ(self):
         edges = [(0, 1), (2, 3), (4, 5)]
-        assert chaos_plan(8, edges, seed=1).to_json() != chaos_plan(
-            8, edges, seed=2
-        ).to_json()
+        assert chaos_plan(8, edges, seed=1) != chaos_plan(8, edges, seed=2)
 
     def test_crash_restart_pairs_and_survivor(self):
         plan = crash_restart_plan(4, seed=0, crashes=5)

@@ -1,61 +1,8 @@
 """Tests for repro.metrics.series."""
 
-import numpy as np
 import pytest
 
-from repro.metrics.series import decay_halfway_point, moving_average, sawtooth_depth
-
-
-class TestMovingAverage:
-    def test_window_one_is_identity(self):
-        values = [1.0, 2.0, 3.0]
-        np.testing.assert_allclose(moving_average(values, 1), values)
-
-    def test_trailing_window(self):
-        out = moving_average([1.0, 2.0, 3.0, 4.0], 2)
-        np.testing.assert_allclose(out, [1.0, 1.5, 2.5, 3.5])
-
-    def test_prefix_shorter_window(self):
-        out = moving_average([2.0, 4.0, 6.0], 10)
-        np.testing.assert_allclose(out, [2.0, 3.0, 4.0])
-
-    def test_empty(self):
-        assert moving_average([], 3).size == 0
-
-    def test_window_larger_than_series(self):
-        # Every output averages the whole available prefix.
-        out = moving_average([4.0, 8.0], 100)
-        np.testing.assert_allclose(out, [4.0, 6.0])
-
-    def test_constant_series_is_fixed_point(self):
-        np.testing.assert_allclose(
-            moving_average([0.7] * 5, 3), [0.7] * 5
-        )
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            moving_average([1.0], 0)
-
-
-class TestDecayHalfwayPoint:
-    def test_finds_first_half_crossing(self):
-        series = [0.8, 0.7, 0.5, 0.4, 0.3]
-        assert decay_halfway_point(series) == 3  # first value <= 0.8/2
-
-    def test_none_when_never_halves(self):
-        assert decay_halfway_point([0.8, 0.7, 0.6]) is None
-
-    def test_none_for_zero_start(self):
-        assert decay_halfway_point([0.0, 0.0]) is None
-
-    def test_none_for_empty(self):
-        assert decay_halfway_point([]) is None
-
-    def test_none_for_constant_series(self):
-        assert decay_halfway_point([0.6] * 10) is None
-
-    def test_single_element_never_halves(self):
-        assert decay_halfway_point([1.0]) is None
+from repro.metrics.series import sawtooth_depth
 
 
 class TestSawtoothDepth:

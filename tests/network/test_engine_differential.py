@@ -253,12 +253,11 @@ def learned_state(overlay):
 
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("churn_rate", [0.0, 0.002, 0.05])
-@pytest.mark.parametrize("topology", ["random_regular", "erdos_renyi", "barabasi_albert"])
+@pytest.mark.parametrize("topology", ["random_regular"])  # the overlay's one topology
 def test_workloads_match_on_twin_overlays(topology, churn_rate, policy):
     factory, dynamic = POLICIES[policy]
     config = OverlayConfig(
         n_nodes=70,
-        topology=topology,
         degree=4,
         n_categories=8,
         files_per_category=40,

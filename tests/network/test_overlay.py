@@ -14,7 +14,7 @@ class TestOverlayConfig:
         "kwargs",
         [
             {"n_nodes": 2},
-            {"topology": "hypercube"},
+            {"churn_rate": -0.1},
             {"degree": 1},
             {"ttl": 0},
             {"library_size": -1},
@@ -46,15 +46,6 @@ class TestOverlayBuild:
         b = Overlay(SMALL, seed=3)
         assert a.node(5).library == b.node(5).library
         assert a.topology.edges() == b.topology.edges()
-
-    @pytest.mark.parametrize("topology", ["random_regular", "erdos_renyi", "barabasi_albert"])
-    def test_topology_kinds(self, topology):
-        cfg = OverlayConfig(
-            n_nodes=60, degree=4, topology=topology,
-            n_categories=6, files_per_category=30, library_size=10,
-        )
-        overlay = Overlay(cfg, seed=4)
-        assert overlay.topology.is_connected()
 
     def test_odd_regular_rejected(self):
         cfg = OverlayConfig(n_nodes=61, degree=3)

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.network.topology import (
-    Topology,
-    barabasi_albert,
-    erdos_renyi,
-    random_regular,
-)
+from repro.network.topology import Topology, random_regular
 
 
 class TestTopology:
@@ -81,37 +76,3 @@ class TestRandomRegular:
         with pytest.raises(ValueError):
             random_regular(5, 5, rng=rng)
 
-
-class TestErdosRenyi:
-    def test_always_connected(self, rng):
-        topo = erdos_renyi(200, 4.0, rng=rng)
-        assert topo.is_connected()
-
-    def test_average_degree_close(self, rng):
-        topo = erdos_renyi(400, 6.0, rng=rng)
-        avg = 2 * topo.n_edges / topo.n_nodes
-        assert 5.0 < avg < 7.5  # repair adds a few edges
-
-    def test_rejects_bad_degree(self, rng):
-        with pytest.raises(ValueError):
-            erdos_renyi(10, 0.0, rng=rng)
-
-
-class TestBarabasiAlbert:
-    def test_connected(self, rng):
-        assert barabasi_albert(150, 3, rng=rng).is_connected()
-
-    def test_power_law_ish_hub_exists(self, rng):
-        topo = barabasi_albert(300, 2, rng=rng)
-        degrees = topo.degrees()
-        assert max(degrees) > 4 * (2 * topo.n_edges / topo.n_nodes)
-
-    def test_min_degree_at_least_m(self, rng):
-        topo = barabasi_albert(100, 3, rng=rng)
-        assert min(topo.degrees()) >= 3
-
-    def test_rejects_bad_m(self, rng):
-        with pytest.raises(ValueError):
-            barabasi_albert(10, 0, rng=rng)
-        with pytest.raises(ValueError):
-            barabasi_albert(10, 10, rng=rng)

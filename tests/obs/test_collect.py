@@ -179,6 +179,24 @@ class TestCollector:
         assert collector.errors == 2  # /trace and /metrics both failed
         assert 0 in collector.per_node and 1 not in collector.per_node
 
+    def test_malformed_metrics_body_costs_only_that_node(self):
+        good = _metrics(1, 1, 2, 1, 8)
+        truncated = good[: good.index('"flood"')]  # cut inside a label block
+
+        def fetch(url):
+            if url.endswith("/trace"):
+                return ""
+            return good if "9000" in url else truncated
+
+        collector = ClusterTraceCollector(self.ENDPOINTS, fetch=fetch)
+        summary = collector.poll()
+        assert summary["nodes"] == 1
+        assert collector.errors == 1
+        assert collector.per_node == {
+            0: {"rule": 1.0, "flood": 1.0, "issued": 2.0, "hits": 1.0,
+                "frames_out": 8.0}
+        }
+
     def test_bad_max_windows_rejected(self):
         with pytest.raises(ValueError):
             ClusterTraceCollector([], max_windows=0)

@@ -19,15 +19,15 @@ from repro.parallel.partition import (
     plan_shards,
     run_shard,
 )
-from repro.trace.store import TraceStoreReader, write_trace_store
+from repro.trace.store import TraceStoreReader, TraceStoreWriter
 
 
 def make_store(path, n_pairs=6000, block_size=500, seed=0):
     rng = np.random.default_rng(seed)
     sources = rng.integers(0, 40, size=n_pairs).astype(np.int64)
     repliers = rng.integers(100, 130, size=n_pairs).astype(np.int64)
-    reader = write_trace_store(path, sources, repliers, block_size=block_size)
-    reader.close()
+    with TraceStoreWriter(path, block_size=block_size) as writer:
+        writer.append(sources, repliers)
     return str(path)
 
 

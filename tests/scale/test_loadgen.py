@@ -12,6 +12,7 @@ from repro.scale.loadgen import (
     TASK_QUERY,
     LoadConfig,
     LoadGenerator,
+    LoadResult,
     build_schedule,
 )
 
@@ -87,6 +88,27 @@ class TestSchedule:
             LoadConfig(rps=1.0, duration=1.0, mix=(("warble", 1.0),))
         with pytest.raises(ValueError):
             build_schedule(LoadConfig(rps=1.0, duration=1.0), [], 1)
+
+
+class TestLatencySummary:
+    def test_percentiles_are_nearest_rank_samples(self):
+        result = LoadResult(offered_rps=1.0, duration=1.0, scheduled=200)
+        # 1..200 ms, recorded out of order
+        result.latencies = [i / 1000 for i in range(200, 0, -1)]
+        latency = result.to_dict()["latency"]
+        assert latency["count"] == 200
+        assert latency["min_seconds"] == 0.001
+        assert latency["max_seconds"] == 0.2
+        assert latency["mean_seconds"] == pytest.approx(0.1005)
+        # rank ceil(200 * p / 100): the 100th, 190th and 198th smallest
+        assert latency["p50_seconds"] == 0.1
+        assert latency["p95_seconds"] == 0.19
+        assert latency["p99_seconds"] == 0.198
+
+    def test_a_step_with_no_answers_reads_zero(self):
+        latency = LoadResult(1.0, 1.0, 0).to_dict()["latency"]
+        assert latency["count"] == 0
+        assert latency["p99_seconds"] == latency["mean_seconds"] == 0.0
 
 
 async def stalled_servent(node_id: int = 999):

@@ -201,6 +201,20 @@ class TestPersistInspect:
         assert report["wal_segments"][0]["records"] == 1
         assert report["wal_segments"][0]["clean"] is True
 
+    def test_inspect_reports_an_unreadable_wal_segment(self, tmp_path, capsys):
+        import json
+        import os
+
+        state_dir = self._state_dir(tmp_path)
+        bogus = os.path.join(state_dir, "wal-99999999.wal")
+        with open(bogus, "wb") as fh:
+            fh.write(b"not a WAL at all")
+        assert main(["persist", "inspect", state_dir]) == 0
+        segments = json.loads(capsys.readouterr().out)["wal_segments"]
+        assert segments[0]["records"] == 1  # the good segment still reads
+        assert segments[-1]["path"] == bogus
+        assert "bad magic" in segments[-1]["error"]
+
     def test_inspect_missing_dir_is_an_error(self, tmp_path, capsys):
         assert main(["persist", "inspect", str(tmp_path / "nope")]) == 2
 

@@ -1,19 +1,22 @@
 """Hostile bytes into the decoders behind a store of record.
 
 One seeded, structure-aware sweep per format — trace store v1 and v2,
-pair WAL, snapshot (exact and lossy) and the RDG1 rule digest.  Every
-4- and 8-byte field of the file header, the first block (or record)
-header and the trailer is overwritten with each boundary value; then a
-fixed number of seeded single-bit flips and truncations follow.  Each
-outcome must be a valid decode or that format's typed error — never a
-``MemoryError``, ``OverflowError``, ``struct.error``, ``KeyError`` or
-any other exception escaping the decoder.
+pair WAL, snapshot (exact and lossy), the RDG1 rule digest and the
+Prometheus text a cluster collector scrapes.  Every 4- and 8-byte field
+of the file header, the first block (or record) header and the trailer
+is overwritten with each boundary value; then a fixed number of seeded
+single-bit flips and truncations follow, and for the text format seeded
+edits of single lines.  Each outcome must be a valid decode or that
+format's typed error — never a ``MemoryError``, ``OverflowError``,
+``struct.error``, ``KeyError``, ``IndexError`` or any other exception
+escaping the decoder.
 """
 
 from __future__ import annotations
 
 import random
 import struct
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -26,6 +29,8 @@ from repro.network.hier.digest import (
     RuleDigest,
     decode_digest,
 )
+from repro.obs.registry import MetricsRegistry
+from repro.obs.scrape import parse_histograms, parse_samples
 from repro.persist.snapshot import (
     SnapshotError,
     load_snapshot,
@@ -33,12 +38,13 @@ from repro.persist.snapshot import (
     write_snapshot,
 )
 from repro.persist.wal import WalError, WalWriter, read_wal, wal_header
-from repro.trace.store import TraceStoreError, TraceStoreReader, write_trace_store
+from repro.trace.store import TraceStoreError, TraceStoreReader, TraceStoreWriter
 
 #: overwrite values; a 4-byte field takes each masked to 32 bits.
 VALUES = (0, 1, 2**32 - 1, 2**63 - 1, 2**64 - 1)
 N_FLIPS = 128
 N_TRUNCATIONS = 32
+N_LINE_EDITS = 256
 SEED = 2006
 
 
@@ -47,6 +53,7 @@ class Format(NamedTuple):
     fields: Callable  # bytes -> [(offset, width)]
     decode: Callable  # path -> None; reads everything the format serves
     error: type
+    edits: Callable = lambda data: ()  # bytes -> [(label, mutated bytes)]
 
 
 # -- trace store -----------------------------------------------------------
@@ -56,9 +63,8 @@ def _build_trace(codec):
         sources = rng.integers(0, 50, size=300).astype(np.int64)
         repliers = rng.integers(100, 150, size=300).astype(np.int64)
         path = tmp_path / "valid.rptrace"
-        write_trace_store(
-            path, sources, repliers, block_size=100, codec=codec
-        ).close()
+        with TraceStoreWriter(path, block_size=100, codec=codec) as writer:
+            writer.append(sources, repliers)
         return path.read_bytes()
 
     return build
@@ -170,6 +176,51 @@ def _decode_digest(path):
     decode_digest(path.read_bytes())
 
 
+# -- Prometheus text exposition ----------------------------------------------
+def _build_exposition(_tmp_path):
+    registry = MetricsRegistry()
+    frames = registry.counter("repro_frames_total", "frames", ("node", "direction"))
+    frames.labels("0", "in").inc(10)
+    frames.labels("0", "out").inc(5)
+    events = registry.counter("repro_peer_events_total", "events", ("peer",))
+    events.labels('a"b\\c\nd').inc()  # every escape the format has
+    decode = registry.histogram("repro_decode_seconds", "decode", ("node",))
+    decode.labels("0").observe(0.5)
+    return registry.render().encode("utf-8")
+
+
+#: bytes the exposition grammar gives a meaning to.
+_SYNTAX = b'{}=",\\ #\n'
+
+
+def _line_edits(data):
+    """Seeded edits of one line each: a byte dropped, doubled or replaced
+    by a syntax byte, or the line cut short."""
+    lines = data.split(b"\n")
+    rng = random.Random(SEED)
+    for _ in range(N_LINE_EDITS):
+        k = rng.randrange(len(lines))
+        line = lines[k]
+        at = rng.randrange(len(line) + 1)
+        kind = rng.choice(("drop", "double", "replace", "cut"))
+        if kind == "drop":
+            line = line[:at] + line[at + 1 :]
+        elif kind == "double":
+            line = line[:at] + line[at : at + 1] * 2 + line[at + 1 :]
+        elif kind == "replace":
+            line = line[:at] + bytes([rng.choice(_SYNTAX)]) + line[at + 1 :]
+        else:
+            line = line[:at]
+        mutated = b"\n".join([*lines[:k], line, *lines[k + 1 :]])
+        yield f"line {k}: {kind} at {at}", mutated
+
+
+def _decode_exposition(path):
+    text = path.read_bytes().decode("utf-8")
+    parse_samples(text)
+    parse_histograms(text)
+
+
 FORMATS = {
     "trace-v1": Format(_build_trace(None), _trace_fields(0), _decode_trace, TraceStoreError),
     "trace-v2": Format(_build_trace("zlib"), _trace_fields(3), _decode_trace, TraceStoreError),
@@ -181,6 +232,9 @@ FORMATS = {
         _build_snapshot("lossy"), _snapshot_fields, _decode_snapshot, SnapshotError
     ),
     "digest": Format(_build_digest, _digest_fields, _decode_digest, DigestError),
+    "scrape": Format(
+        _build_exposition, lambda data: [], _decode_exposition, ValueError, _line_edits
+    ),
 }
 
 
@@ -209,7 +263,7 @@ def test_every_mutation_decodes_or_raises_the_typed_error(tmp_path, name):
     data = fmt.build(tmp_path)
     fmt.decode(_write(tmp_path, data))  # the unmutated file is valid
     escapes = []
-    for label, mutated in mutations(data, fmt.fields(data)):
+    for label, mutated in chain(mutations(data, fmt.fields(data)), fmt.edits(data)):
         path = _write(tmp_path, mutated)
         try:
             fmt.decode(path)

@@ -5,13 +5,12 @@ import struct
 import numpy as np
 import pytest
 
-from repro.trace.blocks import PairBlock, blocks_from_arrays, blocks_from_store
+from repro.trace.blocks import PairBlock, blocks_from_arrays
 from repro.trace.store import (
     TraceStoreCorruption,
     TraceStoreError,
     TraceStoreReader,
     TraceStoreWriter,
-    write_trace_store,
 )
 
 
@@ -23,9 +22,17 @@ def columns(n=100, seed=0):
     )
 
 
+def write_store(path, sources, repliers, *, drop_partial=True, **kwargs):
+    """Write the columns as one store and open it for reading."""
+    with TraceStoreWriter(path, **kwargs) as writer:
+        writer.append(sources, repliers)
+        writer.close(drop_partial=drop_partial)
+    return TraceStoreReader(path)
+
+
 def make_store(path, n=250, block_size=100, seed=0, **kwargs):
     sources, repliers = columns(n, seed)
-    reader = write_trace_store(path, sources, repliers, block_size=block_size, **kwargs)
+    reader = write_store(path, sources, repliers, block_size=block_size, **kwargs)
     return reader, sources, repliers
 
 
@@ -85,23 +92,15 @@ class TestRoundTrip:
             w.append(sources[10:], repliers[10:])  # still usable
 
     def test_without_packed_segment(self, tmp_path):
-        reader, sources, _ = make_store(
-            tmp_path / "t.rptrace", n=200, block_size=100, include_packed=False
-        )
-        assert not reader.has_packed
-        block = reader.block(0)
-        expected = blocks_from_arrays(sources[:100], reader.block(0).repliers, block_size=100)
-        np.testing.assert_array_equal(
-            block.packed_keys(), expected[0].packed_keys()
-        )
-
-    def test_iter_store_blocks_and_blocks_from_store(self, tmp_path):
+        """Every store carries packed keys; a header without the flag
+        is not one this reader can serve."""
         path = tmp_path / "t.rptrace"
-        make_store(path, n=200, block_size=100)
-        assert sum(len(b) for b in blocks_from_store(path)) == 200
-        reader = TraceStoreReader(path)
-        assert [b.index for b in blocks_from_store(reader)] == [0, 1]
-        assert [b.index for b in blocks_from_store(path)] == [0, 1]
+        make_store(path, n=200, block_size=100)[0].close()
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 12, 0)  # header flags
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceStoreError, match="packed"):
+            TraceStoreReader(path)
 
 
 class TestPreseededMemoization:
@@ -272,10 +271,10 @@ class TestCompression:
         n = 2000
         sources = np.repeat(np.arange(4, dtype=np.int64), n // 4)
         repliers = np.full(n, 7, dtype=np.int64)
-        write_trace_store(
+        write_store(
             tmp_path / "raw.rptrace", sources, repliers, block_size=500
         ).close()
-        write_trace_store(
+        write_store(
             tmp_path / "z.rptrace", sources, repliers, block_size=500, codec="zlib"
         ).close()
         raw_bytes = (tmp_path / "raw.rptrace").stat().st_size
@@ -288,7 +287,7 @@ class TestCompression:
         rng = np.random.default_rng(5)
         sources = rng.integers(0, 2**31 - 1, size=300).astype(np.int64)
         repliers = rng.integers(0, 2**31 - 1, size=300).astype(np.int64)
-        reader = write_trace_store(
+        reader = write_store(
             tmp_path / "z.rptrace", sources, repliers, block_size=100, codec="zlib"
         )
         for i in range(reader.n_blocks):
@@ -300,7 +299,7 @@ class TestCompression:
         # codec=None must keep writing version-1 files (old readers and
         # fingerprint-based tooling rely on the stable layout).
         _, sources, repliers = make_store(tmp_path / "a.rptrace", n=200, seed=3)
-        write_trace_store(tmp_path / "b.rptrace", sources, repliers, block_size=100).close()
+        write_store(tmp_path / "b.rptrace", sources, repliers, block_size=100).close()
         assert (tmp_path / "a.rptrace").read_bytes() == (tmp_path / "b.rptrace").read_bytes()
 
     def test_unknown_codec_rejected(self, tmp_path):
@@ -414,25 +413,10 @@ class TestReaderLifetime:
         reader.close()
         assert all(m.closed for m in mappings)
 
-    def test_blocks_from_store_path_closes_reader(self, tmp_path):
-        # Streaming by path must not leave an open reader behind once the
-        # generator is exhausted (fd hygiene over long partitioned runs).
-        path = tmp_path / "t.rptrace"
-        make_store(path)[0].close()
-        blocks = list(blocks_from_store(str(path)))
-        assert len(blocks) == 2
-
-    def test_blocks_from_store_reader_ownership_kept(self, tmp_path):
-        path = tmp_path / "t.rptrace"
-        make_store(path)[0].close()
-        with TraceStoreReader(path) as reader:
-            list(blocks_from_store(reader))
-            assert not reader.closed  # caller-owned reader stays open
-
     def test_meta_fingerprint_round_trips(self, tmp_path):
         path = tmp_path / "t.rptrace"
         sources, repliers = columns(100)
-        write_trace_store(
+        write_store(
             path, sources, repliers, block_size=100, meta_fingerprint=0xDEADBEEF
         ).close()
         with TraceStoreReader(path) as reader:
@@ -453,22 +437,15 @@ class TestAllBlocksOneMapping:
             np.testing.assert_array_equal(got.repliers, want.repliers)
             assert got.__dict__["_fingerprint"] == want.fingerprint()
             assert got.__dict__["_ids_validated"]
-            if reader.has_packed:
-                np.testing.assert_array_equal(
-                    got.__dict__["_packed_keys"], want.packed_keys()
-                )
-            else:
-                assert "_packed_keys" not in got.__dict__
+            np.testing.assert_array_equal(
+                got.__dict__["_packed_keys"], want.packed_keys()
+            )
         return held
 
-    @pytest.mark.parametrize("include_packed", [True, False])
-    def test_raw_store_is_served_from_a_single_mapping(self, tmp_path, include_packed):
+    @pytest.mark.parametrize("packed", [True])  # every store carries packed keys
+    def test_raw_store_is_served_from_a_single_mapping(self, tmp_path, packed):
         reader, _, _ = make_store(
-            tmp_path / "t.rptrace",
-            n=1_050,
-            block_size=100,
-            drop_partial=False,
-            include_packed=include_packed,
+            tmp_path / "t.rptrace", n=1_050, block_size=100, drop_partial=False
         )
         held = self.assert_same(reader)
         assert len(held) == 11 and len(held[-1]) == 50
@@ -502,7 +479,7 @@ class TestAllBlocksOneMapping:
         rng = np.random.default_rng(5)
         sources = np.repeat(np.int64(7), 300)  # deflates
         repliers = rng.integers(0, 2**31 - 1, size=300).astype(np.int64)  # does not
-        reader = write_trace_store(
+        reader = write_store(
             tmp_path / "z.rptrace", sources, repliers, block_size=100, codec="zlib"
         )
         held = self.assert_same(reader)
@@ -514,7 +491,7 @@ class TestAllBlocksOneMapping:
 
     def test_empty_and_closed(self, tmp_path):
         empty = np.array([], dtype=np.int64)
-        reader = write_trace_store(tmp_path / "e.rptrace", empty, empty)
+        reader = write_store(tmp_path / "e.rptrace", empty, empty)
         assert reader.blocks() == []
         assert not list(reader._live_maps)  # nothing to map
         reader.close()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.stats import RollingMean, RunningStats, summarize_series
+from repro.utils.stats import RollingMean, RunningStats
 
 floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -51,71 +51,21 @@ class TestRunningStats:
     def test_empty_is_nan(self):
         rs = RunningStats()
         assert math.isnan(rs.mean)
-        assert math.isnan(rs.variance)
         assert math.isnan(rs.minimum)
+        assert math.isnan(rs.maximum)
 
     def test_single_value(self):
         rs = RunningStats()
         rs.push(4.0)
         assert rs.mean == 4.0
-        assert math.isnan(rs.variance)
         assert rs.minimum == rs.maximum == 4.0
 
     @given(st.lists(floats, min_size=2, max_size=100))
     def test_matches_numpy(self, values):
         rs = RunningStats()
-        rs.extend(values)
+        for value in values:
+            rs.push(value)
         assert rs.count == len(values)
         assert rs.mean == pytest.approx(float(np.mean(values)), rel=1e-6, abs=1e-6)
-        assert rs.variance == pytest.approx(
-            float(np.var(values, ddof=1)), rel=1e-5, abs=1e-5
-        )
         assert rs.minimum == min(values)
         assert rs.maximum == max(values)
-
-    @given(
-        st.lists(floats, min_size=1, max_size=40),
-        st.lists(floats, min_size=1, max_size=40),
-    )
-    def test_merge_equals_concatenation(self, left, right):
-        a = RunningStats()
-        a.extend(left)
-        b = RunningStats()
-        b.extend(right)
-        merged = a.merge(b)
-        direct = RunningStats()
-        direct.extend(left + right)
-        assert merged.count == direct.count
-        assert merged.mean == pytest.approx(direct.mean, rel=1e-6, abs=1e-6)
-        assert merged.variance == pytest.approx(direct.variance, rel=1e-4, abs=1e-4)
-
-    def test_merge_with_empty(self):
-        a = RunningStats()
-        a.extend([1.0, 2.0])
-        merged = a.merge(RunningStats())
-        assert merged.count == 2
-        assert merged.mean == pytest.approx(1.5)
-
-    def test_merge_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            RunningStats().merge([1, 2])
-
-
-class TestSummarizeSeries:
-    def test_empty(self):
-        summary = summarize_series([])
-        assert summary.count == 0
-        assert math.isnan(summary.mean)
-
-    def test_single(self):
-        summary = summarize_series([2.0])
-        assert summary.count == 1
-        assert summary.std == 0.0
-        assert summary.median == 2.0
-
-    def test_known_values(self):
-        summary = summarize_series([1.0, 2.0, 3.0, 4.0])
-        assert summary.mean == pytest.approx(2.5)
-        assert summary.minimum == 1.0
-        assert summary.maximum == 4.0
-        assert summary.median == pytest.approx(2.5)

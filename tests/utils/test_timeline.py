@@ -20,11 +20,6 @@ class TestSimClock:
     def test_custom_start(self):
         assert SimClock(5.0).now == 5.0
 
-    def test_advance_to(self):
-        clock = SimClock()
-        clock.advance_to(10.0)
-        assert clock.now == 10.0
-
     def test_advance_by(self):
         clock = SimClock(1.0)
         clock.advance_by(2.5)
@@ -33,13 +28,9 @@ class TestSimClock:
     def test_cannot_rewind(self):
         clock = SimClock(10.0)
         with pytest.raises(ValueError):
-            clock.advance_to(5.0)
+            clock.advance_by(-5.0)
+        assert clock.now == 10.0
 
     def test_cannot_advance_by_negative(self):
         with pytest.raises(ValueError):
             SimClock().advance_by(-1.0)
-
-    def test_advance_to_same_time_is_ok(self):
-        clock = SimClock(4.0)
-        clock.advance_to(4.0)
-        assert clock.now == 4.0

@@ -27,7 +27,6 @@ def reference_generate_pair_arrays(gen: MonitorTraceGenerator, n_pairs: int) -> 
         gen._now += gaps[i]
         gen._process_departures()
         source = gen._pick_source()
-        gen._maybe_drift(source)
         category = source.profile.category_for_uniform(gen._uniforms.next())
         replier = gen._reply_neighbor(category)
         times[i] = gen._now

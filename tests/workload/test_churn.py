@@ -3,35 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workload.churn import LogNormalSessions, ParetoSessions
-
-
-class TestParetoSessions:
-    def test_samples_positive(self, rng):
-        dist = ParetoSessions(alpha=1.5, mean=100.0)
-        assert all(dist.sample(rng) > 0 for _ in range(100))
-
-    def test_samples_at_least_xm(self, rng):
-        dist = ParetoSessions(alpha=2.0, mean=100.0)
-        assert all(dist.sample(rng) >= dist.xm for _ in range(100))
-
-    def test_empirical_mean(self):
-        rng = np.random.default_rng(0)
-        dist = ParetoSessions(alpha=3.0, mean=50.0)  # alpha high => low variance
-        samples = [dist.sample(rng) for _ in range(20_000)]
-        assert np.mean(samples) == pytest.approx(50.0, rel=0.1)
-
-    def test_xm_consistent_with_mean(self):
-        dist = ParetoSessions(alpha=2.0, mean=100.0)
-        assert dist.xm == pytest.approx(50.0)
-
-    def test_rejects_alpha_at_most_one(self):
-        with pytest.raises(ValueError):
-            ParetoSessions(alpha=1.0, mean=10.0)
-
-    def test_rejects_non_positive_mean(self):
-        with pytest.raises(ValueError):
-            ParetoSessions(alpha=2.0, mean=0.0)
+from repro.workload.churn import LogNormalSessions
 
 
 class TestLogNormalSessions:

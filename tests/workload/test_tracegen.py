@@ -20,8 +20,8 @@ class TestConfigValidation:
         [
             {"block_size": 0},
             {"n_neighbors": 1},
-            {"session_model": "weibull"},
-            {"session_alpha": 1.0},
+            {"session_sigma": 0},
+            {"path_lifetime_sigma": 0},
             {"median_session_blocks": 0},
             {"path_lifetime_blocks": -1},
             {"path_noise": 1.5},
@@ -146,60 +146,3 @@ class TestIterEvents:
         for query, _reply in list(gen.iter_events(30)):
             category, _rank = QueryTextModel.parse(query.query_string)
             assert 0 <= category < SMALL.n_categories
-
-
-class TestInterestDrift:
-    def test_drift_changes_profiles(self):
-        cfg = MonitorTraceConfig(
-            block_size=500, n_neighbors=20, n_categories=24,
-            interest_drift_blocks=2.0,
-        )
-        gen = MonitorTraceGenerator(cfg, seed=30)
-        before = {nb: gen._by_id[nb].profile for nb in gen.active_neighbor_ids}
-        gen.generate_pair_arrays(5000)  # 10 blocks >> drift lifetime
-        survivors = [nb for nb in gen.active_neighbor_ids if nb in before]
-        changed = sum(
-            1 for nb in survivors if gen._by_id[nb].profile != before[nb]
-        )
-        assert survivors, "expected some long-lived neighbors"
-        assert changed > 0
-
-    def test_drift_disabled_by_default(self):
-        cfg = MonitorTraceConfig(block_size=500, n_neighbors=20, n_categories=24)
-        gen = MonitorTraceGenerator(cfg, seed=31)
-        before = {nb: gen._by_id[nb].profile for nb in gen.active_neighbor_ids}
-        gen.generate_pair_arrays(3000)
-        survivors = [nb for nb in gen.active_neighbor_ids if nb in before]
-        assert all(gen._by_id[nb].profile == before[nb] for nb in survivors)
-
-    def test_content_drift_alone_degrades_static_success(self):
-        """§III-B.3: 'If the types of content queried for ... change over
-        time, the rules may not accurately match' — even with NO neighbor
-        churn and NO path churn, interest drift ages static rules."""
-        from repro.core.strategies import StaticRuleset
-        from repro.trace.blocks import blocks_from_arrays
-
-        frozen = dict(
-            block_size=1000,
-            n_neighbors=25,
-            n_categories=24,
-            median_session_blocks=1e6,  # no neighbor churn
-            path_lifetime_blocks=1e6,  # no path churn
-            path_noise=0.0,
-            ephemeral_rate=0.0,
-        )
-        def run(drift):
-            cfg = MonitorTraceConfig(interest_drift_blocks=drift, **frozen)
-            gen = MonitorTraceGenerator(cfg, seed=32)
-            arrays = gen.generate_pair_arrays(12_000)
-            blocks = blocks_from_arrays(
-                arrays.source, arrays.replier, block_size=1000
-            )
-            return StaticRuleset(min_support_count=5).run(blocks)
-
-        stable = run(0.0)
-        drifting = run(1.5)
-        # Frozen world: rules never age (residual misses are sub-threshold
-        # minority-interest pairs pruned at generation time).
-        assert stable.average_success > 0.9
-        assert drifting.average_success < stable.average_success - 0.1
