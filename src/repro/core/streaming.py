@@ -20,19 +20,190 @@ covered, and would the rules have pointed at the neighbor that actually
 replied? — and only then folded into the counts.  Per-block coverage and
 success are the prequential tallies, so the strategy plugs into the same
 :class:`~repro.core.runner.StrategyRun` reporting as the batch strategies.
+
+:meth:`StreamingRules.run` scores a whole block at once with array passes
+over its packed keys, giving what the per-event tables would give pair by
+pair (``tests/core/reference_streaming.py`` is that loop, kept as the
+oracle):
+
+* exact — a pair is a rule at stream position ``t`` while its ``floor``-th
+  most recent occurrence before ``t`` is at most ``window_pairs`` back, so
+  each occurrence ``p_j`` opens a rule interval ``[p_j + 1, p_{j-floor+1}
+  + window_pairs]``; a source is covered where one of its pairs' intervals
+  holds ``t``.  Between blocks only each key's last ``floor`` positions
+  inside the window are kept.
+* lossy — counts only rise between two compressions, so the stream is cut
+  at bucket boundaries: inside a segment a pair's count is the sketch's
+  plus its occurrence rank, and a source is covered from the pair after
+  its first key reaches the floor.  Each boundary compresses the sorted
+  ``(keys, counts, deltas)`` arrays as ``SketchCounts`` compresses its rows.
 """
 
 from __future__ import annotations
 
+import math
 from time import perf_counter
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.core.counts import SketchCounts, WindowCounts
 from repro.core.evaluation import RulesetTestResult
 from repro.core.runner import StrategyRun, TrialResult, observe_block_timing
 from repro.trace.blocks import PairBlock
+from repro.utils.validation import check_fraction
 
 __all__ = ["StreamingRules"]
+
+#: the source half of a packed ``(source << 32) | replier`` key; the low
+#: half then holds a position inside a block, so one int64 orders
+#: (source, position).
+_SOURCE = ~np.int64(0xFFFFFFFF)
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _n_covered(source_bits, first, last, keys) -> int:
+    """How many of ``keys`` (the pairs at positions ``0..len - 1``) have a
+    source with an interval ``[first, last]`` holding their position.
+
+    Interval opens and closes are sorted as ``source | position``; below a
+    query, every source before its own has as many closes as opens, so
+    opens minus closes is the number of its own source's intervals open
+    at the query's position.  Only the count is wanted, so the queries
+    are searched in sorted order, which keeps the searches cache-local."""
+    opened = np.sort(source_bits | first)
+    closed = np.sort(source_bits | (last + 1))
+    queries = np.sort((keys & _SOURCE) | np.arange(len(keys)))
+    live = np.searchsorted(opened, queries, "right") - np.searchsorted(
+        closed, queries, "right"
+    )
+    return int(np.count_nonzero(live))
+
+
+class _WindowFold:
+    """Exact counts over the last ``window`` pairs, one block at a time.
+
+    State: each key's last ``floor`` positions inside the window, sorted
+    by (key, position) — older ones can neither make a rule nor end one.
+    """
+
+    def __init__(self, window: int, floor: int) -> None:
+        # any window past 2**62 pairs holds the whole stream; the cap keeps
+        # position arithmetic inside int64
+        self.window, self.floor = min(window, 1 << 62), floor
+        self.keys = self.positions = _EMPTY
+        #: stream position of the block's first pair.
+        self.start = 0
+
+    def __call__(self, block_keys: np.ndarray) -> tuple[int, int, int]:
+        """Fold one block in; ``(covered, successful, n_rules)``."""
+        window, floor = self.window, self.floor
+        start, stop = self.start, self.start + len(block_keys)
+        keys = np.concatenate((self.keys, block_keys))
+        positions = np.concatenate((self.positions, np.arange(start, stop)))
+        order = np.argsort(keys, kind="stable")
+        keys, positions = keys[order], positions[order]
+        m = len(keys)
+        pad = np.full(floor, -1, dtype=np.int64)
+        behind_keys = np.concatenate((pad, keys))
+        behind = np.concatenate((pad, positions))
+        # floor occurrences in [t - window, t - 1]: the floor-th one back
+        # is the same key and at most window back
+        successful = np.count_nonzero(
+            (behind_keys[:m] == keys)
+            & (behind[:m] >= positions - window)
+            & (positions >= start)
+        )
+        # the rule interval each occurrence opens, cut to this block
+        oldest_same = behind_keys[1 : m + 1] == keys
+        oldest = behind[1 : m + 1]
+        first = np.maximum(positions + 1, start)
+        last = np.minimum(oldest + window, stop - 1)
+        opens = oldest_same & (first <= last)
+        covered = _n_covered(
+            keys[opens] & _SOURCE, first[opens] - start, last[opens] - start, block_keys
+        )
+        # carry each key's last `floor` positions still inside the window
+        ahead_keys = np.concatenate((keys, pad))
+        newest = ahead_keys[floor:] != keys
+        cutoff = stop - window
+        n_rules = np.count_nonzero(
+            (ahead_keys[1 : m + 1] != keys) & oldest_same & (oldest >= cutoff)
+        )
+        kept = newest & (positions >= cutoff)
+        self.keys, self.positions = keys[kept], positions[kept]
+        self.start = stop
+        return covered, int(successful), int(n_rules)
+
+
+class _SketchFold:
+    """Lossy counting, one block at a time, cut at bucket boundaries.
+
+    State: the sketch's entries as sorted ``keys`` with aligned ``counts``
+    and ``deltas``, the pairs seen and the current bucket — what
+    ``SketchCounts.state()`` lists.
+    """
+
+    def __init__(self, epsilon: float, floor: int) -> None:
+        self.width = math.ceil(1.0 / epsilon)
+        self.floor = floor
+        self.keys = self.counts = self.deltas = _EMPTY
+        self.n_seen = 0
+        self.bucket = 1
+
+    def __call__(self, block_keys: np.ndarray) -> tuple[int, int, int]:
+        """Fold one block in; ``(covered, successful, n_rules)``."""
+        covered = successful = 0
+        start, n = 0, len(block_keys)
+        while start < n:
+            stop = min(n, start + self.width - self.n_seen % self.width)
+            segment_covered, segment_successful = self._segment(block_keys[start:stop])
+            covered += segment_covered
+            successful += segment_successful
+            self.n_seen += stop - start
+            if self.n_seen % self.width == 0:
+                keep = self.counts + self.deltas > self.bucket
+                self.keys = self.keys[keep]
+                self.counts = self.counts[keep]
+                self.deltas = self.deltas[keep]
+                self.bucket += 1
+            start = stop
+        return covered, successful, int(np.count_nonzero(self.counts >= self.floor))
+
+    def _segment(self, segment: np.ndarray) -> tuple[int, int]:
+        """Score and count pairs no compression separates."""
+        floor, n = self.floor, len(segment)
+        order = np.argsort(segment, kind="stable")
+        keys = segment[order]
+        head = np.empty(n, dtype=bool)
+        head[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        heads = np.flatnonzero(head)
+        group = np.cumsum(head) - 1
+        distinct = keys[heads]
+        at = np.searchsorted(self.keys, distinct)
+        held = np.zeros(len(distinct), dtype=np.int64)
+        found = at < len(self.keys)
+        found[found] = self.keys[at[found]] == distinct[found]
+        held[found] = self.counts[at[found]]
+        # each pair's count when it is tested: the sketch's plus its rank
+        before = held[group] + np.arange(n) - heads[group]
+        successful = int(np.count_nonzero(before >= floor))
+        # a source is covered from the start by a rule the sketch holds,
+        # and from the pair after the one that lifts a key onto the floor
+        reach = before == floor - 1
+        held_rules = self.keys[self.counts >= floor] & _SOURCE
+        source_bits = np.concatenate((held_rules, keys[reach] & _SOURCE))
+        first = np.concatenate((np.zeros(len(held_rules), np.int64), order[reach] + 1))
+        covered = _n_covered(source_bits, first, n - 1, segment)
+        # fold in: held keys add their counts, new keys enter the bucket
+        sizes = np.diff(np.append(heads, n))
+        self.counts[at[found]] += sizes[found]
+        new = ~found
+        self.keys = np.insert(self.keys, at[new], distinct[new])
+        self.counts = np.insert(self.counts, at[new], sizes[new])
+        self.deltas = np.insert(self.deltas, at[new], self.bucket - 1)
+        return covered, successful
 
 
 class StreamingRules:
@@ -49,7 +220,8 @@ class StreamingRules:
     backend:
         ``"exact"`` or ``"lossy"``.
     epsilon:
-        Lossy-counting error bound (lossy backend only).
+        Lossy-counting error bound, a fraction in ``(0, 1)``; used by the
+        lossy backend and checked for both.
     """
 
     name = "streaming"
@@ -71,14 +243,15 @@ class StreamingRules:
         self.min_support_count = int(min_support_count)
         self.window_pairs = int(window_pairs)
         self.backend = backend
-        self.epsilon = float(epsilon)
+        self.epsilon = check_fraction("epsilon", epsilon)
 
     def make_counts(self) -> WindowCounts | SketchCounts:
         """A fresh :mod:`repro.core.counts` table for this configuration.
 
-        It is the strategy's online core without the block-driven
-        evaluation loop; :mod:`repro.live` drives one per servent to
-        adapt routing as live traffic arrives.
+        It is the strategy's online core, one event at a time:
+        :mod:`repro.live` drives one per servent to adapt routing as live
+        traffic arrives.  :meth:`run` folds whole blocks without one and
+        scores every pair as this table would.
         """
         if self.backend == "exact":
             return WindowCounts(self.window_pairs, self.min_support_count)
@@ -130,43 +303,36 @@ class StreamingRules:
         The first block only warms the counts (it is the other strategies'
         training block, so per-trial series stay aligned across
         strategies); every subsequent block yields a
-        :class:`~repro.core.runner.TrialResult`.
+        :class:`~repro.core.runner.TrialResult`.  Blocks are read through
+        :meth:`~repro.trace.blocks.PairBlock.packed_keys`, so an id
+        outside ``[0, 2**31)`` raises ``ValueError`` as it does for the
+        batch strategies.
         """
         it = iter(blocks)
         warmup = next(it, None)
         if warmup is None:
             raise ValueError("streaming needs at least 2 blocks")
-        counts = self.make_counts()
-        for source, replier in zip(
-            warmup.sources.tolist(), warmup.repliers.tolist()
-        ):
-            counts.observe(source, replier)
+        if self.backend == "exact":
+            fold = _WindowFold(self.window_pairs, self.min_support_count)
+        else:
+            fold = _SketchFold(self.epsilon, self.min_support_count)
+        fold(warmup.packed_keys())
         del warmup
         trials = []
         for block in it:
             t0 = perf_counter()
-            n_total = len(block)
-            n_covered = 0
-            n_successful = 0
-            for source, replier in zip(
-                block.sources.tolist(), block.repliers.tolist()
-            ):
-                if counts.covers(source):
-                    n_covered += 1
-                    if counts.matches(source, replier):
-                        n_successful += 1
-                counts.observe(source, replier)
+            n_covered, n_successful, n_rules = fold(block.packed_keys())
             observe_block_timing("test", self.name, perf_counter() - t0)
             trials.append(
                 TrialResult(
                     block_index=block.index,
                     result=RulesetTestResult(
-                        n_total=n_total,
+                        n_total=len(block),
                         n_covered=n_covered,
                         n_successful=n_successful,
                     ),
                     fresh_ruleset=True,  # rules are *always* fresh
-                    ruleset_size=counts.n_rules(),
+                    ruleset_size=n_rules,
                 )
             )
         if not trials:

@@ -23,19 +23,33 @@ Mutants of the loop, and a test here that each one fails (ids of
 * a value joins the rolling history before it is compared with the
   threshold — ``[adaptive3-top1-confidence]``.
 
-``StreamingRules`` has no eager loop in the paper; its oracles are a
-brute-force recount of the last ``window_pairs`` pairs (a ``Counter`` over
-a ``deque``) for the exact backend, and Manku–Motwani's bounds over the
-true whole-stream counts for the lossy one.  Both run over the same traces
-and routes.  Its mutant: a pair folded into the counts before it is scored
-(observe-before-test) fails
-``test_streaming_list_and_generator_equal_the_oracles[drift-exact-w45]``.
+``StreamingRules.run`` is a block fold; its oracle is the per-pair loop it
+replaced (``reference_streaming.py``: ``covers`` / ``matches`` /
+``observe`` on the ``make_counts()`` table), which both backends must
+equal exactly.  Two independent checks sit on top: a brute-force recount
+of the last ``window_pairs`` pairs (a ``Counter`` over a ``deque``) for
+the exact backend, and Manku–Motwani's bounds over the true whole-stream
+counts for the lossy one.  All run over the same traces and routes, and
+a hypothesis sweep covers windows of 1, below a block and above several
+blocks, bucket widths that do not divide the block size, floors 1-4,
+empty blocks mid-trace and list vs generator input.  Mutants of the fold;
+each fails ``test_streaming_fold_equals_the_loop_on_swept_traces`` and the
+``test_streaming_list_and_generator_equal_the_oracles`` case named:
+
+* a pair folded into the counts before it is scored (its rule interval
+  opens on the pair itself) — ``[drift-exact-w7]``;
+* the window one pair too long — ``[drift-exact-w7]``;
+* a bucket compressed before its boundary pair is scored instead of after
+  — ``[drift-lossy]``;
+* a rule interval whose end is exclusive instead of inclusive —
+  ``[drift-exact-w7]``.
 """
 
 from collections import Counter, deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.evaluation import RulesetTestResult
 from repro.core.runner import StrategyRun, TrialResult
@@ -54,6 +68,7 @@ from tests.core.reference_rules import (
     reference_generate_ruleset,
     reference_ruleset_test,
 )
+from tests.core.reference_streaming import reference_streaming_run
 
 
 # -- the paper's eager loops ---------------------------------------------------
@@ -310,13 +325,14 @@ def _streaming(config, generation):
 
 def assert_streaming_oracle(run, config, blocks, generation):
     floor = generation["min_support_count"]
-    settings = STREAMING[config]
-    if settings["backend"] == "exact":
+    options = STREAMING[config]
+    assert run == reference_streaming_run(_streaming(config, generation), blocks)
+    if options["backend"] == "exact":
         assert run == eager_streaming_exact(
-            blocks, window_pairs=settings["window_pairs"], min_support_count=floor
+            blocks, window_pairs=options["window_pairs"], min_support_count=floor
         )
         return
-    bounds = lossy_bounds(blocks, epsilon=settings["epsilon"], min_support_count=floor)
+    bounds = lossy_bounds(blocks, epsilon=options["epsilon"], min_support_count=floor)
     assert run.n_generations == 0
     assert [t.block_index for t in run.trials] == [b.index for b in blocks[1:]]
     for trial, block, (least, most, rules) in zip(run.trials, blocks[1:], bounds):
@@ -376,3 +392,54 @@ def test_streaming_store_routes_equal_the_oracles(stores, trace, workers):
         )
         assert got == serial == _streaming(config, generation).run(blocks), config
         assert_streaming_oracle(got, config, blocks, generation)
+
+
+@st.composite
+def streaming_cases(draw):
+    """A ``StreamingRules`` and a trace: equal-size blocks, some empty
+    after the warm-up one, few sources and repliers so pairs repeat."""
+    size = draw(st.integers(1, 24))
+    n_blocks = draw(st.integers(2, 7))
+    n_sources = draw(st.integers(1, 4))
+    pair = st.tuples(st.integers(0, n_sources - 1), st.integers(100, 103))
+    blocks = []
+    for index in range(n_blocks):
+        n = draw(st.sampled_from([size, size, 0])) if index else size
+        pairs = draw(st.lists(pair, min_size=n, max_size=n))
+        blocks.append(make_block(pairs, index=index))
+    floor = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        # one pair, below a block, above several blocks, past int64
+        window = draw(st.sampled_from([1, max(1, size - 1), 3 * size + 1, 2**64]))
+        strategy = StreamingRules(min_support_count=floor, window_pairs=window)
+    else:
+        width = draw(st.integers(2, 40).filter(lambda w: size % w))
+        strategy = StreamingRules(
+            min_support_count=floor, backend="lossy", epsilon=1 / (width - 0.5)
+        )
+    return strategy, blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(streaming_cases(), st.booleans())
+def test_streaming_fold_equals_the_loop_on_swept_traces(case, as_generator):
+    strategy, blocks = case
+    run = strategy.run(iter(blocks) if as_generator else blocks)
+    assert run == reference_streaming_run(strategy, blocks)
+
+
+@pytest.mark.parametrize("at", [0, 2])
+@pytest.mark.parametrize("bad", [-1, 2**31])
+def test_out_of_range_ids_raise_the_batch_strategies_error(bad, at):
+    """Warm-up or scored block: every strategy rejects the block the same
+    way, none counts the id."""
+    blocks = _drift(4, 20)
+    blocks[at] = make_block([(1, bad), *_pairs(blocks[at])], index=at)
+    makers = [make for make, _eager in STRATEGIES.values()]
+    makers += [lambda c=config, **g: _streaming(c, g) for config in STREAMING]
+    errors = set()
+    for make in makers:
+        with pytest.raises(ValueError) as raised:
+            make(min_support_count=2).run(blocks)
+        errors.add(str(raised.value))
+    assert errors == {"node ids must be in [0, 2**31) for key packing"}

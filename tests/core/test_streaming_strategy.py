@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.counts import SketchCounts, WindowCounts
 from repro.core.streaming import StreamingRules
+from repro.obs.registry import get_global_registry
 from tests.conftest import make_block
 
 
@@ -171,6 +172,22 @@ class TestStreamingRules:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             StreamingRules(**kwargs)
+
+    @pytest.mark.parametrize("epsilon", [0.0, float("nan")])
+    def test_epsilon_is_validated_up_front(self, epsilon):
+        for backend in ("lossy", "exact"):
+            with pytest.raises(ValueError, match="epsilon"):
+                StreamingRules(backend=backend, epsilon=epsilon)
+
+    @pytest.mark.parametrize("backend", ["exact", "lossy"])
+    def test_one_test_timing_per_scored_block(self, backend):
+        def timings():
+            family = get_global_registry().family("repro_offline_test_seconds")
+            return family.labels("streaming").count if family else 0
+
+        before = timings()
+        StreamingRules(min_support_count=2, backend=backend).run(stationary_blocks(4))
+        assert timings() - before == 3
 
     def test_trials_aligned_with_batch_strategies(self):
         blocks = stationary_blocks(4)

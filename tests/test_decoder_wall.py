@@ -1,8 +1,11 @@
 """Hostile bytes into the decoders behind a store of record.
 
 One seeded, structure-aware sweep per format — trace store v1 and v2,
-pair WAL, snapshot (exact and lossy), the RDG1 rule digest and the
-Prometheus text a cluster collector scrapes.  Every 4- and 8-byte field
+pair WAL, snapshot (exact and lossy), the RDG1 rule digest, the
+Prometheus text a cluster collector scrapes, one Gnutella descriptor
+(``decode_message``) and a run of them through the live servent's
+``StreamDecoder.feed``, which must also never buffer more than it was
+fed.  Every 4- and 8-byte field
 of the file header, the first block (or record) header and the trailer
 is overwritten with each boundary value; then a fixed number of seeded
 single-bit flips and truncations follow, and for the text format seeded
@@ -23,11 +26,22 @@ import numpy as np
 import pytest
 
 from repro.core.streaming import StreamingRules
+from repro.live.framing import StreamDecoder
 from repro.network.hier.digest import (
     DigestEntry,
     DigestError,
     RuleDigest,
     decode_digest,
+)
+from repro.network.protocol import (
+    PingMessage,
+    PongMessage,
+    ProtocolError,
+    QueryHitMessage,
+    QueryMessage,
+    decode_message,
+    encode_message,
+    read_header,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.scrape import parse_histograms, parse_samples
@@ -46,6 +60,8 @@ N_FLIPS = 128
 N_TRUNCATIONS = 32
 N_LINE_EDITS = 256
 SEED = 2006
+#: bytes in a Gnutella descriptor header.
+_DESCRIPTOR_HEADER = 23
 
 
 class Format(NamedTuple):
@@ -221,6 +237,63 @@ def _decode_exposition(path):
     parse_histograms(text)
 
 
+# -- Gnutella descriptors and the live stream decoder -------------------------
+_GUIDS = (0x0123456789ABCDEF0123456789ABCDEF, 7, 2**128 - 1, 1 << 64)
+_PAYLOADS = (
+    PingMessage(),
+    PongMessage(port=6346, ip="10.0.0.1", n_files=12, n_kilobytes=4096),
+    QueryMessage(min_speed=0, search="kw0001 kw0002"),
+    QueryHitMessage(
+        port=6346,
+        ip="192.168.1.9",
+        speed=56,
+        file_index=3,
+        file_size=1 << 20,
+        file_name="kw0001.mp3",
+        servent_guid=2**127 + 5,
+    ),
+)
+
+
+def _build_descriptor(_tmp_path):
+    """One QueryHit: the payload with the most fields to get wrong."""
+    return encode_message(_GUIDS[0], 7, 0, _PAYLOADS[-1])
+
+
+def _build_stream(_tmp_path):
+    return b"".join(
+        encode_message(guid, 7, hops, payload)
+        for hops, (guid, payload) in enumerate(zip(_GUIDS, _PAYLOADS))
+    )
+
+
+def _descriptor_fields(data):
+    """Each descriptor's GUID halves, type/TTL/hops and length; the tail."""
+    fields, at = [], 0
+    while at + _DESCRIPTOR_HEADER <= len(data):
+        fields += [(at, 8), (at + 8, 8), (at + 16, 4), (at + 19, 4)]
+        at += _DESCRIPTOR_HEADER + read_header(data, at)[4]
+    s = len(data)
+    return fields + [(s - 20, 4), (s - 16, 8), (s - 8, 8)]
+
+
+def _decode_descriptor(path):
+    decode_message(path.read_bytes())
+
+
+def _decode_stream(path):
+    """Whole, in 7-byte chunks and byte by byte; what the decoder buffers
+    never exceeds what it was fed, nor one header plus the payload cap."""
+    data = path.read_bytes()
+    for chunk in (max(len(data), 1), 7, 1):
+        decoder = StreamDecoder()
+        cap = _DESCRIPTOR_HEADER + decoder.max_payload_length
+        for fed in range(chunk, len(data) + chunk, chunk):
+            decoder.feed(data[fed - chunk : fed])
+            if decoder.pending > min(fed, len(data), cap):
+                raise AssertionError(f"{decoder.pending} bytes buffered after {fed}")
+
+
 FORMATS = {
     "trace-v1": Format(_build_trace(None), _trace_fields(0), _decode_trace, TraceStoreError),
     "trace-v2": Format(_build_trace("zlib"), _trace_fields(3), _decode_trace, TraceStoreError),
@@ -235,6 +308,10 @@ FORMATS = {
     "scrape": Format(
         _build_exposition, lambda data: [], _decode_exposition, ValueError, _line_edits
     ),
+    "descriptor": Format(
+        _build_descriptor, _descriptor_fields, _decode_descriptor, ProtocolError
+    ),
+    "stream": Format(_build_stream, _descriptor_fields, _decode_stream, ProtocolError),
 }
 
 
