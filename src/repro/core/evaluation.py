@@ -8,10 +8,13 @@ the paper):
 * ``s`` — those whose (source, replier) matches a rule exactly;
 * coverage ``alpha = n / N``; success ``rho = s / n``.
 
-Pairs are packed into int64 keys and tested by sorted-array membership,
-stated once in :func:`match_block`; every test here is a sum over its
-masks.  The pair-by-pair loops these are property-tested against are
-``tests/core/reference_rules.py``.
+A block is tested through its key histogram (the distinct packed
+``(source, replier)`` keys and their counts, which GENERATE-RULESET reads
+too): membership is asked once per distinct key by sorted-array search,
+stated once in :func:`match_block`, and ``n`` and ``s`` are the counts
+summed over its masks.  Tests that need an answer per pair scatter the
+masks through the block's inverse.  The pair-by-pair loops these are
+property-tested against are ``tests/core/reference_rules.py``.
 """
 
 from __future__ import annotations
@@ -69,18 +72,21 @@ class RulesetTestResult:
 def match_block(
     ruleset: RuleSet, block: PairBlock
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RULESET-TEST's membership question, asked once for the whole block.
+    """RULESET-TEST's membership question, asked once per distinct pair.
 
-    Returns ``(covered, hit, rule)`` with one entry per pair: whether the
-    pair's source is a rule antecedent, whether the pair is a rule, and —
-    where it is — that rule's index into ``ruleset.keys``.
+    Returns ``(covered, hit, rule)`` with one entry per key of
+    ``block.key_histogram()``: whether the key's source is a rule
+    antecedent, whether the key is a rule, and — where it is — that
+    rule's index into ``ruleset.keys``.  Indexing them by
+    ``block.key_inverse()`` gives the answer for each pair.
     """
+    keys, _ = block.key_histogram()
     if len(ruleset) == 0:
-        nothing = np.zeros(len(block), dtype=bool)
-        return nothing, nothing, np.zeros(len(block), dtype=np.intp)
-    covered = np.isin(block.sources, ruleset.antes)
-    keys = block.packed_keys()
-    # ruleset.keys is sorted; searchsorted membership is O(n log r).
+        nothing = np.zeros(len(keys), dtype=bool)
+        return nothing, nothing, np.zeros(len(keys), dtype=np.intp)
+    covered = np.isin(keys >> 32, ruleset.antes)
+    # Both sides are sorted, so each binary search starts where the
+    # previous one ended.
     rule = np.searchsorted(ruleset.keys, keys)
     rule[rule == len(ruleset)] = 0
     return covered, ruleset.keys[rule] == keys, rule
@@ -89,6 +95,15 @@ def match_block(
 def ruleset_test(ruleset: RuleSet, block: PairBlock) -> RulesetTestResult:
     """Vectorized RULESET-TEST."""
     return ruleset_test_fallback([(ruleset, block)])
+
+
+def _per_pair(
+    ruleset: RuleSet, block: PairBlock
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`match_block`'s ``covered`` and ``hit``, one entry per pair."""
+    covered, hit, _ = match_block(ruleset, block)
+    inverse = block.key_inverse()
+    return covered[inverse], hit[inverse]
 
 
 def ruleset_test_fallback(
@@ -104,11 +119,20 @@ def ruleset_test_fallback(
     is the paper's RULESET-TEST.
     """
     (ruleset, block), *coarser = tiers
-    covered, hit, _ = match_block(ruleset, block)
+    if not coarser:
+        covered, hit, _ = match_block(ruleset, block)
+        _, counts = block.key_histogram()
+        return RulesetTestResult(
+            n_total=len(block),
+            n_covered=int(counts[covered].sum()),
+            n_successful=int(counts[hit].sum()),
+        )
+    # Tiers key the same pairs differently, so they are combined per pair.
+    covered, hit = _per_pair(ruleset, block)
     for ruleset, block in coarser:
-        also_covered, also_hit, _ = match_block(ruleset, block)
-        if len(also_hit) != len(hit):
+        if len(block) != len(hit):
             raise ValueError("every tier must hold the same pairs")
+        also_covered, also_hit = _per_pair(ruleset, block)
         hit = hit | (also_hit & ~covered)
         covered = covered | also_covered
     return RulesetTestResult(
@@ -141,15 +165,22 @@ def ruleset_test_random_subset(
         raise ValueError("k must be >= 1")
     rng = as_generator(rng)
     covered, hit, rule = match_block(ruleset, block)
-    # Consequent-list length m of each matched query's source.
+    _, counts = block.key_histogram()
+    # Consequent-list length m of each matched key's source (0: unmatched).
     sizes = np.diff(ruleset.starts)
-    m = np.repeat(sizes, sizes)[rule[hit]]
+    m = np.zeros(len(hit), dtype=sizes.dtype)
+    m[hit] = np.repeat(sizes, sizes)[rule[hit]]
     # Matched & m <= k: always chosen.  Matched & m > k: in the subset
-    # with probability k/m.  Unmatched: never.
-    stochastic = m[m > k]
-    n_successful = len(m) - len(stochastic)
-    if len(stochastic):
-        n_successful += int((rng.random(len(stochastic)) * stochastic < k).sum())
+    # with probability k/m, one draw per such pair in block order.
+    # Unmatched: never.
+    stochastic = m > k
+    n_successful = int(counts[hit & ~stochastic].sum())
+    if stochastic.any():
+        drawn = m[block.key_inverse()]
+        drawn = drawn[drawn > k]
+        n_successful += int((rng.random(len(drawn)) * drawn < k).sum())
     return RulesetTestResult(
-        n_total=len(block), n_covered=int(covered.sum()), n_successful=n_successful
+        n_total=len(block),
+        n_covered=int(counts[covered].sum()),
+        n_successful=n_successful,
     )

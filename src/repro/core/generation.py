@@ -8,8 +8,9 @@ keeping only the top-k consequents per antecedent, and confidence-based
 pruning (confidence of ``{u} -> {v}`` = pair count / number of replied
 queries from ``u`` in the block).
 
-Each pair is packed into one int64 key, the block is counted with a single
-``np.unique`` pass and the three prunings are masks over its output, which
+Each pair is packed into one int64 key, the block is counted once into its
+key histogram (:meth:`~repro.trace.blocks.PairBlock.key_histogram`, which
+RULESET-TEST reads too) and the three prunings are masks over it, which
 the :class:`~repro.core.rules.RuleSet` then holds as they are; the
 dict-based loop this is tested against is ``tests/core/reference_rules.py``.
 """
@@ -76,7 +77,7 @@ def generate_ruleset(
         Confidence-pruning threshold in [0, 1] (§VI extension); 0 disables.
     """
     check_generation_params(min_support_count, top_k, min_confidence)
-    keys, counts = np.unique(block.packed_keys(), return_counts=True)
+    keys, counts = block.key_histogram()
     keep = counts >= min_support_count
     if min_confidence > 0.0:
         # The denominator is every replied query from the antecedent in the

@@ -21,6 +21,7 @@ from repro.trace.capture import PairLog
 
 __all__ = [
     "PairBlock",
+    "count_keys",
     "partition_pairs",
     "blocks_from_arrays",
     "iter_blocks_from_arrays",
@@ -29,6 +30,20 @@ __all__ = [
 
 #: node ids must stay below this for (source << 32) | replier key packing.
 ID_LIMIT = 1 << 31
+
+
+def count_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct ``keys`` and how often each occurs.
+
+    Every block histogram is counted here (resolved at call time so
+    tests can install a counting hook), once per block.
+    """
+    return np.unique(keys, return_counts=True)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def scan_id_range(sources: np.ndarray, repliers: np.ndarray) -> None:
@@ -81,11 +96,13 @@ class PairBlock:
         return np.stack([self.sources, self.repliers], axis=1)
 
     # -- memoized derived views --------------------------------------------
-    # A block is immutable, so its packed keys, id-range check, and content
-    # fingerprint are computed at most once and cached on the instance.
-    # Replay sweeps hit the same blocks dozens of times (every strategy and
-    # sweep point re-mines / re-tests them), so these were measurable
-    # per-call costs on the hot path.
+    # A block is immutable, so its packed keys, key histogram, id-range
+    # check, and content fingerprint are computed at most once and cached
+    # on the instance.  Replay sweeps hit the same blocks dozens of times
+    # (every strategy and sweep point re-mines / re-tests them), so these
+    # were measurable per-call costs on the hot path.  The cached arrays
+    # are read-only: one caller writing into a memo would change what
+    # every later one mines or tests.
 
     def validate_ids(self) -> None:
         """Check ids fit the packed-key range; runs the scan once per block."""
@@ -97,21 +114,50 @@ class PairBlock:
             object.__setattr__(self, "_ids_validated", True)
 
     def packed_keys(self) -> np.ndarray:
-        """Memoized ``(source << 32) | replier`` int64 keys for this block.
+        """Memoized, read-only ``(source << 32) | replier`` int64 keys.
 
-        All key packing funnels through
+        In-memory blocks pack through
         :func:`repro.core.generation.pack_pair_keys` (resolved at call
-        time so tests can install a counting hook); store-resident
-        blocks arrive with this memo pre-seeded from the file's packed
-        segment and never pack at all.
+        time so tests can install a counting hook) on first use;
+        store-resident blocks arrive with this memo pre-seeded, derived
+        from the block's fingerprinted columns when it was read.
         """
         cached = self.__dict__.get("_packed_keys")
         if cached is None:
             from repro.core.generation import pack_pair_keys
 
             self.validate_ids()
-            cached = pack_pair_keys(self.sources, self.repliers, validate=False)
+            cached = _read_only(
+                pack_pair_keys(self.sources, self.repliers, validate=False)
+            )
             object.__setattr__(self, "_packed_keys", cached)
+        return cached
+
+    def key_histogram(self) -> tuple[np.ndarray, np.ndarray]:
+        """Memoized, read-only ``(keys, counts)``: the block's distinct
+        packed keys, sorted, and how many pairs carry each — what
+        ``np.unique(packed_keys(), return_counts=True)`` returns.
+
+        GENERATE-RULESET's support counts and RULESET-TEST's ``N``, ``n``
+        and ``s`` are all sums over it, so a block that is tested and
+        then mined is sorted once.
+        """
+        cached = self.__dict__.get("_key_histogram")
+        if cached is None:
+            keys, counts = count_keys(self.packed_keys())
+            cached = (_read_only(keys), _read_only(counts))
+            object.__setattr__(self, "_key_histogram", cached)
+        return cached
+
+    def key_inverse(self) -> np.ndarray:
+        """Memoized, read-only position of each pair's key in
+        ``key_histogram()[0]``: scatters a per-key answer back to the
+        pairs, for the tests that need one answer per pair."""
+        cached = self.__dict__.get("_key_inverse")
+        if cached is None:
+            keys, _ = self.key_histogram()
+            cached = _read_only(np.searchsorted(keys, self.packed_keys()))
+            object.__setattr__(self, "_key_inverse", cached)
         return cached
 
     def fingerprint(self) -> str:

@@ -168,10 +168,10 @@ def trace_blocks(
     for a spec writes it as a raw store under ``cache_dir`` (default:
     :func:`default_trace_cache_dir`), every later call in any process
     opens that file.  Blocks of the config's own size are zero-copy
-    views of one mapping with packed keys and fingerprints pre-seeded
-    from the file; another ``block_size`` re-cuts the same cached
-    columns.  When the cache directory cannot be used the trace is
-    generated in memory, with a warning.
+    views of one mapping with fingerprints pre-seeded from the file
+    and packed keys derived from the columns; another ``block_size``
+    re-cuts the same cached columns.  When the cache directory cannot
+    be used the trace is generated in memory, with a warning.
     """
     if n_pairs < 0:
         raise ValueError("n_pairs must be non-negative")

@@ -21,7 +21,8 @@ File layout (all integers little-endian)::
                      followed by the column segments:
                      sources  int64[n]
                      repliers int64[n]
-                     packed   int64[n]   (flags bit 0, always set)
+                     packed   int64[n]   (flags bit 0, always set;
+                                          written, never read)
     footer   index:  one 32 B entry per block
                      (block_offset u64 | n_pairs u64 | fingerprint 16 B)
              trailer (40 B): magic "RPTFOOT1" | index_offset u64
@@ -43,7 +44,10 @@ arrays (the space/zero-copy trade-off is per segment).
 The per-block fingerprint is byte-identical to
 :meth:`PairBlock.fingerprint` (blake2b-128 over the source column bytes
 then the replier column bytes), so store-resident blocks come back
-with their fingerprint already known.
+with their fingerprint already known.  It does not cover the packed-key
+segment, so the reader ignores that segment: it is still written, for
+format compatibility, and a block's packed keys are derived from its
+two columns on read.
 
 Durability mirrors the WAL torn-tail semantics of ``repro.persist``: the
 footer is written only on a clean :meth:`TraceStoreWriter.close`, and a
@@ -146,7 +150,7 @@ class TraceStoreWriter:
     memory.  ``append_block`` writes an already-built
     :class:`~repro.trace.blocks.PairBlock` directly, reusing its memoized
     packed keys and fingerprint (each block's keys are packed exactly
-    once, at write time — readers hand the stored segment back).
+    once, at write time).
 
     ``codec="zlib"`` writes a version-2 store whose column segments are
     individually compressed when that shrinks them (cold-segment
@@ -686,25 +690,28 @@ class TraceStoreReader:
     def _block(self, i: int, mapped=None) -> PairBlock:
         self._check_open()
         entry = self._entries[i]
-        block = PairBlock(
-            sources=self._read_segment(entry, 0, mapped),
-            repliers=self._read_segment(entry, 1, mapped),
-            index=i,
-        )
+        sources = self._read_segment(entry, 0, mapped)
+        repliers = self._read_segment(entry, 1, mapped)
+        block = PairBlock(sources=sources, repliers=repliers, index=i)
         object.__setattr__(block, "_fingerprint", entry.fingerprint.hex())
         object.__setattr__(block, "_ids_validated", True)
-        object.__setattr__(
-            block, "_packed_keys", self._read_segment(entry, 2, mapped)
-        )
+        # The keys come from the columns the fingerprint covers, not from
+        # the packed segment, which it does not.  They are derived now,
+        # while the columns' mapping is certainly live: a block may
+        # outlive its reader, and close() unmaps the columns.
+        keys = (sources << 32) | repliers
+        keys.flags.writeable = False
+        object.__setattr__(block, "_packed_keys", keys)
         return block
 
     def block(self, i: int) -> PairBlock:
         """Zero-copy :class:`PairBlock` view of block ``i``.
 
-        The returned block's memoized ``packed_keys`` / ``fingerprint``
-        / id validation are pre-seeded from the store, so mining and
-        testing it never re-packs or re-hashes — the write-side work is
-        reused verbatim.
+        The returned block's memoized ``fingerprint`` and id validation
+        are pre-seeded from the store, so mining and testing it never
+        re-hashes or re-scans.  Its ``packed_keys`` are derived from the
+        two columns as the block is read (one shift-or, cheaper than
+        decompressing the stored packed segment, which is never read).
         """
         return self._block(i)
 

@@ -1,16 +1,23 @@
 """The per-pair Python loops GENERATE-RULESET and RULESET-TEST are defined
 by, kept as oracles.
 
-``repro.core.generation.generate_ruleset`` counts a block with one
-``np.unique`` pass and ``repro.core.evaluation.ruleset_test`` /
-``ruleset_test_random_subset`` test it with sorted-array membership;
-these are the dict-and-loop forms of the paper's pseudo-code that used to
-live next to them under ``src/`` (``implementation="python"``,
+``repro.core.generation.generate_ruleset`` and
+``repro.core.evaluation.ruleset_test`` / ``ruleset_test_fallback`` /
+``ruleset_test_random_subset`` read a block's key histogram and ask
+sorted-array membership once per distinct key; these are the
+dict-and-loop forms of the paper's pseudo-code that used to live next to
+them under ``src/`` (``implementation="python"``,
 ``ruleset_test_reference``, ``ruleset_test_random_subset_reference``).
 The loop bodies are unchanged; the property tests run both and compare.
+``reference_ruleset_test_fallback`` is the same loop over tiers, and
+``per_pair_random_subset`` the per-pair array form whose random draws
+the ``topk-ablation`` goldens record.
 """
 
 from collections import Counter
+from typing import Sequence
+
+import numpy as np
 
 from repro.core.evaluation import RulesetTestResult
 from repro.core.rules import Rule, RuleSet
@@ -60,6 +67,50 @@ def reference_ruleset_test(ruleset: RuleSet, block: PairBlock) -> RulesetTestRes
                 n_successful += 1
     return RulesetTestResult(
         n_total=n_total, n_covered=n_covered, n_successful=n_successful
+    )
+
+
+def reference_ruleset_test_fallback(
+    tiers: Sequence[tuple[RuleSet, PairBlock]]
+) -> RulesetTestResult:
+    """Pair-by-pair RULESET-TEST over tiers: the first tier whose rule set
+    covers a pair's antecedent scores it."""
+    n_total = len(tiers[0][1])
+    n_covered = 0
+    n_successful = 0
+    for i in range(n_total):
+        for ruleset, block in tiers:
+            source, replier = int(block.sources[i]), int(block.repliers[i])
+            if ruleset.covers(source):
+                n_covered += 1
+                if ruleset.matches(source, replier):
+                    n_successful += 1
+                break
+    return RulesetTestResult(
+        n_total=n_total, n_covered=n_covered, n_successful=n_successful
+    )
+
+
+def per_pair_random_subset(
+    ruleset: RuleSet, block: PairBlock, *, k: int, rng=None
+) -> RulesetTestResult:
+    """Random-subset RULESET-TEST asked pair by pair with arrays: one
+    Bernoulli(k/m) draw per matched pair whose source has ``m > k``
+    consequents, in block order — the draws the vectorized form must
+    reproduce exactly for one seed."""
+    rng = as_generator(rng)
+    sources, repliers = block.sources.tolist(), block.repliers.tolist()
+    covered = [ruleset.covers(s) for s in sources]
+    m = [
+        len(ruleset.consequents(s)) if ruleset.matches(s, r) else 0
+        for s, r in zip(sources, repliers)
+    ]
+    stochastic = np.array([x for x in m if x > k], dtype=np.int64)
+    n_successful = sum(1 for x in m if 0 < x <= k)
+    if len(stochastic):
+        n_successful += int((rng.random(len(stochastic)) * stochastic < k).sum())
+    return RulesetTestResult(
+        n_total=len(block), n_covered=sum(covered), n_successful=n_successful
     )
 
 

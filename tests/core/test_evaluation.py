@@ -1,16 +1,48 @@
-"""Tests for repro.core.evaluation (RULESET-TEST)."""
+"""Tests for repro.core.evaluation (RULESET-TEST).
 
+``TestDistinctKeys`` holds the three tests, which ask membership once
+per distinct key of a block's histogram, to the pair-by-pair loops of
+``tests/core/reference_rules.py``.  Each of these mutants of
+``repro.core.evaluation`` fails the named tests:
+
+* summing pairs instead of ``counts`` (``covered.sum()`` for
+  ``counts[covered].sum()`` in ``ruleset_test_fallback``):
+  ``test_degenerate[one-key-repeated]`` and ``test_sweep``;
+* ``keys & 0xFFFFFFFF`` instead of ``keys >> 32`` for ``covered`` in
+  ``match_block``: ``test_degenerate[ids-0-and-max]`` and ``test_sweep``;
+* dropping the inverse scatter in the fallback tier (``_per_pair``
+  returning the per-key masks): ``test_degenerate[one-key-repeated]``,
+  ``test_sweep`` and
+  ``tests/core/test_category_rules_properties.py::test_vectorized_equals_brute_force``;
+* random-subset draws in key order instead of pair order
+  (``np.repeat(m, counts)`` for ``m[block.key_inverse()]``):
+  ``test_degenerate[draws-in-pair-order]`` and the ``topk-ablation``
+  executor goldens.
+"""
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.evaluation import (
     RulesetTestResult,
     ruleset_test,
+    ruleset_test_fallback,
+    ruleset_test_random_subset,
 )
 from repro.core.generation import generate_ruleset
 from repro.core.rules import Rule, RuleSet
+from repro.core.strategies import AdaptiveSlidingWindow, LazySlidingWindow, SlidingWindow
+from repro.trace.blocks import PairBlock
 from tests.conftest import make_block
-from tests.core.reference_rules import reference_ruleset_test
+from tests.core.reference_rules import (
+    per_pair_random_subset,
+    reference_ruleset_test,
+    reference_ruleset_test_fallback,
+    reference_ruleset_test_random_subset,
+)
+
+MAX_ID = 2**31 - 1
 
 
 class TestRulesetTestResult:
@@ -116,3 +148,99 @@ def test_counts_identities(train_pairs, test_pairs):
         assert r.coverage * r.n_total == pytest.approx(r.n_covered)
     if r.n_covered:
         assert r.success * r.n_covered == pytest.approx(r.n_successful)
+
+
+def coarse(block: PairBlock) -> PairBlock:
+    """The same pairs under a coarser antecedent (two sources per key),
+    as a fallback tier holds them."""
+    return PairBlock(sources=block.sources // 2, repliers=block.repliers)
+
+
+def assert_all_three_agree(rules: RuleSet, block: PairBlock, k: int = 1) -> None:
+    """ruleset_test, a two-tier ruleset_test_fallback and
+    ruleset_test_random_subset against their per-pair oracles."""
+    assert ruleset_test(rules, block) == reference_ruleset_test(rules, block)
+    coarser = coarse(block)
+    tiers = [(rules, block), (generate_ruleset(coarser, min_support_count=2), coarser)]
+    assert ruleset_test_fallback(tiers) == reference_ruleset_test_fallback(tiers)
+    fast = ruleset_test_random_subset(rules, block, k=k, rng=7)
+    assert fast == per_pair_random_subset(rules, block, k=k, rng=7)
+    slow = reference_ruleset_test_random_subset(rules, block, k=k, rng=7)
+    assert (fast.n_total, fast.n_covered) == (slow.n_total, slow.n_covered)
+
+
+DEGENERATE = {
+    "empty-ruleset": (RuleSet(), [(1, 10), (2, 20), (1, 10)]),
+    "empty-block": (RuleSet([Rule(1, 10, 1), Rule(1, 11, 1)]), []),
+    "one-key-repeated": (
+        RuleSet([Rule(1, 10, 3), Rule(1, 11, 2), Rule(1, 12, 1)]),
+        [(1, 10)] * 50,
+    ),
+    "every-pair-a-rule": (
+        RuleSet([Rule(1, 10, 2), Rule(1, 11, 1), Rule(2, 10, 1), Rule(3, 3, 1)]),
+        [(1, 10), (1, 11), (2, 10), (1, 10), (3, 3)],
+    ),
+    "ids-0-and-max": (
+        RuleSet([Rule(0, MAX_ID, 2), Rule(MAX_ID, MAX_ID, 1), Rule(0, 1, 1)]),
+        [(0, MAX_ID), (MAX_ID, 0), (0, 0), (MAX_ID, MAX_ID), (0, MAX_ID),
+         (7, 0), (0, 7), (0, 8), (0, 1)],
+    ),
+    # Random-subset draws go to pairs in block order, not key order.
+    "draws-in-pair-order": (
+        RuleSet(
+            [Rule(1, c, 1) for c in range(10, 12)]
+            + [Rule(2, c, 1) for c in range(10, 15)]
+        ),
+        [(2, 10), (1, 10), (2, 11), (1, 11), (2, 14)] * 12,
+    ),
+}
+
+ids = st.sampled_from([0, 1, 2, 3, 4, 5, MAX_ID])
+
+
+class TestDistinctKeys:
+    """The histogram-based tests equal the per-pair loops."""
+
+    @pytest.mark.parametrize("case", list(DEGENERATE))
+    def test_degenerate(self, case):
+        rules, pairs = DEGENERATE[case]
+        assert_all_three_agree(rules, make_block(pairs), k=1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(ids, ids), unique=True, max_size=12),
+        st.lists(st.tuples(ids, ids), max_size=80),
+        st.integers(1, 3),
+    )
+    def test_sweep(self, rule_pairs, pairs, k):
+        rules = RuleSet(Rule(a, c, 1 + i) for i, (a, c) in enumerate(rule_pairs))
+        assert_all_three_agree(rules, make_block(pairs), k=k)
+
+    @pytest.mark.parametrize(
+        "strategy", [SlidingWindow, LazySlidingWindow, AdaptiveSlidingWindow]
+    )
+    def test_a_block_tested_then_mined_sorts_once(self, monkeypatch, strategy):
+        """Mining and testing read one histogram: every block is counted
+        once, whether it is only mined, only tested, or tested and then
+        mined — and asking for its inverse does not count it again."""
+        import repro.trace.blocks as blocks_module
+
+        calls = []
+        real = blocks_module.count_keys
+
+        def counting(keys):
+            calls.append(len(keys))
+            return real(keys)
+
+        monkeypatch.setattr(blocks_module, "count_keys", counting)
+        rng = np.random.default_rng(3)
+        blocks = [
+            PairBlock(rng.integers(0, 4, 60 + i), rng.integers(0, 4, 60 + i), i)
+            for i in range(6)
+        ]
+        strategy(min_support_count=2).run(blocks)
+        assert calls == [len(b) for b in blocks]
+        ruleset = generate_ruleset(blocks[0], min_support_count=2)
+        ruleset_test_random_subset(ruleset, blocks[1], k=1, rng=0)
+        ruleset_test_fallback([(ruleset, blocks[2]), (ruleset, blocks[2])])
+        assert calls == [len(b) for b in blocks]

@@ -41,6 +41,45 @@ class TestPairBlockMemoization:
         )
         assert small_block.packed_keys() is keys  # computed once
 
+    def test_key_histogram_is_np_unique(self, small_block):
+        keys, counts = small_block.key_histogram()
+        want_keys, want_counts = np.unique(
+            small_block.packed_keys(), return_counts=True
+        )
+        np.testing.assert_array_equal(keys, want_keys)
+        np.testing.assert_array_equal(counts, want_counts)
+        np.testing.assert_array_equal(
+            keys[small_block.key_inverse()], small_block.packed_keys()
+        )
+        assert small_block.key_histogram() is small_block.key_histogram()
+        assert small_block.key_inverse() is small_block.key_inverse()
+
+    @pytest.mark.parametrize("where", ["memory", "store"])
+    def test_memos_are_read_only(self, small_block, tmp_path, where):
+        """A write into a memo would change what every later caller mines
+        or tests from the block, so none can be written."""
+        from repro.core.generation import generate_ruleset
+        from repro.trace.store import TraceStoreReader, TraceStoreWriter
+
+        block = small_block
+        if where == "store":
+            with TraceStoreWriter(tmp_path / "t.rptrace", block_size=10) as writer:
+                writer.append_block(small_block)
+            reader = TraceStoreReader(tmp_path / "t.rptrace")
+            block = reader.block(0)
+        before = list(generate_ruleset(block, min_support_count=1))
+        for memo in (
+            block.packed_keys,
+            lambda: block.key_histogram()[0],
+            lambda: block.key_histogram()[1],
+            lambda: block.key_inverse(),
+        ):
+            memo = memo()
+            assert not memo.flags.writeable
+            with pytest.raises(ValueError):
+                memo[:] = (7 << 32) | 9
+        assert list(generate_ruleset(block, min_support_count=1)) == before
+
     def test_validate_ids_scans_once(self, small_block, monkeypatch):
         import repro.trace.blocks as blocks_module
 

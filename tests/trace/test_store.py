@@ -5,6 +5,8 @@ import struct
 import numpy as np
 import pytest
 
+from repro.core.evaluation import ruleset_test
+from repro.core.generation import generate_ruleset
 from repro.trace.blocks import PairBlock, blocks_from_arrays
 from repro.trace.store import (
     TraceStoreCorruption,
@@ -116,7 +118,7 @@ class TestPreseededMemoization:
             raise AssertionError("pack_pair_keys called on a preseeded block")
 
         monkeypatch.setattr(generation, "pack_pair_keys", boom)
-        block.packed_keys()  # served from the store's packed segment
+        block.packed_keys()  # derived from the columns when the block was read
         assert len(block.fingerprint()) == 32
 
     def test_writer_packs_each_block_exactly_once(self, tmp_path, monkeypatch):
@@ -137,6 +139,41 @@ class TestPreseededMemoization:
         with TraceStoreWriter(tmp_path / "t.rptrace", block_size=100) as w:
             w.append(sources, repliers)
         assert calls["n"] == 3  # exactly one pack per written block
+
+
+class TestPackedSegmentIgnored:
+    """The fingerprint covers the two columns, not the packed segment, so
+    the reader derives keys from the columns and never reads it."""
+
+    @pytest.mark.parametrize("codec", [None, "zlib"])
+    def test_forged_packed_segment_changes_nothing(self, tmp_path, codec):
+        rng = np.random.default_rng(4)
+        sources = rng.integers(0, 5, 200).astype(np.int64)
+        repliers = rng.integers(100, 104, 200).astype(np.int64)
+        memory = blocks_from_arrays(sources, repliers, block_size=100)
+        # Block 1 goes to disk with every packed key replaced by {3} -> {4}.
+        forged = PairBlock(sources=sources[100:], repliers=repliers[100:], index=1)
+        object.__setattr__(
+            forged, "_packed_keys", np.full(100, (3 << 32) | 4, dtype=np.int64)
+        )
+        path = tmp_path / "t.rptrace"
+        with TraceStoreWriter(path, block_size=100, codec=codec) as writer:
+            writer.append_block(memory[0])
+            writer.append_block(forged)
+        with TraceStoreReader(path) as reader:
+            assert reader.verify_blocks(strict=True) == 2  # columns intact
+            disk = reader.block(1)
+            want = memory[1]
+            np.testing.assert_array_equal(disk.packed_keys(), want.packed_keys())
+            mined = generate_ruleset(disk, min_support_count=5)
+            assert list(mined) == list(generate_ruleset(want, min_support_count=5))
+            assert len(mined) and not mined.matches(3, 4)
+            rules = generate_ruleset(memory[0], min_support_count=5)
+            assert ruleset_test(rules, disk) == ruleset_test(rules, want)
+            for held in reader.blocks():
+                np.testing.assert_array_equal(
+                    held.packed_keys(), memory[held.index].packed_keys()
+                )
 
 
 class TestCorruption:
