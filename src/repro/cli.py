@@ -63,6 +63,14 @@ __all__ = ["main", "build_parser"]
 _log = get_logger("cli")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -141,19 +149,19 @@ def build_parser() -> argparse.ArgumentParser:
     tracegen.add_argument("path", metavar="PATH", help="store file to write")
     tracegen.add_argument(
         "--pairs",
-        type=int,
+        type=_positive_int,
         default=None,
         help="total pairs to generate (default: --blocks * block size)",
     )
     tracegen.add_argument(
         "--blocks",
-        type=int,
+        type=_positive_int,
         default=100,
         help="trace length in blocks when --pairs is not given (default: 100)",
     )
     tracegen.add_argument(
         "--chunk-size",
-        type=int,
+        type=_positive_int,
         default=50_000,
         help="pairs generated per writer append (default: 50,000)",
     )
@@ -1263,22 +1271,24 @@ def main(argv: list[str] | None = None) -> int:
 
         config = MonitorTraceConfig()
         total = args.pairs if args.pairs is not None else args.blocks * config.block_size
-        if total < 1:
-            print("nothing to generate (need at least 1 pair)", file=sys.stderr)
-            return 2
         generator = MonitorTraceGenerator(config, seed=seed)
         codec = None if args.codec == "none" else args.codec
         written = 0
         generate_seconds = 0.0
         t0 = perf_counter()
-        with TraceStoreWriter(
-            args.path,
-            block_size=config.block_size,
-            codec=codec,
-            compress_level=args.compress_level,
-        ) as writer:
+        try:
+            writer = TraceStoreWriter(
+                args.path,
+                block_size=config.block_size,
+                codec=codec,
+                compress_level=args.compress_level,
+            )
+        except ValueError as exc:
+            print(f"tracegen: {exc}", file=sys.stderr)
+            return 2
+        with writer:
             while written < total:
-                n = min(max(args.chunk_size, 1), total - written)
+                n = min(args.chunk_size, total - written)
                 g0 = perf_counter()
                 arrays = generator.generate_pair_arrays(n)
                 generate_seconds += perf_counter() - g0

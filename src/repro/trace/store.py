@@ -179,6 +179,10 @@ class TraceStoreWriter:
             raise ValueError("block_size must be >= 1")
         if codec not in (None, "zlib"):
             raise ValueError(f"unknown codec {codec!r} (supported: ['zlib'])")
+        if not -1 <= int(compress_level) <= 9:
+            # checked here, not at the first block flush, so a bad level
+            # never truncates the target file
+            raise ValueError(f"compress_level must be in -1..9, got {compress_level}")
         if not 0 <= int(meta_fingerprint) < 1 << 64:
             raise ValueError("meta_fingerprint must fit an unsigned 64-bit field")
         self.path = os.fspath(path)

@@ -47,16 +47,18 @@ helpers:
 * :meth:`MonitorTraceGenerator.generate_pair_arrays` — the fast path:
   columnar numpy arrays of (time, source, replier, category, host), no
   strings or GUIDs, streamed straight into :class:`repro.trace.PairBlock`
-  partitioning.  This is what the experiments use.  It has no per-pair
-  Python loop: between two state-changing events — a neighbor departure
-  or a lazy reply-path reassignment — the neighbor set, the cumulative
-  activity weights, the profiles and the category -> anchor table are
-  constants, so a whole segment of pairs is a dozen
-  array operations, and only the events themselves (a few dozen per
-  10,000 pairs) run the scalar helpers.  The per-pair loop it replaced
-  lives on in ``tests/workload/reference_tracegen.py`` as the oracle the
-  array code must match bit for bit (docs/performance.md, "Trace
-  generation").
+  partitioning.  This is what the experiments use.  Its Python steps
+  scale with events, not pairs.  Between two state-changing events — a
+  neighbor departure or a lazy reply-path reassignment — the neighbor
+  set, the cumulative activity weights, the profiles and the category ->
+  anchor table are constants, so a whole segment of pairs is a handful
+  of searches and gathers over tables the events keep current, and only
+  the events themselves (a few dozen per 10,000 pairs) run the scalar
+  helpers.  Where each pair's draws sit in the uniform stream is found
+  by following the noise tests that hit (one in ten at the calibrated
+  ``path_noise``).  The per-pair loop it replaced lives on in
+  ``tests/workload/reference_tracegen.py`` as the oracle the array code
+  must match bit for bit (docs/performance.md, "Trace generation").
 * :meth:`MonitorTraceGenerator.iter_events` — the full-fidelity path:
   :class:`~repro.trace.records.QueryRecord` / ``ReplyRecord`` streams with
   query strings, GUIDs (including buggy duplicates) and unreplied queries,
@@ -227,12 +229,47 @@ class _Neighbor:
         self.profile = profile
 
 
-class _Path:
-    __slots__ = ("anchor", "expires_at")
+def _draw_offsets(u: np.ndarray, m: int, stride: int, noise: float):
+    """Where each of ``m`` pairs' draws start in ``u``, and how many they take.
 
-    def __init__(self, anchor: _Neighbor, expires_at: float):
-        self.anchor = anchor
-        self.expires_at = expires_at
+    A pair takes ``stride`` draws, the last of them its noise test, plus
+    one more when that test hits (``u < noise``).  Between hits the tests
+    sit ``stride`` apart, so only the hits need a Python step: the test
+    after a hit at ``q`` is at ``q + stride + 1``, and the hit that
+    follows is the first one at or after it in that position's residue
+    class mod ``stride``.  Each hit's successor is one ``searchsorted``
+    per class; walking them from the first test, ``stride - 1``, gives
+    the hits the pairs' tests land on, and pair ``i`` starts at
+    ``stride * i + (hits before i)``.  ``u`` must hold at least
+    ``m * (stride + 1)`` draws.
+    """
+    # hit k of class r is draw r + stride * k; classes laid end to end
+    hits = [np.flatnonzero(u[r::stride] < noise) for r in range(stride)]
+    starts = np.cumsum([0] + [len(k) for k in hits]).tolist()
+    n_hits = starts[-1]
+    position = np.concatenate([r + stride * k for r, k in enumerate(hits)])
+    # After a hit at r + stride * k the next test is class r + 1's k + 1,
+    # or class 0's k + 2 after the last class; n_hits when no hit follows.
+    successor = np.full(n_hits, n_hits, dtype=np.intp)
+    for r, k in enumerate(hits):
+        nxt = (r + 1) % stride
+        j = np.searchsorted(hits[nxt], k + 1 + (nxt == 0))
+        found = j < len(hits[nxt])
+        successor[starts[r] : starts[r + 1]][found] = starts[nxt] + j[found]
+    successor = successor.tolist()
+    chain = []
+    i = starts[stride - 1]  # the first hit of the first test's class
+    while i < n_hits:
+        chain.append(i)
+        i = successor[i]
+    # the c-th hit of the chain is the test of pair (q - c + 1) // stride - 1
+    after = (position[chain] - np.arange(len(chain)) + 1) // stride
+    after = after[after <= m]
+    bump = np.zeros(m + 1, dtype=np.intp)
+    bump[after] = 1
+    offsets = np.cumsum(bump[:m])
+    offsets += np.arange(0, m * stride, stride, dtype=np.intp)
+    return offsets, m * stride + len(after)
 
 
 class MonitorTraceGenerator:
@@ -260,14 +297,28 @@ class MonitorTraceGenerator:
         self._neighbors: list[_Neighbor] = []
         self._departures: list[tuple[float, int]] = []  # (leaves_at, node_id) heap
         self._by_id: dict[int, _Neighbor] = {}
-        self._paths: dict[int, _Path] = {}
-        # Per-neighbor tables in ``_neighbors`` order, rebuilt lazily after
-        # the population changes: cumulative activity weights (source
-        # selection), node ids and join times (anchor selection).
-        self._cum_weights: list[float] = []
+        # Per-neighbor lists aligned with ``_neighbors``, kept current by
+        # the two methods that change it: node ids, join times, activity
+        # weights and profile categories (``width`` per neighbor, flat).
+        self._node_ids: list[int] = []
+        self._joined: list[float] = []
+        self._weights: list[float] = []
+        self._profile_cats: list[int] = []
+        # Their arrays, made again after the population changes: ids,
+        # join times (anchor selection), cumulative weights (source
+        # selection) and the flat profile-category table, whose rows past
+        # the neighbors' are the constant ephemeral profiles.
         self._ids = np.empty(0, dtype=np.int64)
         self._joined_at = np.empty(0)
+        self._cum = np.empty(0)
+        self._cum_weights: list[float] = []
+        self._cats = np.empty(0, dtype=np.int64)
         self._tables_dirty = True
+        # The reply path of each category: its anchor's node id (-1 before
+        # the first assignment) and when it expires (-inf when it must be
+        # reassigned at the next lookup, as after its anchor departs).
+        self._path_anchor = np.full(cfg.n_categories, -1, dtype=np.int64)
+        self._path_expires = np.full(cfg.n_categories, -np.inf)
         # Per-pair uniforms come from a buffered child stream (profiling
         # showed scalar Generator.random() dominating generation time);
         # rare events (churn, path assignment) keep using self._rng.
@@ -281,7 +332,21 @@ class MonitorTraceGenerator:
             )
             for _ in range(64)
         ]
+        self._ephemeral_cats = [
+            cat for p in self._ephemeral_profiles for cat in p.categories
+        ]
         self._warmup()
+        # InterestModel hands every profile of one width the same weight
+        # tuple, so a pair's category is one search of one cumulative row
+        # (InterestProfile.category_for_uniform, whatever the profile).
+        weights = self._ephemeral_profiles[0].weights
+        if any(
+            p.weights != weights
+            for p in self._ephemeral_profiles + [nb.profile for nb in self._neighbors]
+        ):
+            raise RuntimeError("interest profiles must share one weight tuple")
+        self._width = len(weights)
+        self._profile_cum = np.cumsum(weights)
 
     # ------------------------------------------------------------------
     # population maintenance
@@ -322,6 +387,10 @@ class MonitorTraceGenerator:
         )
         neighbor = _Neighbor(node_id, joined_at, leaves_at, weight, profile)
         self._neighbors.append(neighbor)
+        self._node_ids.append(node_id)
+        self._joined.append(joined_at)
+        self._weights.append(weight)
+        self._profile_cats.extend(profile.categories)
         self._by_id[node_id] = neighbor
         heapq.heappush(self._departures, (leaves_at, node_id))
         self._tables_dirty = True
@@ -333,22 +402,25 @@ class MonitorTraceGenerator:
             gone = self._by_id.pop(node_id, None)
             if gone is None:
                 continue
-            self._neighbors.remove(gone)
+            i = self._neighbors.index(gone)
+            del self._neighbors[i], self._node_ids[i], self._joined[i], self._weights[i]
+            width = len(gone.profile.categories)
+            del self._profile_cats[i * width : (i + 1) * width]
             self._tables_dirty = True
+            # The paths it anchored are due at their next lookup.
+            self._path_expires[self._path_anchor == node_id] = -np.inf
             # Constant-degree policy: the monitor immediately replaces a
             # departed connection with a fresh neighbor.
             duration = self._sessions.sample(self._rng)
             self._add_neighbor(joined_at=self._now, leaves_at=self._now + duration)
 
     def _rebuild_tables(self) -> None:
-        acc = 0.0
-        cum = []
-        for nb in self._neighbors:
-            acc += nb.weight
-            cum.append(acc)
-        self._cum_weights = cum
-        self._ids = np.array([nb.node_id for nb in self._neighbors], dtype=np.int64)
-        self._joined_at = np.array([nb.joined_at for nb in self._neighbors])
+        # np.cumsum adds in order: the bits of a running `acc += weight`
+        self._cum = np.cumsum(self._weights)
+        self._cum_weights = self._cum.tolist()
+        self._ids = np.array(self._node_ids, dtype=np.int64)
+        self._joined_at = np.array(self._joined)
+        self._cats = np.array(self._profile_cats + self._ephemeral_cats, dtype=np.int64)
         self._tables_dirty = False
 
     def _pick_source(self) -> _Neighbor:
@@ -378,18 +450,12 @@ class MonitorTraceGenerator:
     # reply paths
     # ------------------------------------------------------------------
     def _path_for(self, category: int) -> _Neighbor:
-        path = self._paths.get(category)
-        if (
-            path is None
-            or path.expires_at <= self._now
-            or path.anchor.node_id not in self._by_id
-        ):
-            path = self._assign_path(category)
-        return path.anchor
+        if self._path_expires[category] <= self._now:
+            return self._assign_path(category)
+        return self._by_id[int(self._path_anchor[category])]
 
-    def _assign_path(self, category: int) -> _Path:
+    def _assign_path(self, category: int) -> _Neighbor:
         cfg = self.config
-        previous = self._paths.get(category)
         # Anchor selection ∝ min(session age, cap)^gamma: paths go through
         # stable, long-lived neighbors, but no single immortal neighbor
         # monopolizes every category.  The previous anchor is excluded so a
@@ -399,8 +465,7 @@ class MonitorTraceGenerator:
             self._rebuild_tables()
         age_cap = cfg.anchor_age_cap_blocks * cfg.seconds_per_block
         ages = np.minimum(np.maximum(self._now - self._joined_at, 1.0), age_cap)
-        if previous is not None:
-            ages[self._ids == previous.anchor.node_id] = 0.0
+        ages[self._ids == self._path_anchor[category]] = 0.0
         total = ages.sum()
         if total <= 0.0:  # only the previous anchor is available
             idx = int(self._rng.integers(0, len(self._neighbors)))
@@ -413,9 +478,9 @@ class MonitorTraceGenerator:
             np.exp(cfg.path_lifetime_sigma * self._rng.standard_normal())
         )
         lifetime = lifetime_blocks * cfg.seconds_per_block
-        path = _Path(anchor, self._now + lifetime)
-        self._paths[category] = path
-        return path
+        self._path_anchor[category] = anchor.node_id
+        self._path_expires[category] = self._now + lifetime
+        return anchor
 
     # ------------------------------------------------------------------
     # generation
@@ -464,46 +529,55 @@ class MonitorTraceGenerator:
 
         Between two departures the neighbor set is constant, so a whole
         segment's sources are one ``searchsorted`` over the cumulative
-        activity weights (``bisect_right``, vectorised) and its ephemeral
-        ids one ``arange``.
+        activity weights (``bisect_right``, vectorised) and its
+        categories one gather from the flat profile-category table.
+        What does not depend on the neighbor set — each pair's slot in its
+        profile, which pairs have one-shot sources and which replies take
+        an alternate route — is found once for all the pairs.
         """
         m = len(t)
         is_eph, u_source, u_category, anchored, u_alternate = self._pair_draws(m)
+        # InterestProfile.category_for_uniform over the one shared weight row
+        slot = np.searchsorted(self._profile_cum, u_category, side="right")
+        np.minimum(slot, self._width - 1, out=slot)
+        if is_eph is not None:
+            # One-shot sources: fresh ids in pair order, and a row of the
+            # profile table past the neighbors' rows.
+            eph = np.flatnonzero(is_eph)
+            eph_rows = (u_source[eph] * len(self._ephemeral_profiles)).astype(np.intp)
+        due_at = t
+        if anchored is not None:
+            # Transient alternate routes: a uniformly random neighbor.
+            noisy = np.flatnonzero(~anchored)
+            u_noisy = u_alternate[noisy]
+            due_at = t.copy()
+            due_at[noisy] = np.nan
         a = 0
         while a < m:
             self._now = t[a]
             self._process_departures()
             b = a + int(np.searchsorted(t[a:], self._departures[0][0], side="left"))
-            seg = slice(a, b)
             if self._tables_dirty:
                 self._rebuild_tables()
             ids = self._ids
-            cum = np.array(self._cum_weights)
-            rows = np.searchsorted(cum, u_source[seg] * cum[-1], side="right")
+            cum = self._cum
+            rows = np.searchsorted(cum, u_source[a:b] * cum[-1], side="right")
             np.minimum(rows, len(ids) - 1, out=rows)  # floating-point edge
-            np.take(ids, rows, out=source[seg])
+            np.take(ids, rows, out=source[a:b])
             if is_eph is not None:
-                # One-shot sources: fresh ids in pair order, and a row of
-                # the profile tables past the neighbors' rows.
-                eph = np.flatnonzero(is_eph[seg])
+                lo, hi = np.searchsorted(eph, (a, b))
                 first = self._next_node_id
-                self._next_node_id += len(eph)
-                source[seg][eph] = np.arange(first, self._next_node_id)
-                picks = u_source[seg][eph] * len(self._ephemeral_profiles)
-                rows[eph] = len(ids) + picks.astype(np.intp)
-            self._settle_segment(
-                t[seg],
-                rows,
-                u_category[seg],
-                None if anchored is None else anchored[seg],
-                category[seg],
-                replier[seg],
-            )
+                self._next_node_id += int(hi - lo)
+                source[eph[lo:hi]] = np.arange(first, self._next_node_id)
+                rows[eph[lo:hi] - a] = len(ids) + eph_rows[lo:hi]
+            rows *= self._width
+            rows += slot[a:b]
+            np.take(self._cats, rows, out=category[a:b])
+            self._settle_segment(t[a:b], due_at[a:b], category[a:b], replier[a:b])
             if anchored is not None:
-                # Transient alternate routes: a uniformly random neighbor.
-                noisy = np.flatnonzero(~anchored[seg])
-                picks = u_alternate[seg][noisy] * len(ids)
-                replier[seg][noisy] = ids[picks.astype(np.intp)]
+                lo, hi = np.searchsorted(noisy, (a, b))
+                picks = (u_noisy[lo:hi] * len(ids)).astype(np.intp)
+                replier[noisy[lo:hi]] = ids[picks]
             a = b
 
     def _pair_draws(self, m: int):
@@ -512,8 +586,8 @@ class MonitorTraceGenerator:
         Every pair takes its draws in the order the scalar helpers take
         them — [ephemeral test,] source, category [, noise test] — plus
         one more when the noise test hits, so where a pair's draws sit in
-        the stream depends on the hits before it.  One sequential pass
-        over the hit flags finds every offset; the rest is gathers.
+        the stream depends on the hits before it.  :func:`_draw_offsets`
+        finds every offset by following the hits; the rest is gathers.
         """
         cfg = self.config
         has_eph = cfg.ephemeral_rate > 0.0
@@ -521,15 +595,8 @@ class MonitorTraceGenerator:
         stride = has_eph + 2 + has_noise
         u = self._uniforms.peek(m * (stride + has_noise))
         if has_noise:
-            hit = (u < cfg.path_noise).tolist()
-            offsets = [0] * m
-            consumed = 0
-            test = stride - 1
-            for i in range(m):
-                offsets[i] = consumed
-                consumed += stride + hit[consumed + test]
-            off = np.array(offsets, dtype=np.intp)
-            anchored = u[off + test] >= cfg.path_noise
+            off, consumed = _draw_offsets(u, m, stride, cfg.path_noise)
+            anchored = u[off + stride - 1] >= cfg.path_noise
             u_alternate = u[off + stride]  # drawn only where not anchored
         else:
             off = np.arange(0, m * stride, stride, dtype=np.intp)
@@ -541,49 +608,32 @@ class MonitorTraceGenerator:
         self._uniforms.advance(consumed)
         return is_eph, u_source, u_category, anchored, u_alternate
 
-    def _settle_segment(self, t, rows, u_category, anchored, category, replier) -> None:
-        """Categories and anchored repliers of one departure-free segment.
+    def _settle_segment(self, t, due_at, category, replier) -> None:
+        """Anchored repliers of one departure-free segment.
 
-        Within the segment profiles are constant and the category ->
-        anchor table only changes at a lazy reply-path reassignment.  Find
-        the earliest pair at which one is due, settle the pairs before
-        it, apply that one reassignment through :meth:`_assign_path` (so
-        ``self._rng`` is drawn from exactly as a per-pair loop would), and
-        go on from the pair after it.
+        Within the segment the category -> anchor table only changes at a
+        lazy reply-path reassignment.  Find the earliest pair at which one
+        is due, settle the pairs before it, apply that one reassignment
+        through :meth:`_assign_path` (so ``self._rng`` is drawn from
+        exactly as a per-pair loop would), and go on from the pair after
+        it.  ``due_at`` is ``t`` with NaN, which is never due, where the
+        reply takes an alternate route.
         """
-        cfg = self.config
-        profiles = [nb.profile for nb in self._neighbors] + self._ephemeral_profiles
-        prof_cats = np.array([p.categories for p in profiles])
-        prof_cum = np.array([p.weights for p in profiles]).cumsum(axis=1)
-        # InterestProfile.category_for_uniform, row-wise
-        slot = (u_category[:, None] >= prof_cum[rows]).sum(axis=1)
-        np.minimum(slot, prof_cats.shape[1] - 1, out=slot)
-        category[:] = prof_cats[rows, slot]
-        # A category without a live path is due from the start.
-        expires = np.full(cfg.n_categories, -np.inf)
-        anchor_of = np.full(cfg.n_categories, -1, dtype=np.int64)
-        for cat, path in self._paths.items():
-            if path.anchor.node_id in self._by_id:
-                expires[cat] = path.expires_at
-                anchor_of[cat] = path.anchor.node_id
+        expires = self._path_expires
+        anchor_of = self._path_anchor
         n = len(t)
         settled = 0
-        while True:
-            due = t[settled:] >= expires[category[settled:]]
-            if anchored is not None:
-                due &= anchored[settled:]
-            due = np.flatnonzero(due)
-            event = settled + int(due[0]) if len(due) else n
+        while settled < n:
+            due = due_at[settled:] >= expires[category[settled:]]
+            first = int(due.argmax())
+            if not due[first]:
+                break
+            event = settled + first
             np.take(anchor_of, category[settled:event], out=replier[settled:event])
-            if event == n:
-                return
             self._now = t[event]
-            cat = int(category[event])
-            path = self._assign_path(cat)
-            expires[cat] = path.expires_at
-            anchor_of[cat] = path.anchor.node_id
-            replier[event] = anchor_of[cat]
+            replier[event] = self._assign_path(int(category[event])).node_id
             settled = event + 1
+        np.take(anchor_of, category[settled:], out=replier[settled:])
 
     def _reply_neighbor(self, category: int) -> _Neighbor:
         """The neighbor a reply for ``category`` arrives through.

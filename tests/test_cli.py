@@ -117,6 +117,44 @@ class TestCommands:
         assert seen.count(FULL_SCALE.name) == len(seen) - 1 >= 2
 
 
+class TestTracegenCli:
+    def test_bad_compress_level_exits_2_and_leaves_the_target_alone(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "t.rptrace"
+        path.write_bytes(b"an existing store")
+        argv = ["tracegen", str(path), "--blocks", "2", "--codec", "zlib"]
+        assert main([*argv, "--compress-level", "42"]) == 2
+        assert "compress_level" in capsys.readouterr().err
+        assert path.read_bytes() == b"an existing store"
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--chunk-size", "0"),
+            ("--chunk-size", "-5"),
+            ("--pairs", "0"),
+            ("--pairs", "-1"),
+            ("--blocks", "0"),
+        ],
+    )
+    def test_sizes_below_one_are_usage_errors(self, tmp_path, capsys, flag, value):
+        """Rejected at parse time: a chunk size below one used to become
+        one-pair calls, slow and a different trace than the default
+        chunking."""
+        path = tmp_path / "t.rptrace"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tracegen", str(path), "--blocks", "2", flag, value])
+        assert exit_info.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_sizes_of_one_are_accepted(self):
+        sizes = ["--pairs", "1", "--blocks", "1", "--chunk-size", "1"]
+        args = build_parser().parse_args(["tracegen", "t.rptrace", *sizes])
+        assert (args.pairs, args.blocks, args.chunk_size) == (1, 1, 1)
+
+
 @pytest.fixture
 def tiny_default_scale(monkeypatch):
     from repro.experiments.config import ExperimentScale

@@ -343,6 +343,24 @@ class TestCompression:
         with pytest.raises(ValueError, match="codec"):
             TraceStoreWriter(tmp_path / "t.rptrace", codec="lz9")
 
+    @pytest.mark.parametrize("level", [-2, 10, 42])
+    def test_bad_compress_level_leaves_the_target_alone(self, tmp_path, level):
+        """A level zlib refuses is refused before the file is opened, not
+        at the first block flush with the target already truncated."""
+        path = tmp_path / "t.rptrace"
+        path.write_bytes(b"an existing store")
+        with pytest.raises(ValueError, match="compress_level"):
+            TraceStoreWriter(path, codec="zlib", compress_level=level)
+        assert path.read_bytes() == b"an existing store"
+
+    @pytest.mark.parametrize("level", [-1, 0, 9])
+    def test_every_zlib_level_writes(self, tmp_path, level):
+        reader, sources, _ = make_store(
+            tmp_path / "z.rptrace", codec="zlib", compress_level=level
+        )
+        np.testing.assert_array_equal(reader.block(0).sources, sources[:100])
+        reader.close()
+
     def test_compressed_torn_tail_recovers(self, tmp_path):
         sources, repliers = columns(500, seed=9)
         path = tmp_path / "z.rptrace"

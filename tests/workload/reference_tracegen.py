@@ -13,6 +13,22 @@ import numpy as np
 from repro.workload.tracegen import MonitorTraceGenerator, PairArrays
 
 
+def reference_offsets(u, m: int, stride: int, noise: float):
+    """The sequential offset pass ``tracegen._draw_offsets`` replaced.
+
+    Pair ``i`` starts at ``offsets[i]`` in ``u``, takes ``stride`` draws
+    (the last its noise test) and one more when the test hits.
+    """
+    hit = (np.asarray(u) < noise).tolist()
+    offsets = [0] * m
+    consumed = 0
+    test = stride - 1
+    for i in range(m):
+        offsets[i] = consumed
+        consumed += stride + hit[consumed + test]
+    return np.array(offsets, dtype=np.intp), consumed
+
+
 def reference_generate_pair_arrays(gen: MonitorTraceGenerator, n_pairs: int) -> PairArrays:
     """Advance ``gen`` by ``n_pairs`` pairs, one Python iteration each."""
     if n_pairs < 0:

@@ -18,7 +18,10 @@ from hypothesis import strategies as st
 
 from repro.workload import tracegen
 from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator
-from tests.workload.reference_tracegen import reference_generate_pair_arrays
+from tests.workload.reference_tracegen import (
+    reference_generate_pair_arrays,
+    reference_offsets,
+)
 from tests.workload.test_tracegen import SMALL
 
 COLUMNS = ("time", "source", "replier", "category", "host")
@@ -109,14 +112,132 @@ def _digest(config, seed, calls) -> str:
     return h.hexdigest()
 
 
+def _events_digest(config, seed, n_pairs, n_events) -> str:
+    """``iter_events(n_events)`` after ``generate_pair_arrays(n_pairs)``."""
+    generator = MonitorTraceGenerator(config, seed=seed)
+    generator.generate_pair_arrays(n_pairs)
+    h = hashlib.blake2b(digest_size=16)
+    for pair in generator.iter_events(n_events):
+        h.update(repr(pair).encode())
+    return h.hexdigest()
+
+
 class TestGoldenDigests:
     """Recorded from the per-pair loop with numpy 2.4.6.  Should a numpy
     release ever change ``Generator`` streams, the differential tests above
     still hold and this is re-recorded from the oracle in its own
-    commit."""
+    commit.
+
+    The oracle and the array code share the event helpers
+    (``_process_departures``, ``_rebuild_tables``, ``_assign_path``) and
+    the path table, so the twin tests cannot see a change to those; only
+    these digests can.  The degenerate configs and the full-fidelity
+    stream after an array call were recorded before those helpers were
+    last changed."""
 
     def test_calibrated_config(self):
         assert (
             _digest(MonitorTraceConfig(), 20060814, (50_000, 30_000))
             == "ef50b11abeb312dad3beb7aae09d98b7"
         )
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("noise-1", "d3ab956779318d6e60b6cacf5070e432"),
+            ("ephemeral-1", "a391f5c2a3d201fa9c02a5cbb2387902"),
+            ("fast-churn", "95fc2d7f19bb92a88691a0307899fb00"),
+            ("two-neighbors-one-category", "47971a36ff23f1f36b1b07399b8e5495"),
+        ],
+    )
+    def test_degenerate_config(self, name, digest):
+        assert _digest(CONFIGS[name], 7, (20_000, 13_000)) == digest
+
+    def test_events_after_an_array_call(self):
+        assert (
+            _events_digest(MonitorTraceConfig(), 20060814, 20_000, 200)
+            == "84821125dfdb27c8a281502d0febb55c"
+        )
+
+
+def planted(m, stride, hits_at=(), everywhere=False):
+    """Draws for ``m`` pairs: 0.25 (a hit at noise 0.5) where planted,
+    0.75 elsewhere."""
+    u = np.full(m * (stride + 1), 0.25 if everywhere else 0.75)
+    u[list(hits_at)] = 0.25
+    return u
+
+
+def assert_offsets_agree(u, m, stride, noise=0.5):
+    got, got_consumed = tracegen._draw_offsets(u, m, stride, noise)
+    want, want_consumed = reference_offsets(u, m, stride, noise)
+    np.testing.assert_array_equal(got, want)
+    assert got_consumed == want_consumed
+
+
+class TestOffsetPass:
+    """``_draw_offsets`` follows the hits; ``reference_offsets`` is the
+    per-pair loop it replaced.  Three mutants were run against these
+    cases: the successor looked up at ``q + stride`` instead of
+    ``q + stride + 1`` ("successor"), the chain started at draw 0 instead
+    of ``stride - 1`` ("start"), and the departure-time expiry
+    invalidation dropped from ``_process_departures`` ("invalidation",
+    which the path-table test below catches).  Each docstring names the
+    mutants its case catches; the golden digests catch all three."""
+
+    @pytest.mark.parametrize("stride", [2, 3, 4])
+    def test_no_hits(self, stride):
+        """The baseline: no mutant shows without a hit."""
+        assert_offsets_agree(planted(50, stride), 50, stride)
+
+    @pytest.mark.parametrize("stride", [2, 3, 4])
+    def test_every_draw_a_hit(self, stride):
+        """Catches "successor" and "start"."""
+        assert_offsets_agree(planted(50, stride, everywhere=True), 50, stride)
+
+    @pytest.mark.parametrize("stride", [2, 3, 4])
+    def test_hit_on_the_last_pair(self, stride):
+        """Catches "start": the last pair's test is draw
+        ``stride * m - 1``, in the first test's class."""
+        m = 50
+        assert_offsets_agree(planted(m, stride, [stride * m - 1]), m, stride)
+
+    @pytest.mark.parametrize("stride", [2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 40])
+    def test_hits_in_one_residue_class(self, stride, m):
+        """Every draw of one class mod ``stride`` a hit, each class in
+        turn.  Catches "start", and with 40 pairs "successor" (one pair
+        has no successor to take)."""
+        for r in range(stride):
+            hits = range(r, m * (stride + 1), stride)
+            assert_offsets_agree(planted(m, stride, hits), m, stride)
+
+    @given(
+        stride=st.integers(2, 4),
+        m=st.integers(0, 60),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_planted_hit_layouts(self, stride, m, data):
+        """Any hit layout.  Catches "successor" and "start"."""
+        hits = data.draw(st.sets(st.integers(0, m * (stride + 1) - 1))) if m else ()
+        assert_offsets_agree(planted(m, stride, hits), m, stride)
+
+
+class TestPathTable:
+    def test_a_departed_anchor_leaves_its_paths_due(self):
+        """Catches "invalidation": each category anchored at a departed
+        neighbor must be reassigned at its next lookup."""
+        generator = MonitorTraceGenerator(CONFIGS["fast-churn"], seed=3)
+        departed = 0
+        for _ in range(40):
+            anchors = generator._path_anchor.copy()
+            before = set(generator.active_neighbor_ids)
+            generator.generate_pair_arrays(25)
+            gone = before - set(generator.active_neighbor_ids)
+            orphaned = np.isin(anchors, list(gone)) & (
+                generator._path_anchor == anchors
+            )
+            departed += int(orphaned.sum())
+            assert (generator._path_expires[orphaned] == -np.inf).all()
+        assert departed > 0
