@@ -1339,11 +1339,18 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, TraceStoreError) as exc:
             _log.error("cannot open trace store", extra={"error": str(exc)})
             return 2
-        t0 = perf_counter()
-        run = evaluate_store_partitioned(
-            args.path, strategy, workers=max(args.workers, 1)
-        )
-        seconds = perf_counter() - t0
+        # Blocks read their segments when first asked for, so corruption
+        # the open did not see surfaces inside the evaluation.
+        try:
+            t0 = perf_counter()
+            run = evaluate_store_partitioned(
+                args.path, strategy, workers=max(args.workers, 1)
+            )
+            seconds = perf_counter() - t0
+            serial = evaluate_store(args.path, strategy) if args.check_serial else None
+        except TraceStoreError as exc:
+            _log.error("trace store unreadable", extra={"error": str(exc)})
+            return 2
         rate = n_pairs / seconds if seconds else float("inf")
         print(
             f"{run.strategy_name} over {n_blocks} block(s) / {n_pairs:,} pairs "
@@ -1354,7 +1361,6 @@ def main(argv: list[str] | None = None) -> int:
             f"({seconds:.2f}s, {rate:,.0f} pairs/sec)"
         )
         if args.check_serial:
-            serial = evaluate_store(args.path, strategy)
             if serial != run:
                 print("MISMATCH: partitioned run differs from serial", file=sys.stderr)
                 return 1

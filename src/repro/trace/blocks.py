@@ -35,8 +35,11 @@ ID_LIMIT = 1 << 31
 def count_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct ``keys`` and how often each occurs.
 
-    Every block histogram is counted here (resolved at call time so
-    tests can install a counting hook), once per block.
+    Every in-memory block's histogram is counted here, once per block
+    (resolved at call time so tests can install a counting hook), and so
+    is a store block's when its store predates sorted key segments; any
+    other store block reads its histogram off its sorted key segment
+    (:mod:`repro.trace.store`), with no sort.
     """
     return np.unique(keys, return_counts=True)
 
@@ -119,8 +122,8 @@ class PairBlock:
         In-memory blocks pack through
         :func:`repro.core.generation.pack_pair_keys` (resolved at call
         time so tests can install a counting hook) on first use;
-        store-resident blocks arrive with this memo pre-seeded, derived
-        from the block's fingerprinted columns when it was read.
+        store-resident blocks derive it from their fingerprinted columns
+        when either is first asked for.
         """
         cached = self.__dict__.get("_packed_keys")
         if cached is None:
@@ -140,7 +143,8 @@ class PairBlock:
 
         GENERATE-RULESET's support counts and RULESET-TEST's ``N``, ``n``
         and ``s`` are all sums over it, so a block that is tested and
-        then mined is sorted once.
+        then mined is sorted once.  A store block reads it off its
+        store's sorted key segment instead, reading neither column.
         """
         cached = self.__dict__.get("_key_histogram")
         if cached is None:

@@ -168,8 +168,9 @@ def trace_blocks(
     for a spec writes it as a raw store under ``cache_dir`` (default:
     :func:`default_trace_cache_dir`), every later call in any process
     opens that file.  Blocks of the config's own size are zero-copy
-    views of one mapping with fingerprints pre-seeded from the file
-    and packed keys derived from the columns; another ``block_size``
+    views of one mapping with fingerprints pre-seeded from the file,
+    packed keys derived from the columns and key histograms read off
+    the sorted key segment when first asked for; another ``block_size``
     re-cuts the same cached columns.  When the cache directory cannot
     be used the trace is generated in memory, with a warning.
     """

@@ -7,8 +7,9 @@ append-only file of fixed little-endian columnar segments, so that
 
 * :class:`TraceStoreWriter` streams pairs to disk in chunks — ``tracegen``
   never materializes the full trace (O(chunk) memory while writing), and
-* :class:`TraceStoreReader` serves zero-copy ``np.memmap`` views block by
-  block — evaluation streams the trace with O(block) resident memory,
+* :class:`TraceStoreReader` serves blocks that read a segment (a zero-copy
+  ``np.memmap`` view, or a decompressed array) only when something asks
+  for it — evaluation streams the trace with O(block) resident memory,
   however large the file grows.
 
 File layout (all integers little-endian)::
@@ -21,17 +22,19 @@ File layout (all integers little-endian)::
                      followed by the column segments:
                      sources  int64[n]
                      repliers int64[n]
-                     packed   int64[n]   (flags bit 0, always set;
-                                          written, never read)
+                     packed   int64[n]   (source << 32) | replier keys,
+                                          sorted (flags bit 1); stores
+                                          written before hold them in
+                                          pair order (flags bit 0)
     footer   index:  one 32 B entry per block
                      (block_offset u64 | n_pairs u64 | fingerprint 16 B)
              trailer (40 B): magic "RPTFOOT1" | index_offset u64
                      | n_blocks u64 | total_pairs u64
                      | index crc32 u32 | version u32
 
-Version 1 stores every segment raw (and writes byte-identical files to
-earlier releases: the codecs field is the old zero pad, the meta
-fingerprint the old reserved word).  Version 2 — written when the writer
+Version 1 stores every segment raw (and keeps the layout of earlier
+releases: the codecs field is the old zero pad, the meta fingerprint the
+old reserved word).  Version 2 — written when the writer
 is given a ``codec`` — may compress cold column segments: each segment
 carries its own codec byte (packed into the block header's ``codecs``
 u32; 0 = raw, 1 = zlib), and a segment is stored compressed only when
@@ -45,25 +48,34 @@ The per-block fingerprint is byte-identical to
 :meth:`PairBlock.fingerprint` (blake2b-128 over the source column bytes
 then the replier column bytes), so store-resident blocks come back
 with their fingerprint already known.  It does not cover the packed-key
-segment, so the reader ignores that segment: it is still written, for
-format compatibility, and a block's packed keys are derived from its
-two columns on read.
+segment, so the writer derives that segment from the two columns it
+fingerprints, never from a block's memo, and sorts it.  A block's key
+histogram — all GENERATE-RULESET and RULESET-TEST read — is then one
+linear pass over the segment, with no column decode and no sort; the
+pass refuses a segment that cannot be sorted packed keys.  Verification
+(:meth:`TraceStoreReader.verify_blocks`, ``verify=True`` and the
+footer-less scan) also requires the segment to equal the columns' sorted
+keys, so a store that verifies mines its columns' rules.  A store written
+before the segment was sorted (flags bit 0) is counted from its columns,
+as an in-memory block is; a header must set exactly one of the two bits.
 
 Durability mirrors the WAL torn-tail semantics of ``repro.persist``: the
 footer is written only on a clean :meth:`TraceStoreWriter.close`, and a
 reader that finds a missing, truncated, or corrupt footer falls back to
-scanning block headers from the top of the file — verifying each block's
-fingerprint — and recovers everything up to the last complete, intact
-block.  A mid-write crash therefore loses at most the block being
-written, never the store.
+scanning block headers from the top of the file — verifying each block —
+and recovers everything up to the last complete, intact block.  A
+mid-write crash therefore loses at most the block being written, never
+the store.
 
-Readers own OS resources (a header file handle plus per-block mmaps) and
-support ``close()`` / ``with``: closing releases every still-live block
+Readers own OS resources (a file handle plus the mmaps made through it)
+and support ``close()`` / ``with``: closing releases every still-live
 mapping, which unblocks file deletion on platforms that lock mapped
-files and keeps fd usage flat over long partitioned runs.  Block views
-handed out before ``close()`` must not be used afterwards.  A caller
-that keeps every block takes them from :meth:`TraceStoreReader.blocks`,
-which serves the whole file from one mapping.
+files and keeps fd usage flat over long partitioned runs.  A block holds
+its reader and reads a segment on first use; a block first touched after
+``close()`` raises :class:`TraceStoreError`, and views it handed out
+before must not be used afterwards.  A caller that keeps every block
+takes them from :meth:`TraceStoreReader.blocks`, which reads their
+columns at once, from one mapping of the file.
 """
 
 from __future__ import annotations
@@ -78,7 +90,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.trace.blocks import PairBlock
+from repro.trace.blocks import PairBlock, _read_only
 
 __all__ = [
     "TraceStoreError",
@@ -100,8 +112,11 @@ _VERSION_RAW = 1
 _VERSION_CODECS = 2
 _VERSIONS = (_VERSION_RAW, _VERSION_CODECS)
 
-#: flags bit 0 — packed-key segments are present after each replier segment.
-_FLAG_PACKED = 1
+#: flags bit 0 — each block's packed-key segment is in pair order
+#: (written by earlier releases; such a store is counted from its columns).
+_FLAG_PAIR_ORDER = 1
+#: flags bit 1 — each block's packed-key segment is sorted.
+_FLAG_SORTED = 2
 #: sources, repliers and packed keys.
 _N_SEGMENTS = 3
 
@@ -111,6 +126,8 @@ _CODEC_ZLIB = 1
 
 _I8 = np.dtype("<i8")
 _ITEMSIZE = _I8.itemsize
+#: the top bit of a packed key's replier half, clear for every id < 2**31.
+_REPLIER_TOP_BIT = 1 << 31
 
 
 class TraceStoreError(Exception):
@@ -141,16 +158,41 @@ def _block_digest(sources: np.ndarray, repliers: np.ndarray) -> bytes:
     return digest.digest()
 
 
+def _sorted_key_histogram(
+    keys: np.ndarray, path: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_counts=True)`` of a sorted key segment,
+    bit for bit, as one linear pass — after checking that the segment
+    can be sorted packed keys: non-decreasing from a first key >= 0, so
+    every source half is below 2**31, and every replier half below
+    2**31 too."""
+    if len(keys) and (keys[0] < 0 or np.less(keys[1:], keys[:-1]).any()):
+        raise TraceStoreCorruption(
+            f"{path}: packed-key segment is not non-negative sorted keys"
+        )
+    starts = np.flatnonzero(np.not_equal(keys[1:], keys[:-1])) + 1
+    if len(keys):
+        starts = np.concatenate(([0], starts))
+    distinct = keys[starts]
+    if (distinct & _REPLIER_TOP_BIT).any():
+        raise TraceStoreCorruption(
+            f"{path}: packed-key segment holds a replier id >= 2**31"
+        )
+    counts = np.diff(np.append(starts, len(keys)))
+    return _read_only(distinct), _read_only(counts)
+
+
 class TraceStoreWriter:
     """Append-only chunked writer of a trace store file.
 
     ``append(sources, repliers)`` buffers at most one block's worth of
     pairs; every time the buffer reaches ``block_size`` a complete block
     is flushed to disk, so writing a 100M-pair trace needs O(block_size)
-    memory.  ``append_block`` writes an already-built
+    memory.  Ids must be integers: a float column is refused, not
+    truncated.  ``append_block`` writes an already-built
     :class:`~repro.trace.blocks.PairBlock` directly, reusing its memoized
-    packed keys and fingerprint (each block's keys are packed exactly
-    once, at write time).
+    fingerprint and id check.  Every block's key segment is packed from
+    its two columns and sorted as it is written, once per block.
 
     ``codec="zlib"`` writes a version-2 store whose column segments are
     individually compressed when that shrinks them (cold-segment
@@ -200,7 +242,7 @@ class TraceStoreWriter:
             _HEADER.pack(
                 _MAGIC,
                 self.version,
-                _FLAG_PACKED,
+                _FLAG_SORTED,
                 self.block_size,
                 self.meta_fingerprint,
             )
@@ -214,8 +256,12 @@ class TraceStoreWriter:
         returns the number of *blocks* flushed by this call.
         """
         self._check_open()
-        sources = np.asarray(sources, dtype=np.int64)
-        repliers = np.asarray(repliers, dtype=np.int64)
+        sources, repliers = np.asarray(sources), np.asarray(repliers)
+        for column in (sources, repliers):
+            if column.dtype.kind not in "iu":
+                raise ValueError(f"node ids must be integers, not {column.dtype}")
+        sources = sources.astype(np.int64, copy=False)
+        repliers = repliers.astype(np.int64, copy=False)
         if sources.shape != repliers.shape or sources.ndim != 1:
             raise ValueError("sources and repliers must be matching 1-D arrays")
         self._pending.append(sources)
@@ -264,14 +310,21 @@ class TraceStoreWriter:
         )
 
     def _write_block(self, block: PairBlock) -> None:
+        # resolved at call time so tests can count the packs
+        from repro.core.generation import pack_pair_keys
+
         offset = self._fh.tell()
+        # The ids are checked before anything is written.  The key segment
+        # is packed from the columns the fingerprint covers, never taken
+        # from the block's packed_keys() memo, which nothing checks.
+        block.validate_ids()
+        keys = pack_pair_keys(block.sources, block.repliers, validate=False)
+        keys.sort()
         fingerprint = bytes.fromhex(block.fingerprint())
-        # packed_keys() is memoized on the block: built blocks pack
-        # exactly once here; buffered blocks pack on first use.
         segments = [
             _column_bytes(block.sources),
             _column_bytes(block.repliers),
-            _column_bytes(block.packed_keys()),
+            _column_bytes(keys),
         ]
         if self.version == _VERSION_RAW:
             self._fh.write(
@@ -371,28 +424,93 @@ class TraceStoreWriter:
             self.abandon()
 
 
-class TraceStoreReader:
-    """Zero-copy block reader over a trace store file.
+class _StoreBlock(PairBlock):
+    """A block of a store that reads its segments on first use.
 
-    Every :meth:`block` call maps only that block's byte range
-    (``np.memmap`` with an explicit offset), so iterating a 10GB store
-    keeps O(block_size) pages resident: each yielded block's mappings
-    are released as soon as the consumer drops the block.  Compressed
-    (version 2) segments decompress into ordinary arrays instead —
-    identical contents, no mapping.
+    Its fingerprint and id validation come from the store.  ``sources``,
+    ``repliers`` and ``packed_keys()`` read the two columns when first
+    asked for, and derive the keys then; ``key_histogram()`` reads the
+    sorted key segment instead, on a store that has one.  ``len()`` is
+    the index entry's.  The block holds its reader, so the reader stays
+    open while the block lives unless someone closes it.
+    """
+
+    def __init__(
+        self, reader: "TraceStoreReader", entry: _BlockEntry, index: int, mapped=None
+    ) -> None:
+        # Not the dataclass __init__: it would assign the two columns
+        # this class reads lazily.
+        for name, value in (
+            ("index", index),
+            ("_reader", reader),
+            ("_entry", entry),
+            ("_mapped", mapped),
+            ("_fingerprint", entry.fingerprint.hex()),
+            ("_ids_validated", True),
+        ):
+            object.__setattr__(self, name, value)
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        columns = self.__dict__.get("_column_arrays")
+        if columns is None:
+            sources, repliers = columns = self._reader._read_columns(
+                self._entry, self._mapped
+            )
+            object.__setattr__(
+                self, "_packed_keys", _read_only((sources << 32) | repliers)
+            )
+            object.__setattr__(self, "_column_arrays", columns)
+        return columns
+
+    @property
+    def sources(self) -> np.ndarray:
+        return self._columns()[0]
+
+    @property
+    def repliers(self) -> np.ndarray:
+        return self._columns()[1]
+
+    def __len__(self) -> int:
+        return self._entry.n_pairs
+
+    def packed_keys(self) -> np.ndarray:
+        self._columns()
+        return super().packed_keys()
+
+    def key_histogram(self) -> tuple[np.ndarray, np.ndarray]:
+        if "_key_histogram" not in self.__dict__ and self._reader.sorted_keys:
+            object.__setattr__(
+                self,
+                "_key_histogram",
+                self._reader._key_histogram(self._entry, self._mapped),
+            )
+        return super().key_histogram()
+
+
+class TraceStoreReader:
+    """Block reader over a trace store file.
+
+    :meth:`block` reads no segment: a block maps (or, in a version-2
+    store, decompresses) a segment when something first asks for it, and
+    maps only that segment's byte range, so iterating a 10GB store keeps
+    O(block_size) pages resident — each block's mappings are released as
+    soon as the consumer drops the block.  A block's key histogram comes
+    off its sorted key segment, so mining and testing a block read
+    neither column.
 
     Opening prefers the footer index (O(1), trusted after its CRC
     check).  A missing or corrupt footer triggers a header scan that
-    verifies each block's fingerprint and stops at the first torn or
-    corrupt block (``recovered`` is then True).  ``verify=True`` forces
-    the fingerprint sweep even when the footer is intact, truncating the
-    visible store at the first mismatching block.
+    verifies each block and stops at the first torn or corrupt block
+    (``recovered`` is then True).  ``verify=True`` forces the same check
+    even when the footer is intact, truncating the visible store at the
+    first block that fails it.
 
     Readers are context managers: :meth:`close` (idempotent) drops the
-    header file handle and every still-live block mapping the reader
-    created, so long partitioned runs do not accumulate fds and the file
-    can be deleted immediately on platforms that lock mapped files.
-    Blocks obtained from a reader are invalidated by its ``close()``.
+    file handle and every still-live mapping the reader created, so long
+    partitioned runs do not accumulate fds and the file can be deleted
+    immediately on platforms that lock mapped files.  Blocks obtained
+    from a reader are invalidated by its ``close()``: a segment first
+    asked for afterwards raises :class:`TraceStoreError`.
     """
 
     def __init__(self, path: str | os.PathLike, *, verify: bool = False) -> None:
@@ -418,9 +536,18 @@ class TraceStoreReader:
         if version not in _VERSIONS:
             self.close()
             raise TraceStoreError(f"{self.path}: unsupported version {version}")
-        if not flags & _FLAG_PACKED:
+        order = flags & (_FLAG_PAIR_ORDER | _FLAG_SORTED)
+        if not order:
             self.close()
             raise TraceStoreError(f"{self.path}: no packed-key segments")
+        if order == _FLAG_PAIR_ORDER | _FLAG_SORTED:
+            self.close()
+            raise TraceStoreError(
+                f"{self.path}: packed-key segments flagged both pair-order and sorted"
+            )
+        #: whether each block's key segment is sorted, so that its key
+        #: histogram is read off it instead of counted from its columns.
+        self.sorted_keys = order == _FLAG_SORTED
         self.version = int(version)
         self.block_size = int(block_size)
         self.meta_fingerprint = int(meta)
@@ -437,11 +564,13 @@ class TraceStoreReader:
         return self._closed
 
     def close(self) -> None:
-        """Release the header handle and every live block mapping.
+        """Release the file handle and every live block mapping.
 
         Idempotent (double close is a no-op).  Any block views this
         reader handed out become invalid; using them afterwards is
-        undefined, exactly as reading from a closed file would be.
+        undefined, exactly as reading from a closed file would be, and
+        a block that reads a segment afterwards raises
+        :class:`TraceStoreError`.
         """
         if self._closed:
             return
@@ -527,8 +656,8 @@ class TraceStoreReader:
         """Walk block headers from the top, keeping verified blocks.
 
         Mirrors WAL torn-tail recovery: the first header that is
-        truncated, mis-tagged, out of bounds, or whose columns fail the
-        fingerprint check ends the store.
+        truncated, mis-tagged or out of bounds, or whose block fails
+        :meth:`_intact`, ends the store.
         """
         entries: list[_BlockEntry] = []
         fh = self._fh
@@ -554,24 +683,30 @@ class TraceStoreReader:
             if offset + extent > self._size:
                 break  # torn tail: the block's columns never fully landed
             entry = _BlockEntry(offset, n_pairs, fingerprint)
-            try:
-                sources, repliers = self._read_columns(entry)
-            except TraceStoreCorruption:
-                break  # garbage where a compressed segment should be
-            if _block_digest(sources, repliers) != fingerprint:
+            if not self._intact(entry):
                 break
             entries.append(entry)
             offset += extent
         return entries
 
+    def _intact(self, entry: _BlockEntry) -> bool:
+        """Whether block ``entry``'s columns match its fingerprint and, on
+        a sorted-key store, its key segment is their packed keys sorted —
+        so every rule mined off a block that passes is its columns' rule."""
+        try:
+            sources, repliers = self._read_columns(entry)
+            if _block_digest(sources, repliers) != entry.fingerprint:
+                return False
+            return not self.sorted_keys or np.array_equal(
+                self._read_segment(entry, 2), np.sort((sources << 32) | repliers)
+            )
+        except TraceStoreCorruption:
+            return False  # garbage where a compressed segment should be
+
     def _verified_prefix(self, entries: list[_BlockEntry]) -> list[_BlockEntry]:
         good: list[_BlockEntry] = []
         for entry in entries:
-            try:
-                sources, repliers = self._read_columns(entry)
-            except TraceStoreCorruption:
-                break
-            if _block_digest(sources, repliers) != entry.fingerprint:
+            if not self._intact(entry):
                 break
             good.append(entry)
         return good
@@ -592,10 +727,22 @@ class TraceStoreReader:
         """Per-block pair counts, in block order (feeds shard planning)."""
         return [e.n_pairs for e in self._entries]
 
+    def _entry(self, i: int) -> _BlockEntry:
+        """The index entry of block ``i``; only ``0 <= i < n_blocks``."""
+        self._check_open()
+        if not 0 <= i < len(self._entries):
+            raise IndexError(
+                f"{self.path}: block {i} is not in range(0, {len(self._entries)})"
+            )
+        return self._entries[i]
+
     def _memmap(self, offset: int, n_items: int) -> np.ndarray:
         """One tracked read-only memmap covering ``n_items`` int64s."""
+        # Mapped through the reader's own handle, so a block that reads a
+        # segment late still reads this file, whatever has since been
+        # renamed over or deleted from its path.
         mapped = np.memmap(
-            self.path, dtype=_I8, mode="r", offset=offset, shape=(n_items,)
+            self._fh, dtype=_I8, mode="r", offset=offset, shape=(n_items,)
         )
         # np.memmap keeps the underlying mmap (and its dup'd fd) on the
         # array; track it weakly so close() can release still-live
@@ -618,7 +765,8 @@ class TraceStoreReader:
     def _layout(
         self, entry: _BlockEntry
     ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """(per-segment codecs, stored lengths, payload offset) — v2 only."""
+        """(per-segment codecs, stored lengths, payload offset) — v2 only,
+        checked against the index entry and the file."""
         cached = self._layouts.get(entry.offset)
         if cached is not None:
             return cached
@@ -642,6 +790,16 @@ class TraceStoreReader:
                 f"lengths {lengths} past the end of the file"
             )
         codecs = tuple((codecs_word >> (8 * k)) & 0xFF for k in range(_N_SEGMENTS))
+        nbytes = entry.n_pairs * _ITEMSIZE
+        for codec, length in zip(codecs, lengths):
+            if codec not in (_CODEC_RAW, _CODEC_ZLIB):
+                raise TraceStoreCorruption(
+                    f"{self.path}: unknown segment codec {codec}"
+                )
+            if codec == _CODEC_RAW and length != nbytes:
+                raise TraceStoreCorruption(
+                    f"{self.path}: raw segment length {length} != {nbytes}"
+                )
         layout = (codecs, lengths, payload)
         self._layouts[entry.offset] = layout
         return layout
@@ -649,12 +807,13 @@ class TraceStoreReader:
     def _read_segment(
         self, entry: _BlockEntry, segment: int, mapped=None
     ) -> np.ndarray:
-        """One column segment of a block, decompressing when needed.
+        """One segment of a block, decompressing when needed.
 
         ``mapped(offset, n_items)`` serves raw segments: a mapping of
         the segment alone (:meth:`_memmap`, the default) or
         :meth:`_shared_view` for :meth:`blocks`.
         """
+        self._check_open()
         mapped = mapped or self._memmap
         nbytes = entry.n_pairs * _ITEMSIZE
         if self.version == _VERSION_RAW:
@@ -662,17 +821,8 @@ class TraceStoreReader:
             return mapped(data + segment * nbytes, entry.n_pairs)
         codecs, lengths, payload = self._layout(entry)
         offset = payload + sum(lengths[:segment])
-        codec = codecs[segment]
-        if codec == _CODEC_RAW:
-            if lengths[segment] != nbytes:
-                raise TraceStoreCorruption(
-                    f"{self.path}: raw segment length {lengths[segment]} != {nbytes}"
-                )
+        if codecs[segment] == _CODEC_RAW:
             return mapped(offset, entry.n_pairs)
-        if codec != _CODEC_ZLIB:
-            raise TraceStoreCorruption(
-                f"{self.path}: unknown segment codec {codec}"
-            )
         self._fh.seek(offset)
         compressed = self._fh.read(lengths[segment])
         try:
@@ -688,64 +838,70 @@ class TraceStoreReader:
             )
         return np.frombuffer(raw, dtype=_I8)
 
-    def _read_columns(self, entry: _BlockEntry) -> tuple[np.ndarray, np.ndarray]:
-        return self._read_segment(entry, 0), self._read_segment(entry, 1)
+    def _read_columns(
+        self, entry: _BlockEntry, mapped=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return (
+            self._read_segment(entry, 0, mapped),
+            self._read_segment(entry, 1, mapped),
+        )
 
-    def _block(self, i: int, mapped=None) -> PairBlock:
-        self._check_open()
-        entry = self._entries[i]
-        sources = self._read_segment(entry, 0, mapped)
-        repliers = self._read_segment(entry, 1, mapped)
-        block = PairBlock(sources=sources, repliers=repliers, index=i)
-        object.__setattr__(block, "_fingerprint", entry.fingerprint.hex())
-        object.__setattr__(block, "_ids_validated", True)
-        # The keys come from the columns the fingerprint covers, not from
-        # the packed segment, which it does not.  They are derived now,
-        # while the columns' mapping is certainly live: a block may
-        # outlive its reader, and close() unmaps the columns.
-        keys = (sources << 32) | repliers
-        keys.flags.writeable = False
-        object.__setattr__(block, "_packed_keys", keys)
-        return block
+    def _key_histogram(
+        self, entry: _BlockEntry, mapped=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Block ``entry``'s key histogram, off its sorted key segment."""
+        return _sorted_key_histogram(self._read_segment(entry, 2, mapped), self.path)
 
     def block(self, i: int) -> PairBlock:
-        """Zero-copy :class:`PairBlock` view of block ``i``.
+        """Block ``i`` (``0 <= i < n_blocks``, else :class:`IndexError`).
 
-        The returned block's memoized ``fingerprint`` and id validation
-        are pre-seeded from the store, so mining and testing it never
-        re-hashes or re-scans.  Its ``packed_keys`` are derived from the
-        two columns as the block is read (one shift-or, cheaper than
-        decompressing the stored packed segment, which is never read).
+        The block's memoized ``fingerprint`` and id validation are
+        pre-seeded from the store, so mining and testing it never
+        re-hashes or re-scans.  Its header and segment layout are
+        checked here; its segments are read when first asked for —
+        ``key_histogram()`` reads the sorted key segment alone, and
+        ``sources`` / ``repliers`` / ``packed_keys()`` the two columns.
         """
-        return self._block(i)
+        entry = self._entry(i)
+        if self.version == _VERSION_CODECS:
+            self._layout(entry)
+        return _StoreBlock(self, entry, i)
 
     def blocks(self) -> list[PairBlock]:
-        """Every block at once, as views of one mapping of the file.
+        """Every block at once, columns read, as views of one mapping.
 
         For a caller that keeps the whole trace.  :meth:`block` maps
         each segment on its own so a streamed pass gives pages back as
         it drops blocks, but a mapping holds a descriptor: the paper's
         365 blocks kept that way are 1,100 of them, past the usual
         limit of 1,024.  Here raw segments are slices of one int64
-        mapping; compressed ones decompress as in :meth:`block`.
+        mapping, made now; compressed ones decompress as in
+        :meth:`block`.  A block's key histogram is still read when
+        first asked for.
         """
         self._check_open()
-        return [self._block(i, self._shared_view) for i in range(len(self._entries))]
+        held = []
+        for i, entry in enumerate(self._entries):
+            block = _StoreBlock(self, entry, i, self._shared_view)
+            block.packed_keys()
+            held.append(block)
+        return held
 
     def columns(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Raw (sources, repliers) views of block ``i``."""
-        self._check_open()
-        return self._read_columns(self._entries[i])
+        return self._read_columns(self._entry(i))
 
     def iter_blocks(self) -> Iterator[PairBlock]:
-        """Yield blocks in trace order, mapping one block at a time."""
+        """Yield blocks in trace order, reading each only when asked."""
         for i in range(len(self._entries)):
             yield self.block(i)
 
     def verify_blocks(self, *, strict: bool = False) -> int:
-        """Re-hash every visible block; returns how many are intact.
+        """Re-check every visible block; returns how many are intact.
 
-        Stops counting at the first fingerprint mismatch (the store is
+        A block is intact when its columns match its fingerprint and,
+        on a sorted-key store, its key segment is their sorted keys.
+        Stops counting at the first block that is not (the store is
         usable up to — not including — that block).  ``strict=True``
         raises :class:`TraceStoreCorruption` instead of returning a
         short count.
@@ -754,8 +910,7 @@ class TraceStoreReader:
         intact = len(self._verified_prefix(self._entries))
         if strict and intact != len(self._entries):
             raise TraceStoreCorruption(
-                f"{self.path}: block {intact} fails its fingerprint check "
+                f"{self.path}: block {intact} fails its integrity check "
                 f"({intact}/{len(self._entries)} blocks intact)"
             )
         return intact
-

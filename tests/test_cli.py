@@ -155,6 +155,41 @@ class TestTracegenCli:
         assert (args.pairs, args.blocks, args.chunk_size) == (1, 1, 1)
 
 
+class TestTraceEvalCli:
+    @pytest.mark.parametrize("extra", [[], ["--check-serial"], ["--strategy", "streaming"]])
+    def test_corrupt_segment_exits_2_without_a_traceback(self, tmp_path, capsys, extra):
+        """A zlib store with flipped payload bytes in block 2 opens
+        cleanly; the evaluation that reads the block logs the error and
+        exits 2 instead of raising."""
+        import struct
+
+        import numpy as np
+
+        from repro.trace.store import TraceStoreReader, TraceStoreWriter
+
+        path = tmp_path / "z.rptrace"
+        rng = np.random.default_rng(3)
+        sources = rng.integers(0, 6, 500)
+        repliers = 100 + (sources + rng.integers(0, 2, 500)) % 4
+        with TraceStoreWriter(path, block_size=100, codec="zlib") as writer:
+            writer.append(sources, repliers)
+        with TraceStoreReader(path) as reader:
+            offset = reader._entries[2].offset
+        data = bytearray(path.read_bytes())
+        lengths = struct.unpack_from("<3Q", data, offset + 32)
+        start = offset + 32 + 3 * 8
+        for segment in range(3):  # every segment of block 2
+            data[start + 5] ^= 0xFF
+            data[start + 6] ^= 0xFF
+            start += lengths[segment]
+        path.write_bytes(bytes(data))
+        assert main(["trace-eval", str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert "trace store unreadable" in captured.err
+        assert "segment fails to decompress" in captured.err
+        assert "trials=" not in captured.out
+
+
 @pytest.fixture
 def tiny_default_scale(monkeypatch):
     from repro.experiments.config import ExperimentScale

@@ -1,6 +1,9 @@
 """Hostile bytes into the decoders behind a store of record.
 
-One seeded, structure-aware sweep per format — trace store v1 and v2,
+One seeded, structure-aware sweep per format — trace store v1 and v2 as
+written before key segments were sorted (the committed bytes under
+``tests/trace/data``) and as written now, the latter with targeted edits of
+the sorted key segment that must each raise,
 pair WAL, snapshot (exact and lossy), the RDG1 rule digest, the
 Prometheus text a cluster collector scrapes, one Gnutella descriptor
 (``decode_message``) and a run of them through the live servent's
@@ -20,6 +23,7 @@ from __future__ import annotations
 import random
 import struct
 from itertools import chain
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -73,6 +77,10 @@ class Format(NamedTuple):
 
 
 # -- trace store -----------------------------------------------------------
+#: stores written before key segments were sorted (pair-order keys).
+_LEGACY = Path(__file__).parent / "trace" / "data"
+
+
 def _build_trace(codec):
     def build(tmp_path):
         rng = np.random.default_rng(1)
@@ -84,6 +92,39 @@ def _build_trace(codec):
         return path.read_bytes()
 
     return build
+
+
+def _legacy_trace(name):
+    return lambda _tmp_path: (_LEGACY / name).read_bytes()
+
+
+#: block 0's key segment in a raw store of 100-pair blocks: after the
+#: file header, the block header and the two columns.
+_KEYS_AT = 32 + 32 + 2 * 100 * 8
+
+
+def _key_segment_edits(data):
+    """Edits that leave block 0's key segment no valid sorted keys, and
+    header flags that name neither or both segment orders."""
+    keys = np.frombuffer(data, dtype="<i8", count=100, offset=_KEYS_AT).copy()
+    swapped = keys.copy()
+    swapped[[0, -1]] = swapped[[-1, 0]]
+    negative = keys.copy()
+    negative[0] = -1
+    wide_replier = keys.copy()
+    wide_replier[-1] = (wide_replier[-1] >> 32 << 32) | (1 << 31)
+    for label, edited in (
+        ("swapped", swapped),
+        ("negative first key", negative),
+        ("replier half 2**31", wide_replier),
+    ):
+        out = bytearray(data)
+        out[_KEYS_AT : _KEYS_AT + 800] = edited.tobytes()
+        yield label, bytes(out)
+    for flags in (0, 3):
+        out = bytearray(data)
+        struct.pack_into("<I", out, 12, flags)
+        yield f"flags {flags}", bytes(out)
 
 
 def _trace_fields(lengths):
@@ -100,7 +141,8 @@ def _trace_fields(lengths):
 
 def _touch(block):
     """Read every byte a block serves (a bad mapping faults here)."""
-    for column in (block.sources, block.repliers, block.packed_keys()):
+    keys, counts = block.key_histogram()
+    for column in (block.sources, block.repliers, block.packed_keys(), keys, counts):
         int(column.sum())
 
 
@@ -295,8 +337,28 @@ def _decode_stream(path):
 
 
 FORMATS = {
-    "trace-v1": Format(_build_trace(None), _trace_fields(0), _decode_trace, TraceStoreError),
-    "trace-v2": Format(_build_trace("zlib"), _trace_fields(3), _decode_trace, TraceStoreError),
+    "trace-v1": Format(
+        _legacy_trace("parent_v1.rptrace"),
+        _trace_fields(0),
+        _decode_trace,
+        TraceStoreError,
+    ),
+    "trace-v2": Format(
+        _legacy_trace("parent_v2_zlib.rptrace"),
+        _trace_fields(3),
+        _decode_trace,
+        TraceStoreError,
+    ),
+    "trace-v1-sorted": Format(
+        _build_trace(None),
+        _trace_fields(0),
+        _decode_trace,
+        TraceStoreError,
+        _key_segment_edits,
+    ),
+    "trace-v2-sorted": Format(
+        _build_trace("zlib"), _trace_fields(3), _decode_trace, TraceStoreError
+    ),
     "wal": Format(_build_wal, _wal_fields, _decode_wal, WalError),
     "snapshot-exact": Format(
         _build_snapshot("exact"), _snapshot_fields, _decode_snapshot, SnapshotError
@@ -349,6 +411,20 @@ def test_every_mutation_decodes_or_raises_the_typed_error(tmp_path, name):
         except Exception as exc:  # noqa: BLE001 - the escape is the finding
             escapes.append(f"{label}: {type(exc).__name__}: {exc}")
     assert not escapes, "\n".join(escapes)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    ["swapped", "negative first key", "replier half 2**31", "flags 0", "flags 3"],
+)
+def test_key_segment_edits_raise(tmp_path, edit):
+    """Each edit of a sorted-key store is refused with the typed error,
+    never served: a segment that is not sorted, in-range packed keys
+    cannot be a block's histogram."""
+    data = _build_trace(None)(tmp_path)
+    (mutated,) = [out for label, out in _key_segment_edits(data) if label == edit]
+    with pytest.raises(TraceStoreError):
+        _decode_trace(_write(tmp_path, mutated))
 
 
 def _write(tmp_path, data):

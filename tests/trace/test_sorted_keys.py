@@ -1,0 +1,330 @@
+"""A store block's key histogram, read off its sorted key segment.
+
+A store holds each block's packed keys sorted (header flags bit 1), and a
+store block's ``key_histogram()`` is one checked pass over that segment;
+a store written before holds them in pair order (bit 0) and is counted
+from its columns, like an in-memory block.  Here:
+
+* the committed ``data/parent_v1.rptrace`` / ``data/parent_v2_zlib.rptrace``
+  (the 300 pairs of :func:`legacy_columns`, block 100, written raw and
+  with ``codec="zlib"`` by the release before sorted key segments) serve
+  what the in-memory blocks give: columns, histograms, the four
+  strategies' runs and both ``StreamingRules`` runs;
+* on hypothesis-drawn columns — one distinct key, all keys distinct, a
+  1-pair block, a short tail block, ids 0 and 2**31 - 1; raw and zlib —
+  a store block's histogram is ``np.unique``'s bit for bit, and the four
+  strategies, ``ruleset_test_random_subset`` and a two-tier
+  ``ruleset_test_fallback`` agree with the in-memory blocks;
+* a key segment that is sorted but not the columns' keys fails
+  ``verify_blocks``, ``verify=True`` and the footer-less scan;
+* a block first touched after its reader's ``close()`` raises
+  :class:`TraceStoreError`.
+
+``tests/test_decoder_wall.py`` edits the segment so that it cannot be
+sorted keys; every such edit must fail the read.  Mutants run in a
+scratch copy, and what fails on each:
+
+* the key-segment comparison dropped from ``TraceStoreReader._intact``
+  (verification checks the fingerprint only) —
+  ``TestIntegrity::test_forged_sorted_segment_fails_verification``;
+* the sortedness check dropped from the histogram pass —
+  ``test_decoder_wall.py::test_key_segment_edits_raise[swapped]``;
+* segment 2 written from ``np.sort(block.packed_keys())`` instead of
+  from the columns — ``test_store.py::TestPackedSegmentIgnored`` and
+  ``TestIntegrity::test_a_forged_memo_never_reaches_the_segment``.
+"""
+
+import gc
+import struct
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.trace.blocks as blocks_module
+from repro.core.evaluation import ruleset_test_fallback, ruleset_test_random_subset
+from repro.core.generation import generate_ruleset
+from repro.core.strategies import (
+    AdaptiveSlidingWindow,
+    LazySlidingWindow,
+    SlidingWindow,
+    StaticRuleset,
+)
+from repro.core.streaming import StreamingRules
+from repro.trace.blocks import PairBlock, blocks_from_arrays
+from repro.trace.store import (
+    TraceStoreCorruption,
+    TraceStoreError,
+    TraceStoreReader,
+    TraceStoreWriter,
+)
+
+DATA = Path(__file__).parent / "data"
+LEGACY = ("parent_v1.rptrace", "parent_v2_zlib.rptrace")
+STRATEGIES = (StaticRuleset, SlidingWindow, LazySlidingWindow, AdaptiveSlidingWindow)
+ID_MAX = 2**31 - 1
+
+
+def legacy_columns():
+    """The 300 pairs the committed legacy stores hold."""
+    rng = np.random.default_rng(31)
+    sources = rng.integers(0, 12, 300)
+    repliers = 100 + (sources + rng.integers(0, 3, 300)) % 8
+    return sources, repliers
+
+
+def header_flags(path):
+    return struct.unpack_from("<I", Path(path).read_bytes(), 12)[0]
+
+
+def write(path, sources, repliers, *, block_size=100, codec=None, footer=True):
+    writer = TraceStoreWriter(path, block_size=block_size, codec=codec)
+    writer.append(sources, repliers)
+    if footer:
+        writer.close(drop_partial=False)
+    else:
+        writer.abandon()
+    return path
+
+
+def assert_serves(reader, memory):
+    """Every block of ``reader`` has ``memory``'s length, columns and
+    histogram — the histogram read first, bit for bit and dtype for dtype."""
+    disk = list(reader.iter_blocks())
+    assert len(disk) == len(memory)
+    for got, want in zip(disk, memory):
+        assert (got.index, len(got)) == (want.index, len(want))
+        expected = np.unique(want.packed_keys(), return_counts=True)
+        for array, oracle in zip(got.key_histogram(), expected):
+            assert array.dtype == oracle.dtype
+            np.testing.assert_array_equal(array, oracle)
+        np.testing.assert_array_equal(got.sources, want.sources)
+        np.testing.assert_array_equal(got.repliers, want.repliers)
+        np.testing.assert_array_equal(got.packed_keys(), want.packed_keys())
+
+
+def assert_same_runs(path, memory):
+    """The four strategies and both streaming backends, off the store and
+    off the in-memory blocks."""
+    for run_on in [cls().run for cls in STRATEGIES] + [
+        StreamingRules(backend=backend).run for backend in ("exact", "lossy")
+    ]:
+        with TraceStoreReader(path) as reader:
+            assert run_on(reader.iter_blocks()) == run_on(memory)
+
+
+class TestLegacyBytes:
+    """Stores written before the key segment was sorted stay readable,
+    through the memo in-memory blocks count their histogram in."""
+
+    @pytest.mark.parametrize("name", LEGACY)
+    def test_serves_what_memory_gives(self, name):
+        path = DATA / name
+        assert header_flags(path) == 1  # pair-order keys
+        memory = blocks_from_arrays(*legacy_columns(), block_size=100)
+        with TraceStoreReader(path) as reader:
+            assert not reader.sorted_keys
+            assert reader.verify_blocks(strict=True) == 3
+            assert_serves(reader, memory)
+            for held, want in zip(reader.blocks(), memory):
+                np.testing.assert_array_equal(
+                    held.key_histogram()[1], want.key_histogram()[1]
+                )
+        with TraceStoreReader(path, verify=True) as reader:
+            assert reader.n_blocks == 3
+        assert_same_runs(path, memory)
+
+    @pytest.mark.parametrize("name", LEGACY)
+    def test_counted_from_the_columns(self, name, tmp_path, monkeypatch):
+        """A legacy block's histogram goes through ``count_keys``; a
+        sorted-segment block's never does."""
+        calls = []
+        real = blocks_module.count_keys
+        monkeypatch.setattr(
+            blocks_module, "count_keys", lambda keys: calls.append(1) or real(keys)
+        )
+        with TraceStoreReader(DATA / name) as reader:
+            reader.block(1).key_histogram()
+        assert calls == [1]
+        path = write(tmp_path / "new.rptrace", *legacy_columns())
+        assert header_flags(path) == 2  # sorted keys
+        with TraceStoreReader(path) as reader:
+            assert reader.sorted_keys
+            for block in reader.iter_blocks():
+                block.key_histogram()
+        assert calls == [1]
+
+    def test_layout_and_size_are_unchanged(self, tmp_path):
+        """Only the flags word and segment 2's order differ from the
+        legacy raw bytes: same header, columns, footer and size."""
+        legacy = (DATA / "parent_v1.rptrace").read_bytes()
+        new = write(tmp_path / "new.rptrace", *legacy_columns()).read_bytes()
+        assert len(new) == len(legacy)
+        assert new[:12] == legacy[:12] and new[16:32] == legacy[16:32]
+        block = 32 + 3 * 100 * 8
+        for b in range(3):
+            start = 32 + b * block
+            assert new[start : start + 32 + 1600] == legacy[start : start + 32 + 1600]
+            keys = np.frombuffer(new[start + 1632 : start + block], dtype="<i8")
+            pair_order = np.frombuffer(
+                legacy[start + 1632 : start + block], dtype="<i8"
+            )
+            np.testing.assert_array_equal(keys, np.sort(pair_order))
+        assert new[32 + 3 * block :] == legacy[32 + 3 * block :]
+
+
+@st.composite
+def traces(draw):
+    """(sources, repliers, block_size) with the shapes a one-pass
+    histogram can get wrong."""
+    kind = draw(st.sampled_from(["one key", "all distinct", "extreme ids", "mixed"]))
+    n = draw(st.integers(1, 240))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "one key":
+        sources = np.full(n, draw(st.sampled_from([0, 7, ID_MAX])))
+        repliers = np.full(n, draw(st.sampled_from([0, 9, ID_MAX])))
+    elif kind == "all distinct":
+        sources = rng.integers(0, 4, n)
+        repliers = rng.permutation(n) + draw(st.sampled_from([0, ID_MAX - n + 1]))
+    elif kind == "extreme ids":
+        sources = rng.choice([0, 1, ID_MAX - 1, ID_MAX], n)
+        repliers = rng.choice([0, 1, ID_MAX - 1, ID_MAX], n)
+    else:
+        sources = rng.integers(0, 6, n)
+        repliers = 100 + (sources + rng.integers(0, 3, n)) % 5
+    block_size = draw(st.one_of(st.just(1), st.integers(1, n + 20)))
+    return sources.astype(np.int64), repliers.astype(np.int64), block_size
+
+
+class TestHistogramDifferential:
+    @settings(max_examples=80, deadline=None)
+    @given(trace=traces(), codec=st.sampled_from([None, "zlib"]))
+    def test_store_blocks_equal_memory_blocks(self, trace, codec):
+        sources, repliers, block_size = trace
+        memory = blocks_from_arrays(
+            sources, repliers, block_size=block_size, drop_partial=False
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(
+                Path(tmp) / "t.rptrace",
+                sources,
+                repliers,
+                block_size=block_size,
+                codec=codec,
+            )
+            with TraceStoreReader(path) as reader:
+                assert reader.sorted_keys
+                assert reader.verify_blocks(strict=True) == len(memory)
+                assert_serves(reader, memory)
+                disk = list(reader.iter_blocks())  # fresh: nothing read yet
+                rules = generate_ruleset(memory[0], min_support_count=1)
+                assert list(generate_ruleset(disk[0], min_support_count=1)) == list(
+                    rules
+                )
+                for got, want in zip(disk, memory):
+                    assert ruleset_test_random_subset(
+                        rules, got, k=1, rng=np.random.default_rng(5)
+                    ) == ruleset_test_random_subset(
+                        rules, want, k=1, rng=np.random.default_rng(5)
+                    )
+                    # a finer tier first, the store block as the coarse one
+                    fine = PairBlock(want.sources // 2, want.repliers, index=want.index)
+                    fine_rules = generate_ruleset(fine, min_support_count=3)
+                    assert ruleset_test_fallback(
+                        [(fine_rules, fine), (rules, got)]
+                    ) == ruleset_test_fallback([(fine_rules, fine), (rules, want)])
+            if len(memory) >= 2:
+                assert_same_runs(path, memory)
+
+
+def forge(path, codec, monkeypatch, *, footer=True):
+    """A 3-block store whose block 1 key segment is sorted and in range
+    but holds {3} -> {4} a hundred times, not the block's keys."""
+    import repro.core.generation as generation
+
+    real = generation.pack_pair_keys
+    packed = []
+
+    def forging(sources, repliers, **kwargs):
+        keys = real(sources, repliers, **kwargs)
+        packed.append(1)
+        return np.full_like(keys, (3 << 32) | 4) if len(packed) == 2 else keys
+
+    with monkeypatch.context() as patch:
+        patch.setattr(generation, "pack_pair_keys", forging)
+        write(path, *legacy_columns(), codec=codec, footer=footer)
+    return path
+
+
+class TestIntegrity:
+    """If verification passes, every rule is the columns' rule."""
+
+    @pytest.mark.parametrize("codec", [None, "zlib"])
+    def test_forged_sorted_segment_fails_verification(
+        self, tmp_path, codec, monkeypatch
+    ):
+        footered = forge(tmp_path / "a.rptrace", codec, monkeypatch)
+        with TraceStoreReader(footered) as reader:
+            # the read pass cannot tell: the segment is valid sorted keys
+            assert generate_ruleset(reader.block(1), min_support_count=5).matches(3, 4)
+            assert reader.verify_blocks() == 1
+            with pytest.raises(TraceStoreCorruption, match="block 1"):
+                reader.verify_blocks(strict=True)
+        with TraceStoreReader(footered, verify=True) as reader:
+            assert reader.n_blocks == 1
+        footerless = forge(tmp_path / "b.rptrace", codec, monkeypatch, footer=False)
+        with TraceStoreReader(footerless) as reader:
+            assert reader.recovered and reader.n_blocks == 1
+
+    @pytest.mark.parametrize("codec", [None, "zlib"])
+    def test_a_forged_memo_never_reaches_the_segment(self, tmp_path, codec):
+        sources, repliers = legacy_columns()
+        block = PairBlock(sources[:100], repliers[:100])
+        object.__setattr__(
+            block, "_packed_keys", np.full(100, (3 << 32) | 4, dtype=np.int64)
+        )
+        path = tmp_path / "t.rptrace"
+        with TraceStoreWriter(path, block_size=100, codec=codec) as writer:
+            writer.append_block(block)
+        with TraceStoreReader(path) as reader:
+            assert reader.verify_blocks(strict=True) == 1
+            keys, _ = reader.block(0).key_histogram()
+            np.testing.assert_array_equal(
+                keys, np.unique((sources[:100] << 32) | repliers[:100])
+            )
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("name", [None, *LEGACY])
+    def test_first_touch_after_close_raises(self, tmp_path, name):
+        path = DATA / name if name else write(tmp_path / "t.rptrace", *legacy_columns())
+        reader = TraceStoreReader(path)
+        touches = {
+            "sources": lambda block: block.sources,
+            "repliers": lambda block: block.repliers,
+            "packed_keys": lambda block: block.packed_keys(),
+            "key_histogram": lambda block: block.key_histogram(),
+        }
+        untouched = {what: reader.block(0) for what in touches}
+        held = reader.blocks()
+        reader.close()
+        for what, touch in touches.items():
+            with pytest.raises(TraceStoreError, match="closed"):
+                touch(untouched[what])
+        assert len(untouched["sources"]) == 100  # the index entry's
+        if reader.sorted_keys:  # blocks() read the columns, not the keys
+            with pytest.raises(TraceStoreError, match="closed"):
+                held[0].key_histogram()
+
+    def test_a_block_keeps_its_reader_open(self, tmp_path):
+        """A block whose reader nobody else holds still reads: it holds
+        the reader, so nothing is unmapped under it."""
+        sources, repliers = legacy_columns()
+        path = write(tmp_path / "t.rptrace", sources, repliers, codec=None)
+        block = TraceStoreReader(path).block(2)
+        gc.collect()
+        keys, counts = block.key_histogram()
+        assert counts.sum() == 100
+        np.testing.assert_array_equal(block.sources, sources[200:])

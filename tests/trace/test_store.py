@@ -143,7 +143,8 @@ class TestPreseededMemoization:
 
 class TestPackedSegmentIgnored:
     """The fingerprint covers the two columns, not the packed segment, so
-    the reader derives keys from the columns and never reads it."""
+    the writer packs that segment from the columns, never from a block's
+    memo, and the reader's keys and histogram are the columns'."""
 
     @pytest.mark.parametrize("codec", [None, "zlib"])
     def test_forged_packed_segment_changes_nothing(self, tmp_path, codec):
@@ -272,6 +273,28 @@ class TestValidation:
         reader = TraceStoreReader(path)
         assert reader.n_blocks == 0
         assert list(reader.iter_blocks()) == []
+
+    def test_float_ids_are_refused_not_truncated(self, tmp_path):
+        with TraceStoreWriter(tmp_path / "t.rptrace", block_size=2) as w:
+            with pytest.raises(ValueError, match="integers"):
+                w.append(np.array([1.9, 2.7]), np.array([3.2, 4.99]))
+            with pytest.raises(ValueError, match="integers"):
+                w.append(np.array([1, 2]), np.array([3.0, 4.0]))
+            assert w.pending_pairs == 0 and w.n_blocks == 0
+        assert TraceStoreReader(tmp_path / "t.rptrace").n_blocks == 0
+
+    def test_block_index_must_be_in_range(self, tmp_path):
+        """``block(-1)`` used to serve the last block labelled -1, and
+        ``block(5)`` of two a bare list error."""
+        reader, _, _ = make_store(tmp_path / "t.rptrace", n=200)
+        assert reader.n_blocks == 2
+        for i in (-1, -2, 2, 5):
+            with pytest.raises(IndexError, match=r"block .* not in range\(0, 2\)"):
+                reader.block(i)
+            with pytest.raises(IndexError, match=r"range\(0, 2\)"):
+                reader.columns(i)
+        assert [b.index for b in reader.iter_blocks()] == [0, 1]
+        reader.close()
 
     def test_writer_close_is_idempotent(self, tmp_path):
         path = tmp_path / "t.rptrace"
@@ -462,8 +485,9 @@ class TestReaderLifetime:
     def test_close_releases_block_mappings(self, tmp_path):
         reader, _, _ = make_store(tmp_path / "t.rptrace")
         block = reader.block(0)
+        block.sources, block.repliers  # a block maps its columns on first use
         mappings = list(reader._live_maps)
-        assert mappings  # block() created tracked memmaps
+        assert mappings  # the columns are tracked memmaps
         del block
         reader.close()
         assert all(m.closed for m in mappings)
