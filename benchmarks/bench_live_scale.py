@@ -1,18 +1,18 @@
-"""Saturation benchmark: a process-per-node cluster under open-loop load.
+"""Saturation benchmark: an in-process cluster under open-loop load.
 
-``python -m benchmarks.bench_live_scale`` boots a sharded cluster via
-:class:`repro.scale.supervisor.ClusterSupervisor` (one ``LiveServent``
-per worker *process*, real TCP between them), then steps offered RPS
-through an open-loop ramp (:mod:`repro.scale.ramp`) and emits
-``BENCH_live_scale.json``:
+``python -m benchmarks.bench_live_scale`` boots a ring
+:class:`repro.live.cluster.LiveCluster` (one ``LiveServent`` per node,
+real loopback TCP between them), then steps offered RPS through an
+open-loop ramp (:mod:`repro.scale.ramp`) on the same event loop and
+emits ``BENCH_live_scale.json``:
 
-* one record per offered-RPS step — p50/p95/p99 latency, achieved rate,
-  timeout/error rate, cluster-side shed/drop deltas, open-loop fidelity;
+* one record per offered-RPS step — p50/p95/p99 latency timed from each
+  request's due instant, achieved rate, timeout/error rate, cluster-side
+  shed/drop deltas, open-loop fidelity;
 * the saturation summary — max sustainable QPS within the p99 bound and
-  error budget, normalised per core;
-* cross-process totals both ways: exact control-channel counters
-  (``grand_totals``) and the external-observer view scraped from every
-  worker's ``/metrics`` endpoint (``scrape_totals``).
+  error budget.  Servents and generator share one loop, one core, so
+  that is also the per-core figure;
+* the cluster's counter totals, restarted nodes included.
 
 The run **gates**: exit 1 unless the cluster sustains ``--floor-qps``
 at ``--p99-bound`` seconds, so CI catches throughput regressions the
@@ -23,6 +23,7 @@ Markdown table for artifact upload.
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
 import os
 import sys
@@ -36,22 +37,29 @@ DEFAULT_TERMS = (
 
 
 def _parse_steps(text: str) -> list[float]:
-    steps = [float(part) for part in text.split(",") if part.strip()]
+    from repro.utils.validation import check_finite_positive
+
+    try:
+        steps = [
+            check_finite_positive("RPS step", part)
+            for part in text.split(",")
+            if part.strip()
+        ]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if not steps:
         raise argparse.ArgumentTypeError("need at least one RPS step")
-    if any(s <= 0 for s in steps):
-        raise argparse.ArgumentTypeError("RPS steps must be positive")
     return steps
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m benchmarks.bench_live_scale",
-        description="Gated saturation benchmark over a multi-process cluster.",
+        description="Gated saturation benchmark over an in-process cluster.",
     )
     parser.add_argument(
-        "--workers", type=int, default=2,
-        help="worker processes, one LiveServent each (default 2)",
+        "--nodes", type=int, default=2,
+        help="LiveServents on the ring (default 2)",
     )
     parser.add_argument(
         "--rps", type=_parse_steps, default=_parse_steps("40,80,160,320"),
@@ -64,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--terms", type=lambda t: [s for s in t.split(",") if s],
         default=list(DEFAULT_TERMS),
-        help="comma-separated query vocabulary (partitioned across workers)",
+        help="comma-separated query vocabulary (partitioned across nodes)",
     )
     parser.add_argument(
         "--think", choices=("exponential", "lognormal", "fixed"),
@@ -91,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--uvloop", action="store_true",
-        help="ask workers (and this process) for uvloop; silent fallback",
+        help="run on uvloop if importable; silent fallback",
     )
     parser.add_argument(
         "--state-root", default=None,
@@ -103,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI smoke shape: 2 workers, low RPS, short steps",
+        help="CI smoke shape: 2 nodes, low RPS, short steps",
     )
     parser.add_argument(
         "--trace-sample", type=int, default=0,
@@ -117,51 +125,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--trace-report", default=None,
-        help="write the traced ramp's merged query tree + cluster "
-        "rollup as Markdown to this path",
+        help="write the traced ramp's query tree + cluster routing "
+        "quality as Markdown to this path",
     )
     return parser
 
 
-def _ramp_once(args: argparse.Namespace, *, trace_sample: int = 0) -> dict:
+async def _ramp_once(args: argparse.Namespace, *, trace_sample: int = 0) -> dict:
     """Boot one cluster, run the full ramp against it, tear it down.
 
-    With ``trace_sample > 0`` the workers sample 1-in-N GUIDs into their
-    tracers and the result additionally carries the merged trace trees
-    and the collector's cluster rollup (the tracing-overhead comparison
-    needs a *separate* cluster so rules learned under the baseline ramp
-    do not flatter the traced one).
+    With ``trace_sample > 0`` the cluster's tracer samples 1-in-N GUIDs
+    and the result additionally carries a rendered query tree and the
+    cluster's routing quality (the tracing-overhead comparison needs a
+    *separate* cluster so rules learned under the baseline ramp do not
+    flatter the traced one).
     """
+    from repro.live import LiveCluster
     from repro.network.topology import Topology
-    from repro.scale import (
-        ClusterSupervisor,
-        LoadConfig,
-        partitioned_specs,
-        run_ramp,
-        saturation_summary,
-    )
+    from repro.obs.tracing import QueryTracer
+    from repro.scale import LoadConfig, run_ramp_async, saturation_summary
 
-    specs = partitioned_specs(
-        args.workers,
-        list(args.terms),
-        uvloop=args.uvloop,
-        state_dir=None,
-        trace_sample=trace_sample,
-    )
-    if args.state_root and not trace_sample:
-        from dataclasses import replace
-
-        specs = [
-            replace(s, state_dir=os.path.join(
-                args.state_root, f"node-{s.node_id:03d}"))
-            for s in specs
-        ]
-    # Ring topology: every worker has peers, every query can reach every
+    # Ring topology: every node has peers, every query can reach every
     # shard within the TTL, and the edge count stays O(n).
-    n = args.workers
-    topology = Topology(n, [(i, (i + 1) % n) for i in range(n)]) if n > 1 \
-        else Topology(1, [])
-
+    n = args.nodes
+    topology = Topology(n, [(i, (i + 1) % n) for i in range(n)] if n > 1 else [])
+    cluster = LiveCluster(
+        topology,
+        rule_routed=True,
+        tracer=QueryTracer(sample=trace_sample) if trace_sample else None,
+        state_dir=None if trace_sample else args.state_root,
+    )
+    cluster.stock_partitioned_library(list(args.terms))
     base = LoadConfig(
         rps=1.0,
         duration=args.step_duration,
@@ -169,55 +163,61 @@ def _ramp_once(args: argparse.Namespace, *, trace_sample: int = 0) -> dict:
         request_timeout=args.timeout,
         trace_sample=trace_sample,
     )
-    supervisor = ClusterSupervisor(specs, topology=topology)
-    with supervisor:
-        addresses = [(host, port) for _id, host, port in supervisor.addresses()]
-        steps = run_ramp(
-            addresses,
+    async with cluster:
+        steps = await run_ramp_async(
+            [(cluster.host, node.port) for node in cluster.nodes],
             list(args.terms),
             args.rps,
             step_duration=args.step_duration,
             seed=args.seed,
             load_config=base,
-            cluster_totals=supervisor.totals,
+            cluster_totals=cluster.totals,
         )
-        summary = saturation_summary(
-            steps,
-            p99_bound=args.p99_bound,
-            max_error_rate=args.max_error_rate,
-            n_processes=supervisor.cpu_budget(),
-        )
-        worker_loops = sorted(
-            {h.info.get("loop", "?") for h in supervisor.handles.values()}
-        )
-        trace_render = None
-        if trace_sample:
-            from repro.obs.collect import (
-                format_cluster_rollup,
-                format_trace_tree,
-            )
-
-            collector = supervisor.collector()
-            collector.poll()
-            parts = [format_cluster_rollup(collector)]
-            guid = collector.best_guid()
-            if guid is not None:
-                parts.extend(["", format_trace_tree(collector.traces[guid])])
-            trace_render = {
-                "traces_collected": len(collector.traces),
-                "answered": len(collector.answered_guids()),
-                "quality": collector.live_quality(),
-                "markdown": "\n".join(parts),
-            }
-        scraped = supervisor.scrape_totals()
-        grand = supervisor.grand_totals()
+        totals = cluster.grand_totals()
+    summary = saturation_summary(
+        steps, p99_bound=args.p99_bound, max_error_rate=args.max_error_rate
+    )
     return {
         "steps": steps,
         "summary": summary,
-        "worker_loops": worker_loops,
-        "cluster_totals": grand,
-        "scraped_totals": scraped,
-        "trace": trace_render,
+        "cluster_totals": totals,
+        "trace": _render_trace(cluster, totals) if trace_sample else None,
+    }
+
+
+def _render_trace(cluster, totals: dict[str, int]) -> dict:
+    """The cluster's routing quality and its most interesting query tree:
+    the latest answered trace, else the latest seen."""
+    from repro.obs.collect import format_trace_tree, quality_measures
+
+    quality = quality_measures(
+        {
+            "rule": totals["queries_rule_routed"],
+            "flood": totals["queries_flooded"],
+            "issued": totals["queries_issued"],
+            "hits": totals["hits_received"],
+            "frames_out": totals["frames_out"],
+        }
+    )
+    tracer = cluster.tracer
+    answered = tracer.answered_guids()
+    parts = [
+        "## Cluster routing quality",
+        "",
+        "| alpha | rho | traffic/query |",
+        "|---|---|---|",
+        f"| {quality['alpha']:.3f} | {quality['rho']:.3f} "
+        f"| {quality['traffic_per_query']:.2f} |",
+    ]
+    pool = answered or tracer.guids()
+    if pool:
+        guid = max(pool, key=lambda g: cluster.trace(g).last_event)
+        parts += ["", format_trace_tree(cluster.trace(guid))]
+    return {
+        "traces_collected": len(tracer),
+        "answered": len(answered),
+        "quality": quality,
+        "markdown": "\n".join(parts),
     }
 
 
@@ -225,19 +225,18 @@ def run(args: argparse.Namespace) -> dict:
     from repro.scale import install_uvloop
 
     if args.quick:
-        args.workers = 2
+        args.nodes = 2
         args.rps = [10.0, 20.0, 40.0, 80.0]
         args.step_duration = min(args.step_duration, 4.0)
         args.floor_qps = min(args.floor_qps, 8.0)
 
     loop_impl = install_uvloop(args.uvloop)
-    baseline = _ramp_once(args)
+    baseline = asyncio.run(_ramp_once(args))
     payload = {
         "metadata": {
-            "workers": args.workers,
+            "nodes": args.nodes,
             "cpu_count": os.cpu_count(),
             "loop": loop_impl,
-            "worker_loops": baseline["worker_loops"],
             "uvloop_requested": args.uvloop,
             "think": args.think,
             "step_duration_seconds": args.step_duration,
@@ -248,10 +247,9 @@ def run(args: argparse.Namespace) -> dict:
         "steps": baseline["steps"],
         "summary": baseline["summary"],
         "cluster_totals": baseline["cluster_totals"],
-        "scraped_totals": baseline["scraped_totals"],
     }
     if args.trace_sample > 0:
-        traced = _ramp_once(args, trace_sample=args.trace_sample)
+        traced = asyncio.run(_ramp_once(args, trace_sample=args.trace_sample))
         baseline_qps = baseline["summary"]["max_sustainable_qps"]
         traced_qps = traced["summary"]["max_sustainable_qps"]
         overhead = (
@@ -267,13 +265,11 @@ def run(args: argparse.Namespace) -> dict:
             "overhead_bound": args.trace_overhead,
             "traced_steps": traced["steps"],
             "traced_summary": traced["summary"],
-            "collector": {
-                k: v
-                for k, v in (traced["trace"] or {}).items()
-                if k != "markdown"
+            "trace": {
+                k: v for k, v in traced["trace"].items() if k != "markdown"
             },
         }
-        payload["trace_markdown"] = (traced["trace"] or {}).get("markdown")
+        payload["trace_markdown"] = traced["trace"]["markdown"]
     return payload
 
 

@@ -8,8 +8,8 @@ Every command runs with a bootstrap ``sitecustomize`` module first on
 ``sys.setprofile`` / ``threading.setprofile`` hook that records
 ``(co_filename, co_firstlineno)`` of every ``call`` event under
 ``src/repro``, and dumps the record at exit.  Child processes inherit the
-environment, so ``subprocess`` children, spawned cluster workers and
-forked pool workers record too.  A forked ``multiprocessing`` child leaves
+environment, so ``subprocess`` children and forked pool workers record
+too.  A forked ``multiprocessing`` child leaves
 through ``os._exit`` (no ``atexit``), and ``Process._bootstrap`` clears
 the finalizer registry it inherited, so the bootstrap registers its dump
 as a ``multiprocessing.util.Finalize`` from an after-fork hook that runs

@@ -32,14 +32,14 @@ Commands
 ``persist inspect``
     Dump the snapshot and WAL-segment headers of one durable
     rule-state directory as JSON (see ``docs/persistence.md``).
-``cluster``
-    Boot a **multi-process** sharded cluster (one servent per worker
-    process over real TCP, see ``docs/scale.md``), hold it up for a
-    duration, and print cluster-wide totals on exit.
 ``load-test``
     Drive a seeded **open-loop** load step (or RPS ramp) against
-    already-running servents and print latency percentiles, error
-    rates, and the saturation summary.
+    already-running ``live-node`` daemons and print latency
+    percentiles, error rates, and the saturation summary (see
+    ``docs/scale.md``).
+``trace-view``
+    Merge the ``/trace`` spans of running ``live-node --metrics-port``
+    daemons into query trees plus a live α/ρ rollup.
 
 Use ``--seed`` to vary the seed and ``--full`` for the paper's full
 365-block horizon (what ``REPRO_FULL_SCALE=1`` selects by default).
@@ -398,79 +398,17 @@ def build_parser() -> argparse.ArgumentParser:
         "the warm-restart invariants (rule-routed soaks only)",
     )
 
-    cluster = sub.add_parser(
-        "cluster",
-        help="boot a multi-process sharded cluster over real TCP",
-    )
-    cluster.add_argument(
-        "--workers", type=int, default=2, help="worker processes (default 2)"
-    )
-    cluster.add_argument(
-        "--terms",
-        default="jazz,blues,rock,folk,metal,opera",
-        metavar="TERM[,TERM...]",
-        help="vocabulary partitioned round-robin across workers",
-    )
-    cluster.add_argument(
-        "--duration",
-        type=float,
-        default=0.0,
-        metavar="SECS",
-        help="hold the cluster up this long then exit (0 = until ^C)",
-    )
-    cluster.add_argument(
-        "--flood",
-        action="store_true",
-        help="flooding servents (default: rule-routed)",
-    )
-    cluster.add_argument(
-        "--state-dir",
-        metavar="DIR",
-        default=None,
-        help="per-node durable rule state under DIR/node-NNN",
-    )
-    cluster.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="workers use uvloop if importable (silent fallback)",
-    )
-    cluster.add_argument(
-        "--scrape",
-        action="store_true",
-        help="also print totals scraped from every worker's /metrics",
-    )
-    cluster.add_argument(
-        "--trace-sample",
-        type=int,
-        default=0,
-        metavar="N",
-        help="trace the 1-in-N GUID subset in every worker and serve "
-        "spans on /trace (0 = tracing off, default)",
-    )
-    cluster.add_argument(
-        "--ports-file",
-        metavar="PATH",
-        default=None,
-        help="write resolved node/data/obs ports as JSON (feeds trace-view)",
-    )
-
     trace_view = sub.add_parser(
         "trace-view",
-        help="merge /trace spans across a running cluster into query "
-        "trees plus a live alpha/rho rollup",
+        help="merge /trace spans across running live-node daemons into "
+        "query trees plus a live alpha/rho rollup",
     )
     trace_view.add_argument(
         "--endpoint",
         action="append",
         default=[],
         metavar="HOST:PORT",
-        help="a worker's obs endpoint (repeatable)",
-    )
-    trace_view.add_argument(
-        "--ports-file",
-        metavar="PATH",
-        default=None,
-        help="read endpoints from a cluster --ports-file JSON document",
+        help="a live-node --metrics-port endpoint (repeatable)",
     )
     trace_view.add_argument(
         "--guid",
@@ -685,98 +623,6 @@ def _split_terms(text: str) -> list[str]:
     return [term.strip() for term in text.split(",") if term.strip()]
 
 
-def _run_cluster(args) -> int:
-    import json
-    import time as _time
-
-    from repro.network.topology import Topology
-    from repro.scale import ClusterSupervisor, partitioned_specs
-
-    if args.workers < 1:
-        _log.error("need at least 1 worker", extra={"workers": args.workers})
-        return 2
-    if args.state_dir and args.flood:
-        _log.error("--state-dir persists rule state; drop --flood to use it")
-        return 2
-    vocabulary = _split_terms(args.terms)
-    if not vocabulary:
-        _log.error("need a non-empty --terms vocabulary")
-        return 2
-    specs = partitioned_specs(
-        args.workers,
-        vocabulary,
-        rule_routed=not args.flood,
-        uvloop=args.uvloop,
-        trace_sample=max(0, args.trace_sample),
-    )
-    if args.state_dir:
-        from dataclasses import replace
-
-        specs = [
-            replace(
-                s,
-                state_dir=os.path.join(
-                    args.state_dir, f"node-{s.node_id:03d}"
-                ),
-            )
-            for s in specs
-        ]
-    n = args.workers
-    topology = (
-        Topology(n, [(i, (i + 1) % n) for i in range(n)])
-        if n > 1
-        else Topology(1, [])
-    )
-    supervisor = ClusterSupervisor(specs, topology=topology)
-    try:
-        supervisor.start()
-        if args.ports_file:
-            doc = {
-                "nodes": [
-                    {
-                        "node": node_id,
-                        "host": host,
-                        "port": port,
-                        "obs_port": supervisor.handles[node_id].obs_port,
-                    }
-                    for node_id, host, port in supervisor.addresses()
-                ]
-            }
-            with open(args.ports_file, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
-        for node_id, host, port in supervisor.addresses():
-            handle = supervisor.handles[node_id]
-            _log.info(
-                "worker up",
-                extra={
-                    "node": node_id,
-                    "addr": f"{host}:{port}",
-                    "metrics": handle.obs_port,
-                    "pid": handle.info.get("pid"),
-                    "loop": handle.info.get("loop"),
-                },
-            )
-        if args.duration > 0:
-            _time.sleep(args.duration)
-        else:
-            while True:
-                _time.sleep(3600.0)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if args.scrape:
-            try:
-                print("scraped totals:")
-                print(json.dumps(supervisor.scrape_totals(), indent=2))
-            except OSError as exc:
-                _log.warning("scrape failed", extra={"error": str(exc)})
-        supervisor.close()
-        print("cluster totals:")
-        _print_stats(supervisor.grand_totals())
-    return 0
-
-
 def _run_load_test(args) -> int:
     import json
 
@@ -786,6 +632,7 @@ def _run_load_test(args) -> int:
         run_ramp,
         saturation_summary,
     )
+    from repro.utils.validation import check_finite_positive
 
     addresses = []
     for spec in args.target:
@@ -802,23 +649,26 @@ def _run_load_test(args) -> int:
         _log.error("need a non-empty --terms vocabulary")
         return 2
     try:
-        rps_steps = [float(part) for part in args.rps.split(",") if part.strip()]
-    except ValueError:
-        _log.error("bad --rps value", extra={"value": args.rps})
-        return 2
-    if not rps_steps or any(r <= 0 for r in rps_steps):
-        _log.error("--rps needs positive values", extra={"value": args.rps})
+        rps_steps = [
+            check_finite_positive("--rps", part)
+            for part in args.rps.split(",")
+            if part.strip()
+        ]
+        if not rps_steps:
+            raise ValueError("--rps needs at least one value")
+        base = LoadConfig(
+            rps=1.0,
+            duration=args.duration,
+            think=args.think,
+            request_timeout=args.timeout,
+        )
+    except ValueError as exc:
+        _log.error("bad load-test setting", extra={"error": str(exc)})
         return 2
     loop_impl = install_uvloop(args.uvloop)
     if args.uvloop:
         _log.info("event loop selected", extra={"loop": loop_impl})
     seed = args.seed if args.seed is not None else 0
-    base = LoadConfig(
-        rps=1.0,
-        duration=args.duration,
-        think=args.think,
-        request_timeout=args.timeout,
-    )
     steps = run_ramp(
         addresses,
         vocabulary,
@@ -830,29 +680,6 @@ def _run_load_test(args) -> int:
     summary = saturation_summary(steps, p99_bound=args.p99_bound)
     print(json.dumps({"steps": steps, "summary": summary}, indent=2))
     return 0
-
-
-def _trace_view_endpoints(args) -> list[tuple[object, str]]:
-    """(label, base URL) pairs from --endpoint and/or --ports-file."""
-    import json
-
-    endpoints: list[tuple[object, str]] = []
-    for spec in args.endpoint:
-        host, _, port = spec.rpartition(":")
-        endpoints.append((spec, f"http://{host or '127.0.0.1'}:{port}"))
-    if args.ports_file:
-        with open(args.ports_file, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        for node in doc.get("nodes", []):
-            if node.get("obs_port"):
-                endpoints.append(
-                    (
-                        node.get("node"),
-                        f"http://{node.get('host', '127.0.0.1')}:"
-                        f"{node['obs_port']}",
-                    )
-                )
-    return endpoints
 
 
 def _parse_guid(text: str) -> int:
@@ -871,13 +698,12 @@ def _run_trace_view(args) -> int:
         format_trace_tree,
     )
 
-    try:
-        endpoints = _trace_view_endpoints(args)
-    except (OSError, ValueError) as exc:
-        _log.error("bad --ports-file", extra={"error": str(exc)})
-        return 2
+    endpoints = []
+    for spec in args.endpoint:
+        host, _, port = spec.rpartition(":")
+        endpoints.append((spec, f"http://{host or '127.0.0.1'}:{port}"))
     if not endpoints:
-        _log.error("no endpoints: pass --endpoint and/or --ports-file")
+        _log.error("no endpoints: pass --endpoint")
         return 2
     collector = ClusterTraceCollector(endpoints)
     polls = max(1, args.polls)
@@ -1192,9 +1018,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "chaos-soak":
         return _run_chaos_soak(args, seed)
-
-    if args.command == "cluster":
-        return _run_cluster(args)
 
     if args.command == "load-test":
         return _run_load_test(args)

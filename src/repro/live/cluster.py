@@ -161,6 +161,8 @@ class LiveCluster:
         #: final counter snapshots of nodes replaced by :meth:`restart` —
         #: cross-restart accounting (:meth:`grand_totals`) needs them.
         self.retired_stats: list[dict[str, int]] = []
+        #: restarts per node; each new life mints GUIDs from its own epoch.
+        self._restarts: list[int] = [0] * topology.n_nodes
         self.nodes: list[LiveServent] = [
             self._make_node(node) for node in range(topology.n_nodes)
         ]
@@ -283,6 +285,10 @@ class LiveCluster:
         self.retired_stats.append(old.snapshot())
         node = self._make_node(node_id, port=old.port)
         node.servent.library = list(old.servent.library)
+        # A life that restarts its GUID sequence at 1 re-mints its
+        # predecessor's GUIDs, and peers' duplicate-GUID tables drop them.
+        self._restarts[node_id] += 1
+        node.servent.advance_guid_epoch(self._restarts[node_id])
         self.nodes[node_id] = node
         if node.recovery is not None:
             _log.info(

@@ -131,9 +131,9 @@ class Servent:
         A restarted servent that restarts its sequence at 1 re-mints the
         GUIDs of its previous life, and peers' reply-routing tables —
         which deduplicate by GUID — silently drop every descriptor it
-        originates.  Supervisors that respawn servents call this with
-        the incarnation number so each life mints from a disjoint block
-        of ``span`` GUIDs.
+        originates.  :meth:`LiveCluster.restart` calls this with the
+        node's restart count so each life mints from a disjoint block of
+        ``span`` GUIDs.
         """
         if epoch < 0:
             raise ValueError("epoch must be non-negative")

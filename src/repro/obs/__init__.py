@@ -17,10 +17,8 @@ makes that watching operational for the whole stack:
   :class:`~repro.live.node.LiveServent`;
 * :mod:`repro.obs.scrape` — the inverse of the registry's renderer:
   parse Prometheus text exposition (counters, gauges *and* histogram
-  ``le`` buckets) back into samples and aggregate them across many
-  ``/metrics`` endpoints (the cross-process ``grand_totals()`` used by
-  :mod:`repro.scale`);
-* :mod:`repro.obs.collect` — the cluster-wide trace collector: merge
+  ``le`` buckets) back into samples, and fetch one ``/metrics`` page;
+* :mod:`repro.obs.collect` — the cross-daemon trace collector: merge
   per-node ``/trace`` spans by GUID into query trees and fold counters
   into rolling live α/ρ/traffic-per-query windows.
 
@@ -64,7 +62,6 @@ from repro.obs.scrape import (
     parse_labels,
     parse_samples,
     scrape_text,
-    scrape_totals,
 )
 from repro.obs.tracing import (
     NULL_TRACER,
@@ -112,6 +109,5 @@ __all__ = [
     "quality_measures",
     "reset_global_registry",
     "scrape_text",
-    "scrape_totals",
     "traced_guid",
 ]

@@ -1,10 +1,10 @@
 """Cluster-wide trace collection and live routing-quality rollups.
 
-The process-per-node cluster (:mod:`repro.scale`) scatters one query's
-story across many tracers: each worker's :class:`~repro.obs.tracing.
-QueryTracer` only sees the hops its own servent took.  This module is
-the read side that puts the story back together, in the idiom of
-:mod:`repro.obs.scrape`: poll every node's ``/trace`` (JSON-lines spans)
+``live-node --metrics-port`` daemons scatter one query's story across
+many tracers: each daemon's :class:`~repro.obs.tracing.QueryTracer` only
+sees the hops its own servent took.  This module is the read side that
+puts the story back together, in the idiom of :mod:`repro.obs.scrape`:
+poll every node's ``/trace`` (JSON-lines spans)
 and ``/metrics`` (Prometheus text) endpoints over plain HTTP, merge
 spans by GUID — the GUID *is* the trace id, so concatenating per-node
 span streams and sorting by wall-clock timestamp reconstructs the
@@ -129,7 +129,7 @@ class ClusterTraceCollector:
     cluster counters, merges latency histograms across nodes, and —
     from the second poll on — appends one rolling window of counter
     deltas.  A node that cannot be reached, or whose reply does not
-    parse, is skipped for that poll (dead workers must not hang a
+    parse, is skipped for that poll (dead daemons must not hang a
     sweep), tallied in ``errors``.
     """
 

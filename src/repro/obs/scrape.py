@@ -1,18 +1,15 @@
-"""Read Prometheus text exposition back into counters.
+"""Read Prometheus text exposition back into samples.
 
 :meth:`~repro.obs.registry.MetricsRegistry.render` writes the text
-format scrapers ingest; this module is the inverse direction, and it
-exists because cluster-wide accounting stopped being an in-process
-problem: :meth:`repro.live.cluster.LiveCluster.grand_totals` can sum
-:class:`~repro.live.stats.NodeStats` objects it holds references to,
-but a *multi-process* cluster (:mod:`repro.scale`) only sees its
-workers through their ``/metrics`` endpoints.  :func:`scrape_totals`
-fetches each worker's exposition over HTTP and folds the samples back
-into one ``{metric name: total}`` dict, summing across workers and
-label combinations — the cross-process twin of ``grand_totals()``.
+format scrapers ingest; this module is the inverse direction.
+:func:`parse_samples` and :func:`parse_histograms` turn one exposition
+back into ``(name, labels, value)`` samples and bucketed distributions,
+and :func:`scrape_text` fetches one ``/metrics`` page over HTTP.  The
+reader is :mod:`repro.obs.collect`, which polls ``live-node
+--metrics-port`` daemons that live in other processes.
 
-Implemented on :mod:`urllib.request` (stdlib only), with per-request
-timeouts so one dead worker cannot hang an aggregation sweep.
+Implemented on :mod:`urllib.request` (stdlib only), with a per-request
+timeout so one dead daemon cannot hang a sweep.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ __all__ = [
     "parse_labels",
     "parse_samples",
     "scrape_text",
-    "scrape_totals",
 ]
 
 
@@ -149,7 +145,7 @@ def merge_histograms(*histogram_maps: dict[str, dict]) -> dict[str, dict]:
 
     Cumulative bucket counts sum bucket-by-bucket (summing cumulative
     series is still cumulative), as do ``sum`` and ``count`` — every
-    worker records into identically configured registries, so the bucket
+    node records into identically configured registries, so the bucket
     bounds line up by construction.
     """
     merged: dict[str, dict] = {}
@@ -189,31 +185,3 @@ def scrape_text(url: str, *, timeout: float = 5.0) -> str:
     with urllib.request.urlopen(url, timeout=timeout) as response:
         return response.read().decode("utf-8")
 
-
-def scrape_totals(
-    urls: list[str] | tuple[str, ...],
-    *,
-    timeout: float = 5.0,
-    prefix: str = "",
-) -> dict[str, float]:
-    """Aggregate counters across many ``/metrics`` endpoints.
-
-    Each endpoint's samples are summed into one ``{name: total}`` dict
-    across all label combinations and all URLs — the semantics of
-    :meth:`~repro.obs.registry.MetricsRegistry.total`, applied to
-    workers that live in other processes.  Histogram ``_bucket`` series
-    are skipped (cumulative buckets would double-count; the ``_sum`` /
-    ``_count`` series carry the usable totals).  ``prefix`` restricts
-    the result (e.g. ``"repro_"``).
-    """
-    totals: dict[str, float] = {}
-    for url in urls:
-        for name, _labels, value in parse_samples(
-            scrape_text(url, timeout=timeout)
-        ):
-            if prefix and not name.startswith(prefix):
-                continue
-            if name.endswith("_bucket"):
-                continue
-            totals[name] = totals.get(name, 0.0) + value
-    return totals

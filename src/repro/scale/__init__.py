@@ -1,26 +1,22 @@
-"""repro.scale — multi-process cluster + open-loop saturation benchmarking.
+"""repro.scale — open-loop load and saturation benchmarking.
 
-The single-machine scale-out layer: everything below here runs servents
-in one process (one core); :mod:`repro.scale` spawns **one process per
-node** and measures what the system can actually sustain.
+What load the live servent sustains, measured from outside it over real
+TCP.  The servents under load are either an in-process
+:class:`~repro.live.cluster.LiveCluster` sharing the generator's event
+loop (``bench_live_scale``) or ``live-node`` daemons (``load-test``).
 
-* :mod:`~repro.scale.supervisor` — spawn/wire/watch a process-per-node
-  cluster over real TCP, with graceful stop, hard kill, crash detection
-  and port-pinned restarts (the :mod:`repro.faults` semantics, across
-  process boundaries).
-* :mod:`~repro.scale.worker` — the spawned entry point: one
-  :class:`~repro.live.node.LiveServent` plus a control pipe.
 * :mod:`~repro.scale.loadgen` — seeded **open-loop** load generation
   (weighted task mix, think-time distributions, deadline scheduling that
-  never slows when the target does), keeping every request's latency.
+  never slows when the target does), keeping every request's latency
+  from the instant it was due.
 * :mod:`~repro.scale.ramp` — step offered RPS to trace a saturation
-  curve and read off the max sustainable QPS (per core).
+  curve and read off the max sustainable QPS.
 * :mod:`~repro.scale.loop` — optional uvloop installation with a silent
   stdlib fallback.
 
 Entry points: ``python -m benchmarks.bench_live_scale`` for the gated
-saturation benchmark, ``python -m repro.cli cluster`` / ``load-test``
-for interactive use.
+saturation benchmark, ``python -m repro load-test`` against running
+``live-node`` daemons.
 """
 
 from repro.scale.loadgen import (
@@ -42,16 +38,9 @@ from repro.scale.ramp import (
     run_ramp_async,
     saturation_summary,
 )
-from repro.scale.supervisor import (
-    ClusterSupervisor,
-    WorkerHandle,
-    partitioned_specs,
-)
-from repro.scale.worker import WorkerSpec
 
 __all__ = [
     "CLIENT_ID_BASE",
-    "ClusterSupervisor",
     "LoadClient",
     "LoadConfig",
     "LoadGenerator",
@@ -60,12 +49,9 @@ __all__ = [
     "TASK_BROWSE",
     "TASK_IDLE",
     "TASK_QUERY",
-    "WorkerHandle",
-    "WorkerSpec",
     "build_schedule",
     "format_saturation_markdown",
     "install_uvloop",
-    "partitioned_specs",
     "run_ramp",
     "run_ramp_async",
     "saturation_summary",

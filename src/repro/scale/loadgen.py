@@ -22,7 +22,8 @@ Pieces:
   issues Query/Ping descriptors without awaiting drain (issuing must
   never block on the target) and resolves replies by GUID.
 * :class:`LoadGenerator` — runs a plan against a set of servent
-  addresses, recording every request's latency, timeouts, errors,
+  addresses, recording every request's latency (timed from the instant
+  it was due, so the generator's own stalls count), timeouts, errors,
   and the schedule-fidelity figures (`schedule_stretch`,
   `max_lateness_seconds`) that *prove* the run stayed open-loop.
 """
@@ -44,6 +45,7 @@ from repro.network.protocol import (
 )
 from repro.obs.logging import get_logger
 from repro.obs.tracing import traced_guid
+from repro.utils.validation import check_finite_positive
 
 __all__ = [
     "LoadClient",
@@ -102,22 +104,21 @@ class LoadConfig:
     #: TTL on issued Query descriptors.
     max_ttl: int = 7
     #: GUID-sampled tracing: 0 disables, N marks the 1-in-N GUID subset
-    #: (``traced_guid``) the *workers'* tracers record spans for — the
+    #: (``traced_guid``) the *servents'* tracers record spans for — the
     #: generator mints sequential GUIDs, so the sampling decision needs
     #: no coordination, only the same modulus on both sides.
     trace_sample: int = 0
 
     def __post_init__(self) -> None:
-        if self.rps <= 0:
-            raise ValueError("rps must be positive")
+        # nan or inf here would leave build_schedule's clock short of
+        # the duration forever.
+        check_finite_positive("rps", self.rps)
+        check_finite_positive("duration", self.duration)
+        check_finite_positive("request_timeout", self.request_timeout)
         if self.trace_sample < 0:
             raise ValueError("trace_sample must be >= 0")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
         if self.think not in _THINK_DISTRIBUTIONS:
             raise ValueError(f"think must be one of {_THINK_DISTRIBUTIONS}")
-        if self.request_timeout <= 0:
-            raise ValueError("request_timeout must be positive")
         if not self.mix or any(w < 0 for _, w in self.mix):
             raise ValueError("mix weights must be non-negative")
         if sum(w for _, w in self.mix) <= 0:
@@ -278,7 +279,9 @@ class LoadResult:
     errors: int = 0
     #: requests whose GUID fell in the traced 1-in-N subset.
     traced: int = 0
-    #: seconds from issue to first reply, one per completed request.
+    #: seconds from the instant a request was due to its first reply,
+    #: one per completed request, so a request the generator issued late
+    #: (its loop was busy) carries that delay.
     latencies: list[float] = field(default_factory=list)
     achieved_rps: float = 0.0
     schedule_stretch: float = 0.0
@@ -360,6 +363,7 @@ class LoadGenerator:
         self._client_config = client_config
         self._client_id_base = client_id_base
         self._clients: list[LoadClient] = []
+        #: guid -> (due instant, task kind) of requests awaiting a reply.
         self._pending: dict[int, tuple[float, str]] = {}
         # Seed-disjoint GUID block: servents deduplicate descriptors by
         # GUID in their reply-routing tables, so a second generator run
@@ -385,8 +389,8 @@ class LoadGenerator:
         entry = self._pending.pop(guid, None)
         if entry is None:
             return  # duplicate hit for an answered/expired request
-        t_issue, _kind = entry
-        self._result.latencies.append(self._loop.time() - t_issue)
+        due, _kind = entry
+        self._result.latencies.append(self._loop.time() - due)
         self._result.completed += 1
 
     def _sweep_pending(self, now: float) -> None:
@@ -461,7 +465,7 @@ class LoadGenerator:
                 except OSError:
                     result.errors += 1
                 else:
-                    self._pending[guid] = (now, task.kind)
+                    self._pending[guid] = (deadline, task.kind)
                     result.issued[task.kind] = (
                         result.issued.get(task.kind, 0) + 1
                     )

@@ -10,7 +10,7 @@ the cluster and records latency percentiles, error/shed rates, and
 open-loop fidelity.  :func:`saturation_summary` then reads the curve
 the way a capacity plan would: the **max sustainable QPS** is the
 highest offered step that stayed within the p99 bound and error
-budget, normalised per core for cross-machine comparison.
+budget.
 
 Steps reuse the same cluster on purpose — rules learned at low load
 keep routing at high load, exactly as a warm production deployment
@@ -60,9 +60,9 @@ async def run_ramp_async(
     """Run one open-loop window per offered-RPS step; returns step dicts.
 
     ``cluster_totals``, when given (usually
-    :meth:`ClusterSupervisor.totals`), is sampled before and after each
-    step so shed/drop/decision counts are attributed to the step that
-    caused them.
+    :meth:`LiveCluster.totals`), is sampled before and after each step
+    so shed/drop/decision counts are attributed to the step that caused
+    them.
     """
     base = load_config or LoadConfig(rps=1.0, duration=step_duration)
     steps: list[dict] = []
@@ -132,7 +132,6 @@ def saturation_summary(
     *,
     p99_bound: float = 1.0,
     max_error_rate: float = 0.05,
-    n_processes: int = 1,
 ) -> dict:
     """Read the saturation curve: the max sustainable operating point.
 
@@ -142,7 +141,8 @@ def saturation_summary(
     schedule did not stretch beyond the open-loop tolerance (if the
     generator could not offer the load, the step proves nothing).  The
     max sustainable QPS is the highest *achieved* rate among sustaining
-    steps; per-core divides by the worker process count.
+    steps.  It is also the per-core figure: ``bench_live_scale`` runs
+    the servents and the generator on one event loop, one core.
     """
     sustained: list[dict] = []
     knee = None
@@ -160,13 +160,12 @@ def saturation_summary(
     return {
         "p99_bound_seconds": p99_bound,
         "max_error_rate": max_error_rate,
-        "n_processes": n_processes,
         "steps_total": len(steps),
         "steps_sustained": len(sustained),
         "sustained_rps": [s["offered_rps"] for s in sustained],
         "first_unsustained_rps": knee,
         "max_sustainable_qps": round(max_qps, 2),
-        "qps_per_core": round(max_qps / n_processes, 2) if n_processes else 0.0,
+        "qps_per_core": round(max_qps, 2),
     }
 
 
@@ -177,8 +176,7 @@ def format_saturation_markdown(
     lines = [
         f"# {title}",
         "",
-        f"- per-core figures normalised over "
-        f"**{summary['n_processes']}** occupied core(s)",
+        "- servents and load generator share one event loop (one core)",
         f"- gate: p99 ≤ {summary['p99_bound_seconds']:g}s, "
         f"error rate ≤ {summary['max_error_rate']:.0%}",
         f"- max sustainable: **{summary['max_sustainable_qps']:g} QPS** "

@@ -6,7 +6,15 @@ messages — important for a library surface with many numeric knobs.
 
 from __future__ import annotations
 
-__all__ = ["check_positive", "check_non_negative", "check_probability", "check_fraction"]
+import math
+
+__all__ = [
+    "check_positive",
+    "check_finite_positive",
+    "check_non_negative",
+    "check_probability",
+    "check_fraction",
+]
 
 
 def check_positive(name: str, value) -> float:
@@ -14,6 +22,14 @@ def check_positive(name: str, value) -> float:
     v = float(value)
     if not v > 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
+    return v
+
+
+def check_finite_positive(name: str, value) -> float:
+    """Return ``value`` as float, requiring 0 < value < inf (nan fails)."""
+    v = float(value)
+    if not 0 < v < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
     return v
 
 

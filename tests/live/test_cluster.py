@@ -68,6 +68,30 @@ class TestSmallCluster:
 
         run(body())
 
+    @pytest.mark.parametrize("rule_routed", [False, True])
+    def test_restarted_node_mints_fresh_guids(self, rule_routed):
+        """A restarted node's queries are answered: its new life does not
+        re-mint GUIDs its peer's duplicate table already holds."""
+
+        async def body():
+            vocab = make_vocabulary(4)
+            async with LiveCluster(
+                Topology(2, [(0, 1)]), rule_routed=rule_routed
+            ) as cluster:
+                cluster.stock_partitioned_library(vocab)
+                before = [await cluster.query(0, vocab[1]) for _ in range(3)]
+                await cluster.kill(0)
+                await cluster.restart(0)
+                await cluster.wait_connected()
+                after = [await cluster.query(0, vocab[1]) for _ in range(3)]
+                guids = [guid for _node, _term, guid in cluster.issued]
+            return before, after, guids
+
+        before, after, guids = run(body())
+        assert before == [1, 1, 1]
+        assert after == [1, 1, 1]
+        assert len(set(guids)) == len(guids)
+
     def test_interest_plan_is_deterministic(self):
         vocab = make_vocabulary(10)
         plan_a = interest_plan(4, vocab, 25, np.random.default_rng(3))

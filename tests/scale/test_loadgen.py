@@ -1,11 +1,15 @@
 """Open-loop load generation: determinism, distributions, the stall property."""
 
 import asyncio
+import math
 import statistics
+import time
 
 import pytest
 
 from tests.live.streampeer import accept_handshake
+from repro.live import LiveCluster
+from repro.network.topology import Topology
 from repro.scale.loadgen import (
     TASK_BROWSE,
     TASK_IDLE,
@@ -89,6 +93,15 @@ class TestSchedule:
         with pytest.raises(ValueError):
             build_schedule(LoadConfig(rps=1.0, duration=1.0), [], 1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["rps", "duration", "request_timeout"])
+    def test_non_finite_values_rejected(self, name, value):
+        """nan or inf would leave build_schedule looping forever; the
+        config refuses them before any schedule is built."""
+        settings = {"rps": 1.0, "duration": 1.0, name: value}
+        with pytest.raises(ValueError, match=name):
+            LoadConfig(**settings)
+
 
 class TestLatencySummary:
     def test_percentiles_are_nearest_rank_samples(self):
@@ -161,6 +174,28 @@ class TestOpenLoopProperty:
         assert result.achieved_rps == pytest.approx(
             result.requests / result.duration, rel=1e-6
         )
+
+    @pytest.mark.live
+    def test_a_generator_stall_is_charged_to_its_requests(self):
+        """Latency runs from the instant a request was due: a request the
+        stalled generator issued late waited at least that long."""
+
+        async def body():
+            async with LiveCluster(Topology(1, [])) as cluster:
+                cluster.stock_partitioned_library(VOCAB)
+                config = LoadConfig(
+                    rps=100.0, duration=1.5, seed=4, mix=((TASK_QUERY, 1.0),)
+                )
+                generator = LoadGenerator(
+                    [(cluster.host, cluster.nodes[0].port)], VOCAB, config
+                )
+                asyncio.get_running_loop().call_later(0.5, time.sleep, 0.2)
+                return await generator.run()
+
+        result = run(body())
+        assert result.max_lateness_seconds >= 0.15
+        assert result.completed == result.requests > 0
+        assert max(result.latencies) >= result.max_lateness_seconds
 
     @pytest.mark.live
     def test_unreachable_target_fails_fast(self):

@@ -1,11 +1,7 @@
-"""Prometheus text exposition parsing and cross-process aggregation."""
-
-import asyncio
-import threading
+"""Prometheus text exposition parsing, and histograms merged across nodes."""
 
 import pytest
 
-from repro.obs.http import ObsHttpServer
 from repro.obs.registry import MetricsRegistry
 from repro.obs.scrape import (
     histogram_quantile,
@@ -13,7 +9,6 @@ from repro.obs.scrape import (
     parse_histograms,
     parse_labels,
     parse_samples,
-    scrape_totals,
 )
 
 
@@ -56,49 +51,6 @@ class TestParsing:
         assert samples[1][2] == float("inf")
         with pytest.raises(ValueError):
             parse_samples("lonely_name\n")
-
-
-class TestScrapeTotals:
-    def test_sums_across_urls_and_labels_skipping_buckets(self, monkeypatch):
-        text = stocked_registry().render()
-        monkeypatch.setattr(
-            "repro.obs.scrape.scrape_text", lambda url, timeout=5.0: text
-        )
-        totals = scrape_totals(["http://a/metrics", "http://b/metrics"])
-        # two identical "workers": everything doubles.
-        assert totals["repro_frames_total"] == 30.0
-        assert totals["repro_connected_peers"] == 6.0
-        assert totals["repro_decode_seconds_count"] == 4.0
-        # cumulative histogram buckets would double-count; they must
-        # not appear in the aggregate at all.
-        assert not any(name.endswith("_bucket") for name in totals)
-
-    def test_prefix_filter(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.obs.scrape.scrape_text",
-            lambda url, timeout=5.0: "other_total 7\nrepro_x_total 1\n",
-        )
-        totals = scrape_totals(["http://a/metrics"], prefix="repro_")
-        assert totals == {"repro_x_total": 1.0}
-
-    @pytest.mark.live
-    def test_over_real_http(self):
-        registry = stocked_registry()
-        server = ObsHttpServer(render=registry.render)
-        loop = asyncio.new_event_loop()
-        thread = threading.Thread(target=loop.run_forever, daemon=True)
-        thread.start()
-        try:
-            asyncio.run_coroutine_threadsafe(server.start(), loop).result(5)
-            totals = scrape_totals(
-                [f"http://127.0.0.1:{server.port}/metrics"], prefix="repro_"
-            )
-            assert totals["repro_frames_total"] == 15.0
-            assert totals["repro_connected_peers"] == 3.0
-        finally:
-            asyncio.run_coroutine_threadsafe(server.close(), loop).result(5)
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(5)
 
 
 class TestHistogramParsing:

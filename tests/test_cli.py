@@ -301,61 +301,11 @@ class TestTraceViewCli:
         args = build_parser().parse_args(["trace-view"])
         assert args.command == "trace-view"
         assert args.endpoint == []
-        assert args.ports_file is None
         assert args.guid is None
         assert args.polls == 2 and args.trees == 1
 
-    def test_cluster_tracing_flags(self):
-        args = build_parser().parse_args(
-            ["cluster", "--trace-sample", "4", "--ports-file", "ports.json"]
-        )
-        assert args.trace_sample == 4
-        assert args.ports_file == "ports.json"
-
     def test_no_endpoints_is_an_error(self):
         assert main(["trace-view"]) == 2
-
-    def test_bad_ports_file_is_an_error(self, tmp_path):
-        missing = tmp_path / "nope.json"
-        assert main(["trace-view", "--ports-file", str(missing)]) == 2
-
-    def test_ports_file_feeds_endpoints(self, tmp_path, monkeypatch):
-        import json
-
-        ports = tmp_path / "ports.json"
-        ports.write_text(json.dumps({
-            "nodes": [
-                {"node": 0, "host": "127.0.0.1", "port": 1, "obs_port": 9100},
-                {"node": 1, "host": "127.0.0.1", "port": 2, "obs_port": None},
-            ]
-        }))
-        captured = {}
-
-        class FakeCollector:
-            def __init__(self, endpoints, **kwargs):
-                captured["endpoints"] = endpoints
-                self.traces = {}
-                self.per_node = {0: {}}
-                self.errors = 0
-
-            def poll(self):
-                return {"nodes": 1, "traces": 0, "window": None}
-
-            def answered_guids(self):
-                return []
-
-        monkeypatch.setattr(
-            "repro.obs.collect.ClusterTraceCollector", FakeCollector
-        )
-        monkeypatch.setattr(
-            "repro.obs.collect.format_cluster_rollup", lambda c: "rollup"
-        )
-        code = main(
-            ["trace-view", "--ports-file", str(ports), "--polls", "1"]
-        )
-        assert code == 0
-        # the obs-port-less node is skipped, not dialled.
-        assert captured["endpoints"] == [(0, "http://127.0.0.1:9100")]
 
     def test_unknown_guid_is_an_error(self, monkeypatch):
         class FakeCollector:
@@ -380,39 +330,16 @@ class TestTraceViewCli:
         assert code == 2
 
 
-class TestClusterCli:
-    def test_flood_with_state_dir_exits_before_spawning(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        """A flooding node keeps no rule state: ``cluster`` refuses the
-        pair up front, with ``live-node``'s one-line message, and no
-        worker is spawned."""
-        from repro.scale.supervisor import ClusterSupervisor
-
-        spawned = []
-        monkeypatch.setattr(
-            ClusterSupervisor, "_spawn", lambda self, handle: spawned.append(handle)
-        )
-        state = tmp_path / "state"
-        code = main(
-            ["cluster", "--flood", "--state-dir", str(state), "--duration", "0.1"]
-        )
-        captured = capsys.readouterr()
+class TestLoadTestCli:
+    @pytest.mark.parametrize(
+        "setting",
+        [["--rps", "nan"], ["--rps", "10,inf"], ["--duration", "nan"],
+         ["--timeout", "inf"]],
+    )
+    def test_non_finite_setting_exits_before_loading(self, setting, capsys):
+        code = main(["load-test", "--target", "127.0.0.1:9", *setting])
         assert code == 2
-        assert spawned == []
-        assert captured.out == ""
-        (line,) = captured.err.strip().splitlines()
-        assert "--state-dir persists rule state; drop --flood" in line
-        assert not state.exists()
-
-
-def _read_ports(path):
-    import json
-
-    try:
-        return json.loads(path.read_text())["nodes"]
-    except (OSError, ValueError, KeyError):
-        return None
+        assert "finite and positive" in capsys.readouterr().err
 
 
 @pytest.mark.live
@@ -432,54 +359,54 @@ class TestDaemonsLive:
         assert "queries_issued" in out
         assert any(name.startswith("snap-") for name in os.listdir(state))
 
-    def test_cluster_writes_ports_and_scrapes(self, tmp_path, capsys):
+    def test_load_test_targets_live_nodes(self, capsys):
         import json
-
-        ports = tmp_path / "ports.json"
-        code = main(
-            ["cluster", "--workers", "2", "--trace-sample", "2", "--ports-file",
-             str(ports), "--scrape", "--duration", "1"]
-        )
-        assert code == 0
-        nodes = _read_ports(ports)
-        assert [n["node"] for n in nodes] == [0, 1]
-        assert all(n["port"] and n["obs_port"] for n in nodes)
-        out = capsys.readouterr().out
-        scraped, totals = out.split("cluster totals:\n")
-        assert scraped.startswith("scraped totals:\n")
-        assert json.loads(scraped.split("\n", 1)[1])
-        assert "queries_issued" in totals
-
-    def test_load_test_targets_the_ports_file(self, tmp_path, capsys):
-        import json
+        import socket
         import subprocess
         import sys
         import time
 
-        ports = tmp_path / "ports.json"
-        cluster = subprocess.Popen(
-            [sys.executable, "-m", "repro", "cluster", "--workers", "2",
-             "--ports-file", str(ports), "--duration", "8"],
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
+        ports = []
+        for _ in range(2):
+            with socket.socket() as probe:
+                probe.bind(("127.0.0.1", 0))
+                ports.append(probe.getsockname()[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        nodes = [
+            subprocess.Popen(
+                [sys.executable, "-m", "repro", "live-node", "--port",
+                 str(port), "--node-id", str(i), "--share", share,
+                 "--duration", "10",
+                 *(["--connect", f"127.0.0.1:{ports[0]}"] if i else [])],
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+            )
+            for i, (port, share) in enumerate(zip(ports, ("jazz", "blues")))
+        ]
         try:
             deadline = time.monotonic() + 30.0
-            while (nodes := _read_ports(ports)) is None:
-                assert cluster.poll() is None, "cluster exited before its ports"
-                assert time.monotonic() < deadline, "no ports file"
-                time.sleep(0.1)
+            for node, port in zip(nodes, ports):
+                while True:
+                    assert node.poll() is None, "live-node exited early"
+                    assert time.monotonic() < deadline, "live-node never listened"
+                    try:
+                        socket.create_connection(("127.0.0.1", port), 0.2).close()
+                        break
+                    except OSError:
+                        time.sleep(0.1)
             targets = [
-                arg
-                for n in nodes
-                for arg in ("--target", f"{n['host']}:{n['port']}")
+                arg for port in ports for arg in ("--target", f"127.0.0.1:{port}")
             ]
-            code = main(["load-test", *targets, "--rps", "10,20", "--duration", "1"])
+            code = main(
+                ["load-test", *targets, "--terms", "jazz,blues",
+                 "--rps", "10,20", "--duration", "1"]
+            )
             assert code == 0
             report = json.loads(capsys.readouterr().out)
             assert [s["offered_rps"] for s in report["steps"]] == [10.0, 20.0]
             assert all(s["completed"] > 0 for s in report["steps"])
             assert report["summary"]["steps_total"] == 2
         finally:
-            assert cluster.wait(timeout=60) == 0
+            for node in nodes:
+                assert node.wait(timeout=60) == 0
