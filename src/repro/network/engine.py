@@ -31,6 +31,13 @@ the oracle the kernel is tested against.
 The routing policy is the only pluggable part.  Nodes known to forward to
 every neighbour are fanned out by the CSR gather; every other node is
 asked through ``select`` and its edges are merged back in frontier order.
+
+A flood after which no reply walk runs needs no parents, and everything
+else it reports is a function of each node's hop distance from the
+origin.  :meth:`QueryEngine.broadcast` answers it from a table of those
+distances, one ``uint8`` per (origin, node), kept until the topology's
+``version`` moves and filled 64 origins at a time by one bitset
+breadth-first search (:meth:`QueryEngine._fill_depths`).
 """
 
 from __future__ import annotations
@@ -44,6 +51,12 @@ from repro.network.messages import Query
 from repro.utils.rng import as_generator
 
 __all__ = ["QueryEngine", "Reach"]
+
+#: origins per depth-table block: one bit each in a ``uint64`` per node.
+DEPTH_BLOCK = 64
+#: a depth-table entry holds ``d - 1`` for a node ``d`` hops away; this
+#: marks the origin, an unreached node and one deeper than any TTL.
+FAR = 255
 
 #: ``select(node, upstream, query)`` -> the nodes ``node`` forwards to.  A
 #: callback may carry a ``flooders`` attribute, a boolean vector over the
@@ -82,6 +95,18 @@ class QueryEngine:
         # tables keep what they are given for a whole window.
         self._ids = np.empty(n + 1, dtype=object)
         self._ids[:n] = range(n)
+        # The depth table: block b holds rows for origins 64b .. 64b + 63,
+        # allocated on the first flood from one of them (None until then),
+        # and beside it what each node relays (its degree less the edge it
+        # heard on); all of it belongs to one (topology, version).
+        self._depth_key: tuple | None = None
+        self._depth_blocks: list[np.ndarray | None] = []
+        self._relays: np.ndarray | None = None
+
+    def _check_origin(self, origin: int) -> None:
+        n = self.overlay.topology.n_nodes
+        if not 0 <= origin < n:
+            raise ValueError(f"origin {origin} is not in range(0, {n})")
 
     # ------------------------------------------------------------------
     def reach(
@@ -106,6 +131,7 @@ class QueryEngine:
         """
         if ttl < 1:
             raise ValueError("ttl must be >= 1")
+        self._check_origin(origin)
         self._epoch += 1
         epoch = self._epoch
         indptr, indices = self.overlay.topology.csr()
@@ -158,7 +184,14 @@ class QueryEngine:
     ) -> QueryOutcome:
         """Propagate ``query`` breadth-first using ``select`` at each node
         (see :meth:`reach`): the reach, the file's holders inside it, and
-        the reply walk back from each of them."""
+        the reply walk back from each of them.
+
+        A flood (no ``select``, or one whose ``flooders`` mark every node)
+        that no reply walk follows (``feedback`` off, or an overlay whose
+        ``learns_from_replies`` is false) is read off the depth table
+        instead: the same outcome, no propagation.
+        """
+        self._check_origin(query.origin)
         holders = self._holders(query.file_id)
         if (holders == query.origin).any():
             # Local library satisfies the query with zero traffic.
@@ -169,6 +202,13 @@ class QueryEngine:
                 first_hit_hops=0,
                 duplicates=0,
             )
+        # the reply walk is skipped when the overlay says no installed
+        # policy overrides the no-op ``on_reply``
+        walks = feedback and getattr(self.overlay, "learns_from_replies", True)
+        flooders = None if select is None else getattr(select, "flooders", None)
+        floods = select is None or (flooders is not None and flooders.all())
+        if floods and not walks:
+            return self._flood_outcome(query, holders, self._depth_row(query.origin))
         order, depth, messages, duplicates = self.reach(
             query.origin, query.ttl, select, query
         )
@@ -178,7 +218,7 @@ class QueryEngine:
         first_hit_hops = None
         if found.size:
             first_hit_hops = int(depth[found[0]])
-            if feedback:
+            if walks:
                 self._deliver_replies(query, order[found], int(depth[-1]))
         return QueryOutcome(
             query_id=query.guid,
@@ -187,6 +227,93 @@ class QueryEngine:
             first_hit_hops=first_hit_hops,
             duplicates=duplicates,
         )
+
+    def _flood_outcome(
+        self, query: Query, holders: np.ndarray, depths: np.ndarray
+    ) -> QueryOutcome:
+        """What a flood of ``query`` finds, from its origin's table row.
+
+        A node ``d`` hops away (entry ``d - 1``) is reached when
+        ``d <= ttl`` and forwards when ``d < ttl``: to every neighbour but
+        its parent, which is exactly one edge because a ``Topology`` has
+        no self-loops and no multi-edges.  The origin forwards on all of
+        its edges; every message that reaches no new node is a duplicate.
+        """
+        ttl = query.ttl
+        found = depths[holders]
+        found = found[found < ttl]
+        messages = int(self._relays[query.origin]) + 1 + int(
+            self._relays[depths < ttl - 1].sum()
+        )
+        reached = int(np.count_nonzero(depths < ttl))
+        return QueryOutcome(
+            query_id=query.guid,
+            messages=messages,
+            hits=found.size,
+            first_hit_hops=int(found.min()) + 1 if found.size else None,
+            duplicates=messages - reached,
+        )
+
+    def _depth_row(self, origin: int) -> np.ndarray:
+        """``origin``'s row of the depth table, its block filled if new."""
+        topology = self.overlay.topology
+        key = (topology, topology.version)
+        if self._depth_key != key:
+            indptr, _indices = topology.csr()
+            self._depth_key = key
+            self._depth_blocks = [None] * -(-topology.n_nodes // DEPTH_BLOCK)
+            self._relays = np.diff(indptr) - 1
+        block, row = divmod(origin, DEPTH_BLOCK)
+        depths = self._depth_blocks[block]
+        if depths is None:
+            depths = self._depth_blocks[block] = self._fill_depths(block * DEPTH_BLOCK)
+        return depths[row]
+
+    def _fill_depths(self, first: int) -> np.ndarray:
+        """Depth-table rows of origins ``first .. first + 63``: one
+        breadth-first search for all of them, origin ``first + j`` being
+        bit ``j`` of a ``uint64`` per node.
+
+        A hop ORs each node's neighbours' frontier words together
+        (``reduceat`` over the CSR gather) and keeps the bits the node has
+        not seen.  After every hop each (origin, node) pair not seen yet
+        counts one more, so a node ``d`` hops away ends at ``d - 1``;
+        the origin, nodes never reached and nodes more than 255 hops away
+        (no query's TTL reaches them) are set to :data:`FAR`.
+        """
+        indptr, indices = self.overlay.topology.csr()
+        n = indptr.size - 1
+        origins = np.arange(first, min(first + DEPTH_BLOCK, n))
+        k = origins.size
+
+        def unseen(words: np.ndarray) -> np.ndarray:
+            # (node, origin) -> 1 where the origin's bit is clear; bit j of
+            # a word is byte j // 8's bit j % 8 in little-endian order
+            return np.unpackbits(
+                (~words).astype("<u8").view(np.uint8).reshape(n, 8),
+                axis=1,
+                count=k,
+                bitorder="little",
+            )
+
+        seen = np.zeros(n, dtype=np.uint64)
+        seen[origins] = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
+        frontier = seen.copy()
+        linked = np.flatnonzero(indptr[1:] > indptr[:-1])
+        heard = np.zeros(n, dtype=np.uint64)
+        depths = np.zeros((n, k), dtype=np.uint8)
+        for _hop in range(FAR):
+            if not linked.size:
+                break
+            heard[linked] = np.bitwise_or.reduceat(frontier[indices], indptr[linked])
+            frontier = heard & ~seen
+            if not frontier.any():
+                break
+            seen |= frontier
+            depths += unseen(seen)
+        depths[unseen(seen).astype(bool)] = FAR
+        depths[origins, np.arange(k)] = FAR
+        return np.ascontiguousarray(depths.T)
 
     def ids(self, nodes: np.ndarray) -> list[int]:
         """``nodes`` as the engine's own int objects (see ``_ids``): what
@@ -245,12 +372,9 @@ class QueryEngine:
         (the next hop toward the provider) in response to a query received
         from ``upstream`` (or from the local user at the origin, modelled
         as the node's own id — the antecedent for locally issued queries).
-        ``depth`` is how far the query got.  The walk is skipped when the
-        overlay says no installed policy overrides the no-op ``on_reply``.
+        ``depth`` is how far the query got.
         """
         overlay = self.overlay
-        if not getattr(overlay, "learns_from_replies", True):
-            return
         # back[j] = the node j steps up from each provider; past the
         # origin that is slot n, which _ids turns into None.
         back = np.empty((depth + 2, providers.size), dtype=np.intp)

@@ -25,7 +25,8 @@ class Query:
     ttl: int
 
     def __post_init__(self) -> None:
-        if self.ttl < 1:
-            raise ValueError("ttl must be >= 1")
+        # a Gnutella TTL is one byte (protocol.DescriptorHeader)
+        if not 1 <= self.ttl <= 255:
+            raise ValueError(f"ttl must be in 1..255, got {self.ttl}")
         if self.file_id < 0 or self.category < 0:
             raise ValueError("file_id and category must be non-negative")

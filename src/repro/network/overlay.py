@@ -192,6 +192,8 @@ class Overlay:
         cfg = self.config
         if origin is None:
             origin = int(self._rng.integers(0, self.n_nodes))
+        elif not 0 <= origin < self.n_nodes:
+            raise ValueError(f"origin {origin} is not in range(0, {self.n_nodes})")
         profile = self._nodes[origin].profile
         category = profile.sample_category(self._rng)
         file_id = self.catalog.sample_file(self._rng, category)

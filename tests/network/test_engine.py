@@ -60,8 +60,24 @@ class TestReach:
         with pytest.raises(ValueError):
             QueryEngine(line_overlay(3, holder=0)).reach(0, 0)
 
+    @pytest.mark.parametrize("origin", [-3, -1, 5])
+    def test_origin_outside_the_nodes_rejected(self, origin):
+        engine = QueryEngine(line_overlay(5, holder=3))
+        with pytest.raises(ValueError, match=r"range\(0, 5\)"):
+            engine.reach(origin, 2)
+
 
 class TestBroadcast:
+    @pytest.mark.parametrize("origin", [-1, 3])
+    @pytest.mark.parametrize("callback", [False, True])
+    @pytest.mark.parametrize("feedback", [False, True])
+    def test_origin_outside_the_nodes_rejected(self, origin, callback, feedback):
+        overlay = line_overlay(3, holder=1)
+        select = flood_select(overlay) if callback else None
+        q = Query(guid=1, origin=origin, file_id=5, category=0, ttl=2)
+        with pytest.raises(ValueError, match=r"range\(0, 3\)"):
+            QueryEngine(overlay).broadcast(q, select, feedback=feedback)
+
     def test_local_hit_costs_nothing(self):
         overlay = line_overlay(3, holder=0)
         engine = QueryEngine(overlay)
@@ -200,6 +216,11 @@ class TestQueryValidation:
     def test_rejects_bad_ttl(self):
         with pytest.raises(ValueError):
             Query(guid=1, origin=0, file_id=5, category=0, ttl=0)
+
+    def test_ttl_is_a_byte(self):
+        assert Query(guid=1, origin=0, file_id=5, category=0, ttl=255).ttl == 255
+        with pytest.raises(ValueError, match="255"):
+            Query(guid=1, origin=0, file_id=5, category=0, ttl=256)
 
     def test_rejects_negative_file(self):
         with pytest.raises(ValueError):

@@ -66,6 +66,12 @@ class TestQueries:
         q = overlay.make_query(origin=7)
         assert q.category in overlay.node(7).profile.categories
 
+    @pytest.mark.parametrize("origin", [-1, -60, 60])
+    def test_origin_outside_the_nodes_rejected(self, origin):
+        overlay = Overlay(SMALL, seed=6)
+        with pytest.raises(ValueError, match=r"range\(0, 60\)"):
+            overlay.make_query(origin=origin)
+
     def test_guids_unique(self):
         overlay = Overlay(SMALL, seed=7)
         guids = {overlay.make_query().guid for _ in range(50)}
