@@ -20,6 +20,8 @@ does not.  Two backends share one method set:
 ``rule_stats(a, c)``        ``(support, confidence)``; confidence is the
                             support over ``a``'s total count
 ``clear()``                 forget everything
+``rows`` / ``rank(row)``    the per-antecedent rows and the ranking kept
+                            on a row, for a reader that walks them itself
 ``state()`` / ``from_state``  plain-data round trip (:mod:`repro.persist`)
 ==========================  ==============================================
 
@@ -58,7 +60,8 @@ class _Row(dict):
         self.total = 0
         #: consequents at or above the support floor.
         self.qualified = 0
-        #: those consequents, best first, or ``None`` once a count moved.
+        #: those consequents, best first, or ``None`` once a count moved
+        #: that may have reordered them.
         self.ranked: tuple[int, ...] | None = None
         #: sketch only: consequent -> largest possible undercount.
         self.deltas = deltas
@@ -88,11 +91,29 @@ class _PairCounts:
             return []
         ranked = row.ranked
         if ranked is None:
-            floor = self.min_support_count
-            ranked = row.ranked = tuple(
-                c for _n, c in sorted((-n, c) for c, n in row.items() if n >= floor)
-            )
+            ranked = self.rank(row)
         return list(ranked[:k])
+
+    def rank(self, row: _Row) -> tuple[int, ...]:
+        """``row``'s rule consequents, best first, ties to the smaller id,
+        kept as ``row.ranked`` until ``observe`` moves a count in a way
+        that may reorder them."""
+        floor = self.min_support_count
+        # by id, then stably by count: equal counts stay in id order
+        row.ranked = tuple(
+            sorted(
+                sorted([c for c, n in row.items() if n >= floor]),
+                key=row.__getitem__,
+                reverse=True,
+            )
+        )
+        return row.ranked
+
+    @property
+    def rows(self) -> dict[int, _Row]:
+        """antecedent -> its row: one dict for the table's whole life
+        (``clear`` empties it in place), so a reader may keep it."""
+        return self._rows
 
     def antecedents(self) -> list[int]:
         """Antecedents that have at least one rule."""
@@ -142,7 +163,20 @@ class WindowCounts(_PairCounts):
             row = rows[a] = _Row()
         new = row[c] = row.get(c, 0) + 1
         row.total += 1
-        row.ranked = None
+        ranked = row.ranked
+        if ranked is not None and new >= floor:
+            # a count under the floor ranks nothing; one that joins it
+            # does, and one already ranked moved up past its predecessor
+            # unless that still counts more (or as much, with a smaller id)
+            if new == floor:
+                row.ranked = None
+            else:
+                at = ranked.index(c)
+                if at:
+                    ahead = ranked[at - 1]
+                    n_ahead = row[ahead]
+                    if n_ahead < new or (n_ahead == new and ahead > c):
+                        row.ranked = None
         reached = new == floor
         if reached:
             row.qualified += 1

@@ -29,8 +29,11 @@ per-message loop itself lives in ``tests/network/reference_engine.py`` as
 the oracle the kernel is tested against.
 
 The routing policy is the only pluggable part.  Nodes known to forward to
-every neighbour are fanned out by the CSR gather; every other node is
-asked through ``select`` and its edges are merged back in frontier order.
+every neighbour are fanned out by the CSR gather; the others are asked,
+all of a hop's at once when the callback has a ``frontier`` method and
+through ``select`` one by one when it has not, and their edges are merged
+back in frontier order.  The reply walk calls each node's hook from the
+overlay's ``reply_hooks`` list.
 
 A flood after which no reply walk runs needs no parents, and everything
 else it reports is a function of each node's hop distance from the
@@ -60,7 +63,10 @@ FAR = 255
 
 #: ``select(node, upstream, query)`` -> the nodes ``node`` forwards to.  A
 #: callback may carry a ``flooders`` attribute, a boolean vector over the
-#: nodes: those marked are not asked, they forward to every neighbour.
+#: nodes: those marked are not asked, they forward to every neighbour.  It
+#: may also have a ``frontier(nodes, upstreams, query)`` method answering a
+#: whole hop as ``(chosen, counts)``: every node's choices end to end in
+#: (frontier position, choice position) order, and how many each made.
 SelectFn = Callable[[int, int | None, Query], Sequence[int]]
 
 
@@ -122,7 +128,9 @@ class QueryEngine:
         to (the engine removes the upstream and already-counted duplicate
         deliveries are suppressed per standard Gnutella behaviour); it is
         handed ``query`` untouched.  For the origin, ``upstream`` is
-        ``None``.  Without a ``select`` every node forwards to all its
+        ``None``.  A callback with a ``frontier`` method (:data:`SelectFn`)
+        is handed each hop's asked nodes in one call instead.  Without a
+        ``select`` every node forwards to all its
         neighbours — a flood, whose reach depends on nothing but the
         origin, the TTL and the topology, so a caller may keep it.
 
@@ -139,6 +147,7 @@ class QueryEngine:
         if flooders is not None and not flooders.any():
             # nobody to fan out: skip the per-hop split of the frontier
             flooders = None
+        frontier_of = getattr(select, "frontier", None)
         reached, parent, slot = self._reached, self._parent, self._slot
         reached[origin] = epoch
         parent[origin] = len(reached)
@@ -151,11 +160,11 @@ class QueryEngine:
                 sources, targets = self._fan_out(frontier, indptr, indices)
             else:
                 sources, targets = self._ask(
-                    frontier, select, flooders, query, indptr, indices
+                    frontier, select, frontier_of, flooders, query, indptr, indices
                 )
             sent = targets.size - int(np.count_nonzero(targets == parent[sources]))
             # edges into nodes not reached before this hop ...
-            new = np.flatnonzero(reached[targets] != epoch)
+            new = (reached[targets] != epoch).nonzero()[0]
             heads = targets[new]
             # ... and of those the first into each node: written back to
             # front, the last write to a slot is the smallest position.
@@ -214,7 +223,7 @@ class QueryEngine:
         )
         holds = self._holds
         holds[holders] = self._epoch
-        found = np.flatnonzero(holds[order] == self._epoch)
+        found = (holds[order] == self._epoch).nonzero()[0]
         first_hit_hops = None
         if found.size:
             first_hit_hops = int(depth[found[0]])
@@ -334,10 +343,11 @@ class QueryEngine:
         return frontier.repeat(counts), indices[at]
 
     def _ask(
-        self, frontier, select, flooders, query, indptr, indices
+        self, frontier, select, frontier_of, flooders, query, indptr, indices
     ) -> tuple[np.ndarray, np.ndarray]:
         """Out-edges of a frontier whose nodes (but for ``flooders``) are
-        asked one by one, in (frontier position, choice position) order."""
+        asked — in one ``frontier_of`` call, or one by one through
+        ``select`` — in (frontier position, choice position) order."""
         if flooders is None:
             asked = frontier
         else:
@@ -345,14 +355,17 @@ class QueryEngine:
             asked = frontier[~floods]
             if not asked.size:
                 return self._fan_out(frontier, indptr, indices)
-        chosen: list[int] = []
-        counts: list[int] = []
         nodes = self.ids(asked)
         upstreams = self.ids(self._parent[asked])
-        for node, upstream in zip(nodes, upstreams):
-            before = len(chosen)
-            chosen.extend(select(node, upstream, query))
-            counts.append(len(chosen) - before)
+        if frontier_of is not None:
+            chosen, counts = frontier_of(nodes, upstreams, query)
+        else:
+            chosen = []
+            counts = []
+            for node, upstream in zip(nodes, upstreams):
+                before = len(chosen)
+                chosen.extend(select(node, upstream, query))
+                counts.append(len(chosen) - before)
         sources = asked.repeat(counts)
         targets = np.array(chosen, dtype=np.intp)
         if asked.size == frontier.size:
@@ -374,7 +387,7 @@ class QueryEngine:
         as the node's own id — the antecedent for locally issued queries).
         ``depth`` is how far the query got.
         """
-        overlay = self.overlay
+        hooks = self._reply_hooks()
         # back[j] = the node j steps up from each provider; past the
         # origin that is slot n, which _ids turns into None.
         back = np.empty((depth + 2, providers.size), dtype=np.intp)
@@ -387,10 +400,10 @@ class QueryEngine:
                 w = path[j]
                 if w is None:
                     break
-                upstream = path[j + 1]
-                policy = overlay.node(w).policy
-                if policy is not None and hasattr(policy, "on_reply"):
-                    policy.on_reply(
+                hook = hooks[w]
+                if hook is not None:
+                    upstream = path[j + 1]
+                    hook(
                         node_id=w,
                         upstream=w if upstream is None else upstream,
                         downstream=downstream,
@@ -398,6 +411,18 @@ class QueryEngine:
                         provider=provider,
                     )
                 downstream = w
+
+    def _reply_hooks(self) -> Sequence:
+        """Each node's ``on_reply`` (or ``None``): the overlay's list, or
+        one read off the policies of an overlay that keeps none."""
+        overlay = self.overlay
+        hooks = getattr(overlay, "reply_hooks", None)
+        if hooks is None:
+            hooks = [
+                getattr(overlay.node(u).policy, "on_reply", None)
+                for u in range(overlay.n_nodes)
+            ]
+        return hooks
 
     def _holders(self, file_id: int) -> np.ndarray:
         """Ids of the nodes sharing ``file_id``: the overlay's holder
@@ -418,17 +443,21 @@ class QueryEngine:
         n_walkers: int,
         rng=None,
         stop_on_hit: bool = True,
+        steps: int | None = None,
     ) -> QueryOutcome:
         """k-random-walk propagation [6].
 
         ``n_walkers`` walkers leave the origin; each step forwards the
         query to one uniformly random neighbor (avoiding an immediate
         bounce-back when possible) and costs one message.  A walker
-        terminates after ``query.ttl`` steps or upon landing on a
-        provider (when ``stop_on_hit``).
+        terminates after ``steps`` steps (``query.ttl`` unless given: a
+        walk's length is not a wire TTL and may exceed 255) or upon
+        landing on a provider (when ``stop_on_hit``).
         """
         if n_walkers < 1:
             raise ValueError("n_walkers must be >= 1")
+        if steps is None:
+            steps = query.ttl
         rng = as_generator(rng)
         overlay = self.overlay
         origin = query.origin
@@ -446,7 +475,7 @@ class QueryEngine:
         for _ in range(n_walkers):
             node = origin
             prev: int | None = None
-            for step in range(query.ttl):
+            for step in range(steps):
                 neighbors = overlay.topology.neighbors(node)
                 if not neighbors:
                     break

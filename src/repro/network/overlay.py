@@ -10,15 +10,17 @@ slot for its neighbors to re-learn.
 The overlay also keeps what the propagation kernel
 (:mod:`repro.network.engine`) would otherwise ask node by node: a
 :class:`~repro.network.holders.HolderIndex` (which nodes share a file,
-patched when a peer churns) and, derived from the installed policies,
-which nodes forward to every neighbour and whether any node learns from
-replies.
+patched when a peer churns) and, derived from the installed policies
+(:class:`PolicyView`), which nodes forward to every neighbour, each
+node's rule table if it makes the association decision, each node's
+bound ``on_reply`` hook and whether any node learns from replies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from repro.utils.validation import check_probability
 from repro.workload.content import ContentCatalog
 from repro.workload.interests import InterestModel
 
-__all__ = ["OverlayConfig", "Overlay"]
+__all__ = ["OverlayConfig", "Overlay", "PolicyView"]
 
 
 @dataclass(frozen=True)
@@ -58,11 +60,27 @@ class OverlayConfig:
             raise ValueError("n_nodes must be >= 4")
         if self.degree < 2:
             raise ValueError("degree must be >= 2")
-        if self.ttl < 1:
-            raise ValueError("ttl must be >= 1")
+        if not 1 <= self.ttl <= 255:
+            raise ValueError(f"ttl must be in 1..255, got {self.ttl}")
         if self.library_size < 0:
             raise ValueError("library_size must be >= 0")
         check_probability("churn_rate", self.churn_rate)
+
+
+class PolicyView(NamedTuple):
+    """What the engine reads of the installed policies, derived from
+    them when first needed after a ``peer.policy`` rebinding."""
+
+    #: nodes that forward a query to every neighbour.
+    flooders: np.ndarray
+    #: per node, ``policy.rule_table()`` if its ``select`` is the
+    #: association decision, else ``None``.
+    rule_tables: list[tuple | None]
+    #: per node, its policy's bound ``on_reply``, or ``None`` when it has
+    #: no policy or one that ignores replies.
+    reply_hooks: list[Callable | None]
+    #: whether any node has a reply hook.
+    learns: bool
 
 
 class Overlay:
@@ -78,8 +96,8 @@ class Overlay:
         )
         self.topology.max_degree = cfg.max_degree
 
-        # (flooders, any learner) of the installed policies; None = rederive.
-        self._policy_view: tuple[np.ndarray, bool] | None = None
+        # derived from the installed policies; None = rederive.
+        self._policy_view: PolicyView | None = None
         # one bound method for every peer, not one object each
         self._on_policy_change = self._policies_changed
         self.catalog = ContentCatalog(cfg.n_categories, cfg.files_per_category)
@@ -140,15 +158,27 @@ class Overlay:
     def _policies_changed(self) -> None:
         self._policy_view = None
 
-    def _derived_from_policies(self) -> tuple[np.ndarray, bool]:
+    def policy_view(self) -> PolicyView:
+        """The installed policies as the engine reads them (:class:`PolicyView`)."""
         if self._policy_view is None:
             # repro.routing imports this package
+            from repro.routing.association import decides_by_rules
             from repro.routing.base import forwards_to_all, observes_replies
 
             policies = [peer.policy for peer in self._nodes]
-            self._policy_view = (
-                np.fromiter(map(forwards_to_all, policies), bool, len(policies)),
-                any(map(observes_replies, policies)),
+            flooders = np.fromiter(map(forwards_to_all, policies), bool, len(policies))
+            hooks = [
+                policy.on_reply if observes_replies(policy) else None
+                for policy in policies
+            ]
+            self._policy_view = PolicyView(
+                flooders=flooders,
+                rule_tables=[
+                    policy.rule_table() if decides_by_rules(policy) else None
+                    for policy in policies
+                ],
+                reply_hooks=hooks,
+                learns=any(hook is not None for hook in hooks),
             )
         return self._policy_view
 
@@ -156,12 +186,23 @@ class Overlay:
     def flooders(self) -> np.ndarray:
         """Boolean vector: nodes that forward a query to every neighbour
         (no policy, or one whose ``select`` is the flooding decision)."""
-        return self._derived_from_policies()[0]
+        return self.policy_view().flooders
+
+    @property
+    def rule_tables(self) -> list[tuple | None]:
+        """Per node, what the association decision reads (``None``: ask
+        the node's policy)."""
+        return self.policy_view().rule_tables
+
+    @property
+    def reply_hooks(self) -> list[Callable | None]:
+        """Per node, the ``on_reply`` to call as a reply passes through it."""
+        return self.policy_view().reply_hooks
 
     @property
     def learns_from_replies(self) -> bool:
         """Whether any installed policy overrides the no-op ``on_reply``."""
-        return self._derived_from_policies()[1]
+        return self.policy_view().learns
 
     # ------------------------------------------------------------------
     def churn_one(self) -> int:

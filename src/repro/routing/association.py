@@ -23,9 +23,14 @@ from repro.core.counts import WindowCounts
 from repro.metrics.traffic import QueryOutcome
 from repro.network.engine import QueryEngine
 from repro.network.messages import Query
-from repro.routing.base import RoutingPolicy, dispatch_select
+from repro.routing.base import (
+    RoutingPolicy,
+    _implementation,
+    decide_by_rules,
+    dispatch_select,
+)
 
-__all__ = ["AssociationRoutingPolicy"]
+__all__ = ["AssociationRoutingPolicy", "decides_by_rules"]
 
 
 class AssociationRoutingPolicy(RoutingPolicy):
@@ -54,15 +59,23 @@ class AssociationRoutingPolicy(RoutingPolicy):
 
     # -- transit decision -------------------------------------------------
     def select(self, node: int, upstream: int | None, query: Query) -> Sequence[int]:
-        # Locally issued queries use the node's own id as the antecedent
-        # (the engine's reply pass credits them the same way).
-        antecedent = upstream if upstream is not None else node
-        consequents = self.rules.consequents(antecedent, self.top_k)
-        if consequents:
-            live = [v for v in consequents if v != upstream]
-            if live:
-                return live
-        return self.overlay.topology.neighbors(node)
+        # the frontier pass on this node alone: one statement of the decision
+        (picks,) = decide_by_rules(
+            (node,),
+            (upstream,),
+            query,
+            {node: self.rule_table()},
+            self.overlay.topology.neighbors,
+            None,
+        )
+        return picks
+
+    def rule_table(self) -> tuple:
+        """What :func:`~repro.routing.base.decide_by_rules` reads for this
+        node.  An overlay lists it when it derives its policy view, so
+        ``rules`` and ``top_k`` are fixed for the policy's life (rebind
+        ``peer.policy`` to change them)."""
+        return self.rules.rows, self.top_k, self.rules.rank
 
     # -- origin driver ------------------------------------------------------
     def route_query(self, engine: QueryEngine, query: Query) -> QueryOutcome:
@@ -80,3 +93,9 @@ class AssociationRoutingPolicy(RoutingPolicy):
 
     def reset(self) -> None:
         self.rules.clear()
+
+
+def decides_by_rules(policy) -> bool:
+    """Whether a node running ``policy`` makes the association decision
+    (hybrid and topology-adapting nodes inherit it)."""
+    return _implementation(policy, "select") is AssociationRoutingPolicy.select

@@ -21,18 +21,70 @@ policy, or with one whose ``select`` *is* :meth:`RoutingPolicy.forward_to_all`
 those out from its CSR arrays.  A policy that floods therefore binds
 ``select = RoutingPolicy.forward_to_all`` rather than writing the same body
 again — overriding ``select`` in a subclass takes the node off that list.
+
+The engine hands the callback each hop's asked nodes at once
+(``_PolicyDispatch.frontier``).  Nodes whose ``select`` is the
+association decision are answered by :func:`decide_by_rules` from the
+rule tables the overlay lists per node, with no call into the policy;
+every other asked node is asked through its own ``select``, in place.
 """
 
 from __future__ import annotations
 
 import abc
+from itertools import chain
 from typing import Sequence
 
 from repro.metrics.traffic import QueryOutcome
 from repro.network.engine import QueryEngine
 from repro.network.messages import Query
 
-__all__ = ["RoutingPolicy", "dispatch_select", "forwards_to_all", "observes_replies"]
+__all__ = [
+    "RoutingPolicy",
+    "decide_by_rules",
+    "dispatch_select",
+    "forwards_to_all",
+    "observes_replies",
+]
+
+
+def decide_by_rules(
+    nodes, upstreams, query, tables, neighbors, ask
+) -> list[Sequence[int]]:
+    """What each of ``nodes`` forwards to, the association decision
+    (§III-B) read straight off its rule table: one sequence per node.
+
+    ``tables[node]`` is ``(rows, top_k, rank)`` — the node's
+    ``rules.rows``, its ``top_k`` and ``rules.rank`` — or ``None`` for a
+    node asked through ``ask(node, upstream, query)`` instead.  A query
+    from ``upstream`` goes to the node's best ``top_k`` rule consequents
+    for that antecedent but the upstream; with none of those left the node
+    floods (``neighbors(node)``, the topology's tuple).  A query issued at
+    the node has the node itself as its antecedent, as the reply walk
+    credits it.
+    """
+    decided = []
+    append = decided.append
+    for node, upstream in zip(nodes, upstreams):
+        table = tables[node]
+        if table is None:
+            append(ask(node, upstream, query))
+            continue
+        rows, top_k, rank = table
+        row = rows.get(node if upstream is None else upstream)
+        if row is not None:
+            ranked = row.ranked
+            if ranked is None:
+                ranked = rank(row)
+            # consequents are distinct: the upstream is among them once at most
+            picks = list(ranked[:top_k])
+            if upstream in picks:
+                picks.remove(upstream)
+            if picks:
+                append(picks)
+                continue
+        append(neighbors(node))
+    return decided
 
 
 class _PolicyDispatch:
@@ -50,6 +102,19 @@ class _PolicyDispatch:
             # Nodes without a policy behave like vanilla Gnutella.
             return self.overlay.topology.neighbors(node)
         return policy.select(node, upstream, query)
+
+    def frontier(self, nodes, upstreams, query) -> tuple[list[int], list[int]]:
+        """One hop's asked ``nodes`` at once: their choices end to end, in
+        (frontier position, choice position) order, and how many each made."""
+        overlay = self.overlay
+        tables = getattr(overlay, "rule_tables", None)
+        if tables is None:
+            # the overlay lists no rule tables: every node is asked
+            tables = dict.fromkeys(nodes)
+        decided = decide_by_rules(
+            nodes, upstreams, query, tables, overlay.topology.neighbors, self
+        )
+        return list(chain.from_iterable(decided)), list(map(len, decided))
 
     @property
     def flooders(self):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 from repro.metrics.traffic import QueryOutcome
@@ -17,7 +16,7 @@ __all__ = ["KRandomWalkPolicy"]
 class KRandomWalkPolicy(RoutingPolicy):
     """Send ``k`` walkers, each with a long TTL.
 
-    The walk TTL is ``ttl_factor`` times the query's flooding TTL —
+    A walk lasts ``ttl_factor`` times the query's flooding TTL in steps —
     random walks trade traffic for latency, so they are allowed to run
     long, as in the original proposal.
     """
@@ -41,5 +40,6 @@ class KRandomWalkPolicy(RoutingPolicy):
         return (neighbors[int(self._rng.integers(0, len(neighbors)))],)
 
     def route_query(self, engine: QueryEngine, query: Query) -> QueryOutcome:
-        walk_query = replace(query, ttl=query.ttl * self.ttl_factor)
-        return engine.walk(walk_query, n_walkers=self.k, rng=self._rng)
+        return engine.walk(
+            query, n_walkers=self.k, rng=self._rng, steps=query.ttl * self.ttl_factor
+        )

@@ -144,6 +144,29 @@ def test_every_read_equals_a_recount_of_the_history(oracle, ops):
     check_every_read(counts, oracle)
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(["window", "sketch"]),
+    st.integers(1, 40),
+    st.integers(1, 3),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4)), max_size=150),
+)
+def test_a_kept_ranking_is_what_a_rank_would_give(backend, size, floor, events):
+    """``observe`` keeps a row's ranking when the count it moves cannot
+    reorder it.  Every row is ranked after every event, so each keep is
+    checked against a fresh ranking at the next one."""
+    if backend == "window":
+        counts = WindowCounts(size, floor)
+    else:
+        counts = SketchCounts(1 / (size + 1), floor)
+    for a, c in events:
+        counts.observe(a, c)
+        for row in counts.rows.values():
+            kept = row.ranked
+            fresh = counts.rank(row)
+            assert kept is None or kept == fresh
+
+
 def window_table(min_support_count):
     return WindowCounts(8, min_support_count)
 

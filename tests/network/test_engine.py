@@ -180,6 +180,15 @@ class TestWalk:
         assert out.first_hit_hops == 5
         assert out.messages == 5
 
+    def test_steps_outrun_a_byte_of_ttl(self):
+        overlay = line_overlay(301, holder=300)
+        engine = QueryEngine(overlay)
+        q = Query(guid=1, origin=0, file_id=5, category=0, ttl=7)
+        out = engine.walk(q, n_walkers=1, rng=np.random.default_rng(0), steps=300)
+        assert (out.hits, out.first_hit_hops, out.messages) == (1, 300, 300)
+        short = engine.walk(q, n_walkers=1, rng=np.random.default_rng(0), steps=299)
+        assert (short.hits, short.messages) == (0, 299)
+
     def test_walk_message_budget(self):
         overlay = line_overlay(30, holder=29)
         engine = QueryEngine(overlay)

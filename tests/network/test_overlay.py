@@ -25,6 +25,13 @@ class TestOverlayConfig:
         with pytest.raises(ValueError):
             OverlayConfig(**kwargs)
 
+    @pytest.mark.parametrize("ttl", [0, 256, 300])
+    def test_ttl_is_a_byte(self, ttl):
+        # refused where it is set, not at the first query it would carry
+        with pytest.raises(ValueError, match=f"ttl must be in 1..255, got {ttl}"):
+            OverlayConfig(ttl=ttl)
+        assert OverlayConfig(ttl=255).ttl == 255
+
 
 class TestOverlayBuild:
     def test_nodes_populated(self):

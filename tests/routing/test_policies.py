@@ -1,5 +1,8 @@
 """Tests for the simple routing policies (flooding, expanding ring, walks)."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.network.overlay import Overlay, OverlayConfig
@@ -75,3 +78,37 @@ class TestKRandomWalkPolicy:
         selected = overlay.node(0).policy.select(0, None, q)
         assert len(selected) == 1
         assert selected[0] in overlay.topology.neighbors(0)
+
+    def test_a_walk_outlasts_a_byte_of_ttl(self):
+        # 32 hops of flooding TTL times the default factor 8 is 256 steps:
+        # a walk length, not a TTL a Query could carry
+        config = OverlayConfig(
+            n_nodes=80, degree=4, n_categories=6, files_per_category=40,
+            library_size=2, ttl=32,
+        )
+        overlay = Overlay(config, seed=3)
+        overlay.install_policies(
+            lambda nid, ov: KRandomWalkPolicy(nid, ov, k=2, seed=nid)
+        )
+        stats = overlay.run_workload(20)
+        assert stats.n_queries == 20
+        assert 0 < stats.messages_per_query <= 2 * 32 * 8
+
+    @pytest.mark.parametrize("ttl_factor", [1, 4, 8])
+    def test_steps_walk_as_the_stretched_query_did(self, ttl_factor):
+        # the walk draws the same stream it drew on a copy of the query
+        # with its TTL stretched, and finds the same
+        overlay = build(FloodingPolicy)
+        for origin in range(0, 80, 9):
+            q = overlay.make_query(origin=origin)
+            stretched = replace(q, ttl=q.ttl * ttl_factor)
+            old = overlay.engine.walk(
+                stretched, n_walkers=3, rng=np.random.default_rng(origin)
+            )
+            new = overlay.engine.walk(
+                q,
+                n_walkers=3,
+                rng=np.random.default_rng(origin),
+                steps=q.ttl * ttl_factor,
+            )
+            assert new == old
