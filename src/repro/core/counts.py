@@ -25,6 +25,8 @@ does not.  Two backends share one method set:
 ``state()`` / ``from_state``  plain-data round trip (:mod:`repro.persist`)
 ==========================  ==============================================
 
+:func:`forward_picks` is what every substrate forwards a covered query to.
+
 * :class:`WindowCounts` — exact counts over a sliding window of the most
   recent ``window`` events;
 * :class:`SketchCounts` — Manku–Motwani lossy counting over the whole
@@ -45,7 +47,21 @@ from collections import deque
 
 from repro.utils.validation import check_fraction
 
-__all__ = ["SketchCounts", "WindowCounts"]
+__all__ = ["SketchCounts", "WindowCounts", "forward_picks"]
+
+
+def forward_picks(ranked, top_k: int, upstream, usable) -> list[int]:
+    """The consequents of ``ranked`` (best first) but ``upstream`` and any
+    not ``in usable`` (neighbours, connections, live super-peers), cut at
+    ``top_k`` after dropping, so a departed peer never takes a live one's
+    slot.  Empty: no rule applies, and the caller floods (§III-B)."""
+    picks = ranked[:top_k]
+    for c in picks:
+        if c == upstream or c not in usable:
+            # rare: check the whole ranking once, and cut what is left
+            kept = [c for c in ranked if c != upstream and c in usable]
+            return forward_picks(kept, top_k, None, usable)
+    return list(picks)
 
 
 class _Row(dict):

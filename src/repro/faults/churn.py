@@ -36,6 +36,7 @@ class TopologyChurn:
         self._cursor = 0
         self._down_edges: dict[int, list[tuple[int, int]]] = {}
         self._cut_edges: list[tuple[int, int]] = []
+        self._side: set[int] | None = None  # a side of the active partition
         #: deterministic application log, mirroring the live injector's.
         self.log: list[dict] = []
 
@@ -82,6 +83,7 @@ class TopologyChurn:
             applied.append(entry)
             self.log.append(entry)
         if self._cut_edges:
+            self._side = None
             self._restore(self._cut_edges)
             self._cut_edges = []
             entry = {"time": self.plan.duration, "kind": "final-heal"}
@@ -97,7 +99,7 @@ class TopologyChurn:
             edges = self._down_edges.pop(event.node, ())
             self._restore(edges)
         elif event.kind == PARTITION:
-            a = set(event.groups[0])
+            self._side = a = set(event.groups[0])
             removed = []
             for u, v in self.topology.edges():
                 if (u in a) != (v in a):
@@ -106,19 +108,24 @@ class TopologyChurn:
                 self.topology.remove_edge(u, v)
             self._cut_edges = removed
         elif event.kind == HEAL:
+            self._side = None
             self._restore(self._cut_edges)
             self._cut_edges = []
 
     def _restore(self, edges) -> None:
+        side = self._side
         for u, v in edges:
             # an edge whose endpoint is departed follows that node: it is
-            # re-stashed so the node's own rejoin restores it.  The
+            # re-stashed so the node's own rejoin restores it; one that
+            # crosses the active partition waits for the heal, as the
+            # live controller refuses a crossing link until then.  The
             # degree cap can also refuse a restore — that is real churn.
             departed = next(
                 (n for n in (u, v) if n in self._down_edges), None
             )
             if departed is not None:
                 self._down_edges[departed].append((u, v))
-                continue
-            if self.topology.can_add_edge(u, v):
+            elif side is not None and (u in side) != (v in side):
+                self._cut_edges.append((u, v))
+            elif self.topology.can_add_edge(u, v):
                 self.topology.add_edge(u, v)

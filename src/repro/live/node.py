@@ -52,7 +52,7 @@ from repro.network.protocol import (
     DescriptorHeader,
     ProtocolError,
 )
-from repro.network.servent import LOCAL, RuleRoutedServent, Servent, SharedFile
+from repro.network.servent import RuleRoutedServent, Servent, SharedFile
 
 __all__ = ["LiveServent", "StreamingRuleServent"]
 
@@ -68,9 +68,9 @@ class StreamingRuleServent(RuleRoutedServent):
     evaluated §VI streaming strategy (either backend, recoverable from
     disk), so the daemon's routing quality is the quantity the
     reproduction already measures offline.  Which connections a rule
-    sends a query to, and the ``rule_routed`` trace events, are the
-    parent's; narrowing the node's own queries, learning from them,
-    the stats and the WAL journal are added here.
+    sends a query to (its own or a relayed one), and the ``rule_routed``
+    trace events, are the parent's; the stats and the WAL journal are
+    added here.
     """
 
     def __init__(
@@ -121,32 +121,10 @@ class StreamingRuleServent(RuleRoutedServent):
         else:
             self.stats.queries_flooded += 1
 
-    def issue_query(self, search: str) -> tuple[int, list[tuple[int, bytes]]]:
-        guid, frames = super().issue_query(search)
-        targets = self._targets(LOCAL, None)
-        self._count_decision(bool(targets))
-        if targets:
-            keep = set(targets)
-            frames = [(conn, frame) for conn, frame in frames if conn in keep]
-            self._trace_rule_routed(
-                guid, LOCAL, [conn for conn, _frame in frames], self.max_ttl
-            )
-        elif self.tracer is not None and self.tracer.wants(guid):
-            for conn, _frame in frames:
-                self.tracer.record(
-                    guid,
-                    self._trace_id,
-                    "flooded",
-                    peer=conn,
-                    ttl=self.max_ttl,
-                    reason="no_covering_rule",
-                )
-        return guid, frames
-
     def _learn(self, upstream: int, conn_id: int) -> None:
         # §III-B's learning event, fed straight into the §VI streaming
-        # counts: a query from `upstream` (or LOCAL — this servent narrows
-        # its own queries too) was satisfied through `conn_id`.
+        # counts: a query from `upstream` (LOCAL for its own) was
+        # satisfied through `conn_id`.
         if self._time_regen:
             t0 = perf_counter()
             promoted = self.counts.observe(upstream, conn_id)

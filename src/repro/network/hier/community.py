@@ -68,7 +68,8 @@ class CommunityIndex:
             raise ValueError("n_superpeers must be >= 1")
         self.n_superpeers = int(n_superpeers)
         self._members: list[list[int]] = [[] for _ in range(n_superpeers)]
-        self._live = [True] * n_superpeers
+        #: the live super-peers' ids (read it; ``kill`` edits it).
+        self.live = set(range(n_superpeers))
         # per leaf id: home super-peer (-1 = not attached) and the
         # leaf's stretch of _files
         self._home = array("i")
@@ -97,7 +98,7 @@ class CommunityIndex:
         self._check_superpeer(superpeer)
         if leaf < 0:
             raise IndexError(f"leaf id {leaf} is negative")
-        if not self._live[superpeer]:
+        if superpeer not in self.live:
             raise ValueError(f"super-peer {superpeer} is not live")
         if leaf < len(self._home) and self._home[leaf] >= 0:
             raise ValueError(f"leaf {leaf} is already attached")
@@ -137,10 +138,10 @@ class CommunityIndex:
 
     def is_live(self, superpeer: int) -> bool:
         self._check_superpeer(superpeer)
-        return self._live[superpeer]
+        return superpeer in self.live
 
     def live_superpeers(self) -> list[int]:
-        return [sp for sp in range(self.n_superpeers) if self._live[sp]]
+        return sorted(self.live)
 
     # -- libraries --------------------------------------------------------
     def library(self, leaf: int) -> frozenset[int]:
@@ -251,9 +252,9 @@ class CommunityIndex:
         :meth:`reattach`.
         """
         self._check_superpeer(superpeer)
-        if not self._live[superpeer]:
+        if superpeer not in self.live:
             return []
-        self._live[superpeer] = False
+        self.live.discard(superpeer)
         orphans = sorted(self._members[superpeer])
         self._members[superpeer] = []
         self._stretches = self._holder_index = None

@@ -73,6 +73,7 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.core.counts import forward_picks
 from repro.metrics.traffic import QueryOutcome
 from repro.network.engine import QueryEngine, Reach
 from repro.network.hier.community import count_pairs
@@ -258,10 +259,7 @@ class HierNetwork(SuperPeerNetwork):
             for extra in self.merged[home].consequents(category, cfg.rule_top_k):
                 if extra not in ranked:
                     ranked.append(extra)
-        live = [
-            sp for sp in ranked if sp != home and self.community.is_live(sp)
-        ]
-        return live[: cfg.rule_top_k]
+        return forward_picks(ranked, cfg.rule_top_k, home, self.community.live)
 
     def _learn(self, leaf: int, home: int, category: int, replier: int) -> None:
         if replier == home:

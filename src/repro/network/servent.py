@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.core.counts import WindowCounts
+from repro.core.counts import WindowCounts, forward_picks
 from repro.network.protocol import (
     DescriptorHeader,
     PAYLOAD_PING,
@@ -152,7 +152,8 @@ class Servent:
         frame = encode_message(
             guid, self.max_ttl, 0, QueryMessage(min_speed=0, search=search)
         )
-        return guid, [(conn, frame) for conn in sorted(self.connections)]
+        targets = self._next_hops(LOCAL, guid, self.max_ttl)
+        return guid, [(conn, frame) for conn in targets]
 
     def issue_ping(self) -> tuple[int, list[tuple[int, bytes]]]:
         """Originate a Ping; returns (guid, outgoing frames)."""
@@ -254,9 +255,7 @@ class Servent:
         out.extend(self._forward(conn_id, header))
         return out
 
-    def _forward(
-        self, from_conn: int, header, *, flood_reason: str = ""
-    ) -> list[tuple[int, bytes]]:
+    def _forward(self, from_conn: int, header) -> list[tuple[int, bytes]]:
         is_query = header.payload_type == PAYLOAD_QUERY
         if header.ttl <= 1:
             if is_query and self.tracer is not None:
@@ -265,18 +264,30 @@ class Servent:
                 )
             return []
         frame = header.aged_frame()
-        targets = [conn for conn in sorted(self.connections) if conn != from_conn]
-        if is_query and self.tracer is not None:
+        if is_query:
+            targets = self._next_hops(from_conn, header.guid, header.ttl - 1)
+        else:
+            targets = [conn for conn in sorted(self.connections) if conn != from_conn]
+        return [(conn, frame) for conn in targets]
+
+    def _next_hops(
+        self, antecedent: int, guid: int, ttl: int, *, flood_reason: str = ""
+    ) -> list[int]:
+        """The connections a Query from ``antecedent`` (``LOCAL`` for this
+        servent's own) goes to, leaving with ``ttl``: every other one.
+        The origin and every transit hop decide here."""
+        targets = [conn for conn in sorted(self.connections) if conn != antecedent]
+        if self.tracer is not None:
             for conn in targets:
                 self.tracer.record(
-                    header.guid,
+                    guid,
                     self._trace_id,
                     "flooded",
                     peer=conn,
-                    ttl=header.ttl - 1,
+                    ttl=ttl,
                     reason=flood_reason,
                 )
-        return [(conn, frame) for conn in targets]
+        return targets
 
     def _route_back(self, routes: ReplyRoutingTable, conn_id: int, header, payload):
         upstream = routes.route_for(header.guid)
@@ -305,10 +316,10 @@ class RuleRoutedServent(Servent):
     Drop-in compatible with vanilla servents on the wire — "it can be
     deployed in nodes in current systems without requiring that all nodes
     support this method" (§I).  It learns rules from the QueryHits it
-    routes backwards (each one pairs the Query's upstream connection with
-    the connection the hit returned through) and, when a Query arrives
-    from a covered connection, forwards it only to the top-k rule
-    consequents instead of all connections.
+    routes backwards (each one pairs the Query's upstream connection, or
+    ``LOCAL`` for its own, with the connection the hit returned through)
+    and, when a Query it issues or relays is covered, sends it only to
+    the top-k rule consequents still connected instead of all connections.
     """
 
     def __init__(
@@ -326,16 +337,6 @@ class RuleRoutedServent(Servent):
         #: the :mod:`repro.core.counts` table the rules are read from.
         self.counts = WindowCounts(rule_window, min_support_count)
         self.top_k = top_k
-
-    def _targets(self, antecedent: int, exclude: int | None) -> list[int]:
-        """Which connections a rule sends ``antecedent``'s query to: its
-        consequents, best first, capped at top-k *after* dropping departed
-        connections — a dead peer must not eat a forwarding slot."""
-        return [
-            c
-            for c in self.counts.consequents(antecedent)
-            if c in self.connections and c != exclude
-        ][: self.top_k]
 
     def _count_decision(self, rule_routed: bool) -> None:
         """One query was narrowed by a rule, or flooded for want of one;
@@ -363,20 +364,18 @@ class RuleRoutedServent(Servent):
                 support=support,
             )
 
-    def _forward(
-        self, from_conn: int, header, *, flood_reason: str = ""
-    ) -> list[tuple[int, bytes]]:
-        if header.payload_type != PAYLOAD_QUERY or header.ttl <= 1:
-            return super()._forward(from_conn, header)
-        targets = self._targets(from_conn, exclude=from_conn)
+    def _next_hops(
+        self, antecedent: int, guid: int, ttl: int, *, flood_reason: str = ""
+    ) -> list[int]:
+        ranked = self.counts.consequents(antecedent)
+        targets = forward_picks(ranked, self.top_k, antecedent, self.connections)
         self._count_decision(bool(targets))
         if not targets:
-            return super()._forward(
-                from_conn, header, flood_reason="no_covering_rule"
+            return super()._next_hops(
+                antecedent, guid, ttl, flood_reason="no_covering_rule"
             )
-        self._trace_rule_routed(header.guid, from_conn, targets, header.ttl - 1)
-        frame = header.aged_frame()
-        return [(conn, frame) for conn in targets]
+        self._trace_rule_routed(guid, antecedent, targets, ttl)
+        return targets
 
     def _route_back(self, routes: ReplyRoutingTable, conn_id: int, header, payload):
         if (
@@ -390,10 +389,8 @@ class RuleRoutedServent(Servent):
 
     def _learn(self, upstream: int, conn_id: int) -> None:
         """The learning event of §III-B: a query from ``upstream`` was
-        satisfied through ``conn_id``.  This servent floods its own
-        queries, so a hit for one teaches it nothing it would use."""
-        if upstream != LOCAL:
-            self.counts.observe(upstream, conn_id)
+        satisfied through ``conn_id``."""
+        self.counts.observe(upstream, conn_id)
 
 
 class MonitorServent(Servent):

@@ -11,6 +11,8 @@ optional monitor servent capturing the §IV trace.
 
 from __future__ import annotations
 
+from collections import deque
+
 from repro.network.servent import (
     MonitorServent,
     RuleRoutedServent,
@@ -98,9 +100,9 @@ class WireNetwork:
     def pump(self, frames: list[tuple[int, bytes]], sender: int) -> int:
         """Deliver frames (breadth-first) until the network is quiescent."""
         delivered = 0
-        queue = [(sender, conn, frame) for conn, frame in frames]
+        queue = deque((sender, conn, frame) for conn, frame in frames)
         while queue:
-            src, dst, frame = queue.pop(0)
+            src, dst, frame = queue.popleft()
             delivered += 1
             for conn, out in self.servents[dst].handle_frame(src, frame):
                 queue.append((dst, conn, out))

@@ -35,6 +35,7 @@ import abc
 from itertools import chain
 from typing import Sequence
 
+from repro.core.counts import forward_picks
 from repro.metrics.traffic import QueryOutcome
 from repro.network.engine import QueryEngine
 from repro.network.messages import Query
@@ -57,11 +58,12 @@ def decide_by_rules(
     ``tables[node]`` is ``(rows, top_k, rank)`` — the node's
     ``rules.rows``, its ``top_k`` and ``rules.rank`` — or ``None`` for a
     node asked through ``ask(node, upstream, query)`` instead.  A query
-    from ``upstream`` goes to the node's best ``top_k`` rule consequents
-    for that antecedent but the upstream; with none of those left the node
-    floods (``neighbors(node)``, the topology's tuple).  A query issued at
-    the node has the node itself as its antecedent, as the reply walk
-    credits it.
+    from ``upstream`` goes to :func:`~repro.core.counts.forward_picks` of
+    the rule consequents for that antecedent, with the node's current
+    neighbours as the usable set; with none of those left the node floods
+    (``neighbors(node)``, the topology's tuple).  A query issued at the
+    node has the node itself as its antecedent, as the reply walk credits
+    it.
     """
     decided = []
     append = decided.append
@@ -71,19 +73,17 @@ def decide_by_rules(
             append(ask(node, upstream, query))
             continue
         rows, top_k, rank = table
+        usable = neighbors(node)
         row = rows.get(node if upstream is None else upstream)
         if row is not None:
             ranked = row.ranked
             if ranked is None:
                 ranked = rank(row)
-            # consequents are distinct: the upstream is among them once at most
-            picks = list(ranked[:top_k])
-            if upstream in picks:
-                picks.remove(upstream)
+            picks = forward_picks(ranked, top_k, upstream, usable)
             if picks:
                 append(picks)
                 continue
-        append(neighbors(node))
+        append(usable)
     return decided
 
 

@@ -65,6 +65,41 @@ class TestTopologyChurn:
         churn.advance_to(4.0)  # node 1 rejoins with all its edges
         assert edge_set(churn) == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
+    def test_restart_during_partition_keeps_crossing_edges_cut(self):
+        plan = FaultPlan(
+            events=(
+                FaultEvent(time=1.0, kind=CRASH, node=0),
+                FaultEvent(
+                    time=2.0, kind=PARTITION, groups=((0, 1), (2, 3))
+                ),
+                FaultEvent(time=3.0, kind=RESTART, node=0),
+                FaultEvent(time=4.0, kind=HEAL),
+            ),
+            duration=5.0,
+        )
+        churn = TopologyChurn(ring4(), plan)
+        churn.advance_to(3.0)  # node 0 is back, the partition still holds
+        assert edge_set(churn) == {(0, 1), (2, 3)}
+        churn.advance_to(4.0)  # the heal restores (0, 3) with (1, 2)
+        assert edge_set(churn) == {(0, 1), (1, 2), (2, 3), (0, 3)}
+
+    def test_finish_heals_what_a_rejoin_left_cut(self):
+        plan = FaultPlan(
+            events=(
+                FaultEvent(time=1.0, kind=CRASH, node=0),
+                FaultEvent(
+                    time=2.0, kind=PARTITION, groups=((0, 1), (2, 3))
+                ),
+                FaultEvent(time=3.0, kind=RESTART, node=0),
+            ),
+            duration=4.0,
+        )
+        churn = TopologyChurn(ring4(), plan)
+        churn.advance_to(3.0)
+        assert (0, 3) not in edge_set(churn)
+        churn.finish()
+        assert edge_set(churn) == {(0, 1), (1, 2), (2, 3), (0, 3)}
+
     def test_finish_restores_end_state(self):
         plan = FaultPlan(
             events=(

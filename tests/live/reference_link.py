@@ -13,6 +13,7 @@ byte-patched forwarding to these, frame for frame.
 
 from __future__ import annotations
 
+from repro.core.counts import forward_picks
 from repro.live.node import StreamingRuleServent
 from repro.network.protocol import (
     PAYLOAD_QUERY,
@@ -136,7 +137,12 @@ class ReferenceStreamingRuleServent(StreamingRuleServent, ReferenceServent):
     def _forward(self, from_conn, header, *, flood_reason=""):
         if header.payload_type != PAYLOAD_QUERY or header.ttl <= 1:
             return ReferenceServent._forward(self, from_conn, header)
-        targets = self._targets(from_conn, exclude=from_conn)
+        targets = forward_picks(
+            self.counts.consequents(from_conn),
+            self.top_k,
+            from_conn,
+            self.connections,
+        )
         if not targets:
             self.stats.queries_flooded += 1
             return ReferenceServent._forward(

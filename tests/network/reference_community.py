@@ -150,6 +150,11 @@ class _DrawnLibraries(ReferenceCommunityIndex):
     def attach(self, leaf, superpeer, library) -> None:
         super().attach(leaf, superpeer, frozenset(library))
 
+    @property
+    def live(self) -> set[int]:
+        """What the rule rung reads as its usable set."""
+        return set(self.live_superpeers())
+
 
 class _OnReferenceIndex:
     """Build the inherited substrate around a reference index."""

@@ -295,6 +295,35 @@ class TestRuleRoutedServent:
         sent = router.handle_frame(0, encode_message(3, 7, 0, query))
         assert [conn for conn, _frame in sent] == [1]  # no rule left: flood
 
+    def test_own_queries_are_narrowed_in_pick_order(self):
+        """A servent's own query is decided like a relayed one: antecedent
+        LOCAL, departed consequents dropped before the cut, frames in the
+        rules' order; and a hit for it teaches the LOCAL row."""
+        from repro.network.servent import LOCAL, RuleRoutedServent
+
+        servents = self._star_with_rule_router()
+        router = servents[1]
+        _guid, frames = router.issue_query("jazz")
+        assert [conn for conn, _frame in frames] == [0, 2, 3]  # no rule: flood
+        self._pump(servents, frames, 1)
+        assert router.counts.consequents(LOCAL) == []  # one hit, floor 2
+        self._pump(servents, router.issue_query("jazz")[1], 1)
+        assert router.counts.consequents(LOCAL) == [2]
+        _guid, frames = router.issue_query("jazz")
+        assert [conn for conn, _frame in frames] == [2]
+
+        origin = RuleRoutedServent(5001, top_k=2, min_support_count=1)
+        for conn in range(4):
+            origin.connect(conn)
+        for conn, n in ((3, 3), (1, 2), (2, 1)):
+            for _ in range(n):
+                origin.counts.observe(LOCAL, conn)
+        _guid, frames = origin.issue_query("jazz")
+        assert [conn for conn, _frame in frames] == [3, 1]
+        origin.disconnect(3)
+        _guid, frames = origin.issue_query("jazz")
+        assert [conn for conn, _frame in frames] == [1, 2]
+
     def test_top_k_checked_at_construction(self):
         from repro.network.servent import RuleRoutedServent
 

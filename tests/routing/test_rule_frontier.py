@@ -28,14 +28,17 @@ from tests.network.test_engine_differential import stats_fields
 
 
 def reference_select(policy, node, upstream):
-    """``AssociationRoutingPolicy.select`` as one node's own decision."""
+    """``AssociationRoutingPolicy.select`` as one node's own decision: the
+    consequents but the upstream and those no longer neighbours, then the
+    best ``top_k`` of what is left; flood when nothing is."""
     antecedent = upstream if upstream is not None else node
-    consequents = policy.rules.consequents(antecedent, policy.top_k)
-    if consequents:
-        live = [v for v in consequents if v != upstream]
-        if live:
-            return live
-    return policy.overlay.topology.neighbors(node)
+    neighbors = policy.overlay.topology.neighbors(node)
+    live = [
+        v
+        for v in policy.rules.consequents(antecedent)
+        if v != upstream and v in neighbors
+    ]
+    return live[: policy.top_k] or neighbors
 
 
 class EchoPolicy(RoutingPolicy):
