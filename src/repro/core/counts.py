@@ -28,7 +28,8 @@ does not.  Two backends share one method set:
 :func:`forward_picks` is what every substrate forwards a covered query to.
 
 * :class:`WindowCounts` — exact counts over a sliding window of the most
-  recent ``window`` events;
+  recent ``window`` events, kept as one flat deque of the events' own
+  antecedent and consequent objects;
 * :class:`SketchCounts` — Manku–Motwani lossy counting over the whole
   stream in bounded memory: a retained count undercounts the truth by at
   most ``epsilon * n_seen``, and every pair seen more often than that is
@@ -167,7 +168,11 @@ class WindowCounts(_PairCounts):
             raise ValueError("window must be >= 1")
         self.window = int(window)
         self.min_support_count = _check_floor(min_support_count)
-        self._events: deque[tuple[int, int]] = deque()
+        #: the window, oldest first: each event's antecedent, then its
+        #: consequent, the caller's own objects and no tuple per event (a
+        #: tuple costs ~64 bytes and is a collector-tracked object, and a
+        #: full window pins ``window`` of them).
+        self._events: deque[int] = deque()
         self._rows: dict[int, _Row] = {}
         self._n_rules = 0
 
@@ -198,9 +203,11 @@ class WindowCounts(_PairCounts):
             row.qualified += 1
             self._n_rules += 1
         events = self._events
-        events.append((a, c))
-        if len(events) > self.window:
-            a, c = events.popleft()
+        events.append(a)
+        events.append(c)
+        if len(events) > 2 * self.window:
+            a = events.popleft()
+            c = events.popleft()
             row = rows[a]
             left = row[c] - 1
             row.total -= 1
@@ -224,11 +231,12 @@ class WindowCounts(_PairCounts):
     def state(self) -> dict:
         """The window *is* the state; everything else is a function of it
         and :meth:`from_state` rebuilds it by replaying the window."""
+        pairs = iter(self._events)
         return {
             "backend": "exact",
             "window_pairs": self.window,
             "threshold": self.min_support_count,
-            "window": [(int(a), int(c)) for a, c in self._events],
+            "window": [(int(a), int(c)) for a, c in zip(pairs, pairs)],
         }
 
     @classmethod

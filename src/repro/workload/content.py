@@ -46,6 +46,8 @@ class ContentCatalog:
         self.n_categories = int(n_categories)
         self.files_per_category = int(files_per_category)
         self._rank_sampler = ZipfSampler(files_per_category, popularity_exponent)
+        #: one int object per file id, made by the first sample_library
+        self._file_ids: np.ndarray | None = None
 
     @property
     def n_files(self) -> int:
@@ -104,9 +106,16 @@ class ContentCatalog:
         """:meth:`draw_library` deduplicated into the set a flat
         :class:`~repro.network.overlay.Overlay` peer shares — copied from
         a set filled in draw order: the table, hence the iteration order,
-        an add-per-draw loop leaves."""
+        an add-per-draw loop leaves.
+
+        Every library holds the catalog's one int object per file id, not
+        a fresh one per draw (``tolist`` on the drawn ids would pin ~28
+        bytes per file per peer for the library's life)."""
         files = self.draw_library(rng, profile, size=size)
-        return frozenset(set(files.tolist()))
+        ids = self._file_ids
+        if ids is None:
+            ids = self._file_ids = np.arange(self.n_files, dtype=object)
+        return frozenset(set(ids[files].tolist()))
 
     def file_name(self, file_id: int) -> str:
         """Stable human-readable name, used in reply records."""

@@ -9,6 +9,7 @@ Manku–Motwani replay for the sketch — so any figure that drifts from the
 events it summarises shows up as a mismatch.
 """
 
+import gc
 import hashlib
 import json
 import math
@@ -141,7 +142,38 @@ def test_every_read_equals_a_recount_of_the_history(oracle, ops):
             # plain data: it survives JSON, and the copy carries on alone
             counts = type(counts).from_state(json.loads(json.dumps(state)))
             assert counts.state() == state
+        if isinstance(oracle, WindowOracle):
+            # the window the state carries is the history's tail, pair by
+            # pair and in order (kills a state that swaps a pair's halves
+            # and an eviction that pops one object of its pair)
+            window = oracle.history[-oracle.window :]
+            assert counts.state()["window"] == window
     check_every_read(counts, oracle)
+
+
+def test_a_steady_state_observe_makes_no_tracked_object():
+    """Rows in place and the window full: an observe moves counts and the
+    window, and makes nothing the cyclic collector tracks.  A tuple per
+    event would be one, pinned for a whole window."""
+    counts = WindowCounts(4, 1)
+    pairs = [(1, 10), (1, 11), (2, 10), (2, 11)]
+    for a, c in pairs * 2:
+        counts.observe(a, c)
+    stream = pairs * 3
+    gc.disable()
+    try:
+        # holding every tracked object keeps each one's id taken, so any
+        # object the observes make has an id not seen here
+        before = gc.get_objects()
+        seen = set(map(id, before))
+        for a, c in stream:
+            counts.observe(a, c)
+        after = gc.get_objects()
+    finally:
+        gc.enable()
+    made = [o for o in after if id(o) not in seen and o is not before and o is not seen]
+    assert made == []
+    assert counts.state()["window"] == pairs
 
 
 @settings(max_examples=400, deadline=None)

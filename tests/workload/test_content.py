@@ -103,6 +103,20 @@ class TestDrawLibrary:
             )
             assert all(type(f) is int for f in library)
 
+    def test_peers_holding_a_file_hold_one_int_object(self):
+        """Libraries share the catalog's int per file id rather than each
+        holding a fresh one (ids past 256, which CPython does not cache)."""
+        catalog = ContentCatalog(2, 400)
+        profile = InterestProfile(categories=(1,), weights=(1.0,))
+        rng = np.random.default_rng(5)
+        one, two = (catalog.sample_library(rng, profile, size=60) for _ in range(2))
+        shared = one & two
+        assert shared and min(shared) >= 400
+        held_by_one = {f: f for f in one}
+        for f in two:
+            if f in shared:
+                assert f is held_by_one[f]
+
     def test_unknown_category_raises_before_any_draw(self):
         catalog = ContentCatalog(4, 5)
         profile = InterestProfile((1, 4), (0.4, 0.6))
