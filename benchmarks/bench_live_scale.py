@@ -98,10 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="base arrival-process seed"
     )
     parser.add_argument(
-        "--uvloop", action="store_true",
-        help="run on uvloop if importable; silent fallback",
-    )
-    parser.add_argument(
         "--state-root", default=None,
         help="root directory for per-node durable state (default: none)",
     )
@@ -222,22 +218,17 @@ def _render_trace(cluster, totals: dict[str, int]) -> dict:
 
 
 def run(args: argparse.Namespace) -> dict:
-    from repro.scale import install_uvloop
-
     if args.quick:
         args.nodes = 2
         args.rps = [10.0, 20.0, 40.0, 80.0]
         args.step_duration = min(args.step_duration, 4.0)
         args.floor_qps = min(args.floor_qps, 8.0)
 
-    loop_impl = install_uvloop(args.uvloop)
     baseline = asyncio.run(_ramp_once(args))
     payload = {
         "metadata": {
             "nodes": args.nodes,
             "cpu_count": os.cpu_count(),
-            "loop": loop_impl,
-            "uvloop_requested": args.uvloop,
             "think": args.think,
             "step_duration_seconds": args.step_duration,
             "request_timeout_seconds": args.timeout,

@@ -71,6 +71,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_positive(text: str) -> float:
+    """argparse type: a float with 0 < value < inf (nan fails)."""
+    from repro.utils.validation import check_finite_positive
+
+    try:
+        return check_finite_positive("value", text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text!r}"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -294,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     live_node.add_argument(
         "--checkpoint-interval",
-        type=float,
+        type=_finite_positive,
         default=30.0,
         metavar="SECS",
         help="seconds between rule-state snapshots (default: %(default)s)",
@@ -304,11 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("always", "interval", "never"),
         default="interval",
         help="WAL durability policy (default: %(default)s)",
-    )
-    live_node.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="use uvloop if importable (silently falls back to asyncio)",
     )
 
     live_cluster = sub.add_parser(
@@ -380,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--time-scale",
-        type=float,
+        type=_finite_positive,
         default=1.0,
         help="stretch (>1) or compress (<1) the plan's activation times",
     )
@@ -489,11 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         help="saturation gate: p99 bound in seconds (default: %(default)s)",
-    )
-    load_test.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="use uvloop if importable (silent fallback)",
     )
 
     persist = sub.add_parser(
@@ -607,11 +609,6 @@ def _run_live_node(args) -> int:
             print("final counters:")
             _print_stats(node.snapshot())
 
-    from repro.scale.loop import install_uvloop
-
-    loop_impl = install_uvloop(args.uvloop)
-    if args.uvloop:
-        _log.info("event loop selected", extra={"loop": loop_impl})
     try:
         asyncio.run(run())
     except KeyboardInterrupt:
@@ -626,12 +623,7 @@ def _split_terms(text: str) -> list[str]:
 def _run_load_test(args) -> int:
     import json
 
-    from repro.scale import (
-        LoadConfig,
-        install_uvloop,
-        run_ramp,
-        saturation_summary,
-    )
+    from repro.scale import LoadConfig, run_ramp, saturation_summary
     from repro.utils.validation import check_finite_positive
 
     addresses = []
@@ -665,9 +657,6 @@ def _run_load_test(args) -> int:
     except ValueError as exc:
         _log.error("bad load-test setting", extra={"error": str(exc)})
         return 2
-    loop_impl = install_uvloop(args.uvloop)
-    if args.uvloop:
-        _log.info("event loop selected", extra={"loop": loop_impl})
     seed = args.seed if args.seed is not None else 0
     steps = run_ramp(
         addresses,

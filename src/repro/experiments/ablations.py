@@ -23,10 +23,13 @@ from repro.utils.rng import as_generator
 
 __all__ = ["run_topk_ablation", "run_churn_sensitivity"]
 
+#: consequents forwarded, ``None`` = all matching rules
+TOP_KS = (1, 2, 3, None)
+#: per-query probability that one peer churns
+CHURN_RATES = (0.0, 0.01, 0.05, 0.15)
 
-def run_topk_ablation(
-    ctx: RunContext, *, ks: tuple = (1, 2, 3, None)
-) -> ExperimentResult:
+
+def run_topk_ablation(ctx: RunContext) -> ExperimentResult:
     """Success/coverage of Sliding Window as top-k consequents vary.
 
     Also evaluates the paper's *other* §III-B.1 option — forwarding to a
@@ -36,7 +39,7 @@ def run_topk_ablation(
     successes = {}
     coverages = {}
     rows = []
-    for k in ks:
+    for k in TOP_KS:
         run = ctx.trace(SlidingWindow(top_k=k))
         label = "all" if k is None else str(k)
         successes[label] = run.average_success
@@ -72,7 +75,7 @@ def run_topk_ablation(
             band=(0.0, 1.0),
         )
     )
-    ordered = [successes["all" if k is None else str(k)] for k in ks]
+    ordered = [successes["all" if k is None else str(k)] for k in TOP_KS]
     monotone = all(a <= b + 0.02 for a, b in zip(ordered, ordered[1:]))
     rows.append(
         ComparisonRow(
@@ -104,9 +107,7 @@ def run_topk_ablation(
     return ctx.result(rows, extras={"successes": successes, "coverages": coverages})
 
 
-def run_churn_sensitivity(
-    ctx: RunContext, *, churn_rates: tuple = (0.0, 0.01, 0.05, 0.15)
-) -> ExperimentResult:
+def run_churn_sensitivity(ctx: RunContext) -> ExperimentResult:
     """Online association routing under accelerating peer turnover.
 
     Each issued query churns one peer with probability ``churn_rate``
@@ -121,7 +122,7 @@ def run_churn_sensitivity(
     stats = {}
     fallback_share = {}
     rows = []
-    for rate in churn_rates:
+    for rate in CHURN_RATES:
         overlay, stats[rate] = ctx.overlay("association", churn_rate=rate)
         resolved = sum(
             overlay.node(n).policy.rule_resolved_count
@@ -139,7 +140,7 @@ def run_churn_sensitivity(
                 fallback_share[rate],
             )
         )
-    lo, hi = churn_rates[0], churn_rates[-1]
+    lo, hi = CHURN_RATES[0], CHURN_RATES[-1]
     # Flooding baseline under the same heavy churn, for the savings ratio.
     _, flood = ctx.overlay("flooding", churn_rate=hi, warmup=0)
     rows.append(

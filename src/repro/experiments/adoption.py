@@ -21,14 +21,15 @@ from repro.metrics.report import ComparisonRow
 
 __all__ = ["run_adoption_sweep"]
 
+#: shares of peers running association routing (the rest flood)
+ADOPTION_FRACTIONS = (0.0, 0.25, 0.5, 1.0)
 
-def run_adoption_sweep(
-    ctx: RunContext, *, fractions: tuple = (0.0, 0.25, 0.5, 1.0)
-) -> ExperimentResult:
+
+def run_adoption_sweep(ctx: RunContext) -> ExperimentResult:
     """Traffic vs fraction of peers running association routing."""
     stats = {}
     rows = []
-    for fraction in fractions:
+    for fraction in ADOPTION_FRACTIONS:
         _, stats[fraction] = ctx.overlay(ctx.adoption(fraction))
         rows.append(
             ComparisonRow(
@@ -37,7 +38,7 @@ def run_adoption_sweep(
                 stats[fraction].messages_per_query,
             )
         )
-    ordered = [stats[f].messages_per_query for f in fractions]
+    ordered = [stats[f].messages_per_query for f in ADOPTION_FRACTIONS]
     # Allow small non-monotonic wiggles from workload randomness.
     monotone = all(a >= b - 0.05 * ordered[0] for a, b in zip(ordered, ordered[1:]))
     rows.append(
@@ -68,7 +69,7 @@ def run_adoption_sweep(
         ComparisonRow(
             "hit rate at full adoption vs pure flooding",
             "~equal",
-            stats[fractions[-1]].success_rate - stats[0.0].success_rate,
+            stats[1.0].success_rate - stats[0.0].success_rate,
             band=(-0.08, 1.0),
         )
     )

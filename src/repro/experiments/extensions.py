@@ -36,20 +36,23 @@ __all__ = [
     "run_superpeer",
 ]
 
+#: ``category-rules`` forwards to the single best consequent
+CATEGORY_TOP_K = 1
+
 
 # ---------------------------------------------------------------------------
 # §VI  query-string dimension
 # ---------------------------------------------------------------------------
-def run_category_rules(ctx: RunContext, *, top_k: int = 1) -> ExperimentResult:
+def run_category_rules(ctx: RunContext) -> ExperimentResult:
     """(source, category) antecedents vs host-only antecedents.
 
-    The comparison runs at ``top_k=1`` — forwarding to the single
-    highest-support consequent, the regime where routing actually saves
-    traffic.  There, host-only rules send *all* of a neighbor's queries
-    toward its dominant interest's path, sacrificing the minority
-    interests; per-(host, category) rules route each interest to its own
-    path, which is precisely the gain §VI predicts from "adding
-    dimensions such as the query strings".
+    The comparison runs at ``top_k=1`` (:data:`CATEGORY_TOP_K`) —
+    forwarding to the single highest-support consequent, the regime where
+    routing actually saves traffic.  There, host-only rules send *all* of
+    a neighbor's queries toward its dominant interest's path, sacrificing
+    the minority interests; per-(host, category) rules route each
+    interest to its own path, which is precisely the gain §VI predicts
+    from "adding dimensions such as the query strings".
     """
     cfg = MonitorTraceConfig()
     gen = MonitorTraceGenerator(cfg, seed=ctx.seed)
@@ -64,15 +67,15 @@ def run_category_rules(ctx: RunContext, *, top_k: int = 1) -> ExperimentResult:
         for i, b in enumerate(blocks)
     ]
 
-    baseline = SlidingWindow(top_k=top_k).run(blocks)
+    baseline = SlidingWindow(top_k=CATEGORY_TOP_K).run(blocks)
 
     cat_coverage, cat_success = [], []
     for b in range(1, len(blocks)):
         # Both tiers are mined from the same block with the paper's support
         # threshold, so a query whose (source, category) never reached it
         # still gets the host-only behaviour.
-        fine = generate_ruleset(fine_blocks[b - 1], top_k=top_k)
-        host = generate_ruleset(blocks[b - 1], top_k=top_k)
+        fine = generate_ruleset(fine_blocks[b - 1], top_k=CATEGORY_TOP_K)
+        host = generate_ruleset(blocks[b - 1], top_k=CATEGORY_TOP_K)
         result = ruleset_test_fallback(
             [(fine, fine_blocks[b]), (host, blocks[b])]
         )
@@ -83,12 +86,12 @@ def run_category_rules(ctx: RunContext, *, top_k: int = 1) -> ExperimentResult:
 
     rows = [
         ComparisonRow(
-            f"host-only sliding success @ top_k={top_k} (baseline)",
+            f"host-only sliding success @ top_k={CATEGORY_TOP_K} (baseline)",
             "-",
             baseline.average_success,
         ),
         ComparisonRow(
-            f"(host, category) sliding success @ top_k={top_k}",
+            f"(host, category) sliding success @ top_k={CATEGORY_TOP_K}",
             "higher than host-only (§VI prediction)",
             avg_succ,
         ),

@@ -37,6 +37,17 @@ __all__ = [
     "run_confidence_ablation",
 ]
 
+#: Fig. 2's block sizes (pairs per block)
+FIG2_BLOCK_SIZES = (5_000, 10_000, 20_000, 50_000)
+#: Fig. 3: Lazy Sliding Window regenerates every 10 blocks
+LAZINESS = 10
+#: Fig. 4: the Adaptive threshold history N
+HISTORY = 10
+#: §III-B.1 support-prune thresholds swept by ``prune-ablation``
+PRUNE_THRESHOLDS = (1, 5, 10, 25, 50)
+#: §VI minimum confidences swept by ``confidence-ablation``
+CONFIDENCES = (0.0, 0.1, 0.25, 0.5)
+
 
 # ---------------------------------------------------------------------------
 # §V-A  Static Ruleset
@@ -110,15 +121,13 @@ def run_fig1_sliding(ctx: RunContext) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # Fig. 2  Sliding Window, block-size sweep
 # ---------------------------------------------------------------------------
-def run_fig2_block_sizes(
-    ctx: RunContext, *, block_sizes: tuple[int, ...] = (5_000, 10_000, 20_000, 50_000)
-) -> ExperimentResult:
+def run_fig2_block_sizes(ctx: RunContext) -> ExperimentResult:
     """Fig. 2: Sliding Window coverage is similar across block sizes."""
     n_pairs = ctx.scale.n_pairs_blocksweep
     rows = []
     series: dict[str, list[float]] = {}
     coverages = {}
-    for block_size in block_sizes:
+    for block_size in FIG2_BLOCK_SIZES:
         if n_pairs // block_size < 2:
             continue
         run = ctx.trace(SlidingWindow(), n_pairs, block_size=block_size)
@@ -147,10 +156,10 @@ def run_fig2_block_sizes(
 # ---------------------------------------------------------------------------
 # Fig. 3  Lazy Sliding Window
 # ---------------------------------------------------------------------------
-def run_fig3_lazy(ctx: RunContext, *, laziness: int = 10) -> ExperimentResult:
+def run_fig3_lazy(ctx: RunContext) -> ExperimentResult:
     """Fig. 3: Lazy Sliding Window sawtooth; averages ≈ 0.59."""
-    run = ctx.trace(LazySlidingWindow(laziness=laziness))
-    depth = sawtooth_depth(run.success_series, laziness)
+    run = ctx.trace(LazySlidingWindow(laziness=LAZINESS))
+    depth = sawtooth_depth(run.success_series, LAZINESS)
     rows = [
         ComparisonRow(
             "average coverage (paper: 0.59)",
@@ -181,9 +190,9 @@ def run_fig3_lazy(ctx: RunContext, *, laziness: int = 10) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # Fig. 4  Adaptive Sliding Window
 # ---------------------------------------------------------------------------
-def run_fig4_adaptive(ctx: RunContext, *, history: int = 10) -> ExperimentResult:
+def run_fig4_adaptive(ctx: RunContext) -> ExperimentResult:
     """Fig. 4: Adaptive Sliding Window with rolling thresholds, N=10."""
-    run = ctx.trace(AdaptiveSlidingWindow(history=history, initial_threshold=0.7))
+    run = ctx.trace(AdaptiveSlidingWindow(history=HISTORY, initial_threshold=0.7))
     rows = [
         ComparisonRow(
             "average coverage (paper: 0.78)",
@@ -318,9 +327,7 @@ def run_streaming(ctx: RunContext) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # §III-B.1  Support-prune threshold ablation
 # ---------------------------------------------------------------------------
-def run_prune_ablation(
-    ctx: RunContext, *, thresholds: tuple[int, ...] = (1, 5, 10, 25, 50)
-) -> ExperimentResult:
+def run_prune_ablation(ctx: RunContext) -> ExperimentResult:
     """§III-B.1/§V-B: rule quality across support-prune thresholds.
 
     The paper states Sliding Window "achieves very similar levels of
@@ -331,7 +338,7 @@ def run_prune_ablation(
     rows = []
     series = {}
     coverages = {}
-    for threshold in thresholds:
+    for threshold in PRUNE_THRESHOLDS:
         run = ctx.trace(SlidingWindow(min_support_count=threshold))
         coverages[threshold] = run.average_coverage
         series[f"coverage_t{threshold}"] = run.coverage_series
@@ -345,7 +352,7 @@ def run_prune_ablation(
         )
     monotone = all(
         coverages[a] >= coverages[b] - 0.02
-        for a, b in zip(thresholds, thresholds[1:])
+        for a, b in zip(PRUNE_THRESHOLDS, PRUNE_THRESHOLDS[1:])
     )
     rows.append(
         ComparisonRow(
@@ -355,38 +362,34 @@ def run_prune_ablation(
             band=(1.0, 1.0),
         )
     )
-    if 5 in coverages and 10 in coverages:
-        rows.append(
-            ComparisonRow(
-                "coverage spread, thresholds 5 vs 10 (paper: very similar)",
-                "small",
-                abs(coverages[5] - coverages[10]),
-                band=(0.0, 0.10),
-            )
+    rows.append(
+        ComparisonRow(
+            "coverage spread, thresholds 5 vs 10 (paper: very similar)",
+            "small",
+            abs(coverages[5] - coverages[10]),
+            band=(0.0, 0.10),
         )
-    if 5 in coverages and 25 in coverages:
-        rows.append(
-            ComparisonRow(
-                "coverage spread, thresholds 5 vs 25 (beyond paper's sweep)",
-                "-",
-                abs(coverages[5] - coverages[25]),
-            )
+    )
+    rows.append(
+        ComparisonRow(
+            "coverage spread, thresholds 5 vs 25 (beyond paper's sweep)",
+            "-",
+            abs(coverages[5] - coverages[25]),
         )
+    )
     return ctx.result(rows, series=series, extras={"coverages": coverages})
 
 
 # ---------------------------------------------------------------------------
 # §VI  Confidence-based pruning extension
 # ---------------------------------------------------------------------------
-def run_confidence_ablation(
-    ctx: RunContext, *, confidences: tuple[float, ...] = (0.0, 0.1, 0.25, 0.5)
-) -> ExperimentResult:
+def run_confidence_ablation(ctx: RunContext) -> ExperimentResult:
     """§VI: confidence pruning shrinks rule sets while retaining quality."""
     rows = []
     sizes = {}
     successes = {}
     coverages = {}
-    for conf in confidences:
+    for conf in CONFIDENCES:
         run = ctx.trace(SlidingWindow(min_confidence=conf))
         mean_size = float(np.mean([t.ruleset_size for t in run.trials]))
         sizes[conf] = mean_size
@@ -399,7 +402,7 @@ def run_confidence_ablation(
                 mean_size,
             )
         )
-    shrank = sizes[max(confidences)] < sizes[0.0]
+    shrank = sizes[CONFIDENCES[-1]] < sizes[0.0]
     rows.append(
         ComparisonRow(
             "rule sets shrink under confidence pruning",

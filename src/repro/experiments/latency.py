@@ -22,6 +22,10 @@ from repro.network.discrete_event import DiscreteEventConfig, DiscreteEventNetwo
 
 __all__ = ["run_latency_under_load"]
 
+#: mean seconds between queries: an idle network, then saturated uplinks
+LIGHT_INTERARRIVAL = 0.2
+HEAVY_INTERARRIVAL = 0.01
+
 
 def _run_one(ctx: RunContext, policy: str, interarrival: float):
     # The learning policy builds its tables before anything is timed.
@@ -38,17 +42,12 @@ def _run_one(ctx: RunContext, policy: str, interarrival: float):
     return net.run(max(200, ctx.scale.overlay_queries // 2), seed=ctx.seed + 1)
 
 
-def run_latency_under_load(
-    ctx: RunContext,
-    *,
-    light_interarrival: float = 0.2,
-    heavy_interarrival: float = 0.01,
-) -> ExperimentResult:
+def run_latency_under_load(ctx: RunContext) -> ExperimentResult:
     """Flooding vs association routing at light and saturating load."""
-    flood_light = _run_one(ctx, "flooding", light_interarrival)
-    assoc_light = _run_one(ctx, "association", light_interarrival)
-    flood_heavy = _run_one(ctx, "flooding", heavy_interarrival)
-    assoc_heavy = _run_one(ctx, "association", heavy_interarrival)
+    flood_light = _run_one(ctx, "flooding", LIGHT_INTERARRIVAL)
+    assoc_light = _run_one(ctx, "association", LIGHT_INTERARRIVAL)
+    flood_heavy = _run_one(ctx, "flooding", HEAVY_INTERARRIVAL)
+    assoc_heavy = _run_one(ctx, "association", HEAVY_INTERARRIVAL)
 
     rows = [
         ComparisonRow(

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 #: experiment id -> (title, function of a RunContext), in report order
-EXPERIMENTS: dict[str, tuple[str, Callable[..., ExperimentResult]]] = {
+EXPERIMENTS: dict[str, tuple[str, Callable[[RunContext], ExperimentResult]]] = {
     "static": ("Static Ruleset over time (paper §V-A)", figures.run_static),
     "fig1": (
         "Sliding Window coverage & success over time (paper Fig. 1)",
@@ -120,7 +120,7 @@ EXPERIMENTS: dict[str, tuple[str, Callable[..., ExperimentResult]]] = {
 }
 
 
-def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
+def get_experiment(experiment_id: str) -> Callable[[RunContext], ExperimentResult]:
     """Look up an experiment's function by id (KeyError names the known ids)."""
     if experiment_id not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
@@ -154,16 +154,13 @@ def run_experiment(
     *,
     seed: int = DEFAULT_SEED,
     scale: ExperimentScale | None = None,
-    **params,
 ) -> ExperimentResult:
     """Run one registered experiment in this process.
 
-    ``scale`` defaults to :func:`~repro.experiments.config.current_scale`;
-    ``params`` are the experiment's own sweep arguments (fig2's
-    ``block_sizes``, ...).
+    ``scale`` defaults to :func:`~repro.experiments.config.current_scale`.
     """
     (ctx,) = _contexts([experiment_id], [seed], scale)
-    return get_experiment(experiment_id)(ctx, **params)
+    return get_experiment(experiment_id)(ctx)
 
 
 @dataclass(frozen=True)

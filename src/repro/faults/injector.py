@@ -22,6 +22,7 @@ import asyncio
 from repro.faults.plan import CRASH, RESTART, FaultEvent, FaultPlan
 from repro.faults.transport import FaultController
 from repro.obs.logging import get_logger
+from repro.utils.validation import check_finite_positive
 
 __all__ = ["FaultInjector"]
 
@@ -45,8 +46,7 @@ class FaultInjector:
 
     async def run(self, cluster, *, time_scale: float = 1.0) -> list[dict]:
         """Apply every event at its activation time; returns the log."""
-        if time_scale <= 0:
-            raise ValueError("time_scale must be positive")
+        time_scale = check_finite_positive("time_scale", time_scale)
         loop = asyncio.get_running_loop()
         t0 = loop.time()
         down: set[int] = set()

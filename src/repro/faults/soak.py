@@ -82,6 +82,7 @@ from repro.live.cluster import (
 )
 from repro.network.topology import Topology, random_regular
 from repro.utils.rng import as_generator
+from repro.utils.validation import check_finite_positive
 
 __all__ = [
     "PLAN_NAMES",
@@ -93,6 +94,9 @@ __all__ = [
 ]
 
 PLAN_NAMES = ("crash-restart", "partition-heal", "mixed")
+
+#: queries issued after the chaos to audit the survivors' answer rate
+PROBE_QUERIES = 20
 
 
 @dataclass
@@ -245,7 +249,6 @@ async def run_soak(
     rule_routed: bool = True,
     seed: int = 0,
     warmup_queries: int = 30,
-    probe_queries: int = 20,
     pump_interval: float = 0.04,
     answer_threshold: float = 0.5,
     time_scale: float = 1.0,
@@ -258,8 +261,9 @@ async def run_soak(
     ``state_dir`` gives every node a durable-state directory beneath
     it: crashes become hard kills recovered through snapshot + WAL
     replay, and the ``warm_restart`` / ``durable_roundtrip`` invariants
-    join the audit.
+    join the audit.  ``time_scale`` is checked before anything boots.
     """
+    time_scale = check_finite_positive("time_scale", time_scale)
     report = SoakReport(
         label=plan.label,
         seed=seed,
@@ -323,7 +327,7 @@ async def run_soak(
             details["quiesced"] = "descriptors still in flight after chaos"
 
         probe = await cluster.run_plan(
-            interest_plan(topology.n_nodes, vocabulary, probe_queries, rng)
+            interest_plan(topology.n_nodes, vocabulary, PROBE_QUERIES, rng)
         )
         invariants["probe_answers"] = probe["answer_rate"] >= answer_threshold
         if not invariants["probe_answers"]:
@@ -523,7 +527,6 @@ def chaos_soak(
     seed: int = 0,
     rule_routed: bool = True,
     warmup_queries: int = 30,
-    probe_queries: int = 20,
     time_scale: float = 1.0,
     state_dir: str | None = None,
 ) -> SoakReport:
@@ -537,7 +540,6 @@ def chaos_soak(
             rule_routed=rule_routed,
             seed=seed,
             warmup_queries=warmup_queries,
-            probe_queries=probe_queries,
             time_scale=time_scale,
             state_dir=state_dir,
         )

@@ -30,6 +30,7 @@ from repro.obs.tracing import QueryTracer, format_trace
 from repro.network.servent import SharedFile
 from repro.network.topology import Topology
 from repro.utils.rng import as_generator
+from repro.utils.validation import check_finite_positive
 from repro.workload.zipf import ZipfSampler
 
 __all__ = [
@@ -132,7 +133,9 @@ class LiveCluster:
         self.rule_routed = rule_routed
         #: root of per-node durable-state dirs (``node-NNN/``), or None.
         self.state_dir = state_dir
-        self._checkpoint_interval = checkpoint_interval
+        self._checkpoint_interval = check_finite_positive(
+            "checkpoint_interval", checkpoint_interval
+        )
         self._fsync = fsync
         #: a :class:`repro.faults.transport.FaultController` (or None).
         #: Every node dials through the controller's transport opener, so

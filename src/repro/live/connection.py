@@ -42,6 +42,7 @@ supervisor task.
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 from dataclasses import dataclass
 from time import perf_counter
@@ -52,6 +53,7 @@ from repro.live.stats import NodeStats
 from repro.obs.instruments import NodeInstruments
 from repro.obs.logging import RateLimiter, get_logger
 from repro.network.protocol import DescriptorHeader, ProtocolError
+from repro.utils.validation import check_finite_positive
 
 __all__ = [
     "ConnectionConfig",
@@ -131,16 +133,15 @@ class ConnectionConfig:
     def __post_init__(self) -> None:
         if self.send_queue_limit < 1:
             raise ValueError("send_queue_limit must be >= 1")
-        if self.retry_initial_delay <= 0 or self.retry_max_delay <= 0:
-            raise ValueError("retry delays must be positive")
-        if self.retry_backoff < 1.0:
-            raise ValueError("retry_backoff must be >= 1.0")
+        check_finite_positive("retry_initial_delay", self.retry_initial_delay)
+        check_finite_positive("retry_max_delay", self.retry_max_delay)
+        if not 1.0 <= self.retry_backoff < math.inf:
+            raise ValueError("retry_backoff must be finite and >= 1.0")
         if self.max_retries is not None and self.max_retries < 0:
             raise ValueError("max_retries must be >= 0 or None")
         if not 0.0 <= self.retry_jitter <= 1.0:
             raise ValueError("retry_jitter must be in [0, 1]")
-        if self.close_flush_timeout <= 0:
-            raise ValueError("close_flush_timeout must be positive")
+        check_finite_positive("close_flush_timeout", self.close_flush_timeout)
 
 
 def backoff_delays(config: ConnectionConfig, *, salt: int = 0) -> Iterator[float]:

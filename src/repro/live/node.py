@@ -53,6 +53,7 @@ from repro.network.protocol import (
     ProtocolError,
 )
 from repro.network.servent import RuleRoutedServent, Servent, SharedFile
+from repro.utils.validation import check_finite_positive
 
 __all__ = ["LiveServent", "StreamingRuleServent"]
 
@@ -101,19 +102,6 @@ class StreamingRuleServent(RuleRoutedServent):
         self.stats = stats if stats is not None else NodeStats()
         self._instr = instruments
         self._time_regen = instruments is not None and instruments.enabled
-
-    # Legacy counter names, now views over the eagerly updated stats.
-    @property
-    def n_rule_routed(self) -> int:
-        return self.stats.queries_rule_routed
-
-    @property
-    def n_flooded(self) -> int:
-        return self.stats.queries_flooded
-
-    @property
-    def n_rule_regenerations(self) -> int:
-        return self.stats.rule_regenerations
 
     def _count_decision(self, rule_routed: bool) -> None:
         if rule_routed:
@@ -169,8 +157,9 @@ class LiveServent:
     ) -> None:
         if node_id < 0:
             raise ValueError("node_id must be non-negative")
-        if checkpoint_interval <= 0:
-            raise ValueError("checkpoint_interval must be positive")
+        checkpoint_interval = check_finite_positive(
+            "checkpoint_interval", checkpoint_interval
+        )
         self.node_id = node_id
         self.host = host
         self.port = port
@@ -181,7 +170,7 @@ class LiveServent:
         self.instruments = (
             NodeInstruments(registry, node_id) if registry is not None else None
         )
-        self.checkpoint_interval = float(checkpoint_interval)
+        self.checkpoint_interval = checkpoint_interval
         persist = None
         if state_dir is not None:
             if not rule_routed:

@@ -30,13 +30,16 @@ def sparkline(values: Sequence[float], *, lo: float = 0.0, hi: float = 1.0) -> s
     return "".join(out)
 
 
+#: one marker per series, in order; series past the sixth are not drawn
+_MARKERS = "*o+x#@"
+
+
 def line_chart(
     series: Mapping[str, Sequence[float]],
     *,
     height: int = 10,
     lo: float = 0.0,
     hi: float = 1.0,
-    markers: str = "*o+x#@",
 ) -> str:
     """Multi-series ASCII chart with a y-axis, one column per x index.
 
@@ -54,7 +57,7 @@ def line_chart(
         raise ValueError("series are empty")
 
     grid = [[" "] * width for _ in range(height)]
-    for (name, values), marker in zip(series.items(), markers):
+    for (name, values), marker in zip(series.items(), _MARKERS):
         for x, v in enumerate(values):
             frac = (float(v) - lo) / (hi - lo)
             frac = min(max(frac, 0.0), 1.0)
@@ -67,7 +70,7 @@ def line_chart(
         lines.append(f"{level:5.2f} |" + "".join(row))
     lines.append(" " * 6 + "+" + "-" * width)
     legend = "  ".join(
-        f"{marker}={name}" for (name, _s), marker in zip(series.items(), markers)
+        f"{marker}={name}" for (name, _s), marker in zip(series.items(), _MARKERS)
     )
     lines.append(" " * 7 + legend)
     return "\n".join(lines)

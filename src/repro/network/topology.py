@@ -191,13 +191,18 @@ class Topology:
         return None
 
 
-def random_regular(n_nodes: int, degree: int, *, rng=None, max_tries: int = 50) -> Topology:
+#: whole-graph constructions :func:`random_regular` tries before it gives up
+_REGULAR_TRIES = 50
+
+
+def random_regular(n_nodes: int, degree: int, *, rng=None) -> Topology:
     """Random ``degree``-regular graph via the configuration model.
 
     Stubs are shuffled and paired; conflicting pairs (self-loops or
     duplicate edges) are repaired by double-edge swaps with random valid
     edges, which succeeds with overwhelming probability for degree << n.
-    The whole construction retries until the graph is also connected.
+    The whole construction retries until the graph is also connected,
+    at most 50 times.
     """
     rng = as_generator(rng)
     if degree < 1 or degree >= n_nodes:
@@ -205,7 +210,7 @@ def random_regular(n_nodes: int, degree: int, *, rng=None, max_tries: int = 50) 
     if (n_nodes * degree) % 2 != 0:
         raise ValueError("n_nodes * degree must be even")
     stubs = np.repeat(np.arange(n_nodes), degree)
-    for _ in range(max_tries):
+    for _ in range(_REGULAR_TRIES):
         rng.shuffle(stubs)
         pairs = stubs.reshape(-1, 2)
         edges: set[tuple[int, int]] = set()
@@ -248,5 +253,6 @@ def random_regular(n_nodes: int, degree: int, *, rng=None, max_tries: int = 50) 
         if topo.is_connected():
             return topo
     raise RuntimeError(
-        f"failed to build a connected {degree}-regular graph in {max_tries} tries"
+        f"failed to build a connected {degree}-regular graph "
+        f"in {_REGULAR_TRIES} tries"
     )

@@ -64,8 +64,6 @@ from repro.obs.scrape import (
     scrape_text,
 )
 from repro.obs.tracing import (
-    NULL_TRACER,
-    NullTracer,
     QueryTrace,
     QueryTracer,
     TraceEvent,
@@ -80,9 +78,7 @@ __all__ = [
     "MetricsRegistry",
     "NodeInstruments",
     "NullRegistry",
-    "NullTracer",
     "NULL_REGISTRY",
-    "NULL_TRACER",
     "ObsHttpServer",
     "PlainFormatter",
     "QueryTrace",

@@ -57,6 +57,9 @@ _ISSUED = "repro_queries_issued_total"
 _HITS = "repro_hits_received_total"
 _FRAMES = "repro_frames_total"
 
+#: rolling windows kept; older ones fall off the front
+MAX_WINDOWS = 64
+
 _ZERO = {"rule": 0.0, "flood": 0.0, "issued": 0.0, "hits": 0.0, "frames_out": 0.0}
 
 
@@ -128,9 +131,9 @@ class ClusterTraceCollector:
     folds new spans into :attr:`traces`, refreshes the per-node and
     cluster counters, merges latency histograms across nodes, and —
     from the second poll on — appends one rolling window of counter
-    deltas.  A node that cannot be reached, or whose reply does not
-    parse, is skipped for that poll (dead daemons must not hang a
-    sweep), tallied in ``errors``.
+    deltas (the last :data:`MAX_WINDOWS` are kept).  A node that cannot
+    be reached, or whose reply does not parse, is skipped for that poll
+    (dead daemons must not hang a sweep), tallied in ``errors``.
     """
 
     def __init__(
@@ -138,12 +141,9 @@ class ClusterTraceCollector:
         endpoints: Sequence[tuple[object, str]],
         *,
         timeout: float = 5.0,
-        max_windows: int = 64,
         fetch: Callable[[str], str] | None = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        if max_windows < 1:
-            raise ValueError("max_windows must be >= 1")
         self.endpoints = [(label, base.rstrip("/")) for label, base in endpoints]
         self._fetch = fetch or (lambda url: scrape_text(url, timeout=timeout))
         self._clock = clock
@@ -151,7 +151,7 @@ class ClusterTraceCollector:
         self.per_node: dict[object, dict[str, float]] = {}
         self.cluster: dict[str, float] = dict(_ZERO)
         self.histograms: dict[str, dict] = {}
-        self.windows: deque[dict] = deque(maxlen=max_windows)
+        self.windows: deque[dict] = deque(maxlen=MAX_WINDOWS)
         self.errors = 0
         self._last: tuple[float, dict[str, float]] | None = None
 

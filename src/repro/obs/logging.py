@@ -174,6 +174,10 @@ def get_logger(name: str) -> logging.Logger:
     return logging.getLogger(f"{_ROOT_LOGGER}.{name}")
 
 
+#: keys a :class:`RateLimiter` remembers before it evicts the oldest
+RATE_LIMIT_KEYS = 1024
+
+
 class RateLimiter:
     """Per-key token gate: at most one allowed record per ``interval``.
 
@@ -186,21 +190,19 @@ class RateLimiter:
             log.warning("bad frame", extra={"suppressed": suppressed})
 
     The clock is injectable for tests; keys are evicted lazily once the
-    table grows past ``max_keys`` (oldest last-allowed first) so a churn
-    of one-shot keys cannot grow memory without bound.
+    table grows past :data:`RATE_LIMIT_KEYS` (oldest last-allowed first)
+    so a churn of one-shot keys cannot grow memory without bound.
     """
 
     def __init__(
         self,
         interval: float = 5.0,
         *,
-        max_keys: int = 1024,
         clock=time.monotonic,
     ) -> None:
         if interval < 0:
             raise ValueError("interval must be >= 0")
         self.interval = interval
-        self.max_keys = max_keys
         self._clock = clock
         self._last: dict[object, float] = {}
         self._suppressed: dict[object, int] = {}
@@ -211,7 +213,7 @@ class RateLimiter:
         if last is not None and now - last < self.interval:
             self._suppressed[key] = self._suppressed.get(key, 0) + 1
             return None
-        if len(self._last) >= self.max_keys and key not in self._last:
+        if len(self._last) >= RATE_LIMIT_KEYS and key not in self._last:
             oldest = min(self._last, key=self._last.get)
             del self._last[oldest]
             self._suppressed.pop(oldest, None)

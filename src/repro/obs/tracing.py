@@ -41,9 +41,7 @@ seconds after their last event, so a long-running daemon's tracer is a
 ring buffer, not a leak.  ``sample`` thins the stream by GUID —
 ``traced_guid(guid, n)`` keeps 1-in-``n`` — so the load generator and
 every worker agree on which queries are traced without coordination.
-:data:`NULL_TRACER` is the disabled twin whose ``record`` is a no-op;
-hot paths guard with ``tracer is not None`` or call the null object
-unconditionally.
+Tracing off is ``tracer is None``: hot paths test that and skip.
 """
 
 from __future__ import annotations
@@ -55,8 +53,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 __all__ = [
-    "NULL_TRACER",
-    "NullTracer",
     "QueryTrace",
     "QueryTracer",
     "TraceEvent",
@@ -192,8 +188,6 @@ class QueryTrace:
 class QueryTracer:
     """Bounded, GUID-keyed store of in-flight and recent query traces."""
 
-    enabled = True
-
     def __init__(
         self,
         *,
@@ -201,7 +195,6 @@ class QueryTracer:
         ttl: float = 300.0,
         clock: Callable[[], float] = time.time,
         sample: int = 1,
-        on_event: Callable[[int, TraceEvent], None] | None = None,
     ) -> None:
         if max_traces < 1:
             raise ValueError("max_traces must be >= 1")
@@ -212,7 +205,6 @@ class QueryTracer:
         self.max_traces = max_traces
         self.ttl = ttl
         self.sample = sample
-        self.on_event = on_event
         self._clock = clock
         self._traces: "OrderedDict[int, QueryTrace]" = OrderedDict()
 
@@ -266,8 +258,6 @@ class QueryTracer:
             latency=latency,
         )
         trace.events.append(event)
-        if self.on_event is not None:
-            self.on_event(guid, event)
 
     def _evict(self, now: float) -> None:
         """Drop expired traces, then the oldest beyond ``max_traces - 1``."""
@@ -329,35 +319,3 @@ def format_trace(trace: QueryTrace) -> str:
     lines.extend("  " + event.render(t0) for event in trace.events)
     return "\n".join(lines)
 
-
-class NullTracer:
-    """Tracing disabled: record() is a no-op, lookups find nothing."""
-
-    enabled = False
-
-    def wants(self, guid) -> bool:
-        return False
-
-    def record(self, guid, node, kind, **fields) -> None:
-        pass
-
-    def trace(self, guid) -> QueryTrace | None:
-        return None
-
-    def guids(self) -> list[int]:
-        return []
-
-    def answered_guids(self) -> list[int]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def format(self, guid) -> str:
-        return "tracing disabled"
-
-    def export_jsonl(self) -> str:
-        return ""
-
-
-NULL_TRACER = NullTracer()

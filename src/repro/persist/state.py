@@ -105,13 +105,11 @@ class PersistentState:
         state_dir: str,
         *,
         fsync: str = "interval",
-        fsync_interval: float = 1.0,
         label: str = "",
         registry=None,
     ) -> None:
         self.state_dir = state_dir
         self.fsync = fsync
-        self.fsync_interval = fsync_interval
         self.label = label or state_dir
         os.makedirs(state_dir, exist_ok=True)
         self._writer: WalWriter | None = None
@@ -238,11 +236,7 @@ class PersistentState:
                     },
                 )
         self._seq = max_seq + 1
-        self._writer = WalWriter(
-            self._wal_path(self._seq),
-            fsync=self.fsync,
-            fsync_interval=self.fsync_interval,
-        )
+        self._writer = WalWriter(self._wal_path(self._seq), fsync=self.fsync)
         info = RecoveryInfo(
             restored=snap_seq is not None,
             snapshot_seq=snap_seq,
@@ -288,11 +282,7 @@ class PersistentState:
             meta={"through_segment": sealed, "node": str(self.label)},
         )
         self._seq = sealed + 1
-        self._writer = WalWriter(
-            self._wal_path(self._seq),
-            fsync=self.fsync,
-            fsync_interval=self.fsync_interval,
-        )
+        self._writer = WalWriter(self._wal_path(self._seq), fsync=self.fsync)
         for seq, path in self.wal_segments():
             if seq <= sealed:
                 os.remove(path)

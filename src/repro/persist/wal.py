@@ -25,8 +25,8 @@ Durability is a knob, not a policy baked in:
 ``always``
     fsync after every appended record (slowest, loses nothing);
 ``interval``
-    flush every append, fsync at most once per ``fsync_interval``
-    seconds (the default — bounded loss window);
+    flush every append, fsync at most once per :data:`FSYNC_INTERVAL`
+    (one second; the default — bounded loss window);
 ``never``
     leave flushing to the OS (fastest; a crash can lose the tail,
     which recovery then truncates).
@@ -55,6 +55,9 @@ WAL_MAGIC = b"RPWL" + struct.pack("<HH", WAL_VERSION, 0)
 
 FSYNC_POLICIES = ("always", "interval", "never")
 
+#: seconds between fsyncs under the ``interval`` policy
+FSYNC_INTERVAL = 1.0
+
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
 _PAIR = struct.Struct("<qq")  # source, replier
 
@@ -69,22 +72,13 @@ class WalError(Exception):
 class WalWriter:
     """Appends checksummed pair records to one segment file."""
 
-    def __init__(
-        self,
-        path: str,
-        *,
-        fsync: str = "interval",
-        fsync_interval: float = 1.0,
-    ) -> None:
+    def __init__(self, path: str, *, fsync: str = "interval") -> None:
         if fsync not in FSYNC_POLICIES:
             raise ValueError(
                 f"unknown fsync policy {fsync!r}; pick from {FSYNC_POLICIES}"
             )
-        if fsync_interval <= 0:
-            raise ValueError("fsync_interval must be positive")
         self.path = path
         self.fsync = fsync
-        self.fsync_interval = float(fsync_interval)
         self.records = 0
         self.bytes_written = 0
         self._last_sync = monotonic()
@@ -109,7 +103,7 @@ class WalWriter:
         elif self.fsync == "interval":
             self._fh.flush()
             now = monotonic()
-            if now - self._last_sync >= self.fsync_interval:
+            if now - self._last_sync >= FSYNC_INTERVAL:
                 os.fsync(self._fh.fileno())
                 self._last_sync = now
         return len(record)

@@ -34,19 +34,10 @@ class HybridShortcutAssociationPolicy(AssociationRoutingPolicy):
 
     name = "hybrid"
 
-    def __init__(
-        self,
-        node_id: int,
-        overlay,
-        *,
-        shortcut_capacity: int = 10,
-        **kwargs,
-    ) -> None:
+    def __init__(self, node_id: int, overlay, **kwargs) -> None:
         super().__init__(node_id, overlay, **kwargs)
         # Compose an embedded shortcuts policy for its list maintenance.
-        self._shortcuts = InterestShortcutsPolicy(
-            node_id, overlay, capacity=shortcut_capacity
-        )
+        self._shortcuts = InterestShortcutsPolicy(node_id, overlay)
 
     # -- transit behaviour: inherited association select ------------------
 

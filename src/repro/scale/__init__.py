@@ -11,8 +11,6 @@ loop (``bench_live_scale``) or ``live-node`` daemons (``load-test``).
   from the instant it was due.
 * :mod:`~repro.scale.ramp` — step offered RPS to trace a saturation
   curve and read off the max sustainable QPS.
-* :mod:`~repro.scale.loop` — optional uvloop installation with a silent
-  stdlib fallback.
 
 Entry points: ``python -m benchmarks.bench_live_scale`` for the gated
 saturation benchmark, ``python -m repro load-test`` against running
@@ -31,7 +29,6 @@ from repro.scale.loadgen import (
     ScheduledTask,
     build_schedule,
 )
-from repro.scale.loop import install_uvloop
 from repro.scale.ramp import (
     format_saturation_markdown,
     run_ramp,
@@ -51,7 +48,6 @@ __all__ = [
     "TASK_QUERY",
     "build_schedule",
     "format_saturation_markdown",
-    "install_uvloop",
     "run_ramp",
     "run_ramp_async",
     "saturation_summary",

@@ -351,17 +351,12 @@ class LoadGenerator:
         addresses: list[tuple[str, int]],
         vocabulary: list[str],
         config: LoadConfig,
-        *,
-        client_config: ConnectionConfig | None = None,
-        client_id_base: int = CLIENT_ID_BASE,
     ) -> None:
         if not addresses:
             raise ValueError("need at least one target address")
         self.addresses = list(addresses)
         self.vocabulary = list(vocabulary)
         self.config = config
-        self._client_config = client_config
-        self._client_id_base = client_id_base
         self._clients: list[LoadClient] = []
         #: guid -> (due instant, task kind) of requests awaiting a reply.
         self._pending: dict[int, tuple[float, str]] = {}
@@ -372,7 +367,7 @@ class LoadGenerator:
         # silently dropped and misread as timeouts.  Ramps vary the
         # seed per step, which lands each step in its own 2^32 block.
         self._next_guid = (
-            (client_id_base << 64)
+            (CLIENT_ID_BASE << 64)
             + ((config.seed % (1 << 30)) << 32)
             + 1
         )
@@ -414,11 +409,10 @@ class LoadGenerator:
         )
         self._clients = [
             LoadClient(
-                self._client_id_base + i,
+                CLIENT_ID_BASE + i,
                 host,
                 port,
                 on_reply=self._on_reply,
-                config=self._client_config,
                 max_ttl=self.config.max_ttl,
             )
             for i, (host, port) in enumerate(self.addresses)

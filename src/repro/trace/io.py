@@ -34,6 +34,22 @@ _QUERY_HEADER = "time\tguid\tsource\tquery_string"
 _REPLY_HEADER = "time\tguid\treplier\thost\tfile_name"
 
 
+def _bounded_int(lo: int, hi: int):
+    """A field decoder: an int in ``[lo, hi)``, the range its column holds."""
+
+    def decode(text: str) -> int:
+        value = int(text)
+        if not lo <= value < hi:
+            raise ValueError(f"{text!r} outside [{lo}, {hi})")
+        return value
+
+    return decode
+
+
+_ID128 = _bounded_int(0, 1 << 128)  # guid, host
+_PEER = _bounded_int(-(1 << 63), 1 << 63)  # source, replier: int64
+
+
 def _iter_rows(
     path: str | os.PathLike, header: str, kind: str, decoders: tuple
 ) -> Iterator[tuple]:
@@ -76,7 +92,7 @@ def write_queries(path: str | os.PathLike, records: Iterable[QueryRecord]) -> in
 
 def iter_query_rows(path: str | os.PathLike) -> Iterator[tuple]:
     """Yield decoded ``(time, guid, source, query_string)`` rows lazily."""
-    return _iter_rows(path, _QUERY_HEADER, "query", (float, int, int))
+    return _iter_rows(path, _QUERY_HEADER, "query", (float, _ID128, _PEER))
 
 
 def read_queries(path: str | os.PathLike) -> QueryLog:
@@ -91,7 +107,7 @@ def write_replies(path: str | os.PathLike, records: Iterable[ReplyRecord]) -> in
 
 def iter_reply_rows(path: str | os.PathLike) -> Iterator[tuple]:
     """Yield decoded ``(time, guid, replier, host, file_name)`` rows lazily."""
-    return _iter_rows(path, _REPLY_HEADER, "reply", (float, int, int, int))
+    return _iter_rows(path, _REPLY_HEADER, "reply", (float, _ID128, _PEER, _ID128))
 
 
 def read_replies(path: str | os.PathLike) -> ReplyLog:

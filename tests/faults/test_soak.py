@@ -1,12 +1,15 @@
 """The chaos-soak harness end to end: invariants + bit-identical replay."""
 
+import asyncio
 import gc
 import json
 
 import pytest
 
 from repro.faults.plan import CRASH, PARTITION, RESTART, FaultEvent, FaultPlan
-from repro.faults.soak import chaos_soak, expected_min_reconnects, make_plan
+from repro.faults.injector import FaultInjector
+from repro.faults.soak import chaos_soak, expected_min_reconnects, make_plan, run_soak
+from repro.faults.transport import FaultController
 from repro.network.topology import Topology
 
 
@@ -50,6 +53,36 @@ class TestMakePlan:
         topology = Topology(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         with pytest.raises(ValueError):
             make_plan("meteor-strike", topology)
+
+
+class TestTimeScale:
+    """inf hung the injector on its first sleep; nan compared false with
+    every delay, so every fault fired at once."""
+
+    EMPTY = FaultPlan(events=(), duration=0.5)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_injector_refuses_non_finite(self, value):
+        injector = FaultInjector(self.EMPTY, FaultController())
+
+        async def body():
+            await asyncio.wait_for(injector.run(None, time_scale=value), 2.0)
+
+        with pytest.raises(ValueError, match="time_scale"):
+            asyncio.run(body())
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_soak_refuses_before_booting(self, value):
+        topology = Topology(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+        async def body():
+            await asyncio.wait_for(
+                run_soak(topology, self.EMPTY, warmup_queries=0, time_scale=value),
+                10.0,
+            )
+
+        with pytest.raises(ValueError, match="time_scale"):
+            asyncio.run(body())
 
 
 @pytest.mark.live

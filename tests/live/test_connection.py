@@ -64,6 +64,16 @@ class TestBackoffDelays:
         with pytest.raises(ValueError):
             ConnectionConfig(retry_backoff=0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["retry_initial_delay", "retry_backoff", "retry_max_delay",
+         "close_flush_timeout"],
+    )
+    def test_non_finite_time_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ConnectionConfig(**{field: value})
+
 
 class TestHandshake:
     def test_roundtrip_exchanges_node_ids(self):

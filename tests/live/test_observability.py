@@ -143,9 +143,7 @@ class TestEagerStats:
             node = cluster.nodes[0]
             stats = node.stats
             assert stats.queries_rule_routed + stats.queries_flooded > 0
-            assert stats.queries_rule_routed == node.servent.n_rule_routed
-            assert stats.queries_flooded == node.servent.n_flooded
-            assert stats.rule_regenerations == node.servent.n_rule_regenerations
+            assert node.servent.stats is stats
             assert node.snapshot()["queries_rule_routed"] == (
                 stats.queries_rule_routed
             )

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.streaming import StreamingRules
-from repro.live import LiveCluster, harness_config, make_vocabulary
+from repro.live import LiveCluster, LiveServent, harness_config, make_vocabulary
 from repro.network.topology import Topology
 from repro.persist import PersistentState, fingerprint_counts
 from tests.live.test_cluster import targeted_plan
@@ -203,3 +203,23 @@ class TestConfigValidation:
     def test_state_dir_requires_rule_routing(self, tmp_path):
         with pytest.raises(ValueError, match="rule_routed"):
             LiveCluster(star(3), state_dir=str(tmp_path / "s"))
+
+
+class TestCheckpointInterval:
+    """A nan interval slept forever (``asyncio.sleep(nan)`` never
+    returns), so the node never checkpointed; inf is the same."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_servent_refuses_non_finite(self, tmp_path, value):
+        with pytest.raises(ValueError, match="checkpoint_interval"):
+            LiveServent(
+                0,
+                rule_routed=True,
+                state_dir=str(tmp_path / "state"),
+                checkpoint_interval=value,
+            )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_cluster_refuses_non_finite(self, tmp_path, value):
+        with pytest.raises(ValueError, match="checkpoint_interval"):
+            LiveCluster(star(3), **cluster_kwargs(tmp_path, checkpoint_interval=value))

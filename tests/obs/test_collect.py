@@ -197,10 +197,6 @@ class TestCollector:
                 "frames_out": 8.0}
         }
 
-    def test_bad_max_windows_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterTraceCollector([], max_windows=0)
-
 
 class TestRendering:
     def test_trace_tree_shows_rule_edges_and_flood_leaves(self):

@@ -7,6 +7,7 @@ import logging
 import pytest
 
 from repro.obs.logging import (
+    RATE_LIMIT_KEYS,
     RateLimiter,
     bind_node,
     bind_peer,
@@ -156,14 +157,14 @@ class TestRateLimiter:
 
     def test_eviction_bounds_key_table(self):
         now = [0.0]
-        limiter = RateLimiter(5.0, max_keys=2, clock=lambda: now[0])
-        limiter.allow("a")
-        now[0] = 1.0
-        limiter.allow("b")
-        now[0] = 2.0
-        limiter.allow("c")  # evicts "a", the oldest
-        assert len(limiter._last) == 2
-        assert "a" not in limiter._last
+        limiter = RateLimiter(5.0, clock=lambda: now[0])
+        for i in range(RATE_LIMIT_KEYS):
+            now[0] = float(i)
+            limiter.allow(i)
+        now[0] = float(RATE_LIMIT_KEYS)
+        limiter.allow("new")  # evicts 0, the oldest
+        assert len(limiter._last) == RATE_LIMIT_KEYS
+        assert 0 not in limiter._last and "new" in limiter._last
 
     def test_zero_interval_always_allows(self):
         limiter = RateLimiter(0.0, clock=lambda: 0.0)

@@ -6,8 +6,6 @@ import time
 import pytest
 
 from repro.obs.tracing import (
-    NULL_TRACER,
-    NullTracer,
     QueryTracer,
     TraceEvent,
     format_trace,
@@ -206,28 +204,3 @@ class TestExport:
         assert docs[0]["kind"] == "issued" and docs[0]["ttl"] == 7
         assert docs[1]["peer"] == 0
         assert QueryTracer().export_jsonl() == ""
-
-    def test_on_event_sees_every_recorded_event(self):
-        seen = []
-        tracer = QueryTracer(
-            clock=FakeClock(),
-            sample=2,
-            on_event=lambda guid, event: seen.append((guid, event.kind)),
-        )
-        tracer.record(2, 0, "issued")
-        tracer.record(3, 0, "issued")  # unsampled: no callback
-        tracer.record(2, 1, "received", peer=0)
-        assert seen == [(2, "issued"), (2, "received")]
-
-
-class TestNullTracer:
-    def test_noop_everything(self):
-        tracer = NullTracer()
-        tracer.record(1, 0, "issued")
-        assert tracer.trace(1) is None
-        assert tracer.guids() == []
-        assert tracer.answered_guids() == []
-        assert len(tracer) == 0
-        assert tracer.format(1) == "tracing disabled"
-        assert NULL_TRACER.enabled is False
-        assert QueryTracer().enabled is True

@@ -60,10 +60,6 @@ class TestWriter:
         with pytest.raises(ValueError, match="fsync policy"):
             WalWriter(str(tmp_path / "x.wal"), fsync="sometimes")
 
-    def test_nonpositive_fsync_interval_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="fsync_interval"):
-            WalWriter(str(tmp_path / "x.wal"), fsync_interval=0)
-
     def test_close_is_idempotent(self, tmp_path):
         writer = WalWriter(str(tmp_path / "x.wal"))
         writer.close()

@@ -342,6 +342,23 @@ class TestLoadTestCli:
         assert "finite and positive" in capsys.readouterr().err
 
 
+class TestNonFiniteTimes:
+    """A time setting of nan or inf is a usage error, not a node that
+    never checkpoints or a soak that hangs (or fires every fault at
+    once)."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command",
+        [["live-node", "--checkpoint-interval"], ["chaos-soak", "--time-scale"]],
+    )
+    def test_rejected_at_parse(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*command, value])
+        assert exit_info.value.code == 2
+        assert "finite and positive" in capsys.readouterr().err
+
+
 @pytest.mark.live
 class TestDaemonsLive:
     """The long-running commands, each for a short ``--duration``."""

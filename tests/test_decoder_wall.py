@@ -5,13 +5,14 @@ written before key segments were sorted (the committed bytes under
 ``tests/trace/data``) and as written now, the latter with targeted edits of
 the sorted key segment that must each raise,
 pair WAL, snapshot (exact and lossy), the RDG1 rule digest, the
-Prometheus text a cluster collector scrapes, one Gnutella descriptor
+Prometheus text a cluster collector scrapes, the query and reply TSV
+trace files of ``repro.trace.io``, one Gnutella descriptor
 (``decode_message``) and a run of them through the live servent's
 ``StreamDecoder.feed``, which must also never buffer more than it was
 fed.  Every 4- and 8-byte field
 of the file header, the first block (or record) header and the trailer
 is overwritten with each boundary value; then a fixed number of seeded
-single-bit flips and truncations follow, and for the text format seeded
+single-bit flips and truncations follow, and for the text formats seeded
 edits of single lines.  Each outcome must be a valid decode or that
 format's typed error — never a ``MemoryError``, ``OverflowError``,
 ``struct.error``, ``KeyError``, ``IndexError`` or any other exception
@@ -56,6 +57,15 @@ from repro.persist.snapshot import (
     write_snapshot,
 )
 from repro.persist.wal import WalError, WalWriter, read_wal, wal_header
+from repro.trace.io import (
+    iter_query_rows,
+    iter_reply_rows,
+    read_queries,
+    read_replies,
+    write_queries,
+    write_replies,
+)
+from repro.trace.records import QueryRecord, ReplyRecord
 from repro.trace.store import TraceStoreError, TraceStoreReader, TraceStoreWriter
 
 #: overwrite values; a 4-byte field takes each masked to 32 bits.
@@ -251,7 +261,7 @@ def _build_exposition(_tmp_path):
 _SYNTAX = b'{}=",\\ #\n'
 
 
-def _line_edits(data):
+def _line_edits(data, syntax=_SYNTAX):
     """Seeded edits of one line each: a byte dropped, doubled or replaced
     by a syntax byte, or the line cut short."""
     lines = data.split(b"\n")
@@ -266,7 +276,7 @@ def _line_edits(data):
         elif kind == "double":
             line = line[:at] + line[at : at + 1] * 2 + line[at + 1 :]
         elif kind == "replace":
-            line = line[:at] + bytes([rng.choice(_SYNTAX)]) + line[at + 1 :]
+            line = line[:at] + bytes([rng.choice(syntax)]) + line[at + 1 :]
         else:
             line = line[:at]
         mutated = b"\n".join([*lines[:k], line, *lines[k + 1 :]])
@@ -277,6 +287,50 @@ def _decode_exposition(path):
     text = path.read_bytes().decode("utf-8")
     parse_samples(text)
     parse_histograms(text)
+
+
+# -- TSV query and reply trace files ------------------------------------------
+#: bytes the TSV rows give a meaning to: separators, signs, number syntax.
+_TSV_SYNTAX = b"\t\n\r-+.e_0123456789 "
+
+
+def _build_queries(tmp_path):
+    path = tmp_path / "valid.queries.tsv"
+    write_queries(
+        path,
+        [
+            QueryRecord(0.5, 2**128 - 1, 2**63 - 1, "kw0001 kw0002"),
+            QueryRecord(1.25, 7, 0, "caf\u00e9\rmix"),
+            QueryRecord(3.0, 1 << 64, 12, ""),
+        ],
+    )
+    return path.read_bytes()
+
+
+def _build_replies(tmp_path):
+    path = tmp_path / "valid.replies.tsv"
+    write_replies(
+        path,
+        [
+            ReplyRecord(0.75, 2**128 - 1, 3, 2**63 - 1, "kw0001.mp3"),
+            ReplyRecord(2.0, 7, 0, 4, "two words \u00e9.ogg"),
+        ],
+    )
+    return path.read_bytes()
+
+
+def _decode_queries(path):
+    read_queries(path).records()
+    list(iter_query_rows(path))
+
+
+def _decode_replies(path):
+    read_replies(path).records()
+    list(iter_reply_rows(path))
+
+
+def _tsv_edits(data):
+    return _line_edits(data, _TSV_SYNTAX)
 
 
 # -- Gnutella descriptors and the live stream decoder -------------------------
@@ -369,6 +423,12 @@ FORMATS = {
     "digest": Format(_build_digest, _digest_fields, _decode_digest, DigestError),
     "scrape": Format(
         _build_exposition, lambda data: [], _decode_exposition, ValueError, _line_edits
+    ),
+    "tsv-queries": Format(
+        _build_queries, lambda data: [], _decode_queries, ValueError, _tsv_edits
+    ),
+    "tsv-replies": Format(
+        _build_replies, lambda data: [], _decode_replies, ValueError, _tsv_edits
     ),
     "descriptor": Format(
         _build_descriptor, _descriptor_fields, _decode_descriptor, ProtocolError

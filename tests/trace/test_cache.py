@@ -319,9 +319,7 @@ class TestReblocking:
         from tests.experiments.test_runners import TINY
 
         def run_fig2():
-            return run_experiment(
-                "fig2", seed=9, scale=TINY, block_sizes=(5_000, 10_000, 20_000)
-            )
+            return run_experiment("fig2", seed=9, scale=TINY)
 
         monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path))
         first = run_fig2()

@@ -153,7 +153,13 @@ class TestCarriageReturn:
 
 class TestBadLines:
     @pytest.mark.parametrize(
-        "line", ["1.0\t5", "just text", "", "x\t5\t2\tq", "1.0\t5.5\t2\tq"]
+        "line",
+        [
+            "1.0\t5", "just text", "", "x\t5\t2\tq", "1.0\t5.5\t2\tq",
+            # outside the column's range: int64 sources, ID128 guids
+            "1.0\t5\t9223372036854775808\tq", "1.0\t-5\t2\tq",
+            f"1.0\t{2**128}\t2\tq",
+        ],
     )
     def test_query_line_error_names_path_and_line(self, tmp_path, line):
         path = tmp_path / "q.tsv"
@@ -161,7 +167,10 @@ class TestBadLines:
         with pytest.raises(ValueError, match=r"q\.tsv:3: bad query trace line"):
             read_queries(path)
 
-    @pytest.mark.parametrize("line", ["1.0\t5\t2\tname", "1.0\t5\t2\thost\tname"])
+    @pytest.mark.parametrize(
+        "line",
+        ["1.0\t5\t2\tname", "1.0\t5\t2\thost\tname", "1.0\t5\t2\t-1\tname"],
+    )
     def test_reply_line_error_names_path_and_line(self, tmp_path, line):
         path = tmp_path / "r.tsv"
         path.write_text(f"time\tguid\treplier\thost\tfile_name\n{line}\n")
