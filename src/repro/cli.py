@@ -1042,6 +1042,13 @@ def main(argv: list[str] | None = None) -> int:
             interests_per_peer=4,
             superpeer_ttl=args.ttl,
         )
+        try:  # refuse an out-of-range flag before any arm is built
+            HierConfig(**substrate)
+            if min(args.queries, args.warmup) < 0:
+                raise ValueError("--queries and --warmup must be non-negative")
+        except ValueError as exc:
+            print(f"hier: {exc}", file=sys.stderr)
+            return 2
         n_leaves = args.superpeers * args.leaves_per
         print(
             f"{args.superpeers} super-peers x {args.leaves_per} leaves "

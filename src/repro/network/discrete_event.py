@@ -8,10 +8,10 @@ flooding saturates peers' message queues, so replies crawl back through
 backlogged nodes — and testing it needs real queueing dynamics:
 
 * each peer's *uplink* is a FIFO server: transmitting one message takes
-  ``service_time`` seconds of the sender's bandwidth (the binding
+  :data:`SERVICE_TIME` seconds of the sender's bandwidth (the binding
   resource for 2006-era home peers), so a node forwarding a flood to
   five neighbors serializes five transmissions;
-* each transmission then takes ``link_latency`` seconds in flight;
+* each transmission then takes :data:`LINK_LATENCY` seconds in flight;
 * queries arrive as a Poisson process, so independent query floods
   overlap and compete for the same uplinks;
 * a hit generates a QueryHit that travels back hop-by-hop along the
@@ -35,29 +35,27 @@ from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = ["DiscreteEventConfig", "DiscreteEventNetwork", "LatencyReport"]
 
+#: one-way propagation delay per overlay hop, seconds.
+LINK_LATENCY = 0.05
+#: uplink transmission time per message at the sender, seconds.
+SERVICE_TIME = 0.02
+#: maximum simulated seconds to wait for stragglers after the last
+#: query is issued.
+DRAIN_TIME = 60.0
+
 
 @dataclass(frozen=True)
 class DiscreteEventConfig:
     """Timing parameters of the event-driven run."""
 
-    #: one-way propagation delay per overlay hop, seconds.
-    link_latency: float = 0.05
-    #: uplink transmission time per message at the sender, seconds.
-    service_time: float = 0.02
     #: mean inter-arrival time between new queries, seconds.
     query_interarrival: float = 0.25
-    #: maximum simulated seconds to wait for stragglers after the last
-    #: query is issued.
-    drain_time: float = 60.0
     #: seconds after which an unanswered query is re-issued as a full
     #: flood (§III-B's "revert to flooding"); 0 disables the fallback.
     fallback_timeout: float = 0.0
 
     def __post_init__(self) -> None:
-        check_non_negative("link_latency", self.link_latency)
-        check_positive("service_time", self.service_time)
         check_positive("query_interarrival", self.query_interarrival)
-        check_positive("drain_time", self.drain_time)
         check_non_negative("fallback_timeout", self.fallback_timeout)
 
 
@@ -138,14 +136,12 @@ class DiscreteEventNetwork:
             start = self._now
         else:
             start = max(self._now, self._free_at[sender])
-            self._free_at[sender] = start + self.config.service_time
-            backlog = int(
-                (self._free_at[sender] - self._now) / self.config.service_time
-            )
+            self._free_at[sender] = start + SERVICE_TIME
+            backlog = int((self._free_at[sender] - self._now) / SERVICE_TIME)
             self.report.peak_queue_length = max(
                 self.report.peak_queue_length, backlog
             )
-        arrival = start + self.config.service_time + self.config.link_latency
+        arrival = start + SERVICE_TIME + LINK_LATENCY
         self._push(arrival, (kind, target, sender, guid))
 
     # ------------------------------------------------------------------
@@ -160,7 +156,7 @@ class DiscreteEventNetwork:
         for _ in range(n_queries):
             t += float(rng.exponential(self.config.query_interarrival))
             self._push(t, ("issue", None, None, None))
-        deadline = t + self.config.drain_time
+        deadline = t + DRAIN_TIME
 
         while self._events:
             time, _seq, payload = heapq.heappop(self._events)

@@ -162,8 +162,9 @@ class MergedRuleTable:
         digest = self._by_origin.get(origin)
         return digest.epoch if digest is not None else None
 
-    def consequents(self, category: int, k: int = 3) -> list[int]:
-        """Top-``k`` super-peers the merged rules point at for a category."""
+    def consequents(self, category: int) -> list[int]:
+        """Every super-peer the merged rules point at for a category, best
+        first, uncut: the rule rung cuts once, in ``forward_picks``."""
         support: dict[int, int] = {}
         for digest in self._by_origin.values():
             for entry in digest.entries:
@@ -172,7 +173,7 @@ class MergedRuleTable:
                         support.get(entry.consequent, 0) + entry.support
                     )
         ranked = sorted(support.items(), key=lambda cs: (-cs[1], cs[0]))
-        return [consequent for consequent, _support in ranked[:k]]
+        return [consequent for consequent, _support in ranked]
 
     def encode(self) -> bytes:
         """Canonical encoding: digests concatenated in origin order.

@@ -73,7 +73,7 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.core.counts import forward_picks
+from repro.core.counts import SketchCounts, forward_picks
 from repro.metrics.traffic import QueryOutcome
 from repro.network.engine import QueryEngine, Reach
 from repro.network.hier.community import count_pairs
@@ -147,15 +147,22 @@ class HierNetwork(SuperPeerNetwork):
         self._forget_routes()
 
         self.sp_rules: list[SuperPeerRules] = []
-        self.leaf_rules: list[SuperPeerRules] = []
+        # a leaf never publishes, so its table is the bare pair counts
+        self.leaf_rules: list[SketchCounts] = []
         self.merged: list[MergedRuleTable] = []
         if cfg.mode in ("superpeer-rules", "hybrid"):
             self.sp_rules = [
-                self._make_rules(sp) for sp in range(cfg.n_superpeers)
+                SuperPeerRules(
+                    sp, epsilon=cfg.epsilon, min_support_count=cfg.min_support_count
+                )
+                for sp in range(cfg.n_superpeers)
             ]
             self.merged = [MergedRuleTable() for _ in range(cfg.n_superpeers)]
         elif cfg.mode == "leaf-rules":
-            self.leaf_rules = [self._make_rules(leaf) for leaf in range(cfg.n_leaves)]
+            self.leaf_rules = [
+                SketchCounts(cfg.epsilon, cfg.min_support_count)
+                for _ in range(cfg.n_leaves)
+            ]
 
         self._node_key = [node_key(sp) for sp in range(cfg.n_superpeers)]
         self._cat_key = [category_key(c) for c in range(cfg.n_categories)]
@@ -171,15 +178,6 @@ class HierNetwork(SuperPeerNetwork):
             self._build_directory()
         # the tiers; the substrate reported itself as "superpeer"
         observe_sim_build("hier", started)
-
-    def _make_rules(self, owner: int) -> SuperPeerRules:
-        cfg = self.config
-        return SuperPeerRules(
-            owner,
-            epsilon=cfg.epsilon,
-            top_k=cfg.rule_top_k,
-            min_support_count=cfg.min_support_count,
-        )
 
     # -- keyspace tier ------------------------------------------------------
     def _forget_routes(self) -> None:
@@ -251,12 +249,14 @@ class HierNetwork(SuperPeerNetwork):
 
     # -- rule tier -----------------------------------------------------------
     def _rule_targets(self, leaf: int, home: int, category: int) -> list[int]:
+        """The home's ranking, then the merged digests' entries not in it,
+        cut once by :func:`forward_picks` after the home and the dead go."""
         cfg = self.config
         if cfg.mode == "leaf-rules":
             ranked = self.leaf_rules[leaf].consequents(category)
         else:
-            ranked = self.sp_rules[home].consequents(category)
-            for extra in self.merged[home].consequents(category, cfg.rule_top_k):
+            ranked = self.sp_rules[home].counts.consequents(category)
+            for extra in self.merged[home].consequents(category):
                 if extra not in ranked:
                     ranked.append(extra)
         return forward_picks(ranked, cfg.rule_top_k, home, self.community.live)

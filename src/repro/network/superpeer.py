@@ -62,6 +62,10 @@ class SuperPeerConfig:
             raise ValueError("leaves_per_superpeer must be >= 1")
         if not 2 <= self.superpeer_degree < self.n_superpeers:
             raise ValueError("superpeer_degree out of range")
+        if self.n_superpeers * self.superpeer_degree % 2:
+            raise ValueError("n_superpeers * superpeer_degree must be even")
+        if self.n_categories < 1 or self.files_per_category < 1:
+            raise ValueError("n_categories and files_per_category must be >= 1")
         if self.superpeer_ttl < 1:
             raise ValueError("superpeer_ttl must be >= 1")
 

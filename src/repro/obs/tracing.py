@@ -36,9 +36,9 @@ recorded in *different processes* merge onto one comparable timeline;
 tests inject a fake clock instead of sleeping.
 
 Retention is TTL-bounded on both axes: at most ``max_traces`` distinct
-GUIDs are kept (oldest evicted first) and whole traces expire ``ttl``
-seconds after their last event, so a long-running daemon's tracer is a
-ring buffer, not a leak.  ``sample`` thins the stream by GUID —
+GUIDs are kept (oldest evicted first) and whole traces expire
+:data:`TRACE_TTL` seconds after their last event, so a long-running
+daemon's tracer is a ring buffer, not a leak.  ``sample`` thins by GUID —
 ``traced_guid(guid, n)`` keeps 1-in-``n`` — so the load generator and
 every worker agree on which queries are traced without coordination.
 Tracing off is ``tracer is None``: hot paths test that and skip.
@@ -59,6 +59,9 @@ __all__ = [
     "format_trace",
     "traced_guid",
 ]
+
+#: seconds after its last event a whole trace expires.
+TRACE_TTL = 300.0
 
 
 def traced_guid(guid: int, sample: int) -> bool:
@@ -192,18 +195,14 @@ class QueryTracer:
         self,
         *,
         max_traces: int = 1024,
-        ttl: float = 300.0,
         clock: Callable[[], float] = time.time,
         sample: int = 1,
     ) -> None:
         if max_traces < 1:
             raise ValueError("max_traces must be >= 1")
-        if ttl <= 0:
-            raise ValueError("ttl must be positive")
         if sample < 1:
             raise ValueError("sample must be >= 1")
         self.max_traces = max_traces
-        self.ttl = ttl
         self.sample = sample
         self._clock = clock
         self._traces: "OrderedDict[int, QueryTrace]" = OrderedDict()
@@ -264,7 +263,7 @@ class QueryTracer:
         expired = [
             guid
             for guid, trace in self._traces.items()
-            if now - trace.last_event > self.ttl
+            if now - trace.last_event > TRACE_TTL
         ]
         for guid in expired:
             del self._traces[guid]

@@ -20,17 +20,17 @@ from repro.routing.base import RoutingPolicy, dispatch_select
 
 __all__ = ["InterestShortcutsPolicy"]
 
+#: shortcuts a peer keeps; the least recently successful goes first.
+SHORTCUT_CAPACITY = 10
+
 
 class InterestShortcutsPolicy(RoutingPolicy):
     """Probe learned shortcuts first, flood on a miss."""
 
     name = "shortcuts"
 
-    def __init__(self, node_id: int, overlay, *, capacity: int = 10) -> None:
+    def __init__(self, node_id: int, overlay) -> None:
         super().__init__(node_id, overlay)
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
         # provider id -> None, most-recently-successful last.
         self._shortcuts: OrderedDict[int, None] = OrderedDict()
 
@@ -66,7 +66,7 @@ class InterestShortcutsPolicy(RoutingPolicy):
             self._shortcuts.move_to_end(provider)
         else:
             self._shortcuts[provider] = None
-            while len(self._shortcuts) > self.capacity:
+            while len(self._shortcuts) > SHORTCUT_CAPACITY:
                 self._shortcuts.popitem(last=False)
 
     def reset(self) -> None:

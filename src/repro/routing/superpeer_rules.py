@@ -37,49 +37,38 @@ class SuperPeerRules:
         superpeer_id: int,
         *,
         epsilon: float = 0.005,
-        top_k: int = 3,
         min_support_count: int = 2,
     ) -> None:
-        if top_k < 1:
-            raise ValueError("top_k must be >= 1")
         self.superpeer_id = int(superpeer_id)
-        self.top_k = top_k
         #: the pair counts; ``rule_stats`` and the rest are read off it.
         self.counts = SketchCounts(epsilon, min_support_count)
         #: bumped on every publish; receivers keep the highest per origin.
         self.epoch = 0
 
-    @property
-    def n_observations(self) -> int:
-        return self.counts.n_seen
-
     def observe(self, category: int, replier_superpeer: int) -> None:
         """Record one resolved query: its category and who answered."""
         self.counts.observe(int(category), int(replier_superpeer))
 
-    def consequents(self, category: int, k: int | None = None) -> list[int]:
-        """Super-peers the rules point at for ``category``, best first
-        (``top_k`` of them unless ``k`` says otherwise)."""
-        return self.counts.consequents(category, self.top_k if k is None else k)
-
-    def publish(self, top_k: int | None = None) -> "RuleDigest":
+    def publish(self, top_k: int) -> "RuleDigest":
         """Snapshot the strongest rules as a new-epoch digest.
 
         Per category, the ``top_k`` consequents by support (ties to the
-        smaller super-peer id) that clear the support floor.  The digest
-        carries the raw counts plus the observation total, so receivers
-        recompute confidence exactly.
+        smaller super-peer id) that clear the support floor: wire content,
+        not a forwarding decision (the rule rung reads ``counts`` whole).
+        The digest carries the raw counts plus the observation total, so
+        receivers recompute confidence exactly.
         """
+        if top_k < 1:
+            raise ValueError("top_k must be >= 1")
         # Imported lazily: repro.network.hier.network imports this module,
         # so a module-level import would be circular.
         from repro.network.hier.digest import DigestEntry, RuleDigest
 
-        limit = self.top_k if top_k is None else top_k
         counts = self.counts
         entries = [
             DigestEntry(category, replier, counts.rule_stats(category, replier)[0])
             for category in counts.antecedents()
-            for replier in counts.consequents(category, limit)
+            for replier in counts.consequents(category, top_k)
         ]
         self.epoch += 1
         return RuleDigest(self.superpeer_id, self.epoch, counts.n_seen, entries)

@@ -76,6 +76,10 @@ _THINK_DISTRIBUTIONS = ("exponential", "lognormal", "fixed")
 #: client can never be mistaken for (or collide with) an overlay node.
 CLIENT_ID_BASE = 1_000_000
 
+#: a load client's link: no keepalives and no idle timeout, since a
+#: client may sit silent between bursts of an open-loop schedule.
+CLIENT_LINK = ConnectionConfig(keepalive_interval=0.0, idle_timeout=0.0)
+
 
 @dataclass(frozen=True)
 class LoadConfig:
@@ -208,7 +212,6 @@ class LoadClient:
         port: int,
         *,
         on_reply,
-        config: ConnectionConfig | None = None,
         max_ttl: int = 7,
     ) -> None:
         self.client_id = client_id
@@ -216,9 +219,6 @@ class LoadClient:
         self.port = port
         self.max_ttl = max_ttl
         self._on_reply = on_reply
-        self._config = config or ConnectionConfig(
-            keepalive_interval=0.0, idle_timeout=0.0
-        )
         self._link: PeerConnection | None = None
         self.peer_id: int | None = None
         #: frames the servent pushed at us that answered nothing we
@@ -230,7 +230,7 @@ class LoadClient:
             self.host,
             self.port,
             self.client_id,
-            self._config,
+            CLIENT_LINK,
             on_message=self._on_frame,
         )
         self.peer_id = self._link.peer_id

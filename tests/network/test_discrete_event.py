@@ -3,6 +3,8 @@
 import pytest
 
 from repro.network.discrete_event import (
+    LINK_LATENCY,
+    SERVICE_TIME,
     DiscreteEventConfig,
     DiscreteEventNetwork,
     LatencyReport,
@@ -31,10 +33,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"link_latency": -1.0},
-            {"service_time": 0.0},
             {"query_interarrival": 0.0},
-            {"drain_time": 0.0},
             {"fallback_timeout": -0.1},
         ],
     )
@@ -53,11 +52,10 @@ class TestDiscreteEventNetwork:
 
     def test_latency_at_least_two_legs(self):
         """A non-local answer needs at least query out + hit back."""
-        cfg = DiscreteEventConfig(link_latency=0.1, service_time=0.01)
-        net = DiscreteEventNetwork(build(seed=3), cfg)
+        net = DiscreteEventNetwork(build(seed=3), DiscreteEventConfig())
         report = net.run(40, seed=4)
         # Minimum non-zero latency: 2 * (service + link).
-        nonzero_floor = 2 * (0.01 + 0.1)
+        nonzero_floor = 2 * (SERVICE_TIME + LINK_LATENCY)
         assert report.first_result_latency.minimum >= 0.0
         assert report.p_high_latency >= nonzero_floor
 

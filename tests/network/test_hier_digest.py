@@ -157,9 +157,11 @@ class TestMergedRuleTable:
 
     def test_consequents_aggregate_and_rank(self):
         table = MergedRuleTable()
-        table.merge(_digest(origin=1, entries=((0, 4, 10), (0, 5, 3))))
+        table.merge(
+            _digest(origin=1, entries=((0, 4, 10), (0, 5, 3), (0, 6, 1), (0, 7, 2)))
+        )
         table.merge(_digest(origin=2, entries=((0, 5, 10),)))
-        # support: sp5 = 13, sp4 = 10
-        assert table.consequents(0, k=2) == [5, 4]
-        assert table.consequents(0, k=1) == [5]
+        # support: sp5 = 13, sp4 = 10, sp7 = 2, sp6 = 1 — the whole
+        # ranking, however long: the rule rung makes the one cut
+        assert table.consequents(0) == [5, 4, 7, 6]
         assert table.consequents(7) == []

@@ -4,6 +4,7 @@ import pytest
 
 from repro.faults.plan import CRASH, FaultEvent, FaultPlan
 from repro.network.hier import HIER_MODES, HierConfig, HierNetwork
+from repro.network.hier.digest import DigestEntry, RuleDigest
 from repro.network.overlay import Overlay, OverlayConfig
 from repro.network.superpeer import SuperPeerConfig, SuperPeerNetwork
 from repro.obs.registry import MetricsRegistry
@@ -225,6 +226,69 @@ class TestChurn:
         stats = net.run_workload(100)
         assert stats.success_rate > 0.5
 
+
+
+class TestRuleRung:
+    """The rung's one cut: every table hands ``forward_picks`` its whole
+    ranking, so a candidate the rung may not contact (a dead super-peer,
+    the home itself) never takes a slot a live one further down had."""
+
+    TOP_K = 2
+
+    def network(self, mode: str) -> HierNetwork:
+        return HierNetwork(
+            HierConfig(mode=mode, rule_top_k=self.TOP_K, **SMALL), seed=3
+        )
+
+    @staticmethod
+    def file_only_at(net: HierNetwork, last: int, elsewhere: list[int]) -> int:
+        """A file ``last``'s community shares and none of ``elsewhere``'s."""
+        return next(
+            file_id
+            for file_id in net.community.files(last).tolist()
+            if not any(net.community.count(sp, file_id) for sp in elsewhere)
+        )
+
+    @pytest.mark.parametrize("mode", ["leaf-rules", "superpeer-rules", "hybrid"])
+    def test_a_dead_top_consequent_leaves_top_k_live_picks(self, mode):
+        net = self.network(mode)
+        leaf = 0
+        home = net.superpeer_of(leaf)
+        dead, second, third = [sp for sp in range(8) if sp != home][:3]
+        net.kill_superpeer(dead)
+        file_id = self.file_only_at(net, third, [home, second])
+        category = file_id // net.config.files_per_category
+        table = (
+            net.leaf_rules[leaf] if mode == "leaf-rules" else net.sp_rules[home].counts
+        )
+        for replier, support in ((dead, 5), (second, 4), (third, 3)):
+            for _ in range(support):
+                table.observe(category, replier)
+        assert table.consequents(category) == [dead, second, third]
+
+        outcome = net.query(leaf, file_id)
+        # the rung contacted second and third, one message each
+        assert outcome.rule_succeeded
+        assert outcome.messages == 1 + self.TOP_K
+
+    def test_a_digest_naming_the_home_costs_no_slot(self):
+        net = self.network("superpeer-rules")
+        leaf = 0
+        home = net.superpeer_of(leaf)
+        second, third = [sp for sp in range(8) if sp != home][:2]
+        file_id = self.file_only_at(net, third, [home, second])
+        category = file_id // net.config.files_per_category
+        entries = [
+            DigestEntry(category, home, 50),
+            DigestEntry(category, second, 10),
+            DigestEntry(category, third, 5),
+        ]
+        net.merged[home].merge(RuleDigest(second, 1, 65, entries))
+        assert net.merged[home].consequents(category) == [home, second, third]
+
+        outcome = net.query(leaf, file_id)
+        assert outcome.rule_succeeded
+        assert outcome.messages == 1 + self.TOP_K
 
 def test_build_seconds_reach_the_global_registry(monkeypatch):
     """Each constructor reports its own part of a build under its own

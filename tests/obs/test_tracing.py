@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.obs.tracing import (
+    TRACE_TTL,
     QueryTracer,
     TraceEvent,
     format_trace,
@@ -65,31 +66,29 @@ class TestRetention:
 
     def test_ttl_expires_stale_traces(self):
         clock = FakeClock()
-        tracer = QueryTracer(ttl=10.0, clock=clock)
+        tracer = QueryTracer(clock=clock)
         tracer.record(1, 0, "issued")
-        clock.now = 5.0
-        tracer.record(2, 0, "issued")  # 1 is 5s stale: kept
+        clock.now = TRACE_TTL / 2
+        tracer.record(2, 0, "issued")  # 1 is half a TTL stale: kept
         assert tracer.trace(1) is not None
-        clock.now = 14.0
-        tracer.record(3, 0, "issued")  # 1 is 14s stale: expired; 2 is 9s: kept
+        clock.now = TRACE_TTL + 4.0
+        tracer.record(3, 0, "issued")  # 1 is past the TTL: expired; 2 is not
         assert tracer.trace(1) is None
         assert tracer.trace(2) is not None
 
     def test_activity_refreshes_ttl(self):
         clock = FakeClock()
-        tracer = QueryTracer(ttl=10.0, clock=clock)
+        tracer = QueryTracer(clock=clock)
         tracer.record(1, 0, "issued")
         clock.now = 8.0
         tracer.record(1, 1, "received", peer=0)  # last_event := 8.0
-        clock.now = 15.0
+        clock.now = TRACE_TTL + 5.0
         tracer.record(2, 0, "issued")
         assert tracer.trace(1) is not None
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             QueryTracer(max_traces=0)
-        with pytest.raises(ValueError):
-            QueryTracer(ttl=0.0)
 
 
 class TestFormatting:

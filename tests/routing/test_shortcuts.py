@@ -3,18 +3,16 @@
 import pytest
 
 from repro.network.overlay import Overlay, OverlayConfig
-from repro.routing.shortcuts import InterestShortcutsPolicy
+from repro.routing.shortcuts import SHORTCUT_CAPACITY, InterestShortcutsPolicy
 
 SMALL = OverlayConfig(
     n_nodes=80, degree=4, n_categories=6, files_per_category=40, library_size=25
 )
 
 
-def build(seed=1, capacity=10):
+def build(seed=1):
     overlay = Overlay(SMALL, seed=seed)
-    overlay.install_policies(
-        lambda nid, ov: InterestShortcutsPolicy(nid, ov, capacity=capacity)
-    )
+    overlay.install_policies(InterestShortcutsPolicy)
     return overlay
 
 
@@ -52,12 +50,13 @@ class TestShortcutLearning:
         pytest.skip("no successful query found to repeat")
 
     def test_capacity_respected(self):
-        overlay = build(capacity=3)
+        overlay = build()
         policy = overlay.node(0).policy
-        for provider in range(10, 20):
+        for provider in range(100, 100 + SHORTCUT_CAPACITY + 3):
             policy._touch(provider)
-        assert len(policy.shortcut_list) == 3
-        assert policy.shortcut_list == [17, 18, 19]
+        assert policy.shortcut_list == list(
+            range(103, 100 + SHORTCUT_CAPACITY + 3)
+        )
 
     def test_most_recent_last_and_probed_first(self):
         overlay = build()
@@ -73,8 +72,3 @@ class TestShortcutLearning:
         policy._touch(5)
         policy.reset()
         assert policy.shortcut_list == []
-
-    def test_validation(self):
-        overlay = Overlay(SMALL, seed=4)
-        with pytest.raises(ValueError):
-            InterestShortcutsPolicy(0, overlay, capacity=0)

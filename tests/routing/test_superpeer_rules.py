@@ -12,8 +12,10 @@ def _table(**kwargs):
 
 class TestValidation:
     def test_top_k(self):
+        """The digest's cut is ``publish``'s argument, checked even when
+        the table is empty; the table itself keeps whole rankings."""
         with pytest.raises(ValueError):
-            _table(top_k=0)
+            _table().publish(0)
 
     def test_min_support(self):
         with pytest.raises(ValueError):
@@ -28,21 +30,19 @@ class TestLearning:
         for _ in range(3):
             table.observe(3, 9)
         table.observe(3, 11)  # below the support floor
-        assert table.consequents(3) == [7, 9]
-        assert table.consequents(3, k=1) == [7]
-        assert table.consequents(99) == []
-        assert table.n_observations == 9
+        assert table.counts.consequents(3) == [7, 9]
+        assert table.counts.consequents(99) == []
+        assert table.counts.n_seen == 9
 
     def test_equal_support_ties_go_to_the_smaller_id(self):
         """Numerically, as ``publish`` and ``MergedRuleTable`` order them —
         not by ``str(id)``, which puts 10 and 100 ahead of 9."""
-        table = _table(min_support_count=2, top_k=3)
-        for replier in (100, 9, 10):
+        table = _table(min_support_count=2)
+        for replier in (100, 9, 10, 8):
             table.observe(3, replier)
             table.observe(3, replier)
-        assert table.consequents(3) == [9, 10, 100]
-        assert table.consequents(3, k=1) == [9]
-        assert [e.consequent for e in table.publish(top_k=1).entries] == [9]
+        assert table.counts.consequents(3) == [8, 9, 10, 100]
+        assert [e.consequent for e in table.publish(top_k=1).entries] == [8]
 
     def test_rule_stats(self):
         table = _table()
@@ -59,15 +59,15 @@ class TestLearning:
         table = _table()
         table.observe(1, 5)
         table.reset()
-        assert table.n_observations == 0
-        assert table.consequents(1) == []
+        assert table.counts.n_seen == 0
+        assert table.counts.consequents(1) == []
 
 
 class TestPublish:
     def test_epoch_bumps_per_publish(self):
         table = _table()
-        assert table.publish().epoch == 1
-        assert table.publish().epoch == 2
+        assert table.publish(3).epoch == 1
+        assert table.publish(3).epoch == 2
         assert table.epoch == 2
 
     def test_digest_content(self):

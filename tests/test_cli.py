@@ -155,6 +155,29 @@ class TestTracegenCli:
         assert (args.pairs, args.blocks, args.chunk_size) == (1, 1, 1)
 
 
+class TestHierCli:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--superpeers", "1"],
+            ["--ttl", "0"],
+            ["--degree", "0"],
+            ["--categories", "0"],
+            ["--leaves-per", "0"],
+            ["--warmup", "-5"],
+            ["--queries", "-1"],
+            ["--superpeers", "5", "--degree", "3"],
+        ],
+    )
+    def test_out_of_range_flag_exits_2_on_one_line(self, flags, capsys):
+        """Refused before any arm is built: one line on stderr, no
+        traceback and no table."""
+        assert main(["hier", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hier: ")
+        assert captured.err.count("\n") == 1
+
 class TestTraceEvalCli:
     @pytest.mark.parametrize("extra", [[], ["--check-serial"], ["--strategy", "streaming"]])
     def test_corrupt_segment_exits_2_without_a_traceback(self, tmp_path, capsys, extra):
