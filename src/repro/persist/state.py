@@ -257,7 +257,7 @@ class PersistentState:
     def record_pair(self, source: int, replier: int) -> None:
         """Journal one observed pair (call :meth:`recover` first)."""
         if self._writer is None:
-            raise RuntimeError("recover() must run before record_pair()")
+            raise RuntimeError(self._no_writer("record_pair"))
         n = self._writer.append(source, replier)
         self._wal_records.inc()
         self._wal_bytes.inc(n)
@@ -272,7 +272,7 @@ class PersistentState:
         directory recoverable to the same state.
         """
         if self._writer is None:
-            raise RuntimeError("recover() must run before checkpoint()")
+            raise RuntimeError(self._no_writer("checkpoint"))
         t0 = perf_counter()
         sealed = self._seq
         self._writer.close()
@@ -309,6 +309,11 @@ class PersistentState:
         self._closed = True
         if self._writer is not None:
             self._writer.close()
+            self._writer = None
+
+    def _no_writer(self, call: str) -> str:
+        sealed = f"{call}() after close(): the state is sealed"
+        return sealed if self._closed else f"recover() must run before {call}()"
 
     @property
     def closed(self) -> bool:

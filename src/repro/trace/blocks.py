@@ -44,6 +44,15 @@ def count_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(keys, return_counts=True)
 
 
+def column_digest(sources: np.ndarray, repliers: np.ndarray) -> bytes:
+    """blake2b-128 of the int64 source, then replier, column bytes: the
+    raw bytes a store block holds and :meth:`PairBlock.fingerprint` hexes."""
+    digest = hashlib.blake2b(digest_size=16)
+    for column in (sources, repliers):
+        digest.update(np.ascontiguousarray(column, dtype=np.int64).tobytes())
+    return digest.digest()
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -173,14 +182,7 @@ class PairBlock:
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is None:
-            digest = hashlib.blake2b(digest_size=16)
-            digest.update(
-                np.ascontiguousarray(self.sources, dtype=np.int64).tobytes()
-            )
-            digest.update(
-                np.ascontiguousarray(self.repliers, dtype=np.int64).tobytes()
-            )
-            cached = digest.hexdigest()
+            cached = column_digest(self.sources, self.repliers).hex()
             object.__setattr__(self, "_fingerprint", cached)
         return cached
 

@@ -44,10 +44,10 @@ so bit-identity checks and torn-tail recovery are unchanged.  Raw segments are s
 memmaps in both versions; compressed segments decompress into ordinary
 arrays (the space/zero-copy trade-off is per segment).
 
-The per-block fingerprint is byte-identical to
-:meth:`PairBlock.fingerprint` (blake2b-128 over the source column bytes
-then the replier column bytes), so store-resident blocks come back
-with their fingerprint already known.  It does not cover the packed-key
+The per-block fingerprint is :func:`repro.trace.blocks.column_digest`
+(blake2b-128 of the source, then replier, column bytes), whose hex is
+:meth:`PairBlock.fingerprint`, so store-resident blocks come back with
+their fingerprint already known.  It does not cover the packed-key
 segment, so the writer derives that segment from the two columns it
 fingerprints, never from a block's memo, and sorts it.  A block's key
 histogram — all GENERATE-RULESET and RULESET-TEST read — is then one
@@ -80,7 +80,6 @@ columns at once, from one mapping of the file.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 import weakref
@@ -90,7 +89,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.trace.blocks import PairBlock, _read_only
+from repro.trace.blocks import PairBlock, _read_only, column_digest
 
 __all__ = [
     "TraceStoreError",
@@ -149,13 +148,6 @@ class _BlockEntry:
 
 def _column_bytes(array: np.ndarray) -> bytes:
     return np.ascontiguousarray(array, dtype=_I8).tobytes()
-
-
-def _block_digest(sources: np.ndarray, repliers: np.ndarray) -> bytes:
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(_column_bytes(sources))
-    digest.update(_column_bytes(repliers))
-    return digest.digest()
 
 
 def _sorted_key_histogram(
@@ -695,7 +687,7 @@ class TraceStoreReader:
         so every rule mined off a block that passes is its columns' rule."""
         try:
             sources, repliers = self._read_columns(entry)
-            if _block_digest(sources, repliers) != entry.fingerprint:
+            if column_digest(sources, repliers) != entry.fingerprint:
                 return False
             return not self.sorted_keys or np.array_equal(
                 self._read_segment(entry, 2), np.sort((sources << 32) | repliers)

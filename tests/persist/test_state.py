@@ -40,6 +40,25 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="recover"):
             fresh_state(tmp_path).checkpoint(rules().make_counts())
 
+    def test_a_closed_state_refuses_to_journal_or_checkpoint(self, tmp_path):
+        """Before the guard, ``checkpoint`` after ``close()`` wrote a
+        snapshot and opened a segment nothing would close, which a later
+        ``record_pair`` journalled into; ``record_pair`` after a plain
+        ``close()`` raised the file's untyped ``ValueError``."""
+        state = fresh_state(tmp_path)
+        counts, _ = state.recover(rules())
+        state.record_pair(1, 2)
+        state.close()
+        before = sorted(os.listdir(state.state_dir))
+        with pytest.raises(RuntimeError, match=r"close\(\)"):
+            state.record_pair(3, 4)
+        with pytest.raises(RuntimeError, match=r"close\(\)"):
+            state.checkpoint(counts)
+        with pytest.raises(RuntimeError, match=r"close\(\)"):
+            state.record_pair(3, 4)
+        assert sorted(os.listdir(state.state_dir)) == before
+        assert state.closed
+
     def test_wal_only_recovery(self, tmp_path):
         state = fresh_state(tmp_path)
         counts, _ = state.recover(rules())
