@@ -44,17 +44,15 @@ from benchmarks._emit import bench_output_dir, emit_bench_json, peak_rss
 #: messages, so contacting 5 communities instead of 3 pays for itself).
 _TIER = {"rule_top_k": 5, "digest_top_k": 5}
 
-_ARMS = ("baseline", "flood", "leaf-rules", "superpeer-rules", "hybrid")
-
 
 def _stats_payload(stats, control: int) -> dict:
+    from repro.experiments.hier import amortized_messages_per_query
+
     return {
         "n_queries": stats.n_queries,
         "messages_per_query": stats.messages_per_query,
-        "amortized_messages_per_query": (
-            (stats.total_messages + control) / stats.n_queries
-            if stats.n_queries
-            else 0.0
+        "amortized_messages_per_query": amortized_messages_per_query(
+            stats, control
         ),
         "control_messages": control,
         "success_rate": stats.success_rate,
@@ -84,7 +82,12 @@ def main(argv: list[str] | None = None) -> int:
         args.queries = min(args.queries, 2000)
         args.warmup = min(args.warmup, 12_000)
 
-    from repro.experiments.hier import amortized_messages_per_query, hier_arm_stats
+    from repro.experiments.hier import (
+        SUBSTRATE,
+        amortized_messages_per_query,
+        format_arm_table,
+        hier_arm_stats,
+    )
     from repro.obs.registry import get_global_registry
 
     n_nodes = args.superpeers * (args.leaves_per + 1)
@@ -92,23 +95,17 @@ def main(argv: list[str] | None = None) -> int:
         f"bench_hier: {args.superpeers} super-peers x {args.leaves_per} leaves "
         f"= {n_nodes} nodes, {args.queries} queries after {args.warmup} warm-up"
     )
-    substrate = dict(
-        n_superpeers=args.superpeers,
-        leaves_per_superpeer=args.leaves_per,
-        superpeer_degree=4,
-        n_categories=40,
-        files_per_category=250,
-        library_size=60,
-        interests_per_peer=4,
-        superpeer_ttl=4,
-    )
+    substrate = {
+        **SUBSTRATE,
+        "n_superpeers": args.superpeers,
+        "leaves_per_superpeer": args.leaves_per,
+    }
     t0 = perf_counter()
     arms = hier_arm_stats(
-        n_superpeers=args.superpeers,
+        substrate,
         n_queries=args.queries,
         warmup=args.warmup,
         seed=args.seed,
-        substrate=substrate,
         hier_kwargs=_TIER,
     )
     elapsed = perf_counter() - t0
@@ -123,20 +120,10 @@ def main(argv: list[str] | None = None) -> int:
     sp, sp_control = arms["superpeer-rules"]
     sp_amortized = amortized_messages_per_query(sp, sp_control)
 
-    lines = [
-        f"{'arm':<16s} {'msgs/query':>10s} {'+control':>10s} "
-        f"{'success':>8s} {'alpha':>7s} {'rho':>7s}"
-    ]
-    for arm in _ARMS:
-        stats, control = arms[arm]
-        lines.append(
-            f"{arm:<16s} {stats.messages_per_query:>10.2f} "
-            f"{amortized_messages_per_query(stats, control):>10.2f} "
-            f"{stats.success_rate:>8.4f} {stats.coverage_alpha:>7.3f} "
-            f"{stats.success_rho:>7.3f}"
-        )
-    lines.append(f"population: {population_bytes:,} bytes a world (library + indices)")
-    report = "\n".join(lines)
+    report = (
+        format_arm_table(arms)
+        + f"\npopulation: {population_bytes:,} bytes a world (library + indices)"
+    )
     print(report)
 
     gates = {
@@ -167,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         "build_seconds": build_seconds,
         "population_bytes": population_bytes,
         "peak_rss_bytes": peak_rss(),
-        "arms": {arm: _stats_payload(*arms[arm]) for arm in _ARMS},
+        "arms": {arm: _stats_payload(*result) for arm, result in arms.items()},
         "baseline_messages_per_query": baseline.messages_per_query,
         "superpeer_rules_amortized_messages_per_query": sp_amortized,
         "traffic_ratio": sp_amortized / baseline.messages_per_query,

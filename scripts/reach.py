@@ -156,6 +156,16 @@ def entry_points(root: Path) -> list[tuple[str, list[str]]]:
              "{out}/saturation-traced.md", "--trace-report",
              "{out}/trace-tree.md"],
         ),
+        (
+            "ci",
+            repro + ["tracegen", "{out}/stream.rptrace", "--blocks", "20",
+                     "--codec", "zlib"],
+        ),
+        (
+            "ci",
+            repro + ["trace-eval", "{out}/stream.rptrace", "--strategy",
+                     "streaming", "--workers", "2", "--check-serial"],
+        ),
         ("ci", [py, "-m", "benchmarks.bench_trace_scale", "--quick"]),
         ("ci", [py, "-m", "benchmarks.bench_hier", "--quick"]),
         (

@@ -56,6 +56,7 @@ import os
 import sys
 import time
 
+from repro.network.servent import LIVE_TOP_K
 from repro.obs.logging import configure_logging, get_logger
 
 __all__ = ["main", "build_parser"]
@@ -81,6 +82,16 @@ def _finite_positive(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be finite and positive, got {text!r}"
         ) from None
+
+
+def _host_port(text: str) -> tuple[str, int]:
+    """argparse type: ``HOST:PORT`` with a port in 1..65535; an empty
+    host is 127.0.0.1.  Every flag naming a peer or an endpoint parses
+    through it, before anything is dialled or polled."""
+    host, _, port = text.rpartition(":")
+    if not (port.isdecimal() and 1 <= int(port) <= 65535):
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
+    return host or "127.0.0.1", int(port)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     live_node.add_argument(
         "--connect",
         action="append",
+        type=_host_port,
         default=[],
         metavar="HOST:PORT",
         help="peer to dial and supervise (repeatable)",
@@ -331,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     live_cluster.add_argument("--degree", type=int, default=3)
     live_cluster.add_argument("--queries", type=int, default=150)
     live_cluster.add_argument("--terms", type=int, default=24)
-    live_cluster.add_argument("--top-k", type=int, default=2)
+    live_cluster.add_argument("--top-k", type=int, default=LIVE_TOP_K)
     live_cluster.add_argument("--max-ttl", type=int, default=7)
     live_cluster.add_argument(
         "--compare",
@@ -413,6 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_view.add_argument(
         "--endpoint",
         action="append",
+        type=_host_port,
         default=[],
         metavar="HOST:PORT",
         help="a live-node --metrics-port endpoint (repeatable)",
@@ -454,6 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     load_test.add_argument(
         "--target",
         action="append",
+        type=_host_port,
         default=[],
         metavar="HOST:PORT",
         required=True,
@@ -546,17 +560,6 @@ def _run_live_node(args) -> int:
         for i, term in enumerate(args.share.split(","))
         if term.strip()
     ]
-    peers = []
-    for spec in args.connect:
-        host, _, port = spec.rpartition(":")
-        try:
-            peers.append((host or "127.0.0.1", int(port)))
-        except ValueError:
-            _log.error(
-                "bad --connect value; expected HOST:PORT", extra={"value": spec}
-            )
-            return 2
-
     if args.state_dir and args.flood:
         _log.error("--state-dir persists rule state; drop --flood to use it")
         return 2
@@ -597,7 +600,7 @@ def _run_live_node(args) -> int:
         )
         if node.recovery is not None:
             _log.info("rule state recovered", extra=node.recovery.as_dict())
-        for host, port in peers:
+        for host, port in args.connect:
             node.add_peer(host, port)
         try:
             if args.duration > 0:
@@ -626,16 +629,6 @@ def _run_load_test(args) -> int:
     from repro.scale import LoadConfig, run_ramp, saturation_summary
     from repro.utils.validation import check_finite_positive
 
-    addresses = []
-    for spec in args.target:
-        host, _, port = spec.rpartition(":")
-        try:
-            addresses.append((host or "127.0.0.1", int(port)))
-        except ValueError:
-            _log.error(
-                "bad --target value; expected HOST:PORT", extra={"value": spec}
-            )
-            return 2
     vocabulary = _split_terms(args.terms)
     if not vocabulary:
         _log.error("need a non-empty --terms vocabulary")
@@ -659,7 +652,7 @@ def _run_load_test(args) -> int:
         return 2
     seed = args.seed if args.seed is not None else 0
     steps = run_ramp(
-        addresses,
+        args.target,
         vocabulary,
         rps_steps,
         step_duration=args.duration,
@@ -687,10 +680,9 @@ def _run_trace_view(args) -> int:
         format_trace_tree,
     )
 
-    endpoints = []
-    for spec in args.endpoint:
-        host, _, port = spec.rpartition(":")
-        endpoints.append((spec, f"http://{host or '127.0.0.1'}:{port}"))
+    endpoints = [
+        (f"{host}:{port}", f"http://{host}:{port}") for host, port in args.endpoint
+    ]
     if not endpoints:
         _log.error("no endpoints: pass --endpoint")
         return 2
@@ -763,13 +755,19 @@ def _print_sample_trace(cluster, label: str, *, stream=None) -> None:
     if sample is None:
         print(f"{label}: no queries were issued, nothing to trace", file=stream)
         return
+    from repro.obs.collect import format_trace_tree
+
     node_id, term, guid = sample
     print(
         f"{label}: trace of {term!r} from node {node_id} "
         f"(guid {guid:#x}):",
         file=stream,
     )
-    print(cluster.format_trace(guid), file=stream)
+    trace = cluster.trace(guid)
+    if trace is None:
+        print(f"no trace for guid {guid:#x}", file=stream)
+    else:
+        print(format_trace_tree(trace), file=stream)
 
 
 def _run_live_cluster(args, seed: int) -> int:
@@ -1027,21 +1025,20 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "hier":
         from repro.experiments.hier import (
-            amortized_messages_per_query,
+            SUBSTRATE,
+            format_arm_table,
             hier_arm_stats,
         )
         from repro.network.hier import HierConfig, HierNetwork
 
-        substrate = dict(
-            n_superpeers=args.superpeers,
-            leaves_per_superpeer=args.leaves_per,
-            superpeer_degree=args.degree,
-            n_categories=args.categories,
-            files_per_category=250,
-            library_size=60,
-            interests_per_peer=4,
-            superpeer_ttl=args.ttl,
-        )
+        substrate = {
+            **SUBSTRATE,
+            "n_superpeers": args.superpeers,
+            "leaves_per_superpeer": args.leaves_per,
+            "superpeer_degree": args.degree,
+            "n_categories": args.categories,
+            "superpeer_ttl": args.ttl,
+        }
         try:  # refuse an out-of-range flag before any arm is built
             HierConfig(**substrate)
             if min(args.queries, args.warmup) < 0:
@@ -1061,25 +1058,9 @@ def main(argv: list[str] | None = None) -> int:
             arms = {args.mode: (stats, net.control_messages)}
         else:
             arms = hier_arm_stats(
-                n_superpeers=args.superpeers,
-                n_queries=args.queries,
-                warmup=args.warmup,
-                seed=seed,
-                substrate=substrate,
+                substrate, n_queries=args.queries, warmup=args.warmup, seed=seed
             )
-        header = (
-            f"{'arm':<16s} {'msgs/query':>10s} {'+control':>10s} "
-            f"{'success':>8s} {'alpha':>7s} {'rho':>7s} {'hops':>6s}"
-        )
-        print(header)
-        print("-" * len(header))
-        for arm, (stats, control) in arms.items():
-            print(
-                f"{arm:<16s} {stats.messages_per_query:>10.2f} "
-                f"{amortized_messages_per_query(stats, control):>10.2f} "
-                f"{stats.success_rate:>8.3f} {stats.coverage_alpha:>7.3f} "
-                f"{stats.success_rho:>7.3f} {stats.mean_first_hit_hops:>6.2f}"
-            )
+        print(format_arm_table(arms))
         return 0
 
     if args.command == "tracegen":

@@ -32,46 +32,45 @@ from repro.metrics.traffic import TrafficStats
 from repro.network.hier import HIER_MODES, HierConfig, HierNetwork
 from repro.network.superpeer import SuperPeerConfig, SuperPeerNetwork
 
-__all__ = ["hier_arm_stats", "run_hier"]
+__all__ = ["format_arm_table", "hier_arm_stats", "run_hier"]
 
-
-def _substrate_kwargs(n_superpeers: int) -> dict:
-    return dict(
-        n_superpeers=n_superpeers,
-        leaves_per_superpeer=20,
-        superpeer_degree=4,
-        n_categories=40,
-        files_per_category=250,
-        library_size=60,
-        interests_per_peer=4,
-        superpeer_ttl=4,
-    )
+#: The two-tier world every comparison runs on: the registered
+#: experiment, ``repro hier`` and ``benchmarks/bench_hier.py`` each set
+#: ``n_superpeers`` (and ``repro hier`` the keys it has flags for) over it.
+SUBSTRATE = dict(
+    leaves_per_superpeer=20,
+    superpeer_degree=4,
+    n_categories=40,
+    files_per_category=250,
+    library_size=60,
+    interests_per_peer=4,
+    superpeer_ttl=4,
+)
 
 
 def hier_arm_stats(
+    substrate: dict,
     *,
-    n_superpeers: int,
     n_queries: int,
     warmup: int,
     seed: int = DEFAULT_SEED,
-    substrate: dict | None = None,
     hier_kwargs: dict | None = None,
 ) -> dict[str, tuple[TrafficStats, int]]:
     """Run all five arms on one workload: arm -> (stats, control msgs).
 
-    Shared by the registered experiment (harness scale) and
-    ``benchmarks/bench_hier.py`` (10k+ nodes), so both gate the same
-    computation.  ``hier_kwargs`` tunes the rule/keyspace tier
+    Shared by the registered experiment (harness scale),
+    ``repro hier`` and ``benchmarks/bench_hier.py`` (10k+ nodes), so all
+    three run the same computation on a ``substrate`` built over
+    :data:`SUBSTRATE`.  ``hier_kwargs`` tunes the rule/keyspace tier
     (``rule_top_k``, ``digest_every``, ...) without touching the
     substrate the baseline shares.
     """
-    base = substrate or _substrate_kwargs(n_superpeers)
     tier = hier_kwargs or {}
     arms: dict[str, tuple[TrafficStats, int]] = {}
-    baseline = SuperPeerNetwork(SuperPeerConfig(**base), seed=seed)
+    baseline = SuperPeerNetwork(SuperPeerConfig(**substrate), seed=seed)
     arms["baseline"] = (baseline.run_workload(n_queries, warmup=warmup), 0)
     for mode in HIER_MODES:
-        net = HierNetwork(HierConfig(mode=mode, **base, **tier), seed=seed)
+        net = HierNetwork(HierConfig(mode=mode, **substrate, **tier), seed=seed)
         arms[mode] = (net.run_workload(n_queries, warmup=warmup), net.control_messages)
     return arms
 
@@ -85,6 +84,25 @@ def amortized_messages_per_query(
     return (stats.total_messages + control_messages) / stats.n_queries
 
 
+def format_arm_table(arms: dict[str, tuple[TrafficStats, int]]) -> str:
+    """The arm table ``repro hier`` and ``bench_hier`` print: per arm,
+    messages per query without and with its control traffic, success
+    rate, coverage α, success ρ and mean hops to the first hit."""
+    header = (
+        f"{'arm':<16s} {'msgs/query':>10s} {'+control':>10s} "
+        f"{'success':>8s} {'alpha':>7s} {'rho':>7s} {'hops':>6s}"
+    )
+    lines = [header, "-" * len(header)]
+    for arm, (stats, control) in arms.items():
+        lines.append(
+            f"{arm:<16s} {stats.messages_per_query:>10.2f} "
+            f"{amortized_messages_per_query(stats, control):>10.2f} "
+            f"{stats.success_rate:>8.4f} {stats.coverage_alpha:>7.3f} "
+            f"{stats.success_rho:>7.3f} {stats.mean_first_hit_hops:>6.2f}"
+        )
+    return "\n".join(lines)
+
+
 def run_hier(ctx: RunContext) -> ExperimentResult:
     """Flood vs per-node rules vs super-peer rules vs hybrid."""
     scale = ctx.scale
@@ -92,7 +110,10 @@ def run_hier(ctx: RunContext) -> ExperimentResult:
     n_queries = max(scale.overlay_queries, 10 * n_superpeers)
     warmup = scale.overlay_warmup
     arms = hier_arm_stats(
-        n_superpeers=n_superpeers, n_queries=n_queries, warmup=warmup, seed=ctx.seed
+        {**SUBSTRATE, "n_superpeers": n_superpeers},
+        n_queries=n_queries,
+        warmup=warmup,
+        seed=ctx.seed,
     )
     baseline, _ = arms["baseline"]
     flood, _ = arms["flood"]
@@ -162,7 +183,7 @@ def run_hier(ctx: RunContext) -> ExperimentResult:
     extras = {
         "arms": arm_order,
         "n_superpeers": n_superpeers,
-        "n_leaves": n_superpeers * 20,
+        "n_leaves": n_superpeers * SUBSTRATE["leaves_per_superpeer"],
         "n_queries": n_queries,
         "warmup": warmup,
         "control_messages": {

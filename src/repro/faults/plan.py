@@ -188,69 +188,82 @@ class FaultPlan:
         return counts
 
 
+#: Plan timing, in seconds of the run: the first fault fires at
+#: ``START``; a crashed node stays down ``DOWNTIME`` and a partition
+#: lasts ``OUTAGE``; the next fault waits ``GAP`` after a restart or a
+#: heal; a plan's horizon is ``SETTLE`` past its last restart or heal
+#: (``CHAOS_SETTLE`` past the mixed plan's last link fault).
+START = 0.3
+DOWNTIME = 0.6
+GAP = 0.3
+OUTAGE = 0.8
+SETTLE = 0.8
+CHAOS_SETTLE = 1.0
+
+
 def _round(t: float) -> float:
     """Millisecond-quantised times: replay logs compare cleanly."""
     return round(float(t), 3)
 
 
-def crash_restart_plan(
-    n_nodes: int,
-    *,
-    seed: int = 0,
-    start: float = 0.3,
-    downtime: float = 0.6,
-    gap: float = 0.3,
-    crashes: int = 1,
-    settle: float = 0.8,
-) -> FaultPlan:
+def _crash_cycles(
+    order: list[int], crashes: int, t: float
+) -> tuple[list[FaultEvent], list[tuple[float, float, int]], float]:
+    """Crash→restart cycles over ``order``'s first ``crashes`` nodes, the
+    first at ``t``: the events, each cycle's ``(down, up, node)``, and
+    when the next fault may fire."""
+    events: list[FaultEvent] = []
+    cycles: list[tuple[float, float, int]] = []
+    for node in order[:crashes]:
+        down, up = t, t + DOWNTIME
+        events.append(FaultEvent(time=_round(down), kind=CRASH, node=node))
+        events.append(FaultEvent(time=_round(up), kind=RESTART, node=node))
+        cycles.append((down, up, node))
+        t = up + GAP
+    return events, cycles, t
+
+
+def _bisection(
+    order: list[int], t: float
+) -> tuple[list[FaultEvent], tuple[tuple[int, ...], tuple[int, ...]], float]:
+    """A partition into ``order``'s first half and the rest at ``t``,
+    healed ``OUTAGE`` later: the events, the groups, and the heal time."""
+    cut = max(1, len(order) // 2)
+    groups = (tuple(sorted(order[:cut])), tuple(sorted(order[cut:])))
+    up = t + OUTAGE
+    events = [
+        FaultEvent(time=_round(t), kind=PARTITION, groups=groups),
+        FaultEvent(time=_round(up), kind=HEAL),
+    ]
+    return events, groups, up
+
+
+def crash_restart_plan(n_nodes: int, *, seed: int = 0, crashes: int = 1) -> FaultPlan:
     """Seeded crash→restart cycles over distinct nodes."""
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")
     crashes = min(crashes, n_nodes - 1)  # always keep one node up
     rng = as_generator(seed)
     order = [int(x) for x in rng.permutation(n_nodes)]
-    events: list[FaultEvent] = []
-    t = start
-    for i in range(crashes):
-        node = order[i]
-        events.append(FaultEvent(time=_round(t), kind=CRASH, node=node))
-        events.append(
-            FaultEvent(time=_round(t + downtime), kind=RESTART, node=node)
-        )
-        t += downtime + gap
+    events, _cycles, t = _crash_cycles(order, crashes, START)
     return FaultPlan(
         events=tuple(events),
-        duration=_round(t - gap + settle),
+        duration=_round(t - GAP + SETTLE),
         label="crash-restart",
         seed=seed,
     )
 
 
-def partition_heal_plan(
-    n_nodes: int,
-    *,
-    seed: int = 0,
-    at: float = 0.3,
-    outage: float = 0.8,
-    settle: float = 0.8,
-) -> FaultPlan:
-    """A seeded random bisection of the overlay, healed after ``outage``."""
+def partition_heal_plan(n_nodes: int, *, seed: int = 0) -> FaultPlan:
+    """A seeded random bisection of the overlay, healed after ``OUTAGE``."""
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")
     rng = as_generator(seed)
     order = [int(x) for x in rng.permutation(n_nodes)]
-    cut = max(1, n_nodes // 2)
-    groups = (
-        tuple(sorted(order[:cut])),
-        tuple(sorted(order[cut:])),
-    )
-    events = (
-        FaultEvent(time=_round(at), kind=PARTITION, groups=groups),
-        FaultEvent(time=_round(at + outage), kind=HEAL),
-    )
+    events, _groups, up = _bisection(order, START)
     return FaultPlan(
-        events=events,
-        duration=_round(at + outage + settle),
+        events=tuple(events),
+        duration=_round(up + SETTLE),
         label="partition-heal",
         seed=seed,
     )
@@ -268,9 +281,9 @@ def chaos_plan(
     latency_spikes: int = 1,
     resets: int = 0,
     truncations: int = 0,
-    settle: float = 1.0,
 ) -> FaultPlan:
-    """A mixed plan over a known edge set.
+    """A mixed plan over a known edge set: crash cycles, then a
+    partition, then link faults.
 
     Link faults are scheduled on edges *not incident to a crashed node
     or severed by the partition at that moment*, so every logged fault
@@ -282,32 +295,16 @@ def chaos_plan(
     if not edges:
         raise ValueError("need at least one edge")
     rng = as_generator(seed)
-    events: list[FaultEvent] = []
-    t = 0.3
-
-    crashes = min(crashes, n_nodes - 1)
     order = [int(x) for x in rng.permutation(n_nodes)]
-    crashed: list[tuple[float, float, int]] = []  # (down, up, node)
-    for i in range(crashes):
-        node = order[i]
-        down, up = t, t + 0.6
-        events.append(FaultEvent(time=_round(down), kind=CRASH, node=node))
-        events.append(FaultEvent(time=_round(up), kind=RESTART, node=node))
-        crashed.append((down, up, node))
-        t = up + 0.3
+    events, crashed, t = _crash_cycles(order, min(crashes, n_nodes - 1), START)
 
     cut_groups: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     cut_window = (0.0, 0.0)
     if partitions:
-        cut = max(1, n_nodes // 2)
-        cut_groups = (tuple(sorted(order[:cut])), tuple(sorted(order[cut:])))
-        down, up = t, t + 0.8
-        events.append(
-            FaultEvent(time=_round(down), kind=PARTITION, groups=cut_groups)
-        )
-        events.append(FaultEvent(time=_round(up), kind=HEAL))
-        cut_window = (down, up)
-        t = up + 0.3
+        cut_events, cut_groups, up = _bisection(order, t)
+        events += cut_events
+        cut_window = (t, up)
+        t = up + GAP
 
     def link_is_clear(u: int, v: int, when: float) -> bool:
         for down, up, node in crashed:
@@ -353,7 +350,7 @@ def chaos_plan(
 
     return FaultPlan(
         events=tuple(events),
-        duration=_round(t + settle),
+        duration=_round(t + CHAOS_SETTLE),
         label="mixed-chaos",
         seed=seed,
     )

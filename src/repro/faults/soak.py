@@ -464,10 +464,11 @@ async def run_soak(
 
     if state_dir is not None and final_fingerprints:
         from repro.core.streaming import StreamingRules
+        from repro.network.servent import LIVE_RULES
         from repro.persist import PersistentState
 
-        # Same rule config the cluster's nodes ran (harness defaults).
-        rules_template = StreamingRules(min_support_count=2, window_pairs=512)
+        # The rule config the cluster's nodes ran.
+        rules_template = StreamingRules(**LIVE_RULES)
         mismatches = []
         for node in cluster.nodes:
             node_dir = cluster.node_state_dir(node.node_id)

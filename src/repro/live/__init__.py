@@ -19,7 +19,8 @@ node built with a metrics registry exports Prometheus series and can
 serve ``/metrics`` + ``/healthz`` over HTTP (``obs_port=``); a cluster
 built with ``observe=True`` shares one registry and one query tracer
 across its nodes, so ``render_metrics()`` scrapes everything at once and
-``format_trace(guid)`` reconstructs a query's hop-by-hop path.
+``trace(guid)`` holds a query's hop-by-hop path
+(:func:`repro.obs.collect.format_trace_tree` draws it).
 
 Run one node with ``python -m repro live-node``; race rule routing
 against flooding over real sockets with ``python -m repro live-cluster``.

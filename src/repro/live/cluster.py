@@ -21,13 +21,14 @@ from __future__ import annotations
 import asyncio
 import os
 
+from repro.core.streaming import StreamingRules
 from repro.live.connection import ConnectionConfig
 from repro.live.node import LiveServent
 from repro.live.stats import NodeStats, combine_stats
 from repro.obs.logging import get_logger
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracing import QueryTracer, format_trace
-from repro.network.servent import SharedFile
+from repro.obs.tracing import QueryTracer
+from repro.network.servent import LIVE_RULES, LIVE_TOP_K, SharedFile
 from repro.network.topology import Topology
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_finite_positive
@@ -109,7 +110,7 @@ class LiveCluster:
         topology: Topology,
         *,
         rule_routed: bool = False,
-        top_k: int = 2,
+        top_k: int = LIVE_TOP_K,
         max_ttl: int = 7,
         host: str = "127.0.0.1",
         config: ConnectionConfig | None = None,
@@ -173,15 +174,7 @@ class LiveCluster:
     def _make_node(self, node_id: int, port: int = 0) -> LiveServent:
         rules = None
         if self.rule_routed:
-            from repro.core.streaming import StreamingRules
-
-            rules = StreamingRules(
-                **{
-                    "min_support_count": 2,
-                    "window_pairs": 512,
-                    **self._rule_kwargs,
-                }
-            )
+            rules = StreamingRules(**{**LIVE_RULES, **self._rule_kwargs})
         open_transport = None
         if self.fault_controller is not None:
             open_transport = self.fault_controller.opener(node_id)
@@ -380,13 +373,6 @@ class LiveCluster:
         if self.tracer is None:
             raise RuntimeError("cluster built without a tracer")
         return self.tracer.trace(guid)
-
-    def format_trace(self, guid: int) -> str:
-        """Human-readable hop-by-hop path of one query."""
-        trace = self.trace(guid)
-        if trace is None:
-            return f"no trace for guid {guid:#x}"
-        return format_trace(trace)
 
     def totals(self) -> dict[str, int]:
         per_node = {

@@ -52,7 +52,13 @@ from repro.network.protocol import (
     DescriptorHeader,
     ProtocolError,
 )
-from repro.network.servent import RuleRoutedServent, Servent, SharedFile
+from repro.network.servent import (
+    LIVE_RULES,
+    LIVE_TOP_K,
+    RuleRoutedServent,
+    Servent,
+    SharedFile,
+)
 from repro.utils.validation import check_finite_positive
 
 __all__ = ["LiveServent", "StreamingRuleServent"]
@@ -64,14 +70,13 @@ _log_limiter = RateLimiter(5.0)
 class StreamingRuleServent(RuleRoutedServent):
     """A servent whose forwarding follows live streaming-rule counts.
 
-    The in-process :class:`~repro.network.servent.RuleRoutedServent`
-    owns a fixed exact window; this variant takes its table from the
-    evaluated §VI streaming strategy (either backend, recoverable from
-    disk), so the daemon's routing quality is the quantity the
-    reproduction already measures offline.  Which connections a rule
-    sends a query to (its own or a relayed one), and the ``rule_routed``
-    trace events, are the parent's; the stats and the WAL journal are
-    added here.
+    Its table comes from the evaluated §VI streaming strategy, ``rules``
+    (either backend): :meth:`StreamingRules.make_counts` builds it fresh,
+    or ``persist`` recovers it from disk, and the parent is handed it —
+    so the daemon's routing quality is the quantity the reproduction
+    already measures offline.  Which connections a rule sends a query to
+    (its own or a relayed one), and the ``rule_routed`` trace events, are
+    the parent's; the stats and the WAL journal are added here.
     """
 
     def __init__(
@@ -79,22 +84,20 @@ class StreamingRuleServent(RuleRoutedServent):
         servent_guid: int,
         *,
         rules: StreamingRules,
-        top_k: int = 2,
         stats: NodeStats | None = None,
         instruments: NodeInstruments | None = None,
         persist: PersistentState | None = None,
         **kwargs,
     ) -> None:
-        super().__init__(servent_guid, top_k=top_k, **kwargs)
         #: durable-state manager (or None for a memory-only servent).
         #: Recovery happens here, at construction: the servent never
         #: routes a single query on cold counts when warm ones exist.
         self.persist = persist
         if persist is not None:
-            self.counts, self.recovery = persist.recover(rules)
+            counts, self.recovery = persist.recover(rules)
         else:
-            self.counts = rules.make_counts()
-            self.recovery = None
+            counts, self.recovery = rules.make_counts(), None
+        super().__init__(servent_guid, counts=counts, **kwargs)
         #: Routing decisions are tallied *here*, as they happen, into the
         #: owning node's :class:`NodeStats` (or a private one when run
         #: standalone) — a mid-run scrape must see current counters, not
@@ -143,7 +146,7 @@ class LiveServent:
         library: list[SharedFile] | None = None,
         rule_routed: bool = False,
         rules: StreamingRules | None = None,
-        top_k: int = 2,
+        top_k: int = LIVE_TOP_K,
         max_ttl: int = 7,
         config: ConnectionConfig | None = None,
         registry: MetricsRegistry | None = None,
@@ -188,8 +191,7 @@ class LiveServent:
         if rule_routed:
             self.servent: Servent = StreamingRuleServent(
                 guid,
-                rules=rules
-                or StreamingRules(min_support_count=2, window_pairs=512),
+                rules=rules or StreamingRules(**LIVE_RULES),
                 top_k=top_k,
                 library=library,
                 max_ttl=max_ttl,

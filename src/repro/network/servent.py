@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.core.counts import WindowCounts, forward_picks
+from repro.core.counts import SketchCounts, WindowCounts, forward_picks
 from repro.network.protocol import (
     DescriptorHeader,
     PAYLOAD_PING,
@@ -48,6 +48,14 @@ __all__ = ["SharedFile", "Servent", "MonitorServent", "RuleRoutedServent"]
 
 #: sentinel connection id for locally originated descriptors.
 LOCAL = -1
+
+#: The rule configuration of a rule-routed servent not told otherwise:
+#: the wire network's, every live node's and the soak's.  A pair is a
+#: rule at support 2 within the last 512 pairs (``LIVE_RULES``, as
+#: :class:`~repro.core.streaming.StreamingRules` keywords), and a covered
+#: query goes to its top 2 rule consequents (``LIVE_TOP_K``).
+LIVE_RULES = {"min_support_count": 2, "window_pairs": 512}
+LIVE_TOP_K = 2
 
 
 @dataclass(frozen=True)
@@ -318,24 +326,24 @@ class RuleRoutedServent(Servent):
     support this method" (§I).  It learns rules from the QueryHits it
     routes backwards (each one pairs the Query's upstream connection, or
     ``LOCAL`` for its own, with the connection the hit returned through)
-    and, when a Query it issues or relays is covered, sends it only to
-    the top-k rule consequents still connected instead of all connections.
+    into ``counts``, the :mod:`repro.core.counts` table it is handed, and,
+    when a Query it issues or relays is covered, sends it only to the
+    top-k rule consequents still connected instead of all connections.
     """
 
     def __init__(
         self,
         servent_guid: int,
         *,
-        top_k: int = 2,
-        min_support_count: int = 2,
-        rule_window: int = 512,
+        counts: WindowCounts | SketchCounts,
+        top_k: int = LIVE_TOP_K,
         **kwargs,
     ) -> None:
         super().__init__(servent_guid, **kwargs)
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
         #: the :mod:`repro.core.counts` table the rules are read from.
-        self.counts = WindowCounts(rule_window, min_support_count)
+        self.counts = counts
         self.top_k = top_k
 
     def _count_decision(self, rule_routed: bool) -> None:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.core.streaming import StreamingRules
 from repro.network.servent import (
+    LIVE_RULES,
     MonitorServent,
     RuleRoutedServent,
     Servent,
@@ -26,7 +28,14 @@ __all__ = ["WireNetwork"]
 
 
 class WireNetwork:
-    """A wired collection of servents with synchronous frame delivery."""
+    """A wired collection of servents with synchronous frame delivery.
+
+    ``rule_kwargs`` sets the rule-routed servents' ``top_k``,
+    ``min_support_count`` and ``rule_window`` (the exact window, in
+    pairs); each servent gets a fresh table built the way a live node
+    builds one, by :meth:`StreamingRules.make_counts`, from
+    :data:`~repro.network.servent.LIVE_RULES` where a key is left out.
+    """
 
     def __init__(
         self,
@@ -40,13 +49,25 @@ class WireNetwork:
         self.topology = topology
         self.monitor_node = monitor_node
         self.servents: list[Servent] = []
+        servent_kwargs = dict(rule_kwargs or {})
+        rules = StreamingRules(
+            min_support_count=servent_kwargs.pop(
+                "min_support_count", LIVE_RULES["min_support_count"]
+            ),
+            window_pairs=servent_kwargs.pop(
+                "rule_window", LIVE_RULES["window_pairs"]
+            ),
+        )
         for node in range(topology.n_nodes):
             guid = 100_000 + node
             if node == monitor_node:
                 servent: Servent = MonitorServent(guid, max_ttl=max_ttl)
             elif rule_routed:
                 servent = RuleRoutedServent(
-                    guid, max_ttl=max_ttl, **(rule_kwargs or {})
+                    guid,
+                    counts=rules.make_counts(),
+                    max_ttl=max_ttl,
+                    **servent_kwargs,
                 )
             else:
                 servent = Servent(guid, max_ttl=max_ttl)

@@ -67,7 +67,6 @@ from repro.obs.tracing import (
     QueryTrace,
     QueryTracer,
     TraceEvent,
-    format_trace,
     traced_guid,
 )
 
@@ -89,7 +88,6 @@ __all__ = [
     "bind_peer",
     "configure_logging",
     "format_cluster_rollup",
-    "format_trace",
     "format_trace_tree",
     "get_global_registry",
     "get_logger",

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
+from http.client import HTTPException
 from typing import Callable, Iterable, Sequence
 
 from repro.obs.scrape import (
@@ -59,6 +60,11 @@ _FRAMES = "repro_frames_total"
 
 #: rolling windows kept; older ones fall off the front
 MAX_WINDOWS = 64
+
+#: what a fetch or parse of one node raises when the node is down or is
+#: not a metrics endpoint (a servent's Gnutella port answers non-HTTP
+#: bytes, which ``http.client`` raises as an ``HTTPException``).
+_UNREACHABLE = (OSError, ValueError, HTTPException)
 
 _ZERO = {"rule": 0.0, "flood": 0.0, "issued": 0.0, "hits": 0.0, "frames_out": 0.0}
 
@@ -132,8 +138,9 @@ class ClusterTraceCollector:
     cluster counters, merges latency histograms across nodes, and —
     from the second poll on — appends one rolling window of counter
     deltas (the last :data:`MAX_WINDOWS` are kept).  A node that cannot
-    be reached, or whose reply does not parse, is skipped for that poll
-    (dead daemons must not hang a sweep), tallied in ``errors``.
+    be reached, that does not answer HTTP, or whose reply does not parse
+    is skipped for that poll (dead daemons must not hang a sweep),
+    tallied in ``errors``.
     """
 
     def __init__(
@@ -163,13 +170,13 @@ class ClusterTraceCollector:
         for label, base in self.endpoints:
             try:
                 spans.extend(parse_spans(self._fetch(base + "/trace")))
-            except (OSError, ValueError):
+            except _UNREACHABLE:
                 self.errors += 1
             try:
                 metrics_text = self._fetch(base + "/metrics")
                 counters = _quality_counters(parse_samples(metrics_text))
                 node_histograms = parse_histograms(metrics_text)
-            except (OSError, ValueError):
+            except _UNREACHABLE:
                 self.errors += 1
                 continue
             per_node[label] = counters

@@ -7,7 +7,9 @@ servent that touches a descriptor (one shared tracer per cluster, or one
 per node) and can reconstruct the full path of any query: where it was
 issued, which nodes received it at which TTL, whether each hop
 rule-routed or flooded it, where it matched a file, and how the hit
-travelled back.
+travelled back.  :func:`repro.obs.collect.format_trace_tree` is the one
+viewer: it draws a trace, from one tracer or merged across nodes, as
+the tree of forwarding decisions.
 
 Event kinds used by the instrumented stack:
 
@@ -56,7 +58,6 @@ __all__ = [
     "QueryTrace",
     "QueryTracer",
     "TraceEvent",
-    "format_trace",
     "traced_guid",
 ]
 
@@ -92,24 +93,6 @@ class TraceEvent:
     reason: str = ""
     # Seconds since this node first saw the GUID (node-local hop latency).
     latency: float | None = None
-
-    def render(self, t0: float) -> str:
-        parts = [f"+{self.ts - t0:8.4f}s", f"node {self.node:<4}", self.kind]
-        if self.peer is not None:
-            arrow = "->" if self.kind in ("rule_routed", "flooded", "hit_routed") else "<-"
-            parts.append(f"{arrow} {self.peer}")
-        if self.info:
-            parts.append(f"[{self.info}]")
-        if self.confidence is not None:
-            parts.append(
-                f"rule({self.antecedent}=>{self.consequent}"
-                f" conf={self.confidence:.2f} sup={self.support})"
-            )
-        if self.ttl is not None:
-            parts.append(f"ttl={self.ttl}")
-        if self.reason:
-            parts.append(f"reason={self.reason}")
-        return "  ".join(parts)
 
     def to_dict(self) -> dict:
         """Plain-data form for JSON-lines export; ``None`` fields omitted."""
@@ -284,12 +267,6 @@ class QueryTracer:
     def __len__(self) -> int:
         return len(self._traces)
 
-    def format(self, guid: int) -> str:
-        trace = self.trace(guid)
-        if trace is None:
-            return f"no trace for guid {guid}"
-        return format_trace(trace)
-
     def export_jsonl(self) -> str:
         """Every retained event as JSON lines (the ``/trace`` payload).
 
@@ -304,17 +281,4 @@ class QueryTracer:
                 doc.update(event.to_dict())
                 lines.append(json.dumps(doc, separators=(",", ":")))
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-def format_trace(trace: QueryTrace) -> str:
-    """A human-readable hop-by-hop rendering of one query trace."""
-    outcome = "answered" if trace.answered else "unanswered"
-    header = (
-        f"query {trace.guid:#x}: {len(trace.events)} events over "
-        f"{trace.hops} nodes ({outcome})"
-    )
-    t0 = trace.started
-    lines = [header]
-    lines.extend("  " + event.render(t0) for event in trace.events)
-    return "\n".join(lines)
 

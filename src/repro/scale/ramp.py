@@ -22,6 +22,7 @@ schedule seeded ``seed + step``) and shed/drop counts are reported as
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from collections.abc import Callable, Sequence
 
@@ -67,16 +68,8 @@ async def run_ramp_async(
     base = load_config or LoadConfig(rps=1.0, duration=step_duration)
     steps: list[dict] = []
     for i, rps in enumerate(rps_steps):
-        config = LoadConfig(
-            rps=float(rps),
-            duration=step_duration,
-            seed=seed + i,
-            mix=base.mix,
-            think=base.think,
-            think_sigma=base.think_sigma,
-            request_timeout=base.request_timeout,
-            max_ttl=base.max_ttl,
-            trace_sample=base.trace_sample,
+        config = dataclasses.replace(
+            base, rps=float(rps), duration=step_duration, seed=seed + i
         )
         before = cluster_totals() if cluster_totals is not None else {}
         generator = LoadGenerator(addresses, vocabulary, config)

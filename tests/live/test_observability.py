@@ -14,6 +14,7 @@ import pytest
 
 from repro.live import LiveCluster, LiveServent, harness_config, make_vocabulary
 from repro.network.topology import Topology
+from repro.obs.collect import format_trace_tree
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import QueryTracer
 
@@ -110,9 +111,9 @@ class TestClusterTrace:
             # "delivered" is present but not necessarily last.
             assert "delivered" in kinds
             assert trace.events[0].info == term
-            text = cluster.format_trace(guid)
-            assert f"query {guid:#x}" in text
-            assert "(answered)" in text
+            text = format_trace_tree(trace)
+            assert text.startswith(f"query {guid:#x} — answered,")
+            assert f"node {_node_id} — issued[{term}]" in text
 
         run(_warmed_cluster_body(check))
 
@@ -129,7 +130,7 @@ class TestClusterTrace:
                 kinds = cluster.trace(guid).kinds()
                 assert "timeout" in kinds
                 assert "flooded" in kinds  # plain servents flood
-                assert "no trace" in cluster.format_trace(0xDEAD)
+                assert cluster.trace(0xDEAD) is None
 
         run(body())
 

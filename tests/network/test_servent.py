@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.counts import WindowCounts
 from repro.network.protocol import decode_message, PAYLOAD_PONG
 from repro.network.servent import MonitorServent, Servent, SharedFile
 
@@ -211,7 +212,7 @@ class TestRuleRoutedServent:
 
         servents = {
             0: Servent(5000),
-            1: RuleRoutedServent(5001, top_k=1, min_support_count=2),
+            1: RuleRoutedServent(5001, counts=WindowCounts(512, 2), top_k=1),
             2: Servent(5002, library=[SharedFile(1, "smooth jazz.mp3", 9)]),
             3: Servent(5003, library=[SharedFile(2, "mesa sunrise.flac", 9)]),
         }
@@ -279,7 +280,7 @@ class TestRuleRoutedServent:
         from repro.network.protocol import QueryMessage, encode_message
         from repro.network.servent import RuleRoutedServent
 
-        router = RuleRoutedServent(5001, top_k=1, min_support_count=1)
+        router = RuleRoutedServent(5001, counts=WindowCounts(512, 1), top_k=1)
         for conn in range(4):
             router.connect(conn)
         for _ in range(3):
@@ -312,7 +313,7 @@ class TestRuleRoutedServent:
         _guid, frames = router.issue_query("jazz")
         assert [conn for conn, _frame in frames] == [2]
 
-        origin = RuleRoutedServent(5001, top_k=2, min_support_count=1)
+        origin = RuleRoutedServent(5001, counts=WindowCounts(512, 1), top_k=2)
         for conn in range(4):
             origin.connect(conn)
         for conn, n in ((3, 3), (1, 2), (2, 1)):
@@ -328,4 +329,4 @@ class TestRuleRoutedServent:
         from repro.network.servent import RuleRoutedServent
 
         with pytest.raises(ValueError):
-            RuleRoutedServent(5001, top_k=0)
+            RuleRoutedServent(5001, counts=WindowCounts(512, 2), top_k=0)

@@ -1,6 +1,8 @@
 """Tests for cluster-wide trace collection and quality rollups."""
 
 import json
+import socket
+import threading
 
 import pytest
 
@@ -178,6 +180,33 @@ class TestCollector:
         assert summary["nodes"] == 1
         assert collector.errors == 2  # /trace and /metrics both failed
         assert 0 in collector.per_node and 1 not in collector.per_node
+
+    def test_non_http_answer_is_an_unreachable_node(self):
+        """An endpoint that answers non-HTTP bytes (a servent's Gnutella
+        port, say) costs that node, not the sweep."""
+        server = socket.create_server(("127.0.0.1", 0))
+        server.settimeout(10.0)
+
+        def answer_garbage():
+            for _ in range(2):  # the /trace fetch, then the /metrics fetch
+                conn, _addr = server.accept()
+                with conn:
+                    conn.recv(4096)
+                    conn.sendall(b"garbage not http\r\n\r\n")
+
+        thread = threading.Thread(target=answer_garbage)
+        thread.start()
+        try:
+            port = server.getsockname()[1]
+            collector = ClusterTraceCollector([(0, f"http://127.0.0.1:{port}")])
+            summary = collector.poll()
+        finally:
+            thread.join(timeout=10.0)
+            server.close()
+        assert not thread.is_alive()
+        assert summary["nodes"] == 0
+        assert collector.errors == 2
+        assert collector.per_node == {}
 
     def test_malformed_metrics_body_costs_only_that_node(self):
         good = _metrics(1, 1, 2, 1, 8)

@@ -5,11 +5,11 @@ import time
 
 import pytest
 
+from repro.obs.collect import format_trace_tree
 from repro.obs.tracing import (
     TRACE_TTL,
     QueryTracer,
     TraceEvent,
-    format_trace,
     traced_guid,
 )
 
@@ -36,7 +36,7 @@ class TestRecording:
     def test_unknown_guid(self):
         tracer = QueryTracer()
         assert tracer.trace(0x99) is None
-        assert "no trace" in tracer.format(0x99)
+        assert 0x99 not in tracer.guids()
 
     def test_answered_and_hops(self):
         tracer = QueryTracer()
@@ -95,24 +95,26 @@ class TestFormatting:
     def test_format_shows_path_and_outcome(self):
         clock = FakeClock()
         tracer = QueryTracer(clock=clock)
-        tracer.record(0xFF, 3, "issued", info="kw2")
+        tracer.record(0xFF, 3, "issued", info="kw2", ttl=7)
+        tracer.record(0xFF, 3, "flooded", peer=0, ttl=7)
         clock.now = 0.25
-        tracer.record(0xFF, 0, "received", peer=3, info="ttl=7 hops=0")
+        tracer.record(0xFF, 0, "received", peer=3, ttl=7)
+        tracer.record(0xFF, 0, "hit", info="1 file(s)")
         clock.now = 0.5
         tracer.record(0xFF, 3, "delivered", peer=0)
-        text = tracer.format(0xFF)
-        assert "query 0xff:" in text
-        assert "(answered)" in text
-        assert "issued" in text and "[kw2]" in text
-        assert "<- 3" in text  # received renders an inbound arrow
-        assert "+  0.2500s" in text
-        assert text == format_trace(tracer.trace(0xFF))
+        lines = format_trace_tree(tracer.trace(0xFF)).splitlines()
+        assert lines == [
+            "query 0xff — answered, 2 nodes, 5 events, 500.0ms",
+            "node 3 — issued[kw2] ttl=7 +0.0ms, delivered +500.0ms",
+            "└─[flood]→ node 0 — received ttl=7 +250.0ms, hit[1 file(s)] +250.0ms",
+        ]
 
     def test_outbound_arrow_for_forwarding_kinds(self):
         tracer = QueryTracer()
         tracer.record(1, 0, "flooded", peer=4)
-        assert "-> 4" in tracer.format(1)
-        assert "(unanswered)" in tracer.format(1)
+        text = format_trace_tree(tracer.trace(1))
+        assert "└─[flood]→ node 4 — (no events)" in text
+        assert "— unanswered," in text
 
 
 class TestSampling:
@@ -151,10 +153,10 @@ class TestExplainability:
         assert events[0].ttl == 7
         assert events[1].antecedent == 5 and events[1].consequent == 2
         assert events[1].confidence == 0.75 and events[1].support == 12
-        text = tracer.format(1)
-        assert "rule(5=>2 conf=0.75 sup=12)" in text
-        assert "ttl=7" in text
-        assert "reason=no_covering_rule" in text
+        text = format_trace_tree(tracer.trace(1))
+        assert "├─[rule 5=>2 conf=0.75 sup=12]→ node 2" in text
+        assert "issued ttl=7" in text
+        assert "└─[flood no_covering_rule]→ node 3" in text
 
     def test_latency_is_node_local(self):
         clock = FakeClock()

@@ -365,6 +365,31 @@ class TestLoadTestCli:
         assert "finite and positive" in capsys.readouterr().err
 
 
+class TestHostPort:
+    """``live-node --connect``, ``load-test --target`` and ``trace-view
+    --endpoint`` share one HOST:PORT parser: a bad value is a usage error
+    naming it, raised while parsing, before anything is dialled or
+    polled."""
+
+    @pytest.mark.parametrize("value", ["host:notaport", "localhost"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["live-node", "--duration", "0.1", "--connect"],
+            ["load-test", "--target"],
+            ["trace-view", "--polls", "1", "--endpoint"],
+        ],
+        ids=["live-node", "load-test", "trace-view"],
+    )
+    def test_bad_value_exits_2_naming_it(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"expected HOST:PORT, got {value!r}" in captured.err
+        assert captured.out == ""
+
+
 class TestNonFiniteTimes:
     """A time setting of nan or inf is a usage error, not a node that
     never checkpoints or a soak that hangs (or fires every fault at

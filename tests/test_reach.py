@@ -5,9 +5,13 @@ A forked ``multiprocessing`` worker leaves through ``os._exit`` after
 profile dump registered in the parent never runs there.  Pool-only code
 such as ``_shard_task`` would then read "reached by nothing"; the tool
 registers the dump from inside each child, and this test holds it to that.
+The entry points themselves are held to ci.yml: every CLI or benchmark
+command CI runs is one of them.
 """
 
+import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,3 +61,44 @@ def test_pool_workers_are_profiled(tmp_path):
     assert reached["repro.parallel.partition", "_shard_task"] == ["command"]
     assert reached["repro.parallel.partition", "run_shard"] == ["command"]
     assert reached["repro.cli", "main"] == []
+
+
+def _load_reach():
+    spec = importlib.util.spec_from_file_location(
+        "reach_script", REPO / "scripts" / "reach.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _entry(words: list[str]) -> str:
+    """``repro <command>`` or ``benchmarks.<module>`` for the words after
+    ``python -m``; a ``repro`` command follows its global ``--seed N``."""
+    module, *rest = words
+    if module != "repro":
+        return module
+    words = iter(rest)
+    for word in words:
+        if word == "--seed":
+            next(words)
+        elif not word.startswith("-"):
+            return f"repro {word}"
+    raise AssertionError(f"no repro command in {rest}")
+
+
+def test_entry_points_cover_every_ci_command():
+    """Every ``python -m repro <command>`` and ``python -m benchmarks.<module>``
+    CI runs is one of the tool's entry points, so what CI reaches never
+    reads as "tests only"."""
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    in_ci = {
+        _entry(match.group(1).split())
+        for match in re.finditer(r"python -m ((?:repro|benchmarks\.).*)", ci)
+    }
+    assert "repro chaos-soak" in in_ci and "benchmarks.bench_hier" in in_ci
+    profiled = set()
+    for _group, argv in _load_reach().entry_points(REPO):
+        if "-m" in argv:
+            profiled.add(_entry(argv[argv.index("-m") + 1 :]))
+    assert sorted(in_ci - profiled) == []
