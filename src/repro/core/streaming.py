@@ -60,24 +60,60 @@ __all__ = ["StreamingRules"]
 #: (source, position).
 _SOURCE = ~np.int64(0xFFFFFFFF)
 _EMPTY = np.empty(0, dtype=np.int64)
+_LOW = np.uint64(0xFFFFFFFF)
+_SIGN = np.uint64(1 << 63)
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """The order that sorts int64 ``keys``, equal keys by position — what
+    numpy's stable ``argsort`` gives, without its timsort.
+
+    A radix sort of two 32-bit digits, the low half of each key first:
+    each pass is one ``np.sort`` of ``digit << 32 | index``, so equal
+    digits keep the previous pass's order.  Flipping the sign bit turns
+    signed order into unsigned order.  ``len(keys)`` must be below
+    ``2**32``."""
+    unsigned = keys.view(np.uint64) ^ _SIGN
+    index = np.arange(len(keys), dtype=np.uint64)
+    low = unsigned << np.uint64(32)
+    low |= index
+    low.sort()
+    low &= _LOW
+    order = low.view(np.int64)
+    high = unsigned[order]
+    high &= ~_LOW
+    high |= index
+    high.sort()
+    high &= _LOW
+    return order[high.view(np.int64)]
 
 
 def _n_covered(source_bits, first, last, keys) -> int:
     """How many of ``keys`` (the pairs at positions ``0..len - 1``) have a
-    source with an interval ``[first, last]`` holding their position.
+    source with an interval ``[first, last]`` holding their position (an
+    interval may be empty only as ``[t + 1, t]``).
 
-    Interval opens and closes are sorted as ``source | position``; below a
-    query, every source before its own has as many closes as opens, so
-    opens minus closes is the number of its own source's intervals open
-    at the query's position.  Only the count is wanted, so the queries
-    are searched in sorted order, which keeps the searches cache-local."""
-    opened = np.sort(source_bits | first)
-    closed = np.sort(source_bits | (last + 1))
+    Sorted by their opens as ``source | position``, a source's intervals
+    melt into disjoint segments: a segment starts at an interval that
+    opens past the running maximum of the closes before it (an earlier
+    source's closes all sort below this source's opens).  A segment
+    counts the pairs between two searches of the sorted queries, and the
+    segment bounds, sorted too, keep the searches cache-local."""
+    opens = source_bits | first
+    order = np.argsort(opens)
+    opens = opens[order]
+    ends = np.maximum.accumulate((source_bits | last)[order])
+    starts = np.empty(len(opens), dtype=bool)
+    starts[:1] = True
+    np.greater(opens[1:], ends[:-1], out=starts[1:])
+    stops = np.empty(len(opens), dtype=bool)
+    stops[:-1] = starts[1:]
+    stops[-1:] = True
     queries = np.sort((keys & _SOURCE) | np.arange(len(keys)))
-    live = np.searchsorted(opened, queries, "right") - np.searchsorted(
-        closed, queries, "right"
+    return int(
+        np.sum(np.searchsorted(queries, ends[stops], "right"))
+        - np.sum(np.searchsorted(queries, opens[starts], "left"))
     )
-    return int(np.count_nonzero(live))
 
 
 class _WindowFold:
@@ -101,7 +137,7 @@ class _WindowFold:
         start, stop = self.start, self.start + len(block_keys)
         keys = np.concatenate((self.keys, block_keys))
         positions = np.concatenate((self.positions, np.arange(start, stop)))
-        order = np.argsort(keys, kind="stable")
+        order = _stable_order(keys)
         keys, positions = keys[order], positions[order]
         m = len(keys)
         pad = np.full(floor, -1, dtype=np.int64)
@@ -173,7 +209,7 @@ class _SketchFold:
     def _segment(self, segment: np.ndarray) -> tuple[int, int]:
         """Score and count pairs no compression separates."""
         floor, n = self.floor, len(segment)
-        order = np.argsort(segment, kind="stable")
+        order = _stable_order(segment)
         keys = segment[order]
         head = np.empty(n, dtype=bool)
         head[0] = True
@@ -199,10 +235,23 @@ class _SketchFold:
         # fold in: held keys add their counts, new keys enter the bucket
         sizes = np.diff(np.append(heads, n))
         self.counts[at[found]] += sizes[found]
+        # one merge for the three columns: the i-th new key lands after
+        # the held keys below it and the i new keys before it
         new = ~found
-        self.keys = np.insert(self.keys, at[new], distinct[new])
-        self.counts = np.insert(self.counts, at[new], sizes[new])
-        self.deltas = np.insert(self.deltas, at[new], self.bucket - 1)
+        slots = at[new] + np.arange(np.count_nonzero(new))
+        kept = np.ones(len(self.keys) + len(slots), dtype=bool)
+        kept[slots] = False
+        merged = []
+        for held_column, new_column in (
+            (self.keys, distinct[new]),
+            (self.counts, sizes[new]),
+            (self.deltas, self.bucket - 1),
+        ):
+            column = np.empty(len(kept), dtype=np.int64)
+            column[kept] = held_column
+            column[slots] = new_column
+            merged.append(column)
+        self.keys, self.counts, self.deltas = merged
         return covered, successful
 
 

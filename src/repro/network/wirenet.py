@@ -16,6 +16,7 @@ from collections import deque
 from repro.core.streaming import StreamingRules
 from repro.network.servent import (
     LIVE_RULES,
+    LIVE_TOP_K,
     MonitorServent,
     RuleRoutedServent,
     Servent,
@@ -30,11 +31,13 @@ __all__ = ["WireNetwork"]
 class WireNetwork:
     """A wired collection of servents with synchronous frame delivery.
 
-    ``rule_kwargs`` sets the rule-routed servents' ``top_k``,
-    ``min_support_count`` and ``rule_window`` (the exact window, in
-    pairs); each servent gets a fresh table built the way a live node
-    builds one, by :meth:`StreamingRules.make_counts`, from
-    :data:`~repro.network.servent.LIVE_RULES` where a key is left out.
+    Rule-routed servents forward to ``top_k`` neighbors, and
+    ``rule_kwargs`` are :class:`StreamingRules` keywords
+    (``window_pairs``, ``min_support_count``) over
+    :data:`~repro.network.servent.LIVE_RULES`, as for
+    :class:`~repro.live.cluster.LiveCluster`; each servent gets a fresh
+    table built the way a live node builds one, by
+    :meth:`StreamingRules.make_counts`.
     """
 
     def __init__(
@@ -42,6 +45,7 @@ class WireNetwork:
         topology: Topology,
         *,
         rule_routed: bool = False,
+        top_k: int = LIVE_TOP_K,
         monitor_node: int | None = None,
         max_ttl: int = 7,
         rule_kwargs: dict | None = None,
@@ -49,25 +53,14 @@ class WireNetwork:
         self.topology = topology
         self.monitor_node = monitor_node
         self.servents: list[Servent] = []
-        servent_kwargs = dict(rule_kwargs or {})
-        rules = StreamingRules(
-            min_support_count=servent_kwargs.pop(
-                "min_support_count", LIVE_RULES["min_support_count"]
-            ),
-            window_pairs=servent_kwargs.pop(
-                "rule_window", LIVE_RULES["window_pairs"]
-            ),
-        )
+        rules = StreamingRules(**{**LIVE_RULES, **(rule_kwargs or {})})
         for node in range(topology.n_nodes):
             guid = 100_000 + node
             if node == monitor_node:
                 servent: Servent = MonitorServent(guid, max_ttl=max_ttl)
             elif rule_routed:
                 servent = RuleRoutedServent(
-                    guid,
-                    counts=rules.make_counts(),
-                    max_ttl=max_ttl,
-                    **servent_kwargs,
+                    guid, counts=rules.make_counts(), top_k=top_k, max_ttl=max_ttl
                 )
             else:
                 servent = Servent(guid, max_ttl=max_ttl)

@@ -817,16 +817,18 @@ class TraceStoreReader:
             return mapped(offset, entry.n_pairs)
         self._fh.seek(offset)
         compressed = self._fh.read(lengths[segment])
+        # one byte past the block's is enough to tell a stream that runs
+        # long, so a small segment cannot make a huge allocation
+        inflate = zlib.decompressobj()
         try:
-            raw = zlib.decompress(compressed)
+            raw = inflate.decompress(compressed, nbytes + 1)
         except zlib.error as exc:
             raise TraceStoreCorruption(
                 f"{self.path}: segment fails to decompress: {exc}"
             ) from exc
-        if len(raw) != nbytes:
+        if len(raw) != nbytes or not inflate.eof:
             raise TraceStoreCorruption(
-                f"{self.path}: segment decompressed to {len(raw)} bytes, "
-                f"expected {nbytes}"
+                f"{self.path}: segment does not inflate to exactly {nbytes} bytes"
             )
         return np.frombuffer(raw, dtype=_I8)
 

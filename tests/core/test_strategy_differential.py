@@ -32,7 +32,9 @@ the exact backend, and Manku–Motwani's bounds over the true whole-stream
 counts for the lossy one.  All run over the same traces and routes, and
 a hypothesis sweep covers windows of 1, below a block and above several
 blocks, bucket widths that do not divide the block size, floors 1-4,
-empty blocks mid-trace and list vs generator input.  Mutants of the fold;
+empty blocks mid-trace and list vs generator input; six generator blocks
+of the paper's 10,000 pairs then meet the folds with the thousands of
+carried keys no sweep reaches.  Mutants of the fold;
 each fails ``test_streaming_fold_equals_the_loop_on_swept_traces`` and the
 ``test_streaming_list_and_generator_equal_the_oracles`` case named:
 
@@ -62,7 +64,9 @@ from repro.core.strategies import (
 from repro.core.streaming import StreamingRules
 from repro.core.thresholds import RollingThreshold
 from repro.parallel.partition import evaluate_store, evaluate_store_partitioned
+from repro.trace.blocks import blocks_from_arrays
 from repro.trace.store import TraceStoreWriter
+from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator
 from tests.conftest import make_block
 from tests.core.reference_rules import (
     reference_generate_ruleset,
@@ -426,6 +430,35 @@ def test_streaming_fold_equals_the_loop_on_swept_traces(case, as_generator):
     strategy, blocks = case
     run = strategy.run(iter(blocks) if as_generator else blocks)
     assert run == reference_streaming_run(strategy, blocks)
+
+
+#: name -> StreamingRules settings for the paper's 10,000-pair blocks: a
+#: window below, equal to and above a block, and a bucket width (6,667)
+#: whose boundaries all fall inside blocks.
+BLOCK_SCALE = {
+    "exact-w7000": {"window_pairs": 7_000},
+    "exact-w10000": {"window_pairs": 10_000},
+    "exact-w25000": {"window_pairs": 25_000},
+    "lossy-eps1.5e-4": {"backend": "lossy", "epsilon": 1.5e-4},
+}
+
+
+@pytest.fixture(scope="module")
+def paper_blocks():
+    """Six generator blocks of 10,000 pairs: each block meets a carried
+    state of thousands of keys, which the swept traces never reach."""
+    arrays = MonitorTraceGenerator(
+        MonitorTraceConfig(block_size=10_000), seed=11
+    ).generate_pair_arrays(60_000)
+    return blocks_from_arrays(arrays.source, arrays.replier, block_size=10_000)
+
+
+@pytest.mark.parametrize("floor", [1, 10])
+@pytest.mark.parametrize("config", BLOCK_SCALE)
+def test_streaming_folds_equal_the_loop_at_block_scale(paper_blocks, config, floor):
+    strategy = StreamingRules(min_support_count=floor, **BLOCK_SCALE[config])
+    run = strategy.run(b for b in paper_blocks)
+    assert run == reference_streaming_run(strategy, paper_blocks)
 
 
 @pytest.mark.parametrize("at", [0, 2])

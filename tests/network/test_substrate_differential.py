@@ -133,11 +133,8 @@ def test_simulator_and_wire_forward_alike_under_churn(seed):
         topology,
         rule_routed=True,
         max_ttl=CONFIG.ttl,
-        rule_kwargs={
-            "top_k": TOP_K,
-            "rule_window": WINDOW,
-            "min_support_count": MIN_SUPPORT,
-        },
+        top_k=TOP_K,
+        rule_kwargs={"window_pairs": WINDOW, "min_support_count": MIN_SUPPORT},
     )
     wire.stock_libraries(
         {

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import random
 import struct
+import tracemalloc
+import zlib
 from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -66,7 +68,12 @@ from repro.trace.io import (
     write_replies,
 )
 from repro.trace.records import QueryRecord, ReplyRecord
-from repro.trace.store import TraceStoreError, TraceStoreReader, TraceStoreWriter
+from repro.trace.store import (
+    TraceStoreCorruption,
+    TraceStoreError,
+    TraceStoreReader,
+    TraceStoreWriter,
+)
 
 #: overwrite values; a 4-byte field takes each masked to 32 bits.
 VALUES = (0, 1, 2**32 - 1, 2**63 - 1, 2**64 - 1)
@@ -485,6 +492,77 @@ def test_key_segment_edits_raise(tmp_path, edit):
     (mutated,) = [out for label, out in _key_segment_edits(data) if label == edit]
     with pytest.raises(TraceStoreError):
         _decode_trace(_write(tmp_path, mutated))
+
+
+def _zlib_bomb(n_bytes):
+    """A valid zlib stream of ``n_bytes`` zeros, deflated a MiB at a time."""
+    deflate = zlib.compressobj(9)
+    chunk = bytes(1 << 20)
+    parts = [deflate.compress(chunk) for _ in range(n_bytes >> 20)]
+    return b"".join([*parts, deflate.flush()])
+
+
+def _one_block_store(tmp_path, key_segment):
+    """A v2 store of one 100-pair block whose key segment is replaced by
+    the zlib stream ``key_segment(sorted keys)``."""
+    path = tmp_path / "one-block.rptrace"
+    repliers = np.full(100, 7, dtype=np.int64)
+    with TraceStoreWriter(path, block_size=100, codec="zlib") as writer:
+        writer.append(np.arange(100, dtype=np.int64), repliers)
+    data = path.read_bytes()
+    keys = (np.arange(100, dtype=np.int64) << 32 | 7).astype("<i8").tobytes()
+    stream = key_segment(keys)
+    # the block at offset 32: header, three segment lengths, segments
+    codecs = struct.unpack_from("<I", data, 36)[0]
+    lengths = struct.unpack_from("<3Q", data, 64)
+    index_offset = struct.unpack_from("<Q", data, len(data) - 32)[0]
+    out = bytearray(data[: 88 + lengths[0] + lengths[1]])
+    struct.pack_into("<I", out, 36, codecs | 1 << 16)
+    struct.pack_into("<Q", out, 80, len(stream))
+    trailer = bytearray(data[-40:])
+    struct.pack_into("<Q", trailer, 8, len(out) + len(stream))
+    return bytes(out + stream + data[index_offset:-40] + trailer)
+
+
+def test_a_zlib_bomb_key_segment_raises_in_bounded_memory(tmp_path):
+    """A v2 block whose key segment inflates to 64 MiB of zeros is refused
+    with the typed error, having inflated little more than the block's
+    800 bytes."""
+    bomb = _zlib_bomb(64 << 20)
+    assert len(bomb) < 100_000
+    data = _one_block_store(tmp_path, lambda _keys: bomb)
+    tracemalloc.start()
+    try:
+        with TraceStoreReader(_write(tmp_path, data)) as reader:
+            with pytest.raises(TraceStoreCorruption):
+                reader.block(0).key_histogram()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+@pytest.mark.parametrize(
+    "key_segment, served",
+    [
+        (zlib.compress, True),
+        (lambda keys: zlib.compress(keys)[:-4], False),  # no end: checksum cut
+        (lambda keys: zlib.compress(keys[:-8]), False),  # ends a key short
+        (lambda keys: zlib.compress(keys + keys[-8:]), False),  # a key long
+    ],
+    ids=["whole", "cut-before-its-end", "short", "long"],
+)
+def test_a_key_segment_is_served_only_if_its_stream_ends_at_the_block(
+    tmp_path, key_segment, served
+):
+    data = _one_block_store(tmp_path, key_segment)
+    with TraceStoreReader(_write(tmp_path, data)) as reader:
+        if served:
+            keys, counts = reader.block(0).key_histogram()
+            assert len(keys) == 100 and counts.sum() == 100
+        else:
+            with pytest.raises(TraceStoreCorruption):
+                reader.block(0).key_histogram()
 
 
 def _write(tmp_path, data):
