@@ -1094,14 +1094,17 @@ def main(argv: list[str] | None = None) -> int:
                 generate_seconds += perf_counter() - g0
                 writer.append(arrays.source, arrays.replier)
                 written += n
-            n_blocks = writer.n_blocks + (1 if writer.pending_pairs else 0)
+            # The paper's blocks are fixed-size: closing drops a short tail.
+            dropped = writer.pending_pairs
         # everything that is not the generator is the writer: open, appends, close
         write_seconds = perf_counter() - t0 - generate_seconds
         generate_rate = written / generate_seconds if generate_seconds else float("inf")
         write_rate = written / write_seconds if write_seconds else float("inf")
         note = f", codec {codec}" if codec else ""
+        tail = f" (dropped a {dropped:,}-pair partial block)" if dropped else ""
         print(
-            f"wrote {written:,} pairs / {n_blocks} block(s) to {args.path}: "
+            f"wrote {writer.n_pairs:,} pairs / {writer.n_blocks} block(s) "
+            f"to {args.path}{tail}: "
             f"generate {generate_seconds:.2f}s ({generate_rate:,.0f} pairs/sec), "
             f"write {write_seconds:.2f}s ({write_rate:,.0f} pairs/sec), "
             f"seed {seed}{note}"
@@ -1138,6 +1141,13 @@ def main(argv: list[str] | None = None) -> int:
                 n_blocks = reader.n_blocks
         except (OSError, TraceStoreError) as exc:
             _log.error("cannot open trace store", extra={"error": str(exc)})
+            return 2
+        if n_blocks < 2:
+            _log.error(
+                "trace store too short: a strategy trains on one block "
+                "and tests on the next",
+                extra={"blocks": n_blocks},
+            )
             return 2
         # Blocks read their segments when first asked for, so corruption
         # the open did not see surfaces inside the evaluation.

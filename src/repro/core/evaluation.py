@@ -9,12 +9,16 @@ the paper):
 * coverage ``alpha = n / N``; success ``rho = s / n``.
 
 A block is tested through its key histogram (the distinct packed
-``(source, replier)`` keys and their counts, which GENERATE-RULESET reads
-too): membership is asked once per distinct key by sorted-array search,
-stated once in :func:`match_block`, and ``n`` and ``s`` are the counts
-summed over its masks.  Tests that need an answer per pair scatter the
-masks through the block's inverse.  The pair-by-pair loops these are
-property-tested against are ``tests/core/reference_rules.py``.
+``(source, replier)`` keys, sorted, and their counts, which
+GENERATE-RULESET reads too), from the rule set's side: :func:`_locate`
+searches the sorted keys once per antecedent, for the range of keys with
+that source, and once per rule, for the rule's own key.  ``n`` is the
+histogram's counts summed over the antecedents' ranges and ``s`` over
+the rules found, so one test costs a search per rule, not per distinct
+key.  :func:`match_block` spreads the same answer over the keys for the
+tests that need one per key or, through the block's inverse, per pair.
+The pair-by-pair loops these are property-tested against are
+``tests/core/reference_rules.py``.
 """
 
 from __future__ import annotations
@@ -69,32 +73,63 @@ class RulesetTestResult:
         )
 
 
+def _locate(
+    ruleset: RuleSet, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where ``ruleset`` lands in a block's sorted distinct ``keys``.
+
+    Returns ``(lo, hi, at, found)``: the keys whose source is antecedent
+    ``ruleset.antes[i]`` are ``keys[lo[i]:hi[i]]``, and rule
+    ``ruleset.keys[j]`` sits at ``keys[at[j]]`` where ``found[j]``.
+    """
+    first = ruleset.antes << 32
+    lo = np.searchsorted(keys, first)
+    # The last key of the antecedent, not the first of the next one:
+    # (a + 1) << 32 overflows int64 for a = 2**31 - 1.
+    hi = np.searchsorted(keys, first | 0xFFFFFFFF, side="right")
+    at = np.searchsorted(keys, ruleset.keys)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == ruleset.keys[found]
+    return lo, hi, at, found
+
+
 def match_block(
     ruleset: RuleSet, block: PairBlock
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RULESET-TEST's membership question, asked once per distinct pair.
+    """RULESET-TEST's membership answer, spread over the distinct pairs.
 
     Returns ``(covered, hit, rule)`` with one entry per key of
     ``block.key_histogram()``: whether the key's source is a rule
     antecedent, whether the key is a rule, and — where it is — that
-    rule's index into ``ruleset.keys``.  Indexing them by
+    rule's index into ``ruleset.keys`` (0 elsewhere).  Indexing them by
     ``block.key_inverse()`` gives the answer for each pair.
     """
     keys, _ = block.key_histogram()
-    if len(ruleset) == 0:
-        nothing = np.zeros(len(keys), dtype=bool)
-        return nothing, nothing, np.zeros(len(keys), dtype=np.intp)
-    covered = np.isin(keys >> 32, ruleset.antes)
-    # Both sides are sorted, so each binary search starts where the
-    # previous one ended.
-    rule = np.searchsorted(ruleset.keys, keys)
-    rule[rule == len(ruleset)] = 0
-    return covered, ruleset.keys[rule] == keys, rule
+    lo, hi, at, found = _locate(ruleset, keys)
+    # The antecedents' ranges are disjoint: +1 where one opens, -1 where
+    # it closes, and a running sum marks the keys inside one.
+    edges = np.bincount(lo, minlength=len(keys) + 1) - np.bincount(
+        hi, minlength=len(keys) + 1
+    )
+    covered = np.cumsum(edges[:-1]) > 0
+    hit = np.zeros(len(keys), dtype=bool)
+    hit[at[found]] = True
+    rule = np.zeros(len(keys), dtype=np.intp)
+    rule[at[found]] = np.flatnonzero(found)
+    return covered, hit, rule
 
 
 def ruleset_test(ruleset: RuleSet, block: PairBlock) -> RulesetTestResult:
-    """Vectorized RULESET-TEST."""
-    return ruleset_test_fallback([(ruleset, block)])
+    """Vectorized RULESET-TEST: sums of the block's key counts over the
+    antecedents' key ranges (``n``) and over the rules it holds (``s``)."""
+    keys, counts = block.key_histogram()
+    lo, hi, at, found = _locate(ruleset, keys)
+    below = np.concatenate(([0], np.cumsum(counts)))
+    return RulesetTestResult(
+        n_total=len(block),
+        n_covered=int((below[hi] - below[lo]).sum()),
+        n_successful=int(counts[at[found]].sum()),
+    )
 
 
 def _per_pair(
@@ -120,13 +155,7 @@ def ruleset_test_fallback(
     """
     (ruleset, block), *coarser = tiers
     if not coarser:
-        covered, hit, _ = match_block(ruleset, block)
-        _, counts = block.key_histogram()
-        return RulesetTestResult(
-            n_total=len(block),
-            n_covered=int(counts[covered].sum()),
-            n_successful=int(counts[hit].sum()),
-        )
+        return ruleset_test(ruleset, block)
     # Tiers key the same pairs differently, so they are combined per pair.
     covered, hit = _per_pair(ruleset, block)
     for ruleset, block in coarser:

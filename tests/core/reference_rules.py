@@ -1,17 +1,19 @@
 """The per-pair Python loops GENERATE-RULESET and RULESET-TEST are defined
 by, kept as oracles.
 
-``repro.core.generation.generate_ruleset`` and
-``repro.core.evaluation.ruleset_test`` / ``ruleset_test_fallback`` /
-``ruleset_test_random_subset`` read a block's key histogram and ask
-sorted-array membership once per distinct key; these are the
-dict-and-loop forms of the paper's pseudo-code that used to live next to
-them under ``src/`` (``implementation="python"``,
+``repro.core.generation.generate_ruleset`` counts a block's key
+histogram, and ``repro.core.evaluation.ruleset_test`` answers from the
+rule side, searching the histogram's sorted keys once per antecedent and
+once per rule (``match_block`` spreads that answer over the keys for
+``ruleset_test_fallback`` and ``ruleset_test_random_subset``); these are
+the dict-and-loop forms of the paper's pseudo-code that used to live next
+to them under ``src/`` (``implementation="python"``,
 ``ruleset_test_reference``, ``ruleset_test_random_subset_reference``).
 The loop bodies are unchanged; the property tests run both and compare.
-``reference_ruleset_test_fallback`` is the same loop over tiers, and
-``per_pair_random_subset`` the per-pair array form whose random draws
-the ``topk-ablation`` goldens record.
+``reference_ruleset_test_fallback`` is the same loop over tiers,
+``reference_match_block`` asks the rule set about each distinct pair in
+turn, and ``per_pair_random_subset`` is the per-pair array form whose
+random draws the ``topk-ablation`` goldens record.
 """
 
 from collections import Counter
@@ -68,6 +70,23 @@ def reference_ruleset_test(ruleset: RuleSet, block: PairBlock) -> RulesetTestRes
     return RulesetTestResult(
         n_total=n_total, n_covered=n_covered, n_successful=n_successful
     )
+
+
+def reference_match_block(
+    ruleset: RuleSet, block: PairBlock
+) -> tuple[list[bool], list[bool], list[int | None]]:
+    """``match_block`` asked pair by pair: for each distinct
+    (source, replier) of the block in sorted order, whether a rule's
+    antecedent is the source, whether the pair is a rule, and that rule's
+    position in ``ruleset.keys`` (``None`` where it is not one)."""
+    rule_keys = ruleset.keys.tolist()
+    covered, hit, rule = [], [], []
+    pairs = set(zip(block.sources.tolist(), block.repliers.tolist()))
+    for source, replier in sorted(pairs):
+        covered.append(ruleset.covers(source))
+        hit.append(ruleset.matches(source, replier))
+        rule.append(rule_keys.index(source << 32 | replier) if hit[-1] else None)
+    return covered, hit, rule
 
 
 def reference_ruleset_test_fallback(

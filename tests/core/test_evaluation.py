@@ -1,15 +1,20 @@
 """Tests for repro.core.evaluation (RULESET-TEST).
 
-``TestDistinctKeys`` holds the three tests, which ask membership once
-per distinct key of a block's histogram, to the pair-by-pair loops of
-``tests/core/reference_rules.py``.  Each of these mutants of
-``repro.core.evaluation`` fails the named tests:
+``TestDistinctKeys`` holds the three tests, which read a block's key
+histogram, to the pair-by-pair loops of ``tests/core/reference_rules.py``,
+and ``TestRuleSide`` holds ``ruleset_test`` and ``match_block``'s per-key
+arrays, which search that histogram once per antecedent and per rule, to
+the same loops on ids 0 and 2**31 - 1, absent antecedents, blocks wholly
+below or above the rules, one-key and empty blocks and empty rule sets.
+Each of these mutants of ``repro.core.evaluation`` fails the named tests:
 
-* summing pairs instead of ``counts`` (``covered.sum()`` for
-  ``counts[covered].sum()`` in ``ruleset_test_fallback``):
-  ``test_degenerate[one-key-repeated]`` and ``test_sweep``;
-* ``keys & 0xFFFFFFFF`` instead of ``keys >> 32`` for ``covered`` in
-  ``match_block``: ``test_degenerate[ids-0-and-max]`` and ``test_sweep``;
+* ending an antecedent's key range at ``(a + 1) << 32`` (``side="left"``)
+  instead of at ``a << 32 | 0xFFFFFFFF``, which overflows int64 for
+  ``a = 2**31 - 1``: ``test_degenerate[ids-0-and-max]``,
+  ``TestRuleSide::test_sweep`` and ``TestRuleSide::test_extremes``;
+* summing keys instead of ``counts`` (``(hi - lo).sum()`` for
+  ``(below[hi] - below[lo]).sum()`` in ``ruleset_test``):
+  ``test_degenerate[one-key-repeated]`` and ``TestRuleSide::test_sweep``;
 * dropping the inverse scatter in the fallback tier (``_per_pair``
   returning the per-key masks): ``test_degenerate[one-key-repeated]``,
   ``test_sweep`` and
@@ -26,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.evaluation import (
     RulesetTestResult,
+    match_block,
     ruleset_test,
     ruleset_test_fallback,
     ruleset_test_random_subset,
@@ -37,6 +43,7 @@ from repro.trace.blocks import PairBlock
 from tests.conftest import make_block
 from tests.core.reference_rules import (
     per_pair_random_subset,
+    reference_match_block,
     reference_ruleset_test,
     reference_ruleset_test_fallback,
     reference_ruleset_test_random_subset,
@@ -244,3 +251,73 @@ class TestDistinctKeys:
         ruleset_test_random_subset(ruleset, blocks[1], k=1, rng=0)
         ruleset_test_fallback([(ruleset, blocks[2]), (ruleset, blocks[2])])
         assert calls == [len(b) for b in blocks]
+
+
+LOW = [0, 1, 2, 3]
+HIGH = [MAX_ID - 2, MAX_ID - 1, MAX_ID]
+
+#: (rule ids, block ids) per layout: "below" puts every block key under
+#: every rule, "above" over them, and "interleaved" gives the rules
+#: antecedents no block pair has as a source, between the block's ones.
+LAYOUTS = {
+    "mixed": (LOW + HIGH, LOW + HIGH),
+    "below": (HIGH, LOW),
+    "above": (LOW, HIGH),
+    "interleaved": ([0, 2, MAX_ID - 1], [1, 3, MAX_ID]),
+}
+
+
+@st.composite
+def rules_and_block(draw):
+    rule_ids, block_ids = LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))]
+    rule_pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(rule_ids), st.sampled_from(LOW + HIGH)),
+            unique=True,
+            max_size=10,
+        )
+    )
+    pair = st.tuples(st.sampled_from(block_ids), st.sampled_from(LOW + HIGH))
+    if draw(st.booleans()):
+        pairs = [draw(pair)] * draw(st.integers(1, 30))  # one distinct key
+    else:
+        pairs = draw(st.lists(pair, max_size=60))
+    rules = RuleSet(Rule(a, c, 1 + i) for i, (a, c) in enumerate(rule_pairs))
+    return rules, make_block(pairs)
+
+
+def assert_rule_side_agrees(rules: RuleSet, block: PairBlock) -> None:
+    """ruleset_test and match_block's per-key arrays against the loops;
+    ``rule`` is only defined where ``hit`` is."""
+    assert ruleset_test(rules, block) == reference_ruleset_test(rules, block)
+    covered, hit, rule = match_block(rules, block)
+    want_covered, want_hit, want_rule = reference_match_block(rules, block)
+    assert covered.tolist() == want_covered
+    assert hit.tolist() == want_hit
+    assert rule[hit].tolist() == [r for r in want_rule if r is not None]
+
+
+class TestRuleSide:
+    """RULESET-TEST answered per antecedent and per rule equals the
+    per-pair loops."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rules_and_block())
+    def test_sweep(self, case):
+        assert_rule_side_agrees(*case)
+
+    @pytest.mark.parametrize(
+        "rules, pairs",
+        [
+            (RuleSet(), []),
+            (RuleSet(), [(MAX_ID, MAX_ID)]),
+            (RuleSet([Rule(MAX_ID, 0, 1)]), []),
+            (RuleSet([Rule(MAX_ID, 0, 1)]), [(MAX_ID, MAX_ID)] * 3),
+            (RuleSet([Rule(MAX_ID, MAX_ID, 1)]), [(MAX_ID, MAX_ID), (0, 0)]),
+            (RuleSet([Rule(0, 0, 1)]), [(0, MAX_ID), (0, 0), (MAX_ID, 0)]),
+        ],
+        ids=["both-empty", "no-rules", "no-pairs", "max-covered-missed",
+             "max-hit", "zero-hit"],
+    )
+    def test_extremes(self, rules, pairs):
+        assert_rule_side_agrees(rules, make_block(pairs))

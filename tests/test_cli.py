@@ -149,6 +149,24 @@ class TestTracegenCli:
         assert "must be >= 1" in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("pairs", [5_000, 15_000, 20_000])
+    def test_reports_what_the_store_holds(self, tmp_path, capsys, pairs):
+        """The fixed-size blocks drop a partial tail at close; the line
+        counts the store's blocks and pairs and names the tail."""
+        from repro.trace.store import TraceStoreReader
+
+        path = tmp_path / "t.rptrace"
+        assert main(["tracegen", str(path), "--pairs", str(pairs)]) == 0
+        out = capsys.readouterr().out
+        with TraceStoreReader(path) as reader:
+            held = f"wrote {reader.n_pairs:,} pairs / {reader.n_blocks} block(s) "
+            tail = pairs - reader.n_pairs
+        assert out.startswith(held)
+        if tail:
+            assert f"(dropped a {tail:,}-pair partial block)" in out
+        else:
+            assert "dropped" not in out
+
     def test_sizes_of_one_are_accepted(self):
         sizes = ["--pairs", "1", "--blocks", "1", "--chunk-size", "1"]
         args = build_parser().parse_args(["tracegen", "t.rptrace", *sizes])
@@ -210,6 +228,34 @@ class TestTraceEvalCli:
         captured = capsys.readouterr()
         assert "trace store unreadable" in captured.err
         assert "segment fails to decompress" in captured.err
+        assert "trials=" not in captured.out
+
+
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
+    @pytest.mark.parametrize(
+        "strategy", ["static", "sliding", "lazy", "adaptive", "streaming"]
+    )
+    @pytest.mark.parametrize("n_blocks", [0, 1])
+    def test_too_short_a_store_exits_2_without_a_traceback(
+        self, tmp_path, capsys, n_blocks, strategy, workers
+    ):
+        """A strategy trains on one block and tests on the next: a store
+        with fewer than two is refused after the open, on one line."""
+        import numpy as np
+
+        from repro.trace.store import TraceStoreWriter
+
+        path = tmp_path / "short.rptrace"
+        with TraceStoreWriter(path, block_size=100) as writer:
+            sources = np.arange(100 * n_blocks + 40) % 6
+            writer.append(sources, sources + 100)
+        argv = ["trace-eval", str(path), "--strategy", strategy, *workers]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
+        assert "trace store too short" in captured.err
+        assert f"blocks={n_blocks}" in captured.err
         assert "trials=" not in captured.out
 
 
