@@ -186,15 +186,7 @@ def _render_trace(cluster, totals: dict[str, int]) -> dict:
     the latest answered trace, else the latest seen."""
     from repro.obs.collect import format_trace_tree, quality_measures
 
-    quality = quality_measures(
-        {
-            "rule": totals["queries_rule_routed"],
-            "flood": totals["queries_flooded"],
-            "issued": totals["queries_issued"],
-            "hits": totals["hits_received"],
-            "frames_out": totals["frames_out"],
-        }
-    )
+    quality = quality_measures(totals)
     tracer = cluster.tracer
     answered = tracer.answered_guids()
     parts = [

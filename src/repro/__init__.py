@@ -24,35 +24,26 @@ Quickstart::
     print(run_experiment("fig1").report())
 """
 
-from repro.core import (
-    AdaptiveSlidingWindow,
-    LazySlidingWindow,
-    RuleSet,
-    SlidingWindow,
-    StaticRuleset,
-    StreamingRules,
-    generate_ruleset,
-    ruleset_test,
-)
-from repro.experiments import run_experiment
-from repro.trace import PairBlock, blocks_from_arrays
-from repro.workload import MonitorTraceConfig, MonitorTraceGenerator
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdaptiveSlidingWindow",
-    "LazySlidingWindow",
-    "MonitorTraceConfig",
-    "MonitorTraceGenerator",
-    "PairBlock",
-    "RuleSet",
-    "SlidingWindow",
-    "StaticRuleset",
-    "StreamingRules",
-    "__version__",
-    "blocks_from_arrays",
-    "generate_ruleset",
-    "run_experiment",
-    "ruleset_test",
-]
+#: the top-level names, by the module each lives in; a module is imported
+#: when one of its names is first asked for, so importing one subpackage
+#: (``repro.trace``, say) loads no other.
+_EXPORTS = {
+    "repro.core": "AdaptiveSlidingWindow LazySlidingWindow RuleSet SlidingWindow "
+    "StaticRuleset StreamingRules generate_ruleset ruleset_test",
+    "repro.experiments": "run_experiment",
+    "repro.trace": "PairBlock blocks_from_arrays",
+    "repro.workload": "MonitorTraceConfig MonitorTraceGenerator",
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    return getattr(importlib.import_module(_HOMES[name]), name)

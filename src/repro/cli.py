@@ -56,6 +56,7 @@ import os
 import sys
 import time
 
+from repro.network.protocol import DEFAULT_TTL
 from repro.network.servent import LIVE_TOP_K
 from repro.obs.logging import configure_logging, get_logger
 
@@ -64,12 +65,17 @@ __all__ = ["main", "build_parser"]
 _log = get_logger("cli")
 
 
+def _non_negative_int(text: str, low: int = 0) -> int:
+    """argparse type: an integer >= 0 (>= ``low``)."""
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     """argparse type: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _non_negative_int(text, 1)
 
 
 def _finite_positive(text: str) -> float:
@@ -130,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command in (run, all_cmd):
         command.add_argument(
             "--workers",
-            type=int,
+            type=_non_negative_int,
             default=0,
             metavar="N",
             help="fan the runs out over N worker processes (default: run "
@@ -138,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         command.add_argument(
             "--seeds",
-            type=int,
+            type=_positive_int,
             default=1,
             metavar="N",
             help="aggregate over N consecutive seeds instead of one run "
@@ -216,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_eval.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes; 1 = serial streaming run (default: 1)",
     )
@@ -344,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     live_cluster.add_argument("--queries", type=int, default=150)
     live_cluster.add_argument("--terms", type=int, default=24)
     live_cluster.add_argument("--top-k", type=int, default=LIVE_TOP_K)
-    live_cluster.add_argument("--max-ttl", type=int, default=7)
+    live_cluster.add_argument("--max-ttl", type=int, default=DEFAULT_TTL)
     live_cluster.add_argument(
         "--compare",
         action="store_true",
@@ -902,7 +908,7 @@ def _run_experiments(args, ids: list[str], seed: int) -> int:
     from repro.experiments import run_experiments
     from repro.experiments.config import FULL_SCALE
 
-    n_seeds = max(args.seeds, 1)
+    n_seeds = args.seeds
     if n_seeds > 1 and (args.csv or args.markdown):
         _log.error(
             "--csv and --markdown write one run's series; a seed sweep has "
@@ -1154,7 +1160,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             t0 = perf_counter()
             run = evaluate_store_partitioned(
-                args.path, strategy, workers=max(args.workers, 1)
+                args.path, strategy, workers=args.workers
             )
             seconds = perf_counter() - t0
             serial = evaluate_store(args.path, strategy) if args.check_serial else None
@@ -1164,7 +1170,7 @@ def main(argv: list[str] | None = None) -> int:
         rate = n_pairs / seconds if seconds else float("inf")
         print(
             f"{run.strategy_name} over {n_blocks} block(s) / {n_pairs:,} pairs "
-            f"with {max(args.workers, 1)} worker(s): "
+            f"with {args.workers} worker(s): "
             f"trials={run.n_trials} avg_coverage={run.average_coverage:.3f} "
             f"avg_success={run.average_success:.3f} "
             f"generations={run.n_generations} "

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.rules import RuleSet
-from repro.trace.blocks import PairBlock
+from repro.trace.blocks import PairBlock, source_key_range
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -82,11 +82,9 @@ def _locate(
     ``ruleset.antes[i]`` are ``keys[lo[i]:hi[i]]``, and rule
     ``ruleset.keys[j]`` sits at ``keys[at[j]]`` where ``found[j]``.
     """
-    first = ruleset.antes << 32
+    first, last = source_key_range(ruleset.antes)
     lo = np.searchsorted(keys, first)
-    # The last key of the antecedent, not the first of the next one:
-    # (a + 1) << 32 overflows int64 for a = 2**31 - 1.
-    hi = np.searchsorted(keys, first | 0xFFFFFFFF, side="right")
+    hi = np.searchsorted(keys, last, side="right")
     at = np.searchsorted(keys, ruleset.keys)
     found = at < len(keys)
     found[found] = keys[at[found]] == ruleset.keys[found]

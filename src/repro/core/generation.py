@@ -20,26 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.rules import RuleSet
-from repro.trace.blocks import PairBlock, scan_id_range
+from repro.trace.blocks import PairBlock, key_sources
 
-__all__ = ["check_generation_params", "generate_ruleset", "pack_pair_keys"]
-
-
-def pack_pair_keys(
-    sources: np.ndarray, repliers: np.ndarray, *, validate: bool = True
-) -> np.ndarray:
-    """Pack parallel (source, replier) id arrays into single int64 keys.
-
-    Ids must be in ``[0, 2**31)`` so the packed key is collision-free.
-    ``validate=False`` skips the min/max range scan — only pass it when the
-    arrays were already checked (e.g. via :meth:`PairBlock.validate_ids`,
-    which runs the scan once per block instead of on every call).
-    """
-    sources = np.asarray(sources, dtype=np.int64)
-    repliers = np.asarray(repliers, dtype=np.int64)
-    if validate:
-        scan_id_range(sources, repliers)
-    return (sources << 32) | repliers
+__all__ = ["check_generation_params", "generate_ruleset"]
 
 
 def check_generation_params(
@@ -83,7 +66,7 @@ def generate_ruleset(
         # The denominator is every replied query from the antecedent in the
         # block, support-pruned pairs included.
         _, starts, sizes = np.unique(
-            keys >> 32, return_index=True, return_counts=True
+            key_sources(keys), return_index=True, return_counts=True
         )
         totals = np.repeat(np.add.reduceat(counts, starts), sizes)
         keep &= counts / totals >= min_confidence

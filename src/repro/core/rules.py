@@ -17,11 +17,9 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro.trace.blocks import PairBlock
+from repro.trace.blocks import key_repliers, key_sources, pack_keys, scan_id_range
 
 __all__ = ["Rule", "RuleSet"]
-
-_CONSEQUENT = 0xFFFFFFFF
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,8 +46,8 @@ class RuleSet:
         table = np.array(
             [(r.antecedent, r.consequent, r.count) for r in rules], dtype=np.int64
         ).reshape(-1, 3)
-        # Packed the way a block's pairs are, which range-checks both ids.
-        keys = PairBlock(sources=table[:, 0], repliers=table[:, 1]).packed_keys()
+        scan_id_range(table[:, 0], table[:, 1])
+        keys = pack_keys(table[:, 0], table[:, 1])
         order = np.argsort(keys)
         keys = keys[order]
         if (keys[1:] == keys[:-1]).any():
@@ -61,7 +59,7 @@ class RuleSet:
         self.keys, self.counts = keys, counts
         #: the distinct antecedents, sorted; antecedent ``i``'s rules are
         #: ``keys[starts[i]:starts[i + 1]]``.
-        self.antes, starts = np.unique(keys >> 32, return_index=True)
+        self.antes, starts = np.unique(key_sources(keys), return_index=True)
         self.starts = np.append(starts, len(keys))
 
     # -- construction -------------------------------------------------------
@@ -88,12 +86,13 @@ class RuleSet:
     def ranked(self) -> np.ndarray:
         """Indices into :attr:`keys`, antecedent by antecedent, each one's
         rules highest support first and ties to the smaller consequent."""
-        return np.lexsort((self.keys, -self.counts, self.keys >> 32))
+        return np.lexsort((self.keys, -self.counts, key_sources(self.keys)))
 
     def __iter__(self) -> Iterator[Rule]:
         order = self.ranked()
-        for key, count in zip(self.keys[order].tolist(), self.counts[order].tolist()):
-            yield Rule(key >> 32, key & _CONSEQUENT, count)
+        keys, counts = self.keys[order], self.counts[order].tolist()
+        rows = zip(key_sources(keys).tolist(), key_repliers(keys).tolist(), counts)
+        return (Rule(a, c, n) for a, c, n in rows)
 
     def antecedents(self) -> list[int]:
         """Antecedents that have at least one rule."""
@@ -114,7 +113,7 @@ class RuleSet:
     def matches(self, a: int, c: int) -> bool:
         """Whether {a} -> {c} is a rule in this set."""
         lo, hi = self._span(a)
-        return bool((self.keys[lo:hi] & _CONSEQUENT == c).any())
+        return bool((key_repliers(self.keys[lo:hi]) == c).any())
 
     def consequents(self, a: int, k: int | None = None) -> list[int]:
         """Rule consequents of ``a``, highest support first, ties to the
@@ -123,7 +122,7 @@ class RuleSet:
         if k is not None and k < 1:
             raise ValueError("k must be >= 1")
         lo, hi = self._span(a)
-        consequents = self.keys[lo:hi] & _CONSEQUENT
+        consequents = key_repliers(self.keys[lo:hi])
         best_first = np.lexsort((consequents, -self.counts[lo:hi]))
         return consequents[best_first[:k]].tolist()
 

@@ -50,15 +50,11 @@ import numpy as np
 from repro.core.counts import SketchCounts, WindowCounts
 from repro.core.evaluation import RulesetTestResult
 from repro.core.runner import StrategyRun, TrialResult, observe_block_timing
-from repro.trace.blocks import PairBlock
+from repro.trace.blocks import PairBlock, source_bits
 from repro.utils.validation import check_fraction
 
 __all__ = ["StreamingRules"]
 
-#: the source half of a packed ``(source << 32) | replier`` key; the low
-#: half then holds a position inside a block, so one int64 orders
-#: (source, position).
-_SOURCE = ~np.int64(0xFFFFFFFF)
 _EMPTY = np.empty(0, dtype=np.int64)
 _LOW = np.uint64(0xFFFFFFFF)
 _SIGN = np.uint64(1 << 63)
@@ -88,10 +84,11 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     return order[high.view(np.int64)]
 
 
-def _n_covered(source_bits, first, last, keys) -> int:
+def _n_covered(sources, first, last, keys) -> int:
     """How many of ``keys`` (the pairs at positions ``0..len - 1``) have a
     source with an interval ``[first, last]`` holding their position (an
-    interval may be empty only as ``[t + 1, t]``).
+    interval may be empty only as ``[t + 1, t]``); ``sources`` are the
+    intervals' sources, as :func:`~repro.trace.blocks.source_bits`.
 
     Sorted by their opens as ``source | position``, a source's intervals
     melt into disjoint segments: a segment starts at an interval that
@@ -99,17 +96,17 @@ def _n_covered(source_bits, first, last, keys) -> int:
     source's closes all sort below this source's opens).  A segment
     counts the pairs between two searches of the sorted queries, and the
     segment bounds, sorted too, keep the searches cache-local."""
-    opens = source_bits | first
+    opens = sources | first
     order = np.argsort(opens)
     opens = opens[order]
-    ends = np.maximum.accumulate((source_bits | last)[order])
+    ends = np.maximum.accumulate((sources | last)[order])
     starts = np.empty(len(opens), dtype=bool)
     starts[:1] = True
     np.greater(opens[1:], ends[:-1], out=starts[1:])
     stops = np.empty(len(opens), dtype=bool)
     stops[:-1] = starts[1:]
     stops[-1:] = True
-    queries = np.sort((keys & _SOURCE) | np.arange(len(keys)))
+    queries = np.sort(source_bits(keys) | np.arange(len(keys)))
     return int(
         np.sum(np.searchsorted(queries, ends[stops], "right"))
         - np.sum(np.searchsorted(queries, opens[starts], "left"))
@@ -156,8 +153,9 @@ class _WindowFold:
         first = np.maximum(positions + 1, start)
         last = np.minimum(oldest + window, stop - 1)
         opens = oldest_same & (first <= last)
+        sources = source_bits(keys[opens])
         covered = _n_covered(
-            keys[opens] & _SOURCE, first[opens] - start, last[opens] - start, block_keys
+            sources, first[opens] - start, last[opens] - start, block_keys
         )
         # carry each key's last `floor` positions still inside the window
         ahead_keys = np.concatenate((keys, pad))
@@ -228,10 +226,10 @@ class _SketchFold:
         # a source is covered from the start by a rule the sketch holds,
         # and from the pair after the one that lifts a key onto the floor
         reach = before == floor - 1
-        held_rules = self.keys[self.counts >= floor] & _SOURCE
-        source_bits = np.concatenate((held_rules, keys[reach] & _SOURCE))
+        held_rules = source_bits(self.keys[self.counts >= floor])
+        opening = np.concatenate((held_rules, source_bits(keys[reach])))
         first = np.concatenate((np.zeros(len(held_rules), np.int64), order[reach] + 1))
-        covered = _n_covered(source_bits, first, n - 1, segment)
+        covered = _n_covered(opening, first, n - 1, segment)
         # fold in: held keys add their counts, new keys enter the bucket
         sizes = np.diff(np.append(heads, n))
         self.counts[at[found]] += sizes[found]

@@ -47,13 +47,14 @@ from repro.faults.plan import (
     FaultEvent,
 )
 from repro.live.connection import open_tcp
+from repro.network.protocol import HEADER_SIZE
 
 __all__ = ["FaultController", "FaultyLink", "LinkFaults"]
 
 #: a junk descriptor header: 16 bytes of fake GUID + invalid type +
 #: absurd length — guaranteed to trip the remote decoder's payload
 #: bound even when it lands mid-frame and misaligns the stream.
-_GARBAGE = b"\xff" * 23
+_GARBAGE = b"\xff" * HEADER_SIZE
 
 
 class LinkFaults:

@@ -28,6 +28,7 @@ from repro.live.stats import NodeStats, combine_stats
 from repro.obs.logging import get_logger
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import QueryTracer
+from repro.network.protocol import DEFAULT_TTL
 from repro.network.servent import LIVE_RULES, LIVE_TOP_K, SharedFile
 from repro.network.topology import Topology
 from repro.utils.rng import as_generator
@@ -111,7 +112,7 @@ class LiveCluster:
         *,
         rule_routed: bool = False,
         top_k: int = LIVE_TOP_K,
-        max_ttl: int = 7,
+        max_ttl: int = DEFAULT_TTL,
         host: str = "127.0.0.1",
         config: ConnectionConfig | None = None,
         rule_kwargs: dict | None = None,

@@ -17,6 +17,7 @@ peer cannot make the node buffer unbounded memory.
 from __future__ import annotations
 
 from repro.network.protocol import (
+    HEADER_SIZE,
     DescriptorHeader,
     ProtocolError,
     decode_frame,
@@ -28,8 +29,6 @@ __all__ = ["DEFAULT_MAX_PAYLOAD", "StreamDecoder"]
 #: Generous for this codec (the largest legal payload is a QueryHit with
 #: a file name; real Gnutella clients capped descriptors near 64 KiB).
 DEFAULT_MAX_PAYLOAD = 64 * 1024
-
-_HEADER_SIZE = 23
 
 
 class StreamDecoder:
@@ -43,7 +42,7 @@ class StreamDecoder:
         #: more than a header plus ``max_payload_length`` bytes.
         self._buffer = bytearray()
         #: bytes the buffered partial descriptor needs before it is whole.
-        self._need = _HEADER_SIZE
+        self._need = HEADER_SIZE
         self.frames_decoded = 0
         self.bytes_consumed = 0
 
@@ -70,8 +69,8 @@ class StreamDecoder:
             buffer.clear()
         out: list[tuple[DescriptorHeader, object]] = []
         pos, size = 0, len(data)
-        need = _HEADER_SIZE
-        while size - pos >= _HEADER_SIZE:
+        need = HEADER_SIZE
+        while size - pos >= HEADER_SIZE:
             fields = read_header(data, pos)
             length = fields[4]
             if length > self.max_payload_length:
@@ -79,7 +78,7 @@ class StreamDecoder:
                     f"payload length {length} exceeds "
                     f"limit {self.max_payload_length}"
                 )
-            end = pos + _HEADER_SIZE + length
+            end = pos + HEADER_SIZE + length
             if end > size:
                 need = end - pos
                 break

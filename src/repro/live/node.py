@@ -48,6 +48,7 @@ from repro.obs.logging import RateLimiter, bind_node, get_logger
 from repro.obs.registry import MetricsRegistry
 from repro.persist.state import PersistentState
 from repro.network.protocol import (
+    DEFAULT_TTL,
     PAYLOAD_QUERY,
     DescriptorHeader,
     ProtocolError,
@@ -58,6 +59,7 @@ from repro.network.servent import (
     RuleRoutedServent,
     Servent,
     SharedFile,
+    node_guid,
 )
 from repro.utils.validation import check_finite_positive
 
@@ -147,7 +149,7 @@ class LiveServent:
         rule_routed: bool = False,
         rules: StreamingRules | None = None,
         top_k: int = LIVE_TOP_K,
-        max_ttl: int = 7,
+        max_ttl: int = DEFAULT_TTL,
         config: ConnectionConfig | None = None,
         registry: MetricsRegistry | None = None,
         tracer=None,
@@ -187,7 +189,7 @@ class LiveServent:
                 label=str(node_id),
                 registry=registry,
             )
-        guid = 100_000 + node_id
+        guid = node_guid(node_id)
         if rule_routed:
             self.servent: Servent = StreamingRuleServent(
                 guid,

@@ -29,6 +29,7 @@ from repro.network.engine import QueryEngine
 from repro.network.holders import HolderIndex
 from repro.network.messages import Query
 from repro.network.node import PeerNode
+from repro.network.protocol import DEFAULT_TTL
 from repro.network.topology import Topology, random_regular
 from repro.obs.instruments import observe_sim_build
 from repro.utils.rng import as_generator, spawn_child
@@ -49,7 +50,7 @@ class OverlayConfig:
     files_per_category: int = 250
     library_size: int = 60
     interests_per_peer: int = 4
-    ttl: int = 7
+    ttl: int = DEFAULT_TTL
     #: probability (per issued query) that one random peer churns.
     churn_rate: float = 0.0
     #: degree cap enforced on rule-driven rewiring (§VI).

@@ -33,6 +33,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 __all__ = [
+    "DEFAULT_TTL",
+    "HEADER_SIZE",
     "PAYLOAD_PING",
     "PAYLOAD_PONG",
     "PAYLOAD_QUERY",
@@ -66,6 +68,10 @@ PAYLOAD_QUERY = 0x80
 PAYLOAD_QUERY_HIT = 0x81
 
 _HEADER = struct.Struct("<16sBBBI")  # guid, type, ttl, hops, payload length
+#: bytes in a descriptor header: 23.
+HEADER_SIZE = _HEADER.size
+#: Gnutella's default TTL on the descriptors a servent originates.
+DEFAULT_TTL = 7
 
 
 @dataclass(frozen=True)

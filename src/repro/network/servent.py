@@ -28,6 +28,7 @@ from functools import cached_property
 
 from repro.core.counts import SketchCounts, WindowCounts, forward_picks
 from repro.network.protocol import (
+    DEFAULT_TTL,
     DescriptorHeader,
     PAYLOAD_PING,
     PAYLOAD_PONG,
@@ -44,7 +45,7 @@ from repro.network.protocol import (
 from repro.trace.records import QueryRecord, ReplyRecord, render_ip
 from repro.utils.timeline import SimClock
 
-__all__ = ["SharedFile", "Servent", "MonitorServent", "RuleRoutedServent"]
+__all__ = ["SharedFile", "Servent", "MonitorServent", "RuleRoutedServent", "node_guid"]
 
 #: sentinel connection id for locally originated descriptors.
 LOCAL = -1
@@ -56,6 +57,12 @@ LOCAL = -1
 #: query goes to its top 2 rule consequents (``LIVE_TOP_K``).
 LIVE_RULES = {"min_support_count": 2, "window_pairs": 512}
 LIVE_TOP_K = 2
+
+
+def node_guid(node: int) -> int:
+    """Overlay node ``node``'s servent GUID, wired or live; load clients
+    take ids from :data:`~repro.scale.loadgen.CLIENT_ID_BASE` up, far above."""
+    return 100_000 + node
 
 
 @dataclass(frozen=True)
@@ -91,7 +98,7 @@ class Servent:
         library: list[SharedFile] | None = None,
         ip: str | None = None,
         port: int = 6346,
-        max_ttl: int = 7,
+        max_ttl: int = DEFAULT_TTL,
     ) -> None:
         if not 0 <= servent_guid < (1 << 128):
             raise ValueError("servent_guid must fit in 128 bits")

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core.streaming import StreamingRules
+from repro.network.protocol import DEFAULT_TTL
 from repro.network.servent import (
     LIVE_RULES,
     LIVE_TOP_K,
@@ -21,6 +22,7 @@ from repro.network.servent import (
     RuleRoutedServent,
     Servent,
     SharedFile,
+    node_guid,
 )
 from repro.network.topology import Topology
 from repro.utils.rng import as_generator
@@ -47,7 +49,7 @@ class WireNetwork:
         rule_routed: bool = False,
         top_k: int = LIVE_TOP_K,
         monitor_node: int | None = None,
-        max_ttl: int = 7,
+        max_ttl: int = DEFAULT_TTL,
         rule_kwargs: dict | None = None,
     ) -> None:
         self.topology = topology
@@ -55,7 +57,7 @@ class WireNetwork:
         self.servents: list[Servent] = []
         rules = StreamingRules(**{**LIVE_RULES, **(rule_kwargs or {})})
         for node in range(topology.n_nodes):
-            guid = 100_000 + node
+            guid = node_guid(node)
             if node == monitor_node:
                 servent: Servent = MonitorServent(guid, max_ttl=max_ttl)
             elif rule_routed:

@@ -12,7 +12,8 @@ cluster-wide query tree — and fold the counters into the paper's
 quality measures, read live:
 
 * **α (coverage)** — rule-routed decisions over all routing decisions;
-* **ρ (success)**  — queries answered over queries issued;
+* **ρ (success)**  — hits received per issued query (above 1 when a
+  query draws several hits, so not the paper's ρ = s/n);
 * **traffic per query** — outbound frames per issued query.
 
 :class:`ClusterTraceCollector` keeps both the cumulative measures (the
@@ -31,7 +32,7 @@ import json
 import time
 from collections import deque
 from http.client import HTTPException
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.obs.scrape import (
     histogram_quantile,
@@ -51,12 +52,15 @@ __all__ = [
     "quality_measures",
 ]
 
-# Metric names the quality measures are derived from (see
-# repro.obs.instruments.NodeInstruments for the write side).
-_DECISIONS = "repro_routing_decisions_total"
-_ISSUED = "repro_queries_issued_total"
-_HITS = "repro_hits_received_total"
-_FRAMES = "repro_frames_total"
+#: the NodeStats field each series the quality measures read mirrors, by
+#: metric and ``decision`` / ``direction`` label (NodeInstruments.sync).
+_FIELDS = {
+    ("repro_routing_decisions_total", "rule"): "queries_rule_routed",
+    ("repro_routing_decisions_total", "flood"): "queries_flooded",
+    ("repro_queries_issued_total", None): "queries_issued",
+    ("repro_hits_received_total", None): "hits_received",
+    ("repro_frames_total", "out"): "frames_out",
+}
 
 #: rolling windows kept; older ones fall off the front
 MAX_WINDOWS = 64
@@ -66,7 +70,7 @@ MAX_WINDOWS = 64
 #: bytes, which ``http.client`` raises as an ``HTTPException``).
 _UNREACHABLE = (OSError, ValueError, HTTPException)
 
-_ZERO = {"rule": 0.0, "flood": 0.0, "issued": 0.0, "hits": 0.0, "frames_out": 0.0}
+_ZERO = dict.fromkeys(_FIELDS.values(), 0.0)
 
 
 def parse_spans(text: str) -> list[dict]:
@@ -105,26 +109,21 @@ def _quality_counters(
     """Fold one node's samples into the counters the measures need."""
     counters = dict(_ZERO)
     for name, labels, value in samples:
-        if name == _DECISIONS:
-            decision = labels.get("decision")
-            if decision in counters:
-                counters[decision] += value
-        elif name == _ISSUED:
-            counters["issued"] += value
-        elif name == _HITS:
-            counters["hits"] += value
-        elif name == _FRAMES and labels.get("direction") == "out":
-            counters["frames_out"] += value
+        field = _FIELDS.get((name, labels.get("decision", labels.get("direction"))))
+        if field is not None:
+            counters[field] += value
     return counters
 
 
-def quality_measures(counters: dict[str, float]) -> dict[str, float]:
-    """The paper's α/ρ plus traffic-per-query, from raw counters."""
-    decisions = counters["rule"] + counters["flood"]
-    issued = counters["issued"]
+def quality_measures(counters: Mapping[str, float]) -> dict[str, float]:
+    """α, "ρ" and traffic per query from counters keyed by ``NodeStats``
+    field.  "ρ" is hits received per issued query, above 1 whenever a
+    query draws several hits, so it is not the paper's ρ = s/n."""
+    decisions = counters["queries_rule_routed"] + counters["queries_flooded"]
+    issued = counters["queries_issued"]
     return {
-        "alpha": counters["rule"] / decisions if decisions else 0.0,
-        "rho": counters["hits"] / issued if issued else 0.0,
+        "alpha": counters["queries_rule_routed"] / decisions if decisions else 0.0,
+        "rho": counters["hits_received"] / issued if issued else 0.0,
         "traffic_per_query": counters["frames_out"] / issued if issued else 0.0,
     }
 
@@ -317,8 +316,9 @@ def format_cluster_rollup(collector: ClusterTraceCollector) -> str:
         m = quality_measures(counters)
         return (
             f"| {label} | {m['alpha']:.3f} | {m['rho']:.3f} |"
-            f" {counters['issued']:.0f} | {counters['hits']:.0f} |"
-            f" {counters['rule']:.0f} | {counters['flood']:.0f} |"
+            f" {counters['queries_issued']:.0f} | {counters['hits_received']:.0f} |"
+            f" {counters['queries_rule_routed']:.0f} |"
+            f" {counters['queries_flooded']:.0f} |"
             f" {counters['frames_out']:.0f} | {m['traffic_per_query']:.2f} |"
         )
 
@@ -338,7 +338,8 @@ def format_cluster_rollup(collector: ClusterTraceCollector) -> str:
         for i, w in enumerate(collector.windows):
             lines.append(
                 f"| {i} | {w['seconds']:.1f} | {w['alpha']:.3f} |"
-                f" {w['rho']:.3f} | {w['issued']:.0f} | {w['hits']:.0f} |"
+                f" {w['rho']:.3f} | {w['queries_issued']:.0f} |"
+                f" {w['hits_received']:.0f} |"
                 f" {w['traffic_per_query']:.2f} |"
             )
     if collector.histograms:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
+from repro.obs.collect import quality_measures
 from repro.obs.registry import MetricsRegistry, get_global_registry
 
 __all__ = ["NodeInstruments", "observe_sim_build", "set_sim_population_bytes"]
@@ -137,7 +138,8 @@ class NodeInstruments:
         ).labels(node)
         self.success = registry.gauge(
             "repro_routing_success",
-            "rho: hits received per locally issued query.",
+            "rho: hits received per locally issued query; above 1 when "
+            "a query draws several hits, so not the paper's s/n.",
             ("node",),
         ).labels(node)
         self.rules_active = registry.gauge(
@@ -185,15 +187,9 @@ class NodeInstruments:
         self._decisions.labels(node, "flood").set_total(stats.queries_flooded)
         for name, child in self._simple_counters.items():
             child.set_total(getattr(stats, name))
-        decisions = stats.queries_rule_routed + stats.queries_flooded
-        self.coverage.set(
-            stats.queries_rule_routed / decisions if decisions else 0.0
-        )
-        self.success.set(
-            stats.hits_received / stats.queries_issued
-            if stats.queries_issued
-            else 0.0
-        )
+        quality = quality_measures(stats.as_dict())
+        self.coverage.set(quality["alpha"])
+        self.success.set(quality["rho"])
         if n_rules is not None:
             self.rules_active.set(n_rules)
         self.send_queue_frames.set(pending_frames)

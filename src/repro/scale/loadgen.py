@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 from repro.live.connection import ConnectionConfig, PeerConnection, dial_peer
 from repro.network.protocol import (
+    DEFAULT_TTL,
     PAYLOAD_PONG,
     PAYLOAD_QUERY_HIT,
     PingMessage,
@@ -73,7 +74,8 @@ TASK_IDLE = "idle"
 _THINK_DISTRIBUTIONS = ("exponential", "lognormal", "fixed")
 
 #: client ids live far above any plausible worker node id so a load
-#: client can never be mistaken for (or collide with) an overlay node.
+#: client can never be mistaken for (or collide with) an overlay node;
+#: a servent's GUID is :func:`repro.network.servent.node_guid`.
 CLIENT_ID_BASE = 1_000_000
 
 #: a load client's link: no keepalives and no idle timeout, since a
@@ -105,8 +107,6 @@ class LoadConfig:
     think_sigma: float = 0.6
     #: a request unanswered for this long is counted as timed out.
     request_timeout: float = 2.0
-    #: TTL on issued Query descriptors.
-    max_ttl: int = 7
     #: GUID-sampled tracing: 0 disables, N marks the 1-in-N GUID subset
     #: (``traced_guid``) the *servents'* tracers record spans for — the
     #: generator mints sequential GUIDs, so the sampling decision needs
@@ -212,12 +212,10 @@ class LoadClient:
         port: int,
         *,
         on_reply,
-        max_ttl: int = 7,
     ) -> None:
         self.client_id = client_id
         self.host = host
         self.port = port
-        self.max_ttl = max_ttl
         self._on_reply = on_reply
         self._link: PeerConnection | None = None
         self.peer_id: int | None = None
@@ -246,7 +244,7 @@ class LoadClient:
             raise OSError("connection to target is down")
         if kind == TASK_QUERY:
             frame = encode_message(
-                guid, self.max_ttl, 0, QueryMessage(min_speed=0, search=term)
+                guid, DEFAULT_TTL, 0, QueryMessage(min_speed=0, search=term)
             )
         else:
             frame = encode_message(guid, 1, 0, PingMessage())
@@ -408,13 +406,7 @@ class LoadGenerator:
             scheduled=len(schedule),
         )
         self._clients = [
-            LoadClient(
-                CLIENT_ID_BASE + i,
-                host,
-                port,
-                on_reply=self._on_reply,
-                max_ttl=self.config.max_ttl,
-            )
+            LoadClient(CLIENT_ID_BASE + i, host, port, on_reply=self._on_reply)
             for i, (host, port) in enumerate(self.addresses)
         ]
         try:

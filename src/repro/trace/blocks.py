@@ -7,6 +7,10 @@ and tested against following blocks.  :class:`PairBlock` is the columnar
 source: parallel id arrays (the fast-path
 :class:`~repro.workload.tracegen.PairArrays`), the full pipeline's
 :class:`~repro.trace.capture.PairLog`, and an on-disk trace store.
+
+It also owns the *packed pair key*, one int64 ``(source << 32) | replier``
+for ids in ``[0, 2**31)``, which the trace store persists: keys sort by
+source, then replier, and only the functions here pack or split one.
 """
 
 from __future__ import annotations
@@ -20,27 +24,51 @@ import numpy as np
 from repro.trace.capture import PairLog
 
 __all__ = [
-    "PairBlock",
-    "count_keys",
-    "partition_pairs",
-    "blocks_from_arrays",
-    "iter_blocks_from_arrays",
-    "scan_id_range",
+    "PairBlock", "count_keys", "partition_pairs", "blocks_from_arrays",
+    "iter_blocks_from_arrays", "scan_id_range",
+    # the packed pair key
+    "ID_LIMIT", "pack_keys", "key_sources", "key_repliers", "source_bits",
+    "source_key_range",
 ]
 
 #: node ids must stay below this for (source << 32) | replier key packing.
 ID_LIMIT = 1 << 31
+_REPLIER = 0xFFFFFFFF
+_SOURCE = ~np.int64(_REPLIER)
+
+
+def pack_keys(sources: np.ndarray, repliers: np.ndarray) -> np.ndarray:
+    """Each pair's packed key, of ids :func:`scan_id_range` has checked."""
+    return (np.asarray(sources, np.int64) << 32) | np.asarray(repliers, np.int64)
+
+
+def key_sources(keys: np.ndarray) -> np.ndarray:
+    """The source half of each packed key."""
+    return keys >> 32
+
+
+def key_repliers(keys: np.ndarray) -> np.ndarray:
+    """The replier half of each packed key."""
+    return keys & _REPLIER
+
+
+def source_bits(keys: np.ndarray) -> np.ndarray:
+    """Each key with its replier half cleared (its source's first key)."""
+    return keys & _SOURCE
+
+
+def source_key_range(sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each source's first and last key, inclusive: the last is
+    ``source << 32 | 0xFFFFFFFF``, since ``(source + 1) << 32`` overflows
+    int64 at source ``2**31 - 1``."""
+    first = np.asarray(sources, np.int64) << 32
+    return first, first | _REPLIER
 
 
 def count_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct ``keys`` and how often each occurs.
-
-    Every in-memory block's histogram is counted here, once per block
-    (resolved at call time so tests can install a counting hook), and so
-    is a store block's when its store predates sorted key segments; any
-    other store block reads its histogram off its sorted key segment
-    (:mod:`repro.trace.store`), with no sort.
-    """
+    """The sorted distinct ``keys`` and how often each occurs: an
+    in-memory block's histogram, or a store block's whose store predates
+    sorted key segments (resolved at call time so tests can count it)."""
     return np.unique(keys, return_counts=True)
 
 
@@ -61,10 +89,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def scan_id_range(sources: np.ndarray, repliers: np.ndarray) -> None:
     """Check both id arrays fit the packed-key id range (``[0, 2**31)``).
 
-    This is the min/max scan that used to run inside ``pack_pair_keys`` on
-    every call; callers that operate on a :class:`PairBlock` should go
-    through :meth:`PairBlock.packed_keys`, which runs it once per block.
+    A :class:`PairBlock` runs it once, through
+    :meth:`PairBlock.validate_ids`, however often its keys are asked for.
     """
+    sources, repliers = np.asarray(sources, np.int64), np.asarray(repliers, np.int64)
     if sources.size and (
         sources.min() < 0
         or repliers.min() < 0
@@ -119,29 +147,21 @@ class PairBlock:
     def validate_ids(self) -> None:
         """Check ids fit the packed-key range; runs the scan once per block."""
         if "_ids_validated" not in self.__dict__:
-            scan_id_range(
-                np.asarray(self.sources, dtype=np.int64),
-                np.asarray(self.repliers, dtype=np.int64),
-            )
+            scan_id_range(self.sources, self.repliers)
             object.__setattr__(self, "_ids_validated", True)
 
     def packed_keys(self) -> np.ndarray:
         """Memoized, read-only ``(source << 32) | replier`` int64 keys.
 
-        In-memory blocks pack through
-        :func:`repro.core.generation.pack_pair_keys` (resolved at call
-        time so tests can install a counting hook) on first use;
+        In-memory blocks pack through :func:`pack_keys` (a module
+        global, so tests can install a counting hook) on first use;
         store-resident blocks derive it from their fingerprinted columns
         when either is first asked for.
         """
         cached = self.__dict__.get("_packed_keys")
         if cached is None:
-            from repro.core.generation import pack_pair_keys
-
             self.validate_ids()
-            cached = _read_only(
-                pack_pair_keys(self.sources, self.repliers, validate=False)
-            )
+            cached = _read_only(pack_keys(self.sources, self.repliers))
             object.__setattr__(self, "_packed_keys", cached)
         return cached
 

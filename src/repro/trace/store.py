@@ -89,7 +89,8 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.trace.blocks import PairBlock, _read_only, column_digest
+from repro.trace import blocks
+from repro.trace.blocks import ID_LIMIT, PairBlock, _read_only, column_digest, pack_keys
 
 __all__ = [
     "TraceStoreError",
@@ -125,8 +126,6 @@ _CODEC_ZLIB = 1
 
 _I8 = np.dtype("<i8")
 _ITEMSIZE = _I8.itemsize
-#: the top bit of a packed key's replier half, clear for every id < 2**31.
-_REPLIER_TOP_BIT = 1 << 31
 
 
 class TraceStoreError(Exception):
@@ -166,7 +165,7 @@ def _sorted_key_histogram(
     if len(keys):
         starts = np.concatenate(([0], starts))
     distinct = keys[starts]
-    if (distinct & _REPLIER_TOP_BIT).any():
+    if (blocks.key_repliers(distinct) >= ID_LIMIT).any():
         raise TraceStoreCorruption(
             f"{path}: packed-key segment holds a replier id >= 2**31"
         )
@@ -302,15 +301,13 @@ class TraceStoreWriter:
         )
 
     def _write_block(self, block: PairBlock) -> None:
-        # resolved at call time so tests can count the packs
-        from repro.core.generation import pack_pair_keys
-
         offset = self._fh.tell()
         # The ids are checked before anything is written.  The key segment
         # is packed from the columns the fingerprint covers, never taken
-        # from the block's packed_keys() memo, which nothing checks.
+        # from the block's packed_keys() memo, which nothing checks
+        # (resolved at call time so tests can count the packs).
         block.validate_ids()
-        keys = pack_pair_keys(block.sources, block.repliers, validate=False)
+        keys = blocks.pack_keys(block.sources, block.repliers)
         keys.sort()
         fingerprint = bytes.fromhex(block.fingerprint())
         segments = [
@@ -449,7 +446,7 @@ class _StoreBlock(PairBlock):
                 self._entry, self._mapped
             )
             object.__setattr__(
-                self, "_packed_keys", _read_only((sources << 32) | repliers)
+                self, "_packed_keys", _read_only(pack_keys(sources, repliers))
             )
             object.__setattr__(self, "_column_arrays", columns)
         return columns
@@ -690,7 +687,7 @@ class TraceStoreReader:
             if column_digest(sources, repliers) != entry.fingerprint:
                 return False
             return not self.sorted_keys or np.array_equal(
-                self._read_segment(entry, 2), np.sort((sources << 32) | repliers)
+                self._read_segment(entry, 2), np.sort(pack_keys(sources, repliers))
             )
         except TraceStoreCorruption:
             return False  # garbage where a compressed segment should be

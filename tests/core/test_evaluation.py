@@ -9,7 +9,8 @@ below or above the rules, one-key and empty blocks and empty rule sets.
 Each of these mutants of ``repro.core.evaluation`` fails the named tests:
 
 * ending an antecedent's key range at ``(a + 1) << 32`` (``side="left"``)
-  instead of at ``a << 32 | 0xFFFFFFFF``, which overflows int64 for
+  instead of at ``a << 32 | 0xFFFFFFFF``, the last key
+  ``repro.trace.blocks.source_key_range`` gives, which overflows int64 for
   ``a = 2**31 - 1``: ``test_degenerate[ids-0-and-max]``,
   ``TestRuleSide::test_sweep`` and ``TestRuleSide::test_extremes``;
 * summing keys instead of ``counts`` (``(hi - lo).sum()`` for

@@ -4,44 +4,36 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.generation import generate_ruleset, pack_pair_keys
+from repro.core.generation import generate_ruleset
+from repro.trace.blocks import key_repliers, key_sources, pack_keys, scan_id_range
 from tests.conftest import make_block
 from tests.core.reference_rules import reference_generate_ruleset
 
 
 class TestPackPairKeys:
+    """The packed key GENERATE-RULESET counts, from its one owner
+    (``tests/trace/test_pair_keys.py`` holds the module's own tests)."""
+
     def test_roundtrip(self):
         sources = np.array([1, 2, 3], dtype=np.int64)
         repliers = np.array([10, 20, 30], dtype=np.int64)
-        keys = pack_pair_keys(sources, repliers)
-        np.testing.assert_array_equal(keys >> 32, sources)
-        np.testing.assert_array_equal(keys & 0xFFFFFFFF, repliers)
+        keys = pack_keys(sources, repliers)
+        np.testing.assert_array_equal(key_sources(keys), sources)
+        np.testing.assert_array_equal(key_repliers(keys), repliers)
 
     def test_rejects_out_of_range_ids(self):
         big = np.array([1 << 31], dtype=np.int64)
         ok = np.array([0], dtype=np.int64)
         with pytest.raises(ValueError):
-            pack_pair_keys(big, ok)
+            scan_id_range(big, ok)
         with pytest.raises(ValueError):
-            pack_pair_keys(ok, -big)
-
-    def test_validate_false_skips_range_scan(self, monkeypatch):
-        import repro.core.generation as generation
-
-        calls = []
-        monkeypatch.setattr(
-            generation, "scan_id_range", lambda *args: calls.append(1)
-        )
-        sources = np.array([1, 2], dtype=np.int64)
-        pack_pair_keys(sources, sources)
-        assert len(calls) == 1
-        pack_pair_keys(sources, sources, validate=False)
-        assert len(calls) == 1
+            scan_id_range(ok, -big)
+        with pytest.raises(ValueError):
+            generate_ruleset(make_block([(0, 1 << 31)]), min_support_count=1)
 
     def test_repeated_mining_scans_block_ids_once(self, small_block, monkeypatch):
-        """Regression: the id-range scan used to run on every
-        pack_pair_keys call; it is now cached per block, so re-mining the
-        same block must not repeat it."""
+        """The id-range scan runs once per block, so re-mining the same
+        block must not repeat it."""
         import repro.trace.blocks as blocks_module
 
         calls = []

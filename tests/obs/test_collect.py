@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.live.stats import NodeStats
 from repro.obs.collect import (
     ClusterTraceCollector,
     format_cluster_rollup,
@@ -50,21 +51,32 @@ class TestMergeSpans:
         assert merge_spans(docs)[5].kinds() == ["issued", "rule_routed"]
 
 
+def _counters(rule, flood, issued, hits, frames_out):
+    return {
+        "queries_rule_routed": rule,
+        "queries_flooded": flood,
+        "queries_issued": issued,
+        "hits_received": hits,
+        "frames_out": frames_out,
+    }
+
+
 class TestQualityMeasures:
     def test_alpha_rho_traffic(self):
-        measures = quality_measures(
-            {"rule": 30.0, "flood": 10.0, "issued": 20.0,
-             "hits": 15.0, "frames_out": 120.0}
-        )
+        measures = quality_measures(_counters(30.0, 10.0, 20.0, 15.0, 120.0))
         assert measures["alpha"] == pytest.approx(0.75)
         assert measures["rho"] == pytest.approx(0.75)
         assert measures["traffic_per_query"] == pytest.approx(6.0)
 
+    def test_rho_counts_hits_not_answered_queries(self):
+        """One issued query drawing three hits reads ρ 3.0: the live ρ is
+        hits per issued query, not the paper's s/n."""
+        assert quality_measures(_counters(0, 0, 1, 3, 0))["rho"] == 3.0
+        stats = NodeStats(queries_issued=1, hits_received=3)
+        assert quality_measures(stats.as_dict())["rho"] == 3.0
+
     def test_zero_denominators(self):
-        measures = quality_measures(
-            {"rule": 0.0, "flood": 0.0, "issued": 0.0,
-             "hits": 0.0, "frames_out": 0.0}
-        )
+        measures = quality_measures(_counters(0.0, 0.0, 0.0, 0.0, 0.0))
         assert measures == {
             "alpha": 0.0, "rho": 0.0, "traffic_per_query": 0.0
         }
@@ -131,7 +143,7 @@ class TestCollector:
         ]
         assert trace.events[1].confidence == pytest.approx(0.8)
         assert trace.answered
-        assert collector.cluster["issued"] == 4.0
+        assert collector.cluster["queries_issued"] == 4.0
         assert collector.live_quality()["alpha"] == pytest.approx(4 / 6)
         assert collector.best_guid() == 4
         assert collector.answered_guids() == [4]
@@ -162,8 +174,8 @@ class TestCollector:
         assert len(collector.windows) == 1
         window = collector.windows[0]
         assert window["seconds"] == pytest.approx(10.0)
-        assert window["issued"] == pytest.approx(6.0)
-        assert window["rule"] == pytest.approx(5.0)
+        assert window["queries_issued"] == pytest.approx(6.0)
+        assert window["queries_rule_routed"] == pytest.approx(5.0)
         assert window["alpha"] == pytest.approx(5 / 6)
         assert window["rho"] == pytest.approx(7 / 6)
 
@@ -221,10 +233,7 @@ class TestCollector:
         summary = collector.poll()
         assert summary["nodes"] == 1
         assert collector.errors == 1
-        assert collector.per_node == {
-            0: {"rule": 1.0, "flood": 1.0, "issued": 2.0, "hits": 1.0,
-                "frames_out": 8.0}
-        }
+        assert collector.per_node == {0: _counters(1.0, 1.0, 2.0, 1.0, 8.0)}
 
 
 class TestRendering:

@@ -150,12 +150,13 @@ class TestTracedCluster:
             return collector, totals
 
         collector, totals = run(body())
-        assert collector.cluster["issued"] == pytest.approx(totals["queries_issued"])
-        assert collector.cluster["hits"] == pytest.approx(totals["hits_received"])
-        assert collector.cluster["rule"] == pytest.approx(
-            totals["queries_rule_routed"]
-        )
-        assert collector.cluster["flood"] == pytest.approx(totals["queries_flooded"])
+        for field in (
+            "queries_issued",
+            "hits_received",
+            "queries_rule_routed",
+            "queries_flooded",
+        ):
+            assert collector.cluster[field] == pytest.approx(totals[field])
         quality = collector.live_quality()
         decisions = totals["queries_rule_routed"] + totals["queries_flooded"]
         assert quality["alpha"] == pytest.approx(

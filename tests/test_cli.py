@@ -521,3 +521,39 @@ class TestDaemonsLive:
         finally:
             for node in nodes:
                 assert node.wait(timeout=60) == 0
+
+
+class TestCounts:
+    """A worker or seed count out of range is a usage error, raised while
+    parsing: it neither dies in the executor nor quietly runs as one."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["all", "--workers", "-1"], "must be >= 0"),
+            (["run", "fig1", "--workers", "-1"], "must be >= 0"),
+            (["run", "fig1", "--seeds", "0"], "must be >= 1"),
+            (["run", "fig1", "--seeds", "-2"], "must be >= 1"),
+            (["all", "--seeds", "0"], "must be >= 1"),
+            (["trace-eval", "t.rptrace", "--workers", "0"], "must be >= 1"),
+            (["trace-eval", "t.rptrace", "--workers", "-1"], "must be >= 1"),
+        ],
+    )
+    def test_out_of_range_exits_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, field, value",
+        [
+            (["all", "--workers", "0"], "workers", 0),
+            (["run", "fig1", "--seeds", "1"], "seeds", 1),
+            (["trace-eval", "t.rptrace", "--workers", "1"], "workers", 1),
+        ],
+    )
+    def test_smallest_value_parses(self, argv, field, value):
+        assert getattr(build_parser().parse_args(argv), field) == value

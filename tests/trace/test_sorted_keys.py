@@ -242,18 +242,18 @@ class TestHistogramDifferential:
 def forge(path, codec, monkeypatch, *, footer=True):
     """A 3-block store whose block 1 key segment is sorted and in range
     but holds {3} -> {4} a hundred times, not the block's keys."""
-    import repro.core.generation as generation
+    import repro.trace.blocks as blocks_module
 
-    real = generation.pack_pair_keys
+    real = blocks_module.pack_keys
     packed = []
 
-    def forging(sources, repliers, **kwargs):
-        keys = real(sources, repliers, **kwargs)
+    def forging(sources, repliers):
+        keys = real(sources, repliers)
         packed.append(1)
         return np.full_like(keys, (3 << 32) | 4) if len(packed) == 2 else keys
 
     with monkeypatch.context() as patch:
-        patch.setattr(generation, "pack_pair_keys", forging)
+        patch.setattr(blocks_module, "pack_keys", forging)
         write(path, *legacy_columns(), codec=codec, footer=footer)
     return path
 

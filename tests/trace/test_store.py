@@ -112,29 +112,28 @@ class TestPreseededMemoization:
         make_store(path, n=200, block_size=100)
         block = TraceStoreReader(path).block(0)
 
-        import repro.core.generation as generation
+        import repro.trace.blocks as blocks_module
 
         def boom(*a, **k):  # pragma: no cover - failure path
-            raise AssertionError("pack_pair_keys called on a preseeded block")
+            raise AssertionError("pack_keys called on a preseeded block")
 
-        monkeypatch.setattr(generation, "pack_pair_keys", boom)
+        monkeypatch.setattr(blocks_module, "pack_keys", boom)
         block.packed_keys()  # derived from the columns when the block was read
         assert len(block.fingerprint()) == 32
 
     def test_writer_packs_each_block_exactly_once(self, tmp_path, monkeypatch):
-        """The writer reuses PairBlock.packed_keys memoization: one
-        pack_pair_keys call per block even though fingerprinting,
+        """One pack_keys call per block even though fingerprinting,
         writing, and validation all touch the keys."""
-        import repro.core.generation as generation
+        import repro.trace.blocks as blocks_module
 
         calls = {"n": 0}
-        real = generation.pack_pair_keys
+        real = blocks_module.pack_keys
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             calls["n"] += 1
-            return real(*args, **kwargs)
+            return real(*args)
 
-        monkeypatch.setattr(generation, "pack_pair_keys", counting)
+        monkeypatch.setattr(blocks_module, "pack_keys", counting)
         sources, repliers = columns(300)
         with TraceStoreWriter(tmp_path / "t.rptrace", block_size=100) as w:
             w.append(sources, repliers)
