@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--codec",
         choices=("none", "zlib"),
         default="none",
-        help="compress cold column segments (zlib writes a v2 store; "
+        help="compress cold segments (zlib writes a v2 store: each column "
+        "deflated, each block's key segment as its deflated key histogram; "
         "default: %(default)s)",
     )
     tracegen.add_argument(

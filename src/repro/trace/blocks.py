@@ -173,7 +173,8 @@ class PairBlock:
         GENERATE-RULESET's support counts and RULESET-TEST's ``N``, ``n``
         and ``s`` are all sums over it, so a block that is tested and
         then mined is sorted once.  A store block reads it off its
-        store's sorted key segment instead, reading neither column.
+        store's key segment instead (sorted keys, or the histogram
+        itself), reading neither column.
         """
         cached = self.__dict__.get("_key_histogram")
         if cached is None:

@@ -25,7 +25,8 @@ File layout (all integers little-endian)::
                      packed   int64[n]   (source << 32) | replier keys,
                                           sorted (flags bit 1); stores
                                           written before hold them in
-                                          pair order (flags bit 0)
+                                          pair order (flags bit 0) — or,
+                                          version 2, the keys' histogram
     footer   index:  one 32 B entry per block
                      (block_offset u64 | n_pairs u64 | fingerprint 16 B)
              trailer (40 B): magic "RPTFOOT1" | index_offset u64
@@ -35,14 +36,25 @@ File layout (all integers little-endian)::
 Version 1 stores every segment raw (and keeps the layout of earlier
 releases: the codecs field is the old zero pad, the meta fingerprint the
 old reserved word).  Version 2 — written when the writer
-is given a ``codec`` — may compress cold column segments: each segment
-carries its own codec byte (packed into the block header's ``codecs``
-u32; 0 = raw, 1 = zlib), and a segment is stored compressed only when
-that actually shrinks it.  Compression is transparent on read, and block
-fingerprints are always computed over the *uncompressed* column bytes,
-so bit-identity checks and torn-tail recovery are unchanged.  Raw segments are served as zero-copy
-memmaps in both versions; compressed segments decompress into ordinary
-arrays (the space/zero-copy trade-off is per segment).
+is given a ``codec`` — may compress cold segments: each segment carries
+its own codec byte (packed into the block header's ``codecs`` u32), and
+a segment is stored compressed only when that actually shrinks it.
+Segment codecs:
+
+* 0 — raw;
+* 1 — one zlib stream of the raw bytes (the columns; the key segment of
+  stores written before codec 2);
+* 2 — key segment only: one zlib stream of the block's key histogram,
+  its d distinct sorted keys delta-coded (the first key, then each
+  key's step from the one before), then their d counts, all int64:
+  16 bytes a row, so a 10,000-pair block of ~2,500 distinct pairs
+  inflates to ~40 KB, not the 80 KB of its sorted keys.
+
+Compression is transparent on read, and block fingerprints are always
+computed over the *uncompressed* column bytes, so bit-identity checks
+and torn-tail recovery are unchanged.  Raw segments are served as
+zero-copy memmaps in both versions; compressed segments decompress into
+ordinary arrays (the space/zero-copy trade-off is per segment).
 
 The per-block fingerprint is :func:`repro.trace.blocks.column_digest`
 (blake2b-128 of the source, then replier, column bytes), whose hex is
@@ -51,13 +63,15 @@ their fingerprint already known.  It does not cover the packed-key
 segment, so the writer derives that segment from the two columns it
 fingerprints, never from a block's memo, and sorts it.  A block's key
 histogram — all GENERATE-RULESET and RULESET-TEST read — is then one
-linear pass over the segment, with no column decode and no sort; the
-pass refuses a segment that cannot be sorted packed keys.  Verification
+linear pass over the sorted segment, or the decode of a codec-2 one,
+with no column decode and no sort; either refuses a segment that cannot
+be its block's histogram of packed keys.  Verification
 (:meth:`TraceStoreReader.verify_blocks`, ``verify=True`` and the
-footer-less scan) also requires the segment to equal the columns' sorted
-keys, so a store that verifies mines its columns' rules.  A store written
-before the segment was sorted (flags bit 0) is counted from its columns,
-as an in-memory block is; a header must set exactly one of the two bits.
+footer-less scan) also requires the segment's histogram to equal the
+columns', so a store that verifies mines its columns' rules.  A store
+written before the segment was sorted (flags bit 0) is counted from its
+columns, as an in-memory block is; a header must set exactly one of the
+two bits.
 
 Durability mirrors the WAL torn-tail semantics of ``repro.persist``: the
 footer is written only on a clean :meth:`TraceStoreWriter.close`, and a
@@ -123,9 +137,19 @@ _N_SEGMENTS = 3
 #: per-segment codec ids (one byte each inside the block header's u32).
 _CODEC_RAW = 0
 _CODEC_ZLIB = 1
+#: the key segment (2) only: zlib of the block's key histogram.
+_CODEC_HISTOGRAM = 2
+#: the codecs each segment may carry.
+_SEGMENT_CODECS = (
+    (_CODEC_RAW, _CODEC_ZLIB),
+    (_CODEC_RAW, _CODEC_ZLIB),
+    (_CODEC_RAW, _CODEC_ZLIB, _CODEC_HISTOGRAM),
+)
 
 _I8 = np.dtype("<i8")
 _ITEMSIZE = _I8.itemsize
+#: bytes per histogram row: a key's delta and its count.
+_ROW = 2 * _ITEMSIZE
 
 
 class TraceStoreError(Exception):
@@ -149,28 +173,96 @@ def _column_bytes(array: np.ndarray) -> bytes:
     return np.ascontiguousarray(array, dtype=_I8).tobytes()
 
 
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_counts=True)`` of sorted ``keys``, bit
+    for bit, as one linear pass."""
+    starts = np.flatnonzero(np.not_equal(keys[1:], keys[:-1])) + 1
+    if len(keys):
+        starts = np.concatenate(([0], starts))
+    return keys[starts], np.diff(np.append(starts, len(keys)))
+
+
+def _check_repliers(keys: np.ndarray, path: str) -> None:
+    if (blocks.key_repliers(keys) >= ID_LIMIT).any():
+        raise TraceStoreCorruption(
+            f"{path}: packed-key segment holds a replier id >= 2**31"
+        )
+
+
 def _sorted_key_histogram(
     keys: np.ndarray, path: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_counts=True)`` of a sorted key segment,
-    bit for bit, as one linear pass — after checking that the segment
-    can be sorted packed keys: non-decreasing from a first key >= 0, so
-    every source half is below 2**31, and every replier half below
-    2**31 too."""
+    """The histogram of a sorted key segment — after checking that the
+    segment can be sorted packed keys: non-decreasing from a first key
+    >= 0, so every source half is below 2**31, and every replier half
+    below 2**31 too."""
     if len(keys) and (keys[0] < 0 or np.less(keys[1:], keys[:-1]).any()):
         raise TraceStoreCorruption(
             f"{path}: packed-key segment is not non-negative sorted keys"
         )
-    starts = np.flatnonzero(np.not_equal(keys[1:], keys[:-1])) + 1
-    if len(keys):
-        starts = np.concatenate(([0], starts))
-    distinct = keys[starts]
-    if (blocks.key_repliers(distinct) >= ID_LIMIT).any():
-        raise TraceStoreCorruption(
-            f"{path}: packed-key segment holds a replier id >= 2**31"
-        )
-    counts = np.diff(np.append(starts, len(keys)))
+    distinct, counts = _runs(keys)
+    _check_repliers(distinct, path)
     return _read_only(distinct), _read_only(counts)
+
+
+def _histogram_bytes(keys: np.ndarray, counts: np.ndarray) -> bytes:
+    """A codec-2 key segment before deflation: ``keys`` delta-coded, then
+    ``counts``."""
+    rows = np.concatenate((np.diff(keys, prepend=0), counts))
+    return rows.astype(_I8, copy=False).tobytes()
+
+
+def _inflate(stored: bytes, limit: int, path: str) -> bytes:
+    """The zlib stream ``stored``, refused unless it ends within ``limit``
+    bytes; one byte past the limit is all it inflates, so a small segment
+    cannot make a huge allocation."""
+    inflate = zlib.decompressobj()
+    try:
+        raw = inflate.decompress(stored, limit + 1)
+    except zlib.error as exc:
+        raise TraceStoreCorruption(
+            f"{path}: segment fails to decompress: {exc}"
+        ) from exc
+    if not inflate.eof:
+        raise TraceStoreCorruption(
+            f"{path}: segment does not end within {limit} bytes"
+        )
+    return raw
+
+
+def _increasing(values: np.ndarray) -> bool:
+    return not np.less_equal(values[1:], values[:-1]).any()
+
+
+def _decode_histogram(
+    stored: bytes, n_pairs: int, path: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """A codec-2 key segment's ``(keys, counts)``, equal to
+    ``np.unique(keys, return_counts=True)`` of the block's packed keys —
+    after checking that it can be: whole rows, at most one per pair;
+    keys that strictly increase from a first key >= 0 (a step that wraps
+    int64 makes a key decrease); counts whose running sum strictly
+    increases from >= 1 to ``n_pairs`` (so each is >= 1 and none wraps
+    the sum); and every replier half below 2**31."""
+    raw = _inflate(stored, n_pairs * _ROW, path)
+    rows, partial = divmod(len(raw), _ROW)
+    if partial or not rows:
+        raise TraceStoreCorruption(
+            f"{path}: histogram segment of {len(raw)} bytes is not whole rows"
+        )
+    keys = np.cumsum(np.frombuffer(raw, dtype=_I8, count=rows))
+    counts = np.frombuffer(raw, dtype=_I8, offset=rows * _ITEMSIZE)
+    if keys[0] < 0 or not _increasing(keys):
+        raise TraceStoreCorruption(
+            f"{path}: histogram keys are not non-negative strictly increasing"
+        )
+    ends = np.cumsum(counts)
+    if ends[0] < 1 or ends[-1] != n_pairs or not _increasing(ends):
+        raise TraceStoreCorruption(
+            f"{path}: histogram counts are not >= 1 summing to {n_pairs}"
+        )
+    _check_repliers(keys, path)
+    return _read_only(keys), counts
 
 
 class TraceStoreWriter:
@@ -185,12 +277,13 @@ class TraceStoreWriter:
     fingerprint and id check.  Every block's key segment is packed from
     its two columns and sorted as it is written, once per block.
 
-    ``codec="zlib"`` writes a version-2 store whose column segments are
+    ``codec="zlib"`` writes a version-2 store whose segments are
     individually compressed when that shrinks them (cold-segment
-    compression for archival traces); fingerprints stay over the
-    uncompressed bytes, and each segment records its own codec byte so
-    readers never guess.  ``meta_fingerprint`` stamps a caller-chosen
-    64-bit provenance tag (e.g. a config+seed+length hash — see
+    compression for archival traces): each column as zlib, the key
+    segment as its block's deflated key histogram.  Fingerprints stay
+    over the uncompressed bytes, and each segment records its own codec
+    byte so readers never guess.  ``meta_fingerprint`` stamps a
+    caller-chosen 64-bit provenance tag (e.g. a config+seed+length hash — see
     :func:`repro.trace.cache.trace_fingerprint`) into the file header.
 
     The footer index lands only in :meth:`close`; a crash (or an
@@ -324,11 +417,14 @@ class TraceStoreWriter:
         else:
             codecs = 0
             payloads = []
-            for k, raw in enumerate(segments):
-                compressed = zlib.compress(raw, self.compress_level)
+            # a segment is stored compressed only when that shrinks it:
+            # each column as zlib, the key segment as its histogram
+            plains = (segments[0], segments[1], _histogram_bytes(*_runs(keys)))
+            for k, (raw, plain) in enumerate(zip(segments, plains)):
+                compressed = zlib.compress(plain, self.compress_level)
                 if len(compressed) < len(raw):
                     payloads.append(compressed)
-                    codecs |= _CODEC_ZLIB << (8 * k)
+                    codecs |= (_CODEC_HISTOGRAM if k == 2 else _CODEC_ZLIB) << (8 * k)
                 else:
                     payloads.append(raw)  # incompressible: keep raw + memmap
             self._fh.write(
@@ -419,9 +515,10 @@ class _StoreBlock(PairBlock):
     Its fingerprint and id validation come from the store.  ``sources``,
     ``repliers`` and ``packed_keys()`` read the two columns when first
     asked for, and derive the keys then; ``key_histogram()`` reads the
-    sorted key segment instead, on a store that has one.  ``len()`` is
-    the index entry's.  The block holds its reader, so the reader stays
-    open while the block lives unless someone closes it.
+    key segment instead — the sorted keys or, codec 2, their histogram —
+    on a store that has one.  ``len()`` is the index entry's.  The block
+    holds its reader, so the reader stays open while the block lives
+    unless someone closes it.
     """
 
     def __init__(
@@ -484,8 +581,8 @@ class TraceStoreReader:
     maps only that segment's byte range, so iterating a 10GB store keeps
     O(block_size) pages resident — each block's mappings are released as
     soon as the consumer drops the block.  A block's key histogram comes
-    off its sorted key segment, so mining and testing a block read
-    neither column.
+    off its key segment, so mining and testing a block read neither
+    column.
 
     Opening prefers the footer index (O(1), trusted after its CRC
     check).  A missing or corrupt footer triggers a header scan that
@@ -618,10 +715,18 @@ class TraceStoreReader:
         ]
         if sum(e.n_pairs for e in entries) != total_pairs:
             return None
+        if any(e.n_pairs < 1 for e in entries):
+            return None
         if self.version == _VERSION_RAW:
+            # raw blocks tile the file from the header to the index, so
+            # every entry's pair count is its block's
+            end = _HEADER.size
             for entry in entries:
-                if entry.offset + self._block_extent(entry.n_pairs) > index_offset:
+                if entry.offset != end:
                     return None
+                end += self._block_extent(entry.n_pairs)
+            if end != index_offset:
+                return None
         else:
             # Compressed blocks have data-dependent extents; bound-check
             # the header area per block and rely on the index CRC plus
@@ -680,15 +785,16 @@ class TraceStoreReader:
 
     def _intact(self, entry: _BlockEntry) -> bool:
         """Whether block ``entry``'s columns match its fingerprint and, on
-        a sorted-key store, its key segment is their packed keys sorted —
-        so every rule mined off a block that passes is its columns' rule."""
+        a sorted-key store, its key segment's histogram is theirs — so
+        every rule mined off a block that passes is its columns' rule."""
         try:
             sources, repliers = self._read_columns(entry)
             if column_digest(sources, repliers) != entry.fingerprint:
                 return False
-            return not self.sorted_keys or np.array_equal(
-                self._read_segment(entry, 2), np.sort(pack_keys(sources, repliers))
-            )
+            if not self.sorted_keys:
+                return True
+            want = _runs(np.sort(pack_keys(sources, repliers)))
+            return all(map(np.array_equal, self._key_histogram(entry), want))
         except TraceStoreCorruption:
             return False  # garbage where a compressed segment should be
 
@@ -780,8 +886,8 @@ class TraceStoreReader:
             )
         codecs = tuple((codecs_word >> (8 * k)) & 0xFF for k in range(_N_SEGMENTS))
         nbytes = entry.n_pairs * _ITEMSIZE
-        for codec, length in zip(codecs, lengths):
-            if codec not in (_CODEC_RAW, _CODEC_ZLIB):
+        for codec, length, known in zip(codecs, lengths, _SEGMENT_CODECS):
+            if codec not in known:
                 raise TraceStoreCorruption(
                     f"{self.path}: unknown segment codec {codec}"
                 )
@@ -809,25 +915,20 @@ class TraceStoreReader:
             data = entry.offset + _BLOCK_HEADER.size
             return mapped(data + segment * nbytes, entry.n_pairs)
         codecs, lengths, payload = self._layout(entry)
-        offset = payload + sum(lengths[:segment])
         if codecs[segment] == _CODEC_RAW:
-            return mapped(offset, entry.n_pairs)
-        self._fh.seek(offset)
-        compressed = self._fh.read(lengths[segment])
-        # one byte past the block's is enough to tell a stream that runs
-        # long, so a small segment cannot make a huge allocation
-        inflate = zlib.decompressobj()
-        try:
-            raw = inflate.decompress(compressed, nbytes + 1)
-        except zlib.error as exc:
-            raise TraceStoreCorruption(
-                f"{self.path}: segment fails to decompress: {exc}"
-            ) from exc
-        if len(raw) != nbytes or not inflate.eof:
+            return mapped(payload + sum(lengths[:segment]), entry.n_pairs)
+        raw = _inflate(self._stored(entry, segment), nbytes, self.path)
+        if len(raw) != nbytes:
             raise TraceStoreCorruption(
                 f"{self.path}: segment does not inflate to exactly {nbytes} bytes"
             )
         return np.frombuffer(raw, dtype=_I8)
+
+    def _stored(self, entry: _BlockEntry, segment: int) -> bytes:
+        """The stored bytes of one of a version-2 block's segments."""
+        _codecs, lengths, payload = self._layout(entry)
+        self._fh.seek(payload + sum(lengths[:segment]))
+        return self._fh.read(lengths[segment])
 
     def _read_columns(
         self, entry: _BlockEntry, mapped=None
@@ -840,7 +941,13 @@ class TraceStoreReader:
     def _key_histogram(
         self, entry: _BlockEntry, mapped=None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Block ``entry``'s key histogram, off its sorted key segment."""
+        """Block ``entry``'s key histogram, off its key segment."""
+        self._check_open()
+        if (
+            self.version == _VERSION_CODECS
+            and self._layout(entry)[0][2] == _CODEC_HISTOGRAM
+        ):
+            return _decode_histogram(self._stored(entry, 2), entry.n_pairs, self.path)
         return _sorted_key_histogram(self._read_segment(entry, 2, mapped), self.path)
 
     def block(self, i: int) -> PairBlock:
@@ -850,7 +957,7 @@ class TraceStoreReader:
         pre-seeded from the store, so mining and testing it never
         re-hashes or re-scans.  Its header and segment layout are
         checked here; its segments are read when first asked for —
-        ``key_histogram()`` reads the sorted key segment alone, and
+        ``key_histogram()`` reads the key segment alone, and
         ``sources`` / ``repliers`` / ``packed_keys()`` the two columns.
         """
         entry = self._entry(i)
@@ -891,7 +998,7 @@ class TraceStoreReader:
         """Re-check every visible block; returns how many are intact.
 
         A block is intact when its columns match its fingerprint and,
-        on a sorted-key store, its key segment is their sorted keys.
+        on a sorted-key store, its key segment's histogram is theirs.
         Stops counting at the first block that is not (the store is
         usable up to — not including — that block).  ``strict=True``
         raises :class:`TraceStoreCorruption` instead of returning a

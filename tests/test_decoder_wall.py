@@ -1,9 +1,10 @@
 """Hostile bytes into the decoders behind a store of record.
 
 One seeded, structure-aware sweep per format — trace store v1 and v2 as
-written before key segments were sorted (the committed bytes under
-``tests/trace/data``) and as written now, the latter with targeted edits of
-the sorted key segment that must each raise,
+written before key segments were sorted, and v2 as written before they
+were histograms (the committed bytes under ``tests/trace/data``), and as
+written now, with targeted edits of the sorted key segment and of the
+histogram segment that must each raise,
 pair WAL, snapshot (exact and lossy), the RDG1 rule digest, the
 Prometheus text a cluster collector scrapes, the query and reply TSV
 trace files of ``repro.trace.io``, one Gnutella descriptor
@@ -420,6 +421,12 @@ FORMATS = {
     "trace-v2-sorted": Format(
         _build_trace("zlib"), _trace_fields(3), _decode_trace, TraceStoreError
     ),
+    "trace-v2-sorted-zlib": Format(
+        _legacy_trace("parent_v2_sorted_zlib.rptrace"),
+        _trace_fields(3),
+        _decode_trace,
+        TraceStoreError,
+    ),
     "wal": Format(_build_wal, _wal_fields, _decode_wal, WalError),
     "snapshot-exact": Format(
         _build_snapshot("exact"), _snapshot_fields, _decode_snapshot, SnapshotError
@@ -502,22 +509,40 @@ def _zlib_bomb(n_bytes):
     return b"".join([*parts, deflate.flush()])
 
 
-def _one_block_store(tmp_path, key_segment):
+#: the one block's sorted keys: sources 0..99, each to replier 7.
+_ONE_BLOCK_KEYS = np.arange(100, dtype=np.int64) << 32 | 7
+
+
+def _histogram_rows(*edits):
+    """The one block's histogram as a codec-2 segment holds it before
+    deflation — each key's step from the one before, then each key's
+    count — after each ``(column, at, value)`` edit, where column 0 is
+    the steps and 1 the counts."""
+    rows = np.concatenate(
+        (np.diff(_ONE_BLOCK_KEYS, prepend=0), np.ones(100, dtype=np.int64))
+    )
+    for column, at, value in edits:
+        rows[100 * column + at] = value
+    return rows.astype("<i8").tobytes()
+
+
+def _one_block_store(tmp_path, key_segment, codec=1):
     """A v2 store of one 100-pair block whose key segment is replaced by
-    the zlib stream ``key_segment(sorted keys)``."""
+    the zlib stream ``key_segment(plain)`` under segment codec ``codec``:
+    ``plain`` is the sorted keys for codec 1, the histogram rows for 2."""
     path = tmp_path / "one-block.rptrace"
     repliers = np.full(100, 7, dtype=np.int64)
     with TraceStoreWriter(path, block_size=100, codec="zlib") as writer:
         writer.append(np.arange(100, dtype=np.int64), repliers)
     data = path.read_bytes()
-    keys = (np.arange(100, dtype=np.int64) << 32 | 7).astype("<i8").tobytes()
-    stream = key_segment(keys)
+    keys = _ONE_BLOCK_KEYS.astype("<i8").tobytes()
+    stream = key_segment(keys if codec == 1 else _histogram_rows())
     # the block at offset 32: header, three segment lengths, segments
     codecs = struct.unpack_from("<I", data, 36)[0]
     lengths = struct.unpack_from("<3Q", data, 64)
     index_offset = struct.unpack_from("<Q", data, len(data) - 32)[0]
     out = bytearray(data[: 88 + lengths[0] + lengths[1]])
-    struct.pack_into("<I", out, 36, codecs | 1 << 16)
+    struct.pack_into("<I", out, 36, codecs & ~(0xFF << 16) | codec << 16)
     struct.pack_into("<Q", out, 80, len(stream))
     trailer = bytearray(data[-40:])
     struct.pack_into("<Q", trailer, 8, len(out) + len(stream))
@@ -563,6 +588,113 @@ def test_a_key_segment_is_served_only_if_its_stream_ends_at_the_block(
         else:
             with pytest.raises(TraceStoreCorruption):
                 reader.block(0).key_histogram()
+
+
+def test_a_zlib_bomb_histogram_segment_raises_in_bounded_memory(tmp_path):
+    """The same bomb as a codec-2 key segment: inflated no further than
+    the 1,600 bytes of one row per pair, plus one."""
+    bomb = _zlib_bomb(64 << 20)
+    data = _one_block_store(tmp_path, lambda _rows: bomb, codec=2)
+    tracemalloc.start()
+    try:
+        with TraceStoreReader(_write(tmp_path, data)) as reader:
+            with pytest.raises(TraceStoreCorruption):
+                reader.block(0).key_histogram()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+@pytest.mark.parametrize(
+    "key_segment, served",
+    [
+        (zlib.compress, True),
+        (lambda rows: zlib.compress(rows)[:-4], False),  # no end: checksum cut
+        (lambda rows: zlib.compress(rows[:-8]), False),  # half a row short
+        (lambda rows: zlib.compress(rows + rows[-16:]), False),  # a row long
+    ],
+    ids=["whole", "cut-before-its-end", "short", "long"],
+)
+def test_a_histogram_segment_is_served_only_if_its_stream_ends_at_the_block(
+    tmp_path, key_segment, served
+):
+    data = _one_block_store(tmp_path, key_segment, codec=2)
+    with TraceStoreReader(_write(tmp_path, data)) as reader:
+        if served:
+            keys, counts = reader.block(0).key_histogram()
+            np.testing.assert_array_equal(keys, _ONE_BLOCK_KEYS)
+            assert counts.sum() == 100
+            assert reader.verify_blocks(strict=True) == 1
+        else:
+            with pytest.raises(TraceStoreCorruption):
+                reader.block(0).key_histogram()
+
+
+#: one hostile edit per check of the histogram decoder, each a stream
+#: that inflates and ends within the block's bound.
+_HISTOGRAM_EDITS = {
+    "no rows": b"",
+    "negative first key": _histogram_rows((0, 0, -1)),
+    "repeated key": _histogram_rows((0, 1, 0)),
+    "falling key": _histogram_rows((0, 1, -1)),
+    "key wraps int64": _histogram_rows((0, 1, 2**63 - 1)),
+    "zero count": _histogram_rows((1, 0, 0), (1, 1, 2)),
+    "negative count": _histogram_rows((1, 0, -1), (1, 1, 3)),
+    "counts sum past the block": _histogram_rows((1, 0, 2)),
+    # 2 * (2**63 - 1) + 5 + 97 ones wraps int64 to exactly 100
+    "counts wrap to the block": _histogram_rows(
+        (1, 0, 2**63 - 1), (1, 1, 2**63 - 1), (1, 2, 5)
+    ),
+    "replier half 2**31": _histogram_rows((0, 99, (1 << 32) - 7 + 2**31)),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_HISTOGRAM_EDITS))
+def test_a_histogram_segment_edit_raises(tmp_path, edit):
+    """Every check of the codec-2 decoder refuses its edit with the typed
+    error, on a read and on verification."""
+    rows = _HISTOGRAM_EDITS[edit]
+    data = _one_block_store(tmp_path, lambda _rows: zlib.compress(rows), codec=2)
+    with TraceStoreReader(_write(tmp_path, data)) as reader:
+        with pytest.raises(TraceStoreCorruption):
+            reader.block(0).key_histogram()
+        assert reader.verify_blocks() == 0
+
+
+def _recount(data, block, n_pairs):
+    """``data`` with its footer saying block ``block`` holds ``n_pairs``
+    pairs, the total and the index CRC rewritten to match."""
+    out = bytearray(data)
+    t = len(out) - 40
+    index_offset, _n_blocks, total = struct.unpack_from("<QQQ", out, t + 8)
+    at = index_offset + 32 * block + 8
+    (was,) = struct.unpack_from("<Q", out, at)
+    struct.pack_into("<Q", out, at, n_pairs)
+    struct.pack_into("<Q", out, t + 24, total - was + n_pairs)
+    struct.pack_into("<I", out, t + 32, zlib.crc32(out[index_offset:t]))
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "codec, n_pairs",
+    [(None, 0), (None, 50), ("zlib", 0)],
+    ids=["v1-0", "v1-50", "v2-0"],
+)
+def test_a_footer_that_miscounts_a_block_is_not_trusted(tmp_path, codec, n_pairs):
+    """A CRC-valid footer whose pair count for block 1 is not the block's
+    falls back to the verifying scan, which serves every block as
+    written — never half of one column as another, or an empty block."""
+    data = _build_trace(codec)(tmp_path)
+    with TraceStoreReader(_write(tmp_path, data)) as reader:
+        want = [(np.array(b.sources), np.array(b.repliers)) for b in reader.blocks()]
+    with TraceStoreReader(_write(tmp_path, _recount(data, 1, n_pairs))) as reader:
+        assert reader.recovered
+        assert reader.block_pairs() == [100, 100, 100]
+        for block, (sources, repliers) in zip(reader.iter_blocks(), want):
+            np.testing.assert_array_equal(block.sources, sources)
+            np.testing.assert_array_equal(block.repliers, repliers)
+            assert block.key_histogram()[1].sum() == 100
 
 
 def _write(tmp_path, data):

@@ -1,15 +1,22 @@
-"""A store block's key histogram, read off its sorted key segment.
+"""A store block's key histogram, read off its key segment.
 
-A store holds each block's packed keys sorted (header flags bit 1), and a
-store block's ``key_histogram()`` is one checked pass over that segment;
-a store written before holds them in pair order (bit 0) and is counted
-from its columns, like an in-memory block.  Here:
+A store holds each block's packed keys sorted (header flags bit 1) — a
+``codec="zlib"`` store holds their histogram instead (segment codec 2) —
+and a store block's ``key_histogram()`` is one checked pass over that
+segment, or one checked decode; a store written before holds them in
+pair order (bit 0) and is counted from its columns, like an in-memory
+block.  Here:
 
 * the committed ``data/parent_v1.rptrace`` / ``data/parent_v2_zlib.rptrace``
   (the 300 pairs of :func:`legacy_columns`, block 100, written raw and
   with ``codec="zlib"`` by the release before sorted key segments) serve
   what the in-memory blocks give: columns, histograms, the four
-  strategies' runs and both ``StreamingRules`` runs;
+  strategies' runs and both ``StreamingRules`` runs; so does
+  ``data/parent_v2_sorted_zlib.rptrace``, the same pairs written with
+  ``codec="zlib"`` by the release before histogram segments, whose key
+  segments are sorted keys under zlib (codec 1);
+* a fresh ``codec="zlib"`` store writes segment 2 as codec 2, and a
+  block's ``key_histogram()`` reads no column;
 * on hypothesis-drawn columns — one distinct key, all keys distinct, a
   1-pair block, a short tail block, ids 0 and 2**31 - 1; raw and zlib —
   a store block's histogram is ``np.unique``'s bit for bit, and the four
@@ -21,7 +28,8 @@ from its columns, like an in-memory block.  Here:
   :class:`TraceStoreError`.
 
 ``tests/test_decoder_wall.py`` edits the segment so that it cannot be
-sorted keys; every such edit must fail the read.  Mutants run in a
+sorted keys, or the histogram segment so that it cannot be a block's
+histogram; every such edit must fail the read.  Mutants run in a
 scratch copy, and what fails on each:
 
 * the key-segment comparison dropped from ``TraceStoreReader._intact``
@@ -31,7 +39,18 @@ scratch copy, and what fails on each:
   ``test_decoder_wall.py::test_key_segment_edits_raise[swapped]``;
 * segment 2 written from ``np.sort(block.packed_keys())`` instead of
   from the columns — ``test_store.py::TestPackedSegmentIgnored`` and
-  ``TestIntegrity::test_a_forged_memo_never_reaches_the_segment``.
+  ``TestIntegrity::test_a_forged_memo_never_reaches_the_segment``;
+* the running-sum order check dropped from the histogram decoder (counts
+  checked by their sum alone) —
+  ``test_decoder_wall.py::test_a_histogram_segment_edit_raises`` on
+  ``counts wrap to the block``, ``zero count`` and ``negative count``;
+* the keys' order check dropped from the histogram decoder —
+  ``test_a_histogram_segment_edit_raises`` on ``repeated key``,
+  ``falling key`` and ``key wraps int64``;
+* the writer's codec-2 branch writing byte 1 instead of 2 (a deflated
+  histogram read as sorted keys) —
+  ``TestHistogramSegment::test_a_zlib_store_writes_histograms`` and the
+  zlib half of ``TestHistogramDifferential``.
 """
 
 import gc
@@ -63,6 +82,8 @@ from repro.trace.store import (
 
 DATA = Path(__file__).parent / "data"
 LEGACY = ("parent_v1.rptrace", "parent_v2_zlib.rptrace")
+#: sorted key segments under zlib (segment codec 1), not histograms.
+SORTED_ZLIB = "parent_v2_sorted_zlib.rptrace"
 STRATEGIES = (StaticRuleset, SlidingWindow, LazySlidingWindow, AdaptiveSlidingWindow)
 ID_MAX = 2**31 - 1
 
@@ -77,6 +98,18 @@ def legacy_columns():
 
 def header_flags(path):
     return struct.unpack_from("<I", Path(path).read_bytes(), 12)[0]
+
+
+def segment_codecs(path):
+    """Each block's three segment codec bytes, of a version-2 store."""
+    data = Path(path).read_bytes()
+    index_offset = struct.unpack_from("<Q", data, len(data) - 32)[0]
+    codecs, offset = [], 32
+    while offset < index_offset:
+        word = struct.unpack_from("<I", data, offset + 4)[0]
+        codecs.append(tuple(word >> 8 * k & 0xFF for k in range(3)))
+        offset += 56 + sum(struct.unpack_from("<3Q", data, offset + 32))
+    return codecs
 
 
 def write(path, sources, repliers, *, block_size=100, codec=None, footer=True):
@@ -173,6 +206,73 @@ class TestLegacyBytes:
             )
             np.testing.assert_array_equal(keys, np.sort(pair_order))
         assert new[32 + 3 * block :] == legacy[32 + 3 * block :]
+
+
+class TestSortedZlibBytes:
+    """A zlib store written before key segments were histograms — its
+    key segments sorted keys under zlib — reads as it did."""
+
+    def test_serves_what_memory_gives(self):
+        path = DATA / SORTED_ZLIB
+        assert header_flags(path) == 2  # sorted keys
+        assert segment_codecs(path) == [(1, 1, 1)] * 3
+        memory = blocks_from_arrays(*legacy_columns(), block_size=100)
+        with TraceStoreReader(path) as reader:
+            assert reader.sorted_keys
+            assert reader.verify_blocks(strict=True) == 3
+            assert_serves(reader, memory)
+            for held, want in zip(reader.blocks(), memory):
+                np.testing.assert_array_equal(
+                    held.key_histogram()[1], want.key_histogram()[1]
+                )
+        with TraceStoreReader(path, verify=True) as reader:
+            assert reader.n_blocks == 3
+        assert_same_runs(path, memory)
+
+
+class TestHistogramSegment:
+    def test_a_zlib_store_writes_histograms(self, tmp_path, monkeypatch):
+        """Segment 2 of a fresh zlib store is codec 2, and a block's key
+        histogram reads neither column and counts nothing."""
+        path = write(tmp_path / "new.rptrace", *legacy_columns(), codec="zlib")
+        assert segment_codecs(path) == [(1, 1, 2)] * 3
+        calls, segments = [], []
+        real = blocks_module.count_keys
+        monkeypatch.setattr(
+            blocks_module, "count_keys", lambda keys: calls.append(1) or real(keys)
+        )
+        read_segment = TraceStoreReader._read_segment
+        monkeypatch.setattr(
+            TraceStoreReader,
+            "_read_segment",
+            lambda self, entry, segment, mapped=None: segments.append(segment)
+            or read_segment(self, entry, segment, mapped),
+        )
+        memory = blocks_from_arrays(*legacy_columns(), block_size=100)
+        with TraceStoreReader(path) as reader:
+            for block, want in zip(reader.iter_blocks(), memory):
+                keys, counts = block.key_histogram()
+                assert "_column_arrays" not in block.__dict__
+                for got, oracle in zip(
+                    (keys, counts), np.unique(want.packed_keys(), return_counts=True)
+                ):
+                    assert got.dtype == oracle.dtype and not got.flags.writeable
+                    np.testing.assert_array_equal(got, oracle)
+        assert calls == [] and segments == []
+
+    def test_a_histogram_that_does_not_shrink_is_stored_raw(self, tmp_path):
+        """A deflated histogram no smaller than the sorted keys — a
+        one-pair block's 16-byte row is — leaves the key segment raw."""
+        sources, repliers = legacy_columns()
+        path = write(
+            tmp_path / "t.rptrace", sources[:3], repliers[:3], block_size=1, codec="zlib"
+        )
+        assert [codecs[2] for codecs in segment_codecs(path)] == [0, 0, 0]
+        with TraceStoreReader(path) as reader:
+            assert reader.verify_blocks(strict=True) == 3
+            for block, (s, r) in zip(reader.iter_blocks(), zip(sources, repliers)):
+                keys, counts = block.key_histogram()
+                assert (keys.tolist(), counts.tolist()) == ([s << 32 | r], [1])
 
 
 @st.composite
