@@ -199,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("none", "zlib"),
         default="none",
         help="compress cold segments (zlib writes a v2 store: each column "
-        "deflated, each block's key segment as its deflated key histogram; "
-        "default: %(default)s)",
+        "deflated, each block's key segment as its key histogram in narrow "
+        "rows under a CRC-32; default: %(default)s)",
     )
     tracegen.add_argument(
         "--compress-level",

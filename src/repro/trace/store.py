@@ -46,9 +46,16 @@ Segment codecs:
   stores written before codec 2);
 * 2 — key segment only: one zlib stream of the block's key histogram,
   its d distinct sorted keys delta-coded (the first key, then each
-  key's step from the one before), then their d counts, all int64:
-  16 bytes a row, so a 10,000-pair block of ~2,500 distinct pairs
-  inflates to ~40 KB, not the 80 KB of its sorted keys.
+  key's step from the one before), then their d counts, all int64
+  (stores written before codec 3);
+* 3 — key segment only: the block's key histogram as narrow raw rows: a
+  u32 CRC-32 of the rest of the segment, three width bytes (1, 2 or 4;
+  for source steps, replier halves and counts), then three unsigned
+  planes of d rows each in that order — each row's source half minus the
+  previous row's (the first row's as it is), its replier half, its
+  count.  Nothing inflates: each plane is read in place, so a
+  10,000-pair block of ~2,500 distinct pairs reads ~14 KB, not the
+  ~40 KB a codec-2 segment inflates to.
 
 Compression is transparent on read, and block fingerprints are always
 computed over the *uncompressed* column bytes, so bit-identity checks
@@ -63,9 +70,9 @@ their fingerprint already known.  It does not cover the packed-key
 segment, so the writer derives that segment from the two columns it
 fingerprints, never from a block's memo, and sorts it.  A block's key
 histogram — all GENERATE-RULESET and RULESET-TEST read — is then one
-linear pass over the sorted segment, or the decode of a codec-2 one,
-with no column decode and no sort; either refuses a segment that cannot
-be its block's histogram of packed keys.  Verification
+linear pass over the sorted segment, or the decode of a codec-2 or
+codec-3 one, with no column decode and no sort; each refuses a segment
+that cannot be its block's histogram of packed keys.  Verification
 (:meth:`TraceStoreReader.verify_blocks`, ``verify=True`` and the
 footer-less scan) also requires the segment's histogram to equal the
 columns', so a store that verifies mines its columns' rules.  A store
@@ -96,6 +103,7 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 import weakref
 import zlib
 from dataclasses import dataclass
@@ -137,19 +145,28 @@ _N_SEGMENTS = 3
 #: per-segment codec ids (one byte each inside the block header's u32).
 _CODEC_RAW = 0
 _CODEC_ZLIB = 1
-#: the key segment (2) only: zlib of the block's key histogram.
-_CODEC_HISTOGRAM = 2
+#: the key segment (2) only: zlib of the block's key histogram (stores
+#: written before codec 3).
+_CODEC_DEFLATED_HISTOGRAM = 2
+#: the key segment (2) only: the block's key histogram as narrow rows.
+_CODEC_HISTOGRAM_ROWS = 3
 #: the codecs each segment may carry.
 _SEGMENT_CODECS = (
     (_CODEC_RAW, _CODEC_ZLIB),
     (_CODEC_RAW, _CODEC_ZLIB),
-    (_CODEC_RAW, _CODEC_ZLIB, _CODEC_HISTOGRAM),
+    (_CODEC_RAW, _CODEC_ZLIB, _CODEC_DEFLATED_HISTOGRAM, _CODEC_HISTOGRAM_ROWS),
 )
 
 _I8 = np.dtype("<i8")
 _ITEMSIZE = _I8.itemsize
-#: bytes per histogram row: a key's delta and its count.
+#: bytes per codec-2 row: a key's delta and its count.
 _ROW = 2 * _ITEMSIZE
+#: a codec-3 segment's head: a CRC-32 of the rest, then its plane widths.
+_ROWS_HEAD = struct.Struct("<I3B")
+#: each width a codec-3 plane may have, and its dtype.
+_PLANES = {width: np.dtype(f"<u{width}") for width in (1, 2, 4)}
+#: a version-2 block header with its stored segment lengths.
+_BLOCK_HEAD_V2 = _BLOCK_HEADER.size + 8 * _N_SEGMENTS
 
 
 class TraceStoreError(Exception):
@@ -205,20 +222,35 @@ def _sorted_key_histogram(
     return _read_only(distinct), _read_only(counts)
 
 
-def _histogram_bytes(keys: np.ndarray, counts: np.ndarray) -> bytes:
-    """A codec-2 key segment before deflation: ``keys`` delta-coded, then
-    ``counts``."""
-    rows = np.concatenate((np.diff(keys, prepend=0), counts))
-    return rows.astype(_I8, copy=False).tobytes()
+def _histogram_rows(keys: np.ndarray) -> bytes | None:
+    """Sorted ``keys``' codec-3 key segment; None when a count needs more
+    than 4 bytes."""
+    distinct, counts = _runs(keys)
+    planes = (
+        np.diff(blocks.key_sources(distinct), prepend=0),
+        blocks.key_repliers(distinct),
+        counts,
+    )
+    widths = [
+        next((w for w in _PLANES if int(plane.max()) < 1 << 8 * w), None)
+        for plane in planes
+    ]
+    if None in widths:
+        return None
+    body = bytes(widths) + b"".join(
+        plane.astype(_PLANES[w]).tobytes() for w, plane in zip(widths, planes)
+    )
+    return struct.pack("<I", zlib.crc32(body)) + body
 
 
 def _inflate(stored: bytes, limit: int, path: str) -> bytes:
     """The zlib stream ``stored``, refused unless it ends within ``limit``
     bytes; one byte past the limit is all it inflates, so a small segment
-    cannot make a huge allocation."""
+    cannot make a huge allocation.  A limit past what zlib can be asked
+    for (a hostile pair count) is cut to it."""
     inflate = zlib.decompressobj()
     try:
-        raw = inflate.decompress(stored, limit + 1)
+        raw = inflate.decompress(stored, min(limit, sys.maxsize - 1) + 1)
     except zlib.error as exc:
         raise TraceStoreCorruption(
             f"{path}: segment fails to decompress: {exc}"
@@ -234,24 +266,15 @@ def _increasing(values: np.ndarray) -> bool:
     return not np.less_equal(values[1:], values[:-1]).any()
 
 
-def _decode_histogram(
-    stored: bytes, n_pairs: int, path: str
+def _checked_histogram(
+    keys: np.ndarray, counts: np.ndarray, n_pairs: int, path: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A codec-2 key segment's ``(keys, counts)``, equal to
-    ``np.unique(keys, return_counts=True)`` of the block's packed keys —
-    after checking that it can be: whole rows, at most one per pair;
-    keys that strictly increase from a first key >= 0 (a step that wraps
-    int64 makes a key decrease); counts whose running sum strictly
-    increases from >= 1 to ``n_pairs`` (so each is >= 1 and none wraps
-    the sum); and every replier half below 2**31."""
-    raw = _inflate(stored, n_pairs * _ROW, path)
-    rows, partial = divmod(len(raw), _ROW)
-    if partial or not rows:
-        raise TraceStoreCorruption(
-            f"{path}: histogram segment of {len(raw)} bytes is not whole rows"
-        )
-    keys = np.cumsum(np.frombuffer(raw, dtype=_I8, count=rows))
-    counts = np.frombuffer(raw, dtype=_I8, offset=rows * _ITEMSIZE)
+    """A decoded histogram segment's ``(keys, counts)``, read-only, after
+    checking that they can be a block's histogram of packed keys: keys
+    that strictly increase from a first key >= 0, so every source half is
+    below 2**31; counts whose running sum strictly increases from >= 1 to
+    ``n_pairs`` (so each is >= 1 and none wraps the sum); and every
+    replier half below 2**31."""
     if keys[0] < 0 or not _increasing(keys):
         raise TraceStoreCorruption(
             f"{path}: histogram keys are not non-negative strictly increasing"
@@ -262,7 +285,74 @@ def _decode_histogram(
             f"{path}: histogram counts are not >= 1 summing to {n_pairs}"
         )
     _check_repliers(keys, path)
-    return _read_only(keys), counts
+    return _read_only(keys), _read_only(counts)
+
+
+def _decode_histogram(
+    stored: bytes, n_pairs: int, path: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """A codec-2 key segment's ``(keys, counts)``, equal to
+    ``np.unique(keys, return_counts=True)`` of the block's packed keys —
+    after checking that it inflates to whole rows, one to ``n_pairs`` of
+    them (a step that wraps int64 makes a key fall), and
+    :func:`_checked_histogram`."""
+    raw = _inflate(stored, n_pairs * _ROW, path)
+    rows, partial = divmod(len(raw), _ROW)
+    if partial or not rows:
+        raise TraceStoreCorruption(
+            f"{path}: histogram segment of {len(raw)} bytes is not whole rows"
+        )
+    keys = np.cumsum(np.frombuffer(raw, dtype=_I8, count=rows))
+    counts = np.frombuffer(raw, dtype=_I8, offset=rows * _ITEMSIZE)
+    return _checked_histogram(keys, counts, n_pairs, path)
+
+
+def _decode_histogram_rows(
+    stored: bytes, n_pairs: int, path: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """A codec-3 key segment's ``(keys, counts)``, equal to
+    ``np.unique(keys, return_counts=True)`` of the block's packed keys —
+    after checking its CRC-32, that each plane is 1, 2 or 4 bytes wide,
+    that its rows are whole and one to ``n_pairs`` of them, and
+    :func:`_checked_histogram`.  A source step is below 2**32, so sources
+    that pass 2**31 make a key negative or fall.  Nothing inflates: the
+    stored length bounds the work."""
+    if len(stored) < _ROWS_HEAD.size:
+        raise TraceStoreCorruption(
+            f"{path}: histogram segment of {len(stored)} bytes has no head"
+        )
+    crc, *widths = _ROWS_HEAD.unpack_from(stored)
+    if zlib.crc32(memoryview(stored)[4:]) != crc:
+        raise TraceStoreCorruption(f"{path}: histogram segment fails its CRC")
+    if any(width not in _PLANES for width in widths):
+        raise TraceStoreCorruption(
+            f"{path}: histogram plane widths {widths} are not 1, 2 or 4 bytes"
+        )
+    rows, partial = divmod(len(stored) - _ROWS_HEAD.size, sum(widths))
+    if partial:
+        raise TraceStoreCorruption(
+            f"{path}: histogram segment of {len(stored)} bytes is not whole rows"
+        )
+    if not 1 <= rows <= n_pairs:
+        raise TraceStoreCorruption(
+            f"{path}: histogram segment holds {rows} rows, not 1 to {n_pairs}"
+        )
+    planes, offset = [], _ROWS_HEAD.size
+    for width in widths:
+        planes.append(
+            np.frombuffer(stored, dtype=_PLANES[width], count=rows, offset=offset)
+        )
+        offset += rows * width
+    steps, repliers, counts = planes
+    keys = pack_keys(np.cumsum(steps, dtype=np.int64), repliers)
+    return _checked_histogram(keys, counts.astype(np.int64), n_pairs, path)
+
+
+#: the one decoder of each histogram codec of segment 2.
+_HISTOGRAM_DECODERS = {
+    _CODEC_DEFLATED_HISTOGRAM: _decode_histogram,
+    _CODEC_HISTOGRAM_ROWS: _decode_histogram_rows,
+}
 
 
 class TraceStoreWriter:
@@ -280,9 +370,9 @@ class TraceStoreWriter:
     ``codec="zlib"`` writes a version-2 store whose segments are
     individually compressed when that shrinks them (cold-segment
     compression for archival traces): each column as zlib, the key
-    segment as its block's deflated key histogram.  Fingerprints stay
-    over the uncompressed bytes, and each segment records its own codec
-    byte so readers never guess.  ``meta_fingerprint`` stamps a
+    segment as its block's key histogram in narrow rows (codec 3).
+    Fingerprints stay over the uncompressed bytes, and each segment
+    records its own codec byte so readers never guess.  ``meta_fingerprint`` stamps a
     caller-chosen 64-bit provenance tag (e.g. a config+seed+length hash — see
     :func:`repro.trace.cache.trace_fingerprint`) into the file header.
 
@@ -417,14 +507,17 @@ class TraceStoreWriter:
         else:
             codecs = 0
             payloads = []
-            # a segment is stored compressed only when that shrinks it:
-            # each column as zlib, the key segment as its histogram
-            plains = (segments[0], segments[1], _histogram_bytes(*_runs(keys)))
-            for k, (raw, plain) in enumerate(zip(segments, plains)):
-                compressed = zlib.compress(plain, self.compress_level)
-                if len(compressed) < len(raw):
-                    payloads.append(compressed)
-                    codecs |= (_CODEC_HISTOGRAM if k == 2 else _CODEC_ZLIB) << (8 * k)
+            # a segment is stored in its codec only when that shrinks it:
+            # each column as zlib, the key segment as its histogram's rows
+            encoded = (
+                (zlib.compress(segments[0], self.compress_level), _CODEC_ZLIB),
+                (zlib.compress(segments[1], self.compress_level), _CODEC_ZLIB),
+                (_histogram_rows(keys), _CODEC_HISTOGRAM_ROWS),
+            )
+            for k, (raw, (stored, codec)) in enumerate(zip(segments, encoded)):
+                if stored is not None and len(stored) < len(raw):
+                    payloads.append(stored)
+                    codecs |= codec << (8 * k)
                 else:
                     payloads.append(raw)  # incompressible: keep raw + memmap
             self._fh.write(
@@ -515,8 +608,8 @@ class _StoreBlock(PairBlock):
     Its fingerprint and id validation come from the store.  ``sources``,
     ``repliers`` and ``packed_keys()`` read the two columns when first
     asked for, and derive the keys then; ``key_histogram()`` reads the
-    key segment instead — the sorted keys or, codec 2, their histogram —
-    on a store that has one.  ``len()`` is the index entry's.  The block
+    key segment instead — the sorted keys or, codec 2 or 3, their
+    histogram — on a store that has one.  ``len()`` is the index entry's.  The block
     holds its reader, so the reader stays open while the block lives
     unless someone closes it.
     """
@@ -728,19 +821,34 @@ class TraceStoreReader:
             if end != index_offset:
                 return None
         else:
-            # Compressed blocks have data-dependent extents; bound-check
-            # the header area per block and rely on the index CRC plus
-            # per-block stored lengths for the rest.
-            previous = _HEADER.size
+            # v2 blocks tile it too, each ending where its header's stored
+            # lengths say, and each header counts its entry's pairs.  A
+            # header whose own fields fail (a stored length past the file,
+            # an unknown codec) places nothing: its block stays indexed
+            # and raises when read, as a corrupt segment does, and the
+            # next entry's offset is not checked.
+            layouts = {}
+            end = _HEADER.size
             for entry in entries:
-                if entry.offset < previous:
+                if end is not None and entry.offset != end:
                     return None
-                header_end = (
-                    entry.offset + _BLOCK_HEADER.size + 8 * _N_SEGMENTS
-                )
-                if header_end > index_offset:
+                head = self._block_head(entry.offset)
+                if len(head) < _BLOCK_HEAD_V2:
                     return None
-                previous = entry.offset + _BLOCK_HEADER.size
+                magic, _codecs, n_pairs, _fingerprint = _BLOCK_HEADER.unpack_from(head)
+                if magic != _BLOCK_MAGIC or n_pairs != entry.n_pairs:
+                    return None
+                try:
+                    layout = self._parse_layout(entry, head)
+                except TraceStoreCorruption:
+                    end = None
+                    continue
+                layouts[entry.offset] = layout
+                _codecs, lengths, payload = layout
+                end = payload + sum(lengths)
+            if end is not None and end != index_offset:
+                return None
+            self._layouts.update(layouts)
         return entries
 
     def _block_extent(self, n_pairs: int) -> int:
@@ -773,7 +881,7 @@ class TraceStoreReader:
                 lengths = struct.unpack(f"<{_N_SEGMENTS}Q", lengths_raw)
                 if any(length < 1 or length > self._size for length in lengths):
                     break
-                extent = _BLOCK_HEADER.size + 8 * _N_SEGMENTS + sum(lengths)
+                extent = _BLOCK_HEAD_V2 + sum(lengths)
             if offset + extent > self._size:
                 break  # torn tail: the block's columns never fully landed
             entry = _BlockEntry(offset, n_pairs, fingerprint)
@@ -857,28 +965,29 @@ class TraceStoreReader:
         start = offset // _ITEMSIZE
         return self._whole[start : start + n_items]
 
-    def _layout(
-        self, entry: _BlockEntry
+    def _block_head(self, offset: int) -> bytes:
+        """The version-2 block header at ``offset`` with its stored
+        lengths (short at the end of the file)."""
+        self._fh.seek(offset)
+        return self._fh.read(_BLOCK_HEAD_V2)
+
+    def _parse_layout(
+        self, entry: _BlockEntry, head: bytes
     ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """(per-segment codecs, stored lengths, payload offset) — v2 only,
-        checked against the index entry and the file."""
-        cached = self._layouts.get(entry.offset)
-        if cached is not None:
-            return cached
-        fh = self._fh
-        fh.seek(entry.offset)
-        raw = fh.read(_BLOCK_HEADER.size + 8 * _N_SEGMENTS)
-        if len(raw) < _BLOCK_HEADER.size + 8 * _N_SEGMENTS:
+        """(per-segment codecs, stored lengths, payload offset) of block
+        ``entry``'s header bytes ``head``, checked against the index entry
+        and the file."""
+        if len(head) < _BLOCK_HEAD_V2:
             raise TraceStoreCorruption(f"{self.path}: truncated block header")
-        magic, codecs_word, n_pairs, _fingerprint = _BLOCK_HEADER.unpack_from(raw)
+        magic, codecs_word, n_pairs, _fingerprint = _BLOCK_HEADER.unpack_from(head)
         if magic != _BLOCK_MAGIC or n_pairs != entry.n_pairs:
             raise TraceStoreCorruption(
                 f"{self.path}: block header at {entry.offset} disagrees with index"
             )
         lengths = struct.unpack_from(
-            f"<{_N_SEGMENTS}Q", raw, _BLOCK_HEADER.size
+            f"<{_N_SEGMENTS}Q", head, _BLOCK_HEADER.size
         )
-        payload = entry.offset + _BLOCK_HEADER.size + 8 * _N_SEGMENTS
+        payload = entry.offset + _BLOCK_HEAD_V2
         if min(lengths) < 1 or payload + sum(lengths) > self._size:
             raise TraceStoreCorruption(
                 f"{self.path}: block at {entry.offset} stores segment "
@@ -895,8 +1004,17 @@ class TraceStoreReader:
                 raise TraceStoreCorruption(
                     f"{self.path}: raw segment length {length} != {nbytes}"
                 )
-        layout = (codecs, lengths, payload)
-        self._layouts[entry.offset] = layout
+        return codecs, lengths, payload
+
+    def _layout(
+        self, entry: _BlockEntry
+    ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """:meth:`_parse_layout` of block ``entry`` — v2 only — parsed
+        once: at open for a footer's blocks, else on first use."""
+        layout = self._layouts.get(entry.offset)
+        if layout is None:
+            layout = self._parse_layout(entry, self._block_head(entry.offset))
+            self._layouts[entry.offset] = layout
         return layout
 
     def _read_segment(
@@ -943,11 +1061,10 @@ class TraceStoreReader:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Block ``entry``'s key histogram, off its key segment."""
         self._check_open()
-        if (
-            self.version == _VERSION_CODECS
-            and self._layout(entry)[0][2] == _CODEC_HISTOGRAM
-        ):
-            return _decode_histogram(self._stored(entry, 2), entry.n_pairs, self.path)
+        if self.version == _VERSION_CODECS:
+            decode = _HISTOGRAM_DECODERS.get(self._layout(entry)[0][2])
+            if decode is not None:
+                return decode(self._stored(entry, 2), entry.n_pairs, self.path)
         return _sorted_key_histogram(self._read_segment(entry, 2, mapped), self.path)
 
     def block(self, i: int) -> PairBlock:

@@ -1,10 +1,11 @@
 """Hostile bytes into the decoders behind a store of record.
 
 One seeded, structure-aware sweep per format — trace store v1 and v2 as
-written before key segments were sorted, and v2 as written before they
-were histograms (the committed bytes under ``tests/trace/data``), and as
-written now, with targeted edits of the sorted key segment and of the
-histogram segment that must each raise,
+written before key segments were sorted, v2 as written before they were
+histograms and before histograms were narrow rows (the committed bytes
+under ``tests/trace/data``), and as written now, with targeted edits of
+the sorted key segment and of both histogram segments (deflated, codec
+2, and narrow rows under a CRC, codec 3) that must each raise,
 pair WAL, snapshot (exact and lossy), the RDG1 rule digest, the
 Prometheus text a cluster collector scrapes, the query and reply TSV
 trace files of ``repro.trace.io``, one Gnutella descriptor
@@ -427,6 +428,12 @@ FORMATS = {
         _decode_trace,
         TraceStoreError,
     ),
+    "trace-v2-histogram": Format(
+        _legacy_trace("parent_v2_histogram.rptrace"),
+        _trace_fields(3),
+        _decode_trace,
+        TraceStoreError,
+    ),
     "wal": Format(_build_wal, _wal_fields, _decode_wal, WalError),
     "snapshot-exact": Format(
         _build_snapshot("exact"), _snapshot_fields, _decode_snapshot, SnapshotError
@@ -526,17 +533,44 @@ def _histogram_rows(*edits):
     return rows.astype("<i8").tobytes()
 
 
+def _narrow_rows(*edits, rows=100, widths=(1, 1, 1)):
+    """The one block's histogram as a codec-3 segment holds it after its
+    CRC — the three plane widths, then ``rows`` source steps, repliers
+    and counts — after each ``(plane, at, value)`` edit, where plane 0 is
+    the steps, 1 the repliers and 2 the counts."""
+    planes = [
+        np.diff(np.arange(rows, dtype=np.int64), prepend=0),
+        np.full(rows, 7, dtype=np.int64),
+        np.ones(rows, dtype=np.int64),
+    ]
+    for plane, at, value in edits:
+        planes[plane][at] = value
+    return bytes(widths) + b"".join(
+        plane.astype(f"<u{width}").tobytes() for width, plane in zip(widths, planes)
+    )
+
+
+def _with_crc(body):
+    """A codec-3 segment: ``body`` after its CRC-32."""
+    return struct.pack("<I", zlib.crc32(body)) + body
+
+
 def _one_block_store(tmp_path, key_segment, codec=1):
     """A v2 store of one 100-pair block whose key segment is replaced by
-    the zlib stream ``key_segment(plain)`` under segment codec ``codec``:
-    ``plain`` is the sorted keys for codec 1, the histogram rows for 2."""
+    ``key_segment(plain)`` under segment codec ``codec``: ``plain`` is
+    the sorted keys for codec 1, the histogram rows for 2 — each then a
+    zlib stream — and the narrow rows after their CRC for 3."""
     path = tmp_path / "one-block.rptrace"
     repliers = np.full(100, 7, dtype=np.int64)
     with TraceStoreWriter(path, block_size=100, codec="zlib") as writer:
         writer.append(np.arange(100, dtype=np.int64), repliers)
     data = path.read_bytes()
-    keys = _ONE_BLOCK_KEYS.astype("<i8").tobytes()
-    stream = key_segment(keys if codec == 1 else _histogram_rows())
+    plain = {
+        1: _ONE_BLOCK_KEYS.astype("<i8").tobytes(),
+        2: _histogram_rows(),
+        3: _narrow_rows(),
+    }[codec]
+    stream = key_segment(plain)
     # the block at offset 32: header, three segment lengths, segments
     codecs = struct.unpack_from("<I", data, 36)[0]
     lengths = struct.unpack_from("<3Q", data, 64)
@@ -662,6 +696,66 @@ def test_a_histogram_segment_edit_raises(tmp_path, edit):
         assert reader.verify_blocks() == 0
 
 
+def test_an_unedited_rows_segment_is_served(tmp_path):
+    """The codec-3 segment the edits below start from is the block's
+    histogram: read, it is the block's keys once each, and it verifies."""
+    data = _one_block_store(tmp_path, _with_crc, codec=3)
+    with TraceStoreReader(_write(tmp_path, data)) as reader:
+        keys, counts = reader.block(0).key_histogram()
+        np.testing.assert_array_equal(keys, _ONE_BLOCK_KEYS)
+        np.testing.assert_array_equal(counts, np.ones(100))
+        assert reader.verify_blocks(strict=True) == 1
+
+
+_ROWS = _narrow_rows()
+#: one hostile edit per check of the codec-3 decoder, and the message of
+#: the check that must refuse it; each but the flipped byte carries its
+#: own CRC, so the CRC check passes it on.
+_ROWS_EDITS = {
+    "width 0": (_with_crc(b"\x00" + _ROWS[1:]), "widths"),
+    "width 3": (_with_crc(_ROWS[:1] + b"\x03" + _ROWS[2:]), "widths"),
+    "width 8": (_with_crc(_ROWS[:2] + b"\x08" + _ROWS[3:]), "widths"),
+    "partial row": (_with_crc(_ROWS + b"\x00"), "not whole rows"),
+    "zero rows": (_with_crc(_ROWS[:3]), "holds 0 rows"),
+    "more rows than pairs": (_with_crc(_narrow_rows(rows=101)), "holds 101 rows"),
+    "source half 2**31": (
+        _with_crc(_narrow_rows((0, 99, 2**31 - 98), widths=(4, 1, 1))),
+        "keys are not",
+    ),
+    "replier half 2**31": (
+        _with_crc(_narrow_rows((1, 99, 2**31), widths=(1, 4, 1))),
+        "replier id",
+    ),
+    "repeated key": (_with_crc(_narrow_rows((0, 1, 0))), "keys are not"),
+    "falling replier": (
+        _with_crc(_narrow_rows((0, 1, 0), (1, 1, 6))),
+        "keys are not",
+    ),
+    "zero count": (_with_crc(_narrow_rows((2, 0, 0), (2, 1, 2))), "counts are not"),
+    "counts sum past the block": (
+        _with_crc(_narrow_rows((2, 0, 2))),
+        "counts are not",
+    ),
+    # row 50's replier 7 -> 6: a histogram every other check would serve
+    "flipped byte": (
+        _with_crc(_ROWS)[:4] + _ROWS[:153] + b"\x06" + _ROWS[154:],
+        "CRC",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_ROWS_EDITS))
+def test_a_rows_segment_edit_raises(tmp_path, edit):
+    """Every check of the codec-3 decoder refuses its edit with the typed
+    error, on a read and on verification."""
+    stored, message = _ROWS_EDITS[edit]
+    data = _one_block_store(tmp_path, lambda _rows: stored, codec=3)
+    with TraceStoreReader(_write(tmp_path, data)) as reader:
+        with pytest.raises(TraceStoreCorruption, match=message):
+            reader.block(0).key_histogram()
+        assert reader.verify_blocks() == 0
+
+
 def _recount(data, block, n_pairs):
     """``data`` with its footer saying block ``block`` holds ``n_pairs``
     pairs, the total and the index CRC rewritten to match."""
@@ -678,8 +772,8 @@ def _recount(data, block, n_pairs):
 
 @pytest.mark.parametrize(
     "codec, n_pairs",
-    [(None, 0), (None, 50), ("zlib", 0)],
-    ids=["v1-0", "v1-50", "v2-0"],
+    [(None, 0), (None, 50), ("zlib", 0), ("zlib", 50)],
+    ids=["v1-0", "v1-50", "v2-0", "v2-50"],
 )
 def test_a_footer_that_miscounts_a_block_is_not_trusted(tmp_path, codec, n_pairs):
     """A CRC-valid footer whose pair count for block 1 is not the block's
@@ -695,6 +789,39 @@ def test_a_footer_that_miscounts_a_block_is_not_trusted(tmp_path, codec, n_pairs
             np.testing.assert_array_equal(block.sources, sources)
             np.testing.assert_array_equal(block.repliers, repliers)
             assert block.key_histogram()[1].sum() == 100
+
+
+def _skip(data, block):
+    """``data`` with its footer's entry for block ``block`` left out, the
+    block count, total and index CRC rewritten to match."""
+    t = len(data) - 40
+    magic, index_offset, n_blocks, total, _crc, version = struct.unpack_from(
+        "<8sQQQII", data, t
+    )
+    index = bytearray(data[index_offset:t])
+    (n_pairs,) = struct.unpack_from("<Q", index, 32 * block + 8)
+    del index[32 * block : 32 * (block + 1)]
+    trailer = struct.pack(
+        "<8sQQQII",
+        magic,
+        index_offset,
+        n_blocks - 1,
+        total - n_pairs,
+        zlib.crc32(index),
+        version,
+    )
+    return data[:index_offset] + bytes(index) + trailer
+
+
+@pytest.mark.parametrize("codec", [None, "zlib"], ids=["v1", "v2"])
+def test_a_footer_that_skips_a_block_is_not_trusted(tmp_path, codec):
+    """A CRC-valid footer that leaves block 1 out does not tile the file,
+    so the verifying scan serves all three blocks."""
+    data = _skip(_build_trace(codec)(tmp_path), 1)
+    with TraceStoreReader(_write(tmp_path, data)) as reader:
+        assert reader.recovered
+        assert reader.block_pairs() == [100, 100, 100]
+        assert reader.verify_blocks(strict=True) == 3
 
 
 def _write(tmp_path, data):

@@ -1,11 +1,11 @@
 """A store block's key histogram, read off its key segment.
 
 A store holds each block's packed keys sorted (header flags bit 1) — a
-``codec="zlib"`` store holds their histogram instead (segment codec 2) —
-and a store block's ``key_histogram()`` is one checked pass over that
-segment, or one checked decode; a store written before holds them in
-pair order (bit 0) and is counted from its columns, like an in-memory
-block.  Here:
+``codec="zlib"`` store holds their histogram instead, as narrow rows
+(segment codec 3) — and a store block's ``key_histogram()`` is one
+checked pass over that segment, or one checked decode; a store written
+before holds them in pair order (bit 0) and is counted from its
+columns, like an in-memory block.  Here:
 
 * the committed ``data/parent_v1.rptrace`` / ``data/parent_v2_zlib.rptrace``
   (the 300 pairs of :func:`legacy_columns`, block 100, written raw and
@@ -14,11 +14,14 @@ block.  Here:
   strategies' runs and both ``StreamingRules`` runs; so does
   ``data/parent_v2_sorted_zlib.rptrace``, the same pairs written with
   ``codec="zlib"`` by the release before histogram segments, whose key
-  segments are sorted keys under zlib (codec 1);
-* a fresh ``codec="zlib"`` store writes segment 2 as codec 2, and a
+  segments are sorted keys under zlib (codec 1), and
+  ``data/parent_v2_histogram.rptrace``, written by the release before
+  narrow rows, whose key segments are deflated histograms (codec 2);
+* a fresh ``codec="zlib"`` store writes segment 2 as codec 3, and a
   block's ``key_histogram()`` reads no column;
 * on hypothesis-drawn columns — one distinct key, all keys distinct, a
-  1-pair block, a short tail block, ids 0 and 2**31 - 1; raw and zlib —
+  1-pair block, a short tail block, ids 0 and 2**31 - 1, ids on each
+  side of a plane width (255/256, 65,535/65,536); raw and zlib —
   a store block's histogram is ``np.unique``'s bit for bit, and the four
   strategies, ``ruleset_test_random_subset`` and a two-tier
   ``ruleset_test_fallback`` agree with the in-memory blocks;
@@ -28,9 +31,11 @@ block.  Here:
   :class:`TraceStoreError`.
 
 ``tests/test_decoder_wall.py`` edits the segment so that it cannot be
-sorted keys, or the histogram segment so that it cannot be a block's
+sorted keys, or either histogram segment so that it cannot be a block's
 histogram; every such edit must fail the read.  Mutants run in a
-scratch copy, and what fails on each:
+scratch copy, and what fails on each (``rows`` is
+``test_decoder_wall.py::test_a_rows_segment_edit_raises``, ``deflated``
+its ``test_a_histogram_segment_edit_raises``):
 
 * the key-segment comparison dropped from ``TraceStoreReader._intact``
   (verification checks the fingerprint only) —
@@ -40,17 +45,35 @@ scratch copy, and what fails on each:
 * segment 2 written from ``np.sort(block.packed_keys())`` instead of
   from the columns — ``test_store.py::TestPackedSegmentIgnored`` and
   ``TestIntegrity::test_a_forged_memo_never_reaches_the_segment``;
-* the running-sum order check dropped from the histogram decoder (counts
-  checked by their sum alone) —
-  ``test_decoder_wall.py::test_a_histogram_segment_edit_raises`` on
-  ``counts wrap to the block``, ``zero count`` and ``negative count``;
-* the keys' order check dropped from the histogram decoder —
-  ``test_a_histogram_segment_edit_raises`` on ``repeated key``,
-  ``falling key`` and ``key wraps int64``;
-* the writer's codec-2 branch writing byte 1 instead of 2 (a deflated
-  histogram read as sorted keys) —
-  ``TestHistogramSegment::test_a_zlib_store_writes_histograms`` and the
-  zlib half of ``TestHistogramDifferential``.
+* the CRC check dropped from the rows decoder — ``rows`` on ``flipped
+  byte``, and ``test_cli.py::TestTraceEvalCli`` on a corrupt segment
+  (``extra0``, ``extra1``);
+* its width check dropped — ``rows`` on ``width 0``, ``width 3`` and
+  ``width 8``; its whole-rows check — ``partial row``; its row-count
+  check — ``zero rows``, and ``more rows than pairs`` by its message
+  (the shared check refuses those counts too);
+* the shared check's key order dropped — ``deflated`` on ``repeated
+  key``, ``falling key`` and ``key wraps int64``, ``rows`` on ``repeated
+  key``, ``falling replier`` and ``source half 2**31``;
+* its replier check dropped — ``replier half 2**31`` of both;
+* its counts checked by their sum alone — ``deflated`` on ``counts wrap
+  to the block``, ``zero count`` and ``negative count``, ``rows`` on
+  ``zero count``; its whole counts check dropped — those and ``counts
+  sum past the block`` of both;
+* the writer's segment-2 codec byte 2 instead of 3 (rows read as a
+  deflated histogram) —
+  ``TestHistogramSegment::test_a_zlib_store_writes_histograms``, every
+  ``test_ids_and_counts_on_each_side_of_a_plane_width``, the zlib half
+  of ``TestHistogramDifferential`` and 12 more;
+* a v2 footer trusted for a block's pair count —
+  ``test_decoder_wall.py::test_a_footer_that_miscounts_a_block_is_not_trusted[v2-50]``;
+  for its blocks' places (no tiling) —
+  ``test_a_footer_that_skips_a_block_is_not_trusted[v2]``; a header
+  whose own fields fail sending the reader to the scan —
+  ``test_store.py::TestCompression::test_codec_byte_2_is_an_unknown_codec``
+  and ``test_stored_length_past_the_file_is_corruption``; the layouts
+  parsed at open not kept —
+  ``TestCompression::test_a_footer_store_reads_each_block_header_once``.
 """
 
 import gc
@@ -84,6 +107,8 @@ DATA = Path(__file__).parent / "data"
 LEGACY = ("parent_v1.rptrace", "parent_v2_zlib.rptrace")
 #: sorted key segments under zlib (segment codec 1), not histograms.
 SORTED_ZLIB = "parent_v2_sorted_zlib.rptrace"
+#: deflated key histograms (segment codec 2), not narrow rows.
+DEFLATED_HISTOGRAM = "parent_v2_histogram.rptrace"
 STRATEGIES = (StaticRuleset, SlidingWindow, LazySlidingWindow, AdaptiveSlidingWindow)
 ID_MAX = 2**31 - 1
 
@@ -110,6 +135,14 @@ def segment_codecs(path):
         codecs.append(tuple(word >> 8 * k & 0xFF for k in range(3)))
         offset += 56 + sum(struct.unpack_from("<3Q", data, offset + 32))
     return codecs
+
+
+def key_segment_widths(path):
+    """Block 0's three plane widths, of a codec-3 key segment."""
+    data = Path(path).read_bytes()
+    lengths = struct.unpack_from("<3Q", data, 64)
+    head = 88 + lengths[0] + lengths[1]
+    return tuple(data[head + 4 : head + 7])
 
 
 def write(path, sources, repliers, *, block_size=100, codec=None, footer=True):
@@ -210,12 +243,20 @@ class TestLegacyBytes:
 
 class TestSortedZlibBytes:
     """A zlib store written before key segments were histograms — its
-    key segments sorted keys under zlib — reads as it did."""
+    key segments sorted keys under zlib — reads as it did, and so does
+    one written before histograms were narrow rows."""
 
     def test_serves_what_memory_gives(self):
-        path = DATA / SORTED_ZLIB
+        self.assert_reads_as_written(SORTED_ZLIB, (1, 1, 1))
+
+    def test_a_deflated_histogram_store_serves_what_memory_gives(self):
+        self.assert_reads_as_written(DEFLATED_HISTOGRAM, (1, 1, 2))
+
+    @staticmethod
+    def assert_reads_as_written(name, codecs):
+        path = DATA / name
         assert header_flags(path) == 2  # sorted keys
-        assert segment_codecs(path) == [(1, 1, 1)] * 3
+        assert segment_codecs(path) == [codecs] * 3
         memory = blocks_from_arrays(*legacy_columns(), block_size=100)
         with TraceStoreReader(path) as reader:
             assert reader.sorted_keys
@@ -232,10 +273,10 @@ class TestSortedZlibBytes:
 
 class TestHistogramSegment:
     def test_a_zlib_store_writes_histograms(self, tmp_path, monkeypatch):
-        """Segment 2 of a fresh zlib store is codec 2, and a block's key
+        """Segment 2 of a fresh zlib store is codec 3, and a block's key
         histogram reads neither column and counts nothing."""
         path = write(tmp_path / "new.rptrace", *legacy_columns(), codec="zlib")
-        assert segment_codecs(path) == [(1, 1, 2)] * 3
+        assert segment_codecs(path) == [(1, 1, 3)] * 3
         calls, segments = [], []
         real = blocks_module.count_keys
         monkeypatch.setattr(
@@ -261,8 +302,9 @@ class TestHistogramSegment:
         assert calls == [] and segments == []
 
     def test_a_histogram_that_does_not_shrink_is_stored_raw(self, tmp_path):
-        """A deflated histogram no smaller than the sorted keys — a
-        one-pair block's 16-byte row is — leaves the key segment raw."""
+        """A histogram segment no smaller than the sorted keys — a
+        one-pair block's is, its CRC and widths alone 7 of the 8 bytes —
+        leaves the key segment raw."""
         sources, repliers = legacy_columns()
         path = write(
             tmp_path / "t.rptrace", sources[:3], repliers[:3], block_size=1, codec="zlib"
@@ -274,12 +316,48 @@ class TestHistogramSegment:
                 keys, counts = block.key_histogram()
                 assert (keys.tolist(), counts.tolist()) == ([s << 32 | r], [1])
 
+    @pytest.mark.parametrize(
+        "edge, widths",
+        [
+            (255, (1, 1, 1)),
+            (256, (2, 2, 2)),
+            (65_535, (2, 2, 2)),
+            (65_536, (4, 4, 4)),
+            (ID_MAX, (4, 4, 4)),
+        ],
+    )
+    def test_ids_and_counts_on_each_side_of_a_plane_width(
+        self, tmp_path, edge, widths
+    ):
+        """Ids 0 and ``edge``, and one key ``edge`` pairs deep (65,536
+        at most), are stored in planes no wider than they need and read
+        back as ``np.unique`` gives them."""
+        depth = min(edge, 65_536)
+        sources = np.array([0, 0, edge] + [edge] * depth)
+        repliers = np.array([0, edge, 0] + [edge] * depth)
+        order = np.random.default_rng(edge).permutation(len(sources))
+        sources, repliers = sources[order], repliers[order]
+        path = write(
+            tmp_path / "t.rptrace",
+            sources,
+            repliers,
+            block_size=len(sources),
+            codec="zlib",
+        )
+        assert segment_codecs(path) == [(1, 1, 3)]
+        assert key_segment_widths(path) == widths
+        memory = blocks_from_arrays(sources, repliers, block_size=len(sources))
+        with TraceStoreReader(path) as reader:
+            assert reader.verify_blocks(strict=True) == 1
+            assert_serves(reader, memory)
+
 
 @st.composite
 def traces(draw):
     """(sources, repliers, block_size) with the shapes a one-pass
     histogram can get wrong."""
-    kind = draw(st.sampled_from(["one key", "all distinct", "extreme ids", "mixed"]))
+    kinds = ["one key", "all distinct", "extreme ids", "width edges", "mixed"]
+    kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(1, 240))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "one key":
@@ -291,6 +369,10 @@ def traces(draw):
     elif kind == "extreme ids":
         sources = rng.choice([0, 1, ID_MAX - 1, ID_MAX], n)
         repliers = rng.choice([0, 1, ID_MAX - 1, ID_MAX], n)
+    elif kind == "width edges":
+        edges = [0, 1, 255, 256, 65_535, 65_536, ID_MAX]
+        sources = rng.choice(edges, n)
+        repliers = rng.choice(edges, n)
     else:
         sources = rng.integers(0, 6, n)
         repliers = 100 + (sources + rng.integers(0, 3, n)) % 5

@@ -441,6 +441,21 @@ class TestCompression:
             with pytest.raises(TraceStoreCorruption, match="unknown segment codec 2"):
                 reader.block(0)
 
+    def test_a_footer_store_reads_each_block_header_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Opening reads every block header of a footered zlib store;
+        reading its blocks afterwards reads none again."""
+        path = tmp_path / "z.rptrace"
+        make_store(path, n=500, block_size=100, codec="zlib")[0].close()
+        with TraceStoreReader(path) as reader:
+            monkeypatch.setattr(
+                TraceStoreReader, "_block_head", lambda *_: pytest.fail("re-read")
+            )
+            for block in reader.iter_blocks():
+                block.key_histogram(), block.sources, block.repliers
+            assert reader.verify_blocks(strict=True) == 5
+
     @pytest.mark.parametrize("length", [0, 2**62, 2**64 - 1])
     def test_stored_length_past_the_file_is_corruption(self, tmp_path, length):
         """The footer CRC does not cover block headers: a stored segment
