@@ -198,9 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--codec",
         choices=("none", "zlib"),
         default="none",
-        help="compress cold segments (zlib writes a v2 store: each column "
-        "deflated, each block's key segment as its key histogram in narrow "
-        "rows under a CRC-32; default: %(default)s)",
+        help="compress cold segments: zlib deflates each column where that "
+        "shrinks it; either way each block's key segment is its key "
+        "histogram in narrow rows under a CRC-32 (default: %(default)s)",
     )
     tracegen.add_argument(
         "--compress-level",

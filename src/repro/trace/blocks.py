@@ -67,8 +67,8 @@ def source_key_range(sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def count_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct ``keys`` and how often each occurs: an
-    in-memory block's histogram, or a store block's whose store predates
-    sorted key segments (resolved at call time so tests can count it)."""
+    in-memory block's histogram, or a store block's whose key segment is
+    a legacy form (resolved at call time so tests can count it)."""
     return np.unique(keys, return_counts=True)
 
 
@@ -172,9 +172,9 @@ class PairBlock:
 
         GENERATE-RULESET's support counts and RULESET-TEST's ``N``, ``n``
         and ``s`` are all sums over it, so a block that is tested and
-        then mined is sorted once.  A store block reads it off its
-        store's key segment instead (sorted keys, or the histogram
-        itself), reading neither column.
+        then mined is sorted once.  A store block decodes it from its
+        store's histogram-rows key segment instead, reading neither
+        column.
         """
         cached = self.__dict__.get("_key_histogram")
         if cached is None:

@@ -89,21 +89,25 @@ def _generate(config: MonitorTraceConfig, seed: int, n_pairs: int) -> PairArrays
 def _open_complete(path: str, stamp: int, n_pairs: int, block_size: int):
     """A reader on ``path`` if it is this spec's complete store, else None.
 
-    No file, bytes that are not a store, a footer-less (torn) store and
-    another spec's stamp are all misses to be rebuilt; an error opening
-    the file (permissions, descriptors) is the caller's to handle.
+    No file, bytes that are not a store, a footer-less (torn) store,
+    another spec's stamp and a store written before every key segment
+    was histogram rows (which would be counted from its columns on every
+    read) are all misses to be rebuilt; an error opening the file
+    (permissions, descriptors) is the caller's to handle.
     """
     try:
         reader = TraceStoreReader(path)
     except (FileNotFoundError, TraceStoreError):
         return None
-    if (
-        reader.meta_fingerprint == stamp
-        and not reader.recovered
-        and reader.n_pairs == n_pairs
-        and reader.block_size == block_size
-    ):
-        return reader
+    with contextlib.suppress(TraceStoreError):  # a header histogram_rows refuses
+        if (
+            reader.meta_fingerprint == stamp
+            and not reader.recovered
+            and reader.n_pairs == n_pairs
+            and reader.block_size == block_size
+            and reader.histogram_rows
+        ):
+            return reader
     reader.close()
     return None
 
@@ -165,13 +169,15 @@ def trace_blocks(
     Bit-identical to ``blocks_from_arrays`` over one
     ``generate_pair_arrays(n_pairs)`` call (a trailing partial block is
     dropped), but generated at most once per machine: the first call
-    for a spec writes it as a raw store under ``cache_dir`` (default:
-    :func:`default_trace_cache_dir`), every later call in any process
-    opens that file.  Blocks of the config's own size are zero-copy
-    views of one mapping with fingerprints pre-seeded from the file,
-    packed keys derived from the columns and key histograms read off
-    the sorted key segment when first asked for; another ``block_size``
-    re-cuts the same cached columns.  When the cache directory cannot
+    for a spec writes it as a store of raw columns under ``cache_dir``
+    (default: :func:`default_trace_cache_dir`), every later call in any
+    process opens that file, and a cache file written before every key
+    segment was histogram rows is written again.  Blocks of the config's
+    own size are zero-copy views of one mapping with fingerprints
+    pre-seeded from the file, packed keys derived from the columns and
+    key histograms decoded from their histogram-rows key segments when
+    first asked for; another ``block_size`` re-cuts the same cached
+    columns.  When the cache directory cannot
     be used the trace is generated in memory, with a warning.
     """
     if n_pairs < 0:

@@ -18,67 +18,51 @@ File layout (all integers little-endian)::
                      | block_size u64 | meta fingerprint u64
     block*           block header (32 B): magic "RPTB" | codecs u32
                      | n_pairs u64 | blake2b-128 fingerprint (16 B)
-                     version 2 only: one u64 stored length per segment
-                     followed by the column segments:
-                     sources  int64[n]
-                     repliers int64[n]
-                     packed   int64[n]   (source << 32) | replier keys,
-                                          sorted (flags bit 1); stores
-                                          written before hold them in
-                                          pair order (flags bit 0) — or,
-                                          version 2, the keys' histogram
+                     one u64 stored length per segment
+                     followed by the three segments:
+                     sources  int64[n], raw or zlib
+                     repliers int64[n], raw or zlib
+                     keys     the block's key histogram (codec 3)
     footer   index:  one 32 B entry per block
                      (block_offset u64 | n_pairs u64 | fingerprint 16 B)
              trailer (40 B): magic "RPTFOOT1" | index_offset u64
                      | n_blocks u64 | total_pairs u64
                      | index crc32 u32 | version u32
 
-Version 1 stores every segment raw (and keeps the layout of earlier
-releases: the codecs field is the old zero pad, the meta fingerprint the
-old reserved word).  Version 2 — written when the writer
-is given a ``codec`` — may compress cold segments: each segment carries
-its own codec byte (packed into the block header's ``codecs`` u32), and
-a segment is stored compressed only when that actually shrinks it.
-Segment codecs:
+The writer writes version 2 with header flags bit 1.  Each segment
+carries its own codec byte, packed into the block header's ``codecs``
+u32:
 
-* 0 — raw;
-* 1 — one zlib stream of the raw bytes (the columns; the key segment of
-  stores written before codec 2);
-* 2 — key segment only: one zlib stream of the block's key histogram,
-  its d distinct sorted keys delta-coded (the first key, then each
-  key's step from the one before), then their d counts, all int64
-  (stores written before codec 3);
-* 3 — key segment only: the block's key histogram as narrow raw rows: a
+* 0 — raw: a column, served as a zero-copy memmap;
+* 1 — one zlib stream of a column's raw bytes (``codec="zlib"``, when
+  that shrinks it), inflated on read;
+* 3 — the key segment: the block's key histogram as narrow raw rows: a
   u32 CRC-32 of the rest of the segment, three width bytes (1, 2 or 4;
   for source steps, replier halves and counts), then three unsigned
   planes of d rows each in that order — each row's source half minus the
   previous row's (the first row's as it is), its replier half, its
-  count.  Nothing inflates: each plane is read in place, so a
-  10,000-pair block of ~2,500 distinct pairs reads ~14 KB, not the
-  ~40 KB a codec-2 segment inflates to.
+  count.  Nothing inflates: each plane is read in place.
 
-Compression is transparent on read, and block fingerprints are always
-computed over the *uncompressed* column bytes, so bit-identity checks
-and torn-tail recovery are unchanged.  Raw segments are served as
-zero-copy memmaps in both versions; compressed segments decompress into
-ordinary arrays (the space/zero-copy trade-off is per segment).
+Legacy forms are counted from their columns.  Earlier releases wrote
+version 1 (every segment raw, no stored lengths, the codecs field zero)
+and version-2 key segments in codecs 0, 1 and 2; such a key segment is
+never read, and the block's histogram is counted from its two columns,
+as an in-memory block's is.
 
-The per-block fingerprint is :func:`repro.trace.blocks.column_digest`
-(blake2b-128 of the source, then replier, column bytes), whose hex is
-:meth:`PairBlock.fingerprint`, so store-resident blocks come back with
-their fingerprint already known.  It does not cover the packed-key
-segment, so the writer derives that segment from the two columns it
-fingerprints, never from a block's memo, and sorts it.  A block's key
+Block fingerprints are :func:`repro.trace.blocks.column_digest`
+(blake2b-128 of the *uncompressed* source, then replier, column bytes),
+whose hex is :meth:`PairBlock.fingerprint`, so store-resident blocks come
+back with their fingerprint already known.  The fingerprint does not
+cover the key segment, so the writer derives that segment from the two
+columns it fingerprints, never from a block's memo.  A block's key
 histogram — all GENERATE-RULESET and RULESET-TEST read — is then one
-linear pass over the sorted segment, or the decode of a codec-2 or
-codec-3 one, with no column decode and no sort; each refuses a segment
-that cannot be its block's histogram of packed keys.  Verification
-(:meth:`TraceStoreReader.verify_blocks`, ``verify=True`` and the
-footer-less scan) also requires the segment's histogram to equal the
-columns', so a store that verifies mines its columns' rules.  A store
-written before the segment was sorted (flags bit 0) is counted from its
-columns, as an in-memory block is; a header must set exactly one of the
-two bits.
+checked decode of the segment, with no column read and no sort; the
+decoder refuses a segment that cannot be its block's histogram of packed
+keys.  Verification (:meth:`TraceStoreReader.verify_blocks`,
+``verify=True`` and the footer-less scan) also requires a codec-3
+segment's histogram to equal the columns', so a store that verifies
+mines its columns' rules.  A header must set exactly one of flags bit 0
+(pair-order key segments, from releases before sorted ones) and bit 1.
 
 Durability mirrors the WAL torn-tail semantics of ``repro.persist``: the
 footer is written only on a clean :meth:`TraceStoreWriter.close`, and a
@@ -129,15 +113,15 @@ _TRAILER = struct.Struct("<8sQQQII")
 _MAGIC = b"RPTRACE1"
 _BLOCK_MAGIC = b"RPTB"
 _FOOTER_MAGIC = b"RPTFOOT1"
-#: version 1 — raw segments only; version 2 — per-segment codecs.
+#: version 1 — raw segments only (read only); version 2 — per-segment codecs.
 _VERSION_RAW = 1
 _VERSION_CODECS = 2
 _VERSIONS = (_VERSION_RAW, _VERSION_CODECS)
 
-#: flags bit 0 — each block's packed-key segment is in pair order
-#: (written by earlier releases; such a store is counted from its columns).
+#: flags bit 0 — each block's key segment is packed keys in pair order
+#: (written by earlier releases).
 _FLAG_PAIR_ORDER = 1
-#: flags bit 1 — each block's packed-key segment is sorted.
+#: flags bit 1 — each block's key segment is sorted keys or their histogram.
 _FLAG_SORTED = 2
 #: sources, repliers and packed keys.
 _N_SEGMENTS = 3
@@ -145,8 +129,8 @@ _N_SEGMENTS = 3
 #: per-segment codec ids (one byte each inside the block header's u32).
 _CODEC_RAW = 0
 _CODEC_ZLIB = 1
-#: the key segment (2) only: zlib of the block's key histogram (stores
-#: written before codec 3).
+#: the key segment (2) only: zlib of the block's key histogram, written
+#: by an earlier release; counted from the columns.
 _CODEC_DEFLATED_HISTOGRAM = 2
 #: the key segment (2) only: the block's key histogram as narrow rows.
 _CODEC_HISTOGRAM_ROWS = 3
@@ -159,14 +143,14 @@ _SEGMENT_CODECS = (
 
 _I8 = np.dtype("<i8")
 _ITEMSIZE = _I8.itemsize
-#: bytes per codec-2 row: a key's delta and its count.
-_ROW = 2 * _ITEMSIZE
 #: a codec-3 segment's head: a CRC-32 of the rest, then its plane widths.
 _ROWS_HEAD = struct.Struct("<I3B")
 #: each width a codec-3 plane may have, and its dtype.
 _PLANES = {width: np.dtype(f"<u{width}") for width in (1, 2, 4)}
 #: a version-2 block header with its stored segment lengths.
 _BLOCK_HEAD_V2 = _BLOCK_HEADER.size + 8 * _N_SEGMENTS
+#: the pairs a block may hold: fewer, so every codec-3 count fits 4 bytes.
+_MAX_BLOCK_PAIRS = 1 << 32
 
 
 class TraceStoreError(Exception):
@@ -199,32 +183,10 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[starts], np.diff(np.append(starts, len(keys)))
 
 
-def _check_repliers(keys: np.ndarray, path: str) -> None:
-    if (blocks.key_repliers(keys) >= ID_LIMIT).any():
-        raise TraceStoreCorruption(
-            f"{path}: packed-key segment holds a replier id >= 2**31"
-        )
-
-
-def _sorted_key_histogram(
-    keys: np.ndarray, path: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """The histogram of a sorted key segment — after checking that the
-    segment can be sorted packed keys: non-decreasing from a first key
-    >= 0, so every source half is below 2**31, and every replier half
-    below 2**31 too."""
-    if len(keys) and (keys[0] < 0 or np.less(keys[1:], keys[:-1]).any()):
-        raise TraceStoreCorruption(
-            f"{path}: packed-key segment is not non-negative sorted keys"
-        )
-    distinct, counts = _runs(keys)
-    _check_repliers(distinct, path)
-    return _read_only(distinct), _read_only(counts)
-
-
-def _histogram_rows(keys: np.ndarray) -> bytes | None:
-    """Sorted ``keys``' codec-3 key segment; None when a count needs more
-    than 4 bytes."""
+def _histogram_rows(keys: np.ndarray) -> bytes:
+    """Sorted ``keys``' codec-3 key segment, each plane as narrow as its
+    largest value allows: a source step and a replier half are below
+    2**31, and a count below :data:`_MAX_BLOCK_PAIRS`."""
     distinct, counts = _runs(keys)
     planes = (
         np.diff(blocks.key_sources(distinct), prepend=0),
@@ -232,11 +194,8 @@ def _histogram_rows(keys: np.ndarray) -> bytes | None:
         counts,
     )
     widths = [
-        next((w for w in _PLANES if int(plane.max()) < 1 << 8 * w), None)
-        for plane in planes
+        next(w for w in _PLANES if int(plane.max()) < 1 << 8 * w) for plane in planes
     ]
-    if None in widths:
-        return None
     body = bytes(widths) + b"".join(
         plane.astype(_PLANES[w]).tobytes() for w, plane in zip(widths, planes)
     )
@@ -284,27 +243,11 @@ def _checked_histogram(
         raise TraceStoreCorruption(
             f"{path}: histogram counts are not >= 1 summing to {n_pairs}"
         )
-    _check_repliers(keys, path)
-    return _read_only(keys), _read_only(counts)
-
-
-def _decode_histogram(
-    stored: bytes, n_pairs: int, path: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """A codec-2 key segment's ``(keys, counts)``, equal to
-    ``np.unique(keys, return_counts=True)`` of the block's packed keys —
-    after checking that it inflates to whole rows, one to ``n_pairs`` of
-    them (a step that wraps int64 makes a key fall), and
-    :func:`_checked_histogram`."""
-    raw = _inflate(stored, n_pairs * _ROW, path)
-    rows, partial = divmod(len(raw), _ROW)
-    if partial or not rows:
+    if (blocks.key_repliers(keys) >= ID_LIMIT).any():
         raise TraceStoreCorruption(
-            f"{path}: histogram segment of {len(raw)} bytes is not whole rows"
+            f"{path}: histogram segment holds a replier id >= 2**31"
         )
-    keys = np.cumsum(np.frombuffer(raw, dtype=_I8, count=rows))
-    counts = np.frombuffer(raw, dtype=_I8, offset=rows * _ITEMSIZE)
-    return _checked_histogram(keys, counts, n_pairs, path)
+    return _read_only(keys), _read_only(counts)
 
 
 def _decode_histogram_rows(
@@ -348,13 +291,6 @@ def _decode_histogram_rows(
     return _checked_histogram(keys, counts.astype(np.int64), n_pairs, path)
 
 
-#: the one decoder of each histogram codec of segment 2.
-_HISTOGRAM_DECODERS = {
-    _CODEC_DEFLATED_HISTOGRAM: _decode_histogram,
-    _CODEC_HISTOGRAM_ROWS: _decode_histogram_rows,
-}
-
-
 class TraceStoreWriter:
     """Append-only chunked writer of a trace store file.
 
@@ -365,16 +301,17 @@ class TraceStoreWriter:
     truncated.  ``append_block`` writes an already-built
     :class:`~repro.trace.blocks.PairBlock` directly, reusing its memoized
     fingerprint and id check.  Every block's key segment is packed from
-    its two columns and sorted as it is written, once per block.
+    its two columns and counted as it is written, once per block.
 
-    ``codec="zlib"`` writes a version-2 store whose segments are
-    individually compressed when that shrinks them (cold-segment
-    compression for archival traces): each column as zlib, the key
-    segment as its block's key histogram in narrow rows (codec 3).
-    Fingerprints stay over the uncompressed bytes, and each segment
-    records its own codec byte so readers never guess.  ``meta_fingerprint`` stamps a
-    caller-chosen 64-bit provenance tag (e.g. a config+seed+length hash — see
-    :func:`repro.trace.cache.trace_fingerprint`) into the file header.
+    Every block is written in version 2: its key segment as its key
+    histogram in narrow rows (codec 3), each column raw (codec 0) and, with
+    ``codec="zlib"``, deflated when that shrinks it (cold-segment
+    compression for archival traces).  Fingerprints stay over the
+    uncompressed bytes, and each segment records its own codec byte so
+    readers never guess.  A block holds fewer than 2**32 pairs, so every
+    count of its histogram fits 4 bytes.  ``meta_fingerprint`` stamps a
+    caller-chosen 64-bit provenance tag (e.g. a config+seed+length hash —
+    see :func:`repro.trace.cache.trace_fingerprint`) into the file header.
 
     The footer index lands only in :meth:`close`; a crash (or an
     exception inside the ``with`` block) leaves an append-only prefix
@@ -393,6 +330,8 @@ class TraceStoreWriter:
     ) -> None:
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
+        if block_size >= _MAX_BLOCK_PAIRS:
+            raise ValueError("block_size must be below 2**32")
         if codec not in (None, "zlib"):
             raise ValueError(f"unknown codec {codec!r} (supported: ['zlib'])")
         if not -1 <= int(compress_level) <= 9:
@@ -406,7 +345,6 @@ class TraceStoreWriter:
         self.codec = codec
         self.compress_level = int(compress_level)
         self.meta_fingerprint = int(meta_fingerprint)
-        self.version = _VERSION_CODECS if codec is not None else _VERSION_RAW
         self._entries: list[_BlockEntry] = []
         self._pending: list[np.ndarray] = []  # interleaved (src, rep) chunks
         self._pending_pairs = 0
@@ -415,7 +353,7 @@ class TraceStoreWriter:
         self._fh.write(
             _HEADER.pack(
                 _MAGIC,
-                self.version,
+                _VERSION_CODECS,
                 _FLAG_SORTED,
                 self.block_size,
                 self.meta_fingerprint,
@@ -460,6 +398,8 @@ class TraceStoreWriter:
             )
         if len(block) == 0:
             return
+        if len(block) >= _MAX_BLOCK_PAIRS:
+            raise ValueError("a block must hold fewer than 2**32 pairs")
         self._write_block(block)
 
     def _flush_block(self, n_pairs: int) -> None:
@@ -493,41 +433,24 @@ class TraceStoreWriter:
         keys = blocks.pack_keys(block.sources, block.repliers)
         keys.sort()
         fingerprint = bytes.fromhex(block.fingerprint())
-        segments = [
-            _column_bytes(block.sources),
-            _column_bytes(block.repliers),
-            _column_bytes(keys),
-        ]
-        if self.version == _VERSION_RAW:
-            self._fh.write(
-                _BLOCK_HEADER.pack(_BLOCK_MAGIC, 0, len(block), fingerprint)
-            )
-            for segment in segments:
-                self._fh.write(segment)
-        else:
-            codecs = 0
-            payloads = []
-            # a segment is stored in its codec only when that shrinks it:
-            # each column as zlib, the key segment as its histogram's rows
-            encoded = (
-                (zlib.compress(segments[0], self.compress_level), _CODEC_ZLIB),
-                (zlib.compress(segments[1], self.compress_level), _CODEC_ZLIB),
-                (_histogram_rows(keys), _CODEC_HISTOGRAM_ROWS),
-            )
-            for k, (raw, (stored, codec)) in enumerate(zip(segments, encoded)):
-                if stored is not None and len(stored) < len(raw):
-                    payloads.append(stored)
-                    codecs |= codec << (8 * k)
-                else:
-                    payloads.append(raw)  # incompressible: keep raw + memmap
-            self._fh.write(
-                _BLOCK_HEADER.pack(_BLOCK_MAGIC, codecs, len(block), fingerprint)
-            )
-            self._fh.write(
-                struct.pack(f"<{len(payloads)}Q", *(len(p) for p in payloads))
-            )
-            for payload in payloads:
-                self._fh.write(payload)
+        codecs = _CODEC_HISTOGRAM_ROWS << 16
+        payloads = []
+        for k, column in enumerate((block.sources, block.repliers)):
+            payload = _column_bytes(column)
+            if self.codec is not None:
+                # deflated only when that shrinks it: else raw + memmap
+                deflated = zlib.compress(payload, self.compress_level)
+                if len(deflated) < len(payload):
+                    payload = deflated
+                    codecs |= _CODEC_ZLIB << (8 * k)
+            payloads.append(payload)
+        payloads.append(_histogram_rows(keys))
+        self._fh.write(
+            _BLOCK_HEADER.pack(_BLOCK_MAGIC, codecs, len(block), fingerprint)
+        )
+        self._fh.write(struct.pack(f"<{_N_SEGMENTS}Q", *map(len, payloads)))
+        for payload in payloads:
+            self._fh.write(payload)
         self._entries.append(_BlockEntry(offset, len(block), fingerprint))
 
     # -- lifecycle ----------------------------------------------------------
@@ -570,7 +493,7 @@ class TraceStoreWriter:
                 len(self._entries),
                 self.n_pairs,
                 zlib.crc32(index),
-                self.version,
+                _VERSION_CODECS,
             )
         )
         self._fh.flush()
@@ -607,9 +530,9 @@ class _StoreBlock(PairBlock):
 
     Its fingerprint and id validation come from the store.  ``sources``,
     ``repliers`` and ``packed_keys()`` read the two columns when first
-    asked for, and derive the keys then; ``key_histogram()`` reads the
-    key segment instead — the sorted keys or, codec 2 or 3, their
-    histogram — on a store that has one.  ``len()`` is the index entry's.  The block
+    asked for, and derive the keys then; ``key_histogram()`` decodes the
+    codec-3 key segment instead, or counts the columns' keys when the
+    segment is a legacy form.  ``len()`` is the index entry's.  The block
     holds its reader, so the reader stays open while the block lives
     unless someone closes it.
     """
@@ -657,12 +580,10 @@ class _StoreBlock(PairBlock):
         return super().packed_keys()
 
     def key_histogram(self) -> tuple[np.ndarray, np.ndarray]:
-        if "_key_histogram" not in self.__dict__ and self._reader.sorted_keys:
-            object.__setattr__(
-                self,
-                "_key_histogram",
-                self._reader._key_histogram(self._entry, self._mapped),
-            )
+        if "_key_histogram" not in self.__dict__:
+            histogram = self._reader._key_histogram(self._entry)
+            if histogram is not None:
+                object.__setattr__(self, "_key_histogram", histogram)
         return super().key_histogram()
 
 
@@ -674,8 +595,8 @@ class TraceStoreReader:
     maps only that segment's byte range, so iterating a 10GB store keeps
     O(block_size) pages resident — each block's mappings are released as
     soon as the consumer drops the block.  A block's key histogram comes
-    off its key segment, so mining and testing a block read neither
-    column.
+    off its codec-3 key segment, so mining and testing a block read
+    neither column; a legacy block's is counted from its columns.
 
     Opening prefers the footer index (O(1), trusted after its CRC
     check).  A missing or corrupt footer triggers a header scan that
@@ -724,9 +645,6 @@ class TraceStoreReader:
             raise TraceStoreError(
                 f"{self.path}: packed-key segments flagged both pair-order and sorted"
             )
-        #: whether each block's key segment is sorted, so that its key
-        #: histogram is read off it instead of counted from its columns.
-        self.sorted_keys = order == _FLAG_SORTED
         self.version = int(version)
         self.block_size = int(block_size)
         self.meta_fingerprint = int(meta)
@@ -892,17 +810,19 @@ class TraceStoreReader:
         return entries
 
     def _intact(self, entry: _BlockEntry) -> bool:
-        """Whether block ``entry``'s columns match its fingerprint and, on
-        a sorted-key store, its key segment's histogram is theirs — so
-        every rule mined off a block that passes is its columns' rule."""
+        """Whether block ``entry``'s columns match its fingerprint and a
+        codec-3 key segment's histogram is theirs — so every rule mined
+        off a block that passes is its columns' rule.  A legacy key
+        segment is never read, so only the columns are checked."""
         try:
             sources, repliers = self._read_columns(entry)
             if column_digest(sources, repliers) != entry.fingerprint:
                 return False
-            if not self.sorted_keys:
+            histogram = self._key_histogram(entry)
+            if histogram is None:
                 return True
             want = _runs(np.sort(pack_keys(sources, repliers)))
-            return all(map(np.array_equal, self._key_histogram(entry), want))
+            return all(map(np.array_equal, histogram, want))
         except TraceStoreCorruption:
             return False  # garbage where a compressed segment should be
 
@@ -939,13 +859,13 @@ class TraceStoreReader:
             )
         return self._entries[i]
 
-    def _memmap(self, offset: int, n_items: int) -> np.ndarray:
-        """One tracked read-only memmap covering ``n_items`` int64s."""
+    def _memmap(self, offset: int, n_items: int, dtype=_I8) -> np.ndarray:
+        """One tracked read-only memmap covering ``n_items`` of ``dtype``."""
         # Mapped through the reader's own handle, so a block that reads a
         # segment late still reads this file, whatever has since been
         # renamed over or deleted from its path.
         mapped = np.memmap(
-            self._fh, dtype=_I8, mode="r", offset=offset, shape=(n_items,)
+            self._fh, dtype=dtype, mode="r", offset=offset, shape=(n_items,)
         )
         # np.memmap keeps the underlying mmap (and its dup'd fd) on the
         # array; track it weakly so close() can release still-live
@@ -954,16 +874,12 @@ class TraceStoreReader:
         return mapped
 
     def _shared_view(self, offset: int, n_items: int) -> np.ndarray:
-        """``n_items`` int64s at ``offset`` as a slice of one mapping of
-        the whole file — every version-1 segment starts on an 8-byte
-        boundary; a version-2 raw segment behind a compressed one may
-        not, and is mapped on its own."""
-        if offset % _ITEMSIZE:
-            return self._memmap(offset, n_items)
+        """``n_items`` int64s at ``offset`` as a slice of one byte mapping
+        of the whole file, viewed as int64 — a raw segment behind a
+        codec-3 or compressed one need not start on an 8-byte boundary."""
         if self._whole is None:
-            self._whole = self._memmap(0, self._size // _ITEMSIZE)
-        start = offset // _ITEMSIZE
-        return self._whole[start : start + n_items]
+            self._whole = self._memmap(0, self._size, np.uint8)
+        return self._whole[offset : offset + n_items * _ITEMSIZE].view(_I8)
 
     def _block_head(self, offset: int) -> bytes:
         """The version-2 block header at ``offset`` with its stored
@@ -1020,7 +936,7 @@ class TraceStoreReader:
     def _read_segment(
         self, entry: _BlockEntry, segment: int, mapped=None
     ) -> np.ndarray:
-        """One segment of a block, decompressing when needed.
+        """One column (segment 0 or 1) of a block, inflating when needed.
 
         ``mapped(offset, n_items)`` serves raw segments: a mapping of
         the segment alone (:meth:`_memmap`, the default) or
@@ -1056,16 +972,30 @@ class TraceStoreReader:
             self._read_segment(entry, 1, mapped),
         )
 
+    def _has_rows(self, entry: _BlockEntry) -> bool:
+        """Whether block ``entry``'s key segment is codec 3."""
+        return (
+            self.version == _VERSION_CODECS
+            and self._layout(entry)[0][2] == _CODEC_HISTOGRAM_ROWS
+        )
+
+    @property
+    def histogram_rows(self) -> bool:
+        """Whether this is a version-2 store whose every key segment is
+        codec 3, so that no block's histogram is counted from its columns."""
+        return self.version == _VERSION_CODECS and all(
+            map(self._has_rows, self._entries)
+        )
+
     def _key_histogram(
-        self, entry: _BlockEntry, mapped=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Block ``entry``'s key histogram, off its key segment."""
+        self, entry: _BlockEntry
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Block ``entry``'s key histogram off its codec-3 key segment;
+        None for a legacy key segment, which is never read."""
         self._check_open()
-        if self.version == _VERSION_CODECS:
-            decode = _HISTOGRAM_DECODERS.get(self._layout(entry)[0][2])
-            if decode is not None:
-                return decode(self._stored(entry, 2), entry.n_pairs, self.path)
-        return _sorted_key_histogram(self._read_segment(entry, 2, mapped), self.path)
+        if not self._has_rows(entry):
+            return None
+        return _decode_histogram_rows(self._stored(entry, 2), entry.n_pairs, self.path)
 
     def block(self, i: int) -> PairBlock:
         """Block ``i`` (``0 <= i < n_blocks``, else :class:`IndexError`).
@@ -1089,8 +1019,8 @@ class TraceStoreReader:
         each segment on its own so a streamed pass gives pages back as
         it drops blocks, but a mapping holds a descriptor: the paper's
         365 blocks kept that way are 1,100 of them, past the usual
-        limit of 1,024.  Here raw segments are slices of one int64
-        mapping, made now; compressed ones decompress as in
+        limit of 1,024.  Here raw segments are slices of one mapping,
+        made now; compressed ones decompress as in
         :meth:`block`.  A block's key histogram is still read when
         first asked for.
         """
@@ -1114,8 +1044,8 @@ class TraceStoreReader:
     def verify_blocks(self, *, strict: bool = False) -> int:
         """Re-check every visible block; returns how many are intact.
 
-        A block is intact when its columns match its fingerprint and,
-        on a sorted-key store, its key segment's histogram is theirs.
+        A block is intact when its columns match its fingerprint and a
+        codec-3 key segment's histogram is theirs.
         Stops counting at the first block that is not (the store is
         usable up to — not including — that block).  ``strict=True``
         raises :class:`TraceStoreCorruption` instead of returning a

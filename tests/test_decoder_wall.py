@@ -1,12 +1,14 @@
 """Hostile bytes into the decoders behind a store of record.
 
 One seeded, structure-aware sweep per format — trace store v1 and v2 as
-written before key segments were sorted, v2 as written before they were
-histograms and before histograms were narrow rows (the committed bytes
-under ``tests/trace/data``), and as written now, with targeted edits of
-the sorted key segment and of both histogram segments (deflated, codec
-2, and narrow rows under a CRC, codec 3) that must each raise,
-pair WAL, snapshot (exact and lossy), the RDG1 rule digest, the
+written before key segments were sorted, v1 as written before every
+store held histograms, v2 as written before they were histograms and
+before histograms were narrow rows (the committed bytes under
+``tests/trace/data``), and v2 raw and zlib as written now, with targeted
+edits of the narrow-rows histogram segment (codec 3, under a CRC) that
+must each raise, and hostile legacy key segments (raw sorted keys, zlib
+keys, deflated histograms) that must each be counted from the columns,
+never read, pair WAL, snapshot (exact and lossy), the RDG1 rule digest, the
 Prometheus text a cluster collector scrapes, the query and reply TSV
 trace files of ``repro.trace.io``, one Gnutella descriptor
 (``decode_message``) and a run of them through the live servent's
@@ -34,6 +36,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
+from repro.core.strategies import (
+    AdaptiveSlidingWindow,
+    LazySlidingWindow,
+    SlidingWindow,
+    StaticRuleset,
+)
 from repro.core.streaming import StreamingRules
 from repro.live.framing import StreamDecoder
 from repro.network.hier.digest import (
@@ -69,6 +77,7 @@ from repro.trace.io import (
     write_queries,
     write_replies,
 )
+from repro.trace.blocks import PairBlock
 from repro.trace.records import QueryRecord, ReplyRecord
 from repro.trace.store import (
     TraceStoreCorruption,
@@ -117,14 +126,18 @@ def _legacy_trace(name):
     return lambda _tmp_path: (_LEGACY / name).read_bytes()
 
 
-#: block 0's key segment in a raw store of 100-pair blocks: after the
-#: file header, the block header and the two columns.
+#: a version-1 store of 100-pair blocks with raw sorted key segments.
+_V1_SORTED = _legacy_trace("parent_v1_sorted.rptrace")
+#: block 0's key segment in a version-1 store of 100-pair blocks: after
+#: the file header, the block header and the two columns.
 _KEYS_AT = 32 + 32 + 2 * 100 * 8
 
 
 def _key_segment_edits(data):
-    """Edits that leave block 0's key segment no valid sorted keys, and
-    header flags that name neither or both segment orders."""
+    """Edits of a version-1 store that leave block 0's key segment no
+    valid sorted keys — never read, so the block is counted from its
+    columns — and header flags that name neither or both segment
+    orders."""
     keys = np.frombuffer(data, dtype="<i8", count=100, offset=_KEYS_AT).copy()
     swapped = keys.copy()
     swapped[[0, -1]] = swapped[[-1, 0]]
@@ -413,11 +426,14 @@ FORMATS = {
         TraceStoreError,
     ),
     "trace-v1-sorted": Format(
-        _build_trace(None),
+        _V1_SORTED,
         _trace_fields(0),
         _decode_trace,
         TraceStoreError,
         _key_segment_edits,
+    ),
+    "trace-v2-raw": Format(
+        _build_trace(None), _trace_fields(3), _decode_trace, TraceStoreError
     ),
     "trace-v2-sorted": Format(
         _build_trace("zlib"), _trace_fields(3), _decode_trace, TraceStoreError
@@ -494,15 +510,11 @@ def test_every_mutation_decodes_or_raises_the_typed_error(tmp_path, name):
     assert not escapes, "\n".join(escapes)
 
 
-@pytest.mark.parametrize(
-    "edit",
-    ["swapped", "negative first key", "replier half 2**31", "flags 0", "flags 3"],
-)
+@pytest.mark.parametrize("edit", ["flags 0", "flags 3"])
 def test_key_segment_edits_raise(tmp_path, edit):
-    """Each edit of a sorted-key store is refused with the typed error,
-    never served: a segment that is not sorted, in-range packed keys
-    cannot be a block's histogram."""
-    data = _build_trace(None)(tmp_path)
+    """A header that names neither or both key-segment orders is refused
+    with the typed error, never served."""
+    data = _V1_SORTED(tmp_path)
     (mutated,) = [out for label, out in _key_segment_edits(data) if label == edit]
     with pytest.raises(TraceStoreError):
         _decode_trace(_write(tmp_path, mutated))
@@ -521,10 +533,10 @@ _ONE_BLOCK_KEYS = np.arange(100, dtype=np.int64) << 32 | 7
 
 
 def _histogram_rows(*edits):
-    """The one block's histogram as a codec-2 segment holds it before
-    deflation — each key's step from the one before, then each key's
-    count — after each ``(column, at, value)`` edit, where column 0 is
-    the steps and 1 the counts."""
+    """The one block's histogram as a legacy codec-2 segment holds it
+    before deflation — each key's step from the one before, then each
+    key's count — after each ``(column, at, value)`` edit, where column 0
+    is the steps and 1 the counts."""
     rows = np.concatenate(
         (np.diff(_ONE_BLOCK_KEYS, prepend=0), np.ones(100, dtype=np.int64))
     )
@@ -555,15 +567,19 @@ def _with_crc(body):
     return struct.pack("<I", zlib.crc32(body)) + body
 
 
-def _one_block_store(tmp_path, key_segment, codec=1):
-    """A v2 store of one 100-pair block whose key segment is replaced by
-    ``key_segment(plain)`` under segment codec ``codec``: ``plain`` is
-    the sorted keys for codec 1, the histogram rows for 2 — each then a
-    zlib stream — and the narrow rows after their CRC for 3."""
+def _one_block_store(tmp_path, key_segment, codec=1, n_blocks=1):
+    """A zlib store of ``n_blocks`` 100-pair blocks, each sources 0..99
+    to replier 7, whose block 0 key segment is replaced by
+    ``key_segment(plain)`` under segment codec ``codec``: ``plain`` is the
+    sorted keys for codec 1, the histogram rows for 2 — each then a zlib
+    stream, as earlier releases wrote — and the narrow rows after their
+    CRC for 3."""
     path = tmp_path / "one-block.rptrace"
-    repliers = np.full(100, 7, dtype=np.int64)
     with TraceStoreWriter(path, block_size=100, codec="zlib") as writer:
-        writer.append(np.arange(100, dtype=np.int64), repliers)
+        writer.append(
+            np.tile(np.arange(100, dtype=np.int64), n_blocks),
+            np.full(100 * n_blocks, 7, dtype=np.int64),
+        )
     data = path.read_bytes()
     plain = {
         1: _ONE_BLOCK_KEYS.astype("<i8").tobytes(),
@@ -571,102 +587,26 @@ def _one_block_store(tmp_path, key_segment, codec=1):
         3: _narrow_rows(),
     }[codec]
     stream = key_segment(plain)
-    # the block at offset 32: header, three segment lengths, segments
+    # the block at offset 32: header, three segment lengths, segments;
+    # every later block, the index and the trailer move by the change
     codecs = struct.unpack_from("<I", data, 36)[0]
     lengths = struct.unpack_from("<3Q", data, 64)
-    index_offset = struct.unpack_from("<Q", data, len(data) - 32)[0]
-    out = bytearray(data[: 88 + lengths[0] + lengths[1]])
+    keys_at = 88 + lengths[0] + lengths[1]
+    shift = len(stream) - lengths[2]
+    out = bytearray(data[:keys_at] + stream + data[keys_at + lengths[2] :])
     struct.pack_into("<I", out, 36, codecs & ~(0xFF << 16) | codec << 16)
     struct.pack_into("<Q", out, 80, len(stream))
-    trailer = bytearray(data[-40:])
-    struct.pack_into("<Q", trailer, 8, len(out) + len(stream))
-    return bytes(out + stream + data[index_offset:-40] + trailer)
+    t = len(out) - 40
+    index_offset = struct.unpack_from("<Q", out, t + 8)[0] + shift
+    for at in range(index_offset + 32, t, 32):
+        struct.pack_into("<Q", out, at, struct.unpack_from("<Q", out, at)[0] + shift)
+    struct.pack_into("<Q", out, t + 8, index_offset)
+    struct.pack_into("<I", out, t + 32, zlib.crc32(out[index_offset:t]))
+    return bytes(out)
 
 
-def test_a_zlib_bomb_key_segment_raises_in_bounded_memory(tmp_path):
-    """A v2 block whose key segment inflates to 64 MiB of zeros is refused
-    with the typed error, having inflated little more than the block's
-    800 bytes."""
-    bomb = _zlib_bomb(64 << 20)
-    assert len(bomb) < 100_000
-    data = _one_block_store(tmp_path, lambda _keys: bomb)
-    tracemalloc.start()
-    try:
-        with TraceStoreReader(_write(tmp_path, data)) as reader:
-            with pytest.raises(TraceStoreCorruption):
-                reader.block(0).key_histogram()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 << 20
-
-
-@pytest.mark.parametrize(
-    "key_segment, served",
-    [
-        (zlib.compress, True),
-        (lambda keys: zlib.compress(keys)[:-4], False),  # no end: checksum cut
-        (lambda keys: zlib.compress(keys[:-8]), False),  # ends a key short
-        (lambda keys: zlib.compress(keys + keys[-8:]), False),  # a key long
-    ],
-    ids=["whole", "cut-before-its-end", "short", "long"],
-)
-def test_a_key_segment_is_served_only_if_its_stream_ends_at_the_block(
-    tmp_path, key_segment, served
-):
-    data = _one_block_store(tmp_path, key_segment)
-    with TraceStoreReader(_write(tmp_path, data)) as reader:
-        if served:
-            keys, counts = reader.block(0).key_histogram()
-            assert len(keys) == 100 and counts.sum() == 100
-        else:
-            with pytest.raises(TraceStoreCorruption):
-                reader.block(0).key_histogram()
-
-
-def test_a_zlib_bomb_histogram_segment_raises_in_bounded_memory(tmp_path):
-    """The same bomb as a codec-2 key segment: inflated no further than
-    the 1,600 bytes of one row per pair, plus one."""
-    bomb = _zlib_bomb(64 << 20)
-    data = _one_block_store(tmp_path, lambda _rows: bomb, codec=2)
-    tracemalloc.start()
-    try:
-        with TraceStoreReader(_write(tmp_path, data)) as reader:
-            with pytest.raises(TraceStoreCorruption):
-                reader.block(0).key_histogram()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 << 20
-
-
-@pytest.mark.parametrize(
-    "key_segment, served",
-    [
-        (zlib.compress, True),
-        (lambda rows: zlib.compress(rows)[:-4], False),  # no end: checksum cut
-        (lambda rows: zlib.compress(rows[:-8]), False),  # half a row short
-        (lambda rows: zlib.compress(rows + rows[-16:]), False),  # a row long
-    ],
-    ids=["whole", "cut-before-its-end", "short", "long"],
-)
-def test_a_histogram_segment_is_served_only_if_its_stream_ends_at_the_block(
-    tmp_path, key_segment, served
-):
-    data = _one_block_store(tmp_path, key_segment, codec=2)
-    with TraceStoreReader(_write(tmp_path, data)) as reader:
-        if served:
-            keys, counts = reader.block(0).key_histogram()
-            np.testing.assert_array_equal(keys, _ONE_BLOCK_KEYS)
-            assert counts.sum() == 100
-            assert reader.verify_blocks(strict=True) == 1
-        else:
-            with pytest.raises(TraceStoreCorruption):
-                reader.block(0).key_histogram()
-
-
-#: one hostile edit per check of the histogram decoder, each a stream
-#: that inflates and ends within the block's bound.
+#: one hostile edit per check the deleted codec-2 decoder made, each a
+#: stream that inflates and ends within the block's bound.
 _HISTOGRAM_EDITS = {
     "no rows": b"",
     "negative first key": _histogram_rows((0, 0, -1)),
@@ -684,16 +624,79 @@ _HISTOGRAM_EDITS = {
 }
 
 
-@pytest.mark.parametrize("edit", sorted(_HISTOGRAM_EDITS))
-def test_a_histogram_segment_edit_raises(tmp_path, edit):
-    """Every check of the codec-2 decoder refuses its edit with the typed
-    error, on a read and on verification."""
-    rows = _HISTOGRAM_EDITS[edit]
-    data = _one_block_store(tmp_path, lambda _rows: zlib.compress(rows), codec=2)
-    with TraceStoreReader(_write(tmp_path, data)) as reader:
-        with pytest.raises(TraceStoreCorruption):
-            reader.block(0).key_histogram()
-        assert reader.verify_blocks() == 0
+def _legacy_segment(codec, key_segment):
+    return lambda tmp_path: _one_block_store(tmp_path, key_segment, codec, n_blocks=2)
+
+
+def _edited_v1(label):
+    return lambda tmp_path: dict(_key_segment_edits(_V1_SORTED(tmp_path)))[label]
+
+
+#: hostile key segments of each legacy form: a codec-1 (zlib keys) or
+#: codec-2 (deflated histogram) segment that is a 64 MiB bomb, a stream
+#: cut before its end, short or long, each codec-2 edit, and each edit
+#: of a version-1 store's raw sorted keys.
+_LEGACY_KEY_SEGMENTS = {
+    "codec 1 bomb": _legacy_segment(1, lambda _keys: _zlib_bomb(64 << 20)),
+    "codec 1 cut before its end": _legacy_segment(
+        1, lambda keys: zlib.compress(keys)[:-4]
+    ),
+    "codec 1 a key short": _legacy_segment(1, lambda keys: zlib.compress(keys[:-8])),
+    "codec 1 a key long": _legacy_segment(
+        1, lambda keys: zlib.compress(keys + keys[-8:])
+    ),
+    "codec 2 bomb": _legacy_segment(2, lambda _rows: _zlib_bomb(64 << 20)),
+    "codec 2 cut before its end": _legacy_segment(
+        2, lambda rows: zlib.compress(rows)[:-4]
+    ),
+    "codec 2 half a row short": _legacy_segment(
+        2, lambda rows: zlib.compress(rows[:-8])
+    ),
+    "codec 2 a row long": _legacy_segment(
+        2, lambda rows: zlib.compress(rows + rows[-16:])
+    ),
+    **{
+        f"codec 2 {edit}": _legacy_segment(
+            2, lambda _rows, rows=rows: zlib.compress(rows)
+        )
+        for edit, rows in _HISTOGRAM_EDITS.items()
+    },
+    **{
+        f"version 1 {label}": _edited_v1(label)
+        for label in ("swapped", "negative first key", "replier half 2**31")
+    },
+}
+_STRATEGIES = (StaticRuleset, SlidingWindow, LazySlidingWindow, AdaptiveSlidingWindow)
+
+
+@pytest.mark.parametrize("case", sorted(_LEGACY_KEY_SEGMENTS))
+def test_a_legacy_key_segment_is_counted_from_the_columns(tmp_path, case):
+    """A legacy key segment, however hostile, is never read: the store
+    serves its columns' histogram and runs, every block verifies, and a
+    bomb inflates nothing (a traced peak under 2 MiB)."""
+    path = _write(tmp_path, _LEGACY_KEY_SEGMENTS[case](tmp_path))
+    tracemalloc.start()
+    try:
+        with TraceStoreReader(path) as reader:
+            assert not reader.recovered and not reader.histogram_rows
+            assert reader.verify_blocks(strict=True) == reader.n_blocks
+            memory = [
+                PairBlock(np.array(b.sources), np.array(b.repliers), index=b.index)
+                for b in reader.iter_blocks()
+            ]
+            for block, want in zip(reader.iter_blocks(), memory):
+                oracle = np.unique(want.packed_keys(), return_counts=True)
+                for got, expected in zip(block.key_histogram(), oracle):
+                    np.testing.assert_array_equal(got, expected)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    for run_on in [cls().run for cls in _STRATEGIES] + [
+        StreamingRules(backend=backend).run for backend in ("exact", "lossy")
+    ]:
+        with TraceStoreReader(path) as reader:
+            assert run_on(reader.iter_blocks()) == run_on(memory)
 
 
 def test_an_unedited_rows_segment_is_served(tmp_path):
@@ -771,15 +774,20 @@ def _recount(data, block, n_pairs):
 
 
 @pytest.mark.parametrize(
-    "codec, n_pairs",
-    [(None, 0), (None, 50), ("zlib", 0), ("zlib", 50)],
+    "build, n_pairs",
+    [
+        (_V1_SORTED, 0),
+        (_V1_SORTED, 50),
+        (_build_trace("zlib"), 0),
+        (_build_trace("zlib"), 50),
+    ],
     ids=["v1-0", "v1-50", "v2-0", "v2-50"],
 )
-def test_a_footer_that_miscounts_a_block_is_not_trusted(tmp_path, codec, n_pairs):
+def test_a_footer_that_miscounts_a_block_is_not_trusted(tmp_path, build, n_pairs):
     """A CRC-valid footer whose pair count for block 1 is not the block's
     falls back to the verifying scan, which serves every block as
     written — never half of one column as another, or an empty block."""
-    data = _build_trace(codec)(tmp_path)
+    data = build(tmp_path)
     with TraceStoreReader(_write(tmp_path, data)) as reader:
         want = [(np.array(b.sources), np.array(b.repliers)) for b in reader.blocks()]
     with TraceStoreReader(_write(tmp_path, _recount(data, 1, n_pairs))) as reader:
@@ -813,11 +821,11 @@ def _skip(data, block):
     return data[:index_offset] + bytes(index) + trailer
 
 
-@pytest.mark.parametrize("codec", [None, "zlib"], ids=["v1", "v2"])
-def test_a_footer_that_skips_a_block_is_not_trusted(tmp_path, codec):
+@pytest.mark.parametrize("build", [_V1_SORTED, _build_trace("zlib")], ids=["v1", "v2"])
+def test_a_footer_that_skips_a_block_is_not_trusted(tmp_path, build):
     """A CRC-valid footer that leaves block 1 out does not tile the file,
     so the verifying scan serves all three blocks."""
-    data = _skip(_build_trace(codec)(tmp_path), 1)
+    data = _skip(build(tmp_path), 1)
     with TraceStoreReader(_write(tmp_path, data)) as reader:
         assert reader.recovered
         assert reader.block_pairs() == [100, 100, 100]

@@ -7,6 +7,8 @@ its name and checks the same guarantee on the one cache there is now.
 """
 
 import os
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +246,34 @@ class TestRebuild:
             assert not reader.recovered and reader.n_pairs == 900
         assert stores(tmp_path) == [path.name]
         assert not recwarn.list
+
+    def test_a_version_1_cache_is_rewritten_once(
+        self, tmp_path, generate_calls, cold_trace_cache
+    ):
+        """A complete cache file of this spec written before every store
+        held histogram rows — a version-1 store of raw sorted keys — is
+        rewritten once, not counted from its columns on every read."""
+        config = MonitorTraceConfig(block_size=100, n_neighbors=15, n_categories=12)
+        stamp = trace_fingerprint(config, 9, 300)
+        path = cache_path(tmp_path, 300, 9, config)
+        planted = bytearray(
+            (Path(__file__).parent / "data" / "parent_v1_sorted.rptrace").read_bytes()
+        )
+        struct.pack_into("<Q", planted, 24, stamp)  # the header's stamp
+        path.write_bytes(bytes(planted))
+        with TraceStoreReader(path) as reader:
+            assert reader.version == 1 and not reader.histogram_rows
+            assert not reader.recovered
+            assert (reader.meta_fingerprint, reader.n_pairs) == (stamp, 300)
+        generate_calls.clear()
+        blocks = trace_blocks(300, config=config, seed=9, cache_dir=tmp_path)
+        assert generate_calls == [300]
+        assert_serves(blocks, 300, 9, config)
+        with TraceStoreReader(path) as reader:
+            assert reader.version == 2 and reader.histogram_rows
+        cold_trace_cache()
+        trace_blocks(300, config=config, seed=9, cache_dir=tmp_path)
+        assert generate_calls == [300, 300]  # assert_serves' own, then a hit
 
 
 class TestAtomicPublish:

@@ -1,47 +1,53 @@
-"""A store block's key histogram, read off its key segment.
+"""A store block's key histogram, decoded from its key segment.
 
-A store holds each block's packed keys sorted (header flags bit 1) — a
-``codec="zlib"`` store holds their histogram instead, as narrow rows
-(segment codec 3) — and a store block's ``key_histogram()`` is one
-checked pass over that segment, or one checked decode; a store written
-before holds them in pair order (bit 0) and is counted from its
-columns, like an in-memory block.  Here:
+Every store holds each block's key histogram as narrow rows (segment
+codec 3), and a store block's ``key_histogram()`` is one checked decode
+of it.  Every other form of the segment — packed keys in pair order
+(header flags bit 0), raw sorted keys (version 1), sorted keys under
+zlib (codec 1), a deflated histogram (codec 2) — is a legacy form that
+is never read: the block is counted from its columns, like an in-memory
+block.  Here:
 
 * the committed ``data/parent_v1.rptrace`` / ``data/parent_v2_zlib.rptrace``
   (the 300 pairs of :func:`legacy_columns`, block 100, written raw and
   with ``codec="zlib"`` by the release before sorted key segments) serve
   what the in-memory blocks give: columns, histograms, the four
-  strategies' runs and both ``StreamingRules`` runs; so does
-  ``data/parent_v2_sorted_zlib.rptrace``, the same pairs written with
-  ``codec="zlib"`` by the release before histogram segments, whose key
-  segments are sorted keys under zlib (codec 1), and
+  strategies' runs and both ``StreamingRules`` runs; so do
+  ``data/parent_v1_sorted.rptrace``, the same pairs written raw by the
+  release before every store held histograms (raw sorted keys),
+  ``data/parent_v2_sorted_zlib.rptrace``, written with ``codec="zlib"``
+  by the release before histogram segments (sorted keys under zlib), and
   ``data/parent_v2_histogram.rptrace``, written by the release before
-  narrow rows, whose key segments are deflated histograms (codec 2);
-* a fresh ``codec="zlib"`` store writes segment 2 as codec 3, and a
-  block's ``key_histogram()`` reads no column;
+  narrow rows (deflated histograms) — each counted from its columns;
+* a fresh raw or ``codec="zlib"`` store writes segment 2 as codec 3, one
+  pair blocks included, and a block's ``key_histogram()`` reads no column;
 * on hypothesis-drawn columns — one distinct key, all keys distinct, a
   1-pair block, a short tail block, ids 0 and 2**31 - 1, ids on each
   side of a plane width (255/256, 65,535/65,536); raw and zlib —
   a store block's histogram is ``np.unique``'s bit for bit, and the four
   strategies, ``ruleset_test_random_subset`` and a two-tier
   ``ruleset_test_fallback`` agree with the in-memory blocks;
-* a key segment that is sorted but not the columns' keys fails
+* a key segment that is a valid histogram but not the columns' fails
   ``verify_blocks``, ``verify=True`` and the footer-less scan;
 * a block first touched after its reader's ``close()`` raises
   :class:`TraceStoreError`.
 
-``tests/test_decoder_wall.py`` edits the segment so that it cannot be
-sorted keys, or either histogram segment so that it cannot be a block's
-histogram; every such edit must fail the read.  Mutants run in a
-scratch copy, and what fails on each (``rows`` is
-``test_decoder_wall.py::test_a_rows_segment_edit_raises``, ``deflated``
-its ``test_a_histogram_segment_edit_raises``):
+``tests/test_decoder_wall.py`` edits the codec-3 segment so that it
+cannot be a block's histogram, and every such edit must fail the read;
+its hostile legacy segments must each be counted from the columns.
+Mutants run in a scratch copy, and what fails on each (``rows`` is
+``test_decoder_wall.py::test_a_rows_segment_edit_raises``):
 
 * the key-segment comparison dropped from ``TraceStoreReader._intact``
   (verification checks the fingerprint only) —
   ``TestIntegrity::test_forged_sorted_segment_fails_verification``;
-* the sortedness check dropped from the histogram pass —
-  ``test_decoder_wall.py::test_key_segment_edits_raise[swapped]``;
+* a codec-3 segment read as legacy (every block counted from its
+  columns) — ``TestHistogramSegment::test_a_zlib_store_writes_histograms``
+  and ``test_a_raw_store_writes_histograms``,
+  ``TestLegacyBytes::test_counted_from_the_columns``,
+  ``TestIntegrity::test_forged_sorted_segment_fails_verification``,
+  every ``rows`` case, and ``test_cli.py::TestTraceEvalCli`` on a
+  corrupt segment (``extra0``, ``extra1``);
 * segment 2 written from ``np.sort(block.packed_keys())`` instead of
   from the columns — ``test_store.py::TestPackedSegmentIgnored`` and
   ``TestIntegrity::test_a_forged_memo_never_reaches_the_segment``;
@@ -50,21 +56,18 @@ its ``test_a_histogram_segment_edit_raises``):
   (``extra0``, ``extra1``);
 * its width check dropped — ``rows`` on ``width 0``, ``width 3`` and
   ``width 8``; its whole-rows check — ``partial row``; its row-count
-  check — ``zero rows``, and ``more rows than pairs`` by its message
-  (the shared check refuses those counts too);
-* the shared check's key order dropped — ``deflated`` on ``repeated
-  key``, ``falling key`` and ``key wraps int64``, ``rows`` on ``repeated
-  key``, ``falling replier`` and ``source half 2**31``;
-* its replier check dropped — ``replier half 2**31`` of both;
-* its counts checked by their sum alone — ``deflated`` on ``counts wrap
-  to the block``, ``zero count`` and ``negative count``, ``rows`` on
-  ``zero count``; its whole counts check dropped — those and ``counts
-  sum past the block`` of both;
-* the writer's segment-2 codec byte 2 instead of 3 (rows read as a
-  deflated histogram) —
-  ``TestHistogramSegment::test_a_zlib_store_writes_histograms``, every
-  ``test_ids_and_counts_on_each_side_of_a_plane_width``, the zlib half
-  of ``TestHistogramDifferential`` and 12 more;
+  check — ``zero rows`` and ``more rows than pairs``;
+* the shared check's key order dropped — ``rows`` on ``repeated key``,
+  ``falling replier`` and ``source half 2**31``;
+* its replier check dropped — ``rows`` on ``replier half 2**31``;
+* its counts checked by their sum alone — ``rows`` on ``zero count``;
+  its whole counts check dropped — that and ``counts sum past the
+  block``;
+* the writer's segment-2 codec byte 2 instead of 3 (rows taken for a
+  legacy segment) — ``TestHistogramSegment::test_a_zlib_store_writes_histograms``,
+  every ``test_ids_and_counts_on_each_side_of_a_plane_width``, both
+  ``test_a_one_pair_block_is_stored_as_rows``,
+  ``TestHistogramDifferential`` and 15 more;
 * a v2 footer trusted for a block's pair count —
   ``test_decoder_wall.py::test_a_footer_that_miscounts_a_block_is_not_trusted[v2-50]``;
   for its blocks' places (no tiling) —
@@ -73,7 +76,11 @@ its ``test_a_histogram_segment_edit_raises``):
   ``test_store.py::TestCompression::test_codec_byte_2_is_an_unknown_codec``
   and ``test_stored_length_past_the_file_is_corruption``; the layouts
   parsed at open not kept —
-  ``TestCompression::test_a_footer_store_reads_each_block_header_once``.
+  ``TestCompression::test_a_footer_store_reads_each_block_header_once``;
+* the writer's 2**32-pair checks dropped —
+  ``test_store.py::TestCompression::test_blocks_of_2_to_the_32_pairs_are_refused``;
+* the trace cache keeping a complete version-1 file —
+  ``test_cache.py::TestRebuild::test_a_version_1_cache_is_rewritten_once``.
 """
 
 import gc
@@ -109,6 +116,9 @@ LEGACY = ("parent_v1.rptrace", "parent_v2_zlib.rptrace")
 SORTED_ZLIB = "parent_v2_sorted_zlib.rptrace"
 #: deflated key histograms (segment codec 2), not narrow rows.
 DEFLATED_HISTOGRAM = "parent_v2_histogram.rptrace"
+#: sorted key segments raw in a version-1 store, not histograms.
+RAW_SORTED = "parent_v1_sorted.rptrace"
+SORTED_LEGACY = (RAW_SORTED, SORTED_ZLIB, DEFLATED_HISTOGRAM)
 STRATEGIES = (StaticRuleset, SlidingWindow, LazySlidingWindow, AdaptiveSlidingWindow)
 ID_MAX = 2**31 - 1
 
@@ -191,7 +201,7 @@ class TestLegacyBytes:
         assert header_flags(path) == 1  # pair-order keys
         memory = blocks_from_arrays(*legacy_columns(), block_size=100)
         with TraceStoreReader(path) as reader:
-            assert not reader.sorted_keys
+            assert not reader.histogram_rows
             assert reader.verify_blocks(strict=True) == 3
             assert_serves(reader, memory)
             for held, want in zip(reader.blocks(), memory):
@@ -217,34 +227,17 @@ class TestLegacyBytes:
         path = write(tmp_path / "new.rptrace", *legacy_columns())
         assert header_flags(path) == 2  # sorted keys
         with TraceStoreReader(path) as reader:
-            assert reader.sorted_keys
+            assert reader.histogram_rows
             for block in reader.iter_blocks():
                 block.key_histogram()
         assert calls == [1]
 
-    def test_layout_and_size_are_unchanged(self, tmp_path):
-        """Only the flags word and segment 2's order differ from the
-        legacy raw bytes: same header, columns, footer and size."""
-        legacy = (DATA / "parent_v1.rptrace").read_bytes()
-        new = write(tmp_path / "new.rptrace", *legacy_columns()).read_bytes()
-        assert len(new) == len(legacy)
-        assert new[:12] == legacy[:12] and new[16:32] == legacy[16:32]
-        block = 32 + 3 * 100 * 8
-        for b in range(3):
-            start = 32 + b * block
-            assert new[start : start + 32 + 1600] == legacy[start : start + 32 + 1600]
-            keys = np.frombuffer(new[start + 1632 : start + block], dtype="<i8")
-            pair_order = np.frombuffer(
-                legacy[start + 1632 : start + block], dtype="<i8"
-            )
-            np.testing.assert_array_equal(keys, np.sort(pair_order))
-        assert new[32 + 3 * block :] == legacy[32 + 3 * block :]
-
 
 class TestSortedZlibBytes:
     """A zlib store written before key segments were histograms — its
-    key segments sorted keys under zlib — reads as it did, and so does
-    one written before histograms were narrow rows."""
+    key segments sorted keys under zlib — reads as it did, and so do one
+    written before histograms were narrow rows and a raw store written
+    before every store held narrow rows: counted from their columns."""
 
     def test_serves_what_memory_gives(self):
         self.assert_reads_as_written(SORTED_ZLIB, (1, 1, 1))
@@ -252,14 +245,46 @@ class TestSortedZlibBytes:
     def test_a_deflated_histogram_store_serves_what_memory_gives(self):
         self.assert_reads_as_written(DEFLATED_HISTOGRAM, (1, 1, 2))
 
+    def test_a_raw_sorted_store_serves_what_memory_gives(self):
+        self.assert_reads_as_written(RAW_SORTED, None)
+
+    @pytest.mark.parametrize("name", SORTED_LEGACY)
+    def test_counted_from_the_columns(self, name, monkeypatch):
+        """A legacy sorted key segment is never read: each block's
+        histogram goes through ``count_keys`` once, on a read pass and on
+        verification alike."""
+        calls, stored = [], []
+        real = blocks_module.count_keys
+        monkeypatch.setattr(
+            blocks_module, "count_keys", lambda keys: calls.append(1) or real(keys)
+        )
+        real_stored = TraceStoreReader._stored
+        monkeypatch.setattr(
+            TraceStoreReader,
+            "_stored",
+            lambda self, entry, segment: stored.append(segment)
+            or real_stored(self, entry, segment),
+        )
+        with TraceStoreReader(DATA / name, verify=True) as reader:
+            assert reader.verify_blocks(strict=True) == 3
+            for block in reader.iter_blocks():
+                block.key_histogram()
+                block.key_histogram()
+        assert calls == [1, 1, 1] and 2 not in stored
+
     @staticmethod
     def assert_reads_as_written(name, codecs):
+        """``codecs`` is each block's three segment codecs, or None for a
+        version-1 store."""
         path = DATA / name
         assert header_flags(path) == 2  # sorted keys
-        assert segment_codecs(path) == [codecs] * 3
         memory = blocks_from_arrays(*legacy_columns(), block_size=100)
         with TraceStoreReader(path) as reader:
-            assert reader.sorted_keys
+            if codecs is None:
+                assert reader.version == 1
+            else:
+                assert segment_codecs(path) == [codecs] * 3
+            assert not reader.histogram_rows
             assert reader.verify_blocks(strict=True) == 3
             assert_serves(reader, memory)
             for held, want in zip(reader.blocks(), memory):
@@ -301,15 +326,27 @@ class TestHistogramSegment:
                     np.testing.assert_array_equal(got, oracle)
         assert calls == [] and segments == []
 
-    def test_a_histogram_that_does_not_shrink_is_stored_raw(self, tmp_path):
-        """A histogram segment no smaller than the sorted keys — a
-        one-pair block's is, its CRC and widths alone 7 of the 8 bytes —
-        leaves the key segment raw."""
+    def test_a_raw_store_writes_histograms(self, tmp_path):
+        """Segment 2 of a fresh raw store is codec 3 too, and a block's
+        key histogram reads neither column."""
+        path = write(tmp_path / "new.rptrace", *legacy_columns())
+        assert segment_codecs(path) == [(0, 0, 3)] * 3
+        memory = blocks_from_arrays(*legacy_columns(), block_size=100)
+        with TraceStoreReader(path) as reader:
+            for block, want in zip(reader.iter_blocks(), memory):
+                for got, oracle in zip(block.key_histogram(), want.key_histogram()):
+                    np.testing.assert_array_equal(got, oracle)
+                assert "_column_arrays" not in block.__dict__
+
+    @pytest.mark.parametrize("codec", [None, "zlib"])
+    def test_a_one_pair_block_is_stored_as_rows(self, tmp_path, codec):
+        """A one-pair block's histogram segment, 10 bytes, is longer than
+        its 8 bytes of keys and is stored as rows all the same."""
         sources, repliers = legacy_columns()
         path = write(
-            tmp_path / "t.rptrace", sources[:3], repliers[:3], block_size=1, codec="zlib"
+            tmp_path / "t.rptrace", sources[:3], repliers[:3], block_size=1, codec=codec
         )
-        assert [codecs[2] for codecs in segment_codecs(path)] == [0, 0, 0]
+        assert [codecs[2] for codecs in segment_codecs(path)] == [3, 3, 3]
         with TraceStoreReader(path) as reader:
             assert reader.verify_blocks(strict=True) == 3
             for block, (s, r) in zip(reader.iter_blocks(), zip(sources, repliers)):
@@ -397,7 +434,7 @@ class TestHistogramDifferential:
                 codec=codec,
             )
             with TraceStoreReader(path) as reader:
-                assert reader.sorted_keys
+                assert reader.histogram_rows
                 assert reader.verify_blocks(strict=True) == len(memory)
                 assert_serves(reader, memory)
                 disk = list(reader.iter_blocks())  # fresh: nothing read yet
@@ -449,7 +486,7 @@ class TestIntegrity:
     ):
         footered = forge(tmp_path / "a.rptrace", codec, monkeypatch)
         with TraceStoreReader(footered) as reader:
-            # the read pass cannot tell: the segment is valid sorted keys
+            # the read pass cannot tell: the segment is a valid histogram
             assert generate_ruleset(reader.block(1), min_support_count=5).matches(3, 4)
             assert reader.verify_blocks() == 1
             with pytest.raises(TraceStoreCorruption, match="block 1"):
@@ -496,7 +533,7 @@ class TestLifetime:
             with pytest.raises(TraceStoreError, match="closed"):
                 touch(untouched[what])
         assert len(untouched["sources"]) == 100  # the index entry's
-        if reader.sorted_keys:  # blocks() read the columns, not the keys
+        if reader.histogram_rows:  # blocks() read the columns, not the keys
             with pytest.raises(TraceStoreError, match="closed"):
                 held[0].key_histogram()
 

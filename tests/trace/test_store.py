@@ -313,11 +313,12 @@ class TestCompression:
         zl, _, _ = make_store(
             tmp_path / "z.rptrace", n=500, block_size=100, codec="zlib"
         )
-        assert raw.version == 1
-        assert zl.version == 2
+        assert raw.version == zl.version == 2
         assert zl.n_blocks == raw.n_blocks
         for i in range(raw.n_blocks):
             a, b = raw.block(i), zl.block(i)
+            for x, y in zip(a.key_histogram(), b.key_histogram()):
+                np.testing.assert_array_equal(x, y)
             np.testing.assert_array_equal(a.sources, b.sources)
             np.testing.assert_array_equal(a.repliers, b.repliers)
             assert a.fingerprint() == b.fingerprint()
@@ -354,12 +355,38 @@ class TestCompression:
             np.testing.assert_array_equal(block.sources, sources[i * 100 : (i + 1) * 100])
         reader.close()
 
-    def test_no_codec_is_byte_stable_v1(self, tmp_path):
-        # codec=None must keep writing version-1 files (old readers and
-        # fingerprint-based tooling rely on the stable layout).
-        _, sources, repliers = make_store(tmp_path / "a.rptrace", n=200, seed=3)
+    def test_no_codec_writes_raw_columns_and_histogram_rows(self, tmp_path):
+        """codec=None writes a version-2 store of raw columns (codec 0)
+        and codec-3 key segments, and the same columns write the same
+        bytes."""
+        reader, sources, repliers = make_store(tmp_path / "a.rptrace", n=200, seed=3)
+        assert reader.version == 2 and reader.histogram_rows
+        assert [reader._layout(e)[0] for e in reader._entries] == [(0, 0, 3)] * 2
+        reader.close()
         write_store(tmp_path / "b.rptrace", sources, repliers, block_size=100).close()
         assert (tmp_path / "a.rptrace").read_bytes() == (tmp_path / "b.rptrace").read_bytes()
+
+    @pytest.mark.parametrize("codec", [None, "zlib"])
+    def test_blocks_of_2_to_the_32_pairs_are_refused(self, tmp_path, codec):
+        """Every count of a codec-3 segment fits 4 bytes: a block size of
+        2**32 is refused before the target file is opened, and so is such
+        a block handed to append_block, before anything is written."""
+        path = tmp_path / "t.rptrace"
+        path.write_bytes(b"an existing store")
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            TraceStoreWriter(path, block_size=2**32, codec=codec)
+        assert path.read_bytes() == b"an existing store"
+
+        class Huge(PairBlock):
+            def __len__(self):
+                return 2**32
+
+        huge = Huge(*columns(10))
+        with TraceStoreWriter(path, block_size=2**32 - 1, codec=codec) as writer:
+            with pytest.raises(ValueError, match="2\\*\\*32"):
+                writer.append_block(huge)
+            assert writer.n_blocks == 0
+        assert TraceStoreReader(path).n_blocks == 0
 
     def test_unknown_codec_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="codec"):
@@ -546,6 +573,24 @@ class TestAllBlocksOneMapping:
         assert len({id(c._mmap) for c in columns_held}) == 1
         assert reader.blocks()[3].sources._mmap is held[0].sources._mmap
         del columns_held
+        reader.close()
+
+    def test_unaligned_raw_columns_share_one_mapping(self, tmp_path):
+        """Codec-3 key segments have any length, so block 1's raw columns
+        start off an 8-byte boundary; every column blocks() hands out is
+        still a view of one mapping, and reads as written."""
+        reader, sources, repliers = make_store(
+            tmp_path / "t.rptrace", n=300, block_size=100
+        )
+        payloads = [reader._layout(e)[2] for e in reader._entries]
+        assert payloads[1] % 8 != 0
+        held = self.assert_same(reader)
+        assert held[1].sources.ctypes.data % 8 != 0
+        columns_held = [b.sources for b in held] + [b.repliers for b in held]
+        assert len({id(c._mmap) for c in columns_held}) == 1
+        np.testing.assert_array_equal(np.concatenate(columns_held[:3]), sources)
+        np.testing.assert_array_equal(np.concatenate(columns_held[3:]), repliers)
+        del held, columns_held
         reader.close()
 
     def test_descriptors_do_not_grow_with_the_block_count(self, tmp_path):
