@@ -161,6 +161,7 @@ def entry_points(root: Path) -> list[tuple[str, list[str]]]:
             repro + ["tracegen", "{out}/stream.rptrace", "--blocks", "20",
                      "--codec", "zlib"],
         ),
+        ("ci", repro + ["trace-inspect", "{out}/stream.rptrace"]),
         (
             "ci",
             repro + ["trace-eval", "{out}/stream.rptrace", "--strategy",

@@ -37,6 +37,10 @@ Commands
     already-running ``live-node`` daemons and print latency
     percentiles, error rates, and the saturation summary (see
     ``docs/scale.md``).
+``trace-inspect STORE``
+    Print a trace store's header (version, flags, meta word) and, per
+    block, its segment codecs, stored lengths, distinct keys, row width
+    and verify result; exits 1 when a block fails to verify.
 ``trace-view``
     Merge the ``/trace`` spans of running ``live-node --metrics-port``
     daemons into query trees plus a live α/ρ rollup.
@@ -198,15 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--codec",
         choices=("none", "zlib"),
         default="none",
-        help="compress cold segments: zlib deflates each column where that "
-        "shrinks it; either way each block's key segment is its key "
-        "histogram in narrow rows under a CRC-32 (default: %(default)s)",
-    )
-    tracegen.add_argument(
-        "--compress-level",
-        type=int,
-        default=6,
-        help="compression level for --codec zlib (default: %(default)s)",
+        help="each block's key segment is its key histogram in narrow rows "
+        "under a CRC-32; zlib stores each pair as its row of that histogram "
+        "(1, 2 or 4 bytes) instead of two int64 columns (default: %(default)s)",
     )
 
     trace_eval = sub.add_parser(
@@ -233,6 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run serially and verify the merged partitioned run "
         "is bit-identical",
     )
+
+    trace_inspect = sub.add_parser(
+        "trace-inspect",
+        help="print a trace store's header and, per block, its segment "
+        "codecs, stored lengths, distinct keys, row width and verify result",
+    )
+    trace_inspect.add_argument("path", metavar="STORE", help="store file to inspect")
 
     hier = sub.add_parser(
         "hier",
@@ -746,6 +751,46 @@ def _run_trace_view(args) -> int:
     return 0
 
 
+def _run_trace_inspect(args) -> int:
+    """Print what a trace store holds: 0 if every block verifies, 1 if
+    one does not, 2 if the file is not a store."""
+    from repro.trace.store import TraceStoreError, TraceStoreReader
+
+    try:
+        reader = TraceStoreReader(args.path)
+    except (OSError, TraceStoreError) as exc:
+        _log.error("cannot open trace store", extra={"error": str(exc)})
+        return 2
+    with reader:
+        opened = "recovered by scan" if reader.recovered else "footer"
+        print(
+            f"{args.path}: version {reader.version}, flags {reader.flags:#x}, "
+            f"meta {reader.meta_fingerprint:#018x}, "
+            f"block size {reader.block_size:,}, {reader.n_blocks} block(s) / "
+            f"{reader.n_pairs:,} pairs ({opened})"
+        )
+        columns = "{:>5} {:>8} {:>7} {:>24} {:>7} {:>5}  {}"
+        heads = ("block", "pairs", "codecs", "stored bytes", "d", "width", "verify")
+        print(columns.format(*heads))
+        intact = True
+        for row in reader.describe_blocks():
+            intact &= row["intact"]
+            print(
+                columns.format(
+                    row["block"],
+                    row["pairs"],
+                    ",".join(map(str, row.get("codecs", ()))),
+                    ",".join(map(str, row.get("lengths", ()))),
+                    row.get("d", "-"),
+                    row.get("width") or "-",
+                    "ok" if row["intact"] else "FAIL",
+                )
+            )
+            if "error" in row:
+                print(f"      {row['error']}")
+    return 0 if intact else 1
+
+
 def _print_sample_trace(cluster, label: str, *, stream=None) -> None:
     """Show one query's hop-by-hop path: the last answered query of the
     run (every hop visible end to end), or the last issued one if the
@@ -1083,17 +1128,9 @@ def main(argv: list[str] | None = None) -> int:
         written = 0
         generate_seconds = 0.0
         t0 = perf_counter()
-        try:
-            writer = TraceStoreWriter(
-                args.path,
-                block_size=config.block_size,
-                codec=codec,
-                compress_level=args.compress_level,
-            )
-        except ValueError as exc:
-            print(f"tracegen: {exc}", file=sys.stderr)
-            return 2
-        with writer:
+        with TraceStoreWriter(
+            args.path, block_size=config.block_size, codec=codec
+        ) as writer:
             while written < total:
                 n = min(args.chunk_size, total - written)
                 g0 = perf_counter()
@@ -1117,6 +1154,9 @@ def main(argv: list[str] | None = None) -> int:
             f"seed {seed}{note}"
         )
         return 0
+
+    if args.command == "trace-inspect":
+        return _run_trace_inspect(args)
 
     if args.command == "trace-eval":
         from time import perf_counter

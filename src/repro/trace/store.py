@@ -20,8 +20,8 @@ File layout (all integers little-endian)::
                      | n_pairs u64 | blake2b-128 fingerprint (16 B)
                      one u64 stored length per segment
                      followed by the three segments:
-                     sources  int64[n], raw or zlib
-                     repliers int64[n], raw or zlib
+                     sources  int64[n] raw, or each pair's histogram row
+                     repliers int64[n] raw, or nothing
                      keys     the block's key histogram (codec 3)
     footer   index:  one 32 B entry per block
                      (block_offset u64 | n_pairs u64 | fingerprint 16 B)
@@ -33,21 +33,28 @@ The writer writes version 2 with header flags bit 1.  Each segment
 carries its own codec byte, packed into the block header's ``codecs``
 u32:
 
-* 0 — raw: a column, served as a zero-copy memmap;
-* 1 — one zlib stream of a column's raw bytes (``codec="zlib"``, when
-  that shrinks it), inflated on read;
+* 0 — raw: a column, served as a zero-copy memmap (``codec=None``);
 * 3 — the key segment: the block's key histogram as narrow raw rows: a
   u32 CRC-32 of the rest of the segment, three width bytes (1, 2 or 4;
   for source steps, replier halves and counts), then three unsigned
   planes of d rows each in that order — each row's source half minus the
   previous row's (the first row's as it is), its replier half, its
-  count.  Nothing inflates: each plane is read in place.
+  count.  Nothing inflates: each plane is read in place;
+* 4 — both columns as one row index (``codec="zlib"``): segment 0 is a
+  u32 CRC-32 of the rest, one width byte (1, 2 or 4: the narrowest that
+  numbers the histogram's d rows), then each pair's row of the key
+  histogram, n of them; segment 1 is empty.  A pair's packed key is its
+  row's key, and the two columns are split from the keys when asked
+  for.  The decoder requires exactly n rows, each below d, that count
+  what the histogram's counts say, so the columns and the histogram
+  agree by construction.
 
-Legacy forms are counted from their columns.  Earlier releases wrote
-version 1 (every segment raw, no stored lengths, the codecs field zero)
-and version-2 key segments in codecs 0, 1 and 2; such a key segment is
-never read, and the block's histogram is counted from its two columns,
-as an in-memory block's is.
+Legacy forms stay readable.  Earlier releases deflated columns under
+``codec="zlib"`` (codec 1: one zlib stream of a column's raw bytes,
+inflated on read), wrote version 1 (every segment raw, no stored
+lengths, the codecs field zero) and version-2 key segments in codecs 0,
+1 and 2; such a key segment is never read, and the block's histogram is
+counted from its two columns, as an in-memory block's is.
 
 Block fingerprints are :func:`repro.trace.blocks.column_digest`
 (blake2b-128 of the *uncompressed* source, then replier, column bytes),
@@ -128,16 +135,20 @@ _N_SEGMENTS = 3
 
 #: per-segment codec ids (one byte each inside the block header's u32).
 _CODEC_RAW = 0
+#: a column as one zlib stream, written by an earlier release.
 _CODEC_ZLIB = 1
 #: the key segment (2) only: zlib of the block's key histogram, written
 #: by an earlier release; counted from the columns.
 _CODEC_DEFLATED_HISTOGRAM = 2
 #: the key segment (2) only: the block's key histogram as narrow rows.
 _CODEC_HISTOGRAM_ROWS = 3
+#: the column segments (0 and 1) only, both at once: each pair's row of
+#: the histogram in segment 0, segment 1 empty.
+_CODEC_ROW_INDEX = 4
 #: the codecs each segment may carry.
 _SEGMENT_CODECS = (
-    (_CODEC_RAW, _CODEC_ZLIB),
-    (_CODEC_RAW, _CODEC_ZLIB),
+    (_CODEC_RAW, _CODEC_ZLIB, _CODEC_ROW_INDEX),
+    (_CODEC_RAW, _CODEC_ZLIB, _CODEC_ROW_INDEX),
     (_CODEC_RAW, _CODEC_ZLIB, _CODEC_DEFLATED_HISTOGRAM, _CODEC_HISTOGRAM_ROWS),
 )
 
@@ -145,8 +156,10 @@ _I8 = np.dtype("<i8")
 _ITEMSIZE = _I8.itemsize
 #: a codec-3 segment's head: a CRC-32 of the rest, then its plane widths.
 _ROWS_HEAD = struct.Struct("<I3B")
-#: each width a codec-3 plane may have, and its dtype.
+#: each width a codec-3 or codec-4 plane may have, and its dtype.
 _PLANES = {width: np.dtype(f"<u{width}") for width in (1, 2, 4)}
+#: a codec-4 segment's head: a CRC-32 of the rest, then its row width.
+_INDEX_HEAD = struct.Struct("<IB")
 #: a version-2 block header with its stored segment lengths.
 _BLOCK_HEAD_V2 = _BLOCK_HEADER.size + 8 * _N_SEGMENTS
 #: the pairs a block may hold: fewer, so every codec-3 count fits 4 bytes.
@@ -183,23 +196,37 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[starts], np.diff(np.append(starts, len(keys)))
 
 
-def _histogram_rows(keys: np.ndarray) -> bytes:
-    """Sorted ``keys``' codec-3 key segment, each plane as narrow as its
-    largest value allows: a source step and a replier half are below
-    2**31, and a count below :data:`_MAX_BLOCK_PAIRS`."""
-    distinct, counts = _runs(keys)
+def _width(largest: int) -> int:
+    """The narrowest plane width that holds ``largest``."""
+    return next(w for w in _PLANES if largest < 1 << 8 * w)
+
+
+def _with_crc(body: bytes) -> bytes:
+    return struct.pack("<I", zlib.crc32(body)) + body
+
+
+def _histogram_rows(distinct: np.ndarray, counts: np.ndarray) -> bytes:
+    """The codec-3 key segment of the histogram ``(distinct, counts)``,
+    each plane as narrow as its largest value allows: a source step and
+    a replier half are below 2**31, and a count below
+    :data:`_MAX_BLOCK_PAIRS`."""
     planes = (
         np.diff(blocks.key_sources(distinct), prepend=0),
         blocks.key_repliers(distinct),
         counts,
     )
-    widths = [
-        next(w for w in _PLANES if int(plane.max()) < 1 << 8 * w) for plane in planes
-    ]
-    body = bytes(widths) + b"".join(
-        plane.astype(_PLANES[w]).tobytes() for w, plane in zip(widths, planes)
+    widths = [_width(int(plane.max())) for plane in planes]
+    return _with_crc(
+        bytes(widths)
+        + b"".join(p.astype(_PLANES[w]).tobytes() for w, p in zip(widths, planes))
     )
-    return struct.pack("<I", zlib.crc32(body)) + body
+
+
+def _row_index(rows: np.ndarray, n_rows: int) -> bytes:
+    """The codec-4 segment of each pair's histogram row ``rows``, as
+    narrow as numbering ``n_rows`` rows allows."""
+    width = _width(n_rows - 1)
+    return _with_crc(bytes([width]) + rows.astype(_PLANES[width]).tobytes())
 
 
 def _inflate(stored: bytes, limit: int, path: str) -> bytes:
@@ -291,6 +318,44 @@ def _decode_histogram_rows(
     return _checked_histogram(keys, counts.astype(np.int64), n_pairs, path)
 
 
+def _decode_row_index(
+    stored: bytes, n_pairs: int, counts: np.ndarray, path: str
+) -> np.ndarray:
+    """A codec-4 segment's histogram row for each of the block's
+    ``n_pairs`` pairs — after checking its CRC-32, that its rows are 1, 2
+    or 4 bytes wide, that it holds exactly ``n_pairs`` of them, each
+    below the histogram's ``len(counts)`` rows, and that they count
+    ``counts``: so the keys they pick have the histogram the strategies
+    read.  Nothing inflates: the stored length bounds the work."""
+    if len(stored) < _INDEX_HEAD.size:
+        raise TraceStoreCorruption(
+            f"{path}: index segment of {len(stored)} bytes has no head"
+        )
+    crc, width = _INDEX_HEAD.unpack_from(stored)
+    if zlib.crc32(memoryview(stored)[4:]) != crc:
+        raise TraceStoreCorruption(f"{path}: index segment fails its CRC")
+    if width not in _PLANES:
+        raise TraceStoreCorruption(
+            f"{path}: index width {width} is not 1, 2 or 4 bytes"
+        )
+    if len(stored) - _INDEX_HEAD.size != n_pairs * width:
+        raise TraceStoreCorruption(
+            f"{path}: index segment of {len(stored)} bytes is not "
+            f"{n_pairs} rows of {width} bytes"
+        )
+    rows = np.frombuffer(stored, dtype=_PLANES[width], offset=_INDEX_HEAD.size)
+    if rows.max() >= len(counts):
+        raise TraceStoreCorruption(
+            f"{path}: index row {rows.max()} is past the histogram's "
+            f"{len(counts)} rows"
+        )
+    if not np.array_equal(np.bincount(rows, minlength=len(counts)), counts):
+        raise TraceStoreCorruption(
+            f"{path}: index rows do not count the histogram's counts"
+        )
+    return rows
+
+
 class TraceStoreWriter:
     """Append-only chunked writer of a trace store file.
 
@@ -304,14 +369,15 @@ class TraceStoreWriter:
     its two columns and counted as it is written, once per block.
 
     Every block is written in version 2: its key segment as its key
-    histogram in narrow rows (codec 3), each column raw (codec 0) and, with
-    ``codec="zlib"``, deflated when that shrinks it (cold-segment
-    compression for archival traces).  Fingerprints stay over the
-    uncompressed bytes, and each segment records its own codec byte so
-    readers never guess.  A block holds fewer than 2**32 pairs, so every
-    count of its histogram fits 4 bytes.  ``meta_fingerprint`` stamps a
-    caller-chosen 64-bit provenance tag (e.g. a config+seed+length hash —
-    see :func:`repro.trace.cache.trace_fingerprint`) into the file header.
+    histogram in narrow rows (codec 3), and its columns raw (codec 0,
+    served as memmaps) or, with ``codec="zlib"``, as each pair's row of
+    that histogram (codec 4: 1, 2 or 4 bytes a pair, nothing deflated).
+    Fingerprints stay over the uncompressed int64 columns, and each
+    segment records its own codec byte so readers never guess.  A block
+    holds fewer than 2**32 pairs, so every count of its histogram fits 4
+    bytes.  ``meta_fingerprint`` stamps a caller-chosen 64-bit provenance
+    tag (e.g. a config+seed+length hash — see
+    :func:`repro.trace.cache.trace_fingerprint`) into the file header.
 
     The footer index lands only in :meth:`close`; a crash (or an
     exception inside the ``with`` block) leaves an append-only prefix
@@ -325,7 +391,6 @@ class TraceStoreWriter:
         *,
         block_size: int = 10_000,
         codec: str | None = None,
-        compress_level: int = 6,
         meta_fingerprint: int = 0,
     ) -> None:
         if block_size < 1:
@@ -334,16 +399,11 @@ class TraceStoreWriter:
             raise ValueError("block_size must be below 2**32")
         if codec not in (None, "zlib"):
             raise ValueError(f"unknown codec {codec!r} (supported: ['zlib'])")
-        if not -1 <= int(compress_level) <= 9:
-            # checked here, not at the first block flush, so a bad level
-            # never truncates the target file
-            raise ValueError(f"compress_level must be in -1..9, got {compress_level}")
         if not 0 <= int(meta_fingerprint) < 1 << 64:
             raise ValueError("meta_fingerprint must fit an unsigned 64-bit field")
         self.path = os.fspath(path)
         self.block_size = int(block_size)
         self.codec = codec
-        self.compress_level = int(compress_level)
         self.meta_fingerprint = int(meta_fingerprint)
         self._entries: list[_BlockEntry] = []
         self._pending: list[np.ndarray] = []  # interleaved (src, rep) chunks
@@ -431,20 +491,20 @@ class TraceStoreWriter:
         # (resolved at call time so tests can count the packs).
         block.validate_ids()
         keys = blocks.pack_keys(block.sources, block.repliers)
-        keys.sort()
         fingerprint = bytes.fromhex(block.fingerprint())
-        codecs = _CODEC_HISTOGRAM_ROWS << 16
-        payloads = []
-        for k, column in enumerate((block.sources, block.repliers)):
-            payload = _column_bytes(column)
-            if self.codec is not None:
-                # deflated only when that shrinks it: else raw + memmap
-                deflated = zlib.compress(payload, self.compress_level)
-                if len(deflated) < len(payload):
-                    payload = deflated
-                    codecs |= _CODEC_ZLIB << (8 * k)
-            payloads.append(payload)
-        payloads.append(_histogram_rows(keys))
+        if self.codec is None:
+            keys.sort()
+            distinct, counts = _runs(keys)
+            codecs = _CODEC_RAW
+            payloads = [_column_bytes(block.sources), _column_bytes(block.repliers)]
+        else:
+            distinct, rows, counts = np.unique(
+                keys, return_inverse=True, return_counts=True
+            )
+            codecs = _CODEC_ROW_INDEX | _CODEC_ROW_INDEX << 8
+            payloads = [_row_index(rows, len(distinct)), b""]
+        codecs |= _CODEC_HISTOGRAM_ROWS << 16
+        payloads.append(_histogram_rows(distinct, counts))
         self._fh.write(
             _BLOCK_HEADER.pack(_BLOCK_MAGIC, codecs, len(block), fingerprint)
         )
@@ -528,13 +588,15 @@ class TraceStoreWriter:
 class _StoreBlock(PairBlock):
     """A block of a store that reads its segments on first use.
 
-    Its fingerprint and id validation come from the store.  ``sources``,
-    ``repliers`` and ``packed_keys()`` read the two columns when first
-    asked for, and derive the keys then; ``key_histogram()`` decodes the
-    codec-3 key segment instead, or counts the columns' keys when the
-    segment is a legacy form.  ``len()`` is the index entry's.  The block
-    holds its reader, so the reader stays open while the block lives
-    unless someone closes it.
+    Its fingerprint and id validation come from the store.
+    ``key_histogram()`` decodes the codec-3 key segment, or counts the
+    columns' keys when the segment is a legacy form.  A row-indexed
+    block's ``packed_keys()`` are its rows' keys of that one decoded
+    histogram, and ``sources`` / ``repliers`` are split from them; any
+    other block's columns are read when first asked for, and its keys
+    packed from them.  ``len()`` is the index entry's.  The block holds
+    its reader, so the reader stays open while the block lives unless
+    someone closes it.
     """
 
     def __init__(
@@ -555,12 +617,14 @@ class _StoreBlock(PairBlock):
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:
         columns = self.__dict__.get("_column_arrays")
         if columns is None:
-            sources, repliers = columns = self._reader._read_columns(
-                self._entry, self._mapped
-            )
-            object.__setattr__(
-                self, "_packed_keys", _read_only(pack_keys(sources, repliers))
-            )
+            if self._reader._indexed(self._entry):
+                keys = self.packed_keys()
+                columns = (
+                    _read_only(blocks.key_sources(keys)),
+                    _read_only(blocks.key_repliers(keys)),
+                )
+            else:
+                columns = self._reader._read_columns(self._entry, self._mapped)
             object.__setattr__(self, "_column_arrays", columns)
         return columns
 
@@ -576,8 +640,14 @@ class _StoreBlock(PairBlock):
         return self._entry.n_pairs
 
     def packed_keys(self) -> np.ndarray:
-        self._columns()
-        return super().packed_keys()
+        keys = self.__dict__.get("_packed_keys")
+        if keys is None:
+            if self._reader._indexed(self._entry):
+                keys = self._reader._row_keys(self._entry, self.key_histogram())
+            else:
+                keys = _read_only(pack_keys(*self._columns()))
+            object.__setattr__(self, "_packed_keys", keys)
+        return keys
 
     def key_histogram(self) -> tuple[np.ndarray, np.ndarray]:
         if "_key_histogram" not in self.__dict__:
@@ -590,13 +660,13 @@ class _StoreBlock(PairBlock):
 class TraceStoreReader:
     """Block reader over a trace store file.
 
-    :meth:`block` reads no segment: a block maps (or, in a version-2
-    store, decompresses) a segment when something first asks for it, and
-    maps only that segment's byte range, so iterating a 10GB store keeps
-    O(block_size) pages resident — each block's mappings are released as
-    soon as the consumer drops the block.  A block's key histogram comes
-    off its codec-3 key segment, so mining and testing a block read
-    neither column; a legacy block's is counted from its columns.
+    :meth:`block` reads no segment: a block maps (or decodes) a segment
+    when something first asks for it, and maps only that segment's byte
+    range, so iterating a 10GB store keeps O(block_size) pages resident —
+    each block's mappings are released as soon as the consumer drops the
+    block.  A block's key histogram comes off its codec-3 key segment, so
+    mining and testing a block read neither column; a legacy block's is
+    counted from its columns.
 
     Opening prefers the footer index (O(1), trusted after its CRC
     check).  A missing or corrupt footer triggers a header scan that
@@ -625,7 +695,7 @@ class TraceStoreReader:
         self._size = os.path.getsize(self.path)
         self.recovered = False
         self._fh = open(self.path, "rb")
-        header = self._fh.read(_HEADER.size)
+        header = self._read_at(0, _HEADER.size)
         if len(header) < _HEADER.size:
             self.close()
             raise TraceStoreError(f"{self.path}: too short for a trace store")
@@ -646,6 +716,7 @@ class TraceStoreReader:
                 f"{self.path}: packed-key segments flagged both pair-order and sorted"
             )
         self.version = int(version)
+        self.flags = int(flags)
         self.block_size = int(block_size)
         self.meta_fingerprint = int(meta)
         self._entries = self._load_footer()
@@ -706,18 +777,15 @@ class TraceStoreReader:
         """Parse the footer index; None when absent/torn/corrupt."""
         if self._size < _HEADER.size + _TRAILER.size:
             return None
-        fh = self._fh
-        fh.seek(self._size - _TRAILER.size)
         magic, index_offset, n_blocks, total_pairs, crc, version = _TRAILER.unpack(
-            fh.read(_TRAILER.size)
+            self._read_at(self._size - _TRAILER.size, _TRAILER.size)
         )
         if magic != _FOOTER_MAGIC or version != self.version:
             return None
         index_size = n_blocks * _INDEX_ENTRY.size
         if index_offset + index_size + _TRAILER.size != self._size:
             return None
-        fh.seek(index_offset)
-        index = fh.read(index_size)
+        index = self._read_at(index_offset, index_size)
         if len(index) != index_size or zlib.crc32(index) != crc:
             return None
         entries = [
@@ -780,11 +848,9 @@ class TraceStoreReader:
         :meth:`_intact`, ends the store.
         """
         entries: list[_BlockEntry] = []
-        fh = self._fh
         offset = _HEADER.size
         while True:
-            fh.seek(offset)
-            raw = fh.read(_BLOCK_HEADER.size)
+            raw = self._read_at(offset, _BLOCK_HEADER.size)
             if len(raw) < _BLOCK_HEADER.size:
                 break
             magic, _codecs, n_pairs, fingerprint = _BLOCK_HEADER.unpack(raw)
@@ -793,11 +859,13 @@ class TraceStoreReader:
             if self.version == _VERSION_RAW:
                 extent = self._block_extent(n_pairs)
             else:
-                lengths_raw = fh.read(8 * _N_SEGMENTS)
+                lengths_raw = self._read_at(
+                    offset + _BLOCK_HEADER.size, 8 * _N_SEGMENTS
+                )
                 if len(lengths_raw) < 8 * _N_SEGMENTS:
                     break  # torn tail inside the length area
                 lengths = struct.unpack(f"<{_N_SEGMENTS}Q", lengths_raw)
-                if any(length < 1 or length > self._size for length in lengths):
+                if min(lengths[0], lengths[2]) < 1 or max(lengths) > self._size:
                     break
                 extent = _BLOCK_HEAD_V2 + sum(lengths)
             if offset + extent > self._size:
@@ -815,16 +883,15 @@ class TraceStoreReader:
         off a block that passes is its columns' rule.  A legacy key
         segment is never read, so only the columns are checked."""
         try:
-            sources, repliers = self._read_columns(entry)
-            if column_digest(sources, repliers) != entry.fingerprint:
+            block = _StoreBlock(self, entry, 0)
+            if column_digest(block.sources, block.repliers) != entry.fingerprint:
                 return False
-            histogram = self._key_histogram(entry)
-            if histogram is None:
+            if not self._has_rows(entry):
                 return True
-            want = _runs(np.sort(pack_keys(sources, repliers)))
-            return all(map(np.array_equal, histogram, want))
+            want = _runs(np.sort(block.packed_keys()))
+            return all(map(np.array_equal, block.key_histogram(), want))
         except TraceStoreCorruption:
-            return False  # garbage where a compressed segment should be
+            return False  # garbage where an encoded segment should be
 
     def _verified_prefix(self, entries: list[_BlockEntry]) -> list[_BlockEntry]:
         good: list[_BlockEntry] = []
@@ -859,6 +926,13 @@ class TraceStoreReader:
             )
         return self._entries[i]
 
+    def _read_at(self, offset: int, size: int) -> bytes:
+        """Up to ``size`` bytes at ``offset`` (short at the end of the
+        file), read without a file position: a process forked while
+        this reader is open shares its handle's position with its
+        parent and siblings, so a seek then a read could read at theirs."""
+        return os.pread(self._fh.fileno(), size, offset)
+
     def _memmap(self, offset: int, n_items: int, dtype=_I8) -> np.ndarray:
         """One tracked read-only memmap covering ``n_items`` of ``dtype``."""
         # Mapped through the reader's own handle, so a block that reads a
@@ -884,8 +958,7 @@ class TraceStoreReader:
     def _block_head(self, offset: int) -> bytes:
         """The version-2 block header at ``offset`` with its stored
         lengths (short at the end of the file)."""
-        self._fh.seek(offset)
-        return self._fh.read(_BLOCK_HEAD_V2)
+        return self._read_at(offset, _BLOCK_HEAD_V2)
 
     def _parse_layout(
         self, entry: _BlockEntry, head: bytes
@@ -904,18 +977,36 @@ class TraceStoreReader:
             f"<{_N_SEGMENTS}Q", head, _BLOCK_HEADER.size
         )
         payload = entry.offset + _BLOCK_HEAD_V2
-        if min(lengths) < 1 or payload + sum(lengths) > self._size:
+        codecs = tuple((codecs_word >> (8 * k)) & 0xFF for k in range(_N_SEGMENTS))
+        # a row index leaves segment 1 empty; every other segment stores bytes
+        stored = lengths[::2] if codecs[1] == _CODEC_ROW_INDEX else lengths
+        if min(stored) < 1 or payload + sum(lengths) > self._size:
             raise TraceStoreCorruption(
                 f"{self.path}: block at {entry.offset} stores segment "
                 f"lengths {lengths} past the end of the file"
             )
-        codecs = tuple((codecs_word >> (8 * k)) & 0xFF for k in range(_N_SEGMENTS))
-        nbytes = entry.n_pairs * _ITEMSIZE
-        for codec, length, known in zip(codecs, lengths, _SEGMENT_CODECS):
+        for codec, known in zip(codecs, _SEGMENT_CODECS):
             if codec not in known:
                 raise TraceStoreCorruption(
                     f"{self.path}: unknown segment codec {codec}"
                 )
+        if _CODEC_ROW_INDEX in codecs[:2]:
+            if codecs[:2] != (_CODEC_ROW_INDEX, _CODEC_ROW_INDEX):
+                raise TraceStoreCorruption(
+                    f"{self.path}: column codecs {codecs[:2]} index one column"
+                )
+            if codecs[2] != _CODEC_HISTOGRAM_ROWS:
+                raise TraceStoreCorruption(
+                    f"{self.path}: a row index beside a codec-{codecs[2]} "
+                    "key segment has no histogram to index"
+                )
+            if lengths[1]:
+                raise TraceStoreCorruption(
+                    f"{self.path}: segment 1 of a row-indexed block stores "
+                    f"{lengths[1]} bytes, not 0"
+                )
+        nbytes = entry.n_pairs * _ITEMSIZE
+        for codec, length in zip(codecs, lengths):
             if codec == _CODEC_RAW and length != nbytes:
                 raise TraceStoreCorruption(
                     f"{self.path}: raw segment length {length} != {nbytes}"
@@ -936,7 +1027,8 @@ class TraceStoreReader:
     def _read_segment(
         self, entry: _BlockEntry, segment: int, mapped=None
     ) -> np.ndarray:
-        """One column (segment 0 or 1) of a block, inflating when needed.
+        """One column (segment 0 or 1) of a block that is not row-indexed,
+        inflating a legacy zlib column.
 
         ``mapped(offset, n_items)`` serves raw segments: a mapping of
         the segment alone (:meth:`_memmap`, the default) or
@@ -961,8 +1053,7 @@ class TraceStoreReader:
     def _stored(self, entry: _BlockEntry, segment: int) -> bytes:
         """The stored bytes of one of a version-2 block's segments."""
         _codecs, lengths, payload = self._layout(entry)
-        self._fh.seek(payload + sum(lengths[:segment]))
-        return self._fh.read(lengths[segment])
+        return self._read_at(payload + sum(lengths[:segment]), lengths[segment])
 
     def _read_columns(
         self, entry: _BlockEntry, mapped=None
@@ -971,6 +1062,23 @@ class TraceStoreReader:
             self._read_segment(entry, 0, mapped),
             self._read_segment(entry, 1, mapped),
         )
+
+    def _indexed(self, entry: _BlockEntry) -> bool:
+        """Whether block ``entry``'s columns are a codec-4 row index."""
+        return (
+            self.version == _VERSION_CODECS
+            and self._layout(entry)[0][0] == _CODEC_ROW_INDEX
+        )
+
+    def _row_keys(
+        self, entry: _BlockEntry, histogram: tuple[np.ndarray, np.ndarray]
+    ) -> np.ndarray:
+        """Row-indexed block ``entry``'s packed keys in pair order: each
+        pair's row of the block's decoded ``histogram``."""
+        keys, counts = histogram
+        stored = self._stored(entry, 0)
+        rows = _decode_row_index(stored, entry.n_pairs, counts, self.path)
+        return _read_only(np.take(keys, rows))
 
     def _has_rows(self, entry: _BlockEntry) -> bool:
         """Whether block ``entry``'s key segment is codec 3."""
@@ -1020,9 +1128,9 @@ class TraceStoreReader:
         it drops blocks, but a mapping holds a descriptor: the paper's
         365 blocks kept that way are 1,100 of them, past the usual
         limit of 1,024.  Here raw segments are slices of one mapping,
-        made now; compressed ones decompress as in
-        :meth:`block`.  A block's key histogram is still read when
-        first asked for.
+        made now; a row-indexed block decodes its histogram and keys,
+        and a legacy zlib column inflates, as in :meth:`block`.  Any
+        other block's key histogram is still read when first asked for.
         """
         self._check_open()
         held = []
@@ -1033,13 +1141,42 @@ class TraceStoreReader:
         return held
 
     def columns(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Raw (sources, repliers) views of block ``i``."""
-        return self._read_columns(self._entry(i))
+        """(sources, repliers) of block ``i``: raw views, or split from
+        its row index."""
+        block = self.block(i)
+        return block.sources, block.repliers
 
     def iter_blocks(self) -> Iterator[PairBlock]:
         """Yield blocks in trace order, reading each only when asked."""
         for i in range(len(self._entries)):
             yield self.block(i)
+
+    def describe_blocks(self) -> Iterator[dict]:
+        """One row per block, as ``repro trace-inspect`` prints it: its
+        pairs, segment codecs and stored lengths (a version-1 block's
+        three raw columns), its key histogram's distinct keys ``d``, its
+        row width (None without a row index), and whether it is intact
+        on its own.  A block whose segments fail to decode has ``error``
+        in place of ``d``."""
+        self._check_open()
+        for i, entry in enumerate(self._entries):
+            row = {"block": i, "pairs": entry.n_pairs}
+            try:
+                if self.version == _VERSION_CODECS:
+                    codecs, lengths, payload = self._layout(entry)
+                else:
+                    codecs = (_CODEC_RAW,) * _N_SEGMENTS
+                    lengths = (entry.n_pairs * _ITEMSIZE,) * _N_SEGMENTS
+                row.update(codecs=codecs, lengths=lengths, width=None)
+                if codecs[0] == _CODEC_ROW_INDEX and lengths[0] >= _INDEX_HEAD.size:
+                    row["width"] = self._read_at(payload, _INDEX_HEAD.size)[-1]
+                block = self.block(i)
+                block.packed_keys()  # decodes a row index too
+                row["d"] = len(block.key_histogram()[0])
+            except TraceStoreCorruption as exc:
+                row["error"] = str(exc)
+            row["intact"] = self._intact(entry)
+            yield row
 
     def verify_blocks(self, *, strict: bool = False) -> int:
         """Re-check every visible block; returns how many are intact.

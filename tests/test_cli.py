@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -118,16 +119,6 @@ class TestCommands:
 
 
 class TestTracegenCli:
-    def test_bad_compress_level_exits_2_and_leaves_the_target_alone(
-        self, tmp_path, capsys
-    ):
-        path = tmp_path / "t.rptrace"
-        path.write_bytes(b"an existing store")
-        argv = ["tracegen", str(path), "--blocks", "2", "--codec", "zlib"]
-        assert main([*argv, "--compress-level", "42"]) == 2
-        assert "compress_level" in capsys.readouterr().err
-        assert path.read_bytes() == b"an existing store"
-
     @pytest.mark.parametrize(
         "flag, value",
         [
@@ -196,14 +187,101 @@ class TestHierCli:
         assert captured.err.startswith("hier: ")
         assert captured.err.count("\n") == 1
 
+
+_STORES = Path(__file__).parent / "trace" / "data"
+
+
+class TestTraceInspectCli:
+    """``trace-inspect`` prints the header and one row per block."""
+
+    @staticmethod
+    def rows(out):
+        """Each block row's fields, after the header line and the heads."""
+        return [line.split() for line in out.splitlines()[2:]]
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in _STORES.glob("parent_*.rptrace"))
+    )
+    def test_every_committed_store(self, name, capsys):
+        import numpy as np
+
+        from repro.trace.store import TraceStoreReader
+
+        path = _STORES / name
+        assert main(["trace-inspect", str(path)]) == 0
+        out = capsys.readouterr().out
+        with TraceStoreReader(path) as reader:
+            head = f"version {reader.version}, flags {reader.flags:#x}, meta 0x"
+            d = [len(np.unique(b.packed_keys())) for b in reader.iter_blocks()]
+            pairs = reader.block_pairs()
+        assert head in out.splitlines()[0]
+        rows = self.rows(out)
+        assert [int(row[0]) for row in rows] == list(range(len(pairs)))
+        assert [int(row[1]) for row in rows] == pairs
+        assert [int(row[4]) for row in rows] == d
+        assert {(row[5], row[6]) for row in rows} == {("-", "ok")}
+        if "v1" in name:
+            assert {row[2] for row in rows} == {"0,0,0"}
+
+    def test_a_fresh_zlib_store(self, tmp_path, capsys):
+        """A zlib store's columns are a row index: codecs 4,4,3, segment
+        1 empty, rows 2 bytes wide for a block's ~2,500 distinct keys, and
+        the meta word the writer stamped."""
+        from repro.trace.store import TraceStoreReader, TraceStoreWriter
+
+        path = tmp_path / "z.rptrace"
+        assert main(["tracegen", str(path), "--blocks", "3", "--codec", "zlib"]) == 0
+        data = bytearray(path.read_bytes())
+        data[24:32] = (0x5EED).to_bytes(8, "little")  # the header's meta word
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["trace-inspect", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "version 2, flags 0x2, meta 0x0000000000005eed" in out
+        rows = self.rows(out)
+        with TraceStoreReader(path) as reader:
+            d = [len(b.key_histogram()[0]) for b in reader.iter_blocks()]
+        assert len(rows) == 3
+        for row, distinct in zip(rows, d):
+            index, empty, _keys = map(int, row[3].split(","))
+            assert row[2] == "4,4,3" and (index, empty) == (5 + 2 * 10_000, 0)
+            assert (int(row[4]), row[5], row[6]) == (distinct, "2", "ok")
+        with TraceStoreWriter(tmp_path / "raw.rptrace", block_size=10) as writer:
+            writer.append(list(range(10)), [7] * 10)
+        assert main(["trace-inspect", str(tmp_path / "raw.rptrace")]) == 0
+        (row,) = self.rows(capsys.readouterr().out)
+        assert row[2:] == ["0,0,3", "80,80,37", "10", "-", "ok"]
+
+    def test_a_corrupt_block_fails_and_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "z.rptrace"
+        assert main(["tracegen", str(path), "--blocks", "3", "--codec", "zlib"]) == 0
+        data = bytearray(path.read_bytes())
+        lengths = [int.from_bytes(data[at : at + 8], "little") for at in (64, 72, 80)]
+        block_1 = 32 + 56 + sum(lengths)
+        data[block_1 + 56 + 100] ^= 0xFF  # a row of block 1's index
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["trace-inspect", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert [row[-1] for row in self.rows(out) if row[0].isdigit()] == [
+            "ok", "FAIL", "ok"
+        ]
+        assert "index segment fails its CRC" in out
+
+    def test_not_a_store_exits_2(self, tmp_path):
+        path = tmp_path / "junk.rptrace"
+        path.write_bytes(b"not a trace store at all, not even close")
+        assert main(["trace-inspect", str(path)]) == 2
+
+
 class TestTraceEvalCli:
     @pytest.mark.parametrize("extra", [[], ["--check-serial"], ["--strategy", "streaming"]])
     def test_corrupt_segment_exits_2_without_a_traceback(self, tmp_path, capsys, extra):
         """A zlib store with flipped payload bytes in block 2 opens
         cleanly; the evaluation that reads the block logs the error and
-        exits 2 instead of raising.  A strategy reads the key segment
-        first, which fails its CRC; the streaming fold reads a column,
-        which fails to inflate."""
+        exits 2 instead of raising.  A strategy reads the key segment,
+        which fails its CRC, and so does the streaming fold: a pair's key
+        is its row of that histogram, decoded first."""
         import struct
 
         import numpy as np
@@ -221,18 +299,16 @@ class TestTraceEvalCli:
         data = bytearray(path.read_bytes())
         lengths = struct.unpack_from("<3Q", data, offset + 32)
         start = offset + 32 + 3 * 8
-        for segment in range(3):  # every segment of block 2
-            data[start + 5] ^= 0xFF
-            data[start + 6] ^= 0xFF
-            start += lengths[segment]
+        for length in lengths:  # every segment of block 2 that stores bytes
+            if length:
+                data[start + 5] ^= 0xFF
+                data[start + 6] ^= 0xFF
+            start += length
         path.write_bytes(bytes(data))
         assert main(["trace-eval", str(path), *extra]) == 2
         captured = capsys.readouterr()
         assert "trace store unreadable" in captured.err
-        if "streaming" in extra:
-            assert "segment fails to decompress" in captured.err
-        else:
-            assert "histogram segment fails its CRC" in captured.err
+        assert "histogram segment fails its CRC" in captured.err
         assert "trials=" not in captured.out
 
 

@@ -2,19 +2,19 @@
 
 One seeded, structure-aware sweep per format — trace store v1 and v2 as
 written before key segments were sorted, v1 as written before every
-store held histograms, v2 as written before they were histograms and
-before histograms were narrow rows (the committed bytes under
-``tests/trace/data``), and v2 raw and zlib as written now, with targeted
-edits of the narrow-rows histogram segment (codec 3, under a CRC) that
-must each raise, and hostile legacy key segments (raw sorted keys, zlib
-keys, deflated histograms) that must each be counted from the columns,
-never read, pair WAL, snapshot (exact and lossy), the RDG1 rule digest, the
-Prometheus text a cluster collector scrapes, the query and reply TSV
-trace files of ``repro.trace.io``, one Gnutella descriptor
-(``decode_message``) and a run of them through the live servent's
-``StreamDecoder.feed``, which must also never buffer more than it was
-fed.  Every 4- and 8-byte field
-of the file header, the first block (or record) header and the trailer
+store held histograms, v2 as written before they were histograms, before
+histograms were narrow rows and before zlib columns were a row index
+(the committed bytes under ``tests/trace/data``), and v2 raw and zlib as
+written now, with targeted edits of the narrow-rows histogram segment
+(codec 3, under a CRC) and of the row index (codec 4, under a CRC) and
+its layout that must each raise, and hostile legacy key segments (raw
+sorted keys, zlib keys, deflated histograms) that must each be counted
+from the columns, never read, pair WAL, snapshot (exact and lossy), the
+RDG1 rule digest, the Prometheus text a cluster collector scrapes, the
+query and reply TSV trace files of ``repro.trace.io``, one Gnutella
+descriptor (``decode_message``) and a run of them through the live
+servent's ``StreamDecoder.feed``, which must also never buffer more than
+it was fed.  Every 4- and 8-byte field of the file header, the first block (or record) header and the trailer
 is overwritten with each boundary value; then a fixed number of seeded
 single-bit flips and truncations follow, and for the text formats seeded
 edits of single lines.  Each outcome must be a valid decode or that
@@ -450,6 +450,12 @@ FORMATS = {
         _decode_trace,
         TraceStoreError,
     ),
+    "trace-v2-rows-zlib": Format(
+        _legacy_trace("parent_v2_rows_zlib.rptrace"),
+        _trace_fields(3),
+        _decode_trace,
+        TraceStoreError,
+    ),
     "wal": Format(_build_wal, _wal_fields, _decode_wal, WalError),
     "snapshot-exact": Format(
         _build_snapshot("exact"), _snapshot_fields, _decode_snapshot, SnapshotError
@@ -567,35 +573,32 @@ def _with_crc(body):
     return struct.pack("<I", zlib.crc32(body)) + body
 
 
-def _one_block_store(tmp_path, key_segment, codec=1, n_blocks=1):
-    """A zlib store of ``n_blocks`` 100-pair blocks, each sources 0..99
-    to replier 7, whose block 0 key segment is replaced by
-    ``key_segment(plain)`` under segment codec ``codec``: ``plain`` is the
-    sorted keys for codec 1, the histogram rows for 2 — each then a zlib
-    stream, as earlier releases wrote — and the narrow rows after their
-    CRC for 3."""
+def _pairs_store(tmp_path, n_blocks=1, codec="zlib"):
+    """The bytes of a store of ``n_blocks`` 100-pair blocks, each sources
+    0..99 to replier 7."""
     path = tmp_path / "one-block.rptrace"
-    with TraceStoreWriter(path, block_size=100, codec="zlib") as writer:
+    with TraceStoreWriter(path, block_size=100, codec=codec) as writer:
         writer.append(
             np.tile(np.arange(100, dtype=np.int64), n_blocks),
             np.full(100 * n_blocks, 7, dtype=np.int64),
         )
-    data = path.read_bytes()
-    plain = {
-        1: _ONE_BLOCK_KEYS.astype("<i8").tobytes(),
-        2: _histogram_rows(),
-        3: _narrow_rows(),
-    }[codec]
-    stream = key_segment(plain)
+    return path.read_bytes()
+
+
+def _with_segment(data, segment, stored, codec=None):
+    """``data`` with block 0's segment ``segment`` replaced by ``stored``
+    and, unless ``codec`` is None, its codec byte set to ``codec``."""
     # the block at offset 32: header, three segment lengths, segments;
     # every later block, the index and the trailer move by the change
     codecs = struct.unpack_from("<I", data, 36)[0]
     lengths = struct.unpack_from("<3Q", data, 64)
-    keys_at = 88 + lengths[0] + lengths[1]
-    shift = len(stream) - lengths[2]
-    out = bytearray(data[:keys_at] + stream + data[keys_at + lengths[2] :])
-    struct.pack_into("<I", out, 36, codecs & ~(0xFF << 16) | codec << 16)
-    struct.pack_into("<Q", out, 80, len(stream))
+    at = 88 + sum(lengths[:segment])
+    shift = len(stored) - lengths[segment]
+    out = bytearray(data[:at] + stored + data[at + lengths[segment] :])
+    if codec is not None:
+        byte = 8 * segment
+        struct.pack_into("<I", out, 36, codecs & ~(0xFF << byte) | codec << byte)
+    struct.pack_into("<Q", out, 64 + 8 * segment, len(stored))
     t = len(out) - 40
     index_offset = struct.unpack_from("<Q", out, t + 8)[0] + shift
     for at in range(index_offset + 32, t, 32):
@@ -603,6 +606,22 @@ def _one_block_store(tmp_path, key_segment, codec=1, n_blocks=1):
     struct.pack_into("<Q", out, t + 8, index_offset)
     struct.pack_into("<I", out, t + 32, zlib.crc32(out[index_offset:t]))
     return bytes(out)
+
+
+def _one_block_store(tmp_path, key_segment, codec=1, n_blocks=1):
+    """A store of :func:`_pairs_store`'s blocks whose block 0 key
+    segment is replaced by ``key_segment(plain)`` under segment codec
+    ``codec``: ``plain`` is the sorted keys for codec 1, the histogram
+    rows for 2 — each then a zlib stream, as earlier releases wrote,
+    beside raw columns — and the narrow rows after their CRC for 3,
+    beside a zlib store's row index."""
+    data = _pairs_store(tmp_path, n_blocks, "zlib" if codec == 3 else None)
+    plain = {
+        1: _ONE_BLOCK_KEYS.astype("<i8").tobytes(),
+        2: _histogram_rows(),
+        3: _narrow_rows(),
+    }[codec]
+    return _with_segment(data, 2, key_segment(plain), codec)
 
 
 #: one hostile edit per check the deleted codec-2 decoder made, each a
@@ -756,6 +775,88 @@ def test_a_rows_segment_edit_raises(tmp_path, edit):
     with TraceStoreReader(_write(tmp_path, data)) as reader:
         with pytest.raises(TraceStoreCorruption, match=message):
             reader.block(0).key_histogram()
+        assert reader.verify_blocks() == 0
+
+
+def _segment(data, segment):
+    """Block 0's stored segment ``segment``."""
+    lengths = struct.unpack_from("<3Q", data, 64)
+    at = 88 + sum(lengths[:segment])
+    return data[at : at + lengths[segment]]
+
+
+#: the one block's row index as its codec-4 segment holds it after the
+#: CRC: the width byte, then each pair's row (pair k holds key k, once).
+_INDEX = b"\x01" + bytes(range(100))
+
+
+def _index_segment(body):
+    return lambda data: _with_segment(data, 0, _with_crc(body))
+
+
+#: one hostile edit per check of the codec-4 layout and decoder, and the
+#: message of the check that must refuse it.  Each index carries its own
+#: CRC but the swapped rows: one changed row changes the counts, two
+#: swapped rows keep them, so only the CRC can refuse those.
+_INDEX_EDITS = {
+    "no head": (lambda data: _with_segment(data, 0, bytes(4)), "has no head"),
+    "width 0": (_index_segment(b"\x00" + _INDEX[1:]), "index width 0 is not"),
+    "width 3": (_index_segment(b"\x03" + _INDEX[1:]), "index width 3 is not"),
+    "width 8": (_index_segment(b"\x08" + _INDEX[1:]), "index width 8 is not"),
+    "short plane": (_index_segment(_INDEX[:-1]), "is not 100 rows"),
+    "long plane": (_index_segment(_INDEX + b"\x00"), "is not 100 rows"),
+    "row equal to d": (
+        _index_segment(_INDEX[:6] + b"\x64" + _INDEX[7:]),
+        "index row 100 is past the histogram's 100 rows",
+    ),
+    "counts disagree": (
+        _index_segment(_INDEX[:6] + b"\x04" + _INDEX[7:]),
+        "do not count the histogram's counts",
+    ),
+    "segment 1 not empty": (
+        lambda data: _with_segment(data, 1, bytes(8)),
+        "segment 1 of a row-indexed block stores 8 bytes",
+    ),
+    "segment 0 not indexed": (
+        lambda data: _with_segment(data, 0, _segment(data, 0), codec=0),
+        "index one column",
+    ),
+    "beside a codec-1 key segment": (
+        lambda data: _with_segment(data, 2, _segment(data, 2), codec=1),
+        "beside a codec-1 key segment",
+    ),
+    "rows swapped under the old CRC": (
+        lambda data: _with_segment(
+            data, 0, _with_crc(_INDEX)[:4] + _INDEX[:1] + b"\x01\x00" + _INDEX[3:]
+        ),
+        "index segment fails its CRC",
+    ),
+}
+
+
+def test_an_unedited_index_segment_is_served(tmp_path):
+    """The codec-4 segment the edits below start from is what they
+    think: served, it is the block's keys in pair order, and it
+    verifies."""
+    data = _pairs_store(tmp_path)
+    assert _segment(data, 0) == _with_crc(_INDEX) and not _segment(data, 1)
+    with TraceStoreReader(_write(tmp_path, data)) as reader:
+        block = reader.block(0)
+        np.testing.assert_array_equal(block.packed_keys(), _ONE_BLOCK_KEYS)
+        np.testing.assert_array_equal(block.sources, np.arange(100))
+        np.testing.assert_array_equal(block.repliers, np.full(100, 7))
+        assert reader.verify_blocks(strict=True) == 1
+
+
+@pytest.mark.parametrize("edit", sorted(_INDEX_EDITS))
+def test_an_index_segment_edit_raises(tmp_path, edit):
+    """Every check of the codec-4 layout and decoder refuses its edit
+    with the typed error, on a read and on verification."""
+    change, message = _INDEX_EDITS[edit]
+    data = change(_pairs_store(tmp_path))
+    with TraceStoreReader(_write(tmp_path, data)) as reader:
+        with pytest.raises(TraceStoreCorruption, match=message):
+            reader.block(0).packed_keys()
         assert reader.verify_blocks() == 0
 
 

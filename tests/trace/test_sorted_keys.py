@@ -1,8 +1,11 @@
-"""A store block's key histogram, decoded from its key segment.
+"""A store block's key histogram, decoded from its key segment, and a
+zlib store block's keys, each pair's row of it.
 
 Every store holds each block's key histogram as narrow rows (segment
 codec 3), and a store block's ``key_histogram()`` is one checked decode
-of it.  Every other form of the segment — packed keys in pair order
+of it.  A zlib store holds each pair as its row of that histogram
+(segment codec 4), so a block's ``packed_keys()`` are the decoded
+histogram's keys at those rows.  Every other form of the segment — packed keys in pair order
 (header flags bit 0), raw sorted keys (version 1), sorted keys under
 zlib (codec 1), a deflated histogram (codec 2) — is a legacy form that
 is never read: the block is counted from its columns, like an in-memory
@@ -18,9 +21,16 @@ block.  Here:
   ``data/parent_v2_sorted_zlib.rptrace``, written with ``codec="zlib"``
   by the release before histogram segments (sorted keys under zlib), and
   ``data/parent_v2_histogram.rptrace``, written by the release before
-  narrow rows (deflated histograms) — each counted from its columns;
+  narrow rows (deflated histograms) — each counted from its columns —
+  and ``data/parent_v2_rows_zlib.rptrace``, written by the release
+  before row indexes (deflated columns beside codec-3 rows), whose
+  histograms are read, and whose fingerprints, histograms and runs equal
+  a fresh raw and a fresh zlib store's;
 * a fresh raw or ``codec="zlib"`` store writes segment 2 as codec 3, one
   pair blocks included, and a block's ``key_histogram()`` reads no column;
+  a zlib store's columns are a row index (codec 4) 1, 2 or 4 bytes wide,
+  and a block decodes its histogram once for its histogram, keys and
+  columns alike, and serves its keys without splitting a column;
 * on hypothesis-drawn columns — one distinct key, all keys distinct, a
   1-pair block, a short tail block, ids 0 and 2**31 - 1, ids on each
   side of a plane width (255/256, 65,535/65,536); raw and zlib —
@@ -33,10 +43,12 @@ block.  Here:
   :class:`TraceStoreError`.
 
 ``tests/test_decoder_wall.py`` edits the codec-3 segment so that it
-cannot be a block's histogram, and every such edit must fail the read;
-its hostile legacy segments must each be counted from the columns.
+cannot be a block's histogram, and the codec-4 segment and its layout so
+that it cannot index it, and every such edit must fail the read; its
+hostile legacy segments must each be counted from the columns.
 Mutants run in a scratch copy, and what fails on each (``rows`` is
-``test_decoder_wall.py::test_a_rows_segment_edit_raises``):
+``test_decoder_wall.py::test_a_rows_segment_edit_raises``, ``index``
+its ``test_an_index_segment_edit_raises``):
 
 * the key-segment comparison dropped from ``TraceStoreReader._intact``
   (verification checks the fingerprint only) —
@@ -53,7 +65,7 @@ Mutants run in a scratch copy, and what fails on each (``rows`` is
   ``TestIntegrity::test_a_forged_memo_never_reaches_the_segment``;
 * the CRC check dropped from the rows decoder — ``rows`` on ``flipped
   byte``, and ``test_cli.py::TestTraceEvalCli`` on a corrupt segment
-  (``extra0``, ``extra1``);
+  (every ``extra``);
 * its width check dropped — ``rows`` on ``width 0``, ``width 3`` and
   ``width 8``; its whole-rows check — ``partial row``; its row-count
   check — ``zero rows`` and ``more rows than pairs``;
@@ -80,7 +92,22 @@ Mutants run in a scratch copy, and what fails on each (``rows`` is
 * the writer's 2**32-pair checks dropped —
   ``test_store.py::TestCompression::test_blocks_of_2_to_the_32_pairs_are_refused``;
 * the trace cache keeping a complete version-1 file —
-  ``test_cache.py::TestRebuild::test_a_version_1_cache_is_rewritten_once``.
+  ``test_cache.py::TestRebuild::test_a_version_1_cache_is_rewritten_once``;
+* the row index decoder's ``bincount`` check dropped — ``index`` on
+  ``counts disagree``; its ``row < d`` check dropped — ``index`` on
+  ``row equal to d`` (``bincount`` then refuses it, with the other
+  message); its CRC check — ``index`` on ``rows swapped under the old
+  CRC`` and ``test_cli.py::TestTraceInspectCli`` on a corrupt block; its
+  width check — ``index`` on ``width 0``, ``width 3`` and ``width 8``;
+  its length check allowing a long plane — ``long plane``; the layout's
+  empty segment 1 and codec-3 neighbour checks — ``segment 1 not empty``
+  and ``beside a codec-1 key segment``;
+* a zlib block's keys split into columns and packed again —
+  ``TestRowIndex::test_keys_come_from_the_decoded_histogram``;
+* a zlib block's histogram decoded a second time for its keys —
+  ``TestRowIndex::test_keys_come_from_the_decoded_histogram``;
+* a reader that seeks and then reads —
+  ``test_store.py::TestForkedReader::test_forked_workers_read_their_own_bytes``.
 """
 
 import gc
@@ -118,6 +145,8 @@ SORTED_ZLIB = "parent_v2_sorted_zlib.rptrace"
 DEFLATED_HISTOGRAM = "parent_v2_histogram.rptrace"
 #: sorted key segments raw in a version-1 store, not histograms.
 RAW_SORTED = "parent_v1_sorted.rptrace"
+#: deflated columns (segment codec 1) beside codec-3 rows, not a row index.
+ROWS_ZLIB = "parent_v2_rows_zlib.rptrace"
 SORTED_LEGACY = (RAW_SORTED, SORTED_ZLIB, DEFLATED_HISTOGRAM)
 STRATEGIES = (StaticRuleset, SlidingWindow, LazySlidingWindow, AdaptiveSlidingWindow)
 ID_MAX = 2**31 - 1
@@ -153,6 +182,11 @@ def key_segment_widths(path):
     lengths = struct.unpack_from("<3Q", data, 64)
     head = 88 + lengths[0] + lengths[1]
     return tuple(data[head + 4 : head + 7])
+
+
+def row_index_width(path):
+    """Block 0's row width, of a codec-4 segment 0."""
+    return Path(path).read_bytes()[88 + 4]
 
 
 def write(path, sources, repliers, *, block_size=100, codec=None, footer=True):
@@ -301,7 +335,7 @@ class TestHistogramSegment:
         """Segment 2 of a fresh zlib store is codec 3, and a block's key
         histogram reads neither column and counts nothing."""
         path = write(tmp_path / "new.rptrace", *legacy_columns(), codec="zlib")
-        assert segment_codecs(path) == [(1, 1, 3)] * 3
+        assert segment_codecs(path) == [(4, 4, 3)] * 3
         calls, segments = [], []
         real = blocks_module.count_keys
         monkeypatch.setattr(
@@ -381,12 +415,103 @@ class TestHistogramSegment:
             block_size=len(sources),
             codec="zlib",
         )
-        assert segment_codecs(path) == [(1, 1, 3)]
+        assert segment_codecs(path) == [(4, 4, 3)]
         assert key_segment_widths(path) == widths
         memory = blocks_from_arrays(sources, repliers, block_size=len(sources))
         with TraceStoreReader(path) as reader:
             assert reader.verify_blocks(strict=True) == 1
             assert_serves(reader, memory)
+
+
+class TestRowIndex:
+    """A zlib store keeps each pair as its row of the block's histogram."""
+
+    def test_keys_come_from_the_decoded_histogram(self, tmp_path, monkeypatch):
+        """A zlib block reads its key segment once and its row index once,
+        packs only the histogram's keys, and serves its keys without
+        splitting them into columns; the columns are split when asked."""
+        import repro.trace.store as store_module
+
+        path = write(tmp_path / "z.rptrace", *legacy_columns(), codec="zlib")
+        packs, stored = [], []
+        real_pack = blocks_module.pack_keys
+        for module in (blocks_module, store_module):
+            monkeypatch.setattr(
+                module,
+                "pack_keys",
+                lambda sources, repliers: packs.append(len(sources))
+                or real_pack(sources, repliers),
+            )
+        real_stored = TraceStoreReader._stored
+        monkeypatch.setattr(
+            TraceStoreReader,
+            "_stored",
+            lambda self, entry, segment: stored.append(segment)
+            or real_stored(self, entry, segment),
+        )
+        memory = blocks_from_arrays(*legacy_columns(), block_size=100)
+        with TraceStoreReader(path) as reader:
+            for block, want in zip(reader.iter_blocks(), memory):
+                histogram = want.key_histogram()
+                packs.clear(), stored.clear()
+                keys = block.packed_keys()
+                assert "_column_arrays" not in block.__dict__
+                assert not keys.flags.writeable
+                np.testing.assert_array_equal(keys, want.packed_keys())
+                for got, oracle in zip(block.key_histogram(), histogram):
+                    np.testing.assert_array_equal(got, oracle)
+                for got, oracle in zip(
+                    (block.sources, block.repliers), (want.sources, want.repliers)
+                ):
+                    assert not got.flags.writeable
+                    np.testing.assert_array_equal(got, oracle)
+                assert sorted(stored) == [0, 2]
+                assert packs == [len(histogram[0])]
+
+    @pytest.mark.parametrize(
+        "d, width", [(256, 1), (257, 2), (65_536, 2), (65_537, 4)]
+    )
+    def test_row_width_on_each_side_of_a_row_count(self, tmp_path, d, width):
+        """A block of ``d`` distinct keys (one of them twice) stores each
+        pair's row as narrow as numbering ``d`` rows allows."""
+        sources = np.append(np.arange(d), 0)
+        repliers = np.zeros(d + 1, dtype=np.int64)
+        order = np.random.default_rng(d).permutation(d + 1)
+        sources, repliers = sources[order], repliers[order]
+        path = write(
+            tmp_path / "t.rptrace", sources, repliers, block_size=d + 1, codec="zlib"
+        )
+        assert segment_codecs(path) == [(4, 4, 3)]
+        assert row_index_width(path) == width
+        memory = blocks_from_arrays(sources, repliers, block_size=d + 1)
+        with TraceStoreReader(path) as reader:
+            assert reader.verify_blocks(strict=True) == 1
+            assert_serves(reader, memory)
+
+    def test_a_parent_zlib_store_serves_what_raw_and_new_stores_serve(
+        self, tmp_path
+    ):
+        """The release before row indexes deflated each column beside the
+        codec-3 rows; that store, a raw store and a row-indexed store of
+        the same pairs give the same fingerprints, histograms, columns,
+        strategy runs and streaming runs, and the row-indexed one is the
+        smallest."""
+        parent = DATA / ROWS_ZLIB
+        raw = write(tmp_path / "raw.rptrace", *legacy_columns())
+        new = write(tmp_path / "new.rptrace", *legacy_columns(), codec="zlib")
+        assert segment_codecs(parent) == [(1, 1, 3)] * 3
+        assert segment_codecs(new) == [(4, 4, 3)] * 3
+        memory = blocks_from_arrays(*legacy_columns(), block_size=100)
+        for path in (parent, raw, new):
+            with TraceStoreReader(path) as reader:
+                assert reader.histogram_rows
+                assert reader.verify_blocks(strict=True) == 3
+                assert [b.fingerprint() for b in reader.iter_blocks()] == [
+                    b.fingerprint() for b in memory
+                ]
+                assert_serves(reader, memory)
+            assert_same_runs(path, memory)
+        assert new.stat().st_size < min(parent.stat().st_size, raw.stat().st_size)
 
 
 @st.composite
@@ -516,9 +641,13 @@ class TestIntegrity:
 
 
 class TestLifetime:
-    @pytest.mark.parametrize("name", [None, *LEGACY])
+    @pytest.mark.parametrize("name", [None, "zlib", *LEGACY])
     def test_first_touch_after_close_raises(self, tmp_path, name):
-        path = DATA / name if name else write(tmp_path / "t.rptrace", *legacy_columns())
+        path = (
+            DATA / name
+            if name in LEGACY
+            else write(tmp_path / "t.rptrace", *legacy_columns(), codec=name)
+        )
         reader = TraceStoreReader(path)
         touches = {
             "sources": lambda block: block.sources,
@@ -533,7 +662,7 @@ class TestLifetime:
             with pytest.raises(TraceStoreError, match="closed"):
                 touch(untouched[what])
         assert len(untouched["sources"]) == 100  # the index entry's
-        if reader.histogram_rows:  # blocks() read the columns, not the keys
+        if name is None:  # blocks() read the raw columns, not the keys
             with pytest.raises(TraceStoreError, match="closed"):
                 held[0].key_histogram()
 
