@@ -18,11 +18,11 @@ hold twice):
 * **Partitioned speedup** — a 4-worker partitioned evaluation of the base
   store must merge bit-identical to the serial run, and (full runs only —
   CI smoke hosts may have 2 cores) deliver >= 2x serial pairs/sec.
-* **Compression round-trip** — a zlib (v2) copy of the base store must
-  shrink the file and evaluate bit-identically to the raw store.
+* **Block round-trip** — the base store re-written block by block
+  through ``append_block`` must be byte-identical to the original.
 
 Results land in ``BENCH_trace_scale.json`` (including
-``partitioned_pairs_per_sec`` and ``compression_ratio``); a failed gate
+``partitioned_pairs_per_sec``); a failed gate
 exits non-zero.  ``--quick`` (CI smoke) scales the base trace down to
 100k pairs and gates identity but not the speedup ratio.
 """
@@ -204,33 +204,23 @@ def _check_partitioned(store_path: str, *, quick: bool) -> dict:
     }
 
 
-def _check_compression(store_path: str, compressed_path: str) -> dict:
-    """Zlib (v2) copy of the store: size ratio + evaluation identity."""
+def _check_rewrite(store_path: str, copy_path: str) -> dict:
+    """The store re-written block by block through ``append_block``: every
+    store has one layout, so the copy must be byte-identical."""
     from repro.trace.store import TraceStoreReader, TraceStoreWriter
 
     t0 = perf_counter()
     with TraceStoreReader(store_path) as reader:
-        with TraceStoreWriter(
-            compressed_path, block_size=reader.block_size, codec="zlib"
-        ) as writer:
+        with TraceStoreWriter(copy_path, block_size=reader.block_size) as writer:
             for block in reader.iter_blocks():
                 writer.append_block(block)
-    compress_seconds = perf_counter() - t0
-
-    strategy = _make_strategy("sliding")
-    with TraceStoreReader(store_path) as reader:
-        raw_run = strategy.run(reader.iter_blocks())
-    with TraceStoreReader(compressed_path) as reader:
-        compressed_run = _make_strategy("sliding").run(reader.iter_blocks())
-
-    raw_bytes = os.path.getsize(store_path)
-    compressed_bytes = os.path.getsize(compressed_path)
+    rewrite_seconds = perf_counter() - t0
+    with open(store_path, "rb") as original, open(copy_path, "rb") as copy:
+        identical = original.read() == copy.read()
     return {
-        "raw_bytes": raw_bytes,
-        "compressed_bytes": compressed_bytes,
-        "compression_ratio": raw_bytes / compressed_bytes if compressed_bytes else 0.0,
-        "compress_seconds": compress_seconds,
-        "identical": compressed_run == raw_run,
+        "bytes": os.path.getsize(store_path),
+        "rewrite_seconds": rewrite_seconds,
+        "identical": identical,
     }
 
 
@@ -379,14 +369,11 @@ def main(argv=None) -> int:
                 )
             )
 
-        print("compressed (zlib v2) store round-trip ...")
-        compressed_path = os.path.join(tmp, "base-zlib.rptrace")
-        compression = _check_compression(small_path, compressed_path)
+        print("store re-written block by block ...")
+        rewrite = _check_rewrite(small_path, os.path.join(tmp, "base-copy.rptrace"))
         print(
-            f"  {compression['raw_bytes'] / 1e6:.1f} MB -> "
-            f"{compression['compressed_bytes'] / 1e6:.1f} MB "
-            f"({compression['compression_ratio']:.2f}x), "
-            + ("evaluation identical" if compression["identical"] else "MISMATCH")
+            f"  {rewrite['bytes'] / 1e6:.1f} MB in {rewrite['rewrite_seconds']:.2f}s, "
+            + ("byte-identical" if rewrite["identical"] else "MISMATCH")
         )
 
         print("streaming evaluation RSS (spawn subprocesses) ...")
@@ -420,8 +407,7 @@ def main(argv=None) -> int:
             "bit_identity": identity,
             "partitioned": partitioned,
             "partitioned_pairs_per_sec": partitioned["partitioned_pairs_per_sec"],
-            "compression": compression,
-            "compression_ratio": compression["compression_ratio"],
+            "rewrite": rewrite,
             "eval_base": eval_small,
             "eval_grown": eval_large,
             "rss_delta_bytes": rss_delta,
@@ -436,7 +422,7 @@ def main(argv=None) -> int:
         identity["identical"]
         and rss_ok
         and partitioned["ok"]
-        and compression["identical"]
+        and rewrite["identical"]
     )
     if not ok:
         print("GATE FAILED")

@@ -158,8 +158,7 @@ def entry_points(root: Path) -> list[tuple[str, list[str]]]:
         ),
         (
             "ci",
-            repro + ["tracegen", "{out}/stream.rptrace", "--blocks", "20",
-                     "--codec", "zlib"],
+            repro + ["tracegen", "{out}/stream.rptrace", "--blocks", "20"],
         ),
         ("ci", repro + ["trace-inspect", "{out}/stream.rptrace"]),
         (

@@ -177,7 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
     tracegen = sub.add_parser(
         "tracegen",
-        help="stream a generated trace into an on-disk columnar trace store",
+        help="stream a generated trace into an on-disk trace store: each "
+        "block's key histogram in narrow rows under a CRC-32, and each pair "
+        "as its 1-, 2- or 4-byte row of it",
     )
     tracegen.add_argument("path", metavar="PATH", help="store file to write")
     tracegen.add_argument(
@@ -197,14 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=50_000,
         help="pairs generated per writer append (default: 50,000)",
-    )
-    tracegen.add_argument(
-        "--codec",
-        choices=("none", "zlib"),
-        default="none",
-        help="each block's key segment is its key histogram in narrow rows "
-        "under a CRC-32; zlib stores each pair as its row of that histogram "
-        "(1, 2 or 4 bytes) instead of two int64 columns (default: %(default)s)",
     )
 
     trace_eval = sub.add_parser(
@@ -1124,13 +1118,10 @@ def main(argv: list[str] | None = None) -> int:
         config = MonitorTraceConfig()
         total = args.pairs if args.pairs is not None else args.blocks * config.block_size
         generator = MonitorTraceGenerator(config, seed=seed)
-        codec = None if args.codec == "none" else args.codec
         written = 0
         generate_seconds = 0.0
         t0 = perf_counter()
-        with TraceStoreWriter(
-            args.path, block_size=config.block_size, codec=codec
-        ) as writer:
+        with TraceStoreWriter(args.path, block_size=config.block_size) as writer:
             while written < total:
                 n = min(args.chunk_size, total - written)
                 g0 = perf_counter()
@@ -1144,14 +1135,13 @@ def main(argv: list[str] | None = None) -> int:
         write_seconds = perf_counter() - t0 - generate_seconds
         generate_rate = written / generate_seconds if generate_seconds else float("inf")
         write_rate = written / write_seconds if write_seconds else float("inf")
-        note = f", codec {codec}" if codec else ""
         tail = f" (dropped a {dropped:,}-pair partial block)" if dropped else ""
         print(
             f"wrote {writer.n_pairs:,} pairs / {writer.n_blocks} block(s) "
             f"to {args.path}{tail}: "
             f"generate {generate_seconds:.2f}s ({generate_rate:,.0f} pairs/sec), "
             f"write {write_seconds:.2f}s ({write_rate:,.0f} pairs/sec), "
-            f"seed {seed}{note}"
+            f"seed {seed}"
         )
         return 0
 

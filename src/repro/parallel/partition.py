@@ -144,7 +144,7 @@ def run_shard(
     Streams warm-up then scored blocks through the strategy's
     ``run_partition``, which drops warm-up trials and attributes
     generations exactly as the serial loop would inside the scored
-    range.  O(block) resident memory — blocks are mapped one at a time.
+    range.  O(block) resident memory — blocks are read one at a time.
     """
 
     def blocks() -> Iterator[PairBlock]:

@@ -16,8 +16,8 @@ column logs (the relational form is the tests' oracle,
 * :mod:`~repro.trace.blocks` — `PairBlock` (columnar numpy view of a block
   of pairs) and block partitioning;
 * :mod:`~repro.trace.io` — TSV (de)serialization for persisting traces;
-* :mod:`~repro.trace.store` — out-of-core mmap-backed columnar trace store
-  (append-only chunked writer, zero-copy block readers, O(block) memory).
+* :mod:`~repro.trace.store` — out-of-core trace store (append-only
+  chunked writer, lazy block reader, O(block) memory).
 """
 
 from repro.trace.blocks import (

@@ -218,8 +218,7 @@ def iter_blocks_from_arrays(
     """Lazily split parallel source/replier arrays into consecutive blocks.
 
     Blocks are views of the input arrays, yielded one at a time — the
-    generator form the streaming strategies consume (with memmap-backed
-    inputs nothing beyond the current block need be resident).
+    generator form the streaming strategies consume.
     """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")

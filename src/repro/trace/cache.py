@@ -6,7 +6,7 @@ columnar store (:mod:`repro.trace.store`), one file per generated trace,
 and :func:`trace_blocks` is the only way an experiment gets its blocks:
 the executor's loop and its pool workers both call it, so the
 first caller on a machine pays for generation and everyone after —
-other experiments, other processes, later runs — maps the same file.
+other experiments, other processes, later runs — reads the same file.
 The OS page cache is the cross-process share; nothing is shipped to
 workers.
 
@@ -77,8 +77,9 @@ def default_trace_cache_dir() -> str:
 
 
 #: the one open reader per cache file in this process, keyed by path.
-#: Readers stay open for the process lifetime so the views inside blocks
-#: already handed out stay valid whatever later calls do.
+#: Readers stay open for the process lifetime so a block already handed
+#: out can still read a segment it has not read yet, whatever later
+#: calls do.
 _READERS: dict[str, TraceStoreReader] = {}
 
 
@@ -117,7 +118,7 @@ def _publish(path: str, arrays: PairArrays, block_size: int, stamp: int) -> None
 
     The store is written under a sibling temp name and renamed into
     place, so another process sees no file or a complete one, and a
-    file somebody has mapped is replaced, never truncated.  Concurrent
+    file somebody has open is replaced, never truncated.  Concurrent
     writers of one spec write identical bytes; the last rename wins.
     """
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
@@ -150,8 +151,8 @@ def _reader(
         if reader is None:
             _publish(path, _generate(config, seed, n_pairs), config.block_size, stamp)
             reader = TraceStoreReader(path)
-        # First registered wins: dropping a reader closes it, which
-        # would unmap views it has already handed out.
+        # First registered wins: dropping a reader closes it, and its
+        # blocks could then read no segment they have not read yet.
         reader = _READERS.setdefault(path, reader)
     return reader
 
@@ -169,16 +170,17 @@ def trace_blocks(
     Bit-identical to ``blocks_from_arrays`` over one
     ``generate_pair_arrays(n_pairs)`` call (a trailing partial block is
     dropped), but generated at most once per machine: the first call
-    for a spec writes it as a store of raw columns under ``cache_dir``
-    (default: :func:`default_trace_cache_dir`), every later call in any
-    process opens that file, and a cache file written before every key
-    segment was histogram rows is written again.  Blocks of the config's
-    own size are zero-copy views of one mapping with fingerprints
-    pre-seeded from the file, packed keys derived from the columns and
-    key histograms decoded from their histogram-rows key segments when
-    first asked for; another ``block_size`` re-cuts the same cached
-    columns.  When the cache directory cannot
-    be used the trace is generated in memory, with a warning.
+    for a spec writes it as a store under ``cache_dir`` (default:
+    :func:`default_trace_cache_dir`), every later call in any process
+    opens that file, and a cache file written before every key segment
+    was histogram rows is written again.  Blocks of the config's own
+    size come with fingerprints pre-seeded from the file and their
+    packed keys read: each pair's row of the block's decoded key
+    histogram, or, in a cache file an earlier release wrote, packed from
+    its raw columns, whose key histogram is then decoded when first
+    asked for.  Another ``block_size`` re-cuts the same cached columns.
+    When the cache directory cannot be used the trace is generated in
+    memory, with a warning.
     """
     if n_pairs < 0:
         raise ValueError("n_pairs must be non-negative")

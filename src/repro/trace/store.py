@@ -1,16 +1,16 @@
-"""Out-of-core columnar trace store (mmap-backed block files).
+"""Out-of-core columnar trace store (append-only block files).
 
 The paper's evaluation runs over 10,514,090 queries / ~3.25M query–reply
 pairs — far more than the in-memory :class:`~repro.trace.blocks.PairBlock`
 pipeline should ever hold at once.  This module persists a trace as one
-append-only file of fixed little-endian columnar segments, so that
+append-only file of little-endian block segments, so that
 
 * :class:`TraceStoreWriter` streams pairs to disk in chunks — ``tracegen``
   never materializes the full trace (O(chunk) memory while writing), and
-* :class:`TraceStoreReader` serves blocks that read a segment (a zero-copy
-  ``np.memmap`` view, or a decompressed array) only when something asks
-  for it — evaluation streams the trace with O(block) resident memory,
-  however large the file grows.
+* :class:`TraceStoreReader` serves blocks that read a segment (one
+  positional read, decoded) only when something asks for it — evaluation
+  streams the trace with O(block) resident memory, however large the
+  file grows.
 
 File layout (all integers little-endian)::
 
@@ -20,8 +20,8 @@ File layout (all integers little-endian)::
                      | n_pairs u64 | blake2b-128 fingerprint (16 B)
                      one u64 stored length per segment
                      followed by the three segments:
-                     sources  int64[n] raw, or each pair's histogram row
-                     repliers int64[n] raw, or nothing
+                     sources  each pair's histogram row (codec 4)
+                     repliers nothing
                      keys     the block's key histogram (codec 3)
     footer   index:  one 32 B entry per block
                      (block_offset u64 | n_pairs u64 | fingerprint 16 B)
@@ -29,18 +29,17 @@ File layout (all integers little-endian)::
                      | n_blocks u64 | total_pairs u64
                      | index crc32 u32 | version u32
 
-The writer writes version 2 with header flags bit 1.  Each segment
-carries its own codec byte, packed into the block header's ``codecs``
-u32:
+The writer writes version 2 with header flags bit 1, every block in one
+layout.  Each segment carries its own codec byte, packed into the block
+header's ``codecs`` u32:
 
-* 0 — raw: a column, served as a zero-copy memmap (``codec=None``);
 * 3 — the key segment: the block's key histogram as narrow raw rows: a
   u32 CRC-32 of the rest of the segment, three width bytes (1, 2 or 4;
   for source steps, replier halves and counts), then three unsigned
   planes of d rows each in that order — each row's source half minus the
   previous row's (the first row's as it is), its replier half, its
   count.  Nothing inflates: each plane is read in place;
-* 4 — both columns as one row index (``codec="zlib"``): segment 0 is a
+* 4 — both columns as one row index: segment 0 is a
   u32 CRC-32 of the rest, one width byte (1, 2 or 4: the narrowest that
   numbers the histogram's d rows), then each pair's row of the key
   histogram, n of them; segment 1 is empty.  A pair's packed key is its
@@ -49,12 +48,13 @@ u32:
   what the histogram's counts say, so the columns and the histogram
   agree by construction.
 
-Legacy forms stay readable.  Earlier releases deflated columns under
-``codec="zlib"`` (codec 1: one zlib stream of a column's raw bytes,
-inflated on read), wrote version 1 (every segment raw, no stored
+Legacy forms stay readable.  Earlier releases wrote raw int64 columns
+(codec 0), deflated columns (codec 1: one zlib stream of a column's raw
+bytes, inflated on read), version 1 (every segment raw, no stored
 lengths, the codecs field zero) and version-2 key segments in codecs 0,
-1 and 2; such a key segment is never read, and the block's histogram is
-counted from its two columns, as an in-memory block's is.
+1 and 2.  Such a column is read whole and checked for its length; such
+a key segment is never read, and the block's histogram is counted from
+its two columns, as an in-memory block's is.
 
 Block fingerprints are :func:`repro.trace.blocks.column_digest`
 (blake2b-128 of the *uncompressed* source, then replier, column bytes),
@@ -79,15 +79,13 @@ and recovers everything up to the last complete, intact block.  A
 mid-write crash therefore loses at most the block being written, never
 the store.
 
-Readers own OS resources (a file handle plus the mmaps made through it)
-and support ``close()`` / ``with``: closing releases every still-live
-mapping, which unblocks file deletion on platforms that lock mapped
-files and keeps fd usage flat over long partitioned runs.  A block holds
-its reader and reads a segment on first use; a block first touched after
-``close()`` raises :class:`TraceStoreError`, and views it handed out
-before must not be used afterwards.  A caller that keeps every block
-takes them from :meth:`TraceStoreReader.blocks`, which reads their
-columns at once, from one mapping of the file.
+A reader owns one file handle and supports ``close()`` / ``with``.
+Every segment is read with ``os.pread`` into memory of its own, so
+nothing is mapped and the arrays a block has read stay valid after
+``close()``.  A block holds its reader and reads a segment on first use;
+a segment first asked for after ``close()`` raises
+:class:`TraceStoreError`.  A caller that keeps every block takes them
+from :meth:`TraceStoreReader.blocks`, which reads their keys at once.
 """
 
 from __future__ import annotations
@@ -95,7 +93,6 @@ from __future__ import annotations
 import os
 import struct
 import sys
-import weakref
 import zlib
 from dataclasses import dataclass
 from typing import Iterator
@@ -103,7 +100,14 @@ from typing import Iterator
 import numpy as np
 
 from repro.trace import blocks
-from repro.trace.blocks import ID_LIMIT, PairBlock, _read_only, column_digest, pack_keys
+from repro.trace.blocks import (
+    ID_LIMIT,
+    PairBlock,
+    _read_only,
+    column_digest,
+    pack_keys,
+    scan_id_range,
+)
 
 __all__ = [
     "TraceStoreError",
@@ -134,6 +138,7 @@ _FLAG_SORTED = 2
 _N_SEGMENTS = 3
 
 #: per-segment codec ids (one byte each inside the block header's u32).
+#: a column as raw int64s, written by an earlier release.
 _CODEC_RAW = 0
 #: a column as one zlib stream, written by an earlier release.
 _CODEC_ZLIB = 1
@@ -181,19 +186,6 @@ class _BlockEntry:
     offset: int  # file offset of the block *header*
     n_pairs: int
     fingerprint: bytes  # blake2b-128 raw digest
-
-
-def _column_bytes(array: np.ndarray) -> bytes:
-    return np.ascontiguousarray(array, dtype=_I8).tobytes()
-
-
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_counts=True)`` of sorted ``keys``, bit
-    for bit, as one linear pass."""
-    starts = np.flatnonzero(np.not_equal(keys[1:], keys[:-1])) + 1
-    if len(keys):
-        starts = np.concatenate(([0], starts))
-    return keys[starts], np.diff(np.append(starts, len(keys)))
 
 
 def _width(largest: int) -> int:
@@ -362,21 +354,24 @@ class TraceStoreWriter:
     ``append(sources, repliers)`` buffers at most one block's worth of
     pairs; every time the buffer reaches ``block_size`` a complete block
     is flushed to disk, so writing a 100M-pair trace needs O(block_size)
-    memory.  Ids must be integers: a float column is refused, not
-    truncated.  ``append_block`` writes an already-built
+    memory.  Ids must be integers in ``[0, 2**31)``: a float column is
+    refused, not truncated, and a refused chunk leaves the writer as it
+    was.  ``append_block`` writes an already-built
     :class:`~repro.trace.blocks.PairBlock` directly, reusing its memoized
     fingerprint and id check.  Every block's key segment is packed from
     its two columns and counted as it is written, once per block.
 
-    Every block is written in version 2: its key segment as its key
-    histogram in narrow rows (codec 3), and its columns raw (codec 0,
-    served as memmaps) or, with ``codec="zlib"``, as each pair's row of
-    that histogram (codec 4: 1, 2 or 4 bytes a pair, nothing deflated).
-    Fingerprints stay over the uncompressed int64 columns, and each
-    segment records its own codec byte so readers never guess.  A block
-    holds fewer than 2**32 pairs, so every count of its histogram fits 4
-    bytes.  ``meta_fingerprint`` stamps a caller-chosen 64-bit provenance
-    tag (e.g. a config+seed+length hash — see
+    Every block is written in version 2, in one layout: its key segment
+    as its key histogram in narrow rows (codec 3), and its columns as
+    each pair's row of that histogram (codec 4: 1, 2 or 4 bytes a pair).
+    Fingerprints stay over the int64 columns, and each segment records
+    its own codec byte so readers never guess.  A block holds fewer than
+    2**32 pairs, so every count of its histogram fits 4 bytes.
+    ``codec`` chooses nothing: ``None`` and ``"zlib"`` write the same
+    bytes, and any other value is refused.  It is kept because
+    ``benchmarks/perf/offline.py`` passes both.  ``meta_fingerprint``
+    stamps a caller-chosen 64-bit provenance tag (e.g. a
+    config+seed+length hash — see
     :func:`repro.trace.cache.trace_fingerprint`) into the file header.
 
     The footer index lands only in :meth:`close`; a crash (or an
@@ -403,7 +398,6 @@ class TraceStoreWriter:
             raise ValueError("meta_fingerprint must fit an unsigned 64-bit field")
         self.path = os.fspath(path)
         self.block_size = int(block_size)
-        self.codec = codec
         self.meta_fingerprint = int(meta_fingerprint)
         self._entries: list[_BlockEntry] = []
         self._pending: list[np.ndarray] = []  # interleaved (src, rep) chunks
@@ -425,7 +419,10 @@ class TraceStoreWriter:
         """Buffer a chunk of pairs, flushing every completed block.
 
         Chunks may be any length (including spanning several blocks);
-        returns the number of *blocks* flushed by this call.
+        returns the number of *blocks* flushed by this call.  Each
+        chunk's ids are checked before it is buffered, so a refused chunk
+        changes nothing, and a flushed block is not scanned again; an
+        int64 chunk is buffered by reference until its pairs are flushed.
         """
         self._check_open()
         sources, repliers = np.asarray(sources), np.asarray(repliers)
@@ -436,6 +433,7 @@ class TraceStoreWriter:
         repliers = repliers.astype(np.int64, copy=False)
         if sources.shape != repliers.shape or sources.ndim != 1:
             raise ValueError("sources and repliers must be matching 1-D arrays")
+        scan_id_range(sources, repliers)
         self._pending.append(sources)
         self._pending.append(repliers)
         self._pending_pairs += len(sources)
@@ -479,32 +477,29 @@ class TraceStoreWriter:
                 self._pending[1] = rep[take:]
             filled += take
         self._pending_pairs -= n_pairs
-        self._write_block(
-            PairBlock(sources=sources, repliers=repliers, index=len(self._entries))
-        )
+        block = PairBlock(sources=sources, repliers=repliers, index=len(self._entries))
+        object.__setattr__(block, "_ids_validated", True)  # checked in append
+        self._write_block(block)
 
     def _write_block(self, block: PairBlock) -> None:
         offset = self._fh.tell()
-        # The ids are checked before anything is written.  The key segment
-        # is packed from the columns the fingerprint covers, never taken
-        # from the block's packed_keys() memo, which nothing checks
-        # (resolved at call time so tests can count the packs).
+        # The ids are checked (a flushed block's in append) before
+        # anything is written.  The key segment is packed from the
+        # columns the fingerprint covers, never taken from the block's
+        # packed_keys() memo, which nothing checks (resolved at call time
+        # so tests can count the packs).
         block.validate_ids()
         keys = blocks.pack_keys(block.sources, block.repliers)
         fingerprint = bytes.fromhex(block.fingerprint())
-        if self.codec is None:
-            keys.sort()
-            distinct, counts = _runs(keys)
-            codecs = _CODEC_RAW
-            payloads = [_column_bytes(block.sources), _column_bytes(block.repliers)]
-        else:
-            distinct, rows, counts = np.unique(
-                keys, return_inverse=True, return_counts=True
-            )
-            codecs = _CODEC_ROW_INDEX | _CODEC_ROW_INDEX << 8
-            payloads = [_row_index(rows, len(distinct)), b""]
-        codecs |= _CODEC_HISTOGRAM_ROWS << 16
-        payloads.append(_histogram_rows(distinct, counts))
+        distinct, rows, counts = np.unique(
+            keys, return_inverse=True, return_counts=True
+        )
+        codecs = _CODEC_ROW_INDEX | _CODEC_ROW_INDEX << 8 | _CODEC_HISTOGRAM_ROWS << 16
+        payloads = [
+            _row_index(rows, len(distinct)),
+            b"",
+            _histogram_rows(distinct, counts),
+        ]
         self._fh.write(
             _BLOCK_HEADER.pack(_BLOCK_MAGIC, codecs, len(block), fingerprint)
         )
@@ -592,15 +587,15 @@ class _StoreBlock(PairBlock):
     ``key_histogram()`` decodes the codec-3 key segment, or counts the
     columns' keys when the segment is a legacy form.  A row-indexed
     block's ``packed_keys()`` are its rows' keys of that one decoded
-    histogram, and ``sources`` / ``repliers`` are split from them; any
-    other block's columns are read when first asked for, and its keys
+    histogram, and ``sources`` / ``repliers`` are split from them; a
+    legacy block's columns are read when first asked for, and its keys
     packed from them.  ``len()`` is the index entry's.  The block holds
     its reader, so the reader stays open while the block lives unless
     someone closes it.
     """
 
     def __init__(
-        self, reader: "TraceStoreReader", entry: _BlockEntry, index: int, mapped=None
+        self, reader: "TraceStoreReader", entry: _BlockEntry, index: int
     ) -> None:
         # Not the dataclass __init__: it would assign the two columns
         # this class reads lazily.
@@ -608,7 +603,6 @@ class _StoreBlock(PairBlock):
             ("index", index),
             ("_reader", reader),
             ("_entry", entry),
-            ("_mapped", mapped),
             ("_fingerprint", entry.fingerprint.hex()),
             ("_ids_validated", True),
         ):
@@ -624,7 +618,10 @@ class _StoreBlock(PairBlock):
                     _read_only(blocks.key_repliers(keys)),
                 )
             else:
-                columns = self._reader._read_columns(self._entry, self._mapped)
+                columns = (
+                    self._reader._read_segment(self._entry, 0),
+                    self._reader._read_segment(self._entry, 1),
+                )
             object.__setattr__(self, "_column_arrays", columns)
         return columns
 
@@ -660,10 +657,10 @@ class _StoreBlock(PairBlock):
 class TraceStoreReader:
     """Block reader over a trace store file.
 
-    :meth:`block` reads no segment: a block maps (or decodes) a segment
-    when something first asks for it, and maps only that segment's byte
-    range, so iterating a 10GB store keeps O(block_size) pages resident —
-    each block's mappings are released as soon as the consumer drops the
+    :meth:`block` reads no segment: a block reads and decodes a segment
+    when something first asks for it, and reads only that segment's byte
+    range, so iterating a 10GB store keeps O(block_size) bytes resident —
+    each block's arrays are freed as soon as the consumer drops the
     block.  A block's key histogram comes off its codec-3 key segment, so
     mining and testing a block read neither column; a legacy block's is
     counted from its columns.
@@ -676,11 +673,9 @@ class TraceStoreReader:
     first block that fails it.
 
     Readers are context managers: :meth:`close` (idempotent) drops the
-    file handle and every still-live mapping the reader created, so long
-    partitioned runs do not accumulate fds and the file can be deleted
-    immediately on platforms that lock mapped files.  Blocks obtained
-    from a reader are invalidated by its ``close()``: a segment first
-    asked for afterwards raises :class:`TraceStoreError`.
+    one file handle, so long partitioned runs do not accumulate fds.
+    Arrays a block has read stay valid afterwards; a segment first asked
+    for after ``close()`` raises :class:`TraceStoreError`.
     """
 
     def __init__(self, path: str | os.PathLike, *, verify: bool = False) -> None:
@@ -688,8 +683,6 @@ class TraceStoreReader:
         # fails before the file handle exists.
         self._closed = False
         self._fh = None
-        self._live_maps: "weakref.WeakSet" = weakref.WeakSet()
-        self._whole: np.ndarray | None = None  # blocks()' one mapping
         self._layouts: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
         self.path = os.fspath(path)
         self._size = os.path.getsize(self.path)
@@ -732,24 +725,15 @@ class TraceStoreReader:
         return self._closed
 
     def close(self) -> None:
-        """Release the file handle and every live block mapping.
+        """Release the file handle.
 
-        Idempotent (double close is a no-op).  Any block views this
-        reader handed out become invalid; using them afterwards is
-        undefined, exactly as reading from a closed file would be, and
-        a block that reads a segment afterwards raises
-        :class:`TraceStoreError`.
+        Idempotent (double close is a no-op).  Arrays the reader's
+        blocks have read stay valid; a block that reads a segment
+        afterwards raises :class:`TraceStoreError`.
         """
         if self._closed:
             return
         self._closed = True
-        for mapping in list(self._live_maps):
-            try:
-                mapping.close()
-            except (BufferError, ValueError):  # still exported elsewhere
-                pass
-        self._live_maps = weakref.WeakSet()
-        self._whole = None
         if self._fh is not None:
             try:
                 self._fh.close()
@@ -888,7 +872,7 @@ class TraceStoreReader:
                 return False
             if not self._has_rows(entry):
                 return True
-            want = _runs(np.sort(block.packed_keys()))
+            want = np.unique(block.packed_keys(), return_counts=True)
             return all(map(np.array_equal, block.key_histogram(), want))
         except TraceStoreCorruption:
             return False  # garbage where an encoded segment should be
@@ -932,28 +916,6 @@ class TraceStoreReader:
         this reader is open shares its handle's position with its
         parent and siblings, so a seek then a read could read at theirs."""
         return os.pread(self._fh.fileno(), size, offset)
-
-    def _memmap(self, offset: int, n_items: int, dtype=_I8) -> np.ndarray:
-        """One tracked read-only memmap covering ``n_items`` of ``dtype``."""
-        # Mapped through the reader's own handle, so a block that reads a
-        # segment late still reads this file, whatever has since been
-        # renamed over or deleted from its path.
-        mapped = np.memmap(
-            self._fh, dtype=dtype, mode="r", offset=offset, shape=(n_items,)
-        )
-        # np.memmap keeps the underlying mmap (and its dup'd fd) on the
-        # array; track it weakly so close() can release still-live
-        # mappings without pinning dropped blocks in memory.
-        self._live_maps.add(mapped._mmap)
-        return mapped
-
-    def _shared_view(self, offset: int, n_items: int) -> np.ndarray:
-        """``n_items`` int64s at ``offset`` as a slice of one byte mapping
-        of the whole file, viewed as int64 — a raw segment behind a
-        codec-3 or compressed one need not start on an 8-byte boundary."""
-        if self._whole is None:
-            self._whole = self._memmap(0, self._size, np.uint8)
-        return self._whole[offset : offset + n_items * _ITEMSIZE].view(_I8)
 
     def _block_head(self, offset: int) -> bytes:
         """The version-2 block header at ``offset`` with its stored
@@ -1024,29 +986,23 @@ class TraceStoreReader:
             self._layouts[entry.offset] = layout
         return layout
 
-    def _read_segment(
-        self, entry: _BlockEntry, segment: int, mapped=None
-    ) -> np.ndarray:
-        """One column (segment 0 or 1) of a block that is not row-indexed,
-        inflating a legacy zlib column.
-
-        ``mapped(offset, n_items)`` serves raw segments: a mapping of
-        the segment alone (:meth:`_memmap`, the default) or
-        :meth:`_shared_view` for :meth:`blocks`.
-        """
+    def _read_segment(self, entry: _BlockEntry, segment: int) -> np.ndarray:
+        """One legacy column (segment 0 or 1) of a block that is not
+        row-indexed: raw int64s read as they are, or a zlib column
+        inflated, either refused unless it holds exactly the block's
+        pairs."""
         self._check_open()
-        mapped = mapped or self._memmap
         nbytes = entry.n_pairs * _ITEMSIZE
         if self.version == _VERSION_RAW:
             data = entry.offset + _BLOCK_HEADER.size
-            return mapped(data + segment * nbytes, entry.n_pairs)
-        codecs, lengths, payload = self._layout(entry)
-        if codecs[segment] == _CODEC_RAW:
-            return mapped(payload + sum(lengths[:segment]), entry.n_pairs)
-        raw = _inflate(self._stored(entry, segment), nbytes, self.path)
+            raw = self._read_at(data + segment * nbytes, nbytes)
+        elif self._layout(entry)[0][segment] == _CODEC_RAW:
+            raw = self._stored(entry, segment)
+        else:
+            raw = _inflate(self._stored(entry, segment), nbytes, self.path)
         if len(raw) != nbytes:
             raise TraceStoreCorruption(
-                f"{self.path}: segment does not inflate to exactly {nbytes} bytes"
+                f"{self.path}: column segment does not hold exactly {nbytes} bytes"
             )
         return np.frombuffer(raw, dtype=_I8)
 
@@ -1054,14 +1010,6 @@ class TraceStoreReader:
         """The stored bytes of one of a version-2 block's segments."""
         _codecs, lengths, payload = self._layout(entry)
         return self._read_at(payload + sum(lengths[:segment]), lengths[segment])
-
-    def _read_columns(
-        self, entry: _BlockEntry, mapped=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            self._read_segment(entry, 0, mapped),
-            self._read_segment(entry, 1, mapped),
-        )
 
     def _indexed(self, entry: _BlockEntry) -> bool:
         """Whether block ``entry``'s columns are a codec-4 row index."""
@@ -1100,9 +1048,9 @@ class TraceStoreReader:
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """Block ``entry``'s key histogram off its codec-3 key segment;
         None for a legacy key segment, which is never read."""
-        self._check_open()
         if not self._has_rows(entry):
             return None
+        self._check_open()
         return _decode_histogram_rows(self._stored(entry, 2), entry.n_pairs, self.path)
 
     def block(self, i: int) -> PairBlock:
@@ -1121,28 +1069,22 @@ class TraceStoreReader:
         return _StoreBlock(self, entry, i)
 
     def blocks(self) -> list[PairBlock]:
-        """Every block at once, columns read, as views of one mapping.
+        """Every block at once, its keys read.
 
-        For a caller that keeps the whole trace.  :meth:`block` maps
-        each segment on its own so a streamed pass gives pages back as
-        it drops blocks, but a mapping holds a descriptor: the paper's
-        365 blocks kept that way are 1,100 of them, past the usual
-        limit of 1,024.  Here raw segments are slices of one mapping,
-        made now; a row-indexed block decodes its histogram and keys,
-        and a legacy zlib column inflates, as in :meth:`block`.  Any
-        other block's key histogram is still read when first asked for.
+        For a caller that keeps the whole trace: a row-indexed block
+        decodes its histogram and keys now, and a legacy block reads its
+        columns, as :meth:`block` would on first use.  A legacy block's
+        key histogram is still counted when first asked for.
         """
         self._check_open()
-        held = []
-        for i, entry in enumerate(self._entries):
-            block = _StoreBlock(self, entry, i, self._shared_view)
+        held = list(self.iter_blocks())
+        for block in held:
             block.packed_keys()
-            held.append(block)
         return held
 
     def columns(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(sources, repliers) of block ``i``: raw views, or split from
-        its row index."""
+        """(sources, repliers) of block ``i``: split from its row index,
+        or a legacy block's columns as stored."""
         block = self.block(i)
         return block.sources, block.repliers
 

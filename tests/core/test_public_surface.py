@@ -66,7 +66,7 @@ def test_strategies_default_construct_and_run_a_store_stream(tmp_path):
     stream, and the run exposes the four counted figures."""
     path = tmp_path / "surface.rptrace"
     sources, repliers = columns(600)
-    with TraceStoreWriter(path, block_size=100, codec="zlib") as writer:
+    with TraceStoreWriter(path, block_size=100) as writer:
         writer.append(sources, repliers)
     in_memory = blocks_from_arrays(sources, repliers, block_size=100)
     for cls in STRATEGIES:

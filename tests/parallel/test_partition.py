@@ -82,7 +82,7 @@ class TestBitIdentity:
 
         rng = np.random.default_rng(3)
         path = tmp_path / "z.rptrace"
-        writer = TraceStoreWriter(path, block_size=400, codec="zlib")
+        writer = TraceStoreWriter(path, block_size=400)
         writer.append(
             rng.integers(0, 40, 4000).astype(np.int64),
             rng.integers(100, 130, 4000).astype(np.int64),

@@ -65,8 +65,9 @@ class TestCachingTraceProvider:
         second = trace_blocks(1000, config=SMALL, seed=1, cache_dir=tmp_path)
         assert list(cache_module._READERS.values()) == [reader]
         assert generate_calls == [1000]
-        # Served the same mapped bytes, not a second copy of them.
-        assert np.shares_memory(second[0].sources, first[0].sources)
+        # Served from the same reader: the file, not a second generation.
+        assert second[0]._reader is first[0]._reader is reader
+        np.testing.assert_array_equal(second[0].sources, first[0].sources)
         trace_blocks(1000, config=SMALL, seed=2, cache_dir=tmp_path)
         assert generate_calls == [1000, 1000]
         assert len(cache_module._READERS) == 2
@@ -100,12 +101,13 @@ class TestSharedMemoryTraceProvider:
         """From the shared file while the directory is usable; from
         memory, with a warning and the same blocks, once it is not."""
         shared = trace_blocks(1000, config=SMALL, seed=1, cache_dir=tmp_path)
-        assert isinstance(shared[0].sources, np.memmap)
+        (reader,) = cache_module._READERS.values()
+        assert shared[0]._reader is reader
         blocker = tmp_path / "occupied"
         blocker.write_text("")
         with pytest.warns(UserWarning, match="trace-store cache unusable"):
             local = trace_blocks(1000, config=SMALL, seed=1, cache_dir=blocker / "x")
-        assert not isinstance(local[0].sources, np.memmap)
+        assert "_reader" not in local[0].__dict__
         assert generate_calls == [1000, 1000]
         assert [b.fingerprint() for b in local] == [b.fingerprint() for b in shared]
 

@@ -63,8 +63,7 @@ def _attach(spec, cache_dir):
         "fingerprints": [b.fingerprint() for b in blocks],
         "sources": sources_of(blocks).tobytes(),
         "repliers": np.concatenate([b.repliers for b in blocks]).tobytes(),
-        "memmap": all(isinstance(b.sources, np.memmap) for b in blocks),
-        "mapped_file": blocks[0].sources.filename,
+        "read_files": sorted({b._reader.path for b in blocks}),
     }
 
 
@@ -226,12 +225,11 @@ class TestSpillPath:
         assert os.listdir(tmp_path) == []
 
     def test_attached_store_reads_spilled_trace(self, tmp_path):
-        """The child's arrays are memmaps of the very file the parent
-        wrote — shared through the page cache, not copied."""
+        """The child's blocks are read from the very file the parent
+        wrote — shared through the page cache, not generated again."""
         trace_blocks(2000, config=CFG, seed=3, cache_dir=tmp_path)
         child = in_fresh_process(_attach, pickle.dumps((CFG, 3, 2000)), str(tmp_path))
-        assert child["memmap"]
-        assert child["mapped_file"] == str(cache_path(tmp_path, 2000, 3))
+        assert child["read_files"] == [str(cache_path(tmp_path, 2000, 3))]
         assert child["sources"] == generate(2000, seed=3).source.tobytes()
 
     def test_spill_put_copies(self, tmp_path, cold_trace_cache):

@@ -158,6 +158,15 @@ class TestTracegenCli:
         else:
             assert "dropped" not in out
 
+    def test_codec_is_not_an_option(self, tmp_path, capsys):
+        """Every store has one layout, so there is no codec to choose."""
+        path = tmp_path / "t.rptrace"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tracegen", str(path), "--blocks", "1", "--codec", "zlib"])
+        assert exit_info.value.code == 2
+        assert "--codec" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_sizes_of_one_are_accepted(self):
         sizes = ["--pairs", "1", "--blocks", "1", "--chunk-size", "1"]
         args = build_parser().parse_args(["tracegen", "t.rptrace", *sizes])
@@ -224,13 +233,14 @@ class TestTraceInspectCli:
             assert {row[2] for row in rows} == {"0,0,0"}
 
     def test_a_fresh_zlib_store(self, tmp_path, capsys):
-        """A zlib store's columns are a row index: codecs 4,4,3, segment
+        """A fresh store's columns are a row index: codecs 4,4,3, segment
         1 empty, rows 2 bytes wide for a block's ~2,500 distinct keys, and
-        the meta word the writer stamped."""
+        the meta word the writer stamped; ``codec=None`` writes the same
+        layout, 1 byte a row for 10 distinct keys."""
         from repro.trace.store import TraceStoreReader, TraceStoreWriter
 
         path = tmp_path / "z.rptrace"
-        assert main(["tracegen", str(path), "--blocks", "3", "--codec", "zlib"]) == 0
+        assert main(["tracegen", str(path), "--blocks", "3"]) == 0
         data = bytearray(path.read_bytes())
         data[24:32] = (0x5EED).to_bytes(8, "little")  # the header's meta word
         path.write_bytes(bytes(data))
@@ -250,11 +260,11 @@ class TestTraceInspectCli:
             writer.append(list(range(10)), [7] * 10)
         assert main(["trace-inspect", str(tmp_path / "raw.rptrace")]) == 0
         (row,) = self.rows(capsys.readouterr().out)
-        assert row[2:] == ["0,0,3", "80,80,37", "10", "-", "ok"]
+        assert row[2:] == ["4,4,3", "15,0,37", "10", "1", "ok"]
 
     def test_a_corrupt_block_fails_and_exits_1(self, tmp_path, capsys):
         path = tmp_path / "z.rptrace"
-        assert main(["tracegen", str(path), "--blocks", "3", "--codec", "zlib"]) == 0
+        assert main(["tracegen", str(path), "--blocks", "3"]) == 0
         data = bytearray(path.read_bytes())
         lengths = [int.from_bytes(data[at : at + 8], "little") for at in (64, 72, 80)]
         block_1 = 32 + 56 + sum(lengths)
@@ -292,7 +302,7 @@ class TestTraceEvalCli:
         rng = np.random.default_rng(3)
         sources = rng.integers(0, 6, 500)
         repliers = 100 + (sources + rng.integers(0, 2, 500)) % 4
-        with TraceStoreWriter(path, block_size=100, codec="zlib") as writer:
+        with TraceStoreWriter(path, block_size=100) as writer:
             writer.append(sources, repliers)
         with TraceStoreReader(path) as reader:
             offset = reader._entries[2].offset

@@ -3,13 +3,14 @@
 One seeded, structure-aware sweep per format — trace store v1 and v2 as
 written before key segments were sorted, v1 as written before every
 store held histograms, v2 as written before they were histograms, before
-histograms were narrow rows and before zlib columns were a row index
-(the committed bytes under ``tests/trace/data``), and v2 raw and zlib as
-written now, with targeted edits of the narrow-rows histogram segment
-(codec 3, under a CRC) and of the row index (codec 4, under a CRC) and
-its layout that must each raise, and hostile legacy key segments (raw
-sorted keys, zlib keys, deflated histograms) that must each be counted
-from the columns, never read, pair WAL, snapshot (exact and lossy), the
+histograms were narrow rows, before zlib columns were a row index and
+with raw columns before every store was row-indexed (the committed bytes
+under ``tests/trace/data``), and v2 as written now, with targeted edits
+of the narrow-rows histogram segment (codec 3, under a CRC) and of the
+row index (codec 4, under a CRC) and its layout that must each raise,
+and hostile legacy key segments (raw sorted keys, zlib keys, deflated
+histograms) beside raw columns that must each be counted from the
+columns, never read, pair WAL, snapshot (exact and lossy), the
 RDG1 rule digest, the Prometheus text a cluster collector scrapes, the
 query and reply TSV trace files of ``repro.trace.io``, one Gnutella
 descriptor (``decode_message``) and a run of them through the live
@@ -109,17 +110,14 @@ class Format(NamedTuple):
 _LEGACY = Path(__file__).parent / "trace" / "data"
 
 
-def _build_trace(codec):
-    def build(tmp_path):
-        rng = np.random.default_rng(1)
-        sources = rng.integers(0, 50, size=300).astype(np.int64)
-        repliers = rng.integers(100, 150, size=300).astype(np.int64)
-        path = tmp_path / "valid.rptrace"
-        with TraceStoreWriter(path, block_size=100, codec=codec) as writer:
-            writer.append(sources, repliers)
-        return path.read_bytes()
-
-    return build
+def _build_trace(tmp_path):
+    rng = np.random.default_rng(1)
+    sources = rng.integers(0, 50, size=300).astype(np.int64)
+    repliers = rng.integers(100, 150, size=300).astype(np.int64)
+    path = tmp_path / "valid.rptrace"
+    with TraceStoreWriter(path, block_size=100) as writer:
+        writer.append(sources, repliers)
+    return path.read_bytes()
 
 
 def _legacy_trace(name):
@@ -433,10 +431,13 @@ FORMATS = {
         _key_segment_edits,
     ),
     "trace-v2-raw": Format(
-        _build_trace(None), _trace_fields(3), _decode_trace, TraceStoreError
+        _legacy_trace("parent_v2_raw.rptrace"),
+        _trace_fields(3),
+        _decode_trace,
+        TraceStoreError,
     ),
     "trace-v2-sorted": Format(
-        _build_trace("zlib"), _trace_fields(3), _decode_trace, TraceStoreError
+        _build_trace, _trace_fields(3), _decode_trace, TraceStoreError
     ),
     "trace-v2-sorted-zlib": Format(
         _legacy_trace("parent_v2_sorted_zlib.rptrace"),
@@ -536,6 +537,9 @@ def _zlib_bomb(n_bytes):
 
 #: the one block's sorted keys: sources 0..99, each to replier 7.
 _ONE_BLOCK_KEYS = np.arange(100, dtype=np.int64) << 32 | 7
+#: the one block's two columns as raw int64 segments (codec 0).
+_ONE_BLOCK_SOURCES = np.arange(100, dtype="<i8").tobytes()
+_ONE_BLOCK_REPLIERS = np.full(100, 7, dtype="<i8").tobytes()
 
 
 def _histogram_rows(*edits):
@@ -575,33 +579,45 @@ def _with_crc(body):
 
 def _pairs_store(tmp_path, n_blocks=1, codec="zlib"):
     """The bytes of a store of ``n_blocks`` 100-pair blocks, each sources
-    0..99 to replier 7."""
+    0..99 to replier 7: as the writer writes it, or, with ``codec=None``,
+    as earlier releases wrote it raw — each block's row index spliced out
+    for its two int64 columns (codec 0)."""
     path = tmp_path / "one-block.rptrace"
-    with TraceStoreWriter(path, block_size=100, codec=codec) as writer:
+    with TraceStoreWriter(path, block_size=100) as writer:
         writer.append(
             np.tile(np.arange(100, dtype=np.int64), n_blocks),
             np.full(100 * n_blocks, 7, dtype=np.int64),
         )
-    return path.read_bytes()
+    data = path.read_bytes()
+    if codec is None:
+        for block in range(n_blocks):
+            data = _with_segment(data, 0, _ONE_BLOCK_SOURCES, 0, block)
+            data = _with_segment(data, 1, _ONE_BLOCK_REPLIERS, 0, block)
+    return data
 
 
-def _with_segment(data, segment, stored, codec=None):
-    """``data`` with block 0's segment ``segment`` replaced by ``stored``
-    and, unless ``codec`` is None, its codec byte set to ``codec``."""
-    # the block at offset 32: header, three segment lengths, segments;
-    # every later block, the index and the trailer move by the change
-    codecs = struct.unpack_from("<I", data, 36)[0]
-    lengths = struct.unpack_from("<3Q", data, 64)
-    at = 88 + sum(lengths[:segment])
+def _with_segment(data, segment, stored, codec=None, block=0):
+    """``data`` with block ``block``'s segment ``segment`` replaced by
+    ``stored`` and, unless ``codec`` is None, its codec byte set to
+    ``codec``."""
+    # each block: header, three segment lengths, segments; every later
+    # block, the index and the trailer move by the change
+    head = 32
+    for _ in range(block):
+        head += 56 + sum(struct.unpack_from("<3Q", data, head + 32))
+    codecs = struct.unpack_from("<I", data, head + 4)[0]
+    lengths = struct.unpack_from("<3Q", data, head + 32)
+    at = head + 56 + sum(lengths[:segment])
     shift = len(stored) - lengths[segment]
     out = bytearray(data[:at] + stored + data[at + lengths[segment] :])
     if codec is not None:
         byte = 8 * segment
-        struct.pack_into("<I", out, 36, codecs & ~(0xFF << byte) | codec << byte)
-    struct.pack_into("<Q", out, 64 + 8 * segment, len(stored))
+        word = codecs & ~(0xFF << byte) | codec << byte
+        struct.pack_into("<I", out, head + 4, word)
+    struct.pack_into("<Q", out, head + 32 + 8 * segment, len(stored))
     t = len(out) - 40
     index_offset = struct.unpack_from("<Q", out, t + 8)[0] + shift
-    for at in range(index_offset + 32, t, 32):
+    for at in range(index_offset + 32 * (block + 1), t, 32):
         struct.pack_into("<Q", out, at, struct.unpack_from("<Q", out, at)[0] + shift)
     struct.pack_into("<Q", out, t + 8, index_offset)
     struct.pack_into("<I", out, t + 32, zlib.crc32(out[index_offset:t]))
@@ -879,8 +895,8 @@ def _recount(data, block, n_pairs):
     [
         (_V1_SORTED, 0),
         (_V1_SORTED, 50),
-        (_build_trace("zlib"), 0),
-        (_build_trace("zlib"), 50),
+        (_build_trace, 0),
+        (_build_trace, 50),
     ],
     ids=["v1-0", "v1-50", "v2-0", "v2-50"],
 )
@@ -922,7 +938,7 @@ def _skip(data, block):
     return data[:index_offset] + bytes(index) + trailer
 
 
-@pytest.mark.parametrize("build", [_V1_SORTED, _build_trace("zlib")], ids=["v1", "v2"])
+@pytest.mark.parametrize("build", [_V1_SORTED, _build_trace], ids=["v1", "v2"])
 def test_a_footer_that_skips_a_block_is_not_trusted(tmp_path, build):
     """A CRC-valid footer that leaves block 1 out does not tile the file,
     so the verifying scan serves all three blocks."""

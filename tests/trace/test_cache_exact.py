@@ -118,8 +118,10 @@ class TestStoreBackedBlocks:
         again = trace_blocks(n_pairs, config=CFG, seed=5, cache_dir=tmp_path)
         assert dict(cache_module._READERS) == before
         assert len(again) == 2
-        # Both calls hand out views of the reader's one mapping.
-        assert again[0].sources._mmap is first[1].repliers._mmap
+        # Both calls hand out blocks of the one reader, holding one handle.
+        (reader,) = before.values()
+        assert again[0]._reader is first[1]._reader is reader
+        assert [b.fingerprint() for b in again] == [b.fingerprint() for b in first]
 
     def test_negative_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,11 +1,11 @@
 """A store block's key histogram, decoded from its key segment, and a
-zlib store block's keys, each pair's row of it.
+store block's keys, each pair's row of it.
 
 Every store holds each block's key histogram as narrow rows (segment
 codec 3), and a store block's ``key_histogram()`` is one checked decode
-of it.  A zlib store holds each pair as its row of that histogram
-(segment codec 4), so a block's ``packed_keys()`` are the decoded
-histogram's keys at those rows.  Every other form of the segment — packed keys in pair order
+of it.  Every store the writer makes holds each pair as its row of that
+histogram (segment codec 4), so a block's ``packed_keys()`` are the
+decoded histogram's keys at those rows.  Every other form of the segment — packed keys in pair order
 (header flags bit 0), raw sorted keys (version 1), sorted keys under
 zlib (codec 1), a deflated histogram (codec 2) — is a legacy form that
 is never read: the block is counted from its columns, like an in-memory
@@ -22,25 +22,29 @@ block.  Here:
   by the release before histogram segments (sorted keys under zlib), and
   ``data/parent_v2_histogram.rptrace``, written by the release before
   narrow rows (deflated histograms) — each counted from its columns —
-  and ``data/parent_v2_rows_zlib.rptrace``, written by the release
-  before row indexes (deflated columns beside codec-3 rows), whose
-  histograms are read, and whose fingerprints, histograms and runs equal
-  a fresh raw and a fresh zlib store's;
-* a fresh raw or ``codec="zlib"`` store writes segment 2 as codec 3, one
-  pair blocks included, and a block's ``key_histogram()`` reads no column;
-  a zlib store's columns are a row index (codec 4) 1, 2 or 4 bytes wide,
-  and a block decodes its histogram once for its histogram, keys and
-  columns alike, and serves its keys without splitting a column;
+  ``data/parent_v2_rows_zlib.rptrace``, written by the release before
+  row indexes (deflated columns beside codec-3 rows), and
+  ``data/parent_v2_raw.rptrace``, written with ``codec=None`` by the
+  release before every store was row-indexed (raw columns beside codec-3
+  rows, the form of every trace cache file it wrote), whose histograms
+  are read, and whose fingerprints, histograms, columns and runs equal a
+  fresh store's;
+* a fresh store writes segment 2 as codec 3, one pair blocks included,
+  and a block's ``key_histogram()`` reads no column; its columns are a
+  row index (codec 4) 1, 2 or 4 bytes wide, whether ``codec`` is None or
+  ``"zlib"``, and a block decodes its histogram once for its histogram,
+  keys and columns alike, and serves its keys without splitting a column;
 * on hypothesis-drawn columns — one distinct key, all keys distinct, a
   1-pair block, a short tail block, ids 0 and 2**31 - 1, ids on each
-  side of a plane width (255/256, 65,535/65,536); raw and zlib —
+  side of a plane width (255/256, 65,535/65,536) —
   a store block's histogram is ``np.unique``'s bit for bit, and the four
   strategies, ``ruleset_test_random_subset`` and a two-tier
   ``ruleset_test_fallback`` agree with the in-memory blocks;
 * a key segment that is a valid histogram but not the columns' fails
   ``verify_blocks``, ``verify=True`` and the footer-less scan;
 * a block first touched after its reader's ``close()`` raises
-  :class:`TraceStoreError`.
+  :class:`TraceStoreError`, for a fresh store and every committed one,
+  and what :meth:`TraceStoreReader.blocks` read stays valid.
 
 ``tests/test_decoder_wall.py`` edits the codec-3 segment so that it
 cannot be a block's histogram, and the codec-4 segment and its layout so
@@ -147,6 +151,8 @@ DEFLATED_HISTOGRAM = "parent_v2_histogram.rptrace"
 RAW_SORTED = "parent_v1_sorted.rptrace"
 #: deflated columns (segment codec 1) beside codec-3 rows, not a row index.
 ROWS_ZLIB = "parent_v2_rows_zlib.rptrace"
+#: raw columns (segment codec 0) beside codec-3 rows, not a row index.
+RAW_V2 = "parent_v2_raw.rptrace"
 SORTED_LEGACY = (RAW_SORTED, SORTED_ZLIB, DEFLATED_HISTOGRAM)
 STRATEGIES = (StaticRuleset, SlidingWindow, LazySlidingWindow, AdaptiveSlidingWindow)
 ID_MAX = 2**31 - 1
@@ -334,7 +340,7 @@ class TestHistogramSegment:
     def test_a_zlib_store_writes_histograms(self, tmp_path, monkeypatch):
         """Segment 2 of a fresh zlib store is codec 3, and a block's key
         histogram reads neither column and counts nothing."""
-        path = write(tmp_path / "new.rptrace", *legacy_columns(), codec="zlib")
+        path = write(tmp_path / "new.rptrace", *legacy_columns())
         assert segment_codecs(path) == [(4, 4, 3)] * 3
         calls, segments = [], []
         real = blocks_module.count_keys
@@ -345,8 +351,8 @@ class TestHistogramSegment:
         monkeypatch.setattr(
             TraceStoreReader,
             "_read_segment",
-            lambda self, entry, segment, mapped=None: segments.append(segment)
-            or read_segment(self, entry, segment, mapped),
+            lambda self, entry, segment: segments.append(segment)
+            or read_segment(self, entry, segment),
         )
         memory = blocks_from_arrays(*legacy_columns(), block_size=100)
         with TraceStoreReader(path) as reader:
@@ -361,12 +367,14 @@ class TestHistogramSegment:
         assert calls == [] and segments == []
 
     def test_a_raw_store_writes_histograms(self, tmp_path):
-        """Segment 2 of a fresh raw store is codec 3 too, and a block's
-        key histogram reads neither column."""
+        """Segment 2 of the committed raw store is codec 3 too, and a
+        block's key histogram reads neither column; ``codec=None``
+        writes a row index beside the same histograms."""
         path = write(tmp_path / "new.rptrace", *legacy_columns())
-        assert segment_codecs(path) == [(0, 0, 3)] * 3
+        assert segment_codecs(path) == [(4, 4, 3)] * 3
+        assert segment_codecs(DATA / RAW_V2) == [(0, 0, 3)] * 3
         memory = blocks_from_arrays(*legacy_columns(), block_size=100)
-        with TraceStoreReader(path) as reader:
+        with TraceStoreReader(DATA / RAW_V2) as reader:
             for block, want in zip(reader.iter_blocks(), memory):
                 for got, oracle in zip(block.key_histogram(), want.key_histogram()):
                     np.testing.assert_array_equal(got, oracle)
@@ -413,7 +421,6 @@ class TestHistogramSegment:
             sources,
             repliers,
             block_size=len(sources),
-            codec="zlib",
         )
         assert segment_codecs(path) == [(4, 4, 3)]
         assert key_segment_widths(path) == widths
@@ -432,7 +439,7 @@ class TestRowIndex:
         splitting them into columns; the columns are split when asked."""
         import repro.trace.store as store_module
 
-        path = write(tmp_path / "z.rptrace", *legacy_columns(), codec="zlib")
+        path = write(tmp_path / "z.rptrace", *legacy_columns())
         packs, stored = [], []
         real_pack = blocks_module.pack_keys
         for module in (blocks_module, store_module):
@@ -479,7 +486,7 @@ class TestRowIndex:
         order = np.random.default_rng(d).permutation(d + 1)
         sources, repliers = sources[order], repliers[order]
         path = write(
-            tmp_path / "t.rptrace", sources, repliers, block_size=d + 1, codec="zlib"
+            tmp_path / "t.rptrace", sources, repliers, block_size=d + 1
         )
         assert segment_codecs(path) == [(4, 4, 3)]
         assert row_index_width(path) == width
@@ -492,14 +499,15 @@ class TestRowIndex:
         self, tmp_path
     ):
         """The release before row indexes deflated each column beside the
-        codec-3 rows; that store, a raw store and a row-indexed store of
-        the same pairs give the same fingerprints, histograms, columns,
-        strategy runs and streaming runs, and the row-indexed one is the
-        smallest."""
+        codec-3 rows, and wrote them raw with ``codec=None``; those two
+        stores and a row-indexed store of the same pairs give the same
+        fingerprints, histograms, columns, strategy runs and streaming
+        runs, and the row-indexed one is the smallest."""
         parent = DATA / ROWS_ZLIB
-        raw = write(tmp_path / "raw.rptrace", *legacy_columns())
-        new = write(tmp_path / "new.rptrace", *legacy_columns(), codec="zlib")
+        raw = DATA / RAW_V2
+        new = write(tmp_path / "new.rptrace", *legacy_columns())
         assert segment_codecs(parent) == [(1, 1, 3)] * 3
+        assert segment_codecs(raw) == [(0, 0, 3)] * 3
         assert segment_codecs(new) == [(4, 4, 3)] * 3
         memory = blocks_from_arrays(*legacy_columns(), block_size=100)
         for path in (parent, raw, new):
@@ -640,12 +648,22 @@ class TestIntegrity:
             )
 
 
+#: every committed store of :func:`legacy_columns`.
+COMMITTED = (*LEGACY, *SORTED_LEGACY, ROWS_ZLIB, RAW_V2)
+
+
 class TestLifetime:
-    @pytest.mark.parametrize("name", [None, "zlib", *LEGACY])
+    @pytest.mark.parametrize(
+        "name", [None, "zlib", *LEGACY, *sorted(set(COMMITTED) - set(LEGACY))]
+    )
     def test_first_touch_after_close_raises(self, tmp_path, name):
+        """A segment first asked for after close() raises; what blocks()
+        read before it — keys, and a legacy block's columns — stays
+        valid, and a row-indexed block splits its columns from its keys
+        without the file."""
         path = (
             DATA / name
-            if name in LEGACY
+            if name in COMMITTED
             else write(tmp_path / "t.rptrace", *legacy_columns(), codec=name)
         )
         reader = TraceStoreReader(path)
@@ -662,9 +680,18 @@ class TestLifetime:
             with pytest.raises(TraceStoreError, match="closed"):
                 touch(untouched[what])
         assert len(untouched["sources"]) == 100  # the index entry's
-        if name is None:  # blocks() read the raw columns, not the keys
+        memory = blocks_from_arrays(*legacy_columns(), block_size=100)
+        for block, want in zip(held, memory):
+            np.testing.assert_array_equal(block.packed_keys(), want.packed_keys())
+            np.testing.assert_array_equal(block.sources, want.sources)
+            np.testing.assert_array_equal(block.repliers, want.repliers)
+        if name in (RAW_V2, ROWS_ZLIB):  # blocks() read the columns, not segment 2
             with pytest.raises(TraceStoreError, match="closed"):
                 held[0].key_histogram()
+        else:
+            np.testing.assert_array_equal(
+                held[0].key_histogram()[1], memory[0].key_histogram()[1]
+            )
 
     def test_a_block_keeps_its_reader_open(self, tmp_path):
         """A block whose reader nobody else holds still reads: it holds

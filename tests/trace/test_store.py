@@ -1,5 +1,6 @@
 """Tests for the on-disk columnar trace store (repro.trace.store)."""
 
+import os
 import struct
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.trace.store import (
     TraceStoreReader,
     TraceStoreWriter,
 )
+from tests.trace.test_sorted_keys import DATA, RAW_V2, legacy_columns
 
 
 def columns(n=100, seed=0):
@@ -139,6 +141,26 @@ class TestPreseededMemoization:
             w.append(sources, repliers)
         assert calls["n"] == 3  # exactly one pack per written block
 
+    def test_writer_scans_each_chunk_once(self, tmp_path, monkeypatch):
+        """append checks a chunk's ids before buffering it, and the blocks
+        flushed from it are not scanned again: one scan for five blocks."""
+        import repro.trace.blocks as blocks_module
+        import repro.trace.store as store_module
+
+        scans = []
+        real = blocks_module.scan_id_range
+        for module in (blocks_module, store_module):
+            monkeypatch.setattr(
+                module,
+                "scan_id_range",
+                lambda sources, repliers: scans.append(len(sources))
+                or real(sources, repliers),
+            )
+        sources, repliers = columns(500)
+        with TraceStoreWriter(tmp_path / "t.rptrace", block_size=100) as writer:
+            assert writer.append(sources, repliers) == 5
+        assert scans == [500]
+
 
 class TestPackedSegmentIgnored:
     """The fingerprint covers the two columns, not the packed segment, so
@@ -238,6 +260,20 @@ class TestCorruption:
         assert reader.recovered
         assert reader.n_blocks == 1
 
+    @pytest.mark.parametrize("name", [RAW_V2, "parent_v1.rptrace"])
+    def test_raw_columns_cut_after_open_are_corruption(self, tmp_path, name):
+        """A raw column is one positional read checked for its length, so
+        a store cut short after it was opened raises the typed error when
+        the column is read."""
+        path = tmp_path / name
+        path.write_bytes((DATA / name).read_bytes())
+        with TraceStoreReader(path) as reader:
+            block = reader.block(2)
+            with open(path, "r+b") as fh:
+                fh.truncate(reader._entries[2].offset + 100)
+            with pytest.raises(TraceStoreCorruption, match="exactly 800 bytes"):
+                block.sources
+
     def test_not_a_store_file(self, tmp_path):
         path = tmp_path / "bogus.rptrace"
         path.write_bytes(b"definitely not a trace store")
@@ -282,6 +318,23 @@ class TestValidation:
             assert w.pending_pairs == 0 and w.n_blocks == 0
         assert TraceStoreReader(tmp_path / "t.rptrace").n_blocks == 0
 
+    def test_a_refused_chunk_keeps_what_was_buffered(self, tmp_path):
+        """A chunk with an id outside ``[0, 2**31)`` is refused before it
+        is buffered: the pairs an earlier append buffered stay pending,
+        and closing writes them."""
+        path = tmp_path / "t.rptrace"
+        writer = TraceStoreWriter(path, block_size=4)
+        assert writer.append([1, 2], [11, 12]) == 0
+        for bad in (([3, -4], [13, 14]), ([3, 4], [13, 2**31])):
+            with pytest.raises(ValueError, match="2\\*\\*31"):
+                writer.append(*bad)
+            assert (writer.pending_pairs, writer.n_blocks) == (2, 0)
+        writer.close(drop_partial=False)
+        with TraceStoreReader(path) as reader:
+            assert reader.n_pairs == 2
+            np.testing.assert_array_equal(reader.block(0).sources, [1, 2])
+            np.testing.assert_array_equal(reader.block(0).repliers, [11, 12])
+
     def test_block_index_must_be_in_range(self, tmp_path):
         """``block(-1)`` used to serve the last block labelled -1, and
         ``block(5)`` of two a bare list error."""
@@ -311,7 +364,7 @@ class TestCompression:
             tmp_path / "raw.rptrace", n=500, block_size=100
         )
         zl, _, _ = make_store(
-            tmp_path / "z.rptrace", n=500, block_size=100, codec="zlib"
+            tmp_path / "z.rptrace", n=500, block_size=100
         )
         assert raw.version == zl.version == 2
         assert zl.n_blocks == raw.n_blocks
@@ -327,19 +380,15 @@ class TestCompression:
         zl.close()
 
     def test_zlib_shrinks_compressible_trace(self, tmp_path):
-        # Low-cardinality columns compress well below the raw encoding.
+        # Low-cardinality columns store each pair as a one-byte row, well
+        # below an eighth of their two int64 columns.
         n = 2000
         sources = np.repeat(np.arange(4, dtype=np.int64), n // 4)
         repliers = np.full(n, 7, dtype=np.int64)
         write_store(
-            tmp_path / "raw.rptrace", sources, repliers, block_size=500
+            tmp_path / "z.rptrace", sources, repliers, block_size=500
         ).close()
-        write_store(
-            tmp_path / "z.rptrace", sources, repliers, block_size=500, codec="zlib"
-        ).close()
-        raw_bytes = (tmp_path / "raw.rptrace").stat().st_size
-        zl_bytes = (tmp_path / "z.rptrace").stat().st_size
-        assert zl_bytes < raw_bytes / 2
+        assert (tmp_path / "z.rptrace").stat().st_size < 2 * 8 * n / 8
 
     def test_incompressible_segments_stay_raw(self, tmp_path):
         # High-entropy ids, every key distinct: each block's row index
@@ -348,7 +397,7 @@ class TestCompression:
         sources = rng.integers(0, 2**31 - 1, size=300).astype(np.int64)
         repliers = rng.integers(0, 2**31 - 1, size=300).astype(np.int64)
         reader = write_store(
-            tmp_path / "z.rptrace", sources, repliers, block_size=100, codec="zlib"
+            tmp_path / "z.rptrace", sources, repliers, block_size=100
         )
         for i in range(reader.n_blocks):
             block = reader.block(i)
@@ -356,14 +405,21 @@ class TestCompression:
         reader.close()
 
     def test_no_codec_writes_raw_columns_and_histogram_rows(self, tmp_path):
-        """codec=None writes a version-2 store of raw columns (codec 0)
-        and codec-3 key segments, and the same columns write the same
-        bytes."""
+        """Raw columns beside codec-3 key segments (codecs 0, 0, 3) are a
+        form earlier releases wrote, and the committed one reads as
+        written.  codec=None writes the one layout, a row index beside
+        the histogram rows (4, 4, 3), byte for byte what codec="zlib"
+        writes."""
+        with TraceStoreReader(DATA / RAW_V2) as raw:
+            assert [raw._layout(e)[0] for e in raw._entries] == [(0, 0, 3)] * 3
+            assert raw.histogram_rows and raw.verify_blocks(strict=True) == 3
         reader, sources, repliers = make_store(tmp_path / "a.rptrace", n=200, seed=3)
         assert reader.version == 2 and reader.histogram_rows
-        assert [reader._layout(e)[0] for e in reader._entries] == [(0, 0, 3)] * 2
+        assert [reader._layout(e)[0] for e in reader._entries] == [(4, 4, 3)] * 2
         reader.close()
-        write_store(tmp_path / "b.rptrace", sources, repliers, block_size=100).close()
+        write_store(
+            tmp_path / "b.rptrace", sources, repliers, block_size=100, codec="zlib"
+        ).close()
         assert (tmp_path / "a.rptrace").read_bytes() == (tmp_path / "b.rptrace").read_bytes()
 
     @pytest.mark.parametrize("codec", [None, "zlib"])
@@ -395,7 +451,7 @@ class TestCompression:
     def test_compressed_torn_tail_recovers(self, tmp_path):
         sources, repliers = columns(500, seed=9)
         path = tmp_path / "z.rptrace"
-        w = TraceStoreWriter(path, block_size=100, codec="zlib")
+        w = TraceStoreWriter(path, block_size=100)
         w.append(sources, repliers)
         w.abandon()  # crash: no footer
         size = path.stat().st_size
@@ -415,7 +471,7 @@ class TestCompression:
         # verify=True truncates at the corrupt block instead of serving
         # garbage.
         zl, _, _ = make_store(
-            tmp_path / "z.rptrace", n=500, block_size=100, codec="zlib"
+            tmp_path / "z.rptrace", n=500, block_size=100
         )
         n_blocks = zl.n_blocks
         entry = zl._entries[-1]
@@ -434,7 +490,7 @@ class TestCompression:
     def _patch_first_block(tmp_path, fmt, offset, value):
         """A footered zlib store with one field of block 0 overwritten."""
         zl, _, _ = make_store(
-            tmp_path / "z.rptrace", n=500, block_size=100, codec="zlib"
+            tmp_path / "z.rptrace", n=500, block_size=100
         )
         at = zl._entries[0].offset + offset
         zl.close()
@@ -456,7 +512,7 @@ class TestCompression:
         """Opening reads every block header of a footered zlib store;
         reading its blocks afterwards reads none again."""
         path = tmp_path / "z.rptrace"
-        make_store(path, n=500, block_size=100, codec="zlib")[0].close()
+        make_store(path, n=500, block_size=100)[0].close()
         with TraceStoreReader(path) as reader:
             monkeypatch.setattr(
                 TraceStoreReader, "_block_head", lambda *_: pytest.fail("re-read")
@@ -505,15 +561,39 @@ class TestReaderLifetime:
         with pytest.raises(TraceStoreError, match="closed"):
             reader.verify_blocks()
 
-    def test_close_releases_block_mappings(self, tmp_path):
-        reader, _, _ = make_store(tmp_path / "t.rptrace")
-        block = reader.block(0)
-        block.sources, block.repliers  # a block maps its columns on first use
-        mappings = list(reader._live_maps)
-        assert mappings  # the columns are tracked memmaps
-        del block
+    def test_close_releases_its_one_file_handle(self, tmp_path):
+        """A reader holds one descriptor however many blocks it reads,
+        and close() gives it back."""
+        path = tmp_path / "t.rptrace"
+        make_store(path, n=1_000, block_size=100)[0].close()
+        before = len(os.listdir("/proc/self/fd"))
+        reader = TraceStoreReader(path)
+        for block in reader.blocks() + list(reader.iter_blocks()):
+            block.sources, block.key_histogram()
+        assert len(os.listdir("/proc/self/fd")) == before + 1
         reader.close()
-        assert all(m.closed for m in mappings)
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.parametrize("name", [None, RAW_V2])
+    def test_arrays_read_before_close_stay_valid(self, tmp_path, name):
+        """Every segment is read into memory of its own, so what a block
+        has read before close() — a fresh store's keys, histogram and
+        columns, or a raw store's columns — reads the same afterwards."""
+        sources, repliers = legacy_columns()
+        if name:
+            reader = TraceStoreReader(DATA / name)
+        else:
+            path = tmp_path / "t.rptrace"
+            reader = write_store(path, sources, repliers, block_size=100)
+        block = reader.block(2)
+        read = [block.sources, block.repliers, block.packed_keys()]
+        read += block.key_histogram()
+        copies = [np.array(array) for array in read]
+        reader.close()
+        for array, copy in zip(read, copies):
+            np.testing.assert_array_equal(array, copy)
+        np.testing.assert_array_equal(block.sources, sources[200:])
+        np.testing.assert_array_equal(block.repliers, repliers[200:])
 
     def test_meta_fingerprint_round_trips(self, tmp_path):
         path = tmp_path / "t.rptrace"
@@ -550,7 +630,7 @@ class TestForkedReader:
         from concurrent.futures import ProcessPoolExecutor
 
         path = tmp_path / "z.rptrace"
-        make_store(path, n=20_000, block_size=100, codec="zlib")[0].close()
+        make_store(path, n=20_000, block_size=100)[0].close()
         with TraceStoreReader(path) as reader:
             want = {tuple(int(b.packed_keys().sum()) for b in reader.iter_blocks())}
             _FORKED["reader"] = reader
@@ -565,7 +645,8 @@ class TestForkedReader:
 
 
 class TestAllBlocksOneMapping:
-    """``blocks()``: what ``block(i)`` returns, off one mapping."""
+    """``blocks()``: what ``block(i)`` returns, every block's keys read at
+    once, through the reader's one file handle."""
 
     @staticmethod
     def assert_same(reader):
@@ -583,40 +664,34 @@ class TestAllBlocksOneMapping:
             )
         return held
 
-    @pytest.mark.parametrize("packed", [True])  # every store carries packed keys
-    def test_raw_store_is_served_from_a_single_mapping(self, tmp_path, packed):
-        reader, _, _ = make_store(
+    def test_a_short_tail_block(self, tmp_path):
+        reader, sources, _ = make_store(
             tmp_path / "t.rptrace", n=1_050, block_size=100, drop_partial=False
         )
         held = self.assert_same(reader)
         assert len(held) == 11 and len(held[-1]) == 50
-        columns_held = [b.sources for b in held] + [b.repliers for b in held]
-        assert len({id(c._mmap) for c in columns_held}) == 1
-        assert reader.blocks()[3].sources._mmap is held[0].sources._mmap
-        del columns_held
+        np.testing.assert_array_equal(
+            np.concatenate([b.sources for b in held]), sources
+        )
         reader.close()
 
-    def test_unaligned_raw_columns_share_one_mapping(self, tmp_path):
+    def test_unaligned_raw_columns_read_as_stored(self):
         """Codec-3 key segments have any length, so block 1's raw columns
-        start off an 8-byte boundary; every column blocks() hands out is
-        still a view of one mapping, and reads as written."""
-        reader, sources, repliers = make_store(
-            tmp_path / "t.rptrace", n=300, block_size=100
+        in the committed raw store start off an 8-byte boundary; they are
+        read into arrays of their own, as written."""
+        sources, repliers = legacy_columns()
+        with TraceStoreReader(DATA / RAW_V2) as reader:
+            payloads = [reader._layout(e)[2] for e in reader._entries]
+            assert payloads[1] % 8 != 0
+            held = self.assert_same(reader)
+        np.testing.assert_array_equal(
+            np.concatenate([b.sources for b in held]), sources
         )
-        payloads = [reader._layout(e)[2] for e in reader._entries]
-        assert payloads[1] % 8 != 0
-        held = self.assert_same(reader)
-        assert held[1].sources.ctypes.data % 8 != 0
-        columns_held = [b.sources for b in held] + [b.repliers for b in held]
-        assert len({id(c._mmap) for c in columns_held}) == 1
-        np.testing.assert_array_equal(np.concatenate(columns_held[:3]), sources)
-        np.testing.assert_array_equal(np.concatenate(columns_held[3:]), repliers)
-        del held, columns_held
-        reader.close()
+        np.testing.assert_array_equal(
+            np.concatenate([b.repliers for b in held]), repliers
+        )
 
     def test_descriptors_do_not_grow_with_the_block_count(self, tmp_path):
-        import os
-
         reader, _, _ = make_store(tmp_path / "t.rptrace", n=40_000, block_size=100)
         before = len(os.listdir("/proc/self/fd"))
         held = reader.blocks()
@@ -627,7 +702,7 @@ class TestAllBlocksOneMapping:
 
     def test_compressed_store(self, tmp_path):
         reader, _, _ = make_store(
-            tmp_path / "z.rptrace", n=1_000, block_size=100, codec="zlib"
+            tmp_path / "z.rptrace", n=1_000, block_size=100
         )
         assert reader.version == 2
         self.assert_same(reader)
@@ -640,7 +715,7 @@ class TestAllBlocksOneMapping:
         sources = np.repeat(np.int64(7), 300)  # constant
         repliers = rng.integers(0, 2**31 - 1, size=300).astype(np.int64)  # high-entropy
         reader = write_store(
-            tmp_path / "z.rptrace", sources, repliers, block_size=100, codec="zlib"
+            tmp_path / "z.rptrace", sources, repliers, block_size=100
         )
         held = self.assert_same(reader)
         np.testing.assert_array_equal(
@@ -653,15 +728,6 @@ class TestAllBlocksOneMapping:
         empty = np.array([], dtype=np.int64)
         reader = write_store(tmp_path / "e.rptrace", empty, empty)
         assert reader.blocks() == []
-        assert not list(reader._live_maps)  # nothing to map
         reader.close()
         with pytest.raises(TraceStoreError, match="closed"):
             reader.blocks()
-
-    def test_close_releases_the_mapping(self, tmp_path):
-        reader, _, _ = make_store(tmp_path / "t.rptrace")
-        held = reader.blocks()
-        (mapping,) = list(reader._live_maps)
-        del held
-        reader.close()
-        assert mapping.closed
