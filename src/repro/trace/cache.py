@@ -91,22 +91,21 @@ def _open_complete(path: str, stamp: int, n_pairs: int, block_size: int):
     """A reader on ``path`` if it is this spec's complete store, else None.
 
     No file, bytes that are not a store, a footer-less (torn) store,
-    another spec's stamp and a store written before every key segment
-    was histogram rows (which would be counted from its columns on every
-    read) are all misses to be rebuilt; an error opening the file
-    (permissions, descriptors) is the caller's to handle.
+    another spec's stamp and a store in a layout an earlier release wrote
+    (raw columns, or keys counted from them on every read) are all misses
+    to be rebuilt; an error opening the file is the caller's to handle.
     """
     try:
         reader = TraceStoreReader(path)
     except (FileNotFoundError, TraceStoreError):
         return None
-    with contextlib.suppress(TraceStoreError):  # a header histogram_rows refuses
+    with contextlib.suppress(TraceStoreError):  # a header row_indexed refuses
         if (
             reader.meta_fingerprint == stamp
             and not reader.recovered
             and reader.n_pairs == n_pairs
             and reader.block_size == block_size
-            and reader.histogram_rows
+            and reader.row_indexed
         ):
             return reader
     reader.close()
@@ -172,13 +171,11 @@ def trace_blocks(
     dropped), but generated at most once per machine: the first call
     for a spec writes it as a store under ``cache_dir`` (default:
     :func:`default_trace_cache_dir`), every later call in any process
-    opens that file, and a cache file written before every key segment
-    was histogram rows is written again.  Blocks of the config's own
-    size come with fingerprints pre-seeded from the file and their
-    packed keys read: each pair's row of the block's decoded key
-    histogram, or, in a cache file an earlier release wrote, packed from
-    its raw columns, whose key histogram is then decoded when first
-    asked for.  Another ``block_size`` re-cuts the same cached columns.
+    opens that file, and a cache file in a layout an earlier release
+    wrote is written again, once.  Blocks of the config's own size come
+    with fingerprints pre-seeded from the file and their packed keys
+    read: each pair's row of the block's decoded key histogram.  Another
+    ``block_size`` re-cuts the same cached columns.
     When the cache directory cannot be used the trace is generated in
     memory, with a warning.
     """

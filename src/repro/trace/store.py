@@ -1043,6 +1043,12 @@ class TraceStoreReader:
             map(self._has_rows, self._entries)
         )
 
+    @property
+    def row_indexed(self) -> bool:
+        """Whether every block is in the one layout writers write now:
+        row-index columns (codec 4) beside histogram rows (codec 3)."""
+        return self.histogram_rows and all(map(self._indexed, self._entries))
+
     def _key_histogram(
         self, entry: _BlockEntry
     ) -> tuple[np.ndarray, np.ndarray] | None:

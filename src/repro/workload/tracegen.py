@@ -68,9 +68,8 @@ helpers:
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -84,7 +83,7 @@ from repro.utils.validation import (
     check_probability,
 )
 from repro.workload.churn import LogNormalSessions
-from repro.workload.interests import InterestModel
+from repro.workload.interests import InterestModel, InterestProfile
 from repro.workload.querygen import QueryTextModel
 
 __all__ = ["MonitorTraceConfig", "MonitorTraceGenerator", "PairArrays"]
@@ -168,6 +167,7 @@ class MonitorTraceConfig:
         check_probability("permanent_fraction", self.permanent_fraction)
         check_positive("path_lifetime_blocks", self.path_lifetime_blocks)
         check_positive("path_lifetime_sigma", self.path_lifetime_sigma)
+        check_non_negative("anchor_age_exponent", self.anchor_age_exponent)
         check_positive("anchor_age_cap_blocks", self.anchor_age_cap_blocks)
         check_probability("path_noise", self.path_noise)
         check_positive("activity_sigma", self.activity_sigma)
@@ -218,15 +218,11 @@ _SUB_CHUNK = 8192
 _HOST_SPACE = 1 << 20
 
 
-class _Neighbor:
-    __slots__ = ("node_id", "joined_at", "leaves_at", "weight", "profile")
-
-    def __init__(self, node_id, joined_at, leaves_at, weight, profile):
-        self.node_id = node_id
-        self.joined_at = joined_at
-        self.leaves_at = leaves_at
-        self.weight = weight
-        self.profile = profile
+class _Neighbor(NamedTuple):
+    node_id: int
+    joined_at: float
+    weight: float
+    profile: InterestProfile
 
 
 def _draw_offsets(u: np.ndarray, m: int, stride: int, noise: float):
@@ -294,26 +290,10 @@ class MonitorTraceGenerator:
         self._now = 0.0
         self._next_node_id = 0
         self._next_host_id = _HOST_SPACE  # remote server ids, disjoint from neighbors
-        self._neighbors: list[_Neighbor] = []
         self._departures: list[tuple[float, int]] = []  # (leaves_at, node_id) heap
+        # The neighbors in join order: ids are never reused and only grow,
+        # so this order is also ascending id.
         self._by_id: dict[int, _Neighbor] = {}
-        # Per-neighbor lists aligned with ``_neighbors``, kept current by
-        # the two methods that change it: node ids, join times, activity
-        # weights and profile categories (``width`` per neighbor, flat).
-        self._node_ids: list[int] = []
-        self._joined: list[float] = []
-        self._weights: list[float] = []
-        self._profile_cats: list[int] = []
-        # Their arrays, made again after the population changes: ids,
-        # join times (anchor selection), cumulative weights (source
-        # selection) and the flat profile-category table, whose rows past
-        # the neighbors' are the constant ephemeral profiles.
-        self._ids = np.empty(0, dtype=np.int64)
-        self._joined_at = np.empty(0)
-        self._cum = np.empty(0)
-        self._cum_weights: list[float] = []
-        self._cats = np.empty(0, dtype=np.int64)
-        self._tables_dirty = True
         # The reply path of each category: its anchor's node id (-1 before
         # the first assignment) and when it expires (-inf when it must be
         # reassigned at the next lookup, as after its anchor departs).
@@ -332,21 +312,8 @@ class MonitorTraceGenerator:
             )
             for _ in range(64)
         ]
-        self._ephemeral_cats = [
-            cat for p in self._ephemeral_profiles for cat in p.categories
-        ]
         self._warmup()
-        # InterestModel hands every profile of one width the same weight
-        # tuple, so a pair's category is one search of one cumulative row
-        # (InterestProfile.category_for_uniform, whatever the profile).
-        weights = self._ephemeral_profiles[0].weights
-        if any(
-            p.weights != weights
-            for p in self._ephemeral_profiles + [nb.profile for nb in self._neighbors]
-        ):
-            raise RuntimeError("interest profiles must share one weight tuple")
-        self._width = len(weights)
-        self._profile_cum = np.cumsum(weights)
+        self._build_table()
 
     # ------------------------------------------------------------------
     # population maintenance
@@ -385,57 +352,72 @@ class MonitorTraceGenerator:
         profile = self._interests.sample_profile(
             self._rng, width=cfg.interests_per_neighbor
         )
-        neighbor = _Neighbor(node_id, joined_at, leaves_at, weight, profile)
-        self._neighbors.append(neighbor)
-        self._node_ids.append(node_id)
-        self._joined.append(joined_at)
-        self._weights.append(weight)
-        self._profile_cats.extend(profile.categories)
+        neighbor = _Neighbor(node_id, joined_at, weight, profile)
         self._by_id[node_id] = neighbor
         heapq.heappush(self._departures, (leaves_at, node_id))
-        self._tables_dirty = True
         return neighbor
 
+    def _build_table(self) -> None:
+        """The neighbor table, a row per neighbor in join order: ids, join
+        times (anchor selection), activity weights and their running sums
+        (source selection), and ``width`` profile categories, with the
+        ephemeral profiles' rows after the neighbors'.  Departures splice it."""
+        neighbors = list(self._by_id.values())
+        profiles = [nb.profile for nb in neighbors] + self._ephemeral_profiles
+        # InterestModel hands every profile of one width the same weight
+        # tuple, so a pair's category is one search of one cumulative row
+        # (InterestProfile.category_for_uniform, whatever the profile).
+        weights = profiles[0].weights
+        if any(p.weights != weights for p in profiles):
+            raise RuntimeError("interest profiles must share one weight tuple")
+        self._width = len(weights)
+        self._profile_cum = np.cumsum(weights)
+        self._ids = np.array([nb.node_id for nb in neighbors], dtype=np.int64)
+        self._joined_at = np.array([nb.joined_at for nb in neighbors])
+        self._activity = np.array([nb.weight for nb in neighbors])
+        self._cum = np.cumsum(self._activity)
+        self._cats = np.array(
+            [cat for p in profiles for cat in p.categories], dtype=np.int64
+        )
+
     def _process_departures(self) -> None:
-        while self._departures and self._departures[0][0] <= self._now:
-            _, node_id = heapq.heappop(self._departures)
-            gone = self._by_id.pop(node_id, None)
-            if gone is None:
-                continue
-            i = self._neighbors.index(gone)
-            del self._neighbors[i], self._node_ids[i], self._joined[i], self._weights[i]
-            width = len(gone.profile.categories)
-            del self._profile_cats[i * width : (i + 1) * width]
-            self._tables_dirty = True
+        """Replace each neighbor whose session has ended by ``self._now``.
+
+        Constant degree: a departure deletes its row and appends the
+        newcomer's, and the running weights are summed again in row order
+        (np.cumsum adds in order: the bits of a running ``acc += weight``).
+        Ids are never reused, each neighbor is pushed once and only this
+        method pops ``_by_id``: a departing id is always there
+        (docs/reach.md, "The cut").
+        """
+        departures = self._departures
+        ids, width = self._ids, self._width
+        last = len(ids) - 1
+        while departures[0][0] <= self._now:
+            _, node_id = heapq.heappop(departures)
+            del self._by_id[node_id]
+            i = int(ids.searchsorted(node_id))
             # The paths it anchored are due at their next lookup.
             self._path_expires[self._path_anchor == node_id] = -np.inf
-            # Constant-degree policy: the monitor immediately replaces a
-            # departed connection with a fresh neighbor.
             duration = self._sessions.sample(self._rng)
-            self._add_neighbor(joined_at=self._now, leaves_at=self._now + duration)
-
-    def _rebuild_tables(self) -> None:
-        # np.cumsum adds in order: the bits of a running `acc += weight`
-        self._cum = np.cumsum(self._weights)
-        self._cum_weights = self._cum.tolist()
-        self._ids = np.array(self._node_ids, dtype=np.int64)
-        self._joined_at = np.array(self._joined)
-        self._cats = np.array(self._profile_cats + self._ephemeral_cats, dtype=np.int64)
-        self._tables_dirty = False
+            new = self._add_neighbor(joined_at=self._now, leaves_at=self._now + duration)
+            # new[:3] is the newcomer's id, join time and weight
+            for column, value in zip((ids, self._joined_at, self._activity), new[:3]):
+                column[i:last] = column[i + 1 :]
+                column[last] = value
+            cats = self._cats
+            cats[i * width : last * width] = cats[(i + 1) * width : (last + 1) * width]
+            cats[last * width : (last + 1) * width] = new.profile.categories
+            self._activity.cumsum(out=self._cum)
 
     def _pick_source(self) -> _Neighbor:
         if self.config.ephemeral_rate > 0.0 and (
             self._uniforms.next() < self.config.ephemeral_rate
         ):
             return self._make_ephemeral_source()
-        if self._tables_dirty:
-            self._rebuild_tables()
-        total = self._cum_weights[-1]
-        u = self._uniforms.next() * total
-        idx = bisect_right(self._cum_weights, u)
-        if idx >= len(self._neighbors):  # floating-point edge
-            idx = len(self._neighbors) - 1
-        return self._neighbors[idx]
+        cum = self._cum
+        row = int(cum.searchsorted(self._uniforms.next() * cum[-1], side="right"))
+        return self._by_id[int(self._ids[min(row, len(cum) - 1)])]  # float edge
 
     def _make_ephemeral_source(self) -> _Neighbor:
         """A one-shot source: unique id, never joins the neighbor set."""
@@ -444,41 +426,42 @@ class MonitorTraceGenerator:
         profile = self._ephemeral_profiles[
             self._uniforms.next_index(len(self._ephemeral_profiles))
         ]
-        return _Neighbor(node_id, self._now, self._now, 0.0, profile)
+        return _Neighbor(node_id, self._now, 0.0, profile)
 
     # ------------------------------------------------------------------
     # reply paths
     # ------------------------------------------------------------------
-    def _path_for(self, category: int) -> _Neighbor:
-        if self._path_expires[category] <= self._now:
-            return self._assign_path(category)
-        return self._by_id[int(self._path_anchor[category])]
-
-    def _assign_path(self, category: int) -> _Neighbor:
+    def _assign_path(self, category: int) -> int:
+        """Give ``category`` a new reply path; returns its anchor's id."""
         cfg = self.config
         # Anchor selection ∝ min(session age, cap)^gamma: paths go through
         # stable, long-lived neighbors, but no single immortal neighbor
         # monopolizes every category.  The previous anchor is excluded so a
         # path-lifetime expiry genuinely moves the path (content migrates /
         # a better route appears), which is what ages rule consequents.
-        if self._tables_dirty:
-            self._rebuild_tables()
-        age_cap = cfg.anchor_age_cap_blocks * cfg.seconds_per_block
-        ages = np.minimum(np.maximum(self._now - self._joined_at, 1.0), age_cap)
-        ages[self._ids == self._path_anchor[category]] = 0.0
-        total = ages.sum()
-        if total <= 0.0:  # only the previous anchor is available
-            idx = int(self._rng.integers(0, len(self._neighbors)))
-        else:
-            weights = ages ** cfg.anchor_age_exponent
-            probs = weights / weights.sum()
-            idx = int(self._rng.choice(len(self._neighbors), p=probs))
-        anchor = self._neighbors[idx]
+        ages = self._now - self._joined_at
+        np.maximum(ages, 1.0, out=ages)
+        np.minimum(ages, cfg.anchor_age_cap_blocks * cfg.seconds_per_block, out=ages)
+        previous = self._by_id.get(int(self._path_anchor[category]))
+        if previous is not None:
+            ages[self._ids.searchsorted(previous.node_id)] = 0.0
+        # Every other age is at least min(1, cap) > 0, there are two or
+        # more neighbors and the exponent is not negative, so the weights
+        # sum to more than zero.
+        weights = ages
+        if cfg.anchor_age_exponent != 1.0:  # x ** 1.0 is x exactly
+            weights = ages**cfg.anchor_age_exponent
+        # the row Generator.choice draws for p = weights / weights.sum(),
+        # draw for draw, without its checks of p
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        row = int(cdf.searchsorted(self._rng.random(), side="right"))
         lifetime_blocks = cfg.path_lifetime_blocks * float(
             np.exp(cfg.path_lifetime_sigma * self._rng.standard_normal())
         )
         lifetime = lifetime_blocks * cfg.seconds_per_block
-        self._path_anchor[category] = anchor.node_id
+        anchor = int(self._ids[row])
+        self._path_anchor[category] = anchor
         self._path_expires[category] = self._now + lifetime
         return anchor
 
@@ -510,11 +493,11 @@ class MonitorTraceGenerator:
             np.cumsum(t, out=t)
             self._fill_pairs(t, sources[lo:hi], repliers[lo:hi], categories[lo:hi])
             self._now = t[-1]
-            # _host_behind, column-wise and without temporaries
+            # _host_behind, column-wise, no temporaries (& is % on ids >= 0)
             host = hosts[lo:hi]
             np.multiply(repliers[lo:hi], 1009, out=host)
             host += categories[lo:hi]
-            host %= _HOST_SPACE
+            host &= _HOST_SPACE - 1
             host += self._next_host_id
         return PairArrays(
             time=times,
@@ -528,57 +511,69 @@ class MonitorTraceGenerator:
         """Sources, repliers and categories of the pairs timestamped ``t``.
 
         Between two departures the neighbor set is constant, so a whole
-        segment's sources are one ``searchsorted`` over the cumulative
+        segment's sources are one ``searchsorted`` over the running
         activity weights (``bisect_right``, vectorised) and its
         categories one gather from the flat profile-category table.
         What does not depend on the neighbor set — each pair's slot in its
         profile, which pairs have one-shot sources and which replies take
-        an alternate route — is found once for all the pairs.
+        an alternate route — is found once for all the pairs, and one-shot
+        ids and alternate repliers are written after the last segment:
+        with constant degree every segment's table has ``n`` rows.
         """
         m = len(t)
         is_eph, u_source, u_category, anchored, u_alternate = self._pair_draws(m)
-        # InterestProfile.category_for_uniform over the one shared weight row
-        slot = np.searchsorted(self._profile_cum, u_category, side="right")
-        np.minimum(slot, self._width - 1, out=slot)
+        n, width = len(self._ids), self._width
+        # InterestProfile.category_for_uniform over the one shared weight
+        # row: the running weights before the last that the draw reaches
+        slot = np.zeros(m, dtype=np.intp)
+        for edge in self._profile_cum[:-1].tolist():
+            slot += u_category >= edge
         if is_eph is not None:
-            # One-shot sources: fresh ids in pair order, and a row of the
-            # profile table past the neighbors' rows.
-            eph = np.flatnonzero(is_eph)
+            # One-shot sources: a zero needle lands on row 0, and the slot
+            # moves it to its ephemeral profile's row past the neighbors'.
+            eph = is_eph.nonzero()[0]
             eph_rows = (u_source[eph] * len(self._ephemeral_profiles)).astype(np.intp)
+            slot[eph] += (eph_rows + n) * width
+            u_source[eph] = 0.0
+            first_ids = []
         due_at = t
         if anchored is not None:
             # Transient alternate routes: a uniformly random neighbor.
-            noisy = np.flatnonzero(~anchored)
-            u_noisy = u_alternate[noisy]
+            noisy = (~anchored).nonzero()[0]
             due_at = t.copy()
             due_at[noisy] = np.nan
+            tables = []
+        starts = []
         a = 0
         while a < m:
             self._now = t[a]
             self._process_departures()
-            b = a + int(np.searchsorted(t[a:], self._departures[0][0], side="left"))
-            if self._tables_dirty:
-                self._rebuild_tables()
+            b = a + int(t[a:].searchsorted(self._departures[0][0]))
             ids = self._ids
             cum = self._cum
-            rows = np.searchsorted(cum, u_source[a:b] * cum[-1], side="right")
-            np.minimum(rows, len(ids) - 1, out=rows)  # floating-point edge
-            np.take(ids, rows, out=source[a:b])
-            if is_eph is not None:
-                lo, hi = np.searchsorted(eph, (a, b))
-                first = self._next_node_id
-                self._next_node_id += int(hi - lo)
-                source[eph[lo:hi]] = np.arange(first, self._next_node_id)
-                rows[eph[lo:hi] - a] = len(ids) + eph_rows[lo:hi]
-            rows *= self._width
+            rows = cum.searchsorted(u_source[a:b] * cum[-1], side="right")
+            np.minimum(rows, n - 1, out=rows)  # floating-point edge
+            ids.take(rows, out=source[a:b])
+            rows *= width
             rows += slot[a:b]
-            np.take(self._cats, rows, out=category[a:b])
+            self._cats.take(rows, out=category[a:b])
             self._settle_segment(t[a:b], due_at[a:b], category[a:b], replier[a:b])
+            starts.append(a)
+            if is_eph is not None:
+                # the next departure numbers its newcomer after these
+                first_ids.append(self._next_node_id)
+                self._next_node_id += int(np.count_nonzero(is_eph[a:b]))
             if anchored is not None:
-                lo, hi = np.searchsorted(noisy, (a, b))
-                picks = (u_noisy[lo:hi] * len(ids)).astype(np.intp)
-                replier[noisy[lo:hi]] = ids[picks]
+                tables.append(ids.copy())
             a = b
+        if is_eph is not None:
+            segment = np.searchsorted(starts, eph, side="right") - 1
+            first_ids = np.array(first_ids) - eph.searchsorted(starts)
+            source[eph] = first_ids[segment] + np.arange(len(eph))
+        if anchored is not None:
+            segment = np.searchsorted(starts, noisy, side="right") - 1
+            picks = (u_alternate[noisy] * n).astype(np.intp)
+            replier[noisy] = np.concatenate(tables)[segment * n + picks]
 
     def _pair_draws(self, m: int):
         """The uniform draws of the next ``m`` pairs, one array per role.
@@ -594,17 +589,18 @@ class MonitorTraceGenerator:
         has_noise = cfg.path_noise > 0.0
         stride = has_eph + 2 + has_noise
         u = self._uniforms.peek(m * (stride + has_noise))
+        # u[c:].take(off) is u[off + c], without the sum
         if has_noise:
             off, consumed = _draw_offsets(u, m, stride, cfg.path_noise)
-            anchored = u[off + stride - 1] >= cfg.path_noise
-            u_alternate = u[off + stride]  # drawn only where not anchored
+            anchored = u[stride - 1 :].take(off) >= cfg.path_noise
+            u_alternate = u[stride:].take(off)  # drawn only where not anchored
         else:
             off = np.arange(0, m * stride, stride, dtype=np.intp)
             consumed = m * stride
             anchored = u_alternate = None
-        is_eph = u[off] < cfg.ephemeral_rate if has_eph else None
-        u_source = u[off + has_eph]
-        u_category = u[off + has_eph + 1]
+        is_eph = u.take(off) < cfg.ephemeral_rate if has_eph else None
+        u_source = u[has_eph:].take(off)
+        u_category = u[has_eph + 1 :].take(off)
         self._uniforms.advance(consumed)
         return is_eph, u_source, u_category, anchored, u_alternate
 
@@ -612,28 +608,26 @@ class MonitorTraceGenerator:
         """Anchored repliers of one departure-free segment.
 
         Within the segment the category -> anchor table only changes at a
-        lazy reply-path reassignment.  Find the earliest pair at which one
-        is due, settle the pairs before it, apply that one reassignment
-        through :meth:`_assign_path` (so ``self._rng`` is drawn from
-        exactly as a per-pair loop would), and go on from the pair after
-        it.  ``due_at`` is ``t`` with NaN, which is never due, where the
-        reply takes an alternate route.
+        lazy reply-path reassignment, which pushes only its own category's
+        expiry later, so no pair becomes due in it.  The pairs due at its
+        start are walked in order and checked again; one still due settles
+        the pairs before it and is reassigned through :meth:`_assign_path`
+        (``self._rng`` drawn from as a per-pair loop would).  ``due_at`` is
+        ``t`` with NaN, never due, where the reply takes an alternate route.
         """
         expires = self._path_expires
         anchor_of = self._path_anchor
-        n = len(t)
+        due = (due_at >= expires[category]).nonzero()[0]
         settled = 0
-        while settled < n:
-            due = due_at[settled:] >= expires[category[settled:]]
-            first = int(due.argmax())
-            if not due[first]:
-                break
-            event = settled + first
-            np.take(anchor_of, category[settled:event], out=replier[settled:event])
-            self._now = t[event]
-            replier[event] = self._assign_path(int(category[event])).node_id
-            settled = event + 1
-        np.take(anchor_of, category[settled:], out=replier[settled:])
+        for event, when, cat in zip(
+            due.tolist(), due_at[due].tolist(), category[due].tolist()
+        ):
+            if when >= expires[cat]:
+                anchor_of.take(category[settled:event], out=replier[settled:event])
+                self._now = t[event]
+                replier[event] = self._assign_path(cat)
+                settled = event + 1
+        anchor_of.take(category[settled:], out=replier[settled:])
 
     def _reply_neighbor(self, category: int) -> _Neighbor:
         """The neighbor a reply for ``category`` arrives through.
@@ -643,8 +637,11 @@ class MonitorTraceGenerator:
         alternate route).
         """
         if self.config.path_noise > 0.0 and self._uniforms.next() < self.config.path_noise:
-            return self._neighbors[self._uniforms.next_index(len(self._neighbors))]
-        return self._path_for(category)
+            row = self._uniforms.next_index(len(self._ids))
+            return self._by_id[int(self._ids[row])]
+        if self._path_expires[category] <= self._now:
+            self._assign_path(category)
+        return self._by_id[int(self._path_anchor[category])]
 
     def _host_behind(self, replier: _Neighbor, category: int) -> int:
         """Synthetic id of the remote server reached through ``replier``.
@@ -706,7 +703,7 @@ class MonitorTraceGenerator:
 
     @property
     def active_neighbor_ids(self) -> list[int]:
-        return [nb.node_id for nb in self._neighbors]
+        return self._ids.tolist()
 
     @property
     def guid_allocator(self) -> GuidAllocator:

@@ -19,6 +19,7 @@ from repro.trace.cache import trace_blocks, trace_fingerprint
 from repro.trace.store import TraceStoreReader, TraceStoreWriter
 from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator
 from tests.conftest import assert_same_blocks, trace_cache_path
+from tests.test_decoder_wall import _pairs_store
 
 CFG = MonitorTraceConfig(block_size=300, n_neighbors=15, n_categories=12)
 
@@ -274,6 +275,37 @@ class TestRebuild:
         cold_trace_cache()
         trace_blocks(300, config=config, seed=9, cache_dir=tmp_path)
         assert generate_calls == [300, 300]  # assert_serves' own, then a hit
+
+    def test_a_raw_column_cache_is_rewritten_once(
+        self, tmp_path, generate_calls, cold_trace_cache
+    ):
+        """A complete cache file of this spec whose columns are raw int64
+        (codec 0, as every store before the one layout held them) is
+        rewritten once in the row-index layout, not kept at 17.4 B a
+        pair for good."""
+        config = MonitorTraceConfig(block_size=100, n_neighbors=15, n_categories=12)
+        stamp = trace_fingerprint(config, 9, 300)
+        path = cache_path(tmp_path, 300, 9, config)
+        planted = bytearray(_pairs_store(tmp_path, n_blocks=3, codec=None))
+        struct.pack_into("<Q", planted, 24, stamp)  # the header's stamp
+        path.write_bytes(bytes(planted))
+        with TraceStoreReader(path) as reader:
+            assert [reader._layout(e)[0] for e in reader._entries] == [(0, 0, 3)] * 3
+            assert reader.histogram_rows and not reader.row_indexed
+            assert (reader.meta_fingerprint, reader.n_pairs) == (stamp, 300)
+        size = path.stat().st_size
+        generate_calls.clear()
+        rewritten = trace_blocks(300, config=config, seed=9, cache_dir=tmp_path)
+        assert generate_calls == [300]
+        with TraceStoreReader(path) as reader:
+            assert [reader._layout(e)[0] for e in reader._entries] == [(4, 4, 3)] * 3
+            assert reader.row_indexed
+        assert path.stat().st_size < size
+        cold_trace_cache()
+        served = trace_blocks(300, config=config, seed=9, cache_dir=tmp_path)
+        assert generate_calls == [300]  # a hit
+        assert_same_blocks(served, rewritten)
+        assert_serves(served, 300, 9, config)
 
 
 class TestAtomicPublish:

@@ -32,6 +32,7 @@ class TestConfigValidation:
             {"interests_per_neighbor": 0},
             {"pair_rate": 0.0},
             {"category_popularity_exponent": -0.2},
+            {"anchor_age_exponent": -1.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -5,6 +5,21 @@ the oracle leaves it — the paper figures, the trace cache and every number
 in EXPERIMENTS.md hang off these traces.  A golden digest pins the bytes
 themselves, so that a change to oracle *and* array code cannot move the
 reproduction unnoticed.
+
+The oracle runs its own copies of the event helpers, so the twin tests
+see a change to the generator's.  Three mutants of the generator were
+run against them in a scratch copy, and each fails the twin tests, not
+only the digests:
+
+* "front": a departure's splice puts the newcomer's row first, not last
+  (``test_identical_columns_and_state``, ``test_any_config_any_split``);
+* "left": the anchor search takes ``side="left"``, so a draw that equals
+  a running probability takes that row, not the one after it
+  (``test_an_anchor_draw_on_a_step_of_the_cdf``);
+* "no re-check": the due walk reassigns every pair that was due at the
+  segment's start, not only those still due after the assignments before
+  them (``test_identical_columns_and_state``,
+  ``test_any_config_any_split``).
 """
 
 import hashlib
@@ -19,6 +34,7 @@ from hypothesis import strategies as st
 from repro.workload import tracegen
 from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator
 from tests.workload.reference_tracegen import (
+    PerPairLoop,
     reference_generate_pair_arrays,
     reference_offsets,
 )
@@ -38,6 +54,16 @@ CONFIGS = {
     ),
     "fast-churn": MonitorTraceConfig(
         block_size=100, median_session_blocks=0.5, path_lifetime_blocks=0.3
+    ),
+    # nobody departs, so a sub-chunk is one segment, and the one category
+    # comes due every ~20 pairs inside it
+    "path-due-twice-in-a-segment": MonitorTraceConfig(
+        block_size=1000,
+        n_neighbors=4,
+        permanent_fraction=1.0,
+        n_categories=1,
+        interests_per_neighbor=1,
+        path_lifetime_blocks=0.02,
     ),
 }
 
@@ -72,6 +98,53 @@ class TestAgainstThePerPairLoop:
     def test_identical_columns_and_state(self, name, seed):
         assert_twins_agree(CONFIGS[name], seed, CALLS)
 
+    def test_a_category_comes_due_twice_in_one_segment(self, monkeypatch):
+        """The premise of "path-due-twice-in-a-segment": one settle call
+        reassigns one category more than once."""
+        generator = MonitorTraceGenerator(CONFIGS["path-due-twice-in-a-segment"], seed=1)
+        per_segment = []
+        settle, assign = generator._settle_segment, generator._assign_path
+
+        def count_settle(*args):
+            per_segment.append([])
+            settle(*args)
+
+        def count_assign(category):
+            per_segment[-1].append(category)
+            return assign(category)
+
+        monkeypatch.setattr(generator, "_settle_segment", count_settle)
+        monkeypatch.setattr(generator, "_assign_path", count_assign)
+        generator.generate_pair_arrays(2_000)
+        assert len(per_segment) == 1
+        assert per_segment[0].count(0) > 2
+
+    def test_an_anchor_draw_on_a_step_of_the_cdf(self):
+        """Catches "left": where the anchor draw equals a running
+        probability, ``Generator.choice`` takes the row after that step.
+        The draw is planted in both twins' streams, since a uniform double
+        lands on a step by chance about once in 2**53 draws."""
+        oracle = MonitorTraceGenerator(SMALL, seed=4)
+        fast = MonitorTraceGenerator(SMALL, seed=4)
+        reference_generate_pair_arrays(oracle, 3_000)
+        fast.generate_pair_arrays(3_000)
+        loop = PerPairLoop(oracle)
+        planted = 0
+        for category in range(SMALL.n_categories):
+            cdf = loop.anchor_probabilities(category).cumsum()
+            cdf /= cdf[-1]
+            # in [0.5, 1) a double is a multiple of 2**-53, so random() can return it
+            steps = cdf[:-1][(cdf[:-1] >= 0.5) & (cdf[:-1] < cdf[1:])]
+            if not len(steps):
+                continue
+            for twin in (oracle, fast):
+                next_random_is(twin._rng, float(steps[0]))
+            assert fast._assign_path(category) == loop.assign_path(category).node_id
+            planted += 1
+        assert planted > SMALL.n_categories // 2
+        np.testing.assert_array_equal(fast._path_anchor, oracle._path_anchor)
+        np.testing.assert_array_equal(fast._path_expires, oracle._path_expires)
+
     def test_uniform_refill_is_crossed(self):
         """The premise of CALLS: even the leanest config above passes the
         65,536-draw refill."""
@@ -87,6 +160,7 @@ class TestAgainstThePerPairLoop:
         sub_chunk=st.sampled_from([1, 7, 64, 500]),
         path_noise=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
         ephemeral_rate=st.sampled_from([0.0, 0.13, 0.9, 1.0]),
+        anchor_age_exponent=st.sampled_from([0.5, 1.0, 2.0]),
         median_session_blocks=st.sampled_from([0.2, 8.0]),
         path_lifetime_blocks=st.sampled_from([0.1, 13.5]),
         interests_per_neighbor=st.integers(1, 4),
@@ -100,6 +174,29 @@ class TestAgainstThePerPairLoop:
         )
         with mock.patch.object(tracegen, "_SUB_CHUNK", sub_chunk):
             assert_twins_agree(config, seed, calls)
+
+
+#: PCG64's multiplier, for planting a draw in a stream
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def next_random_is(rng: np.random.Generator, value: float) -> None:
+    """Set ``rng``'s PCG64 state so that its next ``random()`` is ``value``.
+
+    ``random()`` is the next 64-bit output shifted right by 11, times
+    2**-53, and the output is the stepped state's high and low words,
+    xored and rotated by its top six bits.  A stepped state of
+    ``value * 2**64`` (high word zero) therefore outputs that; the state
+    before it is found by undoing the step.
+    """
+    word = int(value * 2**53)
+    if word / 2**53 != value:
+        raise ValueError(f"{value!r} is not a multiple of 2**-53")
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    inverse = pow(_PCG64_MULTIPLIER, -1, 1 << 128)
+    state["state"]["state"] = ((word << 11) - inc) * inverse % (1 << 128)
+    rng.bit_generator.state = state
 
 
 def _digest(config, seed, calls) -> str:
@@ -128,12 +225,11 @@ class TestGoldenDigests:
     still hold and this is re-recorded from the oracle in its own
     commit.
 
-    The oracle and the array code share the event helpers
-    (``_process_departures``, ``_rebuild_tables``, ``_assign_path``) and
-    the path table, so the twin tests cannot see a change to those; only
-    these digests can.  The degenerate configs and the full-fidelity
-    stream after an array call were recorded before those helpers were
-    last changed."""
+    The oracle and the full-fidelity path share ``_add_neighbor``,
+    ``_make_ephemeral_source`` and ``_host_behind`` with the array code,
+    so a change to those moves both twins; these digests see it.  The
+    degenerate configs and the full-fidelity stream after an array call
+    were recorded before the event helpers were last changed."""
 
     def test_calibrated_config(self):
         assert (
@@ -240,4 +336,24 @@ class TestPathTable:
             )
             departed += int(orphaned.sum())
             assert (generator._path_expires[orphaned] == -np.inf).all()
+        assert departed > 0
+
+
+class TestConstantDegree:
+    @pytest.mark.parametrize("name", ["fast-churn", "two-neighbors-one-category"])
+    def test_the_table_keeps_n_neighbors_rows(self, name):
+        """Every departure adds exactly one neighbor, so after every call
+        the id table, the id map and the departure heap hold
+        ``n_neighbors`` entries each, ids ascending in join order."""
+        config = CONFIGS[name]
+        generator = MonitorTraceGenerator(config, seed=5)
+        departed = 0
+        for n in CALLS:
+            before = set(generator.active_neighbor_ids)
+            generator.generate_pair_arrays(n)
+            ids = generator.active_neighbor_ids
+            assert len(generator._ids) == config.n_neighbors
+            assert len(generator._by_id) == len(generator._departures) == config.n_neighbors
+            assert ids == sorted(generator._by_id)
+            departed += len(before - set(ids))
         assert departed > 0
