@@ -54,9 +54,9 @@ helpers:
   anchor table are constants, so a whole segment of pairs is a handful
   of searches and gathers over tables the events keep current, and only
   the events themselves (a few dozen per 10,000 pairs) run the scalar
-  helpers.  Where each pair's draws sit in the uniform stream is found
-  by following the noise tests that hit (one in ten at the calibrated
-  ``path_noise``).  The per-pair loop it replaced lives on in
+  helpers.  Every pair takes one fixed record of uniforms, so a
+  sub-chunk's draws are the columns of one view of the stream.  The
+  per-pair loop it replaced lives on in
   ``tests/workload/reference_tracegen.py`` as the oracle the array code
   must match bit for bit (docs/performance.md, "Trace generation").
 * :meth:`MonitorTraceGenerator.iter_events` — the full-fidelity path:
@@ -209,7 +209,16 @@ class PairArrays:
         return len(self.time)
 
 
-#: pairs whose uniforms, stream offsets and masks ``generate_pair_arrays``
+#: the version of what ``generate_pair_arrays`` emits for a given config,
+#: seed and call sizes.  The trace cache stamps it into every file it
+#: names (:func:`repro.trace.cache.trace_fingerprint`), so bump it with
+#: any change that moves those bytes — a pair's record of uniforms, the
+#: order of the draws of either stream, or an event helper's arithmetic
+#: — and an earlier layout's cached trace is never served as current.
+#: 2: the alternate index is drawn whether the noise test hits or not.
+TRACE_LAYOUT = 2
+
+#: pairs whose uniforms and masks ``generate_pair_arrays``
 #: holds at once: every transient is O(_SUB_CHUNK), never O(n_pairs).
 _SUB_CHUNK = 8192
 
@@ -223,49 +232,6 @@ class _Neighbor(NamedTuple):
     joined_at: float
     weight: float
     profile: InterestProfile
-
-
-def _draw_offsets(u: np.ndarray, m: int, stride: int, noise: float):
-    """Where each of ``m`` pairs' draws start in ``u``, and how many they take.
-
-    A pair takes ``stride`` draws, the last of them its noise test, plus
-    one more when that test hits (``u < noise``).  Between hits the tests
-    sit ``stride`` apart, so only the hits need a Python step: the test
-    after a hit at ``q`` is at ``q + stride + 1``, and the hit that
-    follows is the first one at or after it in that position's residue
-    class mod ``stride``.  Each hit's successor is one ``searchsorted``
-    per class; walking them from the first test, ``stride - 1``, gives
-    the hits the pairs' tests land on, and pair ``i`` starts at
-    ``stride * i + (hits before i)``.  ``u`` must hold at least
-    ``m * (stride + 1)`` draws.
-    """
-    # hit k of class r is draw r + stride * k; classes laid end to end
-    hits = [np.flatnonzero(u[r::stride] < noise) for r in range(stride)]
-    starts = np.cumsum([0] + [len(k) for k in hits]).tolist()
-    n_hits = starts[-1]
-    position = np.concatenate([r + stride * k for r, k in enumerate(hits)])
-    # After a hit at r + stride * k the next test is class r + 1's k + 1,
-    # or class 0's k + 2 after the last class; n_hits when no hit follows.
-    successor = np.full(n_hits, n_hits, dtype=np.intp)
-    for r, k in enumerate(hits):
-        nxt = (r + 1) % stride
-        j = np.searchsorted(hits[nxt], k + 1 + (nxt == 0))
-        found = j < len(hits[nxt])
-        successor[starts[r] : starts[r + 1]][found] = starts[nxt] + j[found]
-    successor = successor.tolist()
-    chain = []
-    i = starts[stride - 1]  # the first hit of the first test's class
-    while i < n_hits:
-        chain.append(i)
-        i = successor[i]
-    # the c-th hit of the chain is the test of pair (q - c + 1) // stride - 1
-    after = (position[chain] - np.arange(len(chain)) + 1) // stride
-    after = after[after <= m]
-    bump = np.zeros(m + 1, dtype=np.intp)
-    bump[after] = 1
-    offsets = np.cumsum(bump[:m])
-    offsets += np.arange(0, m * stride, stride, dtype=np.intp)
-    return offsets, m * stride + len(after)
 
 
 class MonitorTraceGenerator:
@@ -578,30 +544,25 @@ class MonitorTraceGenerator:
     def _pair_draws(self, m: int):
         """The uniform draws of the next ``m`` pairs, one array per role.
 
-        Every pair takes its draws in the order the scalar helpers take
-        them — [ephemeral test,] source, category [, noise test] — plus
-        one more when the noise test hits, so where a pair's draws sit in
-        the stream depends on the hits before it.  :func:`_draw_offsets`
-        finds every offset by following the hits; the rest is gathers.
+        Every pair takes one fixed record, in the order the scalar helpers
+        take it — [ephemeral test,] source, category[, noise test,
+        alternate index] — the alternate drawn whether the test hits or
+        not, so the ``m`` records are the columns of one ``m × stride``
+        view of the stream.
         """
         cfg = self.config
-        has_eph = cfg.ephemeral_rate > 0.0
+        has_eph = int(cfg.ephemeral_rate > 0.0)  # a bool would index as a mask
         has_noise = cfg.path_noise > 0.0
-        stride = has_eph + 2 + has_noise
-        u = self._uniforms.peek(m * (stride + has_noise))
-        # u[c:].take(off) is u[off + c], without the sum
+        stride = has_eph + 2 + 2 * has_noise
+        u = self._uniforms.peek(m * stride).reshape(m, stride)
+        self._uniforms.advance(m * stride)
+        is_eph = u[:, 0] < cfg.ephemeral_rate if has_eph else None
+        u_source = u[:, has_eph].copy()  # _fill_pairs zeroes the one-shot ones
+        u_category = u[:, has_eph + 1]
+        anchored = u_alternate = None
         if has_noise:
-            off, consumed = _draw_offsets(u, m, stride, cfg.path_noise)
-            anchored = u[stride - 1 :].take(off) >= cfg.path_noise
-            u_alternate = u[stride:].take(off)  # drawn only where not anchored
-        else:
-            off = np.arange(0, m * stride, stride, dtype=np.intp)
-            consumed = m * stride
-            anchored = u_alternate = None
-        is_eph = u.take(off) < cfg.ephemeral_rate if has_eph else None
-        u_source = u[has_eph:].take(off)
-        u_category = u[has_eph + 1 :].take(off)
-        self._uniforms.advance(consumed)
+            anchored = u[:, stride - 2] >= cfg.path_noise
+            u_alternate = u[:, stride - 1]
         return is_eph, u_source, u_category, anchored, u_alternate
 
     def _settle_segment(self, t, due_at, category, replier) -> None:
@@ -634,11 +595,15 @@ class MonitorTraceGenerator:
 
         Usually the category's anchored path; with probability
         ``path_noise`` a uniformly random active neighbor (transient
-        alternate route).
+        alternate route).  The noise test and the alternate index are
+        both drawn whenever ``path_noise`` is above zero, so a pair's
+        record has one length (:meth:`_pair_draws`).
         """
-        if self.config.path_noise > 0.0 and self._uniforms.next() < self.config.path_noise:
-            row = self._uniforms.next_index(len(self._ids))
-            return self._by_id[int(self._ids[row])]
+        if self.config.path_noise > 0.0:
+            hit = self._uniforms.next() < self.config.path_noise
+            row = self._uniforms.next_index(len(self._ids))  # drawn on a miss too
+            if hit:
+                return self._by_id[int(self._ids[row])]
         if self._path_expires[category] <= self._now:
             self._assign_path(category)
         return self._by_id[int(self._path_anchor[category])]

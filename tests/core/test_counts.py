@@ -260,13 +260,15 @@ def test_compression_refreshes_the_ranking_of_a_row_it_only_thins():
 
 
 class TestStreamingGolden:
-    """``StreamingRules.run`` on a default-config 300k-pair trace, digested
-    at the commit before ``repro.core.counts`` replaced the two count
-    classes it used to own: every ``TrialResult`` is that commit's."""
+    """``StreamingRules.run`` on a default-config 300k-pair trace.  First
+    digested at the commit before ``repro.core.counts`` replaced the two
+    count classes it used to own, and re-recorded once, unchanged code
+    on a new trace, when every pair's uniforms became one fixed record
+    (``tracegen.TRACE_LAYOUT`` 2)."""
 
     DIGESTS = {
-        "exact": "9a954d7d26cd3740fea6175629d11596",
-        "lossy": "28975c374dec211905d459af47bfbd09",
+        "exact": "daff430e952f218b87b59afbdd9e1f56",
+        "lossy": "b11cec0c5b7de3f00f93ae42ab2a0d02",
     }
 
     @pytest.fixture(scope="class")

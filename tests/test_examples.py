@@ -17,12 +17,12 @@ REPO = Path(__file__).resolve().parent.parent
 
 EXPECTED = {
     "trace_pipeline.py": [
-        "captured 38,802 query and 12,000 reply records",
-        "dropped 187 duplicate-GUID query records",
-        "11,981 query-reply pairs",
+        "captured 38,596 query and 12,000 reply records",
+        "dropped 186 duplicate-GUID query records",
+        "11,985 query-reply pairs",
         "5 full blocks",
-        "    4     0.818     0.756     101",
-        "averages: coverage=0.789 success=0.764",
+        "    4     0.757     0.778      93",
+        "averages: coverage=0.753 success=0.782",
     ],
     "servent_capture.py": [
         "monitor captured 120 query records and 203 reply records",

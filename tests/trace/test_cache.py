@@ -6,6 +6,9 @@ Several test ids here date from the npz pair cache (``cached_pairs`` /
 its name and checks the same guarantee on the one cache there is now.
 """
 
+import dataclasses
+import hashlib
+import json
 import os
 import struct
 from pathlib import Path
@@ -170,6 +173,32 @@ class TestProvenanceFingerprint:
         trace_blocks(600, config=CFG, seed=1, cache_dir=tmp_path)
         assert path.stat().st_mtime_ns == mtime  # stamped now: a hit
         assert not recwarn.list
+
+    def test_an_earlier_layouts_trace_is_not_served(
+        self, tmp_path, generate_calls, cold_trace_cache
+    ):
+        """A complete store at the path and with the stamp that the
+        fingerprint named before it covered the generator's layout —
+        ``(config, seed, n_pairs)`` alone — is another layout's trace,
+        so the spec is generated afresh rather than read from it."""
+        payload = json.dumps(
+            {"config": dataclasses.asdict(CFG), "seed": 1, "n_pairs": 600},
+            sort_keys=True,
+            default=repr,
+        )
+        digest = hashlib.blake2b(payload.encode("utf-8"), digest_size=8).digest()
+        stamp = int.from_bytes(digest, "little")
+        planted = tmp_path / f"trace-{stamp:016x}.rptrace"
+        earlier = generate(600, seed=2)  # any trace but this layout's
+        with TraceStoreWriter(
+            planted, block_size=CFG.block_size, meta_fingerprint=stamp
+        ) as writer:
+            writer.append(earlier.source, earlier.replier)
+        generate_calls.clear()
+        blocks = trace_blocks(600, config=CFG, seed=1, cache_dir=tmp_path)
+        assert generate_calls == [600]
+        assert_serves(blocks, 600, 1)
+        assert stores(tmp_path) == sorted([planted.name, cache_path(tmp_path, 600, 1).name])
 
     def test_fingerprint_deterministic(self):
         assert trace_fingerprint(CFG, 7, 100) == trace_fingerprint(CFG, 7, 100)

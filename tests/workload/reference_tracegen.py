@@ -26,22 +26,6 @@ import numpy as np
 from repro.workload.tracegen import MonitorTraceGenerator, PairArrays
 
 
-def reference_offsets(u, m: int, stride: int, noise: float):
-    """The sequential offset pass ``tracegen._draw_offsets`` replaced.
-
-    Pair ``i`` starts at ``offsets[i]`` in ``u``, takes ``stride`` draws
-    (the last its noise test) and one more when the test hits.
-    """
-    hit = (np.asarray(u) < noise).tolist()
-    offsets = [0] * m
-    consumed = 0
-    test = stride - 1
-    for i in range(m):
-        offsets[i] = consumed
-        consumed += stride + hit[consumed + test]
-    return np.array(offsets, dtype=np.intp), consumed
-
-
 class PerPairLoop:
     """The scalar event helpers over a list of neighbors in join order.
 
@@ -91,9 +75,15 @@ class PerPairLoop:
         return self.neighbors[idx]
 
     def reply_neighbor(self, category: int):
+        """The record's tail: with ``path_noise`` above zero the noise test
+        and the alternate index are both drawn, and the index is used only
+        on a hit."""
         gen = self.gen
-        if gen.config.path_noise > 0.0 and gen._uniforms.next() < gen.config.path_noise:
-            return self.neighbors[gen._uniforms.next_index(len(self.neighbors))]
+        if gen.config.path_noise > 0.0:
+            hit = gen._uniforms.next() < gen.config.path_noise
+            alternate = self.neighbors[gen._uniforms.next_index(len(self.neighbors))]
+            if hit:
+                return alternate
         return self.path_for(category)
 
     def path_for(self, category: int):

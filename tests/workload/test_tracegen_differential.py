@@ -20,6 +20,20 @@ only the digests:
   segment's start, not only those still due after the assignments before
   them (``test_identical_columns_and_state``,
   ``test_any_config_any_split``).
+
+Every pair takes one fixed record of uniforms — [ephemeral test,]
+source, category[, noise test, alternate index] — and three mutants of
+``_pair_draws`` were run against it the same way.  Each fails the twin
+tests (``test_identical_columns_and_state``,
+``test_any_config_any_split``), not only the digests:
+
+* "hit only": the alternate index is drawn only when the noise test hits,
+  the layout before the record was fixed (also
+  ``test_a_call_takes_one_record_per_pair``);
+* "swapped": the noise-test and alternate-index columns trade places
+  (``noise-1`` among the configs that fail);
+* "short": the stride is one draw short (also
+  ``test_a_call_takes_one_record_per_pair``, every config).
 """
 
 import hashlib
@@ -36,7 +50,6 @@ from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator
 from tests.workload.reference_tracegen import (
     PerPairLoop,
     reference_generate_pair_arrays,
-    reference_offsets,
 )
 from tests.workload.test_tracegen import SMALL
 
@@ -148,11 +161,24 @@ class TestAgainstThePerPairLoop:
     def test_uniform_refill_is_crossed(self):
         """The premise of CALLS: even the leanest config above passes the
         65,536-draw refill."""
-        leanest = min(
-            (cfg.ephemeral_rate > 0) + 2 + (cfg.path_noise > 0)
-            for cfg in CONFIGS.values()
-        )
+        leanest = min(record_length(cfg) for cfg in CONFIGS.values())
         assert sum(CALLS) * leanest > 65_536
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_a_call_takes_one_record_per_pair(self, name):
+        """A call of ``n`` pairs advances the uniform stream by exactly
+        ``n`` records: a twin that has only peeked shows the draw that
+        must come next."""
+        config = CONFIGS[name]
+        stride = record_length(config)
+        generator = MonitorTraceGenerator(config, seed=6)
+        twin = MonitorTraceGenerator(config, seed=6)
+        taken = 0
+        for n in CALLS:
+            generator.generate_pair_arrays(n)
+            taken += n * stride
+            expected = twin._uniforms.peek(taken + 1)[-1]
+            assert generator._uniforms.peek(1)[0] == expected, n
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -174,6 +200,12 @@ class TestAgainstThePerPairLoop:
         )
         with mock.patch.object(tracegen, "_SUB_CHUNK", sub_chunk):
             assert_twins_agree(config, seed, calls)
+
+
+def record_length(config) -> int:
+    """Uniforms per pair: [ephemeral test,] source, category[, noise test,
+    alternate index]."""
+    return (config.ephemeral_rate > 0) + 2 + 2 * (config.path_noise > 0)
 
 
 #: PCG64's multiplier, for planting a draw in a stream
@@ -227,23 +259,27 @@ class TestGoldenDigests:
 
     The oracle and the full-fidelity path share ``_add_neighbor``,
     ``_make_ephemeral_source`` and ``_host_behind`` with the array code,
-    so a change to those moves both twins; these digests see it.  The
-    degenerate configs and the full-fidelity stream after an array call
-    were recorded before the event helpers were last changed."""
+    so a change to those moves both twins; these digests see it.  Every
+    config with ``0 < path_noise < 1`` was recorded once a pair's record
+    became fixed (layout 2 of ``tracegen.TRACE_LAYOUT``).  ``noise-0`` and
+    ``noise-1`` were recorded at layout 1, whose records were already
+    fixed for them, and pass unedited: the layout moved only the traces
+    it meant to."""
 
     def test_calibrated_config(self):
         assert (
             _digest(MonitorTraceConfig(), 20060814, (50_000, 30_000))
-            == "ef50b11abeb312dad3beb7aae09d98b7"
+            == "f72eed8705c0584bf0afc8a046d5c5e2"
         )
 
     @pytest.mark.parametrize(
         "name, digest",
         [
+            ("noise-0", "ad22fa716ce7c93e1b177bcb177386c8"),
             ("noise-1", "d3ab956779318d6e60b6cacf5070e432"),
-            ("ephemeral-1", "a391f5c2a3d201fa9c02a5cbb2387902"),
-            ("fast-churn", "95fc2d7f19bb92a88691a0307899fb00"),
-            ("two-neighbors-one-category", "47971a36ff23f1f36b1b07399b8e5495"),
+            ("ephemeral-1", "1a5a8a5094f5b039cfb2dd456a9122cb"),
+            ("fast-churn", "e9f92ead137283c697681e6c339e0aab"),
+            ("two-neighbors-one-category", "92fdaedf169dbb7cfe189a4d3021dbc9"),
         ],
     )
     def test_degenerate_config(self, name, digest):
@@ -252,77 +288,14 @@ class TestGoldenDigests:
     def test_events_after_an_array_call(self):
         assert (
             _events_digest(MonitorTraceConfig(), 20060814, 20_000, 200)
-            == "84821125dfdb27c8a281502d0febb55c"
+            == "705042d09fb496d3c72e3611d95b58d1"
         )
-
-
-def planted(m, stride, hits_at=(), everywhere=False):
-    """Draws for ``m`` pairs: 0.25 (a hit at noise 0.5) where planted,
-    0.75 elsewhere."""
-    u = np.full(m * (stride + 1), 0.25 if everywhere else 0.75)
-    u[list(hits_at)] = 0.25
-    return u
-
-
-def assert_offsets_agree(u, m, stride, noise=0.5):
-    got, got_consumed = tracegen._draw_offsets(u, m, stride, noise)
-    want, want_consumed = reference_offsets(u, m, stride, noise)
-    np.testing.assert_array_equal(got, want)
-    assert got_consumed == want_consumed
-
-
-class TestOffsetPass:
-    """``_draw_offsets`` follows the hits; ``reference_offsets`` is the
-    per-pair loop it replaced.  Three mutants were run against these
-    cases: the successor looked up at ``q + stride`` instead of
-    ``q + stride + 1`` ("successor"), the chain started at draw 0 instead
-    of ``stride - 1`` ("start"), and the departure-time expiry
-    invalidation dropped from ``_process_departures`` ("invalidation",
-    which the path-table test below catches).  Each docstring names the
-    mutants its case catches; the golden digests catch all three."""
-
-    @pytest.mark.parametrize("stride", [2, 3, 4])
-    def test_no_hits(self, stride):
-        """The baseline: no mutant shows without a hit."""
-        assert_offsets_agree(planted(50, stride), 50, stride)
-
-    @pytest.mark.parametrize("stride", [2, 3, 4])
-    def test_every_draw_a_hit(self, stride):
-        """Catches "successor" and "start"."""
-        assert_offsets_agree(planted(50, stride, everywhere=True), 50, stride)
-
-    @pytest.mark.parametrize("stride", [2, 3, 4])
-    def test_hit_on_the_last_pair(self, stride):
-        """Catches "start": the last pair's test is draw
-        ``stride * m - 1``, in the first test's class."""
-        m = 50
-        assert_offsets_agree(planted(m, stride, [stride * m - 1]), m, stride)
-
-    @pytest.mark.parametrize("stride", [2, 3, 4])
-    @pytest.mark.parametrize("m", [1, 40])
-    def test_hits_in_one_residue_class(self, stride, m):
-        """Every draw of one class mod ``stride`` a hit, each class in
-        turn.  Catches "start", and with 40 pairs "successor" (one pair
-        has no successor to take)."""
-        for r in range(stride):
-            hits = range(r, m * (stride + 1), stride)
-            assert_offsets_agree(planted(m, stride, hits), m, stride)
-
-    @given(
-        stride=st.integers(2, 4),
-        m=st.integers(0, 60),
-        data=st.data(),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_planted_hit_layouts(self, stride, m, data):
-        """Any hit layout.  Catches "successor" and "start"."""
-        hits = data.draw(st.sets(st.integers(0, m * (stride + 1) - 1))) if m else ()
-        assert_offsets_agree(planted(m, stride, hits), m, stride)
 
 
 class TestPathTable:
     def test_a_departed_anchor_leaves_its_paths_due(self):
-        """Catches "invalidation": each category anchored at a departed
+        """Catches "invalidation", the departure-time expiry dropped from
+        ``_process_departures``: each category anchored at a departed
         neighbor must be reassigned at its next lookup."""
         generator = MonitorTraceGenerator(CONFIGS["fast-churn"], seed=3)
         departed = 0
