@@ -67,14 +67,14 @@ def source_key_range(sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def count_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct ``keys`` and how often each occurs: an
-    in-memory block's histogram, or a store block's whose key segment is
-    a legacy form (resolved at call time so tests can count it)."""
+    in-memory block's histogram (resolved at call time so tests can
+    count it)."""
     return np.unique(keys, return_counts=True)
 
 
 def column_digest(sources: np.ndarray, repliers: np.ndarray) -> bytes:
-    """blake2b-128 of the int64 source, then replier, column bytes: the
-    raw bytes a store block holds and :meth:`PairBlock.fingerprint` hexes."""
+    """blake2b-128 of the int64 source, then replier, column bytes: what
+    a store block header records and :meth:`PairBlock.fingerprint` hexes."""
     digest = hashlib.blake2b(digest_size=16)
     for column in (sources, repliers):
         digest.update(np.ascontiguousarray(column, dtype=np.int64).tobytes())
@@ -155,8 +155,8 @@ class PairBlock:
 
         In-memory blocks pack through :func:`pack_keys` (a module
         global, so tests can install a counting hook) on first use;
-        store-resident blocks derive it from their fingerprinted columns
-        when either is first asked for.
+        store-resident blocks take each pair's row of their decoded key
+        histogram instead.
         """
         cached = self.__dict__.get("_packed_keys")
         if cached is None:

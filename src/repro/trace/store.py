@@ -29,9 +29,10 @@ File layout (all integers little-endian)::
                      | n_blocks u64 | total_pairs u64
                      | index crc32 u32 | version u32
 
-The writer writes version 2 with header flags bit 1, every block in one
-layout.  Each segment carries its own codec byte, packed into the block
-header's ``codecs`` u32:
+Every store is version 2 with header flags bit 1 (once "sorted key
+segments"), and every block holds one layout: segment codecs
+``(4, 4, 3)``, one codec byte per segment packed into the block header's
+``codecs`` u32:
 
 * 3 — the key segment: the block's key histogram as narrow raw rows: a
   u32 CRC-32 of the rest of the segment, three width bytes (1, 2 or 4;
@@ -48,13 +49,12 @@ header's ``codecs`` u32:
   what the histogram's counts say, so the columns and the histogram
   agree by construction.
 
-Legacy forms stay readable.  Earlier releases wrote raw int64 columns
-(codec 0), deflated columns (codec 1: one zlib stream of a column's raw
-bytes, inflated on read), version 1 (every segment raw, no stored
-lengths, the codecs field zero) and version-2 key segments in codecs 0,
-1 and 2.  Such a column is read whole and checked for its length; such
-a key segment is never read, and the block's histogram is counted from
-its two columns, as an in-memory block's is.
+Nothing else is read.  Earlier releases wrote other forms — version 1,
+pair-order key segments (flags bit 0), raw (codec 0) or deflated
+(codec 1) columns, sorted keys under zlib (codec 1) or a deflated
+histogram (codec 2) — and a header or a block header in any of them is
+refused with :class:`TraceStoreError` when the store is opened, before
+any segment is read; ``repro tracegen`` writes the trace again.
 
 Block fingerprints are :func:`repro.trace.blocks.column_digest`
 (blake2b-128 of the *uncompressed* source, then replier, column bytes),
@@ -68,8 +68,7 @@ decoder refuses a segment that cannot be its block's histogram of packed
 keys.  Verification (:meth:`TraceStoreReader.verify_blocks`,
 ``verify=True`` and the footer-less scan) also requires a codec-3
 segment's histogram to equal the columns', so a store that verifies
-mines its columns' rules.  A header must set exactly one of flags bit 0
-(pair-order key segments, from releases before sorted ones) and bit 1.
+mines its columns' rules.
 
 Durability mirrors the WAL torn-tail semantics of ``repro.persist``: the
 footer is written only on a clean :meth:`TraceStoreWriter.close`, and a
@@ -92,9 +91,9 @@ from __future__ import annotations
 
 import os
 import struct
-import sys
 import zlib
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Iterator
 
 import numpy as np
@@ -124,55 +123,43 @@ _TRAILER = struct.Struct("<8sQQQII")
 _MAGIC = b"RPTRACE1"
 _BLOCK_MAGIC = b"RPTB"
 _FOOTER_MAGIC = b"RPTFOOT1"
-#: version 1 — raw segments only (read only); version 2 — per-segment codecs.
-_VERSION_RAW = 1
-_VERSION_CODECS = 2
-_VERSIONS = (_VERSION_RAW, _VERSION_CODECS)
-
-#: flags bit 0 — each block's key segment is packed keys in pair order
-#: (written by earlier releases).
-_FLAG_PAIR_ORDER = 1
-#: flags bit 1 — each block's key segment is sorted keys or their histogram.
+#: the one version: per-segment codecs.
+_VERSION = 2
+#: flags bit 1 — each block's key segment is its key histogram; the one
+#: flag a store sets (bit 0 named the pair-order keys of earlier releases).
 _FLAG_SORTED = 2
 #: sources, repliers and packed keys.
 _N_SEGMENTS = 3
 
 #: per-segment codec ids (one byte each inside the block header's u32).
-#: a column as raw int64s, written by an earlier release.
-_CODEC_RAW = 0
-#: a column as one zlib stream, written by an earlier release.
-_CODEC_ZLIB = 1
-#: the key segment (2) only: zlib of the block's key histogram, written
-#: by an earlier release; counted from the columns.
-_CODEC_DEFLATED_HISTOGRAM = 2
-#: the key segment (2) only: the block's key histogram as narrow rows.
+#: the key segment (2): the block's key histogram as narrow rows.
 _CODEC_HISTOGRAM_ROWS = 3
-#: the column segments (0 and 1) only, both at once: each pair's row of
-#: the histogram in segment 0, segment 1 empty.
+#: the column segments (0 and 1), both at once: each pair's row of the
+#: histogram in segment 0, segment 1 empty.
 _CODEC_ROW_INDEX = 4
-#: the codecs each segment may carry.
-_SEGMENT_CODECS = (
-    (_CODEC_RAW, _CODEC_ZLIB, _CODEC_ROW_INDEX),
-    (_CODEC_RAW, _CODEC_ZLIB, _CODEC_ROW_INDEX),
-    (_CODEC_RAW, _CODEC_ZLIB, _CODEC_DEFLATED_HISTOGRAM, _CODEC_HISTOGRAM_ROWS),
+#: every block's three segment codecs.
+_CODECS = (_CODEC_ROW_INDEX, _CODEC_ROW_INDEX, _CODEC_HISTOGRAM_ROWS)
+#: what a refusal of another layout tells its reader to do.
+_REGENERATE = (
+    "this reader reads one layout, and earlier releases wrote others: "
+    "regenerate the trace with `repro tracegen`"
 )
 
-_I8 = np.dtype("<i8")
-_ITEMSIZE = _I8.itemsize
 #: a codec-3 segment's head: a CRC-32 of the rest, then its plane widths.
 _ROWS_HEAD = struct.Struct("<I3B")
 #: each width a codec-3 or codec-4 plane may have, and its dtype.
 _PLANES = {width: np.dtype(f"<u{width}") for width in (1, 2, 4)}
 #: a codec-4 segment's head: a CRC-32 of the rest, then its row width.
 _INDEX_HEAD = struct.Struct("<IB")
-#: a version-2 block header with its stored segment lengths.
-_BLOCK_HEAD_V2 = _BLOCK_HEADER.size + 8 * _N_SEGMENTS
+#: a block header with its stored segment lengths.
+_BLOCK_HEAD = _BLOCK_HEADER.size + 8 * _N_SEGMENTS
 #: the pairs a block may hold: fewer, so every codec-3 count fits 4 bytes.
 _MAX_BLOCK_PAIRS = 1 << 32
 
 
 class TraceStoreError(Exception):
-    """The file is not a trace store (bad magic/version/arguments)."""
+    """The file is not a trace store (bad magic or arguments), or not one
+    in the one layout this reader reads (another version, flags or codecs)."""
 
 
 class TraceStoreCorruption(TraceStoreError):
@@ -219,25 +206,6 @@ def _row_index(rows: np.ndarray, n_rows: int) -> bytes:
     narrow as numbering ``n_rows`` rows allows."""
     width = _width(n_rows - 1)
     return _with_crc(bytes([width]) + rows.astype(_PLANES[width]).tobytes())
-
-
-def _inflate(stored: bytes, limit: int, path: str) -> bytes:
-    """The zlib stream ``stored``, refused unless it ends within ``limit``
-    bytes; one byte past the limit is all it inflates, so a small segment
-    cannot make a huge allocation.  A limit past what zlib can be asked
-    for (a hostile pair count) is cut to it."""
-    inflate = zlib.decompressobj()
-    try:
-        raw = inflate.decompress(stored, min(limit, sys.maxsize - 1) + 1)
-    except zlib.error as exc:
-        raise TraceStoreCorruption(
-            f"{path}: segment fails to decompress: {exc}"
-        ) from exc
-    if not inflate.eof:
-        raise TraceStoreCorruption(
-            f"{path}: segment does not end within {limit} bytes"
-        )
-    return raw
 
 
 def _increasing(values: np.ndarray) -> bool:
@@ -407,7 +375,7 @@ class TraceStoreWriter:
         self._fh.write(
             _HEADER.pack(
                 _MAGIC,
-                _VERSION_CODECS,
+                _VERSION,
                 _FLAG_SORTED,
                 self.block_size,
                 self.meta_fingerprint,
@@ -548,7 +516,7 @@ class TraceStoreWriter:
                 len(self._entries),
                 self.n_pairs,
                 zlib.crc32(index),
-                _VERSION_CODECS,
+                _VERSION,
             )
         )
         self._fh.flush()
@@ -584,14 +552,11 @@ class _StoreBlock(PairBlock):
     """A block of a store that reads its segments on first use.
 
     Its fingerprint and id validation come from the store.
-    ``key_histogram()`` decodes the codec-3 key segment, or counts the
-    columns' keys when the segment is a legacy form.  A row-indexed
-    block's ``packed_keys()`` are its rows' keys of that one decoded
-    histogram, and ``sources`` / ``repliers`` are split from them; a
-    legacy block's columns are read when first asked for, and its keys
-    packed from them.  ``len()`` is the index entry's.  The block holds
-    its reader, so the reader stays open while the block lives unless
-    someone closes it.
+    ``key_histogram()`` decodes the codec-3 key segment, its
+    ``packed_keys()`` are its rows' keys of that one decoded histogram,
+    and ``sources`` / ``repliers`` are split from them.  ``len()`` is the
+    index entry's.  The block holds its reader, so the reader stays open
+    while the block lives unless someone closes it.
     """
 
     def __init__(
@@ -611,17 +576,11 @@ class _StoreBlock(PairBlock):
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:
         columns = self.__dict__.get("_column_arrays")
         if columns is None:
-            if self._reader._indexed(self._entry):
-                keys = self.packed_keys()
-                columns = (
-                    _read_only(blocks.key_sources(keys)),
-                    _read_only(blocks.key_repliers(keys)),
-                )
-            else:
-                columns = (
-                    self._reader._read_segment(self._entry, 0),
-                    self._reader._read_segment(self._entry, 1),
-                )
+            keys = self.packed_keys()
+            columns = (
+                _read_only(blocks.key_sources(keys)),
+                _read_only(blocks.key_repliers(keys)),
+            )
             object.__setattr__(self, "_column_arrays", columns)
         return columns
 
@@ -639,19 +598,16 @@ class _StoreBlock(PairBlock):
     def packed_keys(self) -> np.ndarray:
         keys = self.__dict__.get("_packed_keys")
         if keys is None:
-            if self._reader._indexed(self._entry):
-                keys = self._reader._row_keys(self._entry, self.key_histogram())
-            else:
-                keys = _read_only(pack_keys(*self._columns()))
+            keys = self._reader._row_keys(self._entry, self.key_histogram())
             object.__setattr__(self, "_packed_keys", keys)
         return keys
 
     def key_histogram(self) -> tuple[np.ndarray, np.ndarray]:
-        if "_key_histogram" not in self.__dict__:
+        histogram = self.__dict__.get("_key_histogram")
+        if histogram is None:
             histogram = self._reader._key_histogram(self._entry)
-            if histogram is not None:
-                object.__setattr__(self, "_key_histogram", histogram)
-        return super().key_histogram()
+            object.__setattr__(self, "_key_histogram", histogram)
+        return histogram
 
 
 class TraceStoreReader:
@@ -662,15 +618,16 @@ class TraceStoreReader:
     range, so iterating a 10GB store keeps O(block_size) bytes resident —
     each block's arrays are freed as soon as the consumer drops the
     block.  A block's key histogram comes off its codec-3 key segment, so
-    mining and testing a block read neither column; a legacy block's is
-    counted from its columns.
+    mining and testing a block read neither column.
 
-    Opening prefers the footer index (O(1), trusted after its CRC
-    check).  A missing or corrupt footer triggers a header scan that
-    verifies each block and stops at the first torn or corrupt block
-    (``recovered`` is then True).  ``verify=True`` forces the same check
-    even when the footer is intact, truncating the visible store at the
-    first block that fails it.
+    Opening reads the file header and every block header it serves, and
+    refuses a store in any layout but the one (:class:`TraceStoreError`).
+    It prefers the footer index (O(1), trusted after its CRC check).  A
+    missing or corrupt footer triggers a header scan that verifies each
+    block and stops at the first torn or corrupt block (``recovered`` is
+    then True).  ``verify=True`` forces the same check even when the
+    footer is intact, truncating the visible store at the first block
+    that fails it.
 
     Readers are context managers: :meth:`close` (idempotent) drops the
     one file handle, so long partitioned runs do not accumulate fds.
@@ -683,30 +640,32 @@ class TraceStoreReader:
         # fails before the file handle exists.
         self._closed = False
         self._fh = None
-        self._layouts: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+        self._layouts: dict[int, tuple[tuple[int, ...], int]] = {}
         self.path = os.fspath(path)
         self._size = os.path.getsize(self.path)
         self.recovered = False
         self._fh = open(self.path, "rb")
+        try:
+            self._open(verify)
+        except BaseException:
+            self.close()
+            raise
+
+    def _open(self, verify: bool) -> None:
         header = self._read_at(0, _HEADER.size)
         if len(header) < _HEADER.size:
-            self.close()
             raise TraceStoreError(f"{self.path}: too short for a trace store")
         magic, version, flags, block_size, meta = _HEADER.unpack(header)
         if magic != _MAGIC:
-            self.close()
             raise TraceStoreError(f"{self.path}: bad magic {magic!r}")
-        if version not in _VERSIONS:
-            self.close()
-            raise TraceStoreError(f"{self.path}: unsupported version {version}")
-        order = flags & (_FLAG_PAIR_ORDER | _FLAG_SORTED)
-        if not order:
-            self.close()
-            raise TraceStoreError(f"{self.path}: no packed-key segments")
-        if order == _FLAG_PAIR_ORDER | _FLAG_SORTED:
-            self.close()
+        if version != _VERSION:
             raise TraceStoreError(
-                f"{self.path}: packed-key segments flagged both pair-order and sorted"
+                f"{self.path}: store version {version}, not {_VERSION}: {_REGENERATE}"
+            )
+        if flags != _FLAG_SORTED:
+            raise TraceStoreError(
+                f"{self.path}: header flags {flags:#x}, not {_FLAG_SORTED:#x}: "
+                f"{_REGENERATE}"
             )
         self.version = int(version)
         self.flags = int(flags)
@@ -780,110 +739,81 @@ class TraceStoreReader:
             return None
         if any(e.n_pairs < 1 for e in entries):
             return None
-        if self.version == _VERSION_RAW:
-            # raw blocks tile the file from the header to the index, so
-            # every entry's pair count is its block's
-            end = _HEADER.size
-            for entry in entries:
-                if entry.offset != end:
-                    return None
-                end += self._block_extent(entry.n_pairs)
-            if end != index_offset:
+        # The blocks tile the file from the header to the index, each
+        # ending where its header's stored lengths say, and each header
+        # counts its entry's pairs.  A header in another layout refuses
+        # the store.  One whose own fields fail (a stored length past the
+        # file, a segment 1 that stores bytes) places nothing: its block
+        # stays indexed and raises when read, as a corrupt segment does,
+        # and the next entry's offset is not checked.
+        layouts = {}
+        end = _HEADER.size
+        for entry in entries:
+            if end is not None and entry.offset != end:
                 return None
-        else:
-            # v2 blocks tile it too, each ending where its header's stored
-            # lengths say, and each header counts its entry's pairs.  A
-            # header whose own fields fail (a stored length past the file,
-            # an unknown codec) places nothing: its block stays indexed
-            # and raises when read, as a corrupt segment does, and the
-            # next entry's offset is not checked.
-            layouts = {}
-            end = _HEADER.size
-            for entry in entries:
-                if end is not None and entry.offset != end:
-                    return None
-                head = self._block_head(entry.offset)
-                if len(head) < _BLOCK_HEAD_V2:
-                    return None
-                magic, _codecs, n_pairs, _fingerprint = _BLOCK_HEADER.unpack_from(head)
-                if magic != _BLOCK_MAGIC or n_pairs != entry.n_pairs:
-                    return None
-                try:
-                    layout = self._parse_layout(entry, head)
-                except TraceStoreCorruption:
-                    end = None
-                    continue
-                layouts[entry.offset] = layout
-                _codecs, lengths, payload = layout
-                end = payload + sum(lengths)
-            if end is not None and end != index_offset:
+            head = self._block_head(entry.offset)
+            if len(head) < _BLOCK_HEAD:
                 return None
-            self._layouts.update(layouts)
+            magic, _codecs, n_pairs, _fingerprint = _BLOCK_HEADER.unpack_from(head)
+            if magic != _BLOCK_MAGIC or n_pairs != entry.n_pairs:
+                return None
+            try:
+                layout = self._parse_layout(entry, head)
+            except TraceStoreCorruption:
+                end = None
+                continue
+            layouts[entry.offset] = layout
+            lengths, payload = layout
+            end = payload + sum(lengths)
+        if end is not None and end != index_offset:
+            return None
+        self._layouts.update(layouts)
         return entries
-
-    def _block_extent(self, n_pairs: int) -> int:
-        return _BLOCK_HEADER.size + _N_SEGMENTS * n_pairs * _ITEMSIZE
 
     def _scan_blocks(self) -> list[_BlockEntry]:
         """Walk block headers from the top, keeping verified blocks.
 
         Mirrors WAL torn-tail recovery: the first header that is
         truncated, mis-tagged or out of bounds, or whose block fails
-        :meth:`_intact`, ends the store.
+        :meth:`_intact`, ends the store.  A header in another layout
+        refuses it.
         """
         entries: list[_BlockEntry] = []
         offset = _HEADER.size
         while True:
-            raw = self._read_at(offset, _BLOCK_HEADER.size)
-            if len(raw) < _BLOCK_HEADER.size:
+            head = self._block_head(offset)
+            if len(head) < _BLOCK_HEADER.size:
                 break
-            magic, _codecs, n_pairs, fingerprint = _BLOCK_HEADER.unpack(raw)
+            magic, _codecs, n_pairs, fingerprint = _BLOCK_HEADER.unpack_from(head)
             if magic != _BLOCK_MAGIC or n_pairs < 1:
                 break
-            if self.version == _VERSION_RAW:
-                extent = self._block_extent(n_pairs)
-            else:
-                lengths_raw = self._read_at(
-                    offset + _BLOCK_HEADER.size, 8 * _N_SEGMENTS
-                )
-                if len(lengths_raw) < 8 * _N_SEGMENTS:
-                    break  # torn tail inside the length area
-                lengths = struct.unpack(f"<{_N_SEGMENTS}Q", lengths_raw)
-                if min(lengths[0], lengths[2]) < 1 or max(lengths) > self._size:
-                    break
-                extent = _BLOCK_HEAD_V2 + sum(lengths)
-            if offset + extent > self._size:
-                break  # torn tail: the block's columns never fully landed
             entry = _BlockEntry(offset, n_pairs, fingerprint)
+            try:
+                lengths, payload = self._parse_layout(entry, head)
+            except TraceStoreCorruption:
+                break  # torn tail: the lengths or the segments never landed
+            self._layouts[offset] = lengths, payload
             if not self._intact(entry):
                 break
             entries.append(entry)
-            offset += extent
+            offset = payload + sum(lengths)
         return entries
 
     def _intact(self, entry: _BlockEntry) -> bool:
-        """Whether block ``entry``'s columns match its fingerprint and a
-        codec-3 key segment's histogram is theirs — so every rule mined
-        off a block that passes is its columns' rule.  A legacy key
-        segment is never read, so only the columns are checked."""
+        """Whether block ``entry``'s columns match its fingerprint and its
+        key segment's histogram is theirs — so every rule mined off a
+        block that passes is its columns' rule."""
         try:
             block = _StoreBlock(self, entry, 0)
             if column_digest(block.sources, block.repliers) != entry.fingerprint:
                 return False
-            if not self._has_rows(entry):
-                return True
             want = np.unique(block.packed_keys(), return_counts=True)
             return all(map(np.array_equal, block.key_histogram(), want))
         except TraceStoreCorruption:
             return False  # garbage where an encoded segment should be
 
     def _verified_prefix(self, entries: list[_BlockEntry]) -> list[_BlockEntry]:
-        good: list[_BlockEntry] = []
-        for entry in entries:
-            if not self._intact(entry):
-                break
-            good.append(entry)
-        return good
+        return list(takewhile(self._intact, entries))
 
     # -- reading ------------------------------------------------------------
     def __len__(self) -> int:
@@ -915,148 +845,74 @@ class TraceStoreReader:
         file), read without a file position: a process forked while
         this reader is open shares its handle's position with its
         parent and siblings, so a seek then a read could read at theirs."""
+        self._check_open()
         return os.pread(self._fh.fileno(), size, offset)
 
     def _block_head(self, offset: int) -> bytes:
-        """The version-2 block header at ``offset`` with its stored
-        lengths (short at the end of the file)."""
-        return self._read_at(offset, _BLOCK_HEAD_V2)
+        """The block header at ``offset`` with its stored lengths (short
+        at the end of the file)."""
+        return self._read_at(offset, _BLOCK_HEAD)
 
     def _parse_layout(
         self, entry: _BlockEntry, head: bytes
-    ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """(per-segment codecs, stored lengths, payload offset) of block
-        ``entry``'s header bytes ``head``, checked against the index entry
-        and the file."""
-        if len(head) < _BLOCK_HEAD_V2:
+    ) -> tuple[tuple[int, ...], int]:
+        """(stored lengths, payload offset) of block ``entry``'s header
+        bytes ``head``, checked against the index entry, the one layout
+        and the file.  Segment codecs other than ``(4, 4, 3)`` are a
+        :class:`TraceStoreError`; any other failure is corruption."""
+        if len(head) < _BLOCK_HEAD:
             raise TraceStoreCorruption(f"{self.path}: truncated block header")
         magic, codecs_word, n_pairs, _fingerprint = _BLOCK_HEADER.unpack_from(head)
         if magic != _BLOCK_MAGIC or n_pairs != entry.n_pairs:
             raise TraceStoreCorruption(
                 f"{self.path}: block header at {entry.offset} disagrees with index"
             )
-        lengths = struct.unpack_from(
-            f"<{_N_SEGMENTS}Q", head, _BLOCK_HEADER.size
-        )
-        payload = entry.offset + _BLOCK_HEAD_V2
         codecs = tuple((codecs_word >> (8 * k)) & 0xFF for k in range(_N_SEGMENTS))
-        # a row index leaves segment 1 empty; every other segment stores bytes
-        stored = lengths[::2] if codecs[1] == _CODEC_ROW_INDEX else lengths
-        if min(stored) < 1 or payload + sum(lengths) > self._size:
+        if codecs != _CODECS:
+            raise TraceStoreError(
+                f"{self.path}: block at {entry.offset} has segment codecs "
+                f"{codecs}, not {_CODECS}: {_REGENERATE}"
+            )
+        lengths = struct.unpack_from(f"<{_N_SEGMENTS}Q", head, _BLOCK_HEADER.size)
+        payload = entry.offset + _BLOCK_HEAD
+        if min(lengths[0], lengths[2]) < 1 or payload + sum(lengths) > self._size:
             raise TraceStoreCorruption(
                 f"{self.path}: block at {entry.offset} stores segment "
                 f"lengths {lengths} past the end of the file"
             )
-        for codec, known in zip(codecs, _SEGMENT_CODECS):
-            if codec not in known:
-                raise TraceStoreCorruption(
-                    f"{self.path}: unknown segment codec {codec}"
-                )
-        if _CODEC_ROW_INDEX in codecs[:2]:
-            if codecs[:2] != (_CODEC_ROW_INDEX, _CODEC_ROW_INDEX):
-                raise TraceStoreCorruption(
-                    f"{self.path}: column codecs {codecs[:2]} index one column"
-                )
-            if codecs[2] != _CODEC_HISTOGRAM_ROWS:
-                raise TraceStoreCorruption(
-                    f"{self.path}: a row index beside a codec-{codecs[2]} "
-                    "key segment has no histogram to index"
-                )
-            if lengths[1]:
-                raise TraceStoreCorruption(
-                    f"{self.path}: segment 1 of a row-indexed block stores "
-                    f"{lengths[1]} bytes, not 0"
-                )
-        nbytes = entry.n_pairs * _ITEMSIZE
-        for codec, length in zip(codecs, lengths):
-            if codec == _CODEC_RAW and length != nbytes:
-                raise TraceStoreCorruption(
-                    f"{self.path}: raw segment length {length} != {nbytes}"
-                )
-        return codecs, lengths, payload
+        if lengths[1]:
+            raise TraceStoreCorruption(
+                f"{self.path}: segment 1 of a row-indexed block stores "
+                f"{lengths[1]} bytes, not 0"
+            )
+        return lengths, payload
 
-    def _layout(
-        self, entry: _BlockEntry
-    ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """:meth:`_parse_layout` of block ``entry`` — v2 only — parsed
-        once: at open for a footer's blocks, else on first use."""
+    def _layout(self, entry: _BlockEntry) -> tuple[tuple[int, ...], int]:
+        """:meth:`_parse_layout` of block ``entry``, parsed once: at open,
+        else (a header whose own fields failed then) on each use."""
         layout = self._layouts.get(entry.offset)
         if layout is None:
             layout = self._parse_layout(entry, self._block_head(entry.offset))
             self._layouts[entry.offset] = layout
         return layout
 
-    def _read_segment(self, entry: _BlockEntry, segment: int) -> np.ndarray:
-        """One legacy column (segment 0 or 1) of a block that is not
-        row-indexed: raw int64s read as they are, or a zlib column
-        inflated, either refused unless it holds exactly the block's
-        pairs."""
-        self._check_open()
-        nbytes = entry.n_pairs * _ITEMSIZE
-        if self.version == _VERSION_RAW:
-            data = entry.offset + _BLOCK_HEADER.size
-            raw = self._read_at(data + segment * nbytes, nbytes)
-        elif self._layout(entry)[0][segment] == _CODEC_RAW:
-            raw = self._stored(entry, segment)
-        else:
-            raw = _inflate(self._stored(entry, segment), nbytes, self.path)
-        if len(raw) != nbytes:
-            raise TraceStoreCorruption(
-                f"{self.path}: column segment does not hold exactly {nbytes} bytes"
-            )
-        return np.frombuffer(raw, dtype=_I8)
-
     def _stored(self, entry: _BlockEntry, segment: int) -> bytes:
-        """The stored bytes of one of a version-2 block's segments."""
-        _codecs, lengths, payload = self._layout(entry)
+        """The stored bytes of one of block ``entry``'s segments."""
+        lengths, payload = self._layout(entry)
         return self._read_at(payload + sum(lengths[:segment]), lengths[segment])
-
-    def _indexed(self, entry: _BlockEntry) -> bool:
-        """Whether block ``entry``'s columns are a codec-4 row index."""
-        return (
-            self.version == _VERSION_CODECS
-            and self._layout(entry)[0][0] == _CODEC_ROW_INDEX
-        )
 
     def _row_keys(
         self, entry: _BlockEntry, histogram: tuple[np.ndarray, np.ndarray]
     ) -> np.ndarray:
-        """Row-indexed block ``entry``'s packed keys in pair order: each
-        pair's row of the block's decoded ``histogram``."""
+        """Block ``entry``'s packed keys in pair order: each pair's row of
+        the block's decoded ``histogram``."""
         keys, counts = histogram
         stored = self._stored(entry, 0)
         rows = _decode_row_index(stored, entry.n_pairs, counts, self.path)
         return _read_only(np.take(keys, rows))
 
-    def _has_rows(self, entry: _BlockEntry) -> bool:
-        """Whether block ``entry``'s key segment is codec 3."""
-        return (
-            self.version == _VERSION_CODECS
-            and self._layout(entry)[0][2] == _CODEC_HISTOGRAM_ROWS
-        )
-
-    @property
-    def histogram_rows(self) -> bool:
-        """Whether this is a version-2 store whose every key segment is
-        codec 3, so that no block's histogram is counted from its columns."""
-        return self.version == _VERSION_CODECS and all(
-            map(self._has_rows, self._entries)
-        )
-
-    @property
-    def row_indexed(self) -> bool:
-        """Whether every block is in the one layout writers write now:
-        row-index columns (codec 4) beside histogram rows (codec 3)."""
-        return self.histogram_rows and all(map(self._indexed, self._entries))
-
-    def _key_histogram(
-        self, entry: _BlockEntry
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Block ``entry``'s key histogram off its codec-3 key segment;
-        None for a legacy key segment, which is never read."""
-        if not self._has_rows(entry):
-            return None
-        self._check_open()
+    def _key_histogram(self, entry: _BlockEntry) -> tuple[np.ndarray, np.ndarray]:
+        """Block ``entry``'s key histogram, off its codec-3 key segment."""
         return _decode_histogram_rows(self._stored(entry, 2), entry.n_pairs, self.path)
 
     def block(self, i: int) -> PairBlock:
@@ -1067,20 +923,17 @@ class TraceStoreReader:
         re-hashes or re-scans.  Its header and segment layout are
         checked here; its segments are read when first asked for —
         ``key_histogram()`` reads the key segment alone, and
-        ``sources`` / ``repliers`` / ``packed_keys()`` the two columns.
+        ``sources`` / ``repliers`` / ``packed_keys()`` the row index too.
         """
         entry = self._entry(i)
-        if self.version == _VERSION_CODECS:
-            self._layout(entry)
+        self._layout(entry)
         return _StoreBlock(self, entry, i)
 
     def blocks(self) -> list[PairBlock]:
         """Every block at once, its keys read.
 
-        For a caller that keeps the whole trace: a row-indexed block
-        decodes its histogram and keys now, and a legacy block reads its
-        columns, as :meth:`block` would on first use.  A legacy block's
-        key histogram is still counted when first asked for.
+        For a caller that keeps the whole trace: each block decodes its
+        histogram and keys now, as :meth:`block` would on first use.
         """
         self._check_open()
         held = list(self.iter_blocks())
@@ -1089,8 +942,7 @@ class TraceStoreReader:
         return held
 
     def columns(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(sources, repliers) of block ``i``: split from its row index,
-        or a legacy block's columns as stored."""
+        """(sources, repliers) of block ``i``, split from its row index."""
         block = self.block(i)
         return block.sources, block.repliers
 
@@ -1101,25 +953,21 @@ class TraceStoreReader:
 
     def describe_blocks(self) -> Iterator[dict]:
         """One row per block, as ``repro trace-inspect`` prints it: its
-        pairs, segment codecs and stored lengths (a version-1 block's
-        three raw columns), its key histogram's distinct keys ``d``, its
-        row width (None without a row index), and whether it is intact
-        on its own.  A block whose segments fail to decode has ``error``
-        in place of ``d``."""
+        pairs, segment codecs and stored lengths, its key histogram's
+        distinct keys ``d``, its row width, and whether it is intact on
+        its own.  A block whose segments fail to decode has ``error`` in
+        place of ``d``, and one whose header fails has it in place of
+        all three."""
         self._check_open()
         for i, entry in enumerate(self._entries):
             row = {"block": i, "pairs": entry.n_pairs}
             try:
-                if self.version == _VERSION_CODECS:
-                    codecs, lengths, payload = self._layout(entry)
-                else:
-                    codecs = (_CODEC_RAW,) * _N_SEGMENTS
-                    lengths = (entry.n_pairs * _ITEMSIZE,) * _N_SEGMENTS
-                row.update(codecs=codecs, lengths=lengths, width=None)
-                if codecs[0] == _CODEC_ROW_INDEX and lengths[0] >= _INDEX_HEAD.size:
+                lengths, payload = self._layout(entry)
+                row.update(codecs=_CODECS, lengths=lengths, width=None)
+                if lengths[0] >= _INDEX_HEAD.size:
                     row["width"] = self._read_at(payload, _INDEX_HEAD.size)[-1]
                 block = self.block(i)
-                block.packed_keys()  # decodes a row index too
+                block.packed_keys()  # decodes the row index too
                 row["d"] = len(block.key_histogram()[0])
             except TraceStoreCorruption as exc:
                 row["error"] = str(exc)
@@ -1129,8 +977,8 @@ class TraceStoreReader:
     def verify_blocks(self, *, strict: bool = False) -> int:
         """Re-check every visible block; returns how many are intact.
 
-        A block is intact when its columns match its fingerprint and a
-        codec-3 key segment's histogram is theirs.
+        A block is intact when its columns match its fingerprint and its
+        key segment's histogram is theirs.
         Stops counting at the first block that is not (the store is
         usable up to — not including — that block).  ``strict=True``
         raises :class:`TraceStoreCorruption` instead of returning a

@@ -212,25 +212,25 @@ class TestTraceInspectCli:
         "name", sorted(p.name for p in _STORES.glob("parent_*.rptrace"))
     )
     def test_every_committed_store(self, name, capsys):
-        import numpy as np
+        """Every committed store is a form an earlier release wrote: the
+        open refuses it, and the command exits 2 naming the way back."""
+        assert main(["trace-inspect", str(_STORES / name)]) == 2
+        captured = capsys.readouterr()
+        assert "cannot open trace store" in captured.err
+        assert "repro tracegen" in captured.err
+        assert not captured.out
 
-        from repro.trace.store import TraceStoreReader
-
-        path = _STORES / name
-        assert main(["trace-inspect", str(path)]) == 0
-        out = capsys.readouterr().out
-        with TraceStoreReader(path) as reader:
-            head = f"version {reader.version}, flags {reader.flags:#x}, meta 0x"
-            d = [len(np.unique(b.packed_keys())) for b in reader.iter_blocks()]
-            pairs = reader.block_pairs()
-        assert head in out.splitlines()[0]
-        rows = self.rows(out)
-        assert [int(row[0]) for row in rows] == list(range(len(pairs)))
-        assert [int(row[1]) for row in rows] == pairs
-        assert [int(row[4]) for row in rows] == d
-        assert {(row[5], row[6]) for row in rows} == {("-", "ok")}
-        if "v1" in name:
-            assert {row[2] for row in rows} == {"0,0,0"}
+    @pytest.mark.parametrize("command", ["trace-inspect", "trace-eval"])
+    @pytest.mark.parametrize("name", ["parent_v1.rptrace", "parent_v2_raw.rptrace"])
+    def test_a_legacy_store_exits_2_naming_tracegen(self, name, command, capsys):
+        """A version-1 store and one of raw columns are refused at open by
+        both commands that read a store: exit 2, one logged line that
+        names ``repro tracegen``, and no traceback."""
+        assert main([command, str(_STORES / name)]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
+        assert "repro tracegen" in captured.err
 
     def test_a_fresh_zlib_store(self, tmp_path, capsys):
         """A fresh store's columns are a row index: codecs 4,4,3, segment

@@ -1,16 +1,12 @@
 """Hostile bytes into the decoders behind a store of record.
 
-One seeded, structure-aware sweep per format — trace store v1 and v2 as
-written before key segments were sorted, v1 as written before every
-store held histograms, v2 as written before they were histograms, before
-histograms were narrow rows, before zlib columns were a row index and
-with raw columns before every store was row-indexed (the committed bytes
-under ``tests/trace/data``), and v2 as written now, with targeted edits
-of the narrow-rows histogram segment (codec 3, under a CRC) and of the
-row index (codec 4, under a CRC) and its layout that must each raise,
-and hostile legacy key segments (raw sorted keys, zlib keys, deflated
-histograms) beside raw columns that must each be counted from the
-columns, never read, pair WAL, snapshot (exact and lossy), the
+One seeded, structure-aware sweep per format — the trace store in its
+one layout, with targeted edits of its header flags, of the narrow-rows
+histogram segment (codec 3, under a CRC) and of the row index (codec 4,
+under a CRC) and its layout that must each raise; every form an earlier
+release wrote (the committed bytes under ``tests/trace/data``, and key
+segments that are 64 MiB zlib bombs) refused when the store is opened,
+having inflated nothing; pair WAL, snapshot (exact and lossy), the
 RDG1 rule digest, the Prometheus text a cluster collector scrapes, the
 query and reply TSV trace files of ``repro.trace.io``, one Gnutella
 descriptor (``decode_message``) and a run of them through the live
@@ -37,12 +33,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from repro.core.strategies import (
-    AdaptiveSlidingWindow,
-    LazySlidingWindow,
-    SlidingWindow,
-    StaticRuleset,
-)
 from repro.core.streaming import StreamingRules
 from repro.live.framing import StreamDecoder
 from repro.network.hier.digest import (
@@ -78,7 +68,6 @@ from repro.trace.io import (
     write_queries,
     write_replies,
 )
-from repro.trace.blocks import PairBlock
 from repro.trace.records import QueryRecord, ReplyRecord
 from repro.trace.store import (
     TraceStoreCorruption,
@@ -106,7 +95,7 @@ class Format(NamedTuple):
 
 
 # -- trace store -----------------------------------------------------------
-#: stores written before key segments were sorted (pair-order keys).
+#: stores in the forms earlier releases wrote, each refused at open.
 _LEGACY = Path(__file__).parent / "trace" / "data"
 
 
@@ -120,38 +109,10 @@ def _build_trace(tmp_path):
     return path.read_bytes()
 
 
-def _legacy_trace(name):
-    return lambda _tmp_path: (_LEGACY / name).read_bytes()
-
-
-#: a version-1 store of 100-pair blocks with raw sorted key segments.
-_V1_SORTED = _legacy_trace("parent_v1_sorted.rptrace")
-#: block 0's key segment in a version-1 store of 100-pair blocks: after
-#: the file header, the block header and the two columns.
-_KEYS_AT = 32 + 32 + 2 * 100 * 8
-
-
-def _key_segment_edits(data):
-    """Edits of a version-1 store that leave block 0's key segment no
-    valid sorted keys — never read, so the block is counted from its
-    columns — and header flags that name neither or both segment
-    orders."""
-    keys = np.frombuffer(data, dtype="<i8", count=100, offset=_KEYS_AT).copy()
-    swapped = keys.copy()
-    swapped[[0, -1]] = swapped[[-1, 0]]
-    negative = keys.copy()
-    negative[0] = -1
-    wide_replier = keys.copy()
-    wide_replier[-1] = (wide_replier[-1] >> 32 << 32) | (1 << 31)
-    for label, edited in (
-        ("swapped", swapped),
-        ("negative first key", negative),
-        ("replier half 2**31", wide_replier),
-    ):
-        out = bytearray(data)
-        out[_KEYS_AT : _KEYS_AT + 800] = edited.tobytes()
-        yield label, bytes(out)
-    for flags in (0, 3):
+def _flag_edits(data):
+    """Header flags that name the pair-order key segments of earlier
+    releases, neither order, or both."""
+    for flags in (0, 1, 3):
         out = bytearray(data)
         struct.pack_into("<I", out, 12, flags)
         yield f"flags {flags}", bytes(out)
@@ -411,51 +372,8 @@ def _decode_stream(path):
 
 
 FORMATS = {
-    "trace-v1": Format(
-        _legacy_trace("parent_v1.rptrace"),
-        _trace_fields(0),
-        _decode_trace,
-        TraceStoreError,
-    ),
-    "trace-v2": Format(
-        _legacy_trace("parent_v2_zlib.rptrace"),
-        _trace_fields(3),
-        _decode_trace,
-        TraceStoreError,
-    ),
-    "trace-v1-sorted": Format(
-        _V1_SORTED,
-        _trace_fields(0),
-        _decode_trace,
-        TraceStoreError,
-        _key_segment_edits,
-    ),
-    "trace-v2-raw": Format(
-        _legacy_trace("parent_v2_raw.rptrace"),
-        _trace_fields(3),
-        _decode_trace,
-        TraceStoreError,
-    ),
     "trace-v2-sorted": Format(
-        _build_trace, _trace_fields(3), _decode_trace, TraceStoreError
-    ),
-    "trace-v2-sorted-zlib": Format(
-        _legacy_trace("parent_v2_sorted_zlib.rptrace"),
-        _trace_fields(3),
-        _decode_trace,
-        TraceStoreError,
-    ),
-    "trace-v2-histogram": Format(
-        _legacy_trace("parent_v2_histogram.rptrace"),
-        _trace_fields(3),
-        _decode_trace,
-        TraceStoreError,
-    ),
-    "trace-v2-rows-zlib": Format(
-        _legacy_trace("parent_v2_rows_zlib.rptrace"),
-        _trace_fields(3),
-        _decode_trace,
-        TraceStoreError,
+        _build_trace, _trace_fields(3), _decode_trace, TraceStoreError, _flag_edits
     ),
     "wal": Format(_build_wal, _wal_fields, _decode_wal, WalError),
     "snapshot-exact": Format(
@@ -520,11 +438,11 @@ def test_every_mutation_decodes_or_raises_the_typed_error(tmp_path, name):
 @pytest.mark.parametrize("edit", ["flags 0", "flags 3"])
 def test_key_segment_edits_raise(tmp_path, edit):
     """A header that names neither or both key-segment orders is refused
-    with the typed error, never served."""
-    data = _V1_SORTED(tmp_path)
-    (mutated,) = [out for label, out in _key_segment_edits(data) if label == edit]
-    with pytest.raises(TraceStoreError):
-        _decode_trace(_write(tmp_path, mutated))
+    with the typed error when the store is opened, never served."""
+    data = _build_trace(tmp_path)
+    (mutated,) = [out for label, out in _flag_edits(data) if label == edit]
+    with pytest.raises(TraceStoreError, match=f"header flags {int(edit[-1]):#x}"):
+        TraceStoreReader(_write(tmp_path, mutated))
 
 
 def _zlib_bomb(n_bytes):
@@ -540,19 +458,6 @@ _ONE_BLOCK_KEYS = np.arange(100, dtype=np.int64) << 32 | 7
 #: the one block's two columns as raw int64 segments (codec 0).
 _ONE_BLOCK_SOURCES = np.arange(100, dtype="<i8").tobytes()
 _ONE_BLOCK_REPLIERS = np.full(100, 7, dtype="<i8").tobytes()
-
-
-def _histogram_rows(*edits):
-    """The one block's histogram as a legacy codec-2 segment holds it
-    before deflation — each key's step from the one before, then each
-    key's count — after each ``(column, at, value)`` edit, where column 0
-    is the steps and 1 the counts."""
-    rows = np.concatenate(
-        (np.diff(_ONE_BLOCK_KEYS, prepend=0), np.ones(100, dtype=np.int64))
-    )
-    for column, at, value in edits:
-        rows[100 * column + at] = value
-    return rows.astype("<i8").tobytes()
 
 
 def _narrow_rows(*edits, rows=100, widths=(1, 1, 1)):
@@ -624,114 +529,58 @@ def _with_segment(data, segment, stored, codec=None, block=0):
     return bytes(out)
 
 
-def _one_block_store(tmp_path, key_segment, codec=1, n_blocks=1):
-    """A store of :func:`_pairs_store`'s blocks whose block 0 key
-    segment is replaced by ``key_segment(plain)`` under segment codec
-    ``codec``: ``plain`` is the sorted keys for codec 1, the histogram
-    rows for 2 — each then a zlib stream, as earlier releases wrote,
-    beside raw columns — and the narrow rows after their CRC for 3,
-    beside a zlib store's row index."""
-    data = _pairs_store(tmp_path, n_blocks, "zlib" if codec == 3 else None)
-    plain = {
-        1: _ONE_BLOCK_KEYS.astype("<i8").tobytes(),
-        2: _histogram_rows(),
-        3: _narrow_rows(),
-    }[codec]
-    return _with_segment(data, 2, key_segment(plain), codec)
+def _one_block_store(tmp_path, key_segment, codec=3):
+    """A store of one of :func:`_pairs_store`'s blocks whose key segment
+    is replaced by ``key_segment(rows)`` under segment codec ``codec``,
+    where ``rows`` are the block's narrow rows before their CRC: beside
+    the writer's row index for codec 3, and beside raw columns, as
+    earlier releases wrote them, for any other."""
+    data = _pairs_store(tmp_path, codec="zlib" if codec == 3 else None)
+    return _with_segment(data, 2, key_segment(_narrow_rows()), codec)
 
 
-#: one hostile edit per check the deleted codec-2 decoder made, each a
-#: stream that inflates and ends within the block's bound.
-_HISTOGRAM_EDITS = {
-    "no rows": b"",
-    "negative first key": _histogram_rows((0, 0, -1)),
-    "repeated key": _histogram_rows((0, 1, 0)),
-    "falling key": _histogram_rows((0, 1, -1)),
-    "key wraps int64": _histogram_rows((0, 1, 2**63 - 1)),
-    "zero count": _histogram_rows((1, 0, 0), (1, 1, 2)),
-    "negative count": _histogram_rows((1, 0, -1), (1, 1, 3)),
-    "counts sum past the block": _histogram_rows((1, 0, 2)),
-    # 2 * (2**63 - 1) + 5 + 97 ones wraps int64 to exactly 100
-    "counts wrap to the block": _histogram_rows(
-        (1, 0, 2**63 - 1), (1, 1, 2**63 - 1), (1, 2, 5)
-    ),
-    "replier half 2**31": _histogram_rows((0, 99, (1 << 32) - 7 + 2**31)),
+#: every form an earlier release wrote, and what its refusal names: the
+#: committed stores, and key segments that are 64 MiB zlib bombs under
+#: codec 1 (sorted keys) and codec 2 (a deflated histogram).
+_REFUSED = {
+    "parent_v1.rptrace": "store version 1",
+    "parent_v1_sorted.rptrace": "store version 1",
+    "parent_v2_zlib.rptrace": "header flags 0x1",
+    "parent_v2_sorted_zlib.rptrace": r"segment codecs \(1, 1, 1\)",
+    "parent_v2_histogram.rptrace": r"segment codecs \(1, 1, 2\)",
+    "parent_v2_rows_zlib.rptrace": r"segment codecs \(1, 1, 3\)",
+    "parent_v2_raw.rptrace": r"segment codecs \(0, 0, 3\)",
+    "codec 1 bomb": r"segment codecs \(0, 0, 1\)",
+    "codec 2 bomb": r"segment codecs \(0, 0, 2\)",
 }
 
 
-def _legacy_segment(codec, key_segment):
-    return lambda tmp_path: _one_block_store(tmp_path, key_segment, codec, n_blocks=2)
+def _refused_bytes(tmp_path, case):
+    if case.endswith(".rptrace"):
+        return (_LEGACY / case).read_bytes()
+    codec = int(case.split()[1])
+    return _one_block_store(tmp_path, lambda _rows: _zlib_bomb(64 << 20), codec)
 
 
-def _edited_v1(label):
-    return lambda tmp_path: dict(_key_segment_edits(_V1_SORTED(tmp_path)))[label]
-
-
-#: hostile key segments of each legacy form: a codec-1 (zlib keys) or
-#: codec-2 (deflated histogram) segment that is a 64 MiB bomb, a stream
-#: cut before its end, short or long, each codec-2 edit, and each edit
-#: of a version-1 store's raw sorted keys.
-_LEGACY_KEY_SEGMENTS = {
-    "codec 1 bomb": _legacy_segment(1, lambda _keys: _zlib_bomb(64 << 20)),
-    "codec 1 cut before its end": _legacy_segment(
-        1, lambda keys: zlib.compress(keys)[:-4]
-    ),
-    "codec 1 a key short": _legacy_segment(1, lambda keys: zlib.compress(keys[:-8])),
-    "codec 1 a key long": _legacy_segment(
-        1, lambda keys: zlib.compress(keys + keys[-8:])
-    ),
-    "codec 2 bomb": _legacy_segment(2, lambda _rows: _zlib_bomb(64 << 20)),
-    "codec 2 cut before its end": _legacy_segment(
-        2, lambda rows: zlib.compress(rows)[:-4]
-    ),
-    "codec 2 half a row short": _legacy_segment(
-        2, lambda rows: zlib.compress(rows[:-8])
-    ),
-    "codec 2 a row long": _legacy_segment(
-        2, lambda rows: zlib.compress(rows + rows[-16:])
-    ),
-    **{
-        f"codec 2 {edit}": _legacy_segment(
-            2, lambda _rows, rows=rows: zlib.compress(rows)
-        )
-        for edit, rows in _HISTOGRAM_EDITS.items()
-    },
-    **{
-        f"version 1 {label}": _edited_v1(label)
-        for label in ("swapped", "negative first key", "replier half 2**31")
-    },
-}
-_STRATEGIES = (StaticRuleset, SlidingWindow, LazySlidingWindow, AdaptiveSlidingWindow)
-
-
-@pytest.mark.parametrize("case", sorted(_LEGACY_KEY_SEGMENTS))
-def test_a_legacy_key_segment_is_counted_from_the_columns(tmp_path, case):
-    """A legacy key segment, however hostile, is never read: the store
-    serves its columns' histogram and runs, every block verifies, and a
-    bomb inflates nothing (a traced peak under 2 MiB)."""
-    path = _write(tmp_path, _LEGACY_KEY_SEGMENTS[case](tmp_path))
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_a_legacy_store_is_refused(tmp_path, case):
+    """A store in a form an earlier release wrote is refused when it is
+    opened, with the typed error itself (not a corruption), naming the
+    form and how to regenerate it — and reads no segment, so a bomb
+    inflates nothing (a traced peak under 2 MiB)."""
+    path = _write(tmp_path, _refused_bytes(tmp_path, case))
     tracemalloc.start()
     try:
-        with TraceStoreReader(path) as reader:
-            assert not reader.recovered and not reader.histogram_rows
-            assert reader.verify_blocks(strict=True) == reader.n_blocks
-            memory = [
-                PairBlock(np.array(b.sources), np.array(b.repliers), index=b.index)
-                for b in reader.iter_blocks()
-            ]
-            for block, want in zip(reader.iter_blocks(), memory):
-                oracle = np.unique(want.packed_keys(), return_counts=True)
-                for got, expected in zip(block.key_histogram(), oracle):
-                    np.testing.assert_array_equal(got, expected)
+        with pytest.raises(TraceStoreError, match=_REFUSED[case]) as refusal:
+            TraceStoreReader(path)
+        with pytest.raises(TraceStoreError, match=_REFUSED[case]):
+            TraceStoreReader(path, verify=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert refusal.type is TraceStoreError
+    assert "regenerate the trace with `repro tracegen`" in str(refusal.value)
     assert peak < 2 << 20
-    for run_on in [cls().run for cls in _STRATEGIES] + [
-        StreamingRules(backend=backend).run for backend in ("exact", "lossy")
-    ]:
-        with TraceStoreReader(path) as reader:
-            assert run_on(reader.iter_blocks()) == run_on(memory)
 
 
 def test_an_unedited_rows_segment_is_served(tmp_path):
@@ -813,7 +662,8 @@ def _index_segment(body):
 #: one hostile edit per check of the codec-4 layout and decoder, and the
 #: message of the check that must refuse it.  Each index carries its own
 #: CRC but the swapped rows: one changed row changes the counts, two
-#: swapped rows keep them, so only the CRC can refuse those.
+#: swapped rows keep them, so only the CRC can refuse those.  A codec
+#: other than the layout's refuses the store when it is opened.
 _INDEX_EDITS = {
     "no head": (lambda data: _with_segment(data, 0, bytes(4)), "has no head"),
     "width 0": (_index_segment(b"\x00" + _INDEX[1:]), "index width 0 is not"),
@@ -835,11 +685,11 @@ _INDEX_EDITS = {
     ),
     "segment 0 not indexed": (
         lambda data: _with_segment(data, 0, _segment(data, 0), codec=0),
-        "index one column",
+        r"segment codecs \(0, 4, 3\)",
     ),
     "beside a codec-1 key segment": (
         lambda data: _with_segment(data, 2, _segment(data, 2), codec=1),
-        "beside a codec-1 key segment",
+        r"segment codecs \(4, 4, 1\)",
     ),
     "rows swapped under the old CRC": (
         lambda data: _with_segment(
@@ -867,10 +717,15 @@ def test_an_unedited_index_segment_is_served(tmp_path):
 @pytest.mark.parametrize("edit", sorted(_INDEX_EDITS))
 def test_an_index_segment_edit_raises(tmp_path, edit):
     """Every check of the codec-4 layout and decoder refuses its edit
-    with the typed error, on a read and on verification."""
+    with the typed error: a codec at open, anything else on a read and on
+    verification."""
     change, message = _INDEX_EDITS[edit]
-    data = change(_pairs_store(tmp_path))
-    with TraceStoreReader(_write(tmp_path, data)) as reader:
+    path = _write(tmp_path, change(_pairs_store(tmp_path)))
+    if "codecs" in message:
+        with pytest.raises(TraceStoreError, match=message):
+            TraceStoreReader(path)
+        return
+    with TraceStoreReader(path) as reader:
         with pytest.raises(TraceStoreCorruption, match=message):
             reader.block(0).packed_keys()
         assert reader.verify_blocks() == 0
@@ -890,21 +745,12 @@ def _recount(data, block, n_pairs):
     return bytes(out)
 
 
-@pytest.mark.parametrize(
-    "build, n_pairs",
-    [
-        (_V1_SORTED, 0),
-        (_V1_SORTED, 50),
-        (_build_trace, 0),
-        (_build_trace, 50),
-    ],
-    ids=["v1-0", "v1-50", "v2-0", "v2-50"],
-)
-def test_a_footer_that_miscounts_a_block_is_not_trusted(tmp_path, build, n_pairs):
+@pytest.mark.parametrize("n_pairs", [0, 50], ids=["v2-0", "v2-50"])
+def test_a_footer_that_miscounts_a_block_is_not_trusted(tmp_path, n_pairs):
     """A CRC-valid footer whose pair count for block 1 is not the block's
     falls back to the verifying scan, which serves every block as
     written — never half of one column as another, or an empty block."""
-    data = build(tmp_path)
+    data = _build_trace(tmp_path)
     with TraceStoreReader(_write(tmp_path, data)) as reader:
         want = [(np.array(b.sources), np.array(b.repliers)) for b in reader.blocks()]
     with TraceStoreReader(_write(tmp_path, _recount(data, 1, n_pairs))) as reader:
@@ -938,11 +784,11 @@ def _skip(data, block):
     return data[:index_offset] + bytes(index) + trailer
 
 
-@pytest.mark.parametrize("build", [_V1_SORTED, _build_trace], ids=["v1", "v2"])
-def test_a_footer_that_skips_a_block_is_not_trusted(tmp_path, build):
+@pytest.mark.parametrize("block", [1], ids=["v2"])
+def test_a_footer_that_skips_a_block_is_not_trusted(tmp_path, block):
     """A CRC-valid footer that leaves block 1 out does not tile the file,
     so the verifying scan serves all three blocks."""
-    data = _skip(build(tmp_path), 1)
+    data = _skip(_build_trace(tmp_path), block)
     with TraceStoreReader(_write(tmp_path, data)) as reader:
         assert reader.recovered
         assert reader.block_pairs() == [100, 100, 100]

@@ -11,7 +11,6 @@ import hashlib
 import json
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +18,11 @@ import pytest
 import repro.trace.cache as cache_module
 from repro.trace.blocks import blocks_from_arrays
 from repro.trace.cache import trace_blocks, trace_fingerprint
-from repro.trace.store import TraceStoreReader, TraceStoreWriter
+from repro.trace.store import TraceStoreError, TraceStoreReader, TraceStoreWriter
 from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator
 from tests.conftest import assert_same_blocks, trace_cache_path
 from tests.test_decoder_wall import _pairs_store
+from tests.trace.test_sorted_keys import DATA, segment_codecs
 
 CFG = MonitorTraceConfig(block_size=300, n_neighbors=15, n_categories=12)
 
@@ -277,64 +277,61 @@ class TestRebuild:
         assert stores(tmp_path) == [path.name]
         assert not recwarn.list
 
-    def test_a_version_1_cache_is_rewritten_once(
-        self, tmp_path, generate_calls, cold_trace_cache
+    @staticmethod
+    def assert_rewritten_once(
+        tmp_path, planted, form, generate_calls, recwarn, cold_trace_cache
     ):
-        """A complete cache file of this spec written before every store
-        held histogram rows — a version-1 store of raw sorted keys — is
-        rewritten once, not counted from its columns on every read."""
+        """``planted`` stamped for a spec and put at the spec's cache path
+        is refused when it is opened (naming ``form``), so the first call
+        rewrites it once in the one layout and the next one hits it — it
+        is never served, nor generated in memory on every call."""
         config = MonitorTraceConfig(block_size=100, n_neighbors=15, n_categories=12)
         stamp = trace_fingerprint(config, 9, 300)
         path = cache_path(tmp_path, 300, 9, config)
-        planted = bytearray(
-            (Path(__file__).parent / "data" / "parent_v1_sorted.rptrace").read_bytes()
-        )
+        planted = bytearray(planted)
         struct.pack_into("<Q", planted, 24, stamp)  # the header's stamp
         path.write_bytes(bytes(planted))
-        with TraceStoreReader(path) as reader:
-            assert reader.version == 1 and not reader.histogram_rows
-            assert not reader.recovered
-            assert (reader.meta_fingerprint, reader.n_pairs) == (stamp, 300)
-        generate_calls.clear()
-        blocks = trace_blocks(300, config=config, seed=9, cache_dir=tmp_path)
-        assert generate_calls == [300]
-        assert_serves(blocks, 300, 9, config)
-        with TraceStoreReader(path) as reader:
-            assert reader.version == 2 and reader.histogram_rows
-        cold_trace_cache()
-        trace_blocks(300, config=config, seed=9, cache_dir=tmp_path)
-        assert generate_calls == [300, 300]  # assert_serves' own, then a hit
-
-    def test_a_raw_column_cache_is_rewritten_once(
-        self, tmp_path, generate_calls, cold_trace_cache
-    ):
-        """A complete cache file of this spec whose columns are raw int64
-        (codec 0, as every store before the one layout held them) is
-        rewritten once in the row-index layout, not kept at 17.4 B a
-        pair for good."""
-        config = MonitorTraceConfig(block_size=100, n_neighbors=15, n_categories=12)
-        stamp = trace_fingerprint(config, 9, 300)
-        path = cache_path(tmp_path, 300, 9, config)
-        planted = bytearray(_pairs_store(tmp_path, n_blocks=3, codec=None))
-        struct.pack_into("<Q", planted, 24, stamp)  # the header's stamp
-        path.write_bytes(bytes(planted))
-        with TraceStoreReader(path) as reader:
-            assert [reader._layout(e)[0] for e in reader._entries] == [(0, 0, 3)] * 3
-            assert reader.histogram_rows and not reader.row_indexed
-            assert (reader.meta_fingerprint, reader.n_pairs) == (stamp, 300)
-        size = path.stat().st_size
+        with pytest.raises(TraceStoreError, match=form):
+            TraceStoreReader(path)
         generate_calls.clear()
         rewritten = trace_blocks(300, config=config, seed=9, cache_dir=tmp_path)
         assert generate_calls == [300]
-        with TraceStoreReader(path) as reader:
-            assert [reader._layout(e)[0] for e in reader._entries] == [(4, 4, 3)] * 3
-            assert reader.row_indexed
-        assert path.stat().st_size < size
+        assert segment_codecs(path) == [(4, 4, 3)] * 3
         cold_trace_cache()
-        served = trace_blocks(300, config=config, seed=9, cache_dir=tmp_path)
-        assert generate_calls == [300]  # a hit
-        assert_same_blocks(served, rewritten)
-        assert_serves(served, 300, 9, config)
+        hit = trace_blocks(300, config=config, seed=9, cache_dir=tmp_path)
+        assert generate_calls == [300]
+        assert not [w for w in recwarn.list if "cache unusable" in str(w.message)]
+        for blocks in (rewritten, hit):
+            assert_serves(blocks, 300, 9, config)
+
+    def test_a_version_1_cache_is_rewritten_once(
+        self, tmp_path, generate_calls, recwarn, cold_trace_cache
+    ):
+        """A complete cache file of this spec written before every store
+        held histogram rows — a version-1 store of raw sorted keys."""
+        self.assert_rewritten_once(
+            tmp_path,
+            (DATA / "parent_v1_sorted.rptrace").read_bytes(),
+            "store version 1",
+            generate_calls,
+            recwarn,
+            cold_trace_cache,
+        )
+
+    def test_a_raw_column_cache_is_rewritten_once(
+        self, tmp_path, generate_calls, recwarn, cold_trace_cache
+    ):
+        """A complete cache file of this spec whose columns are raw int64
+        (codec 0, as every store before the one layout held them, at
+        17.4 B a pair) beside histogram rows."""
+        self.assert_rewritten_once(
+            tmp_path,
+            _pairs_store(tmp_path, n_blocks=3, codec=None),
+            r"segment codecs \(0, 0, 3\)",
+            generate_calls,
+            recwarn,
+            cold_trace_cache,
+        )
 
 
 class TestAtomicPublish:

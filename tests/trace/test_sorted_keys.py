@@ -3,32 +3,14 @@ store block's keys, each pair's row of it.
 
 Every store holds each block's key histogram as narrow rows (segment
 codec 3), and a store block's ``key_histogram()`` is one checked decode
-of it.  Every store the writer makes holds each pair as its row of that
-histogram (segment codec 4), so a block's ``packed_keys()`` are the
-decoded histogram's keys at those rows.  Every other form of the segment — packed keys in pair order
-(header flags bit 0), raw sorted keys (version 1), sorted keys under
-zlib (codec 1), a deflated histogram (codec 2) — is a legacy form that
-is never read: the block is counted from its columns, like an in-memory
-block.  Here:
+of it.  Every store holds each pair as its row of that histogram
+(segment codec 4), so a block's ``packed_keys()`` are the decoded
+histogram's keys at those rows.  A store in any other form — the
+committed ``data/parent_*.rptrace``, the 300 pairs of
+:func:`legacy_columns` as earlier releases wrote them — is refused when
+it is opened (``tests/test_decoder_wall.py::test_a_legacy_store_is_refused``).
+Here:
 
-* the committed ``data/parent_v1.rptrace`` / ``data/parent_v2_zlib.rptrace``
-  (the 300 pairs of :func:`legacy_columns`, block 100, written raw and
-  with ``codec="zlib"`` by the release before sorted key segments) serve
-  what the in-memory blocks give: columns, histograms, the four
-  strategies' runs and both ``StreamingRules`` runs; so do
-  ``data/parent_v1_sorted.rptrace``, the same pairs written raw by the
-  release before every store held histograms (raw sorted keys),
-  ``data/parent_v2_sorted_zlib.rptrace``, written with ``codec="zlib"``
-  by the release before histogram segments (sorted keys under zlib), and
-  ``data/parent_v2_histogram.rptrace``, written by the release before
-  narrow rows (deflated histograms) — each counted from its columns —
-  ``data/parent_v2_rows_zlib.rptrace``, written by the release before
-  row indexes (deflated columns beside codec-3 rows), and
-  ``data/parent_v2_raw.rptrace``, written with ``codec=None`` by the
-  release before every store was row-indexed (raw columns beside codec-3
-  rows, the form of every trace cache file it wrote), whose histograms
-  are read, and whose fingerprints, histograms, columns and runs equal a
-  fresh store's;
 * a fresh store writes segment 2 as codec 3, one pair blocks included,
   and a block's ``key_histogram()`` reads no column; its columns are a
   row index (codec 4) 1, 2 or 4 bytes wide, whether ``codec`` is None or
@@ -43,27 +25,17 @@ block.  Here:
 * a key segment that is a valid histogram but not the columns' fails
   ``verify_blocks``, ``verify=True`` and the footer-less scan;
 * a block first touched after its reader's ``close()`` raises
-  :class:`TraceStoreError`, for a fresh store and every committed one,
-  and what :meth:`TraceStoreReader.blocks` read stays valid.
+  :class:`TraceStoreError`, and what :meth:`TraceStoreReader.blocks`
+  read stays valid.
 
 ``tests/test_decoder_wall.py`` edits the codec-3 segment so that it
 cannot be a block's histogram, and the codec-4 segment and its layout so
-that it cannot index it, and every such edit must fail the read; its
-hostile legacy segments must each be counted from the columns.
+that it cannot index it, and every such edit must fail the read.
 Mutants run in a scratch copy, and what fails on each (``rows`` is
 ``test_decoder_wall.py::test_a_rows_segment_edit_raises``, ``index``
-its ``test_an_index_segment_edit_raises``):
+its ``test_an_index_segment_edit_raises``, ``refused`` its
+``test_a_legacy_store_is_refused``):
 
-* the key-segment comparison dropped from ``TraceStoreReader._intact``
-  (verification checks the fingerprint only) —
-  ``TestIntegrity::test_forged_sorted_segment_fails_verification``;
-* a codec-3 segment read as legacy (every block counted from its
-  columns) — ``TestHistogramSegment::test_a_zlib_store_writes_histograms``
-  and ``test_a_raw_store_writes_histograms``,
-  ``TestLegacyBytes::test_counted_from_the_columns``,
-  ``TestIntegrity::test_forged_sorted_segment_fails_verification``,
-  every ``rows`` case, and ``test_cli.py::TestTraceEvalCli`` on a
-  corrupt segment (``extra0``, ``extra1``);
 * segment 2 written from ``np.sort(block.packed_keys())`` instead of
   from the columns — ``test_store.py::TestPackedSegmentIgnored`` and
   ``TestIntegrity::test_a_forged_memo_never_reaches_the_segment``;
@@ -79,24 +51,25 @@ its ``test_an_index_segment_edit_raises``):
 * its counts checked by their sum alone — ``rows`` on ``zero count``;
   its whole counts check dropped — that and ``counts sum past the
   block``;
-* the writer's segment-2 codec byte 2 instead of 3 (rows taken for a
-  legacy segment) — ``TestHistogramSegment::test_a_zlib_store_writes_histograms``,
-  every ``test_ids_and_counts_on_each_side_of_a_plane_width``, both
-  ``test_a_one_pair_block_is_stored_as_rows``,
-  ``TestHistogramDifferential`` and 15 more;
+* the codec check dropped from the layout — every ``refused`` case but
+  the version and flags ones, ``index`` on ``segment 0 not indexed`` and
+  ``beside a codec-1 key segment``, and
+  ``test_store.py::TestCompression::test_codec_byte_2_is_an_unknown_codec``;
+  the codec check left to a block's first read (the store opens) —
+  the same, and ``test_cache.py::TestRebuild::test_a_raw_column_cache_is_rewritten_once``;
+* the version or flags check dropped — ``refused`` on the version-1 and
+  pair-order stores, ``test_key_segment_edits_raise`` and
+  ``test_cache.py::TestRebuild::test_a_version_1_cache_is_rewritten_once``;
 * a v2 footer trusted for a block's pair count —
   ``test_decoder_wall.py::test_a_footer_that_miscounts_a_block_is_not_trusted[v2-50]``;
   for its blocks' places (no tiling) —
   ``test_a_footer_that_skips_a_block_is_not_trusted[v2]``; a header
   whose own fields fail sending the reader to the scan —
-  ``test_store.py::TestCompression::test_codec_byte_2_is_an_unknown_codec``
-  and ``test_stored_length_past_the_file_is_corruption``; the layouts
-  parsed at open not kept —
+  ``test_store.py::TestCompression::test_stored_length_past_the_file_is_corruption``;
+  the layouts parsed at open not kept —
   ``TestCompression::test_a_footer_store_reads_each_block_header_once``;
 * the writer's 2**32-pair checks dropped —
   ``test_store.py::TestCompression::test_blocks_of_2_to_the_32_pairs_are_refused``;
-* the trace cache keeping a complete version-1 file —
-  ``test_cache.py::TestRebuild::test_a_version_1_cache_is_rewritten_once``;
 * the row index decoder's ``bincount`` check dropped — ``index`` on
   ``counts disagree``; its ``row < d`` check dropped — ``index`` on
   ``row equal to d`` (``bincount`` then refuses it, with the other
@@ -104,14 +77,16 @@ its ``test_an_index_segment_edit_raises``):
   CRC`` and ``test_cli.py::TestTraceInspectCli`` on a corrupt block; its
   width check — ``index`` on ``width 0``, ``width 3`` and ``width 8``;
   its length check allowing a long plane — ``long plane``; the layout's
-  empty segment 1 and codec-3 neighbour checks — ``segment 1 not empty``
-  and ``beside a codec-1 key segment``;
-* a zlib block's keys split into columns and packed again —
+  empty segment 1 check — ``segment 1 not empty``;
+* a block's keys split into columns and packed again —
   ``TestRowIndex::test_keys_come_from_the_decoded_histogram``;
-* a zlib block's histogram decoded a second time for its keys —
+* a block's histogram decoded a second time for its keys —
   ``TestRowIndex::test_keys_come_from_the_decoded_histogram``;
 * a reader that seeks and then reads —
-  ``test_store.py::TestForkedReader::test_forked_workers_read_their_own_bytes``.
+  ``test_store.py::TestForkedReader::test_forked_workers_read_their_own_bytes``;
+* the closed check dropped from the reader's one positional read —
+  ``TestLifetime::test_keys_first_asked_after_close_raise_the_typed_error``
+  and both ``test_first_touch_after_close_raises``.
 """
 
 import gc
@@ -142,32 +117,18 @@ from repro.trace.store import (
 )
 
 DATA = Path(__file__).parent / "data"
-LEGACY = ("parent_v1.rptrace", "parent_v2_zlib.rptrace")
-#: sorted key segments under zlib (segment codec 1), not histograms.
-SORTED_ZLIB = "parent_v2_sorted_zlib.rptrace"
-#: deflated key histograms (segment codec 2), not narrow rows.
-DEFLATED_HISTOGRAM = "parent_v2_histogram.rptrace"
-#: sorted key segments raw in a version-1 store, not histograms.
-RAW_SORTED = "parent_v1_sorted.rptrace"
-#: deflated columns (segment codec 1) beside codec-3 rows, not a row index.
-ROWS_ZLIB = "parent_v2_rows_zlib.rptrace"
 #: raw columns (segment codec 0) beside codec-3 rows, not a row index.
 RAW_V2 = "parent_v2_raw.rptrace"
-SORTED_LEGACY = (RAW_SORTED, SORTED_ZLIB, DEFLATED_HISTOGRAM)
 STRATEGIES = (StaticRuleset, SlidingWindow, LazySlidingWindow, AdaptiveSlidingWindow)
 ID_MAX = 2**31 - 1
 
 
 def legacy_columns():
-    """The 300 pairs the committed legacy stores hold."""
+    """The 300 pairs the committed legacy stores hold, in any layout."""
     rng = np.random.default_rng(31)
     sources = rng.integers(0, 12, 300)
     repliers = 100 + (sources + rng.integers(0, 3, 300)) % 8
     return sources, repliers
-
-
-def header_flags(path):
-    return struct.unpack_from("<I", Path(path).read_bytes(), 12)[0]
 
 
 def segment_codecs(path):
@@ -231,111 +192,6 @@ def assert_same_runs(path, memory):
             assert run_on(reader.iter_blocks()) == run_on(memory)
 
 
-class TestLegacyBytes:
-    """Stores written before the key segment was sorted stay readable,
-    through the memo in-memory blocks count their histogram in."""
-
-    @pytest.mark.parametrize("name", LEGACY)
-    def test_serves_what_memory_gives(self, name):
-        path = DATA / name
-        assert header_flags(path) == 1  # pair-order keys
-        memory = blocks_from_arrays(*legacy_columns(), block_size=100)
-        with TraceStoreReader(path) as reader:
-            assert not reader.histogram_rows
-            assert reader.verify_blocks(strict=True) == 3
-            assert_serves(reader, memory)
-            for held, want in zip(reader.blocks(), memory):
-                np.testing.assert_array_equal(
-                    held.key_histogram()[1], want.key_histogram()[1]
-                )
-        with TraceStoreReader(path, verify=True) as reader:
-            assert reader.n_blocks == 3
-        assert_same_runs(path, memory)
-
-    @pytest.mark.parametrize("name", LEGACY)
-    def test_counted_from_the_columns(self, name, tmp_path, monkeypatch):
-        """A legacy block's histogram goes through ``count_keys``; a
-        sorted-segment block's never does."""
-        calls = []
-        real = blocks_module.count_keys
-        monkeypatch.setattr(
-            blocks_module, "count_keys", lambda keys: calls.append(1) or real(keys)
-        )
-        with TraceStoreReader(DATA / name) as reader:
-            reader.block(1).key_histogram()
-        assert calls == [1]
-        path = write(tmp_path / "new.rptrace", *legacy_columns())
-        assert header_flags(path) == 2  # sorted keys
-        with TraceStoreReader(path) as reader:
-            assert reader.histogram_rows
-            for block in reader.iter_blocks():
-                block.key_histogram()
-        assert calls == [1]
-
-
-class TestSortedZlibBytes:
-    """A zlib store written before key segments were histograms — its
-    key segments sorted keys under zlib — reads as it did, and so do one
-    written before histograms were narrow rows and a raw store written
-    before every store held narrow rows: counted from their columns."""
-
-    def test_serves_what_memory_gives(self):
-        self.assert_reads_as_written(SORTED_ZLIB, (1, 1, 1))
-
-    def test_a_deflated_histogram_store_serves_what_memory_gives(self):
-        self.assert_reads_as_written(DEFLATED_HISTOGRAM, (1, 1, 2))
-
-    def test_a_raw_sorted_store_serves_what_memory_gives(self):
-        self.assert_reads_as_written(RAW_SORTED, None)
-
-    @pytest.mark.parametrize("name", SORTED_LEGACY)
-    def test_counted_from_the_columns(self, name, monkeypatch):
-        """A legacy sorted key segment is never read: each block's
-        histogram goes through ``count_keys`` once, on a read pass and on
-        verification alike."""
-        calls, stored = [], []
-        real = blocks_module.count_keys
-        monkeypatch.setattr(
-            blocks_module, "count_keys", lambda keys: calls.append(1) or real(keys)
-        )
-        real_stored = TraceStoreReader._stored
-        monkeypatch.setattr(
-            TraceStoreReader,
-            "_stored",
-            lambda self, entry, segment: stored.append(segment)
-            or real_stored(self, entry, segment),
-        )
-        with TraceStoreReader(DATA / name, verify=True) as reader:
-            assert reader.verify_blocks(strict=True) == 3
-            for block in reader.iter_blocks():
-                block.key_histogram()
-                block.key_histogram()
-        assert calls == [1, 1, 1] and 2 not in stored
-
-    @staticmethod
-    def assert_reads_as_written(name, codecs):
-        """``codecs`` is each block's three segment codecs, or None for a
-        version-1 store."""
-        path = DATA / name
-        assert header_flags(path) == 2  # sorted keys
-        memory = blocks_from_arrays(*legacy_columns(), block_size=100)
-        with TraceStoreReader(path) as reader:
-            if codecs is None:
-                assert reader.version == 1
-            else:
-                assert segment_codecs(path) == [codecs] * 3
-            assert not reader.histogram_rows
-            assert reader.verify_blocks(strict=True) == 3
-            assert_serves(reader, memory)
-            for held, want in zip(reader.blocks(), memory):
-                np.testing.assert_array_equal(
-                    held.key_histogram()[1], want.key_histogram()[1]
-                )
-        with TraceStoreReader(path, verify=True) as reader:
-            assert reader.n_blocks == 3
-        assert_same_runs(path, memory)
-
-
 class TestHistogramSegment:
     def test_a_zlib_store_writes_histograms(self, tmp_path, monkeypatch):
         """Segment 2 of a fresh zlib store is codec 3, and a block's key
@@ -347,12 +203,12 @@ class TestHistogramSegment:
         monkeypatch.setattr(
             blocks_module, "count_keys", lambda keys: calls.append(1) or real(keys)
         )
-        read_segment = TraceStoreReader._read_segment
+        real_stored = TraceStoreReader._stored
         monkeypatch.setattr(
             TraceStoreReader,
-            "_read_segment",
+            "_stored",
             lambda self, entry, segment: segments.append(segment)
-            or read_segment(self, entry, segment),
+            or real_stored(self, entry, segment),
         )
         memory = blocks_from_arrays(*legacy_columns(), block_size=100)
         with TraceStoreReader(path) as reader:
@@ -364,17 +220,20 @@ class TestHistogramSegment:
                 ):
                     assert got.dtype == oracle.dtype and not got.flags.writeable
                     np.testing.assert_array_equal(got, oracle)
-        assert calls == [] and segments == []
+        assert calls == [] and segments == [2, 2, 2]
 
     def test_a_raw_store_writes_histograms(self, tmp_path):
-        """Segment 2 of the committed raw store is codec 3 too, and a
-        block's key histogram reads neither column; ``codec=None``
-        writes a row index beside the same histograms."""
-        path = write(tmp_path / "new.rptrace", *legacy_columns())
+        """``codec=None`` writes a row index beside the histograms, and a
+        block's key histogram reads neither column; the committed raw
+        store, whose columns were raw beside the same histograms, is
+        refused."""
+        path = write(tmp_path / "new.rptrace", *legacy_columns(), codec=None)
         assert segment_codecs(path) == [(4, 4, 3)] * 3
         assert segment_codecs(DATA / RAW_V2) == [(0, 0, 3)] * 3
+        with pytest.raises(TraceStoreError, match="repro tracegen"):
+            TraceStoreReader(DATA / RAW_V2)
         memory = blocks_from_arrays(*legacy_columns(), block_size=100)
-        with TraceStoreReader(DATA / RAW_V2) as reader:
+        with TraceStoreReader(path) as reader:
             for block, want in zip(reader.iter_blocks(), memory):
                 for got, oracle in zip(block.key_histogram(), want.key_histogram()):
                     np.testing.assert_array_equal(got, oracle)
@@ -495,32 +354,6 @@ class TestRowIndex:
             assert reader.verify_blocks(strict=True) == 1
             assert_serves(reader, memory)
 
-    def test_a_parent_zlib_store_serves_what_raw_and_new_stores_serve(
-        self, tmp_path
-    ):
-        """The release before row indexes deflated each column beside the
-        codec-3 rows, and wrote them raw with ``codec=None``; those two
-        stores and a row-indexed store of the same pairs give the same
-        fingerprints, histograms, columns, strategy runs and streaming
-        runs, and the row-indexed one is the smallest."""
-        parent = DATA / ROWS_ZLIB
-        raw = DATA / RAW_V2
-        new = write(tmp_path / "new.rptrace", *legacy_columns())
-        assert segment_codecs(parent) == [(1, 1, 3)] * 3
-        assert segment_codecs(raw) == [(0, 0, 3)] * 3
-        assert segment_codecs(new) == [(4, 4, 3)] * 3
-        memory = blocks_from_arrays(*legacy_columns(), block_size=100)
-        for path in (parent, raw, new):
-            with TraceStoreReader(path) as reader:
-                assert reader.histogram_rows
-                assert reader.verify_blocks(strict=True) == 3
-                assert [b.fingerprint() for b in reader.iter_blocks()] == [
-                    b.fingerprint() for b in memory
-                ]
-                assert_serves(reader, memory)
-            assert_same_runs(path, memory)
-        assert new.stat().st_size < min(parent.stat().st_size, raw.stat().st_size)
-
 
 @st.composite
 def traces(draw):
@@ -566,8 +399,8 @@ class TestHistogramDifferential:
                 block_size=block_size,
                 codec=codec,
             )
+            assert segment_codecs(path) == [(4, 4, 3)] * len(memory)
             with TraceStoreReader(path) as reader:
-                assert reader.histogram_rows
                 assert reader.verify_blocks(strict=True) == len(memory)
                 assert_serves(reader, memory)
                 disk = list(reader.iter_blocks())  # fresh: nothing read yet
@@ -648,24 +481,13 @@ class TestIntegrity:
             )
 
 
-#: every committed store of :func:`legacy_columns`.
-COMMITTED = (*LEGACY, *SORTED_LEGACY, ROWS_ZLIB, RAW_V2)
-
-
 class TestLifetime:
-    @pytest.mark.parametrize(
-        "name", [None, "zlib", *LEGACY, *sorted(set(COMMITTED) - set(LEGACY))]
-    )
+    @pytest.mark.parametrize("name", [None, "zlib"])
     def test_first_touch_after_close_raises(self, tmp_path, name):
         """A segment first asked for after close() raises; what blocks()
-        read before it — keys, and a legacy block's columns — stays
-        valid, and a row-indexed block splits its columns from its keys
-        without the file."""
-        path = (
-            DATA / name
-            if name in COMMITTED
-            else write(tmp_path / "t.rptrace", *legacy_columns(), codec=name)
-        )
+        read before it — keys and histogram — stays valid, and a block
+        splits its columns from its keys without the file."""
+        path = write(tmp_path / "t.rptrace", *legacy_columns(), codec=name)
         reader = TraceStoreReader(path)
         touches = {
             "sources": lambda block: block.sources,
@@ -685,13 +507,21 @@ class TestLifetime:
             np.testing.assert_array_equal(block.packed_keys(), want.packed_keys())
             np.testing.assert_array_equal(block.sources, want.sources)
             np.testing.assert_array_equal(block.repliers, want.repliers)
-        if name in (RAW_V2, ROWS_ZLIB):  # blocks() read the columns, not segment 2
-            with pytest.raises(TraceStoreError, match="closed"):
-                held[0].key_histogram()
-        else:
-            np.testing.assert_array_equal(
-                held[0].key_histogram()[1], memory[0].key_histogram()[1]
-            )
+        np.testing.assert_array_equal(
+            held[0].key_histogram()[1], memory[0].key_histogram()[1]
+        )
+
+    def test_keys_first_asked_after_close_raise_the_typed_error(self, tmp_path):
+        """A block that decoded its histogram before close() and asks for
+        its row index after it gets the typed error, not an error from a
+        file handle that is gone."""
+        path = write(tmp_path / "t.rptrace", *legacy_columns())
+        reader = TraceStoreReader(path)
+        block = reader.block(1)
+        block.key_histogram()
+        reader.close()
+        with pytest.raises(TraceStoreError, match="closed"):
+            block.packed_keys()
 
     def test_a_block_keeps_its_reader_open(self, tmp_path):
         """A block whose reader nobody else holds still reads: it holds

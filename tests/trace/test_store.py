@@ -15,7 +15,7 @@ from repro.trace.store import (
     TraceStoreReader,
     TraceStoreWriter,
 )
-from tests.trace.test_sorted_keys import DATA, RAW_V2, legacy_columns
+from tests.trace.test_sorted_keys import DATA, RAW_V2, legacy_columns, segment_codecs
 
 
 def columns(n=100, seed=0):
@@ -260,18 +260,17 @@ class TestCorruption:
         assert reader.recovered
         assert reader.n_blocks == 1
 
-    @pytest.mark.parametrize("name", [RAW_V2, "parent_v1.rptrace"])
-    def test_raw_columns_cut_after_open_are_corruption(self, tmp_path, name):
-        """A raw column is one positional read checked for its length, so
-        a store cut short after it was opened raises the typed error when
-        the column is read."""
-        path = tmp_path / name
-        path.write_bytes((DATA / name).read_bytes())
+    def test_segments_cut_after_open_are_corruption(self, tmp_path):
+        """A segment is one positional read of its stored length, so a
+        store cut short after it was opened raises the typed error when
+        the segment is read."""
+        path = tmp_path / "t.rptrace"
+        write_store(path, *legacy_columns(), block_size=100).close()
         with TraceStoreReader(path) as reader:
             block = reader.block(2)
             with open(path, "r+b") as fh:
                 fh.truncate(reader._entries[2].offset + 100)
-            with pytest.raises(TraceStoreCorruption, match="exactly 800 bytes"):
+            with pytest.raises(TraceStoreCorruption, match="segment of 0 bytes"):
                 block.sources
 
     def test_not_a_store_file(self, tmp_path):
@@ -406,16 +405,16 @@ class TestCompression:
 
     def test_no_codec_writes_raw_columns_and_histogram_rows(self, tmp_path):
         """Raw columns beside codec-3 key segments (codecs 0, 0, 3) are a
-        form earlier releases wrote, and the committed one reads as
-        written.  codec=None writes the one layout, a row index beside
+        form earlier releases wrote, and the committed one is refused at
+        open.  codec=None writes the one layout, a row index beside
         the histogram rows (4, 4, 3), byte for byte what codec="zlib"
         writes."""
-        with TraceStoreReader(DATA / RAW_V2) as raw:
-            assert [raw._layout(e)[0] for e in raw._entries] == [(0, 0, 3)] * 3
-            assert raw.histogram_rows and raw.verify_blocks(strict=True) == 3
+        assert segment_codecs(DATA / RAW_V2) == [(0, 0, 3)] * 3
+        with pytest.raises(TraceStoreError, match=r"codecs \(0, 0, 3\)"):
+            TraceStoreReader(DATA / RAW_V2)
         reader, sources, repliers = make_store(tmp_path / "a.rptrace", n=200, seed=3)
-        assert reader.version == 2 and reader.histogram_rows
-        assert [reader._layout(e)[0] for e in reader._entries] == [(4, 4, 3)] * 2
+        assert reader.version == 2 and reader.verify_blocks(strict=True) == 2
+        assert segment_codecs(tmp_path / "a.rptrace") == [(4, 4, 3)] * 2
         reader.close()
         write_store(
             tmp_path / "b.rptrace", sources, repliers, block_size=100, codec="zlib"
@@ -501,10 +500,11 @@ class TestCompression:
         return path
 
     def test_codec_byte_2_is_an_unknown_codec(self, tmp_path):
+        """A block whose codecs are not the one layout's refuses the store
+        when it is opened, not when the block is first read."""
         path = self._patch_first_block(tmp_path, "<B", 4, 2)  # segment 0's codec
-        with TraceStoreReader(path) as reader:
-            with pytest.raises(TraceStoreCorruption, match="unknown segment codec 2"):
-                reader.block(0)
+        with pytest.raises(TraceStoreError, match=r"segment codecs \(2, 4, 3\)"):
+            TraceStoreReader(path)
 
     def test_a_footer_store_reads_each_block_header_once(
         self, tmp_path, monkeypatch
@@ -574,17 +574,14 @@ class TestReaderLifetime:
         reader.close()
         assert len(os.listdir("/proc/self/fd")) == before
 
-    @pytest.mark.parametrize("name", [None, RAW_V2])
+    @pytest.mark.parametrize("name", [None])
     def test_arrays_read_before_close_stay_valid(self, tmp_path, name):
         """Every segment is read into memory of its own, so what a block
-        has read before close() — a fresh store's keys, histogram and
-        columns, or a raw store's columns — reads the same afterwards."""
+        has read before close() — its keys, histogram and columns — reads
+        the same afterwards."""
         sources, repliers = legacy_columns()
-        if name:
-            reader = TraceStoreReader(DATA / name)
-        else:
-            path = tmp_path / "t.rptrace"
-            reader = write_store(path, sources, repliers, block_size=100)
+        path = tmp_path / "t.rptrace"
+        reader = write_store(path, sources, repliers, block_size=100, codec=name)
         block = reader.block(2)
         read = [block.sources, block.repliers, block.packed_keys()]
         read += block.key_histogram()
@@ -675,13 +672,14 @@ class TestAllBlocksOneMapping:
         )
         reader.close()
 
-    def test_unaligned_raw_columns_read_as_stored(self):
-        """Codec-3 key segments have any length, so block 1's raw columns
-        in the committed raw store start off an 8-byte boundary; they are
-        read into arrays of their own, as written."""
+    def test_unaligned_raw_columns_read_as_stored(self, tmp_path):
+        """Segments have any length, so block 1's row index starts off an
+        8-byte boundary; its rows, keys and columns are read into arrays
+        of their own, as written."""
         sources, repliers = legacy_columns()
-        with TraceStoreReader(DATA / RAW_V2) as reader:
-            payloads = [reader._layout(e)[2] for e in reader._entries]
+        path = tmp_path / "t.rptrace"
+        with write_store(path, sources, repliers, block_size=100) as reader:
+            payloads = [reader._layout(e)[1] for e in reader._entries]
             assert payloads[1] % 8 != 0
             held = self.assert_same(reader)
         np.testing.assert_array_equal(
