@@ -1,6 +1,6 @@
 """One bench per registered experiment: its bands, and its shape.
 
-Every id in :data:`repro.experiments.EXPERIMENTS` runs once under the
+Every id in :data:`repro.experiments.registry.EXPERIMENTS` runs once under the
 pytest-benchmark timer and must land every banded row inside its
 acceptance band (the reproduction contract, stated once, in the
 experiment).  A few figures also make a claim about the *shape* of a
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import register_report
-from repro.experiments import EXPERIMENTS, run_experiment
+from repro.experiments.registry import EXPERIMENTS, run_experiment
 
 
 def _fig1_stationary(result):

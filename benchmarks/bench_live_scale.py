@@ -136,10 +136,11 @@ async def _ramp_once(args: argparse.Namespace, *, trace_sample: int = 0) -> dict
     *separate* cluster so rules learned under the baseline ramp do not
     flatter the traced one).
     """
-    from repro.live import LiveCluster
+    from repro.live.cluster import LiveCluster
     from repro.network.topology import Topology
     from repro.obs.tracing import QueryTracer
-    from repro.scale import LoadConfig, run_ramp_async, saturation_summary
+    from repro.scale.loadgen import LoadConfig
+    from repro.scale.ramp import run_ramp_async, saturation_summary
 
     # Ring topology: every node has peers, every query can reach every
     # shard within the TTL, and the edge count stays O(n).
@@ -263,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     trace_markdown = payload.pop("trace_markdown", None)
     path = emit_bench_json("live_scale", payload)
     if args.report:
-        from repro.scale import format_saturation_markdown
+        from repro.scale.ramp import format_saturation_markdown
 
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(format_saturation_markdown(payload["steps"], summary))

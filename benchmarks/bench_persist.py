@@ -19,7 +19,8 @@ from time import perf_counter
 import pytest
 
 from repro.core.streaming import StreamingRules
-from repro.persist import PersistentState, WalWriter, read_wal
+from repro.persist.state import PersistentState
+from repro.persist.wal import WalWriter, read_wal
 
 from benchmarks._emit import emit_bench_json
 

@@ -15,7 +15,7 @@ Run:  python examples/extensions_tour.py            (~30 s)
 
 import time
 
-from repro.experiments import run_experiment
+from repro.experiments.registry import run_experiment
 from repro.metrics.ascii_chart import sparkline
 
 TOUR = [

@@ -19,7 +19,7 @@ import asyncio
 
 import numpy as np
 
-from repro.live import LiveCluster, make_vocabulary
+from repro.live.cluster import LiveCluster, make_vocabulary
 from repro.network.topology import Topology
 
 

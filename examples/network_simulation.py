@@ -14,8 +14,8 @@ import dataclasses
 import sys
 import time
 
-from repro.experiments import RunContext
 from repro.experiments.config import DEFAULT_SCALE
+from repro.experiments.context import RunContext
 from repro.experiments.traffic import STRATEGIES
 
 

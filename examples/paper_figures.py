@@ -11,7 +11,7 @@ Run:  python examples/paper_figures.py
 
 import time
 
-from repro.experiments import run_experiment
+from repro.experiments.registry import run_experiment
 from repro.metrics.ascii_chart import line_chart
 
 FIGURES = [

@@ -20,7 +20,7 @@ unstructured P2P networks plus every substrate its evaluation depends on:
 
 Quickstart::
 
-    from repro.experiments import run_experiment
+    from repro.experiments.registry import run_experiment
     print(run_experiment("fig1").report())
 """
 
@@ -29,14 +29,18 @@ import importlib
 __version__ = "1.0.0"
 
 #: the top-level names, by the module each lives in; a module is imported
-#: when one of its names is first asked for, so importing one subpackage
-#: (``repro.trace``, say) loads no other.
+#: when one of its names is first asked for, so importing one module
+#: (``repro.trace.store``, say) loads only what that module imports.
 _EXPORTS = {
-    "repro.core": "AdaptiveSlidingWindow LazySlidingWindow RuleSet SlidingWindow "
-    "StaticRuleset StreamingRules generate_ruleset ruleset_test",
-    "repro.experiments": "run_experiment",
-    "repro.trace": "PairBlock blocks_from_arrays",
-    "repro.workload": "MonitorTraceConfig MonitorTraceGenerator",
+    "repro.core.evaluation": "ruleset_test",
+    "repro.core.generation": "generate_ruleset",
+    "repro.core.rules": "RuleSet",
+    "repro.core.strategies": "AdaptiveSlidingWindow LazySlidingWindow "
+    "SlidingWindow StaticRuleset",
+    "repro.core.streaming": "StreamingRules",
+    "repro.experiments.registry": "run_experiment",
+    "repro.trace.blocks": "PairBlock blocks_from_arrays",
+    "repro.workload.tracegen": "MonitorTraceConfig MonitorTraceGenerator",
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -60,8 +60,6 @@ import os
 import sys
 import time
 
-from repro.network.protocol import DEFAULT_TTL
-from repro.network.servent import LIVE_TOP_K
 from repro.obs.logging import configure_logging, get_logger
 
 __all__ = ["main", "build_parser"]
@@ -349,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     live_cluster.add_argument("--degree", type=int, default=3)
     live_cluster.add_argument("--queries", type=int, default=150)
     live_cluster.add_argument("--terms", type=int, default=24)
-    live_cluster.add_argument("--top-k", type=int, default=LIVE_TOP_K)
-    live_cluster.add_argument("--max-ttl", type=int, default=DEFAULT_TTL)
+    # unset, the cluster's own defaults apply
+    live_cluster.add_argument("--top-k", type=int)
+    live_cluster.add_argument("--max-ttl", type=int)
     live_cluster.add_argument(
         "--compare",
         action="store_true",
@@ -558,7 +557,7 @@ def _print_stats(stats: dict[str, int], *, indent: str = "  ", stream=None) -> N
 def _run_live_node(args) -> int:
     import asyncio
 
-    from repro.live import LiveServent
+    from repro.live.node import LiveServent
     from repro.network.servent import SharedFile
 
     library = [
@@ -632,7 +631,8 @@ def _split_terms(text: str) -> list[str]:
 def _run_load_test(args) -> int:
     import json
 
-    from repro.scale import LoadConfig, run_ramp, saturation_summary
+    from repro.scale.loadgen import LoadConfig
+    from repro.scale.ramp import run_ramp, saturation_summary
     from repro.utils.validation import check_finite_positive
 
     vocabulary = _split_terms(args.terms)
@@ -821,7 +821,7 @@ def _run_live_cluster(args, seed: int) -> int:
 
     import numpy as np
 
-    from repro.live import LiveCluster, interest_plan, make_vocabulary
+    from repro.live.cluster import LiveCluster, interest_plan, make_vocabulary
     from repro.network.topology import Topology, random_regular
 
     rng = np.random.default_rng(seed)
@@ -840,13 +840,17 @@ def _run_live_cluster(args, seed: int) -> int:
     )
 
     observe = bool(args.metrics_dump) or args.show_trace
+    limits = {
+        name: value
+        for name, value in (("top_k", args.top_k), ("max_ttl", args.max_ttl))
+        if value is not None
+    }
 
     async def run_one(label: str, rule_routed: bool, n_modes: int):
         async with LiveCluster(
             topology,
             rule_routed=rule_routed,
-            top_k=args.top_k,
-            max_ttl=args.max_ttl,
+            **limits,
             observe=observe,
             state_dir=args.state_dir if rule_routed else None,
         ) as cluster:
@@ -913,7 +917,7 @@ def _run_live_cluster(args, seed: int) -> int:
 
 
 def _run_chaos_soak(args, seed: int) -> int:
-    from repro.faults import chaos_soak
+    from repro.faults.soak import chaos_soak
 
     if args.nodes < 2:
         _log.error("need at least 2 nodes", extra={"nodes": args.nodes})
@@ -945,8 +949,8 @@ def _run_experiments(args, ids: list[str], seed: int) -> int:
     import json
     from itertools import islice
 
-    from repro.experiments import run_experiments
     from repro.experiments.config import FULL_SCALE
+    from repro.experiments.registry import run_experiments
 
     n_seeds = args.seeds
     if n_seeds > 1 and (args.csv or args.markdown):
@@ -1026,12 +1030,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     configure_logging(level=args.log_level, json_lines=args.log_json)
 
-    from repro.experiments import EXPERIMENTS
     from repro.experiments.config import DEFAULT_SEED
 
     seed = args.seed if args.seed is not None else DEFAULT_SEED
 
     if args.command == "list":
+        from repro.experiments.registry import EXPERIMENTS
+
         width = max(len(k) for k in EXPERIMENTS)
         for experiment_id, (title, _fn) in EXPERIMENTS.items():
             print(f"{experiment_id.ljust(width)}  {title}")
@@ -1041,6 +1046,8 @@ def main(argv: list[str] | None = None) -> int:
         return _run_experiments(args, args.experiment_ids, seed)
 
     if args.command == "all":
+        from repro.experiments.registry import EXPERIMENTS
+
         return _run_experiments(args, list(EXPERIMENTS), seed)
 
     if args.command == "live-node":
@@ -1061,7 +1068,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "persist":
         import json
 
-        from repro.persist import inspect_state_dir
+        from repro.persist.state import inspect_state_dir
 
         if not os.path.isdir(args.state_dir):
             _log.error("no such state dir", extra={"path": args.state_dir})
@@ -1075,7 +1082,7 @@ def main(argv: list[str] | None = None) -> int:
             format_arm_table,
             hier_arm_stats,
         )
-        from repro.network.hier import HierConfig, HierNetwork
+        from repro.network.hier.network import HierConfig, HierNetwork
 
         substrate = {
             **SUBSTRATE,
@@ -1151,13 +1158,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "trace-eval":
         from time import perf_counter
 
-        from repro.core.streaming import StreamingRules
         from repro.core.strategies import (
             AdaptiveSlidingWindow,
             LazySlidingWindow,
             SlidingWindow,
             StaticRuleset,
         )
+        from repro.core.streaming import StreamingRules
         from repro.parallel.partition import (
             evaluate_store,
             evaluate_store_partitioned,

@@ -22,46 +22,3 @@ cheap enough to run per block.
   rules immediately as pairs arrive;
 * :mod:`~repro.core.runner` — trace -> strategy -> :class:`StrategyRun`.
 """
-
-from repro.core.category_rules import CategorizedBlock
-from repro.core.counts import SketchCounts, WindowCounts
-from repro.core.evaluation import (
-    RulesetTestResult,
-    ruleset_test,
-    ruleset_test_fallback,
-    ruleset_test_random_subset,
-)
-from repro.core.generation import generate_ruleset
-from repro.core.rules import Rule, RuleSet
-from repro.core.runner import StrategyRun, TrialResult
-from repro.core.strategies import (
-    AdaptiveSlidingWindow,
-    LazySlidingWindow,
-    RulesetStrategy,
-    SlidingWindow,
-    StaticRuleset,
-)
-from repro.core.streaming import StreamingRules
-from repro.core.thresholds import RollingThreshold
-
-__all__ = [
-    "AdaptiveSlidingWindow",
-    "CategorizedBlock",
-    "LazySlidingWindow",
-    "RollingThreshold",
-    "Rule",
-    "RuleSet",
-    "RulesetStrategy",
-    "RulesetTestResult",
-    "SketchCounts",
-    "SlidingWindow",
-    "StaticRuleset",
-    "StrategyRun",
-    "StreamingRules",
-    "TrialResult",
-    "WindowCounts",
-    "generate_ruleset",
-    "ruleset_test",
-    "ruleset_test_fallback",
-    "ruleset_test_random_subset",
-]

@@ -14,26 +14,3 @@ blocks / smaller overlays than the paper's 365-trial full runs).  Pass
 environment variable ``REPRO_FULL_SCALE=1`` to run the paper's full
 3.65M-pair trace lengths.
 """
-
-from repro.experiments.config import ExperimentScale, current_scale
-from repro.experiments.context import RunContext
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    ExperimentRun,
-    get_experiment,
-    run_experiment,
-    run_experiments,
-)
-from repro.experiments.results import ExperimentResult
-
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "ExperimentRun",
-    "ExperimentScale",
-    "RunContext",
-    "current_scale",
-    "get_experiment",
-    "run_experiment",
-    "run_experiments",
-]

@@ -22,15 +22,12 @@ from repro.experiments.results import ExperimentResult
 from repro.metrics.report import ComparisonRow
 from repro.metrics.traffic import TrafficStats
 from repro.network.overlay import Overlay, OverlayConfig
-from repro.routing import (
-    AssociationRoutingPolicy,
-    ExpandingRingPolicy,
-    FloodingPolicy,
-    InterestShortcutsPolicy,
-    KRandomWalkPolicy,
-    RoutingIndicesPolicy,
-    build_routing_indices,
-)
+from repro.routing.association import AssociationRoutingPolicy
+from repro.routing.expanding_ring import ExpandingRingPolicy
+from repro.routing.flooding import FloodingPolicy
+from repro.routing.random_walk import KRandomWalkPolicy
+from repro.routing.routing_indices import RoutingIndicesPolicy, build_routing_indices
+from repro.routing.shortcuts import InterestShortcutsPolicy
 from repro.trace.blocks import PairBlock
 from repro.trace.cache import trace_blocks
 from repro.utils.rng import as_generator

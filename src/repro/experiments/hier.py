@@ -1,7 +1,7 @@
 """Two-tier rule routing vs the seed super-peer flooding baseline.
 
 One workload, five arms at equal seeds (identical query sequences, per
-:class:`~repro.network.hier.HierNetwork`'s rng contract):
+:class:`~repro.network.hier.network.HierNetwork`'s rng contract):
 
 * the seed :class:`~repro.network.superpeer.SuperPeerNetwork` baseline
   (satellite of ISSUE 10: its TrafficStats now carry the same α/ρ
@@ -29,7 +29,7 @@ from repro.experiments.context import RunContext
 from repro.experiments.results import ExperimentResult
 from repro.metrics.report import ComparisonRow
 from repro.metrics.traffic import TrafficStats
-from repro.network.hier import HIER_MODES, HierConfig, HierNetwork
+from repro.network.hier.network import HIER_MODES, HierConfig, HierNetwork
 from repro.network.superpeer import SuperPeerConfig, SuperPeerNetwork
 
 __all__ = ["format_arm_table", "hier_arm_stats", "run_hier"]

@@ -18,39 +18,3 @@ accident of the test machine.  This package provides:
 * :mod:`repro.faults.soak` — the ``chaos-soak`` harness: run a cluster
   under a plan, audit invariants, emit a replay-stable report.
 """
-
-from repro.faults.churn import TopologyChurn
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import (
-    FaultEvent,
-    FaultPlan,
-    chaos_plan,
-    crash_restart_plan,
-    partition_heal_plan,
-)
-from repro.faults.soak import (
-    PLAN_NAMES,
-    SoakReport,
-    chaos_soak,
-    expected_min_reconnects,
-    make_plan,
-    run_soak,
-)
-from repro.faults.transport import FaultController
-
-__all__ = [
-    "FaultController",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "PLAN_NAMES",
-    "SoakReport",
-    "TopologyChurn",
-    "chaos_plan",
-    "chaos_soak",
-    "crash_restart_plan",
-    "expected_min_reconnects",
-    "make_plan",
-    "partition_heal_plan",
-    "run_soak",
-]

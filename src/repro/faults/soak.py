@@ -404,7 +404,7 @@ async def run_soak(
 
         final_fingerprints: dict[int, str] = {}
         if state_dir is not None:
-            from repro.persist import fingerprint_counts
+            from repro.persist.snapshot import fingerprint_counts
 
             problems = []
             restarted = sorted(
@@ -465,7 +465,7 @@ async def run_soak(
     if state_dir is not None and final_fingerprints:
         from repro.core.streaming import StreamingRules
         from repro.network.servent import LIVE_RULES
-        from repro.persist import PersistentState
+        from repro.persist.state import PersistentState
 
         # The rule config the cluster's nodes ran.
         rules_template = StreamingRules(**LIVE_RULES)

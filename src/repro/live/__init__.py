@@ -26,27 +26,10 @@ Run one node with ``python -m repro live-node``; race rule routing
 against flooding over real sockets with ``python -m repro live-cluster``.
 """
 
-from repro.live.cluster import (
-    LiveCluster,
-    harness_config,
-    interest_plan,
-    make_vocabulary,
-)
-from repro.live.connection import ConnectionConfig, PeerConnection
+# The names the benchmark harness imports from the package root; every
+# other name is imported from the module that defines it.
+from repro.live.cluster import LiveCluster, make_vocabulary
 from repro.live.framing import StreamDecoder
-from repro.live.node import LiveServent, StreamingRuleServent
-from repro.live.stats import NodeStats, combine_stats
+from repro.live.node import StreamingRuleServent
 
-__all__ = [
-    "ConnectionConfig",
-    "LiveCluster",
-    "LiveServent",
-    "NodeStats",
-    "PeerConnection",
-    "StreamDecoder",
-    "StreamingRuleServent",
-    "combine_stats",
-    "harness_config",
-    "interest_plan",
-    "make_vocabulary",
-]
+__all__ = ["LiveCluster", "StreamDecoder", "StreamingRuleServent", "make_vocabulary"]

@@ -7,18 +7,3 @@
 * :mod:`~repro.metrics.report` — paper-vs-measured comparison rows used by
   the benchmark harness and EXPERIMENTS.md.
 """
-
-from repro.metrics.ascii_chart import line_chart, sparkline
-from repro.metrics.report import ComparisonRow, format_table
-from repro.metrics.series import sawtooth_depth
-from repro.metrics.traffic import QueryOutcome, TrafficStats
-
-__all__ = [
-    "ComparisonRow",
-    "QueryOutcome",
-    "TrafficStats",
-    "format_table",
-    "line_chart",
-    "sawtooth_depth",
-    "sparkline",
-]

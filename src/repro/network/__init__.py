@@ -20,52 +20,9 @@ This subpackage provides the overlay substrate to test that end-to-end:
   simulators ask "who shares this file" of;
 * :mod:`~repro.network.overlay` — assembles topology + content + policies
   into a runnable network, with optional churn between queries;
+* :mod:`~repro.network.community` — leaf-to-super-peer membership,
+  exact community content indices, and deterministic leaf re-attachment
+  when a super-peer fails;
 * :mod:`~repro.network.superpeer` and :mod:`~repro.network.hier` — the
   two-tier substrate and, on top of it, the rule and keyspace tiers.
 """
-
-from repro.network.discrete_event import (
-    DiscreteEventConfig,
-    DiscreteEventNetwork,
-    LatencyReport,
-)
-from repro.network.engine import QueryEngine
-
-# before superpeer: its CommunityIndex lives in the hier package, whose
-# network module imports superpeer back
-from repro.network.hier import HIER_MODES, HierConfig, HierNetwork
-from repro.network.messages import Query
-from repro.network.node import PeerNode
-from repro.network.overlay import Overlay, OverlayConfig
-from repro.network.servent import (
-    MonitorServent,
-    RuleRoutedServent,
-    Servent,
-    SharedFile,
-)
-from repro.network.superpeer import SuperPeerConfig, SuperPeerNetwork
-from repro.network.wirenet import WireNetwork
-from repro.network.topology import Topology, random_regular
-
-__all__ = [
-    "DiscreteEventConfig",
-    "DiscreteEventNetwork",
-    "HIER_MODES",
-    "HierConfig",
-    "HierNetwork",
-    "LatencyReport",
-    "MonitorServent",
-    "Overlay",
-    "OverlayConfig",
-    "PeerNode",
-    "Query",
-    "QueryEngine",
-    "RuleRoutedServent",
-    "Servent",
-    "SharedFile",
-    "SuperPeerConfig",
-    "SuperPeerNetwork",
-    "Topology",
-    "WireNetwork",
-    "random_regular",
-]

@@ -56,7 +56,7 @@ Failure handling: a kill is a topology mutation.
 so no flood and no digest push has an edge to reach it by), drops it
 from every k-bucket table and every merged digest table (digest
 invalidation), then deterministically re-attaches its leaves
-(:class:`~repro.network.hier.community.CommunityIndex`), forgets every
+(:class:`~repro.network.community.CommunityIndex`), forgets every
 route plan (the reach and the walks moved with liveness) and republishes
 the category directory.  The last live super-peer cannot be killed: its
 leaves would have nowhere to go.  Digest and directory traffic is tracked in
@@ -75,8 +75,8 @@ import numpy as np
 
 from repro.core.counts import SketchCounts, forward_picks
 from repro.metrics.traffic import QueryOutcome
+from repro.network.community import count_pairs
 from repro.network.engine import QueryEngine, Reach
-from repro.network.hier.community import count_pairs
 from repro.network.hier.digest import MergedRuleTable, decode_digest
 from repro.network.hier.keyspace import (
     KBucketTable,

@@ -8,7 +8,7 @@ effect this baseline exists to show.
 
 Super-peers form their own random-regular overlay; each leaf binds to
 one super-peer; indices are exact (a
-:class:`~repro.network.hier.community.CommunityIndex`, which also holds
+:class:`~repro.network.community.CommunityIndex`, which also holds
 every leaf's library — one ``int32`` buffer, read back through
 :meth:`SuperPeerNetwork.library` / :meth:`SuperPeerNetwork.shares`).
 Leaves are drawn one at a time, profile then library, from the one
@@ -16,7 +16,7 @@ stream the queries later come from
 (:class:`~repro.workload.content.ContentCatalog` draws a library as one
 array and a query's file as one scalar, from the same rank sampler).
 This substrate and the workload generator are what
-:class:`~repro.network.hier.HierNetwork` inherits; construction time is
+:class:`~repro.network.hier.network.HierNetwork` inherits; construction time is
 reported to ``repro_sim_build_seconds`` in the global
 :mod:`repro.obs` registry.  The tier-2 flood here
 stays a per-message loop: ``HierNetwork`` floods through a memoised
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from repro.metrics.traffic import QueryOutcome, TrafficStats
-from repro.network.hier.community import CommunityIndex
+from repro.network.community import CommunityIndex
 from repro.network.topology import random_regular
 from repro.obs.instruments import observe_sim_build, set_sim_population_bytes
 from repro.utils.rng import as_generator, spawn_child

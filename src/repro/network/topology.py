@@ -149,7 +149,7 @@ class Topology:
         Peer departure: the churn driver
         (:class:`repro.faults.churn.TopologyChurn`) restores the returned
         edges on a rejoin, and a killed super-peer
-        (:meth:`repro.network.hier.HierNetwork.kill_superpeer`) stays
+        (:meth:`repro.network.hier.network.HierNetwork.kill_superpeer`) stays
         detached, so no flood or digest push reaches it.
         """
         removed = []

@@ -16,37 +16,3 @@ A servent's mined rule set is traffic-derived state the paper spends a
 See ``docs/persistence.md`` for the format spec and the
 crash-consistency argument.
 """
-
-from repro.persist.snapshot import (
-    SnapshotError,
-    fingerprint_counts,
-    load_snapshot,
-    read_snapshot_header,
-    write_snapshot,
-)
-from repro.persist.state import PersistentState, RecoveryInfo, inspect_state_dir
-from repro.persist.wal import (
-    FSYNC_POLICIES,
-    WalError,
-    WalReadResult,
-    WalWriter,
-    read_wal,
-    wal_header,
-)
-
-__all__ = [
-    "FSYNC_POLICIES",
-    "PersistentState",
-    "RecoveryInfo",
-    "SnapshotError",
-    "WalError",
-    "WalReadResult",
-    "WalWriter",
-    "fingerprint_counts",
-    "inspect_state_dir",
-    "load_snapshot",
-    "read_snapshot_header",
-    "read_wal",
-    "wal_header",
-    "write_snapshot",
-]

@@ -23,28 +23,10 @@ policies:
   §VI rule-driven overlay rewiring (needs a dynamic topology).
 """
 
+# The names the benchmark harness imports from the package root; every
+# other name is imported from the module that defines it.
 from repro.routing.association import AssociationRoutingPolicy
-from repro.routing.base import RoutingPolicy, dispatch_select
-from repro.routing.expanding_ring import ExpandingRingPolicy
 from repro.routing.flooding import FloodingPolicy
-from repro.routing.hybrid import HybridShortcutAssociationPolicy
-from repro.routing.random_walk import KRandomWalkPolicy
-from repro.routing.routing_indices import RoutingIndicesPolicy, build_routing_indices
-from repro.routing.shortcuts import InterestShortcutsPolicy
 from repro.routing.superpeer_rules import SuperPeerRules
-from repro.routing.topology_adaptation import TopologyAdaptingPolicy
 
-__all__ = [
-    "AssociationRoutingPolicy",
-    "ExpandingRingPolicy",
-    "FloodingPolicy",
-    "HybridShortcutAssociationPolicy",
-    "InterestShortcutsPolicy",
-    "KRandomWalkPolicy",
-    "RoutingIndicesPolicy",
-    "RoutingPolicy",
-    "SuperPeerRules",
-    "TopologyAdaptingPolicy",
-    "build_routing_indices",
-    "dispatch_select",
-]
+__all__ = ["AssociationRoutingPolicy", "FloodingPolicy", "SuperPeerRules"]

@@ -16,39 +16,3 @@ Entry points: ``python -m benchmarks.bench_live_scale`` for the gated
 saturation benchmark, ``python -m repro load-test`` against running
 ``live-node`` daemons.
 """
-
-from repro.scale.loadgen import (
-    CLIENT_ID_BASE,
-    TASK_BROWSE,
-    TASK_IDLE,
-    TASK_QUERY,
-    LoadClient,
-    LoadConfig,
-    LoadGenerator,
-    LoadResult,
-    ScheduledTask,
-    build_schedule,
-)
-from repro.scale.ramp import (
-    format_saturation_markdown,
-    run_ramp,
-    run_ramp_async,
-    saturation_summary,
-)
-
-__all__ = [
-    "CLIENT_ID_BASE",
-    "LoadClient",
-    "LoadConfig",
-    "LoadGenerator",
-    "LoadResult",
-    "ScheduledTask",
-    "TASK_BROWSE",
-    "TASK_IDLE",
-    "TASK_QUERY",
-    "build_schedule",
-    "format_saturation_markdown",
-    "run_ramp",
-    "run_ramp_async",
-    "saturation_summary",
-]

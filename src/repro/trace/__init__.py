@@ -19,49 +19,3 @@ column logs (the relational form is the tests' oracle,
 * :mod:`~repro.trace.store` — out-of-core trace store (append-only
   chunked writer, lazy block reader, O(block) memory).
 """
-
-from repro.trace.blocks import (
-    PairBlock,
-    blocks_from_arrays,
-    iter_blocks_from_arrays,
-    partition_pairs,
-)
-from repro.trace.capture import (
-    PairLog,
-    QueryLog,
-    ReplyLog,
-    dedup_queries,
-    dedup_replies,
-    join_pairs,
-)
-from repro.trace.store import (
-    TraceStoreCorruption,
-    TraceStoreError,
-    TraceStoreReader,
-    TraceStoreWriter,
-)
-from repro.trace.records import (
-    QueryRecord,
-    QueryReplyPair,
-    ReplyRecord,
-)
-
-__all__ = [
-    "PairBlock",
-    "PairLog",
-    "QueryLog",
-    "QueryRecord",
-    "QueryReplyPair",
-    "ReplyLog",
-    "ReplyRecord",
-    "TraceStoreCorruption",
-    "TraceStoreError",
-    "TraceStoreReader",
-    "TraceStoreWriter",
-    "blocks_from_arrays",
-    "dedup_queries",
-    "dedup_replies",
-    "iter_blocks_from_arrays",
-    "join_pairs",
-    "partition_pairs",
-]

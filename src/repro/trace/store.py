@@ -66,9 +66,11 @@ histogram — all GENERATE-RULESET and RULESET-TEST read — is then one
 checked decode of the segment, with no column read and no sort; the
 decoder refuses a segment that cannot be its block's histogram of packed
 keys.  Verification (:meth:`TraceStoreReader.verify_blocks`,
-``verify=True`` and the footer-less scan) also requires a codec-3
-segment's histogram to equal the columns', so a store that verifies
-mines its columns' rules.
+``verify=True`` and the footer-less scan) checks the columns against the
+fingerprint, and that is enough for the histogram too: the columns are
+the histogram's keys picked by the row index, and the two decoders
+require the keys to rise strictly and the rows to count the counts, so
+a store that verifies mines its columns' rules.
 
 Durability mirrors the WAL torn-tail semantics of ``repro.persist``: the
 footer is written only on a clean :meth:`TraceStoreWriter.close`, and a
@@ -800,15 +802,13 @@ class TraceStoreReader:
         return entries
 
     def _intact(self, entry: _BlockEntry) -> bool:
-        """Whether block ``entry``'s columns match its fingerprint and its
-        key segment's histogram is theirs — so every rule mined off a
-        block that passes is its columns' rule."""
+        """Whether block ``entry``'s columns match its fingerprint.  Its
+        key segment's histogram is then theirs: the columns are its keys
+        picked by the row index, whose decode checks that the rows count
+        the histogram's counts, and the histogram's keys rise strictly."""
         try:
             block = _StoreBlock(self, entry, 0)
-            if column_digest(block.sources, block.repliers) != entry.fingerprint:
-                return False
-            want = np.unique(block.packed_keys(), return_counts=True)
-            return all(map(np.array_equal, block.key_histogram(), want))
+            return column_digest(block.sources, block.repliers) == entry.fingerprint
         except TraceStoreCorruption:
             return False  # garbage where an encoded segment should be
 

@@ -8,17 +8,3 @@ buggy-client GUID reuse (:mod:`repro.utils.guid`), streaming statistics
 (:mod:`repro.utils.validation`) and simulated-time helpers
 (:mod:`repro.utils.timeline`).
 """
-
-from repro.utils.guid import GuidAllocator
-from repro.utils.rng import as_generator, spawn_child
-from repro.utils.stats import RollingMean, RunningStats
-from repro.utils.timeline import SimClock
-
-__all__ = [
-    "GuidAllocator",
-    "RollingMean",
-    "RunningStats",
-    "SimClock",
-    "as_generator",
-    "spawn_child",
-]

@@ -19,21 +19,3 @@ statistical properties the rule-routing results depend on —
 :mod:`~repro.workload.content` and :mod:`~repro.workload.querygen` also
 serve the online overlay simulator in :mod:`repro.network`.
 """
-
-from repro.workload.churn import LogNormalSessions
-from repro.workload.content import ContentCatalog
-from repro.workload.interests import InterestModel, InterestProfile
-from repro.workload.querygen import QueryTextModel
-from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator
-from repro.workload.zipf import ZipfSampler
-
-__all__ = [
-    "ContentCatalog",
-    "InterestModel",
-    "InterestProfile",
-    "LogNormalSessions",
-    "MonitorTraceConfig",
-    "MonitorTraceGenerator",
-    "QueryTextModel",
-    "ZipfSampler",
-]

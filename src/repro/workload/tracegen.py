@@ -46,7 +46,7 @@ helpers:
 
 * :meth:`MonitorTraceGenerator.generate_pair_arrays` — the fast path:
   columnar numpy arrays of (time, source, replier, category, host), no
-  strings or GUIDs, streamed straight into :class:`repro.trace.PairBlock`
+  strings or GUIDs, streamed straight into :class:`repro.trace.blocks.PairBlock`
   partitioning.  This is what the experiments use.  Its Python steps
   scale with events, not pairs.  Between two state-changing events — a
   neighbor departure or a lazy reply-path reassignment — the neighbor

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import EXPERIMENTS
+from repro.experiments.registry import EXPERIMENTS
 
 ROOT = Path(__file__).resolve().parents[2]
 

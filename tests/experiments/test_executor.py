@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, run_experiment, run_experiments
 from repro.experiments.config import DEFAULT_SEED
+from repro.experiments.registry import EXPERIMENTS, run_experiment, run_experiments
 from tests.experiments.test_runners import TINY
 
 GOLDEN = json.loads(

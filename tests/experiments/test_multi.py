@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.experiments import run_experiments
 from repro.experiments.config import ExperimentScale
 from repro.experiments.multi import aggregate_sweep
+from repro.experiments.registry import run_experiments
 
 TINY = ExperimentScale("t", 8, 10, 30_000, 80, 30, 60)
 

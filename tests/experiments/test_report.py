@@ -59,7 +59,6 @@ class TestCliMarkdown:
         monkeypatch.setattr("repro.experiments.config.DEFAULT_SCALE", tiny)
         fig1 = registry.EXPERIMENTS["fig1"]
         monkeypatch.setattr(registry, "EXPERIMENTS", {"fig1": fig1})
-        monkeypatch.setattr("repro.experiments.EXPERIMENTS", {"fig1": fig1})
 
         out = tmp_path / "report.md"
         code = main(["all", "--markdown", str(out)])

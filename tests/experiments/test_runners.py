@@ -9,8 +9,8 @@ import math
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments.config import ExperimentScale
+from repro.experiments.registry import EXPERIMENTS, run_experiment
 
 # Small but not degenerate: fig3 needs > laziness(10) blocks for its
 # sawtooth statistic, static needs > 16 trials for its tail statistic.

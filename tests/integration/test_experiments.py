@@ -6,7 +6,7 @@ the runners execute and their banded rows pass for the lightest figures.
 
 import pytest
 
-from repro.experiments import run_experiment
+from repro.experiments.registry import run_experiment
 
 
 @pytest.mark.parametrize("experiment_id", ["fig1", "fig4"])

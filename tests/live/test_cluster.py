@@ -11,7 +11,12 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.live import LiveCluster, harness_config, interest_plan, make_vocabulary
+from repro.live.cluster import (
+    LiveCluster,
+    harness_config,
+    interest_plan,
+    make_vocabulary,
+)
 from repro.network.topology import Topology
 
 

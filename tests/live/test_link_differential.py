@@ -21,7 +21,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.live import LiveCluster, make_vocabulary
+from repro.live.cluster import LiveCluster, make_vocabulary
 from repro.live.framing import StreamDecoder
 from repro.network.protocol import ProtocolError, encode_message
 from repro.network.topology import random_regular

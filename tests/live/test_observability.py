@@ -12,7 +12,8 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.live import LiveCluster, LiveServent, harness_config, make_vocabulary
+from repro.live.cluster import LiveCluster, harness_config, make_vocabulary
+from repro.live.node import LiveServent
 from repro.network.topology import Topology
 from repro.obs.collect import format_trace_tree
 from repro.obs.registry import MetricsRegistry

@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 from repro.core.streaming import StreamingRules
-from repro.live import LiveCluster, LiveServent, harness_config, make_vocabulary
+from repro.live.cluster import LiveCluster, harness_config, make_vocabulary
+from repro.live.node import LiveServent
 from repro.network.topology import Topology
-from repro.persist import PersistentState, fingerprint_counts
+from repro.persist.snapshot import fingerprint_counts
+from repro.persist.state import PersistentState
 from tests.live.test_cluster import targeted_plan
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 import repro.network.superpeer
 from repro.metrics.traffic import QueryOutcome
-from repro.network.hier import HierNetwork
+from repro.network.hier.network import HierNetwork
 from repro.network.holders import HolderIndex
 from repro.network.superpeer import SuperPeerNetwork
 

@@ -22,8 +22,8 @@ before the table kept its keys as one ``uint64`` vector.
 
 from collections import deque
 
-from repro.network.hier import HierNetwork
 from repro.network.hier.keyspace import KBucketTable, xor_distance
+from repro.network.hier.network import HierNetwork
 
 
 def reference_closer_than(

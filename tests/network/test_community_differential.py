@@ -43,7 +43,8 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.network.hier import HIER_MODES, CommunityIndex, HierConfig, HierNetwork
+from repro.network.community import CommunityIndex
+from repro.network.hier.network import HIER_MODES, HierConfig, HierNetwork
 from repro.network.superpeer import SuperPeerConfig, SuperPeerNetwork
 from tests.network.reference_community import (
     IndexedHierNetwork,

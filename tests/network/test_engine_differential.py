@@ -17,13 +17,11 @@ from hypothesis import given, settings, strategies as st
 from repro.network.engine import QueryEngine
 from repro.network.messages import Query
 from repro.network.overlay import Overlay, OverlayConfig
-from repro.routing import (
-    AssociationRoutingPolicy,
-    ExpandingRingPolicy,
-    FloodingPolicy,
-    HybridShortcutAssociationPolicy,
-    TopologyAdaptingPolicy,
-)
+from repro.routing.association import AssociationRoutingPolicy
+from repro.routing.expanding_ring import ExpandingRingPolicy
+from repro.routing.flooding import FloodingPolicy
+from repro.routing.hybrid import HybridShortcutAssociationPolicy
+from repro.routing.topology_adaptation import TopologyAdaptingPolicy
 from repro.utils.stats import RunningStats
 from tests.network.reference_engine import ReferenceEngine
 from tests.network.test_engine import RecordingPolicy, flood_select

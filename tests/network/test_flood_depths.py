@@ -17,12 +17,10 @@ from repro.network.engine import QueryEngine
 from repro.network.messages import Query
 from repro.network.overlay import Overlay, OverlayConfig
 from repro.network.topology import Topology
-from repro.routing import (
-    AssociationRoutingPolicy,
-    ExpandingRingPolicy,
-    FloodingPolicy,
-    dispatch_select,
-)
+from repro.routing.association import AssociationRoutingPolicy
+from repro.routing.base import dispatch_select
+from repro.routing.expanding_ring import ExpandingRingPolicy
+from repro.routing.flooding import FloodingPolicy
 from tests.network.reference_engine import ReferenceEngine
 from tests.network.test_engine import RecordingPolicy, StubOverlay
 from tests.network.test_engine_differential import stats_fields

@@ -1,8 +1,8 @@
-"""Tests for repro.network.hier.community."""
+"""Tests for repro.network.community."""
 
 import pytest
 
-from repro.network.hier.community import CommunityIndex
+from repro.network.community import CommunityIndex
 
 
 def _index(n=4):

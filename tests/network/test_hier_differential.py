@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.network.community import CommunityIndex
 from repro.network.engine import QueryEngine
-from repro.network.hier import HIER_MODES, CommunityIndex, HierConfig, HierNetwork
+from repro.network.hier.network import HIER_MODES, HierConfig, HierNetwork
 from repro.network.superpeer import SuperPeerConfig, SuperPeerNetwork
 from repro.workload.zipf import ZipfSampler
 from tests.network.reference_hier import ReferenceHierNetwork

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.faults.plan import CRASH, FaultEvent, FaultPlan
-from repro.network.hier import HIER_MODES, HierConfig, HierNetwork
 from repro.network.hier.digest import DigestEntry, RuleDigest
+from repro.network.hier.network import HIER_MODES, HierConfig, HierNetwork
 from repro.network.overlay import Overlay, OverlayConfig
 from repro.network.superpeer import SuperPeerConfig, SuperPeerNetwork
 from repro.obs.registry import MetricsRegistry

@@ -9,7 +9,7 @@ way ``holders(item)`` must be what a scan of the libraries says.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.network.hier import CommunityIndex
+from repro.network.community import CommunityIndex
 from repro.network.holders import HolderIndex
 from repro.network.overlay import Overlay, OverlayConfig
 

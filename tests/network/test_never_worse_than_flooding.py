@@ -13,9 +13,10 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.network.hier import HIER_MODES, HierNetwork
+from repro.network.hier.network import HIER_MODES, HierNetwork
 from repro.network.overlay import Overlay, OverlayConfig
-from repro.routing import AssociationRoutingPolicy, FloodingPolicy
+from repro.routing.association import AssociationRoutingPolicy
+from repro.routing.flooding import FloodingPolicy
 from tests.network.test_hier_differential import hier_configs
 
 

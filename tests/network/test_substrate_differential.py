@@ -23,13 +23,14 @@ the order of a query's observations cannot matter.
 
 import pytest
 
-from repro.faults import TopologyChurn
+from repro.faults.churn import TopologyChurn
 from repro.faults.plan import chaos_plan
 from repro.network.overlay import Overlay, OverlayConfig
 from repro.network.servent import LOCAL, SharedFile
 from repro.network.wirenet import WireNetwork
 from repro.obs.tracing import QueryTracer
-from repro.routing import AssociationRoutingPolicy, dispatch_select
+from repro.routing.association import AssociationRoutingPolicy
+from repro.routing.base import dispatch_select
 from tests.routing.test_rule_frontier import reference_select
 
 CONFIG = OverlayConfig(

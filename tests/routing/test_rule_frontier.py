@@ -15,14 +15,11 @@ from repro.network.engine import QueryEngine
 from repro.network.messages import Query
 from repro.network.overlay import Overlay, OverlayConfig
 from repro.network.topology import random_regular
-from repro.routing import (
-    AssociationRoutingPolicy,
-    FloodingPolicy,
-    HybridShortcutAssociationPolicy,
-    TopologyAdaptingPolicy,
-    dispatch_select,
-)
-from repro.routing.base import RoutingPolicy
+from repro.routing.association import AssociationRoutingPolicy
+from repro.routing.base import RoutingPolicy, dispatch_select
+from repro.routing.flooding import FloodingPolicy
+from repro.routing.hybrid import HybridShortcutAssociationPolicy
+from repro.routing.topology_adaptation import TopologyAdaptingPolicy
 from tests.network.test_engine import StubOverlay
 from tests.network.test_engine_differential import stats_fields
 

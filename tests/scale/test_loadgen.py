@@ -8,7 +8,7 @@ import time
 import pytest
 
 from tests.live.streampeer import accept_handshake
-from repro.live import LiveCluster
+from repro.live.cluster import LiveCluster
 from repro.network.topology import Topology
 from repro.scale.loadgen import (
     TASK_BROWSE,

@@ -16,7 +16,8 @@ import contextlib
 
 import pytest
 
-from repro.live import LiveServent, harness_config
+from repro.live.cluster import harness_config
+from repro.live.node import LiveServent
 from repro.live.stats import combine_stats
 from repro.network.servent import LOCAL, SharedFile
 from repro.obs.collect import (

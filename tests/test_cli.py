@@ -108,7 +108,6 @@ class TestCommands:
 
         monkeypatch.delenv("REPRO_FULL_SCALE", raising=False)
         monkeypatch.setattr(registry, "EXPERIMENTS", {"probe": ("t", probe)})
-        monkeypatch.setattr("repro.experiments.EXPERIMENTS", registry.EXPERIMENTS)
         assert main(["--full", "run", "probe", "probe"]) == 0
         assert main(["--full", "run", "probe", "probe", "--workers", "2"]) == 0
         assert main(["run", "probe"]) == 0
@@ -397,7 +396,6 @@ class TestCsvExport:
 
         two = {k: registry.EXPERIMENTS[k] for k in ("fig1", "fig3")}
         monkeypatch.setattr(registry, "EXPERIMENTS", two)
-        monkeypatch.setattr("repro.experiments.EXPERIMENTS", two)
         out_dir = tmp_path / "csv"
         code = main(["all", "--no-chart", "--workers", "2", "--csv", str(out_dir)])
         assert code in (0, 1)
@@ -410,7 +408,7 @@ class TestCsvExport:
 class TestPersistInspect:
     def _state_dir(self, tmp_path):
         from repro.core.streaming import StreamingRules
-        from repro.persist import PersistentState
+        from repro.persist.state import PersistentState
 
         state = PersistentState(str(tmp_path / "node"), fsync="never")
         counts, _ = state.recover(StreamingRules(min_support_count=2))

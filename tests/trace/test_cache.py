@@ -403,7 +403,7 @@ class TestReblocking:
     def test_fig2_runner_generates_its_trace_once(
         self, tmp_path, monkeypatch, generate_calls, cold_trace_cache
     ):
-        from repro.experiments import run_experiment
+        from repro.experiments.registry import run_experiment
         from tests.experiments.test_runners import TINY
 
         def run_fig2():

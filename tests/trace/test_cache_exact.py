@@ -141,8 +141,8 @@ class TestFigureWiring:
         self, tmp_path, monkeypatch, generate_calls, cold_trace_cache
     ):
         """A figure runner's trace comes from the cache directory."""
-        from repro.experiments import run_experiment
         from repro.experiments.figures import BLOCK_SIZE
+        from repro.experiments.registry import run_experiment
         from tests.experiments.test_runners import TINY
 
         monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path))
