@@ -21,8 +21,8 @@ replied? — and only then folded into the counts.  Per-block coverage and
 success are the prequential tallies, so the strategy plugs into the same
 :class:`~repro.core.runner.StrategyRun` reporting as the batch strategies.
 
-:meth:`StreamingRules.run` scores a whole block at once with array passes
-over its packed keys, giving what the per-event tables would give pair by
+:meth:`StreamingRules.run` scores a whole block at once with array passes,
+giving what the per-event tables would give pair by
 pair (``tests/core/reference_streaming.py`` is that loop, kept as the
 oracle):
 
@@ -31,12 +31,17 @@ oracle):
   each occurrence ``p_j`` opens a rule interval ``[p_j + 1, p_{j-floor+1}
   + window_pairs]``; a source is covered where one of its pairs' intervals
   holds ``t``.  Between blocks only each key's last ``floor`` positions
-  inside the window are kept.
+  inside the window are kept, and ordered with the block's keys by
+  :func:`~repro.trace.blocks.key_order`.
 * lossy — counts only rise between two compressions, so the stream is cut
-  at bucket boundaries: inside a segment a pair's count is the sketch's
-  plus its occurrence rank, and a source is covered from the pair after
-  its first key reaches the floor.  Each boundary compresses the sorted
-  ``(keys, counts, deltas)`` arrays as ``SketchCounts`` compresses its rows.
+  at bucket boundaries, and the block is read as its histogram's rows
+  (:meth:`~repro.trace.blocks.PairBlock.key_inverse`).  Inside a segment a
+  key's pairs count the sketch's count plus their occurrence rank, and
+  every rule holds to the segment's end, so a source is covered from its
+  earliest open: the segment's start for a rule the sketch holds, else
+  the pair after the one that lifts one of its keys onto the floor.  Each
+  boundary compresses the sorted ``(keys, counts, deltas)`` arrays as
+  ``SketchCounts`` compresses its rows.
 """
 
 from __future__ import annotations
@@ -50,38 +55,20 @@ import numpy as np
 from repro.core.counts import SketchCounts, WindowCounts
 from repro.core.evaluation import RulesetTestResult
 from repro.core.runner import StrategyRun, TrialResult, observe_block_timing
-from repro.trace.blocks import PairBlock, source_bits
+from repro.trace.blocks import PairBlock, key_order, source_bits
 from repro.utils.validation import check_fraction
 
 __all__ = ["StreamingRules"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
-_LOW = np.uint64(0xFFFFFFFF)
-_SIGN = np.uint64(1 << 63)
 
 
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """The order that sorts int64 ``keys``, equal keys by position — what
-    numpy's stable ``argsort`` gives, without its timsort.
-
-    A radix sort of two 32-bit digits, the low half of each key first:
-    each pass is one ``np.sort`` of ``digit << 32 | index``, so equal
-    digits keep the previous pass's order.  Flipping the sign bit turns
-    signed order into unsigned order.  ``len(keys)`` must be below
-    ``2**32``."""
-    unsigned = keys.view(np.uint64) ^ _SIGN
-    index = np.arange(len(keys), dtype=np.uint64)
-    low = unsigned << np.uint64(32)
-    low |= index
-    low.sort()
-    low &= _LOW
-    order = low.view(np.int64)
-    high = unsigned[order]
-    high &= ~_LOW
-    high |= index
-    high.sort()
-    high &= _LOW
-    return order[high.view(np.int64)]
+def _heads(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in ``ordered`` starts."""
+    head = np.empty(len(ordered), dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    return head
 
 
 def _n_covered(sources, first, last, keys) -> int:
@@ -128,14 +115,17 @@ class _WindowFold:
         #: stream position of the block's first pair.
         self.start = 0
 
-    def __call__(self, block_keys: np.ndarray) -> tuple[int, int, int]:
+    def __call__(self, block: PairBlock) -> tuple[int, int, int]:
         """Fold one block in; ``(covered, successful, n_rules)``."""
         window, floor = self.window, self.floor
-        start, stop = self.start, self.start + len(block_keys)
+        start, stop = self.start, self.start + len(block)
+        block_keys = block.packed_keys()
         keys = np.concatenate((self.keys, block_keys))
-        positions = np.concatenate((self.positions, np.arange(start, stop)))
-        order = _stable_order(keys)
-        keys, positions = keys[order], positions[order]
+        # carried keys sit before the block's, so each key's carried
+        # positions stay before its block ones
+        order = key_order(keys)
+        keys = keys[order]
+        positions = np.concatenate((self.positions, np.arange(start, stop)))[order]
         m = len(keys)
         pad = np.full(floor, -1, dtype=np.int64)
         behind_keys = np.concatenate((pad, keys))
@@ -153,9 +143,18 @@ class _WindowFold:
         first = np.maximum(positions + 1, start)
         last = np.minimum(oldest + window, stop - 1)
         opens = oldest_same & (first <= last)
-        sources = source_bits(keys[opens])
+        # a key's intervals rise at both ends, so a run of them that each
+        # meet the one before covers one stretch, from the run's first
+        # open to its last close
+        opened = keys[opens]
+        first, last = first[opens] - start, last[opens] - start
+        run = _heads(opened)
+        run[1:] |= first[1:] > last[:-1] + 1
+        ends = np.empty(len(run), dtype=bool)
+        ends[:-1] = run[1:]
+        ends[-1:] = True
         covered = _n_covered(
-            sources, first[opens] - start, last[opens] - start, block_keys
+            source_bits(opened[run]), first[run], last[ends], block_keys
         )
         # carry each key's last `floor` positions still inside the window
         ahead_keys = np.concatenate((keys, pad))
@@ -185,13 +184,24 @@ class _SketchFold:
         self.n_seen = 0
         self.bucket = 1
 
-    def __call__(self, block_keys: np.ndarray) -> tuple[int, int, int]:
-        """Fold one block in; ``(covered, successful, n_rules)``."""
+    def __call__(self, block: PairBlock) -> tuple[int, int, int]:
+        """Fold one block in, read as its histogram's keys and each pair's
+        row of them; ``(covered, successful, n_rules)``."""
+        rows = block.key_inverse()  # first: an in-memory block sorts once
+        keys, _ = block.key_histogram()
+        # the block's distinct sources, and each row's and pair's among them
+        source_keys = source_bits(keys)
+        head = _heads(source_keys)
+        sources = source_keys[head]
+        row_source = np.cumsum(head) - 1
+        pair_source = row_source[rows]
         covered = successful = 0
-        start, n = 0, len(block_keys)
+        start, n = 0, len(rows)
         while start < n:
             stop = min(n, start + self.width - self.n_seen % self.width)
-            segment_covered, segment_successful = self._segment(block_keys[start:stop])
+            segment_covered, segment_successful = self._segment(
+                keys, rows[start:stop], sources, row_source, pair_source[start:stop]
+            )
             covered += segment_covered
             successful += segment_successful
             self.n_seen += stop - start
@@ -204,34 +214,46 @@ class _SketchFold:
             start = stop
         return covered, successful, int(np.count_nonzero(self.counts >= self.floor))
 
-    def _segment(self, segment: np.ndarray) -> tuple[int, int]:
-        """Score and count pairs no compression separates."""
-        floor, n = self.floor, len(segment)
-        order = _stable_order(segment)
-        keys = segment[order]
-        head = np.empty(n, dtype=bool)
-        head[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=head[1:])
-        heads = np.flatnonzero(head)
-        group = np.cumsum(head) - 1
-        distinct = keys[heads]
+    def _segment(self, keys, rows, sources, row_source, pair_source) -> tuple[int, int]:
+        """Score and count the pairs ``keys[rows]``, which no compression
+        separates; ``sources`` are the block's distinct sources, and
+        ``row_source`` / ``pair_source`` each row's and pair's among them."""
+        floor, n = self.floor, len(rows)
+        sizes = np.bincount(rows)
+        present = np.flatnonzero(sizes)
+        sizes = sizes[present]
+        distinct = keys[present]
         at = np.searchsorted(self.keys, distinct)
         held = np.zeros(len(distinct), dtype=np.int64)
         found = at < len(self.keys)
         found[found] = self.keys[at[found]] == distinct[found]
         held[found] = self.counts[at[found]]
-        # each pair's count when it is tested: the sketch's plus its rank
-        before = held[group] + np.arange(n) - heads[group]
-        successful = int(np.count_nonzero(before >= floor))
-        # a source is covered from the start by a rule the sketch holds,
-        # and from the pair after the one that lifts a key onto the floor
-        reach = before == floor - 1
+        # a key's pairs count held, held + 1, ... when they are tested
+        short = np.maximum(floor - held, 0)
+        successful = int(np.maximum(sizes - short, 0).sum())
+        # every rule holds to the segment's end, so a source is covered
+        # from its earliest open: the start, for a rule the sketch holds,
+        # else the pair after the one that lifts a key onto the floor
+        earliest = np.full(len(sources), n, dtype=np.int64)
+        reach = (short > 0) & (short <= sizes)
+        if reach.any():
+            # the lifting keys' pairs, by key then position
+            lifting = np.zeros(len(keys), dtype=bool)
+            lifting[present[reach]] = True
+            pairs = np.flatnonzero(lifting[rows])
+            pairs = pairs[np.argsort(rows[pairs], kind="stable")]
+            offsets = np.cumsum(sizes[reach]) - sizes[reach]
+            lifts = pairs[offsets + short[reach] - 1] + 1
+            owner = row_source[present[reach]]
+            runs = np.flatnonzero(_heads(owner))
+            earliest[owner[runs]] = np.minimum.reduceat(lifts, runs)
         held_rules = source_bits(self.keys[self.counts >= floor])
-        opening = np.concatenate((held_rules, source_bits(keys[reach])))
-        first = np.concatenate((np.zeros(len(held_rules), np.int64), order[reach] + 1))
-        covered = _n_covered(opening, first, n - 1, segment)
+        slot = np.searchsorted(sources, held_rules)
+        inside = slot < len(sources)
+        slot = slot[inside]
+        earliest[slot[sources[slot] == held_rules[inside]]] = 0
+        covered = int(np.count_nonzero(np.arange(n) >= earliest[pair_source]))
         # fold in: held keys add their counts, new keys enter the bucket
-        sizes = np.diff(np.append(heads, n))
         self.counts[at[found]] += sizes[found]
         # one merge for the three columns: the i-th new key lands after
         # the held keys below it and the i new keys before it
@@ -351,7 +373,7 @@ class StreamingRules:
         training block, so per-trial series stay aligned across
         strategies); every subsequent block yields a
         :class:`~repro.core.runner.TrialResult`.  Blocks are read through
-        :meth:`~repro.trace.blocks.PairBlock.packed_keys`, so an id
+        their packed keys (exact) or histogram rows (lossy), so an id
         outside ``[0, 2**31)`` raises ``ValueError`` as it does for the
         batch strategies.
         """
@@ -363,12 +385,12 @@ class StreamingRules:
             fold = _WindowFold(self.window_pairs, self.min_support_count)
         else:
             fold = _SketchFold(self.epsilon, self.min_support_count)
-        fold(warmup.packed_keys())
+        fold(warmup)
         del warmup
         trials = []
         for block in it:
             t0 = perf_counter()
-            n_covered, n_successful, n_rules = fold(block.packed_keys())
+            n_covered, n_successful, n_rules = fold(block)
             observe_block_timing("test", self.name, perf_counter() - t0)
             trials.append(
                 TrialResult(

@@ -24,8 +24,8 @@ import numpy as np
 from repro.trace.capture import PairLog
 
 __all__ = [
-    "PairBlock", "count_keys", "partition_pairs", "blocks_from_arrays",
-    "iter_blocks_from_arrays", "scan_id_range",
+    "PairBlock", "count_keys", "key_order", "rank_keys", "partition_pairs",
+    "blocks_from_arrays", "iter_blocks_from_arrays", "scan_id_range",
     # the packed pair key
     "ID_LIMIT", "pack_keys", "key_sources", "key_repliers", "source_bits",
     "source_key_range",
@@ -70,6 +70,67 @@ def count_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in-memory block's histogram (resolved at call time so tests can
     count it)."""
     return np.unique(keys, return_counts=True)
+
+
+def _row_dtype(n_rows: int) -> np.dtype:
+    """The narrowest unsigned dtype that numbers ``n_rows`` rows: one a
+    stable ``argsort`` orders by radix, not by timsort, up to 2**16."""
+    return np.dtype(
+        np.uint8 if n_rows <= 1 << 8 else np.uint16 if n_rows <= 1 << 16 else np.uint32
+    )
+
+
+def key_order(keys: np.ndarray) -> np.ndarray:
+    """What ``np.argsort(keys, kind="stable")`` returns for packed
+    ``keys``: their order, equal keys by position.
+
+    When there is room for a position beside each key, it is one
+    ``np.sort`` of ``value << bits | position``, which orders and
+    locates at once.  The value is the key less the smallest one, or,
+    when that span is too wide, ``source * replier span + replier`` with
+    ids less the smallest of each (up to 2**24 ids each for 2**14 keys:
+    the paper's trace); past that it is the stable argsort, a timsort."""
+    n = len(keys)
+    if n == 0:
+        return np.zeros(0, dtype=np.intp)
+    bits = max((n - 1).bit_length(), 1)
+    smallest = int(keys.min())
+    if (int(keys.max()) - smallest).bit_length() + bits <= 63:
+        order = keys - smallest
+    else:
+        sources, repliers = key_sources(keys), key_repliers(keys)
+        sources -= sources.min()
+        low = int(repliers.min())
+        span = int(repliers.max()) - low + 1
+        if ((int(sources.max()) + 1) * span) << bits > 1 << 63:
+            return np.argsort(keys, kind="stable")
+        order = sources * span
+        order += repliers
+        order -= low
+    order <<= bits
+    order |= np.arange(n)
+    order.sort()
+    order &= (1 << bits) - 1
+    return order
+
+
+def rank_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`count_keys` of ``keys`` and each key's row of it, in the
+    narrowest unsigned dtype that numbers the rows, from one
+    :func:`key_order`: an in-memory block's histogram and inverse when it
+    is asked for its inverse first (resolved at call time so tests can
+    count it)."""
+    n = len(keys)
+    order = key_order(keys)
+    ordered = keys[order]
+    head = np.empty(n, dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    counts = np.diff(starts, append=n)
+    rows = np.empty(n, dtype=_row_dtype(len(starts)))
+    rows[order] = np.repeat(np.arange(len(starts), dtype=rows.dtype), counts)
+    return ordered[starts], counts, rows
 
 
 def column_digest(sources: np.ndarray, repliers: np.ndarray) -> bytes:
@@ -184,13 +245,23 @@ class PairBlock:
         return cached
 
     def key_inverse(self) -> np.ndarray:
-        """Memoized, read-only position of each pair's key in
-        ``key_histogram()[0]``: scatters a per-key answer back to the
-        pairs, for the tests that need one answer per pair."""
+        """Memoized, read-only row of ``key_histogram()`` for each pair,
+        in the narrowest unsigned dtype that numbers the rows: scatters a
+        per-key answer back to the pairs, for the tests that need one
+        answer per pair, and orders the pairs by key with a radix
+        ``argsort``.
+
+        An in-memory block ranks its keys with :func:`rank_keys`, which
+        memoizes the histogram too when it is not yet known; a store
+        block decodes its row index instead.
+        """
         cached = self.__dict__.get("_key_inverse")
         if cached is None:
-            keys, _ = self.key_histogram()
-            cached = _read_only(np.searchsorted(keys, self.packed_keys()))
+            keys, counts, cached = rank_keys(self.packed_keys())
+            if "_key_histogram" not in self.__dict__:
+                histogram = (_read_only(keys), _read_only(counts))
+                object.__setattr__(self, "_key_histogram", histogram)
+            cached = _read_only(cached)
             object.__setattr__(self, "_key_inverse", cached)
         return cached
 

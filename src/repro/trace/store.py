@@ -555,10 +555,12 @@ class _StoreBlock(PairBlock):
 
     Its fingerprint and id validation come from the store.
     ``key_histogram()`` decodes the codec-3 key segment, its
-    ``packed_keys()`` are its rows' keys of that one decoded histogram,
-    and ``sources`` / ``repliers`` are split from them.  ``len()`` is the
-    index entry's.  The block holds its reader, so the reader stays open
-    while the block lives unless someone closes it.
+    ``key_inverse()`` is its decoded codec-4 row index (kept in the
+    index's 1-, 2- or 4-byte width), its ``packed_keys()`` are those
+    rows' keys of that one decoded histogram, and ``sources`` /
+    ``repliers`` are split from them.  ``len()`` is the index entry's.
+    The block holds its reader, so the reader stays open while the block
+    lives unless someone closes it.
     """
 
     def __init__(
@@ -600,9 +602,16 @@ class _StoreBlock(PairBlock):
     def packed_keys(self) -> np.ndarray:
         keys = self.__dict__.get("_packed_keys")
         if keys is None:
-            keys = self._reader._row_keys(self._entry, self.key_histogram())
+            keys = _read_only(np.take(self.key_histogram()[0], self.key_inverse()))
             object.__setattr__(self, "_packed_keys", keys)
         return keys
+
+    def key_inverse(self) -> np.ndarray:
+        rows = self.__dict__.get("_key_inverse")
+        if rows is None:
+            rows = self._reader._rows(self._entry, self.key_histogram()[1])
+            object.__setattr__(self, "_key_inverse", rows)
+        return rows
 
     def key_histogram(self) -> tuple[np.ndarray, np.ndarray]:
         histogram = self.__dict__.get("_key_histogram")
@@ -901,15 +910,11 @@ class TraceStoreReader:
         lengths, payload = self._layout(entry)
         return self._read_at(payload + sum(lengths[:segment]), lengths[segment])
 
-    def _row_keys(
-        self, entry: _BlockEntry, histogram: tuple[np.ndarray, np.ndarray]
-    ) -> np.ndarray:
-        """Block ``entry``'s packed keys in pair order: each pair's row of
-        the block's decoded ``histogram``."""
-        keys, counts = histogram
+    def _rows(self, entry: _BlockEntry, counts: np.ndarray) -> np.ndarray:
+        """Block ``entry``'s row index: each pair's row of the block's
+        key histogram, whose ``counts`` the rows must count."""
         stored = self._stored(entry, 0)
-        rows = _decode_row_index(stored, entry.n_pairs, counts, self.path)
-        return _read_only(np.take(keys, rows))
+        return _decode_row_index(stored, entry.n_pairs, counts, self.path)
 
     def _key_histogram(self, entry: _BlockEntry) -> tuple[np.ndarray, np.ndarray]:
         """Block ``entry``'s key histogram, off its codec-3 key segment."""
@@ -923,7 +928,8 @@ class TraceStoreReader:
         re-hashes or re-scans.  Its header and segment layout are
         checked here; its segments are read when first asked for —
         ``key_histogram()`` reads the key segment alone, and
-        ``sources`` / ``repliers`` / ``packed_keys()`` the row index too.
+        ``key_inverse()`` / ``packed_keys()`` / ``sources`` /
+        ``repliers`` the row index too, once between them.
         """
         entry = self._entry(i)
         self._layout(entry)

@@ -45,6 +45,19 @@ each fails ``test_streaming_fold_equals_the_loop_on_swept_traces`` and the
   — ``[drift-lossy]``;
 * a rule interval whose end is exclusive instead of inclusive —
   ``[drift-exact-w7]``.
+
+A store block is read through its decoded row index and an in-memory
+block through one sort of its keys, so
+``test_streaming_store_blocks_equal_memory_blocks_and_the_loop`` runs
+both backends over both and the loop, on row indexes 1 and 2 bytes wide,
+one key a block, floor 1 and a bucket width (9) that divides no block
+size.  Mutants of the lossy fold's coverage, and the cases that fail
+them:
+
+* a source's earliest open taken as the max of its keys' opens —
+  ``[rows-1-byte-lossy]`` and ``[floor-1-lossy]``;
+* the sources of rules the sketch already holds ignored (covered only
+  from a key lifted in the segment) — every ``lossy`` case.
 """
 
 from collections import Counter, deque
@@ -65,7 +78,7 @@ from repro.core.streaming import StreamingRules
 from repro.core.thresholds import RollingThreshold
 from repro.parallel.partition import evaluate_store, evaluate_store_partitioned
 from repro.trace.blocks import blocks_from_arrays
-from repro.trace.store import TraceStoreWriter
+from repro.trace.store import TraceStoreReader, TraceStoreWriter
 from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator
 from tests.conftest import make_block
 from tests.core.reference_rules import (
@@ -459,6 +472,55 @@ def test_streaming_folds_equal_the_loop_at_block_scale(paper_blocks, config, flo
     strategy = StreamingRules(min_support_count=floor, **BLOCK_SCALE[config])
     run = strategy.run(b for b in paper_blocks)
     assert run == reference_streaming_run(strategy, paper_blocks)
+
+
+def _wide(n_blocks, pairs_per_block, seed=3):
+    """Blocks of more than 256 distinct keys, whose store row index is 2
+    bytes wide; each source's repliers are skewed so some keys reach a
+    floor of 2 while others of the same source do not."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for i in range(n_blocks):
+        sources = rng.integers(0, 40, pairs_per_block)
+        repliers = 1000 + rng.geometric(0.15, pairs_per_block) + i % 3
+        pairs = list(zip(sources.tolist(), repliers.tolist()))
+        blocks.append(make_block(pairs, index=i))
+    return blocks
+
+
+#: name -> (blocks, support floor, store row width in bytes).
+FOLD_TRACES = {
+    "rows-1-byte": (_drift(7, 60, n_sources=6), 2, 1),
+    "rows-2-bytes": (_wide(5, 700), 2, 2),
+    "one-key": ([make_block([(1, 10)] * 30, index=i) for i in range(5)], 2, 1),
+    "floor-1": (_drift(7, 60, n_sources=6), 1, 1),
+}
+#: name -> StreamingRules settings: windows below and above a block, and
+#: a bucket width of 9 pairs, which divides none of the block sizes.
+FOLD_CONFIGS = {
+    "exact-w45": {"window_pairs": 45},
+    "exact-w1000": {"window_pairs": 1000},
+    "lossy": {"backend": "lossy", "epsilon": 1 / 8.5},
+}
+
+
+@pytest.mark.parametrize("config", FOLD_CONFIGS)
+@pytest.mark.parametrize("trace", FOLD_TRACES)
+def test_streaming_store_blocks_equal_memory_blocks_and_the_loop(
+    tmp_path, trace, config
+):
+    blocks, floor, width = FOLD_TRACES[trace]
+    path = tmp_path / "t.rptrace"
+    with TraceStoreWriter(path, block_size=len(blocks[0])) as writer:
+        for block in blocks:
+            writer.append_block(block)
+    strategy = StreamingRules(min_support_count=floor, **FOLD_CONFIGS[config])
+    want = reference_streaming_run(strategy, blocks)
+    memory = [make_block(list(_pairs(b)), index=b.index) for b in blocks]
+    assert strategy.run(memory) == want
+    with TraceStoreReader(path) as reader:
+        assert {row["width"] for row in reader.describe_blocks()} == {width}
+        assert strategy.run(reader.iter_blocks()) == want
 
 
 @pytest.mark.parametrize("at", [0, 2])

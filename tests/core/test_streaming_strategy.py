@@ -1,11 +1,9 @@
 """Tests for repro.core.streaming (the streaming strategy)."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.counts import SketchCounts, WindowCounts
-from repro.core.streaming import StreamingRules, _stable_order
+from repro.core.streaming import StreamingRules
 from repro.obs.registry import get_global_registry
 from tests.conftest import make_block
 
@@ -245,29 +243,3 @@ class TestGeneratorInput:
     def test_generator_with_too_few_blocks(self):
         with pytest.raises(ValueError):
             StreamingRules(min_support_count=2).run(iter(drifting_blocks(1)))
-
-
-@st.composite
-def int64_keys(draw):
-    """Keys drawn from a pool of 1 to ``n`` values, so ties run from all
-    equal to none; lengths from empty to past 2**16; values up to 2**62 - 1
-    or over the whole int64 range, the bounds themselves included."""
-    n = draw(
-        st.one_of(
-            st.integers(0, 2), st.integers(3, 400), st.integers(2**16 + 1, 2**16 + 4000)
-        )
-    )
-    low, high = draw(
-        st.sampled_from([(0, 3), (0, 2**31), (0, 2**62 - 1), (-(2**63), 2**63 - 1)])
-    )
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pool = rng.integers(low, high, size=draw(st.integers(1, max(n, 1))), endpoint=True)
-    pool[: draw(st.integers(0, 2))] = high
-    pool[len(pool) - draw(st.integers(0, 1)) :] = low
-    return pool[rng.integers(0, len(pool), size=n)]
-
-
-@settings(max_examples=150, deadline=None)
-@given(int64_keys())
-def test_stable_order_is_the_stable_argsort(keys):
-    np.testing.assert_array_equal(_stable_order(keys), np.argsort(keys, kind="stable"))

@@ -11,7 +11,8 @@ imported.  The conventions the parser reads:
 * a name spelled ``repro.x.y.z`` resolves from the module ``repro.x.y``;
 * a name starting with ``.`` is an attribute of the name before it and
   is not resolved on its own;
-* anything after ``→`` / ``->`` describes a result, not a name.
+* anything after a ``→`` / ``->`` outside backticks describes a result,
+  not a name (one inside backticks is part of the name's signature).
 
 Tables with other headers (``| method |``, ``| series |``, ...) are not
 read: their rows are methods of a class above or metric names.
@@ -29,7 +30,10 @@ API_MD = Path(__file__).resolve().parent.parent / "docs" / "api.md"
 
 _SECTION = re.compile(r"^## (repro(?:\.\w+)*)\b")
 _OVERRIDE = re.compile(r"\(`(repro(?:\.\w+)+)`\)")
-_TOKEN = re.compile(r"`([^`]+)`")
+#: the text before each backticked token, and the token: an arrow inside
+#: backticks is part of a signature, one outside starts the result.
+_TOKEN = re.compile(r"([^`]*)`([^`]+)`")
+_ARROW = re.compile(r"→|->")
 _LEADING = re.compile(r"[A-Za-z_]\w*(?:\.\w+)*")
 
 
@@ -56,8 +60,9 @@ def documented_names(text: str) -> list[tuple[int, str, str]]:
         override = _OVERRIDE.search(cell)
         row_module = override.group(1) if override else module
         cell = _OVERRIDE.sub("", cell)
-        cell = re.split(r"→|->", cell)[0]
-        for token in _TOKEN.findall(cell):
+        for before, token in _TOKEN.findall(cell):
+            if _ARROW.search(before):
+                break  # the rest of the cell describes a result
             leading = _LEADING.match(token)
             if leading is None:
                 continue
@@ -93,6 +98,27 @@ def test_every_documented_name_resolves():
     names = documented_names(API_MD.read_text(encoding="utf-8"))
     assert len(names) > 150  # the parser still reads the tables
     assert stale_rows(API_MD.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "row, names",
+    [
+        (
+            "| `ContentCatalog.draw_library(rng, profile, *, size) -> ndarray` | x |",
+            ["ContentCatalog.draw_library"],
+        ),
+        ("| `sample_library(...) -> frozenset[int]` | x |", ["sample_library"]),
+        ("| `match_block(ruleset, block)` → `(covered, hit)` | x |", ["match_block"]),
+        (
+            "| `Topology`, `random_regular` -> `Topology` | x |",
+            ["Topology", "random_regular"],
+        ),
+    ],
+)
+def test_documented_names_reads_names_before_an_outside_arrow(row, names):
+    table = f"| name | what |\n|---|---|\n{row}\n"
+    text = f"## repro.workload.content — a section\n\n{table}"
+    assert documented_names(text) == [(5, "repro.workload.content", n) for n in names]
 
 
 @pytest.mark.parametrize(

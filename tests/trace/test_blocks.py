@@ -2,11 +2,20 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.trace.blocks import PairBlock, blocks_from_arrays, partition_pairs
+import repro.trace.blocks as blocks_module
+from repro.trace.blocks import (
+    ID_LIMIT,
+    PairBlock,
+    blocks_from_arrays,
+    key_order,
+    pack_keys,
+    partition_pairs,
+)
 from repro.trace.capture import PairLog
 from repro.trace.records import QueryReplyPair
+from repro.trace.store import TraceStoreReader, TraceStoreWriter
 
 
 class TestPairBlock:
@@ -139,6 +148,120 @@ class TestPairBlockMemoization:
 
     def test_fingerprint_memoized(self, small_block):
         assert small_block.fingerprint() is small_block.fingerprint()
+
+
+class TestKeyInverse:
+    """``key_inverse()`` is each pair's row of ``key_histogram()``, in the
+    narrowest unsigned dtype: one sort for an in-memory block, the
+    decoded row index for a store block."""
+
+    @staticmethod
+    def blocks(tmp_path, n_keys, n_pairs):
+        """An in-memory block of ``n_pairs`` pairs over exactly ``n_keys``
+        distinct keys, the same block with its histogram counted first,
+        and the block read back from a store."""
+        rng = np.random.default_rng(n_keys)
+        picks = np.concatenate(
+            (np.arange(n_keys), rng.integers(0, n_keys, n_pairs - n_keys))
+        )
+        rng.shuffle(picks)
+        sources, repliers = picks // 7 + 3, 2**31 - 1 - picks % 7
+        memory = PairBlock(sources, repliers)
+        counted = PairBlock(sources, repliers)
+        counted.key_histogram()
+        with TraceStoreWriter(tmp_path / "t.rptrace", block_size=n_pairs) as writer:
+            writer.append_block(memory)
+        reader = TraceStoreReader(tmp_path / "t.rptrace")
+        return reader, (memory, counted, reader.block(0))
+
+    @pytest.mark.parametrize(
+        "n_keys, n_pairs, width",
+        [(1, 1, 1), (1, 40, 1), (256, 600, 1), (257, 600, 2), (3000, 10_000, 2)],
+    )
+    def test_it_is_the_search_of_the_packed_keys(
+        self, tmp_path, n_keys, n_pairs, width
+    ):
+        reader, blocks = self.blocks(tmp_path, n_keys, n_pairs)
+        with reader:
+            assert next(reader.describe_blocks())["width"] == width
+            for block in blocks:
+                inverse = block.key_inverse()
+                keys, _ = block.key_histogram()
+                assert inverse.dtype == np.dtype(f"u{width}")
+                assert not inverse.flags.writeable
+                assert block.key_inverse() is inverse
+                np.testing.assert_array_equal(
+                    inverse, np.searchsorted(keys, block.packed_keys())
+                )
+                for got, want in zip(
+                    block.key_histogram(),
+                    np.unique(block.packed_keys(), return_counts=True),
+                ):
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(got, want)
+
+    def test_an_in_memory_block_sorts_once(self, monkeypatch):
+        """Asked for its inverse first, a block counts its histogram in
+        the same sort; asked for its histogram first, it sorts again only
+        for the inverse."""
+        calls = []
+        for name in ("count_keys", "rank_keys"):
+            real = getattr(blocks_module, name)
+            monkeypatch.setattr(
+                blocks_module,
+                name,
+                lambda keys, name=name, real=real: calls.append(name) or real(keys),
+            )
+        block = PairBlock(np.array([4, 2, 4, 2, 4]), np.array([1, 1, 1, 9, 1]))
+        block.key_inverse()
+        block.key_histogram()
+        assert calls == ["rank_keys"]
+        block = PairBlock(np.array([4, 2, 4, 2, 4]), np.array([1, 1, 1, 9, 1]))
+        block.key_histogram()
+        block.key_inverse()
+        assert calls == ["rank_keys", "count_keys", "rank_keys"]
+
+    def test_a_store_block_reads_its_row_index_once(self, tmp_path, monkeypatch):
+        segments = []
+        real = TraceStoreReader._stored
+        monkeypatch.setattr(
+            TraceStoreReader,
+            "_stored",
+            lambda self, entry, segment: segments.append(segment)
+            or real(self, entry, segment),
+        )
+        reader, (_memory, _counted, block) = self.blocks(tmp_path, 300, 900)
+        with reader:
+            block.key_inverse()
+            block.packed_keys()
+            block.sources
+            block.key_inverse()
+        assert segments == [2, 0]
+
+
+@st.composite
+def packed_keys(draw):
+    """Packed keys drawn from a pool of 1 to ``n`` distinct keys, so ties
+    run from all equal to none.  Ids span 4 values, 2**17 (the paper's
+    trace), 2**24 or up to the id limit, and up to 40,000 keys: so the
+    sort of keys less the smallest, of ids less theirs, and the timsort
+    all run."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(0, 3), st.integers(4, 300), st.just(40_000)))
+    high = draw(st.sampled_from([3, 2**17, 2**24, ID_LIMIT - 1]))
+    low = draw(st.sampled_from([0, high // 2, high]))
+    size = draw(st.integers(1, max(n, 1)))
+    pool = pack_keys(
+        rng.integers(low, high, size=size, endpoint=True),
+        rng.integers(low, high, size=size, endpoint=True),
+    )
+    return pool[rng.integers(0, len(pool), size=n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_keys())
+def test_key_order_is_the_stable_argsort(keys):
+    np.testing.assert_array_equal(key_order(keys), np.argsort(keys, kind="stable"))
 
 
 class TestBlocksFromArrays:
