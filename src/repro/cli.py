@@ -38,9 +38,10 @@ Commands
     percentiles, error rates, and the saturation summary (see
     ``docs/scale.md``).
 ``trace-inspect STORE``
-    Print a trace store's header (version, flags, meta word) and, per
-    block, its segment codecs, stored lengths, distinct keys, row width
-    and verify result; exits 1 when a block fails to verify.
+    Print a trace store's header (version, meta word, block size, closed
+    or recovered) and, per block, its pairs, two stored lengths, distinct
+    keys, row width and verify result; exits 1 when a block fails to
+    verify.
 ``trace-view``
     Merge the ``/trace`` spans of running ``live-node --metrics-port``
     daemons into query trees plus a live α/ρ rollup.
@@ -226,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_inspect = sub.add_parser(
         "trace-inspect",
-        help="print a trace store's header and, per block, its segment "
-        "codecs, stored lengths, distinct keys, row width and verify result",
+        help="print a trace store's header and, per block, its pairs, "
+        "stored lengths, distinct keys, row width and verify result",
     )
     trace_inspect.add_argument("path", metavar="STORE", help="store file to inspect")
 
@@ -756,15 +757,15 @@ def _run_trace_inspect(args) -> int:
         _log.error("cannot open trace store", extra={"error": str(exc)})
         return 2
     with reader:
-        opened = "recovered by scan" if reader.recovered else "footer"
         print(
-            f"{args.path}: version {reader.version}, flags {reader.flags:#x}, "
+            f"{args.path}: version {reader.version}, "
             f"meta {reader.meta_fingerprint:#018x}, "
             f"block size {reader.block_size:,}, {reader.n_blocks} block(s) / "
-            f"{reader.n_pairs:,} pairs ({opened})"
+            f"{reader.n_pairs:,} pairs "
+            f"({'recovered' if reader.recovered else 'closed'})"
         )
-        columns = "{:>5} {:>8} {:>7} {:>24} {:>7} {:>5}  {}"
-        heads = ("block", "pairs", "codecs", "stored bytes", "d", "width", "verify")
+        columns = "{:>5} {:>8} {:>24} {:>7} {:>5}  {}"
+        heads = ("block", "pairs", "stored bytes", "d", "width", "verify")
         print(columns.format(*heads))
         intact = True
         for row in reader.describe_blocks():
@@ -773,8 +774,7 @@ def _run_trace_inspect(args) -> int:
                 columns.format(
                     row["block"],
                     row["pairs"],
-                    ",".join(map(str, row.get("codecs", ()))),
-                    ",".join(map(str, row.get("lengths", ()))),
+                    ",".join(map(str, row["lengths"])),
                     row.get("d", "-"),
                     row.get("width") or "-",
                     "ok" if row["intact"] else "FAIL",

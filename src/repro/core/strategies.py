@@ -144,8 +144,8 @@ class RulesetStrategy(abc.ABC):
         state is unboundedly history-dependent, e.g. adaptive
         thresholds).  Subclasses with bounded lookback override it.
 
-        ``block_pairs`` (per-block pair counts, e.g. from a store's
-        footer index) is only consulted by strategies whose warm-up is
+        ``block_pairs`` (per-block pair counts, e.g. a store's
+        ``block_pairs()``) is only consulted by strategies whose warm-up is
         denominated in pairs rather than blocks.
         """
         if scored_start < 1:

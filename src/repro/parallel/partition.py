@@ -2,7 +2,7 @@
 
 PR 8's ``.rptrace`` store made the paper's 10.5M-query regime fit in
 flat RSS, but evaluating one store was still serial.  This module splits
-a store's footer index into contiguous *block-range shards*, runs the
+a store's blocks into contiguous *block-range shards*, runs the
 strategy over each shard in a separate process (each worker opens the
 store read-only and maps one block at a time), and reassembles the
 partial :class:`~repro.core.runner.StrategyRun` objects with

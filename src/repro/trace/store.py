@@ -14,71 +14,65 @@ append-only file of little-endian block segments, so that
 
 File layout (all integers little-endian)::
 
-    header   (32 B)  magic "RPTRACE1" | version u32 | flags u32
-                     | block_size u64 | meta fingerprint u64
-    block*           block header (32 B): magic "RPTB" | codecs u32
-                     | n_pairs u64 | blake2b-128 fingerprint (16 B)
-                     one u64 stored length per segment
-                     followed by the three segments:
-                     sources  each pair's histogram row (codec 4)
-                     repliers nothing
-                     keys     the block's key histogram (codec 3)
-    footer   index:  one 32 B entry per block
-                     (block_offset u64 | n_pairs u64 | fingerprint 16 B)
-             trailer (40 B): magic "RPTFOOT1" | index_offset u64
-                     | n_blocks u64 | total_pairs u64
-                     | index crc32 u32 | version u32
+    header   (32 B)  magic "RPTRACE1" | version u64 | block_size u64
+                     | meta fingerprint u64
+    block*   header  (40 B): magic "RPTB" | n_pairs u32
+                     | blake2b-128 fingerprint (16 B)
+                     | index length u64 | histogram length u64
+             then its two segments, each as long as its header says:
+             index      each pair's row of the key histogram (codec 4)
+             histogram  the block's key histogram (codec 3)
+    trailer  (24 B): magic "RPTFOOT1" | n_blocks u64 | total_pairs u64
 
-Every store is version 2 with header flags bit 1 (once "sorted key
-segments"), and every block holds one layout: segment codecs
-``(4, 4, 3)``, one codec byte per segment packed into the block header's
-``codecs`` u32:
+Every store is version 3, and each block describes itself: opening
+walks the block headers from byte 32, each header placing the next.  The
+two segment encodings keep the codec numbers they had when each block
+header named them:
 
-* 3 — the key segment: the block's key histogram as narrow raw rows: a
-  u32 CRC-32 of the rest of the segment, three width bytes (1, 2 or 4;
-  for source steps, replier halves and counts), then three unsigned
-  planes of d rows each in that order — each row's source half minus the
-  previous row's (the first row's as it is), its replier half, its
-  count.  Nothing inflates: each plane is read in place;
-* 4 — both columns as one row index: segment 0 is a
-  u32 CRC-32 of the rest, one width byte (1, 2 or 4: the narrowest that
-  numbers the histogram's d rows), then each pair's row of the key
-  histogram, n of them; segment 1 is empty.  A pair's packed key is its
-  row's key, and the two columns are split from the keys when asked
-  for.  The decoder requires exactly n rows, each below d, that count
-  what the histogram's counts say, so the columns and the histogram
-  agree by construction.
+* 3 — the histogram segment: the block's key histogram as narrow raw
+  rows: a u32 CRC-32 of the rest of the segment, three width bytes (1, 2
+  or 4; for source steps, replier halves and counts), then three
+  unsigned planes of d rows each in that order — each row's source half
+  minus the previous row's (the first row's as it is), its replier half,
+  its count.  Nothing inflates: each plane is read in place;
+* 4 — the index segment, both columns as one row index: a u32 CRC-32 of
+  the rest, one width byte (1, 2 or 4: the narrowest that numbers the
+  histogram's d rows), then each pair's row of the key histogram, n of
+  them.  A pair's packed key is its row's key, and the two columns are
+  split from the keys when asked for.  The decoder requires exactly n
+  rows, each below d, that count what the histogram's counts say, so the
+  columns and the histogram agree by construction.
 
-Nothing else is read.  Earlier releases wrote other forms — version 1,
-pair-order key segments (flags bit 0), raw (codec 0) or deflated
-(codec 1) columns, sorted keys under zlib (codec 1) or a deflated
-histogram (codec 2) — and a header or a block header in any of them is
-refused with :class:`TraceStoreError` when the store is opened, before
-any segment is read; ``repro tracegen`` writes the trace again.
+Nothing else is read.  Earlier releases wrote other forms — versions 1
+and 2, with header flags, per-block codec words and a footer index — and
+a header of any other version is refused with :class:`TraceStoreError`
+when the store is opened, before any block is read; ``repro tracegen``
+writes the trace again.
 
 Block fingerprints are :func:`repro.trace.blocks.column_digest`
 (blake2b-128 of the *uncompressed* source, then replier, column bytes),
 whose hex is :meth:`PairBlock.fingerprint`, so store-resident blocks come
 back with their fingerprint already known.  The fingerprint does not
-cover the key segment, so the writer derives that segment from the two
+cover the histogram segment, so the writer derives it from the two
 columns it fingerprints, never from a block's memo.  A block's key
 histogram — all GENERATE-RULESET and RULESET-TEST read — is then one
 checked decode of the segment, with no column read and no sort; the
 decoder refuses a segment that cannot be its block's histogram of packed
 keys.  Verification (:meth:`TraceStoreReader.verify_blocks`,
-``verify=True`` and the footer-less scan) checks the columns against the
-fingerprint, and that is enough for the histogram too: the columns are
-the histogram's keys picked by the row index, and the two decoders
-require the keys to rise strictly and the rows to count the counts, so
-a store that verifies mines its columns' rules.
+``verify=True`` and the open of a store that is not closed) checks the
+columns against the fingerprint, and that is enough for the histogram
+too: the columns are the histogram's keys picked by the row index, and
+the two decoders require the keys to rise strictly and the rows to count
+the counts, so a store that verifies mines its columns' rules.
 
 Durability mirrors the WAL torn-tail semantics of ``repro.persist``: the
-footer is written only on a clean :meth:`TraceStoreWriter.close`, and a
-reader that finds a missing, truncated, or corrupt footer falls back to
-scanning block headers from the top of the file — verifying each block —
-and recovers everything up to the last complete, intact block.  A
-mid-write crash therefore loses at most the block being written, never
-the store.
+trailer is written only on a clean :meth:`TraceStoreWriter.close`, and
+the walk that opens a store is closed only where it ends exactly at a
+trailer that counts its blocks and pairs.  Any other store (no trailer,
+a torn one, a header that is not a block's) is recovered: each walked
+block is verified, and the reader serves everything up to the last
+complete, intact one.  A mid-write crash therefore loses at most the
+block being written, never the store.
 
 A reader owns one file handle and supports ``close()`` / ``with``.
 Every segment is read with ``os.pread`` into memory of its own, so
@@ -117,30 +111,15 @@ __all__ = [
     "TraceStoreReader",
 ]
 
-_HEADER = struct.Struct("<8sIIQQ")
-_BLOCK_HEADER = struct.Struct("<4sIQ16s")
-_INDEX_ENTRY = struct.Struct("<QQ16s")
-_TRAILER = struct.Struct("<8sQQQII")
+_HEADER = struct.Struct("<8sQQQ")
+_BLOCK_HEADER = struct.Struct("<4sI16sQQ")
+_TRAILER = struct.Struct("<8sQQ")
 
 _MAGIC = b"RPTRACE1"
 _BLOCK_MAGIC = b"RPTB"
-_FOOTER_MAGIC = b"RPTFOOT1"
-#: the one version: per-segment codecs.
-_VERSION = 2
-#: flags bit 1 — each block's key segment is its key histogram; the one
-#: flag a store sets (bit 0 named the pair-order keys of earlier releases).
-_FLAG_SORTED = 2
-#: sources, repliers and packed keys.
-_N_SEGMENTS = 3
-
-#: per-segment codec ids (one byte each inside the block header's u32).
-#: the key segment (2): the block's key histogram as narrow rows.
-_CODEC_HISTOGRAM_ROWS = 3
-#: the column segments (0 and 1), both at once: each pair's row of the
-#: histogram in segment 0, segment 1 empty.
-_CODEC_ROW_INDEX = 4
-#: every block's three segment codecs.
-_CODECS = (_CODEC_ROW_INDEX, _CODEC_ROW_INDEX, _CODEC_HISTOGRAM_ROWS)
+_TRAILER_MAGIC = b"RPTFOOT1"
+#: the one version: blocks that describe themselves.
+_VERSION = 3
 #: what a refusal of another layout tells its reader to do.
 _REGENERATE = (
     "this reader reads one layout, and earlier releases wrote others: "
@@ -153,15 +132,14 @@ _ROWS_HEAD = struct.Struct("<I3B")
 _PLANES = {width: np.dtype(f"<u{width}") for width in (1, 2, 4)}
 #: a codec-4 segment's head: a CRC-32 of the rest, then its row width.
 _INDEX_HEAD = struct.Struct("<IB")
-#: a block header with its stored segment lengths.
-_BLOCK_HEAD = _BLOCK_HEADER.size + 8 * _N_SEGMENTS
-#: the pairs a block may hold: fewer, so every codec-3 count fits 4 bytes.
+#: the pairs a block may hold: fewer, so its header's u32 and every
+#: codec-3 count fit.
 _MAX_BLOCK_PAIRS = 1 << 32
 
 
 class TraceStoreError(Exception):
     """The file is not a trace store (bad magic or arguments), or not one
-    in the one layout this reader reads (another version, flags or codecs)."""
+    in the one layout this reader reads (another version)."""
 
 
 class TraceStoreCorruption(TraceStoreError):
@@ -170,11 +148,22 @@ class TraceStoreCorruption(TraceStoreError):
 
 @dataclass(frozen=True)
 class _BlockEntry:
-    """One footer-index row: where a block's segments live."""
+    """One block as its header describes it."""
 
     offset: int  # file offset of the block *header*
     n_pairs: int
     fingerprint: bytes  # blake2b-128 raw digest
+    lengths: tuple[int, int]  # stored lengths: index, histogram
+
+    @property
+    def payload(self) -> int:
+        """The file offset of the block's first segment."""
+        return self.offset + _BLOCK_HEADER.size
+
+    @property
+    def end(self) -> int:
+        """The file offset just past the block's last segment."""
+        return self.payload + sum(self.lengths)
 
 
 def _width(largest: int) -> int:
@@ -187,7 +176,7 @@ def _with_crc(body: bytes) -> bytes:
 
 
 def _histogram_rows(distinct: np.ndarray, counts: np.ndarray) -> bytes:
-    """The codec-3 key segment of the histogram ``(distinct, counts)``,
+    """The codec-3 segment of the histogram ``(distinct, counts)``,
     each plane as narrow as its largest value allows: a source step and
     a replier half are below 2**31, and a count below
     :data:`_MAX_BLOCK_PAIRS`."""
@@ -242,8 +231,8 @@ def _checked_histogram(
 def _decode_histogram_rows(
     stored: bytes, n_pairs: int, path: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A codec-3 key segment's ``(keys, counts)``, equal to
-    ``np.unique(keys, return_counts=True)`` of the block's packed keys —
+    """A codec-3 histogram segment's ``(keys, counts)``, equal to
+    :func:`repro.trace.blocks.count_keys` of the block's packed keys —
     after checking its CRC-32, that each plane is 1, 2 or 4 bytes wide,
     that its rows are whole and one to ``n_pairs`` of them, and
     :func:`_checked_histogram`.  A source step is below 2**32, so sources
@@ -328,15 +317,15 @@ class TraceStoreWriter:
     refused, not truncated, and a refused chunk leaves the writer as it
     was.  ``append_block`` writes an already-built
     :class:`~repro.trace.blocks.PairBlock` directly, reusing its memoized
-    fingerprint and id check.  Every block's key segment is packed from
-    its two columns and counted as it is written, once per block.
+    fingerprint and id check.  Every block's keys are packed from its
+    two columns and ranked as it is written, once per block.
 
-    Every block is written in version 2, in one layout: its key segment
-    as its key histogram in narrow rows (codec 3), and its columns as
-    each pair's row of that histogram (codec 4: 1, 2 or 4 bytes a pair).
-    Fingerprints stay over the int64 columns, and each segment records
-    its own codec byte so readers never guess.  A block holds fewer than
-    2**32 pairs, so every count of its histogram fits 4 bytes.
+    Every block is written in version 3, in one layout: its columns as
+    each pair's row of its key histogram (codec 4: 1, 2 or 4 bytes a
+    pair), then that histogram in narrow rows (codec 3), behind a header
+    that stores both lengths.  Fingerprints stay over the int64 columns.
+    A block holds fewer than 2**32 pairs, so its pair count and every
+    count of its histogram fit 4 bytes.
     ``codec`` chooses nothing: ``None`` and ``"zlib"`` write the same
     bytes, and any other value is refused.  It is kept because
     ``benchmarks/perf/offline.py`` passes both.  ``meta_fingerprint``
@@ -344,10 +333,9 @@ class TraceStoreWriter:
     config+seed+length hash — see
     :func:`repro.trace.cache.trace_fingerprint`) into the file header.
 
-    The footer index lands only in :meth:`close`; a crash (or an
-    exception inside the ``with`` block) leaves an append-only prefix
-    that :class:`TraceStoreReader` recovers up to the last complete
-    block.
+    The trailer lands only in :meth:`close`; a crash (or an exception
+    inside the ``with`` block) leaves an append-only prefix that
+    :class:`TraceStoreReader` recovers up to the last complete block.
     """
 
     def __init__(
@@ -369,19 +357,14 @@ class TraceStoreWriter:
         self.path = os.fspath(path)
         self.block_size = int(block_size)
         self.meta_fingerprint = int(meta_fingerprint)
-        self._entries: list[_BlockEntry] = []
+        self.n_blocks = 0
+        self.n_pairs = 0
         self._pending: list[np.ndarray] = []  # interleaved (src, rep) chunks
         self._pending_pairs = 0
         self._closed = False
         self._fh = open(self.path, "wb")
         self._fh.write(
-            _HEADER.pack(
-                _MAGIC,
-                _VERSION,
-                _FLAG_SORTED,
-                self.block_size,
-                self.meta_fingerprint,
-            )
+            _HEADER.pack(_MAGIC, _VERSION, self.block_size, self.meta_fingerprint)
         )
 
     # -- appending ----------------------------------------------------------
@@ -447,53 +430,44 @@ class TraceStoreWriter:
                 self._pending[1] = rep[take:]
             filled += take
         self._pending_pairs -= n_pairs
-        block = PairBlock(sources=sources, repliers=repliers, index=len(self._entries))
+        block = PairBlock(sources=sources, repliers=repliers, index=self.n_blocks)
         object.__setattr__(block, "_ids_validated", True)  # checked in append
         self._write_block(block)
 
     def _write_block(self, block: PairBlock) -> None:
-        offset = self._fh.tell()
         # The ids are checked (a flushed block's in append) before
-        # anything is written.  The key segment is packed from the
-        # columns the fingerprint covers, never taken from the block's
-        # packed_keys() memo, which nothing checks (resolved at call time
-        # so tests can count the packs).
+        # anything is written.  The keys are packed from the columns the
+        # fingerprint covers, never taken from the block's packed_keys()
+        # memo, which nothing checks (both resolved at call time so tests
+        # can count the packs).
         block.validate_ids()
         keys = blocks.pack_keys(block.sources, block.repliers)
-        fingerprint = bytes.fromhex(block.fingerprint())
-        distinct, rows, counts = np.unique(
-            keys, return_inverse=True, return_counts=True
-        )
-        codecs = _CODEC_ROW_INDEX | _CODEC_ROW_INDEX << 8 | _CODEC_HISTOGRAM_ROWS << 16
-        payloads = [
+        distinct, counts, rows = blocks.rank_keys(keys)
+        segments = (
             _row_index(rows, len(distinct)),
-            b"",
             _histogram_rows(distinct, counts),
-        ]
-        self._fh.write(
-            _BLOCK_HEADER.pack(_BLOCK_MAGIC, codecs, len(block), fingerprint)
         )
-        self._fh.write(struct.pack(f"<{_N_SEGMENTS}Q", *map(len, payloads)))
-        for payload in payloads:
-            self._fh.write(payload)
-        self._entries.append(_BlockEntry(offset, len(block), fingerprint))
+        self._fh.write(
+            _BLOCK_HEADER.pack(
+                _BLOCK_MAGIC,
+                len(block),
+                bytes.fromhex(block.fingerprint()),
+                *map(len, segments),
+            )
+        )
+        for segment in segments:
+            self._fh.write(segment)
+        self.n_blocks += 1
+        self.n_pairs += len(block)
 
     # -- lifecycle ----------------------------------------------------------
-    @property
-    def n_blocks(self) -> int:
-        return len(self._entries)
-
-    @property
-    def n_pairs(self) -> int:
-        return sum(e.n_pairs for e in self._entries)
-
     @property
     def pending_pairs(self) -> int:
         """Buffered pairs not yet part of a complete block."""
         return self._pending_pairs
 
     def close(self, *, drop_partial: bool = True) -> None:
-        """Flush, write the footer index, fsync, and close.
+        """Flush, write the trailer, fsync, and close.
 
         ``drop_partial=False`` writes any buffered tail as one final
         short block (analyses that must not lose data); the default
@@ -505,29 +479,14 @@ class TraceStoreWriter:
             self._flush_block(self._pending_pairs)
         self._pending.clear()
         self._pending_pairs = 0
-        index_offset = self._fh.tell()
-        index = b"".join(
-            _INDEX_ENTRY.pack(e.offset, e.n_pairs, e.fingerprint)
-            for e in self._entries
-        )
-        self._fh.write(index)
-        self._fh.write(
-            _TRAILER.pack(
-                _FOOTER_MAGIC,
-                index_offset,
-                len(self._entries),
-                self.n_pairs,
-                zlib.crc32(index),
-                _VERSION,
-            )
-        )
+        self._fh.write(_TRAILER.pack(_TRAILER_MAGIC, self.n_blocks, self.n_pairs))
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self._fh.close()
         self._closed = True
 
     def abandon(self) -> None:
-        """Close the file *without* a footer (simulates a crash mid-write)."""
+        """Close the file *without* a trailer (simulates a crash mid-write)."""
         if not self._closed:
             self._fh.flush()
             self._fh.close()
@@ -542,7 +501,7 @@ class TraceStoreWriter:
 
     def __exit__(self, exc_type, *exc) -> None:
         # A clean exit finalizes the store; an exception leaves the
-        # append-only prefix for footer-less recovery (torn-tail
+        # append-only prefix for trailer-less recovery (torn-tail
         # semantics), exactly like a crash would.
         if exc_type is None:
             self.close()
@@ -554,11 +513,11 @@ class _StoreBlock(PairBlock):
     """A block of a store that reads its segments on first use.
 
     Its fingerprint and id validation come from the store.
-    ``key_histogram()`` decodes the codec-3 key segment, its
+    ``key_histogram()`` decodes the codec-3 histogram segment, its
     ``key_inverse()`` is its decoded codec-4 row index (kept in the
     index's 1-, 2- or 4-byte width), its ``packed_keys()`` are those
     rows' keys of that one decoded histogram, and ``sources`` /
-    ``repliers`` are split from them.  ``len()`` is the index entry's.
+    ``repliers`` are split from them.  ``len()`` is its header's.
     The block holds its reader, so the reader stays open while the block
     lives unless someone closes it.
     """
@@ -628,17 +587,23 @@ class TraceStoreReader:
     when something first asks for it, and reads only that segment's byte
     range, so iterating a 10GB store keeps O(block_size) bytes resident —
     each block's arrays are freed as soon as the consumer drops the
-    block.  A block's key histogram comes off its codec-3 key segment, so
+    block.  A block's key histogram comes off its codec-3 segment, so
     mining and testing a block read neither column.
 
-    Opening reads the file header and every block header it serves, and
-    refuses a store in any layout but the one (:class:`TraceStoreError`).
-    It prefers the footer index (O(1), trusted after its CRC check).  A
-    missing or corrupt footer triggers a header scan that verifies each
-    block and stops at the first torn or corrupt block (``recovered`` is
-    then True).  ``verify=True`` forces the same check even when the
-    footer is intact, truncating the visible store at the first block
-    that fails it.
+    Opening reads the file header, refuses any version but the one
+    (:class:`TraceStoreError`), then walks the block headers from byte
+    32, reading each once, and reads the trailer where the walk ends::
+
+        header | block header, index, histogram | ... | trailer
+                 ^ each header places the next    ^ the walk must end here
+
+    The walk stops at the first header that is torn, mis-tagged, holds
+    no pairs or runs past the file.  A store whose walk ends exactly at
+    a trailer that counts its blocks and pairs is closed, and served as
+    walked; ``verify=True`` checks each of its blocks too, truncating the
+    visible store at the first that fails.  Any other store is
+    ``recovered``: each walked block is verified, and the store ends at
+    the first that fails.
 
     Readers are context managers: :meth:`close` (idempotent) drops the
     one file handle, so long partitioned runs do not accumulate fds.
@@ -651,10 +616,8 @@ class TraceStoreReader:
         # fails before the file handle exists.
         self._closed = False
         self._fh = None
-        self._layouts: dict[int, tuple[tuple[int, ...], int]] = {}
         self.path = os.fspath(path)
         self._size = os.path.getsize(self.path)
-        self.recovered = False
         self._fh = open(self.path, "rb")
         try:
             self._open(verify)
@@ -666,28 +629,22 @@ class TraceStoreReader:
         header = self._read_at(0, _HEADER.size)
         if len(header) < _HEADER.size:
             raise TraceStoreError(f"{self.path}: too short for a trace store")
-        magic, version, flags, block_size, meta = _HEADER.unpack(header)
+        magic, version, block_size, meta = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise TraceStoreError(f"{self.path}: bad magic {magic!r}")
         if version != _VERSION:
             raise TraceStoreError(
-                f"{self.path}: store version {version}, not {_VERSION}: {_REGENERATE}"
-            )
-        if flags != _FLAG_SORTED:
-            raise TraceStoreError(
-                f"{self.path}: header flags {flags:#x}, not {_FLAG_SORTED:#x}: "
+                f"{self.path}: store version {version:#x}, not {_VERSION:#x}: "
                 f"{_REGENERATE}"
             )
         self.version = int(version)
-        self.flags = int(flags)
         self.block_size = int(block_size)
         self.meta_fingerprint = int(meta)
-        self._entries = self._load_footer()
-        if self._entries is None:
-            self._entries = self._scan_blocks()
-            self.recovered = True
-        elif verify:
-            self._entries = self._verified_prefix(self._entries)
+        entries, closed = self._walk()
+        self.recovered = not closed
+        if verify or self.recovered:
+            entries = list(takewhile(self._intact, entries))
+        self._entries = entries
 
     # -- lifecycle ----------------------------------------------------------
     @property
@@ -727,102 +684,39 @@ class TraceStoreReader:
             raise TraceStoreError(f"{self.path}: reader is closed")
 
     # -- opening ------------------------------------------------------------
-    def _load_footer(self) -> list[_BlockEntry] | None:
-        """Parse the footer index; None when absent/torn/corrupt."""
-        if self._size < _HEADER.size + _TRAILER.size:
-            return None
-        magic, index_offset, n_blocks, total_pairs, crc, version = _TRAILER.unpack(
-            self._read_at(self._size - _TRAILER.size, _TRAILER.size)
-        )
-        if magic != _FOOTER_MAGIC or version != self.version:
-            return None
-        index_size = n_blocks * _INDEX_ENTRY.size
-        if index_offset + index_size + _TRAILER.size != self._size:
-            return None
-        index = self._read_at(index_offset, index_size)
-        if len(index) != index_size or zlib.crc32(index) != crc:
-            return None
-        entries = [
-            _BlockEntry(*_INDEX_ENTRY.unpack_from(index, off))
-            for off in range(0, index_size, _INDEX_ENTRY.size)
-        ]
-        if sum(e.n_pairs for e in entries) != total_pairs:
-            return None
-        if any(e.n_pairs < 1 for e in entries):
-            return None
-        # The blocks tile the file from the header to the index, each
-        # ending where its header's stored lengths say, and each header
-        # counts its entry's pairs.  A header in another layout refuses
-        # the store.  One whose own fields fail (a stored length past the
-        # file, a segment 1 that stores bytes) places nothing: its block
-        # stays indexed and raises when read, as a corrupt segment does,
-        # and the next entry's offset is not checked.
-        layouts = {}
-        end = _HEADER.size
-        for entry in entries:
-            if end is not None and entry.offset != end:
-                return None
-            head = self._block_head(entry.offset)
-            if len(head) < _BLOCK_HEAD:
-                return None
-            magic, _codecs, n_pairs, _fingerprint = _BLOCK_HEADER.unpack_from(head)
-            if magic != _BLOCK_MAGIC or n_pairs != entry.n_pairs:
-                return None
-            try:
-                layout = self._parse_layout(entry, head)
-            except TraceStoreCorruption:
-                end = None
-                continue
-            layouts[entry.offset] = layout
-            lengths, payload = layout
-            end = payload + sum(lengths)
-        if end is not None and end != index_offset:
-            return None
-        self._layouts.update(layouts)
-        return entries
-
-    def _scan_blocks(self) -> list[_BlockEntry]:
-        """Walk block headers from the top, keeping verified blocks.
-
-        Mirrors WAL torn-tail recovery: the first header that is
-        truncated, mis-tagged or out of bounds, or whose block fails
-        :meth:`_intact`, ends the store.  A header in another layout
-        refuses it.
-        """
+    def _walk(self) -> tuple[list[_BlockEntry], bool]:
+        """Every block the headers from byte 32 place, each header read
+        once, and whether the walk ends exactly at a trailer that counts
+        them.  A trailer is shorter than a block header, so no block can
+        start where one would."""
         entries: list[_BlockEntry] = []
-        offset = _HEADER.size
-        while True:
-            head = self._block_head(offset)
+        offset, trailer = _HEADER.size, self._size - _TRAILER.size
+        while offset != trailer:
+            head = self._read_at(offset, _BLOCK_HEADER.size)
             if len(head) < _BLOCK_HEADER.size:
                 break
-            magic, _codecs, n_pairs, fingerprint = _BLOCK_HEADER.unpack_from(head)
-            if magic != _BLOCK_MAGIC or n_pairs < 1:
-                break
-            entry = _BlockEntry(offset, n_pairs, fingerprint)
-            try:
-                lengths, payload = self._parse_layout(entry, head)
-            except TraceStoreCorruption:
-                break  # torn tail: the lengths or the segments never landed
-            self._layouts[offset] = lengths, payload
-            if not self._intact(entry):
+            magic, n_pairs, fingerprint, *lengths = _BLOCK_HEADER.unpack(head)
+            entry = _BlockEntry(offset, n_pairs, fingerprint, tuple(lengths))
+            if magic != _BLOCK_MAGIC or n_pairs < 1 or entry.end > self._size:
                 break
             entries.append(entry)
-            offset = payload + sum(lengths)
-        return entries
+            offset = entry.end
+        if offset != trailer:
+            return entries, False
+        total = sum(e.n_pairs for e in entries)
+        counted = _TRAILER.pack(_TRAILER_MAGIC, len(entries), total)
+        return entries, self._read_at(trailer, _TRAILER.size) == counted
 
     def _intact(self, entry: _BlockEntry) -> bool:
         """Whether block ``entry``'s columns match its fingerprint.  Its
-        key segment's histogram is then theirs: the columns are its keys
-        picked by the row index, whose decode checks that the rows count
-        the histogram's counts, and the histogram's keys rise strictly."""
+        histogram segment is then theirs: the columns are its keys picked
+        by the row index, whose decode checks that the rows count the
+        histogram's counts, and the histogram's keys rise strictly."""
         try:
             block = _StoreBlock(self, entry, 0)
             return column_digest(block.sources, block.repliers) == entry.fingerprint
         except TraceStoreCorruption:
             return False  # garbage where an encoded segment should be
-
-    def _verified_prefix(self, entries: list[_BlockEntry]) -> list[_BlockEntry]:
-        return list(takewhile(self._intact, entries))
 
     # -- reading ------------------------------------------------------------
     def __len__(self) -> int:
@@ -841,7 +735,7 @@ class TraceStoreReader:
         return [e.n_pairs for e in self._entries]
 
     def _entry(self, i: int) -> _BlockEntry:
-        """The index entry of block ``i``; only ``0 <= i < n_blocks``."""
+        """The walked header of block ``i``; only ``0 <= i < n_blocks``."""
         self._check_open()
         if not 0 <= i < len(self._entries):
             raise IndexError(
@@ -857,58 +751,11 @@ class TraceStoreReader:
         self._check_open()
         return os.pread(self._fh.fileno(), size, offset)
 
-    def _block_head(self, offset: int) -> bytes:
-        """The block header at ``offset`` with its stored lengths (short
-        at the end of the file)."""
-        return self._read_at(offset, _BLOCK_HEAD)
-
-    def _parse_layout(
-        self, entry: _BlockEntry, head: bytes
-    ) -> tuple[tuple[int, ...], int]:
-        """(stored lengths, payload offset) of block ``entry``'s header
-        bytes ``head``, checked against the index entry, the one layout
-        and the file.  Segment codecs other than ``(4, 4, 3)`` are a
-        :class:`TraceStoreError`; any other failure is corruption."""
-        if len(head) < _BLOCK_HEAD:
-            raise TraceStoreCorruption(f"{self.path}: truncated block header")
-        magic, codecs_word, n_pairs, _fingerprint = _BLOCK_HEADER.unpack_from(head)
-        if magic != _BLOCK_MAGIC or n_pairs != entry.n_pairs:
-            raise TraceStoreCorruption(
-                f"{self.path}: block header at {entry.offset} disagrees with index"
-            )
-        codecs = tuple((codecs_word >> (8 * k)) & 0xFF for k in range(_N_SEGMENTS))
-        if codecs != _CODECS:
-            raise TraceStoreError(
-                f"{self.path}: block at {entry.offset} has segment codecs "
-                f"{codecs}, not {_CODECS}: {_REGENERATE}"
-            )
-        lengths = struct.unpack_from(f"<{_N_SEGMENTS}Q", head, _BLOCK_HEADER.size)
-        payload = entry.offset + _BLOCK_HEAD
-        if min(lengths[0], lengths[2]) < 1 or payload + sum(lengths) > self._size:
-            raise TraceStoreCorruption(
-                f"{self.path}: block at {entry.offset} stores segment "
-                f"lengths {lengths} past the end of the file"
-            )
-        if lengths[1]:
-            raise TraceStoreCorruption(
-                f"{self.path}: segment 1 of a row-indexed block stores "
-                f"{lengths[1]} bytes, not 0"
-            )
-        return lengths, payload
-
-    def _layout(self, entry: _BlockEntry) -> tuple[tuple[int, ...], int]:
-        """:meth:`_parse_layout` of block ``entry``, parsed once: at open,
-        else (a header whose own fields failed then) on each use."""
-        layout = self._layouts.get(entry.offset)
-        if layout is None:
-            layout = self._parse_layout(entry, self._block_head(entry.offset))
-            self._layouts[entry.offset] = layout
-        return layout
-
     def _stored(self, entry: _BlockEntry, segment: int) -> bytes:
-        """The stored bytes of one of block ``entry``'s segments."""
-        lengths, payload = self._layout(entry)
-        return self._read_at(payload + sum(lengths[:segment]), lengths[segment])
+        """The stored bytes of block ``entry``'s segment ``segment``: 0
+        the index, 1 the histogram."""
+        at = entry.payload + sum(entry.lengths[:segment])
+        return self._read_at(at, entry.lengths[segment])
 
     def _rows(self, entry: _BlockEntry, counts: np.ndarray) -> np.ndarray:
         """Block ``entry``'s row index: each pair's row of the block's
@@ -917,23 +764,20 @@ class TraceStoreReader:
         return _decode_row_index(stored, entry.n_pairs, counts, self.path)
 
     def _key_histogram(self, entry: _BlockEntry) -> tuple[np.ndarray, np.ndarray]:
-        """Block ``entry``'s key histogram, off its codec-3 key segment."""
-        return _decode_histogram_rows(self._stored(entry, 2), entry.n_pairs, self.path)
+        """Block ``entry``'s key histogram, off its codec-3 segment."""
+        return _decode_histogram_rows(self._stored(entry, 1), entry.n_pairs, self.path)
 
     def block(self, i: int) -> PairBlock:
         """Block ``i`` (``0 <= i < n_blocks``, else :class:`IndexError`).
 
         The block's memoized ``fingerprint`` and id validation are
         pre-seeded from the store, so mining and testing it never
-        re-hashes or re-scans.  Its header and segment layout are
-        checked here; its segments are read when first asked for —
-        ``key_histogram()`` reads the key segment alone, and
+        re-hashes or re-scans.  Its segments are read when first asked
+        for — ``key_histogram()`` reads the histogram segment alone, and
         ``key_inverse()`` / ``packed_keys()`` / ``sources`` /
         ``repliers`` the row index too, once between them.
         """
-        entry = self._entry(i)
-        self._layout(entry)
-        return _StoreBlock(self, entry, i)
+        return _StoreBlock(self, self._entry(i), i)
 
     def blocks(self) -> list[PairBlock]:
         """Every block at once, its keys read.
@@ -959,21 +803,16 @@ class TraceStoreReader:
 
     def describe_blocks(self) -> Iterator[dict]:
         """One row per block, as ``repro trace-inspect`` prints it: its
-        pairs, segment codecs and stored lengths, its key histogram's
-        distinct keys ``d``, its row width, and whether it is intact on
-        its own.  A block whose segments fail to decode has ``error`` in
-        place of ``d``, and one whose header fails has it in place of
-        all three."""
+        pairs and two stored lengths, its key histogram's distinct keys
+        ``d``, its row width, and whether it is intact on its own.  A
+        block whose segments fail to decode has ``error`` in place of
+        ``d`` and the width."""
         self._check_open()
         for i, entry in enumerate(self._entries):
-            row = {"block": i, "pairs": entry.n_pairs}
+            row = {"block": i, "pairs": entry.n_pairs, "lengths": entry.lengths}
             try:
-                lengths, payload = self._layout(entry)
-                row.update(codecs=_CODECS, lengths=lengths, width=None)
-                if lengths[0] >= _INDEX_HEAD.size:
-                    row["width"] = self._read_at(payload, _INDEX_HEAD.size)[-1]
                 block = self.block(i)
-                block.packed_keys()  # decodes the row index too
+                row["width"] = block.key_inverse().itemsize
                 row["d"] = len(block.key_histogram()[0])
             except TraceStoreCorruption as exc:
                 row["error"] = str(exc)
@@ -984,14 +823,14 @@ class TraceStoreReader:
         """Re-check every visible block; returns how many are intact.
 
         A block is intact when its columns match its fingerprint and its
-        key segment's histogram is theirs.
+        histogram segment's histogram is theirs.
         Stops counting at the first block that is not (the store is
         usable up to — not including — that block).  ``strict=True``
         raises :class:`TraceStoreCorruption` instead of returning a
         short count.
         """
         self._check_open()
-        intact = len(self._verified_prefix(self._entries))
+        intact = len(list(takewhile(self._intact, self._entries)))
         if strict and intact != len(self._entries):
             raise TraceStoreCorruption(
                 f"{self.path}: block {intact} fails its integrity check "

@@ -220,11 +220,16 @@ class TestTraceInspectCli:
         assert not captured.out
 
     @pytest.mark.parametrize("command", ["trace-inspect", "trace-eval"])
-    @pytest.mark.parametrize("name", ["parent_v1.rptrace", "parent_v2_raw.rptrace"])
+    @pytest.mark.parametrize(
+        "name",
+        ["parent_v1.rptrace", "parent_v2_raw.rptrace", "parent_v2_rows.rptrace"],
+    )
     def test_a_legacy_store_exits_2_naming_tracegen(self, name, command, capsys):
-        """A version-1 store and one of raw columns are refused at open by
-        both commands that read a store: exit 2, one logged line that
-        names ``repro tracegen``, and no traceback."""
+        """A version-1 store, one of raw columns and one the previous
+        release wrote (a footer index, codec words, an empty segment 1)
+        are refused at open by both commands that read a store: exit 2,
+        one logged line that names ``repro tracegen``, and no
+        traceback."""
         assert main([command, str(_STORES / name)]) == 2
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
@@ -232,10 +237,10 @@ class TestTraceInspectCli:
         assert "repro tracegen" in captured.err
 
     def test_a_fresh_zlib_store(self, tmp_path, capsys):
-        """A fresh store's columns are a row index: codecs 4,4,3, segment
-        1 empty, rows 2 bytes wide for a block's ~2,500 distinct keys, and
-        the meta word the writer stamped; ``codec=None`` writes the same
-        layout, 1 byte a row for 10 distinct keys."""
+        """A fresh store is closed, and its columns are a row index 2
+        bytes a row for a block's ~2,500 distinct keys beside the
+        histogram, under the meta word the writer stamped; ``codec=None``
+        writes the same layout, 1 byte a row for 10 distinct keys."""
         from repro.trace.store import TraceStoreReader, TraceStoreWriter
 
         path = tmp_path / "z.rptrace"
@@ -246,28 +251,31 @@ class TestTraceInspectCli:
         capsys.readouterr()
         assert main(["trace-inspect", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "version 2, flags 0x2, meta 0x0000000000005eed" in out
+        assert "version 3, meta 0x0000000000005eed, block size 10,000" in out
+        assert out.splitlines()[0].endswith("(closed)")
+        assert out.splitlines()[1].split() == [
+            "block", "pairs", "stored", "bytes", "d", "width", "verify"
+        ]
         rows = self.rows(out)
         with TraceStoreReader(path) as reader:
             d = [len(b.key_histogram()[0]) for b in reader.iter_blocks()]
         assert len(rows) == 3
         for row, distinct in zip(rows, d):
-            index, empty, _keys = map(int, row[3].split(","))
-            assert row[2] == "4,4,3" and (index, empty) == (5 + 2 * 10_000, 0)
-            assert (int(row[4]), row[5], row[6]) == (distinct, "2", "ok")
+            assert int(row[2].split(",")[0]) == 5 + 2 * 10_000
+            assert (int(row[3]), row[4], row[5]) == (distinct, "2", "ok")
         with TraceStoreWriter(tmp_path / "raw.rptrace", block_size=10) as writer:
             writer.append(list(range(10)), [7] * 10)
         assert main(["trace-inspect", str(tmp_path / "raw.rptrace")]) == 0
         (row,) = self.rows(capsys.readouterr().out)
-        assert row[2:] == ["4,4,3", "15,0,37", "10", "1", "ok"]
+        assert row[1:] == ["10", "15,37", "10", "1", "ok"]
 
     def test_a_corrupt_block_fails_and_exits_1(self, tmp_path, capsys):
         path = tmp_path / "z.rptrace"
         assert main(["tracegen", str(path), "--blocks", "3"]) == 0
         data = bytearray(path.read_bytes())
-        lengths = [int.from_bytes(data[at : at + 8], "little") for at in (64, 72, 80)]
-        block_1 = 32 + 56 + sum(lengths)
-        data[block_1 + 56 + 100] ^= 0xFF  # a row of block 1's index
+        lengths = [int.from_bytes(data[at : at + 8], "little") for at in (56, 64)]
+        block_1 = 32 + 40 + sum(lengths)
+        data[block_1 + 40 + 100] ^= 0xFF  # a row of block 1's index
         path.write_bytes(bytes(data))
         capsys.readouterr()
         assert main(["trace-inspect", str(path)]) == 1
@@ -306,12 +314,11 @@ class TestTraceEvalCli:
         with TraceStoreReader(path) as reader:
             offset = reader._entries[2].offset
         data = bytearray(path.read_bytes())
-        lengths = struct.unpack_from("<3Q", data, offset + 32)
-        start = offset + 32 + 3 * 8
-        for length in lengths:  # every segment of block 2 that stores bytes
-            if length:
-                data[start + 5] ^= 0xFF
-                data[start + 6] ^= 0xFF
+        lengths = struct.unpack_from("<2Q", data, offset + 24)
+        start = offset + 40
+        for length in lengths:  # both segments of block 2
+            data[start + 5] ^= 0xFF
+            data[start + 6] ^= 0xFF
             start += length
         path.write_bytes(bytes(data))
         assert main(["trace-eval", str(path), *extra]) == 2

@@ -236,7 +236,7 @@ class TestKeyInverse:
             block.packed_keys()
             block.sources
             block.key_inverse()
-        assert segments == [2, 0]
+        assert segments == [1, 0]
 
 
 @st.composite

@@ -21,8 +21,7 @@ from repro.trace.cache import trace_blocks, trace_fingerprint
 from repro.trace.store import TraceStoreError, TraceStoreReader, TraceStoreWriter
 from repro.workload.tracegen import MonitorTraceConfig, MonitorTraceGenerator
 from tests.conftest import assert_same_blocks, trace_cache_path
-from tests.test_decoder_wall import _pairs_store
-from tests.trace.test_sorted_keys import DATA, segment_codecs
+from tests.trace.test_sorted_keys import DATA, stored_lengths
 
 CFG = MonitorTraceConfig(block_size=300, n_neighbors=15, n_categories=12)
 
@@ -255,7 +254,7 @@ class TestRebuild:
             cold_trace_cache()
             whole = path.read_bytes()
             if how == "footer-less":
-                path.write_bytes(whole[:-40])
+                path.write_bytes(whole[:-24])  # the trailer
             elif how == "torn mid-block":
                 path.write_bytes(whole[: len(whole) // 2])
             elif how == "flipped stamp":
@@ -296,7 +295,7 @@ class TestRebuild:
         generate_calls.clear()
         rewritten = trace_blocks(300, config=config, seed=9, cache_dir=tmp_path)
         assert generate_calls == [300]
-        assert segment_codecs(path) == [(4, 4, 3)] * 3
+        assert len(stored_lengths(path)) == 3
         cold_trace_cache()
         hit = trace_blocks(300, config=config, seed=9, cache_dir=tmp_path)
         assert generate_calls == [300]
@@ -312,7 +311,7 @@ class TestRebuild:
         self.assert_rewritten_once(
             tmp_path,
             (DATA / "parent_v1_sorted.rptrace").read_bytes(),
-            "store version 1",
+            "store version 0x200000001",
             generate_calls,
             recwarn,
             cold_trace_cache,
@@ -322,12 +321,27 @@ class TestRebuild:
         self, tmp_path, generate_calls, recwarn, cold_trace_cache
     ):
         """A complete cache file of this spec whose columns are raw int64
-        (codec 0, as every store before the one layout held them, at
-        17.4 B a pair) beside histogram rows."""
+        (codec 0, as every store before the row index held them, at 17.4
+        B a pair) beside histogram rows."""
         self.assert_rewritten_once(
             tmp_path,
-            _pairs_store(tmp_path, n_blocks=3, codec=None),
-            r"segment codecs \(0, 0, 3\)",
+            (DATA / "parent_v2_raw.rptrace").read_bytes(),
+            "store version 0x200000002",
+            generate_calls,
+            recwarn,
+            cold_trace_cache,
+        )
+
+    def test_a_parent_layout_cache_is_rewritten_once(
+        self, tmp_path, generate_calls, recwarn, cold_trace_cache
+    ):
+        """A complete cache file of this spec in the previous release's
+        layout: version 2 with header flags, a codec word and an empty
+        segment 1 in every block, and a footer index."""
+        self.assert_rewritten_once(
+            tmp_path,
+            (DATA / "parent_v2_rows.rptrace").read_bytes(),
+            "store version 0x200000002",
             generate_calls,
             recwarn,
             cold_trace_cache,

@@ -11,8 +11,9 @@ committed ``data/parent_*.rptrace``, the 300 pairs of
 it is opened (``tests/test_decoder_wall.py::test_a_legacy_store_is_refused``).
 Here:
 
-* a fresh store writes segment 2 as codec 3, one pair blocks included,
-  and a block's ``key_histogram()`` reads no column; its columns are a
+* a fresh store writes its histogram segment as codec 3, one pair
+  blocks included, and a block's ``key_histogram()`` reads no column;
+  its columns are a
   row index (codec 4) 1, 2 or 4 bytes wide, whether ``codec`` is None or
   ``"zlib"``, and a block decodes its histogram once for its histogram,
   keys and columns alike, and serves its keys without splitting a column;
@@ -23,7 +24,8 @@ Here:
   strategies, ``ruleset_test_random_subset`` and a two-tier
   ``ruleset_test_fallback`` agree with the in-memory blocks;
 * a key segment that is a valid histogram but not the columns' fails
-  ``verify_blocks``, ``verify=True`` and the footer-less scan;
+  ``verify_blocks``, ``verify=True`` and the open of a trailer-less
+  store;
 * a block first touched after its reader's ``close()`` raises
   :class:`TraceStoreError`, and what :meth:`TraceStoreReader.blocks`
   read stays valid.
@@ -51,22 +53,16 @@ its ``test_an_index_segment_edit_raises``, ``refused`` its
 * its counts checked by their sum alone — ``rows`` on ``zero count``;
   its whole counts check dropped — that and ``counts sum past the
   block``;
-* the codec check dropped from the layout — every ``refused`` case but
-  the version and flags ones, ``index`` on ``segment 0 not indexed`` and
-  ``beside a codec-1 key segment``, and
-  ``test_store.py::TestCompression::test_codec_byte_2_is_an_unknown_codec``;
-  the codec check left to a block's first read (the store opens) —
-  the same, and ``test_cache.py::TestRebuild::test_a_raw_column_cache_is_rewritten_once``;
-* the version or flags check dropped — ``refused`` on the version-1 and
-  pair-order stores, ``test_key_segment_edits_raise`` and
-  ``test_cache.py::TestRebuild::test_a_version_1_cache_is_rewritten_once``;
-* a v2 footer trusted for a block's pair count —
+* the version check dropped — every ``refused`` case,
+  ``test_store.py::TestRoundTrip::test_without_packed_segment`` and each
+  ``test_cache.py::TestRebuild`` test of a cache that is rewritten once;
+* a trailer trusted without its pair total —
   ``test_decoder_wall.py::test_a_footer_that_miscounts_a_block_is_not_trusted[v2-50]``;
-  for its blocks' places (no tiling) —
-  ``test_a_footer_that_skips_a_block_is_not_trusted[v2]``; a header
-  whose own fields fail sending the reader to the scan —
+  without its block count —
+  ``test_a_footer_that_skips_a_block_is_not_trusted[v2]``; a walk that
+  keeps a header whose stored lengths run past the file —
   ``test_store.py::TestCompression::test_stored_length_past_the_file_is_corruption``;
-  the layouts parsed at open not kept —
+  a walk that reads a block header twice —
   ``TestCompression::test_a_footer_store_reads_each_block_header_once``;
 * the writer's 2**32-pair checks dropped —
   ``test_store.py::TestCompression::test_blocks_of_2_to_the_32_pairs_are_refused``;
@@ -76,8 +72,7 @@ its ``test_an_index_segment_edit_raises``, ``refused`` its
   message); its CRC check — ``index`` on ``rows swapped under the old
   CRC`` and ``test_cli.py::TestTraceInspectCli`` on a corrupt block; its
   width check — ``index`` on ``width 0``, ``width 3`` and ``width 8``;
-  its length check allowing a long plane — ``long plane``; the layout's
-  empty segment 1 check — ``segment 1 not empty``;
+  its length check allowing a long plane — ``long plane``;
 * a block's keys split into columns and packed again —
   ``TestRowIndex::test_keys_come_from_the_decoded_histogram``;
 * a block's histogram decoded a second time for its keys —
@@ -131,29 +126,31 @@ def legacy_columns():
     return sources, repliers
 
 
-def segment_codecs(path):
-    """Each block's three segment codec bytes, of a version-2 store."""
+def stored_lengths(path):
+    """Each block's two stored lengths (index, histogram), walked from
+    the raw bytes of a closed version-3 store: a 32-byte header, then
+    40-byte block headers each followed by its segments, then a 24-byte
+    trailer."""
     data = Path(path).read_bytes()
-    index_offset = struct.unpack_from("<Q", data, len(data) - 32)[0]
-    codecs, offset = [], 32
-    while offset < index_offset:
-        word = struct.unpack_from("<I", data, offset + 4)[0]
-        codecs.append(tuple(word >> 8 * k & 0xFF for k in range(3)))
-        offset += 56 + sum(struct.unpack_from("<3Q", data, offset + 32))
-    return codecs
+    assert struct.unpack_from("<Q", data, 8) == (3,)
+    lengths, offset = [], 32
+    while offset < len(data) - 24:
+        lengths.append(struct.unpack_from("<2Q", data, offset + 24))
+        offset += 40 + sum(lengths[-1])
+    assert offset == len(data) - 24
+    return lengths
 
 
 def key_segment_widths(path):
-    """Block 0's three plane widths, of a codec-3 key segment."""
+    """Block 0's three plane widths, of its codec-3 histogram segment."""
     data = Path(path).read_bytes()
-    lengths = struct.unpack_from("<3Q", data, 64)
-    head = 88 + lengths[0] + lengths[1]
-    return tuple(data[head + 4 : head + 7])
+    (index, _histogram) = struct.unpack_from("<2Q", data, 56)
+    return tuple(data[72 + index + 4 : 72 + index + 7])
 
 
 def row_index_width(path):
-    """Block 0's row width, of a codec-4 segment 0."""
-    return Path(path).read_bytes()[88 + 4]
+    """Block 0's row width, of its codec-4 index segment."""
+    return Path(path).read_bytes()[72 + 4]
 
 
 def write(path, sources, repliers, *, block_size=100, codec=None, footer=True):
@@ -197,7 +194,7 @@ class TestHistogramSegment:
         """Segment 2 of a fresh zlib store is codec 3, and a block's key
         histogram reads neither column and counts nothing."""
         path = write(tmp_path / "new.rptrace", *legacy_columns())
-        assert segment_codecs(path) == [(4, 4, 3)] * 3
+        assert len(stored_lengths(path)) == 3
         calls, segments = [], []
         real = blocks_module.count_keys
         monkeypatch.setattr(
@@ -220,7 +217,7 @@ class TestHistogramSegment:
                 ):
                     assert got.dtype == oracle.dtype and not got.flags.writeable
                     np.testing.assert_array_equal(got, oracle)
-        assert calls == [] and segments == [2, 2, 2]
+        assert calls == [] and segments == [1, 1, 1]
 
     def test_a_raw_store_writes_histograms(self, tmp_path):
         """``codec=None`` writes a row index beside the histograms, and a
@@ -228,8 +225,7 @@ class TestHistogramSegment:
         store, whose columns were raw beside the same histograms, is
         refused."""
         path = write(tmp_path / "new.rptrace", *legacy_columns(), codec=None)
-        assert segment_codecs(path) == [(4, 4, 3)] * 3
-        assert segment_codecs(DATA / RAW_V2) == [(0, 0, 3)] * 3
+        assert len(stored_lengths(path)) == 3
         with pytest.raises(TraceStoreError, match="repro tracegen"):
             TraceStoreReader(DATA / RAW_V2)
         memory = blocks_from_arrays(*legacy_columns(), block_size=100)
@@ -247,7 +243,7 @@ class TestHistogramSegment:
         path = write(
             tmp_path / "t.rptrace", sources[:3], repliers[:3], block_size=1, codec=codec
         )
-        assert [codecs[2] for codecs in segment_codecs(path)] == [3, 3, 3]
+        assert stored_lengths(path) == [(6, 10)] * 3
         with TraceStoreReader(path) as reader:
             assert reader.verify_blocks(strict=True) == 3
             for block, (s, r) in zip(reader.iter_blocks(), zip(sources, repliers)):
@@ -281,7 +277,7 @@ class TestHistogramSegment:
             repliers,
             block_size=len(sources),
         )
-        assert segment_codecs(path) == [(4, 4, 3)]
+        assert len(stored_lengths(path)) == 1
         assert key_segment_widths(path) == widths
         memory = blocks_from_arrays(sources, repliers, block_size=len(sources))
         with TraceStoreReader(path) as reader:
@@ -331,7 +327,7 @@ class TestRowIndex:
                 ):
                     assert not got.flags.writeable
                     np.testing.assert_array_equal(got, oracle)
-                assert sorted(stored) == [0, 2]
+                assert sorted(stored) == [0, 1]
                 assert packs == [len(histogram[0])]
 
     @pytest.mark.parametrize(
@@ -347,7 +343,7 @@ class TestRowIndex:
         path = write(
             tmp_path / "t.rptrace", sources, repliers, block_size=d + 1
         )
-        assert segment_codecs(path) == [(4, 4, 3)]
+        assert len(stored_lengths(path)) == 1
         assert row_index_width(path) == width
         memory = blocks_from_arrays(sources, repliers, block_size=d + 1)
         with TraceStoreReader(path) as reader:
@@ -399,7 +395,7 @@ class TestHistogramDifferential:
                 block_size=block_size,
                 codec=codec,
             )
-            assert segment_codecs(path) == [(4, 4, 3)] * len(memory)
+            assert len(stored_lengths(path)) == len(memory)
             with TraceStoreReader(path) as reader:
                 assert reader.verify_blocks(strict=True) == len(memory)
                 assert_serves(reader, memory)

@@ -15,7 +15,7 @@ from repro.trace.store import (
     TraceStoreReader,
     TraceStoreWriter,
 )
-from tests.trace.test_sorted_keys import DATA, RAW_V2, legacy_columns, segment_codecs
+from tests.trace.test_sorted_keys import DATA, RAW_V2, legacy_columns, stored_lengths
 
 
 def columns(n=100, seed=0):
@@ -96,14 +96,15 @@ class TestRoundTrip:
             w.append(sources[10:], repliers[10:])  # still usable
 
     def test_without_packed_segment(self, tmp_path):
-        """Every store carries packed keys; a header without the flag
-        is not one this reader can serve."""
+        """The header has no flags: the version is a u64, and the flags
+        word earlier releases wrote after their u32 version (0x2, packed
+        keys) makes it another version, refused at open."""
         path = tmp_path / "t.rptrace"
         make_store(path, n=200, block_size=100)[0].close()
         data = bytearray(path.read_bytes())
-        struct.pack_into("<I", data, 12, 0)  # header flags
+        struct.pack_into("<I", data, 12, 2)  # where the flags word was
         path.write_bytes(bytes(data))
-        with pytest.raises(TraceStoreError, match="packed"):
+        with pytest.raises(TraceStoreError, match="version 0x200000003, not 0x3"):
             TraceStoreReader(path)
 
 
@@ -203,7 +204,7 @@ class TestCorruption:
         path = tmp_path / "t.rptrace"
         make_store(path, n=300, block_size=100)
         data = path.read_bytes()
-        path.write_bytes(data[:-25])  # tear the trailer
+        path.write_bytes(data[:-10])  # tear the trailer
         reader = TraceStoreReader(path)
         assert reader.recovered
         assert reader.n_blocks == 3
@@ -214,7 +215,7 @@ class TestCorruption:
         sources, repliers = columns(250)
         writer = TraceStoreWriter(path, block_size=100)
         writer.append(sources, repliers)  # 2 complete blocks + 50 pending
-        writer.abandon()  # simulated crash: no footer, no tail flush
+        writer.abandon()  # simulated crash: no trailer, no tail flush
         reader = TraceStoreReader(path)
         assert reader.recovered
         assert reader.n_blocks == 2
@@ -240,7 +241,7 @@ class TestCorruption:
         data = bytearray(path.read_bytes())
         data[offset + 40] ^= 0xFF
         path.write_bytes(bytes(data))
-        # Footer fast path still lists 3 blocks; verify=True truncates at
+        # The closed store still walks 3 blocks; verify=True truncates at
         # the first bad fingerprint.
         verified = TraceStoreReader(path, verify=True)
         assert verified.n_blocks == 1
@@ -255,7 +256,7 @@ class TestCorruption:
         offset = TraceStoreReader(path)._entries[1].offset
         data = bytearray(path.read_bytes())
         data[offset + 40] ^= 0xFF
-        path.write_bytes(bytes(data[:-25]))  # bad block AND torn footer
+        path.write_bytes(bytes(data[:-10]))  # bad block AND torn trailer
         reader = TraceStoreReader(path)
         assert reader.recovered
         assert reader.n_blocks == 1
@@ -280,16 +281,16 @@ class TestCorruption:
             TraceStoreReader(path)
 
     def test_bad_trailer_crc_falls_back_to_scan(self, tmp_path):
+        """A trailer whose pair total is not the walked blocks' does not
+        close the store: it opens recovered, every block verified."""
         path = tmp_path / "t.rptrace"
         make_store(path, n=200, block_size=100)
         data = bytearray(path.read_bytes())
-        # Flip a byte inside the footer index (covered by the trailer CRC).
-        trailer = data[-40:]
-        index_offset = struct.unpack("<8sQQQII", bytes(trailer))[1]
-        data[index_offset + 3] ^= 0xFF
+        assert struct.unpack_from("<8sQQ", data, len(data) - 24)[1:] == (2, 200)
+        data[-8] ^= 0xFF  # the trailer's pair total
         path.write_bytes(bytes(data))
         reader = TraceStoreReader(path)
-        assert reader.recovered  # footer rejected, block scan succeeded
+        assert reader.recovered  # trailer rejected, every block verified
         assert reader.n_blocks == 2
 
 
@@ -365,7 +366,7 @@ class TestCompression:
         zl, _, _ = make_store(
             tmp_path / "z.rptrace", n=500, block_size=100
         )
-        assert raw.version == zl.version == 2
+        assert raw.version == zl.version == 3
         assert zl.n_blocks == raw.n_blocks
         for i in range(raw.n_blocks):
             a, b = raw.block(i), zl.block(i)
@@ -404,17 +405,15 @@ class TestCompression:
         reader.close()
 
     def test_no_codec_writes_raw_columns_and_histogram_rows(self, tmp_path):
-        """Raw columns beside codec-3 key segments (codecs 0, 0, 3) are a
-        form earlier releases wrote, and the committed one is refused at
-        open.  codec=None writes the one layout, a row index beside
-        the histogram rows (4, 4, 3), byte for byte what codec="zlib"
-        writes."""
-        assert segment_codecs(DATA / RAW_V2) == [(0, 0, 3)] * 3
-        with pytest.raises(TraceStoreError, match=r"codecs \(0, 0, 3\)"):
+        """Raw columns beside codec-3 histogram segments are a form
+        earlier releases wrote, and the committed one is refused at open.
+        codec=None writes the one layout, a row index beside the
+        histogram rows, byte for byte what codec="zlib" writes."""
+        with pytest.raises(TraceStoreError, match="store version 0x200000002"):
             TraceStoreReader(DATA / RAW_V2)
         reader, sources, repliers = make_store(tmp_path / "a.rptrace", n=200, seed=3)
-        assert reader.version == 2 and reader.verify_blocks(strict=True) == 2
-        assert segment_codecs(tmp_path / "a.rptrace") == [(4, 4, 3)] * 2
+        assert reader.version == 3 and reader.verify_blocks(strict=True) == 2
+        assert len(stored_lengths(tmp_path / "a.rptrace")) == 2
         reader.close()
         write_store(
             tmp_path / "b.rptrace", sources, repliers, block_size=100, codec="zlib"
@@ -452,7 +451,7 @@ class TestCompression:
         path = tmp_path / "z.rptrace"
         w = TraceStoreWriter(path, block_size=100)
         w.append(sources, repliers)
-        w.abandon()  # crash: no footer
+        w.abandon()  # crash: no trailer
         size = path.stat().st_size
         with open(path, "r+b") as fh:
             fh.truncate(size - 11)  # tear into the last block's payload
@@ -466,9 +465,8 @@ class TestCompression:
         reader.close()
 
     def test_compressed_footer_store_with_corrupt_segment(self, tmp_path):
-        # Flipping bytes inside a compressed payload of a footered store:
-        # verify=True truncates at the corrupt block instead of serving
-        # garbage.
+        # Flipping bytes inside a segment of a closed store: verify=True
+        # truncates at the corrupt block instead of serving garbage.
         zl, _, _ = make_store(
             tmp_path / "z.rptrace", n=500, block_size=100
         )
@@ -477,9 +475,8 @@ class TestCompression:
         zl.close()
         path = tmp_path / "z.rptrace"
         data = bytearray(path.read_bytes())
-        payload = entry.offset + 32 + 3 * 8
-        data[payload + 5] ^= 0xFF
-        data[payload + 6] ^= 0xFF
+        data[entry.payload + 5] ^= 0xFF
+        data[entry.payload + 6] ^= 0xFF
         path.write_bytes(bytes(data))
         reader = TraceStoreReader(path, verify=True)
         assert reader.n_blocks == n_blocks - 1
@@ -487,7 +484,7 @@ class TestCompression:
 
     @staticmethod
     def _patch_first_block(tmp_path, fmt, offset, value):
-        """A footered zlib store with one field of block 0 overwritten."""
+        """A closed store with one field of block 0's header overwritten."""
         zl, _, _ = make_store(
             tmp_path / "z.rptrace", n=500, block_size=100
         )
@@ -499,39 +496,49 @@ class TestCompression:
         path.write_bytes(bytes(data))
         return path
 
-    def test_codec_byte_2_is_an_unknown_codec(self, tmp_path):
-        """A block whose codecs are not the one layout's refuses the store
-        when it is opened, not when the block is first read."""
-        path = self._patch_first_block(tmp_path, "<B", 4, 2)  # segment 0's codec
-        with pytest.raises(TraceStoreError, match=r"segment codecs \(2, 4, 3\)"):
-            TraceStoreReader(path)
-
     def test_a_footer_store_reads_each_block_header_once(
         self, tmp_path, monkeypatch
     ):
-        """Opening reads every block header of a footered zlib store;
-        reading its blocks afterwards reads none again."""
+        """Opening a closed store reads the file header, each block
+        header once, in file order, and the trailer, and nothing else;
+        reading its blocks afterwards reads only their segments."""
         path = tmp_path / "z.rptrace"
         make_store(path, n=500, block_size=100)[0].close()
+        data = path.read_bytes()
+        heads = [32]
+        for _ in range(4):
+            lengths = struct.unpack_from("<2Q", data, heads[-1] + 24)
+            heads.append(heads[-1] + 40 + sum(lengths))
+        trailer = len(data) - 24
+        reads = []
+        real = TraceStoreReader._read_at
+        monkeypatch.setattr(
+            TraceStoreReader,
+            "_read_at",
+            lambda self, offset, size: reads.append((offset, size))
+            or real(self, offset, size),
+        )
         with TraceStoreReader(path) as reader:
-            monkeypatch.setattr(
-                TraceStoreReader, "_block_head", lambda *_: pytest.fail("re-read")
-            )
+            assert not reader.recovered
+            assert reads == [(0, 32), *((head, 40) for head in heads), (trailer, 24)]
+            reads.clear()
             for block in reader.iter_blocks():
                 block.key_histogram(), block.sources, block.repliers
             assert reader.verify_blocks(strict=True) == 5
+        assert {offset - 40 for offset, _ in reads} >= set(heads)
+        assert not {offset for offset, _ in reads} & {0, *heads, trailer}
 
     @pytest.mark.parametrize("length", [0, 2**62, 2**64 - 1])
     def test_stored_length_past_the_file_is_corruption(self, tmp_path, length):
-        """The footer CRC does not cover block headers: a stored segment
-        length is bounded by the file before anything is read with it."""
-        path = self._patch_first_block(tmp_path, "<Q", 32, length)
+        """A header whose stored length runs past the file ends the walk
+        before anything is read with it, and an empty index places the
+        next header inside a segment: either way the walk misses the
+        intact trailer, and the store opens recovered, without the block
+        (an empty segment fails its decode)."""
+        path = self._patch_first_block(tmp_path, "<Q", 24, length)
         with TraceStoreReader(path) as reader:
-            with pytest.raises(TraceStoreCorruption, match="segment lengths"):
-                reader.block(0)
-            with pytest.raises(TraceStoreCorruption, match="segment lengths"):
-                reader.blocks()
-            assert reader.verify_blocks() == 0
+            assert reader.recovered and reader.n_blocks == 0
+            assert reader.blocks() == []
         with TraceStoreReader(path, verify=True) as reader:
             assert reader.n_blocks == 0
 
@@ -679,7 +686,7 @@ class TestAllBlocksOneMapping:
         sources, repliers = legacy_columns()
         path = tmp_path / "t.rptrace"
         with write_store(path, sources, repliers, block_size=100) as reader:
-            payloads = [reader._layout(e)[1] for e in reader._entries]
+            payloads = [e.payload for e in reader._entries]
             assert payloads[1] % 8 != 0
             held = self.assert_same(reader)
         np.testing.assert_array_equal(
@@ -702,7 +709,7 @@ class TestAllBlocksOneMapping:
         reader, _, _ = make_store(
             tmp_path / "z.rptrace", n=1_000, block_size=100
         )
-        assert reader.version == 2
+        assert reader.version == 3
         self.assert_same(reader)
         reader.close()
 
