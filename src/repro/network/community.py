@@ -95,28 +95,54 @@ class CommunityIndex:
         """Home ``leaf`` at ``superpeer``, sharing ``library`` (duplicates
         ignored).  A leaf id past those seen so far grows the per-leaf
         arrays; an orphan attached directly gets a new stretch."""
-        self._check_superpeer(superpeer)
-        if leaf < 0:
-            raise IndexError(f"leaf id {leaf} is negative")
-        if superpeer not in self.live:
-            raise ValueError(f"super-peer {superpeer} is not live")
-        if leaf < len(self._home) and self._home[leaf] >= 0:
-            raise ValueError(f"leaf {leaf} is already attached")
         try:
             files = array("i", sorted(set(library)))
         except OverflowError:
             raise ValueError("a file id does not fit the index's int32") from None
-        if files and files[0] < 0:
-            raise ValueError(f"file id {files[0]} is negative")
-        unseen = leaf + 1 - len(self._home)
+        self.attach_block(superpeer, [leaf], np.frombuffer(files, np.intc)[None])
+
+    def attach_block(
+        self, superpeer: int, leaves: Sequence[int], libraries: np.ndarray
+    ) -> None:
+        """:meth:`attach` for many leaves at once: leaf ``leaves[i]``
+        shares row ``i`` of the 2-D ``libraries`` (duplicates ignored).
+
+        One sort for the block; each row's distinct files are appended
+        to the library buffer in leaf order, as one :meth:`attach` per
+        leaf appends them.  Every leaf is checked before anything changes.
+        """
+        self._check_superpeer(superpeer)
+        leaves = [int(leaf) for leaf in leaves]
+        if min(leaves, default=0) < 0:
+            raise IndexError(f"leaf id {min(leaves)} is negative")
+        if superpeer not in self.live:
+            raise ValueError(f"super-peer {superpeer} is not live")
+        for at, leaf in enumerate(leaves):
+            if (leaf < len(self._home) and self._home[leaf] >= 0) or leaf in leaves[:at]:
+                raise ValueError(f"leaf {leaf} is already attached")
+        if libraries.ndim != 2 or len(libraries) != len(leaves):
+            raise ValueError("libraries must hold one row per leaf")
+        if libraries.dtype.kind not in "iu":
+            raise TypeError(f"file ids must be integers, not {libraries.dtype}")
+        block = np.sort(libraries, axis=1)
+        if block.size and block[:, 0].min() < 0:
+            raise ValueError(f"file id {block[:, 0].min()} is negative")
+        if block.size and block[:, -1].max() > np.iinfo(np.intc).max:
+            raise ValueError("a file id does not fit the index's int32")
+        distinct = np.ones(block.shape, bool)
+        np.not_equal(block[:, 1:], block[:, :-1], out=distinct[:, 1:])
+        sizes = distinct.sum(axis=1)
+        stops = len(self._files) + np.cumsum(sizes)
+        unseen = max(leaves, default=-1) + 1 - len(self._home)
         if unseen > 0:
             self._home.extend(array("i", [-1]) * unseen)
             self._start.extend(array("q", [0]) * unseen)
             self._stop.extend(array("q", [0]) * unseen)
-        self._start[leaf] = len(self._files)
-        self._files.extend(files)
-        self._stop[leaf] = len(self._files)
-        self._join(leaf, superpeer)
+        self._files.frombytes(block[distinct].astype(np.intc).tobytes())
+        for leaf, start, stop in zip(leaves, (stops - sizes).tolist(), stops.tolist()):
+            self._start[leaf] = start
+            self._stop[leaf] = stop
+            self._join(leaf, superpeer)
 
     def _join(self, leaf: int, superpeer: int) -> None:
         self._home[leaf] = superpeer

@@ -28,8 +28,7 @@ caller.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable
-from functools import lru_cache
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -42,9 +41,6 @@ __all__ = ["KEY_BITS", "KBucketTable", "category_key", "node_key", "xor_distance
 KEY_BITS = 64
 
 
-# Pure in (kind, value), and 500 tables over 500 ids ask for each node
-# key 500 times; bounded, so a long-lived process cannot grow it.
-@lru_cache(maxsize=1 << 16)
 def _key(kind: bytes, value: int) -> int:
     digest = hashlib.blake2b(
         kind + int(value).to_bytes(8, "little"), digest_size=KEY_BITS // 8
@@ -65,6 +61,19 @@ def category_key(category: int) -> int:
 def xor_distance(a: int, b: int) -> int:
     """Kademlia's XOR metric (symmetric, unidirectional)."""
     return a ^ b
+
+
+def _bucket_index(distances: np.ndarray) -> np.ndarray:
+    """``bit_length() - 1`` of each nonzero ``uint64`` distance.
+
+    A ``float64`` rounds to nearest, so its exponent is the bit length,
+    or one more where the distance rounded up to a power of two; that
+    case is the distance falling short of ``2 ** (exponent - 1)``.
+    """
+    index = np.frexp(distances.astype(np.float64))[1]
+    np.minimum(index, KEY_BITS, out=index)
+    index -= 1
+    return index - (distances < np.left_shift(np.uint64(1), index.astype(np.uint64)))
 
 
 class KBucketTable:
@@ -92,9 +101,9 @@ class KBucketTable:
         # bucket index -> list of (peer_id, peer_key), insertion order.
         self._buckets: dict[int, list[tuple[int, int]]] = {}
         self._known: dict[int, int] = {}  # peer_id -> key
-        # _known as (peer ids, uint64 keys), what closer_than scans;
-        # None = rebuild on next use (insert and remove drop it)
-        self._scan: tuple[list[int], np.ndarray] | None = None
+        # _known as (int64 peer ids, uint64 keys), what closer_than
+        # scans; None = rebuild on next use (insert and remove drop it)
+        self._scan: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- maintenance --------------------------------------------------------
     def insert(self, peer_id: int) -> bool:
@@ -103,24 +112,51 @@ class KBucketTable:
         self.insert_all((peer_id,))
         return peer_id in self._known
 
-    def insert_all(self, peer_ids: Iterable[int]) -> None:
-        """Learn the peers whose buckets have room, in the order given
-        (one call, not one per peer: a network of n super-peers fills n
-        tables from n ids)."""
-        owner_id, owner_key, k = self.owner_id, self.owner_key, self.k
-        buckets, known = self._buckets, self._known
+    def insert_all(
+        self, peer_ids: Iterable[int], keys: Sequence[int] | None = None
+    ) -> None:
+        """Learn the peers whose buckets have room, in the order given.
+
+        One vector pass: the owner, known peers and repeats drop out,
+        each new peer's bucket is its XOR distance's bit length, and a
+        bucket keeps the first ``k - len(bucket)`` of them.  ``keys`` are
+        the peers' node keys, when the caller has them: a network of n
+        super-peers fills n tables from one list, whose ints the tables
+        then share (one 64-bit int per entry of every table otherwise).
+        A peer whose key is the owner's is refused before anything is
+        learnt.
+        """
+        peer_ids = list(peer_ids)
+        if keys is None:
+            keys = list(map(node_key, peer_ids))
+        ids = np.array(peer_ids, dtype=np.int64)
+        _, first = np.unique(ids, return_index=True)
+        first.sort()  # each id once, where it first appears
+        fresh = first[ids[first] != self.owner_id]
+        if self._known:
+            known = np.fromiter(self._known, np.int64, len(self._known))
+            fresh = fresh[~np.isin(ids[fresh], known)]
+        distances = np.fromiter(keys, np.uint64, len(keys))[fresh]
+        distances ^= np.uint64(self.owner_key)
+        if not distances.all():
+            raise ValueError("cannot bucket the owner's own key")
+        index = _bucket_index(distances)
+        room = np.full(KEY_BITS, self.k)
+        for bucket, entries in self._buckets.items():
+            room[bucket] -= len(entries)
+        # rank within the bucket, in the order given
+        order = np.argsort(index, kind="stable")
+        grouped = index[order]
+        rank = np.arange(order.size) - np.searchsorted(grouped, grouped)
+        kept = np.sort(order[rank < room[grouped]])
+        if not kept.size:
+            return
         self._scan = None
-        for peer_id in map(int, peer_ids):
-            if peer_id == owner_id or peer_id in known:
-                continue
-            key = node_key(peer_id)
-            distance = owner_key ^ key
-            if distance == 0:
-                raise ValueError("cannot bucket the owner's own key")
-            bucket = buckets.setdefault(distance.bit_length() - 1, [])
-            if len(bucket) < k:
-                bucket.append((peer_id, key))
-                known[peer_id] = key
+        buckets, known = self._buckets, self._known
+        for at, bucket in zip(fresh[kept].tolist(), index[kept].tolist()):
+            peer_id, key = int(peer_ids[at]), keys[at]
+            buckets.setdefault(bucket, []).append((peer_id, key))
+            known[peer_id] = key
 
     def remove(self, peer_id: int) -> None:
         """Evict a peer (it crashed or was partitioned away)."""
@@ -153,23 +189,37 @@ class KBucketTable:
         )
         return [peer_id for peer_id, _key in ranked[:n]]
 
-    def closer_than(self, target_key: int, distance: int) -> int | None:
+    def closer_than(
+        self, target_key: int | np.ndarray, distance: int | np.ndarray
+    ) -> int | None | np.ndarray:
         """Best known peer strictly closer to ``target_key``, or None.
 
         This is the greedy-forwarding step: a lookup hops to the
         returned peer and asks *its* table the same question, until no
         strictly-closer peer exists — the terminal node is the key's
         steward.
+
+        ``target_key`` may also be a ``uint64`` vector, with ``distance``
+        a ``uint64`` vector of bounds beside it: the answer is then one
+        peer id per target, -1 where no known peer is strictly closer
+        (one call gives a node's next hop toward every category).
         """
         if self._scan is None:
             self._scan = (
-                list(self._known),
+                np.fromiter(self._known, np.int64, len(self._known)),
                 np.fromiter(self._known.values(), np.uint64, len(self._known)),
             )
         peer_ids, keys = self._scan
-        if not peer_ids:
+        # the first minimum, as a scan in insertion order keeps it
+        if isinstance(target_key, np.ndarray):
+            if not peer_ids.size:
+                return np.full(target_key.shape, -1, np.int64)
+            distances = keys ^ target_key[:, None]
+            nearest = distances.argmin(axis=1)
+            best = distances[np.arange(nearest.size), nearest]
+            return np.where(best < distance, peer_ids[nearest], -1)
+        if not peer_ids.size:
             return None
         distances = keys ^ np.uint64(target_key)
-        # the first minimum, as a scan in insertion order keeps it
         nearest = int(distances.argmin())
-        return peer_ids[nearest] if int(distances[nearest]) < distance else None
+        return int(peer_ids[nearest]) if int(distances[nearest]) < distance else None

@@ -39,10 +39,11 @@ and of which super-peers are live, not of the file.  Every super-peer
 forwards a flood to all its neighbours, so the flood from one home
 reaches the same nodes in the same order for the same messages and
 duplicates whatever is asked; a greedy walk's next hop depends on the
-node's own table and the key alone.  Both are computed on first use and
-kept — per home the :meth:`QueryEngine.reach
-<repro.network.engine.QueryEngine.reach>` of a flood over the super-peer
-graph, ``(steward, hops)`` per (super-peer, category) — and a flood's
+node's own table and the key alone.  Both are kept — per home the
+:meth:`QueryEngine.reach <repro.network.engine.QueryEngine.reach>` of a
+flood over the super-peer graph, computed on first use, and ``(steward,
+hops)`` for every (live super-peer, category), planned whole from one
+next-hop table — and a flood's
 per-query part is the file's sharers
 (:meth:`CommunityIndex.sharers`) whose community has a position in the
 reach — counted for the hits, their communities taken in discovery
@@ -57,7 +58,7 @@ so no flood and no digest push has an edge to reach it by), drops it
 from every k-bucket table and every merged digest table (digest
 invalidation), then deterministically re-attaches its leaves
 (:class:`~repro.network.community.CommunityIndex`), forgets every
-route plan (the reach and the walks moved with liveness) and republishes
+reach and replans every walk (both moved with liveness) and republishes
 the category directory.  The last live super-peer cannot be killed: its
 leaves would have nowhere to go.  Digest and directory traffic is tracked in
 :attr:`HierNetwork.control_messages` so benchmarks can amortize it
@@ -78,12 +79,7 @@ from repro.metrics.traffic import QueryOutcome
 from repro.network.community import count_pairs
 from repro.network.engine import QueryEngine, Reach
 from repro.network.hier.digest import MergedRuleTable, decode_digest
-from repro.network.hier.keyspace import (
-    KBucketTable,
-    category_key,
-    node_key,
-    xor_distance,
-)
+from repro.network.hier.keyspace import KBucketTable, category_key, node_key
 from repro.network.superpeer import SuperPeerConfig, SuperPeerNetwork
 from repro.obs.instruments import observe_sim_build
 from repro.routing.superpeer_rules import SuperPeerRules
@@ -144,7 +140,6 @@ class HierNetwork(SuperPeerNetwork):
         #: benchmarks can amortize them into messages-per-query honestly.
         self.control_messages = 0
         self._sp_query_count = [0] * cfg.n_superpeers
-        self._forget_routes()
 
         self.sp_rules: list[SuperPeerRules] = []
         # a leaf never publishes, so its table is the bare pair counts
@@ -164,88 +159,116 @@ class HierNetwork(SuperPeerNetwork):
                 for _ in range(cfg.n_leaves)
             ]
 
-        self._node_key = [node_key(sp) for sp in range(cfg.n_superpeers)]
-        self._cat_key = [category_key(c) for c in range(cfg.n_categories)]
+        n = cfg.n_superpeers
+        self._node_key = np.fromiter(map(node_key, range(n)), np.uint64, n)
+        self._cat_key = np.fromiter(
+            map(category_key, range(cfg.n_categories)), np.uint64, cfg.n_categories
+        )
         self.kbuckets: list[KBucketTable] = []
         # steward super-peer -> category -> owner super-peers (ascending).
         self.directory: dict[int, dict[int, list[int]]] = {}
         if cfg.mode == "hybrid":
-            self.kbuckets = [
-                KBucketTable(sp, k=cfg.kbucket_k) for sp in range(cfg.n_superpeers)
-            ]
-            for table in self.kbuckets:
-                table.insert_all(range(cfg.n_superpeers))
+            self.kbuckets = self._kbucket_tables()
+        self._forget_routes()
+        if cfg.mode == "hybrid":
             self._build_directory()
         # the tiers; the substrate reported itself as "superpeer"
         observe_sim_build("hier", started)
 
     # -- keyspace tier ------------------------------------------------------
-    def _forget_routes(self) -> None:
-        """Start the route plans empty: they are functions of (start,
-        liveness), filled on first use, and a kill moves liveness."""
+    def _kbucket_tables(self) -> list[KBucketTable]:
+        """Every super-peer's k-buckets, each filled from every id in order."""
         cfg = self.config
+        ids, keys = list(range(cfg.n_superpeers)), self._node_key.tolist()
+        tables = [KBucketTable(sp, k=cfg.kbucket_k) for sp in ids]
+        for table in tables:
+            table.insert_all(ids, keys)
+        return tables
+
+    def _forget_routes(self) -> None:
+        """Start the route plans over: they are functions of (start,
+        liveness), and a kill moves liveness.  Flood reaches are filled
+        on first use; the keyspace walks are planned whole."""
         # home -> (reach of the tier-2 flood from it, super-peer ->
         # position in reach.order or -1).  Every super-peer forwards to
         # all its neighbours, so the reach is the same for every file.
         self._reaches: dict[int, tuple[Reach, np.ndarray]] = {}
         # steward / hops of the keyspace walk from a super-peer toward a
-        # category, at super-peer * n_categories + category; steward -1 =
-        # not walked yet.
-        self._walk_steward = array("i", [-1]) * (cfg.n_superpeers * cfg.n_categories)
-        self._walk_hops = self._walk_steward[:]
+        # category, at super-peer * n_categories + category; steward -1
+        # at a dead start, and both empty without a keyspace tier.
+        self._walk_steward = self._walk_hops = array("i")
+        if self.kbuckets:
+            self._plan_walks()
+
+    def _plan_walks(self) -> None:
+        """Resolve the greedy XOR walk from every live super-peer toward
+        every category's key.
+
+        A node's next hop toward a key depends on nothing but its own
+        table, so one vector :meth:`KBucketTable.closer_than` per node
+        gives its next hop toward every category (-1 where it is the
+        steward), and following that table resolves every walk at once:
+        each round moves every unfinished walk one hop, and every hop is
+        strictly closer to the key, so no walk comes back.
+        """
+        cfg = self.config
+        n, n_categories = cfg.n_superpeers, cfg.n_categories
+        live = self.community.live_superpeers()
+        next_hop = np.full((n, n_categories), -1, np.int64)
+        for sp in live:
+            next_hop[sp] = self.kbuckets[sp].closer_than(
+                self._cat_key, self._cat_key ^ self._node_key[sp]
+            )
+        next_hop = next_hop.ravel()
+        category = np.tile(np.arange(n_categories), n)
+        steward = np.repeat(np.arange(n), n_categories)
+        hops = np.zeros(n * n_categories, np.intc)
+        step = next_hop.copy()
+        while (moving := np.flatnonzero(step >= 0)).size:
+            steward[moving] = step[moving]
+            hops[moving] += 1
+            step[moving] = next_hop[steward[moving] * n_categories + category[moving]]
+        dead = np.ones(n, bool)
+        dead[live] = False
+        steward.reshape(n, n_categories)[dead] = -1
+        self._walk_steward = array("i", steward.astype(np.intc).tobytes())
+        self._walk_hops = array("i", hops.tobytes())
 
     def _kademlia_walk(self, start: int, category: int) -> tuple[int, int]:
         """Greedy XOR walk from ``start`` toward ``category``'s key:
-        (steward, hops).
-
-        A node's next hop toward a key depends on nothing but its own
-        table, so every walk that passes through a node shares the rest
-        of its route: the walk stops at the first node whose answer is
-        known and fills in the nodes behind it, and each (node, category)
-        consults its k-buckets at most once between two kills.
-        """
-        n_categories = self.config.n_categories
-        stewards, hops = self._walk_steward, self._walk_hops
-        slot = start * n_categories + category
-        if stewards[slot] < 0:
-            key = self._cat_key[category]
-            path = []
-            current = start
-            at = slot
-            while stewards[at] < 0:
-                nxt = self.kbuckets[current].closer_than(
-                    key, xor_distance(self._node_key[current], key)
-                )
-                if nxt is None:
-                    stewards[at] = current
-                    hops[at] = 0
-                    break
-                path.append(at)
-                current = nxt
-                at = current * n_categories + category
-            steward, n_hops = stewards[at], hops[at]
-            for at in reversed(path):
-                n_hops += 1
-                stewards[at] = steward
-                hops[at] = n_hops
-        return stewards[slot], hops[slot]
+        (steward, hops), as :meth:`_plan_walks` resolved it."""
+        slot = start * self.config.n_categories + category
+        return self._walk_steward[slot], self._walk_hops[slot]
 
     def _build_directory(self) -> None:
-        """(Re)publish every live community's categories to their stewards."""
-        self.directory = {}
-        messages = 0
-        files_per_category = self.config.files_per_category
+        """(Re)publish every live community's categories to their stewards:
+        one entry per distinct (community, category), however many files
+        or leaves stand behind it, charged its walk's hops."""
+        cfg = self.config
+        n_categories = cfg.n_categories
+        files, _leaves, bounds = self.community.stretches()
+        files = np.asarray(files)
+        # a community's stretch is sorted by file, so category c is in
+        # it iff its files' edges c * fpc and (c + 1) * fpc fall apart
+        # (a file past the catalog, attached directly, has no category)
+        edges = np.arange(n_categories + 1) * cfg.files_per_category
+        present = np.zeros((cfg.n_superpeers, n_categories), bool)
         for sp in self.community.live_superpeers():
-            # one entry per distinct category, however many files or
-            # leaves stand behind it
-            categories = np.unique(self.community.files(sp) // files_per_category)
-            for category in categories.tolist():
-                steward, hops = self._kademlia_walk(sp, category)
-                messages += hops
-                self.directory.setdefault(steward, {}).setdefault(
-                    category, []
-                ).append(sp)
-        self.control_messages += messages
+            at = files[bounds[sp] : bounds[sp + 1]].searchsorted(edges)
+            present[sp] = at[1:] > at[:-1]
+        owners, categories = np.nonzero(present)  # community, then category
+        slots = owners * n_categories + categories
+        stewards = np.frombuffer(self._walk_steward, np.intc)[slots]
+        self.directory = {}
+        for steward, category, owner in zip(
+            stewards.tolist(), categories.tolist(), owners.tolist()
+        ):
+            self.directory.setdefault(steward, {}).setdefault(category, []).append(
+                owner
+            )
+        self.control_messages += int(
+            np.frombuffer(self._walk_hops, np.intc)[slots].sum()
+        )
 
     # -- rule tier -----------------------------------------------------------
     def _rule_targets(self, leaf: int, home: int, category: int) -> list[int]:

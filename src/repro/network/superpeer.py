@@ -30,6 +30,8 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from time import perf_counter
 
+import numpy as np
+
 from repro.metrics.traffic import QueryOutcome, TrafficStats
 from repro.network.community import CommunityIndex
 from repro.network.topology import random_regular
@@ -90,16 +92,20 @@ class SuperPeerNetwork:
         #: leaf -> home super-peer and library, each super-peer's exact index.
         self.community = CommunityIndex(cfg.n_superpeers)
         self._leaf_profile = []
-        for leaf in range(cfg.n_leaves):
-            superpeer = leaf // cfg.leaves_per_superpeer
-            profile = interests.sample_profile(
-                self._rng, width=cfg.interests_per_peer
-            )
-            drawn = self.catalog.draw_library(
-                self._rng, profile, size=cfg.library_size
-            )
-            self._leaf_profile.append(profile)
-            self.community.attach(leaf, superpeer, drawn.tolist())
+        per = cfg.leaves_per_superpeer
+        drawn = np.empty((per, cfg.library_size), np.int64)
+        for superpeer in range(cfg.n_superpeers):
+            # leaf by leaf from the stream, one community attached at once
+            for row in drawn:
+                profile = interests.sample_profile(
+                    self._rng, width=cfg.interests_per_peer
+                )
+                row[:] = self.catalog.draw_library(
+                    self._rng, profile, size=cfg.library_size
+                )
+                self._leaf_profile.append(profile)
+            first = superpeer * per
+            self.community.attach_block(superpeer, range(first, first + per), drawn)
         self._next_guid = 0
         # the substrate; a subclass reports what it adds under its own label
         observe_sim_build("superpeer", started)

@@ -222,6 +222,8 @@ def random_regular(n_nodes: int, degree: int, *, rng=None) -> Topology:
                 bad.append((u, v))
             else:
                 edges.add(key)
+        if bad and not edges:
+            continue  # every pair refused: no edge to swap with, so reshuffle
         ok = True
         edge_list = list(edges)
         for u, v in bad:

@@ -150,6 +150,10 @@ class _DrawnLibraries(ReferenceCommunityIndex):
     def attach(self, leaf, superpeer, library) -> None:
         super().attach(leaf, superpeer, frozenset(library))
 
+    def attach_block(self, superpeer, leaves, libraries) -> None:
+        for leaf, library in zip(leaves, libraries.tolist()):
+            self.attach(leaf, superpeer, library)
+
     @property
     def live(self) -> set[int]:
         """What the rule rung reads as its usable set."""

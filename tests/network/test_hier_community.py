@@ -1,5 +1,6 @@
 """Tests for repro.network.community."""
 
+import numpy as np
 import pytest
 
 from repro.network.community import CommunityIndex
@@ -104,6 +105,39 @@ class TestIdRanges:
         idx.attach(7, 1, frozenset({5, 2**31 - 1}))
         assert idx.lookup(1, 2**31 - 1) == [7]
         assert idx.holders(2**31 - 1).tolist() == [1]
+
+    def test_attach_refuses_a_file_id_that_is_not_an_integer(self):
+        idx = _index()
+        with pytest.raises(TypeError):
+            idx.attach(7, 1, [5, 1.5])
+        with pytest.raises(TypeError, match="integers"):
+            idx.attach_block(1, [7], np.array([[5.0, 1.5]]))
+        assert idx.members(1) == [2] and idx.index_size(1) == 1
+
+    def test_attach_block_is_one_attach_per_leaf(self):
+        """Rows with repeats and unsorted draws, leaves past the buffers,
+        an empty library: the same buffers as leaf-by-leaf attaches."""
+        one_by_one, block = _index(), _index()
+        libraries = np.array([[9, 3, 3, 7], [4, 4, 4, 4], [0, 12, 5, 12]])
+        leaves = [5, 3, 9]
+        for leaf, library in zip(leaves, libraries.tolist()):
+            one_by_one.attach(leaf, 2, library)
+        block.attach_block(2, leaves, libraries)
+        for name in ("_home", "_start", "_stop", "_files"):
+            assert getattr(block, name) == getattr(one_by_one, name)
+        assert block.members(2) == one_by_one.members(2) == leaves
+        assert block.lookup(2, 12) == [9]
+        block.attach_block(3, [11], np.empty((1, 0), np.int64))
+        assert block.library(11) == frozenset()
+
+    def test_attach_block_refuses_a_repeated_or_attached_leaf_whole(self):
+        idx = _index()
+        for leaves in ([4, 4], [4, 0]):
+            with pytest.raises(ValueError, match="already attached"):
+                idx.attach_block(2, leaves, np.array([[1], [2]]))
+        with pytest.raises(ValueError, match="one row per leaf"):
+            idx.attach_block(2, [4, 5], np.array([[1]]))
+        assert idx.members(2) == [] and len(idx._files) == 5
 
     @pytest.mark.parametrize("superpeer", [-1, 4])
     @pytest.mark.parametrize("call", ["lookup", "count"])

@@ -1,12 +1,16 @@
 """``HierNetwork``'s route plans against the per-message loops.
 
-``reference_hier.ReferenceHierNetwork`` floods message by message and
-walks the keyspace hop by hop, reading liveness on every call.
-``HierNetwork`` reads a memoised kernel reach per home, a walk memo per
-(super-peer, category) and the community holder index, all of which a kill
-— a ``topology.detach_node`` — must invalidate.  Both must agree on everything an experiment can observe:
+``reference_hier.ReferenceHierNetwork`` fills its k-buckets one insert
+at a time, floods message by message and walks the keyspace hop by hop,
+reading liveness on every call.  ``HierNetwork`` fills each table in one
+vector pass and reads a memoised kernel reach per home, a walk table
+planned whole for every (live super-peer, category) and the community
+holder index, all of which a kill — a ``topology.detach_node`` — must
+replace.  Both must agree on everything an experiment can observe:
 every :class:`QueryOutcome` field, the control traffic, the re-attachment
-map of every kill, the directory, and — since the learned state is a
+map of every kill, every k-bucket table in insertion order, every live
+super-peer's steward and hop count toward every category, the
+directory, and — since the learned state is a
 function of the order of the ``observe`` calls — every rule table's
 ``state()`` and every merged digest table's fingerprint.
 """
@@ -84,7 +88,16 @@ def kill_target(net: HierNetwork, kind: str, last_home: int, dead: list[int], rn
 
 
 def learned_state(net: HierNetwork) -> dict:
+    live = net.community.live_superpeers()
+    categories = range(net.config.n_categories)
     return {
+        # insertion order too: closer_than keeps the first of equal keys
+        "kbuckets": [
+            (list(table._known.items()), table._buckets) for table in net.kbuckets
+        ],
+        "walks": [net._kademlia_walk(sp, c) for sp in live for c in categories]
+        if net.kbuckets
+        else [],
         "control": net.control_messages,
         "tables": [(table.epoch, table.counts.state()) for table in net.sp_rules]
         + [table.state() for table in net.leaf_rules],
@@ -138,6 +151,7 @@ def test_plans_agree_with_the_per_message_loops(config, seed, data):
         assert bool(placement) == (target not in dead)
         dead.append(target)
         assert_kept_reaches_are_fresh(fast, dead)
+        assert learned_state(fast) == learned_state(slow)  # the replanned walks
     assert learned_state(fast) == learned_state(slow)
 
 

@@ -1,5 +1,6 @@
 """Tests for repro.network.hier.keyspace."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +12,7 @@ from repro.network.hier.keyspace import (
     xor_distance,
 )
 
-from .reference_hier import reference_closer_than
+from .reference_hier import reference_closer_than, reference_insert_all
 
 key_ints = st.integers(0, (1 << KEY_BITS) - 1)
 HALF = 1 << (KEY_BITS - 1)
@@ -201,6 +202,9 @@ class TestCloserThanAgainstTheDictScan:
             table.insert_all((5, *order, 7))
             assert table.closer_than(shared, 1) == order[0]
             assert reference_closer_than(table, shared, 1) == order[0]
+            targets = np.array([shared, shared ^ 1], np.uint64)
+            got = table.closer_than(targets, np.array([1, 2], np.uint64))
+            assert got.tolist() == [order[0], order[0]]
 
     def test_full_bucket(self):
         """Bucket 63 (half the keyspace) overflows at once with k=2; what
@@ -242,3 +246,156 @@ class TestCloserThanAgainstTheDictScan:
             one_each.insert(peer)
         assert list(one_call._known.items()) == list(one_each._known.items())
         assert one_call._buckets == one_each._buckets
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 50),
+        st.integers(1, 4),
+        st.lists(
+            st.tuples(st.sampled_from(["insert", "remove"]), st.integers(0, 50)),
+            max_size=60,
+        ),
+        st.lists(key_ints, min_size=1, max_size=6),
+    )
+    def test_a_vector_of_targets_is_each_target_asked_alone(
+        self, owner, k, edits, targets
+    ):
+        table = KBucketTable(owner, k=k)
+        table.insert_all(range(51))
+        for op, peer in edits:
+            getattr(table, op)(peer)
+        targets = targets + list(table._known.values())[:3]  # distance 0
+        vector = np.array(targets, np.uint64)
+        # the nearest distance itself: strictly closer means nobody
+        nearest = [
+            min((key ^ target for key in table._known.values()), default=0)
+            for target in targets
+        ]
+        for bounds in (
+            vector ^ np.uint64(table.owner_key),
+            np.zeros_like(vector),
+            np.array(nearest, np.uint64),
+            np.array([min(d + 1, (1 << KEY_BITS) - 1) for d in nearest], np.uint64),
+            np.full_like(vector, (1 << KEY_BITS) - 1),
+        ):
+            got = table.closer_than(vector, bounds)
+            expected = [
+                reference_closer_than(table, target, int(bound))
+                for target, bound in zip(targets, bounds.tolist())
+            ]
+            assert got.tolist() == [-1 if e is None else e for e in expected]
+
+    def test_a_vector_asked_of_an_empty_table_has_no_hops(self):
+        targets = np.array([0, category_key(1)], np.uint64)
+        got = KBucketTable(0).closer_than(targets, targets)
+        assert got.tolist() == [-1, -1]
+
+
+def test_bucket_index_is_the_bit_length_where_a_float_rounds_up():
+    """Distances just under a power of two round up to it as a float."""
+    from repro.network.hier.keyspace import _bucket_index
+
+    edges = [
+        value
+        for bits in range(1, KEY_BITS + 1)
+        # the last: the lowest value a float64 rounds up to 2 ** bits
+        for value in (1 << (bits - 1), (1 << bits) - 1, (1 << bits) - (1 << max(bits - 54, 0)))
+    ]
+    got = _bucket_index(np.array(edges, np.uint64)).tolist()
+    assert got == [value.bit_length() - 1 for value in edges]
+
+
+class TestInsertAllAgainstTheLoop:
+    """``insert_all`` fills a table in one vector pass; the loop of
+    one-at-a-time inserts it replaced is the oracle."""
+
+    @staticmethod
+    def both(owner, k):
+        return KBucketTable(owner, k=k), KBucketTable(owner, k=k)
+
+    @staticmethod
+    def same(vector, loop):
+        assert list(vector._known.items()) == list(loop._known.items())
+        assert vector._buckets == loop._buckets
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 30),
+        st.integers(1, 4),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert_all", "remove"]),
+                st.lists(st.integers(0, 60), max_size=40),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_batches_and_removals_in_any_order(self, owner, k, steps):
+        """Repeats, the owner and known peers in a batch; removals that
+        make room in a bucket between two batches."""
+        vector, loop = self.both(owner, k)
+        for op, peers in steps:
+            if op == "remove":
+                for peer in peers:
+                    vector.remove(peer)
+                    loop.remove(peer)
+            else:
+                vector.insert_all(peers)
+                reference_insert_all(loop, peers)
+            self.same(vector, loop)
+        assert all(len(bucket) <= k for bucket in vector._buckets.values())
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_a_network_fill_from_one_key_list(self, k):
+        ids = list(range(200))
+        keys = [node_key(peer) for peer in ids]
+        for owner in (0, 57, 199):
+            vector, loop = self.both(owner, k)
+            vector.insert_all(ids, keys)
+            reference_insert_all(loop, range(200))
+            self.same(vector, loop)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 30), st.integers(1, 4), st.lists(st.integers(0, 60), max_size=60))
+    def test_insert_is_the_batch_of_one(self, owner, k, peers):
+        vector, loop = self.both(owner, k)
+        for peer in peers:
+            answered = vector.insert(peer)
+            reference_insert_all(loop, [peer])
+            assert answered == (peer in loop)
+        self.same(vector, loop)
+
+    def test_equal_keys_keep_the_order_given(self, monkeypatch):
+        """Two peers with one key share a bucket; the first given is the
+        first kept, and with k = 1 the second is refused."""
+        import repro.network.hier.keyspace as keyspace
+        import tests.network.reference_hier as reference
+
+        shared = node_key(2)
+
+        def colliding(peer):
+            return shared if peer in (2, 9) else node_key(peer)
+
+        monkeypatch.setattr(keyspace, "node_key", colliding)
+        monkeypatch.setattr(reference, "node_key", colliding)
+        for k in (1, 2):
+            for order in ((2, 9), (9, 2)):
+                vector, loop = self.both(0, k)
+                vector.insert_all((5, *order, 7))
+                reference_insert_all(loop, (5, *order, 7))
+                self.same(vector, loop)
+                assert order[0] in vector and (order[1] in vector) == (k == 2)
+
+    def test_a_peer_with_the_owners_key_is_refused_before_anything_is_learnt(
+        self, monkeypatch
+    ):
+        import repro.network.hier.keyspace as keyspace
+
+        owner_key = node_key(0)
+        monkeypatch.setattr(
+            keyspace, "node_key", lambda peer: owner_key if peer == 9 else node_key(peer)
+        )
+        table = KBucketTable(0)
+        with pytest.raises(ValueError, match="owner's own key"):
+            table.insert_all((5, 9, 7))
+        assert len(table) == 0

@@ -68,6 +68,13 @@ class TestRandomRegular:
         assert set(dict(g.degree()).values()) == {6}
         assert nx.is_connected(g)
 
+    def test_a_shuffle_that_pairs_no_edge_is_redrawn(self):
+        """Seed 282's first shuffle of five 2-stub nodes refuses every
+        pair, which left no edge to repair with: a reshuffle, not an error."""
+        topo = random_regular(5, 2, rng=282)
+        assert topo.degrees() == [2] * 5
+        assert topo.is_connected()
+
     def test_odd_total_stubs_rejected(self, rng):
         with pytest.raises(ValueError):
             random_regular(5, 3, rng=rng)
