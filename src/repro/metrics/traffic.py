@@ -20,15 +20,17 @@ identically:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.utils.stats import RunningStats
 
 __all__ = ["QueryOutcome", "TrafficStats"]
 
 
-@dataclass(frozen=True)
-class QueryOutcome:
-    """Result of one query issued in the overlay simulator."""
+class QueryOutcome(NamedTuple):
+    """Result of one query issued in the overlay simulator (a named
+    tuple: every simulated query makes one or two, so it costs no
+    ``__init__``)."""
 
     query_id: int
     messages: int  # query messages transmitted on behalf of this query
@@ -49,14 +51,9 @@ class QueryOutcome:
         the same query: their ``messages`` and ``duplicates`` are added,
         the hits, the hop count and the rule flags stay this attempt's
         (§III-B's honest fallback accounting)."""
-        return QueryOutcome(
-            self.query_id,
-            self.messages + messages,
-            self.hits,
-            self.first_hit_hops,
-            self.duplicates + duplicates,
-            self.rule_covered,
-            self.rule_succeeded,
+        qid, sent, hits, hops, dups, covered, resolved = self
+        return QueryOutcome._make(
+            (qid, sent + messages, hits, hops, dups + duplicates, covered, resolved)
         )
 
 
@@ -75,19 +72,20 @@ class TrafficStats:
     message_stats: RunningStats = field(default_factory=RunningStats)
 
     def record(self, outcome: QueryOutcome) -> None:
+        _query_id, messages, hits, hops, duplicates, covered, resolved = outcome
         self.n_queries += 1
-        self.total_messages += outcome.messages
-        self.total_duplicates += outcome.duplicates
-        self.total_hits += outcome.hits
-        self.message_stats.push(outcome.messages)
-        if outcome.rule_covered:
+        self.total_messages += messages
+        self.total_duplicates += duplicates
+        self.total_hits += hits
+        self.message_stats.push(messages)
+        if covered:
             self.n_rule_covered += 1
-            if outcome.rule_succeeded:
+            if resolved:
                 self.n_rule_succeeded += 1
-        if outcome.succeeded:
+        if hits > 0:
             self.n_succeeded += 1
-            if outcome.first_hit_hops is not None:
-                self.hop_stats.push(outcome.first_hit_hops)
+            if hops is not None:
+                self.hop_stats.push(hops)
 
     @property
     def success_rate(self) -> float:

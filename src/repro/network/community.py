@@ -37,6 +37,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
+from heapq import heapify, heapreplace
 from itertools import pairwise
 
 import numpy as np
@@ -296,15 +297,19 @@ class CommunityIndex:
         Loads update as orphans land, so a batch spreads instead of
         piling onto one node.
         """
-        live = self.live_superpeers()
-        if not live:
+        if not self.live:
             raise ValueError("no live super-peers to re-attach to")
+        # (load, id) of every live super-peer: the smallest is the next
+        # home, and only that one's load moves as an orphan lands
+        homes = [(self.load(sp), sp) for sp in self.live]
+        heapify(homes)
         placement: dict[int, int] = {}
         for leaf in sorted(orphans):
             self._check_leaf(leaf)
             if self._home[leaf] >= 0:
                 raise ValueError(f"leaf {leaf} is already attached")
-            target = min(live, key=lambda sp: (self.load(sp), sp))
+            load, target = homes[0]
+            heapreplace(homes, (load + 1, target))
             self._join(leaf, target)
             placement[leaf] = target
         return placement

@@ -25,7 +25,10 @@ from __future__ import annotations
 import hashlib
 import struct
 import zlib
+from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "DigestEntry",
@@ -47,9 +50,11 @@ class DigestError(ValueError):
     """A digest failed to decode (truncated, bad magic, or bad CRC)."""
 
 
-@dataclass(frozen=True, order=True)
-class DigestEntry:
-    """One rule in a digest: {category} -> {consequent super-peer}."""
+class DigestEntry(NamedTuple):
+    """One rule in a digest: {category} -> {consequent super-peer}.
+
+    A named tuple, so its field order is its sort key: a digest's
+    canonical order is the entries sorted as plain tuples."""
 
     category: int
     consequent: int
@@ -65,7 +70,8 @@ class RuleDigest:
 
     ``entries`` are stored in canonical (category, consequent, support)
     order regardless of the order the constructor received them, so two
-    digests with the same logical content encode identically.
+    digests with the same logical content encode identically, and one
+    category's entries are one stretch of them.
     """
 
     origin: int
@@ -78,7 +84,7 @@ class RuleDigest:
         origin: int,
         epoch: int,
         total: int,
-        entries: tuple[DigestEntry, ...] | list[DigestEntry],
+        entries: Iterable[DigestEntry],
     ) -> None:
         object.__setattr__(self, "origin", int(origin))
         object.__setattr__(self, "epoch", int(epoch))
@@ -111,10 +117,7 @@ def decode_digest(data: bytes) -> RuleDigest:
         raise DigestError(f"bad digest magic {magic!r}")
     if len(body) != _HEADER.size + n_entries * _ENTRY.size:
         raise DigestError("digest entry count does not match payload size")
-    entries = [
-        DigestEntry(*_ENTRY.unpack_from(body, _HEADER.size + i * _ENTRY.size))
-        for i in range(n_entries)
-    ]
+    entries = map(DigestEntry._make, _ENTRY.iter_unpack(body[_HEADER.size :]))
     return RuleDigest(origin, epoch, total, entries)
 
 
@@ -166,12 +169,14 @@ class MergedRuleTable:
         """Every super-peer the merged rules point at for a category, best
         first, uncut: the rule rung cuts once, in ``forward_picks``."""
         support: dict[int, int] = {}
+        after = (category + 1,)
         for digest in self._by_origin.values():
-            for entry in digest.entries:
-                if entry.category == category:
-                    support[entry.consequent] = (
-                        support.get(entry.consequent, 0) + entry.support
-                    )
+            # canonical order: the category's entries are one stretch
+            entries = digest.entries
+            at = bisect_left(entries, (category,))
+            end = bisect_left(entries, after, at)
+            for _category, consequent, count in entries[at:end]:
+                support[consequent] = support.get(consequent, 0) + count
         ranked = sorted(support.items(), key=lambda cs: (-cs[1], cs[0]))
         return [consequent for consequent, _support in ranked]
 

@@ -284,14 +284,16 @@ class HierNetwork(SuperPeerNetwork):
                     ranked.append(extra)
         return forward_picks(ranked, cfg.rule_top_k, home, self.community.live)
 
+    def _table(self, leaf: int, home: int) -> SketchCounts:
+        """The pair counts a query from ``leaf`` at ``home`` teaches (a
+        learning mode only)."""
+        if self.leaf_rules:
+            return self.leaf_rules[leaf]
+        return self.sp_rules[home].counts
+
     def _learn(self, leaf: int, home: int, category: int, replier: int) -> None:
-        if replier == home:
-            return
-        mode = self.config.mode
-        if mode == "leaf-rules":
-            self.leaf_rules[leaf].observe(category, replier)
-        elif mode in ("superpeer-rules", "hybrid"):
-            self.sp_rules[home].observe(category, replier)
+        if replier != home:
+            self._table(leaf, home).observe(category, replier)
 
     def _publish_digest(self, home: int) -> None:
         """Push ``home``'s fresh digest to its overlay neighbors (a dead
@@ -406,8 +408,11 @@ class HierNetwork(SuperPeerNetwork):
         found.sort()
         if self.config.mode != "flood":
             # dict.fromkeys: each community once, first meeting first
-            for superpeer in dict.fromkeys(self.engine.ids(reach.order[found])):
-                self._learn(leaf, home, category, superpeer)
+            repliers = dict.fromkeys(self.engine.ids(reach.order[found]))
+            repliers.pop(home, None)
+            observe = self._table(leaf, home).observe
+            for superpeer in repliers:
+                observe(category, superpeer)
         # +1 for the original leaf -> super-peer hop.
         return (
             reach.messages, found.size, int(reach.depth[found[0]]) + 1, reach.duplicates

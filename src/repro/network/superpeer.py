@@ -170,12 +170,16 @@ class SuperPeerNetwork:
             raise ValueError("n_queries must be non-negative")
         if warmup < 0:
             raise ValueError("warmup must be non-negative")
-        cfg = self.config
-        stats = TrafficStats()
+        n_leaves = self.config.n_leaves
+        profiles, file_for_uniform = self._leaf_profile, self.catalog.file_for_uniform
+        # the generator's methods bound once: the draws sample_category
+        # and sample_file make, in their order, without their coercion
+        integers, random = self._rng.integers, self._rng.random
+        query, stats = self.query, TrafficStats()
         for i in range(warmup + n_queries):
-            leaf = int(self._rng.integers(0, cfg.n_leaves))
-            category = self._leaf_profile[leaf].sample_category(self._rng)
-            outcome = self.query(leaf, self.catalog.sample_file(self._rng, category))
+            leaf = int(integers(0, n_leaves))
+            category = profiles[leaf].category_for_uniform(random())
+            outcome = query(leaf, file_for_uniform(category, random()))
             if i >= warmup:
                 stats.record(outcome)
         return stats

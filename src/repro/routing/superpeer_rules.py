@@ -66,8 +66,9 @@ class SuperPeerRules:
 
         counts = self.counts
         entries = [
-            DigestEntry(category, replier, counts.rule_stats(category, replier)[0])
-            for category in counts.antecedents()
+            DigestEntry(category, replier, row[replier])
+            for category, row in counts.rows.items()
+            if row.qualified
             for replier in counts.consequents(category, top_k)
         ]
         self.epoch += 1

@@ -64,8 +64,11 @@ class RunningStats:
         value = float(value)
         self.count += 1
         self._mean += (value - self._mean) / self.count
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
+        # min() and max() without the builtin calls, NaN handled alike
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
 
     @property
     def mean(self) -> float:

@@ -8,9 +8,11 @@ can hit or miss.  One catalog serves both of a simulator's needs from
 one rank sampler: a peer's library (:meth:`ContentCatalog.draw_library`,
 every draw of a peer in one array; :meth:`ContentCatalog.sample_library`
 is its ``frozenset`` view) and a query's file
-(:meth:`ContentCatalog.sample_file`, one draw).  The monitor-node trace
-generator names reply files in :meth:`ContentCatalog.file_name`'s format
-and needs nothing else from here.
+(:meth:`ContentCatalog.sample_file`, one draw, or
+:meth:`ContentCatalog.file_for_uniform` off the caller's own uniform).
+The monitor-node trace generator names reply files in
+:meth:`ContentCatalog.file_name`'s format and needs nothing else from
+here.
 """
 
 from __future__ import annotations
@@ -59,10 +61,17 @@ class ContentCatalog:
         return file_id // self.files_per_category
 
     def sample_file(self, rng, category: int) -> int:
-        """Draw a file from ``category`` with Zipf popularity."""
+        """Draw a file from ``category`` with Zipf popularity (a category
+        out of range raises before anything is drawn)."""
         if not 0 <= category < self.n_categories:
             raise IndexError(f"category {category} out of range")
-        rank = self._rank_sampler.sample(as_generator(rng))
+        return self.file_for_uniform(category, as_generator(rng).random())
+
+    def file_for_uniform(self, category: int, u: float) -> int:
+        """Map a uniform(0, 1) draw to a file of ``category``, a category
+        the caller has already checked (hot-loop fast path, the twin of
+        :meth:`InterestProfile.category_for_uniform`)."""
+        rank = self._rank_sampler.rank_for_uniform(u)
         return category * self.files_per_category + rank
 
     def draw_library(self, rng, profile: InterestProfile, *, size: int) -> np.ndarray:

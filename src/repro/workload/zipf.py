@@ -48,8 +48,13 @@ class ZipfSampler:
         """Draw one rank (``size=None``) or an array of ranks."""
         rng = as_generator(rng)
         if size is None:
-            return bisect_right(self._cdf_list, rng.random())
+            return self.rank_for_uniform(rng.random())
         return self.ranks_for_uniforms(rng.random(size))
+
+    def rank_for_uniform(self, u: float) -> int:
+        """Map one uniform(0, 1) draw to a rank, for callers that draw
+        their own uniforms (the scalar twin of :meth:`ranks_for_uniforms`)."""
+        return bisect_right(self._cdf_list, u)
 
     def ranks_for_uniforms(self, u: np.ndarray) -> np.ndarray:
         """Map uniform(0, 1) draws to ranks (inverse transform), for

@@ -1,5 +1,7 @@
 """Tests for repro.metrics.traffic."""
 
+import pytest
+
 from repro.metrics.traffic import QueryOutcome, TrafficStats
 
 
@@ -26,6 +28,34 @@ class TestQueryOutcome:
         miss = QueryOutcome(7, 4, 0, None, 1).on_top_of(6, 1)
         assert (miss.messages, miss.duplicates, miss.first_hit_hops) == (10, 2, None)
         assert flood.messages == 40  # frozen: a new outcome each time
+
+    @pytest.mark.parametrize(
+        "field", ["query_id", "messages", "hits", "rule_covered", "rule_succeeded"]
+    )
+    def test_assignment_raises(self, field):
+        with pytest.raises(AttributeError):
+            setattr(outcome(), field, 0)
+
+    @pytest.mark.parametrize("covered", [False, True])
+    @pytest.mark.parametrize("resolved", [False, True])
+    @pytest.mark.parametrize("hops", [None, 0, 3])
+    def test_on_top_of_adds_only_the_cost(self, covered, resolved, hops):
+        attempt = QueryOutcome(9, 4, 2, hops, 1, covered, resolved)
+        charged = attempt.on_top_of(6, 3)
+        assert type(charged) is QueryOutcome
+        assert charged == (9, 10, 2, hops, 4, covered, resolved)
+        assert attempt.on_top_of(6) == (9, 10, 2, hops, 1, covered, resolved)
+
+    @pytest.mark.parametrize("hits", [-1, 0, 1, 7])
+    def test_succeeded_is_hits_above_zero(self, hits):
+        assert QueryOutcome(1, 5, hits, None, 0).succeeded is (hits > 0)
+
+    def test_fields_and_defaults(self):
+        assert QueryOutcome._fields == (
+            "query_id", "messages", "hits", "first_hit_hops", "duplicates",
+            "rule_covered", "rule_succeeded",
+        )  # fmt: skip
+        assert QueryOutcome(1, 2, 3, 4, 5) == (1, 2, 3, 4, 5, False, False)
 
 
 class TestTrafficStats:

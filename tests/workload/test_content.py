@@ -31,8 +31,24 @@ class TestContentCatalog:
             assert catalog.category_of(f) == 3
 
     def test_sample_file_bad_category(self, rng):
+        state = rng.bit_generator.state
         with pytest.raises(IndexError):
             ContentCatalog(2, 10).sample_file(rng, 5)
+        assert rng.bit_generator.state == state  # refused before drawing
+
+    @pytest.mark.parametrize("exponent", [0.0, 1.0, 1.7])
+    def test_file_for_uniform_agrees_with_sample_file(self, exponent):
+        catalog = ContentCatalog(5, 50, popularity_exponent=exponent)
+        drawn, mapped = np.random.default_rng(3), np.random.default_rng(3)
+        for category in [0, 4, 2, 2, 1, 3] * 50:
+            f = catalog.sample_file(drawn, category)
+            assert catalog.file_for_uniform(category, mapped.random()) == f
+            assert type(f) is int
+
+    def test_file_for_uniform_at_the_edges(self):
+        catalog = ContentCatalog(3, 10)
+        assert catalog.file_for_uniform(1, 0.0) == 10
+        assert catalog.file_for_uniform(2, 1.0 - 2**-53) == 29
 
     def test_library_respects_interests(self, rng):
         catalog = ContentCatalog(6, 40)

@@ -62,3 +62,9 @@ class TestZipfSampler:
         a = ZipfSampler(30, 1.0).sample(np.random.default_rng(9), size=20)
         b = ZipfSampler(30, 1.0).sample(np.random.default_rng(9), size=20)
         np.testing.assert_array_equal(a, b)
+
+    def test_scalar_rank_for_uniform_agrees_with_the_array_map(self):
+        sampler = ZipfSampler(40, 1.2)
+        u = np.random.default_rng(4).random(500)
+        scalar = [sampler.rank_for_uniform(x) for x in u.tolist()]
+        np.testing.assert_array_equal(scalar, sampler.ranks_for_uniforms(u))
