@@ -35,10 +35,10 @@ anything changes (a negative one would alias the last element).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from heapq import heapify, heapreplace
-from itertools import pairwise
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -46,6 +46,10 @@ from repro.network.holders import HolderIndex
 from repro.obs.instruments import set_sim_population_bytes
 
 __all__ = ["CommunityIndex", "count_pairs"]
+
+#: (leaf, file) pairs :meth:`CommunityIndex.stretches` gathers at once
+#: (whole communities; one larger than this is gathered alone).
+_GATHER_PAIRS = 1 << 17
 
 
 def count_pairs(
@@ -118,9 +122,11 @@ class CommunityIndex:
             raise IndexError(f"leaf id {min(leaves)} is negative")
         if superpeer not in self.live:
             raise ValueError(f"super-peer {superpeer} is not live")
-        for at, leaf in enumerate(leaves):
-            if (leaf < len(self._home) and self._home[leaf] >= 0) or leaf in leaves[:at]:
+        home, n_seen, given = self._home, len(self._home), set()
+        for leaf in leaves:
+            if leaf in given or (leaf < n_seen and home[leaf] >= 0):
                 raise ValueError(f"leaf {leaf} is already attached")
+            given.add(leaf)
         if libraries.ndim != 2 or len(libraries) != len(leaves):
             raise ValueError("libraries must hold one row per leaf")
         if libraries.dtype.kind not in "iu":
@@ -140,10 +146,14 @@ class CommunityIndex:
             self._start.extend(array("q", [0]) * unseen)
             self._stop.extend(array("q", [0]) * unseen)
         self._files.frombytes(block[distinct].astype(np.intc).tobytes())
-        for leaf, start, stop in zip(leaves, (stops - sizes).tolist(), stops.tolist()):
-            self._start[leaf] = start
-            self._stop[leaf] = stop
-            self._join(leaf, superpeer)
+        # every leaf's stretch and home at once, through views of the
+        # arrays that last only as long as each assignment
+        at = np.array(leaves, dtype=np.intp)
+        np.frombuffer(self._start, np.int64)[at] = stops - sizes
+        np.frombuffer(self._stop, np.int64)[at] = stops
+        np.frombuffer(self._home, np.intc)[at] = superpeer
+        self._members[superpeer] += leaves
+        self._stretches = self._holder_index = None
 
     def _join(self, leaf: int, superpeer: int) -> None:
         self._home[leaf] = superpeer
@@ -191,29 +201,50 @@ class CommunityIndex:
         it; replaced, never patched, so good until the next attach or
         kill."""
         if self._stretches is None:
-            # community by community into preallocated buffers: sorting the
-            # whole population at once costs ~50 B a pair in temporaries,
-            # more than everything that is kept (see holders.py)
-            library = np.frombuffer(self._files, dtype=np.int32)
-            start, stop = self._start, self._stop
-            bounds = [0]
-            for members in self._members:
-                bounds.append(
-                    bounds[-1] + sum(stop[leaf] - start[leaf] for leaf in members)
-                )
+            # leaves in community order, ascending within one: a
+            # community's pairs are its members' stretches end to end
+            members = [sorted(members) for members in self._members]
+            order = np.fromiter(
+                chain.from_iterable(members), np.intp, sum(map(len, members))
+            )
+            start = np.frombuffer(self._start, np.int64)[order]
+            sizes = np.frombuffer(self._stop, np.int64)[order] - start
+            pair_at = np.zeros(order.size + 1, np.int64)
+            np.cumsum(sizes, out=pair_at[1:])
+            leaf_at = np.zeros(self.n_superpeers + 1, np.intp)
+            np.cumsum([len(m) for m in members], out=leaf_at[1:])
+            bounds = pair_at[leaf_at].tolist()
             files = np.empty(bounds[-1], dtype=np.int32)
             leaves = np.empty(bounds[-1], dtype=np.int32)
-            for at, end, members in zip(bounds, bounds[1:], self._members):
-                if at == end:
-                    continue
-                members = sorted(members)
-                shared = np.concatenate(
-                    [library[start[leaf] : stop[leaf]] for leaf in members]
+            library = np.frombuffer(self._files, dtype=np.int32)
+            n_files = int(library.max(initial=0)) + 1
+            # whole communities a chunk at a time (a gather of the whole
+            # population costs ~28 B a pair in temporaries, see
+            # holders.py), each chunk in one sort of unique keys
+            # (community, file, position): positions ascend with the
+            # leaf, so a file's leaves come out ascending
+            most = max(1, (1 << (62 - _GATHER_PAIRS.bit_length())) // n_files)
+            sp = 0
+            while sp < self.n_superpeers:
+                last = bisect_right(bounds, bounds[sp] + _GATHER_PAIRS) - 1
+                last = max(sp + 1, min(last, sp + most))
+                lo, hi, base = leaf_at[sp], leaf_at[last], bounds[sp]
+                shift = (bounds[last] - base).bit_length()
+                at = np.repeat(start[lo:hi] - (pair_at[lo:hi] - base), sizes[lo:hi])
+                at += np.arange(at.size)
+                shared = library[at]
+                key = np.repeat(
+                    np.arange(last - sp, dtype=np.int64) * n_files,
+                    np.diff(bounds[sp : last + 1]),
                 )
-                order = shared.argsort(kind="stable")  # a file's leaves ascend
-                files[at:end] = shared[order]
-                sizes = [stop[leaf] - start[leaf] for leaf in members]
-                leaves[at:end] = np.repeat(members, sizes)[order]
+                key += shared
+                key <<= shift
+                key |= np.arange(key.size)
+                key.sort()
+                key &= (1 << shift) - 1  # each pair's position, in order
+                files[base : bounds[last]] = shared[key]
+                leaves[base : bounds[last]] = np.repeat(order[lo:hi], sizes[lo:hi])[key]
+                sp = last
             self._stretches = memoryview(files), memoryview(leaves), bounds
             set_sim_population_bytes("superpeer", self.nbytes)
         return self._stretches

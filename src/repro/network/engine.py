@@ -24,7 +24,9 @@ keeps the first edge — in (frontier position, neighbour position) order —
 into each node not yet reached.
 That is the order in which a message-by-message loop would have reached
 them, so every node gets the parent it would have got there, and the
-reply pass hands every policy the same events in the same order.  The
+reply pass hands every policy the same events in the same order.
+:meth:`QueryEngine.reaches` runs the same hops for the floods of many
+origins at once, over (origin, node) vectors.  The
 per-message loop itself lives in ``tests/network/reference_engine.py`` as
 the oracle the kernel is tested against.
 
@@ -57,6 +59,8 @@ __all__ = ["QueryEngine", "Reach"]
 
 #: origins per depth-table block: one bit each in a ``uint64`` per node.
 DEPTH_BLOCK = 64
+#: (origin, node) pairs per block of :meth:`QueryEngine.reaches`.
+REACH_BLOCK_PAIRS = 1 << 17
 #: a depth-table entry holds ``d - 1`` for a node ``d`` hops away; this
 #: marks the origin, an unreached node and one deeper than any TTL.
 FAR = 255
@@ -183,6 +187,87 @@ class QueryEngine:
             messages,
             duplicates,
         )
+
+    def reaches(self, origins: Sequence[int], ttl: int) -> list[Reach]:
+        """:meth:`reach` of a flood from each of ``origins``, in order: the
+        same reaches, a block of origins propagated together.
+
+        A hop gathers every (origin, frontier node) pair's out-edges in
+        (origin, frontier position, neighbour position) order, so the
+        first edge into each (origin, node) pair is the one :meth:`reach`
+        keeps.  A block holds a few (origins x nodes) vectors of about
+        1 MiB each.  No engine state moves (there is no reply walk to
+        leave parents for).
+        """
+        if ttl < 1:
+            raise ValueError("ttl must be >= 1")
+        origins = [int(origin) for origin in origins]
+        for origin in origins:
+            self._check_origin(origin)
+        indptr, indices = self.overlay.topology.csr()
+        block = max(1, REACH_BLOCK_PAIRS // (indptr.size - 1))
+        out: list[Reach] = []
+        for first in range(0, len(origins), block):
+            out += self._reach_block(
+                np.array(origins[first : first + block], dtype=np.intp),
+                ttl,
+                indptr,
+                indices,
+            )
+        return out
+
+    @staticmethod
+    def _reach_block(
+        origins: np.ndarray, ttl: int, indptr: np.ndarray, indices: np.ndarray
+    ) -> list[Reach]:
+        """:meth:`reaches` of one block: (origin row, node) pairs are
+        ``row * n + node`` in the per-pair vectors."""
+        k, n = origins.size, indptr.size - 1
+        rows = np.arange(k)
+        reached = np.zeros(k * n, dtype=bool)
+        reached[rows * n + origins] = True
+        # each reached pair's upstream node; n is the origin's "none"
+        parent = np.full(k * n, n, dtype=np.intp)
+        slot = np.empty(k * n, dtype=np.intp)
+        messages = np.zeros(k, dtype=np.int64)
+        duplicates = np.zeros(k, dtype=np.int64)
+        row, frontier = rows, origins
+        rings: list[tuple[np.ndarray, np.ndarray]] = []
+        while frontier.size and len(rings) < ttl:
+            sources, targets = QueryEngine._fan_out(frontier, indptr, indices)
+            edge_row = row.repeat(indptr[frontier + 1] - indptr[frontier])
+            pair = edge_row * n
+            sent = np.bincount(
+                edge_row[targets != parent[pair + sources]], minlength=k
+            )
+            pair += targets
+            # edges into pairs not reached before this hop, and of those
+            # the first into each pair (see reach)
+            new = (~reached[pair]).nonzero()[0]
+            heads = pair[new]
+            position = np.arange(new.size)
+            slot[heads[::-1]] = position[::-1]
+            new = new[slot[heads] == position]
+            row, frontier = edge_row[new], targets[new]
+            parent[pair[new]] = sources[new]
+            reached[pair[new]] = True
+            messages += sent
+            duplicates += sent - np.bincount(row, minlength=k)
+            rings.append((row, frontier))
+        # each origin's rings end to end: hop order, then discovery order
+        ring_rows = np.concatenate([ring_row for ring_row, _nodes in rings])
+        by_row = np.argsort(ring_rows, kind="stable")
+        order = np.concatenate([nodes for _row, nodes in rings])[by_row]
+        depth = np.repeat(
+            np.arange(1, len(rings) + 1), [ring_row.size for ring_row, _ in rings]
+        )[by_row]
+        ends = np.cumsum(np.bincount(ring_rows, minlength=k)).tolist()
+        return [
+            Reach(order[lo:hi], depth[lo:hi], sent_by, duplicated)
+            for lo, hi, sent_by, duplicated in zip(
+                [0, *ends], ends, messages.tolist(), duplicates.tolist()
+            )
+        ]
 
     def broadcast(
         self,

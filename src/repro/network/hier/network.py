@@ -41,10 +41,10 @@ reaches the same nodes in the same order for the same messages and
 duplicates whatever is asked; a greedy walk's next hop depends on the
 node's own table and the key alone.  Both are kept — per home the
 :meth:`QueryEngine.reach <repro.network.engine.QueryEngine.reach>` of a
-flood over the super-peer graph, computed on first use, and ``(steward,
-hops)`` for every (live super-peer, category), planned whole from one
-next-hop table — and a flood's
-per-query part is the file's sharers
+flood over the super-peer graph, every live home's planned at once by
+the first flood that needs one, and ``(steward, hops)`` for every (live
+super-peer, category), planned whole from one next-hop table — and a
+flood's per-query part is the file's sharers
 (:meth:`CommunityIndex.sharers`) whose community has a position in the
 reach — counted for the hits, their communities taken in discovery
 order: the order a per-message flood meets them, hence the same ``observe`` sequence and the same learned rules.  The
@@ -79,7 +79,12 @@ from repro.metrics.traffic import QueryOutcome
 from repro.network.community import count_pairs
 from repro.network.engine import QueryEngine, Reach
 from repro.network.hier.digest import MergedRuleTable, decode_digest
-from repro.network.hier.keyspace import KBucketTable, category_key, node_key
+from repro.network.hier.keyspace import (
+    KBucketTable,
+    category_key,
+    kbucket_tables,
+    node_key,
+)
 from repro.network.superpeer import SuperPeerConfig, SuperPeerNetwork
 from repro.obs.instruments import observe_sim_build
 from repro.routing.superpeer_rules import SuperPeerRules
@@ -178,17 +183,12 @@ class HierNetwork(SuperPeerNetwork):
     # -- keyspace tier ------------------------------------------------------
     def _kbucket_tables(self) -> list[KBucketTable]:
         """Every super-peer's k-buckets, each filled from every id in order."""
-        cfg = self.config
-        ids, keys = list(range(cfg.n_superpeers)), self._node_key.tolist()
-        tables = [KBucketTable(sp, k=cfg.kbucket_k) for sp in ids]
-        for table in tables:
-            table.insert_all(ids, keys)
-        return tables
+        return kbucket_tables(self._node_key, k=self.config.kbucket_k)
 
     def _forget_routes(self) -> None:
         """Start the route plans over: they are functions of (start,
-        liveness), and a kill moves liveness.  Flood reaches are filled
-        on first use; the keyspace walks are planned whole."""
+        liveness), and a kill moves liveness.  Flood reaches are planned
+        by the first flood; the keyspace walks are planned whole now."""
         # home -> (reach of the tier-2 flood from it, super-peer ->
         # position in reach.order or -1).  Every super-peer forwards to
         # all its neighbours, so the reach is the same for every file.
@@ -259,13 +259,20 @@ class HierNetwork(SuperPeerNetwork):
         owners, categories = np.nonzero(present)  # community, then category
         slots = owners * n_categories + categories
         stewards = np.frombuffer(self._walk_steward, np.intc)[slots]
+        # one group per (steward, category), its owners ascending; groups
+        # taken in the order their first entry comes, so every dict is
+        # filled in the order an entry-by-entry pass fills it
+        group = stewards * n_categories + categories
+        order = np.argsort(group, kind="stable")
+        group = group[order]
+        heads = np.flatnonzero(np.diff(group, prepend=-1))
+        ends = np.append(heads[1:], order.size)
+        owners = owners[order].tolist()
         self.directory = {}
-        for steward, category, owner in zip(
-            stewards.tolist(), categories.tolist(), owners.tolist()
-        ):
-            self.directory.setdefault(steward, {}).setdefault(category, []).append(
-                owner
-            )
+        for head in np.argsort(order[heads]).tolist():
+            at, end = int(heads[head]), int(ends[head])
+            steward, category = divmod(int(group[at]), n_categories)
+            self.directory.setdefault(steward, {})[category] = owners[at:end]
         self.control_messages += int(
             np.frombuffer(self._walk_hops, np.intc)[slots].sum()
         )
@@ -419,12 +426,19 @@ class HierNetwork(SuperPeerNetwork):
         )
 
     def _reach_from(self, home: int) -> tuple[Reach, np.ndarray]:
+        """``home``'s reach, after keeping every live super-peer's: the
+        first flood after a build or a kill plans them all in one
+        :meth:`QueryEngine.reaches <repro.network.engine.QueryEngine.reaches>`."""
         n = self.config.n_superpeers
-        reach = self.engine.reach(home, self.config.superpeer_ttl)
-        position = np.full(n, -1, dtype=np.min_scalar_type(-n))
-        position[reach.order] = np.arange(reach.order.size)
-        self._reaches[home] = reach, position
-        return reach, position
+        live = self.community.live_superpeers()
+        kind = np.min_scalar_type(-n)
+        for superpeer, reach in zip(
+            live, self.engine.reaches(live, self.config.superpeer_ttl)
+        ):
+            position = np.full(n, -1, dtype=kind)
+            position[reach.order] = np.arange(reach.order.size)
+            self._reaches[superpeer] = reach, position
+        return self._reaches[home]
 
     def _after_query(self, home: int) -> None:
         if not self.sp_rules:

@@ -48,8 +48,14 @@ class HolderIndex:
         return self._keys.nbytes
 
     def pack(self, owner: int, items: Collection[int]) -> np.ndarray:
-        """``owner``'s ``items`` as keys of this index, ascending."""
-        keys = np.fromiter(items, dtype=self._keys.dtype, count=len(items))
+        """``owner``'s ``items`` as keys of this index, ascending.  A
+        buffer of integers (an array, or a ``memoryview`` such as a
+        community's stretch) is converted in one pass; a set is read
+        item by item."""
+        if isinstance(items, (np.ndarray, memoryview)):
+            keys = np.array(items, dtype=self._keys.dtype)
+        else:
+            keys = np.fromiter(items, dtype=self._keys.dtype, count=len(items))
         keys *= self.n_owners
         keys += owner
         keys.sort()

@@ -11,10 +11,11 @@ one super-peer; indices are exact (a
 :class:`~repro.network.community.CommunityIndex`, which also holds
 every leaf's library — one ``int32`` buffer, read back through
 :meth:`SuperPeerNetwork.library` / :meth:`SuperPeerNetwork.shares`).
-Leaves are drawn one at a time, profile then library, from the one
-stream the queries later come from
-(:class:`~repro.workload.content.ContentCatalog` draws a library as one
-array and a query's file as one scalar, from the same rank sampler).
+Leaves are drawn one at a time, profile then library uniforms, from the
+one stream the queries later come from; a community's uniforms are one
+block, mapped to files at once
+(:meth:`~repro.workload.content.ContentCatalog.libraries_for_uniforms`,
+the same rank sampler a query's file is drawn from).
 This substrate and the workload generator are what
 :class:`~repro.network.hier.network.HierNetwork` inherits; construction time is
 reported to ``repro_sim_build_seconds`` in the global
@@ -93,17 +94,19 @@ class SuperPeerNetwork:
         self.community = CommunityIndex(cfg.n_superpeers)
         self._leaf_profile = []
         per = cfg.leaves_per_superpeer
-        drawn = np.empty((per, cfg.library_size), np.int64)
+        uniforms = np.empty((per, 2 * cfg.library_size))
+        random = self._rng.random
         for superpeer in range(cfg.n_superpeers):
-            # leaf by leaf from the stream, one community attached at once
-            for row in drawn:
-                profile = interests.sample_profile(
-                    self._rng, width=cfg.interests_per_peer
+            # leaf by leaf from the stream, profile then library uniforms,
+            # one community mapped and attached at once
+            profiles = []
+            for row in uniforms:
+                profiles.append(
+                    interests.sample_profile(self._rng, width=cfg.interests_per_peer)
                 )
-                row[:] = self.catalog.draw_library(
-                    self._rng, profile, size=cfg.library_size
-                )
-                self._leaf_profile.append(profile)
+                random(out=row)
+            drawn = self.catalog.libraries_for_uniforms(profiles, uniforms)
+            self._leaf_profile += profiles
             first = superpeer * per
             self.community.attach_block(superpeer, range(first, first + per), drawn)
         self._next_guid = 0

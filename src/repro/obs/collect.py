@@ -32,8 +32,9 @@ import json
 import time
 from collections import deque
 from http.client import HTTPException
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
+from repro.obs.instruments import quality_measures
 from repro.obs.scrape import (
     histogram_quantile,
     merge_histograms,
@@ -113,19 +114,6 @@ def _quality_counters(
         if field is not None:
             counters[field] += value
     return counters
-
-
-def quality_measures(counters: Mapping[str, float]) -> dict[str, float]:
-    """α, "ρ" and traffic per query from counters keyed by ``NodeStats``
-    field.  "ρ" is hits received per issued query, above 1 whenever a
-    query draws several hits, so it is not the paper's ρ = s/n."""
-    decisions = counters["queries_rule_routed"] + counters["queries_flooded"]
-    issued = counters["queries_issued"]
-    return {
-        "alpha": counters["queries_rule_routed"] / decisions if decisions else 0.0,
-        "rho": counters["hits_received"] / issued if issued else 0.0,
-        "traffic_per_query": counters["frames_out"] / issued if issued else 0.0,
-    }
 
 
 class ClusterTraceCollector:

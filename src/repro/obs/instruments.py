@@ -1,6 +1,9 @@
-"""Pre-resolved metric handles for one live node, and the simulators'
-two ambient instruments (:func:`observe_sim_build`,
-:func:`set_sim_population_bytes`).
+"""Pre-resolved metric handles for one live node, the simulators' two
+ambient instruments (:func:`observe_sim_build`,
+:func:`set_sim_population_bytes`), and the α/ρ formula both the node and
+the cluster collector read off the counters (:func:`quality_measures`;
+it lives here, not in :mod:`repro.obs.collect`, so that a node or a
+simulator loads no HTTP client).
 
 :class:`NodeInstruments` binds every metric the live stack emits to one
 ``node`` label value at construction time, so hot paths (frame decode,
@@ -25,12 +28,30 @@ Metric names follow Prometheus conventions: ``repro_`` prefix,
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from time import perf_counter
 
-from repro.obs.collect import quality_measures
 from repro.obs.registry import MetricsRegistry, get_global_registry
 
-__all__ = ["NodeInstruments", "observe_sim_build", "set_sim_population_bytes"]
+__all__ = [
+    "NodeInstruments",
+    "observe_sim_build",
+    "quality_measures",
+    "set_sim_population_bytes",
+]
+
+
+def quality_measures(counters: Mapping[str, float]) -> dict[str, float]:
+    """α, "ρ" and traffic per query from counters keyed by ``NodeStats``
+    field.  "ρ" is hits received per issued query, above 1 whenever a
+    query draws several hits, so it is not the paper's ρ = s/n."""
+    decisions = counters["queries_rule_routed"] + counters["queries_flooded"]
+    issued = counters["queries_issued"]
+    return {
+        "alpha": counters["queries_rule_routed"] / decisions if decisions else 0.0,
+        "rho": counters["hits_received"] / issued if issued else 0.0,
+        "traffic_per_query": counters["frames_out"] / issued if issued else 0.0,
+    }
 
 
 def observe_sim_build(network: str, started: float) -> None:

@@ -7,7 +7,8 @@ categories, with Zipf popularity inside each category — so that queries
 can hit or miss.  One catalog serves both of a simulator's needs from
 one rank sampler: a peer's library (:meth:`ContentCatalog.draw_library`,
 every draw of a peer in one array; :meth:`ContentCatalog.sample_library`
-is its ``frozenset`` view) and a query's file
+is its ``frozenset`` view; :meth:`ContentCatalog.libraries_for_uniforms`
+maps a block of peers' uniforms at once) and a query's file
 (:meth:`ContentCatalog.sample_file`, one draw, or
 :meth:`ContentCatalog.file_for_uniform` off the caller's own uniform).
 The monitor-node trace generator names reply files in
@@ -17,6 +18,7 @@ here.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import accumulate
 
 import numpy as np
@@ -83,31 +85,65 @@ class ContentCatalog:
         interest-based shortcuts and association-rule routing.
 
         One ``rng.random(2 * size)`` holds every draw in the order a
-        draw-by-draw loop would make them: slot ``2i`` picks file ``i``'s
-        category (:meth:`InterestProfile.category_for_uniform`), slot
-        ``2i + 1`` its rank (:meth:`sample_file`).  The profile's
-        categories are checked before anything is drawn, so a profile
-        this catalog cannot serve raises ``IndexError`` with the
-        generator untouched.
+        draw-by-draw loop would make them, mapped as the one-row case of
+        :meth:`libraries_for_uniforms`.  The profile's categories are
+        checked before anything is drawn, so a profile this catalog
+        cannot serve raises ``IndexError`` with the generator untouched.
         """
         if size < 0:
             raise ValueError("size must be non-negative")
-        categories = profile.categories
+        self._check_categories(profile.categories)
+        u = as_generator(rng).random(2 * size)
+        return self._map(np.array([profile.categories]), profile.weights, u[None])[0]
+
+    def libraries_for_uniforms(
+        self, profiles: Sequence[InterestProfile], u: np.ndarray
+    ) -> np.ndarray:
+        """Map row ``i`` of ``u`` to the library of a peer with
+        ``profiles[i]``: slot ``2j`` picks file ``j``'s category
+        (:meth:`InterestProfile.category_for_uniform`), slot ``2j + 1``
+        its rank (:meth:`file_for_uniform`).  A caller that draws each
+        peer's uniforms into one row of a block maps the whole block at
+        once: rows whose profiles weigh alike (a model hands every
+        profile of a width one weight tuple) are mapped together.
+        """
+        rows = len(profiles)
+        if u.ndim != 2 or len(u) != rows or u.shape[1] % 2:
+            raise ValueError("u must hold one row of 2 * size uniforms per profile")
+        alike: dict[tuple[float, ...], list[int]] = {}
+        for row, profile in enumerate(profiles):
+            alike.setdefault(profile.weights, []).append(row)
+        files = np.empty((rows, u.shape[1] // 2), np.int64)
+        for weights, at in alike.items():
+            chosen = [profiles[row].categories for row in at]
+            if min(map(min, chosen)) < 0 or max(map(max, chosen)) >= self.n_categories:
+                for categories in chosen:
+                    self._check_categories(categories)
+            files[at] = self._map(np.array(chosen), weights, u[at])
+        return files
+
+    def _map(
+        self, categories: np.ndarray, weights: tuple[float, ...], u: np.ndarray
+    ) -> np.ndarray:
+        """Rows of uniforms mapped for peers whose profiles share
+        ``weights``, row ``i``'s categories ``categories[i]``.  A
+        category is the number of the running sums (the same adds in the
+        same order) at or below its uniform, all but the last —
+        ``searchsorted(..., side="right")`` clipped to the last category."""
+        edges = np.array(list(accumulate(weights))[:-1])
+        slot = edges.searchsorted(u[:, 0::2], side="right")
+        slot += np.arange(0, categories.size, len(weights))[:, None]
+        files = categories.ravel()[slot]
+        files *= self.files_per_category
+        files += self._rank_sampler.ranks_for_uniforms(u[:, 1::2])
+        return files
+
+    def _check_categories(self, categories: tuple[int, ...]) -> None:
         if not (0 <= min(categories) and max(categories) < self.n_categories):
             raise IndexError(
                 f"profile categories {categories} out of range "
                 f"[0, {self.n_categories})"
             )
-        u = as_generator(rng).random(2 * size)
-        # category_for_uniform's running sums (the same adds in the same
-        # order): first edge above u, the last category when none is
-        edges = np.array(list(accumulate(profile.weights)))
-        slot = edges.searchsorted(u[0::2], side="right")
-        np.minimum(slot, len(categories) - 1, out=slot)
-        return (
-            np.array(categories)[slot] * self.files_per_category
-            + self._rank_sampler.ranks_for_uniforms(u[1::2])
-        )
 
     def sample_library(
         self, rng, profile: InterestProfile, *, size: int

@@ -97,13 +97,14 @@ class InterestModel:
         if width < 1:
             raise ValueError("width must be >= 1")
         width = min(width, self.n_categories)
-        rng = as_generator(rng)
+        # ZipfSampler.sample's draw, bound once for the profile
+        random, rank = as_generator(rng).random, self._popularity.rank_for_uniform
         chosen: list[int] = []
         seen: set[int] = set()
         # Rejection sampling is fine: width << n_categories in practice.
         attempts = 0
         while len(chosen) < width:
-            cat = self._popularity.sample(rng)
+            cat = rank(random())
             attempts += 1
             if cat not in seen:
                 seen.add(cat)

@@ -59,7 +59,7 @@ class ZipfSampler:
     def ranks_for_uniforms(self, u: np.ndarray) -> np.ndarray:
         """Map uniform(0, 1) draws to ranks (inverse transform), for
         callers that draw their own uniforms."""
-        return np.searchsorted(self._cdf, u, side="right").astype(np.int64, copy=False)
+        return self._cdf.searchsorted(u, side="right").astype(np.int64, copy=False)
 
     def probability(self, rank: int) -> float:
         if not 0 <= rank < self.n:

@@ -14,10 +14,12 @@ built from), so the differential tests run both and compare.
 
 The build's loops are here too: :func:`reference_insert_all` is
 ``KBucketTable.insert_all`` as one insert per peer, in order, before it
-became one vector pass; ``ReferenceHierNetwork`` fills its tables with
-it and publishes the directory with one walk per (community, category),
-so the tables, every steward and hop count, the directory and the
-control traffic of a build and of every kill are compared too.
+became one vector pass; ``ReferenceHierNetwork`` fills its tables —
+the dict-and-tuples ``ReferenceKBucketTable`` of
+``reference_keyspace.py`` — with it and publishes the directory with
+one walk per (community, category), so the tables, every steward and
+hop count, the directory and the control traffic of a build and of
+every kill are compared too.
 
 The loop bodies are the parent commits', verbatim; the walk takes the
 category where it used to take the category's key, and asks
@@ -35,14 +37,16 @@ import numpy as np
 from repro.network.hier.keyspace import KBucketTable, node_key, xor_distance
 from repro.network.hier.network import HierNetwork
 
+from .reference_keyspace import ReferenceKBucketTable
+
 
 def reference_closer_than(
-    table: KBucketTable, target_key: int, distance: int
+    table: KBucketTable | ReferenceKBucketTable, target_key: int, distance: int
 ) -> int | None:
     """Best known peer strictly closer to ``target_key``, or None."""
     best_id = None
     best_distance = distance
-    for peer_id, key in table._known.items():
+    for peer_id, key in table.entries():
         d = xor_distance(key, target_key)
         if d < best_distance:
             best_distance = d
@@ -50,7 +54,7 @@ def reference_closer_than(
     return best_id
 
 
-def reference_insert_all(table: KBucketTable, peer_ids) -> None:
+def reference_insert_all(table: ReferenceKBucketTable, peer_ids) -> None:
     """Learn the peers whose buckets have room, in the order given."""
     owner_id, owner_key, k = table.owner_id, table.owner_key, table.k
     buckets, known = table._buckets, table._known
@@ -72,9 +76,11 @@ class ReferenceHierNetwork(HierNetwork):
     """``HierNetwork`` with the per-peer and per-message loops under the
     build and the ladder."""
 
-    def _kbucket_tables(self) -> list[KBucketTable]:
+    def _kbucket_tables(self) -> list[ReferenceKBucketTable]:
         cfg = self.config
-        tables = [KBucketTable(sp, k=cfg.kbucket_k) for sp in range(cfg.n_superpeers)]
+        tables = [
+            ReferenceKBucketTable(sp, k=cfg.kbucket_k) for sp in range(cfg.n_superpeers)
+        ]
         for table in tables:
             reference_insert_all(table, range(cfg.n_superpeers))
         return tables

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.network.engine import QueryEngine
 from repro.network.messages import Query
 from repro.network.overlay import Overlay, OverlayConfig
+from repro.network.topology import Topology
 from repro.routing.association import AssociationRoutingPolicy
 from repro.routing.expanding_ring import ExpandingRingPolicy
 from repro.routing.flooding import FloodingPolicy
@@ -24,7 +25,7 @@ from repro.routing.hybrid import HybridShortcutAssociationPolicy
 from repro.routing.topology_adaptation import TopologyAdaptingPolicy
 from repro.utils.stats import RunningStats
 from tests.network.reference_engine import ReferenceEngine
-from tests.network.test_engine import RecordingPolicy, flood_select
+from tests.network.test_engine import RecordingPolicy, StubOverlay, flood_select
 from tests.network.test_engine_properties import random_overlays
 
 
@@ -172,6 +173,51 @@ def test_reach_and_holders_are_the_dict_loops_broadcast(setup, ttl, kind, salt, 
     assert [int(reach.order[at]) for at in found] == oracle.last_providers
     assert len(found) == expected.hits
     assert (int(reach.depth[found[0]]) if found else None) == expected.first_hit_hops
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    random_overlays(),
+    st.integers(1, 7),
+    st.integers(1, 60),
+    st.lists(st.integers(0, 13), max_size=4),
+    st.data(),
+)
+def test_reaches_are_each_origins_reach(setup, ttl, pairs, detached, data):
+    """A block of flood origins propagated together — blocks down to one
+    origin, every node an origin, repeats, isolated nodes — is each
+    origin's own ``reach``, dtypes and all."""
+    import repro.network.engine as engine_module
+
+    overlay, _origin, _ttl, _holders = setup
+    n = overlay.n_nodes
+    for node in detached:
+        overlay.topology.detach_node(node % n)
+    origins = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)) + list(
+        range(n)
+    )
+    engine = QueryEngine(overlay)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "REACH_BLOCK_PAIRS", pairs)
+        batch = engine.reaches(origins, ttl)
+    assert len(batch) == len(origins)
+    for origin, got in zip(origins, batch):
+        alone = engine.reach(origin, ttl)
+        assert got.order.dtype == alone.order.dtype
+        assert got.depth.dtype == alone.depth.dtype
+        assert got.order.tolist() == alone.order.tolist()
+        assert got.depth.tolist() == alone.depth.tolist()
+        assert (got.messages, got.duplicates) == (alone.messages, alone.duplicates)
+        assert {type(got.messages), type(got.duplicates)} == {int}
+
+
+def test_reaches_checks_before_it_propagates():
+    engine = QueryEngine(StubOverlay(Topology(3, [(0, 1), (1, 2)]), {}))
+    assert engine.reaches([], 3) == []
+    with pytest.raises(ValueError):
+        engine.reaches([0], 0)
+    with pytest.raises(ValueError):
+        engine.reaches([0, 3], 3)
 
 
 @settings(max_examples=40, deadline=None)

@@ -93,7 +93,7 @@ def learned_state(net: HierNetwork) -> dict:
     return {
         # insertion order too: closer_than keeps the first of equal keys
         "kbuckets": [
-            (list(table._known.items()), table._buckets) for table in net.kbuckets
+            (table.entries(), table.buckets()) for table in net.kbuckets
         ],
         "walks": [net._kademlia_walk(sp, c) for sp in live for c in categories]
         if net.kbuckets

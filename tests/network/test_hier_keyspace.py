@@ -13,6 +13,7 @@ from repro.network.hier.keyspace import (
 )
 
 from .reference_hier import reference_closer_than, reference_insert_all
+from .reference_keyspace import ReferenceKBucketTable
 
 key_ints = st.integers(0, (1 << KEY_BITS) - 1)
 HALF = 1 << (KEY_BITS - 1)
@@ -135,8 +136,8 @@ class TestKBucketTable:
 
 
 class TestCloserThanAgainstTheDictScan:
-    """``closer_than`` reads a ``uint64`` key vector the table keeps
-    between edits; the scan over ``_known`` it replaced is the oracle."""
+    """``closer_than`` reads the table's ``uint64`` key array; the scan
+    over its entries it replaced is the oracle."""
 
     @staticmethod
     def probes(table, targets):
@@ -173,7 +174,7 @@ class TestCloserThanAgainstTheDictScan:
             getattr(table, op)(peer)
             for got, expected in self.probes(table, targets):
                 assert got == expected
-        assert all(len(bucket) <= k for bucket in table._buckets.values())
+        assert all(len(bucket) <= k for bucket in table.buckets().values())
 
     def test_removed_peer_is_not_answered_again(self):
         table = KBucketTable(0)
@@ -212,7 +213,7 @@ class TestCloserThanAgainstTheDictScan:
         table = KBucketTable(0, k=2)
         refused = [peer for peer in range(1, 120) if not table.insert(peer)]
         assert refused
-        assert max(len(bucket) for bucket in table._buckets.values()) == 2
+        assert max(len(bucket) for bucket in table.buckets().values()) == 2
         for peer in refused:
             # the refused peer's own key: it would win if it were known
             target = node_key(peer)
@@ -225,7 +226,7 @@ class TestCloserThanAgainstTheDictScan:
         negative and win every ``argmin``."""
         table = KBucketTable(0, k=64)
         table.insert_all(range(1, 64))
-        keys = list(table._known.values())
+        keys = [key for _peer, key in table.entries()]
         assert any(key >= HALF for key in keys) and any(key < HALF for key in keys)
         for target in (0, HALF - 1, HALF, (1 << KEY_BITS) - 1, *keys[:8]):
             distances = [xor_distance(key, target) for key in keys]
@@ -244,8 +245,8 @@ class TestCloserThanAgainstTheDictScan:
         one_call.insert_all(peers)
         for peer in peers:
             one_each.insert(peer)
-        assert list(one_call._known.items()) == list(one_each._known.items())
-        assert one_call._buckets == one_each._buckets
+        assert one_call.entries() == one_each.entries()
+        assert one_call.buckets() == one_each.buckets()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -264,11 +265,12 @@ class TestCloserThanAgainstTheDictScan:
         table.insert_all(range(51))
         for op, peer in edits:
             getattr(table, op)(peer)
-        targets = targets + list(table._known.values())[:3]  # distance 0
+        keys = [key for _peer, key in table.entries()]
+        targets = targets + keys[:3]  # distance 0
         vector = np.array(targets, np.uint64)
         # the nearest distance itself: strictly closer means nobody
         nearest = [
-            min((key ^ target for key in table._known.values()), default=0)
+            min((key ^ target for key in keys), default=0)
             for target in targets
         ]
         for bounds in (
@@ -311,12 +313,12 @@ class TestInsertAllAgainstTheLoop:
 
     @staticmethod
     def both(owner, k):
-        return KBucketTable(owner, k=k), KBucketTable(owner, k=k)
+        return KBucketTable(owner, k=k), ReferenceKBucketTable(owner, k=k)
 
     @staticmethod
     def same(vector, loop):
-        assert list(vector._known.items()) == list(loop._known.items())
-        assert vector._buckets == loop._buckets
+        assert vector.entries() == loop.entries()
+        assert vector.buckets() == loop.buckets()
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -343,7 +345,7 @@ class TestInsertAllAgainstTheLoop:
                 vector.insert_all(peers)
                 reference_insert_all(loop, peers)
             self.same(vector, loop)
-        assert all(len(bucket) <= k for bucket in vector._buckets.values())
+        assert all(len(bucket) <= k for bucket in vector.buckets().values())
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_a_network_fill_from_one_key_list(self, k):

@@ -210,7 +210,7 @@ class TestChurn:
                 net.community.live_superpeers(),
                 [net.superpeer_of(leaf) for leaf in range(cfg.n_leaves)],
                 net.index_size(5),
-                [sorted(table._known) for table in net.kbuckets],
+                [sorted(peer for peer, _key in table.entries()) for table in net.kbuckets],
                 [table.fingerprint() for table in net.merged],
                 sorted(net._reaches),
                 net._walk_steward.tolist(),

@@ -45,6 +45,27 @@ def test_holders_equal_a_scan_under_replace(data):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 600),
+    st.integers(1, 200),
+    st.integers(0, 599),
+    st.lists(st.integers(0, 199), max_size=40),
+)
+def test_a_buffer_packs_as_its_set(n_owners, n_items, owner, items):
+    """A community's ``int32`` stretch (a ``memoryview``) and an array are
+    packed in one conversion, a set item by item: the same keys."""
+    owner %= n_owners
+    items = sorted({item % n_items for item in items})
+    index = HolderIndex(n_owners, n_items, (), 0)
+    expected = index.pack(owner, frozenset(items))
+    stretch = np.array(items, np.int32)
+    for buffer in (memoryview(stretch), stretch, stretch.astype(np.int64)):
+        packed = index.pack(owner, buffer)
+        assert packed.dtype == index._keys.dtype
+        assert packed.tolist() == expected.tolist()
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**16), data=st.data())
 def test_both_owners_under_interleaved_churn_and_kills(seed, data):

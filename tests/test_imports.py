@@ -57,6 +57,27 @@ def test_an_offline_command_loads_no_online_module(tmp_path, command):
     assert out.strip() == "[]"
 
 
+#: the HTTP client stack, which only the cluster collector's scrapes use
+_HTTP = ("repro.obs.scrape", "http.client", "urllib.request", "email")
+
+
+def test_a_simulator_or_live_node_loads_no_http_client():
+    """The simulators and a live node report through ``repro.obs``'s
+    instruments; none of them loads the scrape client or what it brings."""
+    out = _run(
+        f"""
+        import sys
+        import repro.network.hier.network, repro.network.overlay, repro.live.node
+
+        print(sorted(
+            name for name in sys.modules if name.split(".")[0] == "email"
+            or name in {_HTTP!r}
+        ))
+        """
+    )
+    assert out.strip() == "[]"
+
+
 def _modules() -> list[str]:
     names = (".".join(p.relative_to(SRC).with_suffix("").parts) for p in SRC.rglob("*.py"))
     return sorted(n.removesuffix(".__init__") for n in names if n != "repro.__main__")

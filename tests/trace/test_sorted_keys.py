@@ -1,49 +1,55 @@
-"""A store block's key histogram, decoded from its key segment, and a
-store block's keys, each pair's row of it.
+"""A store block's key histogram, decoded from its histogram segment, and
+a store block's keys, each pair's row of it.
 
-Every store holds each block's key histogram as narrow rows (segment
-codec 3), and a store block's ``key_histogram()`` is one checked decode
-of it.  Every store holds each pair as its row of that histogram
-(segment codec 4), so a block's ``packed_keys()`` are the decoded
-histogram's keys at those rows.  A store in any other form — the
-committed ``data/parent_*.rptrace``, the 300 pairs of
-:func:`legacy_columns` as earlier releases wrote them — is refused when
-it is opened (``tests/test_decoder_wall.py::test_a_legacy_store_is_refused``).
-Here:
+Every store is version 3: after the file header, each block is a 40-byte
+header (pairs, fingerprint, the two segments' stored lengths) and then
+its two segments — the index segment (codec 4), each pair's row of the
+block's key histogram, 1, 2 or 4 bytes wide; and the histogram segment
+(codec 3), the key histogram as narrow rows — and a 24-byte trailer
+counts the blocks and pairs.  Opening walks the block headers once from
+byte 32, each placing the next, and the store is closed only where the
+walk ends exactly at a trailer that agrees.  A block's
+``key_histogram()`` is one checked decode of its histogram segment and
+its ``packed_keys()`` are that histogram's keys at its index rows.  A
+store in any other form — the committed ``data/parent_*.rptrace``, the
+300 pairs of :func:`legacy_columns` as earlier releases wrote them — is
+refused when it is opened
+(``tests/test_decoder_wall.py::test_a_legacy_store_is_refused``).  Here:
 
-* a fresh store writes its histogram segment as codec 3, one pair
-  blocks included, and a block's ``key_histogram()`` reads no column;
-  its columns are a
-  row index (codec 4) 1, 2 or 4 bytes wide, whether ``codec`` is None or
-  ``"zlib"``, and a block decodes its histogram once for its histogram,
-  keys and columns alike, and serves its keys without splitting a column;
+* a fresh store writes the histogram segment, one pair blocks included,
+  and a block's ``key_histogram()`` reads no column; the index segment
+  is 1, 2 or 4 bytes a pair whether ``codec`` is None or ``"zlib"``, and
+  a block decodes its histogram once for its histogram, keys and columns
+  alike, and serves its keys without splitting a column;
 * on hypothesis-drawn columns — one distinct key, all keys distinct, a
   1-pair block, a short tail block, ids 0 and 2**31 - 1, ids on each
   side of a plane width (255/256, 65,535/65,536) —
   a store block's histogram is ``np.unique``'s bit for bit, and the four
   strategies, ``ruleset_test_random_subset`` and a two-tier
   ``ruleset_test_fallback`` agree with the in-memory blocks;
-* a key segment that is a valid histogram but not the columns' fails
-  ``verify_blocks``, ``verify=True`` and the open of a trailer-less
-  store;
+* a histogram segment that is a valid histogram but not the columns'
+  fails ``verify_blocks``, ``verify=True`` and the open of a store
+  without a trailer;
 * a block first touched after its reader's ``close()`` raises
   :class:`TraceStoreError`, and what :meth:`TraceStoreReader.blocks`
   read stays valid.
 
-``tests/test_decoder_wall.py`` edits the codec-3 segment so that it
-cannot be a block's histogram, and the codec-4 segment and its layout so
-that it cannot index it, and every such edit must fail the read.
-Mutants run in a scratch copy, and what fails on each (``rows`` is
+``tests/test_decoder_wall.py`` edits the histogram segment so that it
+cannot be a block's histogram, and the index segment and its layout so
+that it cannot index it, and every such edit must fail the read.  Each
+mutant of ``src/repro/trace/store.py`` below was run in a scratch copy,
+and the tests named beside it fail on it (``rows`` is
 ``test_decoder_wall.py::test_a_rows_segment_edit_raises``, ``index``
 its ``test_an_index_segment_edit_raises``, ``refused`` its
 ``test_a_legacy_store_is_refused``):
 
-* segment 2 written from ``np.sort(block.packed_keys())`` instead of
-  from the columns — ``test_store.py::TestPackedSegmentIgnored`` and
+* the writer's keys taken from the block's ``packed_keys()`` memo
+  instead of packed from the columns —
+  ``test_store.py::TestPackedSegmentIgnored`` and
   ``TestIntegrity::test_a_forged_memo_never_reaches_the_segment``;
-* the CRC check dropped from the rows decoder — ``rows`` on ``flipped
-  byte``, and ``test_cli.py::TestTraceEvalCli`` on a corrupt segment
-  (every ``extra``);
+* the CRC check dropped from the histogram decoder — ``rows`` on
+  ``flipped byte``, and ``test_cli.py::TestTraceEvalCli`` on a corrupt
+  segment (every ``extra``);
 * its width check dropped — ``rows`` on ``width 0``, ``width 3`` and
   ``width 8``; its whole-rows check — ``partial row``; its row-count
   check — ``zero rows`` and ``more rows than pairs``;
@@ -61,18 +67,17 @@ its ``test_an_index_segment_edit_raises``, ``refused`` its
   without its block count —
   ``test_a_footer_that_skips_a_block_is_not_trusted[v2]``; a walk that
   keeps a header whose stored lengths run past the file —
-  ``test_store.py::TestCompression::test_stored_length_past_the_file_is_corruption``;
-  a walk that reads a block header twice —
+  ``test_store.py::TestCompression::test_stored_length_past_the_file_is_corruption``
+  at the largest length; a walk that reads a block header twice —
   ``TestCompression::test_a_footer_store_reads_each_block_header_once``;
 * the writer's 2**32-pair checks dropped —
   ``test_store.py::TestCompression::test_blocks_of_2_to_the_32_pairs_are_refused``;
-* the row index decoder's ``bincount`` check dropped — ``index`` on
+* the index decoder's ``bincount`` check dropped — ``index`` on
   ``counts disagree``; its ``row < d`` check dropped — ``index`` on
-  ``row equal to d`` (``bincount`` then refuses it, with the other
-  message); its CRC check — ``index`` on ``rows swapped under the old
-  CRC`` and ``test_cli.py::TestTraceInspectCli`` on a corrupt block; its
-  width check — ``index`` on ``width 0``, ``width 3`` and ``width 8``;
-  its length check allowing a long plane — ``long plane``;
+  ``row equal to d``; its CRC check — ``index`` on ``rows swapped under
+  the old CRC`` and ``test_cli.py::TestTraceInspectCli`` on a corrupt
+  block; its width check — ``index`` on ``width 0``, ``width 3`` and
+  ``width 8``; its length check allowing a long plane — ``long plane``;
 * a block's keys split into columns and packed again —
   ``TestRowIndex::test_keys_come_from_the_decoded_histogram``;
 * a block's histogram decoded a second time for its keys —

@@ -21,6 +21,7 @@ from repro.workload.interests import InterestModel, InterestProfile
 from repro.workload.zipf import ZipfSampler
 
 from .reference_population import (
+    reference_draw_library,
     reference_sample_library,
     reference_sample_profile,
     reference_zipf_sample,
@@ -278,6 +279,109 @@ class TestSampleLibrary:
         with pytest.raises(IndexError):
             catalog.sample_library(rng, profile, size=60)
         assert same_state(rng, np.random.default_rng(8))
+
+
+# -- ContentCatalog.libraries_for_uniforms -----------------------------------
+def block_rows(catalog, profiles, uniforms):
+    """Each row of the block mapping, and what the per-draw loop draws
+    from the same row of uniforms."""
+    u = np.array(uniforms, dtype=float).reshape(len(profiles), -1)
+    block = catalog.libraries_for_uniforms(profiles, u)
+    assert block.dtype == np.int64 and block.shape == (len(profiles), u.shape[1] // 2)
+    size = u.shape[1] // 2
+    for row, profile, drawn in zip(u, profiles, block):
+        expected = reference_draw_library(
+            catalog, StubGenerator(row), profile, size=size
+        )
+        yield drawn.tolist(), expected
+        # and draw_library is the block of one row
+        one = catalog.draw_library(StubGenerator(row), profile, size=size)
+        assert one.tolist() == expected
+
+
+class TestLibraryBlock:
+    def test_a_community_at_the_simulator_shape(self):
+        """20 leaves, 40 x 250, width 4, 60 files: profile then uniforms
+        per leaf into a block, mapped at once — the reference's draws,
+        and the generator where the reference leaves it."""
+        catalog, model = ContentCatalog(40, 250), InterestModel(40)
+        rng, ref_rng = twins(2006)
+        u = np.empty((20, 120))
+        for _ in range(10):
+            profiles = []
+            for row in u:
+                profiles.append(model.sample_profile(rng, width=4))
+                rng.random(out=row)
+            block = catalog.libraries_for_uniforms(profiles, u)
+            for profile, drawn in zip(profiles, block):
+                assert profile == reference_sample_profile(model, ref_rng, width=4)
+                assert drawn.tolist() == reference_draw_library(
+                    catalog, ref_rng, profile, size=60
+                )
+        assert same_state(rng, ref_rng)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data(), st.integers(1, 12), st.integers(1, 80), exponents,
+           st.integers(0, 30), st.integers(1, 9), seeds)
+    def test_profiles_of_every_width_in_one_block(self, data, n_categories,
+                                                 per_category, exponent, size,
+                                                 rows, seed):
+        """Narrow rows beside wide ones, weights alike and not: each row
+        maps as it would alone."""
+        catalog = ContentCatalog(
+            n_categories, per_category, popularity_exponent=exponent
+        )
+        block = [data.draw(profiles(n_categories)) for _ in range(rows)]
+        uniforms = np.random.default_rng(seed).random(rows * 2 * size)
+        for drawn, expected in block_rows(catalog, block, uniforms):
+            assert drawn == expected
+
+    def test_uniforms_on_the_edges(self):
+        """Exact running sums and cdf values, their neighbours, 0.0 and
+        the largest double below 1, paired every way across rows of
+        profiles of widths 1 to 4 (one summing short of 1)."""
+        catalog = ContentCatalog(6, 9, popularity_exponent=0.7)
+        profiles = [
+            InterestProfile((4, 0, 5, 2), (0.4, 0.3, 0.2, 0.1)),
+            InterestProfile((3,), (1.0,)),
+            InterestProfile((3, 1, 2), (0.5, 0.3, 0.2 - 1e-6)),
+            InterestProfile((5, 1), (0.75, 0.25)),
+        ]
+        rank_us = [0.0, BELOW_ONE] + around(catalog._rank_sampler._cdf.tolist())
+        category_us = [0.0, BELOW_ONE, 1 - 5e-7]
+        for profile in profiles:
+            category_us += around(accumulate(profile.weights))
+        pairs = [(c, r) for c in category_us for r in rank_us]
+        size = len(pairs)
+        # every row sees every pair, each row shifted so that rows differ
+        uniforms = [
+            u for at in range(len(profiles)) for pair in pairs[at:] + pairs[:at]
+            for u in pair
+        ]
+        seen = set()
+        for drawn, expected in block_rows(catalog, profiles, uniforms):
+            assert drawn == expected
+            seen |= set(drawn)
+        assert len(seen) == len({c for p in profiles for c in p.categories}) * 9
+        assert size > 100
+
+    def test_no_rows_and_no_draws(self):
+        catalog = ContentCatalog(4, 5)
+        profile = InterestProfile((0, 3), (0.5, 0.5))
+        assert catalog.libraries_for_uniforms([], np.empty((0, 6))).shape == (0, 3)
+        assert catalog.libraries_for_uniforms([profile], np.empty((1, 0))).shape == (1, 0)
+        with pytest.raises(ValueError):
+            catalog.libraries_for_uniforms([profile], np.empty((1, 5)))
+        with pytest.raises(ValueError):
+            catalog.libraries_for_uniforms([profile, profile], np.empty((1, 6)))
+
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_a_row_the_catalog_cannot_serve_raises(self, bad):
+        catalog = ContentCatalog(4, 5)
+        good = InterestProfile((1, 2), (0.5, 0.5))
+        wrong = InterestProfile((1, bad), (1.0 - 1e-6, 1e-6))
+        with pytest.raises(IndexError, match="out of range"):
+            catalog.libraries_for_uniforms([good, wrong], np.zeros((2, 4)))
 
 
 # -- the world both simulators are built from -------------------------------
