@@ -417,9 +417,7 @@ class HierNetwork(SuperPeerNetwork):
             # dict.fromkeys: each community once, first meeting first
             repliers = dict.fromkeys(self.engine.ids(reach.order[found]))
             repliers.pop(home, None)
-            observe = self._table(leaf, home).observe
-            for superpeer in repliers:
-                observe(category, superpeer)
+            self._table(leaf, home).observe_all(category, repliers)
         # +1 for the original leaf -> super-peer hop.
         return (
             reach.messages, found.size, int(reach.depth[found[0]]) + 1, reach.duplicates

@@ -15,7 +15,12 @@ Leaves are drawn one at a time, profile then library uniforms, from the
 one stream the queries later come from; a community's uniforms are one
 block, mapped to files at once
 (:meth:`~repro.workload.content.ContentCatalog.libraries_for_uniforms`,
-the same rank sampler a query's file is drawn from).
+the same rank sampler a query's file is drawn from).  The query stream
+is drawn a chunk at a time in bulk, bit for bit the per-query draws
+(:func:`~repro.utils.rng.draw_records`), and each chunk is mapped to
+files by the same mapping
+(:meth:`~repro.workload.content.ContentCatalog.files_for_uniforms`) off a
+per-leaf category table built beside the profiles.
 This substrate and the workload generator are what
 :class:`~repro.network.hier.network.HierNetwork` inherits; construction time is
 reported to ``repro_sim_build_seconds`` in the global
@@ -37,11 +42,14 @@ from repro.metrics.traffic import QueryOutcome, TrafficStats
 from repro.network.community import CommunityIndex
 from repro.network.topology import random_regular
 from repro.obs.instruments import observe_sim_build, set_sim_population_bytes
-from repro.utils.rng import as_generator, spawn_child
+from repro.utils.rng import as_generator, draw_records, spawn_child
 from repro.workload.content import ContentCatalog
 from repro.workload.interests import InterestModel
 
 __all__ = ["SuperPeerConfig", "SuperPeerNetwork"]
+
+#: queries drawn and mapped at once by ``run_workload``.
+QUERY_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -109,6 +117,13 @@ class SuperPeerNetwork:
             self._leaf_profile += profiles
             first = superpeer * per
             self.community.attach_block(superpeer, range(first, first + per), drawn)
+        # every profile is drawn at one width, so all share one weight
+        # tuple: the query stream maps its categories off this table
+        self._leaf_categories = np.array(
+            [p.categories for p in self._leaf_profile],
+            np.min_scalar_type(cfg.n_categories),
+        )
+        self._leaf_weights = self._leaf_profile[0].weights
         self._next_guid = 0
         # the substrate; a subclass reports what it adds under its own label
         observe_sim_build("superpeer", started)
@@ -162,7 +177,10 @@ class SuperPeerNetwork:
     def run_workload(self, n_queries: int, *, warmup: int = 0) -> TrafficStats:
         """Issue interest-driven queries from random leaves (leaf uniform,
         category from the leaf's profile, file from the catalog: three
-        draws a query, in that order).
+        draws a query, in that order).  The draws are made a chunk at a
+        time (:meth:`_query_stream`); each query still goes through
+        ``self.query``, bound once, with plain ints, and the generator
+        ends in the state per-query draws would leave.
 
         The first ``warmup`` queries run but are not recorded.  Flooding
         has nothing to warm up, but the learning tiers that inherit this
@@ -173,19 +191,31 @@ class SuperPeerNetwork:
             raise ValueError("n_queries must be non-negative")
         if warmup < 0:
             raise ValueError("warmup must be non-negative")
-        n_leaves = self.config.n_leaves
-        profiles, file_for_uniform = self._leaf_profile, self.catalog.file_for_uniform
-        # the generator's methods bound once: the draws sample_category
-        # and sample_file make, in their order, without their coercion
-        integers, random = self._rng.integers, self._rng.random
         query, stats = self.query, TrafficStats()
-        for i in range(warmup + n_queries):
-            leaf = int(integers(0, n_leaves))
-            category = profiles[leaf].category_for_uniform(random())
-            outcome = query(leaf, file_for_uniform(category, random()))
-            if i >= warmup:
-                stats.record(outcome)
+        for leaf, file_id in self._query_stream(warmup):
+            query(leaf, file_id)
+        record = stats.record
+        for leaf, file_id in self._query_stream(n_queries):
+            record(query(leaf, file_id))
         return stats
+
+    def _query_stream(self, n: int):
+        """The next ``n`` (leaf, file) queries as plain ints, drawn
+        :data:`QUERY_CHUNK` at a time: each chunk's records
+        (:func:`~repro.utils.rng.draw_records`: ``integers(0, n_leaves)``
+        then two ``random()`` each, the generator left as those calls
+        leave it) mapped at once off the leaves' category table.  Nothing
+        a query does draws from the generator, so a chunk drawn ahead
+        issues what per-query draws would."""
+        cfg = self.config
+        while n > 0:
+            size = min(n, QUERY_CHUNK)
+            leaves, u = draw_records(self._rng, size, cfg.n_leaves)
+            files = self.catalog.files_for_uniforms(
+                self._leaf_categories[leaves], self._leaf_weights, u
+            )
+            yield from zip(leaves.tolist(), files.ravel().tolist())
+            n -= size
 
     # -- introspection (tests, reports) ------------------------------------
     def library(self, leaf: int) -> frozenset[int]:

@@ -11,6 +11,9 @@ is its ``frozenset`` view; :meth:`ContentCatalog.libraries_for_uniforms`
 maps a block of peers' uniforms at once) and a query's file
 (:meth:`ContentCatalog.sample_file`, one draw, or
 :meth:`ContentCatalog.file_for_uniform` off the caller's own uniform).
+Every block of uniforms — peers' libraries, or a chunk of queries whose
+categories the caller reads off its own per-peer table — is mapped by
+one method, :meth:`ContentCatalog.files_for_uniforms`.
 The monitor-node trace generator names reply files in
 :meth:`ContentCatalog.file_name`'s format and needs nothing else from
 here.
@@ -94,7 +97,8 @@ class ContentCatalog:
             raise ValueError("size must be non-negative")
         self._check_categories(profile.categories)
         u = as_generator(rng).random(2 * size)
-        return self._map(np.array([profile.categories]), profile.weights, u[None])[0]
+        categories = np.array([profile.categories])
+        return self.files_for_uniforms(categories, profile.weights, u[None])[0]
 
     def libraries_for_uniforms(
         self, profiles: Sequence[InterestProfile], u: np.ndarray
@@ -119,21 +123,24 @@ class ContentCatalog:
             if min(map(min, chosen)) < 0 or max(map(max, chosen)) >= self.n_categories:
                 for categories in chosen:
                     self._check_categories(categories)
-            files[at] = self._map(np.array(chosen), weights, u[at])
+            files[at] = self.files_for_uniforms(np.array(chosen), weights, u[at])
         return files
 
-    def _map(
+    def files_for_uniforms(
         self, categories: np.ndarray, weights: tuple[float, ...], u: np.ndarray
     ) -> np.ndarray:
         """Rows of uniforms mapped for peers whose profiles share
-        ``weights``, row ``i``'s categories ``categories[i]``.  A
-        category is the number of the running sums (the same adds in the
-        same order) at or below its uniform, all but the last —
-        ``searchsorted(..., side="right")`` clipped to the last category."""
+        ``weights``, row ``i``'s categories ``categories[i]`` (checked by
+        the caller), pairs of slots as in :meth:`libraries_for_uniforms`.
+        A category is the number of the running sums (the same adds in
+        the same order) at or below its uniform, all but the last —
+        ``searchsorted(..., side="right")`` clipped to the last category.
+        A library block and a chunk of queries (one pair a row) are both
+        mapped here."""
         edges = np.array(list(accumulate(weights))[:-1])
         slot = edges.searchsorted(u[:, 0::2], side="right")
         slot += np.arange(0, categories.size, len(weights))[:, None]
-        files = categories.ravel()[slot]
+        files = categories.ravel()[slot].astype(np.int64, copy=False)
         files *= self.files_per_category
         files += self._rank_sampler.ranks_for_uniforms(u[:, 1::2])
         return files

@@ -116,26 +116,46 @@ observes = st.tuples(
     st.sampled_from(CONSEQUENTS),
     st.booleans(),  # read everything back afterwards (which fills the memos)?
 )
+# one antecedent's batch of consequents, as a flood's repliers fold in:
+# up to 12 pairs, past a bucket edge of every width drawn
+batches = st.tuples(
+    st.just("observe_all"),
+    st.sampled_from(ANTECEDENTS),
+    st.lists(st.sampled_from(CONSEQUENTS), max_size=12),
+    st.booleans(),
+)
 # eight observes to one op that forgets something: the history has to grow
 # long enough to slide, compress and leave a memo stale
 others = st.sampled_from(["roundtrip", "roundtrip", "clear"]).map(lambda op: (op,))
-ops = st.lists(st.one_of(*[observes] * 8, others), max_size=100)
+ops = st.lists(st.one_of(*[observes] * 8, *[batches] * 2, others), max_size=100)
 
 
 @settings(max_examples=500, deadline=None)
 @given(oracles, ops)
 def test_every_read_equals_a_recount_of_the_history(oracle, ops):
     counts = oracle.make()
+    # fed pair by pair whatever ``counts`` is fed in a batch
+    paired = oracle.make()
     for op, *args in ops:
         if op == "observe":
             *pair, look = args
             pair = tuple(pair)
             assert counts.observe(*pair) is expected_observe(oracle, pair)
+            paired.observe(*pair)
             oracle.history.append(pair)
+            if look:
+                check_every_read(counts, oracle)
+        elif op == "observe_all":
+            a, cs, look = args
+            assert counts.observe_all(a, iter(cs)) is None
+            for c in cs:
+                paired.observe(a, c)
+                oracle.history.append((a, c))
             if look:
                 check_every_read(counts, oracle)
         elif op == "clear":
             counts.clear()
+            paired.clear()
             oracle.history.clear()
         else:
             state = counts.state()
@@ -148,7 +168,37 @@ def test_every_read_equals_a_recount_of_the_history(oracle, ops):
             # and an eviction that pops one object of its pair)
             window = oracle.history[-oracle.window :]
             assert counts.state()["window"] == window
+        assert counts.state() == paired.state()
+        assert counts.n_rules() == paired.n_rules()
     check_every_read(counts, oracle)
+
+
+def test_a_batch_refolds_a_row_a_mid_batch_compression_dropped():
+    """Width 2, floor 1: the second pair of ``observe_all(0, [1, 2, 3,
+    1])`` ends bucket 1, whose compression drops both of row 0's pairs
+    and the row itself; the third must start a new row, not count into
+    the dropped one."""
+    batched, paired = SketchCounts(0.5, 1), SketchCounts(0.5, 1)
+    dropped = []
+    compress = batched._compress
+
+    def watching():
+        row = batched.rows.get(0)
+        compress()
+        dropped.append(row is not None and 0 not in batched.rows)
+
+    batched._compress = watching
+    batched.observe_all(0, [1, 2, 3, 1])
+    for c in [1, 2, 3, 1]:
+        paired.observe(0, c)
+    assert dropped == [True, True]
+    assert batched.state() == paired.state()
+    assert batched.n_rules() == paired.n_rules() == 0
+    batched.observe_all(0, [3, 3, 3])
+    for c in [3, 3, 3]:
+        paired.observe(0, c)
+    assert batched.state() == paired.state()
+    assert batched.consequents(0) == paired.consequents(0) == [3]
 
 
 def test_a_steady_state_observe_makes_no_tracked_object():

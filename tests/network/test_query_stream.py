@@ -6,7 +6,10 @@ must be exactly what the per-query sampling calls make on a generator in
 the same state: ``int(rng.integers(0, n_leaves))``, then
 ``profile.sample_category(rng)``, then ``catalog.sample_file(rng,
 category)``.  Warm-up queries are issued like any other, so the whole
-``warmup + n`` sequence is compared.
+``warmup + n`` sequence is compared, and so is the generator's whole
+``bit_generator.state`` afterwards: the buffered 32-bit half included,
+whichever state the run starts from, and also when a bounded draw's half
+is rejected and drawn again.
 """
 
 import numpy as np
@@ -25,9 +28,10 @@ SUBSTRATE = dict(
 )
 
 
-def reference_stream(net, n: int) -> list[tuple[int, int]]:
+def reference_stream(net, n: int, states=None) -> list[tuple[int, int]]:
     """The (leaf, file) pairs the per-query calls draw from a copy of
-    ``net``'s generator in its current state."""
+    ``net``'s generator in its current state; the copy's state after them
+    is appended to ``states``."""
     rng = np.random.Generator(type(net._rng.bit_generator)())
     rng.bit_generator.state = net._rng.bit_generator.state
     stream = []
@@ -35,6 +39,8 @@ def reference_stream(net, n: int) -> list[tuple[int, int]]:
         leaf = int(rng.integers(0, net.config.n_leaves))
         category = net._leaf_profile[leaf].sample_category(rng)
         stream.append((leaf, net.catalog.sample_file(rng, category)))
+    if states is not None:
+        states.append(rng.bit_generator.state)
     return stream
 
 
@@ -65,10 +71,30 @@ def make(kind: str, seed: int) -> SuperPeerNetwork:
 @pytest.mark.parametrize("seed", [0, 11, 2006])
 def test_run_workload_issues_the_per_query_draws(kind, seed):
     net = make(kind, seed)
-    expected = reference_stream(net, 250)
+    states = []
+    expected = reference_stream(net, 250, states)
     issued = issued_stream(net, 200, warmup=50)
     assert issued == expected
     assert all(type(leaf) is int and type(f) is int for leaf, f in issued)
+    assert net._rng.bit_generator.state == states[0]
+
+
+@pytest.mark.parametrize("start", ["buffered half", "rejected half"])
+@pytest.mark.parametrize("n", [1, 2, 1500])
+def test_the_stream_leaves_the_state_the_per_query_calls_leave(start, n):
+    """A run that starts with a 32-bit half in the buffer takes it for its
+    first leaf.  A buffered half of 0 multiplies to a remainder of 0,
+    under Lemire's threshold ``2**32 % n_leaves`` (46 for 50 leaves): the
+    first leaf is drawn again from a fresh word, as numpy does."""
+    net = make("hybrid", 3)
+    state = net._rng.bit_generator.state
+    state["has_uint32"] = 1
+    state["uinteger"] = 0 if start == "rejected half" else 0x9E3779B9
+    net._rng.bit_generator.state = state
+    states = []
+    expected = reference_stream(net, n, states)
+    assert issued_stream(net, n, warmup=0) == expected
+    assert net._rng.bit_generator.state == states[0]
 
 
 def test_consecutive_calls_continue_the_stream():
@@ -78,3 +104,4 @@ def test_consecutive_calls_continue_the_stream():
     assert issued_stream(one, 120, warmup=0) == expected
     first = issued_stream(two, 70, warmup=10)
     assert first + issued_stream(two, 40, warmup=0) == expected
+    assert two._rng.bit_generator.state == one._rng.bit_generator.state

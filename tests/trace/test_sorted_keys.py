@@ -158,10 +158,10 @@ def row_index_width(path):
     return Path(path).read_bytes()[72 + 4]
 
 
-def write(path, sources, repliers, *, block_size=100, codec=None, footer=True):
+def write(path, sources, repliers, *, block_size=100, codec=None, trailer=True):
     writer = TraceStoreWriter(path, block_size=block_size, codec=codec)
     writer.append(sources, repliers)
-    if footer:
+    if trailer:
         writer.close(drop_partial=False)
     else:
         writer.abandon()
@@ -196,8 +196,8 @@ def assert_same_runs(path, memory):
 
 class TestHistogramSegment:
     def test_a_zlib_store_writes_histograms(self, tmp_path, monkeypatch):
-        """Segment 2 of a fresh zlib store is codec 3, and a block's key
-        histogram reads neither column and counts nothing."""
+        """A fresh store's histogram segment (segment 1) is codec 3, and a
+        block's key histogram reads neither column and counts nothing."""
         path = write(tmp_path / "new.rptrace", *legacy_columns())
         assert len(stored_lengths(path)) == 3
         calls, segments = [], []
@@ -294,7 +294,7 @@ class TestRowIndex:
     """A zlib store keeps each pair as its row of the block's histogram."""
 
     def test_keys_come_from_the_decoded_histogram(self, tmp_path, monkeypatch):
-        """A zlib block reads its key segment once and its row index once,
+        """A zlib block reads its histogram segment once and its row index once,
         packs only the histogram's keys, and serves its keys without
         splitting them into columns; the columns are split when asked."""
         import repro.trace.store as store_module
@@ -425,9 +425,10 @@ class TestHistogramDifferential:
                 assert_same_runs(path, memory)
 
 
-def forge(path, codec, monkeypatch, *, footer=True):
-    """A 3-block store whose block 1 key segment is sorted and in range
-    but holds {3} -> {4} a hundred times, not the block's keys."""
+def forge(path, codec, monkeypatch, *, trailer=True):
+    """A 3-block store whose block 1 histogram segment is sorted and in
+    range but holds {3} -> {4} a hundred times, not the block's keys;
+    without ``trailer`` the writer is abandoned before its trailer."""
     import repro.trace.blocks as blocks_module
 
     real = blocks_module.pack_keys
@@ -440,7 +441,7 @@ def forge(path, codec, monkeypatch, *, footer=True):
 
     with monkeypatch.context() as patch:
         patch.setattr(blocks_module, "pack_keys", forging)
-        write(path, *legacy_columns(), codec=codec, footer=footer)
+        write(path, *legacy_columns(), codec=codec, trailer=trailer)
     return path
 
 
@@ -451,17 +452,17 @@ class TestIntegrity:
     def test_forged_sorted_segment_fails_verification(
         self, tmp_path, codec, monkeypatch
     ):
-        footered = forge(tmp_path / "a.rptrace", codec, monkeypatch)
-        with TraceStoreReader(footered) as reader:
+        closed = forge(tmp_path / "a.rptrace", codec, monkeypatch)
+        with TraceStoreReader(closed) as reader:
             # the read pass cannot tell: the segment is a valid histogram
             assert generate_ruleset(reader.block(1), min_support_count=5).matches(3, 4)
             assert reader.verify_blocks() == 1
             with pytest.raises(TraceStoreCorruption, match="block 1"):
                 reader.verify_blocks(strict=True)
-        with TraceStoreReader(footered, verify=True) as reader:
+        with TraceStoreReader(closed, verify=True) as reader:
             assert reader.n_blocks == 1
-        footerless = forge(tmp_path / "b.rptrace", codec, monkeypatch, footer=False)
-        with TraceStoreReader(footerless) as reader:
+        torn = forge(tmp_path / "b.rptrace", codec, monkeypatch, trailer=False)
+        with TraceStoreReader(torn) as reader:
             assert reader.recovered and reader.n_blocks == 1
 
     @pytest.mark.parametrize("codec", [None, "zlib"])
